@@ -15,9 +15,9 @@ SHELL       := /bin/bash
 STATICCHECK_VERSION ?= 2025.1.1
 GOVULNCHECK_VERSION ?= v1.1.4
 
-.PHONY: ci lint vet-hdb tools test determinism bench benchdiff clean
+.PHONY: ci lint vet-hdb tools test bench-module determinism bench benchdiff clean
 
-ci: lint test determinism benchdiff
+ci: lint test bench-module determinism benchdiff
 
 lint: vet-hdb
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
@@ -57,6 +57,13 @@ test:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 	$(GO) build -o bin/hdbload ./cmd/hdbload
 	./bin/hdbload -rate 200 -duration 1s -maxq 2 -queue 4 -memory 65536 -broker -tenants 2 -seed 7
+
+# bench/ is a module of its own (replace hierdb => ../), so the root
+# `go build ./... && go test ./...` never compiles it: build, self-test
+# and quick-run it here, so a vec/spill/store change that breaks the
+# benchmark's replay code (or a workload's result check) fails CI.
+bench-module:
+	cd bench && $(GO) vet ./... && $(GO) test ./... && $(GO) run . -quick
 
 determinism:
 	@set -e; for p in 1 2 8; do for g in 1 4; do \

@@ -39,6 +39,10 @@ type Case struct {
 	Tables []*hierdb.Table
 	// Joins is the number of join predicates.
 	Joins int
+	// Filter, when set, is a row-filter closure applied to every scan (and
+	// by Reference to every table) — the row-era path that reads each
+	// candidate row through the boxing Row boundary.
+	Filter func(hierdb.Row) bool
 
 	q *querygen.Query
 	// keyCol[rel][edge] is the column index of rel's key for that edge.
@@ -268,8 +272,14 @@ func (c *Case) plan(db *hierdb.DB) *hierdb.Query {
 // planOrder assembles a left-deep join chain following the given join
 // order and attach edges.
 func (c *Case) planOrder(db *hierdb.DB, order, attach []int) *hierdb.Query {
+	scan := func(rel int) *hierdb.Query {
+		if c.Filter != nil {
+			return db.Scan(c.Tables[rel].Name, c.Filter)
+		}
+		return db.Scan(c.Tables[rel].Name)
+	}
 	offsets := make([]int, len(c.Tables)) // column offset of each relation in the accumulated row
-	acc := db.Scan(c.Tables[order[0]].Name)
+	acc := scan(order[0])
 	width := len(c.Tables[order[0]].Cols)
 	for i := 1; i < len(order); i++ {
 		rel := order[i]
@@ -281,7 +291,7 @@ func (c *Case) planOrder(db *hierdb.DB, order, attach []int) *hierdb.Query {
 		}
 		probeCol := offsets[prev] + c.keyCol[prev][ei]
 		buildCol := c.keyCol[rel][ei]
-		acc = acc.Join(db.Scan(c.Tables[rel].Name), hierdb.KeyCol(probeCol), hierdb.KeyCol(buildCol))
+		acc = acc.Join(scan(rel), hierdb.KeyCol(probeCol), hierdb.KeyCol(buildCol))
 		offsets[rel] = width
 		width += len(c.Tables[rel].Cols)
 	}
@@ -296,10 +306,16 @@ func (c *Case) planOrder(db *hierdb.DB, order, attach []int) *hierdb.Query {
 // then build columns) and its key semantics (keys compare as boxed
 // interface values, so nil==nil matches and cross-type keys do not).
 func (c *Case) Reference() map[string]int {
-	acc := make([]hierdb.Row, 0, len(c.Tables[c.order[0]].Rows))
-	for _, r := range c.Tables[c.order[0]].Rows {
-		acc = append(acc, r)
+	scan := func(rel int) []hierdb.Row {
+		var out []hierdb.Row
+		for _, r := range c.Tables[rel].Rows {
+			if c.Filter == nil || c.Filter(r) {
+				out = append(out, r)
+			}
+		}
+		return out
 	}
+	acc := scan(c.order[0])
 	offsets := make([]int, len(c.Tables))
 	width := len(c.Tables[c.order[0]].Cols)
 	for i := 1; i < len(c.order); i++ {
@@ -313,7 +329,7 @@ func (c *Case) Reference() map[string]int {
 		probeCol := offsets[prev] + c.keyCol[prev][ei]
 		buildCol := c.keyCol[rel][ei]
 		ht := make(map[any][]hierdb.Row)
-		for _, br := range c.Tables[rel].Rows {
+		for _, br := range scan(rel) {
 			ht[br[buildCol]] = append(ht[br[buildCol]], br)
 		}
 		var next []hierdb.Row

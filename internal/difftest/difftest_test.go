@@ -144,6 +144,25 @@ func TestDifferentialQueries(t *testing.T) {
 					spilled = true
 				}
 			}
+			// The disk-filter leg: every scan carries a row-filter closure,
+			// so each decoded (boxless) chunk row is boxed transiently
+			// through ReadRow before the closure type-asserts it — boxless
+			// batches meeting a row-era operator. Anchored to the naive
+			// interpreter under the same filter.
+			fc := *c
+			fc.Filter = func(r hierdb.Row) bool {
+				return r[0].(int)%3 != 0 && len(r[len(r)-1].(string)) > 0
+			}
+			got, st, err := fc.RunDiskLeg(ctx, t.TempDir(), 64, hierdb.WithWorkers(4))
+			if err != nil {
+				t.Fatalf("%s leg disk-filter: %v", name, err)
+			}
+			if err := DiffMultisets("disk-filter", "row-reference-filtered", got, fc.Reference()); err != nil {
+				t.Fatal(err)
+			}
+			if st.ChunksScanned == 0 {
+				t.Fatalf("%s leg disk-filter: no chunks scanned — the leg did not stream from disk", name)
+			}
 		})
 	}
 	// Not every generated query is big enough to spill, so the

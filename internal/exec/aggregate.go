@@ -118,8 +118,9 @@ func foldGroups(m map[any]*groupState, gb *GroupBy, rows []Row) {
 
 // foldGroupsBatch folds one columnar result batch into worker w's
 // private partial. With a resolved group-key column the key is the
-// column's boxed value (already an interface word — no re-boxing);
-// otherwise the key closure runs over a reused scratch row. Arg
+// column's boxed value (an interface word copied from a resident
+// column, boxed from the mirror of a decoded one); otherwise the key
+// closure runs over a reused scratch row. Arg
 // closures also see the scratch row: they return scalars, so reuse is
 // safe.
 //
@@ -145,7 +146,7 @@ func (q *query) foldGroupsBatch(m map[any]*groupState, w int, b *vec.Batch) {
 		}
 		var k any
 		if keyCol != nil {
-			k = keyCol.Box[keyCol.Pos(i)]
+			k = keyCol.Value(keyCol.Pos(i))
 		} else {
 			k = gb.Key(row)
 		}

@@ -94,7 +94,7 @@ func analyzeBatch(b *vec.Batch, counters []catalog.DistinctCounter, cols []catal
 				}
 				bytes++
 			default:
-				v := c.Box[pos]
+				v := c.Value(pos)
 				if vec.IsAbsent(v) {
 					// Ragged-row padding: the position holds no value.
 					cs.Nulls++

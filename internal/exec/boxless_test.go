@@ -1,0 +1,141 @@
+package exec
+
+import (
+	"context"
+	"fmt"
+	"path/filepath"
+	"testing"
+
+	"hierdb/internal/store"
+	"hierdb/internal/vec"
+)
+
+// fileTable writes tb as a table file and returns the file-backed twin.
+func fileTable(t *testing.T, tb *Table, chunkRows int) *Table {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), tb.Name+".hdb")
+	if err := store.WriteTable(path, tb.Cols, chunkRows, tb.Rows); err != nil {
+		t.Fatal(err)
+	}
+	f, err := store.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { f.Close() })
+	return &Table{Name: tb.Name, Cols: tb.Cols, File: f}
+}
+
+// allocsOfQuery averages the allocations of running plan to completion,
+// handing every result batch to consume.
+func allocsOfQuery(t *testing.T, pool *Pool, plan Node, opt Options, wantRows int, consume func(*vec.Batch)) float64 {
+	t.Helper()
+	return testing.AllocsPerRun(3, func() {
+		h, err := pool.Submit(context.Background(), plan, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := 0
+		for b := range h.Out() {
+			n += b.N
+			consume(b)
+		}
+		if err := h.Err(); err != nil {
+			t.Fatal(err)
+		}
+		if n != wantRows {
+			t.Fatalf("streamed %d rows, want %d", n, wantRows)
+		}
+	})
+}
+
+// TestDiskStreamAllocBound is the disk-streaming alloc gate (run by
+// CI): chunks decode into typed mirrors only, so a scan that discards
+// 80% of its rows pays a per-chunk cost for them, never a per-value
+// one. A consumer that stays on the batch currency sees no boxing at
+// all; one that materializes rows pays exactly one box per surviving
+// value (every value here is chosen to need a heap box) on top.
+func TestDiskStreamAllocBound(t *testing.T) {
+	pool, err := NewPool(4, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
+	const decoded, survivors, width = 100_000, 20_000, 3
+	tb := &Table{Name: "d", Cols: []string{"id", "v", "s"}}
+	for i := 0; i < decoded; i++ {
+		tb.Rows = append(tb.Rows, Row{1000 + i, 1000 + i%1000, fmt.Sprintf("payload-%06d", i)})
+	}
+	plan := Node(&Scan{Table: fileTable(t, tb, 4096), Preds: []vec.Pred{{Col: 1, Op: vec.Ge, Val: 1800}}})
+
+	batchOnly := allocsOfQuery(t, pool, plan, Options{}, survivors, func(*vec.Batch) {})
+	if perRow := batchOnly / decoded; perRow > 0.05 {
+		t.Fatalf("disk streaming allocates %.3f allocs/decoded row (avg %.0f total), want <= 0.05", perRow, batchOnly)
+	}
+	var arena vec.Arena
+	var rows []Row
+	boxed := allocsOfQuery(t, pool, plan, Options{}, survivors, func(b *vec.Batch) { rows = b.AppendRows(rows[:0], &arena) })
+	if over := (boxed - survivors*width) / decoded; over > 0.05 {
+		t.Fatalf("materializing %d survivors allocates %.0f: %.3f allocs/decoded row beyond one box per surviving value, want <= 0.05", survivors, boxed, over)
+	}
+}
+
+// TestSpillReplayAllocBound is the spill-replay alloc gate (run by CI):
+// a governed join that spills both sides decodes every probe batch
+// boxless and looks its keys up without boxing them. What remains per
+// row is the build side — each stored value boxed once on insert, one
+// index entry per key — and the boxes of the result rows a consumer
+// materializes.
+func TestSpillReplayAllocBound(t *testing.T) {
+	pool, err := NewPool(4, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
+	const buildRows, probeRows, width = 2_000, 200_000, 2
+	build := tbl("b", buildRows, func(i int) any { return 1000 + i }, func(i int) any { return 5000 + i })
+	probe := tbl("p", probeRows, func(i int) any { return 1000 + i%buildRows }, func(i int) any { return 1000 + i })
+	plan := Node(&Join{Build: &Scan{Table: build}, Probe: &Scan{Table: probe}, BuildKey: KeyCol(0), ProbeKey: KeyCol(0)})
+
+	// Per-row gates need batch-granular costs amortized: a spilled batch
+	// is 1/8 of these.
+	opt := Options{MemoryPerNode: 32 << 10, SpillDir: t.TempDir(), Morsel: 16384, Batch: 16384}
+	const decoded = buildRows + probeRows
+	const buildSide = buildRows * (width + 2) // one box per stored value, an index slice and map growth per key
+
+	batchOnly := allocsOfQuery(t, pool, plan, opt, probeRows, func(*vec.Batch) {})
+	if over := (batchOnly - buildSide) / decoded; over > 0.05 {
+		t.Fatalf("spill replay allocates %.0f: %.3f allocs/decoded row beyond the build side's %d, want <= 0.05", batchOnly, over, buildSide)
+	}
+	var arena vec.Arena
+	var rows []Row
+	boxed := allocsOfQuery(t, pool, plan, opt, probeRows, func(b *vec.Batch) { rows = b.AppendRows(rows[:0], &arena) })
+	if over := (boxed - buildSide - probeRows*width) / decoded; over > 0.05 {
+		t.Fatalf("materializing the replayed join allocates %.0f: %.3f allocs/decoded row beyond one box per probe value, want <= 0.05", boxed, over)
+	}
+}
+
+// TestBoxlessBuildBoxedOncePerStoredRow pins the box-once rule on the
+// build side: a build store fed boxless columns boxes each value as it
+// stores it, so a build row matched by 50 probe rows contributes copied
+// words to all 50 outputs, not 50 fresh boxes.
+func TestBoxlessBuildBoxedOncePerStoredRow(t *testing.T) {
+	pool, err := NewPool(4, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
+	const buildRows, probeRows, width = 1_000, 50_000, 2
+	build := tbl("b", buildRows, func(i int) any { return 1000 + i }, func(i int) any { return fmt.Sprintf("build-%04d", i) })
+	probe := tbl("p", probeRows, func(i int) any { return 1000 + i%buildRows }, func(i int) any { return i })
+	plan := Node(&Join{Build: &Scan{Table: fileTable(t, build, 256)}, Probe: &Scan{Table: probe}, BuildKey: KeyCol(0), ProbeKey: KeyCol(0)})
+
+	var arena vec.Arena
+	var got []Row
+	avg := allocsOfQuery(t, pool, plan, Options{}, probeRows, func(b *vec.Batch) { got = b.AppendRows(got, &arena) })
+	// The resident probe side copies words; the build side may box each
+	// stored value once (plus an index entry per key).
+	if limit := float64(buildRows*(width+2)) + 0.05*(buildRows+probeRows); avg > limit {
+		t.Fatalf("fan-out join over a boxless build side allocates %.0f, want <= %.0f: build values are boxed per match, not per stored row", avg, limit)
+	}
+	sameRows(t, got[:probeRows], nestedJoin(probe, build, 0, 0))
+}

@@ -80,10 +80,7 @@ func (q *query) processScanFile(a *activation, w int) (outs []*activation, resul
 	q.chunksScanned.Add(1)
 	q.diskBytes.Add(ft.Chunk(ci).Len)
 	if q.memBudget > 0 {
-		var bytes int64
-		for i := 0; i < b.N; i++ {
-			bytes += batchRowBytes(b, i)
-		}
+		bytes := batchBytes(b, nil)
 		// Scans never block on the budget: the charge shrinks the join
 		// headroom (pushing builds to spill earlier) instead — streamed
 		// input must keep flowing for the chain to drain. Correctness

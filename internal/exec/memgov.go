@@ -388,9 +388,7 @@ func (q *query) buildGoverned(or *opRun, b *vec.Batch, w int) error {
 		or.stripes[s].insertSel(b, sel, keys)
 		or.stripeRows[s] += len(sel)
 		or.locks[s].Unlock()
-		for _, li := range sel {
-			add += batchRowBytes(b, int(li)) + hashEntryBytes
-		}
+		add += batchBytes(b, sel) + int64(len(sel))*hashEntryBytes
 	}
 	if len(diverted) > 0 {
 		// The transition published the partition files before marking any
@@ -446,9 +444,7 @@ func (q *query) spillTransition(or *opRun) error {
 				return err
 			}
 		}
-		for i := 0; i < sealed.N; i++ {
-			freed += batchRowBytes(sealed, i) + hashEntryBytes
-		}
+		freed += batchBytes(sealed, nil) + int64(sealed.N)*hashEntryBytes
 	}
 	q.unchargeMem(freed)
 	sp.active.Store(true)
@@ -563,9 +559,7 @@ func (q *query) processSpillLoad(a *activation) (outs []*activation) {
 			keys = vs.keys
 		}
 		store.insertSel(db, vec.Ident(db.N)[:db.N], keys)
-		for i := 0; i < db.N; i++ {
-			bytes += batchRowBytes(db, i) + hashEntryBytes
-		}
+		bytes += batchBytes(db, nil) + int64(db.N)*hashEntryBytes
 	}
 	q.chargeMem(bytes) // may exceed at the depth cap; accepted
 	q.spillPhases.Add(1)

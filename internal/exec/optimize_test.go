@@ -56,8 +56,19 @@ func TestAnalyzeResident(t *testing.T) {
 	}
 }
 
+// The file side is analyzed from boxless decoded chunks, the resident
+// side from FromRows columns: the statistics must not tell them apart.
 func TestAnalyzeFileMatchesResident(t *testing.T) {
-	tb := statTable("f", 500, 25, false)
+	tb := statTable("f", 500, 25, true)
+	for i, r := range tb.Rows {
+		// A bool, a float and a mixed (Any) column ride along.
+		var mixed any = i % 3
+		if i%2 == 0 {
+			mixed = "m"
+		}
+		tb.Rows[i] = append(r, i%4 == 0, float64(i%11)/2, mixed)
+	}
+	tb.Cols = append(tb.Cols, "b", "f", "m")
 	path := filepath.Join(t.TempDir(), "f.hdb")
 	if err := store.WriteTable(path, tb.Cols, 64, tb.Rows); err != nil {
 		t.Fatal(err)
@@ -77,8 +88,8 @@ func TestAnalyzeFileMatchesResident(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mem.Rows != disk.Rows {
-		t.Fatalf("rows: mem %d vs disk %d", mem.Rows, disk.Rows)
+	if mem.Rows != disk.Rows || mem.AvgRowBytes != disk.AvgRowBytes {
+		t.Fatalf("rows/avg bytes: mem %d/%v vs disk %d/%v", mem.Rows, mem.AvgRowBytes, disk.Rows, disk.AvgRowBytes)
 	}
 	for i := range mem.Cols {
 		if mem.Cols[i].Distinct != disk.Cols[i].Distinct {

@@ -6,8 +6,10 @@ package exec
 // typed per-stripe column stores, probes hash the probe key column,
 // walk typed indexes and gather matches by position instead of
 // constructing boxed rows. All row materialization funnels through
-// vec's AppendRows/ReadRow boundary (the one sanctioned boxing site —
-// and even there, values are copied interface words, never re-boxed).
+// vec's AppendRows/ReadRow boundary, and column values are read typed
+// or through Col.Value, never Box[pos]: batches decoded from table
+// files and spill partitions are boxless (see internal/vec), boxed
+// only for the rows that reach the sink or a build store.
 //
 // Hash parity: every kernel reproduces keyHash64 bit-for-bit (mix64
 // for the int family and float bits, FNV-1a for strings, and the
@@ -320,7 +322,7 @@ func keyHashes(b *vec.Batch, keyCol int, key KeyFunc, vs *vecScratch) []uint64 {
 		}
 	default:
 		for i := 0; i < n; i++ {
-			hs[i] = keyHash64(c.Box[c.Pos(i)])
+			hs[i] = keyHash64(c.Value(c.Pos(i)))
 		}
 	}
 	return hs
@@ -399,7 +401,9 @@ func (ss *stripeStore) insertSel(b *vec.Batch, sel []int32, keys []any) {
 				ss.mstr[c.Str[cp]] = append(ss.mstr[c.Str[cp]], pos)
 			}
 		case c != nil:
-			ss.many[c.Box[c.Pos(int(li))]] = append(ss.many[c.Box[c.Pos(int(li))]], pos)
+			// Key by the stored word: a boxless key was boxed by the append.
+			k := ss.app.Col(ss.keyCol).Value(int(pos))
+			ss.many[k] = append(ss.many[k], pos)
 		default:
 			ss.many[keys[li]] = append(ss.many[keys[li]], pos)
 		}
@@ -425,7 +429,7 @@ func (ss *stripeStore) lookup(c *vec.Col, keys []any, li int) []int32 {
 		}
 		return ss.mstr[c.Str[pos]]
 	case c != nil:
-		return ss.many[c.Box[c.Pos(li)]]
+		return vec.Lookup(ss.many, c, c.Pos(li))
 	default:
 		return ss.many[keys[li]]
 	}
@@ -437,7 +441,7 @@ func (ss *stripeStore) rowAt(pos int, a *vec.Arena) Row {
 	w := ss.app.Width()
 	row := a.Anys(w)[:0]
 	for ci := 0; ci < w; ci++ {
-		v := ss.app.Col(ci).Box[pos]
+		v := ss.app.Col(ci).Value(pos)
 		if vec.IsAbsent(v) {
 			break
 		}
@@ -771,7 +775,7 @@ func gatherJoin(b *vec.Batch, vs *vecScratch, arena *vec.Arena) *vec.Batch {
 	for ci := 0; ci < bw; ci++ {
 		box := arena.Anys(m)
 		for j := 0; j < m; j++ {
-			box[j] = vs.bstores[j].app.Col(ci).Box[vs.bpos[j]]
+			box[j] = vs.bstores[j].app.Col(ci).Value(int(vs.bpos[j]))
 		}
 		out.Cols[len(b.Cols)+ci] = vec.Col{Kind: vec.Any, Box: box}
 	}
@@ -795,7 +799,7 @@ func materializeRow(b *vec.Batch, i int, a *vec.Arena) Row {
 	row := a.Anys(len(b.Cols))[:0]
 	for ci := range b.Cols {
 		c := &b.Cols[ci]
-		v := c.Box[c.Pos(i)]
+		v := c.Value(c.Pos(i))
 		if vec.IsAbsent(v) {
 			break
 		}
@@ -822,24 +826,41 @@ func batchRowsVec(rows []Row, size int) []*vec.Batch {
 	return out
 }
 
-// batchRowBytes approximates the in-memory footprint of logical row i
-// (parity with approxRowBytes on the materialized row).
-func batchRowBytes(b *vec.Batch, i int) int64 {
-	n := int64(24)
+// batchBytes approximates the in-memory footprint of b's logical rows
+// listed in sel (nil = all), summed column-wise from the typed mirrors
+// (parity with approxRowBytes over the materialized rows: a 24-byte
+// header per row, an interface word pair per present value, string
+// payloads on top).
+func batchBytes(b *vec.Batch, sel []int32) int64 {
+	k := b.N
+	if sel != nil {
+		k = len(sel)
+	}
+	n := int64(24 * k)
 	for ci := range b.Cols {
 		c := &b.Cols[ci]
-		v := c.Box[c.Pos(i)]
-		if vec.IsAbsent(v) {
-			break
+		if c.Kind != vec.Any && c.Kind != vec.String {
+			n += int64(16 * k)
+			continue
 		}
-		n += 16
-		if c.Kind == vec.String {
-			pos := c.Pos(i)
-			if !c.NullAt(pos) {
-				n += int64(len(c.Str[pos]))
+		for j := 0; j < k; j++ {
+			li := j
+			if sel != nil {
+				li = int(sel[j])
 			}
-		} else if s, ok := v.(string); ok {
-			n += int64(len(s))
+			pos := c.Pos(li)
+			if c.Kind == vec.String {
+				n += 16 + int64(len(c.Str[pos])) // "" at null positions
+				continue
+			}
+			v := c.Value(pos)
+			if vec.IsAbsent(v) {
+				continue // ragged padding: the row ends before this column
+			}
+			n += 16
+			if s, ok := v.(string); ok {
+				n += int64(len(s))
+			}
 		}
 	}
 	return n

@@ -25,9 +25,13 @@ package spill
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"io"
 	"math"
+	"math/bits"
 	"path/filepath"
+	"sync"
 
 	"hierdb/internal/vec"
 )
@@ -239,27 +243,58 @@ func appendValue(buf []byte, v any) ([]byte, error) {
 	return buf, nil
 }
 
+// readBufs recycles the ReadAt buffers of ReadColsAt. DecodeCols copies
+// everything it keeps out of its input (each string column into one
+// string of its own), so a buffer is free again as soon as the decode
+// returns; sync.Pool's per-P caches make that one buffer per worker in
+// steady state.
+var readBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// ReadColsAt reads the n bytes at off from r and decodes them as one
+// EncodeCols-encoded batch of the given row count — the read half
+// shared by spill partitions (File.ReadCols) and table-file chunks
+// (store.ReadChunk). Safe for concurrent callers.
+func ReadColsAt(r io.ReaderAt, off, n int64, rows int) (*vec.Batch, error) {
+	bp := readBufs.Get().(*[]byte)
+	defer readBufs.Put(bp)
+	if int64(cap(*bp)) < n {
+		*bp = make([]byte, n)
+	}
+	buf := (*bp)[:n]
+	if _, err := r.ReadAt(buf, off); err != nil {
+		return nil, fmt.Errorf("read: %w", err)
+	}
+	return DecodeCols(buf, rows)
+}
+
 // ReadCols decodes a batch written by AppendCols into a dense columnar
 // batch. Safe for concurrent callers once appends have stopped.
 func (s *File) ReadCols(ref Ref) (*vec.Batch, error) {
 	if ref.Rows == 0 {
 		return &vec.Batch{}, nil
 	}
-	buf := make([]byte, ref.Len)
-	if _, err := s.f.ReadAt(buf, ref.Off); err != nil {
-		return nil, fmt.Errorf("spill: read %s: %w", filepath.Base(s.path), err)
-	}
-	b, err := DecodeCols(buf, ref.Rows)
+	b, err := ReadColsAt(s.f, ref.Off, ref.Len, ref.Rows)
 	if err != nil {
 		return nil, fmt.Errorf("spill: %s: %w", filepath.Base(s.path), err)
 	}
 	return b, nil
 }
 
-// decodeCol is deliberately not a //hierdb:hotpath function: decoding
-// rebuilds the authoritative Box mirror, and that re-boxing is a
-// sanctioned allocation site (like the vec→Row boundary) — the codec's
-// hot invariants are enforced on the encode side instead.
+// Decode failures. Sentinels rather than fmt calls: the per-kind
+// decoders are hot paths.
+var (
+	errTruncVarint  = errors.New("truncated varint")
+	errTruncUvarint = errors.New("truncated uvarint")
+	errTruncFloat   = errors.New("truncated float64")
+	errTruncBool    = errors.New("truncated bool payload")
+	errTruncString  = errors.New("truncated string")
+)
+
+// decodeCol decodes one column of n rows into c. A typed kind decodes
+// into its mirror and null bitmap only — the column comes out boxless,
+// and vec boxes whichever values survive to a Row boundary or a build
+// store — through one tight loop per kind; only an Any column, which
+// has no mirror, decodes into Box.
 func decodeCol(buf []byte, c *vec.Col, n int) ([]byte, error) {
 	if len(buf) < 2 {
 		return nil, fmt.Errorf("truncated column header")
@@ -267,121 +302,172 @@ func decodeCol(buf []byte, c *vec.Col, n int) ([]byte, error) {
 	c.Kind = vec.Kind(buf[0])
 	hasNulls := buf[1] == 1
 	buf = buf[2:]
-	var nulls []byte
+	var null []uint64
 	if hasNulls {
 		nb := (n + 7) / 8
 		if len(buf) < nb {
 			return nil, fmt.Errorf("truncated null bitmap")
 		}
-		nulls = buf[:nb]
+		null = unpackNulls(buf[:nb], n)
 		buf = buf[nb:]
 	}
-	isNull := func(i int) bool {
-		return nulls != nil && nulls[i/8]&(1<<(uint(i)&7)) != 0
-	}
-	c.Box = make([]any, n)
 	switch c.Kind {
-	case vec.Int, vec.Int32, vec.Int64, vec.Uint64:
-		c.I64 = make([]int64, n)
+	case vec.Int, vec.Int32, vec.Int64:
+		c.I64, c.Null = make([]int64, n), null
+		return decodeVarints(buf, c.I64, null)
+	case vec.Uint64:
+		c.I64, c.Null = make([]int64, n), null
+		return decodeUvarints(buf, c.I64, null)
 	case vec.Float64:
-		c.F64 = make([]float64, n)
+		c.F64, c.Null = make([]float64, n), null
+		return decodeFloats(buf, c.F64, null)
 	case vec.Bool:
-		c.B = make([]bool, n)
+		c.B, c.Null = make([]bool, n), null
+		return decodeBools(buf, c.B, null)
 	case vec.String:
-		c.Str = make([]string, n)
+		c.Str, c.Null = make([]string, n), null
+		return decodeStrings(buf, c.Str, null)
 	case vec.Any:
-	default:
-		return nil, fmt.Errorf("unknown column kind %d", c.Kind)
-	}
-	boolCnt := 0
-	var boolBits []byte
-	if c.Kind == vec.Bool {
-		// The bool payload is one contiguous bitmap; count the non-null
-		// rows to slice it off before scanning.
-		cnt := 0
-		for i := 0; i < n; i++ {
-			if !isNull(i) {
-				cnt++
+		// Any columns mark nulls in Box directly and carry no bitmap.
+		c.Box = make([]any, n)
+		for i := range c.Box {
+			if nullAt(null, i) {
+				continue
 			}
-		}
-		nb := (cnt + 7) / 8
-		if len(buf) < nb {
-			return nil, fmt.Errorf("truncated bool payload")
-		}
-		boolBits = buf[:nb]
-		buf = buf[nb:]
-	}
-	for i := 0; i < n; i++ {
-		if isNull(i) {
-			setNull(c, i, n)
-			continue
-		}
-		switch c.Kind {
-		case vec.Int, vec.Int32, vec.Int64:
-			v, w := binary.Varint(buf)
-			if w <= 0 {
-				return nil, fmt.Errorf("truncated varint")
-			}
-			buf = buf[w:]
-			c.I64[i] = v
-			switch c.Kind {
-			case vec.Int:
-				c.Box[i] = int(v)
-			case vec.Int32:
-				c.Box[i] = int32(v)
-			default:
-				c.Box[i] = v
-			}
-		case vec.Uint64:
-			v, w := binary.Uvarint(buf)
-			if w <= 0 {
-				return nil, fmt.Errorf("truncated uvarint")
-			}
-			buf = buf[w:]
-			c.I64[i] = int64(v)
-			c.Box[i] = v
-		case vec.Float64:
-			if len(buf) < 8 {
-				return nil, fmt.Errorf("truncated float64")
-			}
-			v := math.Float64frombits(binary.LittleEndian.Uint64(buf))
-			buf = buf[8:]
-			c.F64[i] = v
-			c.Box[i] = v
-		case vec.Bool:
-			v := boolBits[boolCnt/8]&(1<<(uint(boolCnt)&7)) != 0
-			boolCnt++
-			c.B[i] = v
-			c.Box[i] = v
-		case vec.String:
-			ln, w := binary.Uvarint(buf)
-			if w <= 0 || uint64(len(buf)-w) < ln {
-				return nil, fmt.Errorf("truncated string")
-			}
-			v := string(buf[w : w+int(ln)])
-			buf = buf[w+int(ln):]
-			c.Str[i] = v
-			c.Box[i] = v
-		case vec.Any:
 			var err error
 			if c.Box[i], buf, err = decodeValue(buf); err != nil {
 				return nil, err
 			}
 		}
+		return buf, nil
+	}
+	return nil, fmt.Errorf("unknown column kind %d", c.Kind)
+}
+
+// unpackNulls widens the codec's byte-packed null bitmap over n rows to
+// vec's word-packed one (both little-endian, bit set = null). Bits past
+// n are cleared so the decoders can count nulls by population.
+func unpackNulls(packed []byte, n int) []uint64 {
+	null := make([]uint64, (n+63)/64)
+	for i, b := range packed {
+		null[i>>3] |= uint64(b) << (8 * (uint(i) & 7))
+	}
+	if r := uint(n) & 63; r != 0 {
+		null[len(null)-1] &= 1<<r - 1
+	}
+	return null
+}
+
+// nullAt reports whether row i is null in a decoded bitmap (nil = no
+// nulls).
+//
+//hierdb:hotpath
+func nullAt(null []uint64, i int) bool {
+	return null != nil && null[i>>6]&(1<<(uint(i)&63)) != 0
+}
+
+//hierdb:hotpath
+func decodeVarints(buf []byte, dst []int64, null []uint64) ([]byte, error) {
+	for i := range dst {
+		if nullAt(null, i) {
+			continue
+		}
+		v, w := binary.Varint(buf)
+		if w <= 0 {
+			return nil, errTruncVarint
+		}
+		buf = buf[w:]
+		dst[i] = v
 	}
 	return buf, nil
 }
 
-// setNull marks logical row i null in a freshly decoded dense column
-// (storage position == logical row).
-func setNull(c *vec.Col, i, n int) {
-	if c.Kind == vec.Any {
-		return // Box[i] stays nil
+//hierdb:hotpath
+func decodeUvarints(buf []byte, dst []int64, null []uint64) ([]byte, error) {
+	for i := range dst {
+		if nullAt(null, i) {
+			continue
+		}
+		v, w := binary.Uvarint(buf)
+		if w <= 0 {
+			return nil, errTruncUvarint
+		}
+		buf = buf[w:]
+		dst[i] = int64(v)
 	}
-	if c.Null == nil {
-		c.Null = make([]uint64, (n+63)/64)
+	return buf, nil
+}
+
+//hierdb:hotpath
+func decodeFloats(buf []byte, dst []float64, null []uint64) ([]byte, error) {
+	for i := range dst {
+		if nullAt(null, i) {
+			continue
+		}
+		if len(buf) < 8 {
+			return nil, errTruncFloat
+		}
+		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf))
+		buf = buf[8:]
 	}
-	c.Null[i>>6] |= 1 << (uint(i) & 63)
+	return buf, nil
+}
+
+// decodeBools unpacks the bool payload: one contiguous bitmap over the
+// non-null rows.
+//
+//hierdb:hotpath
+func decodeBools(buf []byte, dst []bool, null []uint64) ([]byte, error) {
+	cnt := len(dst)
+	for _, w := range null {
+		cnt -= bits.OnesCount64(w)
+	}
+	nb := (cnt + 7) / 8
+	if len(buf) < nb {
+		return nil, errTruncBool
+	}
+	j := 0
+	for i := range dst {
+		if nullAt(null, i) {
+			continue
+		}
+		dst[i] = buf[j>>3]&(1<<(uint(j)&7)) != 0
+		j++
+	}
+	return buf[nb:], nil
+}
+
+// decodeStrings backs the whole column with one string — the payload
+// region, length prefixes included, copied out of the (reused) read
+// buffer once — and points every value into it, so a string column
+// costs one allocation per batch instead of one per value. The first
+// pass finds and validates the region, the second slices it.
+//
+//hierdb:hotpath
+func decodeStrings(buf []byte, dst []string, null []uint64) ([]byte, error) {
+	end := 0
+	for i := range dst {
+		if nullAt(null, i) {
+			continue
+		}
+		ln, w := binary.Uvarint(buf[end:])
+		if w <= 0 || uint64(len(buf)-end-w) < ln {
+			return nil, errTruncString
+		}
+		end += w + int(ln)
+	}
+	blob := string(buf[:end])
+	off := 0
+	for i := range dst {
+		if nullAt(null, i) {
+			continue
+		}
+		ln, w := binary.Uvarint(buf[off:])
+		off += w
+		dst[i] = blob[off : off+int(ln)]
+		off += int(ln)
+	}
+	return buf[end:], nil
 }
 
 // decodeValue decodes one tagged value of an Any column payload.

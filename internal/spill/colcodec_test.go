@@ -1,6 +1,9 @@
 package spill
 
 import (
+	"fmt"
+	"math"
+	"math/rand"
 	"reflect"
 	"sync"
 	"testing"
@@ -152,3 +155,101 @@ var errMismatch = errBatch("columnar batch mismatch under concurrent reads")
 type errBatch string
 
 func (e errBatch) Error() string { return string(e) }
+
+// sameValue is reflect.DeepEqual with NaN equal to NaN (by bits).
+func sameValue(a, b any) bool {
+	if fa, ok := a.(float64); ok {
+		fb, ok := b.(float64)
+		return ok && math.Float64bits(fa) == math.Float64bits(fb)
+	}
+	return reflect.DeepEqual(a, b)
+}
+
+// checkBoxless asserts that b — a freshly decoded batch — reads back as
+// exactly want through every boxing entry point (Value, ReadRow,
+// AppendRows), and that its typed columns were decoded without a Box.
+func checkBoxless(t *testing.T, name string, b *vec.Batch, want []Row) {
+	t.Helper()
+	if b.N != len(want) {
+		t.Fatalf("%s: %d rows, want %d", name, b.N, len(want))
+	}
+	for ci := range b.Cols {
+		c := &b.Cols[ci]
+		if (c.Kind == vec.Any) != (c.Box != nil) {
+			t.Fatalf("%s: col %d kind %v has Box=%v, want Box only on Any columns", name, ci, c.Kind, c.Box != nil)
+		}
+		for i, r := range want {
+			if ci < len(r) && !sameValue(c.Value(c.Pos(i)), r[ci]) {
+				t.Fatalf("%s: Value(row %d, col %d) = %#v, want %#v", name, i, ci, c.Value(c.Pos(i)), r[ci])
+			}
+		}
+	}
+	var a vec.Arena
+	all := b.AppendRows(nil, &a)
+	for i, r := range want {
+		for _, got := range []Row{all[i], b.ReadRow(i, make(Row, 0, len(b.Cols)))} {
+			if len(got) != len(r) {
+				t.Fatalf("%s: row %d = %v, want %v", name, i, got, r)
+			}
+			for ci := range r {
+				if !sameValue(got[ci], r[ci]) {
+					t.Fatalf("%s: row %d col %d = %#v, want %#v", name, i, ci, got[ci], r[ci])
+				}
+			}
+		}
+	}
+}
+
+// TestBoxlessDecodeEqualsRows is the codec's property test: for every
+// kind and null shape, decode(encode(rows)) comes back boxless and
+// boxes on demand to exactly the source rows — what the boxing decoder
+// it replaced produced eagerly.
+func TestBoxlessDecodeEqualsRows(t *testing.T) {
+	gens := map[string]func(r *rand.Rand) any{
+		"int":     func(r *rand.Rand) any { return r.Intn(1000) - 500 },
+		"int32":   func(r *rand.Rand) any { return int32(r.Intn(1000) - 500) },
+		"int64":   func(r *rand.Rand) any { return r.Int63() - math.MaxInt64/2 },
+		"uint64":  func(r *rand.Rand) any { return r.Uint64() | 1<<63 }, // high bit set
+		"float64": func(r *rand.Rand) any { return [...]float64{r.NormFloat64(), math.NaN(), math.Inf(-1), 0}[r.Intn(4)] },
+		"bool":    func(r *rand.Rand) any { return r.Intn(2) == 0 },
+		"string":  func(r *rand.Rand) any { return [...]string{"", "a", "héllo", "payload-0123456789"}[r.Intn(4)] },
+		"any": func(r *rand.Rand) any {
+			return [...]any{1, "s", 2.5, true, uint64(1) << 63, int32(-3), int64(9)}[r.Intn(7)]
+		},
+	}
+	r := rand.New(rand.NewSource(7))
+	for name, gen := range gens {
+		for _, nullPct := range []int{0, 30, 100} {
+			for _, n := range []int{1, 63, 64, 65, 200} {
+				rows := make([]Row, n)
+				for i := range rows {
+					var v any
+					if r.Intn(100) >= nullPct {
+						v = gen(r)
+					}
+					rows[i] = Row{i, v}
+				}
+				buf, err := EncodeCols(nil, vec.FromRows(rows))
+				if err != nil {
+					t.Fatal(err)
+				}
+				b, err := DecodeCols(buf, n)
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkBoxless(t, fmt.Sprintf("%s/nulls%d/n%d", name, nullPct, n), b, rows)
+			}
+		}
+	}
+	// Ragged rows: Absent tails force Any columns, which keep their Box.
+	ragged := []Row{{1}, {2, "two", 2.5}, {3, "three"}, {}}
+	buf, err := EncodeCols(nil, vec.FromRows(ragged))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := DecodeCols(buf, len(ragged))
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkBoxless(t, "ragged", b, ragged)
+}

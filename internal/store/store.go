@@ -410,7 +410,7 @@ func zoneFor(c *vec.Col, n int) ZoneMap {
 		}
 	default: // Any: null presence only, never a range
 		for i := 0; i < n; i++ {
-			if c.Box[i] == nil {
+			if c.Value(i) == nil {
 				z.HasNulls = true
 			} else {
 				z.HasNonNull = true

@@ -103,14 +103,20 @@ func TestKindCoercion(t *testing.T) {
 	if c.Kind != vec.Int64 || c.I64 == nil {
 		t.Fatalf("all-null chunk of typed column: kind=%v I64=%v, want promoted Int64 mirror", c.Kind, c.I64)
 	}
+	if c.Box != nil {
+		t.Fatal("promoted column kept the all-null chunk's Box, want boxless like any decoded typed column")
+	}
 	for i := 0; i < b.N; i++ {
-		if !c.NullAt(i) {
-			t.Fatalf("promoted row %d not null", i)
+		if !c.NullAt(i) || c.Value(i) != nil {
+			t.Fatalf("promoted row %d not null (Value %v)", i, c.Value(i))
 		}
+	}
+	if got := scanAll(t, f); !reflect.DeepEqual(got, rows) {
+		t.Fatalf("rows through promotion = %v, want %v", got, rows)
 	}
 	// Mixed kinds across chunks degrade the schema to Any, and typed
 	// chunks degrade on read.
-	rows2 := []vec.Row{{int64(1)}, {int64(2)}, {"x"}, {"y"}}
+	rows2 := []vec.Row{{int64(1)}, {nil}, {"x"}, {"y"}}
 	f2 := tmpTable(t, []string{"a"}, 2, rows2)
 	if f2.Kinds()[0] != vec.Any {
 		t.Fatalf("mixed-chunk column kind = %v, want Any", f2.Kinds()[0])
@@ -121,6 +127,14 @@ func TestKindCoercion(t *testing.T) {
 	}
 	if b0.Cols[0].Kind != vec.Any || b0.Cols[0].I64 != nil {
 		t.Fatalf("typed chunk under Any schema: kind=%v, want degraded Any", b0.Cols[0].Kind)
+	}
+	// The degraded column must have boxed its decoded mirror first: an
+	// Any column has nothing but its Box to read values from.
+	if got := scanAll(t, f2); !reflect.DeepEqual(got, rows2) {
+		t.Fatalf("rows through Any degrade = %v, want %v", got, rows2)
+	}
+	if c0 := &b0.Cols[0]; c0.Value(0) != int64(1) || !c0.NullAt(1) || c0.Value(1) != nil {
+		t.Fatalf("degraded column reads %v, %v; want 1, <nil>", c0.Value(0), c0.Value(1))
 	}
 }
 

@@ -128,8 +128,9 @@ func (t *TableFile) Chunk(i int) *ChunkInfo { return &t.ft.chunks[i] }
 
 // ReadChunk reads and decodes chunk i as a dense batch with every
 // column coerced to the schema kind, so chunk-streamed scans present
-// exactly the kinds a resident table would. Safe for concurrent
-// callers.
+// exactly the kinds a resident table would. Typed columns come back
+// boxless (mirror and null bitmap only — see internal/vec); read their
+// values through Col.Value. Safe for concurrent callers.
 func (t *TableFile) ReadChunk(i int) (*vec.Batch, error) {
 	ch := &t.ft.chunks[i]
 	t.mu.Lock()
@@ -138,11 +139,7 @@ func (t *TableFile) ReadChunk(i int) (*vec.Batch, error) {
 	if f == nil {
 		return nil, fmt.Errorf("store: %s: read chunk %d: file closed", filepath.Base(t.path), i)
 	}
-	buf := make([]byte, ch.Len)
-	if _, err := f.ReadAt(buf, ch.Off); err != nil {
-		return nil, fmt.Errorf("store: %s: read chunk %d: %w", filepath.Base(t.path), i, err)
-	}
-	b, err := spill.DecodeCols(buf, ch.Rows)
+	b, err := spill.ReadColsAt(f, ch.Off, ch.Len, ch.Rows)
 	if err != nil {
 		return nil, fmt.Errorf("store: %s: chunk %d: %w", filepath.Base(t.path), i, err)
 	}
@@ -168,8 +165,9 @@ func coerceKind(c *vec.Col, want vec.Kind, n int) error {
 		return nil
 	}
 	if want == vec.Any {
-		// Box is authoritative (nulls are nil there), so degrading just
-		// forgets the mirror and bitmap.
+		// An Any column lives in its Box (nulls are nil there): box the
+		// decoded mirror, then forget it and the bitmap.
+		c.FillBox()
 		c.Kind = vec.Any
 		c.I64, c.F64, c.Str, c.B, c.Null = nil, nil, nil, nil, nil
 		return nil
@@ -178,11 +176,12 @@ func coerceKind(c *vec.Col, want vec.Kind, n int) error {
 		return fmt.Errorf("kind %s under schema kind %s", c.Kind, want)
 	}
 	for i := 0; i < n; i++ {
-		if c.Box[i] != nil {
+		if c.Value(i) != nil {
 			return fmt.Errorf("non-null value in an all-null-encoded chunk of schema kind %s", want)
 		}
 	}
-	c.Kind = want
+	// Promoted like any decoded typed column: mirror and bitmap, no Box.
+	c.Kind, c.Box = want, nil
 	switch want {
 	case vec.Int, vec.Int32, vec.Int64, vec.Uint64:
 		c.I64 = make([]int64, n)

@@ -138,8 +138,7 @@ func applyPred(c *Col, p *Pred, sel []int32, out []int32) []int32 {
 		}
 	default: // Any: dynamic boxed comparison
 		for _, li := range sel {
-			pos := c.Pos(int(li))
-			v := c.Box[pos]
+			v := c.Value(c.Pos(int(li)))
 			if v == nil || IsAbsent(v) {
 				continue
 			}

@@ -6,19 +6,28 @@
 //
 // Layout invariants:
 //
-//   - Box is always present and authoritative: Box[pos] holds the boxed
-//     value at storage position pos (nil at SQL-null positions, Absent
-//     at ragged-row padding). Materializing a row copies Box words, so
-//     no value is ever boxed twice.
-//   - A typed column (Kind != Any) additionally carries a typed mirror
-//     (I64/F64/Str/B) with the zero value at null positions, and an
-//     optional packed null bitmap over storage positions. Typed kernels
-//     read the mirror; everything else falls back to Box.
+//   - A typed column (Kind != Any) carries a typed mirror (I64/F64/Str/B)
+//     with the zero value at null positions, and an optional packed null
+//     bitmap over storage positions. Typed kernels read the mirror.
+//   - Box is present or derivable. When present, Box[pos] holds the
+//     boxed value at storage position pos (nil at SQL-null positions,
+//     Absent at ragged-row padding) and agrees with the mirror. A typed
+//     column may instead be boxless (Box == nil): chunk and spill
+//     decoding produce only the mirror, and Value/ReadRow/AppendRows
+//     derive the boxed value from it on demand. An Any column has no
+//     mirror, so it always has its Box.
+//   - Box late, box once. Resident tables (FromRows) keep the Box their
+//     rows arrived with, and materializing from it copies interface
+//     words. A boxless column is boxed only where rows leave the
+//     columnar world — survivors at the Row boundary (AppendRows,
+//     ReadRow), or once per stored row when an Appender (a join's build
+//     store) takes it in, so fan-out matches keep copying words. Rows a
+//     predicate discards are never boxed at all.
 //   - Columns are windowed exclusively through Idx (logical→storage).
 //     Storage slices are never re-sliced: the null bitmap is packed at
 //     word granularity over storage positions, so re-slicing storage
 //     would break bitmap alignment. Idx == nil means the dense identity
-//     window (len(Box) == N).
+//     window (Len() == N).
 package vec
 
 import (
@@ -114,10 +123,11 @@ func KindOf(v any) Kind {
 type Col struct {
 	Kind Kind
 	// Idx maps logical row i to storage position Idx[i]; nil means the
-	// dense identity window over the whole storage (len(Box) rows).
+	// dense identity window over the whole storage (Len() rows).
 	Idx []int32
-	// Box holds the boxed values, one per storage position. Always
-	// present; nil marks SQL null, Absent marks ragged-row padding.
+	// Box holds the boxed values, one per storage position: nil marks
+	// SQL null, Absent marks ragged-row padding. A typed column may leave
+	// it nil (boxless) — read values through Value, never Box[pos].
 	Box []any
 	// Typed mirrors, valid per Kind (I64 backs the whole int family,
 	// with uint64 values stored as their bit pattern).
@@ -160,10 +170,119 @@ func (c *Col) setNull(pos, n int) {
 	c.Null[pos>>6] |= 1 << (uint(pos) & 63)
 }
 
-// Value returns the boxed value at storage position pos.
+// Len returns the number of storage positions.
+func (c *Col) Len() int {
+	switch {
+	case c.Box != nil:
+		return len(c.Box)
+	case c.Kind.IntFamily():
+		return len(c.I64)
+	case c.Kind == Float64:
+		return len(c.F64)
+	case c.Kind == Bool:
+		return len(c.B)
+	}
+	return len(c.Str)
+}
+
+// Value returns the boxed value at storage position pos: the Box word
+// when the column has one, otherwise boxed from the mirror.
 //
 //hierdb:hotpath
-func (c *Col) Value(pos int) any { return c.Box[pos] }
+func (c *Col) Value(pos int) any {
+	if c.Box != nil {
+		return c.Box[pos]
+	}
+	return c.boxAt(pos)
+}
+
+// boxAt converts the mirror value at storage position pos of a boxless
+// column to an interface (nil at null bits). This is the engine's one
+// sanctioned boxing boundary — the only place a decoded value becomes a
+// heap box — which is why it is not a //hierdb:hotpath function while
+// its callers (Value, ReadRow, AppendRows, the Appender) are.
+func (c *Col) boxAt(pos int) any {
+	if c.NullAt(pos) {
+		return nil
+	}
+	switch c.Kind {
+	case Int:
+		return int(c.I64[pos])
+	case Int32:
+		return int32(c.I64[pos])
+	case Int64:
+		return c.I64[pos]
+	case Uint64:
+		return uint64(c.I64[pos])
+	case Float64:
+		return c.F64[pos]
+	case Bool:
+		return c.B[pos]
+	case String:
+		return c.Str[pos]
+	}
+	return nil
+}
+
+// Lookup returns m[v] for the value v at storage position pos. A
+// boxless column's value is converted to a key in place, where escape
+// analysis keeps it on the stack: probing a boxed-key hash index costs
+// no allocation per probe row.
+//
+//hierdb:hotpath
+func Lookup[V any](m map[any]V, c *Col, pos int) V {
+	switch {
+	case c.Box != nil:
+		return m[c.Box[pos]]
+	case c.NullAt(pos):
+		return m[nil]
+	}
+	switch c.Kind {
+	case Int:
+		return m[any(int(c.I64[pos]))]
+	case Int32:
+		return m[any(int32(c.I64[pos]))]
+	case Int64:
+		return m[any(c.I64[pos])]
+	case Uint64:
+		return m[any(uint64(c.I64[pos]))]
+	case Float64:
+		return m[any(c.F64[pos])]
+	case Bool:
+		return m[any(c.B[pos])]
+	}
+	return m[any(c.Str[pos])]
+}
+
+// boxInto boxes k values of a boxless column into dst[0], dst[stride],
+// dst[2*stride]...: value j is the one at storage position idx[sel[j]],
+// where a nil sel or idx is the identity.
+//
+//hierdb:hotpath
+func (c *Col) boxInto(dst []any, stride int, idx, sel []int32, k int) {
+	for j := 0; j < k; j++ {
+		pos := j
+		if sel != nil {
+			pos = int(sel[j])
+		}
+		if idx != nil {
+			pos = int(idx[pos])
+		}
+		dst[j*stride] = c.boxAt(pos)
+	}
+}
+
+// FillBox gives a boxless column its Box, boxing every storage
+// position from the mirror — for consumers that need the column to
+// outlive its typed form (a typed chunk under an Any schema).
+func (c *Col) FillBox() {
+	if c.Box != nil {
+		return
+	}
+	n := c.Len()
+	c.Box = make([]any, n)
+	c.boxInto(c.Box, 1, nil, nil, n)
+}
 
 // Batch is a set of equal-length column vectors. Columns may carry
 // different Idx windows (a join output keeps probe columns as a
@@ -349,7 +468,9 @@ func (b *Batch) AppendRows(dst []Row, a *Arena) []Row {
 	for ci := range b.Cols {
 		c := &b.Cols[ci]
 		box := c.Box
-		if c.Idx == nil {
+		if box == nil {
+			c.boxInto(flat[ci:], w, c.Idx, nil, b.N)
+		} else if c.Idx == nil {
 			for i := 0; i < b.N; i++ {
 				flat[i*w+ci] = box[i]
 			}
@@ -381,7 +502,7 @@ func (b *Batch) ReadRow(i int, scratch Row) Row {
 	row := scratch[:0]
 	for ci := range b.Cols {
 		c := &b.Cols[ci]
-		v := c.Box[c.Pos(i)]
+		v := c.Value(c.Pos(i))
 		if IsAbsent(v) {
 			break
 		}
@@ -451,10 +572,12 @@ func sameIdx(a, b []int32) bool {
 // ---------------------------------------------------------------------
 
 // Appender accumulates rows from batches into one growing dense
-// columnar store — the build side of a hash-join stripe, or a spill
-// drain buffer. The store's schema adapts: a column fed two different
-// kinds, or ragged widths, degrades to Any (Box stays authoritative,
-// so degrading is O(1) and never re-boxes).
+// columnar store — the build side of a hash-join stripe. The store
+// always keeps its Box: values from a boxed source are copied words, a
+// boxless source is boxed here, once per stored row, so every later
+// match gathers words. The store's schema adapts: a column fed two
+// different kinds, or ragged widths, degrades to Any (the store's Box
+// is complete, so degrading is O(1) and never re-boxes).
 type Appender struct {
 	cols     []Col
 	resolved []bool
@@ -485,9 +608,9 @@ func (ap *Appender) Len() int { return ap.n }
 func (ap *Appender) Width() int { return len(ap.cols) }
 
 // Col exposes accumulated column i for direct positional reads (the
-// appender's columns are dense: position == append order). The Box
-// slice is always populated; typed mirrors only when the column stayed
-// resolved. Callers must not mutate the column.
+// appender's columns are dense: position == append order). Box is
+// always populated, so Value copies a word; typed mirrors only when
+// the column stayed resolved. Callers must not mutate the column.
 func (ap *Appender) Col(i int) *Col { return &ap.cols[i] }
 
 // AppendBatch appends every logical row of b.
@@ -544,8 +667,8 @@ func (ap *Appender) padAbsent(dst *Col, k int) {
 	}
 }
 
-// degrade drops a column to the boxed Any representation. Box is
-// authoritative, so this only folds the null bitmap away and forgets
+// degrade drops a column to the boxed Any representation. The store's
+// Box is complete, so this only folds the null bitmap away and forgets
 // the mirror.
 func (ap *Appender) degrade(dst *Col) {
 	if dst.Kind == Any {
@@ -563,8 +686,13 @@ func (ap *Appender) appendCol(dst *Col, ci int, src *Col, sel []int32, k int) {
 	} else if dst.Kind != src.Kind {
 		ap.degrade(dst)
 	}
-	// Box always copies.
-	if sel == nil && src.Idx == nil {
+	// Box always fills: boxed from a boxless source's mirror, copied
+	// words otherwise.
+	if src.Box == nil {
+		at := len(dst.Box)
+		dst.Box = append(dst.Box, make([]any, k)...)
+		src.boxInto(dst.Box[at:], 1, src.Idx, sel, k)
+	} else if sel == nil && src.Idx == nil {
 		dst.Box = append(dst.Box, src.Box...)
 	} else if sel == nil {
 		for _, pos := range src.Idx {
@@ -580,7 +708,7 @@ func (ap *Appender) appendCol(dst *Col, ci int, src *Col, sel []int32, k int) {
 	}
 	// Mirror and nulls for the still-typed column.
 	if sel == nil && src.Idx == nil {
-		for pos := range src.Box {
+		for pos := 0; pos < k; pos++ {
 			appendOne(dst, src, pos)
 		}
 	} else if sel == nil {
