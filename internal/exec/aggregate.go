@@ -231,25 +231,26 @@ func groupSpillRows(m map[any]*groupState, gb *GroupBy) []Row {
 	return out
 }
 
-// mergeSpilledGroups folds decoded spill rows (groupSpillRows form)
-// back into a merged partial, combining with the same semantics as
-// mergePartials.
-func mergeSpilledGroups(m map[any]*groupState, gb *GroupBy, rows []Row) {
-	for _, row := range rows {
-		k := row[0]
-		n := row[1].(int64)
+// mergeSpilledGroups folds one decoded spill batch (groupSpillRows
+// form: any-kind key column, int64 counts, one float64 column per
+// aggregate) back into a merged partial, combining with the same
+// semantics as mergePartials.
+func mergeSpilledGroups(m map[any]*groupState, gb *GroupBy, b *vec.Batch) {
+	keys, counts, vals := &b.Cols[0], b.Cols[1].I64, b.Cols[2:]
+	for r := 0; r < b.N; r++ {
+		k, n := keys.Value(r), counts[r]
 		g := m[k]
 		if g == nil {
 			g = &groupState{key: k, n: n, vals: make([]float64, len(gb.Aggs))}
 			for i := range gb.Aggs {
-				g.vals[i] = row[2+i].(float64)
+				g.vals[i] = vals[i].F64[r]
 			}
 			m[k] = g
 			continue
 		}
 		g.n += n
 		for i, a := range gb.Aggs {
-			v := row[2+i].(float64)
+			v := vals[i].F64[r]
 			switch a.Func {
 			case Count:
 			case Sum:

@@ -9,7 +9,9 @@ package exec
 //
 //   - the in-memory stripes are drained into hash-partitioned spill
 //     files (internal/spill) and all further build input is partitioned
-//     straight to disk;
+//     straight to disk — through each file's write buffer, which
+//     coalesces the 1/spillFanout-sized slices of many input batches
+//     into Options.Batch-row spilled batches;
 //   - the probe input, arriving in the next chain, is partitioned to a
 //     parallel set of probe spill files instead of probing;
 //   - once the probe input is exhausted, the partitions are joined one
@@ -123,6 +125,28 @@ func (sp *joinSpill) drainCloses() {
 	for _, f := range files {
 		f.Close()
 	}
+}
+
+// seal writes the buffered tails of part and of every pending partition.
+// A load is the one point where the join's unsealed files are exactly
+// known: loads are single-flight and start only once the chain barrier
+// (or the repartition that created the files) has quiesced every
+// writer. Sealing them all here keeps at most one fan-out's write
+// buffers live per join — 2 × spillFanout files of under Options.Batch
+// rows each. Called with no scheduler locks held.
+func (sp *joinSpill) seal(part spillPart) error {
+	sp.mu.Lock()
+	parts := append([]spillPart{part}, sp.pending...)
+	sp.mu.Unlock()
+	for _, p := range parts {
+		if err := p.build.Seal(); err != nil {
+			return err
+		}
+		if err := p.probe.Seal(); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // chargeMem adds n bytes to the fragment's memory account and reports
@@ -244,43 +268,24 @@ func (q *query) newSpillFile(name string) (*spill.File, error) {
 	return f, nil
 }
 
-// spillAppend writes one row batch to a spill file (row codec; used by
-// the group-by partial spill), keeping the query's spilled-bytes
-// counter.
-func (q *query) spillAppend(f *spill.File, rows []Row) error {
-	ref, err := f.Append(rows)
-	if err != nil {
-		return err
-	}
-	q.spilledBytes.Add(ref.Len)
-	return nil
-}
-
-// spillAppendCols writes one columnar batch to a spill file (columnar
-// codec; the join spill path), keeping the query's spilled-bytes
-// counter.
-func (q *query) spillAppendCols(f *spill.File, b *vec.Batch) error {
-	ref, err := f.AppendCols(b)
-	if err != nil {
-		return err
-	}
-	q.spilledBytes.Add(ref.Len)
-	return nil
-}
-
 // releaseSpill closes (and thereby deletes) every spill file and
-// removes the query's spill directory. Called exactly once per query at
-// finalize, when no worker can touch the query again; double closes
-// from eager per-partition cleanup are idempotent.
+// removes the query's spill directory, sealing the spilled-bytes
+// counter as the sum of what the files were written — whichever path
+// wrote it, threshold flush, seal or whole batch. Called exactly once
+// per query at finalize, when no worker can touch the query again;
+// double closes from eager per-partition cleanup are idempotent.
 func (q *query) releaseSpill() {
 	q.spillMu.Lock()
 	files := q.spillFiles
 	dir := q.spillDir
 	q.spillFiles, q.spillDir = nil, ""
 	q.spillMu.Unlock()
+	var written int64
 	for _, f := range files {
+		written += f.Bytes()
 		f.Close()
 	}
+	q.spilledBytes.Store(written)
 	if dir != "" {
 		os.RemoveAll(dir)
 	}
@@ -297,35 +302,32 @@ func (q *query) spilled(probeOp *pop) bool {
 
 // spillBatch hash-partitions one batch into the given partition files:
 // key hashes are computed vectorized (typed loop when the key column
-// resolved) and each partition's selection view is encoded with the
-// columnar codec.
+// resolved) and each partition's rows join its file's write buffer.
 func (q *query) spillBatch(files []*spill.File, keyCol int, key KeyFunc, salt uint64, b *vec.Batch, vs *vecScratch) error {
 	hs := keyHashes(b, keyCol, key, vs)
-	return q.spillBatchSel(files, b, nil, hs, salt)
+	return q.spillBatchSel(files, b, nil, hs, salt, vs)
 }
 
 // spillBatchSel is spillBatch over a subset of b's logical rows (sel
-// nil = all) with precomputed key hashes.
-func (q *query) spillBatchSel(files []*spill.File, b *vec.Batch, sel []int32, hs []uint64, salt uint64) error {
+// nil = all) with precomputed key hashes. The per-partition selections
+// live in the worker's scratch (sel must not alias vs.perDest).
+//
+//hierdb:hotpath
+func (q *query) spillBatchSel(files []*spill.File, b *vec.Batch, sel []int32, hs []uint64, salt uint64, vs *vecScratch) error {
 	n := len(files)
-	parts := make([][]int32, n)
+	parts := vs.dests(n)
 	if sel == nil {
-		for i := 0; i < b.N; i++ {
-			d := spillPartIndexH(hs[i], salt, n)
-			parts[d] = append(parts[d], int32(i))
-		}
-	} else {
-		for _, li := range sel {
-			d := spillPartIndexH(hs[li], salt, n)
-			parts[d] = append(parts[d], li)
-		}
+		sel = vec.Ident(b.N)
 	}
-	var arena vec.Arena
+	for _, li := range sel {
+		d := spillPartIndexH(hs[li], salt, n)
+		parts[d] = append(parts[d], li)
+	}
 	for d, psel := range parts {
 		if len(psel) == 0 {
 			continue
 		}
-		if err := q.spillAppendCols(files[d], vec.Select(b, psel, &arena)); err != nil {
+		if err := files[d].AppendSel(b, psel, q.opt.Batch); err != nil {
 			return err
 		}
 	}
@@ -352,26 +354,7 @@ func (q *query) buildGoverned(or *opRun, b *vec.Batch, w int) error {
 	if op.keyCol < 0 {
 		keys = vs.keys
 	}
-	stripes := len(or.stripes)
-	if cap(vs.perDest) < stripes {
-		vs.perDest = make([][]int32, stripes)
-	}
-	per := vs.perDest[:stripes]
-	for s := range per {
-		per[s] = per[s][:0]
-	}
-	if q.mq != nil {
-		nb, n := uint64(q.mq.buckets), q.mq.n
-		for i := 0; i < b.N; i++ {
-			s := int(hs[i]%nb) / n
-			per[s] = append(per[s], int32(i))
-		}
-	} else {
-		st := uint64(q.opt.Stripes)
-		for i := 0; i < b.N; i++ {
-			per[hs[i]%st] = append(per[hs[i]%st], int32(i))
-		}
-	}
+	per := q.stripeSels(hs, len(or.stripes), vs)
 	var add int64
 	var diverted []int32
 	for s := range per {
@@ -393,20 +376,21 @@ func (q *query) buildGoverned(or *opRun, b *vec.Batch, w int) error {
 	if len(diverted) > 0 {
 		// The transition published the partition files before marking any
 		// stripe spilled, and we saw the mark under the stripe lock.
-		if err := q.spillBatchSel(sp.build, b, diverted, hs, 0); err != nil {
+		if err := q.spillBatchSel(sp.build, b, diverted, hs, 0, vs); err != nil {
 			return err
 		}
 	}
 	if q.chargeMem(add) {
-		return q.spillTransition(or)
+		return q.spillTransition(or, vs)
 	}
 	return nil
 }
 
 // spillTransition switches a governed join to partitioned execution:
 // create the partition files, drain the in-memory stripe stores into
-// them, refund their charge, and flip active. Single-flight via sp.mu.
-func (q *query) spillTransition(or *opRun) error {
+// them, refund their charge, and flip active. Single-flight via sp.mu;
+// vs is the calling worker's scratch.
+func (q *query) spillTransition(or *opRun, vs *vecScratch) error {
 	sp := or.spill
 	sp.mu.Lock()
 	defer sp.mu.Unlock()
@@ -419,7 +403,6 @@ func (q *query) spillTransition(or *opRun) error {
 		return err
 	}
 	key := or.op.join.BuildKey
-	var vs vecScratch
 	var freed int64
 	for s := range or.stripes {
 		or.locks[s].Lock()
@@ -434,15 +417,8 @@ func (q *query) spillTransition(or *opRun) error {
 			continue
 		}
 		sealed := ss.app.Batch()
-		hs := keyHashes(sealed, ss.keyCol, key, &vs)
-		for lo := 0; lo < sealed.N; lo += q.opt.Batch {
-			hi := lo + q.opt.Batch
-			if hi > sealed.N {
-				hi = sealed.N
-			}
-			if err := q.spillBatchSel(sp.build, sealed, vec.Ident(hi)[lo:hi], hs, 0); err != nil {
-				return err
-			}
+		if err := q.spillBatch(sp.build, ss.keyCol, key, 0, sealed, vs); err != nil {
+			return err
 		}
 		freed += batchBytes(sealed, nil) + int64(sealed.N)*hashEntryBytes
 	}
@@ -516,11 +492,16 @@ func (q *query) spillNextLocked(or *opRun) *activation {
 // processSpillLoad opens one partition: re-partition it at the next
 // salt if its build side still exceeds the budget (bounded depth), or
 // build its hash table and fan out one probe activation per spilled
-// probe batch. Runs outside all scheduler locks.
-func (q *query) processSpillLoad(a *activation) (outs []*activation) {
+// probe batch. Runs outside all scheduler locks, on worker w.
+func (q *query) processSpillLoad(a *activation, w int) (outs []*activation) {
 	sp := q.ops[a.op.partner.id].spill
 	sp.drainCloses()
 	part := a.spill.part
+	if err := sp.seal(part); err != nil {
+		q.spillFail(err)
+		return nil
+	}
+	vs := &q.vscratch[w]
 	// Estimate the partition's resident size: encoded bytes plus per-row
 	// and per-entry overhead. It must fit the budget *headroom* — what
 	// other residents (earlier joins' tables, stolen bucket caches,
@@ -534,7 +515,7 @@ func (q *query) processSpillLoad(a *activation) (outs []*activation) {
 	}
 	resident := part.build.Bytes() + part.build.Rows()*(hashEntryBytes+24)
 	if resident > headroom && part.depth < maxSpillDepth {
-		if err := q.repartition(sp, a.op, part); err != nil {
+		if err := q.repartition(sp, a.op, part, vs); err != nil {
 			q.spillFail(err)
 		}
 		return nil // pending grew; the next pend==0 advance picks it up
@@ -545,7 +526,6 @@ func (q *query) processSpillLoad(a *activation) (outs []*activation) {
 	// decodes as Any), so the partition store indexes boxed — the
 	// semantic reference — with schema discovery left to the appender.
 	store := newStripeStore(nil, idxBoxed, keyCol, int(part.build.Rows()))
-	var vs vecScratch
 	var bytes int64
 	for _, ref := range part.build.Refs() {
 		db, err := part.build.ReadCols(ref)
@@ -555,7 +535,7 @@ func (q *query) processSpillLoad(a *activation) (outs []*activation) {
 		}
 		var keys []any
 		if keyCol < 0 {
-			keyHashes(db, keyCol, key, &vs) // fills the boxed key scratch
+			keyHashes(db, keyCol, key, vs) // fills the boxed key scratch
 			keys = vs.keys
 		}
 		store.insertSel(db, vec.Ident(db.N)[:db.N], keys)
@@ -575,9 +555,10 @@ func (q *query) processSpillLoad(a *activation) (outs []*activation) {
 }
 
 // repartition splits one oversized partition into a fresh fan-out at
-// the next hash salt, deleting the old pair. Loads are single-flight
-// per fragment join, so only sp.pending mutation needs sp.mu.
-func (q *query) repartition(sp *joinSpill, probeOp *pop, part spillPart) error {
+// the next hash salt, deleting the old pair. The new files stay
+// unsealed until the next load. Loads are single-flight per fragment
+// join, so only sp.pending mutation needs sp.mu.
+func (q *query) repartition(sp *joinSpill, probeOp *pop, part spillPart, vs *vecScratch) error {
 	salt := part.salt + 1
 	sp.mu.Lock()
 	builds, probes, err := q.newSpillPartFiles(sp, probeOp.partner.id)
@@ -585,14 +566,13 @@ func (q *query) repartition(sp *joinSpill, probeOp *pop, part spillPart) error {
 	if err != nil {
 		return err
 	}
-	var vs vecScratch
 	split := func(src *spill.File, dst []*spill.File, keyCol int, key KeyFunc) error {
 		for _, ref := range src.Refs() {
 			db, err := src.ReadCols(ref)
 			if err != nil {
 				return err
 			}
-			if err := q.spillBatch(dst, keyCol, key, salt, db, &vs); err != nil {
+			if err := q.spillBatch(dst, keyCol, key, salt, db, vs); err != nil {
 				return err
 			}
 		}
@@ -676,8 +656,8 @@ func (q *query) governGroupPartial(w int) error {
 		q.gbFiles[w] = f
 		q.spilledParts.Add(1)
 	}
-	for _, chunk := range batchRows(groupSpillRows(m, q.gb), q.opt.Batch) {
-		if err := q.spillAppend(f, chunk); err != nil {
+	for _, b := range batchRowsVec(groupSpillRows(m, q.gb), q.opt.Batch) {
+		if _, err := f.AppendCols(b); err != nil {
 			return err
 		}
 	}
@@ -698,11 +678,11 @@ func (q *query) mergedGroups() (map[any]*groupState, error) {
 			continue
 		}
 		for _, ref := range f.Refs() {
-			rows, err := f.ReadBatch(ref)
+			b, err := f.ReadCols(ref)
 			if err != nil {
 				return nil, err
 			}
-			mergeSpilledGroups(merged, q.gb, rows)
+			mergeSpilledGroups(merged, q.gb, b)
 		}
 	}
 	return merged, nil

@@ -61,8 +61,10 @@ func TestSpillJoinMatchesUnlimited(t *testing.T) {
 }
 
 // TestSpillRecursesOnOversizedPartitions forces re-partitioning: the
-// budget is far below one top-level partition's size, so loads must
-// recurse (more partitions than one fan-out) and still match.
+// budget is far below one top-level partition's size — and below a
+// second-level one's — so loads must recurse at least two levels deep
+// (a first-level split alone accounts for two fan-outs) and still
+// match.
 func TestSpillRecursesOnOversizedPartitions(t *testing.T) {
 	checkQueryHygiene(t)
 	plan := govPlan(8_000, 8_000)
@@ -72,8 +74,8 @@ func TestSpillRecursesOnOversizedPartitions(t *testing.T) {
 	}
 	got, st := runGoverned(t, plan, Options{MemoryPerNode: 4 << 10, SpillDir: t.TempDir()})
 	sameRows(t, got, want)
-	if st.SpilledPartitions <= spillFanout {
-		t.Fatalf("no recursive re-partitioning under a 4KiB budget: %d partitions", st.SpilledPartitions)
+	if st.SpilledPartitions < 3*spillFanout {
+		t.Fatalf("no two-level re-partitioning under a 4KiB budget: %d partitions", st.SpilledPartitions)
 	}
 }
 

@@ -805,16 +805,3 @@ func (mq *mquery) sealStatsLocked() {
 		s.RowsRedistributed += nst.RowsShippedOut
 	}
 }
-
-// batchRows slices rows into Batch-sized result batches.
-func batchRows(rows []Row, size int) [][]Row {
-	var batches [][]Row
-	for lo := 0; lo < len(rows); lo += size {
-		hi := lo + size
-		if hi > len(rows) {
-			hi = len(rows)
-		}
-		batches = append(batches, rows[lo:hi])
-	}
-	return batches
-}

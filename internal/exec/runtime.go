@@ -819,7 +819,7 @@ func (q *query) process(a *activation, w int) (outs []*activation, results *vec.
 	if a.spill != nil {
 		switch a.spill.kind {
 		case spillLoad:
-			return q.processSpillLoad(a), nil
+			return q.processSpillLoad(a, w), nil
 		case spillProbe:
 			return q.processSpillProbe(a, w)
 		}

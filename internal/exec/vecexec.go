@@ -257,6 +257,20 @@ func (vs *vecScratch) rowScratch(w int) Row {
 	return vs.row[:0]
 }
 
+// dests returns n empty routing lists (rows per node, stripe or spill
+// partition) backed by the scratch; they stay valid until the next
+// call.
+func (vs *vecScratch) dests(n int) [][]int32 {
+	if cap(vs.perDest) < n {
+		vs.perDest = make([][]int32, n)
+	}
+	per := vs.perDest[:n]
+	for d := range per {
+		per[d] = per[d][:0]
+	}
+	return per
+}
+
 // ---------------------------------------------------------------------
 // Vectorized key hashing
 // ---------------------------------------------------------------------
@@ -498,13 +512,7 @@ func (q *query) emitBatch(consumer *pop, b *vec.Batch, outs *[]*activation, vs *
 	}
 	nb, n := q.mq.buckets, q.mq.n
 	hs := keyHashes(b, consumer.keyCol, consumerKey(consumer), vs)
-	if cap(vs.perDest) < n {
-		vs.perDest = make([][]int32, n)
-	}
-	perDest := vs.perDest[:n]
-	for d := range perDest {
-		perDest[d] = perDest[d][:0]
-	}
+	perDest := vs.dests(n)
 	for i := 0; i < b.N; i++ {
 		d := int(hs[i]%uint64(nb)) % n
 		perDest[d] = append(perDest[d], int32(i))
@@ -585,6 +593,27 @@ func (q *query) filterScan(s *Scan, b *vec.Batch, vs *vecScratch, arena *vec.Are
 	return b
 }
 
+// stripeSels groups a build batch's logical rows, given their key
+// hashes, by the lock stripe each routes to, in the worker's scratch.
+//
+//hierdb:hotpath
+func (q *query) stripeSels(hs []uint64, stripes int, vs *vecScratch) [][]int32 {
+	per := vs.dests(stripes)
+	if q.mq != nil {
+		nb, n := uint64(q.mq.buckets), q.mq.n
+		for i, h := range hs {
+			s := int(h%nb) / n
+			per[s] = append(per[s], int32(i))
+		}
+	} else {
+		st := uint64(q.opt.Stripes)
+		for i, h := range hs {
+			per[h%st] = append(per[h%st], int32(i))
+		}
+	}
+	return per
+}
+
 // processBuildVec inserts one routed batch into the join's striped
 // hash table: hash the key column once, group rows by stripe, then one
 // lock round per touched stripe.
@@ -599,28 +628,7 @@ func (q *query) processBuildVec(a *activation, w int) {
 	if a.op.keyCol < 0 {
 		keys = vs.keys
 	}
-	stripes := len(or.stripes)
-	if cap(vs.perDest) < stripes {
-		vs.perDest = make([][]int32, stripes)
-	}
-	per := vs.perDest[:stripes]
-	for s := range per {
-		per[s] = per[s][:0]
-	}
-	if q.mq != nil {
-		nb, n := uint64(q.mq.buckets), q.mq.n
-		for i := 0; i < b.N; i++ {
-			s := int(hs[i]%nb) / n
-			per[s] = append(per[s], int32(i))
-		}
-	} else {
-		st := uint64(q.opt.Stripes)
-		for i := 0; i < b.N; i++ {
-			per[hs[i]%st] = append(per[hs[i]%st], int32(i))
-		}
-	}
-	for s := range per {
-		sel := per[s]
+	for s, sel := range q.stripeSels(hs, len(or.stripes), vs) {
 		if len(sel) == 0 {
 			continue
 		}

@@ -1,11 +1,9 @@
-// Columnar spill codec: the per-batch encoding used by the vectorized
-// engine. Where the row codec (Append/ReadBatch) spends one type tag
-// per value, this codec spends one kind byte per column per batch —
-// a typed column's values are encoded back to back with no per-value
-// framing beyond the varint payloads themselves, and nulls are hoisted
-// into one packed bitmap per column. Batches written with AppendCols
-// must be read with ReadCols (and vice versa); the engine never mixes
-// codecs within one file.
+// Columnar batch codec: the encoding of every spilled batch and, through
+// internal/store, of every table-file chunk. It spends one kind byte
+// per column per batch — a typed column's values are encoded back to
+// back with no per-value framing beyond the varint payloads themselves,
+// and nulls are hoisted into one packed bitmap per column; only Any
+// columns tag each value.
 //
 // Per-batch layout:
 //
@@ -19,8 +17,7 @@
 //	    float64     8 bytes LE
 //	    bool        packed bitmap, ceil(count/8) bytes
 //	    string      uvarint length + bytes
-//	    any         row-codec value tags (plus tagAbsent for ragged
-//	                padding), one per value
+//	    any         one value tag (below) + payload per value
 package spill
 
 import (
@@ -30,21 +27,30 @@ import (
 	"io"
 	"math"
 	"math/bits"
-	"path/filepath"
 	"sync"
 
 	"hierdb/internal/vec"
 )
 
-// tagAbsent marks ragged-row padding inside an Any column payload. It
-// extends the row-codec tag space and is only valid in columnar
-// batches.
-const tagAbsent = 9
+// Value type tags of an Any column's payload. The tag order is part of
+// the on-disk format; tagAbsent marks ragged-row padding.
+const (
+	tagNil = iota
+	tagFalse
+	tagTrue
+	tagInt
+	tagInt32
+	tagInt64
+	tagUint64
+	tagFloat64
+	tagString
+	tagAbsent
+)
 
 // EncodeCols appends the columnar encoding of one batch (logical rows,
 // honoring each column's selection vector) to buf and returns the
-// extended slice. It is the byte-level half of AppendCols, exported so
-// other on-disk formats (internal/store's table files) can embed the
+// extended slice. It is the byte-level half of a File write, exported
+// so other on-disk formats (internal/store's table files) can embed the
 // identical chunk encoding without going through a spill File.
 func EncodeCols(buf []byte, b *vec.Batch) ([]byte, error) {
 	buf = binary.AppendUvarint(buf, uint64(b.N))
@@ -87,30 +93,6 @@ func DecodeCols(buf []byte, rows int) (*vec.Batch, error) {
 		return nil, fmt.Errorf("%d trailing bytes after batch", len(buf))
 	}
 	return b, nil
-}
-
-// AppendCols encodes one columnar batch (logical rows, honoring each
-// column's selection vector) and writes it to the file, returning its
-// Ref. Safe for concurrent callers.
-func (s *File) AppendCols(b *vec.Batch) (Ref, error) {
-	if b == nil || b.N == 0 {
-		return Ref{}, nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	buf, err := EncodeCols(s.buf[:0], b)
-	if err != nil {
-		return Ref{}, err
-	}
-	s.buf = buf
-	if _, err := s.f.Write(buf); err != nil {
-		return Ref{}, fmt.Errorf("spill: write %s: %w", filepath.Base(s.path), err)
-	}
-	ref := Ref{Off: s.off, Len: int64(len(buf)), Rows: b.N}
-	s.refs = append(s.refs, ref)
-	s.off += ref.Len
-	s.rows += int64(b.N)
-	return ref, nil
 }
 
 //hierdb:hotpath
@@ -208,8 +190,8 @@ func appendCol(buf []byte, c *vec.Col, n int) ([]byte, error) {
 	return buf, nil
 }
 
-// appendValue encodes one boxed value with a row-codec tag — the Any
-// column payload shares the row codec's value encoding.
+// appendValue encodes one boxed value of an Any column payload behind
+// its type tag.
 func appendValue(buf []byte, v any) ([]byte, error) {
 	switch x := v.(type) {
 	case bool:
@@ -265,19 +247,6 @@ func ReadColsAt(r io.ReaderAt, off, n int64, rows int) (*vec.Batch, error) {
 		return nil, fmt.Errorf("read: %w", err)
 	}
 	return DecodeCols(buf, rows)
-}
-
-// ReadCols decodes a batch written by AppendCols into a dense columnar
-// batch. Safe for concurrent callers once appends have stopped.
-func (s *File) ReadCols(ref Ref) (*vec.Batch, error) {
-	if ref.Rows == 0 {
-		return &vec.Batch{}, nil
-	}
-	b, err := ReadColsAt(s.f, ref.Off, ref.Len, ref.Rows)
-	if err != nil {
-		return nil, fmt.Errorf("spill: %s: %w", filepath.Base(s.path), err)
-	}
-	return b, nil
 }
 
 // Decode failures. Sentinels rather than fmt calls: the per-kind

@@ -205,20 +205,8 @@ func checkBoxless(t *testing.T, name string, b *vec.Batch, want []Row) {
 // boxes on demand to exactly the source rows — what the boxing decoder
 // it replaced produced eagerly.
 func TestBoxlessDecodeEqualsRows(t *testing.T) {
-	gens := map[string]func(r *rand.Rand) any{
-		"int":     func(r *rand.Rand) any { return r.Intn(1000) - 500 },
-		"int32":   func(r *rand.Rand) any { return int32(r.Intn(1000) - 500) },
-		"int64":   func(r *rand.Rand) any { return r.Int63() - math.MaxInt64/2 },
-		"uint64":  func(r *rand.Rand) any { return r.Uint64() | 1<<63 }, // high bit set
-		"float64": func(r *rand.Rand) any { return [...]float64{r.NormFloat64(), math.NaN(), math.Inf(-1), 0}[r.Intn(4)] },
-		"bool":    func(r *rand.Rand) any { return r.Intn(2) == 0 },
-		"string":  func(r *rand.Rand) any { return [...]string{"", "a", "héllo", "payload-0123456789"}[r.Intn(4)] },
-		"any": func(r *rand.Rand) any {
-			return [...]any{1, "s", 2.5, true, uint64(1) << 63, int32(-3), int64(9)}[r.Intn(7)]
-		},
-	}
 	r := rand.New(rand.NewSource(7))
-	for name, gen := range gens {
+	for name, gen := range kindGens {
 		for _, nullPct := range []int{0, 30, 100} {
 			for _, n := range []int{1, 63, 64, 65, 200} {
 				rows := make([]Row, n)

@@ -1,27 +1,32 @@
 // Package spill is the disk format of the engine's memory governance:
-// batches of rows encoded to per-partition temp files when a hash-join
+// columnar batches encoded to per-partition temp files when a hash-join
 // build side (or a group-by partial) exceeds its node's memory budget,
 // and decoded back one batch at a time during the partition-wise join
-// phases. The format is append-only and batch-granular — every Append
-// returns a Ref, and ReadBatch(Ref) is safe for concurrent readers via
+// phases. A File is append-only and batch-granular — every written
+// batch has a Ref, and ReadCols(Ref) is safe for concurrent readers via
 // ReadAt — so spill-phase activations can decode independent batches in
 // parallel without coordination.
 //
-// Values are encoded with a one-byte type tag per column. The supported
-// set (nil, bool, int, int32, int64, uint64, float64, string) covers the
-// engine's comparable join keys and typical payloads; a row carrying any
-// other type fails the Append with a descriptive error, which the engine
-// surfaces as the query's terminal error rather than silently corrupting
-// the spill.
+// Writes are coalesced: AppendSel gathers the selected rows of however
+// many small batches into the file's typed write buffer and encodes one
+// full batch each time the buffer reaches the caller's flush threshold,
+// so a partition file holds threshold-sized batches plus one tail
+// (written by Seal) no matter how finely its input was fanned out.
+//
+// The batch encoding (colcodec.go) supports nil, bool, int, int32,
+// int64, uint64, float64 and string values; a column carrying any other
+// type fails the write with a descriptive error, which the engine
+// surfaces as the query's terminal error rather than silently
+// corrupting the spill.
 package spill
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
 	"os"
 	"path/filepath"
 	"sync"
+
+	"hierdb/internal/vec"
 )
 
 // Row is one tuple, positionally indexed. It is a type alias so the
@@ -29,20 +34,7 @@ import (
 // without copying.
 type Row = []any
 
-// Value type tags. The tag order is part of the on-disk format.
-const (
-	tagNil = iota
-	tagFalse
-	tagTrue
-	tagInt
-	tagInt32
-	tagInt64
-	tagUint64
-	tagFloat64
-	tagString
-)
-
-// Ref addresses one appended batch inside a File.
+// Ref addresses one written batch inside a File.
 type Ref struct {
 	// Off is the batch's byte offset in the file.
 	Off int64
@@ -52,19 +44,25 @@ type Ref struct {
 	Rows int
 }
 
-// File is one spill partition: an append-only temp file of encoded row
-// batches. Appends are serialized internally (concurrent producer
-// workers share a partition); reads go through ReadAt and may run
-// concurrently with each other, but not with appends — the engine's
-// chain barrier separates the write phase from the read phase.
+// File is one spill partition: an append-only temp file of encoded
+// batches behind a write buffer. Appends are serialized internally
+// (concurrent producer workers share a partition); reads go through
+// ReadAt and may run concurrently with each other, but not with
+// appends — the engine's chain barrier separates the write phase from
+// the read phase, and Seal marks the boundary.
 type File struct {
 	mu   sync.Mutex //hierdb:lock spillfile
 	f    *os.File
 	path string
-	buf  []byte // encode scratch, reused across Appends
+	buf  []byte // encode scratch, reused across writes
 	refs []Ref
 	off  int64
-	rows int64
+	rows int64 // written + buffered
+	// wbuf holds the rows AppendSel has gathered but not yet written:
+	// dense columns of typed mirror + null bitmap, a Box only on Any
+	// columns (which have no mirror). Flushing keeps its storage, so
+	// steady-state appends allocate nothing.
+	wbuf vec.Batch
 }
 
 // Create opens a new spill file in dir. The file is created eagerly so
@@ -79,184 +77,232 @@ func Create(dir, name string) (*File, error) {
 	return &File{f: f, path: path}, nil
 }
 
-// Append encodes one batch and writes it to the file, returning its Ref.
-// Safe for concurrent callers.
-func (s *File) Append(rows []Row) (Ref, error) {
-	if len(rows) == 0 {
+// AppendSel buffers the logical rows of b listed in sel (nil = all) and
+// writes one batch of exactly flushRows rows each time the buffer fills;
+// the remainder stays buffered until a later append or Seal. Values are
+// copied mirror to mirror and never boxed. A batch whose width or
+// column kinds differ from the buffered rows' flushes them first, so
+// every written batch has one schema. Safe for concurrent callers.
+func (s *File) AppendSel(b *vec.Batch, sel []int32, flushRows int) error {
+	if sel == nil {
+		sel = vec.Ident(b.N)
+	}
+	flushRows = max(flushRows, 1)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if !sameSchema(&s.wbuf, b) {
+		if err := s.flushLocked(); err != nil {
+			return err
+		}
+		s.wbuf.Cols = make([]vec.Col, len(b.Cols))
+		for ci := range b.Cols {
+			s.wbuf.Cols[ci].Kind = b.Cols[ci].Kind
+		}
+	}
+	for len(sel) > 0 {
+		k := min(len(sel), max(flushRows-s.wbuf.N, 0))
+		s.gatherLocked(b, sel[:k])
+		sel = sel[k:]
+		if s.wbuf.N >= flushRows {
+			if err := s.flushLocked(); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// AppendCols writes b as one batch of its own, after any buffered rows,
+// and returns its Ref. Safe for concurrent callers.
+func (s *File) AppendCols(b *vec.Batch) (Ref, error) {
+	if b == nil || b.N == 0 {
 		return Ref{}, nil
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	buf := s.buf[:0]
-	buf = binary.AppendUvarint(buf, uint64(len(rows)))
-	var err error
-	for _, r := range rows {
-		if buf, err = appendRow(buf, r); err != nil {
-			return Ref{}, err
+	if err := s.flushLocked(); err != nil {
+		return Ref{}, err
+	}
+	ref, err := s.writeLocked(b)
+	if err == nil {
+		s.rows += int64(b.N)
+	}
+	return ref, err
+}
+
+// Seal writes the buffered tail, if any, and releases the write buffer.
+// Once every appender has returned and the file is sealed, Refs and
+// Bytes are complete. Idempotent.
+func (s *File) Seal() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	err := s.flushLocked()
+	s.wbuf = vec.Batch{}
+	return err
+}
+
+// sameSchema reports whether b's rows can extend the buffered columns:
+// equal width and kinds.
+func sameSchema(buf, b *vec.Batch) bool {
+	if len(buf.Cols) != len(b.Cols) {
+		return false
+	}
+	for ci := range buf.Cols {
+		if buf.Cols[ci].Kind != b.Cols[ci].Kind {
+			return false
 		}
 	}
+	return true
+}
+
+// gatherLocked appends b's logical rows sel to the write buffer, whose
+// schema is b's.
+func (s *File) gatherLocked(b *vec.Batch, sel []int32) {
+	w := &s.wbuf
+	for ci := range w.Cols {
+		dst, src := &w.Cols[ci], &b.Cols[ci]
+		switch {
+		case src.Kind == vec.Any:
+			dst.Box = gather(dst.Box, src.Box, src.Idx, sel)
+		case src.Kind.IntFamily():
+			dst.I64 = gather(dst.I64, src.I64, src.Idx, sel)
+		case src.Kind == vec.Float64:
+			dst.F64 = gather(dst.F64, src.F64, src.Idx, sel)
+		case src.Kind == vec.Bool:
+			dst.B = gather(dst.B, src.B, src.Idx, sel)
+		default:
+			dst.Str = gather(dst.Str, src.Str, src.Idx, sel)
+		}
+		// Only typed columns carry a bitmap; Any marks nulls in Box.
+		if src.Kind != vec.Any && src.Null != nil {
+			dst.Null = gatherNulls(dst.Null, w.N, src, sel)
+		}
+	}
+	w.N += len(sel)
+	s.rows += int64(len(sel))
+}
+
+// gather appends src[idx[li]] (idx nil = the identity) to dst for every
+// li in sel.
+//
+//hierdb:hotpath
+func gather[T any](dst, src []T, idx, sel []int32) []T {
+	if idx == nil {
+		for _, li := range sel {
+			dst = append(dst, src[li])
+		}
+		return dst
+	}
+	for _, li := range sel {
+		dst = append(dst, src[idx[li]])
+	}
+	return dst
+}
+
+// gatherNulls sets bit base+j of the growing bitmap dst for every j
+// whose source row sel[j] is null in src.
+//
+//hierdb:hotpath
+func gatherNulls(dst []uint64, base int, src *vec.Col, sel []int32) []uint64 {
+	for j, li := range sel {
+		if src.NullAt(src.Pos(int(li))) {
+			pos := base + j
+			for len(dst) <= pos>>6 {
+				dst = append(dst, 0)
+			}
+			dst[pos>>6] |= 1 << (uint(pos) & 63)
+		}
+	}
+	return dst
+}
+
+// flushLocked writes the buffered rows as one batch and empties the
+// buffer, keeping its storage.
+func (s *File) flushLocked() error {
+	w := &s.wbuf
+	if w.N == 0 {
+		return nil
+	}
+	for ci := range w.Cols {
+		// A column that has a bitmap must have one covering every row.
+		if c := &w.Cols[ci]; c.Null != nil {
+			for len(c.Null) < (w.N+63)/64 {
+				c.Null = append(c.Null, 0)
+			}
+		}
+	}
+	_, err := s.writeLocked(w)
+	for ci := range w.Cols {
+		c := &w.Cols[ci]
+		// The buffer must not pin the source storage its strings and
+		// boxed values point into.
+		clear(c.Str)
+		clear(c.Box)
+		c.I64, c.F64, c.B, c.Str, c.Box = c.I64[:0], c.F64[:0], c.B[:0], c.Str[:0], c.Box[:0]
+		if c.Null != nil {
+			c.Null = c.Null[:0]
+		}
+	}
+	w.N = 0
+	return err
+}
+
+// writeLocked encodes b and writes it at the file's end. It writes at
+// an explicit offset and advances that offset only on a full write, so
+// a failed write cannot misalign the Refs of the batches around it.
+func (s *File) writeLocked(b *vec.Batch) (Ref, error) {
+	buf, err := EncodeCols(s.buf[:0], b)
+	if err != nil {
+		return Ref{}, err
+	}
 	s.buf = buf
-	if _, err := s.f.Write(buf); err != nil {
+	if _, err := s.f.WriteAt(buf, s.off); err != nil {
 		return Ref{}, fmt.Errorf("spill: write %s: %w", filepath.Base(s.path), err)
 	}
-	ref := Ref{Off: s.off, Len: int64(len(buf)), Rows: len(rows)}
+	ref := Ref{Off: s.off, Len: int64(len(buf)), Rows: b.N}
 	s.refs = append(s.refs, ref)
 	s.off += ref.Len
-	s.rows += int64(len(rows))
 	return ref, nil
 }
 
-func appendRow(buf []byte, r Row) ([]byte, error) {
-	buf = binary.AppendUvarint(buf, uint64(len(r)))
-	for _, v := range r {
-		switch x := v.(type) {
-		case nil:
-			buf = append(buf, tagNil)
-		case bool:
-			if x {
-				buf = append(buf, tagTrue)
-			} else {
-				buf = append(buf, tagFalse)
-			}
-		case int:
-			buf = append(buf, tagInt)
-			buf = binary.AppendVarint(buf, int64(x))
-		case int32:
-			buf = append(buf, tagInt32)
-			buf = binary.AppendVarint(buf, int64(x))
-		case int64:
-			buf = append(buf, tagInt64)
-			buf = binary.AppendVarint(buf, x)
-		case uint64:
-			buf = append(buf, tagUint64)
-			buf = binary.AppendUvarint(buf, x)
-		case float64:
-			buf = append(buf, tagFloat64)
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(x))
-		case string:
-			buf = append(buf, tagString)
-			buf = binary.AppendUvarint(buf, uint64(len(x)))
-			buf = append(buf, x...)
-		default:
-			return nil, fmt.Errorf("spill: unsupported column type %T (supported: nil, bool, int, int32, int64, uint64, float64, string)", v)
-		}
-	}
-	return buf, nil
-}
-
-// ReadBatch decodes the batch a Ref addresses. Safe for concurrent
-// callers once appends have stopped.
-func (s *File) ReadBatch(ref Ref) ([]Row, error) {
+// ReadCols decodes one written batch into a dense columnar batch. Safe
+// for concurrent callers once appends have stopped.
+func (s *File) ReadCols(ref Ref) (*vec.Batch, error) {
 	if ref.Rows == 0 {
-		return nil, nil
+		return &vec.Batch{}, nil
 	}
-	buf := make([]byte, ref.Len)
-	if _, err := s.f.ReadAt(buf, ref.Off); err != nil {
-		return nil, fmt.Errorf("spill: read %s: %w", filepath.Base(s.path), err)
+	b, err := ReadColsAt(s.f, ref.Off, ref.Len, ref.Rows)
+	if err != nil {
+		return nil, fmt.Errorf("spill: %s: %w", filepath.Base(s.path), err)
 	}
-	n, w := binary.Uvarint(buf)
-	if w <= 0 || n != uint64(ref.Rows) {
-		return nil, fmt.Errorf("spill: corrupt batch header in %s (got %d rows, ref says %d)", filepath.Base(s.path), n, ref.Rows)
-	}
-	buf = buf[w:]
-	rows := make([]Row, 0, ref.Rows)
-	for i := 0; i < ref.Rows; i++ {
-		var (
-			r   Row
-			err error
-		)
-		if r, buf, err = decodeRow(buf); err != nil {
-			return nil, fmt.Errorf("spill: %s: %w", filepath.Base(s.path), err)
-		}
-		rows = append(rows, r)
-	}
-	return rows, nil
+	return b, nil
 }
 
-func decodeRow(buf []byte) (Row, []byte, error) {
-	ncols, w := binary.Uvarint(buf)
-	if w <= 0 || ncols > uint64(len(buf)) {
-		return nil, nil, fmt.Errorf("corrupt row header")
-	}
-	buf = buf[w:]
-	r := make(Row, 0, ncols)
-	for c := uint64(0); c < ncols; c++ {
-		if len(buf) == 0 {
-			return nil, nil, fmt.Errorf("truncated row")
-		}
-		tag := buf[0]
-		buf = buf[1:]
-		switch tag {
-		case tagNil:
-			r = append(r, nil)
-		case tagFalse:
-			r = append(r, false)
-		case tagTrue:
-			r = append(r, true)
-		case tagInt, tagInt32, tagInt64:
-			v, w := binary.Varint(buf)
-			if w <= 0 {
-				return nil, nil, fmt.Errorf("truncated varint")
-			}
-			buf = buf[w:]
-			switch tag {
-			case tagInt:
-				r = append(r, int(v))
-			case tagInt32:
-				r = append(r, int32(v))
-			default:
-				r = append(r, v)
-			}
-		case tagUint64:
-			v, w := binary.Uvarint(buf)
-			if w <= 0 {
-				return nil, nil, fmt.Errorf("truncated uvarint")
-			}
-			buf = buf[w:]
-			r = append(r, v)
-		case tagFloat64:
-			if len(buf) < 8 {
-				return nil, nil, fmt.Errorf("truncated float64")
-			}
-			r = append(r, math.Float64frombits(binary.LittleEndian.Uint64(buf)))
-			buf = buf[8:]
-		case tagString:
-			n, w := binary.Uvarint(buf)
-			if w <= 0 || uint64(len(buf)-w) < n {
-				return nil, nil, fmt.Errorf("truncated string")
-			}
-			r = append(r, string(buf[w:w+int(n)]))
-			buf = buf[w+int(n):]
-		default:
-			return nil, nil, fmt.Errorf("unknown value tag %d", tag)
-		}
-	}
-	return r, buf, nil
-}
-
-// Refs returns the refs of every appended batch, in append order. Call
-// only after appends have stopped.
+// Refs returns the refs of every written batch, in write order. Call
+// only after appends have stopped and the file is sealed.
 func (s *File) Refs() []Ref {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.refs
 }
 
-// Bytes returns the total encoded bytes appended so far.
+// Bytes returns the total encoded bytes written so far.
 func (s *File) Bytes() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.off
 }
 
-// Rows returns the total rows appended so far.
+// Rows returns the total rows appended so far, written or still
+// buffered.
 func (s *File) Rows() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.rows
 }
 
-// Close closes and deletes the file. Idempotent.
+// Close closes and deletes the file, dropping any rows still buffered.
+// Idempotent.
 func (s *File) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
