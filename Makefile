@@ -44,7 +44,7 @@ tools:
 test:
 	$(GO) build ./...
 	$(GO) test -race ./...
-	$(GO) test -run 'ZeroAlloc|Amortized|AllocBound' -v ./internal/simtime/ ./internal/core/ ./internal/exec/
+	$(GO) test -run 'ZeroAlloc|Amortized|AllocBound|AllocBytesBound' -v ./internal/simtime/ ./internal/core/ ./internal/exec/ .
 	$(GO) test -run '^$$' -fuzz FuzzJoinEquivalence -fuzztime 30s ./internal/difftest/
 	$(GO) test -run '^$$' -fuzz FuzzTableFileRoundTrip -fuzztime 30s ./internal/difftest/
 	$(GO) build -o bin/hdbtable ./cmd/hdbtable
@@ -75,7 +75,7 @@ bench:
 	{ $(GO) test -run '^$$' -bench 'BenchmarkKernel' -benchmem ./internal/simtime/; \
 	  $(GO) test -run '^$$' -bench 'Churn|MultiNode' -benchmem ./internal/core/; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkFig6$$|BenchmarkEngineJoinDP$$|ConcurrentQueries|StreamingSink|MultiNodeSkew|SpillJoin|DiskScan|DiskJoinSpill|OptimizeOverhead' -benchtime 10x -benchmem .; \
-	  $(GO) test -run '^$$' -bench 'BenchmarkAdmission|BenchmarkBrokerLease|BenchmarkSpillPartitionWrite' -benchmem ./internal/exec/; \
+	  $(GO) test -run '^$$' -bench 'BenchmarkAdmission|BenchmarkBrokerLease|BenchmarkSpillPartitionWrite|BenchmarkJoinProbeGather' -benchmem ./internal/exec/; \
 	} | tee $(BENCH_OUT)
 
 benchdiff: bench

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -501,5 +502,32 @@ func TestStaticModeOnDB(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatalf("row %d differs between scheduling modes", i)
 		}
+	}
+}
+
+// TestPointQueryAllocBytesBound is the point-query bytes gate (run by
+// CI): a one-row join through the facade must not pay for the
+// streaming path's steady-state buffers — the workers' arenas start
+// small and grow with the query — so the whole query, from Run to
+// Close, allocates under 96 KiB.
+func TestPointQueryAllocBytesBound(t *testing.T) {
+	db := testDB(t, WithWorkers(4))
+	point := func(k int) {
+		rows, _, err := db.Scan("orders").Where(Pred{Col: 1, Op: Eq, Val: k}).
+			Join(db.Scan("lines"), KeyCol(0), KeyCol(0)).Collect(context.Background())
+		if err != nil || len(rows) != 1 || rows[0][1] != k {
+			t.Fatalf("point lookup of %d: %v, %v", k, rows, err)
+		}
+	}
+	point(0) // columnize the tables, start the pool
+	const runs = 50
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for k := 1; k <= runs; k++ {
+		point(k)
+	}
+	runtime.ReadMemStats(&m1)
+	if perQuery := (m1.TotalAlloc - m0.TotalAlloc) / runs; perQuery > 96<<10 {
+		t.Fatalf("a one-row join allocates %d KiB, want <= 96", perQuery>>10)
 	}
 }

@@ -43,6 +43,12 @@ type Case struct {
 	// by Reference to every table) — the row-era path that reads each
 	// candidate row through the boxing Row boundary.
 	Filter func(hierdb.Row) bool
+	// RaggedBuild, when set, feeds the chain's last join a build side of
+	// unknown schema and mixed widths: the attached relation joined to
+	// itself on its row id under a Combine that keeps the first few rows
+	// whole and drops the payload of all later ones (raggedRow). The
+	// stripes of that join's hash table then discover different widths.
+	RaggedBuild bool
 
 	q *querygen.Query
 	// keyCol[rel][edge] is the column index of rel's key for that edge.
@@ -291,11 +297,28 @@ func (c *Case) planOrder(db *hierdb.DB, order, attach []int) *hierdb.Query {
 		}
 		probeCol := offsets[prev] + c.keyCol[prev][ei]
 		buildCol := c.keyCol[rel][ei]
-		acc = acc.Join(scan(rel), hierdb.KeyCol(probeCol), hierdb.KeyCol(buildCol))
+		build := scan(rel)
+		if c.RaggedBuild && i == len(order)-1 {
+			build = build.Join(scan(rel), hierdb.KeyCol(0), hierdb.KeyCol(0)).
+				Combine(func(p, _ hierdb.Row) hierdb.Row { return raggedRow(p) })
+		}
+		acc = acc.Join(build, hierdb.KeyCol(probeCol), hierdb.KeyCol(buildCol))
 		offsets[rel] = width
 		width += len(c.Tables[rel].Cols)
 	}
 	return acc
+}
+
+// raggedRow is the RaggedBuild transformation of one relation row (id
+// first, payload last): all but the first eight ids lose their payload
+// column. A Combine's output batch is as wide as its widest row, so
+// only a stripe fed by whole batches of short rows stays narrow —
+// hence few wide rows, all in the relation's first batch.
+func raggedRow(r hierdb.Row) hierdb.Row {
+	if r[0].(int) >= 8 {
+		return r[:len(r)-1]
+	}
+	return r
 }
 
 // Reference evaluates the case with a naive row-at-a-time interpreter —
@@ -330,6 +353,9 @@ func (c *Case) Reference() map[string]int {
 		buildCol := c.keyCol[rel][ei]
 		ht := make(map[any][]hierdb.Row)
 		for _, br := range scan(rel) {
+			if c.RaggedBuild && i == len(c.order)-1 {
+				br = raggedRow(br)
+			}
 			ht[br[buildCol]] = append(ht[br[buildCol]], br)
 		}
 		var next []hierdb.Row

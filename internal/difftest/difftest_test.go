@@ -163,6 +163,27 @@ func TestDifferentialQueries(t *testing.T) {
 			if st.ChunksScanned == 0 {
 				t.Fatalf("%s leg disk-filter: no chunks scanned — the leg did not stream from disk", name)
 			}
+			// The ragged legs: the last join's build side comes out of a
+			// Combine with mixed row widths, so its schema is unknown and
+			// each stripe of the hash table discovers its own — sealing
+			// must give the build side one width, in memory, stolen,
+			// spilled and at batch size 16 alike. Anchored to the naive
+			// interpreter under the same transformation.
+			rc := *c
+			rc.RaggedBuild = true
+			want := rc.Reference()
+			for _, leg := range ls {
+				if leg.analyze {
+					continue // a Combine pins the join order: nothing new to plan
+				}
+				got, _, err := rc.RunLeg(ctx, leg.opts...)
+				if err != nil {
+					t.Fatalf("%s leg ragged-%s: %v", name, leg.name, err)
+				}
+				if err := DiffMultisets("ragged-"+leg.name, "row-reference-ragged", got, want); err != nil {
+					t.Fatal(err)
+				}
+			}
 		})
 	}
 	// Not every generated query is big enough to spill, so the

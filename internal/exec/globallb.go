@@ -306,8 +306,9 @@ func popOldestLocked(or *opRun, n int) []*activation {
 // hash-table bucket the stolen rows will probe, pricing the transfers
 // as shipped bytes. Buckets already cached by an earlier steal cost
 // nothing (§4's stolen-queue cache). A cached bucket shares the owner's
-// stripe store — stores are immutable once the build barrier passes and
-// probes begin, so sharing is safe in-process, while the
+// stripe — its index and, through it, the owner's sealed store, which
+// the thief seals first if no probe of the owner's has yet: both are
+// immutable from then on, so sharing is safe in-process, while the
 // benefit/overhead score still charges the bytes a real network ship
 // would move. Single writer per fragment (rounds are single-flight),
 // readers go through the atomic pointer.
@@ -330,6 +331,10 @@ func (q *query) acquireBuckets(op *pop, acts []*activation) (copied int, bytes i
 				continue
 			}
 			src := mq.frags[owner].ops[op.partner.id]
+			if err := src.seal(); err != nil {
+				mq.fail(err)
+				return copied, bytes
+			}
 			stripe := src.stripes[g/mq.n]
 			if fresh == nil {
 				fresh = make(bucketCache, len(old)+4)

@@ -31,7 +31,8 @@ package exec
 // group-by merge all see a perfectly ordinary (if long-lived) operator.
 //
 // Lock order: pool.mu (or mq.mu -> pool.mu) -> joinSpill.mu ->
-// memBroker.mu -> query.spillMu -> spill.File's internal mutex.
+// memBroker.mu -> query.spillMu -> spill.File's internal mutex. Sealing
+// a build side (opRun.seal, sealStripes) happens outside all of them.
 
 import (
 	"fmt"
@@ -84,8 +85,9 @@ type spillPart struct {
 }
 
 // spillPhase is the in-flight partition join: partition part's build
-// side loaded into an in-memory columnar store, charged bytes against
-// the fragment budget until the partition's probes complete.
+// side loaded into an in-memory columnar store (one stripe, sealed by
+// the load), charged bytes against the fragment budget until the
+// partition's probes complete.
 type spillPhase struct {
 	part  spillPart
 	store *stripeStore
@@ -220,8 +222,9 @@ func spillPartIndexH(h, salt uint64, nparts int) int {
 	return int(mix64(h^(salt+1)*0x9e3779b97f4a7c15) % uint64(nparts))
 }
 
-// spillFail aborts the query with a spill I/O or encoding error. Called
-// from activation processing with no locks held.
+// spillFail aborts the query with an error met while processing an
+// activation (spill I/O or encoding, a build side too large to seal).
+// Called with no locks held.
 func (q *query) spillFail(err error) {
 	if q.mq != nil {
 		q.mq.fail(err)
@@ -541,6 +544,11 @@ func (q *query) processSpillLoad(a *activation, w int) (outs []*activation) {
 		store.insertSel(db, vec.Ident(db.N)[:db.N], keys)
 		bytes += batchBytes(db, nil) + int64(db.N)*hashEntryBytes
 	}
+	// One stripe: the seal aliases its storage, nothing is copied.
+	if err := sealStripes([]*stripeStore{store}); err != nil {
+		q.spillFail(err)
+		return nil
+	}
 	q.chargeMem(bytes) // may exceed at the depth cap; accepted
 	q.spillPhases.Add(1)
 	phase := &spillPhase{part: part, store: store, bytes: bytes}
@@ -618,16 +626,11 @@ func (q *query) processSpillProbe(a *activation, w int) (outs []*activation, res
 		kc = &pb.Cols[keyCol]
 	}
 	vs.probeRows = vs.probeRows[:0]
-	vs.bstores = vs.bstores[:0]
 	vs.bpos = vs.bpos[:0]
 	for i := 0; i < pb.N; i++ {
-		for _, pos := range ss.lookup(kc, keys, i) {
-			vs.probeRows = append(vs.probeRows, int32(i))
-			vs.bstores = append(vs.bstores, ss)
-			vs.bpos = append(vs.bpos, pos)
-		}
+		vs.addMatches(i, ss.base, ss.lookup(kc, keys, i))
 	}
-	return q.finishProbe(a, pb, w)
+	return q.finishProbe(a, pb, ss.sealed, w)
 }
 
 // governGroupPartial charges worker w's group-by partial growth and

@@ -512,11 +512,15 @@ func (mq *mquery) epilogue(q *query, a *activation, outs []*activation, delivere
 		mq.fail(q.ctx.Err())
 	}
 	if len(outs) > 0 {
-		consumer := outs[0].op
 		mq.mu.Lock()
 		aborted := mq.aborted
 		if !aborted {
-			mq.ops[consumer.id].pend += int64(len(outs))
+			// Each out addresses its own operator: the consumer, or the
+			// producing operator itself (spill-phase probes, a probe
+			// batch's cut-off tail).
+			for _, out := range outs {
+				mq.ops[out.op.id].pend++
+			}
 		}
 		mq.mu.Unlock()
 		if !aborted {
@@ -543,7 +547,6 @@ func (mq *mquery) epilogue(q *query, a *activation, outs []*activation, delivere
 //
 //hierdb:hotpath
 func (mq *mquery) deliverOuts(src *query, outs []*activation) {
-	op := outs[0].op
 	for d := 0; d < mq.n; d++ {
 		count, rows := 0, 0
 		for _, a := range outs {
@@ -562,13 +565,13 @@ func (mq *mquery) deliverOuts(src *query, outs []*activation) {
 		queued := 0
 		p.mu.Lock()
 		if !dst.aborted {
-			or := dst.ops[op.id]
 			for _, a := range outs {
 				if a.dest == d {
+					or := dst.ops[a.op.id]
 					dst.enqueueLocked(or, a)
+					queued = or.queued
 				}
 			}
-			queued = or.queued
 			if dst.allowed != nil {
 				// Static (FP) mode: targeted signals could wake workers
 				// not allowed to run the consumer — wake everyone.

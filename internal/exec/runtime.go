@@ -211,6 +211,13 @@ type opRun struct {
 	// stripe store per lock stripe.
 	stripes []*stripeStore
 	locks   []sync.Mutex //hierdb:lock stripe
+	// sealOnce single-flights the seal of the build side (opRun.seal)
+	// that the first probe or thief triggers after the build barrier.
+	// The seal takes no tracked lock and is never entered with a pool,
+	// mq, jspill or stripe lock held: a waiter on the Once would stall
+	// a scheduler for the length of a copy.
+	sealOnce sync.Once
+	sealErr  error
 	// stripeRows counts tuples per stripe (guarded by the stripe lock);
 	// the steal protocol prices bucket shipping with it.
 	stripeRows []int
@@ -229,10 +236,11 @@ type opRun struct {
 	cache atomic.Pointer[bucketCache]
 }
 
-// bucketCache maps global bucket ids to hash-table stripe stores
-// acquired from their owner node. The stores are immutable by the time
-// a steal can observe them (probing starts after the build barrier),
-// so acquisition shares them and accounts the shipped bytes.
+// bucketCache maps global bucket ids to hash-table stripes acquired
+// from their owner node. The owner's build side is sealed before its
+// stripes are cached and immutable from then on, so acquisition shares
+// the stripe's index and the owner's sealed store and accounts the
+// shipped bytes.
 type bucketCache = map[int]*stripeStore
 
 // query is one in-flight execution on a Pool: a compiled plan, its

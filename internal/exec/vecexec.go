@@ -3,13 +3,17 @@ package exec
 // Vectorized execution kernels: the columnar hot path of the engine.
 // Scans carve windows from columnized tables and evaluate predicates
 // as per-column loops, builds hash whole key columns and accumulate
-// typed per-stripe column stores, probes hash the probe key column,
-// walk typed indexes and gather matches by position instead of
-// constructing boxed rows. All row materialization funnels through
-// vec's AppendRows/ReadRow boundary, and column values are read typed
-// or through Col.Value, never Box[pos]: batches decoded from table
-// files and spill partitions are boxless (see internal/vec), boxed
-// only for the rows that reach the sink or a build store.
+// typed per-stripe column stores, probes hash the probe key column and
+// walk typed indexes. A join's output is a pair of selections: the
+// stripes' rows are sealed into one dense store before the first probe
+// (sealStripes), and an output batch is the probe batch's columns under
+// a composed selection next to the sealed store's columns under one
+// shared position vector — no build value is copied per match. All row
+// materialization funnels through vec's AppendRows/ReadRow boundary,
+// and column values are read typed or through Col.Value, never
+// Box[pos]: batches decoded from table files and spill partitions are
+// boxless (see internal/vec), boxed only for the rows that reach the
+// sink or a build store.
 //
 // Hash parity: every kernel reproduces keyHash64 bit-for-bit (mix64
 // for the int family and float bits, FNV-1a for strings, and the
@@ -18,6 +22,8 @@ package exec
 // engine's.
 
 import (
+	"errors"
+	"fmt"
 	"math"
 
 	"hierdb/internal/vec"
@@ -121,9 +127,12 @@ func annotateVec(p *physical) {
 			}
 			op.keyCol = resolveKeyCol(kf, len(inKinds))
 			if op.kind == opProbe {
-				// Probe output: probe columns keep their kinds; gathered
-				// build columns are boxed. Unknown when Combine rewrites
-				// rows or either input schema is unknown.
+				// Probe output: probe columns keep their kinds; build
+				// columns are reported Any although the batches carry
+				// them as the sealed store holds them, typed or not —
+				// a consumer pre-shaped for Any takes either, and typed
+				// indexes over them are not claimed here. Unknown when
+				// Combine rewrites rows or either input schema is unknown.
 				bld := op.partner
 				bin := producerOf(p, bld)
 				if op.join.Combine == nil && inKinds != nil && bin != nil && bin.outKinds != nil {
@@ -227,9 +236,8 @@ type vecScratch struct {
 	sel       []int32  // predicate/filter survivors
 	row       Row      // ReadRow scratch (filters, keys, aggregates)
 	probeRows []int32  // probe match: logical probe row per match
-	bstores   []*stripeStore
-	bpos      []int32 // probe match: position in the matched store
-	outRows   []Row   // Combine outputs
+	bpos      []int32  // probe match: position in the sealed build store
+	outRows   []Row    // Combine outputs
 	perDest   [][]int32
 	destRows  []int32 // emit routing: dest per logical row
 }
@@ -346,15 +354,18 @@ func keyHashes(b *vec.Batch, keyCol int, key KeyFunc, vs *vecScratch) []uint64 {
 // Stripe stores (the build side's hash table)
 // ---------------------------------------------------------------------
 
-// stripeStore is one lock stripe of a join's hash table: an appender
-// accumulating the stored build rows as dense columns, plus an index
-// from key to storage positions. The index is typed (map[int64] or
-// map[string]) when both sides' key columns resolved to the identical
-// kind, boxed (map[any], the semantic reference) otherwise; null keys
-// live in a side list so nil==nil matching is preserved under typed
-// indexing.
+// stripeStore is one lock stripe of a join's hash table: an index from
+// key to row positions, plus — while the build runs — an appender
+// accumulating the stripe's rows as dense columns. Once the build is
+// complete sealStripes moves every stripe's rows into one dense store
+// shared by the whole build side; the stripe keeps its index, whose
+// positions then count from base in that store. The index is typed
+// (map[int64] or map[string]) when both sides' key columns resolved to
+// the identical kind, boxed (map[any], the semantic reference)
+// otherwise; null keys live in a side list so nil==nil matching is
+// preserved under typed indexing.
 type stripeStore struct {
-	app     *vec.Appender
+	app     *vec.Appender // row storage while building; nil once sealed
 	idxKind int
 	keyCol  int // key column in the stored schema; -1 = closure keys
 	m64     map[int64][]int32
@@ -362,6 +373,10 @@ type stripeStore struct {
 	many    map[any][]int32
 	nulls   []int32
 	rows    int
+	// sealed is the build side's dense store and base this stripe's
+	// first position in it (set by sealStripes, immutable afterwards).
+	sealed *vec.Batch
+	base   int32
 }
 
 func newStripeStore(kinds []vec.Kind, idxKind, keyCol, hint int) *stripeStore {
@@ -449,19 +464,58 @@ func (ss *stripeStore) lookup(c *vec.Col, keys []any, li int) []int32 {
 	}
 }
 
-// rowAt materializes stored row pos from the store's columns, carving
-// from a (fresh storage: Combine callers may retain the row).
-func (ss *stripeStore) rowAt(pos int, a *vec.Arena) Row {
-	w := ss.app.Width()
-	row := a.Anys(w)[:0]
-	for ci := 0; ci < w; ci++ {
-		v := ss.app.Col(ci).Value(pos)
-		if vec.IsAbsent(v) {
-			break
+// ErrBuildTooLarge fails a join whose build side holds more rows on one
+// node than a batch position (int32) can address.
+var ErrBuildTooLarge = errors.New("exec: join build side too large")
+
+// sealStripes moves the rows of a completed build side out of its
+// stripes' appenders into one dense store (vec.Concat: exact-size
+// columns, each stripe's storage released as it is copied, a single
+// non-empty stripe aliased) and points every stripe at it. The stripes
+// must be quiescent — builds precede probes across the chain barrier —
+// and the caller single-flight.
+func sealStripes(stripes []*stripeStore) error {
+	var few [32]*vec.Appender // keeps a default-striped seal's list off the heap
+	parts := few[:0]
+	total := 0
+	for _, ss := range stripes {
+		if ss == nil || ss.rows == 0 {
+			continue
 		}
-		row = append(row, v)
+		if total+ss.rows > math.MaxInt32 {
+			return fmt.Errorf("%w: over %d rows on one node", ErrBuildTooLarge, math.MaxInt32)
+		}
+		ss.base = int32(total)
+		total += ss.rows
+		parts = append(parts, ss.app)
 	}
-	return row
+	sealed := vec.Concat(parts)
+	for _, ss := range stripes {
+		if ss != nil {
+			ss.app, ss.sealed = nil, sealed
+		}
+	}
+	return nil
+}
+
+// seal seals the operator's build side on first call; every later call
+// (any worker's probe, a thief acquiring this node's buckets) returns
+// the same outcome. Concurrent first callers wait for the one sealing.
+func (or *opRun) seal() error {
+	or.sealOnce.Do(func() { or.sealErr = sealStripes(or.stripes) })
+	return or.sealErr
+}
+
+// addMatches records one (probe row, sealed build position) pair per
+// index position in ps, the matches of logical probe row i in a stripe
+// whose rows start at base.
+//
+//hierdb:hotpath
+func (vs *vecScratch) addMatches(i int, base int32, ps []int32) {
+	for _, pos := range ps {
+		vs.probeRows = append(vs.probeRows, int32(i))
+		vs.bpos = append(vs.bpos, base+pos)
+	}
 }
 
 // ---------------------------------------------------------------------
@@ -640,14 +694,22 @@ func (q *query) processBuildVec(a *activation, w int) {
 }
 
 // processProbeVec streams one routed batch against the build side:
-// hash the key column, walk each row's stripe index (local stripe or
-// the steal cache's acquired store), and gather the matches — probe
-// columns as a composed selection over the probe batch, build columns
-// as boxed dense gathers.
+// seal the build on the first probe, hash the key column, walk each
+// row's stripe index (local stripe or the steal cache's acquired one)
+// and record every match as a pair of positions — probe row, row of the
+// sealed store. All of an activation's rows belong to one owner node
+// (emitBatch routes by owner, a steal moves whole activations), so all
+// its matches lie in that owner's sealed store; should a row match in
+// another store, the batch is cut there and its tail handed back as an
+// activation of its own.
 //
 //hierdb:hotpath
 func (q *query) processProbeVec(a *activation, w int) (outs []*activation, results *vec.Batch) {
 	bo := q.ops[a.op.partner.id]
+	if err := bo.seal(); err != nil {
+		q.spillFail(err)
+		return nil, nil
+	}
 	b := a.b
 	vs := &q.vscratch[w]
 	hs := keyHashes(b, a.op.keyCol, a.op.join.ProbeKey, vs)
@@ -663,7 +725,6 @@ func (q *query) processProbeVec(a *activation, w int) (outs []*activation, resul
 	var cache bucketCache
 	po := q.ops[a.op.id]
 	vs.probeRows = vs.probeRows[:0]
-	vs.bstores = vs.bstores[:0]
 	vs.bpos = vs.bpos[:0]
 	var nb uint64
 	var nn int
@@ -671,6 +732,8 @@ func (q *query) processProbeVec(a *activation, w int) (outs []*activation, resul
 		nb, nn = uint64(q.mq.buckets), q.mq.n
 	}
 	stripes := uint64(q.opt.Stripes)
+	var store *vec.Batch // the sealed store the matches so far lie in
+	cut := b.N
 	for i := 0; i < b.N; i++ {
 		var ss *stripeStore
 		if multi {
@@ -678,7 +741,7 @@ func (q *query) processProbeVec(a *activation, w int) (outs []*activation, resul
 			if g%nn == q.node {
 				ss = bo.stripes[g/nn]
 			} else {
-				// A stolen row: its bucket's store was acquired into
+				// A stolen row: its bucket's stripe was acquired into
 				// this node's cache with the activation.
 				if cache == nil {
 					if c := po.cache.Load(); c != nil {
@@ -693,22 +756,33 @@ func (q *query) processProbeVec(a *activation, w int) (outs []*activation, resul
 		if ss == nil {
 			continue
 		}
-		for _, pos := range ss.lookup(keyCol, keys, i) {
-			vs.probeRows = append(vs.probeRows, int32(i))
-			vs.bstores = append(vs.bstores, ss)
-			vs.bpos = append(vs.bpos, pos)
+		ps := ss.lookup(keyCol, keys, i)
+		if len(ps) == 0 {
+			continue
 		}
+		if ss.sealed != store {
+			if store != nil {
+				cut = i
+				break
+			}
+			store = ss.sealed
+		}
+		vs.addMatches(i, ss.base, ps)
 	}
-	return q.finishProbe(a, b, w)
+	outs, results = q.finishProbe(a, b, store, w)
+	if cut < b.N {
+		outs = append(outs, &activation{op: a.op, b: window(b, cut, b.N), dest: q.node})
+	}
+	return outs, results
 }
 
-// finishProbe turns the match triples accumulated in worker w's scratch
-// (probe row, build store, build position) into the join's output batch
-// and hands it downstream — shared by the in-memory and spill-phase
-// probe kernels.
+// finishProbe turns the match pairs accumulated in worker w's scratch
+// (probe row, position in the sealed build store) into the join's
+// output batch and hands it downstream — shared by the in-memory and
+// spill-phase probe kernels.
 //
 //hierdb:hotpath
-func (q *query) finishProbe(a *activation, b *vec.Batch, w int) (outs []*activation, results *vec.Batch) {
+func (q *query) finishProbe(a *activation, b, store *vec.Batch, w int) (outs []*activation, results *vec.Batch) {
 	vs := &q.vscratch[w]
 	arena := &q.varenas[w]
 	m := len(vs.probeRows)
@@ -718,21 +792,23 @@ func (q *query) finishProbe(a *activation, b *vec.Batch, w int) (outs []*activat
 	isRoot := a.op == q.p.root
 	var out *vec.Batch
 	if combine := a.op.join.Combine; combine != nil {
-		// User combine: materialize fresh probe/build rows (the combine
-		// may retain either) and re-columnize its outputs boxed.
+		// User combine: materialize fresh probe/build rows — the build
+		// row read from the sealed store by position, both carved from
+		// the arena since the combine may retain either — and
+		// re-columnize its outputs boxed.
 		if cap(vs.outRows) < m {
 			vs.outRows = make([]Row, 0, m)
 		}
 		rows := vs.outRows[:0]
 		for j := 0; j < m; j++ {
-			pr := materializeRow(b, int(vs.probeRows[j]), arena)
-			br := vs.bstores[j].rowAt(int(vs.bpos[j]), arena)
+			pr := b.ReadRow(int(vs.probeRows[j]), arena.Anys(len(b.Cols)))
+			br := store.ReadRow(int(vs.bpos[j]), arena.Anys(len(store.Cols)))
 			rows = append(rows, combine(pr, br))
 		}
 		out = vec.FromRowsAny(rows)
 		vs.outRows = rows[:0]
 	} else {
-		out = gatherJoin(b, vs, arena)
+		out = gatherJoin(b, store, vs, arena)
 	}
 	if isRoot {
 		return nil, out
@@ -742,78 +818,24 @@ func (q *query) finishProbe(a *activation, b *vec.Batch, w int) (outs []*activat
 }
 
 // gatherJoin assembles the concatenated probe++build output batch of a
-// default-combine join from the match triples in scratch.
+// default-combine join from the match pairs in scratch, by reference:
+// the probe batch's columns under the composed selection of the matched
+// probe rows, and the sealed store's columns — kind, mirror, Box and
+// null bitmap as stored — under one position vector they all share.
 //
 //hierdb:hotpath
-func gatherJoin(b *vec.Batch, vs *vecScratch, arena *vec.Arena) *vec.Batch {
-	m := len(vs.probeRows)
-	bw := vs.bstores[0].app.Width()
-	out := &vec.Batch{Cols: make([]vec.Col, len(b.Cols)+bw), N: m}
-	// Probe columns: compose each distinct index window once.
-	type group struct {
-		idx      []int32
-		composed []int32
-	}
-	groups := make([]group, 0, len(b.Cols))
-	for ci := range b.Cols {
-		c := &b.Cols[ci]
-		var composed []int32
-		for gi := range groups {
-			if sameWindow(groups[gi].idx, c.Idx) {
-				composed = groups[gi].composed
-				break
-			}
-		}
-		if composed == nil {
-			composed = arena.I32(m)
-			if c.Idx == nil {
-				copy(composed, vs.probeRows)
-			} else {
-				for j, li := range vs.probeRows {
-					composed[j] = c.Idx[li]
-				}
-			}
-			groups = append(groups, group{c.Idx, composed})
-		}
-		oc := *c
-		oc.Idx = composed
-		out.Cols[ci] = oc
-	}
-	// Build columns: boxed dense gathers (copied interface words).
-	for ci := 0; ci < bw; ci++ {
-		box := arena.Anys(m)
-		for j := 0; j < m; j++ {
-			box[j] = vs.bstores[j].app.Col(ci).Value(int(vs.bpos[j]))
-		}
-		out.Cols[len(b.Cols)+ci] = vec.Col{Kind: vec.Any, Box: box}
+func gatherJoin(b, store *vec.Batch, vs *vecScratch, arena *vec.Arena) *vec.Batch {
+	m, pw := len(vs.probeRows), len(b.Cols)
+	out := &vec.Batch{Cols: make([]vec.Col, pw+len(store.Cols)), N: m}
+	vec.Compose(out.Cols, b, vs.probeRows, arena)
+	idx := arena.I32(m)
+	copy(idx, vs.bpos)
+	for ci := range store.Cols {
+		oc := &out.Cols[pw+ci]
+		*oc = store.Cols[ci]
+		oc.Idx = idx
 	}
 	return out
-}
-
-// sameWindow reports whether two index slices are the same window
-// (both nil, or same backing position and length).
-//
-//hierdb:hotpath
-func sameWindow(a, b []int32) bool {
-	if a == nil || b == nil {
-		return a == nil && b == nil
-	}
-	return len(a) == len(b) && &a[0] == &b[0]
-}
-
-// materializeRow carves one fresh boxed row from the arena (callers
-// may retain it; arena chunks are never reused).
-func materializeRow(b *vec.Batch, i int, a *vec.Arena) Row {
-	row := a.Anys(len(b.Cols))[:0]
-	for ci := range b.Cols {
-		c := &b.Cols[ci]
-		v := c.Value(c.Pos(i))
-		if vec.IsAbsent(v) {
-			break
-		}
-		row = append(row, v)
-	}
-	return row
 }
 
 // batchRowsVec columnizes rows and slices the result into Batch-sized

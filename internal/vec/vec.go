@@ -2,7 +2,8 @@
 // column vectors with null bitmaps and per-column selection vectors.
 // A Batch is the hot-path currency of internal/exec — scans carve
 // column windows from columnized tables, filters shrink selection
-// vectors, and the join kernels hash and gather whole columns.
+// vectors, and the join kernels hash whole columns and emit matches as
+// selections.
 //
 // Layout invariants:
 //
@@ -21,8 +22,9 @@
 //     words. A boxless column is boxed only where rows leave the
 //     columnar world — survivors at the Row boundary (AppendRows,
 //     ReadRow), or once per stored row when an Appender (a join's build
-//     store) takes it in, so fan-out matches keep copying words. Rows a
-//     predicate discards are never boxed at all.
+//     store) takes it in, so fan-out matches select the stored word
+//     instead of boxing again. Rows a predicate discards are never boxed
+//     at all.
 //   - Columns are windowed exclusively through Idx (logical→storage).
 //     Storage slices are never re-sliced: the null bitmap is packed at
 //     word granularity over storage positions, so re-slicing storage
@@ -285,9 +287,10 @@ func (c *Col) FillBox() {
 }
 
 // Batch is a set of equal-length column vectors. Columns may carry
-// different Idx windows (a join output keeps probe columns as a
-// selection over the probe batch while build columns are dense
-// gathers), but all describe the same N logical rows.
+// different Idx windows over different storage (a join output keeps
+// probe columns as a selection over the probe batch and build columns
+// as a selection over the join's sealed build store), but all describe
+// the same N logical rows.
 type Batch struct {
 	Cols []Col
 	N    int
@@ -523,20 +526,25 @@ func (b *Batch) ReadRow(i int, scratch Row) Row {
 //hierdb:hotpath
 func Select(b *Batch, sel []int32, a *Arena) *Batch {
 	out := &Batch{Cols: make([]Col, len(b.Cols)), N: len(sel)}
-	type group struct {
-		idx      []int32 // original (nil = dense)
-		composed []int32
-	}
-	groups := make([]group, 0, len(b.Cols))
+	Compose(out.Cols, b, sel, a)
+	return out
+}
+
+// Compose writes b's columns restricted to the logical rows sel into
+// dst[:len(b.Cols)] — Select for a caller that owns the output columns
+// (a join output lays its probe half out this way). Each distinct index
+// window is composed once, into storage carved from a.
+//
+//hierdb:hotpath
+func Compose(dst []Col, b *Batch, sel []int32, a *Arena) {
 	for ci := range b.Cols {
 		c := &b.Cols[ci]
-		oc := &out.Cols[ci]
-		*oc = *c
+		dst[ci] = *c
 		var composed []int32
-		for gi := range groups {
-			if sameIdx(groups[gi].idx, c.Idx) {
-				composed = groups[gi].composed
-				break
+		// Neighbours usually share a window: search backwards.
+		for cj := ci - 1; cj >= 0 && composed == nil; cj-- {
+			if sameIdx(b.Cols[cj].Idx, c.Idx) {
+				composed = dst[cj].Idx
 			}
 		}
 		if composed == nil {
@@ -548,21 +556,21 @@ func Select(b *Batch, sel []int32, a *Arena) *Batch {
 					composed[j] = c.Idx[li]
 				}
 			}
-			groups = append(groups, group{c.Idx, composed})
 		}
-		oc.Idx = composed
+		dst[ci].Idx = composed
 	}
-	return out
 }
 
 // sameIdx reports whether two index slices are the identical window
 // (same backing array, offset and length — or both dense).
+//
+//hierdb:hotpath
 func sameIdx(a, b []int32) bool {
 	if len(a) != len(b) {
 		return false
 	}
 	if len(a) == 0 {
-		return a == nil && b == nil || (a == nil) == (b == nil)
+		return (a == nil) == (b == nil)
 	}
 	return &a[0] == &b[0]
 }
@@ -575,7 +583,7 @@ func sameIdx(a, b []int32) bool {
 // columnar store — the build side of a hash-join stripe. The store
 // always keeps its Box: values from a boxed source are copied words, a
 // boxless source is boxed here, once per stored row, so every later
-// match gathers words. The store's schema adapts: a column fed two
+// match selects a stored word. The store's schema adapts: a column fed two
 // different kinds, or ragged widths, degrades to Any (the store's Box
 // is complete, so degrading is O(1) and never re-boxes).
 type Appender struct {
@@ -603,9 +611,6 @@ func NewAppender(kinds []Kind, hint int) *Appender {
 
 // Len returns the number of rows appended so far.
 func (ap *Appender) Len() int { return ap.n }
-
-// Width returns the number of columns accumulated so far.
-func (ap *Appender) Width() int { return len(ap.cols) }
 
 // Col exposes accumulated column i for direct positional reads (the
 // appender's columns are dense: position == append order). Box is
@@ -773,4 +778,130 @@ func (ap *Appender) Batch() *Batch {
 		}
 	}
 	return b
+}
+
+// Concat seals the rows accumulated by several appenders into one dense
+// batch, part after part: row r of parts[p] lands at storage position
+// base+r, base being the rows of the parts before it. The result is the
+// batch one Appender fed the same rows in the same order would hold —
+// every column keeps its Box, a column stays typed only while every
+// non-empty part agrees on its kind, and a part narrower than the widest
+// pads its missing tail with Absent — but its columns are allocated at
+// their exact size and filled column-major, and each part's copy of a
+// column is dropped as soon as it has been copied, so the rows are never
+// held twice. A single non-empty part is aliased instead (as by Batch).
+// Concat consumes the parts: none may be appended to or read afterwards.
+func Concat(parts []*Appender) *Batch {
+	var only *Appender
+	n, w, live := 0, 0, 0
+	for _, ap := range parts {
+		if ap.n == 0 {
+			continue
+		}
+		only = ap
+		live++
+		n += ap.n
+		w = max(w, len(ap.cols))
+	}
+	switch live {
+	case 0:
+		return &Batch{}
+	case 1:
+		return only.Batch()
+	}
+	out := &Batch{Cols: make([]Col, w), N: n}
+	for ci := range out.Cols {
+		concatCol(&out.Cols[ci], parts, ci, n)
+	}
+	return out
+}
+
+// concatCol fills dst, column ci of Concat's n-row result, from the
+// parts and releases their copies of it.
+//
+//hierdb:hotpath
+func concatCol(dst *Col, parts []*Appender, ci, n int) {
+	first := true
+	for _, ap := range parts {
+		if ap.n == 0 {
+			continue
+		}
+		k := Any // a part too narrow for the column pads it with Absent
+		if ci < len(ap.cols) {
+			k = ap.cols[ci].Kind
+		}
+		if first {
+			dst.Kind, first = k, false
+		} else if k != dst.Kind {
+			dst.Kind = Any
+		}
+	}
+	dst.Box = make([]any, n)
+	base := 0
+	for _, ap := range parts {
+		if ap.n == 0 {
+			continue
+		}
+		if ci >= len(ap.cols) {
+			pad := dst.Box[base : base+ap.n]
+			for i := range pad {
+				pad[i] = Absent
+			}
+			base += ap.n
+			continue
+		}
+		src := &ap.cols[ci]
+		copy(dst.Box[base:], src.Box)
+		switch {
+		case dst.Kind == Any:
+		case dst.Kind.IntFamily():
+			dst.I64 = place(dst.I64, src.I64, base, n)
+		case dst.Kind == Float64:
+			dst.F64 = place(dst.F64, src.F64, base, n)
+		case dst.Kind == Bool:
+			dst.B = place(dst.B, src.B, base, n)
+		default:
+			dst.Str = place(dst.Str, src.Str, base, n)
+		}
+		if dst.Kind != Any && src.Null != nil {
+			if dst.Null == nil {
+				dst.Null = make([]uint64, (n+63)/64)
+			}
+			orNulls(dst.Null, src.Null, base)
+		}
+		*src = Col{}
+		base += ap.n
+	}
+}
+
+// place copies a part's mirror src to position base of the n-element
+// mirror dst, allocating dst on the first part.
+//
+//hierdb:hotpath
+func place[T any](dst, src []T, base, n int) []T {
+	if dst == nil {
+		dst = make([]T, n)
+	}
+	copy(dst[base:], src)
+	return dst
+}
+
+// orNulls ORs the bitmap src into dst shifted up by base bits — a part's
+// null bits re-based to its rows' place in the concatenation, which in
+// general is not word-aligned. src has no bit set past its part's rows,
+// so nothing lands beyond dst.
+//
+//hierdb:hotpath
+func orNulls(dst, src []uint64, base int) {
+	sh := uint(base) & 63
+	for wi, v := range src {
+		if v == 0 {
+			continue
+		}
+		at := base>>6 + wi
+		dst[at] |= v << sh
+		if hi := v >> (64 - sh); hi != 0 { // sh == 0 shifts everything out
+			dst[at+1] |= hi
+		}
+	}
 }
