@@ -233,6 +233,6 @@ func cmdScan(args []string) {
 		log.Fatalf("scan: %v", err)
 	}
 	st := rows.Stats()
-	fmt.Printf("rows=%d chunks scanned=%d skipped=%d disk bytes=%d\n",
-		count, st.ChunksScanned, st.ChunksSkipped, st.DiskBytesRead)
+	fmt.Printf("rows=%d chunks scanned=%d skipped=%d disk bytes=%d rows decoded=%d kept=%d\n",
+		count, st.ChunksScanned, st.ChunksSkipped, st.DiskBytesRead, st.DiskRowsDecoded, st.DiskRowsKept)
 }

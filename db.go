@@ -323,11 +323,14 @@ func (db *DB) registerMemTable(t *Table) error {
 // file-backed table stream its row-group chunks from disk lazily — the
 // table is never resident as a whole — with Where predicates consulting
 // each chunk's zone maps to skip chunks that provably match no row
-// before any I/O (see the ChunksScanned / ChunksSkipped / DiskBytesRead
-// counters on EngineStats). Under WithMemory, decoded chunks are
-// charged against the node budget while in flight, so joins over files
-// much larger than the budget spill exactly like their in-memory
-// counterparts. On a multi-node DB, chunks are assigned to node
+// before any I/O, and evaluated inside the chunk decoder so that only
+// the rows they keep are materialized (see the ChunksScanned /
+// ChunksSkipped / DiskBytesRead / DiskRowsDecoded / DiskRowsKept
+// counters on EngineStats). Under WithMemory, each chunk's surviving
+// rows are charged against the node budget while in flight, so joins
+// over files much larger than the budget spill exactly like their
+// in-memory counterparts. A chunk that has become unreadable fails the
+// query with ErrTableFile. On a multi-node DB, chunks are assigned to node
 // fragments positionally, mirroring RegisterTable's hash partitioning.
 // The file handle stays open until Close.
 func (db *DB) RegisterTableFile(name, path string) error {

@@ -43,6 +43,7 @@ import (
 	"hierdb/internal/experiments"
 	"hierdb/internal/metrics"
 	"hierdb/internal/plan"
+	"hierdb/internal/store"
 	"hierdb/internal/vec"
 )
 
@@ -277,6 +278,13 @@ var (
 	// WithAdmissionQueue.
 	ErrAdmissionQueueFull = exec.ErrAdmissionQueueFull
 )
+
+// ErrTableFile is matched (errors.Is) by the error that ends a query
+// whose scan could not read or decode a chunk of a registered table
+// file — one truncated, replaced or corrupted after Register validated
+// it. The error itself is a *store.ChunkError naming the file and the
+// chunk; the DB stays usable.
+var ErrTableFile = store.ErrTableFile
 
 // Execute runs a real-data plan under the DP scheduler and returns the
 // joined rows. It is a one-shot wrapper over a throwaway single-query

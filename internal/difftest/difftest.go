@@ -43,6 +43,11 @@ type Case struct {
 	// by Reference to every table) — the row-era path that reads each
 	// candidate row through the boxing Row boundary.
 	Filter func(hierdb.Row) bool
+	// Preds, when set, holds each relation's scan predicates (indexed like
+	// Tables): every scan of the relation carries them as Where predicates,
+	// and Reference evaluates them with refPred, its own implementation of
+	// the predicate semantics. DrawPreds fills it from querygen.
+	Preds [][]hierdb.Pred
 	// RaggedBuild, when set, feeds the chain's last join a build side of
 	// unknown schema and mixed widths: the attached relation joined to
 	// itself on its row id under a Combine that keeps the first few rows
@@ -158,6 +163,122 @@ func Synthesize(seed uint64, name string, nrel int) *Case {
 		}
 	}
 	return c
+}
+
+// DrawPreds gives every scan of the case the 0-2 column predicates
+// querygen.ScanPreds draws for it — every operator, over the id, key
+// and payload columns alike — with constants taken from the column's own
+// values (spelled as int, int32 or int64 on the int columns) or, for a
+// Foreign draw, from another type family altogether. The same seed
+// always yields the same predicates.
+func (c *Case) DrawPreds(seed uint64) {
+	r := xrand.New(seed)
+	c.Preds = make([][]hierdb.Pred, len(c.Tables))
+	for i, tb := range c.Tables {
+		for _, sp := range querygen.ScanPreds(r.Split(uint64(i)+1), len(tb.Cols)) {
+			v := tb.Rows[int(sp.Pick*float64(len(tb.Rows)))][sp.Col]
+			spelling := int(sp.Pick*3000) % 3
+			switch x := v.(type) {
+			case int:
+				switch {
+				case sp.Foreign:
+					v = [...]any{float64(x), uint64(x), fmt.Sprint(x)}[spelling]
+				case spelling == 1:
+					v = int32(x)
+				case spelling == 2:
+					v = int64(x)
+				}
+			case string:
+				if sp.Foreign {
+					v = len(x)
+				}
+			}
+			c.Preds[i] = append(c.Preds[i], hierdb.Pred{Col: sp.Col, Op: hierdb.CmpOp(sp.Op), Val: v})
+		}
+	}
+}
+
+// refPred is Reference's own evaluation of one scan predicate over one
+// row — written against the documented semantics of hierdb.Pred, sharing
+// no code with the engine's kernels: a null satisfies only IsNull;
+// int, int32 and int64 compare by value with each other, every other
+// type only with itself, and a constant of another family matches
+// nothing; bools know only Eq and Ne; a float NaN on either side counts
+// as equal.
+func refPred(r hierdb.Row, p hierdb.Pred) bool {
+	if p.Col < 0 || p.Col >= len(r) {
+		return false
+	}
+	v := r[p.Col]
+	switch p.Op {
+	case hierdb.IsNull:
+		return v == nil
+	case hierdb.NotNull:
+		return v != nil
+	}
+	asInt := func(x any) (int64, bool) {
+		switch t := x.(type) {
+		case int:
+			return int64(t), true
+		case int32:
+			return int64(t), true
+		case int64:
+			return t, true
+		}
+		return 0, false
+	}
+	var less, greater bool
+	if a, ok := asInt(v); ok {
+		b, ok := asInt(p.Val)
+		if !ok {
+			return false
+		}
+		less, greater = a < b, a > b
+	} else {
+		switch a := v.(type) {
+		case uint64:
+			b, ok := p.Val.(uint64)
+			if !ok {
+				return false
+			}
+			less, greater = a < b, a > b
+		case float64:
+			b, ok := p.Val.(float64)
+			if !ok {
+				return false
+			}
+			less, greater = a < b, a > b
+		case string:
+			b, ok := p.Val.(string)
+			if !ok {
+				return false
+			}
+			less, greater = a < b, a > b
+		case bool:
+			b, ok := p.Val.(bool)
+			if !ok || (p.Op != hierdb.Eq && p.Op != hierdb.Ne) {
+				return false
+			}
+			less = a != b
+		default: // nil, or a type predicates do not compare
+			return false
+		}
+	}
+	switch p.Op {
+	case hierdb.Eq:
+		return !less && !greater
+	case hierdb.Ne:
+		return less || greater
+	case hierdb.Lt:
+		return less
+	case hierdb.Le:
+		return !greater
+	case hierdb.Gt:
+		return greater
+	case hierdb.Ge:
+		return !less
+	}
+	return false
 }
 
 // Build registers the case's tables on db and assembles the left-deep
@@ -279,10 +400,14 @@ func (c *Case) plan(db *hierdb.DB) *hierdb.Query {
 // order and attach edges.
 func (c *Case) planOrder(db *hierdb.DB, order, attach []int) *hierdb.Query {
 	scan := func(rel int) *hierdb.Query {
+		q := db.Scan(c.Tables[rel].Name)
 		if c.Filter != nil {
-			return db.Scan(c.Tables[rel].Name, c.Filter)
+			q = db.Scan(c.Tables[rel].Name, c.Filter)
 		}
-		return db.Scan(c.Tables[rel].Name)
+		if c.Preds != nil {
+			q = q.Where(c.Preds[rel]...)
+		}
+		return q
 	}
 	offsets := make([]int, len(c.Tables)) // column offset of each relation in the accumulated row
 	acc := scan(order[0])
@@ -331,7 +456,15 @@ func raggedRow(r hierdb.Row) hierdb.Row {
 func (c *Case) Reference() map[string]int {
 	scan := func(rel int) []hierdb.Row {
 		var out []hierdb.Row
+	rows:
 		for _, r := range c.Tables[rel].Rows {
+			if c.Preds != nil {
+				for _, p := range c.Preds[rel] {
+					if !refPred(r, p) {
+						continue rows
+					}
+				}
+			}
 			if c.Filter == nil || c.Filter(r) {
 				out = append(out, r)
 			}

@@ -85,7 +85,8 @@ func TestDifferentialQueries(t *testing.T) {
 	const queries = 26
 	ctx := context.Background()
 	spilled := false
-	ran := 0
+	ran, nonEmpty := 0, 0
+	opsSeen := map[hierdb.CmpOp]int{}
 	for qi := 0; qi < queries; qi++ {
 		// 3-5 relations: deep enough for chained redistribution and
 		// multiple governed builds, small enough for a tight CI loop.
@@ -163,6 +164,55 @@ func TestDifferentialQueries(t *testing.T) {
 			if st.ChunksScanned == 0 {
 				t.Fatalf("%s leg disk-filter: no chunks scanned — the leg did not stream from disk", name)
 			}
+			// The predicate legs: every scan draws 0-2 column predicates
+			// (querygen.ScanPreds), which each leg — resident, static,
+			// multi-node, spilling, optimized, disk-backed and disk-backed
+			// under the row filter — applies through its own scan path:
+			// ApplyPreds over resident morsels, the filtering chunk decoder
+			// behind zone-map pruning over files. Anchored to the naive
+			// interpreter, which evaluates them with refPred.
+			pc := *c
+			pc.DrawPreds(0x9ED5 + uint64(qi))
+			for _, ps := range pc.Preds {
+				for _, p := range ps {
+					opsSeen[p.Op]++
+				}
+			}
+			pwant := pc.Reference()
+			if len(pwant) > 0 {
+				nonEmpty++
+			}
+			for _, leg := range ls {
+				run := pc.RunLeg
+				if leg.analyze {
+					run = pc.RunAnalyzedLeg
+				}
+				got, _, err := run(ctx, leg.opts...)
+				if err != nil {
+					t.Fatalf("%s leg where-%s: %v", name, leg.name, err)
+				}
+				if err := DiffMultisets("where-"+leg.name, "row-reference-where", got, pwant); err != nil {
+					t.Fatalf("%v\npredicates: %+v", err, pc.Preds)
+				}
+			}
+			for _, leg := range diskLegs(t) {
+				got, _, err := pc.RunDiskLeg(ctx, t.TempDir(), 64, leg.opts...)
+				if err != nil {
+					t.Fatalf("%s leg where-%s: %v", name, leg.name, err)
+				}
+				if err := DiffMultisets("where-"+leg.name, "row-reference-where", got, pwant); err != nil {
+					t.Fatalf("%v\npredicates: %+v", err, pc.Preds)
+				}
+			}
+			pfc := pc
+			pfc.Filter = fc.Filter
+			got, _, err = pfc.RunDiskLeg(ctx, t.TempDir(), 64, hierdb.WithWorkers(4))
+			if err != nil {
+				t.Fatalf("%s leg where-disk-filter: %v", name, err)
+			}
+			if err := DiffMultisets("where-disk-filter", "row-reference-where-filtered", got, pfc.Reference()); err != nil {
+				t.Fatalf("%v\npredicates: %+v", err, pc.Preds)
+			}
 			// The ragged legs: the last join's build side comes out of a
 			// Combine with mixed row widths, so its schema is unknown and
 			// each stripe of the hash table discovers its own — sealing
@@ -193,6 +243,12 @@ func TestDifferentialQueries(t *testing.T) {
 	if ran == queries && !spilled {
 		t.Fatal("no differential leg ever spilled: the tiny-memory legs are not exercising governance")
 	}
+	// Likewise for the generated predicates: most scans must carry some,
+	// and most queries must still have rows to disagree about.
+	if ran == queries && (len(opsSeen) != int(hierdb.NotNull)+1 || nonEmpty < queries/3) {
+		t.Fatalf("predicate draw degenerate: operators drawn %v, %d of %d predicate queries with a result", opsSeen, nonEmpty, queries)
+	}
+	t.Logf("predicate legs: operators drawn %v, %d of %d queries with a result", opsSeen, nonEmpty, ran)
 }
 
 // TestOptimizerBeatsBadOrder is the cost-based planner's acceptance

@@ -10,16 +10,25 @@ import (
 	"hierdb"
 	"hierdb/internal/leaktest"
 	"hierdb/internal/store"
+	"hierdb/internal/vec"
 	"hierdb/internal/xrand"
 )
 
 // FuzzTableFileRoundTrip writes a randomly shaped relation — random
 // column kinds (including constant columns, whose every chunk has
-// min==max zones, and all-null columns), random null density, random
-// chunk size — to a table file, streams it back through the engine,
-// and requires the multiset to match the source rows exactly. A
-// second scan applies a random range predicate to both the file and
-// an in-memory twin: any zone map that over-prunes diverges here.
+// min==max zones, all-null columns, and columns mixing ints and strings,
+// whose pure chunks are typed under an Any schema), random null density
+// (so typed columns get all-null chunks, encoded Any), random chunk
+// size — to a table file, streams it back through the engine, and
+// requires the multiset to match the source rows exactly. Then random
+// predicate sets — one to three predicates, every operator, constants
+// inside and outside each kind's family, columns out of range — go
+// through every way the file can answer them: chunk by chunk,
+// ReadChunkWhere must return row for row, in order, what ApplyPreds
+// selects from the fully decoded chunk (zone-map pruning, predicate
+// dropping and the filtering decoder against the plain kernel); and
+// engine scans of the file and of an in-memory twin, with and without
+// a row filter, must agree.
 func FuzzTableFileRoundTrip(f *testing.F) {
 	f.Add(uint64(1), uint16(100), uint8(4), uint8(16), uint8(30))      // mixed kinds, modest chunks, some nulls
 	f.Add(uint64(2), uint16(1), uint8(1), uint8(1), uint8(0))          // single row: every chunk zone has min==max
@@ -39,7 +48,7 @@ func FuzzTableFileRoundTrip(f *testing.F) {
 		kinds := make([]int, ncols)
 		cols := make([]string, ncols)
 		for i := range kinds {
-			kinds[i] = r.Intn(6)
+			kinds[i] = r.Intn(8)
 			cols[i] = fmt.Sprintf("c%d", i)
 		}
 		cell := func(ci int) any {
@@ -60,6 +69,10 @@ func FuzzTableFileRoundTrip(f *testing.F) {
 				return 42
 			case 4:
 				return nil
+			case 6:
+				return r.Intn(3) == 0
+			case 7:
+				return uint64(r.Intn(50)) << 58
 			default:
 				if r.Intn(2) == 0 {
 					return r.Intn(100)
@@ -99,27 +112,75 @@ func FuzzTableFileRoundTrip(f *testing.F) {
 			t.Fatal(err)
 		}
 
-		// Random range predicate on a random column: the file scan may
-		// prune chunks, the in-memory scan cannot — the multisets must
-		// still agree (zone-map soundness under every generated shape).
-		pc := r.Intn(ncols)
-		preds := []hierdb.Pred{
-			{Col: pc, Op: hierdb.Ge, Val: r.Intn(1000) - 500},
-			{Col: pc, Op: hierdb.NotNull},
+		// Random predicate sets. A constant is usually one of the column's
+		// own values (so Eq and the range ends hit), else drawn from a pool
+		// spanning every family.
+		pool := []any{0, -500, 42, int32(7), int64(42), uint64(3) << 58, uint64(0), 0.0, -250.0, math.NaN(), true, false, "", "m50", "v250", nil}
+		drawPreds := func() []hierdb.Pred {
+			preds := make([]hierdb.Pred, 1+r.Intn(3))
+			for i := range preds {
+				p := hierdb.Pred{Col: r.Intn(ncols), Op: hierdb.CmpOp(r.Intn(int(hierdb.NotNull) + 1)), Val: pool[r.Intn(len(pool))]}
+				if nrows > 0 && r.Intn(3) > 0 {
+					p.Val = rows[r.Intn(nrows)][p.Col]
+				}
+				if r.Intn(24) == 0 {
+					p.Col = ncols + r.Intn(2) - r.Intn(2)*(ncols+2) // just past either end
+				}
+				preds[i] = p
+			}
+			return preds
 		}
-		if kinds[pc] == 2 || kinds[pc] == 5 {
-			preds[0] = hierdb.Pred{Col: pc, Op: hierdb.Lt, Val: fmt.Sprintf("v%03d", r.Intn(500))}
-		}
-		fGot, _, err := db.Scan("f").Where(preds...).Collect(ctx)
+		tf, err := store.Open(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		mGot, _, err := db.Scan("m").Where(preds...).Collect(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := DiffMultisets("file-pred-scan", "memory-pred-scan", Multiset(fGot), Multiset(mGot)); err != nil {
-			t.Fatal(err)
+		defer tf.Close()
+		var sc store.Scanner
+		var arena vec.Arena
+		filter := func(r hierdb.Row) bool { return len(r) > 0 && r[0] != nil }
+		for trial := 0; trial < 6; trial++ {
+			preds := drawPreds()
+			for ci := 0; ci < tf.NumChunks(); ci++ {
+				full, err := tf.ReadChunk(ci)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := vec.Select(full, vec.ApplyPreds(full, preds, nil, nil), &arena).AppendRows(nil, &arena)
+				gotB, err := tf.ReadChunkWhere(ci, preds, &sc)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := gotB.AppendRows(nil, &arena)
+				if len(got) != len(want) {
+					t.Fatalf("chunk %d under %+v: %d rows, want %d", ci, preds, len(got), len(want))
+				}
+				for i := range want {
+					if fmt.Sprint(got[i]) != fmt.Sprint(want[i]) {
+						t.Fatalf("chunk %d under %+v: row %d = %v, want %v", ci, preds, i, got[i], want[i])
+					}
+				}
+				for ki, k := range tf.Kinds() {
+					if gotB.N > 0 && gotB.Cols[ki].Kind != k {
+						t.Fatalf("chunk %d column %d: kind %v, schema says %v", ci, ki, gotB.Cols[ki].Kind, k)
+					}
+				}
+			}
+			for _, f := range []func(hierdb.Row) bool{nil, filter} {
+				scan := func(name string) map[string]int {
+					q := db.Scan(name)
+					if f != nil {
+						q = db.Scan(name, f)
+					}
+					got, _, err := q.Where(preds...).Collect(ctx)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return Multiset(got)
+				}
+				if err := DiffMultisets("file-pred-scan", "memory-pred-scan", scan("f"), scan("m")); err != nil {
+					t.Fatalf("%v\npredicates %+v, filter %v", err, preds, f != nil)
+				}
+			}
 		}
 	})
 }

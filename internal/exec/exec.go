@@ -294,9 +294,14 @@ type Stats struct {
 	// partitions loaded into an in-memory table and probed).
 	SpillPhases int64
 
-	// Disk-scan fields, populated only when the plan scanned file-backed
+	// DiskStats is populated only when the plan scanned file-backed
 	// tables (RegisterTableFile).
+	DiskStats
+}
 
+// DiskStats are the disk-scan counters of a query or of one node's
+// share of it.
+type DiskStats struct {
 	// ChunksScanned counts table-file chunks read and decoded;
 	// ChunksSkipped counts chunks pruned by their zone maps before any
 	// I/O (a Where predicate provably matched none of the chunk's rows).
@@ -304,6 +309,29 @@ type Stats struct {
 	ChunksSkipped int64
 	// DiskBytesRead counts encoded chunk bytes read from table files.
 	DiskBytesRead int64
+	// DiskRowsDecoded counts the rows of the scanned chunks, DiskRowsKept
+	// those of them the chunk decoder materialized: the rows satisfying
+	// the scan's Where predicates (a row Filter runs on them afterwards).
+	DiskRowsDecoded int64
+	DiskRowsKept    int64
+}
+
+// diskCounters accumulates a fragment's DiskStats from its concurrent
+// scan activations.
+type diskCounters struct {
+	scanned, skipped, bytes, decoded, kept atomic.Int64
+}
+
+func (c *diskCounters) seal() DiskStats {
+	return DiskStats{c.scanned.Load(), c.skipped.Load(), c.bytes.Load(), c.decoded.Load(), c.kept.Load()}
+}
+
+func (s *DiskStats) add(o DiskStats) {
+	s.ChunksScanned += o.ChunksScanned
+	s.ChunksSkipped += o.ChunksSkipped
+	s.DiskBytesRead += o.DiskBytesRead
+	s.DiskRowsDecoded += o.DiskRowsDecoded
+	s.DiskRowsKept += o.DiskRowsKept
 }
 
 // NodeStats is one SM-node's share of a multi-node query's counters.
@@ -331,11 +359,8 @@ type NodeStats struct {
 	SpilledPartitions int64
 	SpilledBytes      int64
 	SpillPhases       int64
-	// ChunksScanned/ChunksSkipped/DiskBytesRead are this node's share of
-	// the disk-scan counters (see Stats).
-	ChunksScanned int64
-	ChunksSkipped int64
-	DiskBytesRead int64
+	// DiskStats is this node's share of the disk-scan counters.
+	DiskStats
 }
 
 // Imbalance returns max/mean of PerWorker (1 = perfectly balanced).

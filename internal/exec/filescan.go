@@ -3,13 +3,15 @@ package exec
 // Chunk-streamed scans over file-backed tables (store.TableFile). A
 // scan activation is one row-group chunk: the worker consults the
 // chunk's zone maps against the scan predicates first — a chunk no
-// predicate can match is skipped before any I/O — then reads and
-// decodes the chunk and runs the same predicate/filter/emit tail as
-// the resident scan kernel. Under a MemoryPerNode budget the decoded
-// chunk's footprint is charged against the fragment and refunded once
-// every activation sharing the chunk's column storage has been
-// processed (chunkRes refcounting in the worker loop), so streaming a
-// table much larger than the budget holds only the in-flight chunks.
+// predicate can match is skipped before any I/O — then reads the chunk
+// through its own store.Scanner, which evaluates the predicates inside
+// the column decoder and materializes only the rows they keep, and runs
+// the resident scan kernel's filter/emit tail on that compact batch.
+// Under a MemoryPerNode budget its footprint — the survivors', not the
+// chunk's — is charged against the fragment and refunded once every
+// activation sharing its column storage has been processed (chunkRes
+// refcounting in the worker loop), so streaming a table much larger
+// than the budget holds only the in-flight chunks' survivors.
 
 import (
 	"sync/atomic"
@@ -60,8 +62,8 @@ func (a *activation) retainFor(outs []*activation) {
 }
 
 // processScanFile runs one chunk-streamed scan activation (a.lo is the
-// chunk index): zone-map pruning, read + decode, budget charge, then
-// the shared predicate/filter/emit tail.
+// chunk index): zone-map pruning, read + filtering decode on worker w's
+// scanner, budget charge, then the shared filter/emit tail.
 //
 //hierdb:hotpath
 func (q *query) processScanFile(a *activation, w int) (outs []*activation, results *vec.Batch) {
@@ -69,16 +71,22 @@ func (q *query) processScanFile(a *activation, w int) (outs []*activation, resul
 	ft := s.Table.File
 	ci := a.lo
 	if len(s.Preds) > 0 && ft.Skippable(ci, s.Preds) {
-		q.chunksSkipped.Add(1)
+		q.disk.skipped.Add(1)
 		return nil, nil
 	}
-	b, err := ft.ReadChunk(ci)
+	b, err := ft.ReadChunkWhere(ci, s.Preds, &q.pool.scanners[w])
 	if err != nil {
-		q.spillFail(err)
+		q.fail(err)
 		return nil, nil
 	}
-	q.chunksScanned.Add(1)
-	q.diskBytes.Add(ft.Chunk(ci).Len)
+	ch := ft.Chunk(ci)
+	q.disk.scanned.Add(1)
+	q.disk.bytes.Add(ch.Len)
+	q.disk.decoded.Add(int64(ch.Rows))
+	q.disk.kept.Add(int64(b.N))
+	if b.N == 0 {
+		return nil, nil
+	}
 	if q.memBudget > 0 {
 		bytes := batchBytes(b, nil)
 		// Scans never block on the budget: the charge shrinks the join
@@ -89,15 +97,5 @@ func (q *query) processScanFile(a *activation, w int) (outs []*activation, resul
 		a.res = &chunkRes{q: q, bytes: bytes}
 		a.res.refs.Store(1)
 	}
-	vs := &q.vscratch[w]
-	arena := &q.varenas[w]
-	b = q.filterScan(s, b, vs, arena)
-	if b == nil {
-		return nil, nil
-	}
-	if a.op.consumer == nil {
-		return nil, b
-	}
-	q.emitBatch(a.op.consumer, b, &outs, vs, arena)
-	return outs, nil
+	return q.scanTail(a, b, nil, w)
 }

@@ -222,17 +222,6 @@ func spillPartIndexH(h, salt uint64, nparts int) int {
 	return int(mix64(h^(salt+1)*0x9e3779b97f4a7c15) % uint64(nparts))
 }
 
-// spillFail aborts the query with an error met while processing an
-// activation (spill I/O or encoding, a build side too large to seal).
-// Called with no locks held.
-func (q *query) spillFail(err error) {
-	if q.mq != nil {
-		q.mq.fail(err)
-		return
-	}
-	q.pool.abort(q, err)
-}
-
 // ensureSpillDir creates the query's private spill directory on first
 // use (under Options.SpillDir, default the system temp dir). It is
 // removed wholesale at retirement.
@@ -501,7 +490,7 @@ func (q *query) processSpillLoad(a *activation, w int) (outs []*activation) {
 	sp.drainCloses()
 	part := a.spill.part
 	if err := sp.seal(part); err != nil {
-		q.spillFail(err)
+		q.fail(err)
 		return nil
 	}
 	vs := &q.vscratch[w]
@@ -519,7 +508,7 @@ func (q *query) processSpillLoad(a *activation, w int) (outs []*activation) {
 	resident := part.build.Bytes() + part.build.Rows()*(hashEntryBytes+24)
 	if resident > headroom && part.depth < maxSpillDepth {
 		if err := q.repartition(sp, a.op, part, vs); err != nil {
-			q.spillFail(err)
+			q.fail(err)
 		}
 		return nil // pending grew; the next pend==0 advance picks it up
 	}
@@ -533,7 +522,7 @@ func (q *query) processSpillLoad(a *activation, w int) (outs []*activation) {
 	for _, ref := range part.build.Refs() {
 		db, err := part.build.ReadCols(ref)
 		if err != nil {
-			q.spillFail(err)
+			q.fail(err)
 			return nil
 		}
 		var keys []any
@@ -546,7 +535,7 @@ func (q *query) processSpillLoad(a *activation, w int) (outs []*activation) {
 	}
 	// One stripe: the seal aliases its storage, nothing is copied.
 	if err := sealStripes([]*stripeStore{store}); err != nil {
-		q.spillFail(err)
+		q.fail(err)
 		return nil
 	}
 	q.chargeMem(bytes) // may exceed at the depth cap; accepted
@@ -610,7 +599,7 @@ func (q *query) repartition(sp *joinSpill, probeOp *pop, part spillPart, vs *vec
 func (q *query) processSpillProbe(a *activation, w int) (outs []*activation, results *vec.Batch) {
 	pb, err := a.spill.file.ReadCols(a.spill.ref)
 	if err != nil {
-		q.spillFail(err)
+		q.fail(err)
 		return nil, nil
 	}
 	ss := a.spill.phase.store

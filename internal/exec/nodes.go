@@ -476,10 +476,7 @@ func (mq *mquery) startChain(c int) bool {
 			} else {
 				part := mq.scanParts[driver.id][i]
 				for lo := 0; lo < part.N; lo += mq.opt.Morsel {
-					hi := lo + mq.opt.Morsel
-					if hi > part.N {
-						hi = part.N
-					}
+					hi := min(lo+mq.opt.Morsel, part.N)
 					fq.enqueueLocked(or, &activation{op: driver, lo: lo, hi: hi})
 					total++
 				}
@@ -788,15 +785,11 @@ func (mq *mquery) sealStatsLocked() {
 		nst.SpilledPartitions = fq.spilledParts.Load()
 		nst.SpilledBytes = fq.spilledBytes.Load()
 		nst.SpillPhases = fq.spillPhases.Load()
-		nst.ChunksScanned = fq.chunksScanned.Load()
-		nst.ChunksSkipped = fq.chunksSkipped.Load()
-		nst.DiskBytesRead = fq.diskBytes.Load()
+		nst.DiskStats = fq.disk.seal()
 		s.SpilledPartitions += nst.SpilledPartitions
 		s.SpilledBytes += nst.SpilledBytes
 		s.SpillPhases += nst.SpillPhases
-		s.ChunksScanned += nst.ChunksScanned
-		s.ChunksSkipped += nst.ChunksSkipped
-		s.DiskBytesRead += nst.DiskBytesRead
+		s.DiskStats.add(nst.DiskStats)
 		s.Activations += nst.Activations
 		s.ResultRows += nst.ResultRows
 		s.PerWorker = append(s.PerWorker, nst.PerWorker...)

@@ -23,6 +23,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"hierdb/internal/store"
 	"hierdb/internal/vec"
 )
 
@@ -47,6 +48,10 @@ type Pool struct {
 	closed   bool
 	nextID   int64
 	wg       sync.WaitGroup
+
+	// scanners[w] is worker w's own chunk-read scratch, kept across
+	// queries; the first filtered file scan allocates what is inside.
+	scanners []store.Scanner
 }
 
 // NewPool starts a resident pool. workers == 0 defaults to 4; negative
@@ -75,7 +80,7 @@ func newPool(workers int, admit *admitter, broker *memBroker) (*Pool, error) {
 	if workers == 0 {
 		workers = 4
 	}
-	p := &Pool{workers: workers, admit: admit, broker: broker}
+	p := &Pool{workers: workers, admit: admit, broker: broker, scanners: make([]store.Scanner, workers)}
 	p.cond = sync.NewCond(&p.mu)
 	for w := 0; w < workers; w++ {
 		p.wg.Add(1)

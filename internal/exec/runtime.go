@@ -291,6 +291,12 @@ type query struct {
 	// guarantees as the streaming path. mergeDone gates retirement.
 	merging   bool
 	mergeDone bool
+	// stealBusy marks a steal round in flight for this multi-node fragment
+	// (claimed like flushing); stealIdle parks further rounds after a failed
+	// one until a producer refills a peer queue past the wake threshold. Both
+	// are guarded by the pool mutex, and sit here to share the flags' word.
+	stealBusy bool
+	stealIdle bool
 
 	// static (FP) assignment: allowed[w] is the operator set of worker w
 	// for the current chain; nil in dynamic mode.
@@ -302,12 +308,6 @@ type query struct {
 	// sink/ctx/cancel are shared across the query's fragments.
 	mq   *mquery
 	node int
-	// stealBusy marks a steal round in flight for this fragment (claimed
-	// like flushing); stealIdle parks further rounds after a failed one
-	// until a producer refills a peer queue past the wake threshold. Both
-	// are guarded by the fragment's pool mutex.
-	stealBusy bool
-	stealIdle bool
 	// Per-fragment traffic and steal counters, accessed atomically (a
 	// steal round can race retirement).
 	shipIn, shipOut                                                  int64
@@ -353,9 +353,7 @@ type query struct {
 	spillPhases  atomic.Int64
 	// Disk-scan counters (file-backed tables; sealed like the spill
 	// counters).
-	chunksScanned atomic.Int64
-	chunksSkipped atomic.Int64
-	diskBytes     atomic.Int64
+	disk diskCounters
 
 	stats Stats
 	acts  int64
@@ -433,6 +431,18 @@ func newQuery(p *Pool, phys *physical, gb *GroupBy, opt Options, ctx context.Con
 	return q
 }
 
+// fail is the activation-failure path: it aborts the query, single- or
+// multi-node, with an error met while processing an activation (table-file
+// or spill I/O, a codec error, a build side too large to seal). Called
+// with no locks held.
+func (q *query) fail(err error) {
+	if q.mq != nil {
+		q.mq.fail(err)
+		return
+	}
+	q.pool.abort(q, err)
+}
+
 // terminalLocked reports whether the query no longer accepts scheduling.
 func (q *query) terminalLocked() bool { return q.done || q.aborted }
 
@@ -480,10 +490,7 @@ func (q *query) startChainLocked(c int) {
 	} else {
 		total := q.scanSrc(driver).N
 		for lo := 0; lo < total; lo += q.opt.Morsel {
-			hi := lo + q.opt.Morsel
-			if hi > total {
-				hi = total
-			}
+			hi := min(lo+q.opt.Morsel, total)
 			q.enqueueLocked(or, &activation{op: driver, lo: lo, hi: hi})
 			seeded++
 		}
@@ -682,7 +689,7 @@ func (q *query) deliver(w int, results *vec.Batch, timer **time.Timer) bool {
 		q.foldGroupsBatch(m, w, results)
 		if q.memBudget > 0 {
 			if err := q.governGroupPartial(w); err != nil {
-				q.spillFail(err)
+				q.fail(err)
 				return false
 			}
 		}
@@ -755,9 +762,7 @@ func (q *query) finalize() {
 	q.stats.SpilledPartitions = q.spilledParts.Load()
 	q.stats.SpilledBytes = q.spilledBytes.Load()
 	q.stats.SpillPhases = q.spillPhases.Load()
-	q.stats.ChunksScanned = q.chunksScanned.Load()
-	q.stats.ChunksSkipped = q.chunksSkipped.Load()
-	q.stats.DiskBytesRead = q.diskBytes.Load()
+	q.stats.DiskStats = q.disk.seal()
 	close(q.sink)
 	close(q.finished)
 	q.cancel()
@@ -842,7 +847,7 @@ func (q *query) process(a *activation, w int) (outs []*activation, results *vec.
 		or := q.ops[a.op.id]
 		if q.memBudget > 0 {
 			if err := q.buildGoverned(or, a.b, w); err != nil {
-				q.spillFail(err)
+				q.fail(err)
 			}
 			break
 		}
@@ -854,7 +859,7 @@ func (q *query) process(a *activation, w int) (outs []*activation, results *vec.
 			// join's probe spill files and joined partition-wise once the
 			// probe input is exhausted (spillNextLocked).
 			if err := q.spillBatch(sp.probe, a.op.keyCol, a.op.join.ProbeKey, 0, a.b, &q.vscratch[w]); err != nil {
-				q.spillFail(err)
+				q.fail(err)
 			}
 			break
 		}

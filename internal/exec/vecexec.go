@@ -555,13 +555,7 @@ func (q *query) emitBatch(consumer *pop, b *vec.Batch, outs *[]*activation, vs *
 		return
 	}
 	if q.mq == nil {
-		for lo := 0; lo < b.N; lo += q.opt.Batch {
-			hi := lo + q.opt.Batch
-			if hi > b.N {
-				hi = b.N
-			}
-			*outs = append(*outs, &activation{op: consumer, b: window(b, lo, hi)})
-		}
+		q.emitWindows(consumer, b, 0, outs)
 		return
 	}
 	nb, n := q.mq.buckets, q.mq.n
@@ -572,18 +566,19 @@ func (q *query) emitBatch(consumer *pop, b *vec.Batch, outs *[]*activation, vs *
 		perDest[d] = append(perDest[d], int32(i))
 	}
 	for d := 0; d < n; d++ {
-		sel := perDest[d]
-		if len(sel) == 0 {
-			continue
+		if sel := perDest[d]; len(sel) > 0 {
+			q.emitWindows(consumer, vec.Select(b, sel, arena), d, outs)
 		}
-		db := vec.Select(b, sel, arena)
-		for lo := 0; lo < db.N; lo += q.opt.Batch {
-			hi := lo + q.opt.Batch
-			if hi > db.N {
-				hi = db.N
-			}
-			*outs = append(*outs, &activation{op: consumer, b: window(db, lo, hi), dest: d})
-		}
+	}
+}
+
+// emitWindows queues b for consumer on node dest, one activation per
+// Batch rows.
+//
+//hierdb:hotpath
+func (q *query) emitWindows(consumer *pop, b *vec.Batch, dest int, outs *[]*activation) {
+	for lo := 0; lo < b.N; lo += q.opt.Batch {
+		*outs = append(*outs, &activation{op: consumer, b: window(b, lo, min(lo+q.opt.Batch, b.N)), dest: dest})
 	}
 }
 
@@ -591,60 +586,53 @@ func (q *query) emitBatch(consumer *pop, b *vec.Batch, outs *[]*activation, vs *
 // Operator kernels
 // ---------------------------------------------------------------------
 
-// processScanVec runs one scan morsel: window the columnized source,
-// shrink the selection with the per-column predicates, then the row
-// filter closure over a reused scratch row, and emit (or return as
-// results for a root scan).
+// processScanVec runs one scan morsel of a resident table: window the
+// columnized source and run the scan tail with the column predicates.
 //
 //hierdb:hotpath
 func (q *query) processScanVec(a *activation, w int) (outs []*activation, results *vec.Batch) {
+	return q.scanTail(a, window(q.scanSrc(a.op), a.lo, a.hi), a.op.scan.Preds, w)
+}
+
+// scanTail is the shared end of the resident and chunk-streamed scan
+// kernels: shrink the selection with the column predicates still to be
+// applied (none for a file scan — its chunk decoder has evaluated
+// them), then with the row filter closure over a reused scratch row,
+// and emit the survivors (or return them as results for a root scan).
+//
+//hierdb:hotpath
+func (q *query) scanTail(a *activation, b *vec.Batch, preds []vec.Pred, w int) (outs []*activation, results *vec.Batch) {
 	s := a.op.scan
-	src := q.scanSrc(a.op)
-	b := window(src, a.lo, a.hi)
 	vs := &q.vscratch[w]
 	arena := &q.varenas[w]
-	b = q.filterScan(s, b, vs, arena)
-	if b == nil {
-		return nil, nil
+	if len(preds) > 0 || s.Filter != nil {
+		if cap(vs.sel) < b.N {
+			vs.sel = make([]int32, 0, b.N)
+		}
+		sel := vec.ApplyPreds(b, preds, nil, vs.sel[:0])
+		if s.Filter != nil {
+			scratch := vs.rowScratch(len(b.Cols) + 1)
+			kept := sel[:0]
+			for _, li := range sel {
+				if s.Filter(b.ReadRow(int(li), scratch)) {
+					kept = append(kept, li)
+				}
+			}
+			sel = kept
+		}
+		vs.sel = sel[:0]
+		if len(sel) == 0 {
+			return nil, nil
+		}
+		if len(sel) < b.N {
+			b = vec.Select(b, sel, arena)
+		}
 	}
 	if a.op.consumer == nil {
 		return nil, b
 	}
 	q.emitBatch(a.op.consumer, b, &outs, vs, arena)
 	return outs, nil
-}
-
-// filterScan applies a scan's column predicates and row-filter closure
-// to b, returning the surviving batch (nil when no row passes) —
-// shared by the resident and chunk-streamed scan kernels.
-//
-//hierdb:hotpath
-func (q *query) filterScan(s *Scan, b *vec.Batch, vs *vecScratch, arena *vec.Arena) *vec.Batch {
-	if len(s.Preds) == 0 && s.Filter == nil {
-		return b
-	}
-	if cap(vs.sel) < b.N {
-		vs.sel = make([]int32, 0, b.N)
-	}
-	sel := vec.ApplyPreds(b, s.Preds, nil, vs.sel[:0])
-	if s.Filter != nil {
-		scratch := vs.rowScratch(len(b.Cols) + 1)
-		kept := sel[:0]
-		for _, li := range sel {
-			if s.Filter(b.ReadRow(int(li), scratch)) {
-				kept = append(kept, li)
-			}
-		}
-		sel = kept
-	}
-	vs.sel = sel[:0]
-	if len(sel) == 0 {
-		return nil
-	}
-	if len(sel) < b.N {
-		b = vec.Select(b, sel, arena)
-	}
-	return b
 }
 
 // stripeSels groups a build batch's logical rows, given their key
@@ -707,7 +695,7 @@ func (q *query) processBuildVec(a *activation, w int) {
 func (q *query) processProbeVec(a *activation, w int) (outs []*activation, results *vec.Batch) {
 	bo := q.ops[a.op.partner.id]
 	if err := bo.seal(); err != nil {
-		q.spillFail(err)
+		q.fail(err)
 		return nil, nil
 	}
 	b := a.b
@@ -847,10 +835,7 @@ func batchRowsVec(rows []Row, size int) []*vec.Batch {
 	b := vec.FromRows(rows)
 	out := make([]*vec.Batch, 0, (b.N+size-1)/size)
 	for lo := 0; lo < b.N; lo += size {
-		hi := lo + size
-		if hi > b.N {
-			hi = b.N
-		}
+		hi := min(lo+size, b.N)
 		out = append(out, window(b, lo, hi))
 	}
 	return out

@@ -183,3 +183,70 @@ func GenerateGated(r *xrand.Rand, name string, p Params, maxAttempts int, accept
 	}
 	return best
 }
+
+// PredOp is the comparison operator of a generated scan predicate. The
+// values follow the real-data engine's operator order (Eq, Ne, Lt, Le,
+// Gt, Ge, IsNull, NotNull), so a materializer converts by value.
+type PredOp uint8
+
+// Scan-predicate operators.
+const (
+	PredEq PredOp = iota
+	PredNe
+	PredLt
+	PredLe
+	PredGt
+	PredGe
+	PredIsNull
+	PredNotNull
+)
+
+// ScanPred is one generated single-column predicate of a scan, abstract
+// over the table it will run against: the materializer maps Col onto a
+// real column and Pick onto one of that column's values.
+type ScanPred struct {
+	// Col is the column ordinal, in [0, ncols).
+	Col int
+	Op  PredOp
+	// Pick, in [0,1), selects the comparison constant among the column's
+	// values (and, for the materializer, among equivalent spellings of it).
+	Pick float64
+	// Foreign asks for a constant outside the column's type family — a
+	// predicate that, by the engine's rules, matches no row.
+	Foreign bool
+}
+
+// predOpWeights biases the draw toward operators that keep a fair share
+// of a column (ranges, Ne, NotNull) so that a multi-join query whose
+// scans all carry predicates usually still has a result; Eq and IsNull
+// (which nearly or entirely empty a null-free scan) stay in the mix.
+var predOpWeights = [...]int{PredEq: 1, PredNe: 6, PredLt: 6, PredLe: 6, PredGt: 6, PredGe: 6, PredIsNull: 1, PredNotNull: 6}
+
+// ScanPreds draws the column predicates of one scan over a table of
+// ncols columns: none (half the time), one or two, ANDed. Every
+// operator occurs; one constant in thirty-two is Foreign. Determinism: the
+// result depends only on r's state and ncols.
+func ScanPreds(r *xrand.Rand, ncols int) []ScanPred {
+	n := 0
+	switch u := r.Float64(); {
+	case u >= 0.8:
+		n = 2
+	case u >= 0.5:
+		n = 1
+	}
+	total := 0
+	for _, w := range predOpWeights {
+		total += w
+	}
+	preds := make([]ScanPred, n)
+	for i := range preds {
+		u := r.Intn(total)
+		op := PredEq
+		for u >= predOpWeights[op] {
+			u -= predOpWeights[op]
+			op++
+		}
+		preds[i] = ScanPred{Col: r.Intn(ncols), Op: op, Pick: r.Float64(), Foreign: r.Intn(32) == 0}
+	}
+	return preds
+}

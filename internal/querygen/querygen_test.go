@@ -1,6 +1,7 @@
 package querygen
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -123,5 +124,39 @@ func TestGenerateGatedFallsBackToClosest(t *testing.T) {
 	})
 	if q == nil {
 		t.Fatal("nil query on fallback")
+	}
+}
+
+// TestScanPredsShape: 0-2 predicates per scan, columns in range, every
+// operator and both constant families drawn, and the draw a function of
+// the generator state alone.
+func TestScanPredsShape(t *testing.T) {
+	r := xrand.New(11)
+	counts := [3]int{}
+	ops := map[PredOp]int{}
+	foreign := 0
+	for i := 0; i < 2000; i++ {
+		ncols := 1 + i%5
+		ps := ScanPreds(r, ncols)
+		if len(ps) > 2 {
+			t.Fatalf("%d predicates on one scan", len(ps))
+		}
+		counts[len(ps)]++
+		for _, p := range ps {
+			if p.Col < 0 || p.Col >= ncols || p.Pick < 0 || p.Pick >= 1 || p.Op > PredNotNull {
+				t.Fatalf("out-of-range draw %+v over %d columns", p, ncols)
+			}
+			ops[p.Op]++
+			if p.Foreign {
+				foreign++
+			}
+		}
+	}
+	if counts[0] == 0 || counts[1] == 0 || counts[2] == 0 || len(ops) != int(PredNotNull)+1 || foreign == 0 {
+		t.Fatalf("draw misses a shape: counts %v ops %v foreign %d", counts, ops, foreign)
+	}
+	a, b := ScanPreds(xrand.New(5), 4), ScanPreds(xrand.New(5), 4)
+	if fmt.Sprint(a) != fmt.Sprint(b) {
+		t.Fatalf("same state, different draws: %v vs %v", a, b)
 	}
 }

@@ -1,15 +1,27 @@
-// Zone-map pruning: prove a chunk matches no row of an ANDed predicate
-// set from the footer alone, before paying the chunk's ReadAt and
-// decode. The can-match logic must be a sound over-approximation of
-// vec.applyPred — a chunk is only skipped when the predicate kernel
-// would have selected zero of its rows — including the kernel's two
-// deliberate quirks: a predicate constant outside a typed column's
-// type family matches nothing, and float comparisons treat NaN pairs
-// as equal (so a NaN *value* satisfies Eq/Le/Ge against any constant,
-// and a NaN *constant* satisfies Eq/Le/Ge against any non-null float).
+// Zone-map pruning: decide from the footer alone, before paying a
+// chunk's ReadAt and decode, what each scan predicate does to the chunk
+// — matches none of its rows (the chunk is skipped), all of them (the
+// predicate is dropped from the set the decoder evaluates), or some.
+// Both proofs must be sound against vec.ApplyPred: a chunk is only
+// skipped when the kernel would have selected zero of its rows and a
+// predicate only dropped when it would have selected every one —
+// including the kernel's deliberate quirks: a null row satisfies only
+// IsNull, a predicate constant outside a typed column's type family
+// matches nothing, and float comparisons treat NaN pairs as equal (so a
+// NaN *value* satisfies Eq/Le/Ge against any constant, and a NaN
+// *constant* satisfies Eq/Le/Ge against any non-null float).
 package store
 
 import "hierdb/internal/vec"
+
+// match is what a zone map proves about one predicate over one chunk.
+type match uint8
+
+const (
+	matchSome match = iota // undecided: the decoder evaluates the predicate
+	matchNone              // no row can satisfy it
+	matchAll               // every row satisfies it
+)
 
 // Skippable reports whether chunk i provably matches none of preds
 // (evaluated as an AND, like vec.ApplyPreds): one predicate that
@@ -17,106 +29,138 @@ import "hierdb/internal/vec"
 //
 //hierdb:hotpath
 func (t *TableFile) Skippable(i int, preds []vec.Pred) bool {
-	zones := t.ft.chunks[i].Zones
+	ch := &t.ft.chunks[i]
 	for pi := range preds {
-		p := &preds[pi]
-		if p.Col < 0 || p.Col >= len(zones) {
-			// ApplyPreds empties the selection for out-of-range columns.
-			return true
-		}
-		if !zoneCanMatch(&zones[p.Col], p) {
+		if t.zoneMatch(ch, &preds[pi]) == matchNone {
 			return true
 		}
 	}
 	return false
 }
 
-// zoneCanMatch reports whether any row summarized by z could satisfy
-// p. False positives cost one decoded chunk; false negatives would be
-// wrong answers, so every branch errs toward true.
+// zoneMatch classifies p over chunk ch. A wrong matchSome costs one
+// evaluated predicate or one decoded chunk; a wrong matchNone or
+// matchAll would be a wrong answer, so every branch errs toward
+// matchSome.
 //
 //hierdb:hotpath
-func zoneCanMatch(z *ZoneMap, p *vec.Pred) bool {
+func (t *TableFile) zoneMatch(ch *ChunkInfo, p *vec.Pred) match {
+	if p.Col < 0 || p.Col >= len(ch.Zones) {
+		// ApplyPreds empties the selection for out-of-range columns.
+		return matchNone
+	}
+	z := &ch.Zones[p.Col]
 	switch p.Op {
 	case vec.IsNull:
-		return z.HasNulls
+		return presence(z.HasNulls, z.HasNonNull)
 	case vec.NotNull:
-		return z.HasNonNull
+		return presence(z.HasNonNull, z.HasNulls)
 	}
 	if !z.HasNonNull {
-		return false // comparisons never match null rows
+		return matchNone // comparisons never match null rows
 	}
+	m := matchSome
 	switch z.Kind {
 	case vec.Int, vec.Int32, vec.Int64:
 		v, ok := intFamilyVal(p.Val)
 		if !ok {
-			return false // constant outside the type family matches nothing
+			return matchNone // constant outside the type family matches nothing
 		}
-		return rangeCanMatch(p.Op, cmpI64(v, z.MinI64), cmpI64(v, z.MaxI64))
+		m = rangeMatch(p.Op, cmpI64(v, z.MinI64), cmpI64(v, z.MaxI64))
 	case vec.Uint64:
 		v, ok := p.Val.(uint64)
 		if !ok {
-			return false
+			return matchNone
 		}
-		return rangeCanMatch(p.Op, cmpU64(v, uint64(z.MinI64)), cmpU64(v, uint64(z.MaxI64)))
+		m = rangeMatch(p.Op, cmpU64(v, uint64(z.MinI64)), cmpU64(v, uint64(z.MaxI64)))
 	case vec.Float64:
 		v, ok := p.Val.(float64)
 		if !ok {
-			return false
+			return matchNone
 		}
-		if z.HasNaN && (p.Op == vec.Eq || p.Op == vec.Le || p.Op == vec.Ge) {
-			return true // a NaN value compares "equal" to every constant
+		eqish := p.Op == vec.Eq || p.Op == vec.Le || p.Op == vec.Ge
+		switch {
+		case v != v && eqish:
+			m = matchAll // a NaN constant compares "equal" to every non-null row
+		case v != v:
+			return matchNone
+		case z.HasNaN && eqish:
+			// NaN rows compare "equal" to the constant; the others may not.
+		case !z.HasRange:
+			return matchNone // all rows null or NaN, and NaN rows never match Ne/Lt/Gt
+		default:
+			if m = rangeMatch(p.Op, cmpF64(v, z.MinF64), cmpF64(v, z.MaxF64)); m == matchAll && z.HasNaN {
+				m = matchSome // the NaN rows fail Ne/Lt/Gt
+			}
 		}
-		if !z.HasRange {
-			return false // all rows null or NaN, and NaN rows never match Ne/Lt/Gt
-		}
-		if v != v {
-			// NaN constant: every non-null row compares "equal" to it.
-			return p.Op == vec.Eq || p.Op == vec.Le || p.Op == vec.Ge
-		}
-		return rangeCanMatch(p.Op, cmpF64(v, z.MinF64), cmpF64(v, z.MaxF64))
 	case vec.Bool:
 		v, ok := p.Val.(bool)
 		if !ok || (p.Op != vec.Eq && p.Op != vec.Ne) {
-			return false // bools are unordered: the kernel matches nothing
+			return matchNone // bools are unordered: the kernel matches nothing
 		}
 		var b int64
 		if v {
 			b = 1
 		}
-		return rangeCanMatch(p.Op, cmpI64(b, z.MinI64), cmpI64(b, z.MaxI64))
+		m = rangeMatch(p.Op, cmpI64(b, z.MinI64), cmpI64(b, z.MaxI64))
 	case vec.String:
 		v, ok := p.Val.(string)
 		if !ok {
-			return false
+			return matchNone
 		}
-		return rangeCanMatch(p.Op, cmpStr(v, z.MinStr), cmpStr(v, z.MaxStr))
+		m = rangeMatch(p.Op, cmpStr(v, z.MinStr), cmpStr(v, z.MaxStr))
 	}
 	// Any: mixed or exotic values — no range to reason with.
-	return true
+	if m == matchAll && z.HasNulls {
+		return matchSome // the null rows fail every comparison
+	}
+	return m
 }
 
-// rangeCanMatch decides whether a value can satisfy op against the
-// closed range [min, max], given the three-way comparisons of the
-// constant against min (cmin) and max (cmax).
+// presence classifies a null-presence predicate: want is whether rows
+// of the kind it selects exist, other whether rows of the other kind do.
 //
 //hierdb:hotpath
-func rangeCanMatch(op vec.CmpOp, cmin, cmax int) bool {
+func presence(want, other bool) match {
+	switch {
+	case !want:
+		return matchNone
+	case !other:
+		return matchAll
+	}
+	return matchSome
+}
+
+// rangeMatch classifies op against a column whose non-null values span
+// the closed range [min, max] (both attained), given the three-way
+// comparisons of the constant against min (cmin) and max (cmax).
+//
+//hierdb:hotpath
+func rangeMatch(op vec.CmpOp, cmin, cmax int) match {
+	var can, all bool
 	switch op {
 	case vec.Eq:
-		return cmin >= 0 && cmax <= 0 // min <= v <= max
+		can, all = cmin >= 0 && cmax <= 0, cmin == 0 && cmax == 0 // min <= v <= max; min == v == max
 	case vec.Ne:
-		return cmin != 0 || cmax != 0 // some row differs unless min == v == max
+		can, all = cmin != 0 || cmax != 0, cmin < 0 || cmax > 0 // some row differs; v outside the range
 	case vec.Lt:
-		return cmin > 0 // a row below v exists iff min < v
+		can, all = cmin > 0, cmax > 0 // min < v; max < v
 	case vec.Le:
-		return cmin >= 0
+		can, all = cmin >= 0, cmax >= 0
 	case vec.Gt:
-		return cmax < 0 // a row above v exists iff max > v
+		can, all = cmax < 0, cmin < 0 // max > v; min > v
 	case vec.Ge:
-		return cmax <= 0
+		can, all = cmax <= 0, cmin <= 0
+	default:
+		return matchSome
 	}
-	return true
+	switch {
+	case !can:
+		return matchNone
+	case all:
+		return matchAll
+	}
+	return matchSome
 }
 
 //hierdb:hotpath

@@ -27,8 +27,10 @@
 // are present and — for typed columns — the min/max of the non-null
 // values (floats: of the non-NaN values, with a separate has-NaN flag,
 // because the predicate kernel's NaN comparisons are non-standard).
-// Scans consult them through Skippable to prove a chunk matches no row
-// of an ANDed predicate set before paying any I/O or decode.
+// Scans consult them (prune.go) to prove, before paying any I/O or
+// decode, that a chunk matches no row of an ANDed predicate set —
+// Skippable — or that a predicate holds for every row of the chunk and
+// need not be evaluated on it (ReadChunkWhere).
 package store
 
 import (

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -259,20 +260,26 @@ func TestZoneMapSkippable(t *testing.T) {
 	}
 }
 
-// Soundness property: a skipped chunk must be one ApplyPreds selects
-// zero rows from — checked over random data and random predicates,
-// including null-heavy, constant and NaN-laced columns.
-func TestSkippableNeverSkipsMatches(t *testing.T) {
+// Soundness property of the zone-map classifier, over random data and
+// random predicates including null-heavy, constant and NaN-laced
+// columns: a chunk classified matchNone is one ApplyPreds selects zero
+// rows from, a predicate classified matchAll selects every row — and
+// whatever the classification, ReadChunkWhere returns exactly the rows
+// ApplyPreds selects from the fully decoded chunk.
+func TestZoneMatchSound(t *testing.T) {
 	rnd := rand.New(rand.NewSource(42))
 	var a vec.Arena
+	var sc Scanner
+	seen := map[match]int{}
 	for iter := 0; iter < 200; iter++ {
 		nrows := 1 + rnd.Intn(40)
 		rows := make([]vec.Row, nrows)
 		mode := rnd.Intn(5)
+		nullEvery := 2 + rnd.Intn(12)
 		for i := range rows {
 			var v any
 			switch {
-			case rnd.Intn(4) == 0:
+			case rnd.Intn(nullEvery) == 0:
 				v = nil
 			case mode == 0:
 				v = int64(rnd.Intn(20) - 10)
@@ -288,13 +295,13 @@ func TestSkippableNeverSkipsMatches(t *testing.T) {
 			default:
 				v = uint64(rnd.Intn(20))
 			}
-			rows[i] = vec.Row{v}
+			rows[i] = vec.Row{v, i}
 		}
-		f := tmpTable(t, []string{"c"}, 8, rows)
+		f := tmpTable(t, []string{"c", "i"}, 8, rows)
 		ops := []vec.CmpOp{vec.Eq, vec.Ne, vec.Lt, vec.Le, vec.Gt, vec.Ge, vec.IsNull, vec.NotNull}
 		for trial := 0; trial < 30; trial++ {
 			var val any
-			switch rnd.Intn(5) {
+			switch rnd.Intn(6) {
 			case 0:
 				val = int64(rnd.Intn(24) - 12)
 			case 1:
@@ -303,24 +310,39 @@ func TestSkippableNeverSkipsMatches(t *testing.T) {
 				val = fmt.Sprintf("s%02d", rnd.Intn(24))
 			case 3:
 				val = rnd.Intn(2) == 0
+			case 4:
+				val = math.NaN()
 			default:
 				val = uint64(rnd.Intn(24))
 			}
 			p := vec.Pred{Col: 0, Op: ops[rnd.Intn(len(ops))], Val: val}
 			for ci := 0; ci < f.NumChunks(); ci++ {
-				if !f.Skippable(ci, []vec.Pred{p}) {
-					continue
-				}
 				b, err := f.ReadChunk(ci)
 				if err != nil {
 					t.Fatal(err)
 				}
 				sel := vec.ApplyPreds(b, []vec.Pred{p}, nil, a.I32(b.N))
-				if len(sel) != 0 {
-					t.Fatalf("iter %d mode %d: skipped chunk %d but pred %+v matches %d rows", iter, mode, ci, p, len(sel))
+				m := f.zoneMatch(f.Chunk(ci), &p)
+				seen[m]++
+				if m == matchNone && len(sel) != 0 || m == matchAll && len(sel) != b.N {
+					t.Fatalf("iter %d mode %d chunk %d: pred %+v classified %d but matches %d of %d rows", iter, mode, ci, p, m, len(sel), b.N)
+				}
+				if f.Skippable(ci, []vec.Pred{p}) != (m == matchNone) {
+					t.Fatalf("Skippable disagrees with the classifier on %+v", p)
+				}
+				got, err := f.ReadChunkWhere(ci, []vec.Pred{p, {Col: 1, Op: vec.Ge, Val: 0}}, &sc)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := vec.Select(b, sel, &a).AppendRows(nil, &a)
+				if rows := got.AppendRows(nil, &a); fmt.Sprint(rows) != fmt.Sprint(want) {
+					t.Fatalf("iter %d chunk %d pred %+v: ReadChunkWhere = %v, want %v", iter, ci, p, rows, want)
 				}
 			}
 		}
+	}
+	if seen[matchNone] == 0 || seen[matchAll] == 0 || seen[matchSome] == 0 {
+		t.Fatalf("classifier outcomes not all exercised: %v", seen)
 	}
 }
 
@@ -363,7 +385,45 @@ func TestReadChunkAfterClose(t *testing.T) {
 	if err := f.Close(); err != nil {
 		t.Fatalf("second Close: %v", err)
 	}
-	if _, err := f.ReadChunk(0); err == nil {
-		t.Fatal("ReadChunk after Close should fail")
+	if _, err := f.ReadChunk(0); !errors.Is(err, ErrTableFile) {
+		t.Fatalf("ReadChunk after Close: %v, want a table-file error", err)
+	}
+}
+
+// TestChunkErrorTyped: a chunk that can no longer be read (file cut
+// after Open) or decoded (bytes overwritten) fails as a *ChunkError
+// naming the file and the chunk, under predicates or not, and leaves
+// the chunks before it readable.
+func TestChunkErrorTyped(t *testing.T) {
+	rows := make([]vec.Row, 600)
+	for i := range rows {
+		rows[i] = vec.Row{i, i % 7, fmt.Sprintf("r%d", i)}
+	}
+	f := tmpTable(t, []string{"id", "m", "name"}, 100, rows)
+	last := f.NumChunks() - 1
+	corrupt, err := os.OpenFile(f.Path(), os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Chunk 2's header now claims another row count; the last chunk loses its tail.
+	if _, err := corrupt.WriteAt([]byte{0xff, 0xff}, f.Chunk(2).Off); err != nil {
+		t.Fatal(err)
+	}
+	corrupt.Close()
+	if err := os.Truncate(f.Path(), f.Chunk(last).Off+f.Chunk(last).Len/2); err != nil {
+		t.Fatal(err)
+	}
+	var sc Scanner
+	for _, preds := range [][]vec.Pred{nil, {{Col: 1, Op: vec.Lt, Val: 3}}} {
+		for _, ci := range []int{2, last} {
+			_, err := f.ReadChunkWhere(ci, preds, &sc)
+			var ce *ChunkError
+			if !errors.Is(err, ErrTableFile) || !errors.As(err, &ce) || ce.Path != f.Path() || ce.Chunk != ci || ce.Err == nil {
+				t.Fatalf("chunk %d under %v: error %v is not the typed chunk error", ci, preds, err)
+			}
+		}
+		if b, err := f.ReadChunkWhere(1, preds, &sc); err != nil || b.N == 0 {
+			t.Fatalf("intact chunk 1 under %v: %v", preds, err)
+		}
 	}
 }

@@ -1,13 +1,16 @@
 // Table-file reader. Open validates the trailer (magic, footer length,
 // checksum) and decodes the footer with at most two ReadAts — one for
 // the tail, a second only when the footer outgrows the speculative
-// tail read. After that every chunk is independent: ReadChunk issues
-// its own ReadAt and decode, so concurrent scan activations stream
-// disjoint chunks with no shared cursor or cache.
+// tail read. After that every chunk is independent: ReadChunkWhere
+// issues its own ReadAt and decode, so concurrent scan activations
+// stream disjoint chunks with no shared cursor or cache — each through
+// its worker's Scanner, which filters inside the decoder and hands back
+// only the rows the scan predicates keep.
 package store
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -126,29 +129,101 @@ func (t *TableFile) NumChunks() int { return len(t.ft.chunks) }
 // rows, zone maps). Callers must not mutate the zone maps.
 func (t *TableFile) Chunk(i int) *ChunkInfo { return &t.ft.chunks[i] }
 
-// ReadChunk reads and decodes chunk i as a dense batch with every
-// column coerced to the schema kind, so chunk-streamed scans present
-// exactly the kinds a resident table would. Typed columns come back
-// boxless (mirror and null bitmap only — see internal/vec); read their
-// values through Col.Value. Safe for concurrent callers.
+// ErrTableFile is matched (errors.Is) by every failure to read or decode
+// a chunk of an opened table file: the file was truncated, replaced or
+// corrupted after Open validated its footer.
+var ErrTableFile = errors.New("store: table file unreadable")
+
+// ChunkError is a chunk read or decode failure: which file, which
+// chunk, and the I/O or codec error underneath.
+type ChunkError struct {
+	Path  string
+	Chunk int
+	Err   error
+}
+
+func (e *ChunkError) Error() string {
+	return fmt.Sprintf("store: %s: chunk %d: %v", filepath.Base(e.Path), e.Chunk, e.Err)
+}
+
+func (e *ChunkError) Unwrap() error { return e.Err }
+
+// Is makes every ChunkError match ErrTableFile.
+func (e *ChunkError) Is(target error) bool { return target == ErrTableFile }
+
+// Scanner is one scan worker's reusable chunk-read state: the column
+// decoder's scratch mirrors and the list of predicates a chunk's zone
+// maps leave undecided. The zero value is ready; not safe for
+// concurrent use.
+type Scanner struct {
+	dec   spill.Decoder
+	preds []vec.Pred
+}
+
+// ReadChunk reads and decodes every row of chunk i — ReadChunkWhere
+// without predicates.
 func (t *TableFile) ReadChunk(i int) (*vec.Batch, error) {
+	return t.ReadChunkWhere(i, nil, nil)
+}
+
+// ReadChunkWhere reads chunk i and returns the rows satisfying every
+// predicate (ANDed, with the semantics of vec.ApplyPreds) as a dense
+// batch, in row order, with every column coerced to the schema kind, so
+// chunk-streamed scans present exactly the kinds a resident table
+// would. Typed columns come back boxless (mirror and null bitmap only —
+// see internal/vec); read their values through Col.Value. The batch
+// owns its storage, and is empty and without columns when no row
+// qualifies.
+//
+// Predicates the chunk's zone maps prove true of every row are dropped
+// before the decode, which evaluates the rest on the encoded chunk (see
+// spill.Decoder) and materializes the surviving rows only; a chunk whose
+// selection empties part-way is abandoned there, its remaining bytes
+// unread and unvalidated. sc carries the scratch between calls (nil
+// allocates it afresh). Safe for concurrent callers with distinct
+// Scanners. Failures are *ChunkError.
+func (t *TableFile) ReadChunkWhere(i int, preds []vec.Pred, sc *Scanner) (*vec.Batch, error) {
+	b, err := t.readChunk(i, preds, sc)
+	if err != nil {
+		return nil, &ChunkError{Path: t.path, Chunk: i, Err: err}
+	}
+	return b, nil
+}
+
+func (t *TableFile) readChunk(i int, preds []vec.Pred, sc *Scanner) (*vec.Batch, error) {
 	ch := &t.ft.chunks[i]
+	var dec *spill.Decoder
+	if len(preds) > 0 {
+		if sc == nil {
+			sc = new(Scanner)
+		}
+		dec, sc.preds = &sc.dec, sc.preds[:0]
+		for pi := range preds {
+			switch t.zoneMatch(ch, &preds[pi]) {
+			case matchNone:
+				return &vec.Batch{}, nil
+			case matchSome:
+				sc.preds = append(sc.preds, preds[pi])
+			}
+		}
+		preds = sc.preds
+	}
 	t.mu.Lock()
 	f := t.f
 	t.mu.Unlock()
 	if f == nil {
-		return nil, fmt.Errorf("store: %s: read chunk %d: file closed", filepath.Base(t.path), i)
+		return nil, os.ErrClosed
 	}
-	b, err := spill.ReadColsAt(f, ch.Off, ch.Len, ch.Rows)
-	if err != nil {
-		return nil, fmt.Errorf("store: %s: chunk %d: %w", filepath.Base(t.path), i, err)
+	b, err := dec.ReadAt(f, ch.Off, ch.Len, ch.Rows, preds)
+	if err != nil || b.N == 0 {
+		return b, err
 	}
 	if len(b.Cols) != len(t.ft.kinds) {
-		return nil, fmt.Errorf("store: %s: chunk %d has %d columns, schema has %d", filepath.Base(t.path), i, len(b.Cols), len(t.ft.kinds))
+		return nil, fmt.Errorf("%d columns, schema has %d", len(b.Cols), len(t.ft.kinds))
 	}
 	for ci := range b.Cols {
 		if err := coerceKind(&b.Cols[ci], t.ft.kinds[ci], b.N); err != nil {
-			return nil, fmt.Errorf("store: %s: chunk %d column %d: %w", filepath.Base(t.path), i, ci, err)
+			return nil, fmt.Errorf("column %d: %w", ci, err)
 		}
 	}
 	return b, nil

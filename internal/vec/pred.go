@@ -50,7 +50,7 @@ func ApplyPreds(b *Batch, preds []Pred, sel []int32, out []int32) []int32 {
 		}
 		c := &b.Cols[p.Col]
 		out = out[:0]
-		out = applyPred(c, p, sel, out)
+		out = ApplyPred(c, p, sel, out)
 		sel = out
 	}
 	if len(preds) == 0 {
@@ -60,8 +60,14 @@ func ApplyPreds(b *Batch, preds []Pred, sel []int32, out []int32) []int32 {
 	return sel
 }
 
+// ApplyPred appends to out the rows of sel (logical rows of c) that
+// satisfy p — the one single-column kernel behind ApplyPreds, exported
+// so the chunk decoder (internal/spill) narrows its selection on a
+// freshly decoded column with the very same comparison semantics. out
+// may be sel[:0]: survivors are written behind the read cursor.
+//
 //hierdb:hotpath
-func applyPred(c *Col, p *Pred, sel []int32, out []int32) []int32 {
+func ApplyPred(c *Col, p *Pred, sel []int32, out []int32) []int32 {
 	switch p.Op {
 	case IsNull:
 		for _, li := range sel {

@@ -2,10 +2,13 @@ package hierdb
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
 	"sort"
 	"testing"
+	"time"
 
 	"hierdb/internal/leaktest"
 	"hierdb/internal/store"
@@ -333,4 +336,127 @@ func TestTableFileLifecycle(t *testing.T) {
 			t.Fatal("empty name accepted")
 		}
 	})
+}
+
+// TestDiskScanCounters: DiskRowsDecoded counts the rows of the chunks a
+// scan read, DiskRowsKept the rows its chunk decoder materialized —
+// every one without predicates, exactly the predicate's share with
+// one, whether the zone maps discharge part of the predicate set or
+// not — and the per-node shares sum to the totals.
+func TestDiskScanCounters(t *testing.T) {
+	leaktest.Check(t, 2)
+	const n = 10_000
+	rows := storeRows(n) // column 1 is i%10
+	path := writeStoreFile(t, rows, []string{"id", "m", "s", "f"}, 500)
+	for _, nodes := range []int{1, 4} {
+		db := Open(WithNodes(nodes), WithWorkers(2))
+		if err := db.RegisterTableFile("t", path); err != nil {
+			t.Fatal(err)
+		}
+		for _, tc := range []struct {
+			name          string
+			preds         []Pred
+			decoded, kept int64
+		}{
+			{"no predicates", nil, n, n},
+			{"20% predicate", []Pred{{Col: 1, Op: Lt, Val: 2}}, n, n / 5},
+			{"20% predicate + one the zones prove", []Pred{{Col: 0, Op: Ge, Val: 0}, {Col: 1, Op: Lt, Val: 2}}, n, n / 5},
+			{"half the chunks pruned", []Pred{{Col: 0, Op: Ge, Val: n / 2}, {Col: 1, Op: Lt, Val: 2}}, n / 2, n / 10},
+			{"nothing survives the decoder", []Pred{{Col: 1, Op: Eq, Val: 3}, {Col: 1, Op: Eq, Val: 4}}, n, 0},
+		} {
+			got, st, err := db.Scan("t").Where(tc.preds...).Collect(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.DiskRowsDecoded != tc.decoded || st.DiskRowsKept != tc.kept || int64(len(got)) != tc.kept {
+				t.Fatalf("%d nodes, %s: decoded %d kept %d rows %d, want decoded %d kept %d",
+					nodes, tc.name, st.DiskRowsDecoded, st.DiskRowsKept, len(got), tc.decoded, tc.kept)
+			}
+			var decoded, kept int64
+			for _, ns := range st.Nodes {
+				decoded += ns.DiskRowsDecoded
+				kept += ns.DiskRowsKept
+			}
+			if nodes > 1 && (decoded != st.DiskRowsDecoded || kept != st.DiskRowsKept) {
+				t.Fatalf("%s: node shares (%d, %d) do not sum to the totals (%d, %d)", tc.name, decoded, kept, st.DiskRowsDecoded, st.DiskRowsKept)
+			}
+		}
+		// A row Filter runs after the decoder: it does not move the counters.
+		_, st, err := db.Scan("t", func(r Row) bool { return r[0].(int)%2 == 0 }).Where(Pred{Col: 1, Op: Lt, Val: 2}).Collect(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.DiskRowsKept != n/5 || st.ResultRows != n/10 {
+			t.Fatalf("with a row filter: kept %d result rows %d, want %d and %d", st.DiskRowsKept, st.ResultRows, n/5, n/10)
+		}
+		db.Close()
+	}
+}
+
+// TestTableFileDamagedAfterRegister: a table file truncated between
+// Register and Run ends the query with the typed chunk error — no hang,
+// no leaked goroutine — and one removed either still answers from the
+// open handle or fails the same way; the DB keeps serving its other
+// tables afterwards.
+func TestTableFileDamagedAfterRegister(t *testing.T) {
+	leaktest.Check(t, 2)
+	rows := storeRows(6000)
+	cols := []string{"id", "m", "s", "f"}
+	for _, nodes := range []int{1, 2} {
+		for _, damage := range []string{"truncate", "remove"} {
+			t.Run(fmt.Sprintf("%s/%dnode", damage, nodes), func(t *testing.T) {
+				leaktest.Check(t, 2)
+				path := writeStoreFile(t, rows, cols, 256)
+				good := writeStoreFile(t, rows, cols, 256)
+				db := Open(WithNodes(nodes), WithWorkers(2))
+				defer db.Close()
+				if err := db.RegisterTableFile("bad", path); err != nil {
+					t.Fatal(err)
+				}
+				if err := db.RegisterTableFile("good", good); err != nil {
+					t.Fatal(err)
+				}
+				if damage == "truncate" {
+					// Cut inside chunk 3: chunks 0-2 still read.
+					f, err := store.Open(path)
+					if err != nil {
+						t.Fatal(err)
+					}
+					cut := f.Chunk(3).Off + 10
+					f.Close()
+					if err := os.Truncate(path, cut); err != nil {
+						t.Fatal(err)
+					}
+				} else if err := os.Remove(path); err != nil {
+					t.Fatal(err)
+				}
+				ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+				defer cancel()
+				for _, q := range []*Query{
+					db.Scan("bad"),
+					db.Scan("bad").Where(Pred{Col: 1, Op: Lt, Val: 2}, Pred{Col: 3, Op: Ge, Val: 0.0}),
+					db.Scan("bad").Where(Pred{Col: 1, Op: Lt, Val: 2}).Join(db.Scan("good"), KeyCol(0), KeyCol(0)),
+				} {
+					got, _, err := q.Collect(ctx)
+					switch {
+					case err == nil && damage == "remove":
+						// The open handle outlives the directory entry.
+					case err == nil:
+						t.Fatalf("query over a truncated file returned %d rows and no error", len(got))
+					case !errors.Is(err, ErrTableFile):
+						t.Fatalf("untyped error: %v", err)
+					default:
+						var ce *store.ChunkError
+						if !errors.As(err, &ce) || ce.Path != path || ce.Chunk < 3 {
+							t.Fatalf("chunk error does not name the file and a chunk past the cut: %v", err)
+						}
+					}
+				}
+				got, _, err := db.Scan("good").Where(Pred{Col: 1, Op: Lt, Val: 2}).Collect(ctx)
+				if err != nil || len(got) != len(rows)/5 {
+					t.Fatalf("next query on the same DB: %d rows, err %v", len(got), err)
+				}
+			})
+		}
+	}
 }
