@@ -15,7 +15,7 @@ SHELL       := /bin/bash
 STATICCHECK_VERSION ?= 2025.1.1
 GOVULNCHECK_VERSION ?= v1.1.4
 
-.PHONY: ci lint vet-hdb tools test bench-module determinism bench benchdiff clean
+.PHONY: ci lint vet-hdb tools test bench-module determinism bench benchdiff loc clean
 
 ci: lint test bench-module determinism benchdiff
 
@@ -81,6 +81,15 @@ bench:
 
 benchdiff: bench
 	$(GO) run ./cmd/benchdiff -baseline BENCH_kernel.json -baseline BENCH_engine.json -in $(BENCH_OUT) -out $(FRESH)
+
+# Non-test Go lines per internal/* package and for the module — the
+# figure ROADMAP and CHANGES quote. go list's GoFiles is the definition:
+# no _test.go files, no testdata, and not bench/ (a module of its own).
+loc:
+	@$(GO) list -f '{{$$d := .Dir}}{{.ImportPath}}{{range .GoFiles}} {{$$d}}/{{.}}{{end}}' ./... | \
+	awk '{ n = 0; for (i = 2; i <= NF; i++) { while ((getline line < $$i) > 0) n++; close($$i) } \
+	       total += n; if ($$1 ~ /\/internal\//) printf "%7d %s\n", n, $$1 } \
+	     END { printf "%7d hierdb (module, non-test Go lines)\n", total }'
 
 clean:
 	rm -f $(BENCH_OUT) $(FRESH) *.test *.prof *.pprof

@@ -275,13 +275,21 @@ func buildBenchTables(n int) (*Table, *Table) {
 	return build, probe
 }
 
-func BenchmarkEngineJoinDP(b *testing.B) {
+// benchEngineJoin materializes a 100k-row join per iteration on a
+// resident one-node DB, dynamic (DP) or statically bound (FP).
+func benchEngineJoin(b *testing.B, static bool) {
+	db := Open(WithWorkers(4), WithStatic(static))
+	defer db.Close()
 	build, probe := buildBenchTables(100_000)
-	plan := &JoinNode{Build: &ScanNode{Table: build}, Probe: &ScanNode{Table: probe},
-		BuildKey: KeyCol(0), ProbeKey: KeyCol(0)}
+	for _, tb := range []*Table{build, probe} {
+		if err := db.Register(tb.Name, FromTable(tb)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	q := db.Scan("fact").Join(db.Scan("dim"), KeyCol(0), KeyCol(0))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rows, _, err := Execute(context.Background(), plan, EngineOptions{Workers: 4})
+		rows, _, err := q.Collect(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -291,18 +299,5 @@ func BenchmarkEngineJoinDP(b *testing.B) {
 	}
 }
 
-func BenchmarkEngineJoinStatic(b *testing.B) {
-	build, probe := buildBenchTables(100_000)
-	plan := &JoinNode{Build: &ScanNode{Table: build}, Probe: &ScanNode{Table: probe},
-		BuildKey: KeyCol(0), ProbeKey: KeyCol(0)}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rows, _, err := Execute(context.Background(), plan, EngineOptions{Workers: 4, Static: true})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(rows) != 100_000 {
-			b.Fatalf("%d rows", len(rows))
-		}
-	}
-}
+func BenchmarkEngineJoinDP(b *testing.B)     { benchEngineJoin(b, false) }
+func BenchmarkEngineJoinStatic(b *testing.B) { benchEngineJoin(b, true) }

@@ -1,16 +1,19 @@
-// hdbsim executes plans of the generated workload under one strategy on
-// one topology and prints the full measurement record — the tool for
-// poking at individual executions.
+// hdbsim generates the experimental workload of §5.1.2 — random
+// multi-join queries, optimized into bushy parallel execution plans with
+// operator scheduling and pipeline chains — and executes its plans under
+// one strategy on one topology, printing each plan's operator tree and
+// full measurement record: the tool for poking at individual executions.
 //
 // Usage:
 //
-//	hdbsim [-scale bench|paper] [-plan i|all] [-strategy DP|FP|SP]
+//	hdbsim [-scale bench|paper] [-plan i|all|list] [-strategy DP|FP|SP]
 //	       [-nodes N] [-procs P] [-skew z] [-errrate r] [-chain ops]
 //	       [-parallel N]
 //
-// -plan all executes every plan of the workload; independent runs fan out
-// across all processors by default (-parallel bounds the pool), and the
-// records print in plan order regardless of completion order.
+// -plan list prints the workload's plan table and runs nothing. -plan all
+// executes every plan of the workload; independent runs fan out across
+// all processors by default (-parallel bounds the pool), and the records
+// print in plan order regardless of completion order.
 package main
 
 import (
@@ -24,7 +27,7 @@ import (
 
 func main() {
 	scaleName := flag.String("scale", "bench", "experiment scale: bench or paper")
-	planSel := flag.String("plan", "0", "plan index in the generated workload, or \"all\"")
+	planSel := flag.String("plan", "0", "plan index in the generated workload, \"all\", or \"list\" to print the plan table and run nothing")
 	strategy := flag.String("strategy", "DP", "DP, FP or SP")
 	nodes := flag.Int("nodes", 1, "SM-nodes")
 	procs := flag.Int("procs", 8, "processors per SM-node")
@@ -53,12 +56,16 @@ func main() {
 		trees = []*hierdb.Plan{hierdb.ChainPlan(*chain, *nodes, scale.CardDivisor)}
 	} else {
 		w := hierdb.GenerateWorkload(scale, *nodes)
-		if *planSel == "all" {
+		switch *planSel {
+		case "list":
+			listPlans(w, scale, *nodes)
+			return
+		case "all":
 			trees = w.Plans
-		} else {
+		default:
 			idx, err := strconv.Atoi(*planSel)
 			if err != nil {
-				log.Fatalf("bad -plan %q: want an index or \"all\"", *planSel)
+				log.Fatalf("bad -plan %q: want an index, \"all\" or \"list\"", *planSel)
 			}
 			if idx < 0 || idx >= len(w.Plans) {
 				log.Fatalf("plan %d out of range (%d plans)", idx, len(w.Plans))
@@ -98,11 +105,31 @@ func main() {
 		if i > 0 {
 			fmt.Println()
 		}
-		printRun(run)
+		printRun(run, trees[i])
 	}
 }
 
-func printRun(run *hierdb.Run) {
+// listPlans prints the generated workload as a table, one plan per line.
+func listPlans(w *hierdb.Workload, scale hierdb.Scale, nodes int) {
+	fmt.Printf("%d plans (%d queries x %d trees, %d relations each, %d nodes):\n",
+		len(w.Plans), scale.Queries, scale.TreesPerQuery, scale.Relations, nodes)
+	var totalBytes int64
+	for i, p := range w.Plans {
+		var base int64
+		for _, op := range p.Ops {
+			if op.Rel != nil {
+				base += op.Rel.Bytes()
+			}
+		}
+		totalBytes += base
+		fmt.Printf("  [%2d] %-10s %2d ops %2d joins %2d chains  base=%6.1f MB  input tuples=%d\n",
+			i, p.Name, len(p.Ops), p.Joins, len(p.Chains), float64(base)/(1<<20), p.TotalInputTuples())
+	}
+	fmt.Printf("total base data: %.2f GB\n", float64(totalBytes)/(1<<30))
+}
+
+func printRun(run *hierdb.Run, tree *hierdb.Plan) {
+	fmt.Print(tree.String())
 	fmt.Printf("plan      %s\n", run.Plan)
 	fmt.Printf("strategy  %s on %s\n", run.Strategy, run.Config)
 	fmt.Printf("response  %v\n", run.ResponseTime)

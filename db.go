@@ -42,9 +42,10 @@ type Option func(*dbConfig)
 // architecture: each node gets its own worker pool, tables are
 // hash-partitioned across nodes at registration, and a query executes
 // as per-node plan fragments with key-routed redistribution between
-// operators. 0 or 1 (the default) is exactly the previous single-pool
-// behavior; negative values are rejected, reported by
-// Run/RegisterTable-time validation. See also WithStealing.
+// operators. 0 or 1 (the default) is the same engine with one node:
+// one fragment per query, nothing routed, nothing to steal. Negative
+// values are rejected, reported by Run/RegisterTable-time validation.
+// See also WithStealing.
 func WithNodes(n int) Option { return func(c *dbConfig) { c.nodes = n } }
 
 // WithWorkers sets the worker-goroutine count per node (one per
@@ -168,7 +169,7 @@ type DB struct {
 	closed bool
 
 	eng  *exec.Nodes
-	opt  EngineOptions
+	opt  exec.Options
 	mode OptimizerMode
 	err  error // deferred Open-time validation error, surfaced by Run
 }
@@ -184,7 +185,7 @@ func Open(opts ...Option) *DB {
 	db := &DB{
 		tables: make(map[string]*Table),
 		mode:   cfg.optimizer,
-		opt: EngineOptions{
+		opt: exec.Options{
 			Stripes:         cfg.stripes,
 			Morsel:          cfg.morsel,
 			Batch:           cfg.batch,
@@ -284,10 +285,9 @@ func (db *DB) Register(name string, src TableSource, opts ...RegisterOption) err
 
 // RegisterTable adds a named in-memory relation to the catalog:
 // Register(t.Name, FromTable(t)). The table's rows must not be mutated
-// after registration: a multi-node DB hash-partitions the rows right
-// here, and queries read the partitions — later appends would be
-// silently invisible to them (on a single-node DB the boundary is the
-// first query over the table).
+// after registration: the DB columnizes and hash-partitions the rows
+// across its nodes right here, and queries read the partitions — later
+// appends would be silently invisible to them.
 func (db *DB) RegisterTable(t *Table) error {
 	if t == nil {
 		return fmt.Errorf("hierdb: nil table")
@@ -310,10 +310,9 @@ func (db *DB) registerMemTable(t *Table) error {
 	}
 	db.tables[t.Name] = t
 	db.mu.Unlock()
-	// Hash-partition the table across the nodes now — outside db.mu, so
-	// a large registration does not stall concurrent queries — and the
-	// first query does not pay the declustering cost (no-op on a single
-	// node).
+	// Columnize and hash-partition the table across the nodes now —
+	// outside db.mu, so a large registration does not stall concurrent
+	// queries — and the first query does not pay the declustering cost.
 	db.eng.Partition(t)
 	return nil
 }

@@ -73,25 +73,18 @@ func TestDBQueryBuilder(t *testing.T) {
 		t.Fatalf("stats %+v", st)
 	}
 
-	// The same logical query through the legacy one-shot surface.
-	lines, _ := db.Table("lines")
-	ordersTab, _ := db.Table("orders")
-	legacy, _, err := Execute(context.Background(), &JoinNode{
-		Build:    &ScanNode{Table: lines},
-		Probe:    &ScanNode{Table: ordersTab},
-		BuildKey: KeyCol(0),
-		ProbeKey: KeyCol(0),
-	}, EngineOptions{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
+	// The same query materialized, against the join computed by hand.
+	var want []Row
+	for i := 0; i < 900; i++ {
+		want = append(want, Row{i % 30, i, i % 30, fmt.Sprintf("l%d", i%30)})
 	}
 	got, _, err := q.Collect(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, w := canonRows(got), canonRows(legacy)
+	g, w := canonRows(got), canonRows(want)
 	if len(g) != len(w) {
-		t.Fatalf("builder %d rows vs legacy %d", len(g), len(w))
+		t.Fatalf("builder %d rows, want %d", len(g), len(w))
 	}
 	for i := range g {
 		if g[i] != w[i] {
@@ -505,11 +498,14 @@ func TestStaticModeOnDB(t *testing.T) {
 	}
 }
 
-// TestPointQueryAllocBytesBound is the point-query bytes gate (run by
-// CI): a one-row join through the facade must not pay for the
+// TestPointQueryAllocBytesBound is the point-query fixed-cost gate (run
+// by CI): a one-row join through the facade must not pay for the
 // streaming path's steady-state buffers — the workers' arenas start
 // small and grow with the query — so the whole query, from Run to
-// Close, allocates under 96 KiB.
+// Close, allocates under 96 KiB; and what it allocates per query
+// whatever the data — coordinator, fragment, operator queues, stats —
+// stays within 476 heap objects (472 when a one-node query ran on a
+// bare pool without a coordinator).
 func TestPointQueryAllocBytesBound(t *testing.T) {
 	db := testDB(t, WithWorkers(4))
 	point := func(k int) {
@@ -530,4 +526,8 @@ func TestPointQueryAllocBytesBound(t *testing.T) {
 	if perQuery := (m1.TotalAlloc - m0.TotalAlloc) / runs; perQuery > 96<<10 {
 		t.Fatalf("a one-row join allocates %d KiB, want <= 96", perQuery>>10)
 	}
+	if perQuery := float64(m1.Mallocs-m0.Mallocs) / runs; perQuery > 476 {
+		t.Fatalf("a one-row join makes %.1f allocations, want <= 476", perQuery)
+	}
+	t.Logf("per query: %d B, %.1f mallocs", (m1.TotalAlloc-m0.TotalAlloc)/runs, float64(m1.Mallocs-m0.Mallocs)/runs)
 }

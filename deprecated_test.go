@@ -1,14 +1,14 @@
 package hierdb
 
-// Equivalence tests for the deprecated builder wrappers: the variadic
-// Scan filter and the Selectivity method must route through exactly the
-// same execution (and planning) paths as their replacements, Where and
-// Hint, so code still on the old surface keeps the new behavior.
+// Equivalence test for the deprecated builder wrapper: the variadic
+// Scan filter must route through exactly the same execution path as its
+// replacement, Where, so code still on the old surface keeps the new
+// behavior. (Query.Selectivity is gone; Hint{Selectivity} is covered in
+// optimizer_test.go.)
 
 import (
 	"context"
 	"fmt"
-	"sort"
 	"testing"
 
 	"hierdb/internal/leaktest"
@@ -38,46 +38,5 @@ func TestDeprecatedScanFilterMatchesWhere(t *testing.T) {
 	a, b := canonRows(old), canonRows(niu)
 	if fmt.Sprint(a) != fmt.Sprint(b) {
 		t.Fatalf("deprecated Scan filter and Where diverge: %d vs %d rows", len(a), len(b))
-	}
-}
-
-// TestDeprecatedSelectivityMatchesHint plans the same join once through
-// the deprecated Selectivity method and once through Hint{Selectivity}
-// and requires the identical Explain plan (same estimates, same shape)
-// plus identical results — the wrapper is a pure alias.
-func TestDeprecatedSelectivityMatchesHint(t *testing.T) {
-	leaktest.Check(t, 2)
-	db := testDB(t, WithWorkers(2), WithOptimizer(OptimizerHints))
-
-	base := func() *Query {
-		return db.Scan("orders").Join(db.Scan("lines"), KeyCol(0), KeyCol(0))
-	}
-	old := base().Selectivity(0.25)
-	niu := base().Hint(Hint{Selectivity: 0.25})
-
-	oldPlan, err := old.Explain(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	newPlan, err := niu.Explain(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if oldPlan.String() != newPlan.String() {
-		t.Fatalf("plans diverge:\n--- Selectivity ---\n%s\n--- Hint ---\n%s", oldPlan, newPlan)
-	}
-	oldRows, _, err := old.Collect(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	newRows, _, err := niu.Collect(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, b := canonRows(oldRows), canonRows(newRows)
-	sort.Strings(a)
-	sort.Strings(b)
-	if fmt.Sprint(a) != fmt.Sprint(b) {
-		t.Fatalf("results diverge: %d vs %d rows", len(a), len(b))
 	}
 }

@@ -1,6 +1,6 @@
 // Benchmarks for the real-data engine's resident-DB surface: concurrent
-// multi-query execution on one shared DP pool vs sequential one-shot
-// Execute calls, and the streaming-sink path. Baselines are recorded in
+// multi-query execution on one shared DP pool vs the same queries one
+// at a time, and the streaming-sink path. Baselines are recorded in
 // BENCH_engine.json; CI runs these once as a smoke test.
 package hierdb
 
@@ -37,22 +37,25 @@ func benchFilter(i int) func(Row) bool {
 }
 
 // BenchmarkConcurrentQueries/shared runs 8 distinct queries concurrently
-// on one resident pool; /sequential runs the same 8 queries one at a
-// time, each on a throwaway one-shot pool (the old Execute surface). The
-// shared pool must be at least as fast: its workers drain all 8 queries'
-// activation queues at once.
+// on one resident pool; /sequential runs the same 8 queries on the same
+// kind of pool one at a time. The shared run must be at least as fast:
+// the pool's workers drain all 8 queries' activation queues at once.
 func BenchmarkConcurrentQueries(b *testing.B) {
 	fact, dim := benchTables()
-
-	b.Run("shared", func(b *testing.B) {
+	open := func(b *testing.B) *DB {
 		db := Open(WithWorkers(benchBenchWrks))
-		defer db.Close()
+		b.Cleanup(func() { db.Close() })
 		if err := db.RegisterTable(fact); err != nil {
 			b.Fatal(err)
 		}
 		if err := db.RegisterTable(dim); err != nil {
 			b.Fatal(err)
 		}
+		return db
+	}
+
+	b.Run("shared", func(b *testing.B) {
+		db := open(b)
 		b.ResetTimer()
 		for n := 0; n < b.N; n++ {
 			var wg sync.WaitGroup
@@ -77,16 +80,13 @@ func BenchmarkConcurrentQueries(b *testing.B) {
 	})
 
 	b.Run("sequential", func(b *testing.B) {
+		db := open(b)
 		b.ResetTimer()
 		for n := 0; n < b.N; n++ {
 			for i := 0; i < benchQueries; i++ {
-				plan := &JoinNode{
-					Build:    &ScanNode{Table: dim},
-					Probe:    &ScanNode{Table: fact, Filter: benchFilter(i)},
-					BuildKey: KeyCol(0),
-					ProbeKey: KeyCol(0),
-				}
-				rows, _, err := Execute(context.Background(), plan, EngineOptions{Workers: benchBenchWrks})
+				rows, _, err := db.Scan("fact", benchFilter(i)).
+					Join(db.Scan("dim"), KeyCol(0), KeyCol(0)).
+					Collect(context.Background())
 				if err != nil {
 					b.Fatal(err)
 				}

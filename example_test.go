@@ -81,31 +81,30 @@ func ExampleQuery_GroupBy() {
 	// sku=2 count=1 revenue=20
 }
 
-// ExampleExecute is the legacy one-shot surface: a hand-built plan run
-// on a throwaway single-query pool. New code should Open a DB instead.
-func ExampleExecute() {
-	users := &hierdb.Table{
-		Name: "users",
+// ExampleQuery_Collect materializes a small join result in one call —
+// the convenience form of Run for results that fit in memory.
+func ExampleQuery_Collect() {
+	db := hierdb.Open(hierdb.WithWorkers(2))
+	defer db.Close()
+	must := func(err error) {
+		if err != nil {
+			log.Fatal(err)
+		}
+	}
+	must(db.Register("users", hierdb.FromTable(&hierdb.Table{
 		Cols: []string{"id", "name"},
 		Rows: []hierdb.Row{{1, "ada"}, {2, "grace"}},
-	}
-	logins := &hierdb.Table{
-		Name: "logins",
+	})))
+	must(db.Register("logins", hierdb.FromTable(&hierdb.Table{
 		Cols: []string{"user_id", "day"},
 		Rows: []hierdb.Row{{1, "mon"}, {2, "tue"}, {1, "wed"}},
-	}
-	plan := &hierdb.JoinNode{
-		Build:    &hierdb.ScanNode{Table: users},
-		Probe:    &hierdb.ScanNode{Table: logins},
-		BuildKey: hierdb.KeyCol(0),
-		ProbeKey: hierdb.KeyCol(0),
-	}
-	rows, _, err := hierdb.Execute(context.Background(), plan, hierdb.EngineOptions{Workers: 2})
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Println(len(rows), "joined rows")
-	// Output: 3 joined rows
+	})))
+	rows, stats, err := db.Scan("logins").
+		Join(db.Scan("users"), hierdb.KeyCol(0), hierdb.KeyCol(0)).
+		Collect(context.Background())
+	must(err)
+	fmt.Println(len(rows), "joined rows,", stats.ResultRows, "counted")
+	// Output: 3 joined rows, 3 counted
 }
 
 // ExampleExecuteDP simulates one generated plan on the paper's machine.

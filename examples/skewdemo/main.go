@@ -64,13 +64,6 @@ func main() {
 		probe.Rows = append(probe.Rows, hierdb.Row{draw(), i})
 	}
 
-	plan := &hierdb.JoinNode{
-		Build:    &hierdb.ScanNode{Table: build},
-		Probe:    &hierdb.ScanNode{Table: probe},
-		BuildKey: hierdb.KeyCol(0),
-		ProbeKey: hierdb.KeyCol(0),
-	}
-
 	workers := runtime.NumCPU()
 	if workers < 4 {
 		workers = 4 // keep the scheduling comparison meaningful on tiny hosts
@@ -84,13 +77,21 @@ func main() {
 		{"DP", false},
 		{"FP", true},
 	} {
+		db := hierdb.Open(hierdb.WithWorkers(workers), hierdb.WithStatic(mode.static))
+		for _, t := range []*hierdb.Table{build, probe} {
+			if err := db.Register(t.Name, hierdb.FromTable(t)); err != nil {
+				log.Fatal(err)
+			}
+		}
 		start := time.Now()
-		rows, stats, err := hierdb.Execute(context.Background(), plan,
-			hierdb.EngineOptions{Workers: workers, Static: mode.static})
+		rows, stats, err := db.Scan("fact").
+			Join(db.Scan("dim"), hierdb.KeyCol(0), hierdb.KeyCol(0)).
+			Collect(context.Background())
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("%-3s %8d rows  %8v  worker imbalance %.2f\n",
 			mode.label, len(rows), time.Since(start).Round(time.Millisecond), stats.Imbalance())
+		db.Close()
 	}
 }

@@ -26,13 +26,11 @@
 //     WithMemory adds the paper's memory constraint: each node governs a
 //     byte budget, and hash joins whose build side exceeds it switch to
 //     Grace-style partitioned execution over spill files, with results
-//     identical to the unlimited run. Static mode gives the FP baseline
-//     for comparison; Execute and ExecuteGroupBy remain as one-shot
-//     wrappers over a throwaway pool.
+//     identical to the unlimited run. WithStatic gives the FP baseline
+//     for comparison.
 package hierdb
 
 import (
-	"context"
 	"runtime"
 
 	"hierdb/internal/baseline"
@@ -203,9 +201,6 @@ type Row = exec.Row
 // Table is an in-memory relation.
 type Table = exec.Table
 
-// ScanNode reads a table (optionally filtered).
-type ScanNode = exec.Scan
-
 // Pred is a single-column scan predicate (column index, comparison
 // operator, constant). Unlike a row Filter closure, predicates are
 // evaluated inside the columnar scan kernel as tight per-column loops
@@ -230,19 +225,11 @@ const (
 	NotNull = vec.NotNull
 )
 
-// JoinNode is a hash equi-join of two sub-plans.
-type JoinNode = exec.Join
-
 // KeyFunc extracts a comparable join key from a row.
 type KeyFunc = exec.KeyFunc
 
 // KeyCol returns a KeyFunc selecting column i.
 func KeyCol(i int) KeyFunc { return exec.KeyCol(i) }
-
-// EngineOptions tunes the real-data engine (workers, morsel/batch
-// granularity, hash-table striping, Static = FP baseline, per-node
-// memory budget and spill directory).
-type EngineOptions = exec.Options
 
 // EngineStats reports per-execution counters, including per-worker load,
 // memory-governance spill counters, per-operator row production
@@ -266,9 +253,7 @@ type ColStats = catalog.ColStats
 // (see EngineStats.Nodes).
 type NodeStats = exec.NodeStats
 
-// Admission errors of a DB opened with WithMaxConcurrentQueries, for
-// errors.Is on a failed Run. ErrClosed also reports in-flight queries
-// a Close aborted.
+// Errors a query can end with, for errors.Is on a failed Run or Rows.Err.
 var (
 	// ErrClosed is returned by Run when the DB closes — including a Run
 	// parked in the admission queue, which Close fails promptly.
@@ -277,6 +262,11 @@ var (
 	// admission slot is taken and the wait queue is at capacity; see
 	// WithAdmissionQueue.
 	ErrAdmissionQueueFull = exec.ErrAdmissionQueueFull
+	// ErrQueryPanic ends a query one of whose activations panicked — in a
+	// Filter, KeyFunc, Combine or aggregate Arg closure, or in the engine
+	// itself. The error text carries the panic value and stack; the DB
+	// stays usable and other queries are unaffected.
+	ErrQueryPanic = exec.ErrQueryPanic
 )
 
 // ErrTableFile is matched (errors.Is) by the error that ends a query
@@ -285,14 +275,6 @@ var (
 // it. The error itself is a *store.ChunkError naming the file and the
 // chunk; the DB stays usable.
 var ErrTableFile = store.ErrTableFile
-
-// Execute runs a real-data plan under the DP scheduler and returns the
-// joined rows. It is a one-shot wrapper over a throwaway single-query
-// worker pool; services running concurrent queries should Open a
-// resident DB and use the Scan/Join/GroupBy builder with Run instead.
-func Execute(ctx context.Context, root exec.Node, opt EngineOptions) ([]Row, *EngineStats, error) {
-	return exec.Execute(ctx, root, opt)
-}
 
 // GroupBy describes a grouped aggregation over a plan's output.
 type GroupBy = exec.GroupBy
@@ -307,10 +289,3 @@ const (
 	Min   = exec.Min
 	Max   = exec.Max
 )
-
-// ExecuteGroupBy runs a real-data plan and folds its output through a
-// parallel partial aggregation, one row per group. Like Execute it is a
-// one-shot wrapper; prefer Query.GroupBy on a resident DB.
-func ExecuteGroupBy(ctx context.Context, root exec.Node, gb *GroupBy, opt EngineOptions) ([]Row, *EngineStats, error) {
-	return exec.ExecuteGroupBy(ctx, root, gb, opt)
-}

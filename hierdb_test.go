@@ -54,13 +54,14 @@ func TestPublicHierarchicalAPI(t *testing.T) {
 func TestPublicEngineAPI(t *testing.T) {
 	left := &Table{Name: "l", Cols: []string{"k"}, Rows: []Row{{1}, {2}, {3}}}
 	right := &Table{Name: "r", Cols: []string{"k"}, Rows: []Row{{2}, {3}, {4}}}
-	plan := &JoinNode{
-		Build:    &ScanNode{Table: left},
-		Probe:    &ScanNode{Table: right},
-		BuildKey: KeyCol(0),
-		ProbeKey: KeyCol(0),
+	db := Open(WithWorkers(2))
+	defer db.Close()
+	for _, tb := range []*Table{left, right} {
+		if err := db.Register(tb.Name, FromTable(tb)); err != nil {
+			t.Fatal(err)
+		}
 	}
-	rows, stats, err := Execute(context.Background(), plan, EngineOptions{Workers: 2})
+	rows, stats, err := db.Scan("r").Join(db.Scan("l"), KeyCol(0), KeyCol(0)).Collect(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

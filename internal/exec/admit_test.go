@@ -8,6 +8,7 @@ package exec
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -161,95 +162,56 @@ func TestAdmitterCloseSettlesWaiters(t *testing.T) {
 	}
 }
 
-// TestPoolCloseFailsParkedSubmit is the regression test for the
-// admission hang this controller replaced: a Submit parked behind a
-// full semaphore on a context.Background() call used to select only on
-// the semaphore channel, so Close never woke it. Now Close must fail
-// the parked Submit with ErrClosed within 100ms, with no goroutine
-// leaked.
-func TestPoolCloseFailsParkedSubmit(t *testing.T) {
-	checkQueryHygiene(t)
-	pool, err := NewPool(2, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// h1 holds the only slot; its sink backpressure keeps it in flight
-	// until Close aborts it.
-	h1, err := pool.Submit(context.Background(), starPlan(40, 300_000), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	type parked struct {
-		err error
-		at  time.Time
-	}
-	done := make(chan parked, 1)
-	go func() {
-		_, err := pool.Submit(context.Background(), starPlan(41, 10), Options{Tenant: "parked"})
-		done <- parked{err: err, at: time.Now()}
-	}()
-	waitQueued(t, pool.admit, 1)
+// TestCloseFailsParkedSubmit is the regression test for the admission
+// hang this controller replaced: a Submit parked behind a full
+// semaphore on a context.Background() call used to select only on the
+// semaphore channel, so Close never woke it. Now Close must fail the
+// parked Submit with ErrClosed within 100ms, with no goroutine leaked —
+// at any node count, admission being the engine's one layer.
+func TestCloseFailsParkedSubmit(t *testing.T) {
+	for _, nodes := range []int{1, 2} {
+		t.Run(fmt.Sprintf("nodes=%d", nodes), func(t *testing.T) {
+			checkQueryHygiene(t)
+			ns, err := NewNodes(nodes, 2, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// h1 holds the only slot; its sink backpressure keeps it in
+			// flight until Close aborts it.
+			h1, err := ns.Submit(context.Background(), starPlan(40, 300_000), Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			type parked struct {
+				err error
+				at  time.Time
+			}
+			done := make(chan parked, 1)
+			go func() {
+				_, err := ns.Submit(context.Background(), starPlan(41, 10), Options{Tenant: "parked"})
+				done <- parked{err: err, at: time.Now()}
+			}()
+			waitQueued(t, ns.admit, 1)
 
-	closedAt := time.Now()
-	go pool.Close() // Close also drains h1; run it alongside the assert
-	select {
-	case p := <-done:
-		if !errors.Is(p.err, ErrClosed) {
-			t.Fatalf("parked Submit returned %v, want ErrClosed", p.err)
-		}
-		if d := p.at.Sub(closedAt); d > 100*time.Millisecond {
-			t.Fatalf("parked Submit took %v after Close, want <= 100ms", d)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("parked Submit still blocked 5s after Close — the hang this test guards against")
-	}
-	for range h1.Out() {
-	}
-	if err := h1.Err(); !errors.Is(err, ErrClosed) {
-		t.Fatalf("aborted in-flight query reported %v, want ErrClosed", err)
-	}
-}
-
-// TestNodesCloseFailsParkedSubmit is the same regression on the
-// multi-node engine path, where the semaphore used to live on Nodes.
-func TestNodesCloseFailsParkedSubmit(t *testing.T) {
-	checkQueryHygiene(t)
-	ns, err := NewNodes(2, 2, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h1, err := ns.Submit(context.Background(), starPlan(42, 300_000), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	type parked struct {
-		err error
-		at  time.Time
-	}
-	done := make(chan parked, 1)
-	go func() {
-		_, err := ns.Submit(context.Background(), starPlan(43, 10), Options{Tenant: "parked"})
-		done <- parked{err: err, at: time.Now()}
-	}()
-	waitQueued(t, ns.admit, 1)
-
-	closedAt := time.Now()
-	go ns.Close()
-	select {
-	case p := <-done:
-		if !errors.Is(p.err, ErrClosed) {
-			t.Fatalf("parked Submit returned %v, want ErrClosed", p.err)
-		}
-		if d := p.at.Sub(closedAt); d > 100*time.Millisecond {
-			t.Fatalf("parked Submit took %v after Close, want <= 100ms", d)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("parked Submit still blocked 5s after Close — the hang this test guards against")
-	}
-	for range h1.Out() {
-	}
-	if err := h1.Err(); !errors.Is(err, ErrClosed) {
-		t.Fatalf("aborted in-flight query reported %v, want ErrClosed", err)
+			closedAt := time.Now()
+			go ns.Close() // Close also drains h1; run it alongside the assert
+			select {
+			case p := <-done:
+				if !errors.Is(p.err, ErrClosed) {
+					t.Fatalf("parked Submit returned %v, want ErrClosed", p.err)
+				}
+				if d := p.at.Sub(closedAt); d > 100*time.Millisecond {
+					t.Fatalf("parked Submit took %v after Close, want <= 100ms", d)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("parked Submit still blocked 5s after Close — the hang this test guards against")
+			}
+			for range h1.Out() {
+			}
+			if err := h1.Err(); !errors.Is(err, ErrClosed) {
+				t.Fatalf("aborted in-flight query reported %v, want ErrClosed", err)
+			}
+		})
 	}
 }
 
@@ -262,7 +224,7 @@ func TestNodesCloseFailsParkedSubmit(t *testing.T) {
 // releases its slot.
 func TestAdmissionPrecedesCompile(t *testing.T) {
 	checkQueryHygiene(t)
-	pool, err := newPool(2, newAdmitter(1, 1), nil)
+	pool, err := NewNodesConfig(EngineConfig{Workers: 2, MaxConcurrentQueries: 1, AdmissionQueue: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

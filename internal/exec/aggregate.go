@@ -9,7 +9,6 @@ package exec
 // query retirement.
 
 import (
-	"context"
 	"fmt"
 	"sort"
 
@@ -126,7 +125,7 @@ func foldGroups(m map[any]*groupState, gb *GroupBy, rows []Row) {
 //
 //hierdb:hotpath
 func (q *query) foldGroupsBatch(m map[any]*groupState, w int, b *vec.Batch) {
-	gb := q.gb
+	gb := q.mq.gb
 	vs := &q.vscratch[w]
 	var keyCol *vec.Col
 	if q.gbKeyCol >= 0 && q.gbKeyCol < len(b.Cols) {
@@ -182,12 +181,17 @@ func (q *query) foldGroupsBatch(m map[any]*groupState, w int, b *vec.Batch) {
 	}
 }
 
-// mergePartials folds any number of partial aggregation states into one.
-// The multi-node engine uses it twice: once per node over the node's
-// worker partials, then once at retirement over the per-node results.
+// mergePartials folds any number of partial aggregation states into one,
+// adopting the first as the result (the partials are dead afterwards).
+// Every query uses it twice: once per node over the node's worker
+// partials, then once at retirement over the per-node results.
 func mergePartials(partials []map[any]*groupState, gb *GroupBy) map[any]*groupState {
-	merged := make(map[any]*groupState)
+	var merged map[any]*groupState
 	for _, m := range partials {
+		if merged == nil {
+			merged = m
+			continue
+		}
 		for k, g := range m {
 			t := merged[k]
 			if t == nil {
@@ -211,6 +215,9 @@ func mergePartials(partials []map[any]*groupState, gb *GroupBy) map[any]*groupSt
 				}
 			}
 		}
+	}
+	if merged == nil {
+		merged = make(map[any]*groupState)
 	}
 	return merged
 }
@@ -287,13 +294,4 @@ func groupsToRows(merged map[any]*groupState, gb *GroupBy) []Row {
 		return fmt.Sprint(out[i][0]) < fmt.Sprint(out[j][0])
 	})
 	return out
-}
-
-// ExecuteGroupBy runs the plan and folds its output through the group-by,
-// returning one row per group ordered deterministically by formatted key.
-// Like Execute, it is a thin wrapper over a throwaway single-query pool.
-func ExecuteGroupBy(ctx context.Context, root Node, gb *GroupBy, opt Options) ([]Row, *Stats, error) {
-	return runOneShot(opt.Workers, func(p *Pool) (*Handle, error) {
-		return p.SubmitGroupBy(ctx, root, gb, opt)
-	})
 }

@@ -17,7 +17,7 @@ func TestGroupByCount(t *testing.T) {
 	checkQueryHygiene(t)
 	plan := aggPlan(100, 4)
 	gb := &GroupBy{Key: KeyCol(0), Aggs: []Aggregation{{Func: Count}}}
-	rows, _, err := ExecuteGroupBy(context.Background(), plan, gb, Options{Workers: 3})
+	rows, _, err := runOnce(context.Background(), plan, gb, Options{Workers: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func TestGroupBySumMinMax(t *testing.T) {
 		{Func: Min, Arg: arg},
 		{Func: Max, Arg: arg},
 	}}
-	rows, _, err := ExecuteGroupBy(context.Background(), plan, gb, Options{Workers: 4})
+	rows, _, err := runOnce(context.Background(), plan, gb, Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,11 +65,11 @@ func TestGroupByDeterministicOrder(t *testing.T) {
 	checkQueryHygiene(t)
 	plan := aggPlan(200, 7)
 	gb := &GroupBy{Key: KeyCol(0), Aggs: []Aggregation{{Func: Count}}}
-	a, _, err := ExecuteGroupBy(context.Background(), plan, gb, Options{Workers: 4})
+	a, _, err := runOnce(context.Background(), plan, gb, Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _, err := ExecuteGroupBy(context.Background(), plan, gb, Options{Workers: 1})
+	b, _, err := runOnce(context.Background(), plan, gb, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,10 +85,11 @@ func TestGroupByDeterministicOrder(t *testing.T) {
 
 func TestGroupByErrors(t *testing.T) {
 	plan := aggPlan(10, 2)
-	if _, _, err := ExecuteGroupBy(context.Background(), plan, nil, Options{}); err == nil {
+	ns := newNodesT(t, 1, 2)
+	if _, err := ns.SubmitGroupBy(context.Background(), plan, nil, Options{}); err == nil {
 		t.Fatal("nil group-by accepted")
 	}
-	if _, _, err := ExecuteGroupBy(context.Background(), plan,
+	if _, _, err := runOnce(context.Background(), plan,
 		&GroupBy{Key: KeyCol(0), Aggs: []Aggregation{{Func: Sum}}}, Options{}); err == nil {
 		t.Fatal("sum without Arg accepted")
 	}
@@ -100,7 +101,7 @@ func TestGroupByQuickCountsConserved(t *testing.T) {
 		n := int(nRaw%100) + 1
 		mod := int(modRaw%9) + 1
 		gb := &GroupBy{Key: KeyCol(0), Aggs: []Aggregation{{Func: Count}}}
-		rows, _, err := ExecuteGroupBy(context.Background(), aggPlan(n, mod), gb, Options{Workers: 3})
+		rows, _, err := runOnce(context.Background(), aggPlan(n, mod), gb, Options{Workers: 3})
 		if err != nil {
 			return false
 		}

@@ -28,7 +28,7 @@ func fileTable(t *testing.T, tb *Table, chunkRows int) *Table {
 
 // allocsOfQuery averages the allocations of running plan to completion,
 // handing every result batch to consume.
-func allocsOfQuery(t *testing.T, pool *Pool, plan Node, opt Options, wantRows int, consume func(*vec.Batch)) float64 {
+func allocsOfQuery(t *testing.T, pool *Nodes, plan Node, opt Options, wantRows int, consume func(*vec.Batch)) float64 {
 	t.Helper()
 	return testing.AllocsPerRun(3, func() {
 		h, err := pool.Submit(context.Background(), plan, opt)
@@ -56,7 +56,7 @@ func allocsOfQuery(t *testing.T, pool *Pool, plan Node, opt Options, wantRows in
 // all; one that materializes rows pays exactly one box per surviving
 // value (every value here is chosen to need a heap box) on top.
 func TestDiskStreamAllocBound(t *testing.T) {
-	pool, err := NewPool(4, 0)
+	pool, err := NewNodes(1, 4, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestDiskStreamAllocBound(t *testing.T) {
 // survivors' compact columns and string blob — about 9 bytes per decoded
 // row, where full-width mirrors for every decoded row cost about 47.
 func TestDiskLateMatAllocBytesBound(t *testing.T) {
-	pool, err := NewPool(4, 0)
+	pool, err := NewNodes(1, 4, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestDiskLateMatAllocBytesBound(t *testing.T) {
 // index entry per key — and the boxes of the result rows a consumer
 // materializes.
 func TestSpillReplayAllocBound(t *testing.T) {
-	pool, err := NewPool(4, 0)
+	pool, err := NewNodes(1, 4, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +166,7 @@ func TestSpillReplayAllocBound(t *testing.T) {
 // stores it, so a build row matched by 50 probe rows contributes copied
 // words to all 50 outputs, not 50 fresh boxes.
 func TestBoxlessBuildBoxedOncePerStoredRow(t *testing.T) {
-	pool, err := NewPool(4, 0)
+	pool, err := NewNodes(1, 4, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,18 +1,29 @@
 // Package exec is a real-data, in-memory parallel hash-join executor built
-// on the paper's DP execution model: query work is decomposed into
+// on the paper's execution model: query work is decomposed into
 // self-contained activations (scan morsels and tuple batches) held in
-// per-operator queues, and any worker goroutine may execute any activation
-// — there is no static association between workers and operators. Workers
-// prefer their primary queues, drain downstream operators first (the
-// role the paper's flow control plays), and pipeline chains execute
-// one-at-a-time in dependency order, mirroring §2.2's scheduling.
+// per-operator queues, and any worker goroutine of a node may execute any
+// activation — there is no static association between workers and
+// operators. Workers prefer their primary queues, drain downstream
+// operators first (the role the paper's flow control plays), and pipeline
+// chains execute one-at-a-time in dependency order, mirroring §2.2's
+// scheduling.
+//
+// There is one engine and one way a query runs. A Nodes engine (nodes.go)
+// is the paper's hierarchy: n shared-memory nodes, each a pool of workers
+// with its own scheduler (pool.go), a shared-memory machine being the
+// hierarchy with n = 1. Submit compiles the plan (runtime.go) and hands
+// it to a coordinator, which fans it out as one fragment per node, owns
+// everything global to the query — pending counts, the chain barrier,
+// spill-phase advance, the group-by merge hand-off, abort, retirement and
+// stats — and routes every batch an activation emits to the node owning
+// its join key. Load balances dynamically inside a node at every
+// activation; between nodes only when a whole node starves (globallb.go).
 //
 // A Static mode reproduces the FP baseline on real data: each worker is
 // bound to one operator per chain, sized by estimated cost.
 package exec
 
 import (
-	"context"
 	"fmt"
 	"hash/fnv"
 	"math"
@@ -41,14 +52,15 @@ type Table struct {
 
 	// File, when non-nil, makes the table disk-backed: scans read its
 	// row-group chunks on demand (consulting per-chunk zone maps to skip
-	// chunks no predicate can match), and on a multi-node engine chunks
-	// are assigned to node fragments positionally, like RegisterTable's
-	// hash partitioning of resident rows.
+	// chunks no predicate can match), and chunks are assigned to node
+	// fragments positionally, like the hash partitioning of resident rows.
 	File *store.TableFile
 
 	// vcache caches the table's columnized form (see columnize). Tables
-	// are registered once and treated as immutable thereafter; callers
-	// that do mutate Rows get a rebuilt cache on the next scan.
+	// are treated as immutable once queried; callers that do mutate Rows
+	// get a rebuilt cache on the next scan — unless the table went
+	// through Nodes.Partition, whose partitions are fixed for the
+	// engine's lifetime.
 	vcache atomic.Pointer[tableVec]
 }
 
@@ -164,10 +176,10 @@ type Options struct {
 	// Static binds each worker to one operator per pipeline chain (the
 	// FP baseline) instead of the dynamic any-worker-any-operator model.
 	Static bool
-	// DisableStealing turns off the global activation-stealing layer on a
-	// multi-node engine (Nodes opened with more than one node): a
+	// DisableStealing turns off the global activation-stealing layer: a
 	// starving node then idles instead of acquiring a remote probe queue.
-	// It has no effect on a single-node engine.
+	// It has no effect on a one-node engine, which has no peers to steal
+	// from.
 	DisableStealing bool
 	// MemoryPerNode is the memory budget in bytes each node's fragment of
 	// the query may hold in hash-join tables and group-by partials. 0
@@ -232,11 +244,11 @@ func (o Options) validateFor(workers int) (Options, error) {
 	return o.withDefaults(), nil
 }
 
-// Stats reports per-query execution counters. On a shared Pool every
-// in-flight query keeps its own Stats, so accounting stays isolated
-// under concurrent execution.
+// Stats reports per-query execution counters. Every in-flight query
+// keeps its own Stats, so accounting stays isolated under concurrent
+// execution.
 type Stats struct {
-	// QueryID identifies the query on its pool (assigned at Submit).
+	// QueryID identifies the query on its engine (assigned at Submit).
 	QueryID     int64
 	Activations int64
 	// AdmissionWait is how long Submit parked in the admission queue
@@ -248,21 +260,20 @@ type Stats struct {
 	// output, not the join rows feeding it).
 	ResultRows int64
 	// PerWorker counts activations processed by each worker; the spread
-	// shows load balance. On a multi-node engine it is the concatenation
-	// of every node's workers in node order, so Imbalance() still reports
-	// the engine-wide spread.
+	// shows load balance. It is the concatenation of every node's workers
+	// in node order, so Imbalance() reports the engine-wide spread.
 	PerWorker []int64
 	// OpRows counts rows produced by each physical operator, indexed by
 	// operator id in compile order: a scan's filtered output, a probe's
 	// join output (build operators produce no rows). Spill-phase replays
-	// of already-counted input are not re-counted, and on a multi-node
-	// engine rows are attributed at production, before redistribution.
+	// of already-counted input are not re-counted, and rows are attributed
+	// at production, before redistribution between nodes.
 	// Explain's Actualize reads it to pair actual cardinalities with the
 	// planner's estimates.
 	OpRows []int64
 
-	// Multi-node fields, populated only when the query ran on a Nodes
-	// engine with more than one node (nil/zero otherwise).
+	// Fields populated only when the query ran on an engine with more
+	// than one node (nil/zero otherwise).
 
 	// Nodes breaks the counters down per SM-node.
 	Nodes []NodeStats
@@ -334,7 +345,7 @@ func (s *DiskStats) add(o DiskStats) {
 	s.DiskRowsKept += o.DiskRowsKept
 }
 
-// NodeStats is one SM-node's share of a multi-node query's counters.
+// NodeStats is one SM-node's share of a query's counters.
 type NodeStats struct {
 	// Node is the node index on its engine.
 	Node int
@@ -383,51 +394,8 @@ func (s *Stats) Imbalance() float64 {
 	return maxv / mean
 }
 
-// Execute runs the plan rooted at root on a throwaway single-query pool
-// and returns the materialized result rows. It is a thin compatibility
-// wrapper over Pool/Submit; long-lived callers should hold a Pool (or
-// the hierdb.DB facade) and stream instead.
-func Execute(ctx context.Context, root Node, opt Options) ([]Row, *Stats, error) {
-	return runOneShot(opt.Workers, func(p *Pool) (*Handle, error) {
-		return p.Submit(ctx, root, opt)
-	})
-}
-
-// runOneShot spins up a throwaway pool, runs one submitted query to
-// completion, and materializes its stream — the shared machinery behind
-// the legacy Execute/ExecuteGroupBy surface.
-func runOneShot(workers int, submit func(*Pool) (*Handle, error)) ([]Row, *Stats, error) {
-	pool, err := NewPool(workers, 0)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer pool.Close()
-	h, err := submit(pool)
-	if err != nil {
-		return nil, nil, err
-	}
-	// Buffer the batches first (they are already materialized), then
-	// carve the row slice once at the exact total — a one-shot caller
-	// pays no growslice churn on large results.
-	var batches []*vec.Batch
-	total := 0
-	for batch := range h.Out() {
-		batches = append(batches, batch)
-		total += batch.N
-	}
-	if err := h.Err(); err != nil {
-		return nil, nil, err
-	}
-	out := make([]Row, 0, total)
-	var arena vec.Arena
-	for _, batch := range batches {
-		out = batch.AppendRows(out, &arena)
-	}
-	return out, h.Stats(), nil
-}
-
 // OwnerNode reports which node of a (nodes, stripes-per-node) engine
-// owns join key k — the routing rule of the multi-node engine, exposed
+// owns join key k — the engine's routing rule, exposed
 // so tests and benchmarks can construct workloads of known skew.
 //
 //hierdb:hotpath

@@ -62,7 +62,7 @@ func TestSingleJoinMatchesNestedLoop(t *testing.T) {
 		BuildKey: KeyCol(0),
 		ProbeKey: KeyCol(0),
 	}
-	got, stats, err := Execute(context.Background(), plan, Options{Workers: 4})
+	got, stats, err := runOnce(context.Background(), plan, nil, Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestFilterApplied(t *testing.T) {
 		BuildKey: KeyCol(0),
 		ProbeKey: KeyCol(0),
 	}
-	got, _, err := Execute(context.Background(), plan, Options{Workers: 2})
+	got, _, err := runOnce(context.Background(), plan, nil, Options{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestMultiJoinChain(t *testing.T) {
 		BuildKey: KeyCol(0),
 		ProbeKey: KeyCol(0),
 	}
-	got, _, err := Execute(context.Background(), plan, Options{Workers: 4})
+	got, _, err := runOnce(context.Background(), plan, nil, Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestBushyTree(t *testing.T) {
 	left := &Join{Build: &Scan{Table: b}, Probe: &Scan{Table: a}, BuildKey: KeyCol(0), ProbeKey: KeyCol(0)}
 	right := &Join{Build: &Scan{Table: d}, Probe: &Scan{Table: c}, BuildKey: KeyCol(0), ProbeKey: KeyCol(0)}
 	plan := &Join{Build: right, Probe: left, BuildKey: KeyCol(0), ProbeKey: KeyCol(0)}
-	got, _, err := Execute(context.Background(), plan, Options{Workers: 4})
+	got, _, err := runOnce(context.Background(), plan, nil, Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,11 +151,11 @@ func TestStaticMatchesDynamic(t *testing.T) {
 	build := tbl("b", 200, func(i int) any { return i % 31 }, func(i int) any { return i })
 	probe := tbl("p", 400, func(i int) any { return i % 31 }, func(i int) any { return i })
 	plan := &Join{Build: &Scan{Table: build}, Probe: &Scan{Table: probe}, BuildKey: KeyCol(0), ProbeKey: KeyCol(0)}
-	dyn, _, err := Execute(context.Background(), plan, Options{Workers: 4})
+	dyn, _, err := runOnce(context.Background(), plan, nil, Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, _, err := Execute(context.Background(), plan, Options{Workers: 4, Static: true})
+	st, _, err := runOnce(context.Background(), plan, nil, Options{Workers: 4, Static: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func TestEmptyInputs(t *testing.T) {
 		{Build: &Scan{Table: empty}, Probe: &Scan{Table: full}, BuildKey: KeyCol(0), ProbeKey: KeyCol(0)},
 		{Build: &Scan{Table: full}, Probe: &Scan{Table: empty}, BuildKey: KeyCol(0), ProbeKey: KeyCol(0)},
 	} {
-		got, _, err := Execute(context.Background(), plan, Options{Workers: 3})
+		got, _, err := runOnce(context.Background(), plan, nil, Options{Workers: 3})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -185,7 +185,7 @@ func TestStringAndMixedKeys(t *testing.T) {
 	build := tbl("b", 30, func(i int) any { return fmt.Sprintf("k%d", i%10) }, func(i int) any { return i })
 	probe := tbl("p", 50, func(i int) any { return fmt.Sprintf("k%d", i%10) }, func(i int) any { return i })
 	plan := &Join{Build: &Scan{Table: build}, Probe: &Scan{Table: probe}, BuildKey: KeyCol(0), ProbeKey: KeyCol(0)}
-	got, _, err := Execute(context.Background(), plan, Options{Workers: 4})
+	got, _, err := runOnce(context.Background(), plan, nil, Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +203,7 @@ func TestCustomCombine(t *testing.T) {
 		ProbeKey: KeyCol(0),
 		Combine:  func(p, b Row) Row { return Row{p[0], b[1]} },
 	}
-	got, _, err := Execute(context.Background(), plan, Options{Workers: 1})
+	got, _, err := runOnce(context.Background(), plan, nil, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,19 +220,19 @@ func TestContextCancel(t *testing.T) {
 	plan := &Join{Build: &Scan{Table: big}, Probe: &Scan{Table: big}, BuildKey: KeyCol(0), ProbeKey: KeyCol(0)}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, err := Execute(ctx, plan, Options{Workers: 2}); err == nil {
+	if _, _, err := runOnce(ctx, plan, nil, Options{Workers: 2}); err == nil {
 		t.Fatal("cancelled context did not error")
 	}
 }
 
 func TestErrors(t *testing.T) {
-	if _, _, err := Execute(context.Background(), nil, Options{}); err == nil {
+	if _, _, err := runOnce(context.Background(), nil, nil, Options{}); err == nil {
 		t.Fatal("nil plan accepted")
 	}
-	if _, _, err := Execute(context.Background(), &Scan{}, Options{}); err == nil {
+	if _, _, err := runOnce(context.Background(), &Scan{}, nil, Options{}); err == nil {
 		t.Fatal("scan without table accepted")
 	}
-	if _, _, err := Execute(context.Background(), &Join{Build: &Scan{Table: &Table{}}, Probe: &Scan{Table: &Table{}}}, Options{}); err == nil {
+	if _, _, err := runOnce(context.Background(), &Join{Build: &Scan{Table: &Table{}}, Probe: &Scan{Table: &Table{}}}, nil, Options{}); err == nil {
 		t.Fatal("join without keys accepted")
 	}
 }
@@ -244,7 +244,7 @@ func TestQuickJoinEquivalence(t *testing.T) {
 		build := tbl("b", int(nb%40)+1, func(i int) any { return (i + int(seedB)) % m }, func(i int) any { return i })
 		probe := tbl("p", int(np%60)+1, func(i int) any { return (i + int(seedP)) % m }, func(i int) any { return i })
 		plan := &Join{Build: &Scan{Table: build}, Probe: &Scan{Table: probe}, BuildKey: KeyCol(0), ProbeKey: KeyCol(0)}
-		got, _, err := Execute(context.Background(), plan, Options{Workers: 3, Morsel: 7, Batch: 5})
+		got, _, err := runOnce(context.Background(), plan, nil, Options{Workers: 3, Morsel: 7, Batch: 5})
 		if err != nil {
 			return false
 		}

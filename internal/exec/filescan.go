@@ -76,7 +76,7 @@ func (q *query) processScanFile(a *activation, w int) (outs []*activation, resul
 	}
 	b, err := ft.ReadChunkWhere(ci, s.Preds, &q.pool.scanners[w])
 	if err != nil {
-		q.fail(err)
+		q.mq.fail(err)
 		return nil, nil
 	}
 	ch := ft.Chunk(ci)

@@ -1,11 +1,11 @@
 package exec
 
-// Global activation stealing for the multi-node engine — the real-data
+// Global activation stealing between an engine's nodes — the real-data
 // port of the simulation's protocol (internal/core/globallb.go, §3.2 and
 // §4 of the paper).
 //
-// When a node's pool starves on a multi-node query (no activation in any
-// queue of the fragment's current chain), a worker claims a steal round
+// When a node's pool starves on a query (no activation in any queue of
+// the fragment's current chain), a worker claims a steal round
 // for the fragment and solicits offers from every peer node. Only probe
 // activations qualify (condition iv of §3.2) and a queue must hold
 // enough work to amortize the acquisition (condition ii); each candidate
@@ -42,13 +42,14 @@ const (
 )
 
 // stealClaimLocked finds a fragment on this pool that should start a
-// steal round: a multi-node query with stealing enabled whose current
-// chain has probe work somewhere but no activation queued on this node.
-// The claim is single-flight per fragment. Callers hold p.mu.
-func (p *Pool) stealClaimLocked() *query {
+// steal round: a query with stealing enabled (decided once, at submit:
+// peers exist and Options.DisableStealing is off) whose current chain
+// has probe work somewhere but no activation queued on this node. The
+// claim is single-flight per fragment. Callers hold p.mu.
+func (p *pool) stealClaimLocked() *query {
 	for _, q := range p.queries {
 		mq := q.mq
-		if mq == nil || mq.opt.DisableStealing || q.terminalLocked() ||
+		if !mq.stealing || q.terminalLocked() ||
 			q.stealBusy || q.stealIdle || len(q.parked) > 0 {
 			continue
 		}

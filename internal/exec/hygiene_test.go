@@ -1,9 +1,9 @@
 package exec
 
-// Shared post-incident hygiene helpers for the exec test suite: the
-// goroutine-leak check (internal/leaktest, also used by the facade
-// tests) plus the pool-idle check — after a cancel/abort, a fresh query
-// on the same pool or engine must still complete. Register
+// Shared helpers of the exec test suite: the goroutine-leak check
+// (internal/leaktest, also used by the facade tests), the engine-idle
+// check — after a cancel/abort, a fresh query on the same engine must
+// still complete — and runOnce, the suite's reference run. Register
 // checkQueryHygiene at the top of every test that spawns a query.
 
 import (
@@ -25,6 +25,32 @@ func drainRows(h *Handle) []Row {
 	return out
 }
 
+// runOnce runs one query — a group-by when gb is non-nil — to completion
+// on a one-node engine of opt.Workers workers that lives for the call,
+// and materializes its result: the reference run the suite compares
+// other engines, options and node counts against.
+func runOnce(ctx context.Context, root Node, gb *GroupBy, opt Options) ([]Row, *Stats, error) {
+	ns, err := NewNodes(1, opt.Workers, 0)
+	if err != nil {
+		return nil, nil, err
+	}
+	defer ns.Close()
+	var h *Handle
+	if gb != nil {
+		h, err = ns.SubmitGroupBy(ctx, root, gb, opt)
+	} else {
+		h, err = ns.Submit(ctx, root, opt)
+	}
+	if err != nil {
+		return nil, nil, err
+	}
+	rows := drainRows(h)
+	if err := h.Err(); err != nil {
+		return nil, nil, err
+	}
+	return rows, h.Stats(), nil
+}
+
 // checkQueryHygiene registers the suite's goroutine-leak check. Call it
 // before creating pools or engines: cleanups run LIFO, so the check
 // runs after the test's Close cleanups have released the workers.
@@ -33,15 +59,11 @@ func checkQueryHygiene(t *testing.T) {
 	leaktest.Check(t, 2)
 }
 
-// submitFunc is the Submit surface shared by Pool and Nodes.
-type submitFunc func(context.Context, Node, Options) (*Handle, error)
-
-// verifyIdle proves a pool or engine still serves queries (the
-// "pool-idle" check): a small fresh join must complete with the right
-// cardinality. Pass p.Submit or ns.Submit.
-func verifyIdle(t *testing.T, submit submitFunc) {
+// verifyIdle proves an engine still serves queries (the "engine-idle"
+// check): a small fresh join must complete with the right cardinality.
+func verifyIdle(t *testing.T, ns *Nodes) {
 	t.Helper()
-	h, err := submit(context.Background(), cancelPlan(1000), Options{})
+	h, err := ns.Submit(context.Background(), cancelPlan(1000), Options{})
 	if err != nil {
 		t.Fatalf("post-incident query failed to submit: %v", err)
 	}

@@ -27,10 +27,10 @@ package exec
 // the hot path is untouched. Spill-phase advancement rides the existing
 // operator lifecycle: a spilled probe operator whose pending count hits
 // zero is not finished but advanced to its next partition by
-// spillNextLocked, so the chain barrier, multi-node coordinator and
-// group-by merge all see a perfectly ordinary (if long-lived) operator.
+// spillNextLocked, so the coordinator's chain barrier and the group-by
+// merge see a perfectly ordinary (if long-lived) operator.
 //
-// Lock order: pool.mu (or mq.mu -> pool.mu) -> joinSpill.mu ->
+// Lock order: mq.mu -> pool.mu -> joinSpill.mu ->
 // memBroker.mu -> query.spillMu -> spill.File's internal mutex. Sealing
 // a build side (opRun.seal, sealStripes) happens outside all of them.
 
@@ -231,7 +231,7 @@ func (q *query) ensureSpillDir() (string, error) {
 	if q.spillDir != "" {
 		return q.spillDir, nil
 	}
-	base := q.opt.SpillDir
+	base := q.mq.opt.SpillDir
 	if base == "" {
 		base = os.TempDir()
 	}
@@ -319,7 +319,7 @@ func (q *query) spillBatchSel(files []*spill.File, b *vec.Batch, sel []int32, hs
 		if len(psel) == 0 {
 			continue
 		}
-		if err := files[d].AppendSel(b, psel, q.opt.Batch); err != nil {
+		if err := files[d].AppendSel(b, psel, q.mq.opt.Batch); err != nil {
 			return err
 		}
 	}
@@ -444,8 +444,8 @@ func (q *query) newSpillPartFiles(sp *joinSpill, opID int) (build, probe []*spil
 // count hits zero: finish the current partition phase (refund its
 // charge, delete its files), then hand back a load activation for the
 // next non-empty partition — or nil when all partitions are joined and
-// the operator may truly finish. Callers hold the fragment's pool
-// mutex (and, multi-node, mq.mu).
+// the operator may truly finish. Callers (mquery.opFinished) hold mq.mu
+// and the fragment's pool mutex.
 func (q *query) spillNextLocked(or *opRun) *activation {
 	if or.op.kind != opProbe || q.aborted {
 		return nil
@@ -490,7 +490,7 @@ func (q *query) processSpillLoad(a *activation, w int) (outs []*activation) {
 	sp.drainCloses()
 	part := a.spill.part
 	if err := sp.seal(part); err != nil {
-		q.fail(err)
+		q.mq.fail(err)
 		return nil
 	}
 	vs := &q.vscratch[w]
@@ -508,7 +508,7 @@ func (q *query) processSpillLoad(a *activation, w int) (outs []*activation) {
 	resident := part.build.Bytes() + part.build.Rows()*(hashEntryBytes+24)
 	if resident > headroom && part.depth < maxSpillDepth {
 		if err := q.repartition(sp, a.op, part, vs); err != nil {
-			q.fail(err)
+			q.mq.fail(err)
 		}
 		return nil // pending grew; the next pend==0 advance picks it up
 	}
@@ -522,7 +522,7 @@ func (q *query) processSpillLoad(a *activation, w int) (outs []*activation) {
 	for _, ref := range part.build.Refs() {
 		db, err := part.build.ReadCols(ref)
 		if err != nil {
-			q.fail(err)
+			q.mq.fail(err)
 			return nil
 		}
 		var keys []any
@@ -535,7 +535,7 @@ func (q *query) processSpillLoad(a *activation, w int) (outs []*activation) {
 	}
 	// One stripe: the seal aliases its storage, nothing is copied.
 	if err := sealStripes([]*stripeStore{store}); err != nil {
-		q.fail(err)
+		q.mq.fail(err)
 		return nil
 	}
 	q.chargeMem(bytes) // may exceed at the depth cap; accepted
@@ -599,7 +599,7 @@ func (q *query) repartition(sp *joinSpill, probeOp *pop, part spillPart, vs *vec
 func (q *query) processSpillProbe(a *activation, w int) (outs []*activation, results *vec.Batch) {
 	pb, err := a.spill.file.ReadCols(a.spill.ref)
 	if err != nil {
-		q.fail(err)
+		q.mq.fail(err)
 		return nil, nil
 	}
 	ss := a.spill.phase.store
@@ -633,7 +633,7 @@ func (q *query) governGroupPartial(w int) error {
 		return nil
 	}
 	q.gbGroups[w] = len(m)
-	add := int64(grown) * (groupOverheadBytes + 8*int64(len(q.gb.Aggs)))
+	add := int64(grown) * (groupOverheadBytes + 8*int64(len(q.mq.gb.Aggs)))
 	q.gbCharged[w] += add
 	if !q.chargeMem(add) {
 		return nil
@@ -648,7 +648,7 @@ func (q *query) governGroupPartial(w int) error {
 		q.gbFiles[w] = f
 		q.spilledParts.Add(1)
 	}
-	for _, b := range batchRowsVec(groupSpillRows(m, q.gb), q.opt.Batch) {
+	for _, b := range batchRowsVec(groupSpillRows(m, q.mq.gb), q.mq.opt.Batch) {
 		if _, err := f.AppendCols(b); err != nil {
 			return err
 		}
@@ -664,7 +664,7 @@ func (q *query) governGroupPartial(w int) error {
 // spilled partials back in — the governed replacement for
 // mergePartials(q.partials, ...).
 func (q *query) mergedGroups() (map[any]*groupState, error) {
-	merged := mergePartials(q.partials, q.gb)
+	merged := mergePartials(q.partials, q.mq.gb)
 	for _, f := range q.gbFiles {
 		if f == nil {
 			continue
@@ -674,7 +674,7 @@ func (q *query) mergedGroups() (map[any]*groupState, error) {
 			if err != nil {
 				return nil, err
 			}
-			mergeSpilledGroups(merged, q.gb, b)
+			mergeSpilledGroups(merged, q.mq.gb, b)
 		}
 	}
 	return merged, nil

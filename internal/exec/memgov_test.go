@@ -27,7 +27,7 @@ func govPlan(buildRows, probeRows int) Node {
 // returns rows plus stats.
 func runGoverned(t *testing.T, plan Node, opt Options) ([]Row, *Stats) {
 	t.Helper()
-	pool, err := NewPool(4, 0)
+	pool, err := NewNodes(1, 4, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func runGoverned(t *testing.T, plan Node, opt Options) ([]Row, *Stats) {
 func TestSpillJoinMatchesUnlimited(t *testing.T) {
 	checkQueryHygiene(t)
 	plan := govPlan(5_000, 20_000)
-	want, _, err := Execute(context.Background(), plan, Options{Workers: 4})
+	want, _, err := runOnce(context.Background(), plan, nil, Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestSpillJoinMatchesUnlimited(t *testing.T) {
 func TestSpillRecursesOnOversizedPartitions(t *testing.T) {
 	checkQueryHygiene(t)
 	plan := govPlan(8_000, 8_000)
-	want, _, err := Execute(context.Background(), plan, Options{Workers: 4})
+	want, _, err := runOnce(context.Background(), plan, nil, Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestSpillChainedJoins(t *testing.T) {
 		return &Join{Build: &Scan{Table: fact}, Probe: inner,
 			BuildKey: KeyCol(0), ProbeKey: KeyCol(1)}
 	}
-	want, _, err := Execute(context.Background(), mk(), Options{Workers: 4})
+	want, _, err := runOnce(context.Background(), mk(), nil, Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,11 +118,11 @@ func TestSpillGroupByMatchesUnlimited(t *testing.T) {
 			{Func: Max, Arg: func(r Row) float64 { return float64(r[1].(int)) }},
 		},
 	}
-	want, _, err := ExecuteGroupBy(context.Background(), plan, gb, Options{Workers: 4})
+	want, _, err := runOnce(context.Background(), plan, gb, Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool, err := NewPool(4, 0)
+	pool, err := NewNodes(1, 4, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestSpillGroupByMatchesUnlimited(t *testing.T) {
 func TestMultiNodeSpillMatchesUnlimited(t *testing.T) {
 	checkQueryHygiene(t)
 	plan := govPlan(5_000, 20_000)
-	want, _, err := Execute(context.Background(), plan, Options{Workers: 4})
+	want, _, err := runOnce(context.Background(), plan, nil, Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +190,7 @@ func TestMultiNodeSpillMatchesUnlimited(t *testing.T) {
 func TestSpillStaticMode(t *testing.T) {
 	checkQueryHygiene(t)
 	plan := govPlan(5_000, 20_000)
-	want, _, err := Execute(context.Background(), plan, Options{Workers: 4})
+	want, _, err := runOnce(context.Background(), plan, nil, Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +207,7 @@ func TestSpillStaticMode(t *testing.T) {
 func TestSpillCancellationRemovesTempFiles(t *testing.T) {
 	checkQueryHygiene(t)
 	dir := t.TempDir()
-	pool, err := NewPool(4, 0)
+	pool, err := NewNodes(1, 4, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +272,7 @@ func TestSpillUnsupportedTypeFails(t *testing.T) {
 	probe := tbl("p", 100, func(i int) any { return i }, func(i int) any { return i })
 	plan := &Join{Build: &Scan{Table: build}, Probe: &Scan{Table: probe},
 		BuildKey: KeyCol(0), ProbeKey: KeyCol(0)}
-	pool, err := NewPool(4, 0)
+	pool, err := NewNodes(1, 4, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,7 +290,7 @@ func TestSpillUnsupportedTypeFails(t *testing.T) {
 
 // TestNegativeMemoryRejected: option validation.
 func TestNegativeMemoryRejected(t *testing.T) {
-	pool, err := NewPool(2, 0)
+	pool, err := NewNodes(1, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,20 +1,33 @@
 package exec
 
-// Multi-node execution: the paper's hierarchical architecture brought to
-// the real-data engine. A Nodes engine owns N node-local worker Pools —
-// each the shared-memory DP scheduler of pool.go — and hash-partitions
-// every table across them. A query fans out as one plan fragment per
-// node: scans read the node's partition, build/probe input batches are
-// routed to the node owning their join key (global bucket
-// g = hash(key) mod nodes*Stripes, owner g mod nodes), and each node
-// schedules its fragment DP-style exactly as a single-node query. The
-// inter-node layer — starving nodes acquiring remote probe queues with
-// their hash-table buckets — lives in globallb.go.
+// The engine: the paper's hierarchical architecture on real data. A
+// Nodes engine owns n node-local worker pools — each the shared-memory
+// DP scheduler of pool.go — and hash-partitions every table across them;
+// a shared-memory machine is simply the hierarchy with one node. Every
+// query runs the same way: a coordinator (mquery) fans it out as one
+// plan fragment per node, scans read the node's partition, build/probe
+// input batches are routed to the node owning their join key (global
+// bucket g = hash(key) mod nodes*Stripes, owner g mod nodes), and each
+// node schedules its fragment DP-style. The inter-node layer — starving
+// nodes acquiring remote probe queues with their hash-table buckets —
+// lives in globallb.go and engages only when a second node exists.
 //
-// Locking: an mquery coordinator carries the query-global operator
-// accounting (pending counts, chain barrier) under its own mutex.
-// Coordinator work may take pool mutexes (mq.mu -> pool.mu), never the
-// reverse; at most one pool mutex is held at a time.
+// Locking: admit -> mq -> pool. The admission controller (admit.go) is
+// outermost and held across nothing. An mquery carries the query-global
+// operator accounting (pending counts, chain barrier) under its own
+// mutex. Coordinator work may take pool mutexes (mq.mu -> pool.mu),
+// never the reverse; at most one pool mutex is held at a time.
+//
+// What a worker pays per activation: one mq.mu round (mquery.epilogue
+// settles the outs' pending counts and the activation's own together),
+// a pool.mu round on each node it emitted batches to, and the pool.mu
+// round of its next pick. A scheduler that knew only one node could fold all three into
+// the pick; here a one-node query pays the mq.mu round and, when the
+// activation had output, one pool.mu round more. Both are short,
+// uncontended next to the activation itself (a 1024-row morsel, a
+// 256-row batch), and measured flat on bench/'s join_stream — the price
+// of chain start, operator completion, spill-phase advance, merge
+// hand-off, abort and retirement existing once.
 
 import (
 	"context"
@@ -26,18 +39,13 @@ import (
 	"hierdb/internal/vec"
 )
 
-// Nodes is a multi-node engine: n node-local worker pools behind one
-// Submit surface. With n == 1 it is exactly a single Pool (every call
-// delegates), so the multi-node machinery costs nothing until a second
-// node exists.
+// Nodes is the engine: n node-local worker pools behind one Submit
+// surface.
 type Nodes struct {
 	n       int
 	workers int // per node
-	pools   []*Pool
-	// admit is the engine-wide admission controller (nil = unlimited).
-	// With n == 1 it lives on the single pool instead, so the delegated
-	// Submit path owns admission end to end.
-	admit *admitter
+	pools   []*pool
+	admit   *admitter // engine-wide admission controller; nil = unlimited
 
 	mu     sync.Mutex
 	parts  map[*Table][]*vec.Batch
@@ -71,9 +79,9 @@ type EngineConfig struct {
 	BrokerMemory int64
 }
 
-// NewNodes starts a multi-node engine: nodes pools of workers goroutines
-// each (both 0 means the default: 1 node, 4 workers). maxConcurrent
-// bounds in-flight queries across the engine (0 = unlimited).
+// NewNodes starts an engine: nodes pools of workers goroutines each
+// (both 0 means the default: 1 node, 4 workers). maxConcurrent bounds
+// in-flight queries across the engine (0 = unlimited).
 func NewNodes(nodes, workers, maxConcurrent int) (*Nodes, error) {
 	return NewNodesConfig(EngineConfig{Nodes: nodes, Workers: workers, MaxConcurrentQueries: maxConcurrent})
 }
@@ -81,12 +89,18 @@ func NewNodes(nodes, workers, maxConcurrent int) (*Nodes, error) {
 // NewNodesConfig starts an engine from an explicit configuration; see
 // EngineConfig.
 func NewNodesConfig(cfg EngineConfig) (*Nodes, error) {
-	nodes := cfg.Nodes
+	nodes, workers := cfg.Nodes, cfg.Workers
 	if nodes < 0 {
 		return nil, fmt.Errorf("exec: negative Nodes (%d)", nodes)
 	}
 	if nodes == 0 {
 		nodes = 1
+	}
+	if workers < 0 {
+		return nil, fmt.Errorf("exec: negative Workers (%d)", workers)
+	}
+	if workers == 0 {
+		workers = 4
 	}
 	if cfg.MaxConcurrentQueries < 0 {
 		return nil, fmt.Errorf("exec: negative MaxConcurrentQueries (%d)", cfg.MaxConcurrentQueries)
@@ -97,46 +111,21 @@ func NewNodesConfig(cfg EngineConfig) (*Nodes, error) {
 	if cfg.BrokerMemory < 0 {
 		return nil, fmt.Errorf("exec: negative BrokerMemory (%d)", cfg.BrokerMemory)
 	}
-	var admit *admitter
+	ns := &Nodes{
+		n:       nodes,
+		workers: workers,
+		parts:   make(map[*Table][]*vec.Batch),
+		live:    make(map[*mquery]struct{}),
+	}
 	if cfg.MaxConcurrentQueries > 0 {
-		admit = newAdmitter(cfg.MaxConcurrentQueries, cfg.AdmissionQueue)
+		ns.admit = newAdmitter(cfg.MaxConcurrentQueries, cfg.AdmissionQueue)
 	}
-	broker := func() *memBroker {
-		if cfg.BrokerMemory > 0 {
-			return &memBroker{budget: cfg.BrokerMemory}
-		}
-		return nil
-	}
-	ns := &Nodes{n: nodes}
-	if nodes == 1 {
-		p, err := newPool(cfg.Workers, admit, broker())
-		if err != nil {
-			return nil, err
-		}
-		ns.pools = []*Pool{p}
-		ns.workers = p.Workers()
-		return ns, nil
-	}
-	workers := cfg.Workers
-	if workers < 0 {
-		return nil, fmt.Errorf("exec: negative Workers (%d)", workers)
-	}
-	if workers == 0 {
-		workers = 4
-	}
-	ns.workers = workers
-	ns.parts = make(map[*Table][]*vec.Batch)
-	ns.live = make(map[*mquery]struct{})
-	ns.admit = admit
 	for i := 0; i < nodes; i++ {
-		p, err := newPool(workers, nil, broker())
-		if err != nil {
-			for _, q := range ns.pools {
-				q.Close()
-			}
-			return nil, err
+		var broker *memBroker
+		if cfg.BrokerMemory > 0 {
+			broker = &memBroker{budget: cfg.BrokerMemory}
 		}
-		ns.pools = append(ns.pools, p)
+		ns.pools = append(ns.pools, newPool(workers, broker))
 	}
 	return ns, nil
 }
@@ -160,9 +149,6 @@ func (ns *Nodes) Partition(t *Table) []*vec.Batch {
 		// File-backed tables are never resident-partitioned: chunks are
 		// assigned to node fragments positionally at chain start.
 		return nil
-	}
-	if ns.n == 1 {
-		return []*vec.Batch{columnize(t)}
 	}
 	ns.mu.Lock()
 	if p, ok := ns.parts[t]; ok {
@@ -199,8 +185,12 @@ func (ns *Nodes) partitionFor(t *Table) []*vec.Batch {
 
 // hashPartition builds n index views over the table's columnization —
 // no row is copied, each partition shares the table's column storage.
+// A single partition is the columnization itself, dense.
 func hashPartition(t *Table, n int) []*vec.Batch {
 	b := columnize(t)
+	if n == 1 {
+		return []*vec.Batch{b}
+	}
 	idx := make([][]int32, n)
 	per := b.N/n + 1
 	for d := range idx {
@@ -218,18 +208,22 @@ func hashPartition(t *Table, n int) []*vec.Batch {
 	return p
 }
 
-// Submit compiles and starts a query on the engine; see Pool.Submit.
-// With more than one node the query executes as per-node fragments with
-// key-routed redistribution between operators; results are identical to
-// single-node execution (stream order aside).
+// Submit compiles and starts a query on the engine. The returned
+// Handle's Out channel streams result batches with backpressure; the
+// caller must drain it (or Cancel) for the query's workers to release.
+// opt.Workers is ignored — the engine's per-node worker count applies.
+// The query executes as one fragment per node with key-routed
+// redistribution between operators; results are identical at every node
+// count (stream order aside).
 func (ns *Nodes) Submit(ctx context.Context, root Node, opt Options) (*Handle, error) {
 	return ns.submit(ctx, root, nil, opt)
 }
 
 // SubmitGroupBy is Submit with a grouped aggregation folded over the
-// plan's output; see Pool.SubmitGroupBy. On a multi-node engine workers
-// fold node-local partials, each node merges its workers' partials when
-// the plan completes, and the per-node results merge at retirement.
+// plan's output: workers fold result batches into private partials, each
+// node merges its workers' partials when the plan completes, the last
+// node to finish merges the per-node results, and the groups stream
+// out ordered deterministically by formatted key.
 func (ns *Nodes) SubmitGroupBy(ctx context.Context, root Node, gb *GroupBy, opt Options) (*Handle, error) {
 	if err := validateGroupBy(gb); err != nil {
 		return nil, err
@@ -238,9 +232,6 @@ func (ns *Nodes) SubmitGroupBy(ctx context.Context, root Node, gb *GroupBy, opt 
 }
 
 func (ns *Nodes) submit(ctx context.Context, root Node, gb *GroupBy, opt Options) (*Handle, error) {
-	if ns.n == 1 {
-		return ns.pools[0].submit(ctx, root, gb, opt)
-	}
 	opt, err := opt.validateFor(ns.workers)
 	if err != nil {
 		return nil, err
@@ -248,7 +239,9 @@ func (ns *Nodes) submit(ctx context.Context, root Node, gb *GroupBy, opt Options
 	if root == nil {
 		return nil, fmt.Errorf("exec: nil plan")
 	}
-	// Admission precedes compilation — see Pool.submit.
+	// Admission precedes compilation: a parked Submit holds no compiled
+	// physical plan (or any other per-query state) while it waits, and
+	// Close fails it promptly even on a context.Background() caller.
 	var wait time.Duration
 	if ns.admit != nil {
 		if wait, err = ns.admit.acquire(ctx, opt.Tenant); err != nil {
@@ -257,88 +250,76 @@ func (ns *Nodes) submit(ctx context.Context, root Node, gb *GroupBy, opt Options
 	}
 	phys, err := compile(root)
 	if err != nil {
-		if ns.admit != nil {
-			ns.admit.release()
-		}
+		ns.admitRelease()
 		return nil, err
 	}
 	annotateVec(phys)
-	qctx, qcancel := context.WithCancel(ctx)
-	mq := &mquery{
-		nodes:     ns,
-		phys:      phys,
-		gb:        gb,
-		opt:       opt,
-		n:         ns.n,
-		buckets:   ns.n * opt.Stripes,
-		ctx:       qctx,
-		cancel:    qcancel,
-		sink:      make(chan *vec.Batch, 2*opt.Workers*ns.n),
-		finished:  make(chan struct{}),
-		scanParts: make(map[int][]*vec.Batch),
-		ops:       make([]mop, len(phys.ops)),
+	h := ns.newQuery(ctx, phys, gb, opt)
+	mq := &h.mq
+	mq.stats.AdmissionWait = wait
+
+	ns.mu.Lock()
+	if ns.closed {
+		ns.mu.Unlock()
+		mq.cancel()
+		ns.admitRelease()
+		return nil, ErrClosed
 	}
+	mq.stats.QueryID = ns.nextID
+	ns.nextID++
+	ns.live[mq] = struct{}{}
+	ns.mu.Unlock()
+
+	// Attach the fragments to their pools. A concurrent Close fails every
+	// query in live before it closes a pool, and a failed fragment with
+	// nothing in flight retires on the spot: a fragment still unretired
+	// here is on a pool whose workers will serve it.
+	for i, fq := range mq.frags {
+		p := ns.pools[i]
+		p.mu.Lock()
+		if !fq.retired {
+			p.queries = append(p.queries, fq)
+		}
+		p.mu.Unlock()
+	}
+	mq.start()
+	go mq.watch()
+	return h, nil
+}
+
+// newQuery builds a compiled query's coordinator and its per-node
+// fragments, fully, before the query becomes visible to anyone: a
+// concurrent Close walks mq.frags without a lock.
+func (ns *Nodes) newQuery(ctx context.Context, phys *physical, gb *GroupBy, opt Options) *Handle {
+	h := &Handle{mq: mquery{
+		nodes:    ns,
+		phys:     phys,
+		gb:       gb,
+		opt:      opt,
+		n:        ns.n,
+		buckets:  ns.n * opt.Stripes,
+		stealing: ns.n > 1 && !opt.DisableStealing,
+		sink:     make(chan *vec.Batch, 2*opt.Workers*ns.n),
+		finished: make(chan struct{}),
+		ops:      make([]mop, len(phys.ops)),
+	}}
+	mq := &h.mq
+	mq.ctx, mq.cancel = context.WithCancel(ctx)
 	for _, op := range phys.ops {
 		if op.kind == opScan && op.scan.Table.File == nil {
-			mq.scanParts[op.id] = ns.partitionFor(op.scan.Table)
+			mq.ops[op.id].parts = ns.partitionFor(op.scan.Table)
 		}
 	}
 	if gb != nil {
 		mq.nodeParts = make([]map[any]*groupState, ns.n)
 	}
+	mq.stats.PerWorker = make([]int64, ns.n*opt.Workers)
 	mq.remaining.Store(int64(ns.n))
-	// Fragments are fully built before the query becomes visible in
-	// live: a concurrent Close walks mq.frags without a lock.
+	mq.frags = mq.fragBuf[:0]
 	for i := 0; i < ns.n; i++ {
-		fq := newQuery(ns.pools[i], phys, gb, opt, qctx, qcancel, ns.n, mq.sink)
-		fq.mq = mq
-		fq.node = i
-		mq.frags = append(mq.frags, fq)
+		mq.frags = append(mq.frags, newFragment(mq, i))
 	}
-
-	mq.stats.AdmissionWait = wait
-	ns.mu.Lock()
-	if ns.closed {
-		ns.mu.Unlock()
-		qcancel()
-		if ns.admit != nil {
-			ns.admit.release()
-		}
-		return nil, ErrClosed
-	}
-	mq.id = ns.nextID
-	ns.nextID++
-	mq.stats.QueryID = mq.id
-	ns.live[mq] = struct{}{}
-	ns.mu.Unlock()
-
-	for _, fq := range mq.frags {
-		fq.id = mq.id
-		fq.stats.QueryID = mq.id
-	}
-	// Attach fragments to their pools. A concurrent Close either sees the
-	// query in live (and fails it) or has already closed the pool, in
-	// which case the fragment fails right here.
-	var fin []*query
-	for i, fq := range mq.frags {
-		p := ns.pools[i]
-		p.mu.Lock()
-		if p.closed {
-			fq.failLocked(ErrClosed)
-		} else if !fq.retired {
-			p.queries = append(p.queries, fq)
-		}
-		if p.retireIfDoneLocked(fq) {
-			fin = append(fin, fq)
-		}
-		p.mu.Unlock()
-	}
-	for _, fq := range fin {
-		fq.finalize()
-	}
-	mq.start()
-	go mq.watch()
-	return &Handle{mq: mq}, nil
+	return h
 }
 
 // release returns a retired query's admission slot and live entry.
@@ -346,6 +327,11 @@ func (ns *Nodes) release(mq *mquery) {
 	ns.mu.Lock()
 	delete(ns.live, mq)
 	ns.mu.Unlock()
+	ns.admitRelease()
+}
+
+// admitRelease returns an admission slot, if the engine bounds them.
+func (ns *Nodes) admitRelease() {
 	if ns.admit != nil {
 		ns.admit.release()
 	}
@@ -354,10 +340,6 @@ func (ns *Nodes) release(mq *mquery) {
 // Close aborts in-flight queries with ErrClosed and stops every pool's
 // workers. Idempotent; blocks until all workers exit.
 func (ns *Nodes) Close() {
-	if ns.n == 1 {
-		ns.pools[0].Close()
-		return
-	}
 	ns.mu.Lock()
 	if ns.closed {
 		ns.mu.Unlock()
@@ -378,39 +360,50 @@ func (ns *Nodes) Close() {
 		mq.fail(ErrClosed)
 	}
 	for _, p := range ns.pools {
-		p.Close()
+		p.close()
 	}
 }
 
-// mop is the coordinator's per-operator accounting: pend counts queued
-// plus in-process activations across all nodes.
+// mop is the coordinator's per-operator state: pend counts queued plus
+// in-process activations across all nodes; parts is a resident-table
+// scan's per-node partition of its table.
 type mop struct {
 	pend    int64
-	prodEnd bool
+	prodEnd bool // no more input will arrive
 	done    bool
+	parts   []*vec.Batch
 }
 
-// mquery coordinates one multi-node query: per-node fragments, global
-// operator/chain state, the shared result sink, steal bookkeeping and
-// sealed stats. See the package comment at the top of this file for the
-// locking rules.
+// mquery coordinates one query: per-node fragments, global
+// operator/chain state, the shared context and result sink, steal
+// bookkeeping, the terminal error and sealed stats. See the comment at
+// the top of this file for the locking rules.
 type mquery struct {
 	nodes *Nodes
-	id    int64
 	phys  *physical
 	gb    *GroupBy
 	opt   Options
 	n     int
 	// buckets is the global hash-bucket count n*Stripes; a key's owner
 	// node is hashKey(k, buckets) mod n.
-	buckets   int
-	scanParts map[int][]*vec.Batch // scan opID -> per-node partition
+	buckets int
+	// stealing enables the global load-balancing layer: a second node
+	// exists and the query did not disable it.
+	stealing bool
 
-	ctx      context.Context //hierdb:ctx-in-struct coordinator lifetime: cancelled when the multi-node query retires
-	cancel   context.CancelFunc
-	sink     chan *vec.Batch
+	// ctx is done when the caller's context is cancelled, the consumer
+	// closes the result stream, or the query retires.
+	ctx    context.Context //hierdb:ctx-in-struct query lifetime: the struct is the cancellation scope
+	cancel context.CancelFunc
+	// sink carries result batches to the consumer; its bound provides
+	// backpressure instead of materializing the full result set. Closed
+	// at retirement.
+	sink chan *vec.Batch
+	// finished is closed when the query is fully retired: no worker will
+	// touch it again, err and stats are final.
 	finished chan struct{}
 	frags    []*query
+	fragBuf  [2]*query // backs frags on small engines: one allocation less
 
 	remaining   atomic.Int64 // fragments not yet retired
 	idleThieves atomic.Int64 // fragments parked in stealIdle
@@ -418,13 +411,15 @@ type mquery struct {
 	mu      sync.Mutex //hierdb:lock mq
 	ops     []mop
 	chain   int
-	done    bool
 	aborted bool
 	err     error
 	merged  int // fragments whose per-node group-by partial is merged
 	// nodeParts holds the per-node merged partial aggregation states.
 	nodeParts []map[any]*groupState
 
+	// stats is sealed when the last fragment retires; until then only
+	// QueryID, AdmissionWait (set at submit) and PerWorker (whose
+	// per-node windows the fragments count into) are live.
 	stats Stats
 }
 
@@ -443,9 +438,9 @@ func (mq *mquery) start() {
 }
 
 // startChain seeds every fragment's driver-scan morsels over its table
-// partition and resets per-chain steal state. Returns true when the
-// cascade completed the whole query (all chains empty). Callers hold
-// mq.mu.
+// partition, allocates workers to the chain's operators in static mode,
+// and resets per-chain steal state. Returns true when the cascade
+// completed the whole query (all chains empty). Callers hold mq.mu.
 func (mq *mquery) startChain(c int) bool {
 	mq.chain = c
 	chain := mq.phys.chains[c]
@@ -462,10 +457,12 @@ func (mq *mquery) startChain(c int) bool {
 		if !fq.aborted {
 			or := fq.ops[driver.id]
 			if ft := driver.scan.Table.File; ft != nil {
-				// File-backed driver: chunks are assigned to fragments
-				// positionally — mix64 of the chunk index, mirroring
-				// hashPartition's row rule — so every node streams a
-				// balanced share regardless of data distribution.
+				// File-backed driver: one activation per chunk (the chunk
+				// is the morsel — decode cost, not row count, is the work
+				// unit), assigned to fragments positionally — mix64 of
+				// the chunk index, mirroring hashPartition's row rule —
+				// so every node streams a balanced share regardless of
+				// data distribution.
 				for ci := 0; ci < ft.NumChunks(); ci++ {
 					if int(mix64(uint64(ci))%uint64(mq.n)) != i {
 						continue
@@ -474,7 +471,7 @@ func (mq *mquery) startChain(c int) bool {
 					total++
 				}
 			} else {
-				part := mq.scanParts[driver.id][i]
+				part := mq.ops[driver.id].parts[i]
 				for lo := 0; lo < part.N; lo += mq.opt.Morsel {
 					hi := min(lo+mq.opt.Morsel, part.N)
 					fq.enqueueLocked(or, &activation{op: driver, lo: lo, hi: hi})
@@ -497,50 +494,49 @@ func (mq *mquery) startChain(c int) bool {
 	return false
 }
 
-// epilogue is the post-processing bookkeeping of one fragment
-// activation: route output batches to their owner nodes, settle global
-// pending counts, and advance operators/chains. Called by the worker
-// loop without any lock held; the caller still decrements q.inflight
-// and runs the retirement check on its own pool afterwards.
+// epilogue is the post-processing bookkeeping of one activation: settle
+// the global pending counts — the outs' before the activation's own, so
+// an operator never looks drained while its input is in transit —
+// advance operators and chains, then route the output batches to their
+// owner nodes. Called by the worker loop without any lock held; the
+// caller still decrements q.inflight and runs the retirement check on
+// its own pool afterwards.
 //
 //hierdb:hotpath
 func (mq *mquery) epilogue(q *query, a *activation, outs []*activation, delivered bool) {
 	if !delivered {
-		mq.fail(q.ctx.Err())
-	}
-	if len(outs) > 0 {
-		mq.mu.Lock()
-		aborted := mq.aborted
-		if !aborted {
-			// Each out addresses its own operator: the consumer, or the
-			// producing operator itself (spill-phase probes, a probe
-			// batch's cut-off tail).
-			for _, out := range outs {
-				mq.ops[out.op.id].pend++
-			}
-		}
-		mq.mu.Unlock()
-		if !aborted {
-			mq.deliverOuts(q, outs)
-		}
+		mq.fail(mq.ctx.Err())
 	}
 	var completed bool
 	mq.mu.Lock()
+	aborted := mq.aborted
+	if !aborted {
+		// Each out addresses its own operator: the consumer, or the
+		// producing operator itself (spill-phase probes, a probe
+		// batch's cut-off tail).
+		for _, out := range outs {
+			mq.ops[out.op.id].pend++
+		}
+	}
 	mo := &mq.ops[a.op.id]
 	mo.pend--
-	if !mq.aborted && mo.pend == 0 && mo.prodEnd && !mo.done {
+	if !aborted && mo.pend == 0 && mo.prodEnd && !mo.done {
 		completed = mq.opFinished(a.op)
 	}
 	mq.mu.Unlock()
+	if !aborted && len(outs) > 0 {
+		mq.deliverOuts(q, outs)
+	}
 	if completed {
 		mq.completeFrags()
 	}
 }
 
 // deliverOuts enqueues routed batches on their destination fragments
-// (the redistribution "network" of the hierarchy), waking destination
-// workers and any steal-idle thief whose peers refilled past the wake
-// threshold. Called without locks; pending counts were settled first.
+// (the redistribution "network" of the hierarchy; on one node, the
+// fragment's own queues), waking destination workers and any steal-idle
+// thief whose peers refilled past the wake threshold. Called without
+// locks; pending counts were settled first.
 //
 //hierdb:hotpath
 func (mq *mquery) deliverOuts(src *query, outs []*activation) {
@@ -608,13 +604,13 @@ func (mq *mquery) wakeThieves(except int) {
 	}
 }
 
-// opFinished marks an operator globally done, cascades end-of-producer
-// to its consumer, and advances the chain barrier; returns true once
-// the last chain completes. A probe operator whose join spilled on some
-// fragments is advanced instead: every such fragment gets its next
-// partition-load activation, and the operator only finishes once every
-// fragment's partitions are joined. Callers hold mq.mu (taking pool
-// mutexes here follows the mq -> pool lock order).
+// opFinished marks an operator done, cascades end-of-producer to its
+// consumer, and advances the chain barrier; returns true once the last
+// chain completes. A probe operator whose join spilled on some fragments
+// is advanced instead: every such fragment gets its next partition-load
+// activation each time the pending count drains, and the operator only
+// finishes once every fragment's partitions are joined. Callers hold
+// mq.mu (taking pool mutexes here follows the mq -> pool lock order).
 func (mq *mquery) opFinished(op *pop) bool {
 	if op.kind == opProbe && !mq.aborted {
 		loads := 0
@@ -650,7 +646,6 @@ func (mq *mquery) opFinished(op *pop) bool {
 	if mq.chain+1 < len(mq.phys.chains) {
 		return mq.startChain(mq.chain + 1)
 	}
-	mq.done = true
 	return true
 }
 
@@ -672,12 +667,12 @@ func (mq *mquery) completeFrags() {
 	}
 }
 
-// mergeFragment folds one node's worker partials into the node's
-// partial (including any spilled partials of a memory-governed query);
-// the last node to finish additionally merges the per-node partials
-// into the final output batches (returned non-nil), which the worker
-// parks on its fragment for the flusher machinery to stream. Called
-// from the worker loop without locks.
+// mergeFragment is the group-by merge job: fold one node's worker
+// partials into the node's partial (including any spilled partials of a
+// memory-governed query); the last node to finish additionally merges
+// the per-node partials into the final output batches (returned
+// non-nil), which the worker parks on its fragment for the flusher
+// machinery to stream. Called from the worker loop without locks.
 func (mq *mquery) mergeFragment(q *query) []*vec.Batch {
 	part, err := q.mergedGroups()
 	if err != nil {
@@ -700,14 +695,16 @@ func (mq *mquery) mergeFragment(q *query) []*vec.Batch {
 	return batchRowsVec(rows, mq.opt.Batch)
 }
 
-// fail aborts the whole query: every fragment drops its queues and
-// parked output, and the shared context is cancelled so blocked sends
-// release. Idempotent. Called without locks.
+// fail aborts the whole query with its terminal error — cancellation,
+// engine Close, or an error met while processing an activation
+// (table-file or spill I/O, a codec error, a build side too large to
+// seal, a contained panic): every fragment drops its queues and parked
+// output, and the shared context is cancelled so blocked sends release.
+// Idempotent. Called without locks.
 func (mq *mquery) fail(err error) {
 	mq.mu.Lock()
-	// Fully retired queries are immune (mirrors the single-node retired
-	// guard): retirement cancels the shared context, and the watcher's
-	// select may pick ctx.Done over finished.
+	// Fully retired queries are immune: retirement cancels the shared
+	// context, and the watcher's select may pick ctx.Done over finished.
 	if mq.aborted || mq.remaining.Load() == 0 {
 		mq.mu.Unlock()
 		return
@@ -722,7 +719,7 @@ func (mq *mquery) fail(err error) {
 	for i, fq := range mq.frags {
 		p := mq.nodes.pools[i]
 		p.mu.Lock()
-		fq.failLocked(err)
+		fq.failLocked()
 		fin := p.retireIfDoneLocked(fq)
 		p.cond.Broadcast()
 		p.mu.Unlock()
@@ -733,7 +730,8 @@ func (mq *mquery) fail(err error) {
 }
 
 // watch aborts the query when its context is cancelled (caller cancel or
-// Rows.Close) before it retires on its own.
+// Rows.Close) before it retires on its own. This is what makes
+// cancellation prompt even when every worker is parked.
 func (mq *mquery) watch() {
 	select {
 	case <-mq.ctx.Done():
@@ -759,45 +757,95 @@ func (mq *mquery) fragRetired() {
 }
 
 // sealStatsLocked aggregates per-fragment counters into the query's
-// final Stats with per-node breakdowns. All fragments have retired, so
-// their counters are quiescent (steal counters stay atomic: a stale
-// steal round may still be unwinding). Callers hold mq.mu.
+// final Stats, with per-node breakdowns when there is more than one
+// node. All fragments have retired, so their counters are quiescent
+// (steal counters stay atomic: a stale steal round may still be
+// unwinding). Callers hold mq.mu.
 func (mq *mquery) sealStatsLocked() {
 	s := &mq.stats
-	s.Nodes = make([]NodeStats, mq.n)
-	if len(mq.frags) > 0 {
-		s.OpRows = make([]int64, len(mq.frags[0].opRows))
+	if mq.n > 1 {
+		s.Nodes = make([]NodeStats, mq.n)
 	}
+	s.OpRows = make([]int64, len(mq.ops))
 	for i, fq := range mq.frags {
 		for oi := range fq.opRows {
 			s.OpRows[oi] += atomic.LoadInt64(&fq.opRows[oi])
 		}
-		nst := &s.Nodes[i]
-		nst.Node = i
-		nst.Activations = fq.acts
-		nst.ResultRows = atomic.LoadInt64(&fq.stats.ResultRows)
-		nst.PerWorker = append([]int64(nil), fq.stats.PerWorker...)
-		nst.RowsShippedIn = atomic.LoadInt64(&fq.shipIn)
-		nst.RowsShippedOut = atomic.LoadInt64(&fq.shipOut)
-		nst.Steals = atomic.LoadInt64(&fq.steals)
-		nst.StolenActivations = atomic.LoadInt64(&fq.stolenActs)
-		nst.StolenBuckets = atomic.LoadInt64(&fq.stolenBuckets)
-		nst.SpilledPartitions = fq.spilledParts.Load()
-		nst.SpilledBytes = fq.spilledBytes.Load()
-		nst.SpillPhases = fq.spillPhases.Load()
-		nst.DiskStats = fq.disk.seal()
+		nst := NodeStats{
+			Node:              i,
+			Activations:       fq.acts,
+			ResultRows:        atomic.LoadInt64(&fq.resultRows),
+			PerWorker:         fq.perWorker,
+			RowsShippedIn:     atomic.LoadInt64(&fq.shipIn),
+			RowsShippedOut:    atomic.LoadInt64(&fq.shipOut),
+			Steals:            atomic.LoadInt64(&fq.steals),
+			StolenActivations: atomic.LoadInt64(&fq.stolenActs),
+			StolenBuckets:     atomic.LoadInt64(&fq.stolenBuckets),
+			SpilledPartitions: fq.spilledParts.Load(),
+			SpilledBytes:      fq.spilledBytes.Load(),
+			SpillPhases:       fq.spillPhases.Load(),
+			DiskStats:         fq.disk.seal(),
+		}
 		s.SpilledPartitions += nst.SpilledPartitions
 		s.SpilledBytes += nst.SpilledBytes
 		s.SpillPhases += nst.SpillPhases
 		s.DiskStats.add(nst.DiskStats)
 		s.Activations += nst.Activations
 		s.ResultRows += nst.ResultRows
-		s.PerWorker = append(s.PerWorker, nst.PerWorker...)
 		s.StealRounds += atomic.LoadInt64(&fq.stealRounds)
 		s.Steals += nst.Steals
 		s.StolenActivations += nst.StolenActivations
 		s.StolenBuckets += nst.StolenBuckets
 		s.StolenBucketBytes += atomic.LoadInt64(&fq.stolenBucketByte)
 		s.RowsRedistributed += nst.RowsShippedOut
+		if s.Nodes != nil {
+			s.Nodes[i] = nst
+		}
 	}
 }
+
+// Handle is a running (or finished) query on a Nodes engine: the
+// caller's view of the query's coordinator, which it holds by value so
+// that a query is one allocation, not two.
+type Handle struct {
+	mq mquery
+}
+
+// Out is the stream of result batches (columnar; use Batch.AppendRows
+// or Batch.ReadRow to materialize rows). It is closed when the query
+// retires (completion, cancellation, or engine close); check Err after.
+// The channel is bounded: an undrained handle eventually blocks the
+// workers feeding it, so consume it fully or Cancel.
+func (h *Handle) Out() <-chan *vec.Batch { return h.mq.sink }
+
+// Done is closed when the query has fully retired (Err and Stats final).
+func (h *Handle) Done() <-chan struct{} { return h.mq.finished }
+
+// Err blocks until the query retires and returns its terminal error
+// (nil on success). A query only retires once its output is delivered:
+// drain Out (or Cancel) first, or Err can block forever behind the
+// bounded sink.
+func (h *Handle) Err() error {
+	<-h.mq.finished
+	return h.mq.err
+}
+
+// Stats blocks until the query retires and returns a private copy of
+// its counters, including per-worker activation counts and, on an
+// engine of several nodes, per-node breakdowns and steal counters. Like
+// Err, call it only after draining Out (or after Cancel).
+func (h *Handle) Stats() *Stats {
+	<-h.mq.finished
+	s := h.mq.stats
+	s.PerWorker = append([]int64(nil), s.PerWorker...)
+	s.Nodes = append([]NodeStats(nil), s.Nodes...)
+	for i := range s.Nodes {
+		lo, hi := i*h.mq.opt.Workers, (i+1)*h.mq.opt.Workers
+		s.Nodes[i].PerWorker = s.PerWorker[lo:hi:hi]
+	}
+	return &s
+}
+
+// Cancel aborts the query; Out closes promptly and Err reports the
+// cancellation. Idempotent, safe after completion.
+func (h *Handle) Cancel() { h.mq.cancel() }

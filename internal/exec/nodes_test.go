@@ -30,9 +30,10 @@ func collectHandle(t *testing.T, h *Handle) []Row {
 }
 
 // TestMultiNodeMatchesSingleNode: the same plans on 1, 2 and 4 nodes
-// must produce identical result sets (stream order aside), including a
-// chained two-join plan whose intermediate rows re-partition on a
-// different key.
+// must produce identical result sets (stream order aside) and identical
+// per-operator row counts, including a chained two-join plan whose
+// intermediate rows re-partition on a different key; the one-node run
+// has the documented one-node stats shape.
 func TestMultiNodeMatchesSingleNode(t *testing.T) {
 	checkQueryHygiene(t)
 	dim := tbl("dim", 700, func(i int) any { return i }, func(i int) any { return fmt.Sprintf("d%d", i) })
@@ -58,11 +59,11 @@ func TestMultiNodeMatchesSingleNode(t *testing.T) {
 	}
 	for name, mk := range plans {
 		t.Run(name, func(t *testing.T) {
-			want, _, err := Execute(context.Background(), mk(), Options{Workers: 4})
+			want, ref, err := runOnce(context.Background(), mk(), nil, Options{Workers: 4})
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, n := range []int{2, 4} {
+			for _, n := range []int{1, 2, 4} {
 				ns := newNodesT(t, n, 2)
 				h, err := ns.Submit(context.Background(), mk(), Options{})
 				if err != nil {
@@ -71,6 +72,23 @@ func TestMultiNodeMatchesSingleNode(t *testing.T) {
 				got := collectHandle(t, h)
 				sameRows(t, got, want)
 				st := h.Stats()
+				if int(st.ResultRows) != len(want) {
+					t.Fatalf("%d nodes: ResultRows %d, want %d", n, st.ResultRows, len(want))
+				}
+				if len(st.PerWorker) != n*ns.Workers() {
+					t.Fatalf("%d nodes: PerWorker has %d entries, want %d", n, len(st.PerWorker), n*ns.Workers())
+				}
+				if fmt.Sprint(st.OpRows) != fmt.Sprint(ref.OpRows) {
+					t.Fatalf("%d nodes: OpRows %v, want %v as on the reference run", n, st.OpRows, ref.OpRows)
+				}
+				if n == 1 {
+					// One node is the hierarchy without its upper level:
+					// no per-node breakdown, nothing shipped, nothing stolen.
+					if st.Nodes != nil || st.RowsRedistributed != 0 || st.StealRounds != 0 {
+						t.Fatalf("one-node stats carry multi-node fields: %+v", st)
+					}
+					continue
+				}
 				if len(st.Nodes) != n {
 					t.Fatalf("Stats.Nodes has %d entries, want %d", len(st.Nodes), n)
 				}
@@ -82,9 +100,6 @@ func TestMultiNodeMatchesSingleNode(t *testing.T) {
 				if acts != st.Activations || rows != st.ResultRows {
 					t.Fatalf("per-node stats do not sum: %d/%d acts, %d/%d rows",
 						acts, st.Activations, rows, st.ResultRows)
-				}
-				if int(st.ResultRows) != len(want) {
-					t.Fatalf("ResultRows %d, want %d", st.ResultRows, len(want))
 				}
 			}
 		})
@@ -110,11 +125,11 @@ func TestMultiNodeGroupBy(t *testing.T) {
 			{Func: Max, Arg: func(r Row) float64 { return float64(r[1].(int)) }},
 		},
 	}
-	want, _, err := ExecuteGroupBy(context.Background(), mk(), gb, Options{Workers: 4})
+	want, _, err := runOnce(context.Background(), mk(), gb, Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, n := range []int{2, 3} {
+	for _, n := range []int{1, 2, 3} {
 		ns := newNodesT(t, n, 2)
 		h, err := ns.SubmitGroupBy(context.Background(), mk(), gb, Options{})
 		if err != nil {
@@ -180,7 +195,7 @@ func TestMultiNodeCancellation(t *testing.T) {
 	if err := h.Err(); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled multi-node query reported %v", err)
 	}
-	verifyIdle(t, ns.Submit)
+	verifyIdle(t, ns)
 }
 
 // TestMultiNodeConcurrentQueries: distinct queries in flight on one

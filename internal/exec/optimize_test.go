@@ -188,11 +188,11 @@ func TestOptimizeFullReordersIdentically(t *testing.T) {
 	}
 	ctx := context.Background()
 	opt := Options{Workers: 2}
-	want, _, err := Execute(ctx, root, opt)
+	want, _, err := runOnce(ctx, root, nil, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, st, err := Execute(ctx, pc.Root, opt)
+	got, st, err := runOnce(ctx, pc.Root, nil, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +264,7 @@ func TestDescribeAndActualize(t *testing.T) {
 	if en.ActRows != -1 {
 		t.Fatalf("ActRows before run = %d, want -1", en.ActRows)
 	}
-	rows, st, err := Execute(context.Background(), pc.Root, Options{Workers: 2})
+	rows, st, err := runOnce(context.Background(), pc.Root, nil, Options{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,7 +316,7 @@ func TestOpRowsCounters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, st, err := Execute(context.Background(), pc.Root, Options{Workers: 2})
+	rows, st, err := runOnce(context.Background(), pc.Root, nil, Options{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

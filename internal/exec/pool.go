@@ -1,10 +1,10 @@
 package exec
 
-// A resident DP worker pool shared by concurrent queries. This is the
-// paper's central mechanism — self-contained activations in per-operator
-// queues, any worker may run any activation — extended across query
-// boundaries: the pool's workers serve the operator queues of every
-// in-flight query, so load balances itself both within a query and
+// One node's worker set, scheduler and flusher. This is the paper's
+// central mechanism — self-contained activations in per-operator queues,
+// any worker may run any activation — extended across query boundaries:
+// the pool's workers serve the operator queues of every fragment in
+// flight on the node, so load balances itself both within a query and
 // between queries at execution time. A rotating fair cursor round-robins
 // the cross-query pick and a fair-share cap bounds per-query worker
 // anchoring, so one heavy join cannot starve lighter queries; within a
@@ -14,11 +14,16 @@ package exec
 // production — without capturing the pool: blocking sends are done by
 // dedicated flusher workers, capped pool-wide so runnable queries always
 // keep at least one worker.
+//
+// A pool decides nothing about a query as a whole: it picks, runs and
+// retires fragments. Submission, admission, chain and operator
+// completion, abort and stats belong to the coordinator (nodes.go),
+// which a worker reports to after every activation (mquery.epilogue).
 
 import (
-	"context"
 	"errors"
 	"fmt"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -27,26 +32,29 @@ import (
 	"hierdb/internal/vec"
 )
 
-// ErrClosed is returned by Submit on a closed pool and reported by
+// ErrClosed is returned by Submit on a closed engine and reported by
 // queries a Close aborted.
-var ErrClosed = errors.New("exec: pool closed")
+var ErrClosed = errors.New("exec: engine closed")
 
-// Pool is a long-lived set of worker goroutines executing activations
-// from all in-flight queries. Create one with NewPool, submit queries
-// with Submit/SubmitGroupBy, release the workers with Close.
-type Pool struct {
+// ErrQueryPanic is matched (errors.Is) by the error of a query one of
+// whose activations panicked — in a user Filter, KeyFunc, Combine or
+// aggregate Arg, or in the engine itself. The error carries the panic
+// value and the stack; the engine keeps serving other queries.
+var ErrQueryPanic = errors.New("exec: query panicked")
+
+// pool is one node's long-lived set of worker goroutines executing
+// activations from the fragments of all in-flight queries.
+type pool struct {
 	workers int
-	admit   *admitter  // admission controller; nil = unlimited
 	broker  *memBroker // shared node memory pool; nil = fixed per-fragment split
 
 	mu       sync.Mutex //hierdb:lock pool
 	cond     *sync.Cond
-	queries  []*query // in-flight, scheduling order
+	queries  []*query // in-flight fragments, scheduling order
 	fair     int      // rotating cross-query pick cursor
 	waiting  int      // workers parked in cond.Wait
 	captured int      // workers blocked flushing parked output to a slow consumer
 	closed   bool
-	nextID   int64
 	wg       sync.WaitGroup
 
 	// scanners[w] is worker w's own chunk-read scratch, kept across
@@ -54,138 +62,22 @@ type Pool struct {
 	scanners []store.Scanner
 }
 
-// NewPool starts a resident pool. workers == 0 defaults to 4; negative
-// values are rejected. maxConcurrent bounds the number of in-flight
-// queries (0 = unlimited): excess Submits park in a bounded FIFO
-// admission queue (8 waiters per slot) until a slot frees, the engine
-// closes, or the caller's context fires. Use NewNodesConfig for an
-// explicit queue cap, tenant-fair dequeue or a broker budget.
-func NewPool(workers, maxConcurrent int) (*Pool, error) {
-	if maxConcurrent < 0 {
-		return nil, fmt.Errorf("exec: negative MaxConcurrentQueries (%d)", maxConcurrent)
-	}
-	var admit *admitter
-	if maxConcurrent > 0 {
-		admit = newAdmitter(maxConcurrent, 0)
-	}
-	return newPool(workers, admit, nil)
-}
-
-// newPool starts a resident pool with an optional admission controller
-// and node memory broker (both may be nil).
-func newPool(workers int, admit *admitter, broker *memBroker) (*Pool, error) {
-	if workers < 0 {
-		return nil, fmt.Errorf("exec: negative Workers (%d)", workers)
-	}
-	if workers == 0 {
-		workers = 4
-	}
-	p := &Pool{workers: workers, admit: admit, broker: broker, scanners: make([]store.Scanner, workers)}
+// newPool starts a node's workers, with an optional memory broker.
+func newPool(workers int, broker *memBroker) *pool {
+	p := &pool{workers: workers, broker: broker, scanners: make([]store.Scanner, workers)}
 	p.cond = sync.NewCond(&p.mu)
 	for w := 0; w < workers; w++ {
 		p.wg.Add(1)
 		go p.worker(w)
 	}
-	return p, nil
-}
-
-// admitRelease returns the caller's admission slot, if the pool has
-// admission control at all. nil-safe by the admit check.
-func (p *Pool) admitRelease() {
-	if p.admit != nil {
-		p.admit.release()
-	}
-}
-
-// Workers returns the pool's worker count.
-func (p *Pool) Workers() int { return p.workers }
-
-// Submit compiles and starts a query on the pool. The returned Handle's
-// Out channel streams result batches with backpressure; the caller must
-// drain it (or Cancel) for the query's workers to release. opt.Workers
-// is ignored — the pool's worker count applies.
-func (p *Pool) Submit(ctx context.Context, root Node, opt Options) (*Handle, error) {
-	return p.submit(ctx, root, nil, opt)
-}
-
-// SubmitGroupBy is Submit with a grouped aggregation folded over the
-// plan's output: workers fold result batches into private partials, and
-// the merged groups stream out at completion, ordered deterministically
-// by formatted key.
-func (p *Pool) SubmitGroupBy(ctx context.Context, root Node, gb *GroupBy, opt Options) (*Handle, error) {
-	if err := validateGroupBy(gb); err != nil {
-		return nil, err
-	}
-	return p.submit(ctx, root, gb, opt)
-}
-
-func (p *Pool) submit(ctx context.Context, root Node, gb *GroupBy, opt Options) (*Handle, error) {
-	opt, err := opt.validateFor(p.workers)
-	if err != nil {
-		return nil, err
-	}
-	if root == nil {
-		return nil, fmt.Errorf("exec: nil plan")
-	}
-	// Admission precedes compilation: a parked Submit holds no compiled
-	// physical plan (or any other per-query state) while it waits, and
-	// Close fails it promptly even on a context.Background() caller.
-	var wait time.Duration
-	if p.admit != nil {
-		if wait, err = p.admit.acquire(ctx, opt.Tenant); err != nil {
-			return nil, err
-		}
-	}
-	phys, err := compile(root)
-	if err != nil {
-		p.admitRelease()
-		return nil, err
-	}
-	annotateVec(phys)
-	qctx, qcancel := context.WithCancel(ctx)
-	q := newQuery(p, phys, gb, opt, qctx, qcancel, 1, nil)
-	q.stats.AdmissionWait = wait
-
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		qcancel()
-		p.admitRelease()
-		return nil, ErrClosed
-	}
-	q.id = p.nextID
-	p.nextID++
-	q.stats.QueryID = q.id
-	p.queries = append(p.queries, q)
-	q.startChainLocked(0)
-	retired := p.retireIfDoneLocked(q)
-	p.cond.Broadcast()
-	p.mu.Unlock()
-
-	if retired {
-		q.finalize()
-	}
-	go q.watch()
-	return &Handle{q: q}, nil
-}
-
-// abort fails a query from outside the worker loop (context watcher).
-func (p *Pool) abort(q *query, err error) {
-	p.mu.Lock()
-	q.failLocked(err)
-	retired := p.retireIfDoneLocked(q)
-	p.cond.Broadcast()
-	p.mu.Unlock()
-	if retired {
-		q.finalize()
-	}
+	return p
 }
 
 // retireIfDoneLocked removes a terminal query with no in-flight
 // activations from the scheduling list. The caller that observes true
 // must call q.finalize() after releasing the mutex — exactly one caller
 // sees the transition. Callers hold mu.
-func (p *Pool) retireIfDoneLocked(q *query) bool {
+func (p *pool) retireIfDoneLocked(q *query) bool {
 	if q.retired || q.inflight > 0 || !q.terminalLocked() {
 		return false
 	}
@@ -193,7 +85,7 @@ func (p *Pool) retireIfDoneLocked(q *query) bool {
 	// delivered: the group-by merge must have run and the flusher must
 	// have drained any parked batches (aborted queries drop theirs).
 	if !q.aborted {
-		if q.gb != nil && !q.mergeDone {
+		if q.mq.gb != nil && !q.mergeDone {
 			return false
 		}
 		if len(q.parked) > 0 {
@@ -212,7 +104,7 @@ func (p *Pool) retireIfDoneLocked(q *query) bool {
 
 // wakeLocked signals up to n parked workers — enough for the work just
 // enqueued, without the thundering herd of a Broadcast. Callers hold mu.
-func (p *Pool) wakeLocked(n int) {
+func (p *pool) wakeLocked(n int) {
 	if n > p.waiting {
 		n = p.waiting
 	}
@@ -225,7 +117,7 @@ func (p *Pool) wakeLocked(n int) {
 // captured in blocking flushes to slow consumers: always at least one
 // worker stays available for runnable queries (on a one-worker pool the
 // single worker must be allowed to flush).
-func (p *Pool) flushCap() int {
+func (p *pool) flushCap() int {
 	if p.workers > 1 {
 		return p.workers - 1
 	}
@@ -254,7 +146,7 @@ const (
 // the caller must run it.
 //
 //hierdb:hotpath
-func (p *Pool) pickLocked(w int, anchor **query) (q *query, a *activation, job jobKind) {
+func (p *pool) pickLocked(w int, anchor **query) (q *query, a *activation, job jobKind) {
 	n := len(p.queries)
 	if n == 0 {
 		p.releaseAnchorLocked(anchor)
@@ -285,7 +177,7 @@ func (p *Pool) pickLocked(w int, anchor **query) (q *query, a *activation, job j
 			continue
 		}
 		if q.done {
-			if q.gb != nil && !q.mergeDone && !q.merging {
+			if q.mq.gb != nil && !q.mergeDone && !q.merging {
 				q.merging = true
 				p.fair = (p.fair + i + 1) % n
 				return q, nil, jobMerge
@@ -321,7 +213,7 @@ const flushHold = 10 * time.Millisecond
 // claimed q.flushing; timer is the worker's reusable park timer.
 //
 //hierdb:hotpath
-func (p *Pool) runFlush(q *query, timer **time.Timer) bool {
+func (p *pool) runFlush(q *query, timer **time.Timer) bool {
 	for {
 		p.mu.Lock()
 		if q.aborted || len(q.parked) == 0 {
@@ -339,10 +231,10 @@ func (p *Pool) runFlush(q *query, timer **time.Timer) bool {
 			t.Reset(flushHold)
 		}
 		select {
-		case q.sink <- batch:
+		case q.mq.sink <- batch:
 			stopParkTimer(t)
-			atomic.AddInt64(&q.stats.ResultRows, int64(batch.N))
-		case <-q.ctx.Done():
+			atomic.AddInt64(&q.resultRows, int64(batch.N))
+		case <-q.mq.ctx.Done():
 			stopParkTimer(t)
 			return false
 		case <-t.C:
@@ -358,15 +250,19 @@ func (p *Pool) runFlush(q *query, timer **time.Timer) bool {
 	}
 }
 
-func (p *Pool) releaseAnchorLocked(anchor **query) {
+func (p *pool) releaseAnchorLocked(anchor **query) {
 	if *anchor != nil {
 		(*anchor).anchored--
 		*anchor = nil
 	}
 }
 
+// worker is the scheduling loop of one worker goroutine: pick a job
+// under the pool mutex, run it without, report to the query's
+// coordinator, retire the fragment if that was its last work.
+//
 //hierdb:hotpath
-func (p *Pool) worker(w int) {
+func (p *pool) worker(w int) {
 	defer p.wg.Done()
 	var (
 		anchor    *query
@@ -381,7 +277,7 @@ func (p *Pool) worker(w int) {
 		q, a, job := p.pickLocked(w, &anchor)
 		if q == nil {
 			// Node-level starvation: before parking, try acquiring a
-			// remote probe queue for a starving multi-node fragment.
+			// remote probe queue for a starving fragment.
 			if sq := p.stealClaimLocked(); sq != nil {
 				p.mu.Unlock()
 				stole := sq.mq.stealRound(sq)
@@ -417,120 +313,44 @@ func (p *Pool) worker(w int) {
 			continue
 		}
 		q.inflight++
+		p.mu.Unlock()
 		switch job {
 		case jobFlush:
-			p.mu.Unlock()
-			ok := p.runFlush(q, &parkTimer)
+			if !p.runFlush(q, &parkTimer) {
+				q.mq.fail(q.mq.ctx.Err())
+			}
 			p.mu.Lock()
 			q.flushing = false
 			p.captured--
-			q.inflight--
-			if !ok {
-				q.failLocked(q.ctx.Err())
-			}
-			// Production resumes; waiting workers don't see the state
-			// change, so wake them.
-			p.cond.Broadcast()
-			if p.retireIfDoneLocked(q) {
-				p.mu.Unlock()
-				q.finalize()
-				p.mu.Lock()
-			}
-			continue
 		case jobMerge:
-			p.mu.Unlock()
 			// All folds finished before done was set (pending counts hit
-			// zero under the mutex), so reading the partials is safe.
-			var batches []*vec.Batch
-			var mergeErr error
-			if q.mq != nil {
-				// Per-node merge; the last node also merges the
-				// per-node partials and parks the final batches here.
-				batches = q.mq.mergeFragment(q)
-			} else {
-				groups, err := q.mergedGroups()
-				if err != nil {
-					mergeErr = err
-				} else {
-					batches = batchRowsVec(groupsToRows(groups, q.gb), q.opt.Batch)
-				}
-			}
+			// zero under the coordinator's mutex), so reading the partials
+			// is safe. The last node's merge returns the final batches,
+			// delivered through the parked/flusher machinery: same
+			// backpressure, cancellation and Close guarantees as the
+			// streaming path.
+			batches := q.runMerge()
 			p.mu.Lock()
 			q.merging = false
 			q.mergeDone = true
-			q.inflight--
-			if mergeErr != nil {
-				q.failLocked(mergeErr)
-			} else if !q.aborted {
-				// Deliver through the parked/flusher machinery: same
-				// backpressure, cancellation and Close guarantees as the
-				// streaming path.
+			if !q.aborted {
 				q.parked = append(q.parked, batches...)
 			}
-			p.cond.Broadcast()
-			if p.retireIfDoneLocked(q) {
-				p.mu.Unlock()
-				q.finalize()
-				p.mu.Lock()
-			}
-			continue
-		}
-		p.mu.Unlock()
-
-		outs, results := q.process(a, w)
-		q.countOpRows(a, outs, results)
-		// Chunk-memory refcounting: downstream activations share the
-		// decoded chunk's column storage, so they inherit references
-		// before this activation's own is released (post-deliver: a
-		// root-scan result batch is refunded at the sink handoff).
-		a.retainFor(outs)
-		atomic.AddInt64(&q.stats.PerWorker[w], 1)
-		delivered := q.deliver(w, results, &parkTimer)
-		a.res.release()
-
-		if mq := q.mq; mq != nil {
-			// Multi-node fragment: routing and operator/chain accounting
-			// are global, handled by the coordinator without our mutex.
-			mq.epilogue(q, a, outs, delivered)
+		default:
+			outs, delivered := q.runActivation(a, w, &parkTimer)
+			a.res.release()
+			// Routing and operator/chain accounting are query-global:
+			// the coordinator settles them without our mutex.
+			q.mq.epilogue(q, a, outs, delivered)
 			p.mu.Lock()
-			q.inflight--
 			q.acts++
-			if p.retireIfDoneLocked(q) {
-				p.mu.Unlock()
-				q.finalize()
-				p.mu.Lock()
-			}
-			continue
 		}
-
-		p.mu.Lock()
 		q.inflight--
-		q.acts++
-		if !delivered {
-			q.failLocked(q.ctx.Err())
-		}
-		if !q.terminalLocked() {
-			or := q.ops[a.op.id]
-			if len(outs) > 0 {
-				// Each out addresses its own operator: consumer batches in
-				// the ordinary case, the producing operator itself for the
-				// spill-phase probes a partition load fans out.
-				for _, out := range outs {
-					q.enqueueLocked(q.ops[out.op.id], out)
-				}
-				if q.allowed != nil {
-					// Static (FP) mode: only specific workers may run the
-					// consumer operator, and a targeted Signal could wake
-					// the wrong ones — wake everyone.
-					p.cond.Broadcast()
-				} else {
-					p.wakeLocked(len(outs))
-				}
-			}
-			or.pending--
-			if or.prodEnd && or.pending == 0 && !or.done {
-				q.opFinishedLocked(or)
-			}
+		// A finished flush or merge changes what is pickable (production
+		// resumes, parked output appears) without enqueueing anything, so
+		// waiting workers must be woken to see it.
+		if job != jobRun {
+			p.cond.Broadcast()
 		}
 		if p.retireIfDoneLocked(q) {
 			p.mu.Unlock()
@@ -540,104 +360,55 @@ func (p *Pool) worker(w int) {
 	}
 }
 
-// Close aborts every in-flight query with ErrClosed and stops the
-// workers. It blocks until all worker goroutines have exited; it is
-// idempotent.
-func (p *Pool) Close() {
+// runActivation executes one activation on worker w and delivers its
+// result batch: the activation boundary, outside every scheduler lock. A
+// panic below it — user Filter, KeyFunc, Combine or Arg code, or an
+// engine bug — is contained here: the query fails with ErrQueryPanic and
+// the activation reports no outs, so the worker's ordinary epilogue
+// unwinds pend, inflight, the chunk charge and (at retirement) the broker
+// lease exactly as for any other failed activation. (The named results
+// are set only by the return statement, so a recovered panic leaves them
+// zero whatever had been computed.)
+//
+//hierdb:hotpath
+func (q *query) runActivation(a *activation, w int, timer **time.Timer) (outs []*activation, delivered bool) {
+	defer q.containPanic()
+	o, results := q.process(a, w)
+	q.countOpRows(a, o, results)
+	// Chunk-memory refcounting: downstream activations share the decoded
+	// chunk's column storage, so they inherit references before the
+	// worker releases this activation's own (post-deliver: a root-scan
+	// result batch is refunded at the sink handoff).
+	a.retainFor(o)
+	atomic.AddInt64(&q.perWorker[w], 1)
+	d := q.deliver(w, results, timer)
+	return o, d
+}
+
+// runMerge is the merge job's activation boundary (rendering the groups
+// formats their keys, which calls user String methods).
+func (q *query) runMerge() []*vec.Batch {
+	defer q.containPanic()
+	return q.mq.mergeFragment(q)
+}
+
+// containPanic, deferred at an activation boundary, turns a panic into
+// the query's ErrQueryPanic failure. The boundary function then returns
+// its zero results: no outs, nothing delivered.
+func (q *query) containPanic() {
+	if r := recover(); r != nil {
+		q.mq.fail(fmt.Errorf("%w: %v\n%s", ErrQueryPanic, r, debug.Stack()))
+	}
+}
+
+// close stops the workers and blocks until every worker goroutine has
+// exited. The engine has failed every live query first (Nodes.Close), so
+// each fragment is already retired or retires as its in-flight
+// activations return. Idempotent.
+func (p *pool) close() {
 	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		return
-	}
 	p.closed = true
-	var fin []*query
-	for _, q := range append([]*query(nil), p.queries...) {
-		q.failLocked(ErrClosed)
-		if p.retireIfDoneLocked(q) {
-			fin = append(fin, q)
-		}
-	}
 	p.cond.Broadcast()
 	p.mu.Unlock()
-	// Fail parked admission waiters before anything that can block:
-	// a Submit waiting on a slot must get ErrClosed promptly, not after
-	// the in-flight queries drain.
-	if p.admit != nil {
-		p.admit.close()
-	}
-	for _, q := range fin {
-		q.finalize()
-	}
 	p.wg.Wait()
-}
-
-// Handle is a running (or finished) query on a Pool or a multi-node
-// Nodes engine (exactly one of q/mq is set).
-type Handle struct {
-	q  *query
-	mq *mquery
-}
-
-// Out is the stream of result batches (columnar; use Batch.AppendRows
-// or Batch.ReadRow to materialize rows). It is closed when the query
-// retires (completion, cancellation, or pool close); check Err after.
-// The channel is bounded: an undrained handle eventually blocks the
-// workers feeding it, so consume it fully or Cancel.
-func (h *Handle) Out() <-chan *vec.Batch {
-	if h.mq != nil {
-		return h.mq.sink
-	}
-	return h.q.sink
-}
-
-// Done is closed when the query has fully retired (Err and Stats final).
-func (h *Handle) Done() <-chan struct{} {
-	if h.mq != nil {
-		return h.mq.finished
-	}
-	return h.q.finished
-}
-
-// Err blocks until the query retires and returns its terminal error
-// (nil on success). A query only retires once its output is delivered:
-// drain Out (or Cancel) first, or Err can block forever behind the
-// bounded sink.
-func (h *Handle) Err() error {
-	if h.mq != nil {
-		<-h.mq.finished
-		return h.mq.err
-	}
-	<-h.q.finished
-	return h.q.err
-}
-
-// Stats blocks until the query retires and returns its per-query
-// counters, including per-worker activation counts on the shared pool
-// and, for multi-node queries, per-node breakdowns and steal counters.
-// Like Err, call it only after draining Out (or after Cancel).
-func (h *Handle) Stats() *Stats {
-	if h.mq != nil {
-		<-h.mq.finished
-		s := h.mq.stats
-		s.PerWorker = append([]int64(nil), s.PerWorker...)
-		s.Nodes = append([]NodeStats(nil), s.Nodes...)
-		for i := range s.Nodes {
-			s.Nodes[i].PerWorker = append([]int64(nil), s.Nodes[i].PerWorker...)
-		}
-		return &s
-	}
-	<-h.q.finished
-	s := h.q.stats
-	s.PerWorker = append([]int64(nil), h.q.stats.PerWorker...)
-	return &s
-}
-
-// Cancel aborts the query; Out closes promptly and Err reports the
-// cancellation. Idempotent, safe after completion.
-func (h *Handle) Cancel() {
-	if h.mq != nil {
-		h.mq.cancel()
-		return
-	}
-	h.q.cancel()
 }

@@ -2,7 +2,10 @@ package exec
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"os"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -39,7 +42,7 @@ func starPlan(seed, factRows int) Node {
 func TestPoolConcurrentQueries(t *testing.T) {
 	checkQueryHygiene(t)
 	const n = 8
-	pool, err := NewPool(4, 0)
+	pool, err := NewNodes(1, 4, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +52,7 @@ func TestPoolConcurrentQueries(t *testing.T) {
 	want := make([][]Row, n)
 	for i := range plans {
 		plans[i] = starPlan(i, 3000+500*i)
-		ref, _, err := Execute(context.Background(), plans[i], Options{Workers: 2})
+		ref, _, err := runOnce(context.Background(), plans[i], nil, Options{Workers: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -110,7 +113,7 @@ func TestPoolConcurrentQueries(t *testing.T) {
 // heavy one is still running.
 func TestPoolFairness(t *testing.T) {
 	checkQueryHygiene(t)
-	pool, err := NewPool(4, 0)
+	pool, err := NewNodes(1, 4, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +157,7 @@ func TestPoolFairness(t *testing.T) {
 // on the stalled sink are capped at the query's fair share.
 func TestStalledConsumerDoesNotCapturePool(t *testing.T) {
 	checkQueryHygiene(t)
-	pool, err := NewPool(4, 0)
+	pool, err := NewNodes(1, 4, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +202,7 @@ func TestStalledConsumerDoesNotCapturePool(t *testing.T) {
 // bounded hold, so slots rotate instead of being pinned forever.
 func TestFlushSlotsRotateAmongStalledConsumers(t *testing.T) {
 	checkQueryHygiene(t)
-	pool, err := NewPool(4, 0) // flushCap = 3
+	pool, err := NewNodes(1, 4, 0) // flushCap = 3
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,11 +245,11 @@ func TestFlushSlotsRotateAmongStalledConsumers(t *testing.T) {
 
 // TestUndrainedGroupByDoesNotWedgePool: a completed GroupBy query whose
 // consumer never reads must not capture workers outside the flusher cap,
-// and Pool.Close must still return (regression: the merge's sink sends
+// and Close must still return (regression: the merge's sink sends
 // used to block a retired worker that Close could no longer abort).
 func TestUndrainedGroupByDoesNotWedgePool(t *testing.T) {
 	checkQueryHygiene(t)
-	pool, err := NewPool(2, 0)
+	pool, err := NewNodes(1, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +278,7 @@ func TestUndrainedGroupByDoesNotWedgePool(t *testing.T) {
 	select {
 	case <-done:
 	case <-time.After(30 * time.Second):
-		t.Fatal("Pool.Close hung on an undrained group-by query")
+		t.Fatal("Close hung on an undrained group-by query")
 	}
 }
 
@@ -283,7 +286,7 @@ func TestUndrainedGroupByDoesNotWedgePool(t *testing.T) {
 // query's stream terminates promptly with ErrClosed.
 func TestPoolCloseAbortsInflight(t *testing.T) {
 	checkQueryHygiene(t)
-	pool, err := NewPool(2, 0)
+	pool, err := NewNodes(1, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,7 +318,7 @@ func TestPoolCloseAbortsInflight(t *testing.T) {
 // second Submit blocks until the first query retires.
 func TestMaxConcurrentQueries(t *testing.T) {
 	checkQueryHygiene(t)
-	pool, err := NewPool(2, 1)
+	pool, err := NewNodes(1, 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,10 +353,10 @@ func TestMaxConcurrentQueries(t *testing.T) {
 }
 
 // TestPoolGroupByStreams runs a grouped aggregation through the resident
-// pool and compares against the one-shot ExecuteGroupBy.
+// pool and compares against a reference run.
 func TestPoolGroupByStreams(t *testing.T) {
 	checkQueryHygiene(t)
-	pool, err := NewPool(4, 0)
+	pool, err := NewNodes(1, 4, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -363,7 +366,7 @@ func TestPoolGroupByStreams(t *testing.T) {
 		{Func: Count},
 		{Func: Sum, Arg: func(r Row) float64 { return float64(r[1].(int)) }},
 	}}
-	want, _, err := ExecuteGroupBy(context.Background(), plan, gb, Options{Workers: 4})
+	want, _, err := runOnce(context.Background(), plan, gb, Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -389,7 +392,7 @@ func TestPoolGroupByStreams(t *testing.T) {
 // (filtered) rows — the resident API must serve more than joins.
 func TestRootScanStreams(t *testing.T) {
 	checkQueryHygiene(t)
-	pool, err := NewPool(2, 0)
+	pool, err := NewNodes(1, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -409,5 +412,90 @@ func TestRootScanStreams(t *testing.T) {
 	}
 	if n != 2500 {
 		t.Fatalf("root scan streamed %d rows, want 2500", n)
+	}
+}
+
+// TestPanicContainment: a panic in user code under an activation — a
+// scan Filter, a computed KeyFunc, a Combine, an aggregate Arg — fails
+// that query with ErrQueryPanic and nothing else: the engine serves the
+// next query, no goroutine, lease or spill file is left behind. Swept
+// over one and two nodes, ungoverned and spilling under a memory broker.
+func TestPanicContainment(t *testing.T) {
+	const buildRows, probeRows = 4_000, 40_000
+	build := tbl("pb", buildRows, func(i int) any { return i }, func(i int) any { return fmt.Sprintf("b%d", i) })
+	probe := tbl("pp", probeRows, func(i int) any { return i % buildRows }, func(i int) any { return i })
+	// bad panics on one value in the middle of the data, so the query has
+	// state in flight — queued activations, a half-built table, spill
+	// files — when it fails.
+	bad := func(v any) {
+		if v.(int) == buildRows/2 {
+			panic("user code blew up")
+		}
+	}
+	join := func() *Join {
+		return &Join{Build: &Scan{Table: build}, Probe: &Scan{Table: probe}, BuildKey: KeyCol(0), ProbeKey: KeyCol(0)}
+	}
+	cases := map[string]func() (Node, *GroupBy){
+		"Filter": func() (Node, *GroupBy) {
+			j := join()
+			j.Probe = &Scan{Table: probe, Filter: func(r Row) bool { bad(r[1]); return true }}
+			return j, nil
+		},
+		// The build key: probe keys also run inside steal rounds, which
+		// are not activations.
+		"KeyFunc": func() (Node, *GroupBy) {
+			j := join()
+			j.BuildKey = func(r Row) any { bad(r[0]); return r[0].(int) + 0 }
+			return j, nil
+		},
+		"Combine": func() (Node, *GroupBy) {
+			j := join()
+			j.Combine = func(p, b Row) Row { bad(p[1]); return Row{p[0], b[1]} }
+			return j, nil
+		},
+		"Arg": func() (Node, *GroupBy) {
+			return join(), &GroupBy{Key: KeyCol(0), Aggs: []Aggregation{
+				{Func: Sum, Arg: func(r Row) float64 { bad(r[1]); return 1 }}}}
+		},
+	}
+	for name, mk := range cases {
+		for _, nodes := range []int{1, 2} {
+			for _, budget := range []int64{0, 64 << 10} {
+				t.Run(fmt.Sprintf("%s/nodes=%d/mem=%d", name, nodes, budget), func(t *testing.T) {
+					checkQueryHygiene(t)
+					ns, err := NewNodesConfig(EngineConfig{Nodes: nodes, Workers: 2, BrokerMemory: budget})
+					if err != nil {
+						t.Fatal(err)
+					}
+					t.Cleanup(ns.Close)
+					dir := t.TempDir()
+					root, gb := mk()
+					opt := Options{MemoryPerNode: budget, SpillDir: dir}
+					var h *Handle
+					if gb != nil {
+						h, err = ns.SubmitGroupBy(context.Background(), root, gb, opt)
+					} else {
+						h, err = ns.Submit(context.Background(), root, opt)
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+					for range h.Out() {
+					}
+					if err := h.Err(); !errors.Is(err, ErrQueryPanic) || !strings.Contains(err.Error(), "user code blew up") {
+						t.Fatalf("query ended with %v, want ErrQueryPanic carrying the panic value", err)
+					}
+					if left, err := os.ReadDir(dir); err != nil || len(left) != 0 {
+						t.Fatalf("spill dir not empty after the failed query: %v, %v", left, err)
+					}
+					for i, p := range ns.pools {
+						if b := p.broker; b != nil && b.available() != b.budget {
+							t.Fatalf("node %d: %d of %d broker bytes still leased", i, b.budget-b.available(), b.budget)
+						}
+					}
+					verifyIdle(t, ns)
+				})
+			}
+		}
 	}
 }

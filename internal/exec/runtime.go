@@ -1,12 +1,14 @@
 package exec
 
-// Physical compilation and per-query runtime state. The worker loop that
-// drives queries lives in pool.go: a resident Pool owns the worker
-// goroutines, and every in-flight query contributes its operator queues
-// to the shared scheduler.
+// Physical compilation and per-fragment runtime state. A query runs as
+// one fragment (query) per node under its coordinator (mquery, nodes.go):
+// the fragment holds what is local to a node — operator queues, hash-table
+// stripes, per-worker scratch, memory account — and contributes its
+// queues to that node's scheduler (pool.go); everything global to the
+// query (pending counts, chain barrier, context, sink, error, stats)
+// lives on the coordinator, reached through query.mq.
 
 import (
-	"context"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -185,8 +187,8 @@ type activation struct {
 	// morsel bounds for scans. For a scan over a file-backed table the
 	// activation is one chunk: lo is the chunk index and hi = lo+1.
 	lo, hi int
-	// dest is the node a routed batch is bound for (multi-node queries
-	// only; scan morsels and single-node batches leave it 0).
+	// dest is the node a routed batch is bound for (scan morsels, seeded
+	// on their own node, leave it 0).
 	dest int
 	// spill carries the payload of a spill-phase activation (load a
 	// partition / probe a spilled batch); nil for ordinary activations.
@@ -199,13 +201,10 @@ type activation struct {
 
 // opRun is the runtime state of one operator.
 type opRun struct {
-	op      *pop
-	queues  [][]*activation // one per worker (primary-queue affinity)
-	rr      int             // enqueue round-robin cursor
-	queued  int             // activations across all queues (pick fast path)
-	pending int64           // queued + in-process activations
-	prodEnd bool            // no more input will arrive
-	done    bool
+	op     *pop
+	queues [][]*activation // one per worker (primary-queue affinity)
+	rr     int             // enqueue round-robin cursor
+	queued int             // activations across all queues (pick fast path)
 
 	// hash table (build/probe pairs share via partner): one columnar
 	// stripe store per lock stripe.
@@ -230,8 +229,8 @@ type opRun struct {
 	stripeSpilled []bool
 
 	// cache holds hash-table buckets acquired from other nodes by the
-	// steal protocol, keyed by global bucket id (probe operators of
-	// multi-node queries only). Copy-on-write: rounds are single-flight
+	// steal protocol, keyed by global bucket id (probe operators only,
+	// nil until a steal). Copy-on-write: rounds are single-flight
 	// per node, so the only writer swaps the whole map.
 	cache atomic.Pointer[bucketCache]
 }
@@ -243,38 +242,24 @@ type opRun struct {
 // shipped bytes.
 type bucketCache = map[int]*stripeStore
 
-// query is one in-flight execution on a Pool: a compiled plan, its
-// operator queues and chain cursor, a bounded sink channel streaming
-// result batches, and per-query accounting. All fields below the sync
-// markers are guarded by the pool mutex unless noted.
+// query is one node's fragment of an in-flight query: the compiled
+// plan's operator queues on that node's pool, the node-local scheduling
+// state, and per-fragment accounting. The plan, options, context, sink
+// and every query-global decision belong to the coordinator q.mq. All
+// fields below the sync markers are guarded by the pool mutex unless
+// noted.
 type query struct {
-	id   int64
-	pool *Pool
-	p    *physical
-	opt  Options
-	gb   *GroupBy
-
-	// ctx is done when the caller's context is cancelled, the consumer
-	// closes the result stream, or the query retires.
-	ctx    context.Context //hierdb:ctx-in-struct query lifetime: the struct is the cancellation scope
-	cancel context.CancelFunc
-
-	// sink carries result batches to the consumer; its bound provides
-	// backpressure instead of materializing the full result set. Closed
-	// at retirement.
-	sink chan *vec.Batch
-	// finished is closed when the query is fully retired: no worker will
-	// touch it again, err and stats are final.
-	finished chan struct{}
+	mq   *mquery
+	node int // this fragment's node index on the engine
+	pool *pool
 
 	ops      []*opRun
-	chain    int  // current pipeline chain
+	chain    int  // current pipeline chain (set by the coordinator)
 	inflight int  // activations being processed by workers right now
 	anchored int  // workers whose affinity anchor is this query
-	done     bool // all chains completed
+	done     bool // all chains completed (set by the coordinator)
 	aborted  bool // cancelled or failed; queues cleared
 	retired  bool // removed from the pool; finalize pending or done
-	err      error
 
 	// parked holds result batches that could not be sent because the
 	// sink was full. While parked is non-empty the pool pauses this
@@ -285,15 +270,16 @@ type query struct {
 	flushing bool // a flusher worker is (or is about to be) draining parked
 
 	// Group-by delivery: once all chains are done, a worker claims the
-	// merge job (merging), folds the partials into final batches, and
-	// parks them — the same flusher machinery then streams them out, so
-	// group-by output gets the identical backpressure/cancellation/Close
-	// guarantees as the streaming path. mergeDone gates retirement.
+	// merge job (merging), folds the node's partials, and the last node
+	// parks the final batches — the same flusher machinery then streams
+	// them out, so group-by output gets the identical
+	// backpressure/cancellation/Close guarantees as the streaming path.
+	// mergeDone gates retirement.
 	merging   bool
 	mergeDone bool
-	// stealBusy marks a steal round in flight for this multi-node fragment
-	// (claimed like flushing); stealIdle parks further rounds after a failed
-	// one until a producer refills a peer queue past the wake threshold. Both
+	// stealBusy marks a steal round in flight for this fragment (claimed
+	// like flushing); stealIdle parks further rounds after a failed one
+	// until a producer refills a peer queue past the wake threshold. Both
 	// are guarded by the pool mutex, and sit here to share the flags' word.
 	stealBusy bool
 	stealIdle bool
@@ -302,12 +288,6 @@ type query struct {
 	// for the current chain; nil in dynamic mode.
 	allowed []map[*pop]bool
 
-	// Multi-node fragment state. mq links the fragment to its query's
-	// coordinator (nil for single-node queries) and node is the fragment's
-	// node index. done/chain are driven by the coordinator for fragments;
-	// sink/ctx/cancel are shared across the query's fragments.
-	mq   *mquery
-	node int
 	// Per-fragment traffic and steal counters, accessed atomically (a
 	// steal round can race retirement).
 	shipIn, shipOut                                                  int64
@@ -322,8 +302,8 @@ type query struct {
 	// gbKeyCol is the group-by key's resolved column in the root
 	// operator's output schema (-1 = closure fallback).
 	gbKeyCol int
-	// partials holds per-worker aggregation state when gb != nil; worker
-	// w touches only partials[w].
+	// partials holds per-worker aggregation state of a group-by query;
+	// worker w touches only partials[w].
 	partials []map[any]*groupState
 
 	// Memory governance (all zero/nil when Options.MemoryPerNode == 0 —
@@ -355,38 +335,27 @@ type query struct {
 	// counters).
 	disk diskCounters
 
-	stats Stats
-	acts  int64
-	// opRows counts rows produced per operator id (atomic adds from the
-	// worker loop; sealed into Stats.OpRows at retirement).
-	opRows []int64
+	// Activation and row counters, sealed into the coordinator's Stats at
+	// retirement: acts under the pool mutex; resultRows, perWorker (this
+	// node's window of the coordinator's engine-wide slice) and opRows
+	// (rows produced per operator id) by atomic adds from the worker loop.
+	acts       int64
+	resultRows int64
+	perWorker  []int64
+	opRows     []int64
 }
 
-// newQuery builds per-query runtime state. nodes is the engine's node
-// count (key routing spreads a build table across nodes, so fragment
-// hash-table presizing divides by it); sink, when non-nil, is a
-// multi-node query's shared result channel — fragments then skip the
-// private sink and finished channels entirely (the coordinator's
-// finished is the one that closes).
-func newQuery(p *Pool, phys *physical, gb *GroupBy, opt Options, ctx context.Context, cancel context.CancelFunc, nodes int, sink chan *vec.Batch) *query {
-	q := &query{
-		pool:   p,
-		p:      phys,
-		gb:     gb,
-		opt:    opt,
-		ctx:    ctx,
-		cancel: cancel,
-		sink:   sink,
-	}
-	if sink == nil {
-		q.sink = make(chan *vec.Batch, 2*opt.Workers)
-		q.finished = make(chan struct{})
-	}
+// newFragment builds the fragment of mq that runs on node. Key routing
+// spreads a build table across the engine's nodes, so fragment
+// hash-table presizing divides by the node count.
+func newFragment(mq *mquery, node int) *query {
+	phys, gb, opt := mq.phys, mq.gb, mq.opt
+	q := &query{mq: mq, node: node, pool: mq.nodes.pools[node]}
 	for _, op := range phys.ops {
 		or := &opRun{op: op, queues: make([][]*activation, opt.Workers)}
 		if op.kind == opBuild {
 			or.stripes = make([]*stripeStore, opt.Stripes)
-			hint := int(op.est)/(opt.Stripes*nodes) + 1
+			hint := int(op.est)/(opt.Stripes*mq.n) + 1
 			for i := range or.stripes {
 				or.stripes[i] = newStripeStore(op.outKinds, op.idxKind, op.keyCol, hint)
 			}
@@ -405,7 +374,8 @@ func newQuery(p *Pool, phys *physical, gb *GroupBy, opt Options, ctx context.Con
 	if gb != nil && phys.root.outKinds != nil {
 		q.gbKeyCol = resolveKeyCol(gb.Key, len(phys.root.outKinds))
 	}
-	q.stats.PerWorker = make([]int64, opt.Workers)
+	lo := node * opt.Workers
+	q.perWorker = mq.stats.PerWorker[lo : lo+opt.Workers : lo+opt.Workers]
 	q.opRows = make([]int64, len(phys.ops))
 	if opt.Static {
 		q.allowed = make([]map[*pop]bool, opt.Workers)
@@ -415,12 +385,12 @@ func newQuery(p *Pool, phys *physical, gb *GroupBy, opt Options, ctx context.Con
 	}
 	if opt.MemoryPerNode > 0 {
 		q.memBudget = opt.MemoryPerNode
-		if p.broker != nil {
+		if b := q.pool.broker; b != nil {
 			// Broker engine: the shared pool is the capacity reference
 			// (spill-load floors, repartition decisions); charges are
 			// covered by leases instead of the private split.
-			q.broker = p.broker
-			q.memBudget = p.broker.budget
+			q.broker = b
+			q.memBudget = b.budget
 		}
 		if gb != nil {
 			q.gbFiles = make([]*spill.File, opt.Workers)
@@ -431,36 +401,19 @@ func newQuery(p *Pool, phys *physical, gb *GroupBy, opt Options, ctx context.Con
 	return q
 }
 
-// fail is the activation-failure path: it aborts the query, single- or
-// multi-node, with an error met while processing an activation (table-file
-// or spill I/O, a codec error, a build side too large to seal). Called
-// with no locks held.
-func (q *query) fail(err error) {
-	if q.mq != nil {
-		q.mq.fail(err)
-		return
-	}
-	q.pool.abort(q, err)
-}
-
 // terminalLocked reports whether the query no longer accepts scheduling.
 func (q *query) terminalLocked() bool { return q.done || q.aborted }
 
-// failLocked aborts the query: queued activations and parked output are
-// dropped so no worker picks from it again, and the query context is
-// cancelled so workers blocked on sink sends release promptly. A done
-// query that has not yet retired (its output still undelivered) can
+// failLocked is the fragment's share of mquery.fail: queued activations
+// and parked output are dropped so no worker picks from it again. A done
+// fragment that has not yet retired (its output still undelivered) can
 // still be failed — only retirement makes the outcome final. Callers
 // hold the pool mutex.
-func (q *query) failLocked(err error) {
+func (q *query) failLocked() {
 	if q.aborted || q.retired {
 		return
 	}
 	q.aborted = true
-	if err == nil {
-		err = context.Canceled
-	}
-	q.err = err
 	for _, or := range q.ops {
 		for i := range or.queues {
 			or.queues[i] = nil
@@ -468,51 +421,13 @@ func (q *query) failLocked(err error) {
 		or.queued = 0
 	}
 	q.parked = nil
-	q.cancel()
-}
-
-// startChainLocked seeds the driver scan's morsels and, in static mode,
-// allocates workers to the chain's operators by estimated cost. Callers
-// hold the pool mutex.
-func (q *query) startChainLocked(c int) {
-	q.chain = c
-	chain := q.p.chains[c]
-	driver := chain[0]
-	or := q.ops[driver.id]
-	seeded := 0
-	if ft := driver.scan.Table.File; ft != nil {
-		// File-backed driver: one activation per chunk (the chunk is the
-		// morsel — decode cost, not row count, is the work unit).
-		for ci := 0; ci < ft.NumChunks(); ci++ {
-			q.enqueueLocked(or, &activation{op: driver, lo: ci, hi: ci + 1})
-			seeded++
-		}
-	} else {
-		total := q.scanSrc(driver).N
-		for lo := 0; lo < total; lo += q.opt.Morsel {
-			hi := min(lo+q.opt.Morsel, total)
-			q.enqueueLocked(or, &activation{op: driver, lo: lo, hi: hi})
-			seeded++
-		}
-	}
-	if seeded == 0 {
-		// Degenerate input: the scan is born finished.
-		or.prodEnd = true
-		q.opFinishedLocked(or)
-		return
-	}
-	or.prodEnd = true
-	if q.opt.Static {
-		q.assignStatic(chain)
-	}
-	q.pool.cond.Broadcast()
 }
 
 // assignStatic distributes workers over the chain's operators
 // proportionally to estimated cost — the FP baseline. Callers hold the
 // pool mutex.
 func (q *query) assignStatic(chain []*pop) {
-	w := q.opt.Workers
+	w := q.mq.opt.Workers
 	for i := range q.allowed {
 		q.allowed[i] = make(map[*pop]bool)
 	}
@@ -567,14 +482,14 @@ func (q *query) assignStatic(chain []*pop) {
 }
 
 // enqueueLocked adds an activation to the operator's next queue
-// round-robin. Callers hold the pool mutex.
+// round-robin (the coordinator has already counted it pending). Callers
+// hold the pool mutex.
 //
 //hierdb:hotpath
 func (q *query) enqueueLocked(or *opRun, a *activation) {
 	or.queues[or.rr] = append(or.queues[or.rr], a)
 	or.rr = (or.rr + 1) % len(or.queues)
 	or.queued++
-	or.pending++
 }
 
 // pickLocked selects the next activation of this query for worker w:
@@ -585,7 +500,7 @@ func (q *query) enqueueLocked(or *opRun, a *activation) {
 //
 //hierdb:hotpath
 func (q *query) pickLocked(w int) *activation {
-	chain := q.p.chains[q.chain]
+	chain := q.mq.phys.chains[q.chain]
 	for i := len(chain) - 1; i >= 0; i-- {
 		op := chain[i]
 		if q.allowed != nil && !q.allowed[w][op] {
@@ -621,44 +536,6 @@ func (q *query) popQueue(or *opRun, w int) *activation {
 	return nil
 }
 
-// opFinishedLocked marks an operator done, propagates end-of-producer to
-// its consumer, and advances to the next pipeline chain when the current
-// one completes. A spilled probe operator is not finished but advanced:
-// each time its pending count drains, the next spill partition's load
-// activation is enqueued, until every partition is joined. Callers hold
-// the pool mutex.
-func (q *query) opFinishedLocked(or *opRun) {
-	if a := q.spillNextLocked(or); a != nil {
-		q.enqueueLocked(or, a)
-		q.pool.cond.Broadcast()
-		return
-	}
-	or.done = true
-	if cns := or.op.consumer; cns != nil {
-		co := q.ops[cns.id]
-		co.prodEnd = true
-		if co.pending == 0 && !co.done {
-			q.opFinishedLocked(co)
-			return
-		}
-	}
-	// Advance the chain barrier when every operator of the current chain
-	// is done.
-	chain := q.p.chains[q.chain]
-	for _, op := range chain {
-		if !q.ops[op.id].done {
-			q.pool.cond.Broadcast()
-			return
-		}
-	}
-	if q.chain+1 < len(q.p.chains) {
-		q.startChainLocked(q.chain + 1)
-		return
-	}
-	q.done = true
-	q.pool.cond.Broadcast()
-}
-
 // sinkParkDelay is how long a worker waits on a full sink before parking
 // the batch and moving on: long enough that an actively-draining
 // consumer gets the cheap direct channel handoff, short enough that a
@@ -680,7 +557,8 @@ func (q *query) deliver(w int, results *vec.Batch, timer **time.Timer) bool {
 	if results == nil || results.N == 0 {
 		return true
 	}
-	if q.gb != nil {
+	mq := q.mq
+	if mq.gb != nil {
 		m := q.partials[w]
 		if m == nil {
 			m = make(map[any]*groupState)
@@ -689,17 +567,17 @@ func (q *query) deliver(w int, results *vec.Batch, timer **time.Timer) bool {
 		q.foldGroupsBatch(m, w, results)
 		if q.memBudget > 0 {
 			if err := q.governGroupPartial(w); err != nil {
-				q.fail(err)
+				mq.fail(err)
 				return false
 			}
 		}
 		return true
 	}
 	select {
-	case q.sink <- results:
-		atomic.AddInt64(&q.stats.ResultRows, int64(results.N))
+	case mq.sink <- results:
+		atomic.AddInt64(&q.resultRows, int64(results.N))
 		return true
-	case <-q.ctx.Done():
+	case <-mq.ctx.Done():
 		return false
 	default:
 	}
@@ -711,11 +589,11 @@ func (q *query) deliver(w int, results *vec.Batch, timer **time.Timer) bool {
 		t.Reset(sinkParkDelay)
 	}
 	select {
-	case q.sink <- results:
+	case mq.sink <- results:
 		stopParkTimer(t)
-		atomic.AddInt64(&q.stats.ResultRows, int64(results.N))
+		atomic.AddInt64(&q.resultRows, int64(results.N))
 		return true
-	case <-q.ctx.Done():
+	case <-mq.ctx.Done():
 		stopParkTimer(t)
 		return false
 	case <-t.C:
@@ -738,53 +616,24 @@ func stopParkTimer(t *time.Timer) {
 	}
 }
 
-// finalize completes retirement: seals stats, closes the sink and the
-// finished channel, and releases the admission slot. All output —
-// including merged group-by batches — has already been delivered (or
-// dropped by an abort) before retirement, so finalize never blocks.
-// Called exactly once, by whoever retired the query, without the pool
-// mutex. A multi-node fragment instead reports to its coordinator,
-// which closes the shared sink when the last fragment retires.
+// finalize completes the fragment's retirement: spill files and the
+// broker lease are released, and the coordinator — which seals stats and
+// closes the shared sink when the last fragment retires — is told. All
+// output, including merged group-by batches, has already been delivered
+// (or dropped by an abort) before retirement, so finalize never blocks.
+// Called exactly once, by whoever retired the fragment, without the pool
+// mutex.
 func (q *query) finalize() {
 	q.releaseSpill()
 	if q.broker != nil {
 		q.broker.releaseAll(&q.lease)
 	}
-	if q.mq != nil {
-		q.mq.fragRetired()
-		return
-	}
-	q.stats.Activations = q.acts
-	q.stats.OpRows = make([]int64, len(q.opRows))
-	for i := range q.opRows {
-		q.stats.OpRows[i] = atomic.LoadInt64(&q.opRows[i])
-	}
-	q.stats.SpilledPartitions = q.spilledParts.Load()
-	q.stats.SpilledBytes = q.spilledBytes.Load()
-	q.stats.SpillPhases = q.spillPhases.Load()
-	q.stats.DiskStats = q.disk.seal()
-	close(q.sink)
-	close(q.finished)
-	q.cancel()
-	if q.pool.admit != nil {
-		q.pool.admit.release()
-	}
-}
-
-// watch aborts the query when its context is cancelled (caller cancel or
-// Rows.Close) before it retires on its own. This is what makes
-// cancellation prompt even when every worker is parked.
-func (q *query) watch() {
-	select {
-	case <-q.ctx.Done():
-		q.pool.abort(q, q.ctx.Err())
-	case <-q.finished:
-	}
+	q.mq.fragRetired()
 }
 
 // consumerKey is the partition key of rows flowing into an operator: a
 // build op receives build-side rows, a probe op probe-side rows. The
-// multi-node router sends each row to the node owning its key.
+// router (emitBatch) sends each row to the node owning its key.
 func consumerKey(c *pop) KeyFunc {
 	if c.kind == opBuild {
 		return c.join.BuildKey
@@ -792,13 +641,10 @@ func consumerKey(c *pop) KeyFunc {
 	return c.join.ProbeKey
 }
 
-// scanSrc is the columnar source of a scan operator: the node's table
-// partition for a multi-node fragment, the whole table otherwise.
+// scanSrc is the columnar source of a resident-table scan operator:
+// this node's partition of the table.
 func (q *query) scanSrc(op *pop) *vec.Batch {
-	if q.mq != nil {
-		return q.mq.scanParts[op.id][q.node]
-	}
-	return columnize(op.scan.Table)
+	return q.mq.ops[op.id].parts[q.node]
 }
 
 // countOpRows attributes one processed activation's produced rows to
@@ -847,7 +693,7 @@ func (q *query) process(a *activation, w int) (outs []*activation, results *vec.
 		or := q.ops[a.op.id]
 		if q.memBudget > 0 {
 			if err := q.buildGoverned(or, a.b, w); err != nil {
-				q.fail(err)
+				q.mq.fail(err)
 			}
 			break
 		}
@@ -859,7 +705,7 @@ func (q *query) process(a *activation, w int) (outs []*activation, results *vec.
 			// join's probe spill files and joined partition-wise once the
 			// probe input is exhausted (spillNextLocked).
 			if err := q.spillBatch(sp.probe, a.op.keyCol, a.op.join.ProbeKey, 0, a.b, &q.vscratch[w]); err != nil {
-				q.fail(err)
+				q.mq.fail(err)
 			}
 			break
 		}

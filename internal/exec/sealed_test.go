@@ -13,9 +13,10 @@ import (
 )
 
 // probeFixture is the probe kernel on its own: a one-join plan compiled
-// into a bare single-node query that is never scheduled, its build side
-// inserted on worker 0, and the probe activations its probe scan emits
-// (one morsel covering the table, cut to Batch rows).
+// into a one-node query — coordinator and fragment from the engine's own
+// constructor — that is never scheduled, its build side inserted on
+// worker 0, and the probe activations its probe scan emits (one morsel
+// covering the table, cut to Batch rows).
 func probeFixture(t testing.TB, plan *Join, opt Options) (q *query, probes []*activation) {
 	t.Helper()
 	phys, err := compile(plan)
@@ -26,7 +27,8 @@ func probeFixture(t testing.TB, plan *Join, opt Options) (q *query, probes []*ac
 	if opt, err = opt.validateFor(max(opt.Workers, 1)); err != nil {
 		t.Fatal(err)
 	}
-	q = newQuery(&Pool{}, phys, nil, opt, context.Background(), func() {}, 1, nil)
+	ns := &Nodes{n: 1, workers: opt.Workers, pools: []*pool{{}}}
+	q = ns.newQuery(context.Background(), phys, nil, opt).mq.frags[0]
 	scanAll := func(op *pop) []*activation {
 		outs, _ := q.processScanVec(&activation{op: op, lo: 0, hi: q.scanSrc(op).N}, 0)
 		return outs
@@ -107,7 +109,7 @@ func TestRaggedBuildStripes(t *testing.T) {
 		}
 	}
 	for _, batch := range []int{1, 4, 256} {
-		got, _, err := Execute(context.Background(), plan, Options{Workers: workers, Batch: batch})
+		got, _, err := runOnce(context.Background(), plan, nil, Options{Workers: workers, Batch: batch})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -171,7 +173,7 @@ func TestJoinGatherAllocBound(t *testing.T) {
 func TestProbeOutputAliasesSealedStore(t *testing.T) {
 	const buildRows, probeRows, width = 100, 5_000, 3
 	q, probes := probeFixture(t, widePlan(buildRows, probeRows, width), Options{Workers: 1})
-	bo := q.ops[q.p.root.partner.id]
+	bo := q.ops[q.mq.phys.root.partner.id]
 	var sealed *vec.Batch
 	rows := 0
 	for _, a := range probes {
@@ -268,7 +270,7 @@ func TestProbeCutsAtSecondStore(t *testing.T) {
 	const buildRows, probeRows = 64, 256
 	plan := widePlan(buildRows, probeRows, 2)
 	q, probes := probeFixture(t, plan, Options{Workers: 1, Stripes: 4, Batch: probeRows})
-	bo := q.ops[q.p.root.partner.id]
+	bo := q.ops[q.mq.phys.root.partner.id]
 	if err := bo.seal(); err != nil {
 		t.Fatal(err)
 	}
@@ -334,7 +336,7 @@ func TestStolenOutputsReferenceOwnerStore(t *testing.T) {
 	checkQueryHygiene(t)
 	const nodes, stripes, factRows, dimRows = 2, 8, 60_000, 500
 	plan := skewPlan(nodes, stripes, factRows, dimRows)
-	want, _, err := Execute(context.Background(), plan, Options{Workers: 4, Stripes: stripes})
+	want, _, err := runOnce(context.Background(), plan, nil, Options{Workers: 4, Stripes: stripes})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,7 +385,7 @@ func TestStolenOutputsReferenceOwnerStore(t *testing.T) {
 func TestSealUnderGovernance(t *testing.T) {
 	checkQueryHygiene(t)
 	plan := govPlan(5_000, 20_000)
-	want, _, err := Execute(context.Background(), plan, Options{Workers: 4})
+	want, _, err := runOnce(context.Background(), plan, nil, Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -429,7 +431,7 @@ func TestCancelDuringSeal(t *testing.T) {
 			}
 			cancel()
 		}
-		verifyIdle(t, ns.Submit)
+		verifyIdle(t, ns)
 	}
 }
 

@@ -17,7 +17,7 @@ import (
 // two-column table to partition into them.
 func spillWriteFixture(t testing.TB, rows int) (q *query, files []*spill.File, src *vec.Batch) {
 	t.Helper()
-	q = &query{opt: Options{SpillDir: t.TempDir()}.withDefaults()}
+	q = &query{mq: &mquery{opt: Options{SpillDir: t.TempDir()}.withDefaults()}}
 	q.vscratch = make([]vecScratch, 1)
 	t.Cleanup(q.releaseSpill)
 	for i := 0; i < spillFanout; i++ {
@@ -34,8 +34,8 @@ func spillWriteFixture(t testing.TB, rows int) (q *query, files []*spill.File, s
 // partitionAll feeds src through spillBatch one Batch-row window at a
 // time, as the build and probe activations do.
 func partitionAll(t testing.TB, q *query, files []*spill.File, src *vec.Batch) {
-	for lo := 0; lo < src.N; lo += q.opt.Batch {
-		if err := q.spillBatch(files, 0, nil, 0, window(src, lo, min(lo+q.opt.Batch, src.N)), &q.vscratch[0]); err != nil {
+	for lo := 0; lo < src.N; lo += q.mq.opt.Batch {
+		if err := q.spillBatch(files, 0, nil, 0, window(src, lo, min(lo+q.mq.opt.Batch, src.N)), &q.vscratch[0]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -99,11 +99,11 @@ func encodedBytes(t *testing.T, rows []Row, batch int) (n int64) {
 func TestSpillCoalescedBatches(t *testing.T) {
 	checkQueryHygiene(t)
 	plan := govPlan(5_000, 20_000)
-	want, _, err := Execute(context.Background(), plan, Options{Workers: 4})
+	want, _, err := runOnce(context.Background(), plan, nil, Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool, err := NewPool(4, 0)
+	pool, err := NewNodes(1, 4, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestSpillCoalescedBatches(t *testing.T) {
 	if !ok {
 		t.Fatalf("no output: %v", h.Err())
 	}
-	files := spillFilesOf(h.q)
+	files := spillFilesOf(h.mq.frags[0])
 	var arena vec.Arena
 	got := first.AppendRows(nil, &arena)
 	got = append(got, collectHandle(t, h)...)
@@ -127,7 +127,7 @@ func TestSpillCoalescedBatches(t *testing.T) {
 	if len(files) != 2*spillFanout || st.SpilledPartitions != spillFanout {
 		t.Fatalf("fixture must spill one fan-out without repartitioning: %d files, %+v", len(files), st)
 	}
-	batch := h.q.opt.Batch
+	batch := h.mq.opt.Batch
 	var rows, bytes int64
 	for fi, f := range files {
 		refs := f.Refs()
@@ -184,7 +184,7 @@ func TestSpilledBytesMatchesFiles(t *testing.T) {
 // previous stage left buffered.
 func TestSpillWriteBufferBound(t *testing.T) {
 	checkQueryHygiene(t)
-	pool, err := NewPool(4, 0)
+	pool, err := NewNodes(1, 4, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +195,7 @@ func TestSpillWriteBufferBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	buffered := func() (n int64) {
-		for _, f := range spillFilesOf(h.q) {
+		for _, f := range spillFilesOf(h.mq.frags[0]) {
 			// Rows before Refs: a flush in between only lowers the sample.
 			rows := f.Rows()
 			for _, ref := range f.Refs() {
@@ -241,7 +241,7 @@ func TestSpillWriteBufferBound(t *testing.T) {
 func TestSpillCancelWithUnflushedBuffers(t *testing.T) {
 	checkQueryHygiene(t)
 	dir := t.TempDir()
-	pool, err := NewPool(4, 0)
+	pool, err := NewNodes(1, 4, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +261,7 @@ func TestSpillCancelWithUnflushedBuffers(t *testing.T) {
 			t.Fatal("query finished before any row was buffered for spilling")
 		default:
 		}
-		for _, f := range spillFilesOf(h.q) {
+		for _, f := range spillFilesOf(h.mq.frags[0]) {
 			unflushed += f.Rows()
 		}
 		runtime.Gosched()
@@ -279,5 +279,5 @@ func TestSpillCancelWithUnflushedBuffers(t *testing.T) {
 	if len(ents) != 0 {
 		t.Fatalf("spill temp files leaked after cancel: %v", names(ents))
 	}
-	verifyIdle(t, pool.Submit)
+	verifyIdle(t, pool)
 }

@@ -23,14 +23,14 @@ func TestStaticMoreOpsThanWorkers(t *testing.T) {
 	}
 	// Final chain: scan + 4 probes = 5 operators; 2 workers force
 	// multi-operator packing.
-	rows, _, err := Execute(context.Background(), plan, Options{Workers: 2, Static: true})
+	rows, _, err := runOnce(context.Background(), plan, nil, Options{Workers: 2, Static: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rows) != 2000 {
 		t.Fatalf("%d rows, want 2000", len(rows))
 	}
-	dyn, _, err := Execute(context.Background(), plan, Options{Workers: 2})
+	dyn, _, err := runOnce(context.Background(), plan, nil, Options{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestSingleWorker(t *testing.T) {
 	b := tbl("b", 100, func(i int) any { return i % 10 }, func(i int) any { return i })
 	p := tbl("p", 100, func(i int) any { return i % 10 }, func(i int) any { return i })
 	plan := &Join{Build: &Scan{Table: b}, Probe: &Scan{Table: p}, BuildKey: KeyCol(0), ProbeKey: KeyCol(0)}
-	rows, stats, err := Execute(context.Background(), plan, Options{Workers: 1})
+	rows, stats, err := runOnce(context.Background(), plan, nil, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestManyWorkersFewRows(t *testing.T) {
 	b := tbl("b", 3, func(i int) any { return i }, func(i int) any { return i })
 	p := tbl("p", 3, func(i int) any { return i }, func(i int) any { return i })
 	plan := &Join{Build: &Scan{Table: b}, Probe: &Scan{Table: p}, BuildKey: KeyCol(0), ProbeKey: KeyCol(0)}
-	rows, _, err := Execute(context.Background(), plan, Options{Workers: 32})
+	rows, _, err := runOnce(context.Background(), plan, nil, Options{Workers: 32})
 	if err != nil {
 		t.Fatal(err)
 	}

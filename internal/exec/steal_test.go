@@ -56,7 +56,7 @@ func TestGlobalStealOnSkewedWorkload(t *testing.T) {
 		dimRows  = 500
 	)
 	plan := skewPlan(nodes, stripes, factRows, dimRows)
-	want, _, err := Execute(context.Background(), plan, Options{Workers: 4, Stripes: stripes})
+	want, _, err := runOnce(context.Background(), plan, nil, Options{Workers: 4, Stripes: stripes})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestStealStatsIsolatedPerQuery(t *testing.T) {
 		queries = 4
 	)
 	plan := skewPlan(nodes, stripes, 12_000, 200)
-	want, _, err := Execute(context.Background(), plan, Options{Workers: 4, Stripes: stripes})
+	want, _, err := runOnce(context.Background(), plan, nil, Options{Workers: 4, Stripes: stripes})
 	if err != nil {
 		t.Fatal(err)
 	}

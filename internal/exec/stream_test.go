@@ -19,7 +19,7 @@ func cancelPlan(rows int) Node {
 	}
 }
 
-// TestPromptCancellation cancels mid-join and requires Execute to return
+// TestPromptCancellation cancels mid-join and requires the run to return
 // within a bounded wall-clock time with ctx.Err(), workers fully drained,
 // for both the DP and Static modes.
 func TestPromptCancellation(t *testing.T) {
@@ -36,10 +36,10 @@ func TestPromptCancellation(t *testing.T) {
 				cancel()
 			}()
 			start := time.Now()
-			_, _, err := Execute(ctx, plan, Options{Workers: 4, Static: mode.static})
+			_, _, err := runOnce(ctx, plan, nil, Options{Workers: 4, Static: mode.static})
 			elapsed := time.Since(start)
 			if !errors.Is(err, context.Canceled) {
-				t.Fatalf("cancelled Execute returned %v", err)
+				t.Fatalf("cancelled run returned %v", err)
 			}
 			if elapsed > 5*time.Second {
 				t.Fatalf("cancellation took %v", elapsed)
@@ -58,7 +58,7 @@ func TestStreamCancelMidIteration(t *testing.T) {
 	}{{"DP", false}, {"Static", true}} {
 		t.Run(mode.name, func(t *testing.T) {
 			checkQueryHygiene(t)
-			pool, err := NewPool(4, 0)
+			pool, err := NewNodes(1, 4, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -80,7 +80,7 @@ func TestStreamCancelMidIteration(t *testing.T) {
 			if err := h.Err(); !errors.Is(err, context.Canceled) {
 				t.Fatalf("cancelled stream reported %v", err)
 			}
-			verifyIdle(t, pool.Submit)
+			verifyIdle(t, pool)
 		})
 	}
 }
@@ -90,7 +90,7 @@ func TestStreamCancelMidIteration(t *testing.T) {
 // first batch must arrive while the query is still in flight.
 func TestStreamsBeforeCompletion(t *testing.T) {
 	checkQueryHygiene(t)
-	pool, err := NewPool(4, 0)
+	pool, err := NewNodes(1, 4, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestStreamsBeforeCompletion(t *testing.T) {
 // arena-carved rows, batch-granular channel traffic, no per-row boxing
 // and no full-result materialization on the engine side.
 func TestStreamingSinkAllocBound(t *testing.T) {
-	pool, err := NewPool(4, 0)
+	pool, err := NewNodes(1, 4, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func TestStreamingSinkAllocBound(t *testing.T) {
 // batch-granular channel traffic, no per-row work at all. The bound is
 // an order tighter than the row-boundary sink gate above.
 func TestVectorBatchAllocBound(t *testing.T) {
-	pool, err := NewPool(4, 0)
+	pool, err := NewNodes(1, 4, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

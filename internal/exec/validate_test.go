@@ -31,7 +31,7 @@ func TestInputValidation(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, _, err := Execute(context.Background(), tc.root, tc.opt)
+			_, _, err := runOnce(context.Background(), tc.root, nil, tc.opt)
 			if err == nil {
 				t.Fatalf("%s accepted", tc.name)
 			}
@@ -45,13 +45,13 @@ func TestInputValidation(t *testing.T) {
 // TestValidationOnPoolSubmit checks the same contract on the resident
 // surface, plus group-by validation and pool construction errors.
 func TestValidationOnPoolSubmit(t *testing.T) {
-	if _, err := NewPool(-1, 0); err == nil || !strings.Contains(err.Error(), "negative Workers") {
-		t.Fatalf("NewPool(-1) = %v", err)
+	if _, err := NewNodes(1, -1, 0); err == nil || !strings.Contains(err.Error(), "negative Workers") {
+		t.Fatalf("NewNodes(1, -1, 0) = %v", err)
 	}
-	if _, err := NewPool(2, -4); err == nil || !strings.Contains(err.Error(), "negative MaxConcurrentQueries") {
-		t.Fatalf("NewPool(_, -4) = %v", err)
+	if _, err := NewNodes(1, 2, -4); err == nil || !strings.Contains(err.Error(), "negative MaxConcurrentQueries") {
+		t.Fatalf("NewNodes(1, 2, -4) = %v", err)
 	}
-	pool, err := NewPool(2, 0)
+	pool, err := NewNodes(1, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

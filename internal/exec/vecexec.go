@@ -545,20 +545,21 @@ func window(b *vec.Batch, lo, hi int) *vec.Batch {
 }
 
 // emitBatch hands a produced batch to consumer, chunked to the
-// pipeline granularity. A multi-node fragment first routes each row to
-// the node owning its partition key (the consumer's key over this
-// batch's schema), one batch stream per destination.
+// pipeline granularity, routing each row to the node owning its
+// partition key (the consumer's key over this batch's schema), one
+// batch stream per destination. With a single destination there is
+// nothing to route, so the keys are not hashed.
 //
 //hierdb:hotpath
 func (q *query) emitBatch(consumer *pop, b *vec.Batch, outs *[]*activation, vs *vecScratch, arena *vec.Arena) {
 	if b == nil || b.N == 0 {
 		return
 	}
-	if q.mq == nil {
+	nb, n := q.mq.buckets, q.mq.n
+	if n == 1 {
 		q.emitWindows(consumer, b, 0, outs)
 		return
 	}
-	nb, n := q.mq.buckets, q.mq.n
 	hs := keyHashes(b, consumer.keyCol, consumerKey(consumer), vs)
 	perDest := vs.dests(n)
 	for i := 0; i < b.N; i++ {
@@ -577,8 +578,8 @@ func (q *query) emitBatch(consumer *pop, b *vec.Batch, outs *[]*activation, vs *
 //
 //hierdb:hotpath
 func (q *query) emitWindows(consumer *pop, b *vec.Batch, dest int, outs *[]*activation) {
-	for lo := 0; lo < b.N; lo += q.opt.Batch {
-		*outs = append(*outs, &activation{op: consumer, b: window(b, lo, min(lo+q.opt.Batch, b.N)), dest: dest})
+	for lo := 0; lo < b.N; lo += q.mq.opt.Batch {
+		*outs = append(*outs, &activation{op: consumer, b: window(b, lo, min(lo+q.mq.opt.Batch, b.N)), dest: dest})
 	}
 }
 
@@ -636,22 +637,17 @@ func (q *query) scanTail(a *activation, b *vec.Batch, preds []vec.Pred, w int) (
 }
 
 // stripeSels groups a build batch's logical rows, given their key
-// hashes, by the lock stripe each routes to, in the worker's scratch.
+// hashes, by the lock stripe each routes to, in the worker's scratch:
+// global bucket g = hash mod nodes*Stripes is owned by node g mod nodes
+// as its stripe g div nodes (every row here is this node's own).
 //
 //hierdb:hotpath
 func (q *query) stripeSels(hs []uint64, stripes int, vs *vecScratch) [][]int32 {
 	per := vs.dests(stripes)
-	if q.mq != nil {
-		nb, n := uint64(q.mq.buckets), q.mq.n
-		for i, h := range hs {
-			s := int(h%nb) / n
-			per[s] = append(per[s], int32(i))
-		}
-	} else {
-		st := uint64(q.opt.Stripes)
-		for i, h := range hs {
-			per[h%st] = append(per[h%st], int32(i))
-		}
+	nb, n := uint64(q.mq.buckets), q.mq.n
+	for i, h := range hs {
+		s := int(h%nb) / n
+		per[s] = append(per[s], int32(i))
 	}
 	return per
 }
@@ -695,7 +691,7 @@ func (q *query) processBuildVec(a *activation, w int) {
 func (q *query) processProbeVec(a *activation, w int) (outs []*activation, results *vec.Batch) {
 	bo := q.ops[a.op.partner.id]
 	if err := bo.seal(); err != nil {
-		q.fail(err)
+		q.mq.fail(err)
 		return nil, nil
 	}
 	b := a.b
@@ -709,37 +705,27 @@ func (q *query) processProbeVec(a *activation, w int) (outs []*activation, resul
 	if a.op.keyCol >= 0 && a.op.keyCol < len(b.Cols) {
 		keyCol = &b.Cols[a.op.keyCol]
 	}
-	multi := q.mq != nil
 	var cache bucketCache
 	po := q.ops[a.op.id]
 	vs.probeRows = vs.probeRows[:0]
 	vs.bpos = vs.bpos[:0]
-	var nb uint64
-	var nn int
-	if multi {
-		nb, nn = uint64(q.mq.buckets), q.mq.n
-	}
-	stripes := uint64(q.opt.Stripes)
+	nb, nn := uint64(q.mq.buckets), q.mq.n
 	var store *vec.Batch // the sealed store the matches so far lie in
 	cut := b.N
 	for i := 0; i < b.N; i++ {
 		var ss *stripeStore
-		if multi {
-			g := int(hs[i] % nb)
-			if g%nn == q.node {
-				ss = bo.stripes[g/nn]
-			} else {
-				// A stolen row: its bucket's stripe was acquired into
-				// this node's cache with the activation.
-				if cache == nil {
-					if c := po.cache.Load(); c != nil {
-						cache = *c
-					}
-				}
-				ss = cache[g]
-			}
+		g := int(hs[i] % nb)
+		if g%nn == q.node {
+			ss = bo.stripes[g/nn]
 		} else {
-			ss = bo.stripes[hs[i]%stripes]
+			// A stolen row: its bucket's stripe was acquired into this
+			// node's cache with the activation.
+			if cache == nil {
+				if c := po.cache.Load(); c != nil {
+					cache = *c
+				}
+			}
+			ss = cache[g]
 		}
 		if ss == nil {
 			continue
@@ -777,7 +763,7 @@ func (q *query) finishProbe(a *activation, b, store *vec.Batch, w int) (outs []*
 	if m == 0 {
 		return nil, nil
 	}
-	isRoot := a.op == q.p.root
+	isRoot := a.op == q.mq.phys.root
 	var out *vec.Batch
 	if combine := a.op.join.Combine; combine != nil {
 		// User combine: materialize fresh probe/build rows — the build

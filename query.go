@@ -18,7 +18,7 @@ import (
 type Query struct {
 	db     *DB
 	node   exec.Node
-	top    *exec.Join // join introduced by this builder step, for Combine/Selectivity
+	top    *exec.Join // join introduced by this builder step, for Combine/Hint
 	gb     *exec.GroupBy
 	tenant string // admission-fairness label, set by WithTenant
 	err    error
@@ -119,24 +119,13 @@ func (q *Query) Combine(fn func(probe, build Row) Row) *Query {
 	return q.withTop(func(j *exec.Join) { j.Combine = fn }, "Combine")
 }
 
-// Selectivity hints the output-to-input ratio of the join introduced by
-// the immediately preceding Join step, for scheduling estimates. Like
-// Combine it clones the join node rather than mutating the receiver.
-//
-// Deprecated: use Hint(Hint{Selectivity: s}), which also carries row
-// counts and order pins for the cost-based planner.
-func (q *Query) Selectivity(s float64) *Query {
-	return q.withTop(func(j *exec.Join) { j.Selectivity = s }, "Selectivity")
-}
-
 // Hint attaches planner knowledge to the current builder step.
-// Following a Join (or Combine) step it applies to that join, subsuming
-// Selectivity; immediately following Scan or Where it applies to the
-// scan. Zero-valued fields are left unset; the step's node is cloned,
+// Following a Join (or Combine) step it applies to that join;
+// immediately following Scan or Where it applies to the scan. Zero-valued fields are left unset; the step's node is cloned,
 // so the receiver is unaffected.
 type Hint struct {
-	// Selectivity is the join's output rows per probe-input row, exactly
-	// the deprecated Selectivity method (joins only).
+	// Selectivity is the join's output rows per probe-input row, for
+	// scheduling estimates (joins only).
 	Selectivity float64
 	// Rows pins the step's estimated output rows, taking precedence over
 	// Selectivity and over statistics-derived estimates.
@@ -188,6 +177,9 @@ func (q *Query) Hint(h Hint) *Query {
 	return out
 }
 
+// withTop applies set to a clone of the join introduced by the
+// immediately preceding Join step (the Combine and Hint steps), so the
+// receiver — and any query already running over it — is unaffected.
 func (q *Query) withTop(set func(*exec.Join), step string) *Query {
 	out := &Query{db: q.db, tenant: q.tenant, err: q.err}
 	if out.err != nil {
