@@ -25,7 +25,7 @@ func bigSelfJoinDB(t *testing.T, opts ...Option) *DB {
 	for i := 0; i < 300_000; i++ {
 		tab.Rows = append(tab.Rows, Row{i})
 	}
-	if err := db.RegisterTable(tab); err != nil {
+	if err := db.Register(tab.Name, FromTable(tab)); err != nil {
 		t.Fatal(err)
 	}
 	return db

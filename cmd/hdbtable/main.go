@@ -1,6 +1,6 @@
 // hdbtable writes, inspects and scans chunked columnar table files
 // (internal/store): the persistent format behind hierdb's
-// RegisterTableFile.
+// Register(name, FromFile(path)).
 //
 // Usage:
 //
@@ -206,7 +206,7 @@ func cmdScan(args []string) {
 	}
 	db := hierdb.Open()
 	defer db.Close()
-	if err := db.RegisterTableFile("t", fs.Arg(0)); err != nil {
+	if err := db.Register("t", hierdb.FromFile(fs.Arg(0))); err != nil {
 		log.Fatalf("scan: %v", err)
 	}
 	q := db.Scan("t")

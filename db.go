@@ -44,13 +44,13 @@ type Option func(*dbConfig)
 // as per-node plan fragments with key-routed redistribution between
 // operators. 0 or 1 (the default) is the same engine with one node:
 // one fragment per query, nothing routed, nothing to steal. Negative
-// values are rejected, reported by Run/RegisterTable-time validation.
+// values are rejected, reported by Run/Register-time validation.
 // See also WithStealing.
 func WithNodes(n int) Option { return func(c *dbConfig) { c.nodes = n } }
 
 // WithWorkers sets the worker-goroutine count per node (one per
 // processor in the paper's model). 0 means the default (4); negative
-// values are rejected, reported by Run/RegisterTable-time validation.
+// values are rejected, reported by Run/Register-time validation.
 func WithWorkers(n int) Option { return func(c *dbConfig) { c.workers = n } }
 
 // WithStealing enables or disables the global activation-stealing layer
@@ -137,12 +137,11 @@ const (
 	OptimizerHints = exec.OptimizeHints
 	// OptimizerFull additionally lets the DP search (the paper's
 	// optimizer stage) reorder joins and choose build sides, minimizing
-	// estimated intermediate rows. Plans it cannot prove safe to reorder
-	// — a Combine that rewrites rows, a computed join key, a NoReorder
-	// hint, mixed-type columns — keep their literal order with the hints
-	// pass applied; Explain reports why. Results are always identical to
-	// OptimizerOff (a reordered plan that would permute output columns
-	// gets a restoring projection).
+	// estimated intermediate rows. Plans it does not reorder — a Project
+	// step, a NoReorder hint, mixed-type or ragged columns — keep their
+	// literal order with the hints pass applied; Explain reports why.
+	// Results are always identical to OptimizerOff (a reordered plan that
+	// would permute output columns gets a restoring projection).
 	OptimizerFull = exec.OptimizeFull
 )
 
@@ -229,11 +228,28 @@ type TableSource struct {
 	path  string
 }
 
-// FromTable sources Register from a resident in-memory relation.
+// FromTable sources Register from a resident in-memory relation. The
+// table's rows must not be mutated after registration: Register
+// columnizes and hash-partitions the rows across the DB's nodes, and
+// queries read the partitions — later appends would be silently
+// invisible to them.
 func FromTable(t *Table) TableSource { return TableSource{table: t} }
 
 // FromFile sources Register from a chunked columnar table file on disk
-// (written by cmd/hdbtable or internal/store).
+// (written by cmd/hdbtable or internal/store). Queries over a
+// file-backed table stream its row-group chunks from disk lazily — the
+// table is never resident as a whole — with Where predicates consulting
+// each chunk's zone maps to skip chunks that provably match no row
+// before any I/O, and evaluated inside the chunk decoder so that only
+// the rows they keep are materialized (see the ChunksScanned /
+// ChunksSkipped / DiskBytesRead / DiskRowsDecoded / DiskRowsKept
+// counters on EngineStats). Under WithMemory, each chunk's surviving
+// rows are charged against the node budget while in flight, so joins
+// over files much larger than the budget spill exactly like their
+// in-memory counterparts. A chunk that has become unreadable fails the
+// query with ErrTableFile. On a multi-node DB, chunks are assigned to
+// node fragments positionally, mirroring FromTable's hash partitioning.
+// The file handle stays open until Close.
 func FromFile(path string) TableSource { return TableSource{path: path} }
 
 // RegisterOption configures one Register call.
@@ -245,10 +261,9 @@ type registerConfig struct{ analyze bool }
 // planner has this table's statistics from the first query on.
 func WithStats() RegisterOption { return func(c *registerConfig) { c.analyze = true } }
 
-// Register adds a named table to the catalog from either source kind.
-// For FromTable sources an empty t.Name is set to name; a non-empty
-// t.Name must equal name. RegisterTable and RegisterTableFile are thin
-// wrappers over this method.
+// Register adds a named table to the catalog from either source kind —
+// the one registration entry point. For FromTable sources an empty
+// t.Name is set to name; a non-empty t.Name must equal name.
 func (db *DB) Register(name string, src TableSource, opts ...RegisterOption) error {
 	var cfg registerConfig
 	for _, o := range opts {
@@ -270,7 +285,7 @@ func (db *DB) Register(name string, src TableSource, opts ...RegisterOption) err
 	case src.path != "":
 		err = db.registerFileTable(name, src.path)
 	default:
-		return fmt.Errorf("hierdb: Register with an empty source (use FromTable or FromFile)")
+		return fmt.Errorf("hierdb: Register with a nil table or an empty path (use FromTable or FromFile)")
 	}
 	if err != nil {
 		return err
@@ -281,18 +296,6 @@ func (db *DB) Register(name string, src TableSource, opts ...RegisterOption) err
 		}
 	}
 	return nil
-}
-
-// RegisterTable adds a named in-memory relation to the catalog:
-// Register(t.Name, FromTable(t)). The table's rows must not be mutated
-// after registration: the DB columnizes and hash-partitions the rows
-// across its nodes right here, and queries read the partitions — later
-// appends would be silently invisible to them.
-func (db *DB) RegisterTable(t *Table) error {
-	if t == nil {
-		return fmt.Errorf("hierdb: nil table")
-	}
-	return db.Register(t.Name, FromTable(t))
 }
 
 func (db *DB) registerMemTable(t *Table) error {
@@ -315,25 +318,6 @@ func (db *DB) registerMemTable(t *Table) error {
 	// queries — and the first query does not pay the declustering cost.
 	db.eng.Partition(t)
 	return nil
-}
-
-// RegisterTableFile opens a chunked columnar table file and registers
-// it under name: Register(name, FromFile(path)). Queries over a
-// file-backed table stream its row-group chunks from disk lazily — the
-// table is never resident as a whole — with Where predicates consulting
-// each chunk's zone maps to skip chunks that provably match no row
-// before any I/O, and evaluated inside the chunk decoder so that only
-// the rows they keep are materialized (see the ChunksScanned /
-// ChunksSkipped / DiskBytesRead / DiskRowsDecoded / DiskRowsKept
-// counters on EngineStats). Under WithMemory, each chunk's surviving
-// rows are charged against the node budget while in flight, so joins
-// over files much larger than the budget spill exactly like their
-// in-memory counterparts. A chunk that has become unreadable fails the
-// query with ErrTableFile. On a multi-node DB, chunks are assigned to node
-// fragments positionally, mirroring RegisterTable's hash partitioning.
-// The file handle stays open until Close.
-func (db *DB) RegisterTableFile(name, path string) error {
-	return db.Register(name, FromFile(path))
 }
 
 func (db *DB) registerFileTable(name, path string) error {

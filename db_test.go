@@ -23,7 +23,7 @@ func testDB(t *testing.T, opts ...Option) *DB {
 		for i := 0; i < n; i++ {
 			tb.Rows = append(tb.Rows, Row{key(i), payload(i)})
 		}
-		if err := db.RegisterTable(tb); err != nil {
+		if err := db.Register(tb.Name, FromTable(tb)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -93,12 +93,12 @@ func TestDBQueryBuilder(t *testing.T) {
 	}
 }
 
-func TestDBFilterCombineGroupBy(t *testing.T) {
+func TestDBWhereProjectGroupBy(t *testing.T) {
 	leaktest.Check(t, 2)
 	db := testDB(t)
 	report, _, err := db.Scan("orders").Where(Pred{Col: 0, Op: Lt, Val: 10}).
 		Join(db.Scan("regions"), KeyCol(0), KeyCol(0)).
-		Combine(func(order, region Row) Row { return Row{region[1], order[1]} }).
+		Project(3, 1). // region name, order payload: the group key is a projected column
 		GroupBy(KeyCol(0), Aggregation{Func: Count}, Aggregation{Func: Sum, Arg: func(r Row) float64 { return float64(r[1].(int)) }}).
 		Collect(context.Background())
 	if err != nil {
@@ -171,22 +171,54 @@ func TestDBConcurrentQueries(t *testing.T) {
 	}
 }
 
-// TestCombineClonesJoin: Combine/Selectivity must not mutate the shared
-// join node — two refinements of one base query stay independent, and
-// the base keeps the default combiner.
-func TestCombineClonesJoin(t *testing.T) {
+// TestProject: Project must not mutate the shared join node — two
+// refinements of one base query stay independent, and the base keeps the
+// whole concatenation — a column may repeat or be dropped, and a later
+// Join key counts columns in the projected row.
+func TestProject(t *testing.T) {
 	leaktest.Check(t, 2)
 	db := testDB(t)
+	ctx := context.Background()
 	base := db.Scan("orders").Join(db.Scan("lines"), KeyCol(0), KeyCol(0))
-	narrow := base.Combine(func(p, b Row) Row { return Row{p[0]} })
-	wide := base.Combine(func(p, b Row) Row { return Row{p[0], p[1], b[1]} })
+	narrow := base.Project(0)
+	wide := base.Project(0, 1, 3)
 	for q, width := range map[*Query]int{base: 4, narrow: 1, wide: 3} {
-		rows, _, err := q.Collect(context.Background())
+		rows, _, err := q.Collect(ctx)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(rows) != 900 || len(rows[0]) != width {
 			t.Fatalf("got %d rows of width %d, want 900 of %d", len(rows), len(rows[0]), width)
+		}
+	}
+	// [order payload, order payload, line name]: one column twice, both
+	// key columns dropped.
+	rows, _, err := base.Project(1, 1, 3).Collect(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range rows {
+		if len(r) != 3 || r[0] != r[1] || r[2] != fmt.Sprintf("l%d", r[0].(int)%30) {
+			t.Fatalf("Project(1, 1, 3) row %v", r)
+		}
+	}
+	// The next join's probe key is column 1 of the projected row (the
+	// order key, column 0 before the projection), on one node and on two.
+	for _, nodes := range []int{1, 2} {
+		db := testDB(t, WithNodes(nodes), WithWorkers(2))
+		rows, _, err := db.Scan("orders").Join(db.Scan("lines"), KeyCol(0), KeyCol(0)).Project(1, 0).
+			Join(db.Scan("regions"), KeyCol(1), KeyCol(0)).Collect(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rows) != 900 {
+			t.Fatalf("%d node(s): %d rows, want 900", nodes, len(rows))
+		}
+		for _, r := range rows {
+			k := r[0].(int) % 30
+			if len(r) != 4 || r[1] != k || r[2] != k || r[3] != fmt.Sprintf("r%d", k%5) {
+				t.Fatalf("%d node(s): row %v", nodes, r)
+			}
 		}
 	}
 }
@@ -207,35 +239,53 @@ func TestDBValidationErrors(t *testing.T) {
 			_, err := db.Scan("orders").Join(db.Scan("nosuch"), KeyCol(0), KeyCol(0)).Run(ctx)
 			return err
 		}, `table "nosuch" not registered`},
-		{"nil probe key", func() error {
-			_, err := db.Scan("orders").Join(db.Scan("lines"), nil, KeyCol(0)).Run(ctx)
+		{"probe key past the input", func() error {
+			_, err := db.Scan("orders").Join(db.Scan("lines"), KeyCol(9), KeyCol(0)).Run(ctx)
 			return err
-		}, "nil probe KeyFunc"},
-		{"nil build key", func() error {
-			_, err := db.Scan("orders").Join(db.Scan("lines"), KeyCol(0), nil).Run(ctx)
+		}, "ProbeKey column 9 out of range (probe input has 2 columns)"},
+		{"key past a projected input", func() error {
+			_, err := db.Scan("orders").Join(db.Scan("lines"), KeyCol(0), KeyCol(0)).Project(3).
+				Join(db.Scan("regions"), KeyCol(1), KeyCol(0)).Run(ctx)
 			return err
-		}, "nil build KeyFunc"},
+		}, "ProbeKey column 1 out of range (probe input has 1 columns)"},
 		{"group-by not last", func() error {
 			gq := db.Scan("orders").GroupBy(KeyCol(0), Aggregation{Func: Count})
 			_, err := gq.Join(db.Scan("lines"), KeyCol(0), KeyCol(0)).Run(ctx)
 			return err
 		}, "GroupBy must be the final step"},
-		{"nil group-by key", func() error {
-			_, err := db.Scan("orders").GroupBy(nil).Run(ctx)
+		{"group-by key past the output", func() error {
+			_, err := db.Scan("orders").GroupBy(KeyCol(2)).Run(ctx)
 			return err
-		}, "nil KeyFunc"},
+		}, "group-by Key column 2 out of range (plan output has 2 columns)"},
 		{"sum without Arg", func() error {
 			_, err := db.Scan("orders").GroupBy(KeyCol(0), Aggregation{Func: Sum}).Run(ctx)
 			return err
 		}, "without Arg"},
-		{"combine before join", func() error {
-			_, err := db.Scan("orders").Combine(func(p, b Row) Row { return p }).Run(ctx)
+		{"project before join", func() error {
+			_, err := db.Scan("orders").Project(0).Run(ctx)
 			return err
-		}, "Combine without a preceding Join"},
+		}, "Project without a preceding Join"},
+		{"project without columns", func() error {
+			_, err := db.Scan("orders").Join(db.Scan("lines"), KeyCol(0), KeyCol(0)).Project().Run(ctx)
+			return err
+		}, "Project without columns"},
+		{"project past the concatenation", func() error {
+			_, err := db.Scan("orders").Join(db.Scan("lines"), KeyCol(0), KeyCol(0)).Project(0, 4).Run(ctx)
+			return err
+		}, "Out column 4 out of range"},
+		{"filter after join", func() error {
+			_, err := db.Scan("orders").Join(db.Scan("lines"), KeyCol(0), KeyCol(0)).Filter(func(Row) bool { return true }).Run(ctx)
+			return err
+		}, "Filter must follow Scan, Where or Filter"},
+		{"two filters", func() error {
+			keep := func(Row) bool { return true }
+			_, err := db.Scan("orders").Filter(keep).Filter(keep).Run(ctx)
+			return err
+		}, "Filter applied twice"},
 		{"cross-DB join", func() error {
 			other := Open()
 			defer other.Close()
-			if err := other.RegisterTable(&Table{Name: "t", Cols: []string{"k"}, Rows: []Row{{1}}}); err != nil {
+			if err := other.Register("t", FromTable(&Table{Cols: []string{"k"}, Rows: []Row{{1}}})); err != nil {
 				return err
 			}
 			_, err := db.Scan("orders").Join(other.Scan("t"), KeyCol(0), KeyCol(0)).Run(ctx)
@@ -258,9 +308,9 @@ func TestDBValidationErrors(t *testing.T) {
 func TestOpenOptionErrorsDeferred(t *testing.T) {
 	db := Open(WithWorkers(-3))
 	defer db.Close()
-	if err := db.RegisterTable(&Table{Name: "t", Cols: []string{"k"}, Rows: []Row{{1}}}); err == nil ||
+	if err := db.Register("t", FromTable(&Table{Cols: []string{"k"}, Rows: []Row{{1}}})); err == nil ||
 		!strings.Contains(err.Error(), "negative Workers") {
-		t.Fatalf("RegisterTable on invalid DB = %v", err)
+		t.Fatalf("Register on invalid DB = %v", err)
 	}
 	if _, err := db.Scan("t").Run(context.Background()); err == nil ||
 		!strings.Contains(err.Error(), "negative Workers") {
@@ -274,20 +324,20 @@ func TestOpenOptionErrorsDeferred(t *testing.T) {
 	}
 }
 
-func TestRegisterTableErrors(t *testing.T) {
+func TestRegisterErrors(t *testing.T) {
 	db := Open()
 	defer db.Close()
-	if err := db.RegisterTable(nil); err == nil {
-		t.Fatal("nil table accepted")
+	if err := db.Register("t", FromTable(nil)); err == nil || !strings.Contains(err.Error(), "nil table") {
+		t.Fatalf("nil table: %v", err)
 	}
-	if err := db.RegisterTable(&Table{}); err == nil {
+	if err := db.Register("", FromTable(&Table{})); err == nil {
 		t.Fatal("unnamed table accepted")
 	}
 	tab := &Table{Name: "t", Cols: []string{"k"}}
-	if err := db.RegisterTable(tab); err != nil {
+	if err := db.Register(tab.Name, FromTable(tab)); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.RegisterTable(tab); err == nil {
+	if err := db.Register(tab.Name, FromTable(tab)); err == nil {
 		t.Fatal("duplicate registration accepted")
 	}
 }
@@ -300,7 +350,7 @@ func TestRowsCloseEarlyReleasesPool(t *testing.T) {
 	for i := 0; i < 300_000; i++ {
 		big.Rows = append(big.Rows, Row{i})
 	}
-	if err := db.RegisterTable(big); err != nil {
+	if err := db.Register(big.Name, FromTable(big)); err != nil {
 		t.Fatal(err)
 	}
 	q := db.Scan("big").Join(db.Scan("big"), KeyCol(0), KeyCol(0))
@@ -340,8 +390,8 @@ func TestDBClosedErrors(t *testing.T) {
 	if _, err := q.Run(context.Background()); err == nil || !strings.Contains(err.Error(), "closed") {
 		t.Fatalf("Run on closed DB = %v", err)
 	}
-	if err := db.RegisterTable(&Table{Name: "x", Cols: []string{"k"}}); err == nil {
-		t.Fatal("RegisterTable on closed DB accepted")
+	if err := db.Register("x", FromTable(&Table{Cols: []string{"k"}})); err == nil {
+		t.Fatal("Register on closed DB accepted")
 	}
 	if err := db.Close(); err != nil {
 		t.Fatal("Close not idempotent")
@@ -356,7 +406,7 @@ func TestMaxConcurrentQueriesOption(t *testing.T) {
 	for i := 0; i < 50_000; i++ {
 		tab.Rows = append(tab.Rows, Row{i})
 	}
-	if err := db.RegisterTable(tab); err != nil {
+	if err := db.Register(tab.Name, FromTable(tab)); err != nil {
 		t.Fatal(err)
 	}
 	rows, err := db.Scan("t").Join(db.Scan("t"), KeyCol(0), KeyCol(0)).Run(context.Background())
@@ -406,10 +456,10 @@ func TestDBMultiNodeSkewedMatchesSingleNode(t *testing.T) {
 
 	run := func(db *DB) ([]string, *EngineStats) {
 		t.Helper()
-		if err := db.RegisterTable(fact); err != nil {
+		if err := db.Register(fact.Name, FromTable(fact)); err != nil {
 			t.Fatal(err)
 		}
-		if err := db.RegisterTable(dim); err != nil {
+		if err := db.Register(dim.Name, FromTable(dim)); err != nil {
 			t.Fatal(err)
 		}
 		rows, st, err := db.Scan("fact").Join(db.Scan("dim"), KeyCol(0), KeyCol(0)).

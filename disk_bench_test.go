@@ -93,7 +93,7 @@ func BenchmarkDiskScan(b *testing.B) {
 		}
 		db := Open(WithWorkers(4))
 		b.Cleanup(func() { db.Close() })
-		if err := db.RegisterTable(tb); err != nil {
+		if err := db.Register(tb.Name, FromTable(tb)); err != nil {
 			b.Fatal(err)
 		}
 		runDiskScan(b, db, false)
@@ -106,7 +106,7 @@ func BenchmarkDiskScan(b *testing.B) {
 		path := diskBenchFile(b, diskBenchRows) // one chunk: nothing prunable
 		db := Open(WithWorkers(4))
 		b.Cleanup(func() { db.Close() })
-		if err := db.RegisterTableFile("t", path); err != nil {
+		if err := db.Register("t", FromFile(path)); err != nil {
 			b.Fatal(err)
 		}
 		runDiskScan(b, db, false)
@@ -115,7 +115,7 @@ func BenchmarkDiskScan(b *testing.B) {
 		path := diskBenchFile(b, diskBenchChunk)
 		db := Open(WithWorkers(4))
 		b.Cleanup(func() { db.Close() })
-		if err := db.RegisterTableFile("t", path); err != nil {
+		if err := db.Register("t", FromFile(path)); err != nil {
 			b.Fatal(err)
 		}
 		runDiskScan(b, db, true)
@@ -140,7 +140,7 @@ func BenchmarkDiskJoinSpill(b *testing.B) {
 	// ~880KB file => 88KB budget (10x), far under the 40k-row build side.
 	db := Open(WithWorkers(4), WithMemory(88<<10), WithSpillDir(b.TempDir()))
 	b.Cleanup(func() { db.Close() })
-	if err := db.RegisterTableFile("t", path); err != nil {
+	if err := db.Register("t", FromFile(path)); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()

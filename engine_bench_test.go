@@ -45,10 +45,10 @@ func BenchmarkConcurrentQueries(b *testing.B) {
 	open := func(b *testing.B) *DB {
 		db := Open(WithWorkers(benchBenchWrks))
 		b.Cleanup(func() { db.Close() })
-		if err := db.RegisterTable(fact); err != nil {
+		if err := db.Register(fact.Name, FromTable(fact)); err != nil {
 			b.Fatal(err)
 		}
-		if err := db.RegisterTable(dim); err != nil {
+		if err := db.Register(dim.Name, FromTable(dim)); err != nil {
 			b.Fatal(err)
 		}
 		return db
@@ -63,7 +63,7 @@ func BenchmarkConcurrentQueries(b *testing.B) {
 				wg.Add(1)
 				go func(i int) {
 					defer wg.Done()
-					rows, _, err := db.Scan("fact", benchFilter(i)).
+					rows, _, err := db.Scan("fact").Filter(benchFilter(i)).
 						Join(db.Scan("dim"), KeyCol(0), KeyCol(0)).
 						Collect(context.Background())
 					if err != nil {
@@ -84,7 +84,7 @@ func BenchmarkConcurrentQueries(b *testing.B) {
 		b.ResetTimer()
 		for n := 0; n < b.N; n++ {
 			for i := 0; i < benchQueries; i++ {
-				rows, _, err := db.Scan("fact", benchFilter(i)).
+				rows, _, err := db.Scan("fact").Filter(benchFilter(i)).
 					Join(db.Scan("dim"), KeyCol(0), KeyCol(0)).
 					Collect(context.Background())
 				if err != nil {
@@ -106,10 +106,10 @@ func BenchmarkStreamingSink(b *testing.B) {
 	fact, dim := benchTables()
 	db := Open(WithWorkers(4))
 	defer db.Close()
-	if err := db.RegisterTable(fact); err != nil {
+	if err := db.Register(fact.Name, FromTable(fact)); err != nil {
 		b.Fatal(err)
 	}
-	if err := db.RegisterTable(dim); err != nil {
+	if err := db.Register(dim.Name, FromTable(dim)); err != nil {
 		b.Fatal(err)
 	}
 	q := db.Scan("fact").Join(db.Scan("dim"), KeyCol(0), KeyCol(0))

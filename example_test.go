@@ -19,16 +19,14 @@ func ExampleOpen() {
 			log.Fatal(err)
 		}
 	}
-	must(db.RegisterTable(&hierdb.Table{
-		Name: "users",
+	must(db.Register("users", hierdb.FromTable(&hierdb.Table{
 		Cols: []string{"id", "name"},
 		Rows: []hierdb.Row{{1, "ada"}, {2, "grace"}},
-	}))
-	must(db.RegisterTable(&hierdb.Table{
-		Name: "logins",
+	})))
+	must(db.Register("logins", hierdb.FromTable(&hierdb.Table{
 		Cols: []string{"user_id", "day"},
 		Rows: []hierdb.Row{{1, "mon"}, {2, "tue"}, {1, "wed"}},
-	}))
+	})))
 
 	rows, err := db.Scan("logins").
 		Join(db.Scan("users"), hierdb.KeyCol(0), hierdb.KeyCol(0)).
@@ -54,16 +52,14 @@ func ExampleQuery_GroupBy() {
 			log.Fatal(err)
 		}
 	}
-	must(db.RegisterTable(&hierdb.Table{
-		Name: "items",
+	must(db.Register("items", hierdb.FromTable(&hierdb.Table{
 		Cols: []string{"sku", "price"},
 		Rows: []hierdb.Row{{1, 10.0}, {2, 20.0}},
-	}))
-	must(db.RegisterTable(&hierdb.Table{
-		Name: "sales",
+	})))
+	must(db.Register("sales", hierdb.FromTable(&hierdb.Table{
 		Cols: []string{"sku"},
 		Rows: []hierdb.Row{{1}, {1}, {2}},
-	}))
+	})))
 
 	report, _, err := db.Scan("sales").
 		Join(db.Scan("items"), hierdb.KeyCol(0), hierdb.KeyCol(0)).

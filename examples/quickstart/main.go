@@ -22,28 +22,24 @@ func main() {
 			log.Fatal(err)
 		}
 	}
-	check(db.RegisterTable(&hierdb.Table{
-		Name: "customers",
+	check(db.Register("customers", hierdb.FromTable(&hierdb.Table{
 		Cols: []string{"id", "name"},
 		Rows: []hierdb.Row{
 			{1, "ada"}, {2, "grace"}, {3, "edsger"}, {4, "barbara"},
 		},
-	}))
-	check(db.RegisterTable(&hierdb.Table{
-		Name: "orders",
+	})))
+	check(db.Register("orders", hierdb.FromTable(&hierdb.Table{
 		Cols: []string{"customer_id", "item"},
 		Rows: []hierdb.Row{
 			{1, "disk"}, {2, "cpu"}, {2, "ram"}, {4, "nic"}, {4, "rack"}, {4, "tape"},
 		},
-	}))
+	})))
 
 	// orders JOIN customers ON orders.customer_id = customers.id.
 	// The receiver is the probe side; the argument builds the hash table.
 	rows, err := db.Scan("orders").
 		Join(db.Scan("customers"), hierdb.KeyCol(0), hierdb.KeyCol(0)).
-		Combine(func(order, customer hierdb.Row) hierdb.Row {
-			return hierdb.Row{customer[1], order[1]}
-		}).
+		Project(3, 1). // customer name, item: columns of order ++ customer
 		Run(context.Background())
 	check(err)
 	defer rows.Close()

@@ -61,7 +61,7 @@ func buildTables() []*hierdb.Table {
 
 func register(db *hierdb.DB, tables []*hierdb.Table) {
 	for _, t := range tables {
-		check(db.RegisterTable(t))
+		check(db.Register(t.Name, hierdb.FromTable(t)))
 	}
 }
 

@@ -225,11 +225,16 @@ const (
 	NotNull = vec.NotNull
 )
 
-// KeyFunc extracts a comparable join key from a row.
-type KeyFunc = exec.KeyFunc
+// Key names a join or group-by key. Keys are columns: the engine hashes,
+// routes and indexes a key straight from its column and never calls user
+// code to obtain one. A computed key is a column you add to the table's
+// rows before registering it.
+type Key struct{ col int }
 
-// KeyCol returns a KeyFunc selecting column i.
-func KeyCol(i int) KeyFunc { return exec.KeyCol(i) }
+// KeyCol returns the key that is column i of the step's input. A column
+// the input does not have fails Run (and Explain) with a descriptive
+// error before anything executes.
+func KeyCol(i int) Key { return Key{i} }
 
 // EngineStats reports per-execution counters, including per-worker load,
 // memory-governance spill counters, per-operator row production
@@ -263,8 +268,8 @@ var (
 	// WithAdmissionQueue.
 	ErrAdmissionQueueFull = exec.ErrAdmissionQueueFull
 	// ErrQueryPanic ends a query one of whose activations panicked — in a
-	// Filter, KeyFunc, Combine or aggregate Arg closure, or in the engine
-	// itself. The error text carries the panic value and stack; the DB
+	// Filter or aggregate Arg closure (the only user code a query runs,
+	// always inside an activation), or in the engine itself. The error text carries the panic value and stack; the DB
 	// stays usable and other queries are unaffected.
 	ErrQueryPanic = exec.ErrQueryPanic
 )

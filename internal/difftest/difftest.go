@@ -39,21 +39,16 @@ type Case struct {
 	Tables []*hierdb.Table
 	// Joins is the number of join predicates.
 	Joins int
-	// Filter, when set, is a row-filter closure applied to every scan (and
-	// by Reference to every table) — the row-era path that reads each
-	// candidate row through the boxing Row boundary.
+	// Filter, when set, is a row-filter closure applied to every scan
+	// through the builder's Filter step (and by Reference to every table)
+	// — the path that reads each candidate row through the boxing Row
+	// boundary.
 	Filter func(hierdb.Row) bool
 	// Preds, when set, holds each relation's scan predicates (indexed like
 	// Tables): every scan of the relation carries them as Where predicates,
 	// and Reference evaluates them with refPred, its own implementation of
 	// the predicate semantics. DrawPreds fills it from querygen.
 	Preds [][]hierdb.Pred
-	// RaggedBuild, when set, feeds the chain's last join a build side of
-	// unknown schema and mixed widths: the attached relation joined to
-	// itself on its row id under a Combine that keeps the first few rows
-	// whole and drops the payload of all later ones (raggedRow). The
-	// stripes of that join's hash table then discover different widths.
-	RaggedBuild bool
 
 	q *querygen.Query
 	// keyCol[rel][edge] is the column index of rel's key for that edge.
@@ -297,7 +292,7 @@ func (c *Case) Build(db *hierdb.DB) (*hierdb.Query, error) {
 // registering twice on the same handle is an error.
 func (c *Case) Register(db *hierdb.DB) error {
 	for _, tb := range c.Tables {
-		if err := db.RegisterTable(tb); err != nil {
+		if err := db.Register(tb.Name, hierdb.FromTable(tb)); err != nil {
 			return err
 		}
 	}
@@ -323,7 +318,7 @@ func (c *Case) BuildDisk(db *hierdb.DB, dir string, chunkRows int) (*hierdb.Quer
 		if err := store.WriteTable(path, tb.Cols, chunkRows, tb.Rows); err != nil {
 			return nil, err
 		}
-		if err := db.RegisterTableFile(tb.Name, path); err != nil {
+		if err := db.Register(tb.Name, hierdb.FromFile(path)); err != nil {
 			return nil, err
 		}
 	}
@@ -335,10 +330,8 @@ func (c *Case) BuildDisk(db *hierdb.DB, dir string, chunkRows int) (*hierdb.Quer
 // predicate tree — the adversarial input for the optimizer's
 // intermediate-rows acceptance test.
 func (c *Case) BuildBad(db *hierdb.DB) (*hierdb.Query, error) {
-	for _, tb := range c.Tables {
-		if err := db.RegisterTable(tb); err != nil {
-			return nil, err
-		}
+	if err := c.Register(db); err != nil {
+		return nil, err
 	}
 	order, attach := c.badOrder()
 	return c.planOrder(db, order, attach), nil
@@ -402,7 +395,7 @@ func (c *Case) planOrder(db *hierdb.DB, order, attach []int) *hierdb.Query {
 	scan := func(rel int) *hierdb.Query {
 		q := db.Scan(c.Tables[rel].Name)
 		if c.Filter != nil {
-			q = db.Scan(c.Tables[rel].Name, c.Filter)
+			q = q.Filter(c.Filter)
 		}
 		if c.Preds != nil {
 			q = q.Where(c.Preds[rel]...)
@@ -422,28 +415,34 @@ func (c *Case) planOrder(db *hierdb.DB, order, attach []int) *hierdb.Query {
 		}
 		probeCol := offsets[prev] + c.keyCol[prev][ei]
 		buildCol := c.keyCol[rel][ei]
-		build := scan(rel)
-		if c.RaggedBuild && i == len(order)-1 {
-			build = build.Join(scan(rel), hierdb.KeyCol(0), hierdb.KeyCol(0)).
-				Combine(func(p, _ hierdb.Row) hierdb.Row { return raggedRow(p) })
-		}
-		acc = acc.Join(build, hierdb.KeyCol(probeCol), hierdb.KeyCol(buildCol))
+		acc = acc.Join(scan(rel), hierdb.KeyCol(probeCol), hierdb.KeyCol(buildCol))
 		offsets[rel] = width
 		width += len(c.Tables[rel].Cols)
 	}
 	return acc
 }
 
-// raggedRow is the RaggedBuild transformation of one relation row (id
-// first, payload last): all but the first eight ids lose their payload
-// column. A Combine's output batch is as wide as its widest row, so
-// only a stripe fed by whole batches of short rows stays narrow —
-// hence few wide rows, all in the relation's first batch.
-func raggedRow(r hierdb.Row) hierdb.Row {
-	if r[0].(int) >= 8 {
-		return r[:len(r)-1]
+// Ragged returns a copy of the case whose last-attached relation — the
+// build side of the chain's last join — is a ragged table: all but the
+// first eight of its rows (id first, payload last) lose their payload
+// column. The registered table then carries Absent padding in its last
+// column through whatever the leg does to it — join, redistribution,
+// spill — and every result row must come back at its own width. The
+// ragged relation ends every output row, so the short rows stay short
+// in Reference's plain concatenation too.
+func (c *Case) Ragged() *Case {
+	rc := *c
+	rc.Tables = append([]*hierdb.Table(nil), c.Tables...)
+	last := c.order[len(c.order)-1]
+	tb := &hierdb.Table{Name: c.Tables[last].Name, Cols: c.Tables[last].Cols}
+	for _, r := range c.Tables[last].Rows {
+		if r[0].(int) >= 8 {
+			r = r[:len(r)-1]
+		}
+		tb.Rows = append(tb.Rows, r)
 	}
-	return r
+	rc.Tables[last] = tb
+	return &rc
 }
 
 // Reference evaluates the case with a naive row-at-a-time interpreter —
@@ -486,9 +485,6 @@ func (c *Case) Reference() map[string]int {
 		buildCol := c.keyCol[rel][ei]
 		ht := make(map[any][]hierdb.Row)
 		for _, br := range scan(rel) {
-			if c.RaggedBuild && i == len(c.order)-1 {
-				br = raggedRow(br)
-			}
 			ht[br[buildCol]] = append(ht[br[buildCol]], br)
 		}
 		var next []hierdb.Row

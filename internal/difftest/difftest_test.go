@@ -213,20 +213,22 @@ func TestDifferentialQueries(t *testing.T) {
 			if err := DiffMultisets("where-disk-filter", "row-reference-where-filtered", got, pfc.Reference()); err != nil {
 				t.Fatalf("%v\npredicates: %+v", err, pc.Preds)
 			}
-			// The ragged legs: the last join's build side comes out of a
-			// Combine with mixed row widths, so its schema is unknown and
-			// each stripe of the hash table discovers its own — sealing
-			// must give the build side one width, in memory, stolen,
-			// spilled and at batch size 16 alike. Anchored to the naive
-			// interpreter under the same transformation.
-			rc := *c
-			rc.RaggedBuild = true
+			// The ragged legs: the last join's build side is a ragged
+			// registered table, most of its rows one column short, so its
+			// last column is Absent-padded from the table's columnization
+			// on — into the build store, across nodes, through spill
+			// files, at batch size 16, and past the optimizer (which leaves
+			// a plan over a ragged table in its literal order) — and every
+			// row must read back at its own width. Anchored to the naive
+			// interpreter over the same tables.
+			rc := c.Ragged()
 			want := rc.Reference()
 			for _, leg := range ls {
+				run := rc.RunLeg
 				if leg.analyze {
-					continue // a Combine pins the join order: nothing new to plan
+					run = rc.RunAnalyzedLeg
 				}
-				got, _, err := rc.RunLeg(ctx, leg.opts...)
+				got, _, err := run(ctx, leg.opts...)
 				if err != nil {
 					t.Fatalf("%s leg ragged-%s: %v", name, leg.name, err)
 				}
@@ -387,7 +389,7 @@ func TestDiskJoinLargerThanMemory(t *testing.T) {
 
 	memDB := hierdb.Open(hierdb.WithWorkers(4))
 	defer memDB.Close()
-	if err := memDB.RegisterTable(tb); err != nil {
+	if err := memDB.Register(tb.Name, hierdb.FromTable(tb)); err != nil {
 		t.Fatal(err)
 	}
 	want := selfJoin(memDB, false)
@@ -403,7 +405,7 @@ func TestDiskJoinLargerThanMemory(t *testing.T) {
 			opts := append(leg.opts, hierdb.WithMemory(budget), hierdb.WithSpillDir(t.TempDir()))
 			db := hierdb.Open(opts...)
 			defer db.Close()
-			if err := db.RegisterTableFile("fact", path); err != nil {
+			if err := db.Register("fact", hierdb.FromFile(path)); err != nil {
 				t.Fatal(err)
 			}
 			if err := DiffMultisets(leg.name, "in-memory", selfJoin(db, true), want); err != nil {

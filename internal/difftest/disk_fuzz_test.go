@@ -95,11 +95,11 @@ func FuzzTableFileRoundTrip(f *testing.F) {
 		}
 		db := hierdb.Open(hierdb.WithWorkers(2))
 		defer db.Close()
-		if err := db.RegisterTableFile("f", path); err != nil {
+		if err := db.Register("f", hierdb.FromFile(path)); err != nil {
 			t.Fatal(err)
 		}
 		mem := &hierdb.Table{Name: "m", Cols: cols, Rows: rows}
-		if err := db.RegisterTable(mem); err != nil {
+		if err := db.Register(mem.Name, hierdb.FromTable(mem)); err != nil {
 			t.Fatal(err)
 		}
 		ctx := context.Background()
@@ -169,7 +169,7 @@ func FuzzTableFileRoundTrip(f *testing.F) {
 				scan := func(name string) map[string]int {
 					q := db.Scan(name)
 					if f != nil {
-						q = db.Scan(name, f)
+						q = q.Filter(f)
 					}
 					got, _, err := q.Where(preds...).Collect(ctx)
 					if err != nil {

@@ -63,7 +63,7 @@ func FuzzJoinEquivalence(f *testing.F) {
 			db := hierdb.Open(opts...)
 			defer db.Close()
 			for _, tb := range []*hierdb.Table{build, probe} {
-				if err := db.RegisterTable(tb); err != nil {
+				if err := db.Register(tb.Name, hierdb.FromTable(tb)); err != nil {
 					t.Fatal(err)
 				}
 			}

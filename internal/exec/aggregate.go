@@ -54,8 +54,8 @@ type Aggregation struct {
 
 // GroupBy describes a grouped aggregation over a plan's output.
 type GroupBy struct {
-	// Key extracts the (comparable) group key.
-	Key KeyFunc
+	// Key is the group key's column in the plan's output.
+	Key int
 	// Aggs lists the aggregates; output rows are [key, agg0, agg1, ...].
 	Aggs []Aggregation
 }
@@ -66,10 +66,11 @@ type groupState struct {
 	n    int64
 }
 
-// validateGroupBy checks a group-by description before execution.
-func validateGroupBy(gb *GroupBy) error {
-	if gb == nil || gb.Key == nil {
-		return fmt.Errorf("exec: group-by without key")
+// validateGroupBy checks a group-by description against the width of
+// the plan output it folds, before execution.
+func validateGroupBy(gb *GroupBy, width int) error {
+	if gb.Key < 0 || gb.Key >= width {
+		return fmt.Errorf("exec: group-by Key column %d out of range (plan output has %d columns)", gb.Key, width)
 	}
 	for i, a := range gb.Aggs {
 		if a.Func != Count && a.Arg == nil {
@@ -79,59 +80,18 @@ func validateGroupBy(gb *GroupBy) error {
 	return nil
 }
 
-// foldGroups folds rows into one worker's private partial.
-func foldGroups(m map[any]*groupState, gb *GroupBy, rows []Row) {
-	for _, row := range rows {
-		k := gb.Key(row)
-		g := m[k]
-		if g == nil {
-			g = &groupState{key: k, vals: make([]float64, len(gb.Aggs))}
-			for i, a := range gb.Aggs {
-				switch a.Func {
-				case Min:
-					g.vals[i] = 1e308
-				case Max:
-					g.vals[i] = -1e308
-				}
-			}
-			m[k] = g
-		}
-		g.n++
-		for i, a := range gb.Aggs {
-			switch a.Func {
-			case Count:
-			case Sum:
-				g.vals[i] += a.Arg(row)
-			case Min:
-				if v := a.Arg(row); v < g.vals[i] {
-					g.vals[i] = v
-				}
-			case Max:
-				if v := a.Arg(row); v > g.vals[i] {
-					g.vals[i] = v
-				}
-			}
-		}
-	}
-}
-
 // foldGroupsBatch folds one columnar result batch into worker w's
-// private partial. With a resolved group-key column the key is the
-// column's boxed value (an interface word copied from a resident
-// column, boxed from the mirror of a decoded one); otherwise the key
-// closure runs over a reused scratch row. Arg
-// closures also see the scratch row: they return scalars, so reuse is
-// safe.
+// private partial. The group key is the key column's boxed value (an
+// interface word copied from a resident column, boxed from the mirror of
+// a decoded one). Arg closures see a reused scratch row: they return
+// scalars, so reuse is safe.
 //
 //hierdb:hotpath
 func (q *query) foldGroupsBatch(m map[any]*groupState, w int, b *vec.Batch) {
 	gb := q.mq.gb
 	vs := &q.vscratch[w]
-	var keyCol *vec.Col
-	if q.gbKeyCol >= 0 && q.gbKeyCol < len(b.Cols) {
-		keyCol = &b.Cols[q.gbKeyCol]
-	}
-	needRow := keyCol == nil
+	keyCol := &b.Cols[gb.Key]
+	needRow := false
 	for _, a := range gb.Aggs {
 		if a.Func != Count {
 			needRow = true
@@ -143,12 +103,7 @@ func (q *query) foldGroupsBatch(m map[any]*groupState, w int, b *vec.Batch) {
 		if needRow {
 			row = b.ReadRow(i, scratch)
 		}
-		var k any
-		if keyCol != nil {
-			k = keyCol.Value(keyCol.Pos(i))
-		} else {
-			k = gb.Key(row)
-		}
+		k := keyCol.Value(keyCol.Pos(i))
 		g := m[k]
 		if g == nil {
 			g = &groupState{key: k, vals: make([]float64, len(gb.Aggs))}

@@ -10,13 +10,13 @@ func aggPlan(n, mod int) Node {
 	build := tbl("b", mod, func(i int) any { return i }, func(i int) any { return i })
 	probe := tbl("p", n, func(i int) any { return i % mod }, func(i int) any { return i })
 	return &Join{Build: &Scan{Table: build}, Probe: &Scan{Table: probe},
-		BuildKey: KeyCol(0), ProbeKey: KeyCol(0)}
+		BuildKey: 0, ProbeKey: 0}
 }
 
 func TestGroupByCount(t *testing.T) {
 	checkQueryHygiene(t)
 	plan := aggPlan(100, 4)
-	gb := &GroupBy{Key: KeyCol(0), Aggs: []Aggregation{{Func: Count}}}
+	gb := &GroupBy{Key: 0, Aggs: []Aggregation{{Func: Count}}}
 	rows, _, err := runOnce(context.Background(), plan, gb, Options{Workers: 3})
 	if err != nil {
 		t.Fatal(err)
@@ -37,7 +37,7 @@ func TestGroupBySumMinMax(t *testing.T) {
 	checkQueryHygiene(t)
 	plan := aggPlan(40, 2)
 	arg := func(r Row) float64 { return float64(r[1].(int)) } // probe value column
-	gb := &GroupBy{Key: KeyCol(0), Aggs: []Aggregation{
+	gb := &GroupBy{Key: 0, Aggs: []Aggregation{
 		{Func: Sum, Arg: arg},
 		{Func: Min, Arg: arg},
 		{Func: Max, Arg: arg},
@@ -64,7 +64,7 @@ func TestGroupBySumMinMax(t *testing.T) {
 func TestGroupByDeterministicOrder(t *testing.T) {
 	checkQueryHygiene(t)
 	plan := aggPlan(200, 7)
-	gb := &GroupBy{Key: KeyCol(0), Aggs: []Aggregation{{Func: Count}}}
+	gb := &GroupBy{Key: 0, Aggs: []Aggregation{{Func: Count}}}
 	a, _, err := runOnce(context.Background(), plan, gb, Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
@@ -90,7 +90,7 @@ func TestGroupByErrors(t *testing.T) {
 		t.Fatal("nil group-by accepted")
 	}
 	if _, _, err := runOnce(context.Background(), plan,
-		&GroupBy{Key: KeyCol(0), Aggs: []Aggregation{{Func: Sum}}}, Options{}); err == nil {
+		&GroupBy{Key: 0, Aggs: []Aggregation{{Func: Sum}}}, Options{}); err == nil {
 		t.Fatal("sum without Arg accepted")
 	}
 }
@@ -100,7 +100,7 @@ func TestGroupByQuickCountsConserved(t *testing.T) {
 	f := func(nRaw, modRaw uint8) bool {
 		n := int(nRaw%100) + 1
 		mod := int(modRaw%9) + 1
-		gb := &GroupBy{Key: KeyCol(0), Aggs: []Aggregation{{Func: Count}}}
+		gb := &GroupBy{Key: 0, Aggs: []Aggregation{{Func: Count}}}
 		rows, _, err := runOnce(context.Background(), aggPlan(n, mod), gb, Options{Workers: 3})
 		if err != nil {
 			return false

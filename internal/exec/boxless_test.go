@@ -141,7 +141,7 @@ func TestSpillReplayAllocBound(t *testing.T) {
 	const buildRows, probeRows, width = 2_000, 200_000, 2
 	build := tbl("b", buildRows, func(i int) any { return 1000 + i }, func(i int) any { return 5000 + i })
 	probe := tbl("p", probeRows, func(i int) any { return 1000 + i%buildRows }, func(i int) any { return 1000 + i })
-	plan := Node(&Join{Build: &Scan{Table: build}, Probe: &Scan{Table: probe}, BuildKey: KeyCol(0), ProbeKey: KeyCol(0)})
+	plan := Node(&Join{Build: &Scan{Table: build}, Probe: &Scan{Table: probe}, BuildKey: 0, ProbeKey: 0})
 
 	// Per-row gates need batch-granular costs amortized: a spilled batch
 	// is 1/8 of these.
@@ -174,7 +174,7 @@ func TestBoxlessBuildBoxedOncePerStoredRow(t *testing.T) {
 	const buildRows, probeRows, width = 1_000, 50_000, 2
 	build := tbl("b", buildRows, func(i int) any { return 1000 + i }, func(i int) any { return fmt.Sprintf("build-%04d", i) })
 	probe := tbl("p", probeRows, func(i int) any { return 1000 + i%buildRows }, func(i int) any { return i })
-	plan := Node(&Join{Build: &Scan{Table: fileTable(t, build, 256)}, Probe: &Scan{Table: probe}, BuildKey: KeyCol(0), ProbeKey: KeyCol(0)})
+	plan := Node(&Join{Build: &Scan{Table: fileTable(t, build, 256)}, Probe: &Scan{Table: probe}, BuildKey: 0, ProbeKey: 0})
 
 	var arena vec.Arena
 	var got []Row

@@ -82,24 +82,6 @@ func (t *Table) Col(name string) int {
 	return -1
 }
 
-// KeyFunc extracts a join key from a row. Keys must be comparable.
-//
-// Purity contract: a KeyFunc must be a pure projection or computation
-// over its input row — same row in, same key out, no reads of external
-// mutable state, and no behavior conditional on the *values* in the row
-// (indexing by position is fine). The executor probes each KeyFunc once
-// with a sentinel row to detect plain column projections (`r[i]`) and
-// then runs the typed columnar fast path for them; a KeyFunc that
-// returns different columns for different inputs would be mis-resolved.
-// Anything that computes (type-asserts, hashes, concatenates) safely
-// falls back to the per-row closure path.
-type KeyFunc func(Row) any
-
-// KeyCol returns a KeyFunc selecting column i.
-func KeyCol(i int) KeyFunc {
-	return func(r Row) any { return r[i] }
-}
-
 // Node is a logical plan node: *Scan or *Join.
 type Node interface {
 	estimate() float64
@@ -129,13 +111,23 @@ func (s *Scan) estimate() float64 {
 	return float64(s.Table.NumRows())
 }
 
-// Join is a hash equi-join. Build is materialized into a hash table;
-// Probe streams against it. Combine merges a matched pair into an output
-// row; nil concatenates probe then build columns.
+// Join is a hash equi-join on one attribute of each input. Build is
+// materialized into a hash table; Probe streams against it.
+//
+// Keys are columns. A join key (and a GroupBy key) is a column position,
+// checked against its input's width when the plan is compiled; the engine
+// hashes, routes, prices and indexes keys straight from the column and
+// never calls user code to obtain one. A computed key is a column you
+// add to the table at registration.
 type Join struct {
-	Build, Probe       Node
-	BuildKey, ProbeKey KeyFunc
-	Combine            func(probe, build Row) Row
+	Build, Probe Node
+	// BuildKey and ProbeKey are the key columns, positions in the output
+	// of Build and of Probe.
+	BuildKey, ProbeKey int
+	// Out lists the join's output columns as positions in the
+	// concatenation probe columns ++ build columns, in output order
+	// (repeats allowed); empty means the whole concatenation.
+	Out []int
 	// Selectivity hints the output-to-input ratio for scheduling
 	// estimates (default 1).
 	Selectivity float64
@@ -306,7 +298,7 @@ type Stats struct {
 	SpillPhases int64
 
 	// DiskStats is populated only when the plan scanned file-backed
-	// tables (RegisterTableFile).
+	// tables.
 	DiskStats
 }
 

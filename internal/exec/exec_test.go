@@ -59,8 +59,8 @@ func TestSingleJoinMatchesNestedLoop(t *testing.T) {
 	plan := &Join{
 		Build:    &Scan{Table: build},
 		Probe:    &Scan{Table: probe},
-		BuildKey: KeyCol(0),
-		ProbeKey: KeyCol(0),
+		BuildKey: 0,
+		ProbeKey: 0,
 	}
 	got, stats, err := runOnce(context.Background(), plan, nil, Options{Workers: 4})
 	if err != nil {
@@ -79,8 +79,8 @@ func TestFilterApplied(t *testing.T) {
 	plan := &Join{
 		Build:    &Scan{Table: build},
 		Probe:    &Scan{Table: probe, Filter: func(r Row) bool { return r[0].(int) < 10 }},
-		BuildKey: KeyCol(0),
-		ProbeKey: KeyCol(0),
+		BuildKey: 0,
+		ProbeKey: 0,
 	}
 	got, _, err := runOnce(context.Background(), plan, nil, Options{Workers: 2})
 	if err != nil {
@@ -103,11 +103,11 @@ func TestMultiJoinChain(t *testing.T) {
 		Probe: &Join{
 			Build:    &Scan{Table: d1},
 			Probe:    &Scan{Table: fact},
-			BuildKey: KeyCol(0),
-			ProbeKey: KeyCol(0),
+			BuildKey: 0,
+			ProbeKey: 0,
 		},
-		BuildKey: KeyCol(0),
-		ProbeKey: KeyCol(0),
+		BuildKey: 0,
+		ProbeKey: 0,
 	}
 	got, _, err := runOnce(context.Background(), plan, nil, Options{Workers: 4})
 	if err != nil {
@@ -131,9 +131,9 @@ func TestBushyTree(t *testing.T) {
 	c := tbl("c", 80, func(i int) any { return i % 20 }, func(i int) any { return i })
 	d := tbl("d", 20, func(i int) any { return i }, func(i int) any { return i })
 	// (a JOIN b) JOIN (c JOIN d), joined on the shared key in column 0.
-	left := &Join{Build: &Scan{Table: b}, Probe: &Scan{Table: a}, BuildKey: KeyCol(0), ProbeKey: KeyCol(0)}
-	right := &Join{Build: &Scan{Table: d}, Probe: &Scan{Table: c}, BuildKey: KeyCol(0), ProbeKey: KeyCol(0)}
-	plan := &Join{Build: right, Probe: left, BuildKey: KeyCol(0), ProbeKey: KeyCol(0)}
+	left := &Join{Build: &Scan{Table: b}, Probe: &Scan{Table: a}, BuildKey: 0, ProbeKey: 0}
+	right := &Join{Build: &Scan{Table: d}, Probe: &Scan{Table: c}, BuildKey: 0, ProbeKey: 0}
+	plan := &Join{Build: right, Probe: left, BuildKey: 0, ProbeKey: 0}
 	got, _, err := runOnce(context.Background(), plan, nil, Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
@@ -150,7 +150,7 @@ func TestStaticMatchesDynamic(t *testing.T) {
 	checkQueryHygiene(t)
 	build := tbl("b", 200, func(i int) any { return i % 31 }, func(i int) any { return i })
 	probe := tbl("p", 400, func(i int) any { return i % 31 }, func(i int) any { return i })
-	plan := &Join{Build: &Scan{Table: build}, Probe: &Scan{Table: probe}, BuildKey: KeyCol(0), ProbeKey: KeyCol(0)}
+	plan := &Join{Build: &Scan{Table: build}, Probe: &Scan{Table: probe}, BuildKey: 0, ProbeKey: 0}
 	dyn, _, err := runOnce(context.Background(), plan, nil, Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
@@ -167,8 +167,8 @@ func TestEmptyInputs(t *testing.T) {
 	empty := &Table{Name: "e", Cols: []string{"k"}}
 	full := tbl("f", 10, func(i int) any { return i }, func(i int) any { return i })
 	for _, plan := range []*Join{
-		{Build: &Scan{Table: empty}, Probe: &Scan{Table: full}, BuildKey: KeyCol(0), ProbeKey: KeyCol(0)},
-		{Build: &Scan{Table: full}, Probe: &Scan{Table: empty}, BuildKey: KeyCol(0), ProbeKey: KeyCol(0)},
+		{Build: &Scan{Table: empty}, Probe: &Scan{Table: full}, BuildKey: 0, ProbeKey: 0},
+		{Build: &Scan{Table: full}, Probe: &Scan{Table: empty}, BuildKey: 0, ProbeKey: 0},
 	} {
 		got, _, err := runOnce(context.Background(), plan, nil, Options{Workers: 3})
 		if err != nil {
@@ -184,7 +184,7 @@ func TestStringAndMixedKeys(t *testing.T) {
 	checkQueryHygiene(t)
 	build := tbl("b", 30, func(i int) any { return fmt.Sprintf("k%d", i%10) }, func(i int) any { return i })
 	probe := tbl("p", 50, func(i int) any { return fmt.Sprintf("k%d", i%10) }, func(i int) any { return i })
-	plan := &Join{Build: &Scan{Table: build}, Probe: &Scan{Table: probe}, BuildKey: KeyCol(0), ProbeKey: KeyCol(0)}
+	plan := &Join{Build: &Scan{Table: build}, Probe: &Scan{Table: probe}, BuildKey: 0, ProbeKey: 0}
 	got, _, err := runOnce(context.Background(), plan, nil, Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
@@ -192,16 +192,16 @@ func TestStringAndMixedKeys(t *testing.T) {
 	sameRows(t, got, nestedJoin(probe, build, 0, 0))
 }
 
-func TestCustomCombine(t *testing.T) {
+func TestJoinOut(t *testing.T) {
 	checkQueryHygiene(t)
 	build := tbl("b", 5, func(i int) any { return i }, func(i int) any { return i * 10 })
 	probe := tbl("p", 5, func(i int) any { return i }, func(i int) any { return i })
 	plan := &Join{
 		Build:    &Scan{Table: build},
 		Probe:    &Scan{Table: probe},
-		BuildKey: KeyCol(0),
-		ProbeKey: KeyCol(0),
-		Combine:  func(p, b Row) Row { return Row{p[0], b[1]} },
+		BuildKey: 0,
+		ProbeKey: 0,
+		Out:      []int{0, 3}, // probe k, build v
 	}
 	got, _, err := runOnce(context.Background(), plan, nil, Options{Workers: 1})
 	if err != nil {
@@ -209,7 +209,7 @@ func TestCustomCombine(t *testing.T) {
 	}
 	for _, r := range got {
 		if len(r) != 2 || r[1].(int) != r[0].(int)*10 {
-			t.Fatalf("combine output wrong: %v", r)
+			t.Fatalf("join Out output wrong: %v", r)
 		}
 	}
 }
@@ -217,7 +217,7 @@ func TestCustomCombine(t *testing.T) {
 func TestContextCancel(t *testing.T) {
 	checkQueryHygiene(t)
 	big := tbl("b", 200000, func(i int) any { return i }, func(i int) any { return i })
-	plan := &Join{Build: &Scan{Table: big}, Probe: &Scan{Table: big}, BuildKey: KeyCol(0), ProbeKey: KeyCol(0)}
+	plan := &Join{Build: &Scan{Table: big}, Probe: &Scan{Table: big}, BuildKey: 0, ProbeKey: 0}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, _, err := runOnce(ctx, plan, nil, Options{Workers: 2}); err == nil {
@@ -243,7 +243,7 @@ func TestQuickJoinEquivalence(t *testing.T) {
 		m := int(mod%13) + 1
 		build := tbl("b", int(nb%40)+1, func(i int) any { return (i + int(seedB)) % m }, func(i int) any { return i })
 		probe := tbl("p", int(np%60)+1, func(i int) any { return (i + int(seedP)) % m }, func(i int) any { return i })
-		plan := &Join{Build: &Scan{Table: build}, Probe: &Scan{Table: probe}, BuildKey: KeyCol(0), ProbeKey: KeyCol(0)}
+		plan := &Join{Build: &Scan{Table: build}, Probe: &Scan{Table: probe}, BuildKey: 0, ProbeKey: 0}
 		got, _, err := runOnce(context.Background(), plan, nil, Options{Workers: 3, Morsel: 7, Batch: 5})
 		if err != nil {
 			return false

@@ -174,8 +174,8 @@ func (mq *mquery) stealRound(thief *query) bool {
 
 // solicit evaluates provider fq's probe queues for the thief and returns
 // its best candidate offer (or nil). Queue lengths are read under the
-// provider's pool mutex; byte pricing runs on snapshots outside it, so
-// user key functions never execute under an engine lock.
+// provider's pool mutex; byte pricing (hashing the sampled batches' key
+// columns) runs on snapshots outside it. A steal round runs no user code.
 func (mq *mquery) solicit(thief, fq *query, node int) *stealOffer {
 	type sampled struct {
 		op     *pop
@@ -256,13 +256,12 @@ func (mq *mquery) shipEstimate(thief *query, op *pop, acts []*activation) int64 
 	if c := thief.ops[op.id].cache.Load(); c != nil {
 		cache = *c
 	}
-	key := op.join.ProbeKey
 	var vs vecScratch
 	var bytes int64
 	var seen map[int]bool
 	for _, a := range acts {
 		bytes += int64(a.b.N) * nominalTupleBytes
-		hs := keyHashes(a.b, op.keyCol, key, &vs)
+		hs := keyHashes(a.b, op.keyCol, &vs)
 		for i := 0; i < a.b.N; i++ {
 			g := int(hs[i] % uint64(mq.buckets))
 			owner := g % mq.n
@@ -321,10 +320,9 @@ func (q *query) acquireBuckets(op *pop, acts []*activation) (copied int, bytes i
 		old = *c
 	}
 	var fresh bucketCache
-	key := op.join.ProbeKey
 	var vs vecScratch
 	for _, a := range acts {
-		hs := keyHashes(a.b, op.keyCol, key, &vs)
+		hs := keyHashes(a.b, op.keyCol, &vs)
 		for i := 0; i < a.b.N; i++ {
 			g := int(hs[i] % uint64(mq.buckets))
 			owner := g % mq.n

@@ -293,10 +293,10 @@ func (q *query) spilled(probeOp *pop) bool {
 }
 
 // spillBatch hash-partitions one batch into the given partition files:
-// key hashes are computed vectorized (typed loop when the key column
-// resolved) and each partition's rows join its file's write buffer.
-func (q *query) spillBatch(files []*spill.File, keyCol int, key KeyFunc, salt uint64, b *vec.Batch, vs *vecScratch) error {
-	hs := keyHashes(b, keyCol, key, vs)
+// the key column is hashed vectorized and each partition's rows join
+// its file's write buffer.
+func (q *query) spillBatch(files []*spill.File, keyCol int, salt uint64, b *vec.Batch, vs *vecScratch) error {
+	hs := keyHashes(b, keyCol, vs)
 	return q.spillBatchSel(files, b, nil, hs, salt, vs)
 }
 
@@ -336,16 +336,11 @@ func (q *query) spillBatchSel(files []*spill.File, b *vec.Batch, sel []int32, hs
 func (q *query) buildGoverned(or *opRun, b *vec.Batch, w int) error {
 	sp := or.spill
 	op := or.op
-	key := op.join.BuildKey
 	vs := &q.vscratch[w]
 	if sp.active.Load() {
-		return q.spillBatch(sp.build, op.keyCol, key, 0, b, vs)
+		return q.spillBatch(sp.build, op.keyCol, 0, b, vs)
 	}
-	hs := keyHashes(b, op.keyCol, key, vs)
-	var keys []any
-	if op.keyCol < 0 {
-		keys = vs.keys
-	}
+	hs := keyHashes(b, op.keyCol, vs)
 	per := q.stripeSels(hs, len(or.stripes), vs)
 	var add int64
 	var diverted []int32
@@ -360,7 +355,7 @@ func (q *query) buildGoverned(or *opRun, b *vec.Batch, w int) error {
 			diverted = append(diverted, sel...)
 			continue
 		}
-		or.stripes[s].insertSel(b, sel, keys)
+		or.stripes[s].insertSel(b, sel)
 		or.stripeRows[s] += len(sel)
 		or.locks[s].Unlock()
 		add += batchBytes(b, sel) + int64(len(sel))*hashEntryBytes
@@ -394,7 +389,6 @@ func (q *query) spillTransition(or *opRun, vs *vecScratch) error {
 	if sp.build, sp.probe, err = q.newSpillPartFiles(sp, or.op.id); err != nil {
 		return err
 	}
-	key := or.op.join.BuildKey
 	var freed int64
 	for s := range or.stripes {
 		or.locks[s].Lock()
@@ -409,7 +403,7 @@ func (q *query) spillTransition(or *opRun, vs *vecScratch) error {
 			continue
 		}
 		sealed := ss.app.Batch()
-		if err := q.spillBatch(sp.build, ss.keyCol, key, 0, sealed, vs); err != nil {
+		if err := q.spillBatch(sp.build, ss.keyCol, 0, sealed, vs); err != nil {
 			return err
 		}
 		freed += batchBytes(sealed, nil) + int64(sealed.N)*hashEntryBytes
@@ -512,12 +506,10 @@ func (q *query) processSpillLoad(a *activation, w int) (outs []*activation) {
 		}
 		return nil // pending grew; the next pend==0 advance picks it up
 	}
-	key := a.op.join.BuildKey
-	keyCol := a.op.partner.keyCol
 	// Decoded batches may carry per-batch kinds (an all-null column
 	// decodes as Any), so the partition store indexes boxed — the
 	// semantic reference — with schema discovery left to the appender.
-	store := newStripeStore(nil, idxBoxed, keyCol, int(part.build.Rows()))
+	store := newStripeStore(nil, idxBoxed, a.op.partner.keyCol, int(part.build.Rows()))
 	var bytes int64
 	for _, ref := range part.build.Refs() {
 		db, err := part.build.ReadCols(ref)
@@ -525,12 +517,7 @@ func (q *query) processSpillLoad(a *activation, w int) (outs []*activation) {
 			q.mq.fail(err)
 			return nil
 		}
-		var keys []any
-		if keyCol < 0 {
-			keyHashes(db, keyCol, key, vs) // fills the boxed key scratch
-			keys = vs.keys
-		}
-		store.insertSel(db, vec.Ident(db.N)[:db.N], keys)
+		store.insertSel(db, vec.Ident(db.N))
 		bytes += batchBytes(db, nil) + int64(db.N)*hashEntryBytes
 	}
 	// One stripe: the seal aliases its storage, nothing is copied.
@@ -563,22 +550,22 @@ func (q *query) repartition(sp *joinSpill, probeOp *pop, part spillPart, vs *vec
 	if err != nil {
 		return err
 	}
-	split := func(src *spill.File, dst []*spill.File, keyCol int, key KeyFunc) error {
+	split := func(src *spill.File, dst []*spill.File, keyCol int) error {
 		for _, ref := range src.Refs() {
 			db, err := src.ReadCols(ref)
 			if err != nil {
 				return err
 			}
-			if err := q.spillBatch(dst, keyCol, key, salt, db, vs); err != nil {
+			if err := q.spillBatch(dst, keyCol, salt, db, vs); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
-	if err := split(part.build, builds, probeOp.partner.keyCol, probeOp.join.BuildKey); err != nil {
+	if err := split(part.build, builds, probeOp.partner.keyCol); err != nil {
 		return err
 	}
-	if err := split(part.probe, probes, probeOp.keyCol, probeOp.join.ProbeKey); err != nil {
+	if err := split(part.probe, probes, probeOp.keyCol); err != nil {
 		return err
 	}
 	part.build.Close()
@@ -604,20 +591,11 @@ func (q *query) processSpillProbe(a *activation, w int) (outs []*activation, res
 	}
 	ss := a.spill.phase.store
 	vs := &q.vscratch[w]
-	keyCol := a.op.keyCol
-	var keys []any
-	if keyCol < 0 {
-		keyHashes(pb, keyCol, a.op.join.ProbeKey, vs)
-		keys = vs.keys
-	}
-	var kc *vec.Col
-	if keyCol >= 0 && keyCol < len(pb.Cols) {
-		kc = &pb.Cols[keyCol]
-	}
+	kc := &pb.Cols[a.op.keyCol]
 	vs.probeRows = vs.probeRows[:0]
 	vs.bpos = vs.bpos[:0]
 	for i := 0; i < pb.N; i++ {
-		vs.addMatches(i, ss.base, ss.lookup(kc, keys, i))
+		vs.addMatches(i, ss.base, ss.lookup(kc, i))
 	}
 	return q.finishProbe(a, pb, ss.sealed, w)
 }

@@ -18,8 +18,8 @@ func govPlan(buildRows, probeRows int) Node {
 	return &Join{
 		Build:    &Scan{Table: build},
 		Probe:    &Scan{Table: probe},
-		BuildKey: KeyCol(0),
-		ProbeKey: KeyCol(0),
+		BuildKey: 0,
+		ProbeKey: 0,
 	}
 }
 
@@ -88,9 +88,9 @@ func TestSpillChainedJoins(t *testing.T) {
 	fact := tbl("fact", 4_000, func(i int) any { return (i * 3) % 18_000 }, func(i int) any { return i })
 	mk := func() Node {
 		inner := &Join{Build: &Scan{Table: dim}, Probe: &Scan{Table: mid},
-			BuildKey: KeyCol(0), ProbeKey: KeyCol(0)}
+			BuildKey: 0, ProbeKey: 0}
 		return &Join{Build: &Scan{Table: fact}, Probe: inner,
-			BuildKey: KeyCol(0), ProbeKey: KeyCol(1)}
+			BuildKey: 0, ProbeKey: 1}
 	}
 	want, _, err := runOnce(context.Background(), mk(), nil, Options{Workers: 4})
 	if err != nil {
@@ -110,7 +110,7 @@ func TestSpillGroupByMatchesUnlimited(t *testing.T) {
 	checkQueryHygiene(t)
 	plan := govPlan(4_000, 16_000)
 	gb := &GroupBy{
-		Key: KeyCol(0), // probe key: 4000 groups — enough to overflow a small budget
+		Key: 0, // probe key: 4000 groups — enough to overflow a small budget
 		Aggs: []Aggregation{
 			{Func: Count},
 			{Func: Sum, Arg: func(r Row) float64 { return float64(r[1].(int)) }},
@@ -271,7 +271,7 @@ func TestSpillUnsupportedTypeFails(t *testing.T) {
 	}
 	probe := tbl("p", 100, func(i int) any { return i }, func(i int) any { return i })
 	plan := &Join{Build: &Scan{Table: build}, Probe: &Scan{Table: probe},
-		BuildKey: KeyCol(0), ProbeKey: KeyCol(0)}
+		BuildKey: 0, ProbeKey: 0}
 	pool, err := NewNodes(1, 4, 0)
 	if err != nil {
 		t.Fatal(err)

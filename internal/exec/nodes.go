@@ -225,8 +225,8 @@ func (ns *Nodes) Submit(ctx context.Context, root Node, opt Options) (*Handle, e
 // node to finish merges the per-node results, and the groups stream
 // out ordered deterministically by formatted key.
 func (ns *Nodes) SubmitGroupBy(ctx context.Context, root Node, gb *GroupBy, opt Options) (*Handle, error) {
-	if err := validateGroupBy(gb); err != nil {
-		return nil, err
+	if gb == nil {
+		return nil, fmt.Errorf("exec: nil group-by")
 	}
 	return ns.submit(ctx, root, gb, opt)
 }
@@ -249,11 +249,13 @@ func (ns *Nodes) submit(ctx context.Context, root Node, gb *GroupBy, opt Options
 		}
 	}
 	phys, err := compile(root)
+	if err == nil && gb != nil {
+		err = validateGroupBy(gb, len(phys.root.outKinds))
+	}
 	if err != nil {
 		ns.admitRelease()
 		return nil, err
 	}
-	annotateVec(phys)
 	h := ns.newQuery(ctx, phys, gb, opt)
 	mq := &h.mq
 	mq.stats.AdmissionWait = wait

@@ -42,16 +42,16 @@ func TestMultiNodeMatchesSingleNode(t *testing.T) {
 	plans := map[string]func() Node{
 		"join": func() Node {
 			return &Join{Build: &Scan{Table: dim}, Probe: &Scan{Table: fact},
-				BuildKey: KeyCol(0), ProbeKey: KeyCol(0)}
+				BuildKey: 0, ProbeKey: 0}
 		},
 		"chained": func() Node {
 			inner := &Join{Build: &Scan{Table: dim}, Probe: &Scan{Table: mid},
-				BuildKey: KeyCol(0), ProbeKey: KeyCol(0)}
+				BuildKey: 0, ProbeKey: 0}
 			// The second join keys on the payload column of mid (i*3),
 			// so intermediate rows route differently than their first
 			// partitioning.
 			return &Join{Build: &Scan{Table: fact, Filter: func(r Row) bool { return r[1].(int)%3 == 0 }},
-				Probe: inner, BuildKey: KeyCol(1), ProbeKey: KeyCol(1)}
+				Probe: inner, BuildKey: 1, ProbeKey: 1}
 		},
 		"filtered-scan": func() Node {
 			return &Scan{Table: fact, Filter: func(r Row) bool { return r[1].(int)%7 == 0 }}
@@ -114,10 +114,10 @@ func TestMultiNodeGroupBy(t *testing.T) {
 	fact := tbl("fact", 8000, func(i int) any { return i % 40 }, func(i int) any { return i })
 	mk := func() Node {
 		return &Join{Build: &Scan{Table: dim}, Probe: &Scan{Table: fact},
-			BuildKey: KeyCol(0), ProbeKey: KeyCol(0)}
+			BuildKey: 0, ProbeKey: 0}
 	}
 	gb := &GroupBy{
-		Key: KeyCol(3), // dim payload g0..g5
+		Key: 3, // dim payload g0..g5
 		Aggs: []Aggregation{
 			{Func: Count},
 			{Func: Sum, Arg: func(r Row) float64 { return float64(r[1].(int)) }},
@@ -156,7 +156,7 @@ func TestMultiNodeEmptyInputs(t *testing.T) {
 	ns := newNodesT(t, 4, 2)
 	h, err := ns.Submit(context.Background(), &Join{
 		Build: &Scan{Table: empty}, Probe: &Scan{Table: tiny},
-		BuildKey: KeyCol(0), ProbeKey: KeyCol(0)}, Options{})
+		BuildKey: 0, ProbeKey: 0}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +165,7 @@ func TestMultiNodeEmptyInputs(t *testing.T) {
 	}
 	h, err = ns.Submit(context.Background(), &Join{
 		Build: &Scan{Table: tiny}, Probe: &Scan{Table: tiny},
-		BuildKey: KeyCol(0), ProbeKey: KeyCol(0)}, Options{})
+		BuildKey: 0, ProbeKey: 0}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +215,7 @@ func TestMultiNodeConcurrentQueries(t *testing.T) {
 			h, err := ns.Submit(context.Background(), &Join{
 				Build:    &Scan{Table: dim},
 				Probe:    &Scan{Table: fact, Filter: func(r Row) bool { return r[1].(int)%n == i }},
-				BuildKey: KeyCol(0), ProbeKey: KeyCol(0)}, Options{})
+				BuildKey: 0, ProbeKey: 0}, Options{})
 			if err != nil {
 				errs[i] = err
 				return
@@ -281,8 +281,8 @@ func TestMultiNodeStreamingAllocBound(t *testing.T) {
 	plan := Node(&Join{
 		Build:    &Scan{Table: build},
 		Probe:    &Scan{Table: probe},
-		BuildKey: KeyCol(0),
-		ProbeKey: KeyCol(0),
+		BuildKey: 0,
+		ProbeKey: 0,
 	})
 	avg := testing.AllocsPerRun(3, func() {
 		h, err := ns.Submit(context.Background(), plan, Options{DisableStealing: true})

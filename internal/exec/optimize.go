@@ -7,12 +7,13 @@ package exec
 //
 // The bridge never changes results. A reordered tree emits the same row
 // multiset, and when the new leaf order would permute output columns the
-// root join gets a Combine that restores the literal column order.
-// Plans the graph extraction cannot prove safe to reorder — a Combine
-// that rewrites rows, a computed join key, a NoReorder hint, mixed-type
-// or ragged leaf columns — fall back to the literal order with
-// statistics-derived RowsHints (exactly the hints-only mode), and the
-// blocking condition is reported as the PlanChoice's Reason.
+// root join's Out list restores the literal column order — a permutation
+// of column headers, so a reordered plan stays columnar to the root.
+// Plans the graph extraction does not reorder — a join with an Out list
+// of its own (a Project step), a NoReorder hint, mixed-type or ragged
+// leaf columns — fall back to the literal order with statistics-derived
+// RowsHints (exactly the hints-only mode), and the blocking condition is
+// reported as the PlanChoice's Reason.
 
 import (
 	"fmt"
@@ -190,21 +191,17 @@ func (ti *treeInfo) walk(n Node) (order []int, width int) {
 		var e *qedge
 		if ti.reason == "" {
 			switch {
-			case v.Combine != nil:
-				ti.block("a Combine rewrites join output rows")
+			case len(v.Out) > 0:
+				ti.block("a Project picks the join's output columns")
 			case v.NoReorder:
 				ti.block("a NoReorder hint pins the literal order")
+			case v.ProbeKey < 0 || v.ProbeKey >= pw || v.BuildKey < 0 || v.BuildKey >= bw:
+				ti.block("a join key column is out of range") // compile rejects the plan
 			default:
-				pc := resolveKeyCol(v.ProbeKey, pw)
-				bc := resolveKeyCol(v.BuildKey, bw)
-				if pc < 0 || bc < 0 {
-					ti.block("a join key is not a plain column projection")
-				} else {
-					la, ca := ti.locate(po, pc)
-					lb, cb := ti.locate(bo, bc)
-					ti.edges = append(ti.edges, qedge{a: la, acol: ca, b: lb, bcol: cb})
-					e = &ti.edges[len(ti.edges)-1]
-				}
+				la, ca := ti.locate(po, v.ProbeKey)
+				lb, cb := ti.locate(bo, v.BuildKey)
+				ti.edges = append(ti.edges, qedge{a: la, acol: ca, b: lb, bcol: cb})
+				e = &ti.edges[len(ti.edges)-1]
 			}
 		}
 		pEst, bEst := ti.est[v.Probe], ti.est[v.Build]
@@ -517,8 +514,8 @@ func (ti *treeInfo) rebuild(jn *plan.JoinNode, relIdx map[*catalog.Relation]int)
 	j := &Join{
 		Build:    buildN,
 		Probe:    probeN,
-		BuildKey: KeyCol(bk),
-		ProbeKey: KeyCol(pk),
+		BuildKey: bk,
+		ProbeKey: pk,
 		RowsHint: roundEst(out),
 	}
 	ti.est[j] = out
@@ -542,7 +539,7 @@ func (ti *treeInfo) offsetOf(order []int, leaf int) int {
 	return off
 }
 
-// permuteRoot wraps the reordered tree's root join with a Combine that
+// permuteRoot gives the reordered tree's root join the Out list that
 // restores the literal builder's output column order, so callers (and
 // any GroupBy key over column positions) observe identical rows.
 func (ti *treeInfo) permuteRoot(root *Join, newOrder []int) Node {
@@ -559,40 +556,11 @@ func (ti *treeInfo) permuteRoot(root *Join, newOrder []int) Node {
 			perm = append(perm, base+c)
 		}
 	}
-	pw := ti.nodeWidth(root.Probe)
 	j := *root
-	j.Combine = permCombine(perm, pw)
+	j.Out = perm
 	ti.est[&j] = ti.est[root]
 	ti.rowBytes[&j] = ti.rowBytes[root]
 	return &j
-}
-
-// permCombine builds the column-permuting row merger of a reordered
-// root join: output position i takes concatenated (probe ++ build)
-// position perm[i].
-func permCombine(perm []int, pw int) func(Row, Row) Row {
-	return func(p, b Row) Row {
-		out := make(Row, len(perm))
-		for i, src := range perm {
-			if src < pw {
-				out[i] = p[src]
-			} else {
-				out[i] = b[src-pw]
-			}
-		}
-		return out
-	}
-}
-
-// nodeWidth is the output column count of a subtree.
-func (ti *treeInfo) nodeWidth(n Node) int {
-	switch v := n.(type) {
-	case *Scan:
-		return len(v.Table.Cols)
-	case *Join:
-		return ti.nodeWidth(v.Probe) + ti.nodeWidth(v.Build)
-	}
-	return 0
 }
 
 //hierdb:hotpath

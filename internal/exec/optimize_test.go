@@ -3,6 +3,7 @@ package exec
 import (
 	"context"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -128,7 +129,7 @@ func analyzeAll(t *testing.T, tables ...*Table) StatsFunc {
 func TestOptimizeOffPassthrough(t *testing.T) {
 	a := tbl("a", 10, func(i int) any { return i }, func(i int) any { return i })
 	b := tbl("b", 10, func(i int) any { return i }, func(i int) any { return i })
-	root := &Join{Probe: &Scan{Table: a}, Build: &Scan{Table: b}, ProbeKey: KeyCol(0), BuildKey: KeyCol(0)}
+	root := &Join{Probe: &Scan{Table: a}, Build: &Scan{Table: b}, ProbeKey: 0, BuildKey: 0}
 	pc := Optimize(root, OptimizeOff, nil)
 	if pc.Root != Node(root) {
 		t.Fatal("off mode did not return the literal plan")
@@ -142,7 +143,7 @@ func TestOptimizeHintsFillsClonesOnly(t *testing.T) {
 	a := statTable("a", 400, 40, false)
 	b := statTable("b", 50, 50, false)
 	sa, sb := &Scan{Table: a, Preds: []vec.Pred{{Col: 1, Op: vec.Eq, Val: 3}}}, &Scan{Table: b}
-	root := &Join{Probe: sa, Build: sb, ProbeKey: KeyCol(1), BuildKey: KeyCol(1)}
+	root := &Join{Probe: sa, Build: sb, ProbeKey: 1, BuildKey: 1}
 	pc := Optimize(root, OptimizeHints, analyzeAll(t, a, b))
 	if pc.Reordered {
 		t.Fatal("hints mode reordered")
@@ -173,9 +174,9 @@ func badChain() (root *Join, big, mid, small *Table) {
 	big = statTable("big", 2000, 100, false)
 	mid = statTable("mid", 400, 100, false)
 	small = statTable("small", 20, 20, false)
-	j1 := &Join{Probe: &Scan{Table: big}, Build: &Scan{Table: mid}, ProbeKey: KeyCol(1), BuildKey: KeyCol(1)}
+	j1 := &Join{Probe: &Scan{Table: big}, Build: &Scan{Table: mid}, ProbeKey: 1, BuildKey: 1}
 	// small's key domain is 0..19, so the final join drops most rows.
-	root = &Join{Probe: j1, Build: &Scan{Table: small}, ProbeKey: KeyCol(1), BuildKey: KeyCol(1)}
+	root = &Join{Probe: j1, Build: &Scan{Table: small}, ProbeKey: 1, BuildKey: 1}
 	return root, big, mid, small
 }
 
@@ -196,8 +197,27 @@ func TestOptimizeFullReordersIdentically(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Identical rows including column order (the permutation Combine).
+	// Identical rows including column order: the root's Out list is the
+	// restoring permutation.
 	sameRows(t, got, want)
+	if len(pc.Root.(*Join).Out) == 0 {
+		t.Fatal("the reordered fixture no longer permutes its output: nothing restored")
+	}
+	// And an identical schema. Out permutes column headers, so the
+	// reordered plan is typed to the root exactly as the literal one is:
+	// in both, big streams through every probe (its columns keep their
+	// kinds) and the other two relations are build sides.
+	lit, err := compile(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	re, err := compile(pc.Root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(re.root.outKinds, lit.root.outKinds) || lit.root.outKinds[0] != vec.Int {
+		t.Fatalf("reordered root kinds %v, literal %v", re.root.outKinds, lit.root.outKinds)
+	}
 	if len(st.OpRows) == 0 {
 		t.Fatalf("no per-operator counters: %+v", st)
 	}
@@ -208,8 +228,8 @@ func TestOptimizeBlockedReasons(t *testing.T) {
 	b := tbl("b", 10, func(i int) any { return i }, func(i int) any { return i })
 	c := tbl("c", 10, func(i int) any { return i }, func(i int) any { return i })
 	mk := func(mut func(j1, j2 *Join)) Node {
-		j1 := &Join{Probe: &Scan{Table: a}, Build: &Scan{Table: b}, ProbeKey: KeyCol(0), BuildKey: KeyCol(0)}
-		j2 := &Join{Probe: j1, Build: &Scan{Table: c}, ProbeKey: KeyCol(0), BuildKey: KeyCol(0)}
+		j1 := &Join{Probe: &Scan{Table: a}, Build: &Scan{Table: b}, ProbeKey: 0, BuildKey: 0}
+		j2 := &Join{Probe: j1, Build: &Scan{Table: c}, ProbeKey: 0, BuildKey: 0}
 		mut(j1, j2)
 		return j2
 	}
@@ -218,11 +238,11 @@ func TestOptimizeBlockedReasons(t *testing.T) {
 		root Node
 		want string
 	}{
-		{"combine", mk(func(j1, _ *Join) { j1.Combine = func(p, b Row) Row { return p } }), "Combine"},
+		{"project", mk(func(j1, _ *Join) { j1.Out = []int{0, 1} }), "Project"},
 		{"noreorder", mk(func(_, j2 *Join) { j2.NoReorder = true }), "NoReorder"},
-		// A computed key (not a bare projection — resolveKeyCol detects
-		// those even inside closures) cannot be mapped to a graph edge.
-		{"computed-key", mk(func(j1, _ *Join) { j1.ProbeKey = func(r Row) any { return r[0].(int) * 2 } }), "plain column"},
+		// A key no leaf has cannot be mapped to a graph edge; the plan is
+		// left for compile to reject.
+		{"bad-key", mk(func(j1, _ *Join) { j1.ProbeKey = 9 }), "out of range"},
 		{"single-scan", &Scan{Table: a}, "single-relation"},
 	}
 	for _, tc := range cases {
@@ -240,7 +260,7 @@ func TestOptimizeRaggedTableBlocked(t *testing.T) {
 	a := &Table{Name: "ragged", Cols: []string{"k", "v"}}
 	a.Rows = append(a.Rows, Row{1, "x"}, Row{2})
 	b := tbl("b", 4, func(i int) any { return i }, func(i int) any { return i })
-	root := &Join{Probe: &Scan{Table: a}, Build: &Scan{Table: b}, ProbeKey: KeyCol(0), BuildKey: KeyCol(0)}
+	root := &Join{Probe: &Scan{Table: a}, Build: &Scan{Table: b}, ProbeKey: 0, BuildKey: 0}
 	pc := Optimize(root, OptimizeFull, nil)
 	if pc.Reordered {
 		t.Fatal("reordered a plan over a ragged table")
@@ -310,7 +330,7 @@ func TestDistinctCounterEstimate(t *testing.T) {
 func TestOpRowsCounters(t *testing.T) {
 	a := tbl("a", 100, func(i int) any { return i % 10 }, func(i int) any { return i })
 	b := tbl("b", 10, func(i int) any { return i }, func(i int) any { return i })
-	root := &Join{Probe: &Scan{Table: a}, Build: &Scan{Table: b}, ProbeKey: KeyCol(0), BuildKey: KeyCol(0)}
+	root := &Join{Probe: &Scan{Table: a}, Build: &Scan{Table: b}, ProbeKey: 0, BuildKey: 0}
 	pc := Optimize(root, OptimizeHints, nil)
 	en, err := pc.Describe(nil, Options{Workers: 2}, 1)
 	if err != nil {

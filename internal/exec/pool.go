@@ -37,8 +37,8 @@ import (
 var ErrClosed = errors.New("exec: engine closed")
 
 // ErrQueryPanic is matched (errors.Is) by the error of a query one of
-// whose activations panicked — in a user Filter, KeyFunc, Combine or
-// aggregate Arg, or in the engine itself. The error carries the panic
+// whose activations panicked — in a user Filter or aggregate Arg (the
+// only user code a plan carries), or in the engine itself. The error carries the panic
 // value and the stack; the engine keeps serving other queries.
 var ErrQueryPanic = errors.New("exec: query panicked")
 
@@ -362,8 +362,8 @@ func (p *pool) worker(w int) {
 
 // runActivation executes one activation on worker w and delivers its
 // result batch: the activation boundary, outside every scheduler lock. A
-// panic below it — user Filter, KeyFunc, Combine or Arg code, or an
-// engine bug — is contained here: the query fails with ErrQueryPanic and
+// panic below it — user Filter or Arg code, which runs nowhere else, or
+// an engine bug — is contained here: the query fails with ErrQueryPanic and
 // the activation reports no outs, so the worker's ordinary epilogue
 // unwinds pend, inflight, the chunk charge and (at retirement) the broker
 // lease exactly as for any other failed activation. (The named results

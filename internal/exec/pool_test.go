@@ -27,11 +27,11 @@ func starPlan(seed, factRows int) Node {
 		Probe: &Join{
 			Build:    &Scan{Table: d1},
 			Probe:    &Scan{Table: fact},
-			BuildKey: KeyCol(0),
-			ProbeKey: KeyCol(0),
+			BuildKey: 0,
+			ProbeKey: 0,
 		},
-		BuildKey: KeyCol(0),
-		ProbeKey: KeyCol(0),
+		BuildKey: 0,
+		ProbeKey: 0,
 	}
 }
 
@@ -254,7 +254,7 @@ func TestUndrainedGroupByDoesNotWedgePool(t *testing.T) {
 		t.Fatal(err)
 	}
 	// ~5000 groups -> ~20 batches, far beyond the sink bound; never read.
-	gb := &GroupBy{Key: KeyCol(0), Aggs: []Aggregation{{Func: Count}}}
+	gb := &GroupBy{Key: 0, Aggs: []Aggregation{{Func: Count}}}
 	if _, err := pool.SubmitGroupBy(context.Background(), aggPlan(20_000, 5000), gb, Options{}); err != nil {
 		t.Fatal(err)
 	}
@@ -362,7 +362,7 @@ func TestPoolGroupByStreams(t *testing.T) {
 	}
 	defer pool.Close()
 	plan := aggPlan(5000, 7)
-	gb := &GroupBy{Key: KeyCol(0), Aggs: []Aggregation{
+	gb := &GroupBy{Key: 0, Aggs: []Aggregation{
 		{Func: Count},
 		{Func: Sum, Arg: func(r Row) float64 { return float64(r[1].(int)) }},
 	}}
@@ -415,11 +415,12 @@ func TestRootScanStreams(t *testing.T) {
 	}
 }
 
-// TestPanicContainment: a panic in user code under an activation — a
-// scan Filter, a computed KeyFunc, a Combine, an aggregate Arg — fails
-// that query with ErrQueryPanic and nothing else: the engine serves the
-// next query, no goroutine, lease or spill file is left behind. Swept
-// over one and two nodes, ungoverned and spilling under a memory broker.
+// TestPanicContainment: a panic in user code — a scan Filter or an
+// aggregate Arg, the two closures a plan carries, both run only under an
+// activation — fails that query with ErrQueryPanic and nothing else: the
+// engine serves the next query, no goroutine, lease or spill file is
+// left behind. Swept over one and two nodes, ungoverned and spilling
+// under a memory broker.
 func TestPanicContainment(t *testing.T) {
 	const buildRows, probeRows = 4_000, 40_000
 	build := tbl("pb", buildRows, func(i int) any { return i }, func(i int) any { return fmt.Sprintf("b%d", i) })
@@ -433,7 +434,7 @@ func TestPanicContainment(t *testing.T) {
 		}
 	}
 	join := func() *Join {
-		return &Join{Build: &Scan{Table: build}, Probe: &Scan{Table: probe}, BuildKey: KeyCol(0), ProbeKey: KeyCol(0)}
+		return &Join{Build: &Scan{Table: build}, Probe: &Scan{Table: probe}, BuildKey: 0, ProbeKey: 0}
 	}
 	cases := map[string]func() (Node, *GroupBy){
 		"Filter": func() (Node, *GroupBy) {
@@ -441,20 +442,8 @@ func TestPanicContainment(t *testing.T) {
 			j.Probe = &Scan{Table: probe, Filter: func(r Row) bool { bad(r[1]); return true }}
 			return j, nil
 		},
-		// The build key: probe keys also run inside steal rounds, which
-		// are not activations.
-		"KeyFunc": func() (Node, *GroupBy) {
-			j := join()
-			j.BuildKey = func(r Row) any { bad(r[0]); return r[0].(int) + 0 }
-			return j, nil
-		},
-		"Combine": func() (Node, *GroupBy) {
-			j := join()
-			j.Combine = func(p, b Row) Row { bad(p[1]); return Row{p[0], b[1]} }
-			return j, nil
-		},
 		"Arg": func() (Node, *GroupBy) {
-			return join(), &GroupBy{Key: KeyCol(0), Aggs: []Aggregation{
+			return join(), &GroupBy{Key: 0, Aggs: []Aggregation{
 				{Func: Sum, Arg: func(r Row) float64 { bad(r[1]); return 1 }}}}
 		},
 	}

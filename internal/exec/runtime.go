@@ -37,10 +37,9 @@ type pop struct {
 	chain    int
 	est      float64
 
-	// Columnar annotations (annotateVec): the operator's output column
-	// kinds (nil = unknown, downstream uses boxed fallbacks), the
-	// resolved key column in its input schema (-1 = closure fallback),
-	// and, for builds, the hash-index representation.
+	// Columnar schema, fixed at compile: the operator's output column
+	// kinds, a build's or probe's key column in its input's schema, and,
+	// for builds, the hash-index representation.
 	outKinds []vec.Kind
 	keyCol   int
 	idxKind  int
@@ -53,7 +52,9 @@ type physical struct {
 }
 
 // compile macro-expands the logical tree into scan/build/probe operators
-// and pipeline chains in dependency order (§2.2).
+// and pipeline chains in dependency order (§2.2), deriving every
+// operator's schema on the way up and rejecting a key or output column
+// its input does not have.
 func compile(root Node) (*physical, error) {
 	p := &physical{}
 	out, err := p.expand(root)
@@ -80,14 +81,9 @@ func (p *physical) expand(n Node) (*pop, error) {
 		op := p.newOp(opScan)
 		op.scan = v
 		op.est = v.estimate()
+		op.outKinds = scanKinds(v.Table)
 		return op, nil
 	case *Join:
-		if v.BuildKey == nil {
-			return nil, fmt.Errorf("exec: join with nil BuildKey")
-		}
-		if v.ProbeKey == nil {
-			return nil, fmt.Errorf("exec: join with nil ProbeKey")
-		}
 		b, err := p.expand(v.Build)
 		if err != nil {
 			return nil, err
@@ -95,6 +91,18 @@ func (p *physical) expand(n Node) (*pop, error) {
 		pr, err := p.expand(v.Probe)
 		if err != nil {
 			return nil, err
+		}
+		bw, pw := len(b.outKinds), len(pr.outKinds)
+		if v.BuildKey < 0 || v.BuildKey >= bw {
+			return nil, fmt.Errorf("exec: join BuildKey column %d out of range (build input has %d columns)", v.BuildKey, bw)
+		}
+		if v.ProbeKey < 0 || v.ProbeKey >= pw {
+			return nil, fmt.Errorf("exec: join ProbeKey column %d out of range (probe input has %d columns)", v.ProbeKey, pw)
+		}
+		for _, c := range v.Out {
+			if c < 0 || c >= pw+bw {
+				return nil, fmt.Errorf("exec: join Out column %d out of range (probe ++ build has %d columns)", c, pw+bw)
+			}
 		}
 		bld := p.newOp(opBuild)
 		prb := p.newOp(opProbe)
@@ -104,6 +112,9 @@ func (p *physical) expand(n Node) (*pop, error) {
 		pr.consumer = prb
 		bld.est = v.Build.estimate()
 		prb.est = v.estimate()
+		bld.keyCol, prb.keyCol = v.BuildKey, v.ProbeKey
+		bld.outKinds, prb.outKinds = b.outKinds, joinKinds(pr.outKinds, bw, v.Out)
+		bld.idxKind = indexKind(b.outKinds[v.BuildKey], pr.outKinds[v.ProbeKey])
 		return prb, nil
 	case nil:
 		return nil, fmt.Errorf("exec: nil plan node (missing join input?)")
@@ -299,9 +310,6 @@ type query struct {
 	// kernel state (hash vectors, match triples, routing lists).
 	varenas  []vec.Arena
 	vscratch []vecScratch
-	// gbKeyCol is the group-by key's resolved column in the root
-	// operator's output schema (-1 = closure fallback).
-	gbKeyCol int
 	// partials holds per-worker aggregation state of a group-by query;
 	// worker w touches only partials[w].
 	partials []map[any]*groupState
@@ -370,10 +378,6 @@ func newFragment(mq *mquery, node int) *query {
 	}
 	q.varenas = make([]vec.Arena, opt.Workers)
 	q.vscratch = make([]vecScratch, opt.Workers)
-	q.gbKeyCol = -1
-	if gb != nil && phys.root.outKinds != nil {
-		q.gbKeyCol = resolveKeyCol(gb.Key, len(phys.root.outKinds))
-	}
 	lo := node * opt.Workers
 	q.perWorker = mq.stats.PerWorker[lo : lo+opt.Workers : lo+opt.Workers]
 	q.opRows = make([]int64, len(phys.ops))
@@ -631,16 +635,6 @@ func (q *query) finalize() {
 	q.mq.fragRetired()
 }
 
-// consumerKey is the partition key of rows flowing into an operator: a
-// build op receives build-side rows, a probe op probe-side rows. The
-// router (emitBatch) sends each row to the node owning its key.
-func consumerKey(c *pop) KeyFunc {
-	if c.kind == opBuild {
-		return c.join.BuildKey
-	}
-	return c.join.ProbeKey
-}
-
 // scanSrc is the columnar source of a resident-table scan operator:
 // this node's partition of the table.
 func (q *query) scanSrc(op *pop) *vec.Batch {
@@ -704,7 +698,7 @@ func (q *query) process(a *activation, w int) (outs []*activation, results *vec.
 			// The build side spilled: probe input is partitioned to the
 			// join's probe spill files and joined partition-wise once the
 			// probe input is exhausted (spillNextLocked).
-			if err := q.spillBatch(sp.probe, a.op.keyCol, a.op.join.ProbeKey, 0, a.b, &q.vscratch[w]); err != nil {
+			if err := q.spillBatch(sp.probe, a.op.keyCol, 0, a.b, &q.vscratch[w]); err != nil {
 				q.mq.fail(err)
 			}
 			break

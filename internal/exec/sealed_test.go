@@ -12,32 +12,38 @@ import (
 	"hierdb/internal/vec"
 )
 
-// probeFixture is the probe kernel on its own: a one-join plan compiled
-// into a one-node query — coordinator and fragment from the engine's own
-// constructor — that is never scheduled, its build side inserted on
-// worker 0, and the probe activations its probe scan emits (one morsel
-// covering the table, cut to Batch rows).
-func probeFixture(t testing.TB, plan *Join, opt Options) (q *query, probes []*activation) {
+// probeFixture is the root probe kernel on its own: a plan compiled into
+// a one-node query — coordinator and fragment from the engine's own
+// constructor — that is never scheduled. Every chain is driven to
+// completion on worker 0, in chain order (builds before the probes that
+// read them), except the root join's probe, whose input activations are
+// returned instead of processed.
+func probeFixture(t testing.TB, plan Node, opt Options) (q *query, probes []*activation) {
 	t.Helper()
 	phys, err := compile(plan)
 	if err != nil {
 		t.Fatal(err)
 	}
-	annotateVec(phys)
 	if opt, err = opt.validateFor(max(opt.Workers, 1)); err != nil {
 		t.Fatal(err)
 	}
 	ns := &Nodes{n: 1, workers: opt.Workers, pools: []*pool{{}}}
 	q = ns.newQuery(context.Background(), phys, nil, opt).mq.frags[0]
-	scanAll := func(op *pop) []*activation {
-		outs, _ := q.processScanVec(&activation{op: op, lo: 0, hi: q.scanSrc(op).N}, 0)
-		return outs
+	var drive func(a *activation)
+	drive = func(a *activation) {
+		if a.op == phys.root {
+			probes = append(probes, a)
+			return
+		}
+		outs, _ := q.process(a, 0)
+		for _, out := range outs {
+			drive(out)
+		}
 	}
-	bld := phys.root.partner
-	for _, a := range scanAll(producerOf(phys, bld)) {
-		q.processBuildVec(a, 0)
+	for _, chain := range phys.chains {
+		drive(&activation{op: chain[0], lo: 0, hi: q.scanSrc(chain[0]).N})
 	}
-	return q, scanAll(producerOf(phys, phys.root))
+	return q, probes
 }
 
 // widePlan joins probeRows probe rows to a buildRows-row build side of
@@ -52,54 +58,37 @@ func widePlan(buildRows, probeRows, width int) *Join {
 		build.Rows = append(build.Rows, row)
 	}
 	probe := tbl("p", probeRows, func(i int) any { return 1000 + i%buildRows }, func(i int) any { return i })
-	return &Join{Build: &Scan{Table: build}, Probe: &Scan{Table: probe}, BuildKey: KeyCol(0), ProbeKey: KeyCol(0)}
+	return &Join{Build: &Scan{Table: build}, Probe: &Scan{Table: probe}, BuildKey: 0, ProbeKey: 0}
 }
 
-// raggedCombine is a join over 2*perKind keys whose output rows are 3
-// wide for the keys of even-numbered stripes (of the consuming join's
-// hash table) and 2 wide for the others, wide keys first — as a build
-// side it gives the consuming join no schema, and with small batches
-// each stripe's store sees one width only and discovers it for itself.
-func raggedCombine(stripes, perKind int) (j *Join, keys []int, wide func(k int) bool) {
-	wide = func(k int) bool { return keyHash64(k)%uint64(stripes)%2 == 0 }
-	var narrow []int
-	for k := 0; len(keys) < perKind || len(narrow) < perKind; k++ {
-		if wide(k) && len(keys) < perKind {
-			keys = append(keys, k)
-		} else if !wide(k) && len(narrow) < perKind {
-			narrow = append(narrow, k)
-		}
-	}
-	keys = append(keys, narrow...)
-	side := func(name string) *Scan {
-		return &Scan{Table: tbl(name, len(keys), func(i int) any { return keys[i] }, func(i int) any { return name })}
-	}
-	return &Join{
-		Build:    side("rb"),
-		Probe:    side("rp"),
-		BuildKey: KeyCol(0),
-		ProbeKey: KeyCol(0),
-		Combine: func(p, b Row) Row {
-			if k := p[0].(int); wide(k) {
-				return Row{k, "wide", k * 10}
-			}
-			return Row{p[0], "narrow"}
-		},
-	}, keys, wide
-}
-
-// TestRaggedBuildStripes: a build side of unknown schema whose rows
-// differ in width lands 3-wide rows in some stripes and 2-wide rows in
-// others. One probe batch matches both kinds, in either order, so the
-// output must take its width from the sealed build side, not from
-// whichever stripe matched first, and every row must read back at its
-// own width.
+// TestRaggedBuildStripes: a ragged registered table — 3-wide rows for
+// the keys of even-numbered stripes, 2-wide rows for the others, so that
+// with small batches a stripe's store is fed rows of one width only — is
+// the build side. Every stripe store has the table's width all the same
+// (a resident table is columnized once, short rows padded), one probe
+// batch matches both kinds in either order, and every output row must
+// read back at its own width.
 func TestRaggedBuildStripes(t *testing.T) {
 	checkQueryHygiene(t)
 	const workers, perKind = 2, 32
-	inner, keys, wide := raggedCombine(8*workers, perKind)
+	wide := func(k int) bool { return keyHash64(k)%uint64(8*workers)%2 == 0 }
+	ragged := &Table{Name: "rb"}
+	var keys []int
+	for k, nw, nn := 0, 0, 0; nw < perKind || nn < perKind; k++ {
+		switch {
+		case wide(k) && nw < perKind:
+			ragged.Rows = append(ragged.Rows, Row{k, "wide", k * 10})
+			nw++
+		case !wide(k) && nn < perKind:
+			ragged.Rows = append(ragged.Rows, Row{k, "narrow"})
+			nn++
+		default:
+			continue
+		}
+		keys = append(keys, k)
+	}
 	outer := tbl("o", 4*len(keys), func(i int) any { return keys[(i*7)%len(keys)] }, func(i int) any { return i })
-	plan := &Join{Build: inner, Probe: &Scan{Table: outer}, BuildKey: KeyCol(0), ProbeKey: KeyCol(0)}
+	plan := &Join{Build: &Scan{Table: ragged}, Probe: &Scan{Table: outer}}
 	var want []Row
 	for _, o := range outer.Rows {
 		if k := o[0].(int); wide(k) {
@@ -127,43 +116,50 @@ func TestRaggedBuildStripes(t *testing.T) {
 }
 
 // TestJoinGatherAllocBound is the join-output alloc gate (run by CI): a
-// default-combine probe emits its build columns as the sealed store's
-// columns under one shared position vector, so what it allocates per
-// output row does not depend on how wide the build side is, and stays
-// O(1) allocations per batch.
+// probe emits its build columns as the sealed store's columns under one
+// shared position vector, so what it allocates per output row does not
+// depend on how wide the build side is, and stays O(1) allocations per
+// batch. The same holds at the root of a plan the optimizer reordered:
+// its restoring column permutation is an Out list, a pick of headers.
 func TestJoinGatherAllocBound(t *testing.T) {
 	const buildRows, probeRows = 2_000, 100_000
-	perRow := func(width int) (bytes, allocs float64) {
-		q, probes := probeFixture(t, widePlan(buildRows, probeRows, width), Options{Workers: 1, Batch: 1024})
-		run := func() {
-			n := 0
+	perRow := func(name string, plan Node) (bytes, allocs float64) {
+		q, probes := probeFixture(t, plan, Options{Workers: 1, Batch: 1024})
+		run := func() (n int) {
 			for _, a := range probes {
 				_, out := q.processProbeVec(a, 0)
 				n += out.N
 			}
-			if n != probeRows {
-				t.Fatalf("width %d: %d output rows, want %d", width, n, probeRows)
-			}
+			return n
 		}
-		run() // seal, and grow the scratch and the arena to steady state
+		rows := run() // seal, and grow the scratch and the arena to steady state
 		var m0, m1 runtime.MemStats
 		runtime.ReadMemStats(&m0)
-		run()
+		again := run()
 		runtime.ReadMemStats(&m1)
-		return float64(m1.TotalAlloc-m0.TotalAlloc) / probeRows, float64(m1.Mallocs-m0.Mallocs) / probeRows
-	}
-	narrowBytes, _ := perRow(1)
-	for _, width := range []int{1, 4, 16} {
-		bytes, allocs := perRow(width)
-		if allocs > 0.05 {
-			t.Fatalf("build width %d: %.3f allocs per output row, want <= 0.05", width, allocs)
+		if rows == 0 || again != rows {
+			t.Fatalf("%s: %d output rows, then %d", name, rows, again)
 		}
+		bytes, allocs = float64(m1.TotalAlloc-m0.TotalAlloc)/float64(rows), float64(m1.Mallocs-m0.Mallocs)/float64(rows)
 		// Two position vectors (8 B) per row; per batch, a column header
-		// per build column — noise next to a 16 B word per column per row.
-		if bytes > narrowBytes+4 || bytes > 24 {
+		// per output column — noise next to a 16 B word per column per row.
+		if allocs > 0.05 || bytes > 24 {
+			t.Fatalf("%s: %.3f allocs and %.1f B per output row, want <= 0.05 and <= 24", name, allocs, bytes)
+		}
+		return bytes, allocs
+	}
+	narrowBytes, _ := perRow("build width 1", widePlan(buildRows, probeRows, 1))
+	for _, width := range []int{4, 16} {
+		if bytes, _ := perRow(fmt.Sprintf("build width %d", width), widePlan(buildRows, probeRows, width)); bytes > narrowBytes+4 {
 			t.Fatalf("build width %d: %.1f B per output row against %.1f B at width 1: the output copies build values", width, bytes, narrowBytes)
 		}
 	}
+	root, big, mid, small := badChain()
+	pc := Optimize(root, OptimizeFull, analyzeAll(t, big, mid, small))
+	if !pc.Reordered || len(pc.Root.(*Join).Out) == 0 {
+		t.Fatalf("the 3-way fixture was not reordered under a restoring Out list: %+v", pc)
+	}
+	perRow("reordered 3-way root", pc.Root)
 }
 
 // TestProbeOutputAliasesSealedStore: at fan-out 50 every output batch's

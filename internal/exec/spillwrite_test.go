@@ -35,7 +35,7 @@ func spillWriteFixture(t testing.TB, rows int) (q *query, files []*spill.File, s
 // time, as the build and probe activations do.
 func partitionAll(t testing.TB, q *query, files []*spill.File, src *vec.Batch) {
 	for lo := 0; lo < src.N; lo += q.mq.opt.Batch {
-		if err := q.spillBatch(files, 0, nil, 0, window(src, lo, min(lo+q.mq.opt.Batch, src.N)), &q.vscratch[0]); err != nil {
+		if err := q.spillBatch(files, 0, 0, window(src, lo, min(lo+q.mq.opt.Batch, src.N)), &q.vscratch[0]); err != nil {
 			t.Fatal(err)
 		}
 	}

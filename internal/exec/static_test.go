@@ -17,8 +17,8 @@ func TestStaticMoreOpsThanWorkers(t *testing.T) {
 		plan = &Join{
 			Build:    &Scan{Table: dim},
 			Probe:    plan,
-			BuildKey: KeyCol(0),
-			ProbeKey: KeyCol(0),
+			BuildKey: 0,
+			ProbeKey: 0,
 		}
 	}
 	// Final chain: scan + 4 probes = 5 operators; 2 workers force
@@ -45,7 +45,7 @@ func TestSingleWorker(t *testing.T) {
 	checkQueryHygiene(t)
 	b := tbl("b", 100, func(i int) any { return i % 10 }, func(i int) any { return i })
 	p := tbl("p", 100, func(i int) any { return i % 10 }, func(i int) any { return i })
-	plan := &Join{Build: &Scan{Table: b}, Probe: &Scan{Table: p}, BuildKey: KeyCol(0), ProbeKey: KeyCol(0)}
+	plan := &Join{Build: &Scan{Table: b}, Probe: &Scan{Table: p}, BuildKey: 0, ProbeKey: 0}
 	rows, stats, err := runOnce(context.Background(), plan, nil, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -63,7 +63,7 @@ func TestManyWorkersFewRows(t *testing.T) {
 	checkQueryHygiene(t)
 	b := tbl("b", 3, func(i int) any { return i }, func(i int) any { return i })
 	p := tbl("p", 3, func(i int) any { return i }, func(i int) any { return i })
-	plan := &Join{Build: &Scan{Table: b}, Probe: &Scan{Table: p}, BuildKey: KeyCol(0), ProbeKey: KeyCol(0)}
+	plan := &Join{Build: &Scan{Table: b}, Probe: &Scan{Table: p}, BuildKey: 0, ProbeKey: 0}
 	rows, _, err := runOnce(context.Background(), plan, nil, Options{Workers: 32})
 	if err != nil {
 		t.Fatal(err)

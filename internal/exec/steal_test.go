@@ -37,8 +37,8 @@ func skewPlan(nodes, stripes, factRows, dimRows int) Node {
 	return &Join{
 		Build:    &Scan{Table: dim},
 		Probe:    &Scan{Table: fact},
-		BuildKey: KeyCol(0),
-		ProbeKey: KeyCol(0),
+		BuildKey: 0,
+		ProbeKey: 0,
 	}
 }
 

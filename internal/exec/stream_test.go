@@ -14,8 +14,8 @@ func cancelPlan(rows int) Node {
 	return &Join{
 		Build:    &Scan{Table: big},
 		Probe:    &Scan{Table: big},
-		BuildKey: KeyCol(0),
-		ProbeKey: KeyCol(0),
+		BuildKey: 0,
+		ProbeKey: 0,
 	}
 }
 
@@ -140,8 +140,8 @@ func TestStreamingSinkAllocBound(t *testing.T) {
 	plan := Node(&Join{
 		Build:    &Scan{Table: build},
 		Probe:    &Scan{Table: probe},
-		BuildKey: KeyCol(0),
-		ProbeKey: KeyCol(0),
+		BuildKey: 0,
+		ProbeKey: 0,
 	})
 	avg := testing.AllocsPerRun(3, func() {
 		h, err := pool.Submit(context.Background(), plan, Options{})
@@ -182,8 +182,8 @@ func TestVectorBatchAllocBound(t *testing.T) {
 	plan := Node(&Join{
 		Build:    &Scan{Table: build},
 		Probe:    &Scan{Table: probe},
-		BuildKey: KeyCol(0),
-		ProbeKey: KeyCol(0),
+		BuildKey: 0,
+		ProbeKey: 0,
 	})
 	avg := testing.AllocsPerRun(3, func() {
 		h, err := pool.Submit(context.Background(), plan, Options{})

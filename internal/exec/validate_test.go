@@ -10,28 +10,43 @@ import (
 // inputs return descriptive errors instead of panicking.
 func TestInputValidation(t *testing.T) {
 	valid := tbl("v", 10, func(i int) any { return i }, func(i int) any { return i })
+	wide := &Table{Name: "w", Rows: []Row{{1, 2, 3}}}
 	cases := []struct {
 		name string
 		root Node
+		gb   *GroupBy
 		opt  Options
 		want string // substring of the error
 	}{
-		{"nil root", nil, Options{}, "nil plan"},
-		{"scan without table", &Scan{}, Options{}, "scan without table"},
-		{"nil join input", &Join{Build: &Scan{Table: valid}, Probe: nil,
-			BuildKey: KeyCol(0), ProbeKey: KeyCol(0)}, Options{}, "nil plan node"},
-		{"nil BuildKey", &Join{Build: &Scan{Table: valid}, Probe: &Scan{Table: valid},
-			ProbeKey: KeyCol(0)}, Options{}, "nil BuildKey"},
-		{"nil ProbeKey", &Join{Build: &Scan{Table: valid}, Probe: &Scan{Table: valid},
-			BuildKey: KeyCol(0)}, Options{}, "nil ProbeKey"},
-		{"negative Workers", &Scan{Table: valid}, Options{Workers: -2}, "negative Workers (-2)"},
-		{"negative Stripes", &Scan{Table: valid}, Options{Stripes: -1}, "negative Stripes (-1)"},
-		{"negative Morsel", &Scan{Table: valid}, Options{Morsel: -8}, "negative Morsel (-8)"},
-		{"negative Batch", &Scan{Table: valid}, Options{Batch: -3}, "negative Batch (-3)"},
+		{"nil root", nil, nil, Options{}, "nil plan"},
+		{"scan without table", &Scan{}, nil, Options{}, "scan without table"},
+		{"nil join input", &Join{Build: &Scan{Table: valid}, Probe: nil}, nil, Options{}, "nil plan node"},
+		{"negative BuildKey", &Join{Build: &Scan{Table: valid}, Probe: &Scan{Table: valid}, BuildKey: -1},
+			nil, Options{}, "BuildKey column -1 out of range"},
+		{"BuildKey past the build width", &Join{Build: &Scan{Table: valid}, Probe: &Scan{Table: wide}, BuildKey: 2},
+			nil, Options{}, "BuildKey column 2 out of range (build input has 2 columns)"},
+		{"negative ProbeKey", &Join{Build: &Scan{Table: valid}, Probe: &Scan{Table: valid}, ProbeKey: -1},
+			nil, Options{}, "ProbeKey column -1 out of range"},
+		{"ProbeKey past the probe width", &Join{Build: &Scan{Table: wide}, Probe: &Scan{Table: valid}, ProbeKey: 2},
+			nil, Options{}, "ProbeKey column 2 out of range (probe input has 2 columns)"},
+		{"key past a projected input", &Join{Build: &Scan{Table: valid}, ProbeKey: 1,
+			Probe: &Join{Build: &Scan{Table: valid}, Probe: &Scan{Table: valid}, Out: []int{3}}},
+			nil, Options{}, "ProbeKey column 1 out of range (probe input has 1 columns)"},
+		{"Out past the concatenation", &Join{Build: &Scan{Table: valid}, Probe: &Scan{Table: valid}, Out: []int{0, 4}},
+			nil, Options{}, "Out column 4 out of range (probe ++ build has 4 columns)"},
+		{"negative Out", &Join{Build: &Scan{Table: valid}, Probe: &Scan{Table: valid}, Out: []int{-1}},
+			nil, Options{}, "Out column -1 out of range"},
+		{"group key past the root width", &Scan{Table: valid}, &GroupBy{Key: 2},
+			Options{}, "group-by Key column 2 out of range (plan output has 2 columns)"},
+		{"negative group key", &Scan{Table: valid}, &GroupBy{Key: -1}, Options{}, "group-by Key column -1 out of range"},
+		{"negative Workers", &Scan{Table: valid}, nil, Options{Workers: -2}, "negative Workers (-2)"},
+		{"negative Stripes", &Scan{Table: valid}, nil, Options{Stripes: -1}, "negative Stripes (-1)"},
+		{"negative Morsel", &Scan{Table: valid}, nil, Options{Morsel: -8}, "negative Morsel (-8)"},
+		{"negative Batch", &Scan{Table: valid}, nil, Options{Batch: -3}, "negative Batch (-3)"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, _, err := runOnce(context.Background(), tc.root, nil, tc.opt)
+			_, _, err := runOnce(context.Background(), tc.root, tc.gb, tc.opt)
 			if err == nil {
 				t.Fatalf("%s accepted", tc.name)
 			}
@@ -45,6 +60,7 @@ func TestInputValidation(t *testing.T) {
 // TestValidationOnPoolSubmit checks the same contract on the resident
 // surface, plus group-by validation and pool construction errors.
 func TestValidationOnPoolSubmit(t *testing.T) {
+	checkQueryHygiene(t)
 	if _, err := NewNodes(1, -1, 0); err == nil || !strings.Contains(err.Error(), "negative Workers") {
 		t.Fatalf("NewNodes(1, -1, 0) = %v", err)
 	}
@@ -64,14 +80,23 @@ func TestValidationOnPoolSubmit(t *testing.T) {
 		t.Fatal("negative Workers accepted by Submit")
 	}
 	if _, err := pool.SubmitGroupBy(context.Background(), &Scan{Table: valid}, nil, Options{}); err == nil ||
-		!strings.Contains(err.Error(), "group-by without key") {
+		!strings.Contains(err.Error(), "nil group-by") {
 		t.Fatalf("nil group-by: %v", err)
 	}
 	if _, err := pool.SubmitGroupBy(context.Background(), &Scan{Table: valid},
-		&GroupBy{Key: KeyCol(0), Aggs: []Aggregation{{Func: Sum}}}, Options{}); err == nil ||
+		&GroupBy{Aggs: []Aggregation{{Func: Sum}}}, Options{}); err == nil ||
 		!strings.Contains(err.Error(), "without Arg") {
 		t.Fatalf("sum without Arg: %v", err)
 	}
+	// A probe key its input does not have is refused before the query
+	// exists — on two nodes too, where the probe key is what a steal round
+	// prices, outside any activation — and the engine serves the next one.
+	two := newNodesT(t, 2, 2)
+	bad := &Join{Build: &Scan{Table: valid}, Probe: &Scan{Table: valid}, ProbeKey: 9}
+	if _, err := two.Submit(context.Background(), bad, Options{}); err == nil || !strings.Contains(err.Error(), "ProbeKey column 9 out of range") {
+		t.Fatalf("out-of-range probe key on two nodes: %v", err)
+	}
+	verifyIdle(t, two)
 	// Zero still means default, not an error.
 	h, err := pool.Submit(context.Background(), &Scan{Table: valid}, Options{})
 	if err != nil {

@@ -15,6 +15,11 @@ package exec
 // boxless (see internal/vec), boxed only for the rows that reach the
 // sink or a build store.
 //
+// Every operator's width, column kinds and key column are fixed when
+// the plan is compiled (expand, runtime.go), and every batch an
+// operator receives has that width: no kernel here runs user code to
+// find a key or asks whether a schema is known.
+//
 // Hash parity: every kernel reproduces keyHash64 bit-for-bit (mix64
 // for the int family and float bits, FNV-1a for strings, and the
 // precomputed fmt-fallback hashes for nil/bool), so stripe routing,
@@ -51,36 +56,8 @@ func fnvString(s string) uint64 {
 }
 
 // ---------------------------------------------------------------------
-// Key-column resolution
+// Operator schemas
 // ---------------------------------------------------------------------
-
-// keyProbe is the sentinel planted in every column of a probe row to
-// discover which column a KeyFunc projects (see KeyFunc's purity
-// contract in exec.go).
-type keyProbe struct{ col int }
-
-// resolveKeyCol reports the column a KeyFunc selects, or -1 when the
-// function is not a plain column projection (it then runs as a per-row
-// closure over materialized scratch rows).
-func resolveKeyCol(key KeyFunc, width int) (col int) {
-	if key == nil || width <= 0 {
-		return -1
-	}
-	col = -1
-	defer func() {
-		// A key func that computes on its input (type asserts,
-		// arithmetic) panics on the sentinel: closure fallback.
-		_ = recover()
-	}()
-	row := make(Row, width)
-	for i := range row {
-		row[i] = keyProbe{i}
-	}
-	if kp, ok := key(row).(keyProbe); ok {
-		col = kp.col
-	}
-	return col
-}
 
 // Index representations of a build operator's hash table.
 const (
@@ -89,88 +66,58 @@ const (
 	idxStr          // string keys both sides
 )
 
-// annotateVec derives the columnar schema of every operator: output
-// kinds (nil when unknown — everything downstream then uses the boxed
-// fallbacks), resolved key columns, and the index representation of
-// each build. Runs once per submit, after compile.
-func annotateVec(p *physical) {
-	for _, op := range p.ops {
-		op.keyCol = -1
+// scanKinds is a scan's output schema. A file-backed table's is its
+// footer's — exactly what a resident FromRows over the table would have
+// resolved; a resident table's is its columnization's, as wide as its
+// widest row; a table without rows is as wide as it declares (Cols).
+func scanKinds(t *Table) []vec.Kind {
+	if ft := t.File; ft != nil {
+		return append([]vec.Kind(nil), ft.Kinds()...)
 	}
-	// Scans know their schema from the columnized table; walk ops in id
-	// order (inputs are created before their consumers).
-	for _, op := range p.ops {
-		switch op.kind {
-		case opScan:
-			if ft := op.scan.Table.File; ft != nil {
-				// File-backed: the footer's schema kinds are exactly what
-				// a resident FromRows over the table would have resolved.
-				op.outKinds = append([]vec.Kind(nil), ft.Kinds()...)
-				break
-			}
-			tb := columnize(op.scan.Table)
-			op.outKinds = make([]vec.Kind, len(tb.Cols))
-			for i := range tb.Cols {
-				op.outKinds[i] = tb.Cols[i].Kind
-			}
-		case opBuild, opProbe:
-			in := producerOf(p, op)
-			var inKinds []vec.Kind
-			if in != nil {
-				inKinds = in.outKinds
-			}
-			var kf KeyFunc
-			if op.kind == opBuild {
-				kf = op.join.BuildKey
-			} else {
-				kf = op.join.ProbeKey
-			}
-			op.keyCol = resolveKeyCol(kf, len(inKinds))
-			if op.kind == opProbe {
-				// Probe output: probe columns keep their kinds; build
-				// columns are reported Any although the batches carry
-				// them as the sealed store holds them, typed or not —
-				// a consumer pre-shaped for Any takes either, and typed
-				// indexes over them are not claimed here. Unknown when
-				// Combine rewrites rows or either input schema is unknown.
-				bld := op.partner
-				bin := producerOf(p, bld)
-				if op.join.Combine == nil && inKinds != nil && bin != nil && bin.outKinds != nil {
-					op.outKinds = make([]vec.Kind, 0, len(inKinds)+len(bin.outKinds))
-					op.outKinds = append(op.outKinds, inKinds...)
-					for range bin.outKinds {
-						op.outKinds = append(op.outKinds, vec.Any)
-					}
-				}
-			} else {
-				op.outKinds = inKinds
-			}
-		}
+	tb := columnize(t)
+	if tb.N == 0 {
+		return make([]vec.Kind, len(t.Cols))
 	}
-	// Index representation: typed only when both sides' key columns are
-	// resolved to the identical int-family kind or both String — the
-	// boxed map is the semantic reference (cross-type inequality, NaN,
-	// ±0.0, nil keys), so anything else stays boxed.
-	for _, op := range p.ops {
-		if op.kind != opBuild {
-			continue
-		}
-		op.idxKind = idxBoxed
-		prb := op.partner
-		bk := keyColKind(p, op)
-		pk := keyColKind(p, prb)
-		if op.keyCol < 0 || prb.keyCol < 0 {
-			continue
-		}
-		if bk == pk {
-			switch {
-			case bk == vec.String:
-				op.idxKind = idxStr
-			case bk.IntFamily():
-				op.idxKind = idxI64
-			}
-		}
+	kinds := make([]vec.Kind, len(tb.Cols))
+	for i := range tb.Cols {
+		kinds[i] = tb.Cols[i].Kind
 	}
+	return kinds
+}
+
+// joinKinds is a probe operator's output schema: the columns out lists
+// (empty = all) of the probe input's kinds followed by Any for each of
+// the bw build columns. Build columns are reported Any although the
+// batches carry them as the sealed store holds them, typed or not — a
+// consumer pre-shaped for Any takes either, and typed indexes over them
+// are not claimed here.
+func joinKinds(probe []vec.Kind, bw int, out []int) []vec.Kind {
+	all := make([]vec.Kind, len(probe)+bw)
+	copy(all, probe)
+	if len(out) == 0 {
+		return all
+	}
+	kinds := make([]vec.Kind, len(out))
+	for i, c := range out {
+		kinds[i] = all[c]
+	}
+	return kinds
+}
+
+// indexKind picks a build's index representation from the two sides'
+// key-column kinds: typed only when they are the identical int-family
+// kind or both String — the boxed map is the semantic reference
+// (cross-type inequality, NaN, ±0.0, nil keys), so anything else stays
+// boxed.
+func indexKind(build, probe vec.Kind) int {
+	switch {
+	case build != probe:
+	case build == vec.String:
+		return idxStr
+	case build.IntFamily():
+		return idxI64
+	}
+	return idxBoxed
 }
 
 // producerOf finds the operator feeding op (nil for scans).
@@ -181,19 +128,6 @@ func producerOf(p *physical, op *pop) *pop {
 		}
 	}
 	return nil
-}
-
-// keyColKind is the kind of op's resolved key column in its input
-// schema (Any when unresolved or unknown).
-func keyColKind(p *physical, op *pop) vec.Kind {
-	if op.keyCol < 0 {
-		return vec.Any
-	}
-	in := producerOf(p, op)
-	if in == nil || in.outKinds == nil || op.keyCol >= len(in.outKinds) {
-		return vec.Any
-	}
-	return in.outKinds[op.keyCol]
 }
 
 // ---------------------------------------------------------------------
@@ -232,12 +166,10 @@ func columnize(t *Table) *vec.Batch {
 // grown to the high-water mark once, then allocation-free.
 type vecScratch struct {
 	hs        []uint64 // key hashes per logical row
-	keys      []any    // closure-extracted keys per logical row
 	sel       []int32  // predicate/filter survivors
-	row       Row      // ReadRow scratch (filters, keys, aggregates)
+	row       Row      // ReadRow scratch (filters, aggregates)
 	probeRows []int32  // probe match: logical probe row per match
 	bpos      []int32  // probe match: position in the sealed build store
-	outRows   []Row    // Combine outputs
 	perDest   [][]int32
 	destRows  []int32 // emit routing: dest per logical row
 }
@@ -248,14 +180,6 @@ func (vs *vecScratch) hashes(n int) []uint64 {
 	}
 	vs.hs = vs.hs[:n]
 	return vs.hs
-}
-
-func (vs *vecScratch) keySlots(n int) []any {
-	if cap(vs.keys) < n {
-		vs.keys = make([]any, n)
-	}
-	vs.keys = vs.keys[:n]
-	return vs.keys
 }
 
 func (vs *vecScratch) rowScratch(w int) Row {
@@ -284,24 +208,13 @@ func (vs *vecScratch) dests(n int) [][]int32 {
 // ---------------------------------------------------------------------
 
 // keyHashes fills the scratch hash vector with keyHash64 of each
-// logical row's join key. With a resolved key column the loop is typed
-// and fmt-free; otherwise the key closure runs over a reused scratch
-// row and the boxed keys are retained in scratch for index lookups.
+// logical row's join key, column keyCol of b: one typed, fmt-free loop
+// per kind.
 //
 //hierdb:hotpath
-func keyHashes(b *vec.Batch, keyCol int, key KeyFunc, vs *vecScratch) []uint64 {
+func keyHashes(b *vec.Batch, keyCol int, vs *vecScratch) []uint64 {
 	n := b.N
 	hs := vs.hashes(n)
-	if keyCol < 0 || keyCol >= len(b.Cols) {
-		ks := vs.keySlots(n)
-		scratch := vs.rowScratch(len(b.Cols) + 1)
-		for i := 0; i < n; i++ {
-			k := key(b.ReadRow(i, scratch))
-			ks[i] = k
-			hs[i] = keyHash64(k)
-		}
-		return hs
-	}
 	c := &b.Cols[keyCol]
 	switch {
 	case c.Kind.IntFamily():
@@ -360,14 +273,14 @@ func keyHashes(b *vec.Batch, keyCol int, key KeyFunc, vs *vecScratch) []uint64 {
 // complete sealStripes moves every stripe's rows into one dense store
 // shared by the whole build side; the stripe keeps its index, whose
 // positions then count from base in that store. The index is typed
-// (map[int64] or map[string]) when both sides' key columns resolved to
-// the identical kind, boxed (map[any], the semantic reference)
-// otherwise; null keys live in a side list so nil==nil matching is
+// (map[int64] or map[string]) when both sides' key columns are of the
+// identical kind, boxed (map[any], the semantic reference) otherwise
+// (indexKind); null keys live in a side list so nil==nil matching is
 // preserved under typed indexing.
 type stripeStore struct {
 	app     *vec.Appender // row storage while building; nil once sealed
 	idxKind int
-	keyCol  int // key column in the stored schema; -1 = closure keys
+	keyCol  int // key column in the stored schema
 	m64     map[int64][]int32
 	mstr    map[string][]int32
 	many    map[any][]int32
@@ -385,9 +298,6 @@ func newStripeStore(kinds []vec.Kind, idxKind, keyCol, hint int) *stripeStore {
 		idxKind: idxKind,
 		keyCol:  keyCol,
 	}
-	if keyCol < 0 {
-		ss.idxKind = idxBoxed
-	}
 	switch ss.idxKind {
 	case idxI64:
 		ss.m64 = make(map[int64][]int32, hint)
@@ -400,68 +310,58 @@ func newStripeStore(kinds []vec.Kind, idxKind, keyCol, hint int) *stripeStore {
 }
 
 // insertSel appends the logical rows of b listed in sel and indexes
-// their keys. keys holds closure-extracted keys per logical row (nil
-// when the key column is resolved). Caller holds the stripe lock.
+// their keys. Caller holds the stripe lock.
 //
 //hierdb:hotpath
-func (ss *stripeStore) insertSel(b *vec.Batch, sel []int32, keys []any) {
+func (ss *stripeStore) insertSel(b *vec.Batch, sel []int32) {
 	base := int32(ss.app.Len())
 	ss.app.AppendRowsSel(b, sel)
 	ss.rows += len(sel)
-	var c *vec.Col
-	if ss.keyCol >= 0 && ss.keyCol < len(b.Cols) {
-		c = &b.Cols[ss.keyCol]
-	}
+	c := &b.Cols[ss.keyCol]
 	for j, li := range sel {
 		pos := base + int32(j)
-		switch {
-		case c != nil && ss.idxKind == idxI64:
+		switch ss.idxKind {
+		case idxI64:
 			cp := c.Pos(int(li))
 			if c.NullAt(cp) {
 				ss.nulls = append(ss.nulls, pos)
 			} else {
 				ss.m64[c.I64[cp]] = append(ss.m64[c.I64[cp]], pos)
 			}
-		case c != nil && ss.idxKind == idxStr:
+		case idxStr:
 			cp := c.Pos(int(li))
 			if c.NullAt(cp) {
 				ss.nulls = append(ss.nulls, pos)
 			} else {
 				ss.mstr[c.Str[cp]] = append(ss.mstr[c.Str[cp]], pos)
 			}
-		case c != nil:
+		default:
 			// Key by the stored word: a boxless key was boxed by the append.
 			k := ss.app.Col(ss.keyCol).Value(int(pos))
 			ss.many[k] = append(ss.many[k], pos)
-		default:
-			ss.many[keys[li]] = append(ss.many[keys[li]], pos)
 		}
 	}
 }
 
-// lookup returns the storage positions matching logical probe row li
-// of b, whose key column (or closure keys) mirror insertSel's.
+// lookup returns the storage positions matching logical probe row li of
+// the probe batch's key column c.
 //
 //hierdb:hotpath
-func (ss *stripeStore) lookup(c *vec.Col, keys []any, li int) []int32 {
-	switch {
-	case c != nil && ss.idxKind == idxI64:
-		pos := c.Pos(li)
+func (ss *stripeStore) lookup(c *vec.Col, li int) []int32 {
+	pos := c.Pos(li)
+	switch ss.idxKind {
+	case idxI64:
 		if c.NullAt(pos) {
 			return ss.nulls
 		}
 		return ss.m64[c.I64[pos]]
-	case c != nil && ss.idxKind == idxStr:
-		pos := c.Pos(li)
+	case idxStr:
 		if c.NullAt(pos) {
 			return ss.nulls
 		}
 		return ss.mstr[c.Str[pos]]
-	case c != nil:
-		return vec.Lookup(ss.many, c, c.Pos(li))
-	default:
-		return ss.many[keys[li]]
 	}
+	return vec.Lookup(ss.many, c, pos)
 }
 
 // ErrBuildTooLarge fails a join whose build side holds more rows on one
@@ -546,8 +446,9 @@ func window(b *vec.Batch, lo, hi int) *vec.Batch {
 
 // emitBatch hands a produced batch to consumer, chunked to the
 // pipeline granularity, routing each row to the node owning its
-// partition key (the consumer's key over this batch's schema), one
-// batch stream per destination. With a single destination there is
+// partition key (the consumer's key column: a build op receives
+// build-side rows, a probe op probe-side rows), one batch stream per
+// destination. With a single destination there is
 // nothing to route, so the keys are not hashed.
 //
 //hierdb:hotpath
@@ -560,7 +461,7 @@ func (q *query) emitBatch(consumer *pop, b *vec.Batch, outs *[]*activation, vs *
 		q.emitWindows(consumer, b, 0, outs)
 		return
 	}
-	hs := keyHashes(b, consumer.keyCol, consumerKey(consumer), vs)
+	hs := keyHashes(b, consumer.keyCol, vs)
 	perDest := vs.dests(n)
 	for i := 0; i < b.N; i++ {
 		d := int(hs[i]%uint64(nb)) % n
@@ -661,17 +562,13 @@ func (q *query) processBuildVec(a *activation, w int) {
 	or := q.ops[a.op.id]
 	b := a.b
 	vs := &q.vscratch[w]
-	hs := keyHashes(b, a.op.keyCol, a.op.join.BuildKey, vs)
-	var keys []any
-	if a.op.keyCol < 0 {
-		keys = vs.keys
-	}
+	hs := keyHashes(b, a.op.keyCol, vs)
 	for s, sel := range q.stripeSels(hs, len(or.stripes), vs) {
 		if len(sel) == 0 {
 			continue
 		}
 		or.locks[s].Lock()
-		or.stripes[s].insertSel(b, sel, keys)
+		or.stripes[s].insertSel(b, sel)
 		or.stripeRows[s] += len(sel)
 		or.locks[s].Unlock()
 	}
@@ -696,15 +593,8 @@ func (q *query) processProbeVec(a *activation, w int) (outs []*activation, resul
 	}
 	b := a.b
 	vs := &q.vscratch[w]
-	hs := keyHashes(b, a.op.keyCol, a.op.join.ProbeKey, vs)
-	var keys []any
-	if a.op.keyCol < 0 {
-		keys = vs.keys
-	}
-	var keyCol *vec.Col
-	if a.op.keyCol >= 0 && a.op.keyCol < len(b.Cols) {
-		keyCol = &b.Cols[a.op.keyCol]
-	}
+	hs := keyHashes(b, a.op.keyCol, vs)
+	keyCol := &b.Cols[a.op.keyCol]
 	var cache bucketCache
 	po := q.ops[a.op.id]
 	vs.probeRows = vs.probeRows[:0]
@@ -730,7 +620,7 @@ func (q *query) processProbeVec(a *activation, w int) (outs []*activation, resul
 		if ss == nil {
 			continue
 		}
-		ps := ss.lookup(keyCol, keys, i)
+		ps := ss.lookup(keyCol, i)
 		if len(ps) == 0 {
 			continue
 		}
@@ -763,53 +653,43 @@ func (q *query) finishProbe(a *activation, b, store *vec.Batch, w int) (outs []*
 	if m == 0 {
 		return nil, nil
 	}
-	isRoot := a.op == q.mq.phys.root
-	var out *vec.Batch
-	if combine := a.op.join.Combine; combine != nil {
-		// User combine: materialize fresh probe/build rows — the build
-		// row read from the sealed store by position, both carved from
-		// the arena since the combine may retain either — and
-		// re-columnize its outputs boxed.
-		if cap(vs.outRows) < m {
-			vs.outRows = make([]Row, 0, m)
-		}
-		rows := vs.outRows[:0]
-		for j := 0; j < m; j++ {
-			pr := b.ReadRow(int(vs.probeRows[j]), arena.Anys(len(b.Cols)))
-			br := store.ReadRow(int(vs.bpos[j]), arena.Anys(len(store.Cols)))
-			rows = append(rows, combine(pr, br))
-		}
-		out = vec.FromRowsAny(rows)
-		vs.outRows = rows[:0]
-	} else {
-		out = gatherJoin(b, store, vs, arena)
-	}
-	if isRoot {
+	out := gatherJoin(b, store, a.op.join.Out, vs, arena)
+	if a.op == q.mq.phys.root {
 		return nil, out
 	}
 	q.emitBatch(a.op.consumer, out, &outs, vs, arena)
 	return outs, nil
 }
 
-// gatherJoin assembles the concatenated probe++build output batch of a
-// default-combine join from the match pairs in scratch, by reference:
-// the probe batch's columns under the composed selection of the matched
-// probe rows, and the sealed store's columns — kind, mirror, Box and
-// null bitmap as stored — under one position vector they all share.
+// gatherJoin assembles a join's output batch from the match pairs in
+// scratch, by reference: the probe batch's columns under the composed
+// selection of the matched probe rows, and the sealed store's columns —
+// kind, mirror, Box and null bitmap as stored — under one position
+// vector they all share. A join with an Out list emits the headers it
+// lists, in its order, from that concatenation: a projection or
+// permutation costs nothing per row.
 //
 //hierdb:hotpath
-func gatherJoin(b, store *vec.Batch, vs *vecScratch, arena *vec.Arena) *vec.Batch {
+func gatherJoin(b, store *vec.Batch, out []int, vs *vecScratch, arena *vec.Arena) *vec.Batch {
 	m, pw := len(vs.probeRows), len(b.Cols)
-	out := &vec.Batch{Cols: make([]vec.Col, pw+len(store.Cols)), N: m}
-	vec.Compose(out.Cols, b, vs.probeRows, arena)
+	w := pw + len(store.Cols)
+	// One header array: the concatenation, then the columns out picks.
+	cols := make([]vec.Col, w+len(out))
+	vec.Compose(cols, b, vs.probeRows, arena)
 	idx := arena.I32(m)
 	copy(idx, vs.bpos)
 	for ci := range store.Cols {
-		oc := &out.Cols[pw+ci]
+		oc := &cols[pw+ci]
 		*oc = store.Cols[ci]
 		oc.Idx = idx
 	}
-	return out
+	if len(out) == 0 {
+		return &vec.Batch{Cols: cols, N: m}
+	}
+	for i, c := range out {
+		cols[w+i] = cols[c]
+	}
+	return &vec.Batch{Cols: cols[w:], N: m}
 }
 
 // batchRowsVec columnizes rows and slices the result into Batch-sized

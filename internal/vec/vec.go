@@ -343,17 +343,6 @@ func Ident(n int) []int32 {
 // stay boxed (Any). Ragged rows are padded with Absent, which forces
 // the padded columns to Any.
 func FromRows(rows []Row) *Batch {
-	return fromRows(rows, false)
-}
-
-// FromRowsAny columnizes boxed rows with every column forced to the
-// boxed Any representation — used for operator outputs (e.g. Combine
-// results) whose types are not worth re-detecting per batch.
-func FromRowsAny(rows []Row) *Batch {
-	return fromRows(rows, true)
-}
-
-func fromRows(rows []Row, forceAny bool) *Batch {
 	n := len(rows)
 	w := 0
 	for _, r := range rows {
@@ -365,8 +354,7 @@ func fromRows(rows []Row, forceAny bool) *Batch {
 	for ci := range b.Cols {
 		c := &b.Cols[ci]
 		c.Box = make([]any, n)
-		kind := Any
-		resolved := forceAny
+		kind, resolved := Any, false
 		for ri, r := range rows {
 			var v any
 			if ci < len(r) {

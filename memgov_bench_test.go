@@ -32,7 +32,7 @@ func spillBenchDB(b *testing.B, opts ...Option) *DB {
 	db := Open(opts...)
 	b.Cleanup(func() { db.Close() })
 	for _, tb := range []*Table{dim, fact} {
-		if err := db.RegisterTable(tb); err != nil {
+		if err := db.Register(tb.Name, FromTable(tb)); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -40,7 +40,7 @@ func spillDB(t *testing.T, opts ...Option) *DB {
 		fact.Rows = append(fact.Rows, Row{i % spillBuildRows, i})
 	}
 	for _, tb := range []*Table{dim, fact} {
-		if err := db.RegisterTable(tb); err != nil {
+		if err := db.Register(tb.Name, FromTable(tb)); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -40,10 +40,10 @@ func BenchmarkMultiNodeSkew(b *testing.B) {
 	run := func(b *testing.B, opts ...Option) {
 		db := Open(opts...)
 		defer db.Close()
-		if err := db.RegisterTable(fact); err != nil {
+		if err := db.Register(fact.Name, FromTable(fact)); err != nil {
 			b.Fatal(err)
 		}
-		if err := db.RegisterTable(dim); err != nil {
+		if err := db.Register(dim.Name, FromTable(dim)); err != nil {
 			b.Fatal(err)
 		}
 		q := db.Scan("fact").Join(db.Scan("dim"), KeyCol(0), KeyCol(0))

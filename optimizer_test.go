@@ -182,11 +182,7 @@ func TestRegisterUnified(t *testing.T) {
 	if st.Rows != 200 || st.Cols[1].Distinct != 10 {
 		t.Fatalf("file stats: %+v", st)
 	}
-	// The deprecated wrappers still behave.
-	if err := db.RegisterTable(nil); err == nil || !strings.Contains(err.Error(), "nil table") {
-		t.Fatalf("RegisterTable(nil): %v", err)
-	}
-	if err := db.RegisterTable(unnamed); err == nil {
+	if err := db.Register(unnamed.Name, FromTable(unnamed)); err == nil {
 		t.Fatal("duplicate registration accepted")
 	}
 	// Analyze of unregistered tables fails.
@@ -205,7 +201,7 @@ func TestGroupByResultRowsCountsOutputRows(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		tb.Rows = append(tb.Rows, Row{i % 5, i})
 	}
-	if err := db.RegisterTable(tb); err != nil {
+	if err := db.Register(tb.Name, FromTable(tb)); err != nil {
 		t.Fatal(err)
 	}
 	rows, st, err := db.Scan("t").GroupBy(KeyCol(0), Aggregation{Func: Count}).Collect(context.Background())

@@ -2,8 +2,9 @@ package hierdb
 
 // Fluent query building over a DB's catalog. A Query is a logical plan
 // under construction; building never panics — malformed steps (unknown
-// table, nil key, GroupBy in the middle) record an error that Run
-// returns. Build methods return new Query values, so intermediates are
+// table, GroupBy in the middle) record an error that Run returns, and a
+// key or Project column its input does not have fails Run when the plan
+// is compiled, before anything executes. Build methods return new Query values, so intermediates are
 // freely reusable as inputs to several queries.
 
 import (
@@ -18,26 +19,18 @@ import (
 type Query struct {
 	db     *DB
 	node   exec.Node
-	top    *exec.Join // join introduced by this builder step, for Combine/Hint
+	top    *exec.Join // join introduced by this builder step, for Project/Hint
 	gb     *exec.GroupBy
 	tenant string // admission-fairness label, set by WithTenant
 	err    error
 }
 
-// Scan starts a query reading a registered table.
-//
-// Deprecated: the variadic filter parameter. Prefer Where with column
-// predicates — they run inside the columnar scan kernel and the planner
-// can estimate them; a closure is opaque to both. Scan("t", f) is
-// equivalent to Scan("t").Filter-wise but kept for compatibility.
-func (db *DB) Scan(table string, filter ...func(Row) bool) *Query {
+// Scan starts a query reading a registered table; narrow it with Where
+// and Filter.
+func (db *DB) Scan(table string) *Query {
 	q := &Query{db: db}
 	if db.err != nil {
 		q.err = db.err
-		return q
-	}
-	if len(filter) > 1 {
-		q.err = fmt.Errorf("hierdb: Scan takes at most one filter (got %d)", len(filter))
 		return q
 	}
 	db.mu.RLock()
@@ -52,42 +45,64 @@ func (db *DB) Scan(table string, filter ...func(Row) bool) *Query {
 		q.err = fmt.Errorf("hierdb: table %q not registered", table)
 		return q
 	}
-	s := &exec.Scan{Table: t}
-	if len(filter) == 1 {
-		s.Filter = filter[0]
-	}
-	q.node = s
+	q.node = &exec.Scan{Table: t}
 	return q
 }
 
-// Where narrows the scan started by the immediately preceding Scan
-// step with single-column predicates, ANDed together (and with any row
-// Filter closure, which runs after them). Predicates execute inside
-// the columnar scan kernel as per-column loops that only shrink the
+// Where narrows the scan started by the preceding Scan step with
+// single-column predicates, ANDed together (and with any row Filter
+// closure, which runs after them). Predicates execute inside the
+// columnar scan kernel as per-column loops that only shrink the
 // selection vector — prefer them over a Filter closure when the
 // condition is column-vs-constant. The scan node is cloned, so the
 // receiver — and any query already running over it — is unaffected.
 func (q *Query) Where(preds ...Pred) *Query {
+	return q.withScan(func(s *exec.Scan) error {
+		s.Preds = append(append([]Pred(nil), s.Preds...), preds...)
+		return nil
+	}, "Where")
+}
+
+// Filter narrows the scan started by the preceding Scan step with a row
+// closure, run on each row the Where predicates kept. Prefer Where when
+// the condition is column-vs-constant: predicates run inside the
+// columnar scan kernel (and, over a table file, inside the chunk
+// decoder) and the planner can estimate them; a closure is opaque to
+// both, and every candidate row is boxed for it. A scan takes one
+// Filter. Like Where, the step clones the scan node.
+func (q *Query) Filter(fn func(Row) bool) *Query {
+	return q.withScan(func(s *exec.Scan) error {
+		if s.Filter != nil {
+			return fmt.Errorf("hierdb: Filter applied twice to one Scan")
+		}
+		s.Filter = fn
+		return nil
+	}, "Filter")
+}
+
+// withScan applies set to a clone of the scan node the query consists of
+// so far (the Where and Filter steps).
+func (q *Query) withScan(set func(*exec.Scan) error, step string) *Query {
 	out := &Query{db: q.db, tenant: q.tenant, err: q.err}
 	if out.err != nil {
 		return out
 	}
 	s, ok := q.node.(*exec.Scan)
 	if !ok || q.gb != nil {
-		out.err = fmt.Errorf("hierdb: Where must immediately follow Scan")
+		out.err = fmt.Errorf("hierdb: %s must follow Scan, Where or Filter", step)
 		return out
 	}
 	ns := *s
-	ns.Preds = append(append([]Pred(nil), ns.Preds...), preds...)
+	out.err = set(&ns)
 	out.node = &ns
 	return out
 }
 
 // Join hash-joins the receiver (probe side, streamed) with build
-// (materialized into a striped hash table) on probeKey = buildKey.
-// Output rows are probe columns then build columns unless Combine is
-// set on the result.
-func (q *Query) Join(build *Query, probeKey, buildKey KeyFunc) *Query {
+// (materialized into a striped hash table) on probeKey = buildKey: a
+// column of the receiver's output and a column of build's. Output rows
+// are probe columns then build columns unless a Project step follows.
+func (q *Query) Join(build *Query, probeKey, buildKey Key) *Query {
 	out := &Query{db: q.db, tenant: q.tenant}
 	switch {
 	case q.err != nil:
@@ -100,29 +115,32 @@ func (q *Query) Join(build *Query, probeKey, buildKey KeyFunc) *Query {
 		out.err = fmt.Errorf("hierdb: Join across different DB handles")
 	case q.gb != nil || build.gb != nil:
 		out.err = fmt.Errorf("hierdb: GroupBy must be the final step of a query")
-	case probeKey == nil:
-		out.err = fmt.Errorf("hierdb: Join with nil probe KeyFunc")
-	case buildKey == nil:
-		out.err = fmt.Errorf("hierdb: Join with nil build KeyFunc")
 	default:
-		j := &exec.Join{Build: build.node, Probe: q.node, BuildKey: buildKey, ProbeKey: probeKey}
+		j := &exec.Join{Build: build.node, Probe: q.node, BuildKey: buildKey.col, ProbeKey: probeKey.col}
 		out.node, out.top = j, j
 	}
 	return out
 }
 
-// Combine sets the output-row merger of the join introduced by the
-// immediately preceding Join step (default: probe then build columns).
-// The join node is cloned, so the receiver — and any query already
-// running over it — is unaffected.
-func (q *Query) Combine(fn func(probe, build Row) Row) *Query {
-	return q.withTop(func(j *exec.Join) { j.Combine = fn }, "Combine")
+// Project sets the output columns of the join introduced by the
+// preceding Join step: positions in the concatenation probe columns ++
+// build columns, in output order — a column may repeat, and one not
+// listed is dropped. Later steps (a Join or GroupBy key) count columns in
+// the projected row. Projection picks column headers and costs nothing
+// per row. (A ragged table's rows come back short only while the columns
+// they lack stay at the end of the row.) The join node is cloned, so the
+// receiver — and any query already running over it — is unaffected.
+func (q *Query) Project(cols ...int) *Query {
+	if q.err == nil && len(cols) == 0 {
+		return &Query{db: q.db, tenant: q.tenant, err: fmt.Errorf("hierdb: Project without columns")}
+	}
+	return q.withTop(func(j *exec.Join) { j.Out = append([]int(nil), cols...) }, "Project")
 }
 
 // Hint attaches planner knowledge to the current builder step.
-// Following a Join (or Combine) step it applies to that join;
-// immediately following Scan or Where it applies to the scan. Zero-valued fields are left unset; the step's node is cloned,
-// so the receiver is unaffected.
+// Following a Join (or Project) step it applies to that join; following
+// Scan, Where or Filter it applies to the scan. Zero-valued fields are
+// left unset; the step's node is cloned, so the receiver is unaffected.
 type Hint struct {
 	// Selectivity is the join's output rows per probe-input row, for
 	// scheduling estimates (joins only).
@@ -162,7 +180,7 @@ func (q *Query) Hint(h Hint) *Query {
 	}
 	s, ok := q.node.(*exec.Scan)
 	if !ok || q.gb != nil {
-		out.err = fmt.Errorf("hierdb: Hint must follow Scan, Where, Join, or Combine")
+		out.err = fmt.Errorf("hierdb: Hint must follow Scan, Where, Filter, Join, or Project")
 		return out
 	}
 	if h.Selectivity > 0 || h.NoReorder {
@@ -178,7 +196,7 @@ func (q *Query) Hint(h Hint) *Query {
 }
 
 // withTop applies set to a clone of the join introduced by the
-// immediately preceding Join step (the Combine and Hint steps), so the
+// immediately preceding Join step (the Project and Hint steps), so the
 // receiver — and any query already running over it — is unaffected.
 func (q *Query) withTop(set func(*exec.Join), step string) *Query {
 	out := &Query{db: q.db, tenant: q.tenant, err: q.err}
@@ -195,20 +213,18 @@ func (q *Query) withTop(set func(*exec.Join), step string) *Query {
 	return out
 }
 
-// GroupBy folds the query's output through a grouped aggregation; output
-// rows are [key, agg0, agg1, ...] ordered deterministically by formatted
-// key. It must be the final builder step.
-func (q *Query) GroupBy(key KeyFunc, aggs ...Aggregation) *Query {
+// GroupBy folds the query's output through a grouped aggregation keyed
+// on one of its columns; output rows are [key, agg0, agg1, ...] ordered
+// deterministically by formatted key. It must be the final builder step.
+func (q *Query) GroupBy(key Key, aggs ...Aggregation) *Query {
 	out := &Query{db: q.db, node: q.node, tenant: q.tenant}
 	switch {
 	case q.err != nil:
 		out.err = q.err
 	case q.gb != nil:
 		out.err = fmt.Errorf("hierdb: GroupBy applied twice")
-	case key == nil:
-		out.err = fmt.Errorf("hierdb: GroupBy with nil KeyFunc")
 	default:
-		out.gb = &exec.GroupBy{Key: key, Aggs: aggs}
+		out.gb = &exec.GroupBy{Key: key.col, Aggs: aggs}
 	}
 	return out
 }

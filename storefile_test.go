@@ -76,14 +76,14 @@ func TestTableFileMatchesMemory(t *testing.T) {
 
 	db := Open(WithWorkers(2))
 	defer db.Close()
-	if err := db.RegisterTableFile("fT", path); err != nil {
+	if err := db.Register("fT", FromFile(path)); err != nil {
 		t.Fatal(err)
 	}
 	mem := &Table{Name: "mT", Cols: cols}
 	for _, r := range rows {
 		mem.Rows = append(mem.Rows, Row(r))
 	}
-	if err := db.RegisterTable(mem); err != nil {
+	if err := db.Register(mem.Name, FromTable(mem)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -111,8 +111,8 @@ func TestTableFileMatchesMemory(t *testing.T) {
 	t.Run("WhereAndFilter", func(t *testing.T) {
 		preds := []Pred{{Col: 1, Op: Eq, Val: 3}, {Col: 2, Op: NotNull}}
 		filt := func(r Row) bool { return r[0].(int)%2 == 1 }
-		got, _ := run(db.Scan("fT", filt).Where(preds...))
-		want, _ := run(db.Scan("mT", filt).Where(preds...))
+		got, _ := run(db.Scan("fT").Filter(filt).Where(preds...))
+		want, _ := run(db.Scan("mT").Filter(filt).Where(preds...))
 		if len(want) == 0 {
 			t.Fatal("test predicate selects nothing; broken fixture")
 		}
@@ -158,7 +158,7 @@ func TestTableFilePruningStats(t *testing.T) {
 	path := writeStoreFile(t, rows, []string{"id", "m", "s", "f"}, 512)
 	db := Open(WithWorkers(2))
 	defer db.Close()
-	if err := db.RegisterTableFile("t", path); err != nil {
+	if err := db.Register("t", FromFile(path)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -198,14 +198,14 @@ func TestTableFileMultiNode(t *testing.T) {
 	path := writeStoreFile(t, rows, cols, 128)
 	db := Open(WithNodes(4), WithWorkers(2))
 	defer db.Close()
-	if err := db.RegisterTableFile("fT", path); err != nil {
+	if err := db.Register("fT", FromFile(path)); err != nil {
 		t.Fatal(err)
 	}
 	mem := &Table{Name: "mT", Cols: cols}
 	for _, r := range rows {
 		mem.Rows = append(mem.Rows, Row(r))
 	}
-	if err := db.RegisterTable(mem); err != nil {
+	if err := db.Register(mem.Name, FromTable(mem)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -260,7 +260,7 @@ func TestTableFileLifecycle(t *testing.T) {
 		leaktest.Check(t, 2)
 		db := Open(WithWorkers(2))
 		defer db.Close()
-		if err := db.RegisterTableFile("t", path); err != nil {
+		if err := db.Register("t", FromFile(path)); err != nil {
 			t.Fatal(err)
 		}
 		rs, err := db.Scan("t").Join(db.Scan("t"), KeyCol(1), KeyCol(1)).Run(context.Background())
@@ -279,7 +279,7 @@ func TestTableFileLifecycle(t *testing.T) {
 		leaktest.Check(t, 2)
 		db := Open(WithWorkers(2))
 		defer db.Close()
-		if err := db.RegisterTableFile("t", path); err != nil {
+		if err := db.Register("t", FromFile(path)); err != nil {
 			t.Fatal(err)
 		}
 		ctx, cancel := context.WithCancel(context.Background())
@@ -296,7 +296,7 @@ func TestTableFileLifecycle(t *testing.T) {
 
 	t.Run("CloseThenReopen", func(t *testing.T) {
 		db := Open(WithWorkers(2))
-		if err := db.RegisterTableFile("t", path); err != nil {
+		if err := db.Register("t", FromFile(path)); err != nil {
 			t.Fatal(err)
 		}
 		if _, _, err := db.Scan("t").Collect(context.Background()); err != nil {
@@ -323,16 +323,16 @@ func TestTableFileLifecycle(t *testing.T) {
 	t.Run("RegisterErrors", func(t *testing.T) {
 		db := Open(WithWorkers(2))
 		defer db.Close()
-		if err := db.RegisterTableFile("t", path); err != nil {
+		if err := db.Register("t", FromFile(path)); err != nil {
 			t.Fatal(err)
 		}
-		if err := db.RegisterTableFile("t", path); err == nil {
+		if err := db.Register("t", FromFile(path)); err == nil {
 			t.Fatal("duplicate name accepted")
 		}
-		if err := db.RegisterTableFile("u", filepath.Join(t.TempDir(), "missing.hdb")); err == nil {
+		if err := db.Register("u", FromFile(filepath.Join(t.TempDir(), "missing.hdb"))); err == nil {
 			t.Fatal("missing file accepted")
 		}
-		if err := db.RegisterTableFile("", path); err == nil {
+		if err := db.Register("", FromFile(path)); err == nil {
 			t.Fatal("empty name accepted")
 		}
 	})
@@ -350,7 +350,7 @@ func TestDiskScanCounters(t *testing.T) {
 	path := writeStoreFile(t, rows, []string{"id", "m", "s", "f"}, 500)
 	for _, nodes := range []int{1, 4} {
 		db := Open(WithNodes(nodes), WithWorkers(2))
-		if err := db.RegisterTableFile("t", path); err != nil {
+		if err := db.Register("t", FromFile(path)); err != nil {
 			t.Fatal(err)
 		}
 		for _, tc := range []struct {
@@ -382,7 +382,7 @@ func TestDiskScanCounters(t *testing.T) {
 			}
 		}
 		// A row Filter runs after the decoder: it does not move the counters.
-		_, st, err := db.Scan("t", func(r Row) bool { return r[0].(int)%2 == 0 }).Where(Pred{Col: 1, Op: Lt, Val: 2}).Collect(context.Background())
+		_, st, err := db.Scan("t").Filter(func(r Row) bool { return r[0].(int)%2 == 0 }).Where(Pred{Col: 1, Op: Lt, Val: 2}).Collect(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -410,10 +410,10 @@ func TestTableFileDamagedAfterRegister(t *testing.T) {
 				good := writeStoreFile(t, rows, cols, 256)
 				db := Open(WithNodes(nodes), WithWorkers(2))
 				defer db.Close()
-				if err := db.RegisterTableFile("bad", path); err != nil {
+				if err := db.Register("bad", FromFile(path)); err != nil {
 					t.Fatal(err)
 				}
-				if err := db.RegisterTableFile("good", good); err != nil {
+				if err := db.Register("good", FromFile(good)); err != nil {
 					t.Fatal(err)
 				}
 				if damage == "truncate" {

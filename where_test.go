@@ -2,6 +2,7 @@ package hierdb
 
 import (
 	"context"
+	"slices"
 	"strings"
 	"testing"
 
@@ -27,7 +28,7 @@ func TestWherePredicates(t *testing.T) {
 		}
 		tb.Rows = append(tb.Rows, Row{i, s, float64(i) / 10})
 	}
-	if err := db.RegisterTable(tb); err != nil {
+	if err := db.Register(tb.Name, FromTable(tb)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -93,15 +94,28 @@ func TestWherePredicates(t *testing.T) {
 		for i := 0; i < 1000; i++ {
 			dim.Rows = append(dim.Rows, Row{i, i * 2})
 		}
-		if err := db.RegisterTable(dim); err != nil {
+		if err := db.Register(dim.Name, FromTable(dim)); err != nil {
 			t.Fatal(err)
 		}
-		q := db.Scan("t", func(r Row) bool { return r[0].(int)%2 == 1 }).
+		q := db.Scan("t").Filter(func(r Row) bool { return r[0].(int)%2 == 1 }).
 			Where(Pred{Col: 0, Op: Lt, Val: 100}).
 			Join(db.Scan("dim"), KeyCol(0), KeyCol(0))
 		got := collect(t, q)
 		if len(got) != 50 { // odd rows below 100
 			t.Fatalf("got %d rows, want 50", len(got))
+		}
+	})
+
+	// The same condition as a Filter closure and as a Where predicate:
+	// the row path and the columnar-kernel path return the same rows.
+	t.Run("FilterMatchesWhere", func(t *testing.T) {
+		join := func(scan *Query) []string {
+			return canonRows(collect(t, scan.Join(db.Scan("t"), KeyCol(0), KeyCol(0))))
+		}
+		byFilter := join(db.Scan("t").Filter(func(r Row) bool { return r[0].(int) < 10 }))
+		byWhere := join(db.Scan("t").Where(Pred{Col: 0, Op: Lt, Val: 10}))
+		if len(byFilter) != 10 || !slices.Equal(byFilter, byWhere) {
+			t.Fatalf("Filter and Where diverge: %d vs %d rows", len(byFilter), len(byWhere))
 		}
 	})
 
@@ -119,7 +133,7 @@ func TestWherePredicates(t *testing.T) {
 	t.Run("WhereWithoutScan", func(t *testing.T) {
 		q := db.Scan("t").Join(db.Scan("t"), KeyCol(0), KeyCol(0)).Where(Pred{Col: 0, Op: Eq, Val: 1})
 		if _, _, err := q.Collect(context.Background()); err == nil ||
-			!strings.Contains(err.Error(), "Where must immediately follow Scan") {
+			!strings.Contains(err.Error(), "Where must follow Scan, Where or Filter") {
 			t.Fatalf("Where after Join reported %v", err)
 		}
 	})
