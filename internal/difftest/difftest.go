@@ -19,6 +19,7 @@ package difftest
 import (
 	"context"
 	"fmt"
+	"math"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -49,6 +50,10 @@ type Case struct {
 	// and Reference evaluates them with refPred, its own implementation of
 	// the predicate semantics. DrawPreds fills it from querygen.
 	Preds [][]hierdb.Pred
+	// Group, when set, ends the plan in a group-by (DrawGroup fills it from
+	// querygen); the legs then return group rows, and Reference evaluates
+	// it over its flattened join with a plain map.
+	Group *Group
 
 	q *querygen.Query
 	// keyCol[rel][edge] is the column index of rel's key for that edge.
@@ -191,6 +196,112 @@ func (c *Case) DrawPreds(seed uint64) {
 			c.Preds[i] = append(c.Preds[i], hierdb.Pred{Col: sp.Col, Op: hierdb.CmpOp(sp.Op), Val: v})
 		}
 	}
+}
+
+// Group is a materialized group-by over a case's join output.
+type Group struct {
+	// Project, when non-nil, is the column projection the plan's last
+	// join carries: positions in its probe ++ build concatenation. Key
+	// and the aggregates' arguments count columns behind it.
+	Project []int
+	Key     int
+	Aggs    []hierdb.Aggregation
+	// KeyBuild records that the key is a column of the literal plan's
+	// last build side.
+	KeyBuild bool
+}
+
+// DrawGroup ends the case's plan in the group-by querygen.DrawGroupBy
+// draws: the key any column of the last join's probe side (string
+// payloads included) or an id or key column of its build side — the
+// relation Ragged cuts the payload from — the arguments int columns,
+// and, for a Project draw, a shuffled projection of the columns used
+// plus up to two more. The same seed always yields the same group-by.
+func (c *Case) DrawGroup(seed uint64) {
+	d := querygen.DrawGroupBy(xrand.New(seed))
+	var ints []int // the output's int columns: every relation's id and keys
+	width, lw := 0, 0
+	for _, rel := range c.order {
+		lw = len(c.Tables[rel].Cols)
+		for i := 0; i < lw-1; i++ {
+			ints = append(ints, width+i)
+		}
+		width += lw
+	}
+	pw := width - lw
+	key := int(d.KeyPick * float64(pw))
+	if d.KeyBuild {
+		key = pw + int(d.KeyPick*float64(lw-1))
+	}
+	args := make([]int, len(d.Aggs))
+	used := []int{key}
+	for i, a := range d.Aggs {
+		args[i] = ints[int(a.Pick*float64(len(ints)))]
+		used = append(used, args[i])
+	}
+	g := &Group{Key: key, KeyBuild: d.KeyBuild}
+	at := func(col int) int { return col } // a source column's place in the output
+	if d.Project {
+		r := xrand.New(d.Shuffle)
+		used = append(used, ints[r.Intn(len(ints))], ints[r.Intn(len(ints))])
+		place := map[int]int{}
+		for _, i := range r.Perm(len(used)) {
+			if _, ok := place[used[i]]; !ok {
+				place[used[i]] = len(g.Project)
+				g.Project = append(g.Project, used[i])
+			}
+		}
+		at = func(col int) int { return place[col] }
+		g.Key = at(key)
+	}
+	funcs := [...]hierdb.Aggregation{{Func: hierdb.Count}, {Func: hierdb.Sum}, {Func: hierdb.Min}, {Func: hierdb.Max}}
+	for i, a := range d.Aggs {
+		agg := funcs[a.Func] // querygen's order is the engine's
+		if col := at(args[i]); agg.Func != hierdb.Count {
+			agg.Arg = func(r hierdb.Row) float64 { return float64(r[col].(int)) }
+		}
+		g.Aggs = append(g.Aggs, agg)
+	}
+	c.Group = g
+}
+
+// eval is Reference's own group-by: the projection applied row by row,
+// one map entry per key, rows [key, agg...] with Count an int64 and the
+// other aggregates float64, like the engine's.
+func (g *Group) eval(rows []hierdb.Row) []hierdb.Row {
+	groups := map[any]hierdb.Row{}
+	var out []hierdb.Row
+	for _, r := range rows {
+		if g.Project != nil {
+			p := make(hierdb.Row, len(g.Project))
+			for i, c := range g.Project {
+				p[i] = r[c]
+			}
+			r = p
+		}
+		gr := groups[r[g.Key]]
+		if gr == nil {
+			gr = hierdb.Row{r[g.Key]}
+			for _, a := range g.Aggs {
+				gr = append(gr, [...]any{hierdb.Count: int64(0), hierdb.Sum: 0.0, hierdb.Min: math.Inf(1), hierdb.Max: math.Inf(-1)}[a.Func])
+			}
+			groups[r[g.Key]] = gr
+			out = append(out, gr)
+		}
+		for i, a := range g.Aggs {
+			switch a.Func {
+			case hierdb.Count:
+				gr[1+i] = gr[1+i].(int64) + 1
+			case hierdb.Sum:
+				gr[1+i] = gr[1+i].(float64) + a.Arg(r)
+			case hierdb.Min:
+				gr[1+i] = math.Min(gr[1+i].(float64), a.Arg(r))
+			case hierdb.Max:
+				gr[1+i] = math.Max(gr[1+i].(float64), a.Arg(r))
+			}
+		}
+	}
+	return out
 }
 
 // refPred is Reference's own evaluation of one scan predicate over one
@@ -419,6 +530,12 @@ func (c *Case) planOrder(db *hierdb.DB, order, attach []int) *hierdb.Query {
 		offsets[rel] = width
 		width += len(c.Tables[rel].Cols)
 	}
+	if g := c.Group; g != nil {
+		if g.Project != nil {
+			acc = acc.Project(g.Project...)
+		}
+		acc = acc.GroupBy(hierdb.KeyCol(g.Key), g.Aggs...)
+	}
 	return acc
 }
 
@@ -498,6 +615,9 @@ func (c *Case) Reference() map[string]int {
 		acc = next
 		offsets[rel] = width
 		width += len(c.Tables[rel].Cols)
+	}
+	if c.Group != nil {
+		acc = c.Group.eval(acc)
 	}
 	return Multiset(acc)
 }

@@ -87,6 +87,7 @@ func TestDifferentialQueries(t *testing.T) {
 	spilled := false
 	ran, nonEmpty := 0, 0
 	opsSeen := map[hierdb.CmpOp]int{}
+	groupsSeen := map[[2]bool]int{} // (key from the build side, projected) -> queries
 	for qi := 0; qi < queries; qi++ {
 		// 3-5 relations: deep enough for chained redistribution and
 		// multiple governed builds, small enough for a tight CI loop.
@@ -213,6 +214,52 @@ func TestDifferentialQueries(t *testing.T) {
 			if err := DiffMultisets("where-disk-filter", "row-reference-where-filtered", got, pfc.Reference()); err != nil {
 				t.Fatalf("%v\npredicates: %+v", err, pc.Preds)
 			}
+			// The group-by legs: the plan ends in the grouped aggregation
+			// querygen draws for it — key from the last join's probe side,
+			// from its build side (resolved once per build row), or either
+			// behind a projection; Count/Sum/Min/Max — which a root probe
+			// folds from its match pairs without building the join's output.
+			// Every leg runs it: stolen activations fold an owner's store,
+			// spilling joins a store per partition, the tiny budgets spill the
+			// group partials themselves, the optimizer legs swap the root's
+			// sides, the disk legs read boxless probe columns. Anchored to the
+			// naive interpreter's plain map over its flattened join.
+			gc := *c
+			gc.DrawGroup(0x6B0 + uint64(qi))
+			groupsSeen[[2]bool{gc.Group.KeyBuild, gc.Group.Project != nil}]++
+			gwant := gc.Reference()
+			// The same group-by over the ragged build side: the Arg row ends
+			// where a short build row does.
+			rgc := *gc.Ragged()
+			rgwant := rgc.Reference()
+			for _, leg := range ls {
+				for _, v := range []struct {
+					kind string
+					c    *Case
+					want map[string]int
+				}{{"group-", &gc, gwant}, {"group-ragged-", &rgc, rgwant}} {
+					run := v.c.RunLeg
+					if leg.analyze {
+						run = v.c.RunAnalyzedLeg
+					}
+					got, _, err := run(ctx, leg.opts...)
+					if err != nil {
+						t.Fatalf("%s leg %s%s: %v", name, v.kind, leg.name, err)
+					}
+					if err := DiffMultisets(v.kind+leg.name, "row-reference-"+v.kind, got, v.want); err != nil {
+						t.Fatalf("%v\ngroup-by: %+v", err, gc.Group)
+					}
+				}
+			}
+			for _, leg := range diskLegs(t) {
+				got, _, err := gc.RunDiskLeg(ctx, t.TempDir(), 64, leg.opts...)
+				if err != nil {
+					t.Fatalf("%s leg group-%s: %v", name, leg.name, err)
+				}
+				if err := DiffMultisets("group-"+leg.name, "row-reference-group", got, gwant); err != nil {
+					t.Fatalf("%v\ngroup-by: %+v", err, gc.Group)
+				}
+			}
 			// The ragged legs: the last join's build side is a ragged
 			// registered table, most of its rows one column short, so its
 			// last column is Absent-padded from the table's columnization
@@ -251,6 +298,45 @@ func TestDifferentialQueries(t *testing.T) {
 		t.Fatalf("predicate draw degenerate: operators drawn %v, %d of %d predicate queries with a result", opsSeen, nonEmpty, queries)
 	}
 	t.Logf("predicate legs: operators drawn %v, %d of %d queries with a result", opsSeen, nonEmpty, ran)
+	if ran == queries && len(groupsSeen) != 4 {
+		t.Fatalf("group-by draw degenerate: (build key, projected) -> queries %v", groupsSeen)
+	}
+}
+
+// TestGroupPartialSpillsMidQuery: a group-by keyed on a build column
+// under a budget that holds the join's build side but not the group
+// partials beside it — the join stays in memory (no spill phase) while
+// the workers' partials spill mid-query, so the groups their slot
+// vectors had resolved are gone and must be resolved again. Budgets are
+// swept, every run must agree with the naive interpreter, and at least
+// one must land in that window.
+func TestGroupPartialSpillsMidQuery(t *testing.T) {
+	leaktest.Check(t, 2)
+	c := Synthesize(29, "G", 2) // 1 580 rows join 1 411: some 900 groups by build id
+	pw := len(c.Tables[c.order[0]].Cols)
+	c.Group = &Group{Key: pw, KeyBuild: true, Aggs: []hierdb.Aggregation{{Func: hierdb.Count},
+		{Func: hierdb.Sum, Arg: func(r hierdb.Row) float64 { return float64(r[0].(int)) }}}}
+	want := c.Reference()
+	inWindow := 0
+	for budget := int64(64 << 10); budget <= 1<<20; budget += budget / 2 {
+		for _, nodes := range []int{1, 2} {
+			got, st, err := c.RunLeg(context.Background(), hierdb.WithNodes(nodes), hierdb.WithWorkers(2),
+				hierdb.WithMemory(budget), hierdb.WithSpillDir(t.TempDir()))
+			if err != nil {
+				t.Fatalf("budget %d, %d node(s): %v", budget, nodes, err)
+			}
+			if err := DiffMultisets(fmt.Sprintf("budget-%d-%dnode", budget, nodes), "row-reference-group", got, want); err != nil {
+				t.Fatal(err)
+			}
+			if st.SpillPhases == 0 && st.SpilledBytes > 0 {
+				inWindow++
+			}
+		}
+	}
+	if inWindow == 0 {
+		t.Fatal("no budget spilled the group partials under an in-memory join")
+	}
+	t.Logf("%d runs spilled group partials under an in-memory join", inWindow)
 }
 
 // TestOptimizerBeatsBadOrder is the cost-based planner's acceptance

@@ -3,13 +3,14 @@ package exec
 // Aggregation on top of the join pipeline: the decision-support queries
 // that motivate the paper (§1, data-warehouse workloads) end in a group-by
 // over the join result. Aggregation runs as parallel partial aggregation:
-// each pool worker folds the root-output batches it produced into a
-// private hash table as they stream (no materialized intermediate result,
-// no synchronization on the hot path), and the partials merge once at
-// query retirement.
+// each pool worker folds the root operator's output into a private hash
+// table as it is produced (foldGroups: a root probe's match pairs go in
+// directly, no output batch in between, no synchronization on the hot
+// path), and the partials merge once at query retirement.
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"hierdb/internal/vec"
@@ -66,6 +67,49 @@ type groupState struct {
 	n    int64
 }
 
+// groupAt returns the state of the group keyed by the value at storage
+// position pos of c, creating it in m at every aggregate's identity (Min
+// and Max start from the infinities, so any first value replaces them).
+// The lookup boxes nothing; a new group boxes its key once.
+//
+//hierdb:hotpath
+func groupAt(m map[any]*groupState, aggs []Aggregation, c *vec.Col, pos int) *groupState {
+	g := vec.Lookup(m, c, pos)
+	if g == nil {
+		g = &groupState{key: c.Value(pos), vals: make([]float64, len(aggs))}
+		for i, a := range aggs {
+			switch a.Func {
+			case Min:
+				g.vals[i] = math.Inf(1)
+			case Max:
+				g.vals[i] = math.Inf(-1)
+			}
+		}
+		m[g.key] = g
+	}
+	return g
+}
+
+// add folds v into the group's running value of aggregate i — the one
+// statement of what each function does. A partial's value folds in the
+// same way (a sum of sums), so the merges use it too; Count lives in n.
+//
+//hierdb:hotpath
+func (g *groupState) add(f AggFunc, i int, v float64) {
+	switch f {
+	case Sum:
+		g.vals[i] += v
+	case Min:
+		if v < g.vals[i] {
+			g.vals[i] = v
+		}
+	case Max:
+		if v > g.vals[i] {
+			g.vals[i] = v
+		}
+	}
+}
+
 // validateGroupBy checks a group-by description against the width of
 // the plan output it folds, before execution.
 func validateGroupBy(gb *GroupBy, width int) error {
@@ -80,101 +124,129 @@ func validateGroupBy(gb *GroupBy, width int) error {
 	return nil
 }
 
-// foldGroupsBatch folds one columnar result batch into worker w's
-// private partial. The group key is the key column's boxed value (an
-// interface word copied from a resident column, boxed from the mirror of
-// a decoded one). Arg closures see a reused scratch row: they return
-// scalars, so reuse is safe.
-//
-//hierdb:hotpath
-func (q *query) foldGroupsBatch(m map[any]*groupState, w int, b *vec.Batch) {
-	gb := q.mq.gb
-	vs := &q.vscratch[w]
-	keyCol := &b.Cols[gb.Key]
-	needRow := false
-	for _, a := range gb.Aggs {
-		if a.Func != Count {
-			needRow = true
-		}
-	}
-	scratch := vs.rowScratch(len(b.Cols) + 1)
-	for i := 0; i < b.N; i++ {
-		var row Row
-		if needRow {
-			row = b.ReadRow(i, scratch)
-		}
-		k := keyCol.Value(keyCol.Pos(i))
-		g := m[k]
-		if g == nil {
-			g = &groupState{key: k, vals: make([]float64, len(gb.Aggs))}
-			for gi, a := range gb.Aggs {
-				switch a.Func {
-				case Min:
-					g.vals[gi] = 1e308
-				case Max:
-					g.vals[gi] = -1e308
-				}
-			}
-			m[k] = g
-		}
-		g.n++
-		for gi, a := range gb.Aggs {
-			switch a.Func {
-			case Count:
-			case Sum:
-				g.vals[gi] += a.Arg(row)
-			case Min:
-				if v := a.Arg(row); v < g.vals[gi] {
-					g.vals[gi] = v
-				}
-			case Max:
-				if v := a.Arg(row); v > g.vals[gi] {
-					g.vals[gi] = v
-				}
-			}
-		}
-	}
+// groupFold is one worker's state of a group-by query: its private
+// partial, and foldGroups' scratch — the source of each root output
+// column (filled on first use) and, by position, the groups resolved so
+// far for the rows of sealed build store store (nil = not yet).
+type groupFold struct {
+	m     map[any]*groupState
+	src   []int
+	store *vec.Batch
+	slots []*groupState
 }
 
-// mergePartials folds any number of partial aggregation states into one,
-// adopting the first as the result (the partials are dead afterwards).
-// Every query uses it twice: once per node over the node's worker
-// partials, then once at retirement over the per-node results.
-func mergePartials(partials []map[any]*groupState, gb *GroupBy) map[any]*groupState {
-	var merged map[any]*groupState
-	for _, m := range partials {
-		if merged == nil {
-			merged = m
+// foldGroups folds the root operator's output into worker w's private
+// partial without building it, and returns the number of rows folded.
+// For a root probe they are the match pairs in the worker's scratch —
+// row probeRows[j] of the probe batch b beside row bpos[j] of the sealed
+// build store, seen through the join's Out list; for a root scan (store
+// == nil), b's own rows. Arg closures see a reused scratch row filled
+// from the two sides in place (like ReadRow's, it ends at the first
+// Absent). When the group key is a build column the group is resolved
+// once per build row, not once per match: the slots hold the group of
+// each store position until the store changes (a thief folds an owner's
+// store, a spill phase loads the next partition). A store with more
+// than four rows per pair folded is looked up per match instead — a
+// reset never costs more than the fold it serves — and under a memory
+// budget the slots last one activation: governGroupPartial may spill the
+// partial they point into, and they would pin an ended phase's store.
+//
+//hierdb:hotpath
+func (q *query) foldGroups(op *pop, w int, b, store *vec.Batch) int {
+	gb := q.mq.gb
+	vs, gf := &q.vscratch[w], &q.partials[w]
+	n, pw := b.N, len(b.Cols)
+	if store != nil {
+		n = len(vs.probeRows)
+	}
+	if gf.src == nil {
+		// Output column i is column src[i] of probe ++ build: Out, or all.
+		if store != nil && len(op.join.Out) > 0 {
+			gf.src = op.join.Out
+		}
+		for i := len(gf.src); i < len(op.outKinds); i++ {
+			gf.src = append(gf.src, i)
+		}
+	}
+	src := gf.src
+	var keyCol *vec.Col
+	keyBuild, slotted := src[gb.Key] >= pw, false
+	if keyBuild {
+		keyCol = &store.Cols[src[gb.Key]-pw]
+		if slotted = store.N <= 4*n; slotted && gf.store != store {
+			gf.store = store
+			gf.slots = append(gf.slots[:0], make([]*groupState, store.N)...)
+		}
+	} else {
+		keyCol = &b.Cols[src[gb.Key]]
+	}
+	needRow := false
+	for _, a := range gb.Aggs {
+		needRow = needRow || a.Func != Count
+	}
+	scratch := vs.rowScratch(len(src))
+	for j := 0; j < n; j++ {
+		pr, bp := j, 0
+		if store != nil {
+			pr, bp = int(vs.probeRows[j]), int(vs.bpos[j])
+		}
+		var g *groupState
+		if !keyBuild {
+			g = groupAt(gf.m, gb.Aggs, keyCol, keyCol.Pos(pr))
+		} else if !slotted {
+			g = groupAt(gf.m, gb.Aggs, keyCol, bp)
+		} else if g = gf.slots[bp]; g == nil {
+			g = groupAt(gf.m, gb.Aggs, keyCol, bp)
+			gf.slots[bp] = g
+		}
+		g.n++
+		if !needRow {
 			continue
 		}
-		for k, g := range m {
-			t := merged[k]
-			if t == nil {
-				merged[k] = g
-				continue
+		row := scratch[:0]
+		for _, c := range src {
+			var v any
+			if c < pw {
+				v = b.Cols[c].Value(b.Cols[c].Pos(pr))
+			} else {
+				v = store.Cols[c-pw].Value(bp)
 			}
-			t.n += g.n
-			for i, a := range gb.Aggs {
-				switch a.Func {
-				case Count:
-				case Sum:
-					t.vals[i] += g.vals[i]
-				case Min:
-					if g.vals[i] < t.vals[i] {
-						t.vals[i] = g.vals[i]
-					}
-				case Max:
-					if g.vals[i] > t.vals[i] {
-						t.vals[i] = g.vals[i]
-					}
-				}
+			if vec.IsAbsent(v) {
+				break
+			}
+			row = append(row, v)
+		}
+		for i, a := range gb.Aggs {
+			if a.Func != Count {
+				g.add(a.Func, i, a.Arg(row))
 			}
 		}
 	}
-	if merged == nil {
-		merged = make(map[any]*groupState)
+	if q.memBudget > 0 {
+		gf.store = nil
+		if err := q.governGroupPartial(w); err != nil {
+			q.mq.fail(err)
+		}
 	}
-	return merged
+	return n
+}
+
+// mergeGroups folds partial aggregation state src into dst, adopting the
+// states of groups dst has not seen (src is dead afterwards). Every
+// query uses it at two levels: per node over the node's worker partials,
+// then at retirement over the per-node results.
+func mergeGroups(dst, src map[any]*groupState, gb *GroupBy) {
+	for k, g := range src {
+		t := dst[k]
+		if t == nil {
+			dst[k] = g
+			continue
+		}
+		t.n += g.n
+		for i, a := range gb.Aggs {
+			t.add(a.Func, i, g.vals[i])
+		}
+	}
 }
 
 // groupSpillRows renders a partial's group states as spill rows
@@ -196,36 +268,14 @@ func groupSpillRows(m map[any]*groupState, gb *GroupBy) []Row {
 // mergeSpilledGroups folds one decoded spill batch (groupSpillRows
 // form: any-kind key column, int64 counts, one float64 column per
 // aggregate) back into a merged partial, combining with the same
-// semantics as mergePartials.
+// semantics as mergeGroups.
 func mergeSpilledGroups(m map[any]*groupState, gb *GroupBy, b *vec.Batch) {
 	keys, counts, vals := &b.Cols[0], b.Cols[1].I64, b.Cols[2:]
 	for r := 0; r < b.N; r++ {
-		k, n := keys.Value(r), counts[r]
-		g := m[k]
-		if g == nil {
-			g = &groupState{key: k, n: n, vals: make([]float64, len(gb.Aggs))}
-			for i := range gb.Aggs {
-				g.vals[i] = vals[i].F64[r]
-			}
-			m[k] = g
-			continue
-		}
-		g.n += n
+		g := groupAt(m, gb.Aggs, keys, r)
+		g.n += counts[r]
 		for i, a := range gb.Aggs {
-			v := vals[i].F64[r]
-			switch a.Func {
-			case Count:
-			case Sum:
-				g.vals[i] += v
-			case Min:
-				if v < g.vals[i] {
-					g.vals[i] = v
-				}
-			case Max:
-				if v > g.vals[i] {
-					g.vals[i] = v
-				}
-			}
+			g.add(a.Func, i, vals[i].F64[r])
 		}
 	}
 }

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"context"
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -37,10 +38,16 @@ func TestGroupBySumMinMax(t *testing.T) {
 	checkQueryHygiene(t)
 	plan := aggPlan(40, 2)
 	arg := func(r Row) float64 { return float64(r[1].(int)) } // probe value column
+	// Values past the old ±1e308 starting sentinels: a group's first value
+	// must replace the starting point whatever it is.
+	huge := func(r Row) float64 { return 1.5e308 }
 	gb := &GroupBy{Key: 0, Aggs: []Aggregation{
 		{Func: Sum, Arg: arg},
 		{Func: Min, Arg: arg},
 		{Func: Max, Arg: arg},
+		{Func: Min, Arg: huge},
+		{Func: Max, Arg: func(r Row) float64 { return -huge(r) }},
+		{Func: Min, Arg: func(Row) float64 { return math.Inf(1) }},
 	}}
 	rows, _, err := runOnce(context.Background(), plan, gb, Options{Workers: 4})
 	if err != nil {
@@ -58,6 +65,11 @@ func TestGroupBySumMinMax(t *testing.T) {
 	g1 := rows[1]
 	if g1[1].(float64) != 400 || g1[2].(float64) != 1 || g1[3].(float64) != 39 {
 		t.Fatalf("group 1 = %v", g1)
+	}
+	for _, g := range rows {
+		if g[4].(float64) != 1.5e308 || g[5].(float64) != -1.5e308 || !math.IsInf(g[6].(float64), 1) {
+			t.Fatalf("min{1.5e308}, max{-1.5e308}, min{+Inf} = %v, %v, %v", g[4], g[5], g[6])
+		}
 	}
 }
 

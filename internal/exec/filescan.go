@@ -97,5 +97,5 @@ func (q *query) processScanFile(a *activation, w int) (outs []*activation, resul
 		a.res = &chunkRes{q: q, bytes: bytes}
 		a.res.refs.Store(1)
 	}
-	return q.scanTail(a, b, nil, w)
+	return q.scanTail(a, b, 0, b.N, nil, w)
 }

@@ -260,9 +260,9 @@ func (mq *mquery) shipEstimate(thief *query, op *pop, acts []*activation) int64 
 	var bytes int64
 	var seen map[int]bool
 	for _, a := range acts {
-		bytes += int64(a.b.N) * nominalTupleBytes
-		hs := keyHashes(a.b, op.keyCol, &vs)
-		for i := 0; i < a.b.N; i++ {
+		bytes += int64(a.hi-a.lo) * nominalTupleBytes
+		hs := keyHashes(a.input(&vs), op.keyCol, &vs)
+		for i := range hs {
 			g := int(hs[i] % uint64(mq.buckets))
 			owner := g % mq.n
 			if owner == thief.node || seen[g] || cache[g] != nil {
@@ -322,8 +322,8 @@ func (q *query) acquireBuckets(op *pop, acts []*activation) (copied int, bytes i
 	var fresh bucketCache
 	var vs vecScratch
 	for _, a := range acts {
-		hs := keyHashes(a.b, op.keyCol, &vs)
-		for i := 0; i < a.b.N; i++ {
+		hs := keyHashes(a.input(&vs), op.keyCol, &vs)
+		for i := range hs {
 			g := int(hs[i] % uint64(mq.buckets))
 			owner := g % mq.n
 			if owner == q.node || old[g] != nil || fresh[g] != nil {

@@ -605,7 +605,7 @@ func (q *query) processSpillProbe(a *activation, w int) (outs []*activation, res
 // budget. Only worker w touches its partial and counters, so the only
 // shared state is the byte account.
 func (q *query) governGroupPartial(w int) error {
-	m := q.partials[w]
+	m := q.partials[w].m
 	grown := len(m) - q.gbGroups[w]
 	if grown <= 0 {
 		return nil
@@ -634,15 +634,17 @@ func (q *query) governGroupPartial(w int) error {
 	q.unchargeMem(q.gbCharged[w])
 	q.gbCharged[w] = 0
 	q.gbGroups[w] = 0
-	q.partials[w] = make(map[any]*groupState)
+	q.partials[w].m = make(map[any]*groupState)
 	return nil
 }
 
-// mergedGroups merges the in-memory worker partials and folds any
-// spilled partials back in — the governed replacement for
-// mergePartials(q.partials, ...).
+// mergedGroups merges the in-memory worker partials into the first and
+// folds any spilled partials back in.
 func (q *query) mergedGroups() (map[any]*groupState, error) {
-	merged := mergePartials(q.partials, q.mq.gb)
+	merged := q.partials[0].m
+	for w := 1; w < len(q.partials); w++ {
+		mergeGroups(merged, q.partials[w].m, q.mq.gb)
+	}
 	for _, f := range q.gbFiles {
 		if f == nil {
 			continue

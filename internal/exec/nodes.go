@@ -548,7 +548,7 @@ func (mq *mquery) deliverOuts(src *query, outs []*activation) {
 			if a.dest == d {
 				count++
 				if a.b != nil { // spill activations carry refs, not batches
-					rows += a.b.N
+					rows += a.hi - a.lo
 				}
 			}
 		}
@@ -693,8 +693,10 @@ func (mq *mquery) mergeFragment(q *query) []*vec.Batch {
 	if !last {
 		return nil
 	}
-	rows := groupsToRows(mergePartials(parts, mq.gb), mq.gb)
-	return batchRowsVec(rows, mq.opt.Batch)
+	for _, p := range parts[1:] {
+		mergeGroups(parts[0], p, mq.gb)
+	}
+	return batchRowsVec(groupsToRows(parts[0], mq.gb), mq.opt.Batch)
 }
 
 // fail aborts the whole query with its terminal error — cancellation,

@@ -194,9 +194,13 @@ func (p *physical) buildChains() {
 // join.
 type activation struct {
 	op *pop
-	b  *vec.Batch
-	// morsel bounds for scans. For a scan over a file-backed table the
-	// activation is one chunk: lo is the chunk index and hi = lo+1.
+	// b, for a batch of pipelined columns, is the batch its producer
+	// built (or scanned); the activation is rows [lo,hi) of it, which its
+	// kernel views on worker scratch (input). nil for a scan morsel,
+	// whose lo and hi bound rows of the table's columnization; for a scan
+	// over a file-backed table the activation is one chunk: lo is the
+	// chunk index and hi = lo+1.
+	b      *vec.Batch
 	lo, hi int
 	// dest is the node a routed batch is bound for (scan morsels, seeded
 	// on their own node, leave it 0).
@@ -312,7 +316,7 @@ type query struct {
 	vscratch []vecScratch
 	// partials holds per-worker aggregation state of a group-by query;
 	// worker w touches only partials[w].
-	partials []map[any]*groupState
+	partials []groupFold
 
 	// Memory governance (all zero/nil when Options.MemoryPerNode == 0 —
 	// the governed state simply does not exist on the default hot path).
@@ -385,7 +389,10 @@ func newFragment(mq *mquery, node int) *query {
 		q.allowed = make([]map[*pop]bool, opt.Workers)
 	}
 	if gb != nil {
-		q.partials = make([]map[any]*groupState, opt.Workers)
+		q.partials = make([]groupFold, opt.Workers)
+		for w := range q.partials {
+			q.partials[w].m = make(map[any]*groupState)
+		}
 	}
 	if opt.MemoryPerNode > 0 {
 		q.memBudget = opt.MemoryPerNode
@@ -546,9 +553,9 @@ func (q *query) popQueue(or *opRun, w int) *activation {
 // stalled consumer cannot hold the worker.
 const sinkParkDelay = time.Millisecond
 
-// deliver hands an activation's result rows to the consumer: folded into
-// the worker's private aggregation partial when the query has a group-by,
-// streamed to the bounded sink otherwise. A full sink blocks for at most
+// deliver streams an activation's result rows to the bounded sink (a
+// group-by query's root folds its output instead of returning it, and
+// delivers the merged groups at retirement). A full sink blocks for at most
 // sinkParkDelay — then the batch is parked on the query, which pauses
 // the query's production at pick time (backpressure) and hands the
 // blocking send to a flusher, freeing this worker for other queries.
@@ -562,21 +569,6 @@ func (q *query) deliver(w int, results *vec.Batch, timer **time.Timer) bool {
 		return true
 	}
 	mq := q.mq
-	if mq.gb != nil {
-		m := q.partials[w]
-		if m == nil {
-			m = make(map[any]*groupState)
-			q.partials[w] = m
-		}
-		q.foldGroupsBatch(m, w, results)
-		if q.memBudget > 0 {
-			if err := q.governGroupPartial(w); err != nil {
-				mq.fail(err)
-				return false
-			}
-		}
-		return true
-	}
 	select {
 	case mq.sink <- results:
 		atomic.AddInt64(&q.resultRows, int64(results.N))
@@ -643,24 +635,29 @@ func (q *query) scanSrc(op *pop) *vec.Batch {
 
 // countOpRows attributes one processed activation's produced rows to
 // its operator: batches addressed to the operator's consumer, plus the
-// root operator's result batch. Spill-phase fan-out (activations a
+// root operator's result batch (a root under a group-by has none: it
+// hands addOpRows what it folded). Spill-phase fan-out (activations a
 // partition load addresses to the producing operator itself) replays
 // input that was already counted at production, so it is excluded.
 //
 //hierdb:hotpath
 func (q *query) countOpRows(a *activation, outs []*activation, results *vec.Batch) {
-	var n int64
+	n := 0
 	if results != nil {
-		n = int64(results.N)
+		n = results.N
 	}
-	cons := a.op.consumer
 	for _, out := range outs {
-		if out.op == cons {
-			n += int64(out.b.N)
+		if out.op == a.op.consumer {
+			n += out.hi - out.lo
 		}
 	}
+	q.addOpRows(a.op, n)
+}
+
+// addOpRows is the one counter of the rows an operator produced.
+func (q *query) addOpRows(op *pop, n int) {
 	if n != 0 {
-		atomic.AddInt64(&q.opRows[a.op.id], n)
+		atomic.AddInt64(&q.opRows[op.id], int64(n))
 	}
 }
 
@@ -686,7 +683,7 @@ func (q *query) process(a *activation, w int) (outs []*activation, results *vec.
 	case opBuild:
 		or := q.ops[a.op.id]
 		if q.memBudget > 0 {
-			if err := q.buildGoverned(or, a.b, w); err != nil {
+			if err := q.buildGoverned(or, a.input(&q.vscratch[w]), w); err != nil {
 				q.mq.fail(err)
 			}
 			break
@@ -698,7 +695,7 @@ func (q *query) process(a *activation, w int) (outs []*activation, results *vec.
 			// The build side spilled: probe input is partitioned to the
 			// join's probe spill files and joined partition-wise once the
 			// probe input is exhausted (spillNextLocked).
-			if err := q.spillBatch(sp.probe, a.op.keyCol, 0, a.b, &q.vscratch[w]); err != nil {
+			if err := q.spillBatch(sp.probe, a.op.keyCol, 0, a.input(&q.vscratch[w]), &q.vscratch[w]); err != nil {
 				q.mq.fail(err)
 			}
 			break

@@ -17,8 +17,9 @@ import (
 // constructor — that is never scheduled. Every chain is driven to
 // completion on worker 0, in chain order (builds before the probes that
 // read them), except the root join's probe, whose input activations are
-// returned instead of processed.
-func probeFixture(t testing.TB, plan Node, opt Options) (q *query, probes []*activation) {
+// returned instead of processed. gb, when set, is the group-by the root
+// folds into.
+func probeFixture(t testing.TB, plan Node, gb *GroupBy, opt Options) (q *query, probes []*activation) {
 	t.Helper()
 	phys, err := compile(plan)
 	if err != nil {
@@ -28,7 +29,7 @@ func probeFixture(t testing.TB, plan Node, opt Options) (q *query, probes []*act
 		t.Fatal(err)
 	}
 	ns := &Nodes{n: 1, workers: opt.Workers, pools: []*pool{{}}}
-	q = ns.newQuery(context.Background(), phys, nil, opt).mq.frags[0]
+	q = ns.newQuery(context.Background(), phys, gb, opt).mq.frags[0]
 	var drive func(a *activation)
 	drive = func(a *activation) {
 		if a.op == phys.root {
@@ -124,7 +125,7 @@ func TestRaggedBuildStripes(t *testing.T) {
 func TestJoinGatherAllocBound(t *testing.T) {
 	const buildRows, probeRows = 2_000, 100_000
 	perRow := func(name string, plan Node) (bytes, allocs float64) {
-		q, probes := probeFixture(t, plan, Options{Workers: 1, Batch: 1024})
+		q, probes := probeFixture(t, plan, nil, Options{Workers: 1, Batch: 1024})
 		run := func() (n int) {
 			for _, a := range probes {
 				_, out := q.processProbeVec(a, 0)
@@ -162,13 +163,44 @@ func TestJoinGatherAllocBound(t *testing.T) {
 	perRow("reordered 3-way root", pc.Root)
 }
 
+// TestActivationsNameTheirBatch: a scan that keeps every row emits no
+// batch of its own — each probe activation names the table's
+// columnization and its Batch-row bounds — and a kernel reads those rows
+// through the worker's one reusable header, so routing a morsel allocates
+// the activations and nothing per column.
+func TestActivationsNameTheirBatch(t *testing.T) {
+	const buildRows, probeRows, batch = 10, 1000, 256
+	q, probes := probeFixture(t, widePlan(buildRows, probeRows, 2), nil, Options{Workers: 1, Batch: batch})
+	root := q.mq.phys.root
+	scanOp := q.mq.phys.chains[root.chain][0]
+	src, vs := q.scanSrc(scanOp), &q.vscratch[0]
+	if len(probes) != (probeRows+batch-1)/batch {
+		t.Fatalf("%d probe activations for %d rows", len(probes), probeRows)
+	}
+	next := 0
+	for _, a := range probes {
+		if a.b != src || a.lo != next || a.hi != min(next+batch, probeRows) {
+			t.Fatalf("activation [%d,%d) of %p, want [%d,%d) of the scanned table %p", a.lo, a.hi, a.b, next, min(next+batch, probeRows), src)
+		}
+		in := a.input(vs)
+		if in != &vs.win || in.N != a.hi-a.lo || in.Cols[1].Value(in.Cols[1].Pos(0)) != a.lo {
+			t.Fatalf("input of [%d,%d): %d rows from %v on header %p, want the scratch header %p", a.lo, a.hi, in.N, in.Cols[1].Value(in.Cols[1].Pos(0)), in, &vs.win)
+		}
+		next = a.hi
+	}
+	scan := &activation{op: scanOp, lo: 0, hi: probeRows}
+	if allocs := testing.AllocsPerRun(20, func() { q.process(scan, 0) }); allocs > float64(2*len(probes)) { // the activations and their slice's growth
+		t.Fatalf("%.0f allocations to route one morsel into %d activations", allocs, len(probes))
+	}
+}
+
 // TestProbeOutputAliasesSealedStore: at fan-out 50 every output batch's
 // build columns are the sealed store's own columns — same backing
 // arrays, kind and mirror as stored — under one index vector shared by
 // all of them.
 func TestProbeOutputAliasesSealedStore(t *testing.T) {
 	const buildRows, probeRows, width = 100, 5_000, 3
-	q, probes := probeFixture(t, widePlan(buildRows, probeRows, width), Options{Workers: 1})
+	q, probes := probeFixture(t, widePlan(buildRows, probeRows, width), nil, Options{Workers: 1})
 	bo := q.ops[q.mq.phys.root.partner.id]
 	var sealed *vec.Batch
 	rows := 0
@@ -211,7 +243,7 @@ func TestProbeOutputAliasesSealedStore(t *testing.T) {
 func TestSealSingleFlight(t *testing.T) {
 	const workers, buildRows, probeRows = 8, 20_000, 40_000
 	plan := widePlan(buildRows, probeRows, 4)
-	q, probes := probeFixture(t, plan, Options{Workers: workers, Batch: probeRows / workers})
+	q, probes := probeFixture(t, plan, nil, Options{Workers: workers, Batch: probeRows / workers})
 	if len(probes) != workers {
 		t.Fatalf("%d probe activations, want %d", len(probes), workers)
 	}
@@ -265,7 +297,7 @@ func nestedJoinHashed(plan *Join) []Row {
 func TestProbeCutsAtSecondStore(t *testing.T) {
 	const buildRows, probeRows = 64, 256
 	plan := widePlan(buildRows, probeRows, 2)
-	q, probes := probeFixture(t, plan, Options{Workers: 1, Stripes: 4, Batch: probeRows})
+	q, probes := probeFixture(t, plan, nil, Options{Workers: 1, Stripes: 4, Batch: probeRows})
 	bo := q.ops[q.mq.phys.root.partner.id]
 	if err := bo.seal(); err != nil {
 		t.Fatal(err)
@@ -286,8 +318,8 @@ func TestProbeCutsAtSecondStore(t *testing.T) {
 		pending = append(pending[1:], outs...)
 		for _, tail := range outs {
 			cuts++
-			if tail.op != a.op || tail.b.N >= a.b.N {
-				t.Fatalf("tail of a %d-row probe: %d rows for operator %d", a.b.N, tail.b.N, tail.op.id)
+			if tail.op != a.op || tail.hi-tail.lo >= a.hi-a.lo {
+				t.Fatalf("tail of a %d-row probe: %d rows for operator %d", a.hi-a.lo, tail.hi-tail.lo, tail.op.id)
 			}
 		}
 		got = out.AppendRows(got, &arena)
@@ -439,11 +471,11 @@ func BenchmarkJoinProbeGather(b *testing.B) {
 	const buildRows, probeRows = 2_000, 100_000
 	for _, width := range []int{1, 4, 16} {
 		b.Run(fmt.Sprintf("width=%d", width), func(b *testing.B) {
-			q, probes := probeFixture(b, widePlan(buildRows, probeRows, width), Options{Workers: 1, Batch: 1024})
+			q, probes := probeFixture(b, widePlan(buildRows, probeRows, width), nil, Options{Workers: 1, Batch: 1024})
 			run := func() {
 				for _, a := range probes {
-					if _, out := q.processProbeVec(a, 0); out.N != a.b.N {
-						b.Fatalf("%d matches for %d probe rows", out.N, a.b.N)
+					if _, out := q.processProbeVec(a, 0); out.N != a.hi-a.lo {
+						b.Fatalf("%d matches for %d probe rows", out.N, a.hi-a.lo)
 					}
 				}
 			}

@@ -171,7 +171,7 @@ type vecScratch struct {
 	probeRows []int32  // probe match: logical probe row per match
 	bpos      []int32  // probe match: position in the sealed build store
 	perDest   [][]int32
-	destRows  []int32 // emit routing: dest per logical row
+	win       vec.Batch // header of the input rows' view (viewInto)
 }
 
 func (vs *vecScratch) hashes(n int) []uint64 {
@@ -422,65 +422,83 @@ func (vs *vecScratch) addMatches(i int, base int32, ps []int32) {
 // Batch windows and emission
 // ---------------------------------------------------------------------
 
-// window views logical rows [lo,hi) of b. Storage is never re-sliced;
-// dense columns get an identity-index window, indexed columns slice
-// their index (index slices, unlike storage, are position-free).
+// viewInto views logical rows [lo,hi) of b on win's header (b itself
+// when they are all of it). Storage is never re-sliced; dense columns
+// get an identity-index window, indexed columns slice their index (index
+// slices, unlike storage, are position-free).
 //
 //hierdb:hotpath
-func window(b *vec.Batch, lo, hi int) *vec.Batch {
+func viewInto(win, b *vec.Batch, lo, hi int) *vec.Batch {
 	if lo == 0 && hi == b.N {
 		return b
 	}
-	out := &vec.Batch{Cols: make([]vec.Col, len(b.Cols)), N: hi - lo}
-	for ci := range b.Cols {
-		c := b.Cols[ci]
-		if c.Idx == nil {
+	win.Cols, win.N = append(win.Cols[:0], b.Cols...), hi-lo
+	for ci := range win.Cols {
+		if c := &win.Cols[ci]; c.Idx == nil {
 			c.Idx = vec.Ident(hi)[lo:hi]
 		} else {
 			c.Idx = c.Idx[lo:hi]
 		}
-		out.Cols[ci] = c
 	}
-	return out
+	return win
 }
 
-// emitBatch hands a produced batch to consumer, chunked to the
-// pipeline granularity, routing each row to the node owning its
-// partition key (the consumer's key column: a build op receives
-// build-side rows, a probe op probe-side rows), one batch stream per
-// destination. With a single destination there is
-// nothing to route, so the keys are not hashed.
+// window is the view on a header of its own, for a batch that outlives
+// the activation (a result).
+func window(b *vec.Batch, lo, hi int) *vec.Batch { return viewInto(new(vec.Batch), b, lo, hi) }
+
+// input is batch activation a's rows, viewed on the worker's one
+// reusable header: valid until the worker's next view, so a kernel keeps
+// nothing of it — Select, Compose and the stores copy column headers and
+// values, never the header array — and whatever it emits names a batch
+// that outlives it (emitBatch).
 //
 //hierdb:hotpath
-func (q *query) emitBatch(consumer *pop, b *vec.Batch, outs *[]*activation, vs *vecScratch, arena *vec.Arena) {
-	if b == nil || b.N == 0 {
+func (a *activation) input(vs *vecScratch) *vec.Batch { return viewInto(&vs.win, a.b, a.lo, a.hi) }
+
+// emitBatch hands rows [lo,hi) of a produced batch b to consumer,
+// chunked to the pipeline granularity, routing each row to the node
+// owning its partition key (the consumer's key column: a build op
+// receives build-side rows, a probe op probe-side rows), one batch
+// stream per destination. b outlives the activation (a table's
+// columnization, a decoded chunk, a Select or join output — never a
+// view). With a single destination there is nothing to route, so the
+// keys are not hashed.
+//
+//hierdb:hotpath
+func (q *query) emitBatch(consumer *pop, b *vec.Batch, lo, hi int, outs *[]*activation, vs *vecScratch, arena *vec.Arena) {
+	if lo == hi {
 		return
 	}
 	nb, n := q.mq.buckets, q.mq.n
 	if n == 1 {
-		q.emitWindows(consumer, b, 0, outs)
+		q.emitWindows(consumer, b, lo, hi, 0, outs)
 		return
 	}
-	hs := keyHashes(b, consumer.keyCol, vs)
+	v := viewInto(&vs.win, b, lo, hi)
+	hs := keyHashes(v, consumer.keyCol, vs)
 	perDest := vs.dests(n)
-	for i := 0; i < b.N; i++ {
+	for i := 0; i < v.N; i++ {
 		d := int(hs[i]%uint64(nb)) % n
 		perDest[d] = append(perDest[d], int32(i))
 	}
 	for d := 0; d < n; d++ {
-		if sel := perDest[d]; len(sel) > 0 {
-			q.emitWindows(consumer, vec.Select(b, sel, arena), d, outs)
+		if sel := perDest[d]; len(sel) == v.N { // every row is d's (skewed keys, a clustered scan)
+			q.emitWindows(consumer, b, lo, hi, d, outs)
+		} else if len(sel) > 0 {
+			q.emitWindows(consumer, vec.Select(v, sel, arena), 0, len(sel), d, outs)
 		}
 	}
 }
 
-// emitWindows queues b for consumer on node dest, one activation per
-// Batch rows.
+// emitWindows queues rows [lo,hi) of b for consumer on node dest, one
+// activation per Batch rows: each names b and its bounds, and its kernel
+// views them (activation.input) — no header is built per activation.
 //
 //hierdb:hotpath
-func (q *query) emitWindows(consumer *pop, b *vec.Batch, dest int, outs *[]*activation) {
-	for lo := 0; lo < b.N; lo += q.mq.opt.Batch {
-		*outs = append(*outs, &activation{op: consumer, b: window(b, lo, min(lo+q.mq.opt.Batch, b.N)), dest: dest})
+func (q *query) emitWindows(consumer *pop, b *vec.Batch, lo, hi, dest int, outs *[]*activation) {
+	for ; lo < hi; lo += q.mq.opt.Batch {
+		*outs = append(*outs, &activation{op: consumer, b: b, lo: lo, hi: min(lo+q.mq.opt.Batch, hi), dest: dest})
 	}
 }
 
@@ -488,26 +506,31 @@ func (q *query) emitWindows(consumer *pop, b *vec.Batch, dest int, outs *[]*acti
 // Operator kernels
 // ---------------------------------------------------------------------
 
-// processScanVec runs one scan morsel of a resident table: window the
-// columnized source and run the scan tail with the column predicates.
+// processScanVec runs one scan morsel of a resident table: rows
+// [a.lo,a.hi) of the columnized source go through the scan tail with the
+// column predicates.
 //
 //hierdb:hotpath
 func (q *query) processScanVec(a *activation, w int) (outs []*activation, results *vec.Batch) {
-	return q.scanTail(a, window(q.scanSrc(a.op), a.lo, a.hi), a.op.scan.Preds, w)
+	return q.scanTail(a, q.scanSrc(a.op), a.lo, a.hi, a.op.scan.Preds, w)
 }
 
 // scanTail is the shared end of the resident and chunk-streamed scan
-// kernels: shrink the selection with the column predicates still to be
+// kernels over rows [lo,hi) of src (a table's columnization, a decoded
+// chunk): shrink the selection with the column predicates still to be
 // applied (none for a file scan — its chunk decoder has evaluated
 // them), then with the row filter closure over a reused scratch row,
-// and emit the survivors (or return them as results for a root scan).
+// and emit the survivors (for a root scan: fold them into the group-by,
+// or return them as results). A scan that keeps every row emits src's
+// own rows: nothing is built for it.
 //
 //hierdb:hotpath
-func (q *query) scanTail(a *activation, b *vec.Batch, preds []vec.Pred, w int) (outs []*activation, results *vec.Batch) {
+func (q *query) scanTail(a *activation, src *vec.Batch, lo, hi int, preds []vec.Pred, w int) (outs []*activation, results *vec.Batch) {
 	s := a.op.scan
 	vs := &q.vscratch[w]
 	arena := &q.varenas[w]
 	if len(preds) > 0 || s.Filter != nil {
+		b := viewInto(&vs.win, src, lo, hi)
 		if cap(vs.sel) < b.N {
 			vs.sel = make([]int32, 0, b.N)
 		}
@@ -527,14 +550,18 @@ func (q *query) scanTail(a *activation, b *vec.Batch, preds []vec.Pred, w int) (
 			return nil, nil
 		}
 		if len(sel) < b.N {
-			b = vec.Select(b, sel, arena)
+			src, lo, hi = vec.Select(b, sel, arena), 0, len(sel)
 		}
 	}
-	if a.op.consumer == nil {
-		return nil, b
+	if a.op.consumer != nil {
+		q.emitBatch(a.op.consumer, src, lo, hi, &outs, vs, arena)
+		return outs, nil
 	}
-	q.emitBatch(a.op.consumer, b, &outs, vs, arena)
-	return outs, nil
+	if q.mq.gb != nil {
+		q.addOpRows(a.op, q.foldGroups(a.op, w, viewInto(&vs.win, src, lo, hi), nil))
+		return nil, nil
+	}
+	return nil, window(src, lo, hi) // a result outlives the activation: a header of its own
 }
 
 // stripeSels groups a build batch's logical rows, given their key
@@ -560,8 +587,8 @@ func (q *query) stripeSels(hs []uint64, stripes int, vs *vecScratch) [][]int32 {
 //hierdb:hotpath
 func (q *query) processBuildVec(a *activation, w int) {
 	or := q.ops[a.op.id]
-	b := a.b
 	vs := &q.vscratch[w]
+	b := a.input(vs)
 	hs := keyHashes(b, a.op.keyCol, vs)
 	for s, sel := range q.stripeSels(hs, len(or.stripes), vs) {
 		if len(sel) == 0 {
@@ -591,8 +618,8 @@ func (q *query) processProbeVec(a *activation, w int) (outs []*activation, resul
 		q.mq.fail(err)
 		return nil, nil
 	}
-	b := a.b
 	vs := &q.vscratch[w]
+	b := a.input(vs)
 	hs := keyHashes(b, a.op.keyCol, vs)
 	keyCol := &b.Cols[a.op.keyCol]
 	var cache bucketCache
@@ -634,30 +661,36 @@ func (q *query) processProbeVec(a *activation, w int) (outs []*activation, resul
 		vs.addMatches(i, ss.base, ps)
 	}
 	outs, results = q.finishProbe(a, b, store, w)
-	if cut < b.N {
-		outs = append(outs, &activation{op: a.op, b: window(b, cut, b.N), dest: q.node})
+	if a.lo+cut < a.hi {
+		outs = append(outs, &activation{op: a.op, b: a.b, lo: a.lo + cut, hi: a.hi, dest: q.node})
 	}
 	return outs, results
 }
 
-// finishProbe turns the match pairs accumulated in worker w's scratch
-// (probe row, position in the sealed build store) into the join's
-// output batch and hands it downstream — shared by the in-memory and
-// spill-phase probe kernels.
+// finishProbe consumes the match pairs accumulated in worker w's scratch
+// (probe row, position in the sealed build store) — shared by the
+// in-memory and spill-phase probe kernels. Under a group-by the root
+// probe emits nothing: the pairs fold straight into the worker's
+// partial. Any other probe assembles them into the join's output batch,
+// the query's result at the root, routed downstream elsewhere.
 //
 //hierdb:hotpath
 func (q *query) finishProbe(a *activation, b, store *vec.Batch, w int) (outs []*activation, results *vec.Batch) {
 	vs := &q.vscratch[w]
-	arena := &q.varenas[w]
-	m := len(vs.probeRows)
-	if m == 0 {
+	if len(vs.probeRows) == 0 {
 		return nil, nil
 	}
+	root := a.op.consumer == nil
+	if root && q.mq.gb != nil {
+		q.addOpRows(a.op, q.foldGroups(a.op, w, b, store))
+		return nil, nil
+	}
+	arena := &q.varenas[w]
 	out := gatherJoin(b, store, a.op.join.Out, vs, arena)
-	if a.op == q.mq.phys.root {
+	if root {
 		return nil, out
 	}
-	q.emitBatch(a.op.consumer, out, &outs, vs, arena)
+	q.emitBatch(a.op.consumer, out, 0, out.N, &outs, vs, arena)
 	return outs, nil
 }
 

@@ -250,3 +250,57 @@ func ScanPreds(r *xrand.Rand, ncols int) []ScanPred {
 	}
 	return preds
 }
+
+// AggFunc is the function of a generated aggregate. The values follow
+// the real-data engine's order (Count, Sum, Min, Max), so a materializer
+// converts by value.
+type AggFunc uint8
+
+// Aggregate functions.
+const (
+	AggCount AggFunc = iota
+	AggSum
+	AggMin
+	AggMax
+)
+
+// Agg is one generated aggregate: its function and, for every function
+// but Count, a Pick in [0,1) selecting the argument among the output's
+// numeric columns.
+type Agg struct {
+	Func AggFunc
+	Pick float64
+}
+
+// GroupBy is one generated grouped aggregation over a join query's
+// output, abstract over the plan it will end: the materializer maps the
+// picks onto real columns. The key's place matters to an engine that
+// aggregates a join without flattening it — a key from the last join's
+// build side is resolved per build row, one from its probe side per
+// match, and a projection renumbers both — so the draw covers all three.
+type GroupBy struct {
+	// KeyBuild draws the key from the build side of the plan's last join
+	// (its probe side otherwise); KeyPick, in [0,1), selects the column
+	// within that side.
+	KeyBuild bool
+	KeyPick  float64
+	// Project asks for the plan to end in a column projection, the key
+	// and the arguments named by their positions behind it; Shuffle seeds
+	// the projection's column order.
+	Project bool
+	Shuffle uint64
+	// Aggs holds one to three aggregates.
+	Aggs []Agg
+}
+
+// DrawGroupBy draws one grouped aggregation: key side and projection
+// each half the time, every function equally likely. Determinism: the
+// result depends only on r's state.
+func DrawGroupBy(r *xrand.Rand) GroupBy {
+	g := GroupBy{KeyBuild: r.Intn(2) == 0, KeyPick: r.Float64(), Project: r.Intn(2) == 0, Shuffle: r.Uint64()}
+	g.Aggs = make([]Agg, 1+r.Intn(3))
+	for i := range g.Aggs {
+		g.Aggs[i] = Agg{Func: AggFunc(r.Intn(4)), Pick: r.Float64()}
+	}
+	return g
+}

@@ -160,3 +160,31 @@ func TestScanPredsShape(t *testing.T) {
 		t.Fatalf("same state, different draws: %v vs %v", a, b)
 	}
 }
+
+// TestDrawGroupByShape: one to three aggregates, picks in range, every
+// function, both key sides and both projection choices drawn, and the
+// draw a function of the generator state alone.
+func TestDrawGroupByShape(t *testing.T) {
+	r := xrand.New(13)
+	funcs := map[AggFunc]int{}
+	shapes := map[[2]bool]int{}
+	for i := 0; i < 500; i++ {
+		g := DrawGroupBy(r)
+		if len(g.Aggs) < 1 || len(g.Aggs) > 3 || g.KeyPick < 0 || g.KeyPick >= 1 {
+			t.Fatalf("out-of-range draw %+v", g)
+		}
+		for _, a := range g.Aggs {
+			if a.Func > AggMax || a.Pick < 0 || a.Pick >= 1 {
+				t.Fatalf("out-of-range aggregate %+v", a)
+			}
+			funcs[a.Func]++
+		}
+		shapes[[2]bool{g.KeyBuild, g.Project}]++
+	}
+	if len(funcs) != 4 || len(shapes) != 4 {
+		t.Fatalf("draw misses a shape: functions %v, (build key, projected) %v", funcs, shapes)
+	}
+	if a, b := DrawGroupBy(xrand.New(5)), DrawGroupBy(xrand.New(5)); fmt.Sprint(a) != fmt.Sprint(b) {
+		t.Fatalf("same state, different draws: %v vs %v", a, b)
+	}
+}
