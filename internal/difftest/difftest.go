@@ -562,6 +562,60 @@ func (c *Case) Ragged() *Case {
 	return &rc
 }
 
+// FloatKeys returns a copy of the case whose last join compares float64
+// keys, on both sides: key 0 becomes +0.0 or -0.0 by the row id's parity
+// — one key under ==, so the two must route, spill and index alike —
+// key 1 becomes NaN, which equals nothing, every other key k float64(k).
+func (c *Case) FloatKeys() *Case {
+	rc := *c
+	rc.Tables = append([]*hierdb.Table(nil), c.Tables...)
+	last := len(c.order) - 1
+	rel, ei := c.order[last], c.attachEdge[last]
+	prev := c.q.Edges[ei].A
+	if prev == rel {
+		prev = c.q.Edges[ei].B
+	}
+	for _, r := range []int{rel, prev} {
+		col := c.keyCol[r][ei]
+		tb := &hierdb.Table{Name: c.Tables[r].Name, Cols: c.Tables[r].Cols}
+		for _, row := range c.Tables[r].Rows {
+			row = append(hierdb.Row(nil), row...)
+			switch k := row[col].(int); k {
+			case 0:
+				row[col] = math.Copysign(0, float64(1-2*(row[0].(int)%2)))
+			case 1:
+				row[col] = math.NaN()
+			default:
+				row[col] = float64(k)
+			}
+			tb.Rows = append(tb.Rows, row)
+		}
+		rc.Tables[r] = tb
+	}
+	return &rc
+}
+
+// NullPayload returns a copy of the case whose last relation — the last
+// join's build side — has a null payload in every row but each 64th: the
+// column is a string column, yet most batches a governed leg spills of
+// it hold no value at all, which the spill codec writes and reads back
+// untyped. The partition store must take them in as nulls.
+func (c *Case) NullPayload() *Case {
+	rc := *c
+	rc.Tables = append([]*hierdb.Table(nil), c.Tables...)
+	last := c.order[len(c.order)-1]
+	tb := &hierdb.Table{Name: c.Tables[last].Name, Cols: c.Tables[last].Cols}
+	for _, r := range c.Tables[last].Rows {
+		if r[0].(int)%64 != 0 {
+			r = append(hierdb.Row(nil), r...)
+			r[len(r)-1] = nil
+		}
+		tb.Rows = append(tb.Rows, r)
+	}
+	rc.Tables[last] = tb
+	return &rc
+}
+
 // Reference evaluates the case with a naive row-at-a-time interpreter —
 // no batches, no selection vectors, no arenas — and returns the result
 // multiset. It is the semantic anchor the columnar engine legs are

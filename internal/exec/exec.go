@@ -418,11 +418,9 @@ func keyHash64(k any) uint64 {
 	case uint64:
 		h = mix64(v)
 	case string:
-		f := fnv.New64a()
-		f.Write([]byte(v))
-		h = f.Sum64()
+		h = fnvString(v)
 	case float64:
-		h = mix64(math.Float64bits(v))
+		h = mix64(math.Float64bits(v + 0)) // -0.0 + 0 is +0.0: the two are == and must route alike
 	default:
 		f := fnv.New64a()
 		//hierdb:ignore hotpath cold fallback for exotic key types; the common scalar kinds are handled above

@@ -305,10 +305,10 @@ func popOldestLocked(or *opRun, n int) []*activation {
 // acquireBuckets maps into the thief's node-local cache every remote
 // hash-table bucket the stolen rows will probe, pricing the transfers
 // as shipped bytes. Buckets already cached by an earlier steal cost
-// nothing (§4's stolen-queue cache). A cached bucket shares the owner's
-// stripe — its index and, through it, the owner's sealed store, which
-// the thief seals first if no probe of the owner's has yet: both are
-// immutable from then on, so sharing is safe in-process, while the
+// nothing (§4's stolen-queue cache), an empty one included. A cached
+// bucket is the owner's sealed build side — store and index — which the
+// thief seals first if no probe of the owner's has yet: it is immutable
+// from then on, so sharing is safe in-process, while the
 // benefit/overhead score still charges the bytes a real network ship
 // would move. Single writer per fragment (rounds are single-flight),
 // readers go through the atomic pointer.
@@ -320,7 +320,7 @@ func (q *query) acquireBuckets(op *pop, acts []*activation) (copied int, bytes i
 		old = *c
 	}
 	var fresh bucketCache
-	var vs vecScratch
+	var vs, sealVS vecScratch // a seal hashes on its scratch: not the one holding hs
 	for _, a := range acts {
 		hs := keyHashes(a.input(&vs), op.keyCol, &vs)
 		for i := range hs {
@@ -330,18 +330,18 @@ func (q *query) acquireBuckets(op *pop, acts []*activation) (copied int, bytes i
 				continue
 			}
 			src := mq.frags[owner].ops[op.partner.id]
-			if err := src.seal(); err != nil {
+			side, err := src.seal(&sealVS)
+			if err != nil {
 				mq.fail(err)
 				return copied, bytes
 			}
-			stripe := src.stripes[g/mq.n]
 			if fresh == nil {
 				fresh = make(bucketCache, len(old)+4)
 				for g2, m := range old {
 					fresh[g2] = m
 				}
 			}
-			fresh[g] = stripe
+			fresh[g] = side
 			copied++
 			bytes += int64(src.stripeRows[g/mq.n]) * nominalTupleBytes
 		}

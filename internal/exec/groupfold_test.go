@@ -183,11 +183,11 @@ func TestGroupFoldSlotsFollowTheStore(t *testing.T) {
 	gb := &GroupBy{Key: 3, Aggs: []Aggregation{{Func: Count}}}
 	q, probes := probeFixture(t, fanPlan(1, 8, keys, 1, keys, nil), gb, Options{Workers: 1, Batch: keys})
 	root := q.mq.phys.root
-	bo := q.ops[root.partner.id]
-	if err := bo.seal(); err != nil {
+	side, err := q.ops[root.partner.id].seal(&q.vscratch[0])
+	if err != nil {
 		t.Fatal(err)
 	}
-	a := bo.stripes[0].sealed
+	a := side.store
 	// A second store of the same shape whose group column holds the join
 	// keys: position p is another group there.
 	b := &vec.Batch{Cols: []vec.Col{a.Cols[0], a.Cols[0], a.Cols[2]}, N: a.N}

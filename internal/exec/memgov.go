@@ -30,9 +30,14 @@ package exec
 // spillNextLocked, so the coordinator's chain barrier and the group-by
 // merge see a perfectly ordinary (if long-lived) operator.
 //
+// A governed build side is what an ungoverned one is — append-only
+// stripes, here unsized — and a partition's store is sealed and indexed
+// exactly like a whole build side (sealStore).
+//
 // Lock order: mq.mu -> pool.mu -> joinSpill.mu ->
 // memBroker.mu -> query.spillMu -> spill.File's internal mutex. Sealing
-// a build side (opRun.seal, sealStripes) happens outside all of them.
+// a build side (opRun.seal: concatenation and index build) happens
+// outside all of them.
 
 import (
 	"fmt"
@@ -52,8 +57,9 @@ const (
 	// oversized at the cap (e.g. one giant key) is joined anyway —
 	// correctness over governance.
 	maxSpillDepth = 6
-	// hashEntryBytes prices one hash-table entry beyond its row storage
-	// (map bucket share + bucket-slice header amortized).
+	// hashEntryBytes prices one hash-table entry beyond its row storage.
+	// The sealed index costs 12 bytes a row; the price is the map entry's
+	// it was set for, kept so that the spill schedule does not move.
 	hashEntryBytes = 48
 	// groupOverheadBytes prices one group-by partial entry beyond its
 	// key (groupState + map bucket share).
@@ -85,12 +91,11 @@ type spillPart struct {
 }
 
 // spillPhase is the in-flight partition join: partition part's build
-// side loaded into an in-memory columnar store (one stripe, sealed by
-// the load), charged bytes against the fragment budget until the
-// partition's probes complete.
+// side loaded into memory and sealed by the load, charged bytes against
+// the fragment budget until the partition's probes complete.
 type spillPhase struct {
 	part  spillPart
-	store *stripeStore
+	side  *buildSide
 	bytes int64
 }
 
@@ -194,28 +199,11 @@ func (q *query) memHeadroom() int64 {
 	return q.memBudget - used
 }
 
-// approxRowBytes estimates a row's resident size: slice header plus one
-// interface word pair per column plus string payloads.
-func approxRowBytes(r Row) int64 {
-	b := int64(24 + 16*len(r))
-	for _, v := range r {
-		if s, ok := v.(string); ok {
-			b += int64(len(s))
-		}
-	}
-	return b
-}
-
-// spillPartIndex maps a key to its partition at the given recursion
-// salt. Every salt level uses an independent mix of the base key hash,
-// so an oversized partition genuinely splits when re-partitioned.
-func spillPartIndex(k any, salt uint64, nparts int) int {
-	return spillPartIndexH(keyHash64(k), salt, nparts)
-}
-
-// spillPartIndexH is spillPartIndex over a precomputed keyHash64 — the
-// vectorized kernels hash a key column once and reuse the hashes for
-// stripe routing and partition indexing.
+// spillPartIndexH maps a key, by its keyHash64, to its partition at the
+// given recursion salt — the kernels hash a key column once and reuse
+// the hashes for stripe routing, partition indexing and the sealed
+// index. Every salt level uses an independent mix of the hash, so an
+// oversized partition genuinely splits when re-partitioned.
 //
 //hierdb:hotpath
 func spillPartIndexH(h, salt uint64, nparts int) int {
@@ -327,7 +315,7 @@ func (q *query) spillBatchSel(files []*spill.File, b *vec.Batch, sel []int32, hs
 }
 
 // buildGoverned is the budget-charging build path (MemoryPerNode > 0).
-// Before the spill transition it inserts into the stripes exactly like
+// Before the spill transition it appends to the stripes exactly like
 // the ungoverned path, accumulating the batch's byte charge; the worker
 // whose charge crosses the budget performs the transition. Workers
 // racing the transition divert rows whose stripe was already drained
@@ -355,8 +343,7 @@ func (q *query) buildGoverned(or *opRun, b *vec.Batch, w int) error {
 			diverted = append(diverted, sel...)
 			continue
 		}
-		or.stripes[s].insertSel(b, sel)
-		or.stripeRows[s] += len(sel)
+		or.appendStripe(s, b, sel)
 		or.locks[s].Unlock()
 		add += batchBytes(b, sel) + int64(len(sel))*hashEntryBytes
 	}
@@ -374,7 +361,7 @@ func (q *query) buildGoverned(or *opRun, b *vec.Batch, w int) error {
 }
 
 // spillTransition switches a governed join to partitioned execution:
-// create the partition files, drain the in-memory stripe stores into
+// create the partition files, drain the in-memory stripes into
 // them, refund their charge, and flip active. Single-flight via sp.mu;
 // vs is the calling worker's scratch.
 func (q *query) spillTransition(or *opRun, vs *vecScratch) error {
@@ -392,21 +379,21 @@ func (q *query) spillTransition(or *opRun, vs *vecScratch) error {
 	var freed int64
 	for s := range or.stripes {
 		or.locks[s].Lock()
-		ss := or.stripes[s]
+		ap := or.stripes[s]
 		or.stripes[s] = nil
 		or.stripeRows[s] = 0
 		or.stripeSpilled[s] = true
 		or.locks[s].Unlock()
 		// Encoding runs outside the stripe lock: the spilled mark diverts
 		// any later insert for this stripe to the partition files.
-		if ss == nil || ss.rows == 0 {
+		if ap == nil {
 			continue
 		}
-		sealed := ss.app.Batch()
-		if err := q.spillBatch(sp.build, ss.keyCol, 0, sealed, vs); err != nil {
+		rows := ap.Batch()
+		if err := q.spillBatch(sp.build, or.op.keyCol, 0, rows, vs); err != nil {
 			return err
 		}
-		freed += batchBytes(sealed, nil) + int64(sealed.N)*hashEntryBytes
+		freed += batchBytes(rows, nil) + int64(rows.N)*hashEntryBytes
 	}
 	q.unchargeMem(freed)
 	sp.active.Store(true)
@@ -506,10 +493,10 @@ func (q *query) processSpillLoad(a *activation, w int) (outs []*activation) {
 		}
 		return nil // pending grew; the next pend==0 advance picks it up
 	}
-	// Decoded batches may carry per-batch kinds (an all-null column
-	// decodes as Any), so the partition store indexes boxed — the
-	// semantic reference — with schema discovery left to the appender.
-	store := newStripeStore(nil, idxBoxed, a.op.partner.keyCol, int(part.build.Rows()))
+	// Decoded batches carry per-batch kinds — an all-null column decodes
+	// as Any — which the appender takes into its typed columns as nulls.
+	build := a.op.partner
+	app := vec.NewAppender(build.outKinds, int(part.build.Rows()))
 	var bytes int64
 	for _, ref := range part.build.Refs() {
 		db, err := part.build.ReadCols(ref)
@@ -517,17 +504,17 @@ func (q *query) processSpillLoad(a *activation, w int) (outs []*activation) {
 			q.mq.fail(err)
 			return nil
 		}
-		store.insertSel(db, vec.Ident(db.N))
+		app.AppendBatch(db)
 		bytes += batchBytes(db, nil) + int64(db.N)*hashEntryBytes
 	}
-	// One stripe: the seal aliases its storage, nothing is copied.
-	if err := sealStripes([]*stripeStore{store}); err != nil {
+	side, err := sealStore(app.Batch(), build.keyCol, vs)
+	if err != nil {
 		q.mq.fail(err)
 		return nil
 	}
 	q.chargeMem(bytes) // may exceed at the depth cap; accepted
 	q.spillPhases.Add(1)
-	phase := &spillPhase{part: part, store: store, bytes: bytes}
+	phase := &spillPhase{part: part, side: side, bytes: bytes}
 	sp.mu.Lock()
 	sp.cur = phase
 	sp.mu.Unlock()
@@ -589,15 +576,16 @@ func (q *query) processSpillProbe(a *activation, w int) (outs []*activation, res
 		q.mq.fail(err)
 		return nil, nil
 	}
-	ss := a.spill.phase.store
+	bs := a.spill.phase.side
 	vs := &q.vscratch[w]
 	kc := &pb.Cols[a.op.keyCol]
+	hs := keyHashes(pb, a.op.keyCol, vs)
 	vs.probeRows = vs.probeRows[:0]
 	vs.bpos = vs.bpos[:0]
-	for i := 0; i < pb.N; i++ {
-		vs.addMatches(i, ss.base, ss.lookup(kc, i))
+	for i := range hs {
+		bs.match(vs, kc, i, hs[i])
 	}
-	return q.finishProbe(a, pb, ss.sealed, w)
+	return q.finishProbe(a, pb, bs.store, w)
 }
 
 // governGroupPartial charges worker w's group-by partial growth and

@@ -74,8 +74,8 @@ const (
 )
 
 // hashTableOverhead scales raw build bytes to hash-table residency for
-// the spill-expectation heuristic (stripe stores keep boxed mirrors and
-// index slots alongside the values).
+// the spill-expectation heuristic (a build store keeps boxed words and
+// the governor prices an index entry alongside the values).
 const hashTableOverhead = 2.0
 
 // Optimize plans the query rooted at root under the given mode. It

@@ -38,11 +38,9 @@ type pop struct {
 	est      float64
 
 	// Columnar schema, fixed at compile: the operator's output column
-	// kinds, a build's or probe's key column in its input's schema, and,
-	// for builds, the hash-index representation.
+	// kinds and a build's or probe's key column in its input's schema.
 	outKinds []vec.Kind
 	keyCol   int
-	idxKind  int
 }
 
 type physical struct {
@@ -114,7 +112,6 @@ func (p *physical) expand(n Node) (*pop, error) {
 		prb.est = v.estimate()
 		bld.keyCol, prb.keyCol = v.BuildKey, v.ProbeKey
 		bld.outKinds, prb.outKinds = b.outKinds, joinKinds(pr.outKinds, bw, v.Out)
-		bld.idxKind = indexKind(b.outKinds[v.BuildKey], pr.outKinds[v.ProbeKey])
 		return prb, nil
 	case nil:
 		return nil, fmt.Errorf("exec: nil plan node (missing join input?)")
@@ -221,16 +218,19 @@ type opRun struct {
 	rr     int             // enqueue round-robin cursor
 	queued int             // activations across all queues (pick fast path)
 
-	// hash table (build/probe pairs share via partner): one columnar
-	// stripe store per lock stripe.
-	stripes []*stripeStore
-	locks   []sync.Mutex //hierdb:lock stripe
+	// Build side (build operators; the probe reaches it via partner).
+	// While the build chain runs: one append-only columnar stripe per
+	// lock, nil until its first row and presized for stripeHint rows then.
+	stripes    []*vec.Appender
+	locks      []sync.Mutex //hierdb:lock stripe
+	stripeHint int
 	// sealOnce single-flights the seal of the build side (opRun.seal)
-	// that the first probe or thief triggers after the build barrier.
-	// The seal takes no tracked lock and is never entered with a pool,
-	// mq, jspill or stripe lock held: a waiter on the Once would stall
-	// a scheduler for the length of a copy.
+	// that the first probe or thief triggers after the build barrier and
+	// that turns the stripes into side. The seal takes no tracked lock and
+	// is never entered with a pool, mq, jspill or stripe lock held: a
+	// waiter on the Once would stall a scheduler for the length of a copy.
 	sealOnce sync.Once
+	side     *buildSide
 	sealErr  error
 	// stripeRows counts tuples per stripe (guarded by the stripe lock);
 	// the steal protocol prices bucket shipping with it.
@@ -250,12 +250,12 @@ type opRun struct {
 	cache atomic.Pointer[bucketCache]
 }
 
-// bucketCache maps global bucket ids to hash-table stripes acquired
-// from their owner node. The owner's build side is sealed before its
-// stripes are cached and immutable from then on, so acquisition shares
-// the stripe's index and the owner's sealed store and accounts the
-// shipped bytes.
-type bucketCache = map[int]*stripeStore
+// bucketCache maps the global bucket ids acquired from their owner node
+// to that owner's sealed build side — non-nil for an empty bucket too,
+// so a bucket is acquired once. The side is sealed before it is cached
+// and immutable from then on, so acquisition shares it and accounts the
+// bucket's shipped bytes.
+type bucketCache = map[int]*buildSide
 
 // query is one node's fragment of an in-flight query: the compiled
 // plan's operator queues on that node's pool, the node-local scheduling
@@ -357,25 +357,26 @@ type query struct {
 	opRows     []int64
 }
 
-// newFragment builds the fragment of mq that runs on node. Key routing
-// spreads a build table across the engine's nodes, so fragment
-// hash-table presizing divides by the node count.
+// newFragment builds the fragment of mq that runs on node. A build
+// operator gets its per-stripe arrays and no stripe: a stripe costs
+// nothing until a row is routed to it. Key routing spreads a build table
+// across the engine's nodes, so stripe presizing divides by the node
+// count; a governed build drains its stripes at the budget, long before
+// the estimate, so leaves them unsized.
 func newFragment(mq *mquery, node int) *query {
 	phys, gb, opt := mq.phys, mq.gb, mq.opt
 	q := &query{mq: mq, node: node, pool: mq.nodes.pools[node]}
 	for _, op := range phys.ops {
 		or := &opRun{op: op, queues: make([][]*activation, opt.Workers)}
 		if op.kind == opBuild {
-			or.stripes = make([]*stripeStore, opt.Stripes)
-			hint := int(op.est)/(opt.Stripes*mq.n) + 1
-			for i := range or.stripes {
-				or.stripes[i] = newStripeStore(op.outKinds, op.idxKind, op.keyCol, hint)
-			}
+			or.stripes = make([]*vec.Appender, opt.Stripes)
 			or.locks = make([]sync.Mutex, opt.Stripes)
 			or.stripeRows = make([]int, opt.Stripes)
 			if opt.MemoryPerNode > 0 {
 				or.spill = &joinSpill{}
 				or.stripeSpilled = make([]bool, opt.Stripes)
+			} else {
+				or.stripeHint = int(op.est)/(opt.Stripes*mq.n) + 1
 			}
 		}
 		q.ops = append(q.ops, or)

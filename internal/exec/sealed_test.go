@@ -48,17 +48,24 @@ func probeFixture(t testing.TB, plan Node, gb *GroupBy, opt Options) (q *query, 
 }
 
 // widePlan joins probeRows probe rows to a buildRows-row build side of
-// the given width (key first), fan-out probeRows/buildRows.
+// the given width (key first), every build key distinct: one match per
+// probe row.
 func widePlan(buildRows, probeRows, width int) *Join {
+	return dupPlan(buildRows, probeRows, width, buildRows)
+}
+
+// dupPlan is widePlan with the build keys drawn from distinct values:
+// buildRows/distinct matches per probe row.
+func dupPlan(buildRows, probeRows, width, distinct int) *Join {
 	build := &Table{Name: "b"}
 	for i := 0; i < buildRows; i++ {
-		row := Row{1000 + i}
+		row := Row{1000 + i%distinct}
 		for c := 1; c < width; c++ {
 			row = append(row, 5000+i*width+c)
 		}
 		build.Rows = append(build.Rows, row)
 	}
-	probe := tbl("p", probeRows, func(i int) any { return 1000 + i%buildRows }, func(i int) any { return i })
+	probe := tbl("p", probeRows, func(i int) any { return 1000 + i%distinct }, func(i int) any { return i })
 	return &Join{Build: &Scan{Table: build}, Probe: &Scan{Table: probe}, BuildKey: 0, ProbeKey: 0}
 }
 
@@ -207,10 +214,10 @@ func TestProbeOutputAliasesSealedStore(t *testing.T) {
 	for _, a := range probes {
 		_, out := q.processProbeVec(a, 0)
 		if sealed == nil {
-			sealed = bo.stripes[0].sealed
-			if sealed == nil || sealed.N != buildRows {
-				t.Fatalf("first probe left the build side unsealed: %+v", sealed)
+			if bo.side == nil || bo.side.store.N != buildRows {
+				t.Fatalf("first probe left the build side unsealed: %+v", bo.side)
 			}
+			sealed = bo.side.store
 		}
 		rows += out.N
 		pw := len(a.b.Cols)
@@ -230,9 +237,9 @@ func TestProbeOutputAliasesSealedStore(t *testing.T) {
 	if rows != probeRows {
 		t.Fatalf("%d output rows, want %d", rows, probeRows)
 	}
-	for _, ss := range bo.stripes {
-		if ss.app != nil || ss.sealed != sealed {
-			t.Fatal("a stripe kept its row storage past the seal")
+	for _, ap := range bo.stripes {
+		if ap != nil {
+			t.Fatal("a stripe outlived the seal")
 		}
 	}
 }
@@ -291,23 +298,26 @@ func nestedJoinHashed(plan *Join) []Row {
 
 // TestProbeCutsAtSecondStore: a probe batch whose matches lie in two
 // sealed stores (no routing produces one, the kernel must not rely on
-// it) is cut at the first row matching in the second store: the rows
-// before it become an output over the first store, the rest an
-// activation of its own, and together they are the whole join.
+// it) is cut at the first row of the second store: the rows before it
+// become an output over the first store, the rest an activation of its
+// own, and together they are the whole join.
 func TestProbeCutsAtSecondStore(t *testing.T) {
 	const buildRows, probeRows = 64, 256
 	plan := widePlan(buildRows, probeRows, 2)
 	q, probes := probeFixture(t, plan, nil, Options{Workers: 1, Stripes: 4, Batch: probeRows})
-	bo := q.ops[q.mq.phys.root.partner.id]
-	if err := bo.seal(); err != nil {
+	root := q.mq.phys.root
+	own, err := q.ops[root.partner.id].seal(&q.vscratch[0])
+	if err != nil {
 		t.Fatal(err)
 	}
-	// Give stripe 1 a sealed store of its own, holding the same rows.
-	old := bo.stripes[1]
-	own := &vec.Batch{Cols: append([]vec.Col(nil), old.sealed.Cols...), N: old.sealed.N}
-	moved := *old
-	moved.sealed = own
-	bo.stripes[1] = &moved
+	// Pretend the engine has a second node owning the odd buckets, whose
+	// sealed side — a store of its own holding the same rows — this node
+	// has acquired.
+	q.mq.n, q.mq.buckets = 2, 2*4
+	theirs := *own
+	theirs.store = &vec.Batch{Cols: append([]vec.Col(nil), own.store.Cols...), N: own.store.N}
+	cache := bucketCache{1: &theirs, 3: &theirs, 5: &theirs, 7: &theirs}
+	q.ops[root.id].cache.Store(&cache)
 
 	var got []Row
 	var arena vec.Arena
@@ -331,34 +341,244 @@ func TestProbeCutsAtSecondStore(t *testing.T) {
 }
 
 // TestBuildTooLargeIsTypedError: positions in a sealed store are int32;
-// a build side past that is refused with ErrBuildTooLarge before any row
-// moves, not sealed with wrapped positions.
+// a store past that is refused with ErrBuildTooLarge before a slot is
+// allocated, not indexed with wrapped positions.
 func TestBuildTooLargeIsTypedError(t *testing.T) {
-	stripes := make([]*stripeStore, 3)
-	for i := range stripes {
-		stripes[i] = newStripeStore(nil, idxBoxed, 0, 0)
-		stripes[i].rows = math.MaxInt32/2 + 1
+	var vs vecScratch
+	if _, err := sealStore(&vec.Batch{N: math.MaxInt32 + 1}, 0, &vs); !errors.Is(err, ErrBuildTooLarge) {
+		t.Fatalf("sealing 2^31 rows: %v, want ErrBuildTooLarge", err)
 	}
-	err := sealStripes(stripes[:2])
-	if !errors.Is(err, ErrBuildTooLarge) {
-		t.Fatalf("sealing 2^31+1 rows: %v, want ErrBuildTooLarge", err)
+}
+
+// sealKeys seals a one-column store holding keys (columnized as FromRows
+// resolves them; boxless drops a typed column's Box on the probe side
+// only — a store keeps its own).
+func sealKeys(t *testing.T, keys ...any) *buildSide {
+	t.Helper()
+	rows := make([]Row, len(keys))
+	for i, k := range keys {
+		rows[i] = Row{k}
 	}
-	if stripes[0].sealed != nil || stripes[0].app == nil {
-		t.Fatal("a refused seal touched the stripes")
+	ap := vec.NewAppender(nil, 0)
+	ap.AppendBatch(vec.FromRows(rows))
+	bs, err := sealStore(ap.Batch(), 0, new(vecScratch))
+	if err != nil {
+		t.Fatal(err)
 	}
-	stripes[2].rows = math.MaxInt32/2 - 1
-	if err := sealStripes([]*stripeStore{stripes[0], stripes[2]}); err != nil {
-		t.Fatalf("sealing 2^31-1 rows: %v", err)
+	return bs
+}
+
+// matches probes bs with each key and returns, per key, the store
+// positions matched in the order the chain walk reported them.
+func matches(bs *buildSide, boxless bool, keys ...any) [][]int32 {
+	rows := make([]Row, len(keys))
+	for i, k := range keys {
+		rows[i] = Row{k}
 	}
-	if stripes[2].base != math.MaxInt32/2+1 {
-		t.Fatalf("second stripe based at %d", stripes[2].base)
+	pb := vec.FromRows(rows)
+	kc := &pb.Cols[0]
+	if boxless && kc.Kind != vec.Any {
+		kc.Box = nil
+	}
+	var vs vecScratch
+	hs := keyHashes(pb, 0, &vs)
+	out := make([][]int32, len(keys))
+	for i := range keys {
+		bs.match(&vs, kc, i, hs[i])
+	}
+	for j, pr := range vs.probeRows {
+		out[pr] = append(out[pr], vs.bpos[j])
+	}
+	return out
+}
+
+// TestSealedIndex is the chained index on its own, against what Go's ==
+// on the boxed keys says (the map[any] the index replaced): collisions,
+// duplicates, nulls, cross-kind keys, floats, mixed-kind columns.
+func TestSealedIndex(t *testing.T) {
+	eq := func(t *testing.T, got [][]int32, want ...[]int32) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("%d probe rows, want %d", len(got), len(want))
+		}
+		for i := range want {
+			if fmt.Sprint(got[i]) != fmt.Sprint(want[i]) {
+				t.Fatalf("probe row %d matched store positions %v, want %v (all: %v)", i, got[i], want[i], got)
+			}
+		}
+	}
+	t.Run("collisions chain", func(t *testing.T) {
+		// 3 000 distinct keys in 6 000 slots: hundreds of slots hold two
+		// keys or more, and every key still finds exactly its own row.
+		const n = 3_000
+		keys := make([]any, n)
+		for i := range keys {
+			keys[i] = fmt.Sprintf("k%d", i*7)
+		}
+		bs := sealKeys(t, keys...)
+		shared := 0
+		for _, h := range bs.heads {
+			if h != 0 && bs.next[h-1] != 0 {
+				shared++
+			}
+		}
+		if shared < n/20 {
+			t.Fatalf("only %d of %d slots chain two rows: the fixture forces no collision", shared, len(bs.heads))
+		}
+		for _, boxless := range []bool{false, true} {
+			for i, ps := range matches(bs, boxless, keys...) {
+				if len(ps) != 1 || int(ps[0]) != i {
+					t.Fatalf("key %v (boxless probe %v) matched %v, want [%d]", keys[i], boxless, ps, i)
+				}
+			}
+		}
+		eq(t, matches(bs, false, "k1", "absent", ""), nil, nil, nil)
+	})
+	t.Run("duplicates ascend", func(t *testing.T) {
+		keys := make([]any, 2_100)
+		for i := range keys {
+			keys[i] = i % 7 // more rows than one hashing chunk, 300 a key
+		}
+		bs := sealKeys(t, keys...)
+		for k, ps := range matches(bs, true, 0, 1, 2, 3, 4, 5, 6) {
+			if len(ps) != 300 {
+				t.Fatalf("key %d matched %d rows, want 300", k, len(ps))
+			}
+			for j, p := range ps {
+				if int(p) != k+7*j {
+					t.Fatalf("key %d: match %d is position %d, want %d (store order)", k, j, p, k+7*j)
+				}
+			}
+		}
+	})
+	t.Run("null meets null only", func(t *testing.T) {
+		for _, keys := range [][]any{{0, nil, 5, nil, 0}, {"", nil, "a", nil, ""}, {0.0, nil, 2.5, nil, 0.0}, {false, nil, true, nil, false}, {0, nil, "a", nil, 0}} {
+			bs := sealKeys(t, keys...)
+			for _, boxless := range []bool{false, true} {
+				eq(t, matches(bs, boxless, nil, keys[0], keys[2]), []int32{1, 3}, []int32{0, 4}, []int32{2})
+			}
+		}
+	})
+	t.Run("kinds do not cross", func(t *testing.T) {
+		ints := sealKeys(t, 5, 6, 5)
+		eq(t, matches(ints, true, int64(5), int32(5), uint64(5), 5.0, "5", 5), nil, nil, nil, nil, nil, []int32{0, 2})
+		eq(t, matches(ints, true, int64(5), nil), nil, nil) // a typed column of another kind
+		mixed := sealKeys(t, 5, int64(5), "5", 5.0, nil, true)
+		for _, boxless := range []bool{false, true} {
+			eq(t, matches(mixed, boxless, 5), []int32{0})
+			eq(t, matches(mixed, boxless, int64(5)), []int32{1})
+			eq(t, matches(mixed, boxless, "5"), []int32{2})
+			eq(t, matches(mixed, boxless, 5.0), []int32{3})
+			eq(t, matches(mixed, boxless, true, false), []int32{5}, nil)
+		}
+		eq(t, matches(mixed, false, int64(5), 5, nil, uint64(5)), []int32{1}, []int32{0}, []int32{4}, nil)
+	})
+	t.Run("floats", func(t *testing.T) {
+		negZero := math.Copysign(0, -1)
+		bs := sealKeys(t, math.NaN(), 0.0, negZero, 1.5, math.NaN())
+		for _, boxless := range []bool{false, true} {
+			eq(t, matches(bs, boxless, math.NaN(), negZero, 0.0, 1.5), nil, []int32{1, 2}, []int32{1, 2}, []int32{3})
+		}
+		anyStore := sealKeys(t, math.NaN(), 0.0, negZero, "x")
+		eq(t, matches(anyStore, true, math.NaN(), negZero), nil, []int32{1, 2})
+	})
+}
+
+// TestEmptyBuildSide: a join whose build side has no row — or none on
+// some node — seals to an empty store, which every probe row misses.
+func TestEmptyBuildSide(t *testing.T) {
+	checkQueryHygiene(t)
+	probe := tbl("p", 500, func(i int) any { return i }, func(i int) any { return i })
+	for _, build := range []*Table{{Name: "none", Cols: []string{"k", "v"}}, tbl("one", 1, func(int) any { return 7 }, func(int) any { return "x" })} {
+		plan := &Join{Build: &Scan{Table: build}, Probe: &Scan{Table: probe}}
+		for _, nodes := range []int{1, 2} {
+			h, err := newNodesT(t, nodes, 2).Submit(context.Background(), plan, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := drainRows(h)
+			if err := h.Err(); err != nil {
+				t.Fatal(err)
+			}
+			sameRows(t, got, nestedJoinHashed(plan))
+		}
+	}
+}
+
+// TestUncomparableKeyIsQueryPanic: equal keys of a type Go cannot
+// compare meet in one chain, where == panics; the query ends in
+// ErrQueryPanic and the engine serves the next one.
+func TestUncomparableKeyIsQueryPanic(t *testing.T) {
+	checkQueryHygiene(t)
+	key := func(i int) any { return []int{i % 4} }
+	plan := &Join{Build: &Scan{Table: tbl("b", 8, key, key)}, Probe: &Scan{Table: tbl("p", 64, key, key)}}
+	ns := newNodesT(t, 1, 2)
+	h, err := ns.Submit(context.Background(), plan, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	drainRows(h)
+	if err := h.Err(); !errors.Is(err, ErrQueryPanic) {
+		t.Fatalf("joining on slice keys: %v, want ErrQueryPanic", err)
+	}
+	good := widePlan(10, 100, 2)
+	if h, err = ns.Submit(context.Background(), good, Options{}); err != nil {
+		t.Fatal(err)
+	}
+	sameRows(t, drainRows(h), nestedJoinHashed(good))
+	verifyIdle(t, ns)
+}
+
+// TestEmptyRemoteBucketAcquiredOnce: a thief caches the owner's sealed
+// side under every remote bucket its stolen rows hash to, whether the
+// bucket holds build rows or not — so a second steal of rows for the
+// same buckets acquires, and prices, nothing.
+func TestEmptyRemoteBucketAcquiredOnce(t *testing.T) {
+	const stripes = 8
+	mine := keysOwnedBy(0, 2, stripes, 40)
+	plan := &Join{Build: &Scan{Table: tbl("b", 1, func(int) any { return mine[0] }, func(int) any { return "x" })},
+		Probe: &Scan{Table: tbl("p", len(mine), func(i int) any { return mine[i] }, func(i int) any { return i })}}
+	phys, err := compile(plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt, err := Options{Workers: 1, Stripes: stripes}.validateFor(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ns := &Nodes{n: 2, workers: 1, pools: []*pool{{}, {}}}
+	mq := &ns.newQuery(context.Background(), phys, nil, opt).mq
+	owner, thief := mq.frags[0], mq.frags[1]
+	// Node 0 builds its one row; its other buckets stay empty.
+	build := phys.root.partner
+	owner.process(&activation{op: build, b: columnize(plan.Build.(*Scan).Table), lo: 0, hi: 1}, 0)
+	stolen := []*activation{{op: phys.root, b: columnize(plan.Probe.(*Scan).Table), lo: 0, hi: len(mine)}}
+	copied, bytes := thief.acquireBuckets(phys.root, stolen)
+	if copied < 2 || copied > stripes || bytes != nominalTupleBytes {
+		t.Fatalf("first steal acquired %d buckets for %d B, want every bucket the rows touch (2..%d) and one build row's bytes", copied, bytes, stripes)
+	}
+	cache := *thief.ops[phys.root.id].cache.Load()
+	for g, side := range cache {
+		if side == nil || side != owner.ops[build.id].side || side.store.N != 1 {
+			t.Fatalf("bucket %d is cached as %+v, want the owner's sealed side", g, side)
+		}
+	}
+	if again, bytes := thief.acquireBuckets(phys.root, stolen); again != 0 || bytes != 0 {
+		t.Fatalf("second steal acquired %d buckets for %d B: an empty bucket is not remembered", again, bytes)
+	}
+	if est := mq.shipEstimate(thief, phys.root, stolen); est != int64(len(mine))*nominalTupleBytes {
+		t.Fatalf("a steal with every bucket cached is priced at %d B, want the rows alone", est)
+	}
+	_, out := thief.processProbeVec(stolen[0], 0)
+	if out == nil || out.N != 1 {
+		t.Fatalf("the thief's probe of the stolen rows: %+v, want the one match", out)
 	}
 }
 
 // TestStolenOutputsReferenceOwnerStore: under total key skew onto node
 // 0 the starving peer steals probe activations, and what it emits for
 // them selects from node 0's sealed store — the thief caches the
-// owner's stripes, it copies no rows. The result equals the reference
+// owner's sealed side, it copies no rows. The result equals the reference
 // with stealing on and off. Run under -race.
 func TestStolenOutputsReferenceOwnerStore(t *testing.T) {
 	checkQueryHygiene(t)
@@ -382,8 +602,7 @@ func TestStolenOutputsReferenceOwnerStore(t *testing.T) {
 			for b := range h.Out() {
 				// Every key is node 0's: whichever node emitted the
 				// batch, its build columns are node 0's sealed columns.
-				sealed := owner.stripes[0].sealed
-				if bc := &b.Cols[len(b.Cols)-1]; sealed == nil || &bc.Str[0] != &sealed.Cols[1].Str[0] {
+				if bc := &b.Cols[len(b.Cols)-1]; owner.side == nil || &bc.Str[0] != &owner.side.store.Cols[1].Str[0] {
 					t.Fatalf("stealing off=%v: an output batch's build column is not the owner's sealed column", off)
 				}
 				got = b.AppendRows(got, &arena)
@@ -463,18 +682,87 @@ func TestCancelDuringSeal(t *testing.T) {
 	}
 }
 
+// TestBuildSideAllocBound is the seal's alloc gate (run by CI): turning
+// a finished build side into its sealed form — the stripes' rows into
+// one store, the store indexed — makes the same handful of allocations
+// whether the side holds a thousand rows or a hundred thousand, of two
+// distinct keys or all distinct (a column's storage, the index: nothing
+// per key, nothing per row), and the index is 12 bytes a row.
+func TestBuildSideAllocBound(t *testing.T) {
+	for _, n := range []int{1_000, 100_000} {
+		for _, distinct := range []int{2, n} {
+			q, _ := probeFixture(t, dupPlan(n, 1, 2, distinct), nil, Options{Workers: 1})
+			bo := q.ops[q.mq.phys.root.partner.id]
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			side, err := bo.seal(&q.vscratch[0])
+			runtime.ReadMemStats(&m1)
+			if err != nil || side.store.N != n {
+				t.Fatalf("sealing %d rows: %+v, %v", n, side, err)
+			}
+			// Per column its Box and its mirror, the batch and its header
+			// array, the index and its header, the hash scratch: 9.
+			if allocs := m1.Mallocs - m0.Mallocs; allocs > 12 {
+				t.Fatalf("sealing %d rows of %d keys made %d allocations, want <= 12", n, distinct, allocs)
+			}
+			perRow := float64(4*(len(side.heads)+len(side.next))) / float64(n)
+			if perRow > 16 {
+				t.Fatalf("the index over %d rows takes %.1f B a row, want <= 16", n, perRow)
+			}
+			t.Logf("%d rows, %d keys: %d allocations, index %.0f B a row", n, distinct, m1.Mallocs-m0.Mallocs, perRow)
+		}
+	}
+}
+
+// TestFragmentAllocsIndependentOfStripes: a stripe costs nothing until a
+// row is routed to it, so a one-row join makes the same number of
+// allocations — compile to first result — at 8 stripes and at 256. What
+// grows is four arrays with an element per stripe: the fragment's
+// stripes, locks and row counts, and the worker's routing lists.
+func TestFragmentAllocsIndependentOfStripes(t *testing.T) {
+	run := func(stripes int) (mallocs, bytes uint64) {
+		plan := widePlan(1, 1, 2)
+		columnize(plan.Build.(*Scan).Table)
+		columnize(plan.Probe.(*Scan).Table)
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		q, probes := probeFixture(t, plan, nil, Options{Workers: 1, Stripes: stripes})
+		_, out := q.processProbeVec(probes[0], 0)
+		runtime.ReadMemStats(&m1)
+		if out == nil || out.N != 1 {
+			t.Fatalf("%d stripes: %+v, want the one match", stripes, out)
+		}
+		return m1.Mallocs - m0.Mallocs, m1.TotalAlloc - m0.TotalAlloc
+	}
+	run(8) // the identity table, the test's own lazy state
+	m8, b8 := run(8)
+	m256, b256 := run(256)
+	// 8 B a stripe for each of the fragment's three arrays, 24 B for a
+	// routing list's header; half as much again for size-class rounding.
+	if per := (8 + 8 + 8 + 24) * (256 - 8) * 3 / 2; m256 != m8 || b256 > b8+uint64(per) {
+		t.Fatalf("a one-row join: %d allocations and %d B at 8 stripes, %d and %d B at 256, want the same count and <= %d B more", m8, b8, m256, b256, per)
+	}
+	t.Logf("%d allocations; %d B at 8 stripes, %d B at 256", m8, b8, b256)
+}
+
 // BenchmarkJoinProbeGather is the probe kernel alone: a resident
-// 100 000-row probe against a sealed 2 000-row build side (fan-out 50)
-// at three build widths. Per match it carves two positions; the build
-// width shows only in the per-batch column headers.
+// 100 000-row probe against a sealed 2 000-row build side at three build
+// widths, one match per probe row, and — distinct=40 — against 40 keys
+// of 50 rows each, 50 matches per probe row down one chain. Per match it
+// carves two positions; the build width shows only in the per-batch
+// column headers.
 func BenchmarkJoinProbeGather(b *testing.B) {
 	const buildRows, probeRows = 2_000, 100_000
-	for _, width := range []int{1, 4, 16} {
-		b.Run(fmt.Sprintf("width=%d", width), func(b *testing.B) {
-			q, probes := probeFixture(b, widePlan(buildRows, probeRows, width), nil, Options{Workers: 1, Batch: 1024})
+	for _, tc := range []struct {
+		name            string
+		width, distinct int
+	}{{"width=1", 1, buildRows}, {"width=4", 4, buildRows}, {"width=16", 16, buildRows}, {"distinct=40", 4, 40}} {
+		b.Run(tc.name, func(b *testing.B) {
+			fan := buildRows / tc.distinct
+			q, probes := probeFixture(b, dupPlan(buildRows, probeRows, tc.width, tc.distinct), nil, Options{Workers: 1, Batch: 1024})
 			run := func() {
 				for _, a := range probes {
-					if _, out := q.processProbeVec(a, 0); out.N != a.hi-a.lo {
+					if _, out := q.processProbeVec(a, 0); out.N != (a.hi-a.lo)*fan {
 						b.Fatalf("%d matches for %d probe rows", out.N, a.hi-a.lo)
 					}
 				}
@@ -489,9 +777,47 @@ func BenchmarkJoinProbeGather(b *testing.B) {
 			}
 			b.StopTimer()
 			runtime.ReadMemStats(&m1)
-			matches := float64(probeRows) * float64(b.N)
+			matches := float64(probeRows*fan) * float64(b.N)
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/matches, "ns/match")
 			b.ReportMetric(float64(m1.TotalAlloc-m0.TotalAlloc)/matches, "B/match")
 		})
+	}
+}
+
+// BenchmarkSealIndex is the seal alone — the stripes' rows concatenated
+// into one store and the store indexed — over build sides of 2 000 and
+// 200 000 two-column rows keyed by distinct ints or strings. The seal is
+// serial (one worker seals, the others wait on it), so on a large build
+// side this is latency every probe worker pays once.
+func BenchmarkSealIndex(b *testing.B) {
+	for _, n := range []int{2_000, 200_000} {
+		for _, kind := range []string{"int", "string"} {
+			b.Run(fmt.Sprintf("rows=%d/key=%s", n, kind), func(b *testing.B) {
+				key := func(i int) any { return i }
+				if kind == "string" {
+					key = func(i int) any { return fmt.Sprintf("key-%08d", i) }
+				}
+				plan := &Join{Build: &Scan{Table: tbl("b", n, key, func(i int) any { return i })},
+					Probe: &Scan{Table: tbl("p", 1, key, key)}}
+				var m0, m1 runtime.MemStats
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					b.StopTimer() // the build is the fixture's, the seal is what is timed
+					q, _ := probeFixture(b, plan, nil, Options{Workers: 1})
+					bo := q.ops[q.mq.phys.root.partner.id]
+					runtime.ReadMemStats(&m0)
+					b.StartTimer()
+					side, err := bo.seal(&q.vscratch[0])
+					b.StopTimer()
+					runtime.ReadMemStats(&m1)
+					if err != nil || side.store.N != n {
+						b.Fatalf("sealed %+v, %v", side, err)
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(n*b.N), "ns/row")
+				b.ReportMetric(float64(m1.TotalAlloc-m0.TotalAlloc)/float64(n), "B/row")
+			})
+		}
 	}
 }

@@ -165,7 +165,7 @@ func TestSpilledBytesMatchesFiles(t *testing.T) {
 	for _, side := range []*Table{plan.Build.(*Scan).Table, plan.Probe.(*Scan).Table} {
 		parts := make([][]Row, spillFanout)
 		for _, r := range side.Rows {
-			p := spillPartIndex(r[0], 0, spillFanout)
+			p := spillPartIndexH(keyHash64(r[0]), 0, spillFanout)
 			parts[p] = append(parts[p], r)
 		}
 		for _, rows := range parts {

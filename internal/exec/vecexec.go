@@ -2,12 +2,14 @@ package exec
 
 // Vectorized execution kernels: the columnar hot path of the engine.
 // Scans carve windows from columnized tables and evaluate predicates
-// as per-column loops, builds hash whole key columns and accumulate
-// typed per-stripe column stores, probes hash the probe key column and
-// walk typed indexes. A join's output is a pair of selections: the
-// stripes' rows are sealed into one dense store before the first probe
-// (sealStripes), and an output batch is the probe batch's columns under
-// a composed selection next to the sealed store's columns under one
+// as per-column loops, builds hash whole key columns and append rows to
+// per-stripe columnar appenders — nothing is indexed while the build
+// runs — and probes hash the probe key column and walk one chained hash
+// index. A join's output is a pair of selections: past the chain barrier
+// the first probe seals the build side (opRun.seal) — the stripes' rows
+// move into one dense store and one pass over its key column fills the
+// index — and an output batch is the probe batch's columns under a
+// composed selection next to the sealed store's columns under one
 // shared position vector — no build value is copied per match. All row
 // materialization funnels through vec's AppendRows/ReadRow boundary,
 // and column values are read typed or through Col.Value, never
@@ -21,15 +23,16 @@ package exec
 // find a key or asks whether a schema is known.
 //
 // Hash parity: every kernel reproduces keyHash64 bit-for-bit (mix64
-// for the int family and float bits, FNV-1a for strings, and the
-// precomputed fmt-fallback hashes for nil/bool), so stripe routing,
-// node ownership and spill partitioning are identical to the row
-// engine's.
+// for the int family and float bits with -0.0 folded into +0.0, FNV-1a
+// for strings, and the precomputed fmt-fallback hashes for nil/bool), so
+// stripe routing, node ownership, spill partitioning and the sealed
+// index's slots all derive from one hash per row.
 
 import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 
 	"hierdb/internal/vec"
 )
@@ -59,13 +62,6 @@ func fnvString(s string) uint64 {
 // Operator schemas
 // ---------------------------------------------------------------------
 
-// Index representations of a build operator's hash table.
-const (
-	idxBoxed = iota // map[any] — exact Go map semantics for every key type
-	idxI64          // int-family keys, both sides the identical kind
-	idxStr          // string keys both sides
-)
-
 // scanKinds is a scan's output schema. A file-backed table's is its
 // footer's — exactly what a resident FromRows over the table would have
 // resolved; a resident table's is its columnization's, as wide as its
@@ -89,8 +85,7 @@ func scanKinds(t *Table) []vec.Kind {
 // (empty = all) of the probe input's kinds followed by Any for each of
 // the bw build columns. Build columns are reported Any although the
 // batches carry them as the sealed store holds them, typed or not — a
-// consumer pre-shaped for Any takes either, and typed indexes over them
-// are not claimed here.
+// consumer pre-shaped for Any takes either.
 func joinKinds(probe []vec.Kind, bw int, out []int) []vec.Kind {
 	all := make([]vec.Kind, len(probe)+bw)
 	copy(all, probe)
@@ -102,22 +97,6 @@ func joinKinds(probe []vec.Kind, bw int, out []int) []vec.Kind {
 		kinds[i] = all[c]
 	}
 	return kinds
-}
-
-// indexKind picks a build's index representation from the two sides'
-// key-column kinds: typed only when they are the identical int-family
-// kind or both String — the boxed map is the semantic reference
-// (cross-type inequality, NaN, ±0.0, nil keys), so anything else stays
-// boxed.
-func indexKind(build, probe vec.Kind) int {
-	switch {
-	case build != probe:
-	case build == vec.String:
-		return idxStr
-	case build.IntFamily():
-		return idxI64
-	}
-	return idxBoxed
 }
 
 // producerOf finds the operator feeding op (nil for scans).
@@ -208,214 +187,192 @@ func (vs *vecScratch) dests(n int) [][]int32 {
 // ---------------------------------------------------------------------
 
 // keyHashes fills the scratch hash vector with keyHash64 of each
-// logical row's join key, column keyCol of b: one typed, fmt-free loop
-// per kind.
+// logical row's join key, column keyCol of b.
 //
 //hierdb:hotpath
 func keyHashes(b *vec.Batch, keyCol int, vs *vecScratch) []uint64 {
-	n := b.N
-	hs := vs.hashes(n)
-	c := &b.Cols[keyCol]
-	switch {
-	case c.Kind.IntFamily():
-		for i := 0; i < n; i++ {
-			pos := c.Pos(i)
-			if c.NullAt(pos) {
-				hs[i] = hNil
-			} else {
-				hs[i] = mix64(uint64(c.I64[pos]))
-			}
-		}
-	case c.Kind == vec.String:
-		for i := 0; i < n; i++ {
-			pos := c.Pos(i)
-			if c.NullAt(pos) {
-				hs[i] = hNil
-			} else {
-				hs[i] = fnvString(c.Str[pos])
-			}
-		}
-	case c.Kind == vec.Float64:
-		for i := 0; i < n; i++ {
-			pos := c.Pos(i)
-			if c.NullAt(pos) {
-				hs[i] = hNil
-			} else {
-				hs[i] = mix64(math.Float64bits(c.F64[pos]))
-			}
-		}
-	case c.Kind == vec.Bool:
-		for i := 0; i < n; i++ {
-			pos := c.Pos(i)
-			if c.NullAt(pos) {
-				hs[i] = hNil
-			} else if c.B[pos] {
-				hs[i] = hTrue
-			} else {
-				hs[i] = hFalse
-			}
-		}
-	default:
-		for i := 0; i < n; i++ {
-			hs[i] = keyHash64(c.Value(c.Pos(i)))
-		}
-	}
+	hs := vs.hashes(b.N)
+	hashKeys(&b.Cols[keyCol], 0, hs)
 	return hs
 }
 
-// ---------------------------------------------------------------------
-// Stripe stores (the build side's hash table)
-// ---------------------------------------------------------------------
-
-// stripeStore is one lock stripe of a join's hash table: an index from
-// key to row positions, plus — while the build runs — an appender
-// accumulating the stripe's rows as dense columns. Once the build is
-// complete sealStripes moves every stripe's rows into one dense store
-// shared by the whole build side; the stripe keeps its index, whose
-// positions then count from base in that store. The index is typed
-// (map[int64] or map[string]) when both sides' key columns are of the
-// identical kind, boxed (map[any], the semantic reference) otherwise
-// (indexKind); null keys live in a side list so nil==nil matching is
-// preserved under typed indexing.
-type stripeStore struct {
-	app     *vec.Appender // row storage while building; nil once sealed
-	idxKind int
-	keyCol  int // key column in the stored schema
-	m64     map[int64][]int32
-	mstr    map[string][]int32
-	many    map[any][]int32
-	nulls   []int32
-	rows    int
-	// sealed is the build side's dense store and base this stripe's
-	// first position in it (set by sealStripes, immutable afterwards).
-	sealed *vec.Batch
-	base   int32
-}
-
-func newStripeStore(kinds []vec.Kind, idxKind, keyCol, hint int) *stripeStore {
-	ss := &stripeStore{
-		app:     vec.NewAppender(kinds, hint),
-		idxKind: idxKind,
-		keyCol:  keyCol,
-	}
-	switch ss.idxKind {
-	case idxI64:
-		ss.m64 = make(map[int64][]int32, hint)
-	case idxStr:
-		ss.mstr = make(map[string][]int32, hint)
+// hashKeys fills hs with keyHash64 of the keys at logical rows lo,
+// lo+1, … of key column c: one typed, fmt-free loop per kind over the
+// mirror, then the null rows, if the column has any, overwritten.
+//
+//hierdb:hotpath
+func hashKeys(c *vec.Col, lo int, hs []uint64) {
+	switch {
+	case c.Kind.IntFamily():
+		for i := range hs {
+			hs[i] = mix64(uint64(c.I64[c.Pos(lo+i)]))
+		}
+	case c.Kind == vec.String:
+		for i := range hs {
+			hs[i] = fnvString(c.Str[c.Pos(lo+i)])
+		}
+	case c.Kind == vec.Float64:
+		for i := range hs {
+			hs[i] = mix64(math.Float64bits(c.F64[c.Pos(lo+i)] + 0)) // -0.0 as +0.0, like keyHash64
+		}
+	case c.Kind == vec.Bool:
+		for i := range hs {
+			if hs[i] = hFalse; c.B[c.Pos(lo+i)] {
+				hs[i] = hTrue
+			}
+		}
 	default:
-		ss.many = make(map[any][]int32, hint)
+		for i := range hs {
+			hs[i] = keyHash64(c.Value(c.Pos(lo + i)))
+		}
 	}
-	return ss
-}
-
-// insertSel appends the logical rows of b listed in sel and indexes
-// their keys. Caller holds the stripe lock.
-//
-//hierdb:hotpath
-func (ss *stripeStore) insertSel(b *vec.Batch, sel []int32) {
-	base := int32(ss.app.Len())
-	ss.app.AppendRowsSel(b, sel)
-	ss.rows += len(sel)
-	c := &b.Cols[ss.keyCol]
-	for j, li := range sel {
-		pos := base + int32(j)
-		switch ss.idxKind {
-		case idxI64:
-			cp := c.Pos(int(li))
-			if c.NullAt(cp) {
-				ss.nulls = append(ss.nulls, pos)
-			} else {
-				ss.m64[c.I64[cp]] = append(ss.m64[c.I64[cp]], pos)
+	if c.Null != nil { // typed columns only: an Any column's nil hashed as hNil above
+		for i := range hs {
+			if c.NullAt(c.Pos(lo + i)) {
+				hs[i] = hNil
 			}
-		case idxStr:
-			cp := c.Pos(int(li))
-			if c.NullAt(cp) {
-				ss.nulls = append(ss.nulls, pos)
-			} else {
-				ss.mstr[c.Str[cp]] = append(ss.mstr[c.Str[cp]], pos)
-			}
-		default:
-			// Key by the stored word: a boxless key was boxed by the append.
-			k := ss.app.Col(ss.keyCol).Value(int(pos))
-			ss.many[k] = append(ss.many[k], pos)
 		}
 	}
 }
 
-// lookup returns the storage positions matching logical probe row li of
-// the probe batch's key column c.
-//
-//hierdb:hotpath
-func (ss *stripeStore) lookup(c *vec.Col, li int) []int32 {
-	pos := c.Pos(li)
-	switch ss.idxKind {
-	case idxI64:
-		if c.NullAt(pos) {
-			return ss.nulls
-		}
-		return ss.m64[c.I64[pos]]
-	case idxStr:
-		if c.NullAt(pos) {
-			return ss.nulls
-		}
-		return ss.mstr[c.Str[pos]]
-	}
-	return vec.Lookup(ss.many, c, pos)
+// ---------------------------------------------------------------------
+// Build sides (the join's hash table)
+// ---------------------------------------------------------------------
+
+// buildSide is a join's build side on one node once sealed: the dense
+// store holding its rows and one flat chained hash index over the
+// store's key column. While the build chain runs there is no such thing
+// — a lock stripe is a vec.Appender that its first row creates
+// (opRun.appendStripe) and nothing is indexed: nothing is looked up
+// before the chain barrier, and a governed join may yet drain the rows
+// to disk. The seal builds the index in one pass: position p hangs off
+// slot(keyHash64(key)), the hash every router computes anyway, and a
+// chain ascends — the order rows arrived in within their stripe.
+// Equality is decided on the store's columns, under the kind the two key
+// columns share (match); the boxed == it falls back to is the
+// semantic reference: int 1 is not int64 1, NaN equals nothing, 0.0
+// equals -0.0, null meets null. A spill partition's store (memgov.go) is
+// sealed the same way. Immutable once built, so a thief shares it.
+type buildSide struct {
+	store  *vec.Batch
+	keyCol int
+	// heads[s] is 1 + the first position of slot s's chain, next[p] 1 + the
+	// position following p in its chain; 0 ends a chain. Two slots per row.
+	heads, next []int32
 }
 
 // ErrBuildTooLarge fails a join whose build side holds more rows on one
-// node than a batch position (int32) can address.
+// node, or in one spill partition, than a batch position (int32) addresses.
 var ErrBuildTooLarge = errors.New("exec: join build side too large")
 
-// sealStripes moves the rows of a completed build side out of its
-// stripes' appenders into one dense store (vec.Concat: exact-size
-// columns, each stripe's storage released as it is copied, a single
-// non-empty stripe aliased) and points every stripe at it. The stripes
-// must be quiescent — builds precede probes across the chain barrier —
-// and the caller single-flight.
-func sealStripes(stripes []*stripeStore) error {
-	var few [32]*vec.Appender // keeps a default-striped seal's list off the heap
-	parts := few[:0]
-	total := 0
-	for _, ss := range stripes {
-		if ss == nil || ss.rows == 0 {
-			continue
-		}
-		if total+ss.rows > math.MaxInt32 {
-			return fmt.Errorf("%w: over %d rows on one node", ErrBuildTooLarge, math.MaxInt32)
-		}
-		ss.base = int32(total)
-		total += ss.rows
-		parts = append(parts, ss.app)
-	}
-	sealed := vec.Concat(parts)
-	for _, ss := range stripes {
-		if ss != nil {
-			ss.app, ss.sealed = nil, sealed
-		}
-	}
-	return nil
-}
-
-// seal seals the operator's build side on first call; every later call
-// (any worker's probe, a thief acquiring this node's buckets) returns
-// the same outcome. Concurrent first callers wait for the one sealing.
-func (or *opRun) seal() error {
-	or.sealOnce.Do(func() { or.sealErr = sealStripes(or.stripes) })
-	return or.sealErr
-}
-
-// addMatches records one (probe row, sealed build position) pair per
-// index position in ps, the matches of logical probe row i in a stripe
-// whose rows start at base.
+// sealStore indexes a dense store on column keyCol: one allocation, three
+// words per row, whatever the number of distinct keys. Rows are linked
+// from the last to the first, so every chain ascends.
 //
 //hierdb:hotpath
-func (vs *vecScratch) addMatches(i int, base int32, ps []int32) {
-	for _, pos := range ps {
-		vs.probeRows = append(vs.probeRows, int32(i))
-		vs.bpos = append(vs.bpos, base+pos)
+func sealStore(store *vec.Batch, keyCol int, vs *vecScratch) (*buildSide, error) {
+	n := store.N
+	if n > math.MaxInt32 {
+		return nil, fmt.Errorf("%w: over %d rows", ErrBuildTooLarge, math.MaxInt32) //hierdb:ignore hotpath the failure path
 	}
+	const chunk = 1024 // rows hashed at a time, on the worker's hash scratch
+	slots := max(2*n, 1)
+	buf := make([]int32, slots+n)
+	bs := &buildSide{store: store, keyCol: keyCol, heads: buf[:slots], next: buf[slots:]}
+	for hi := n; hi > 0; hi -= chunk {
+		lo := max(hi-chunk, 0)
+		hs := vs.hashes(hi - lo)
+		hashKeys(&store.Cols[keyCol], lo, hs)
+		for p := hi - 1; p >= lo; p-- {
+			s := bs.slot(hs[p-lo])
+			bs.next[p] = bs.heads[s]
+			bs.heads[s] = int32(p + 1)
+		}
+	}
+	return bs, nil
+}
+
+// slot maps a key hash to its chain. Rows that reach one node (or one
+// spill partition) agree in the residue that routed them there, so the
+// hash is remixed — Fibonacci hashing — and range-reduced by its high
+// bits rather than masked by its low ones.
+//
+//hierdb:hotpath
+func (bs *buildSide) slot(h uint64) int {
+	hi, _ := bits.Mul64(h*0x9e3779b97f4a7c15, uint64(len(bs.heads)))
+	return int(hi)
+}
+
+// match walks the chain of logical row i of probe key column kc, whose
+// key hashes to h, and records one (probe row, store position) pair in
+// the worker's scratch per store row with the same key. Keys compare
+// under the kind both key columns are of, else — kind Any — by Go's ==
+// on the boxed values.
+//
+//hierdb:hotpath
+func (bs *buildSide) match(vs *vecScratch, kc *vec.Col, i int, h uint64) {
+	pos := kc.Pos(i)
+	null := kc.NullAt(pos)
+	sc := &bs.store.Cols[bs.keyCol]
+	kind := vec.Any
+	if sc.Kind == kc.Kind {
+		kind = sc.Kind
+	} else if sc.Kind != vec.Any && kc.Kind != vec.Any && !null {
+		return // two different typed kinds: only null meets null
+	}
+	for p := bs.heads[bs.slot(h)]; p != 0; p = bs.next[p-1] {
+		sp := int(p - 1)
+		var eq bool
+		switch snull := sc.NullAt(sp); {
+		case null || snull:
+			eq = null && snull
+		case kind == vec.Any:
+			eq = kc.Is(pos, sc.Box[sp]) // a store keeps its Box
+		case kind == vec.String:
+			eq = kc.Str[pos] == sc.Str[sp]
+		case kind == vec.Float64:
+			eq = kc.F64[pos] == sc.F64[sp]
+		case kind == vec.Bool:
+			eq = kc.B[pos] == sc.B[sp]
+		default: // the int family
+			eq = kc.I64[pos] == sc.I64[sp]
+		}
+		if eq {
+			vs.probeRows = append(vs.probeRows, int32(i))
+			vs.bpos = append(vs.bpos, int32(sp))
+		}
+	}
+}
+
+// appendStripe appends the logical rows sel of b to lock stripe s of the
+// build side, creating the stripe's appender on its first row. Caller
+// holds the stripe lock.
+//
+//hierdb:hotpath
+func (or *opRun) appendStripe(s int, b *vec.Batch, sel []int32) {
+	ap := or.stripes[s]
+	if ap == nil {
+		ap = vec.NewAppender(or.op.outKinds, or.stripeHint)
+		or.stripes[s] = ap
+	}
+	ap.AppendRowsSel(b, sel)
+	or.stripeRows[s] += len(sel)
+}
+
+// seal seals the operator's build side on first call, on the caller's
+// scratch: the stripes' rows move into one dense store (vec.Concat:
+// exact-size columns, each stripe's storage released as it is copied, a
+// single non-empty stripe aliased) and the store is indexed. Every later
+// call (any worker's probe, a thief acquiring this node's buckets)
+// returns the same outcome; concurrent first callers wait. The stripes
+// are quiescent: builds precede probes across the chain barrier.
+func (or *opRun) seal(vs *vecScratch) (*buildSide, error) {
+	or.sealOnce.Do(func() {
+		store := vec.Concat(or.stripes)
+		clear(or.stripes)
+		or.side, or.sealErr = sealStore(store, or.op.keyCol, vs)
+	})
+	return or.side, or.sealErr
 }
 
 // ---------------------------------------------------------------------
@@ -580,9 +537,9 @@ func (q *query) stripeSels(hs []uint64, stripes int, vs *vecScratch) [][]int32 {
 	return per
 }
 
-// processBuildVec inserts one routed batch into the join's striped
-// hash table: hash the key column once, group rows by stripe, then one
-// lock round per touched stripe.
+// processBuildVec appends one routed batch to the join's striped build
+// side: hash the key column once, group rows by stripe, then one lock
+// round per touched stripe.
 //
 //hierdb:hotpath
 func (q *query) processBuildVec(a *activation, w int) {
@@ -595,72 +552,63 @@ func (q *query) processBuildVec(a *activation, w int) {
 			continue
 		}
 		or.locks[s].Lock()
-		or.stripes[s].insertSel(b, sel)
-		or.stripeRows[s] += len(sel)
+		or.appendStripe(s, b, sel)
 		or.locks[s].Unlock()
 	}
 }
 
 // processProbeVec streams one routed batch against the build side:
 // seal the build on the first probe, hash the key column, walk each
-// row's stripe index (local stripe or the steal cache's acquired one)
-// and record every match as a pair of positions — probe row, row of the
-// sealed store. All of an activation's rows belong to one owner node
-// (emitBatch routes by owner, a steal moves whole activations), so all
-// its matches lie in that owner's sealed store; should a row match in
-// another store, the batch is cut there and its tail handed back as an
-// activation of its own.
+// row's chain in its owner's sealed side (this node's, or the one the
+// steal cache acquired with the row's bucket) and record every match as
+// a pair of positions — probe row, row of the sealed store. All of an
+// activation's rows belong to one owner node (emitBatch routes by owner,
+// a steal moves whole activations), so all its matches lie in that
+// owner's sealed store; should a row be another side's, the batch is
+// cut there and its tail handed back as an activation of its own.
 //
 //hierdb:hotpath
 func (q *query) processProbeVec(a *activation, w int) (outs []*activation, results *vec.Batch) {
-	bo := q.ops[a.op.partner.id]
-	if err := bo.seal(); err != nil {
+	vs := &q.vscratch[w]
+	own, err := q.ops[a.op.partner.id].seal(vs)
+	if err != nil {
 		q.mq.fail(err)
 		return nil, nil
 	}
-	vs := &q.vscratch[w]
 	b := a.input(vs)
 	hs := keyHashes(b, a.op.keyCol, vs)
 	keyCol := &b.Cols[a.op.keyCol]
-	var cache bucketCache
-	po := q.ops[a.op.id]
+	var cache bucketCache // sides acquired with stolen rows' buckets
+	if c := q.ops[a.op.id].cache.Load(); c != nil {
+		cache = *c
+	}
 	vs.probeRows = vs.probeRows[:0]
 	vs.bpos = vs.bpos[:0]
 	nb, nn := uint64(q.mq.buckets), q.mq.n
-	var store *vec.Batch // the sealed store the matches so far lie in
+	var side *buildSide // the sealed side the matches so far lie in
 	cut := b.N
 	for i := 0; i < b.N; i++ {
-		var ss *stripeStore
-		g := int(hs[i] % nb)
-		if g%nn == q.node {
-			ss = bo.stripes[g/nn]
-		} else {
-			// A stolen row: its bucket's stripe was acquired into this
-			// node's cache with the activation.
-			if cache == nil {
-				if c := po.cache.Load(); c != nil {
-					cache = *c
-				}
+		bs := own
+		if g := int(hs[i] % nb); g%nn != q.node { // a stolen row
+			if bs = cache[g]; bs == nil {
+				continue
 			}
-			ss = cache[g]
 		}
-		if ss == nil {
-			continue
-		}
-		ps := ss.lookup(keyCol, i)
-		if len(ps) == 0 {
-			continue
-		}
-		if ss.sealed != store {
-			if store != nil {
+		if bs != side {
+			if bs.store.N == 0 {
+				continue // an empty side has no key column to compare with
+			}
+			if len(vs.bpos) > 0 {
 				cut = i
 				break
 			}
-			store = ss.sealed
+			side = bs
 		}
-		vs.addMatches(i, ss.base, ps)
+		bs.match(vs, keyCol, i, hs[i])
 	}
-	outs, results = q.finishProbe(a, b, store, w)
+	if side != nil {
+		outs, results = q.finishProbe(a, b, side.store, w)
+	}
 	if a.lo+cut < a.hi {
 		outs = append(outs, &activation{op: a.op, b: a.b, lo: a.lo + cut, hi: a.hi, dest: q.node})
 	}
@@ -742,9 +690,8 @@ func batchRowsVec(rows []Row, size int) []*vec.Batch {
 
 // batchBytes approximates the in-memory footprint of b's logical rows
 // listed in sel (nil = all), summed column-wise from the typed mirrors
-// (parity with approxRowBytes over the materialized rows: a 24-byte
-// header per row, an interface word pair per present value, string
-// payloads on top).
+// as what the materialized rows would weigh: a 24-byte header per row,
+// an interface word pair per present value, string payloads on top.
 func batchBytes(b *vec.Batch, sel []int32) int64 {
 	k := b.N
 	if sel != nil {

@@ -57,14 +57,17 @@ func genBatch(r *rand.Rand, kinds []Kind, n int, density float64, boxless bool) 
 
 // checkConcat seals one appender per input batch with Concat and
 // compares the result, position by position, with a single appender fed
-// the same batches in order.
-func checkConcat(t *testing.T, batches []*Batch) *Batch {
+// the same batches in order. The appenders are pre-shaped for kinds, as
+// a join's stripes are (nil: each discovers its schema): only then does
+// a part that saw nothing but an all-null batch of a column agree with
+// the parts that saw its values.
+func checkConcat(t *testing.T, kinds []Kind, batches []*Batch) *Batch {
 	t.Helper()
-	ref := NewAppender(nil, 0)
+	ref := NewAppender(kinds, 0)
 	parts := make([]*Appender, len(batches))
 	for i, b := range batches {
 		ref.AppendBatch(b)
-		parts[i] = NewAppender(nil, 0)
+		parts[i] = NewAppender(kinds, 0)
 		parts[i].AppendBatch(b)
 	}
 	want := ref.Batch()
@@ -119,7 +122,7 @@ func TestConcatMatchesAppender(t *testing.T) {
 				for _, n := range ns {
 					batches = append(batches, genBatch(r, kinds, n, density, boxless))
 				}
-				got := checkConcat(t, batches)
+				got := checkConcat(t, kinds, batches)
 				for ci := range got.Cols {
 					if c := &got.Cols[ci]; cap(c.Box) != got.N {
 						t.Fatalf("density %v sizes %v: col %d has capacity %d for %d rows", density, ns, ci, cap(c.Box), got.N)
@@ -138,7 +141,7 @@ func TestConcatDegrades(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	ints := genBatch(r, []Kind{Int, Int}, 70, 0.2, false)
 	strs := genBatch(r, []Kind{Int, String}, 5, 0.2, true)
-	got := checkConcat(t, []*Batch{ints, strs, ints})
+	got := checkConcat(t, nil, []*Batch{ints, strs, ints})
 	if got.Cols[0].Kind != Int || got.Cols[1].Kind != Any || got.Cols[1].Null != nil {
 		t.Fatalf("kinds %v %v (null bitmap %v), want int and a bitmap-free any", got.Cols[0].Kind, got.Cols[1].Kind, got.Cols[1].Null)
 	}
@@ -146,7 +149,7 @@ func TestConcatDegrades(t *testing.T) {
 	narrow := genBatch(r, []Kind{Int, String}, 66, 0, false)
 	wide := genBatch(r, []Kind{Int, String, Float64}, 3, 0, true)
 	for _, batches := range [][]*Batch{{narrow, wide}, {wide, narrow}, {narrow, wide, narrow}} {
-		got := checkConcat(t, batches)
+		got := checkConcat(t, nil, batches)
 		if len(got.Cols) != 3 || got.Cols[2].Kind != Any {
 			t.Fatalf("ragged parts: %d cols, tail kind %v", len(got.Cols), got.Cols[2].Kind)
 		}
@@ -166,7 +169,7 @@ func TestConcatAliasesSinglePart(t *testing.T) {
 	b := genBatch(r, []Kind{Int, String}, 100, 0.1, false)
 	ap := NewAppender(nil, 0)
 	ap.AppendBatch(b)
-	box, mirror := &ap.Col(0).Box[0], &ap.Col(0).I64[0]
+	box, mirror := &ap.cols[0].Box[0], &ap.cols[0].I64[0]
 	got := Concat([]*Appender{NewAppender([]Kind{Int, String}, 8), ap, NewAppender(nil, 0)})
 	if got.N != 100 || &got.Cols[0].Box[0] != box || &got.Cols[0].I64[0] != mirror {
 		t.Fatal("a single non-empty part was copied, not aliased")
@@ -181,7 +184,7 @@ func TestConcatAliasesSinglePart(t *testing.T) {
 	Concat([]*Appender{p0, p1})
 	for _, p := range []*Appender{p0, p1} {
 		for ci := range p.cols {
-			if c := p.Col(ci); c.Box != nil || c.I64 != nil || c.Str != nil || c.Null != nil {
+			if c := &p.cols[ci]; c.Box != nil || c.I64 != nil || c.Str != nil || c.Null != nil {
 				t.Fatalf("part still holds column %d after Concat", ci)
 			}
 		}
@@ -206,5 +209,72 @@ func TestArenaChunksGrow(t *testing.T) {
 	}
 	if big := a.carve(3 * arenaChunk); len(big) != 3*arenaChunk {
 		t.Fatalf("oversized carve returned %d", len(big))
+	}
+}
+
+// TestAppenderAllNullAnyKeepsKind: a batch column with no value in it is
+// spilled and decoded as Any. A store pre-shaped for the column's kind
+// takes it in as nulls and stays typed — mirror, bitmap and Box agreeing
+// — for every kind, from a dense, an indexed and a selected source,
+// whether the all-null batch comes first, in the middle or last. One
+// value in an Any batch column still degrades the store column, and so
+// does a value-less one when the schema is left to be discovered.
+func TestAppenderAllNullAnyKeepsKind(t *testing.T) {
+	r := rand.New(rand.NewSource(11))
+	nulls := func(shape int) (*Batch, []int32) {
+		b := &Batch{Cols: []Col{{Kind: Any, Box: make([]any, 9)}}, N: 9}
+		switch shape {
+		case 1: // indexed
+			b.Cols[0].Idx, b.N = []int32{8, 0, 3, 3}, 4
+		case 2: // selected
+			return b, []int32{7, 1}
+		}
+		return b, nil
+	}
+	for _, k := range []Kind{Int, Int32, Int64, Uint64, Float64, Bool, String} {
+		for shape := 0; shape < 3; shape++ {
+			for at := 0; at < 3; at++ {
+				ap := NewAppender([]Kind{k}, 0)
+				var want []any
+				for bi := 0; bi < 3; bi++ {
+					b, sel := genBatch(r, []Kind{k}, 70, 0.2, bi == 1), []int32(nil)
+					if bi == at {
+						b, sel = nulls(shape)
+					}
+					ap.AppendRowsSel(b, sel)
+					for i := 0; i < b.N && sel == nil; i++ {
+						want = append(want, b.Cols[0].Value(b.Cols[0].Pos(i)))
+					}
+					want = append(want, make([]any, len(sel))...)
+				}
+				got := ap.Batch()
+				c := got.Cols[0]
+				if c.Kind != k || got.N != len(want) || len(c.Box) != got.N {
+					t.Fatalf("%v shape %d at %d: kind %v, %d rows, %d boxes, want %d rows of %v", k, shape, at, c.Kind, got.N, len(c.Box), len(want), k)
+				}
+				mirror := c
+				mirror.Box = nil
+				for pos, w := range want {
+					if c.Box[pos] != w || mirror.Value(pos) != w || c.NullAt(pos) != (w == nil) {
+						t.Fatalf("%v shape %d at %d, pos %d: box %v mirror %v null %v, want %v", k, shape, at, pos, c.Box[pos], mirror.Value(pos), c.NullAt(pos), w)
+					}
+				}
+			}
+		}
+	}
+	oneValue, _ := nulls(0)
+	oneValue.Cols[0].Box[4] = "x"
+	ap := NewAppender([]Kind{Int}, 0)
+	ap.AppendBatch(FromRows([]Row{{1}}))
+	ap.AppendBatch(oneValue)
+	if got := ap.Batch(); got.Cols[0].Kind != Any || got.Cols[0].Box[5] != "x" {
+		t.Fatalf("an Any batch column holding a value left the store column %v", got.Cols[0].Kind)
+	}
+	allNull, _ := nulls(0)
+	ap = NewAppender(nil, 0)
+	ap.AppendBatch(allNull)
+	ap.AppendBatch(FromRows([]Row{{1}}))
+	if got := ap.Batch(); got.Cols[0].Kind != Any {
+		t.Fatalf("a discovered schema resolved an all-null first batch to %v", got.Cols[0].Kind)
 	}
 }

@@ -256,6 +256,36 @@ func Lookup[V any](m map[any]V, c *Col, pos int) V {
 	return m[any(c.Str[pos])]
 }
 
+// Is reports whether the value at storage position pos equals v under
+// Go's == on the boxed forms — int 1 is not int64 1, NaN is nothing, an
+// uncomparable dynamic type on both sides panics — without boxing a
+// boxless column's value.
+//
+//hierdb:hotpath
+func (c *Col) Is(pos int, v any) bool {
+	switch {
+	case c.Box != nil:
+		return c.Box[pos] == v
+	case c.NullAt(pos):
+		return v == nil
+	}
+	switch c.Kind {
+	case Int:
+		return v == int(c.I64[pos])
+	case Int32:
+		return v == int32(c.I64[pos])
+	case Int64:
+		return v == c.I64[pos]
+	case Uint64:
+		return v == uint64(c.I64[pos])
+	case Float64:
+		return v == c.F64[pos]
+	case Bool:
+		return v == c.B[pos]
+	}
+	return v == c.Str[pos]
+}
+
 // boxInto boxes k values of a boxless column into dst[0], dst[stride],
 // dst[2*stride]...: value j is the one at storage position idx[sel[j]],
 // where a nil sel or idx is the identity.
@@ -295,9 +325,6 @@ type Batch struct {
 	Cols []Col
 	N    int
 }
-
-// Width returns the number of columns.
-func (b *Batch) Width() int { return len(b.Cols) }
 
 // ---------------------------------------------------------------------
 // Identity windows
@@ -573,25 +600,37 @@ func sameIdx(a, b []int32) bool {
 // boxless source is boxed here, once per stored row, so every later
 // match selects a stored word. The store's schema adapts: a column fed two
 // different kinds, or ragged widths, degrades to Any (the store's Box
-// is complete, so degrading is O(1) and never re-boxes).
+// is complete, so degrading is O(1) and never re-boxes) — except that an
+// all-null Any source column (what the spill codec makes of a batch
+// column without a value) lands in a typed column as nulls.
 type Appender struct {
-	cols     []Col
-	resolved []bool
-	n        int
+	cols []Col
+	// shaped counts the leading columns whose kind NewAppender fixed; a
+	// later column adopts the kind it arrives with in the first batch.
+	shaped int
+	n      int
 }
 
 // NewAppender returns an appender pre-shaped for the given column
 // kinds (nil means the schema is discovered from appended batches)
-// with capacity for hint rows.
+// with capacity — Box and typed mirror — for hint rows.
 func NewAppender(kinds []Kind, hint int) *Appender {
-	ap := &Appender{}
+	ap := &Appender{shaped: len(kinds)}
 	if kinds != nil {
 		ap.cols = make([]Col, len(kinds))
-		ap.resolved = make([]bool, len(kinds))
 		for i, k := range kinds {
-			ap.cols[i].Kind = k
-			ap.cols[i].Box = make([]any, 0, hint)
-			ap.resolved[i] = true
+			c := &ap.cols[i]
+			c.Kind, c.Box = k, make([]any, 0, hint)
+			switch {
+			case k.IntFamily():
+				c.I64 = make([]int64, 0, hint)
+			case k == Float64:
+				c.F64 = make([]float64, 0, hint)
+			case k == Bool:
+				c.B = make([]bool, 0, hint)
+			case k == String:
+				c.Str = make([]string, 0, hint)
+			}
 		}
 	}
 	return ap
@@ -599,12 +638,6 @@ func NewAppender(kinds []Kind, hint int) *Appender {
 
 // Len returns the number of rows appended so far.
 func (ap *Appender) Len() int { return ap.n }
-
-// Col exposes accumulated column i for direct positional reads (the
-// appender's columns are dense: position == append order). Box is
-// always populated, so Value copies a word; typed mirrors only when
-// the column stayed resolved. Callers must not mutate the column.
-func (ap *Appender) Col(i int) *Col { return &ap.cols[i] }
 
 // AppendBatch appends every logical row of b.
 func (ap *Appender) AppendBatch(b *Batch) {
@@ -644,10 +677,9 @@ func (ap *Appender) widen(w int) {
 		for i := range c.Box {
 			c.Box[i] = Absent
 		}
-		ap.cols = append(ap.cols, c)
 		// A column backfilled with Absent is permanently Any; a column
 		// opened before any rows landed adopts the first batch's kind.
-		ap.resolved = append(ap.resolved, ap.n > 0)
+		ap.cols = append(ap.cols, c)
 	}
 }
 
@@ -673,10 +705,16 @@ func (ap *Appender) degrade(dst *Col) {
 
 //hierdb:hotpath
 func (ap *Appender) appendCol(dst *Col, ci int, src *Col, sel []int32, k int) {
-	if !ap.resolved[ci] {
+	if ci >= ap.shaped && ap.n == 0 {
 		dst.Kind = src.Kind
-		ap.resolved[ci] = true
 	} else if dst.Kind != src.Kind {
+		if src.Kind == Any && allNull(src, sel, k) {
+			dst.Box = append(dst.Box, make([]any, k)...)
+			for j := 0; j < k; j++ {
+				appendOne(dst, &nullSrc, 0)
+			}
+			return
+		}
 		ap.degrade(dst)
 	}
 	// Box always fills: boxed from a boxless source's mirror, copied
@@ -714,6 +752,25 @@ func (ap *Appender) appendCol(dst *Col, ci int, src *Col, sel []int32, k int) {
 		}
 	}
 }
+
+// allNull reports whether the k selected rows of the Any column src (sel
+// nil = all) are SQL nulls, every one.
+func allNull(src *Col, sel []int32, k int) bool {
+	for j := 0; j < k; j++ {
+		li := j
+		if sel != nil {
+			li = int(sel[j])
+		}
+		if src.Box[src.Pos(li)] != nil {
+			return false
+		}
+	}
+	return true
+}
+
+// nullSrc is a one-row source column of every typed kind whose row is
+// null: appendOne(dst, &nullSrc, 0) appends a null to any typed dst.
+var nullSrc = Col{I64: []int64{0}, F64: []float64{0}, Str: []string{""}, B: []bool{false}, Null: []uint64{1}}
 
 // appendOne appends the typed mirror value (and null bit) at source
 // storage position pos to dst, which is known to share src's kind.
@@ -777,13 +834,14 @@ func (ap *Appender) Batch() *Batch {
 // pads its missing tail with Absent — but its columns are allocated at
 // their exact size and filled column-major, and each part's copy of a
 // column is dropped as soon as it has been copied, so the rows are never
-// held twice. A single non-empty part is aliased instead (as by Batch).
-// Concat consumes the parts: none may be appended to or read afterwards.
+// held twice. A single non-empty part is aliased instead (as by Batch);
+// a nil part is an empty one. Concat consumes the parts: none may be
+// appended to or read afterwards.
 func Concat(parts []*Appender) *Batch {
 	var only *Appender
 	n, w, live := 0, 0, 0
 	for _, ap := range parts {
-		if ap.n == 0 {
+		if ap == nil || ap.n == 0 {
 			continue
 		}
 		only = ap
@@ -811,7 +869,7 @@ func Concat(parts []*Appender) *Batch {
 func concatCol(dst *Col, parts []*Appender, ci, n int) {
 	first := true
 	for _, ap := range parts {
-		if ap.n == 0 {
+		if ap == nil || ap.n == 0 {
 			continue
 		}
 		k := Any // a part too narrow for the column pads it with Absent
@@ -827,7 +885,7 @@ func concatCol(dst *Col, parts []*Appender, ci, n int) {
 	dst.Box = make([]any, n)
 	base := 0
 	for _, ap := range parts {
-		if ap.n == 0 {
+		if ap == nil || ap.n == 0 {
 			continue
 		}
 		if ci >= len(ap.cols) {
