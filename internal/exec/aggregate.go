@@ -70,13 +70,14 @@ type groupState struct {
 // groupAt returns the state of the group keyed by the value at storage
 // position pos of c, creating it in m at every aggregate's identity (Min
 // and Max start from the infinities, so any first value replaces them).
-// The lookup boxes nothing; a new group boxes its key once.
+// The lookup allocates nothing; a new group's key is detached from the
+// column, so the table and the result rows pin no batch storage.
 //
 //hierdb:hotpath
 func groupAt(m map[any]*groupState, aggs []Aggregation, c *vec.Col, pos int) *groupState {
-	g := vec.Lookup(m, c, pos)
+	g := m[c.Value(pos)]
 	if g == nil {
-		g = &groupState{key: c.Value(pos), vals: make([]float64, len(aggs))}
+		g = &groupState{key: vec.Detach(c.Value(pos)), vals: make([]float64, len(aggs))}
 		for i, a := range aggs {
 			switch a.Func {
 			case Min:

@@ -14,8 +14,9 @@ package exec
 // materialization funnels through vec's AppendRows/ReadRow boundary,
 // and column values are read typed or through Col.Value, never
 // Box[pos]: batches decoded from table files and spill partitions are
-// boxless (see internal/vec), boxed only for the rows that reach the
-// sink or a build store.
+// boxless (see internal/vec), and a value read from them is boxed in
+// place over its mirror slot — no allocation at the sink or a build
+// store.
 //
 // Every operator's width, column kinds and key column are fixed when
 // the plan is compiled (expand, runtime.go), and every batch an
@@ -327,7 +328,7 @@ func (bs *buildSide) match(vs *vecScratch, kc *vec.Col, i int, h uint64) {
 		case null || snull:
 			eq = null && snull
 		case kind == vec.Any:
-			eq = kc.Is(pos, sc.Box[sp]) // a store keeps its Box
+			eq = kc.Value(pos) == sc.Box[sp] // a store keeps its Box
 		case kind == vec.String:
 			eq = kc.Str[pos] == sc.Str[sp]
 		case kind == vec.Float64:

@@ -1,8 +1,8 @@
-// Chunked arenas for the hot path: selection vectors, gather targets
-// and materialized row storage are carved from per-worker arenas so
-// steady-state streaming performs O(1) allocations per batch, not per
-// row. Chunks are never reused — a carved slice stays valid (and a
-// materialized row safely retainable) for the life of the process.
+// Chunked arenas for the hot path: selection vectors and materialized
+// row storage are carved from per-worker arenas so steady-state
+// streaming performs O(1) allocations per batch, not per row. Chunks
+// are never reused — a carved slice stays valid (and a materialized row
+// safely retainable) for the life of the process.
 // Chunks are sized to the query: the first holds arenaFirst elements and
 // each later one four times the last, up to arenaChunk, so a point query
 // zeroes a few KiB while a streaming one still amortizes to O(1)
@@ -38,11 +38,6 @@ func (a *chunkArena[T]) carve(n int) []T {
 // Arena bundles the element types the executor carves.
 type Arena struct {
 	i32  chunkArena[int32]
-	i64  chunkArena[int64]
-	u64  chunkArena[uint64]
-	f64  chunkArena[float64]
-	str  chunkArena[string]
-	bs   chunkArena[bool]
 	anys chunkArena[any]
 }
 
@@ -50,31 +45,6 @@ type Arena struct {
 //
 //hierdb:hotpath
 func (a *Arena) I32(n int) []int32 { return a.i32.carve(n) }
-
-// I64 carves n int64s.
-//
-//hierdb:hotpath
-func (a *Arena) I64(n int) []int64 { return a.i64.carve(n) }
-
-// U64 carves n uint64s.
-//
-//hierdb:hotpath
-func (a *Arena) U64(n int) []uint64 { return a.u64.carve(n) }
-
-// F64 carves n float64s.
-//
-//hierdb:hotpath
-func (a *Arena) F64(n int) []float64 { return a.f64.carve(n) }
-
-// Strs carves n strings.
-//
-//hierdb:hotpath
-func (a *Arena) Strs(n int) []string { return a.str.carve(n) }
-
-// Bools carves n bools.
-//
-//hierdb:hotpath
-func (a *Arena) Bools(n int) []bool { return a.bs.carve(n) }
 
 // Anys carves n interface words.
 //

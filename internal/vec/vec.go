@@ -17,14 +17,24 @@
 //     decoding produce only the mirror, and Value/ReadRow/AppendRows
 //     derive the boxed value from it on demand. An Any column has no
 //     mirror, so it always has its Box.
-//   - Box late, box once. Resident tables (FromRows) keep the Box their
-//     rows arrived with, and materializing from it copies interface
-//     words. A boxless column is boxed only where rows leave the
-//     columnar world — survivors at the Row boundary (AppendRows,
-//     ReadRow), or once per stored row when an Appender (a join's build
-//     store) takes it in, so fan-out matches select the stored word
-//     instead of boxing again. Rows a predicate discards are never boxed
-//     at all.
+//   - Box in place (box.go). Resident tables (FromRows) keep the Box
+//     their rows arrived with, and materializing from it copies
+//     interface words. A value leaving a boxless column — at the Row
+//     boundary (AppendRows, ReadRow, Value), or into an Appender's Box
+//     (a join's build store) — becomes an interface whose data word
+//     points at its slot in the column's own mirror: no heap box per
+//     value, only the words that hold it.
+//   - Write once. A mirror reachable from a batch handed to any
+//     consumer, store or Rows is never written again: decoders, the
+//     Appender and Concat fill fresh storage and only ever append, and
+//     arena carvings are never reused. This is what makes boxing in
+//     place sound. Two pieces of private scratch are exempt because
+//     nothing is ever boxed from them: the spill Decoder's predicate
+//     mirrors and a spill File's write buffer.
+//   - Retention follows. A boxed value — a materialized Row, a build
+//     store's Box word, anything read through Value — keeps alive the
+//     mirror it points into, i.e. the column storage of the batch it
+//     came from, for as long as it is held.
 //   - Columns are windowed exclusively through Idx (logical→storage).
 //     Storage slices are never re-sliced: the null bitmap is packed at
 //     word granularity over storage positions, so re-slicing storage
@@ -188,7 +198,10 @@ func (c *Col) Len() int {
 }
 
 // Value returns the boxed value at storage position pos: the Box word
-// when the column has one, otherwise boxed from the mirror.
+// when the column has one, otherwise boxed in place over the mirror
+// (boxAt) — no allocation either way, unless the kind failed box.go's
+// init self-check. A value of a boxless column keeps the column's mirror
+// alive for as long as it is held.
 //
 //hierdb:hotpath
 func (c *Col) Value(pos int) any {
@@ -196,94 +209,6 @@ func (c *Col) Value(pos int) any {
 		return c.Box[pos]
 	}
 	return c.boxAt(pos)
-}
-
-// boxAt converts the mirror value at storage position pos of a boxless
-// column to an interface (nil at null bits). This is the engine's one
-// sanctioned boxing boundary — the only place a decoded value becomes a
-// heap box — which is why it is not a //hierdb:hotpath function while
-// its callers (Value, ReadRow, AppendRows, the Appender) are.
-func (c *Col) boxAt(pos int) any {
-	if c.NullAt(pos) {
-		return nil
-	}
-	switch c.Kind {
-	case Int:
-		return int(c.I64[pos])
-	case Int32:
-		return int32(c.I64[pos])
-	case Int64:
-		return c.I64[pos]
-	case Uint64:
-		return uint64(c.I64[pos])
-	case Float64:
-		return c.F64[pos]
-	case Bool:
-		return c.B[pos]
-	case String:
-		return c.Str[pos]
-	}
-	return nil
-}
-
-// Lookup returns m[v] for the value v at storage position pos. A
-// boxless column's value is converted to a key in place, where escape
-// analysis keeps it on the stack: probing a boxed-key hash index costs
-// no allocation per probe row.
-//
-//hierdb:hotpath
-func Lookup[V any](m map[any]V, c *Col, pos int) V {
-	switch {
-	case c.Box != nil:
-		return m[c.Box[pos]]
-	case c.NullAt(pos):
-		return m[nil]
-	}
-	switch c.Kind {
-	case Int:
-		return m[any(int(c.I64[pos]))]
-	case Int32:
-		return m[any(int32(c.I64[pos]))]
-	case Int64:
-		return m[any(c.I64[pos])]
-	case Uint64:
-		return m[any(uint64(c.I64[pos]))]
-	case Float64:
-		return m[any(c.F64[pos])]
-	case Bool:
-		return m[any(c.B[pos])]
-	}
-	return m[any(c.Str[pos])]
-}
-
-// Is reports whether the value at storage position pos equals v under
-// Go's == on the boxed forms — int 1 is not int64 1, NaN is nothing, an
-// uncomparable dynamic type on both sides panics — without boxing a
-// boxless column's value.
-//
-//hierdb:hotpath
-func (c *Col) Is(pos int, v any) bool {
-	switch {
-	case c.Box != nil:
-		return c.Box[pos] == v
-	case c.NullAt(pos):
-		return v == nil
-	}
-	switch c.Kind {
-	case Int:
-		return v == int(c.I64[pos])
-	case Int32:
-		return v == int32(c.I64[pos])
-	case Int64:
-		return v == c.I64[pos]
-	case Uint64:
-		return v == uint64(c.I64[pos])
-	case Float64:
-		return v == c.F64[pos]
-	case Bool:
-		return v == c.B[pos]
-	}
-	return v == c.Str[pos]
 }
 
 // boxInto boxes k values of a boxless column into dst[0], dst[stride],
@@ -305,8 +230,9 @@ func (c *Col) boxInto(dst []any, stride int, idx, sel []int32, k int) {
 }
 
 // FillBox gives a boxless column its Box, boxing every storage
-// position from the mirror — for consumers that need the column to
-// outlive its typed form (a typed chunk under an Any schema).
+// position in place — for consumers that read the column as Any (a
+// typed chunk under an Any schema). The Box keeps the mirror alive even
+// if the column forgets it.
 func (c *Col) FillBox() {
 	if c.Box != nil {
 		return
@@ -321,6 +247,10 @@ func (c *Col) FillBox() {
 // probe columns as a selection over the probe batch and build columns
 // as a selection over the join's sealed build store), but all describe
 // the same N logical rows.
+//
+// Write once: once a batch is handed to any consumer, store or Rows, no
+// mirror reachable from it is written again — boxes of its values point
+// into those mirrors (package comment).
 type Batch struct {
 	Cols []Col
 	N    int
@@ -470,8 +400,9 @@ func fillMirror(c *Col) {
 // ---------------------------------------------------------------------
 
 // AppendRows materializes the batch's logical rows onto dst, carving
-// row storage from a (never reused, so callers may retain the rows).
-// Absent padding is stripped, reproducing original ragged widths.
+// row storage from a (never reused, so callers may retain the rows;
+// a retained row keeps the batch's column storage alive). Absent
+// padding is stripped, reproducing original ragged widths.
 //
 //hierdb:hotpath
 func (b *Batch) AppendRows(dst []Row, a *Arena) []Row {
@@ -597,8 +528,9 @@ func sameIdx(a, b []int32) bool {
 // Appender accumulates rows from batches into one growing dense
 // columnar store — the build side of a hash-join stripe. The store
 // always keeps its Box: values from a boxed source are copied words, a
-// boxless source is boxed here, once per stored row, so every later
-// match selects a stored word. The store's schema adapts: a column fed two
+// boxless source's are boxed in place over the source's mirror (which
+// the store therefore keeps alive), so every later match selects a
+// stored word. The store's schema adapts: a column fed two
 // different kinds, or ragged widths, degrades to Any (the store's Box
 // is complete, so degrading is O(1) and never re-boxes) — except that an
 // all-null Any source column (what the spill codec makes of a batch
@@ -717,8 +649,8 @@ func (ap *Appender) appendCol(dst *Col, ci int, src *Col, sel []int32, k int) {
 		}
 		ap.degrade(dst)
 	}
-	// Box always fills: boxed from a boxless source's mirror, copied
-	// words otherwise.
+	// Box always fills: boxed in place over a boxless source's mirror,
+	// copied words otherwise.
 	if src.Box == nil {
 		at := len(dst.Box)
 		dst.Box = append(dst.Box, make([]any, k)...)

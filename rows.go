@@ -6,7 +6,9 @@ package hierdb
 //
 // The engine streams columnar batches; Rows is the row boundary. Row
 // materialization is lazy — Next only advances a cursor, and a caller
-// that skips Row() for a batch never pays for boxing it into rows.
+// that skips Row() for a batch never pays for boxing it into rows; one
+// that calls it pays the row's interface words and no box per value
+// (internal/vec boxes in place).
 
 import (
 	"hierdb/internal/exec"
@@ -62,7 +64,10 @@ func (r *Rows) Next() bool {
 
 // Row returns the current row, materialized from the columnar batch on
 // first call. Valid after a true Next until the next call; the engine
-// does not reuse row storage, so retaining rows is safe.
+// does not reuse row storage, so retaining rows is safe. A value of a
+// row read from a table file or a spill partition points into the
+// decoded batch's column storage instead of a heap copy of its own, so a
+// retained row keeps that batch's columns alive.
 func (r *Rows) Row() Row {
 	if r.cur == nil && r.batch != nil && r.i > 0 {
 		r.cur = r.batch.ReadRow(r.i-1, r.arena.Anys(len(r.batch.Cols)))
@@ -89,7 +94,9 @@ func (r *Rows) Close() error {
 	return r.err
 }
 
-// Collect drains the remaining stream into a slice, batch-wise.
+// Collect drains the remaining stream into a slice, batch-wise. Like
+// Row's, the returned rows keep alive the column storage of the batches
+// their values were read from.
 func (r *Rows) Collect() ([]Row, error) {
 	var out []Row
 	if !r.closed {
