@@ -10,9 +10,9 @@
 //
 //   - calls to context.Background or context.TODO
 //   - struct fields of type context.Context without a sanctioning
-//     `//hierdb:ctx-in-struct <reason>` trailing comment (the two
-//     sanctioned sites are the query and coordinator lifetimes, whose
-//     structs *are* the cancellation scope)
+//     `//hierdb:ctx-in-struct <reason>` trailing comment (the engine
+//     has none: a query's cancellation is a context.AfterFunc hook
+//     registered at Submit, so no struct holds the caller's ctx)
 //   - package-level variables of type context.Context
 package ctxflow
 

@@ -1,8 +1,8 @@
 // Package rowslifecycle checks that every Rows obtained from
-// (*hierdb.Query).Run reaches Close or Collect. An abandoned Rows
-// leaves pool workers blocked on the query's bounded sink — the leak
-// class internal/leaktest catches dynamically; this analyzer catches
-// the obvious static cases at vet time.
+// (*hierdb.Query).Run reaches Close or Collect. An abandoned Rows costs
+// no worker — its query's production pauses — but a paused query keeps
+// its admission slot and memory lease; this analyzer catches the
+// obvious static cases at vet time.
 //
 // A Run result is compliant when the receiving variable is used, on
 // some path, as the receiver of Close or Collect (including deferred),
@@ -10,7 +10,7 @@
 // function, assigned to a field or captured by a closure. Discarding
 // the result (expression statement or blank identifier) is always
 // flagged; so is a variable whose only uses are Next/Row/Err/Stats,
-// which consume the stream but never release the workers.
+// which consume the stream but never release the query.
 //
 // Test files are excluded: they probe expected-failure Runs whose Rows
 // never exists, and internal/leaktest checks them dynamically.
@@ -108,7 +108,7 @@ func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl) {
 			case obj == nil:
 				// Bound to a field or element: escapes local reasoning.
 			case !released(pass, fd, obj):
-				pass.Reportf(call.Pos(), "Rows from (*hierdb.Query).Run does not reach Close or Collect: workers stay blocked on the sink")
+				pass.Reportf(call.Pos(), "Rows from (*hierdb.Query).Run does not reach Close or Collect: a paused query keeps its slot and lease")
 			}
 		case *ast.ExprStmt:
 			pass.Reportf(call.Pos(), "result of (*hierdb.Query).Run discarded: the Rows must reach Close or Collect")
@@ -145,7 +145,7 @@ func resultBinding(pass *analysis.Pass, a *ast.AssignStmt, call *ast.CallExpr) (
 // escape of the value itself — returned, passed as an argument, sent,
 // stored via assignment, placed in a composite literal or address-
 // taken. Consuming methods (Next/Row/Err/Stats) do not count: they
-// read the stream but never unblock the workers.
+// read the stream but never release the query.
 func released(pass *analysis.Pass, fd *ast.FuncDecl, obj types.Object) bool {
 	ok := false
 	var stack []ast.Node

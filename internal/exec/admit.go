@@ -4,14 +4,14 @@ package exec
 // control. Condition (i) — never acquire work the node cannot hold —
 // is enforced per node by the memory broker (broker.go); this file
 // bounds how many queries are in flight at all. MaxConcurrentQueries
-// used to be a bare channel semaphore with a real bug: a Submit parked
+// used to be a bare channel semaphore with a real bug: a Submit waiting
 // on the channel selected only on the semaphore and the caller's
 // context, so Close never woke it — a context.Background() caller hung
 // forever. The admitter replaces the semaphore with an explicit
 // controller: a bounded FIFO wait queue dequeued round-robin across
 // tenant labels (so one tenant's backlog cannot starve another's),
 // fast rejection with ErrAdmissionQueueFull once the queue cap is hit,
-// and prompt failure of every parked waiter with ErrClosed on close.
+// and prompt failure of every waiter with ErrClosed on close.
 //
 // Waiters park on a per-waiter done channel. Grants transfer the slot
 // (inflight never dips while the queue is non-empty), the grant error
@@ -29,15 +29,15 @@ import (
 
 // ErrAdmissionQueueFull is returned by Submit when MaxConcurrentQueries
 // slots are all taken and the admission wait queue is at capacity: the
-// query is rejected immediately instead of parked. Callers doing load
+// query is rejected immediately instead of queued. Callers doing load
 // shedding match it with errors.Is.
 var ErrAdmissionQueueFull = errors.New("exec: admission queue full")
 
 // defaultQueuePerSlot sizes the admission wait queue when the engine
-// does not set one explicitly: 8 parked queries per admission slot.
+// does not set one explicitly: 8 waiting queries per admission slot.
 const defaultQueuePerSlot = 8
 
-// admitWaiter is one parked Submit. settled and err are written under
+// admitWaiter is one waiting Submit. settled and err are written under
 // the admit mutex (a grant leaves err nil, close sets ErrClosed) before
 // done is closed; done is always closed after the mutex is released.
 type admitWaiter struct {
@@ -46,7 +46,7 @@ type admitWaiter struct {
 	done    chan struct{}
 }
 
-// tenantQueue is one tenant's FIFO of parked waiters. Only tenants
+// tenantQueue is one tenant's FIFO of waiters. Only tenants
 // with at least one waiter appear in the admitter's ring.
 type tenantQueue struct {
 	id string
@@ -54,7 +54,7 @@ type tenantQueue struct {
 }
 
 // admitter is the admission controller shared by an engine's Submit
-// paths: slots concurrent queries, at most queueCap parked waiters.
+// paths: slots concurrent queries, at most queueCap waiters.
 type admitter struct {
 	slots    int
 	queueCap int
@@ -63,12 +63,12 @@ type admitter struct {
 	inflight int
 	waiting  int
 	closed   bool
-	tenants  map[string]*tenantQueue // tenants with parked waiters
+	tenants  map[string]*tenantQueue // tenants with waiters
 	ring     []*tenantQueue          // round-robin dequeue order
 	rr       int                     // next ring index to dequeue
 }
 
-// newAdmitter builds a controller with the given slot count and parked
+// newAdmitter builds a controller with the given slot count and queue
 // cap (queueCap <= 0 means the default 8 per slot).
 func newAdmitter(slots, queueCap int) *admitter {
 	if queueCap <= 0 {
@@ -78,10 +78,10 @@ func newAdmitter(slots, queueCap int) *admitter {
 }
 
 // acquire takes one admission slot for tenant, parking FIFO behind
-// earlier waiters when none is free, and returns how long it parked.
+// earlier waiters when none is free, and returns how long it waited.
 // It fails with ErrAdmissionQueueFull when the wait queue is at
 // capacity, with ErrClosed when the engine closes (promptly, even for
-// waiters parked on a context.Background() Submit), and with ctx.Err()
+// waiters blocked on a context.Background() Submit), and with ctx.Err()
 // when the caller's context fires first.
 //
 //hierdb:hotpath
@@ -120,7 +120,7 @@ func (ad *admitter) acquire(ctx context.Context, tenant string) (time.Duration, 
 		return time.Since(start), w.err
 	case <-ctx.Done():
 	}
-	// The caller's context fired while we were parked. A grant (or a
+	// The caller's context fired while we waited. A grant (or a
 	// close) may have raced it — w.settled, under the mutex, decides:
 	// a raced grant's slot is handed to the next waiter, since the
 	// caller is leaving either way.
@@ -156,7 +156,7 @@ func (ad *admitter) acquire(ctx context.Context, tenant string) (time.Duration, 
 	return time.Since(start), ctx.Err()
 }
 
-// release returns the caller's slot, handing it to the next parked
+// release returns the caller's slot, handing it to the next waiting
 // waiter (round-robin across tenants, FIFO within one) if any.
 //
 //hierdb:hotpath
@@ -222,7 +222,7 @@ func (ad *admitter) dropTenantLocked(tq *tenantQueue) {
 	delete(ad.tenants, tq.id)
 }
 
-// close fails every parked waiter with ErrClosed and rejects all
+// close fails every waiter with ErrClosed and rejects all
 // future acquires. Idempotent; called without scheduler locks.
 func (ad *admitter) close() {
 	ad.mu.Lock()
@@ -246,7 +246,7 @@ func (ad *admitter) close() {
 	}
 }
 
-// queued reports the number of parked waiters (test/introspection
+// queued reports the number of waiters (test/introspection
 // helper).
 func (ad *admitter) queued() int {
 	ad.mu.Lock()

@@ -206,8 +206,7 @@ func TestCloseFailsParkedSubmit(t *testing.T) {
 			case <-time.After(5 * time.Second):
 				t.Fatal("parked Submit still blocked 5s after Close — the hang this test guards against")
 			}
-			for range h1.Out() {
-			}
+			drain(h1)
 			if err := h1.Err(); !errors.Is(err, ErrClosed) {
 				t.Fatalf("aborted in-flight query reported %v, want ErrClosed", err)
 			}
@@ -237,8 +236,7 @@ func TestAdmissionPrecedesCompile(t *testing.T) {
 	go func() {
 		h, err := pool.Submit(context.Background(), starPlan(45, 10), nil, "")
 		if err == nil {
-			for range h.Out() {
-			}
+			drain(h)
 			err = h.Err()
 		}
 		fillerErr <- err
@@ -253,8 +251,7 @@ func TestAdmissionPrecedesCompile(t *testing.T) {
 
 	// Free the slot; the filler runs, then compile failures surface —
 	// and must release their slot for the next valid Submit.
-	for range h1.Out() {
-	}
+	drain(h1)
 	if err := h1.Err(); err != nil {
 		t.Fatal(err)
 	}
@@ -268,8 +265,7 @@ func TestAdmissionPrecedesCompile(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Submit after compile failure did not get the slot back: %v", err)
 	}
-	for range h3.Out() {
-	}
+	drain(h3)
 	if err := h3.Err(); err != nil {
 		t.Fatal(err)
 	}

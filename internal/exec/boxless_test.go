@@ -36,7 +36,7 @@ func allocsOfQuery(t *testing.T, pool *Nodes, plan Node, wantRows int, consume f
 			t.Fatal(err)
 		}
 		n := 0
-		for b := range h.Out() {
+		for b, ok := h.Next(); ok; b, ok = h.Next() {
 			n += b.N
 			consume(b)
 		}
@@ -125,7 +125,7 @@ func diskScanBytesPerRow(t *testing.T, consume func(*vec.Batch)) float64 {
 			t.Fatal(err)
 		}
 		n := 0
-		for b := range h.Out() {
+		for b, ok := h.Next(); ok; b, ok = h.Next() {
 			n += b.N
 			consume(b)
 		}

@@ -181,7 +181,7 @@ func TestConcurrentQueriesShareNodeMemory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, ok := <-hA.Out() // A is probing: its build side is sealed and charged
+	first, ok := hA.Next() // A is probing: its build side is sealed and charged
 	if !ok {
 		t.Fatalf("A delivered nothing: %v", hA.Err())
 	}
@@ -200,7 +200,7 @@ func TestConcurrentQueriesShareNodeMemory(t *testing.T) {
 		t.Fatalf("B did not spill beside A's charged build side: %+v", st)
 	}
 
-	for b := range hA.Out() {
+	for b, ok := hA.Next(); ok; b, ok = hA.Next() {
 		gotA = b.AppendRows(gotA, &arena)
 	}
 	if err := hA.Err(); err != nil {

@@ -158,7 +158,7 @@ type Stats struct {
 	// QueryID identifies the query on its engine (assigned at Submit).
 	QueryID     int64
 	Activations int64
-	// AdmissionWait is how long Submit parked in the admission queue
+	// AdmissionWait is how long Submit waited in the admission queue
 	// before the query was admitted (zero when a slot was free
 	// immediately or the engine has no MaxConcurrentQueries bound).
 	AdmissionWait time.Duration
@@ -258,7 +258,7 @@ type NodeStats struct {
 	Node int
 	// Activations counts activations processed by this node's workers.
 	Activations int64
-	// ResultRows counts result rows this node delivered to the sink.
+	// ResultRows counts result rows this node queued for the consumer.
 	ResultRows int64
 	// PerWorker counts activations per worker of this node's pool.
 	PerWorker []int64

@@ -21,7 +21,8 @@ package exec
 // A failed round parks the fragment (stealIdle) until a producer refills
 // some peer queue past stealWakeThreshold — producer-driven retries in
 // place of the simulation's timer pacing. Rounds are single-flight per
-// fragment (stealBusy, claimed like a flush).
+// fragment (stealBusy, claimed like a merge). A query whose production
+// is paused on its consumer starts no round.
 
 import "sync/atomic"
 
@@ -50,7 +51,7 @@ func (p *pool) stealClaimLocked() *query {
 	for _, q := range p.queries {
 		mq := q.mq
 		if !mq.stealing || q.terminalLocked() ||
-			q.stealBusy || q.stealIdle || len(q.parked) > 0 {
+			q.stealBusy || q.stealIdle || mq.paused.Load() {
 			continue
 		}
 		chain := mq.phys.chains[q.chain]

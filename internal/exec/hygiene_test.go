@@ -19,10 +19,17 @@ import (
 func drainRows(h *Handle) []Row {
 	var out []Row
 	var arena vec.Arena
-	for b := range h.Out() {
+	for b, ok := h.Next(); ok; b, ok = h.Next() {
 		out = b.AppendRows(out, &arena)
 	}
 	return out
+}
+
+// drain pops a handle's output until the query has retired and its
+// queue is empty.
+func drain(h *Handle) {
+	for _, ok := h.Next(); ok; _, ok = h.Next() {
+	}
 }
 
 // runOnce runs one query — a group-by when gb is non-nil — to completion
@@ -64,7 +71,7 @@ func verifyIdle(t *testing.T, ns *Nodes) {
 		t.Fatalf("post-incident query failed to submit: %v", err)
 	}
 	n := 0
-	for batch := range h.Out() {
+	for batch, ok := h.Next(); ok; batch, ok = h.Next() {
 		n += batch.N
 	}
 	if err := h.Err(); err != nil || n != 1000 {

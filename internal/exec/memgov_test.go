@@ -200,11 +200,10 @@ func TestSpillCancellationRemovesTempFiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	<-h.Out() // wait for first output, well into spill-phase execution
+	h.Next() // wait for first output, well into spill-phase execution
 	cancel()
 	start := time.Now()
-	for range h.Out() {
-	}
+	drain(h)
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Fatalf("drain after mid-spill cancel took %v", elapsed)
 	}
@@ -260,8 +259,7 @@ func TestSpillUnsupportedTypeFails(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for range h.Out() {
-	}
+	drain(h)
 	if err := h.Err(); err == nil || !strings.Contains(err.Error(), "unsupported column type") {
 		t.Fatalf("governed query over non-encodable rows reported %v", err)
 	}

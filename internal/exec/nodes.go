@@ -12,22 +12,32 @@ package exec
 // nodes acquiring remote probe queues with their hash-table buckets —
 // lives in globallb.go and engages only when a second node exists.
 //
+// Results wait, workers don't: a root activation's result batch joins a
+// FIFO on the coordinator, which the consumer pops (Handle.Next). While
+// that queue holds its bound, the query's production pauses — its pools
+// pick none of its activations — and the pop that takes the queue back
+// below the bound wakes them. No worker ever waits on a consumer, and a
+// query whose output is all queued retires at once, returning its
+// admission slot and memory lease.
+//
 // Locking: admit -> mq -> pool. The admission controller (admit.go) is
 // outermost and held across nothing. An mquery carries the query-global
-// operator accounting (pending counts, chain barrier) under its own
-// mutex. Coordinator work may take pool mutexes (mq.mu -> pool.mu),
-// never the reverse; at most one pool mutex is held at a time.
+// operator accounting (pending counts, chain barrier) and the result
+// queue under its own mutex. Coordinator work may take pool mutexes
+// (mq.mu -> pool.mu), never the reverse; at most one pool mutex is held
+// at a time.
 //
 // What a worker pays per activation: one mq.mu round (mquery.epilogue
-// settles the outs' pending counts and the activation's own together),
-// a pool.mu round on each node it emitted batches to, and the pool.mu
-// round of its next pick. A scheduler that knew only one node could fold all three into
-// the pick; here a one-node query pays the mq.mu round and, when the
-// activation had output, one pool.mu round more. Both are short,
-// uncontended next to the activation itself (a 1024-row morsel, a
-// 256-row batch), and measured flat on bench/'s join_stream — the price
-// of chain start, operator completion, spill-phase advance, merge
-// hand-off, abort and retirement existing once.
+// settles the outs' pending counts and the activation's own together
+// and queues its result batch), a pool.mu round on each node it emitted
+// batches to, and the pool.mu round of its next pick. A scheduler that
+// knew only one node could fold all three into the pick; here a
+// one-node query pays the mq.mu round and, when the activation had
+// output, one pool.mu round more. Both are short, uncontended next to
+// the activation itself (a 1024-row morsel, a 256-row batch), and
+// measured flat on bench/'s join_stream — the price of chain start,
+// operator completion, spill-phase advance, merge hand-off, abort and
+// retirement existing once.
 
 import (
 	"context"
@@ -247,17 +257,17 @@ func hashPartition(t *Table, n int) []*vec.Batch {
 // private partials, each node merges its workers', the last node to
 // finish merges the per-node results, and the groups stream out ordered
 // deterministically). tenant labels the query for admission fairness:
-// parked Submits are dequeued round-robin across labels, FIFO within
-// one. The returned Handle's Out channel streams result batches with
-// backpressure; the caller must drain it (or Cancel) for the query's
-// workers to release. The query executes as one fragment per node with
-// key-routed redistribution between operators; results are identical at
-// every node count (stream order aside).
+// waiting Submits are dequeued round-robin across labels, FIFO within
+// one. The returned Handle's Next pops result batches; production pauses
+// while a bounded number of them wait unread, and no worker waits on the
+// consumer. The query executes as one fragment per node with key-routed
+// redistribution between operators; results are identical at every node
+// count (stream order aside). Cancelling ctx aborts the query.
 func (ns *Nodes) Submit(ctx context.Context, root Node, gb *GroupBy, tenant string) (*Handle, error) {
 	if root == nil {
 		return nil, fmt.Errorf("exec: nil plan")
 	}
-	// Admission precedes compilation: a parked Submit holds no compiled
+	// Admission precedes compilation: a waiting Submit holds no compiled
 	// physical plan (or any other per-query state) while it waits, and
 	// Close fails it promptly even on a context.Background() caller.
 	var wait time.Duration
@@ -275,14 +285,13 @@ func (ns *Nodes) Submit(ctx context.Context, root Node, gb *GroupBy, tenant stri
 		ns.admitRelease()
 		return nil, err
 	}
-	h := ns.newQuery(ctx, phys, gb)
+	h := ns.newQuery(phys, gb)
 	mq := &h.mq
 	mq.stats.AdmissionWait = wait
 
 	ns.mu.Lock()
 	if ns.closed {
 		ns.mu.Unlock()
-		mq.cancel()
 		ns.admitRelease()
 		return nil, ErrClosed
 	}
@@ -303,15 +312,23 @@ func (ns *Nodes) Submit(ctx context.Context, root Node, gb *GroupBy, tenant stri
 		}
 		p.mu.Unlock()
 	}
+	// The caller's context fails the query without a goroutine of ours.
+	// Registered under mq.mu and only while a fragment is unretired, so
+	// fragRetired (which reads stop under mq.mu) either finds it or
+	// retired the query before it was set.
+	mq.mu.Lock()
+	if mq.remaining.Load() > 0 {
+		mq.stop = context.AfterFunc(ctx, func() { mq.fail(ctx.Err()) })
+	}
+	mq.mu.Unlock()
 	mq.start()
-	go mq.watch()
 	return h, nil
 }
 
 // newQuery builds a compiled query's coordinator and its per-node
 // fragments, fully, before the query becomes visible to anyone: a
 // concurrent Close walks mq.frags without a lock.
-func (ns *Nodes) newQuery(ctx context.Context, phys *physical, gb *GroupBy) *Handle {
+func (ns *Nodes) newQuery(phys *physical, gb *GroupBy) *Handle {
 	n, workers := ns.cfg.Nodes, ns.cfg.Workers
 	h := &Handle{mq: mquery{
 		nodes:    ns,
@@ -320,12 +337,12 @@ func (ns *Nodes) newQuery(ctx context.Context, phys *physical, gb *GroupBy) *Han
 		n:        n,
 		buckets:  n * ns.cfg.Stripes,
 		stealing: n > 1 && !ns.cfg.DisableStealing,
-		sink:     make(chan *vec.Batch, 2*workers*n),
+		bound:    2 * workers * n,
 		finished: make(chan struct{}),
 		ops:      make([]mop, len(phys.ops)),
 	}}
 	mq := &h.mq
-	mq.ctx, mq.cancel = context.WithCancel(ctx)
+	mq.ready.L = &mq.mu
 	for _, op := range phys.ops {
 		if op.kind == opScan && op.scan.Table.File == nil {
 			mq.ops[op.id].parts = ns.partitionFor(op.scan.Table)
@@ -396,9 +413,9 @@ type mop struct {
 }
 
 // mquery coordinates one query: per-node fragments, global
-// operator/chain state, the shared context and result sink, steal
-// bookkeeping, the terminal error and sealed stats. See the comment at
-// the top of this file for the locking rules.
+// operator/chain state, the result queue, steal bookkeeping, the
+// terminal error and sealed stats. See the comment at the top of this
+// file for the locking rules.
 type mquery struct {
 	nodes *Nodes
 	phys  *physical
@@ -410,15 +427,13 @@ type mquery struct {
 	// stealing enables the global load-balancing layer: a second node
 	// exists and the engine did not disable it.
 	stealing bool
+	// bound is how many result batches may wait unread before production
+	// pauses: two per worker of the engine.
+	bound int
 
-	// ctx is done when the caller's context is cancelled, the consumer
-	// closes the result stream, or the query retires.
-	ctx    context.Context //hierdb:ctx-in-struct query lifetime: the struct is the cancellation scope
-	cancel context.CancelFunc
-	// sink carries result batches to the consumer; its bound provides
-	// backpressure instead of materializing the full result set. Closed
-	// at retirement.
-	sink chan *vec.Batch
+	// stop unregisters the caller-context hook Submit set (under mu, nil
+	// if a Close retired the query first); fragRetired calls it.
+	stop func() bool
 	// finished is closed when the query is fully retired: no worker will
 	// touch it again, err and stats are final.
 	finished chan struct{}
@@ -426,7 +441,11 @@ type mquery struct {
 	fragBuf  [2]*query // backs frags on small engines: one allocation less
 
 	remaining   atomic.Int64 // fragments not yet retired
-	idleThieves atomic.Int64 // fragments parked in stealIdle
+	idleThieves atomic.Int64 // fragments idled in stealIdle
+	// paused is set while the result queue holds bound batches: the
+	// pools give the query no production pick (read under pool mutexes,
+	// written under mu).
+	paused atomic.Bool
 
 	mu      sync.Mutex //hierdb:lock mq
 	ops     []mop
@@ -436,6 +455,12 @@ type mquery struct {
 	merged  int // fragments whose per-node group-by partial is merged
 	// nodeParts holds the per-node merged partial aggregation states.
 	nodeParts []map[any]*groupState
+	// out[head:] is the result queue, oldest first; ready (on mu) wakes a
+	// consumer blocked in Handle.Next when a batch arrives or the query
+	// retires.
+	out   []*vec.Batch
+	head  int
+	ready sync.Cond
 
 	// stats is sealed when the last fragment retires; until then only
 	// QueryID, AdmissionWait (set at submit) and PerWorker (whose
@@ -517,17 +542,14 @@ func (mq *mquery) startChain(c int) bool {
 
 // epilogue is the post-processing bookkeeping of one activation: settle
 // the global pending counts — the outs' before the activation's own, so
-// an operator never looks drained while its input is in transit —
-// advance operators and chains, then route the output batches to their
-// owner nodes. Called by the worker loop without any lock held; the
-// caller still decrements q.inflight and runs the retirement check on
-// its own pool afterwards.
+// an operator never looks drained while its input is in transit — queue
+// a root activation's result batch, advance operators and chains, then
+// route the output batches to their owner nodes. Called by the worker
+// loop without any lock held; the caller still decrements q.inflight and
+// runs the retirement check on its own pool afterwards.
 //
 //hierdb:hotpath
-func (mq *mquery) epilogue(q *query, a *activation, outs []*activation, delivered bool) {
-	if !delivered {
-		mq.fail(mq.ctx.Err())
-	}
+func (mq *mquery) epilogue(q *query, a *activation, outs []*activation, results *vec.Batch) {
 	var completed bool
 	mq.mu.Lock()
 	aborted := mq.aborted
@@ -537,6 +559,9 @@ func (mq *mquery) epilogue(q *query, a *activation, outs []*activation, delivere
 		// batch's cut-off tail).
 		for _, out := range outs {
 			mq.ops[out.op.id].pend++
+		}
+		if results != nil && results.N > 0 {
+			mq.pushLocked(q, results)
 		}
 	}
 	mo := &mq.ops[a.op.id]
@@ -671,7 +696,7 @@ func (mq *mquery) opFinished(op *pop) bool {
 }
 
 // completeFrags marks every fragment done and retires the idle ones
-// (fragments still flushing, merging or processing retire from their own
+// (fragments still merging or processing retire from their own
 // pools' worker loops). Called without locks after the last chain
 // completes.
 func (mq *mquery) completeFrags() {
@@ -691,10 +716,9 @@ func (mq *mquery) completeFrags() {
 // mergeFragment is the group-by merge job: fold one node's worker
 // partials into the node's partial (including any spilled partials of a
 // memory-governed query); the last node to finish additionally merges
-// the per-node partials into the final output batches (returned
-// non-nil), which the worker parks on its fragment for the flusher
-// machinery to stream. Called from the worker loop without locks.
-func (mq *mquery) mergeFragment(q *query) []*vec.Batch {
+// the per-node partials into the final output batches and queues them
+// for the consumer. Called from the worker loop without locks.
+func (mq *mquery) mergeFragment(q *query) {
 	part, err := q.mergedGroups()
 	if err != nil {
 		mq.fail(err)
@@ -710,24 +734,50 @@ func (mq *mquery) mergeFragment(q *query) []*vec.Batch {
 	}
 	mq.mu.Unlock()
 	if !last {
-		return nil
+		return
 	}
 	for _, p := range parts[1:] {
 		mergeGroups(parts[0], p, mq.gb)
 	}
-	return batchRowsVec(groupsToRows(parts[0], mq.gb), mq.nodes.cfg.Batch)
+	batches := batchRowsVec(groupsToRows(parts[0], mq.gb), mq.nodes.cfg.Batch)
+	mq.mu.Lock()
+	if !mq.aborted {
+		for _, b := range batches {
+			mq.pushLocked(q, b)
+		}
+	}
+	mq.mu.Unlock()
+}
+
+// pushLocked queues a result batch of fragment q for the consumer, wakes
+// a consumer blocked in Handle.Next, and pauses the query's production
+// once bound batches wait. Callers hold mq.mu.
+//
+//hierdb:hotpath
+func (mq *mquery) pushLocked(q *query, b *vec.Batch) {
+	if len(mq.out) == cap(mq.out) && mq.head > 0 {
+		// Slide the live entries down instead of growing the array.
+		n := copy(mq.out, mq.out[mq.head:])
+		clear(mq.out[n:])
+		mq.out, mq.head = mq.out[:n], 0
+	}
+	mq.out = append(mq.out, b)
+	q.resultRows += int64(b.N)
+	if len(mq.out)-mq.head >= mq.bound {
+		mq.paused.Store(true)
+	}
+	mq.ready.Signal()
 }
 
 // fail aborts the whole query with its terminal error — cancellation,
 // engine Close, or an error met while processing an activation
 // (table-file or spill I/O, a codec error, a build side too large to
-// seal, a contained panic): every fragment drops its queues and parked
-// output, and the shared context is cancelled so blocked sends release.
-// Idempotent. Called without locks.
+// seal, a contained panic): every fragment drops its queues and the
+// result queue is dropped. Idempotent. Called without locks.
 func (mq *mquery) fail(err error) {
 	mq.mu.Lock()
-	// Fully retired queries are immune: retirement cancels the shared
-	// context, and the watcher's select may pick ctx.Done over finished.
+	// Fully retired queries are immune: their outcome is final, and a
+	// late caller-context hook may still fire.
 	if mq.aborted || mq.remaining.Load() == 0 {
 		mq.mu.Unlock()
 		return
@@ -737,8 +787,8 @@ func (mq *mquery) fail(err error) {
 		err = context.Canceled
 	}
 	mq.err = err
+	mq.out, mq.head = nil, 0
 	mq.mu.Unlock()
-	mq.cancel()
 	for i, fq := range mq.frags {
 		p := mq.nodes.pools[i]
 		p.mu.Lock()
@@ -752,30 +802,23 @@ func (mq *mquery) fail(err error) {
 	}
 }
 
-// watch aborts the query when its context is cancelled (caller cancel or
-// Rows.Close) before it retires on its own. This is what makes
-// cancellation prompt even when every worker is parked.
-func (mq *mquery) watch() {
-	select {
-	case <-mq.ctx.Done():
-		mq.fail(mq.ctx.Err())
-	case <-mq.finished:
-	}
-}
-
 // fragRetired records one fragment's retirement; the last one seals the
-// query: global stats, sink and finished close, slot release. Called
-// without pool locks (the finalize path).
+// query: global stats, the consumer's wake, finished close, the
+// caller-context hook's removal, slot release. Called without pool locks
+// (the finalize path).
 func (mq *mquery) fragRetired() {
 	if mq.remaining.Add(-1) > 0 {
 		return
 	}
 	mq.mu.Lock()
 	mq.sealStatsLocked()
+	mq.ready.Broadcast()
+	stop := mq.stop
 	mq.mu.Unlock()
-	close(mq.sink)
 	close(mq.finished)
-	mq.cancel()
+	if stop != nil {
+		stop()
+	}
 	mq.nodes.release(mq)
 }
 
@@ -797,7 +840,7 @@ func (mq *mquery) sealStatsLocked() {
 		nst := NodeStats{
 			Node:              i,
 			Activations:       fq.acts,
-			ResultRows:        atomic.LoadInt64(&fq.resultRows),
+			ResultRows:        fq.resultRows,
 			PerWorker:         fq.perWorker,
 			RowsShippedIn:     atomic.LoadInt64(&fq.shipIn),
 			RowsShippedOut:    atomic.LoadInt64(&fq.shipOut),
@@ -834,29 +877,60 @@ type Handle struct {
 	mq mquery
 }
 
-// Out is the stream of result batches (columnar; use Batch.AppendRows
-// or Batch.ReadRow to materialize rows). It is closed when the query
-// retires (completion, cancellation, or engine close); check Err after.
-// The channel is bounded: an undrained handle eventually blocks the
-// workers feeding it, so consume it fully or Cancel.
-func (h *Handle) Out() <-chan *vec.Batch { return h.mq.sink }
+// Next pops the query's next result batch (columnar; use
+// Batch.AppendRows or Batch.ReadRow to materialize rows), blocking only
+// while none is queued and the query has not retired. It returns false
+// once the query has retired (completion, cancellation, or engine close)
+// and its queue is empty; check Err after. A pop that takes the queue
+// back below its bound resumes the query's paused production.
+//
+//hierdb:hotpath
+func (h *Handle) Next() (*vec.Batch, bool) {
+	mq := &h.mq
+	mq.mu.Lock()
+	for mq.head == len(mq.out) && mq.remaining.Load() > 0 {
+		mq.ready.Wait()
+	}
+	if mq.head == len(mq.out) {
+		mq.mu.Unlock()
+		return nil, false
+	}
+	b := mq.out[mq.head]
+	mq.out[mq.head] = nil
+	mq.head++
+	if mq.head == len(mq.out) {
+		mq.out, mq.head = mq.out[:0], 0
+	}
+	resume := mq.paused.Load() && len(mq.out)-mq.head < mq.bound
+	if resume {
+		mq.paused.Store(false)
+	}
+	mq.mu.Unlock()
+	if resume {
+		for _, p := range mq.nodes.pools {
+			p.mu.Lock()
+			p.cond.Broadcast()
+			p.mu.Unlock()
+		}
+	}
+	return b, true
+}
 
 // Done is closed when the query has fully retired (Err and Stats final).
 func (h *Handle) Done() <-chan struct{} { return h.mq.finished }
 
 // Err blocks until the query retires and returns its terminal error
-// (nil on success). A query only retires once its output is delivered:
-// drain Out (or Cancel) first, or Err can block forever behind the
-// bounded sink.
+// (nil on success). A query retires as soon as all its output is queued:
+// one whose unread output stays within the bound needs no draining, a
+// larger one stays paused until Next takes batches (or Cancel).
 func (h *Handle) Err() error {
 	<-h.mq.finished
 	return h.mq.err
 }
 
-// Stats blocks until the query retires and returns a private copy of
-// its counters, including per-worker activation counts and, on an
-// engine of several nodes, per-node breakdowns and steal counters. Like
-// Err, call it only after draining Out (or after Cancel).
+// Stats blocks until the query retires, like Err, and returns a private
+// copy of its counters, including per-worker activation counts and, on
+// an engine of several nodes, per-node breakdowns and steal counters.
 func (h *Handle) Stats() *Stats {
 	<-h.mq.finished
 	s := h.mq.stats
@@ -870,6 +944,7 @@ func (h *Handle) Stats() *Stats {
 	return &s
 }
 
-// Cancel aborts the query; Out closes promptly and Err reports the
-// cancellation. Idempotent, safe after completion.
-func (h *Handle) Cancel() { h.mq.cancel() }
+// Cancel aborts the query and drops its queued output; Next returns false
+// once in-flight activations have returned, and Err reports the
+// cancellation. Idempotent; a no-op once the query has retired.
+func (h *Handle) Cancel() { h.mq.fail(context.Canceled) }

@@ -185,11 +185,10 @@ func TestMultiNodeCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	<-h.Out() // first batch, then cancel mid-stream
+	h.Next() // first batch, then cancel mid-stream
 	cancel()
 	start := time.Now()
-	for range h.Out() {
-	}
+	drain(h)
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Fatalf("multi-node drain after cancel took %v", elapsed)
 	}
@@ -222,7 +221,7 @@ func TestMultiNodeConcurrentQueries(t *testing.T) {
 				return
 			}
 			var rows int
-			for b := range h.Out() {
+			for b, ok := h.Next(); ok; b, ok = h.Next() {
 				rows += b.N
 			}
 			if err := h.Err(); err != nil {
@@ -256,8 +255,7 @@ func TestMultiNodeClosePromptly(t *testing.T) {
 		t.Fatal(err)
 	}
 	ns.Close()
-	for range h.Out() {
-	}
+	drain(h)
 	if err := h.Err(); !errors.Is(err, ErrClosed) {
 		t.Fatalf("closed engine reported %v", err)
 	}
@@ -287,7 +285,7 @@ func TestMultiNodeStreamingAllocBound(t *testing.T) {
 			t.Fatal(err)
 		}
 		n := 0
-		for batch := range h.Out() {
+		for batch, ok := h.Next(); ok; batch, ok = h.Next() {
 			n += batch.N
 		}
 		if err := h.Err(); err != nil {

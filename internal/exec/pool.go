@@ -1,19 +1,18 @@
 package exec
 
-// One node's worker set, scheduler and flusher. This is the paper's
-// central mechanism — self-contained activations in per-operator queues,
-// any worker may run any activation — extended across query boundaries:
-// the pool's workers serve the operator queues of every fragment in
-// flight on the node, so load balances itself both within a query and
-// between queries at execution time. A rotating fair cursor round-robins
-// the cross-query pick and a fair-share cap bounds per-query worker
+// One node's worker set and scheduler. This is the paper's central
+// mechanism — self-contained activations in per-operator queues, any
+// worker may run any activation — extended across query boundaries: the
+// pool's workers serve the operator queues of every fragment in flight
+// on the node, so load balances itself both within a query and between
+// queries at execution time. A rotating fair cursor round-robins the
+// cross-query pick and a fair-share cap bounds per-query worker
 // anchoring, so one heavy join cannot starve lighter queries; within a
 // query the original order is kept (downstream operators first, the
-// worker's primary queue before stealing). Slow consumers backpressure
-// their own query — full sinks park batches and pause that query's
-// production — without capturing the pool: blocking sends are done by
-// dedicated flusher workers, capped pool-wide so runnable queries always
-// keep at least one worker.
+// worker's primary queue before stealing). A slow consumer backpressures
+// only its own query, and by scheduling alone: while the query's result
+// queue holds its bound, the pick skips the query — production pauses;
+// no worker waits on a consumer.
 //
 // A pool decides nothing about a query as a whole: it picks, runs and
 // retires fragments. Submission, admission, chain and operator
@@ -26,7 +25,6 @@ import (
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"hierdb/internal/store"
 	"hierdb/internal/vec"
@@ -48,14 +46,13 @@ type pool struct {
 	workers int
 	broker  *memBroker // the node's memory account; nil = ungoverned
 
-	mu       sync.Mutex //hierdb:lock pool
-	cond     *sync.Cond
-	queries  []*query // in-flight fragments, scheduling order
-	fair     int      // rotating cross-query pick cursor
-	waiting  int      // workers parked in cond.Wait
-	captured int      // workers blocked flushing parked output to a slow consumer
-	closed   bool
-	wg       sync.WaitGroup
+	mu      sync.Mutex //hierdb:lock pool
+	cond    *sync.Cond
+	queries []*query // in-flight fragments, scheduling order
+	fair    int      // rotating cross-query pick cursor
+	waiting int      // workers asleep in cond.Wait
+	closed  bool
+	wg      sync.WaitGroup
 
 	// scanners[w] is worker w's own chunk-read scratch, kept across
 	// queries; the first filtered file scan allocates what is inside.
@@ -85,16 +82,11 @@ func (p *pool) retireIfDoneLocked(q *query) bool {
 	if q.retired || q.inflight > 0 || !q.terminalLocked() {
 		return false
 	}
-	// A completed query holds its retirement until its output is fully
-	// delivered: the group-by merge must have run and the flusher must
-	// have drained any parked batches (aborted queries drop theirs).
-	if !q.aborted {
-		if q.mq.gb != nil && !q.mergeDone {
-			return false
-		}
-		if len(q.parked) > 0 {
-			return false
-		}
+	// A completed group-by holds its retirement until the merge has
+	// queued its groups. Streamed output is queued as it is produced, so a
+	// completed query waits for no consumer.
+	if !q.aborted && q.mq.gb != nil && !q.mergeDone {
+		return false
 	}
 	q.retired = true
 	for i, x := range p.queries {
@@ -106,7 +98,7 @@ func (p *pool) retireIfDoneLocked(q *query) bool {
 	return true
 }
 
-// wakeLocked signals up to n parked workers — enough for the work just
+// wakeLocked signals up to n sleeping workers — enough for the work just
 // enqueued, without the thundering herd of a Broadcast. Callers hold mu.
 func (p *pool) wakeLocked(n int) {
 	if n > p.waiting {
@@ -117,36 +109,23 @@ func (p *pool) wakeLocked(n int) {
 	}
 }
 
-// flushCap is the maximum number of workers that may simultaneously be
-// captured in blocking flushes to slow consumers: always at least one
-// worker stays available for runnable queries (on a one-worker pool the
-// single worker must be allowed to flush).
-func (p *pool) flushCap() int {
-	if p.workers > 1 {
-		return p.workers - 1
-	}
-	return 1
-}
-
 // Job kinds returned by pickLocked alongside a query.
 type jobKind int
 
 const (
 	jobRun   jobKind = iota // execute an activation
-	jobFlush                // blocking-send parked output batches
 	jobMerge                // merge group-by partials into final batches
 )
 
-// pickLocked finds the next job for worker w: an activation to run, a
-// flush of parked output, or a group-by merge. The worker is anchored to
-// the query it last served (cross-query affinity keeps a worker's cache
-// on one hash table), but a query may hold at most its fair share
-// ceil(workers/queries) of anchored workers: beyond that the worker
-// rotates to the fair cursor's next query, so one heavy join cannot
-// starve lighter queries of workers. A query with parked output gets no
-// production picks until the flush drains it, and at most flushCap
-// workers may block on slow consumers pool-wide. Callers hold mu; a
-// returned jobFlush/jobMerge has been claimed (flushing/merging set) and
+// pickLocked finds the next job for worker w: an activation to run or a
+// group-by merge. The worker is anchored to the query it last served
+// (cross-query affinity keeps a worker's cache on one hash table), but a
+// query may hold at most its fair share ceil(workers/queries) of
+// anchored workers: beyond that the worker rotates to the fair cursor's
+// next query, so one heavy join cannot starve lighter queries of
+// workers. A query whose result queue holds its bound gets no production
+// pick until its consumer takes the queue back below it (mquery.paused).
+// Callers hold mu; a returned jobMerge has been claimed (merging set) and
 // the caller must run it.
 //
 //hierdb:hotpath
@@ -158,7 +137,7 @@ func (p *pool) pickLocked(w int, anchor **query) (q *query, a *activation, job j
 	}
 	share := (p.workers + n - 1) / n
 	if aq := *anchor; aq != nil {
-		if aq.terminalLocked() || aq.anchored > share || len(aq.parked) > 0 {
+		if aq.terminalLocked() || aq.anchored > share || aq.mq.paused.Load() {
 			p.releaseAnchorLocked(anchor)
 		} else if a := aq.pickLocked(w); a != nil {
 			return aq, a, jobRun
@@ -169,23 +148,15 @@ func (p *pool) pickLocked(w int, anchor **query) (q *query, a *activation, job j
 		if q.aborted {
 			continue
 		}
-		if len(q.parked) > 0 {
-			// Production paused: only a flush may serve this query (it
-			// can be done but not yet retired — flushing must continue).
-			if !q.flushing && p.captured < p.flushCap() {
-				q.flushing = true
-				p.captured++
-				p.fair = (p.fair + i + 1) % n
-				return q, nil, jobFlush
-			}
-			continue
-		}
 		if q.done {
 			if q.mq.gb != nil && !q.mergeDone && !q.merging {
 				q.merging = true
 				p.fair = (p.fair + i + 1) % n
 				return q, nil, jobMerge
 			}
+			continue
+		}
+		if q.mq.paused.Load() {
 			continue
 		}
 		if a := q.pickLocked(w); a != nil {
@@ -202,58 +173,6 @@ func (p *pool) pickLocked(w int, anchor **query) (q *query, a *activation, job j
 	return nil, nil, jobRun
 }
 
-// flushHold bounds how long a flusher blocks on one send before giving
-// its flush slot back: slots are a shared, capped resource (flushCap),
-// so a stalled consumer must not pin one forever — the slot rotates via
-// the fair cursor to other backpressured queries and this query's flush
-// is re-claimed later. Stalled consumers therefore cost a slot only
-// flushHold at a time instead of permanently.
-const flushHold = 10 * time.Millisecond
-
-// runFlush sends a query's parked batches to its sink, blocking at most
-// flushHold per batch before surrendering the flush slot (parked output
-// simply stays parked for the next claim). Returns false if the query
-// was cancelled while flushing. Called without mu by the worker that
-// claimed q.flushing; timer is the worker's reusable park timer.
-//
-//hierdb:hotpath
-func (p *pool) runFlush(q *query, timer **time.Timer) bool {
-	for {
-		p.mu.Lock()
-		if q.aborted || len(q.parked) == 0 {
-			p.mu.Unlock()
-			return true
-		}
-		batch := q.parked[0]
-		q.parked = q.parked[1:]
-		p.mu.Unlock()
-		t := *timer
-		if t == nil {
-			t = time.NewTimer(flushHold)
-			*timer = t
-		} else {
-			t.Reset(flushHold)
-		}
-		select {
-		case q.mq.sink <- batch:
-			stopParkTimer(t)
-			atomic.AddInt64(&q.resultRows, int64(batch.N))
-		case <-q.mq.ctx.Done():
-			stopParkTimer(t)
-			return false
-		case <-t.C:
-			// Surrender the slot: re-park the batch (unless an abort
-			// dropped the queue meanwhile) for the next flush claim.
-			p.mu.Lock()
-			if !q.aborted {
-				q.parked = append([]*vec.Batch{batch}, q.parked...)
-			}
-			p.mu.Unlock()
-			return true
-		}
-	}
-}
-
 func (p *pool) releaseAnchorLocked(anchor **query) {
 	if *anchor != nil {
 		(*anchor).anchored--
@@ -268,10 +187,7 @@ func (p *pool) releaseAnchorLocked(anchor **query) {
 //hierdb:hotpath
 func (p *pool) worker(w int) {
 	defer p.wg.Done()
-	var (
-		anchor    *query
-		parkTimer *time.Timer
-	)
+	var anchor *query
 	p.mu.Lock()
 	for {
 		if p.closed {
@@ -285,17 +201,17 @@ func (p *pool) worker(w int) {
 			if sq := p.stealClaimLocked(); sq != nil {
 				p.mu.Unlock()
 				stole := sq.mq.stealRound(sq)
-				parked := false
+				idled := false
 				p.mu.Lock()
 				sq.stealBusy = false
 				if !stole && !sq.stealIdle {
-					// Park further rounds until a producer refills a
+					// Idle further rounds until a producer refills a
 					// peer queue (wakeThieves clears the mark).
 					sq.stealIdle = true
 					sq.mq.idleThieves.Add(1)
-					parked = true
+					idled = true
 				}
-				if parked {
+				if idled {
 					// Close the lost-wakeup window: a producer crossing
 					// the wake threshold between our failed round and the
 					// idle mark saw idleThieves == 0 and sent no wake.
@@ -318,44 +234,25 @@ func (p *pool) worker(w int) {
 		}
 		q.inflight++
 		p.mu.Unlock()
-		switch job {
-		case jobFlush:
-			if !p.runFlush(q, &parkTimer) {
-				q.mq.fail(q.mq.ctx.Err())
-			}
-			p.mu.Lock()
-			q.flushing = false
-			p.captured--
-		case jobMerge:
+		if job == jobMerge {
 			// All folds finished before done was set (pending counts hit
 			// zero under the coordinator's mutex), so reading the partials
-			// is safe. The last node's merge returns the final batches,
-			// delivered through the parked/flusher machinery: same
-			// backpressure, cancellation and Close guarantees as the
-			// streaming path.
-			batches := q.runMerge()
+			// is safe. The last node's merge queues the final batches on
+			// the coordinator, like any root activation's results.
+			q.runMerge()
 			p.mu.Lock()
 			q.merging = false
 			q.mergeDone = true
-			if !q.aborted {
-				q.parked = append(q.parked, batches...)
-			}
-		default:
-			outs, delivered := q.runActivation(a, w, &parkTimer)
+		} else {
+			outs, results := q.runActivation(a, w)
 			a.res.release()
-			// Routing and operator/chain accounting are query-global:
-			// the coordinator settles them without our mutex.
-			q.mq.epilogue(q, a, outs, delivered)
+			// Routing, operator/chain accounting and the result queue are
+			// query-global: the coordinator settles them without our mutex.
+			q.mq.epilogue(q, a, outs, results)
 			p.mu.Lock()
 			q.acts++
 		}
 		q.inflight--
-		// A finished flush or merge changes what is pickable (production
-		// resumes, parked output appears) without enqueueing anything, so
-		// waiting workers must be woken to see it.
-		if job != jobRun {
-			p.cond.Broadcast()
-		}
 		if p.retireIfDoneLocked(q) {
 			p.mu.Unlock()
 			q.finalize()
@@ -364,8 +261,9 @@ func (p *pool) worker(w int) {
 	}
 }
 
-// runActivation executes one activation on worker w and delivers its
-// result batch: the activation boundary, outside every scheduler lock. A
+// runActivation executes one activation on worker w: the activation
+// boundary, outside every scheduler lock. It returns the routed outs and,
+// for a root activation, its result batch, which the epilogue queues. A
 // panic below it — user Filter or Arg code, which runs nowhere else, or
 // an engine bug — is contained here: the query fails with ErrQueryPanic and
 // the activation reports no outs, so the worker's ordinary epilogue
@@ -375,30 +273,29 @@ func (p *pool) worker(w int) {
 // zero whatever had been computed.)
 //
 //hierdb:hotpath
-func (q *query) runActivation(a *activation, w int, timer **time.Timer) (outs []*activation, delivered bool) {
+func (q *query) runActivation(a *activation, w int) (outs []*activation, results *vec.Batch) {
 	defer q.containPanic()
-	o, results := q.process(a, w)
-	q.countOpRows(a, o, results)
+	o, r := q.process(a, w)
+	q.countOpRows(a, o, r)
 	// Chunk-memory refcounting: downstream activations share the decoded
 	// chunk's column storage, so they inherit references before the
-	// worker releases this activation's own (post-deliver: a root-scan
-	// result batch is refunded at the sink handoff).
+	// worker releases this activation's own (a root-scan result batch is
+	// refunded as it leaves the engine for the result queue).
 	a.retainFor(o)
 	atomic.AddInt64(&q.perWorker[w], 1)
-	d := q.deliver(w, results, timer)
-	return o, d
+	return o, r
 }
 
 // runMerge is the merge job's activation boundary (rendering the groups
 // formats their keys, which calls user String methods).
-func (q *query) runMerge() []*vec.Batch {
+func (q *query) runMerge() {
 	defer q.containPanic()
-	return q.mq.mergeFragment(q)
+	q.mq.mergeFragment(q)
 }
 
 // containPanic, deferred at an activation boundary, turns a panic into
 // the query's ErrQueryPanic failure. The boundary function then returns
-// its zero results: no outs, nothing delivered.
+// its zero results: no outs, no result batch.
 func (q *query) containPanic() {
 	if r := recover(); r != nil {
 		q.mq.fail(fmt.Errorf("%w: %v\n%s", ErrQueryPanic, r, debug.Stack()))

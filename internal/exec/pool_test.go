@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -119,16 +120,14 @@ func TestPoolFairness(t *testing.T) {
 		t.Fatal(err)
 	}
 	go func() { // drain the heavy stream so its workers never stall
-		for range hh.Out() {
-		}
+		drain(hh)
 	}()
 
 	hl, err := pool.Submit(context.Background(), light, nil, "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for range hl.Out() {
-	}
+	drain(hl)
 	if err := hl.Err(); err != nil {
 		t.Fatal(err)
 	}
@@ -145,19 +144,19 @@ func TestPoolFairness(t *testing.T) {
 }
 
 // TestStalledConsumerDoesNotCapturePool stalls one query's consumer
-// completely and checks another query still completes: workers blocked
-// on the stalled sink are capped at the query's fair share.
+// completely and checks another query still completes: the stalled
+// query's production pauses and holds no worker.
 func TestStalledConsumerDoesNotCapturePool(t *testing.T) {
 	checkQueryHygiene(t)
 	pool := newNodesT(t, EngineConfig{Workers: 4})
 
-	// A large-result query whose consumer never reads: its sink fills
-	// and stays full.
+	// A large-result query whose consumer never reads: its result queue
+	// fills and stays full.
 	stalled, err := pool.Submit(context.Background(), starPlan(8, 300_000), nil, "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Give workers time to fill the stalled sink and block on it.
+	// Give workers time to fill the stalled query's queue.
 	time.Sleep(50 * time.Millisecond)
 
 	done := make(chan error, 1)
@@ -167,8 +166,7 @@ func TestStalledConsumerDoesNotCapturePool(t *testing.T) {
 			done <- err
 			return
 		}
-		for range h.Out() {
-		}
+		drain(h)
 		done <- h.Err()
 	}()
 	select {
@@ -180,26 +178,73 @@ func TestStalledConsumerDoesNotCapturePool(t *testing.T) {
 		t.Fatal("query starved behind a stalled consumer")
 	}
 	stalled.Cancel()
-	for range stalled.Out() {
-	}
+	drain(stalled)
 }
 
-// TestFlushSlotsRotateAmongStalledConsumers exhausts every flush slot
-// with stalled consumers (workers-1 of them) and checks a query with a
-// live consumer still completes: flushers surrender their slot after a
-// bounded hold, so slots rotate instead of being pinned forever.
-func TestFlushSlotsRotateAmongStalledConsumers(t *testing.T) {
+// TestStalledConsumerCostsNoWorker stalls a query's consumer completely:
+// once the query's result queue holds its bound, production pauses and
+// every worker sleeps — none waits on the consumer, none polls for it —
+// and the queue never grows past the bound plus one batch per worker
+// (the activations in flight when it filled).
+func TestStalledConsumerCostsNoWorker(t *testing.T) {
 	checkQueryHygiene(t)
-	pool := newNodesT(t, EngineConfig{Workers: 4}) // flushCap = 3
+	const workers = 4
+	ns := newNodesT(t, EngineConfig{Workers: workers})
+	h, err := ns.Submit(context.Background(), starPlan(8, 300_000), nil, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, mq := ns.pools[0], &h.mq
+	sample := func() (asleep, queued int) {
+		p.mu.Lock()
+		asleep = p.waiting
+		p.mu.Unlock()
+		mq.mu.Lock()
+		queued = len(mq.out) - mq.head
+		mq.mu.Unlock()
+		return asleep, queued
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for asleep, queued := sample(); asleep != workers || queued < mq.bound; asleep, queued = sample() {
+		if time.Now().After(deadline) {
+			t.Fatalf("10 s after the consumer stalled: %d of %d workers asleep, %d of %d batches queued", asleep, workers, queued, mq.bound)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	for i := 0; i < 100; i++ {
+		asleep, queued := sample()
+		if asleep != workers {
+			t.Fatalf("sample %d: %d of %d workers asleep beside a stalled consumer", i, asleep, workers)
+		}
+		if queued > mq.bound+workers {
+			t.Fatalf("sample %d: %d batches queued, bound %d + %d workers", i, queued, mq.bound, workers)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	h.Cancel()
+	drain(h)
+}
+
+// TestLiveConsumerBesideStalledOnes stalls more consumers than the pool
+// has workers and checks a query with a live consumer still completes:
+// a stalled consumer pauses its own query and holds no worker.
+func TestLiveConsumerBesideStalledOnes(t *testing.T) {
+	checkQueryHygiene(t)
+	const workers = 4
+	pool := newNodesT(t, EngineConfig{Workers: workers})
 	var stalled []*Handle
-	for i := 0; i < 3; i++ {
-		h, err := pool.Submit(context.Background(), starPlan(20+i, 200_000), nil, "")
+	for i := 0; i < workers+1; i++ {
+		h, err := pool.Submit(context.Background(), starPlan(20+i, 50_000), nil, "")
 		if err != nil {
 			t.Fatal(err)
 		}
 		stalled = append(stalled, h) // never read
 	}
-	time.Sleep(100 * time.Millisecond) // let their sinks fill and flushes claim slots
+	for _, h := range stalled { // let their queues fill
+		for !h.mq.paused.Load() {
+			time.Sleep(time.Millisecond)
+		}
+	}
 
 	done := make(chan error, 1)
 	go func() {
@@ -208,8 +253,7 @@ func TestFlushSlotsRotateAmongStalledConsumers(t *testing.T) {
 			done <- err
 			return
 		}
-		for range h.Out() {
-		}
+		drain(h)
 		done <- h.Err()
 	}()
 	select {
@@ -218,42 +262,40 @@ func TestFlushSlotsRotateAmongStalledConsumers(t *testing.T) {
 			t.Fatal(err)
 		}
 	case <-time.After(60 * time.Second):
-		t.Fatal("live consumer starved: flush slots pinned by stalled consumers")
+		t.Fatal("live consumer starved by stalled consumers")
 	}
 	for _, h := range stalled {
 		h.Cancel()
-		for range h.Out() {
-		}
+		drain(h)
 	}
 }
 
 // TestUndrainedGroupByDoesNotWedgePool: a completed GroupBy query whose
-// consumer never reads must not capture workers outside the flusher cap,
-// and Close must still return (regression: the merge's sink sends
-// used to block a retired worker that Close could no longer abort).
+// consumer never reads must hold no worker, and Close must still return
+// (regression: the merge's sink sends used to block a retired worker
+// that Close could no longer abort).
 func TestUndrainedGroupByDoesNotWedgePool(t *testing.T) {
 	checkQueryHygiene(t)
 	pool, err := NewNodesConfig(EngineConfig{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// ~5000 groups -> ~20 batches, far beyond the sink bound; never read.
+	// ~5000 groups -> ~20 batches, far beyond the queue bound; never read.
 	gb := &GroupBy{Key: 0, Aggs: []Aggregation{{Func: Count}}}
 	if _, err := pool.Submit(context.Background(), aggPlan(20_000, 5000), gb, ""); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(100 * time.Millisecond) // let it complete, merge, and stall on delivery
+	time.Sleep(100 * time.Millisecond) // let it complete and merge
 	// Another query must still complete on the remaining workers.
 	h, err := pool.Submit(context.Background(), starPlan(10, 5_000), nil, "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for range h.Out() {
-	}
+	drain(h)
 	if err := h.Err(); err != nil {
 		t.Fatal(err)
 	}
-	// And Close must abort the undrained group-by instead of hanging.
+	// And Close must return with the undrained group-by's output unread.
 	done := make(chan struct{})
 	go func() {
 		pool.Close()
@@ -263,6 +305,82 @@ func TestUndrainedGroupByDoesNotWedgePool(t *testing.T) {
 	case <-done:
 	case <-time.After(30 * time.Second):
 		t.Fatal("Close hung on an undrained group-by query")
+	}
+}
+
+// TestFinishedGroupByFreesSlotUnread: a group-by whose groups are all
+// queued retires although nobody has read them — on a one-slot engine
+// the next query is admitted and completes, and a governed node's memory
+// account is back to zero leased bytes — and every group is still there
+// to read afterwards. On one and two nodes, ungoverned and governed.
+func TestFinishedGroupByFreesSlotUnread(t *testing.T) {
+	const groups = 5_000
+	plan := aggPlan(20_000, groups)
+	gb := &GroupBy{Key: 0, Aggs: []Aggregation{{Func: Count}}}
+	for _, nodes := range []int{1, 2} {
+		for _, budget := range []int64{0, 64 << 10} {
+			t.Run(fmt.Sprintf("nodes=%d/mem=%d", nodes, budget), func(t *testing.T) {
+				checkQueryHygiene(t)
+				ns := newNodesT(t, EngineConfig{Nodes: nodes, Workers: 2, MaxConcurrentQueries: 1,
+					MemoryPerNode: budget, SpillDir: t.TempDir()})
+				unread, err := ns.Submit(context.Background(), plan, gb, "")
+				if err != nil {
+					t.Fatal(err)
+				}
+				ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+				defer cancel()
+				h, err := ns.Submit(ctx, starPlan(10, 5_000), nil, "")
+				if err != nil {
+					t.Fatalf("next query not admitted beside a finished, unread group-by: %v", err)
+				}
+				drain(h)
+				if err := h.Err(); err != nil {
+					t.Fatal(err)
+				}
+				for i, p := range ns.pools {
+					if b := p.broker; b != nil && b.available() != b.budget {
+						t.Fatalf("node %d: %d of %d broker bytes leased with the group-by unread", i, b.budget-b.available(), b.budget)
+					}
+				}
+				got := drainRows(unread)
+				if err := unread.Err(); err != nil {
+					t.Fatal(err)
+				}
+				if len(got) != groups {
+					t.Fatalf("read %d groups, want %d", len(got), groups)
+				}
+			})
+		}
+	}
+}
+
+// TestUnreadQueriesAddNoGoroutines: a query's cancellation costs no
+// goroutine — 64 in-flight queries nobody reads run on the engine's
+// workers alone — and cancelling their context still ends every one.
+func TestUnreadQueriesAddNoGoroutines(t *testing.T) {
+	checkQueryHygiene(t)
+	ns := newNodesT(t, EngineConfig{Workers: 2})
+	plan := starPlan(11, 5_000) // 20 result batches: production pauses at 4
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	base := runtime.NumGoroutine()
+	hs := make([]*Handle, 64)
+	for i := range hs {
+		h, err := ns.Submit(ctx, plan, nil, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		hs[i] = h
+	}
+	if n := runtime.NumGoroutine(); n > base+2 {
+		t.Fatalf("%d unread queries added %d goroutines to the engine's %d", len(hs), n-base, base)
+	}
+	cancel()
+	for i, h := range hs {
+		drain(h)
+		if err := h.Err(); !errors.Is(err, context.Canceled) {
+			t.Fatalf("query %d: %v, want context.Canceled", i, err)
+		}
 	}
 }
 
@@ -280,8 +398,7 @@ func TestPoolCloseAbortsInflight(t *testing.T) {
 	}
 	done := make(chan error, 1)
 	go func() {
-		for range h.Out() {
-		}
+		drain(h)
 		done <- h.Err()
 	}()
 	pool.Close()
@@ -315,8 +432,7 @@ func TestMaxConcurrentQueries(t *testing.T) {
 	if _, err := pool.Submit(ctx, starPlan(6, 10), nil, ""); err != context.DeadlineExceeded {
 		t.Fatalf("admission-blocked Submit returned %v, want DeadlineExceeded", err)
 	}
-	for range h1.Out() {
-	}
+	drain(h1)
 	if err := h1.Err(); err != nil {
 		t.Fatal(err)
 	}
@@ -325,8 +441,7 @@ func TestMaxConcurrentQueries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for range h2.Out() {
-	}
+	drain(h2)
 	if err := h2.Err(); err != nil {
 		t.Fatal(err)
 	}
@@ -376,7 +491,7 @@ func TestRootScanStreams(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := 0
-	for batch := range h.Out() {
+	for batch, ok := h.Next(); ok; batch, ok = h.Next() {
 		n += batch.N
 	}
 	if err := h.Err(); err != nil {
@@ -432,8 +547,7 @@ func TestPanicContainment(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					for range h.Out() {
-					}
+					drain(h)
 					if err := h.Err(); !errors.Is(err, ErrQueryPanic) || !strings.Contains(err.Error(), "user code blew up") {
 						t.Fatalf("query ended with %v, want ErrQueryPanic carrying the panic value", err)
 					}

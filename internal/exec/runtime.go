@@ -5,14 +5,15 @@ package exec
 // the fragment holds what is local to a node — operator queues, hash-table
 // stripes, per-worker scratch, memory account — and contributes its
 // queues to that node's scheduler (pool.go); everything global to the
-// query (pending counts, chain barrier, context, sink, error, stats)
-// lives on the coordinator, reached through query.mq.
+// query (pending counts, chain barrier, result queue, error, stats)
+// lives on the coordinator, reached through query.mq. A root
+// activation's result batch goes back to the worker loop, whose epilogue
+// queues it on the coordinator.
 
 import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"hierdb/internal/spill"
 	"hierdb/internal/vec"
@@ -259,7 +260,7 @@ type bucketCache = map[int]*buildSide
 
 // query is one node's fragment of an in-flight query: the compiled
 // plan's operator queues on that node's pool, the node-local scheduling
-// state, and per-fragment accounting. The plan, context, sink and every
+// state, and per-fragment accounting. The plan, result queue and every
 // query-global decision belong to the coordinator q.mq; the engine's
 // configuration to q.mq.nodes. All fields below the sync markers are
 // guarded by the pool mutex unless noted.
@@ -276,24 +277,14 @@ type query struct {
 	aborted  bool // cancelled or failed; queues cleared
 	retired  bool // removed from the pool; finalize pending or done
 
-	// parked holds result batches that could not be sent because the
-	// sink was full. While parked is non-empty the pool pauses this
-	// query's production (bounding parked at ~workers batches) and lets
-	// a single flusher worker do the blocking sends, so a stalled
-	// consumer captures at most one worker instead of the whole pool.
-	parked   []*vec.Batch
-	flushing bool // a flusher worker is (or is about to be) draining parked
-
 	// Group-by delivery: once all chains are done, a worker claims the
 	// merge job (merging), folds the node's partials, and the last node
-	// parks the final batches — the same flusher machinery then streams
-	// them out, so group-by output gets the identical
-	// backpressure/cancellation/Close guarantees as the streaming path.
-	// mergeDone gates retirement.
+	// queues the final batches on the coordinator. mergeDone gates
+	// retirement.
 	merging   bool
 	mergeDone bool
 	// stealBusy marks a steal round in flight for this fragment (claimed
-	// like flushing); stealIdle parks further rounds after a failed one
+	// like merging); stealIdle holds off further rounds after a failed one
 	// until a producer refills a peer queue past the wake threshold. Both
 	// are guarded by the pool mutex, and sit here to share the flags' word.
 	stealBusy bool
@@ -346,9 +337,10 @@ type query struct {
 	disk diskCounters
 
 	// Activation and row counters, sealed into the coordinator's Stats at
-	// retirement: acts under the pool mutex; resultRows, perWorker (this
-	// node's window of the coordinator's engine-wide slice) and opRows
-	// (rows produced per operator id) by atomic adds from the worker loop.
+	// retirement: acts under the pool mutex; resultRows (rows this node
+	// queued) under the coordinator's; perWorker (this node's window of
+	// the coordinator's engine-wide slice) and opRows (rows produced per
+	// operator id) by atomic adds from the worker loop.
 	acts       int64
 	resultRows int64
 	perWorker  []int64
@@ -407,10 +399,9 @@ func newFragment(mq *mquery, node int) *query {
 func (q *query) terminalLocked() bool { return q.done || q.aborted }
 
 // failLocked is the fragment's share of mquery.fail: queued activations
-// and parked output are dropped so no worker picks from it again. A done
-// fragment that has not yet retired (its output still undelivered) can
-// still be failed — only retirement makes the outcome final. Callers
-// hold the pool mutex.
+// are dropped so no worker picks from it again. A done fragment that has
+// not yet retired (its merge still to run) can still be failed — only
+// retirement makes the outcome final. Callers hold the pool mutex.
 func (q *query) failLocked() {
 	if q.aborted || q.retired {
 		return
@@ -422,7 +413,6 @@ func (q *query) failLocked() {
 		}
 		or.queued = 0
 	}
-	q.parked = nil
 }
 
 // assignStatic distributes workers over the chain's operators
@@ -538,76 +528,11 @@ func (q *query) popQueue(or *opRun, w int) *activation {
 	return nil
 }
 
-// sinkParkDelay is how long a worker waits on a full sink before parking
-// the batch and moving on: long enough that an actively-draining
-// consumer gets the cheap direct channel handoff, short enough that a
-// stalled consumer cannot hold the worker.
-const sinkParkDelay = time.Millisecond
-
-// deliver streams an activation's result rows to the bounded sink (a
-// group-by query's root folds its output instead of returning it, and
-// delivers the merged groups at retirement). A full sink blocks for at most
-// sinkParkDelay — then the batch is parked on the query, which pauses
-// the query's production at pick time (backpressure) and hands the
-// blocking send to a flusher, freeing this worker for other queries.
-// timer is the calling worker's reusable park timer. Returns false if
-// the query was cancelled before the batch could be delivered. Called
-// without the pool mutex.
-//
-//hierdb:hotpath
-func (q *query) deliver(w int, results *vec.Batch, timer **time.Timer) bool {
-	if results == nil || results.N == 0 {
-		return true
-	}
-	mq := q.mq
-	select {
-	case mq.sink <- results:
-		atomic.AddInt64(&q.resultRows, int64(results.N))
-		return true
-	case <-mq.ctx.Done():
-		return false
-	default:
-	}
-	t := *timer
-	if t == nil {
-		t = time.NewTimer(sinkParkDelay)
-		*timer = t
-	} else {
-		t.Reset(sinkParkDelay)
-	}
-	select {
-	case mq.sink <- results:
-		stopParkTimer(t)
-		atomic.AddInt64(&q.resultRows, int64(results.N))
-		return true
-	case <-mq.ctx.Done():
-		stopParkTimer(t)
-		return false
-	case <-t.C:
-		p := q.pool
-		p.mu.Lock()
-		q.parked = append(q.parked, results)
-		p.mu.Unlock()
-		return true
-	}
-}
-
-// stopParkTimer stops a park timer, draining its channel if it already
-// fired, so the next Reset starts clean.
-func stopParkTimer(t *time.Timer) {
-	if !t.Stop() {
-		select {
-		case <-t.C:
-		default:
-		}
-	}
-}
-
 // finalize completes the fragment's retirement: spill files and the
 // memory lease are released, and the coordinator — which seals stats and
-// closes the shared sink when the last fragment retires — is told. All
-// output, including merged group-by batches, has already been delivered
-// (or dropped by an abort) before retirement, so finalize never blocks.
+// wakes the consumer when the last fragment retires — is told. All
+// output, including merged group-by batches, has already been queued (or
+// dropped by an abort) before retirement, so finalize never blocks.
 // Called exactly once, by whoever retired the fragment, without the pool
 // mutex.
 func (q *query) finalize() {

@@ -29,7 +29,7 @@ func probeFixture(t testing.TB, plan Node, gb *GroupBy, cfg EngineConfig) (q *qu
 	if err != nil {
 		t.Fatal(err)
 	}
-	q = ns.newQuery(context.Background(), phys, gb).mq.frags[0]
+	q = ns.newQuery(phys, gb).mq.frags[0]
 	var drive func(a *activation)
 	drive = func(a *activation) {
 		if a.op == phys.root {
@@ -546,7 +546,7 @@ func TestEmptyRemoteBucketAcquiredOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mq := &ns.newQuery(context.Background(), phys, nil).mq
+	mq := &ns.newQuery(phys, nil).mq
 	owner, thief := mq.frags[0], mq.frags[1]
 	// Node 0 builds its one row; its other buckets stay empty.
 	build := phys.root.partner
@@ -598,7 +598,7 @@ func TestStolenOutputsReferenceOwnerStore(t *testing.T) {
 			owner := h.mq.frags[0].ops[h.mq.phys.root.partner.id]
 			var got []Row
 			var arena vec.Arena
-			for b := range h.Out() {
+			for b, ok := h.Next(); ok; b, ok = h.Next() {
 				// Every key is node 0's: whichever node emitted the
 				// batch, its build columns are node 0's sealed columns.
 				if bc := &b.Cols[len(b.Cols)-1]; owner.side == nil || &bc.Str[0] != &owner.side.store.Cols[1].Str[0] {
@@ -670,8 +670,7 @@ func TestCancelDuringSeal(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for range h.Out() {
-			}
+			drain(h)
 			if err := h.Err(); err != nil && !errors.Is(err, context.Canceled) {
 				t.Fatalf("%d node(s): %v", nodes, err)
 			}

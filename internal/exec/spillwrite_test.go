@@ -115,7 +115,7 @@ func TestSpillCoalescedBatches(t *testing.T) {
 	}
 	// The first result batch comes out of a partition phase: every
 	// top-level file exists by then, and this budget never repartitions.
-	first, ok := <-h.Out()
+	first, ok := h.Next()
 	if !ok {
 		t.Fatalf("no output: %v", h.Err())
 	}
@@ -216,7 +216,7 @@ func TestSpillWriteBufferBound(t *testing.T) {
 		}
 	}()
 	rows := 0
-	for b := range h.Out() {
+	for b, ok := h.Next(); ok; b, ok = h.Next() {
 		rows += b.N
 	}
 	peak := <-peakC
@@ -260,8 +260,7 @@ func TestSpillCancelWithUnflushedBuffers(t *testing.T) {
 		runtime.Gosched()
 	}
 	cancel()
-	for range h.Out() {
-	}
+	drain(h)
 	if err := h.Err(); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled spilling query reported %v", err)
 	}

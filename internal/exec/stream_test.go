@@ -65,11 +65,10 @@ func TestStreamCancelMidIteration(t *testing.T) {
 				t.Fatal(err)
 			}
 			// Read one batch, then cancel mid-stream.
-			<-h.Out()
+			h.Next()
 			cancel()
 			start := time.Now()
-			for range h.Out() {
-			}
+			drain(h)
 			if elapsed := time.Since(start); elapsed > 5*time.Second {
 				t.Fatalf("stream drain after cancel took %v", elapsed)
 			}
@@ -93,7 +92,7 @@ func TestStreamsBeforeCompletion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, ok := <-h.Out()
+	first, ok := h.Next()
 	if !ok || first.N == 0 {
 		t.Fatal("no first batch")
 	}
@@ -103,7 +102,7 @@ func TestStreamsBeforeCompletion(t *testing.T) {
 	default:
 	}
 	n := first.N
-	for batch := range h.Out() {
+	for batch, ok := h.Next(); ok; batch, ok = h.Next() {
 		n += batch.N
 	}
 	if err := h.Err(); err != nil {
@@ -137,7 +136,7 @@ func TestStreamingSinkAllocBound(t *testing.T) {
 			t.Fatal(err)
 		}
 		n := 0
-		for batch := range h.Out() {
+		for batch, ok := h.Next(); ok; batch, ok = h.Next() {
 			n += batch.N
 		}
 		if err := h.Err(); err != nil {
@@ -175,7 +174,7 @@ func TestVectorBatchAllocBound(t *testing.T) {
 			t.Fatal(err)
 		}
 		n := 0
-		for batch := range h.Out() {
+		for batch, ok := h.Next(); ok; batch, ok = h.Next() {
 			n += batch.N
 		}
 		if err := h.Err(); err != nil {

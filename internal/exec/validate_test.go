@@ -93,8 +93,7 @@ func TestValidationOnPoolSubmit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for range h.Out() {
-	}
+	drain(h)
 	if err := h.Err(); err != nil {
 		t.Fatal(err)
 	}

@@ -1,9 +1,9 @@
 // Package leaktest is the shared goroutine-hygiene helper of the
 // engine's test suites. Every test that spawns a query — on an
 // exec.Nodes engine or the hierdb.DB facade — registers Check first, so
-// worker goroutines, context watchers, flushers and steal rounds are all
-// proven to wind down with whatever the test tears down (pools close
-// asynchronously, hence the polling).
+// worker goroutines, context-cancellation hooks and the test's own
+// consumers are all proven to wind down with whatever the test tears
+// down (pools close asynchronously, hence the polling).
 //
 // The complementary "pool-idle" discipline — after an abort, a fresh
 // query on the same pool must complete — stays with the test packages,

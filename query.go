@@ -242,8 +242,10 @@ func (q *Query) WithTenant(id string) *Query {
 
 // Run submits the query to the DB's resident pool and returns a
 // streaming Rows. The query executes concurrently with any other
-// in-flight queries on the handle; result batches flow through a bounded
-// sink, so iterate promptly or Close to release the workers. On a DB
+// in-flight queries on the handle; result batches wait in a bounded
+// queue, and while it is full the query's production pauses — no worker
+// waits on the consumer. Iterate or Close: a paused query keeps its
+// admission slot and memory lease until then. On a DB
 // opened with WithMaxConcurrentQueries, Run may park in the admission
 // queue until a slot frees — failing promptly with ErrClosed if the DB
 // closes, with ErrAdmissionQueueFull if the queue is at capacity, or

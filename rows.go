@@ -1,8 +1,9 @@
 package hierdb
 
-// Streaming result iteration. Rows is fed by the engine's bounded sink:
-// workers block when the consumer lags (backpressure), so a result set
-// is never materialized unless the caller asks for it with Collect.
+// Streaming result iteration. Rows pops the query's result queue on its
+// coordinator: when the consumer lags, the query's production pauses at
+// the queue's bound — no worker waits on a consumer — so a result set is
+// never materialized unless the caller asks for it with Collect.
 //
 // The engine streams columnar batches; Rows is the row boundary. Row
 // materialization is lazy — Next only advances a cursor, and a caller
@@ -25,9 +26,10 @@ import (
 //	}
 //	err = rows.Err()
 //
-// Rows is not safe for concurrent use. Abandoning an un-Closed,
-// partially consumed Rows blocks the pool workers feeding it — always
-// drain it or Close.
+// Rows is not safe for concurrent use. An unread Rows costs no worker:
+// its query's production pauses, and a query whose output is all queued
+// retires and frees its admission slot and memory lease. One still
+// paused holds both until read or closed — always drain it or Close.
 type Rows struct {
 	h      *exec.Handle
 	batch  *vec.Batch
@@ -51,7 +53,7 @@ func (r *Rows) Next() bool {
 			r.i++
 			return true
 		}
-		batch, ok := <-r.h.Out()
+		batch, ok := r.h.Next()
 		if !ok {
 			if r.err == nil {
 				r.err = r.h.Err()
@@ -79,9 +81,9 @@ func (r *Rows) Row() Row {
 // (nil on clean completion or when iteration was ended by Close).
 func (r *Rows) Err() error { return r.err }
 
-// Close cancels the query if it is still running, drains the stream so
-// the pool's workers release promptly, and returns any error already
-// observed by Next. Idempotent; safe after full iteration.
+// Close cancels the query if it is still running, discards its queued
+// output, waits for it to retire, and returns any error already observed
+// by Next. Idempotent; safe after full iteration.
 func (r *Rows) Close() error {
 	if r.closed {
 		return r.err
@@ -89,7 +91,7 @@ func (r *Rows) Close() error {
 	r.closed = true
 	r.batch, r.i, r.cur = nil, 0, nil
 	r.h.Cancel()
-	for range r.h.Out() {
+	for _, ok := r.h.Next(); ok; _, ok = r.h.Next() {
 	}
 	return r.err
 }
@@ -109,7 +111,7 @@ func (r *Rows) Collect() ([]Row, error) {
 		if partial != nil {
 			total += partial.N - start
 		}
-		for batch := range r.h.Out() {
+		for batch, ok := r.h.Next(); ok; batch, ok = r.h.Next() {
 			batches = append(batches, batch)
 			total += batch.N
 		}
