@@ -76,7 +76,7 @@ bench:
 	  $(GO) test -run '^$$' -bench 'Churn|MultiNode' -benchmem ./internal/core/; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkFig6$$|BenchmarkEngineJoinDP$$|ConcurrentQueries|StreamingSink|MultiNodeSkew|SpillJoin|DiskScan|DiskJoinSpill|OptimizeOverhead' -benchtime 10x -benchmem .; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkAdmission|BenchmarkBrokerLease|BenchmarkSpillPartitionWrite|BenchmarkJoinProbeGather|BenchmarkJoinGroupFold|BenchmarkSealIndex' -benchmem ./internal/exec/; \
-	  $(GO) test -run '^$$' -bench 'BenchmarkChunkDecodeSel' -benchmem ./internal/spill/; \
+	  $(GO) test -run '^$$' -bench 'BenchmarkChunkDecodeSel|BenchmarkSpillFanout' -benchmem ./internal/spill/; \
 	} | tee $(BENCH_OUT)
 
 benchdiff: bench

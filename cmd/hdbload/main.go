@@ -110,7 +110,7 @@ func main() {
 	}
 
 	// One unmeasured warm-up query per kind, so first-touch costs (lazy
-	// allocations, file-system metadata for spill dirs) stay out of the
+	// allocations, file-system metadata for spill files) stay out of the
 	// measured tail.
 	r := xrand.New(*seed)
 	for k := queryKind(0); k < numKinds; k++ {

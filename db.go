@@ -104,7 +104,8 @@ func WithAdmissionQueue(n int) Option { return func(c *dbConfig) { c.eng.Admissi
 func WithMemory(bytes int64) Option { return func(c *dbConfig) { c.eng.MemoryPerNode = bytes } }
 
 // WithSpillDir sets the directory WithMemory's spill files are created
-// under (one temp subdirectory per query, removed at query retirement).
+// under (one temp file per node a query spills on, removed at query
+// retirement).
 // Empty (the default) means the system temp directory.
 func WithSpillDir(dir string) Option { return func(c *dbConfig) { c.eng.SpillDir = dir } }
 

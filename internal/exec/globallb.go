@@ -197,9 +197,9 @@ func (mq *mquery) solicit(thief, fq *query, node int) *stealOffer {
 			continue
 		}
 		// A spilled join is not stealable: the provider's (or thief's)
-		// hash table lives in partition files, not in shippable buckets —
-		// its probe activations only partition rows to provider-local
-		// spill files. Spill state is fixed before the probe chain
+		// hash table lives in spill partitions, not in shippable buckets —
+		// its probe activations only partition rows to the provider's
+		// spill file. Spill state is fixed before the probe chain
 		// starts, so the check is stable for the whole round.
 		if fq.spilled(op) || thief.spilled(op) {
 			continue

@@ -62,6 +62,17 @@ func checkQueryHygiene(t *testing.T) {
 	leaktest.Check(t, 2)
 }
 
+// verifyUnleased requires every node's memory account to be whole again:
+// no retired query may keep a lease.
+func verifyUnleased(t *testing.T, ns *Nodes) {
+	t.Helper()
+	for i, p := range ns.pools {
+		if b := p.broker; b != nil && b.available() != b.budget {
+			t.Fatalf("node %d: %d of %d broker bytes still leased", i, b.budget-b.available(), b.budget)
+		}
+	}
+}
+
 // verifyIdle proves an engine still serves queries (the "engine-idle"
 // check): a small fresh join must complete with the right cardinality.
 func verifyIdle(t *testing.T, ns *Nodes) {

@@ -8,21 +8,27 @@ package exec
 // striped-bucket bytes against it, and a build the account cannot cover
 // switches the join to Grace-style partitioned execution:
 //
-//   - the in-memory stripes are drained into hash-partitioned spill
-//     files (internal/spill) and all further build input is partitioned
-//     straight to disk — through each file's write buffer, which
+//   - the in-memory stripes are drained into hash partitions
+//     (internal/spill Files) and all further build input is partitioned
+//     straight to disk — through each partition's write buffer, which
 //     coalesces the 1/spillFanout-sized slices of many input batches
 //     into EngineConfig.Batch-row spilled batches;
 //   - the probe input, arriving in the next chain, is partitioned to a
-//     parallel set of probe spill files instead of probing;
+//     parallel set of probe partitions instead of probing;
 //   - once the probe input is exhausted, the partitions are joined one
 //     at a time within the budget — a load activation builds partition
 //     p's hash table, one probe activation per spilled batch probes it
 //     in parallel, and a partition whose build side still exceeds the
 //     budget is re-partitioned with a fresh hash salt (bounded depth);
 //   - group-by partials respect the same budget: a worker partial that
-//     grows past it is spilled to the worker's spill file and folded
-//     back in at merge time.
+//     grows past it is spilled to the worker's spill partition and
+//     folded back in at merge time.
+//
+// Every partition of a fragment, join and group-by alike, is a range
+// list inside one spill.Disk: a single temp file in EngineConfig.SpillDir,
+// created by the fragment's first spill and removed when the fragment
+// retires (releaseSpill). A spilling fragment holds one descriptor, and
+// a finished partition's bytes stay on disk until retirement.
 //
 // With MemoryPerNode == 0 (the default) none of this state exists and
 // the hot path is untouched. Spill-phase advancement rides the existing
@@ -41,8 +47,6 @@ package exec
 // outside all of them.
 
 import (
-	"fmt"
-	"os"
 	"sync"
 	"sync/atomic"
 
@@ -108,39 +112,19 @@ type joinSpill struct {
 	active atomic.Bool
 
 	mu      sync.Mutex //hierdb:lock jspill
-	nparts  int
-	seq     int // partition-file name sequencer
 	build   []*spill.File
 	probe   []*spill.File
 	phased  bool // top-level partitions converted to pending
 	pending []spillPart
 	cur     *spillPhase
-	// toClose collects finished partitions' files: spillNextLocked runs
-	// under the scheduler locks, so the close/unlink syscalls are
-	// deferred to the next partition load (and, as backstop, to
-	// releaseSpill at retirement).
-	toClose []*spill.File
-}
-
-// drainCloses closes (and thereby unlinks) partition files queued by
-// spillNextLocked. Called from load processing with no scheduler locks
-// held.
-func (sp *joinSpill) drainCloses() {
-	sp.mu.Lock()
-	files := sp.toClose
-	sp.toClose = nil
-	sp.mu.Unlock()
-	for _, f := range files {
-		f.Close()
-	}
 }
 
 // seal writes the buffered tails of part and of every pending partition.
-// A load is the one point where the join's unsealed files are exactly
-// known: loads are single-flight and start only once the chain barrier
-// (or the repartition that created the files) has quiesced every
-// writer. Sealing them all here keeps at most one fan-out's write
-// buffers live per join — 2 × spillFanout files of under
+// A load is the one point where the join's unsealed partitions are
+// exactly known: loads are single-flight and start only once the chain
+// barrier (or the repartition that created the partitions) has quiesced
+// every writer. Sealing them all here keeps at most one fan-out's write
+// buffers live per join — 2 × spillFanout partitions of under
 // EngineConfig.Batch rows each. Called with no scheduler locks held.
 func (sp *joinSpill) seal(part spillPart) error {
 	sp.mu.Lock()
@@ -197,55 +181,37 @@ func spillPartIndexH(h, salt uint64, nparts int) int {
 	return int(mix64(h^(salt+1)*0x9e3779b97f4a7c15) % uint64(nparts))
 }
 
-// ensureSpillDir creates the query's private spill directory on first
-// use (under EngineConfig.SpillDir, default the system temp dir). It is
-// removed wholesale at retirement.
-func (q *query) ensureSpillDir() (string, error) {
+// newSpillFiles opens n partitions in the fragment's spill file,
+// creating the file (in EngineConfig.SpillDir, default the system temp
+// dir) on the fragment's first spill, and registers them for
+// retirement.
+func (q *query) newSpillFiles(n int) ([]*spill.File, error) {
 	q.spillMu.Lock()
 	defer q.spillMu.Unlock()
-	if q.spillDir != "" {
-		return q.spillDir, nil
+	if q.spillDisk == nil {
+		d, err := spill.CreateTemp(q.mq.nodes.cfg.SpillDir)
+		if err != nil {
+			return nil, err
+		}
+		q.spillDisk = d
 	}
-	base := q.mq.nodes.cfg.SpillDir
-	if base == "" {
-		base = os.TempDir()
+	files := make([]*spill.File, n)
+	for i := range files {
+		files[i] = q.spillDisk.NewFile()
 	}
-	dir, err := os.MkdirTemp(base, "hierdb-spill-")
-	if err != nil {
-		return "", fmt.Errorf("exec: spill dir: %w", err)
-	}
-	q.spillDir = dir
-	return dir, nil
+	q.spillFiles = append(q.spillFiles, files...)
+	return files, nil
 }
 
-// newSpillFile creates a spill file in the query's spill directory and
-// registers it for retirement cleanup.
-func (q *query) newSpillFile(name string) (*spill.File, error) {
-	dir, err := q.ensureSpillDir()
-	if err != nil {
-		return nil, err
-	}
-	f, err := spill.Create(dir, name)
-	if err != nil {
-		return nil, err
-	}
-	q.spillMu.Lock()
-	q.spillFiles = append(q.spillFiles, f)
-	q.spillMu.Unlock()
-	return f, nil
-}
-
-// releaseSpill closes (and thereby deletes) every spill file and
-// removes the query's spill directory, sealing the spilled-bytes
-// counter as the sum of what the files were written — whichever path
-// wrote it, threshold flush, seal or whole batch. Called exactly once
-// per query at finalize, when no worker can touch the query again;
-// double closes from eager per-partition cleanup are idempotent.
+// releaseSpill drops every partition's buffers and closes and deletes
+// the fragment's spill file, sealing the spilled-bytes counter as the
+// sum of what the partitions were written — whichever path wrote it,
+// threshold flush, seal or whole batch. Called exactly once per query
+// at finalize, when no worker can touch the query again.
 func (q *query) releaseSpill() {
 	q.spillMu.Lock()
-	files := q.spillFiles
-	dir := q.spillDir
-	q.spillFiles, q.spillDir = nil, ""
+	files, disk := q.spillFiles, q.spillDisk
+	q.spillFiles, q.spillDisk = nil, nil
 	q.spillMu.Unlock()
 	var written int64
 	for _, f := range files {
@@ -253,8 +219,8 @@ func (q *query) releaseSpill() {
 		f.Close()
 	}
 	q.spilledBytes.Store(written)
-	if dir != "" {
-		os.RemoveAll(dir)
+	if disk != nil {
+		disk.Close()
 	}
 }
 
@@ -267,9 +233,9 @@ func (q *query) spilled(probeOp *pop) bool {
 	return sp != nil && sp.active.Load()
 }
 
-// spillBatch hash-partitions one batch into the given partition files:
-// the key column is hashed vectorized and each partition's rows join
-// its file's write buffer.
+// spillBatch hash-partitions one batch into the given partitions: the
+// key column is hashed vectorized and each partition's rows join its
+// write buffer.
 func (q *query) spillBatch(files []*spill.File, keyCol int, salt uint64, b *vec.Batch, vs *vecScratch) error {
 	hs := keyHashes(b, keyCol, vs)
 	return q.spillBatchSel(files, b, nil, hs, salt, vs)
@@ -306,7 +272,7 @@ func (q *query) spillBatchSel(files []*spill.File, b *vec.Batch, sel []int32, hs
 // the ungoverned path, accumulating the batch's byte charge; the worker
 // whose charge crosses the budget performs the transition. Workers
 // racing the transition divert rows whose stripe was already drained
-// (stripeSpilled, read under the stripe lock) to the partition files,
+// (stripeSpilled, read under the stripe lock) to the partitions,
 // so no row is lost between draining and the active flag flipping.
 func (q *query) buildGoverned(or *opRun, b *vec.Batch, w int) error {
 	sp := or.spill
@@ -335,7 +301,7 @@ func (q *query) buildGoverned(or *opRun, b *vec.Batch, w int) error {
 		add += batchBytes(b, sel) + int64(len(sel))*hashEntryBytes
 	}
 	if len(diverted) > 0 {
-		// The transition published the partition files before marking any
+		// The transition published the partitions before marking any
 		// stripe spilled, and we saw the mark under the stripe lock.
 		if err := q.spillBatchSel(sp.build, b, diverted, hs, 0, vs); err != nil {
 			return err
@@ -348,9 +314,9 @@ func (q *query) buildGoverned(or *opRun, b *vec.Batch, w int) error {
 }
 
 // spillTransition switches a governed join to partitioned execution:
-// create the partition files, drain the in-memory stripes into
-// them, refund their charge, and flip active. Single-flight via sp.mu;
-// vs is the calling worker's scratch.
+// open the partitions, drain the in-memory stripes into them, refund
+// their charge, and flip active. Single-flight via sp.mu; vs is the
+// calling worker's scratch.
 func (q *query) spillTransition(or *opRun, vs *vecScratch) error {
 	sp := or.spill
 	sp.mu.Lock()
@@ -358,9 +324,8 @@ func (q *query) spillTransition(or *opRun, vs *vecScratch) error {
 	if sp.active.Load() {
 		return nil
 	}
-	sp.nparts = spillFanout
 	var err error
-	if sp.build, sp.probe, err = q.newSpillPartFiles(sp, or.op.id); err != nil {
+	if sp.build, sp.probe, err = q.newSpillFanout(); err != nil {
 		return err
 	}
 	var freed int64
@@ -372,7 +337,7 @@ func (q *query) spillTransition(or *opRun, vs *vecScratch) error {
 		or.stripeSpilled[s] = true
 		or.locks[s].Unlock()
 		// Encoding runs outside the stripe lock: the spilled mark diverts
-		// any later insert for this stripe to the partition files.
+		// any later insert for this stripe to the partitions.
 		if ap == nil {
 			continue
 		}
@@ -387,33 +352,22 @@ func (q *query) spillTransition(or *opRun, vs *vecScratch) error {
 	return nil
 }
 
-// newSpillPartFiles creates one fan-out of partition file pairs for the
-// join op, named by operator and round so recursive rounds never
-// collide.
-func (q *query) newSpillPartFiles(sp *joinSpill, opID int) (build, probe []*spill.File, err error) {
-	seq := sp.seq
-	sp.seq++
-	q.spilledParts.Add(int64(sp.nparts))
-	for i := 0; i < sp.nparts; i++ {
-		b, err := q.newSpillFile(fmt.Sprintf("j%d-r%d-b%d", opID, seq, i))
-		if err != nil {
-			return nil, nil, err
-		}
-		p, err := q.newSpillFile(fmt.Sprintf("j%d-r%d-p%d", opID, seq, i))
-		if err != nil {
-			return nil, nil, err
-		}
-		build, probe = append(build, b), append(probe, p)
+// newSpillFanout opens one fan-out of build and probe partitions.
+func (q *query) newSpillFanout() (build, probe []*spill.File, err error) {
+	files, err := q.newSpillFiles(2 * spillFanout)
+	if err != nil {
+		return nil, nil, err
 	}
-	return build, probe, nil
+	q.spilledParts.Add(spillFanout)
+	return files[:spillFanout:spillFanout], files[spillFanout:], nil
 }
 
 // spillNextLocked advances a spilled probe operator when its pending
 // count hits zero: finish the current partition phase (refund its
-// charge, delete its files), then hand back a load activation for the
-// next non-empty partition — or nil when all partitions are joined and
-// the operator may truly finish. Callers (mquery.opFinished) hold mq.mu
-// and the fragment's pool mutex.
+// charge), then hand back a load activation for the next non-empty
+// partition — or nil when all partitions are joined and the operator
+// may truly finish. Callers (mquery.opFinished) hold mq.mu and the
+// fragment's pool mutex.
 func (q *query) spillNextLocked(or *opRun) *activation {
 	if or.op.kind != opProbe || q.aborted {
 		return nil
@@ -426,7 +380,6 @@ func (q *query) spillNextLocked(or *opRun) *activation {
 	defer sp.mu.Unlock()
 	if sp.cur != nil {
 		q.unchargeMem(sp.cur.bytes)
-		sp.toClose = append(sp.toClose, sp.cur.part.build, sp.cur.part.probe)
 		sp.cur = nil
 	}
 	if !sp.phased {
@@ -440,8 +393,10 @@ func (q *query) spillNextLocked(or *opRun) *activation {
 		part := sp.pending[0]
 		sp.pending = sp.pending[1:]
 		if part.build.Rows() == 0 || part.probe.Rows() == 0 {
-			// An inner join with an empty side yields nothing.
-			sp.toClose = append(sp.toClose, part.build, part.probe)
+			// An inner join with an empty side yields nothing; the other
+			// side's unsealed tail is dropped.
+			part.build.Close()
+			part.probe.Close()
 			continue
 		}
 		return &activation{op: or.op, dest: q.node, spill: &spillAct{kind: spillLoad, part: part}}
@@ -455,7 +410,6 @@ func (q *query) spillNextLocked(or *opRun) *activation {
 // probe batch. Runs outside all scheduler locks, on worker w.
 func (q *query) processSpillLoad(a *activation, w int) (outs []*activation) {
 	sp := q.ops[a.op.partner.id].spill
-	sp.drainCloses()
 	part := a.spill.part
 	if err := sp.seal(part); err != nil {
 		q.mq.fail(err)
@@ -468,7 +422,7 @@ func (q *query) processSpillLoad(a *activation, w int) (outs []*activation) {
 	// group-by partials, other queries' fragments on the node) have
 	// charged counts against it — but never re-partition below a quarter
 	// of the budget: with pathological little headroom that would recurse
-	// every partition to the depth cap, exploding the file fan-out for no
+	// every partition to the depth cap, exploding the fan-out for no
 	// achievable fit.
 	headroom := q.memHeadroom()
 	if floor := q.broker.budget / 4; headroom < floor {
@@ -514,14 +468,13 @@ func (q *query) processSpillLoad(a *activation, w int) (outs []*activation) {
 }
 
 // repartition splits one oversized partition into a fresh fan-out at
-// the next hash salt, deleting the old pair. The new files stay
-// unsealed until the next load. Loads are single-flight per fragment
-// join, so only sp.pending mutation needs sp.mu.
+// the next hash salt; the old pair's bytes stay in the spill file until
+// retirement. The new partitions stay unsealed until the next load.
+// Loads are single-flight per fragment join, so only sp.pending
+// mutation needs sp.mu.
 func (q *query) repartition(sp *joinSpill, probeOp *pop, part spillPart, vs *vecScratch) error {
 	salt := part.salt + 1
-	sp.mu.Lock()
-	builds, probes, err := q.newSpillPartFiles(sp, probeOp.partner.id)
-	sp.mu.Unlock()
+	builds, probes, err := q.newSpillFanout()
 	if err != nil {
 		return err
 	}
@@ -543,8 +496,6 @@ func (q *query) repartition(sp *joinSpill, probeOp *pop, part spillPart, vs *vec
 	if err := split(part.probe, probes, probeOp.keyCol); err != nil {
 		return err
 	}
-	part.build.Close()
-	part.probe.Close()
 	next := make([]spillPart, 0, len(builds))
 	for i := range builds {
 		next = append(next, spillPart{build: builds[i], probe: probes[i], salt: salt, depth: part.depth + 1})
@@ -577,9 +528,9 @@ func (q *query) processSpillProbe(a *activation, w int) (outs []*activation, res
 }
 
 // governGroupPartial charges worker w's group-by partial growth and
-// spills the partial to the worker's spill file when it crosses the
-// budget. Only worker w touches its partial and counters, so the only
-// shared state is the byte account.
+// spills the partial to the worker's spill partition when it crosses
+// the budget. Only worker w touches its partial and counters, so the
+// only shared state is the byte account.
 func (q *query) governGroupPartial(w int) error {
 	m := q.partials[w].m
 	grown := len(m) - q.gbGroups[w]
@@ -595,10 +546,11 @@ func (q *query) governGroupPartial(w int) error {
 	// Over budget: spill the whole partial and reset.
 	f := q.gbFiles[w]
 	if f == nil {
-		var err error
-		if f, err = q.newSpillFile(fmt.Sprintf("gb-w%d", w)); err != nil {
+		files, err := q.newSpillFiles(1)
+		if err != nil {
 			return err
 		}
+		f = files[0]
 		q.gbFiles[w] = f
 		q.spilledParts.Add(1)
 	}

@@ -102,8 +102,9 @@ type EngineConfig struct {
 	// float64, string).
 	MemoryPerNode int64
 	// SpillDir is the directory spill files are created under (one temp
-	// subdirectory per query, removed at retirement). Empty means the
-	// system temp directory. Only consulted when MemoryPerNode > 0.
+	// file per spilling query fragment, removed at retirement). Empty
+	// means the system temp directory. Only consulted when
+	// MemoryPerNode > 0.
 	SpillDir string
 	// MaxConcurrentQueries bounds in-flight queries across the engine
 	// (0 = unlimited). Excess Submits park in a bounded FIFO admission

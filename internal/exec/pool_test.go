@@ -337,11 +337,7 @@ func TestFinishedGroupByFreesSlotUnread(t *testing.T) {
 				if err := h.Err(); err != nil {
 					t.Fatal(err)
 				}
-				for i, p := range ns.pools {
-					if b := p.broker; b != nil && b.available() != b.budget {
-						t.Fatalf("node %d: %d of %d broker bytes leased with the group-by unread", i, b.budget-b.available(), b.budget)
-					}
-				}
+				verifyUnleased(t, ns) // with the group-by unread
 				got := drainRows(unread)
 				if err := unread.Err(); err != nil {
 					t.Fatal(err)
@@ -554,11 +550,7 @@ func TestPanicContainment(t *testing.T) {
 					if left, err := os.ReadDir(dir); err != nil || len(left) != 0 {
 						t.Fatalf("spill dir not empty after the failed query: %v, %v", left, err)
 					}
-					for i, p := range ns.pools {
-						if b := p.broker; b != nil && b.available() != b.budget {
-							t.Fatalf("node %d: %d of %d broker bytes still leased", i, b.budget-b.available(), b.budget)
-						}
-					}
+					verifyUnleased(t, ns)
 					verifyIdle(t, ns)
 				})
 			}

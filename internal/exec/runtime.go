@@ -240,7 +240,7 @@ type opRun struct {
 	// Memory governance (build operators of governed queries only).
 	// spill is the join's partitioned-execution state; stripeSpilled
 	// marks stripes drained by the spill transition (guarded by the
-	// stripe lock), diverting racing inserts to the partition files.
+	// stripe lock), diverting racing inserts to the spill partitions.
 	spill         *joinSpill
 	stripeSpilled []bool
 
@@ -319,10 +319,11 @@ type query struct {
 	broker  *memBroker
 	memUsed atomic.Int64
 	lease   memLease
-	// spillMu guards the spill directory and file registry (innermost
-	// after joinSpill.mu; never held while taking scheduler locks).
+	// spillMu guards the fragment's spill file and partition registry
+	// (innermost after joinSpill.mu; never held while taking scheduler
+	// locks).
 	spillMu    sync.Mutex //hierdb:lock spillmu
-	spillDir   string
+	spillDisk  *spill.Disk
 	spillFiles []*spill.File
 	// Per-worker group-by spill state: worker w touches only index w.
 	gbFiles   []*spill.File
@@ -528,7 +529,7 @@ func (q *query) popQueue(or *opRun, w int) *activation {
 	return nil
 }
 
-// finalize completes the fragment's retirement: spill files and the
+// finalize completes the fragment's retirement: the spill file and the
 // memory lease are released, and the coordinator — which seals stats and
 // wakes the consumer when the last fragment retires — is told. All
 // output, including merged group-by batches, has already been queued (or

@@ -13,7 +13,7 @@ import (
 )
 
 // spillWriteFixture is the partition-write path on its own: a bare
-// governed query owning one fan-out of partition files, and a resident
+// governed query owning one fan-out of partitions, and a resident
 // two-column table to partition into them.
 func spillWriteFixture(t testing.TB, rows int) (q *query, files []*spill.File, src *vec.Batch) {
 	t.Helper()
@@ -24,12 +24,8 @@ func spillWriteFixture(t testing.TB, rows int) (q *query, files []*spill.File, s
 	q = &query{mq: &mquery{nodes: ns}}
 	q.vscratch = make([]vecScratch, 1)
 	t.Cleanup(q.releaseSpill)
-	for i := 0; i < spillFanout; i++ {
-		f, err := q.newSpillFile(fmt.Sprintf("p%d", i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		files = append(files, f)
+	if files, err = q.newSpillFiles(spillFanout); err != nil {
+		t.Fatal(err)
 	}
 	tb := tbl("w", rows, func(i int) any { return i }, func(i int) any { return fmt.Sprintf("v%d", i) })
 	return q, files, columnize(tb)
@@ -73,8 +69,9 @@ func BenchmarkSpillPartitionWrite(b *testing.B) {
 	b.ReportMetric(float64(rows*b.N)/b.Elapsed().Seconds(), "rows/s")
 }
 
-// spillFilesOf snapshots the fragment's spill-file registry (it only
-// grows until retirement; a closed file keeps its refs and byte count).
+// spillFilesOf snapshots the fragment's partition registry (it only
+// grows until retirement; a closed partition keeps its refs and byte
+// count).
 func spillFilesOf(q *query) []*spill.File {
 	q.spillMu.Lock()
 	defer q.spillMu.Unlock()

@@ -1,17 +1,27 @@
 // Package spill is the disk format of the engine's memory governance:
-// columnar batches encoded to per-partition temp files when a hash-join
-// build side (or a group-by partial) exceeds its node's memory budget,
-// and decoded back one batch at a time during the partition-wise join
-// phases. A File is append-only and batch-granular — every written
-// batch has a Ref, and ReadCols(Ref) is safe for concurrent readers via
-// ReadAt — so spill-phase activations can decode independent batches in
-// parallel without coordination.
+// columnar batches encoded to a temp file when a hash-join build side
+// (or a group-by partial) exceeds its node's memory budget, and decoded
+// back one batch at a time during the partition-wise join phases.
+//
+// A query fragment spills into one Disk: one append-only file, created
+// on the fragment's first spill and closed and removed when the
+// fragment retires. Every partition is a File inside it, a list of the
+// byte ranges its batches were written to; a write reserves its range
+// with one atomic add on the Disk's end offset, so partitions share the
+// descriptor without a lock. A partition's bytes stay on disk until the
+// Disk is removed: a fragment's peak disk use is what it spilled.
+// Create makes a File that owns a Disk of its own.
+//
+// A File is append-only and batch-granular — every written batch has a
+// Ref, and ReadCols(Ref) is safe for concurrent readers via ReadAt — so
+// spill-phase activations can decode independent batches in parallel
+// without coordination.
 //
 // Writes are coalesced: AppendSel gathers the selected rows of however
-// many small batches into the file's typed write buffer and encodes one
+// many small batches into the File's typed write buffer and encodes one
 // full batch each time the buffer reaches the caller's flush threshold,
-// so a partition file holds threshold-sized batches plus one tail
-// (written by Seal) no matter how finely its input was fanned out.
+// so a partition holds threshold-sized batches plus one tail (written
+// by Seal) no matter how finely its input was fanned out.
 //
 // The batch encoding (colcodec.go) supports nil, bool, int, int32,
 // int64, uint64, float64 and string values; a column carrying any other
@@ -25,6 +35,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 
 	"hierdb/internal/vec"
 )
@@ -44,20 +55,59 @@ type Ref struct {
 	Rows int
 }
 
-// File is one spill partition: an append-only temp file of encoded
-// batches behind a write buffer. Appends are serialized internally
+// Disk is one append-only spill file shared by any number of Files.
+// Writes land at offsets reserved by an atomic add on end, so Files
+// append to it concurrently; a write that fails leaves its range a hole
+// no Ref points into.
+type Disk struct {
+	f      *os.File
+	end    atomic.Int64
+	closed atomic.Bool
+}
+
+// CreateTemp creates a Disk: a new file named hierdb-spill-* in dir
+// (the system temp dir when dir is empty).
+func CreateTemp(dir string) (*Disk, error) {
+	f, err := os.CreateTemp(dir, "hierdb-spill-*")
+	if err != nil {
+		return nil, fmt.Errorf("spill: create: %w", err)
+	}
+	return &Disk{f: f}, nil
+}
+
+// NewFile returns an empty File that writes into d.
+func (d *Disk) NewFile() *File { return &File{disk: d} }
+
+// Close closes and deletes the file. Its Files keep their counters but
+// can no longer read or write. Idempotent.
+func (d *Disk) Close() error {
+	if !d.closed.CompareAndSwap(false, true) {
+		return nil
+	}
+	err := d.f.Close()
+	if rmErr := os.Remove(d.f.Name()); err == nil {
+		err = rmErr
+	}
+	return err
+}
+
+// name is the file's base name, for errors.
+func (d *Disk) name() string { return filepath.Base(d.f.Name()) }
+
+// File is one spill partition: the encoded batches it wrote into its
+// Disk, behind a write buffer. Appends are serialized internally
 // (concurrent producer workers share a partition); reads go through
 // ReadAt and may run concurrently with each other, but not with
 // appends — the engine's chain barrier separates the write phase from
 // the read phase, and Seal marks the boundary.
 type File struct {
-	mu   sync.Mutex //hierdb:lock spillfile
-	f    *os.File
-	path string
-	buf  []byte // encode scratch, reused across writes
-	refs []Ref
-	off  int64
-	rows int64 // written + buffered
+	mu    sync.Mutex //hierdb:lock spillfile
+	disk  *Disk
+	owner bool   // made by Create: Close also closes the Disk
+	buf   []byte // encode scratch, reused across writes
+	refs  []Ref
+	bytes int64
+	rows  int64 // written + buffered
 	// wbuf holds the rows AppendSel has gathered but not yet written:
 	// dense columns of typed mirror + null bitmap, a Box only on Any
 	// columns (which have no mirror). Flushing keeps its storage, so
@@ -65,16 +115,16 @@ type File struct {
 	wbuf vec.Batch
 }
 
-// Create opens a new spill file in dir. The file is created eagerly so
-// an unwritable spill directory fails at spill time with a clear error,
+// Create opens a File with a Disk of its own, the new file dir/name,
+// which the File's Close deletes. The file is created eagerly so an
+// unwritable spill directory fails at spill time with a clear error,
 // not at first read.
 func Create(dir, name string) (*File, error) {
-	path := filepath.Join(dir, name)
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_RDWR, 0o600)
+	f, err := os.OpenFile(filepath.Join(dir, name), os.O_CREATE|os.O_EXCL|os.O_RDWR, 0o600)
 	if err != nil {
 		return nil, fmt.Errorf("spill: create %s: %w", name, err)
 	}
-	return &File{f: f, path: path}, nil
+	return &File{disk: &Disk{f: f}, owner: true}, nil
 }
 
 // AppendSel buffers the logical rows of b listed in sel (nil = all) and
@@ -130,14 +180,14 @@ func (s *File) AppendCols(b *vec.Batch) (Ref, error) {
 	return ref, err
 }
 
-// Seal writes the buffered tail, if any, and releases the write buffer.
-// Once every appender has returned and the file is sealed, Refs and
-// Bytes are complete. Idempotent.
+// Seal writes the buffered tail, if any, and releases the write buffer
+// and encode scratch. Once every appender has returned and the file is
+// sealed, Refs and Bytes are complete. Idempotent.
 func (s *File) Seal() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	err := s.flushLocked()
-	s.wbuf = vec.Batch{}
+	s.wbuf, s.buf = vec.Batch{}, nil
 	return err
 }
 
@@ -247,21 +297,24 @@ func (s *File) flushLocked() error {
 	return err
 }
 
-// writeLocked encodes b and writes it at the file's end. It writes at
-// an explicit offset and advances that offset only on a full write, so
-// a failed write cannot misalign the Refs of the batches around it.
+// writeLocked encodes b, reserves its length at the Disk's end and
+// writes it there. It writes at an explicit offset and records a Ref
+// only on a full write, so a failed write cannot misalign the Refs of
+// the batches around it.
 func (s *File) writeLocked(b *vec.Batch) (Ref, error) {
 	buf, err := EncodeCols(s.buf[:0], b)
 	if err != nil {
 		return Ref{}, err
 	}
 	s.buf = buf
-	if _, err := s.f.WriteAt(buf, s.off); err != nil {
-		return Ref{}, fmt.Errorf("spill: write %s: %w", filepath.Base(s.path), err)
+	n := int64(len(buf))
+	off := s.disk.end.Add(n) - n
+	if _, err := s.disk.f.WriteAt(buf, off); err != nil {
+		return Ref{}, fmt.Errorf("spill: write %s: %w", s.disk.name(), err)
 	}
-	ref := Ref{Off: s.off, Len: int64(len(buf)), Rows: b.N}
+	ref := Ref{Off: off, Len: n, Rows: b.N}
 	s.refs = append(s.refs, ref)
-	s.off += ref.Len
+	s.bytes += n
 	return ref, nil
 }
 
@@ -271,9 +324,9 @@ func (s *File) ReadCols(ref Ref) (*vec.Batch, error) {
 	if ref.Rows == 0 {
 		return &vec.Batch{}, nil
 	}
-	b, err := ReadColsAt(s.f, ref.Off, ref.Len, ref.Rows)
+	b, err := ReadColsAt(s.disk.f, ref.Off, ref.Len, ref.Rows)
 	if err != nil {
-		return nil, fmt.Errorf("spill: %s: %w", filepath.Base(s.path), err)
+		return nil, fmt.Errorf("spill: %s: %w", s.disk.name(), err)
 	}
 	return b, nil
 }
@@ -290,7 +343,7 @@ func (s *File) Refs() []Ref {
 func (s *File) Bytes() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.off
+	return s.bytes
 }
 
 // Rows returns the total rows appended so far, written or still
@@ -301,18 +354,16 @@ func (s *File) Rows() int64 {
 	return s.rows
 }
 
-// Close closes and deletes the file, dropping any rows still buffered.
+// Close drops any rows still buffered and the encode scratch; Refs,
+// Bytes and Rows stay readable. A partition leaves its Disk's file in
+// place; a File made by Create also closes and deletes its own.
 // Idempotent.
 func (s *File) Close() error {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.f == nil {
-		return nil
+	s.wbuf, s.buf = vec.Batch{}, nil
+	s.mu.Unlock()
+	if s.owner {
+		return s.disk.Close()
 	}
-	err := s.f.Close()
-	s.f = nil
-	if rmErr := os.Remove(s.path); err == nil {
-		err = rmErr
-	}
-	return err
+	return nil
 }

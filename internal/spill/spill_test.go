@@ -6,6 +6,8 @@ import (
 	"math"
 	"math/rand"
 	"os"
+	"sort"
+	"strings"
 	"sync"
 	"testing"
 
@@ -312,7 +314,7 @@ func TestWritesIgnoreFileCursor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.f.Seek(0, io.SeekStart); err != nil {
+	if _, err := f.disk.f.Seek(0, io.SeekStart); err != nil {
 		t.Fatal(err)
 	}
 	r2, err := f.AppendCols(vec.FromRows(second))
@@ -325,15 +327,22 @@ func TestWritesIgnoreFileCursor(t *testing.T) {
 	sameRowsExact(t, "cursor", readAll(t, f), append(first, second...))
 }
 
-// TestFailedWriteLeavesOffsets: a write that fails (here: the file was
-// closed under the writer) returns the error and advances nothing.
+// TestFailedWriteLeavesOffsets: a write that fails (here: the Disk was
+// closed under the writer) returns the error and advances nothing the
+// partition reports.
 func TestFailedWriteLeavesOffsets(t *testing.T) {
-	f := colFile(t)
+	d, err := CreateTemp(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := d.NewFile()
 	if _, err := f.AppendCols(vec.FromRows([]Row{{1}})); err != nil {
 		t.Fatal(err)
 	}
 	bytes, refs := f.Bytes(), len(f.Refs())
-	f.f.Close()
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := f.AppendCols(vec.FromRows([]Row{{2}})); err == nil {
 		t.Fatal("AppendCols on a closed descriptor succeeded")
 	}
@@ -345,6 +354,8 @@ func TestFailedWriteLeavesOffsets(t *testing.T) {
 	}
 }
 
+// TestCloseRemovesFile: Create's File owns its file — dir/name, there
+// until Close, gone after it — and Close is idempotent.
 func TestCloseRemovesFile(t *testing.T) {
 	dir := t.TempDir()
 	f, err := Create(dir, "p0")
@@ -358,18 +369,212 @@ func TestCloseRemovesFile(t *testing.T) {
 	if err := f.AppendSel(b, nil, 100); err != nil { // left unflushed
 		t.Fatal(err)
 	}
+	if got := dirNames(t, dir); len(got) != 1 || got[0] != "p0" {
+		t.Fatalf("spill dir holds %v, want [p0]", got)
+	}
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil { // idempotent
 		t.Fatal(err)
 	}
+	if got := dirNames(t, dir); len(got) != 0 {
+		t.Fatalf("spill dir not empty after Close: %v", got)
+	}
+}
+
+func dirNames(t *testing.T, dir string) []string {
+	t.Helper()
 	ents, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ents) != 0 {
-		t.Fatalf("spill dir not empty after Close: %v", ents)
+	var out []string
+	for _, e := range ents {
+		out = append(out, e.Name())
+	}
+	return out
+}
+
+// TestDiskSharedByConcurrentPartitions is the shared file's contract
+// (run under -race in CI): 4 writers append to each of 8 partitions of
+// one Disk at once; each partition reads back exactly its own rows, in
+// each writer's order, and the partitions' Refs tile the file — no
+// overlap, no gap, Σ Len = the file's size.
+func TestDiskSharedByConcurrentPartitions(t *testing.T) {
+	const parts, writers, batches, rowsPer, flush = 8, 4, 20, 13, 32
+	d, err := CreateTemp(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	files := make([]*File, parts)
+	for p := range files {
+		files[p] = d.NewFile()
+	}
+	var wg sync.WaitGroup
+	for p := 0; p < parts; p++ {
+		for w := 0; w < writers; w++ {
+			wg.Add(1)
+			go func(p, w int) {
+				defer wg.Done()
+				for b := 0; b < batches; b++ {
+					batch := make([]Row, rowsPer)
+					for i := range batch {
+						batch[i] = Row{p, w, b*rowsPer + i, fmt.Sprintf("p%d-w%d", p, w)}
+					}
+					if err := files[p].AppendSel(vec.FromRows(batch), nil, flush); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}(p, w)
+		}
+	}
+	wg.Wait()
+	var all []Ref
+	var total int64
+	for p, f := range files {
+		if err := f.Seal(); err != nil {
+			t.Fatal(err)
+		}
+		next := make([]int, writers) // each writer's next expected sequence number
+		for _, ref := range f.Refs() {
+			b, err := f.ReadCols(ref)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, r := range materialize(t, b) {
+				w := r[1].(int)
+				if r[0].(int) != p || r[2].(int) != next[w] || r[3].(string) != fmt.Sprintf("p%d-w%d", p, w) {
+					t.Fatalf("partition %d read back %v, want writer %d's row %d", p, r, w, next[w])
+				}
+				next[w]++
+			}
+		}
+		for w, n := range next {
+			if n != batches*rowsPer {
+				t.Fatalf("partition %d: writer %d's %d rows read back, want %d", p, w, n, batches*rowsPer)
+			}
+		}
+		all = append(all, f.Refs()...)
+		total += f.Bytes()
+	}
+	sort.Slice(all, func(i, j int) bool { return all[i].Off < all[j].Off })
+	var end int64
+	for _, ref := range all {
+		if ref.Off != end {
+			t.Fatalf("ref at %d, want %d: the partitions' ranges overlap or leave a gap", ref.Off, end)
+		}
+		end += ref.Len
+	}
+	st, err := d.f.Stat()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if end != st.Size() || total != st.Size() {
+		t.Fatalf("refs cover %d bytes, partitions report %d, file is %d", end, total, st.Size())
+	}
+}
+
+// TestPartitionCloseLeavesDisk: closing a partition drops its buffers
+// and nothing else — the file stays, the other partitions still read —
+// while the Disk's Close deletes the file, idempotently.
+func TestPartitionCloseLeavesDisk(t *testing.T) {
+	dir := t.TempDir()
+	d, err := CreateTemp(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := d.NewFile(), d.NewFile()
+	rows := []Row{{1, "x"}, {2, "y"}}
+	for _, f := range []*File{a, b} {
+		if _, err := f.AppendCols(vec.FromRows(rows)); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.AppendSel(vec.FromRows(rows), nil, 100); err != nil { // left unflushed
+			t.Fatal(err)
+		}
+	}
+	if err := a.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := dirNames(t, dir); len(got) != 1 || !strings.HasPrefix(got[0], "hierdb-spill-") {
+		t.Fatalf("spill dir holds %v after a partition's Close, want one hierdb-spill-* file", got)
+	}
+	if a.Rows() != 4 || a.Bytes() == 0 || len(a.Refs()) != 1 {
+		t.Fatalf("closed partition lost its counters: rows %d bytes %d refs %d", a.Rows(), a.Bytes(), len(a.Refs()))
+	}
+	sameRowsExact(t, "sibling", readAll(t, b), append(rows, rows...))
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Close(); err != nil { // idempotent
+		t.Fatal(err)
+	}
+	if got := dirNames(t, dir); len(got) != 0 {
+		t.Fatalf("spill dir not empty after the Disk's Close: %v", got)
+	}
+}
+
+// BenchmarkSpillFanout is the file layer's own benchmark: one spilling
+// join's fan-out lifecycle — 16 partitions (8 build, 8 probe) of one
+// Disk written in Batch-row batches through AppendSel, sealed, read
+// back and closed — over join_spill-shaped rows (int key, string).
+func BenchmarkSpillFanout(b *testing.B) {
+	const parts, batch, rows = 16, 256, 25_000
+	src := make([]Row, rows)
+	for i := range src {
+		src[i] = Row{i, fmt.Sprintf("payload-%d", i)}
+	}
+	var windows []*vec.Batch
+	for lo := 0; lo < rows; lo += batch {
+		windows = append(windows, vec.FromRows(src[lo:min(lo+batch, rows)]))
+	}
+	sels := make([][]int32, parts)
+	dir := b.TempDir()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		d, err := CreateTemp(dir)
+		if err != nil {
+			b.Fatal(err)
+		}
+		files := make([]*File, parts)
+		for p := range files {
+			files[p] = d.NewFile()
+		}
+		for _, w := range windows {
+			for p := range sels {
+				sels[p] = sels[p][:0]
+			}
+			for li := 0; li < w.N; li++ {
+				sels[li%parts] = append(sels[li%parts], int32(li))
+			}
+			for p, f := range files {
+				if err := f.AppendSel(w, sels[p], batch); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+		for _, f := range files {
+			if err := f.Seal(); err != nil {
+				b.Fatal(err)
+			}
+			for _, ref := range f.Refs() {
+				var err error
+				if sinkBatch, err = f.ReadCols(ref); err != nil {
+					b.Fatal(err)
+				}
+			}
+			f.Close()
+		}
+		if err := d.Close(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

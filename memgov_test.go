@@ -194,7 +194,7 @@ func TestDBSpillAbortCleansUp(t *testing.T) {
 					t.Fatalf("mid-spill abort took %v", elapsed)
 				}
 				// Rows.Close/the drain returned only after the query fully
-				// retired, and retirement removes the per-query spill dir.
+				// retired, and retirement removes every fragment's spill file.
 				ents, err := os.ReadDir(dir)
 				if err != nil {
 					t.Fatal(err)
