@@ -50,8 +50,10 @@ func WithWorkers(n int) Option { return func(c *dbConfig) { c.eng.Workers = n } 
 // steals are cheap. No effect with a single node.
 func WithStealing(enabled bool) Option { return func(c *dbConfig) { c.eng.DisableStealing = !enabled } }
 
-// WithStripes sets the per-join hash-table lock-stripe count (the degree
-// of fragmentation). 0 means 8x workers.
+// WithStripes sets the number of hash buckets per node (the degree of
+// fragmentation): they decide which node owns a join key (exec.OwnerNode)
+// and price a steal's bucket shipping. It changes nothing on one node.
+// 0 means 8x workers.
 func WithStripes(n int) Option { return func(c *dbConfig) { c.eng.Stripes = n } }
 
 // WithMorsel sets the scan granularity in rows (trigger-activation

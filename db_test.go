@@ -563,14 +563,14 @@ func TestStaticModeOnDB(t *testing.T) {
 // TestPointQueryAllocBytesBound is the point-query fixed-cost gate (run
 // by CI): a one-row join through the facade must not pay for the
 // streaming path's steady-state buffers — the workers' arenas start
-// small and grow with the query, a build-side stripe exists only once a
-// row is routed to it and indexes nothing until the seal — so the whole
-// query, from Run to Close, allocates under 40 KiB; and what it
+// small and grow with the query, a build part exists only once its
+// worker appends a batch and indexes nothing until the seal — so the
+// whole query, from Run to Close, allocates under 24 KiB; and what it
 // allocates per query whatever the data — coordinator, fragment,
-// operator queues, stats, and six objects per touched stripe of the
-// 30-row build side (the 16 stripes, each born with a presized map and
-// nine objects, were 195 of the 469 before the index moved to the seal)
-// — stays within 344 heap objects.
+// operator queues, stats, one part per building worker of the 30-row
+// build side (there were six objects per touched lock stripe, 272 in
+// all, before a build side became one part per worker) — stays within
+// 128 heap objects.
 func TestPointQueryAllocBytesBound(t *testing.T) {
 	db := testDB(t, WithWorkers(4))
 	point := func(k int) {
@@ -588,19 +588,59 @@ func TestPointQueryAllocBytesBound(t *testing.T) {
 		point(k)
 	}
 	runtime.ReadMemStats(&m1)
-	if perQuery := (m1.TotalAlloc - m0.TotalAlloc) / runs; perQuery > 40<<10 {
-		t.Fatalf("a one-row join allocates %d KiB, want <= 40", perQuery>>10)
+	if perQuery := (m1.TotalAlloc - m0.TotalAlloc) / runs; perQuery > 24<<10 {
+		t.Fatalf("a one-row join allocates %d B, want <= 24 KiB", perQuery)
 	}
-	if perQuery := float64(m1.Mallocs-m0.Mallocs) / runs; perQuery > 344 {
-		t.Fatalf("a one-row join makes %.1f allocations, want <= 344", perQuery)
+	if perQuery := float64(m1.Mallocs-m0.Mallocs) / runs; perQuery > 128 {
+		t.Fatalf("a one-row join makes %.1f allocations, want <= 128", perQuery)
 	}
 	t.Logf("per query: %d B, %.1f mallocs", (m1.TotalAlloc-m0.TotalAlloc)/runs, float64(m1.Mallocs-m0.Mallocs)/runs)
 }
 
+// TestBuildPresizeBoundedUnderHugeHint: a row estimate is a guess — a
+// user's Hint or the optimizer's, which reaches 1e15 — so a build side
+// presizes from it only up to a fixed cap. A 30-row build side hinted at
+// MaxInt64 rows must neither fail nor reserve for them, and one hinted
+// at 4 Mi rows must not allocate for them: on one node and on two, the
+// join returns its rows and allocates at most 1 MiB a query.
+func TestBuildPresizeBoundedUnderHugeHint(t *testing.T) {
+	for _, nodes := range []int{1, 2} {
+		db := testDB(t, WithNodes(nodes), WithWorkers(2))
+		for _, rows := range []int64{math.MaxInt64, 1 << 22} {
+			join := func() {
+				t.Helper()
+				got, _, err := db.Scan("orders").Join(db.Scan("lines").Hint(Hint{Rows: rows}), KeyCol(0), KeyCol(0)).
+					Hint(Hint{NoReorder: true}).Collect(context.Background())
+				if err != nil || len(got) != 900 {
+					t.Fatalf("%d node(s), build hinted at %d rows: %d rows, %v; want 900", nodes, rows, len(got), err)
+				}
+				for _, r := range got {
+					if r[2] != r[0] || r[3] != fmt.Sprintf("l%d", r[0]) {
+						t.Fatalf("%d node(s), build hinted at %d rows: row %v", nodes, rows, r)
+					}
+				}
+			}
+			join() // columnize the tables, start the pools
+			const runs = 3
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			for i := 0; i < runs; i++ {
+				join()
+			}
+			runtime.ReadMemStats(&m1)
+			perQuery := (m1.TotalAlloc - m0.TotalAlloc) / runs
+			if perQuery > 1<<20 {
+				t.Fatalf("%d node(s), build hinted at %d rows: %d KiB a query, want <= 1 MiB", nodes, rows, perQuery>>10)
+			}
+			t.Logf("%d node(s), build hinted at %d rows: %d KiB a query", nodes, rows, perQuery>>10)
+		}
+	}
+}
+
 // TestNegativeZeroKeyJoins: 0.0 and -0.0 are one join key — Go's == and
 // map[any], the engine's semantic reference, equate them — so the two
-// must hash alike: route to one node, one stripe, one spill partition,
-// one index slot. NaN is no key at all. Resident and spilling under a
+// must hash alike: route to one node, one hash bucket, one spill
+// partition, one index slot. NaN is no key at all. Resident and spilling under a
 // budget, on one node and on two.
 func TestNegativeZeroKeyJoins(t *testing.T) {
 	negZero := math.Copysign(0, -1)

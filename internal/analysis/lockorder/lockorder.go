@@ -9,7 +9,7 @@
 // The levels, outermost first, mirror the ordering documented in
 // internal/exec (nodes.go, memgov.go):
 //
-//	admit → mq → pool → jspill → broker → stripe → spillmu → spillfile → storefile
+//	admit → mq → pool → jspill → broker → part → spillmu → spillfile → storefile
 //
 // The analyzer walks each function with a symbolic "held" set: a Lock
 // or RLock on an annotated mutex while already holding one at the same
@@ -34,13 +34,13 @@ import (
 // Analyzer flags acquisitions that violate the engine lock hierarchy.
 var Analyzer = &analysis.Analyzer{
 	Name: "lockorder",
-	Doc:  "check engine mutex acquisitions against the admit→mq→pool→jspill→broker→stripe→spillmu→spillfile→storefile hierarchy",
+	Doc:  "check engine mutex acquisitions against the admit→mq→pool→jspill→broker→part→spillmu→spillfile→storefile hierarchy",
 	Run:  run,
 }
 
 // hierarchy lists the lock levels outermost-first; the index+1 is the
 // numeric level used for ordering checks.
-var hierarchy = []string{"admit", "mq", "pool", "jspill", "broker", "stripe", "spillmu", "spillfile", "storefile"}
+var hierarchy = []string{"admit", "mq", "pool", "jspill", "broker", "part", "spillmu", "spillfile", "storefile"}
 
 const numLevels = 9
 
@@ -230,7 +230,7 @@ func (s *scanner) fieldType(field *ast.Field) types.Type {
 }
 
 // isMutexType reports whether t is sync.Mutex/RWMutex or a slice/array
-// of them (stripe lock arrays).
+// of them (per-worker part lock arrays).
 func isMutexType(t types.Type) bool {
 	if t == nil {
 		return false
@@ -547,7 +547,7 @@ func (s *scanner) reportSend(pos token.Pos, h *held) {
 
 // mutexLevel resolves the receiver expression of a Lock/Unlock call to
 // an annotated mutex's level (0 if untracked). Indexing into annotated
-// stripe arrays (or.locks[i]) and pointer/paren wrappers are peeled.
+// part lock arrays (or.locks[i]) and pointer/paren wrappers are peeled.
 func (s *scanner) mutexLevel(recv ast.Expr) int {
 	for {
 		switch r := recv.(type) {

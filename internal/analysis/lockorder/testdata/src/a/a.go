@@ -12,7 +12,7 @@ type sched struct {
 }
 
 type table struct {
-	locks []sync.Mutex //hierdb:lock stripe
+	locks []sync.Mutex //hierdb:lock part
 }
 
 type mislabeled struct {
@@ -37,9 +37,9 @@ func reacquire(s1, s2 *sched) {
 	s1.mu.Unlock()
 }
 
-func stripeThenPool(t *table, s *sched, i int) {
+func partThenPool(t *table, s *sched, i int) {
 	t.locks[i].Lock()
-	s.mu.Lock() // want `acquires "pool" lock while holding "stripe" lock`
+	s.mu.Lock() // want `acquires "pool" lock while holding "part" lock`
 	s.mu.Unlock()
 	t.locks[i].Unlock()
 }
@@ -66,7 +66,7 @@ func lockPool(s *sched) {
 
 func viaCall(t *table, s *sched) {
 	t.locks[0].Lock()
-	lockPool(s) // want `call to lockPool acquires "pool" lock while holding "stripe" lock`
+	lockPool(s) // want `call to lockPool acquires "pool" lock while holding "part" lock`
 	t.locks[0].Unlock()
 }
 
@@ -76,7 +76,7 @@ func middle(s *sched) {
 
 func viaTransitiveCall(t *table, s *sched) {
 	t.locks[0].Lock()
-	middle(s) // want `call to middle acquires "pool" lock while holding "stripe" lock`
+	middle(s) // want `call to middle acquires "pool" lock while holding "part" lock`
 	t.locks[0].Unlock()
 }
 

@@ -13,7 +13,7 @@ type sched struct {
 }
 
 type table struct {
-	locks []sync.Mutex //hierdb:lock stripe
+	locks []sync.Mutex //hierdb:lock part
 }
 
 // catalog's mutex is outside the hierarchy and never tracked.

@@ -262,7 +262,7 @@ func TestDifferentialQueries(t *testing.T) {
 			// interpreter over the same tables.
 			// The float-key legs: the last join's keys are float64 on both
 			// sides, with 0.0 and -0.0 — one key, by ==, that must reach one
-			// node, one stripe, one spill partition and one index chain — and
+			// node, one hash bucket, one spill partition and one index chain — and
 			// NaN, which matches nothing. The null-payload legs: the last
 			// build side's string payload is null in 63 rows of 64, so most
 			// of the batches a governed leg spills of it carry an all-null

@@ -11,7 +11,7 @@ package exec
 // whether the node can cover it. With one governed fragment in flight a
 // denial happens exactly when the fragment's usage exceeds the budget.
 //
-// Lock order: broker.mu sits between jspill and stripe —
+// Lock order: broker.mu sits between jspill and part —
 // spillNextLocked refunds a finished partition's charge while holding
 // pool (and mq) + jspill mutexes, and nothing holding broker.mu takes
 // any other lock.

@@ -190,9 +190,10 @@ type Stats struct {
 	Steals      int64
 	// StolenActivations counts probe activations shipped between nodes.
 	StolenActivations int64
-	// StolenBuckets / StolenBucketBytes count hash-table buckets copied
-	// into thieves' node-local caches (a bucket already cached is never
-	// re-shipped, per the stolen-queue cache of §4).
+	// StolenBuckets / StolenBucketBytes count the hash-table buckets, and
+	// their rows' bytes, that thieves paid to ship with stolen activations
+	// (a bucket a thief has acquired is never paid for again, per the
+	// stolen-queue cache of §4).
 	StolenBuckets     int64
 	StolenBucketBytes int64
 	// RowsRedistributed counts rows that crossed nodes during normal
@@ -268,7 +269,7 @@ type NodeStats struct {
 	RowsShippedOut int64
 	// Steals counts steal rounds this node completed as the thief;
 	// StolenActivations the activations it acquired; StolenBuckets the
-	// hash-table buckets it copied into its local cache doing so.
+	// hash-table buckets it paid to ship doing so.
 	Steals            int64
 	StolenActivations int64
 	StolenBuckets     int64
@@ -301,24 +302,25 @@ func (s *Stats) Imbalance() float64 {
 	return maxv / mean
 }
 
-// OwnerNode reports which node of a (nodes, stripes-per-node) engine
-// owns join key k — the engine's routing rule, exposed
-// so tests and benchmarks can construct workloads of known skew.
+// OwnerNode reports which node of an engine of nodes nodes and stripes
+// hash buckets per node (EngineConfig.Stripes) owns join key k — the
+// engine's routing rule, exposed so tests and benchmarks can construct
+// workloads of known skew.
 //
 //hierdb:hotpath
 func OwnerNode(k any, nodes, stripes int) int {
 	return hashKey(k, nodes*stripes) % nodes
 }
 
-// hashKey hashes a comparable key to a stripe index.
+// hashKey hashes a comparable key to one of buckets global hash buckets.
 //
 //hierdb:hotpath
-func hashKey(k any, stripes int) int {
-	return int(keyHash64(k) % uint64(stripes))
+func hashKey(k any, buckets int) int {
+	return int(keyHash64(k) % uint64(buckets))
 }
 
 // keyHash64 hashes a comparable key to 64 bits (the shared base of
-// stripe, node-ownership and spill-partition indexing).
+// node ownership, steal pricing and spill-partition indexing).
 //
 //hierdb:hotpath
 func keyHash64(k any) uint64 {

@@ -11,11 +11,14 @@ package exec
 // enough work to amortize the acquisition (condition ii); each candidate
 // is scored by benefit/overhead — queued activations versus bytes to
 // ship (the activations plus the hash-table buckets the thief has not
-// already cached, per the stolen-queue cache of §4). The thief picks the
-// most loaded provider among those offering a candidate, re-evaluates at
-// request time, acquires half the queue (condition iii: do not overload
-// the requester), copies the missing buckets into its node-local cache,
-// and enqueues the activations on its own pool. The memory-fit condition
+// already acquired, per the stolen-queue cache of §4). The thief picks
+// the most loaded provider among those offering a candidate,
+// re-evaluates at request time, acquires half the queue (condition iii:
+// do not overload the requester), pays for the buckets it has not
+// acquired yet, and enqueues the activations on its own pool. A bucket
+// is only a price: its rows are counted at the owner's seal, and a
+// stolen activation keeps its destination, so it probes the owner's
+// sealed side in place — nothing is copied. The memory-fit condition
 // (i) is vacuous in-process and dropped.
 //
 // A failed round parks the fragment (stealIdle) until a producer refills
@@ -24,7 +27,10 @@ package exec
 // fragment (stealBusy, claimed like a merge). A query whose production
 // is paused on its consumer starts no round.
 
-import "sync/atomic"
+import (
+	"maps"
+	"sync/atomic"
+)
 
 const (
 	// minStealActs is the smallest acquisition worth a round trip;
@@ -143,10 +149,10 @@ func (mq *mquery) stealRound(thief *query) bool {
 	acts := popOldestLocked(or, or.queued/2)
 	p.mu.Unlock()
 
-	buckets, bytes := thief.acquireBuckets(best.op, acts)
+	buckets, bytes := thief.acquireBuckets(best.op, acts, true)
 	// Stolen buckets are resident on the thief for the rest of the
-	// query: charge them to the thief's budget (cache entries are never
-	// re-shipped, so the charge is held until retirement).
+	// query: charge them to the thief's budget (an acquired bucket is
+	// never re-shipped, so the charge is held until retirement).
 	thief.chargeMem(bytes)
 
 	tp := mq.nodes.pools[thief.node]
@@ -247,34 +253,11 @@ func (mq *mquery) solicit(thief, fq *query, node int) *stealOffer {
 
 // shipEstimate prices acquiring the sampled activations: the rows
 // themselves plus the hash-table buckets their keys touch that the thief
-// has not already cached. Activation batches are immutable once
-// emitted, and build hash tables are complete before any probe runs, so
-// no locks are needed. Key hashing runs vectorized over each sampled
-// batch with a throwaway scratch (this is the cold steal path).
+// has not already acquired (acquireBuckets, recording nothing).
 func (mq *mquery) shipEstimate(thief *query, op *pop, acts []*activation) int64 {
-	var cache bucketCache
-	if c := thief.ops[op.id].cache.Load(); c != nil {
-		cache = *c
-	}
-	var vs vecScratch
-	var bytes int64
-	var seen map[int]bool
+	_, bytes := thief.acquireBuckets(op, acts, false)
 	for _, a := range acts {
 		bytes += int64(a.hi-a.lo) * nominalTupleBytes
-		hs := keyHashes(a.input(&vs), op.keyCol, &vs)
-		for i := range hs {
-			g := int(hs[i] % uint64(mq.buckets))
-			owner := g % mq.n
-			if owner == thief.node || seen[g] || cache[g] != nil {
-				continue
-			}
-			if seen == nil {
-				seen = make(map[int]bool)
-			}
-			seen[g] = true
-			src := mq.frags[owner].ops[op.partner.id]
-			bytes += int64(src.stripeRows[g/mq.n]) * nominalTupleBytes
-		}
 	}
 	return bytes
 }
@@ -302,52 +285,54 @@ func popOldestLocked(or *opRun, n int) []*activation {
 	return acts
 }
 
-// acquireBuckets maps into the thief's node-local cache every remote
-// hash-table bucket the stolen rows will probe, pricing the transfers
-// as shipped bytes. Buckets already cached by an earlier steal cost
-// nothing (§4's stolen-queue cache), an empty one included. A cached
-// bucket is the owner's sealed build side — store and index — which the
-// thief seals first if no probe of the owner's has yet: it is immutable
-// from then on, so sharing is safe in-process, while the
-// benefit/overhead score still charges the bytes a real network ship
-// would move. Single writer per fragment (rounds are single-flight),
-// readers go through the atomic pointer.
-func (q *query) acquireBuckets(op *pop, acts []*activation) (copied int, bytes int64) {
+// acquireBuckets prices the remote hash-table buckets the rows of acts —
+// probe activations of op, on offer to or stolen by thief q — touch and
+// q has not acquired: each bucket's rows, counted at its owner's seal,
+// as shipped bytes. An activation's rows are all its dest's, whose
+// sealed side q seals first if no probe of the owner's has yet; rows q
+// owns itself cost nothing. With record set the buckets join q's
+// acquired set, so a later steal touching them pays nothing for them
+// (§4's stolen-queue cache), an empty one included. The stolen rows
+// probe the owner's sealed side in place — it is immutable, so sharing
+// is safe in-process — while the benefit/overhead score still charges
+// the bytes a real network ship would move. Activation batches are
+// immutable once emitted and build sides complete before any probe
+// runs, so no lock is needed; the set is touched only by the fragment's
+// single-flight steal round. Key hashing runs on a throwaway scratch
+// (this is the cold steal path).
+func (q *query) acquireBuckets(op *pop, acts []*activation, record bool) (buckets int, bytes int64) {
 	mq := q.mq
 	po := q.ops[op.id]
-	var old bucketCache
-	if c := po.cache.Load(); c != nil {
-		old = *c
-	}
-	var fresh bucketCache
-	var vs, sealVS vecScratch // a seal hashes on its scratch: not the one holding hs
+	var fresh map[int]bool
+	var vs, sealVS vecScratch // a seal hashes on its scratch: not the one holding the keys'
 	for _, a := range acts {
-		hs := keyHashes(a.input(&vs), op.keyCol, &vs)
-		for i := range hs {
-			g := int(hs[i] % uint64(mq.buckets))
-			owner := g % mq.n
-			if owner == q.node || old[g] != nil || fresh[g] != nil {
+		if a.dest == q.node {
+			continue
+		}
+		side, err := mq.frags[a.dest].ops[op.partner.id].seal(mq, &sealVS)
+		if err != nil {
+			mq.fail(err)
+			return buckets, bytes
+		}
+		for _, h := range keyHashes(a.input(&vs), op.keyCol, &vs) {
+			g := int(h % uint64(mq.buckets))
+			if po.acquired[g] || fresh[g] {
 				continue
 			}
-			src := mq.frags[owner].ops[op.partner.id]
-			side, err := src.seal(&sealVS)
-			if err != nil {
-				mq.fail(err)
-				return copied, bytes
-			}
 			if fresh == nil {
-				fresh = make(bucketCache, len(old)+4)
-				for g2, m := range old {
-					fresh[g2] = m
-				}
+				fresh = make(map[int]bool)
 			}
-			fresh[g] = side
-			copied++
-			bytes += int64(src.stripeRows[g/mq.n]) * nominalTupleBytes
+			fresh[g] = true
+			buckets++
+			bytes += int64(side.bucketRows[g/mq.n]) * nominalTupleBytes
 		}
 	}
-	if fresh != nil {
-		po.cache.Store(&fresh)
+	if record && fresh != nil {
+		if po.acquired == nil {
+			po.acquired = fresh
+		} else {
+			maps.Copy(po.acquired, fresh)
+		}
 	}
-	return copied, bytes
+	return buckets, bytes
 }

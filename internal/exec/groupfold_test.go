@@ -186,7 +186,7 @@ func TestGroupFoldSlotsFollowTheStore(t *testing.T) {
 	gb := &GroupBy{Key: 3, Aggs: []Aggregation{{Func: Count}}}
 	q, probes := probeFixture(t, fanPlan(1, 8, keys, 1, keys, nil), gb, EngineConfig{Workers: 1, Batch: keys})
 	root := q.mq.phys.root
-	side, err := q.ops[root.partner.id].seal(&q.vscratch[0])
+	side, err := q.ops[root.partner.id].seal(q.mq, &q.vscratch[0])
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,11 +4,11 @@ package exec
 // (internal/core/opstate.go charges every hash-table bucket against
 // MemoryPerNode) brought to the real-data engine. Each node has one
 // memory account of EngineConfig.MemoryPerNode bytes (broker.go), shared
-// by every query fragment in flight on it; hash-join builds charge
-// striped-bucket bytes against it, and a build the account cannot cover
-// switches the join to Grace-style partitioned execution:
+// by every query fragment in flight on it; hash-join builds charge each
+// batch's row and hash-entry bytes against it, and a build the account
+// cannot cover switches the join to Grace-style partitioned execution:
 //
-//   - the in-memory stripes are drained into hash partitions
+//   - the in-memory parts are drained into hash partitions
 //     (internal/spill Files) and all further build input is partitioned
 //     straight to disk — through each partition's write buffer, which
 //     coalesces the 1/spillFanout-sized slices of many input batches
@@ -37,14 +37,15 @@ package exec
 // spillNextLocked, so the coordinator's chain barrier and the group-by
 // merge see a perfectly ordinary (if long-lived) operator.
 //
-// A governed build side is what an ungoverned one is — append-only
-// stripes, here unsized — and a partition's store is sealed and indexed
-// exactly like a whole build side (sealStore).
+// A governed build side is what an ungoverned one is — one append-only
+// part per worker, here unsized, filled by the one build kernel
+// (processBuild) — and a partition's store is sealed and indexed exactly
+// like a whole build side (sealStore).
 //
-// Lock order: mq.mu -> pool.mu -> joinSpill.mu ->
-// memBroker.mu -> query.spillMu -> spill.File's internal mutex. Sealing
-// a build side (opRun.seal: concatenation and index build) happens
-// outside all of them.
+// Lock order: mq.mu -> pool.mu -> joinSpill.mu -> memBroker.mu -> part
+// lock -> query.spillMu -> spill.File's internal mutex. Sealing a build
+// side (opRun.seal: concatenation and index build) happens outside all
+// of them.
 
 import (
 	"sync"
@@ -172,7 +173,7 @@ func (q *query) memHeadroom() int64 {
 
 // spillPartIndexH maps a key, by its keyHash64, to its partition at the
 // given recursion salt — the kernels hash a key column once and reuse
-// the hashes for stripe routing, partition indexing and the sealed
+// the hashes for node routing, partition indexing and the sealed
 // index. Every salt level uses an independent mix of the hash, so an
 // oversized partition genuinely splits when re-partitioned.
 //
@@ -234,27 +235,17 @@ func (q *query) spilled(probeOp *pop) bool {
 }
 
 // spillBatch hash-partitions one batch into the given partitions: the
-// key column is hashed vectorized and each partition's rows join its
-// write buffer.
-func (q *query) spillBatch(files []*spill.File, keyCol int, salt uint64, b *vec.Batch, vs *vecScratch) error {
-	hs := keyHashes(b, keyCol, vs)
-	return q.spillBatchSel(files, b, nil, hs, salt, vs)
-}
-
-// spillBatchSel is spillBatch over a subset of b's logical rows (sel
-// nil = all) with precomputed key hashes. The per-partition selections
-// live in the worker's scratch (sel must not alias vs.perDest).
+// key column is hashed vectorized, and each partition's rows, selected in
+// the worker's scratch, join its write buffer.
 //
 //hierdb:hotpath
-func (q *query) spillBatchSel(files []*spill.File, b *vec.Batch, sel []int32, hs []uint64, salt uint64, vs *vecScratch) error {
+func (q *query) spillBatch(files []*spill.File, keyCol int, salt uint64, b *vec.Batch, vs *vecScratch) error {
+	hs := keyHashes(b, keyCol, vs)
 	n := len(files)
 	parts := vs.dests(n)
-	if sel == nil {
-		sel = vec.Ident(b.N)
-	}
-	for _, li := range sel {
-		d := spillPartIndexH(hs[li], salt, n)
-		parts[d] = append(parts[d], li)
+	for i, h := range hs {
+		d := spillPartIndexH(h, salt, n)
+		parts[d] = append(parts[d], int32(i))
 	}
 	for d, psel := range parts {
 		if len(psel) == 0 {
@@ -267,56 +258,13 @@ func (q *query) spillBatchSel(files []*spill.File, b *vec.Batch, sel []int32, hs
 	return nil
 }
 
-// buildGoverned is the budget-charging build path (MemoryPerNode > 0).
-// Before the spill transition it appends to the stripes exactly like
-// the ungoverned path, accumulating the batch's byte charge; the worker
-// whose charge crosses the budget performs the transition. Workers
-// racing the transition divert rows whose stripe was already drained
-// (stripeSpilled, read under the stripe lock) to the partitions,
-// so no row is lost between draining and the active flag flipping.
-func (q *query) buildGoverned(or *opRun, b *vec.Batch, w int) error {
-	sp := or.spill
-	op := or.op
-	vs := &q.vscratch[w]
-	if sp.active.Load() {
-		return q.spillBatch(sp.build, op.keyCol, 0, b, vs)
-	}
-	hs := keyHashes(b, op.keyCol, vs)
-	per := q.stripeSels(hs, len(or.stripes), vs)
-	var add int64
-	var diverted []int32
-	for s := range per {
-		sel := per[s]
-		if len(sel) == 0 {
-			continue
-		}
-		or.locks[s].Lock()
-		if or.stripeSpilled[s] {
-			or.locks[s].Unlock()
-			diverted = append(diverted, sel...)
-			continue
-		}
-		or.appendStripe(s, b, sel)
-		or.locks[s].Unlock()
-		add += batchBytes(b, sel) + int64(len(sel))*hashEntryBytes
-	}
-	if len(diverted) > 0 {
-		// The transition published the partitions before marking any
-		// stripe spilled, and we saw the mark under the stripe lock.
-		if err := q.spillBatchSel(sp.build, b, diverted, hs, 0, vs); err != nil {
-			return err
-		}
-	}
-	if q.chargeMem(add) {
-		return q.spillTransition(or, vs)
-	}
-	return nil
-}
-
 // spillTransition switches a governed join to partitioned execution:
-// open the partitions, drain the in-memory stripes into them, refund
-// their charge, and flip active. Single-flight via sp.mu; vs is the
-// calling worker's scratch.
+// open the partitions, flip active, drain the in-memory parts into the
+// partitions and refund their charge. Single-flight via sp.mu; vs is the
+// calling worker's scratch. The partitions are published before the
+// flag and the flag raised before any part is drained, so a builder that
+// reads it under its part's lock (processBuild) either appended to a part
+// still to be drained or spills its batch: no row is lost.
 func (q *query) spillTransition(or *opRun, vs *vecScratch) error {
 	sp := or.spill
 	sp.mu.Lock()
@@ -328,16 +276,14 @@ func (q *query) spillTransition(or *opRun, vs *vecScratch) error {
 	if sp.build, sp.probe, err = q.newSpillFanout(); err != nil {
 		return err
 	}
+	sp.active.Store(true)
 	var freed int64
-	for s := range or.stripes {
-		or.locks[s].Lock()
-		ap := or.stripes[s]
-		or.stripes[s] = nil
-		or.stripeRows[s] = 0
-		or.stripeSpilled[s] = true
-		or.locks[s].Unlock()
-		// Encoding runs outside the stripe lock: the spilled mark diverts
-		// any later insert for this stripe to the partitions.
+	for w := range or.parts {
+		or.locks[w].Lock()
+		ap := or.parts[w]
+		or.parts[w] = nil
+		or.locks[w].Unlock()
+		// Encoding runs outside the part lock: its worker spills from now on.
 		if ap == nil {
 			continue
 		}
@@ -348,7 +294,6 @@ func (q *query) spillTransition(or *opRun, vs *vecScratch) error {
 		freed += batchBytes(rows, nil) + int64(rows.N)*hashEntryBytes
 	}
 	q.unchargeMem(freed)
-	sp.active.Store(true)
 	return nil
 }
 
@@ -418,7 +363,7 @@ func (q *query) processSpillLoad(a *activation, w int) (outs []*activation) {
 	vs := &q.vscratch[w]
 	// Estimate the partition's resident size: encoded bytes plus per-row
 	// and per-entry overhead. It must fit the budget *headroom* — what
-	// other residents (earlier joins' tables, stolen bucket caches,
+	// other residents (earlier joins' tables, stolen buckets,
 	// group-by partials, other queries' fragments on the node) have
 	// charged counts against it — but never re-partition below a quarter
 	// of the budget: with pathological little headroom that would recurse
@@ -449,7 +394,7 @@ func (q *query) processSpillLoad(a *activation, w int) (outs []*activation) {
 		app.AppendBatch(db)
 		bytes += batchBytes(db, nil) + int64(db.N)*hashEntryBytes
 	}
-	side, err := sealStore(app.Batch(), build.keyCol, vs)
+	side, err := sealStore(app.Batch(), build.keyCol, vs, 0, 0)
 	if err != nil {
 		q.mq.fail(err)
 		return nil
@@ -515,16 +460,7 @@ func (q *query) processSpillProbe(a *activation, w int) (outs []*activation, res
 		q.mq.fail(err)
 		return nil, nil
 	}
-	bs := a.spill.phase.side
-	vs := &q.vscratch[w]
-	kc := &pb.Cols[a.op.keyCol]
-	hs := keyHashes(pb, a.op.keyCol, vs)
-	vs.probeRows = vs.probeRows[:0]
-	vs.bpos = vs.bpos[:0]
-	for i := range hs {
-		bs.match(vs, kc, i, hs[i])
-	}
-	return q.finishProbe(a, pb, bs.store, w)
+	return q.probe(a, pb, a.spill.phase.side, w)
 }
 
 // governGroupPartial charges worker w's group-by partial growth and

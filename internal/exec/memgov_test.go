@@ -36,7 +36,10 @@ func runGoverned(t *testing.T, plan Node, cfg EngineConfig) ([]Row, *Stats) {
 
 // TestSpillJoinMatchesUnlimited is the core governance contract: a join
 // whose build side exceeds MemoryPerNode completes, spills, and returns
-// exactly the unlimited-memory result.
+// exactly the unlimited-memory result — also when eight workers append
+// 16-row batches to their own parts as the budget runs out about a
+// quarter of the way into the build, so that the spill transition drains
+// parts while their workers append (run under -race).
 func TestSpillJoinMatchesUnlimited(t *testing.T) {
 	checkQueryHygiene(t)
 	plan := govPlan(5_000, 20_000)
@@ -44,10 +47,16 @@ func TestSpillJoinMatchesUnlimited(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, st := runGoverned(t, plan, EngineConfig{MemoryPerNode: 16 << 10, SpillDir: t.TempDir()})
-	sameRows(t, got, want)
-	if st.SpillPhases == 0 || st.SpilledPartitions == 0 || st.SpilledBytes == 0 {
-		t.Fatalf("build of ~5000 rows under a 16KiB budget did not spill: %+v", st)
+	for _, cfg := range []EngineConfig{
+		{MemoryPerNode: 16 << 10},
+		{Workers: 8, Batch: 16, MemoryPerNode: 128 << 10},
+	} {
+		cfg.SpillDir = t.TempDir()
+		got, st := runGoverned(t, plan, cfg)
+		sameRows(t, got, want)
+		if st.SpillPhases == 0 || st.SpilledPartitions == 0 || st.SpilledBytes == 0 {
+			t.Fatalf("build of ~5000 rows under %+v did not spill: %+v", cfg, st)
+		}
 	}
 }
 

@@ -9,7 +9,8 @@ package exec
 // input batches are routed to the node owning their join key (global
 // bucket g = hash(key) mod nodes*Stripes, owner g mod nodes), and each
 // node schedules its fragment DP-style. The inter-node layer — starving
-// nodes acquiring remote probe queues with their hash-table buckets —
+// nodes acquiring remote probe queues, priced by the hash-table buckets
+// they touch —
 // lives in globallb.go and engages only when a second node exists.
 //
 // Results wait, workers don't: a root activation's result batch joins a
@@ -77,8 +78,11 @@ type EngineConfig struct {
 	// (data-activation granularity, default 256).
 	Morsel int
 	Batch  int
-	// Stripes is the number of hash-table lock stripes per join on each
-	// node (the degree of fragmentation). Defaults to 8x Workers.
+	// Stripes is the number of hash buckets per node (the degree of
+	// fragmentation): a join key hashes to one of Nodes*Stripes global
+	// buckets, which decides the node owning it (OwnerNode) and is the
+	// unit a steal pays to ship. It changes nothing on one node. Defaults
+	// to 8x Workers.
 	Stripes int
 	// Static binds each worker to one operator per pipeline chain (the
 	// FP baseline) instead of the dynamic any-worker-any-operator model.
@@ -91,8 +95,8 @@ type EngineConfig struct {
 	// MemoryPerNode is each node's memory budget in bytes: one account
 	// (broker.go) that every query fragment in flight on the node leases
 	// its hash-join tables, loaded spill partitions, group-by partials,
-	// in-flight file chunks and stolen bucket caches from. 0 (the
-	// default) means unlimited — the hot path is then the ungoverned one.
+	// in-flight file chunks and stolen buckets from. 0 (the default) means
+	// unlimited — the hot path is then the ungoverned one.
 	// A join whose build side cannot lease what it needs switches to
 	// Grace-style partitioned execution: build and probe inputs are
 	// hash-partitioned to spill files and the partitions joined one at a
@@ -423,7 +427,8 @@ type mquery struct {
 	gb    *GroupBy
 	n     int
 	// buckets is the global hash-bucket count n*Stripes; a key's owner
-	// node is hashKey(k, buckets) mod n.
+	// node is hashKey(k, buckets) mod n, and on stealing queries a sealed
+	// build side counts its rows per bucket to price steals.
 	buckets int
 	// stealing enables the global load-balancing layer: a second node
 	// exists and the engine did not disable it.
@@ -556,8 +561,8 @@ func (mq *mquery) epilogue(q *query, a *activation, outs []*activation, results 
 	aborted := mq.aborted
 	if !aborted {
 		// Each out addresses its own operator: the consumer, or the
-		// producing operator itself (spill-phase probes, a probe
-		// batch's cut-off tail).
+		// producing operator itself (a partition load's spill-phase
+		// probes).
 		for _, out := range outs {
 			mq.ops[out.op.id].pend++
 		}

@@ -2,8 +2,8 @@ package exec
 
 // Physical compilation and per-fragment runtime state. A query runs as
 // one fragment (query) per node under its coordinator (mquery, nodes.go):
-// the fragment holds what is local to a node — operator queues, hash-table
-// stripes, per-worker scratch, memory account — and contributes its
+// the fragment holds what is local to a node — operator queues, build
+// parts, per-worker scratch, memory account — and contributes its
 // queues to that node's scheduler (pool.go); everything global to the
 // query (pending counts, chain barrier, result queue, error, stats)
 // lives on the coordinator, reached through query.mq. A root
@@ -200,8 +200,10 @@ type activation struct {
 	// chunk index and hi = lo+1.
 	b      *vec.Batch
 	lo, hi int
-	// dest is the node a routed batch is bound for (scan morsels, seeded
-	// on their own node, leave it 0).
+	// dest is the node a routed batch is bound for: for a probe batch the
+	// node owning every one of its rows, whose sealed build side it probes
+	// wherever it runs (a steal keeps dest). Scan morsels, seeded on their
+	// own node, leave it 0.
 	dest int
 	// spill carries the payload of a spill-phase activation (load a
 	// partition / probe a spilled batch); nil for ordinary activations.
@@ -220,43 +222,32 @@ type opRun struct {
 	queued int             // activations across all queues (pick fast path)
 
 	// Build side (build operators; the probe reaches it via partner).
-	// While the build chain runs: one append-only columnar stripe per
-	// lock, nil until its first row and presized for stripeHint rows then.
-	stripes    []*vec.Appender
-	locks      []sync.Mutex //hierdb:lock stripe
-	stripeHint int
+	// While the build chain runs: one append-only columnar part per worker
+	// of the node, nil until the worker's first build batch and presized
+	// for partHint rows then. Only worker w appends to parts[w]; its lock
+	// is there for a governed join's spill transition, which drains it.
+	parts    []*vec.Appender
+	locks    []sync.Mutex //hierdb:lock part
+	partHint int
 	// sealOnce single-flights the seal of the build side (opRun.seal)
 	// that the first probe or thief triggers after the build barrier and
-	// that turns the stripes into side. The seal takes no tracked lock and
-	// is never entered with a pool, mq, jspill or stripe lock held: a
+	// that turns the parts into side. The seal takes no tracked lock and
+	// is never entered with a pool, mq, jspill or part lock held: a
 	// waiter on the Once would stall a scheduler for the length of a copy.
 	sealOnce sync.Once
 	side     *buildSide
 	sealErr  error
-	// stripeRows counts tuples per stripe (guarded by the stripe lock);
-	// the steal protocol prices bucket shipping with it.
-	stripeRows []int
 
-	// Memory governance (build operators of governed queries only).
-	// spill is the join's partitioned-execution state; stripeSpilled
-	// marks stripes drained by the spill transition (guarded by the
-	// stripe lock), diverting racing inserts to the spill partitions.
-	spill         *joinSpill
-	stripeSpilled []bool
+	// spill is the join's partitioned-execution state (build operators of
+	// governed queries only).
+	spill *joinSpill
 
-	// cache holds hash-table buckets acquired from other nodes by the
-	// steal protocol, keyed by global bucket id (probe operators only,
-	// nil until a steal). Copy-on-write: rounds are single-flight
-	// per node, so the only writer swaps the whole map.
-	cache atomic.Pointer[bucketCache]
+	// acquired is the set of remote hash buckets, by global id, whose
+	// shipping a steal of this probe operator's activations has already
+	// paid for (§4's stolen-queue cache; probe operators only, nil until
+	// a steal). Only the fragment's single-flight steal round touches it.
+	acquired map[int]bool
 }
-
-// bucketCache maps the global bucket ids acquired from their owner node
-// to that owner's sealed build side — non-nil for an empty bucket too,
-// so a bucket is acquired once. The side is sealed before it is cached
-// and immutable from then on, so acquisition shares it and accounts the
-// bucket's shipped bytes.
-type bucketCache = map[int]*buildSide
 
 // query is one node's fragment of an in-flight query: the compiled
 // plan's operator queues on that node's pool, the node-local scheduling
@@ -313,9 +304,9 @@ type query struct {
 	// MemoryPerNode budget — the governed state simply does not exist on
 	// the default hot path). broker is the node's memory account; memUsed
 	// the fragment's current charge (hash-table entries, loaded spill
-	// partitions, group-by partials, in-flight chunks, stolen bucket
-	// caches), which lease must cover, topped up from (and trimmed back
-	// to) the broker.
+	// partitions, group-by partials, in-flight chunks, stolen buckets),
+	// which lease must cover, topped up from (and trimmed back to) the
+	// broker.
 	broker  *memBroker
 	memUsed atomic.Int64
 	lease   memLease
@@ -348,12 +339,18 @@ type query struct {
 	opRows     []int64
 }
 
+// maxPartHint caps a build part's presized capacity in rows. An estimate
+// is a guess — a user hint or the optimizer's, up to 1e15 rows — and a
+// part that outgrows its presize grows by doubling.
+const maxPartHint = 1 << 12
+
 // newFragment builds the fragment of mq that runs on node. A build
-// operator gets its per-stripe arrays and no stripe: a stripe costs
-// nothing until a row is routed to it. Key routing spreads a build table
-// across the engine's nodes, so stripe presizing divides by the node
-// count; a governed build drains its stripes at the budget, long before
-// the estimate, so leaves them unsized.
+// operator gets one part slot and one lock per worker and no part: a
+// part costs nothing until its worker's first build batch. Key routing
+// spreads a build table across the engine's nodes, so part presizing
+// divides the estimate by workers times nodes; a governed build drains
+// its parts at the budget, long before the estimate, so leaves them
+// unsized.
 func newFragment(mq *mquery, node int) *query {
 	phys, gb, cfg := mq.phys, mq.gb, &mq.nodes.cfg
 	p := mq.nodes.pools[node]
@@ -362,14 +359,12 @@ func newFragment(mq *mquery, node int) *query {
 	for _, op := range phys.ops {
 		or := &opRun{op: op, queues: make([][]*activation, workers)}
 		if op.kind == opBuild {
-			or.stripes = make([]*vec.Appender, cfg.Stripes)
-			or.locks = make([]sync.Mutex, cfg.Stripes)
-			or.stripeRows = make([]int, cfg.Stripes)
+			or.parts = make([]*vec.Appender, workers)
+			or.locks = make([]sync.Mutex, workers)
 			if q.broker != nil {
 				or.spill = &joinSpill{}
-				or.stripeSpilled = make([]bool, cfg.Stripes)
 			} else {
-				or.stripeHint = int(op.est)/(cfg.Stripes*mq.n) + 1
+				or.partHint = partHint(op.est, workers*mq.n)
 			}
 		}
 		q.ops = append(q.ops, or)
@@ -394,6 +389,17 @@ func newFragment(mq *mquery, node int) *query {
 		}
 	}
 	return q
+}
+
+// partHint is a build part's presize: the estimate's share of one of
+// parts, computed in float — an estimate may not fit an int — and
+// clamped to maxPartHint.
+func partHint(est float64, parts int) int {
+	h := est / float64(parts)
+	if !(h < maxPartHint) { // NaN too
+		return maxPartHint
+	}
+	return int(max(h, 0)) + 1
 }
 
 // terminalLocked reports whether the query no longer accepts scheduling.
@@ -598,14 +604,9 @@ func (q *query) process(a *activation, w int) (outs []*activation, results *vec.
 		}
 		return q.processScanVec(a, w)
 	case opBuild:
-		or := q.ops[a.op.id]
-		if q.broker != nil {
-			if err := q.buildGoverned(or, a.input(&q.vscratch[w]), w); err != nil {
-				q.mq.fail(err)
-			}
-			break
+		if err := q.processBuild(a, w); err != nil {
+			q.mq.fail(err)
 		}
-		q.processBuildVec(a, w)
 	case opProbe:
 		bo := q.ops[a.op.partner.id]
 		if sp := bo.spill; sp != nil && sp.active.Load() {

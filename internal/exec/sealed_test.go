@@ -15,10 +15,12 @@ import (
 // probeFixture is the root probe kernel on its own: a plan compiled into
 // a one-node query — engine, coordinator and fragment from the engine's
 // own constructors, no worker started — that is never scheduled. Every
-// chain is driven to completion on worker 0, in chain order (builds
-// before the probes that read them), except the root join's probe, whose
-// input activations are returned instead of processed. gb, when set, is
-// the group-by the root folds into.
+// chain is driven to completion, in chain order (builds before the
+// probes that read them), one activation at a time dealt round-robin to
+// the workers — so a build side has a part per worker, as a pool would
+// leave it — except the root join's probe, whose input activations are
+// returned instead of processed. gb, when set, is the group-by the root
+// folds into.
 func probeFixture(t testing.TB, plan Node, gb *GroupBy, cfg EngineConfig) (q *query, probes []*activation) {
 	t.Helper()
 	phys, err := compile(plan)
@@ -30,13 +32,15 @@ func probeFixture(t testing.TB, plan Node, gb *GroupBy, cfg EngineConfig) (q *qu
 		t.Fatal(err)
 	}
 	q = ns.newQuery(phys, gb).mq.frags[0]
+	dealt := 0
 	var drive func(a *activation)
 	drive = func(a *activation) {
 		if a.op == phys.root {
 			probes = append(probes, a)
 			return
 		}
-		outs, _ := q.process(a, 0)
+		outs, _ := q.process(a, dealt%ns.cfg.Workers)
+		dealt++
 		for _, out := range outs {
 			drive(out)
 		}
@@ -69,31 +73,27 @@ func dupPlan(buildRows, probeRows, width, distinct int) *Join {
 	return &Join{Build: &Scan{Table: build}, Probe: &Scan{Table: probe}, BuildKey: 0, ProbeKey: 0}
 }
 
-// TestRaggedBuildStripes: a ragged registered table — 3-wide rows for
-// the keys of even-numbered stripes, 2-wide rows for the others, so that
-// with small batches a stripe's store is fed rows of one width only — is
-// the build side. Every stripe store has the table's width all the same
-// (a resident table is columnized once, short rows padded), one probe
-// batch matches both kinds in either order, and every output row must
-// read back at its own width.
-func TestRaggedBuildStripes(t *testing.T) {
+// TestRaggedBuildParts: a ragged registered table — 3-wide rows for even
+// keys, 2-wide rows for odd ones, alternating — is the build side. Two
+// workers and one-row batches deal the rows round-robin to the workers'
+// queues, so each worker's part is fed rows of mostly one width. Every
+// part has the table's width all the same (a resident table is
+// columnized once, short rows padded), one probe batch matches both
+// kinds in either order, and every output row must read back at its own
+// width.
+func TestRaggedBuildParts(t *testing.T) {
 	checkQueryHygiene(t)
-	const workers, perKind = 2, 32
-	wide := func(k int) bool { return keyHash64(k)%uint64(8*workers)%2 == 0 }
+	const workers, rows = 2, 64
+	wide := func(k int) bool { return k%2 == 0 }
 	ragged := &Table{Name: "rb"}
-	var keys []int
-	for k, nw, nn := 0, 0, 0; nw < perKind || nn < perKind; k++ {
-		switch {
-		case wide(k) && nw < perKind:
+	keys := make([]int, rows)
+	for k := range keys {
+		keys[k] = k
+		if wide(k) {
 			ragged.Rows = append(ragged.Rows, Row{k, "wide", k * 10})
-			nw++
-		case !wide(k) && nn < perKind:
+		} else {
 			ragged.Rows = append(ragged.Rows, Row{k, "narrow"})
-			nn++
-		default:
-			continue
 		}
-		keys = append(keys, k)
 	}
 	outer := tbl("o", 4*len(keys), func(i int) any { return keys[(i*7)%len(keys)] }, func(i int) any { return i })
 	plan := &Join{Build: &Scan{Table: ragged}, Probe: &Scan{Table: outer}}
@@ -237,9 +237,9 @@ func TestProbeOutputAliasesSealedStore(t *testing.T) {
 	if rows != probeRows {
 		t.Fatalf("%d output rows, want %d", rows, probeRows)
 	}
-	for _, ap := range bo.stripes {
+	for _, ap := range bo.parts {
 		if ap != nil {
-			t.Fatal("a stripe outlived the seal")
+			t.Fatal("a part outlived the seal")
 		}
 	}
 }
@@ -296,56 +296,12 @@ func nestedJoinHashed(plan *Join) []Row {
 	return out
 }
 
-// TestProbeCutsAtSecondStore: a probe batch whose matches lie in two
-// sealed stores (no routing produces one, the kernel must not rely on
-// it) is cut at the first row of the second store: the rows before it
-// become an output over the first store, the rest an activation of its
-// own, and together they are the whole join.
-func TestProbeCutsAtSecondStore(t *testing.T) {
-	const buildRows, probeRows = 64, 256
-	plan := widePlan(buildRows, probeRows, 2)
-	q, probes := probeFixture(t, plan, nil, EngineConfig{Workers: 1, Stripes: 4, Batch: probeRows})
-	root := q.mq.phys.root
-	own, err := q.ops[root.partner.id].seal(&q.vscratch[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Pretend the engine has a second node owning the odd buckets, whose
-	// sealed side — a store of its own holding the same rows — this node
-	// has acquired.
-	q.mq.n, q.mq.buckets = 2, 2*4
-	theirs := *own
-	theirs.store = &vec.Batch{Cols: append([]vec.Col(nil), own.store.Cols...), N: own.store.N}
-	cache := bucketCache{1: &theirs, 3: &theirs, 5: &theirs, 7: &theirs}
-	q.ops[root.id].cache.Store(&cache)
-
-	var got []Row
-	var arena vec.Arena
-	cuts := 0
-	for pending := probes; len(pending) > 0; {
-		a := pending[0]
-		outs, out := q.processProbeVec(a, 0)
-		pending = append(pending[1:], outs...)
-		for _, tail := range outs {
-			cuts++
-			if tail.op != a.op || tail.hi-tail.lo >= a.hi-a.lo {
-				t.Fatalf("tail of a %d-row probe: %d rows for operator %d", a.hi-a.lo, tail.hi-tail.lo, tail.op.id)
-			}
-		}
-		got = out.AppendRows(got, &arena)
-	}
-	sameRows(t, got, nestedJoinHashed(plan))
-	if cuts == 0 {
-		t.Fatal("a batch matching in two stores was emitted whole")
-	}
-}
-
 // TestBuildTooLargeIsTypedError: positions in a sealed store are int32;
 // a store past that is refused with ErrBuildTooLarge before a slot is
 // allocated, not indexed with wrapped positions.
 func TestBuildTooLargeIsTypedError(t *testing.T) {
 	var vs vecScratch
-	if _, err := sealStore(&vec.Batch{N: math.MaxInt32 + 1}, 0, &vs); !errors.Is(err, ErrBuildTooLarge) {
+	if _, err := sealStore(&vec.Batch{N: math.MaxInt32 + 1}, 0, &vs, 0, 0); !errors.Is(err, ErrBuildTooLarge) {
 		t.Fatalf("sealing 2^31 rows: %v, want ErrBuildTooLarge", err)
 	}
 }
@@ -361,7 +317,7 @@ func sealKeys(t *testing.T, keys ...any) *buildSide {
 	}
 	ap := vec.NewAppender(nil, 0)
 	ap.AppendBatch(vec.FromRows(rows))
-	bs, err := sealStore(ap.Batch(), 0, new(vecScratch))
+	bs, err := sealStore(ap.Batch(), 0, new(vecScratch), 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -529,55 +485,100 @@ func TestUncomparableKeyIsQueryPanic(t *testing.T) {
 	verifyIdle(t, ns)
 }
 
-// TestEmptyRemoteBucketAcquiredOnce: a thief caches the owner's sealed
-// side under every remote bucket its stolen rows hash to, whether the
-// bucket holds build rows or not — so a second steal of rows for the
-// same buckets acquires, and prices, nothing.
+// TestEmptyRemoteBucketAcquiredOnce: a steal pays for the remote buckets
+// its rows touch that the thief has not acquired yet — each bucket's
+// build rows, as the owner's seal counted them, at nominalTupleBytes a
+// row — and remembers them, an empty bucket included, so a repeated steal
+// is priced at its rows alone and acquires nothing. The stolen rows probe
+// the owner's sealed side in place.
 func TestEmptyRemoteBucketAcquiredOnce(t *testing.T) {
-	const stripes = 8
-	mine := keysOwnedBy(0, 2, stripes, 40)
-	plan := &Join{Build: &Scan{Table: tbl("b", 1, func(int) any { return mine[0] }, func(int) any { return "x" })},
-		Probe: &Scan{Table: tbl("p", len(mine), func(i int) any { return mine[i] }, func(i int) any { return i })}}
-	phys, err := compile(plan)
+	const nodes, stripes, probeRows = 2, 8, 64
+	buckets := nodes * stripes
+	mine := keysOwnedBy(0, nodes, stripes, probeRows)
+	// Build rows — one to three a key — in node 0's even local buckets only:
+	// its odd ones stay empty.
+	build := &Table{Name: "b", Cols: []string{"k", "v"}}
+	rowsIn := map[int]int{} // build rows per global bucket
+	for i, k := range mine {
+		if g := hashKey(k, buckets); g/nodes%2 == 0 {
+			for j := 0; j <= i%3; j++ {
+				build.Rows = append(build.Rows, Row{k, j})
+				rowsIn[g]++
+			}
+		}
+	}
+	probe := tbl("p", probeRows, func(i int) any { return mine[i] }, func(i int) any { return i })
+	phys, err := compile(&Join{Build: &Scan{Table: build}, Probe: &Scan{Table: probe}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ns, err := newNodes(EngineConfig{Nodes: 2, Workers: 1, Stripes: stripes})
+	ns, err := newNodes(EngineConfig{Nodes: nodes, Workers: 1, Stripes: stripes})
 	if err != nil {
 		t.Fatal(err)
 	}
 	mq := &ns.newQuery(phys, nil).mq
 	owner, thief := mq.frags[0], mq.frags[1]
-	// Node 0 builds its one row; its other buckets stay empty.
-	build := phys.root.partner
-	owner.process(&activation{op: build, b: columnize(plan.Build.(*Scan).Table), lo: 0, hi: 1}, 0)
-	stolen := []*activation{{op: phys.root, b: columnize(plan.Probe.(*Scan).Table), lo: 0, hi: len(mine)}}
-	copied, bytes := thief.acquireBuckets(phys.root, stolen)
-	if copied < 2 || copied > stripes || bytes != nominalTupleBytes {
-		t.Fatalf("first steal acquired %d buckets for %d B, want every bucket the rows touch (2..%d) and one build row's bytes", copied, bytes, stripes)
+	bo := owner.ops[phys.root.partner.id]
+	owner.process(&activation{op: bo.op, b: columnize(build), lo: 0, hi: len(build.Rows)}, 0)
+
+	// price is the reference: the buckets rows [lo,hi) of the probe touch
+	// outside paid, and their build rows' bytes; it adds them to paid.
+	paid := map[int]bool{}
+	price := func(lo, hi int) (n int, bytes int64) {
+		for _, k := range mine[lo:hi] {
+			if g := hashKey(k, buckets); !paid[g] {
+				paid[g] = true
+				n++
+				bytes += int64(rowsIn[g]) * nominalTupleBytes
+			}
+		}
+		return n, bytes
 	}
-	cache := *thief.ops[phys.root.id].cache.Load()
-	for g, side := range cache {
-		if side == nil || side != owner.ops[build.id].side || side.store.N != 1 {
-			t.Fatalf("bucket %d is cached as %+v, want the owner's sealed side", g, side)
+	steal := func(lo, hi int) []*activation {
+		return []*activation{{op: phys.root, b: columnize(probe), lo: lo, hi: hi, dest: 0}}
+	}
+	half := steal(0, probeRows/2)
+	rows := int64(probeRows/2) * nominalTupleBytes
+	wantN, wantB := price(0, probeRows/2)
+	if est := mq.shipEstimate(thief, phys.root, half); est != rows+wantB {
+		t.Fatalf("a first steal is priced at %d B, want %d B of rows and %d B of buckets", est, rows, wantB)
+	}
+	if n, bytes := thief.acquireBuckets(phys.root, half, true); n != wantN || bytes != wantB {
+		t.Fatalf("a first steal acquired %d buckets for %d B, want %d for %d B", n, bytes, wantN, wantB)
+	}
+	empty := 0
+	for g := range thief.ops[phys.root.id].acquired {
+		if rowsIn[g] == 0 {
+			empty++
 		}
 	}
-	if again, bytes := thief.acquireBuckets(phys.root, stolen); again != 0 || bytes != 0 {
-		t.Fatalf("second steal acquired %d buckets for %d B: an empty bucket is not remembered", again, bytes)
+	if empty == 0 || empty == wantN {
+		t.Fatalf("%d of the %d acquired buckets are empty: the fixture needs both kinds", empty, wantN)
 	}
-	if est := mq.shipEstimate(thief, phys.root, stolen); est != int64(len(mine))*nominalTupleBytes {
-		t.Fatalf("a steal with every bucket cached is priced at %d B, want the rows alone", est)
+	if est := mq.shipEstimate(thief, phys.root, half); est != rows {
+		t.Fatalf("a repeated steal is priced at %d B, want the rows alone (%d B)", est, rows)
 	}
-	_, out := thief.processProbeVec(stolen[0], 0)
-	if out == nil || out.N != 1 {
-		t.Fatalf("the thief's probe of the stolen rows: %+v, want the one match", out)
+	if n, bytes := thief.acquireBuckets(phys.root, half, true); n != 0 || bytes != 0 {
+		t.Fatalf("a repeated steal acquired %d buckets for %d B: an acquired bucket is not remembered", n, bytes)
+	}
+	all := steal(0, probeRows)
+	wantN, wantB = price(probeRows/2, probeRows)
+	if n, bytes := thief.acquireBuckets(phys.root, all, true); n != wantN || bytes != wantB {
+		t.Fatalf("a wider steal acquired %d buckets for %d B, want the %d new ones for %d B", n, bytes, wantN, wantB)
+	}
+	_, out := thief.processProbeVec(all[0], 0)
+	if out == nil || out.N != len(build.Rows) {
+		t.Fatalf("the thief's probe of the stolen rows: %+v, want %d matches", out, len(build.Rows))
+	}
+	if bc := &out.Cols[len(out.Cols)-1]; &bc.I64[0] != &bo.side.store.Cols[1].I64[0] {
+		t.Fatal("the stolen rows' output does not select from the owner's sealed store")
 	}
 }
 
 // TestStolenOutputsReferenceOwnerStore: under total key skew onto node
 // 0 the starving peer steals probe activations, and what it emits for
-// them selects from node 0's sealed store — the thief caches the
-// owner's sealed side, it copies no rows. The result equals the reference
+// them selects from node 0's sealed store — a stolen activation probes
+// its owner's sealed side, no row is copied. The result equals the reference
 // with stealing on and off. Run under -race.
 func TestStolenOutputsReferenceOwnerStore(t *testing.T) {
 	checkQueryHygiene(t)
@@ -681,7 +682,7 @@ func TestCancelDuringSeal(t *testing.T) {
 }
 
 // TestBuildSideAllocBound is the seal's alloc gate (run by CI): turning
-// a finished build side into its sealed form — the stripes' rows into
+// a finished build side into its sealed form — the parts' rows into
 // one store, the store indexed — makes the same handful of allocations
 // whether the side holds a thousand rows or a hundred thousand, of two
 // distinct keys or all distinct (a column's storage, the index: nothing
@@ -693,7 +694,7 @@ func TestBuildSideAllocBound(t *testing.T) {
 			bo := q.ops[q.mq.phys.root.partner.id]
 			var m0, m1 runtime.MemStats
 			runtime.ReadMemStats(&m0)
-			side, err := bo.seal(&q.vscratch[0])
+			side, err := bo.seal(q.mq, &q.vscratch[0])
 			runtime.ReadMemStats(&m1)
 			if err != nil || side.store.N != n {
 				t.Fatalf("sealing %d rows: %+v, %v", n, side, err)
@@ -712,12 +713,12 @@ func TestBuildSideAllocBound(t *testing.T) {
 	}
 }
 
-// TestFragmentAllocsIndependentOfStripes: a stripe costs nothing until a
-// row is routed to it, so a one-row join makes the same number of
-// allocations — compile to first result — at 8 stripes and at 256. What
-// grows is four arrays with an element per stripe: the fragment's
-// stripes, locks and row counts, and the worker's routing lists.
-func TestFragmentAllocsIndependentOfStripes(t *testing.T) {
+// TestFragmentAllocsIndependentOfBuckets: a fragment allocates nothing
+// per hash bucket — a build side is one part per worker and the buckets
+// only route keys between nodes and price steals — so a one-row join
+// makes the same allocations, within a KiB, compile to first result, at
+// 8 buckets a node and at 256.
+func TestFragmentAllocsIndependentOfBuckets(t *testing.T) {
 	run := func(stripes int) (mallocs, bytes uint64) {
 		plan := widePlan(1, 1, 2)
 		columnize(plan.Build.(*Scan).Table)
@@ -728,19 +729,17 @@ func TestFragmentAllocsIndependentOfStripes(t *testing.T) {
 		_, out := q.processProbeVec(probes[0], 0)
 		runtime.ReadMemStats(&m1)
 		if out == nil || out.N != 1 {
-			t.Fatalf("%d stripes: %+v, want the one match", stripes, out)
+			t.Fatalf("%d buckets: %+v, want the one match", stripes, out)
 		}
 		return m1.Mallocs - m0.Mallocs, m1.TotalAlloc - m0.TotalAlloc
 	}
 	run(8) // the identity table, the test's own lazy state
 	m8, b8 := run(8)
 	m256, b256 := run(256)
-	// 8 B a stripe for each of the fragment's three arrays, 24 B for a
-	// routing list's header; half as much again for size-class rounding.
-	if per := (8 + 8 + 8 + 24) * (256 - 8) * 3 / 2; m256 != m8 || b256 > b8+uint64(per) {
-		t.Fatalf("a one-row join: %d allocations and %d B at 8 stripes, %d and %d B at 256, want the same count and <= %d B more", m8, b8, m256, b256, per)
+	if m256 != m8 || b256 > b8+1<<10 || b8 > b256+1<<10 {
+		t.Fatalf("a one-row join: %d allocations and %d B at 8 buckets, %d and %d B at 256, want the same count and bytes within 1 KiB", m8, b8, m256, b256)
 	}
-	t.Logf("%d allocations; %d B at 8 stripes, %d B at 256", m8, b8, b256)
+	t.Logf("%d allocations; %d B at 8 buckets, %d B at 256", m8, b8, b256)
 }
 
 // BenchmarkJoinProbeGather is the probe kernel alone: a resident
@@ -782,11 +781,11 @@ func BenchmarkJoinProbeGather(b *testing.B) {
 	}
 }
 
-// BenchmarkSealIndex is the seal alone — the stripes' rows concatenated
-// into one store and the store indexed — over build sides of 2 000 and
-// 200 000 two-column rows keyed by distinct ints or strings. The seal is
-// serial (one worker seals, the others wait on it), so on a large build
-// side this is latency every probe worker pays once.
+// BenchmarkSealIndex is the seal alone — four workers' parts
+// concatenated into one store and the store indexed — over build sides
+// of 2 000 and 200 000 two-column rows keyed by distinct ints or strings.
+// The seal is serial (one worker seals, the others wait on it), so on a
+// large build side this is latency every probe worker pays once.
 func BenchmarkSealIndex(b *testing.B) {
 	for _, n := range []int{2_000, 200_000} {
 		for _, kind := range []string{"int", "string"} {
@@ -802,11 +801,11 @@ func BenchmarkSealIndex(b *testing.B) {
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					b.StopTimer() // the build is the fixture's, the seal is what is timed
-					q, _ := probeFixture(b, plan, nil, EngineConfig{Workers: 1})
+					q, _ := probeFixture(b, plan, nil, EngineConfig{Workers: 4})
 					bo := q.ops[q.mq.phys.root.partner.id]
 					runtime.ReadMemStats(&m0)
 					b.StartTimer()
-					side, err := bo.seal(&q.vscratch[0])
+					side, err := bo.seal(q.mq, &q.vscratch[0])
 					b.StopTimer()
 					runtime.ReadMemStats(&m1)
 					if err != nil || side.store.N != n {

@@ -45,8 +45,8 @@ func skewPlan(nodes, stripes, factRows, dimRows int) Node {
 // TestGlobalStealOnSkewedWorkload: under total key skew onto node 0,
 // the starving peer must acquire remote probe queues (steal counters
 // fire), the result must match single-node execution exactly, and the
-// bucket cache must bound copies at the owner's stripe count. With
-// stealing disabled the same workload reports zero steals.
+// acquired-bucket set must bound what is paid for at the owner's bucket
+// count. With stealing disabled the same workload reports zero steals.
 func TestGlobalStealOnSkewedWorkload(t *testing.T) {
 	checkQueryHygiene(t)
 	const (
@@ -99,10 +99,10 @@ func TestGlobalStealOnSkewedWorkload(t *testing.T) {
 		t.Fatalf("per-node steal counters do not sum: %d/%d vs %d/%d",
 			nodeSteals, st.Steals, nodeActs, st.StolenActivations)
 	}
-	// The stolen-queue cache: a bucket is copied at most once, and node
-	// 0 owns at most `stripes` buckets.
+	// The stolen-queue cache: a bucket is paid for at most once, and
+	// node 0 owns `stripes` buckets.
 	if st.StolenBuckets == 0 || st.StolenBuckets > stripes {
-		t.Fatalf("StolenBuckets = %d, want in [1, %d] (cache must prevent re-copies)",
+		t.Fatalf("StolenBuckets = %d, want in [1, %d] (an acquired bucket must not be paid for again)",
 			st.StolenBuckets, stripes)
 	}
 	if st.StolenBucketBytes <= 0 {
@@ -185,6 +185,95 @@ func TestStealStatsIsolatedPerQuery(t *testing.T) {
 		}
 		if st.Steals > 0 && st.StolenActivations == 0 {
 			t.Fatalf("query %d: steals without stolen activations: %+v", i, st)
+		}
+	}
+}
+
+// TestProbeActivationsOwnedByDest is the invariant the probe kernel
+// relies on: every probe activation emitBatch makes holds only rows its
+// dest node owns — at any node count, under uniform and skewed keys — and
+// a steal moves activations whole with their dest, so a stolen
+// activation finds all its matches in its owner's sealed side.
+func TestProbeActivationsOwnedByDest(t *testing.T) {
+	const stripes, probeRows = 8, 3_000
+	for _, nodes := range []int{2, 3, 4} {
+		for _, skewed := range []bool{false, true} {
+			name := fmt.Sprintf("nodes=%d/skewed=%v", nodes, skewed)
+			keys := make([]int, 1_000)
+			for i := range keys {
+				keys[i] = i
+			}
+			if skewed {
+				keys = keysOwnedBy(0, nodes, stripes, 100)
+			}
+			build := tbl("b", len(keys), func(i int) any { return keys[i] }, func(i int) any { return i })
+			probe := tbl("p", probeRows, func(i int) any { return keys[i%len(keys)] }, func(i int) any { return i })
+			phys, err := compile(&Join{Build: &Scan{Table: build}, Probe: &Scan{Table: probe}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ns, err := newNodes(EngineConfig{Nodes: nodes, Workers: 1, Stripes: stripes, Batch: 64})
+			if err != nil {
+				t.Fatal(err)
+			}
+			mq := &ns.newQuery(phys, nil).mq
+			root := phys.root
+			var vs vecScratch
+			// route emits a table's rows to op from node 0 and checks that each
+			// activation's rows are its dest's.
+			route := func(op *pop, tb *Table) (outs []*activation) {
+				q := mq.frags[0]
+				b := columnize(tb)
+				q.emitBatch(op, b, 0, b.N, &outs, &q.vscratch[0], &q.varenas[0])
+				for _, a := range outs {
+					in := a.input(&vs)
+					kc := &in.Cols[op.keyCol]
+					for i := 0; i < in.N; i++ {
+						if k := kc.Value(kc.Pos(i)); OwnerNode(k, nodes, stripes) != a.dest {
+							t.Fatalf("%s: key %v, owned by node %d, routed in an activation for node %d", name, k, OwnerNode(k, nodes, stripes), a.dest)
+						}
+					}
+				}
+				return outs
+			}
+			for _, a := range route(root.partner, build) {
+				mq.frags[a.dest].process(a, 0)
+			}
+			for _, fq := range mq.frags {
+				fq.chain = root.chain
+			}
+			for _, a := range route(root, probe) {
+				fq := mq.frags[a.dest]
+				fq.enqueueLocked(fq.ops[root.id], a)
+			}
+			thief := mq.frags[nodes-1]
+			own := make(map[*activation]bool)
+			for _, qq := range thief.ops[root.id].queues {
+				for _, a := range qq {
+					own[a] = true
+				}
+			}
+			if !mq.stealRound(thief) {
+				t.Fatalf("%s: the steal round acquired nothing", name)
+			}
+			stolen := 0
+			for _, qq := range thief.ops[root.id].queues {
+				for _, a := range qq {
+					if own[a] {
+						continue
+					}
+					stolen++
+					if a.dest == thief.node {
+						t.Fatalf("%s: a stolen activation was re-addressed to the thief", name)
+					}
+					if _, out := thief.processProbeVec(a, 0); out == nil || out.N != a.hi-a.lo {
+						t.Fatalf("%s: a stolen %d-row activation for node %d matched %+v, want one match a row", name, a.hi-a.lo, a.dest, out)
+					}
+				}
+			}
+			if stolen == 0 {
+				t.Fatalf("%s: no activation reached the thief's queues", name)
+			}
 		}
 	}
 }

@@ -2,11 +2,11 @@ package exec
 
 // Vectorized execution kernels: the columnar hot path of the engine.
 // Scans carve windows from columnized tables and evaluate predicates
-// as per-column loops, builds hash whole key columns and append rows to
-// per-stripe columnar appenders — nothing is indexed while the build
-// runs — and probes hash the probe key column and walk one chained hash
+// as per-column loops, builds append whole batches to the worker's own
+// columnar part — nothing is hashed or indexed while the build runs —
+// and probes hash the probe key column and walk one chained hash
 // index. A join's output is a pair of selections: past the chain barrier
-// the first probe seals the build side (opRun.seal) — the stripes' rows
+// the first probe seals the build side (opRun.seal) — the parts' rows
 // move into one dense store and one pass over its key column fills the
 // index — and an output batch is the probe batch's columns under a
 // composed selection next to the sealed store's columns under one
@@ -26,7 +26,7 @@ package exec
 // Hash parity: every kernel reproduces keyHash64 bit-for-bit (mix64
 // for the int family and float bits with -0.0 folded into +0.0, FNV-1a
 // for strings, and the precomputed fmt-fallback hashes for nil/bool), so
-// stripe routing, node ownership, spill partitioning and the sealed
+// node ownership, steal pricing, spill partitioning and the sealed
 // index's slots all derive from one hash per row.
 
 import (
@@ -169,9 +169,8 @@ func (vs *vecScratch) rowScratch(w int) Row {
 	return vs.row[:0]
 }
 
-// dests returns n empty routing lists (rows per node, stripe or spill
-// partition) backed by the scratch; they stay valid until the next
-// call.
+// dests returns n empty routing lists (rows per node or spill partition)
+// backed by the scratch; they stay valid until the next call.
 func (vs *vecScratch) dests(n int) [][]int32 {
 	if cap(vs.perDest) < n {
 		vs.perDest = make([][]int32, n)
@@ -243,12 +242,12 @@ func hashKeys(c *vec.Col, lo int, hs []uint64) {
 // buildSide is a join's build side on one node once sealed: the dense
 // store holding its rows and one flat chained hash index over the
 // store's key column. While the build chain runs there is no such thing
-// — a lock stripe is a vec.Appender that its first row creates
-// (opRun.appendStripe) and nothing is indexed: nothing is looked up
-// before the chain barrier, and a governed join may yet drain the rows
-// to disk. The seal builds the index in one pass: position p hangs off
+// — each worker appends whole batches to a vec.Appender of its own, its
+// part of the side, and nothing is hashed: nothing is looked up before
+// the chain barrier, and a governed join may yet drain the rows to disk.
+// The seal builds the index in one pass: position p hangs off
 // slot(keyHash64(key)), the hash every router computes anyway, and a
-// chain ascends — the order rows arrived in within their stripe.
+// chain ascends — the order rows arrived in within their part.
 // Equality is decided on the store's columns, under the kind the two key
 // columns share (match); the boxed == it falls back to is the
 // semantic reference: int 1 is not int64 1, NaN equals nothing, 0.0
@@ -260,6 +259,10 @@ type buildSide struct {
 	// heads[s] is 1 + the first position of slot s's chain, next[p] 1 + the
 	// position following p in its chain; 0 ends a chain. Two slots per row.
 	heads, next []int32
+	// bucketRows[b] counts the rows in the node's local hash bucket b
+	// (global bucket b*nodes + node) — what a thief pays to ship that
+	// bucket. Counted on stealing queries only; nil otherwise.
+	bucketRows []int
 }
 
 // ErrBuildTooLarge fails a join whose build side holds more rows on one
@@ -268,10 +271,12 @@ var ErrBuildTooLarge = errors.New("exec: join build side too large")
 
 // sealStore indexes a dense store on column keyCol: one allocation, three
 // words per row, whatever the number of distinct keys. Rows are linked
-// from the last to the first, so every chain ascends.
+// from the last to the first, so every chain ascends. With buckets > 0
+// it also counts the rows per local hash bucket (bucketRows) of a node
+// of a nodes-node engine with buckets global buckets.
 //
 //hierdb:hotpath
-func sealStore(store *vec.Batch, keyCol int, vs *vecScratch) (*buildSide, error) {
+func sealStore(store *vec.Batch, keyCol int, vs *vecScratch, buckets, nodes int) (*buildSide, error) {
 	n := store.N
 	if n > math.MaxInt32 {
 		return nil, fmt.Errorf("%w: over %d rows", ErrBuildTooLarge, math.MaxInt32) //hierdb:ignore hotpath the failure path
@@ -280,6 +285,9 @@ func sealStore(store *vec.Batch, keyCol int, vs *vecScratch) (*buildSide, error)
 	slots := max(2*n, 1)
 	buf := make([]int32, slots+n)
 	bs := &buildSide{store: store, keyCol: keyCol, heads: buf[:slots], next: buf[slots:]}
+	if buckets > 0 {
+		bs.bucketRows = make([]int, buckets/nodes)
+	}
 	for hi := n; hi > 0; hi -= chunk {
 		lo := max(hi-chunk, 0)
 		hs := vs.hashes(hi - lo)
@@ -288,6 +296,11 @@ func sealStore(store *vec.Batch, keyCol int, vs *vecScratch) (*buildSide, error)
 			s := bs.slot(hs[p-lo])
 			bs.next[p] = bs.heads[s]
 			bs.heads[s] = int32(p + 1)
+		}
+		if bs.bucketRows != nil {
+			for _, h := range hs {
+				bs.bucketRows[int(h%uint64(buckets))/nodes]++
+			}
 		}
 	}
 	return bs, nil
@@ -345,33 +358,24 @@ func (bs *buildSide) match(vs *vecScratch, kc *vec.Col, i int, h uint64) {
 	}
 }
 
-// appendStripe appends the logical rows sel of b to lock stripe s of the
-// build side, creating the stripe's appender on its first row. Caller
-// holds the stripe lock.
-//
-//hierdb:hotpath
-func (or *opRun) appendStripe(s int, b *vec.Batch, sel []int32) {
-	ap := or.stripes[s]
-	if ap == nil {
-		ap = vec.NewAppender(or.op.outKinds, or.stripeHint)
-		or.stripes[s] = ap
-	}
-	ap.AppendRowsSel(b, sel)
-	or.stripeRows[s] += len(sel)
-}
-
-// seal seals the operator's build side on first call, on the caller's
-// scratch: the stripes' rows move into one dense store (vec.Concat:
-// exact-size columns, each stripe's storage released as it is copied, a
-// single non-empty stripe aliased) and the store is indexed. Every later
-// call (any worker's probe, a thief acquiring this node's buckets)
-// returns the same outcome; concurrent first callers wait. The stripes
-// are quiescent: builds precede probes across the chain barrier.
-func (or *opRun) seal(vs *vecScratch) (*buildSide, error) {
+// seal seals the operator's build side, a build operator of mq on one
+// node, on first call, on the caller's scratch: the parts' rows move into
+// one dense store (vec.Concat: exact-size columns, each part's storage
+// released as it is copied, a single non-empty part aliased) and the
+// store is indexed — and, when mq steals, its rows counted per bucket.
+// Every later call (any worker's probe, a thief pricing or probing this
+// node's rows) returns the same outcome; concurrent first callers wait.
+// The parts are quiescent: builds precede probes across the chain
+// barrier.
+func (or *opRun) seal(mq *mquery, vs *vecScratch) (*buildSide, error) {
 	or.sealOnce.Do(func() {
-		store := vec.Concat(or.stripes)
-		clear(or.stripes)
-		or.side, or.sealErr = sealStore(store, or.op.keyCol, vs)
+		store := vec.Concat(or.parts)
+		clear(or.parts)
+		var buckets int
+		if mq.stealing {
+			buckets = mq.buckets
+		}
+		or.side, or.sealErr = sealStore(store, or.op.keyCol, vs, buckets, mq.n)
 	})
 	return or.side, or.sealErr
 }
@@ -523,110 +527,81 @@ func (q *query) scanTail(a *activation, src *vec.Batch, lo, hi int, preds []vec.
 	return nil, window(src, lo, hi) // a result outlives the activation: a header of its own
 }
 
-// stripeSels groups a build batch's logical rows, given their key
-// hashes, by the lock stripe each routes to, in the worker's scratch:
-// global bucket g = hash mod nodes*Stripes is owned by node g mod nodes
-// as its stripe g div nodes (every row here is this node's own).
+// processBuild appends one routed batch to the worker's own part of the
+// join's build side — whole, with no key hashed and no row selected:
+// every row routed here is this node's. A governed join charges the
+// batch to the node's memory account and, denied a top-up, switches to
+// partitioned execution (spillTransition); from then on a batch is
+// partitioned to disk instead. The flag is read under the part's lock,
+// which the transition takes to drain the part after raising it: a batch
+// is either appended before the drain or spilled.
 //
 //hierdb:hotpath
-func (q *query) stripeSels(hs []uint64, stripes int, vs *vecScratch) [][]int32 {
-	per := vs.dests(stripes)
-	nb, n := uint64(q.mq.buckets), q.mq.n
-	for i, h := range hs {
-		s := int(h%nb) / n
-		per[s] = append(per[s], int32(i))
-	}
-	return per
-}
-
-// processBuildVec appends one routed batch to the join's striped build
-// side: hash the key column once, group rows by stripe, then one lock
-// round per touched stripe.
-//
-//hierdb:hotpath
-func (q *query) processBuildVec(a *activation, w int) {
+func (q *query) processBuild(a *activation, w int) error {
 	or := q.ops[a.op.id]
 	vs := &q.vscratch[w]
 	b := a.input(vs)
-	hs := keyHashes(b, a.op.keyCol, vs)
-	for s, sel := range q.stripeSels(hs, len(or.stripes), vs) {
-		if len(sel) == 0 {
-			continue
-		}
-		or.locks[s].Lock()
-		or.appendStripe(s, b, sel)
-		or.locks[s].Unlock()
+	sp := or.spill
+	or.locks[w].Lock()
+	if sp != nil && sp.active.Load() {
+		or.locks[w].Unlock()
+		return q.spillBatch(sp.build, a.op.keyCol, 0, b, vs)
 	}
+	ap := or.parts[w]
+	if ap == nil {
+		ap = vec.NewAppender(a.op.outKinds, or.partHint)
+		or.parts[w] = ap
+	}
+	ap.AppendBatch(b)
+	or.locks[w].Unlock()
+	if sp != nil && q.chargeMem(batchBytes(b, nil)+int64(b.N)*hashEntryBytes) {
+		return q.spillTransition(or, vs)
+	}
+	return nil
 }
 
-// processProbeVec streams one routed batch against the build side:
-// seal the build on the first probe, hash the key column, walk each
-// row's chain in its owner's sealed side (this node's, or the one the
-// steal cache acquired with the row's bucket) and record every match as
-// a pair of positions — probe row, row of the sealed store. All of an
-// activation's rows belong to one owner node (emitBatch routes by owner,
-// a steal moves whole activations), so all its matches lie in that
-// owner's sealed store; should a row be another side's, the batch is
-// cut there and its tail handed back as an activation of its own.
+// processProbeVec streams one routed batch against the build side. Every
+// row of a probe activation is owned by its destination node a.dest —
+// emitBatch routes by owner, a steal moves whole activations with their
+// dest — so the batch matches against that node's sealed side: this
+// node's own, or for stolen rows the owner's, sealed by whichever probe
+// or thief reaches it first.
 //
 //hierdb:hotpath
 func (q *query) processProbeVec(a *activation, w int) (outs []*activation, results *vec.Batch) {
 	vs := &q.vscratch[w]
-	own, err := q.ops[a.op.partner.id].seal(vs)
+	side, err := q.mq.frags[a.dest].ops[a.op.partner.id].seal(q.mq, vs)
 	if err != nil {
 		q.mq.fail(err)
 		return nil, nil
 	}
-	b := a.input(vs)
-	hs := keyHashes(b, a.op.keyCol, vs)
-	keyCol := &b.Cols[a.op.keyCol]
-	var cache bucketCache // sides acquired with stolen rows' buckets
-	if c := q.ops[a.op.id].cache.Load(); c != nil {
-		cache = *c
-	}
-	vs.probeRows = vs.probeRows[:0]
-	vs.bpos = vs.bpos[:0]
-	nb, nn := uint64(q.mq.buckets), q.mq.n
-	var side *buildSide // the sealed side the matches so far lie in
-	cut := b.N
-	for i := 0; i < b.N; i++ {
-		bs := own
-		if g := int(hs[i] % nb); g%nn != q.node { // a stolen row
-			if bs = cache[g]; bs == nil {
-				continue
-			}
-		}
-		if bs != side {
-			if bs.store.N == 0 {
-				continue // an empty side has no key column to compare with
-			}
-			if len(vs.bpos) > 0 {
-				cut = i
-				break
-			}
-			side = bs
-		}
-		bs.match(vs, keyCol, i, hs[i])
-	}
-	if side != nil {
-		outs, results = q.finishProbe(a, b, side.store, w)
-	}
-	if a.lo+cut < a.hi {
-		outs = append(outs, &activation{op: a.op, b: a.b, lo: a.lo + cut, hi: a.hi, dest: q.node})
-	}
-	return outs, results
+	return q.probe(a, a.input(vs), side, w)
 }
 
-// finishProbe consumes the match pairs accumulated in worker w's scratch
-// (probe row, position in the sealed build store) — shared by the
-// in-memory and spill-phase probe kernels. Under a group-by the root
-// probe emits nothing: the pairs fold straight into the worker's
-// partial. Any other probe assembles them into the join's output batch,
-// the query's result at the root, routed downstream elsewhere.
+// probe matches every row of b — probe activation a's rows — against a
+// sealed build side, shared by the in-memory and spill-phase probe
+// kernels: hash the key column, walk each row's chain and record every
+// match as a pair of positions (probe row, row of the sealed store) in
+// worker w's scratch. Under a group-by the root probe emits nothing: the
+// pairs fold straight into the worker's partial. Any other probe
+// assembles them into the join's output batch, the query's result at the
+// root, routed downstream elsewhere. An empty side has no key column to
+// compare with and matches nothing.
 //
 //hierdb:hotpath
-func (q *query) finishProbe(a *activation, b, store *vec.Batch, w int) (outs []*activation, results *vec.Batch) {
+func (q *query) probe(a *activation, b *vec.Batch, side *buildSide, w int) (outs []*activation, results *vec.Batch) {
+	store := side.store
+	if store.N == 0 {
+		return nil, nil
+	}
 	vs := &q.vscratch[w]
+	hs := keyHashes(b, a.op.keyCol, vs)
+	kc := &b.Cols[a.op.keyCol]
+	vs.probeRows = vs.probeRows[:0]
+	vs.bpos = vs.bpos[:0]
+	for i := range hs {
+		side.match(vs, kc, i, hs[i])
+	}
 	if len(vs.probeRows) == 0 {
 		return nil, nil
 	}

@@ -58,7 +58,7 @@ func genBatch(r *rand.Rand, kinds []Kind, n int, density float64, boxless bool) 
 // checkConcat seals one appender per input batch with Concat and
 // compares the result, position by position, with a single appender fed
 // the same batches in order. The appenders are pre-shaped for kinds, as
-// a join's stripes are (nil: each discovers its schema): only then does
+// a join's build parts are (nil: each discovers its schema): only then does
 // a part that saw nothing but an all-null batch of a column agree with
 // the parts that saw its values.
 func checkConcat(t *testing.T, kinds []Kind, batches []*Batch) *Batch {

@@ -526,7 +526,7 @@ func sameIdx(a, b []int32) bool {
 // ---------------------------------------------------------------------
 
 // Appender accumulates rows from batches into one growing dense
-// columnar store — the build side of a hash-join stripe. The store
+// columnar store — one worker's part of a hash-join build side. The store
 // always keeps its Box: values from a boxed source are copied words, a
 // boxless source's are boxed in place over the source's mirror (which
 // the store therefore keeps alive), so every later match selects a

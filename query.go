@@ -99,9 +99,10 @@ func (q *Query) withScan(set func(*exec.Scan) error, step string) *Query {
 }
 
 // Join hash-joins the receiver (probe side, streamed) with build
-// (materialized into a striped hash table) on probeKey = buildKey: a
-// column of the receiver's output and a column of build's. Output rows
-// are probe columns then build columns unless a Project step follows.
+// (materialized, on each node, into one hash table) on probeKey =
+// buildKey: a column of the receiver's output and a column of build's.
+// Output rows are probe columns then build columns unless a Project step
+// follows.
 func (q *Query) Join(build *Query, probeKey, buildKey Key) *Query {
 	out := &Query{db: q.db, tenant: q.tenant}
 	switch {
