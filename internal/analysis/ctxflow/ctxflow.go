@@ -11,8 +11,9 @@
 //   - calls to context.Background or context.TODO
 //   - struct fields of type context.Context without a sanctioning
 //     `//hierdb:ctx-in-struct <reason>` trailing comment (the engine
-//     has none: a query's cancellation is a context.AfterFunc hook
-//     registered at Submit, so no struct holds the caller's ctx)
+//     has one: a query's coordinator keeps the caller's ctx so that a
+//     cancel before completion wins, while the abort itself is a
+//     context.AfterFunc hook registered at Submit)
 //   - package-level variables of type context.Context
 package ctxflow
 

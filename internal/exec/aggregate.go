@@ -6,13 +6,14 @@ package exec
 // each pool worker folds the root operator's output into a private hash
 // table as it is produced (foldGroups: a root probe's match pairs go in
 // directly, no output batch in between, no synchronization on the hot
-// path), and the partials merge once at query retirement.
+// path), and the partials merge in one activation per node at the end.
 
 import (
 	"fmt"
 	"math"
 	"sort"
 
+	"hierdb/internal/spill"
 	"hierdb/internal/vec"
 )
 
@@ -126,14 +127,18 @@ func validateGroupBy(gb *GroupBy, width int) error {
 }
 
 // groupFold is one worker's state of a group-by query: its private
-// partial, and foldGroups' scratch — the source of each root output
-// column (filled on first use) and, by position, the groups resolved so
-// far for the rows of sealed build store store (nil = not yet).
+// partial; foldGroups' scratch — the source of each root output column
+// (filled on first use) and, by position, the groups resolved so far for
+// the rows of sealed build store store (nil = not yet); and, governed,
+// the partial's spill file and the bytes and groups charged for it.
 type groupFold struct {
-	m     map[any]*groupState
-	src   []int
-	store *vec.Batch
-	slots []*groupState
+	m       map[any]*groupState
+	src     []int
+	store   *vec.Batch
+	slots   []*groupState
+	file    *spill.File
+	charged int64
+	groups  int
 }
 
 // foldGroups folds the root operator's output into worker w's private
@@ -235,7 +240,7 @@ func (q *query) foldGroups(op *pop, w int, b, store *vec.Batch) int {
 // mergeGroups folds partial aggregation state src into dst, adopting the
 // states of groups dst has not seen (src is dead afterwards). Every
 // query uses it at two levels: per node over the node's worker partials,
-// then at retirement over the per-node results.
+// then, in the last node's merge activation, over the per-node results.
 func mergeGroups(dst, src map[any]*groupState, gb *GroupBy) {
 	for k, g := range src {
 		t := dst[k]

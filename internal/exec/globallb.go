@@ -24,8 +24,8 @@ package exec
 // A failed round parks the fragment (stealIdle) until a producer refills
 // some peer queue past stealWakeThreshold — producer-driven retries in
 // place of the simulation's timer pacing. Rounds are single-flight per
-// fragment (stealBusy, claimed like a merge). A query whose production
-// is paused on its consumer starts no round.
+// fragment (stealBusy). A query whose production is paused on its
+// consumer, or whose group-by merge activations are queued, starts none.
 
 import (
 	"maps"
@@ -57,7 +57,7 @@ func (p *pool) stealClaimLocked() *query {
 	for _, q := range p.queries {
 		mq := q.mq
 		if !mq.stealing || q.terminalLocked() ||
-			q.stealBusy || q.stealIdle || mq.paused.Load() {
+			q.stealBusy || q.stealIdle || mq.paused.Load() || mq.mergeQueued.Load() {
 			continue
 		}
 		chain := mq.phys.chains[q.chain]
@@ -142,7 +142,7 @@ func (mq *mquery) stealRound(thief *query) bool {
 	p := mq.nodes.pools[best.node]
 	p.mu.Lock()
 	or := provider.ops[best.op.id]
-	if provider.terminalLocked() || or.queued < 2*minStealActs {
+	if provider.terminalLocked() || mq.mergeQueued.Load() || or.queued < 2*minStealActs {
 		p.mu.Unlock()
 		return false
 	}
@@ -183,6 +183,8 @@ func (mq *mquery) stealRound(thief *query) bool {
 // its best candidate offer (or nil). Queue lengths are read under the
 // provider's pool mutex; byte pricing (hashing the sampled batches' key
 // columns) runs on snapshots outside it. A steal round runs no user code.
+// Merge activations have no batch to price: once they are queued
+// (mergeQueued, read under p.mu), no provider offers.
 func (mq *mquery) solicit(thief, fq *query, node int) *stealOffer {
 	type sampled struct {
 		op     *pop
@@ -193,7 +195,7 @@ func (mq *mquery) solicit(thief, fq *query, node int) *stealOffer {
 	load := 0
 	p := mq.nodes.pools[node]
 	p.mu.Lock()
-	if fq.terminalLocked() {
+	if fq.terminalLocked() || mq.mergeQueued.Load() {
 		p.mu.Unlock()
 		return nil
 	}

@@ -158,7 +158,7 @@ func TestGroupPartialSpillDropsSlots(t *testing.T) {
 	q.processProbeVec(probes[0], 0)
 	q.chargeMem(q.broker.budget) // the next new group finds the budget spent
 	q.processProbeVec(probes[1], 0)
-	if q.gbFiles[0] == nil || len(q.partials[0].m) != 0 {
+	if q.partials[0].file == nil || len(q.partials[0].m) != 0 {
 		t.Fatalf("the second batch's new groups did not spill the partial (%d groups resident)", len(q.partials[0].m))
 	}
 	q.unchargeMem(q.broker.budget)

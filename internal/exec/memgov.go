@@ -468,37 +468,34 @@ func (q *query) processSpillProbe(a *activation, w int) (outs []*activation, res
 // the budget. Only worker w touches its partial and counters, so the
 // only shared state is the byte account.
 func (q *query) governGroupPartial(w int) error {
-	m := q.partials[w].m
-	grown := len(m) - q.gbGroups[w]
+	gf := &q.partials[w]
+	grown := len(gf.m) - gf.groups
 	if grown <= 0 {
 		return nil
 	}
-	q.gbGroups[w] = len(m)
+	gf.groups = len(gf.m)
 	add := int64(grown) * (groupOverheadBytes + 8*int64(len(q.mq.gb.Aggs)))
-	q.gbCharged[w] += add
+	gf.charged += add
 	if !q.chargeMem(add) {
 		return nil
 	}
 	// Over budget: spill the whole partial and reset.
-	f := q.gbFiles[w]
-	if f == nil {
+	if gf.file == nil {
 		files, err := q.newSpillFiles(1)
 		if err != nil {
 			return err
 		}
-		f = files[0]
-		q.gbFiles[w] = f
+		gf.file = files[0]
 		q.spilledParts.Add(1)
 	}
-	for _, b := range batchRowsVec(groupSpillRows(m, q.mq.gb), q.mq.nodes.cfg.Batch) {
-		if _, err := f.AppendCols(b); err != nil {
+	for _, b := range batchRowsVec(groupSpillRows(gf.m, q.mq.gb), q.mq.nodes.cfg.Batch) {
+		if _, err := gf.file.AppendCols(b); err != nil {
 			return err
 		}
 	}
-	q.unchargeMem(q.gbCharged[w])
-	q.gbCharged[w] = 0
-	q.gbGroups[w] = 0
-	q.partials[w].m = make(map[any]*groupState)
+	q.unchargeMem(gf.charged)
+	gf.charged, gf.groups = 0, 0
+	gf.m = make(map[any]*groupState)
 	return nil
 }
 
@@ -509,7 +506,8 @@ func (q *query) mergedGroups() (map[any]*groupState, error) {
 	for w := 1; w < len(q.partials); w++ {
 		mergeGroups(merged, q.partials[w].m, q.mq.gb)
 	}
-	for _, f := range q.gbFiles {
+	for w := range q.partials {
+		f := q.partials[w].file
 		if f == nil {
 			continue
 		}

@@ -37,7 +37,7 @@ package exec
 // output, one pool.mu round more. Both are short, uncontended next to
 // the activation itself (a 1024-row morsel, a 256-row batch), and
 // measured flat on bench/'s join_stream — the price of chain start,
-// operator completion, spill-phase advance, merge hand-off, abort and
+// operator completion, spill-phase and group-by merge advance, abort and
 // retirement existing once.
 
 import (
@@ -259,15 +259,16 @@ func hashPartition(t *Table, n int) []*vec.Batch {
 
 // Submit compiles and starts a query on the engine; gb, when non-nil,
 // folds a grouped aggregation over the plan's output (workers fold into
-// private partials, each node merges its workers', the last node to
-// finish merges the per-node results, and the groups stream out ordered
-// deterministically). tenant labels the query for admission fairness:
-// waiting Submits are dequeued round-robin across labels, FIFO within
-// one. The returned Handle's Next pops result batches; production pauses
-// while a bounded number of them wait unread, and no worker waits on the
-// consumer. The query executes as one fragment per node with key-routed
-// redistribution between operators; results are identical at every node
-// count (stream order aside). Cancelling ctx aborts the query.
+// private partials, a merge activation per node merges its workers', the
+// last of them merges the per-node results, and the groups stream out
+// ordered deterministically). tenant labels the query for admission
+// fairness: waiting Submits are dequeued round-robin across labels, FIFO
+// within one. The returned Handle's Next pops result batches; production
+// pauses while a bounded number of them wait unread, and no worker waits
+// on the consumer. The query executes as one fragment per node with
+// key-routed redistribution between operators; results are identical at
+// every node count (stream order aside). Cancelling ctx aborts the query,
+// and a cancel before the query completes always wins.
 func (ns *Nodes) Submit(ctx context.Context, root Node, gb *GroupBy, tenant string) (*Handle, error) {
 	if root == nil {
 		return nil, fmt.Errorf("exec: nil plan")
@@ -290,7 +291,7 @@ func (ns *Nodes) Submit(ctx context.Context, root Node, gb *GroupBy, tenant stri
 		ns.admitRelease()
 		return nil, err
 	}
-	h := ns.newQuery(phys, gb)
+	h := ns.newQuery(ctx, phys, gb)
 	mq := &h.mq
 	mq.stats.AdmissionWait = wait
 
@@ -333,9 +334,10 @@ func (ns *Nodes) Submit(ctx context.Context, root Node, gb *GroupBy, tenant stri
 // newQuery builds a compiled query's coordinator and its per-node
 // fragments, fully, before the query becomes visible to anyone: a
 // concurrent Close walks mq.frags without a lock.
-func (ns *Nodes) newQuery(phys *physical, gb *GroupBy) *Handle {
+func (ns *Nodes) newQuery(ctx context.Context, phys *physical, gb *GroupBy) *Handle {
 	n, workers := ns.cfg.Nodes, ns.cfg.Workers
 	h := &Handle{mq: mquery{
+		ctx:      ctx,
 		nodes:    ns,
 		phys:     phys,
 		gb:       gb,
@@ -352,9 +354,6 @@ func (ns *Nodes) newQuery(phys *physical, gb *GroupBy) *Handle {
 		if op.kind == opScan && op.scan.Table.File == nil {
 			mq.ops[op.id].parts = ns.partitionFor(op.scan.Table)
 		}
-	}
-	if gb != nil {
-		mq.nodeParts = make([]map[any]*groupState, n)
 	}
 	mq.stats.PerWorker = make([]int64, n*workers)
 	mq.remaining.Store(int64(n))
@@ -452,14 +451,17 @@ type mquery struct {
 	// pools give the query no production pick (read under pool mutexes,
 	// written under mu).
 	paused atomic.Bool
+	// mergeQueued is set once, under mu, when a group-by's root operator
+	// drains and its merge activations are queued; read under pool
+	// mutexes, it keeps the query out of steal rounds from then on.
+	mergeQueued atomic.Bool
 
 	mu      sync.Mutex //hierdb:lock mq
 	ops     []mop
 	chain   int
 	aborted bool
 	err     error
-	merged  int // fragments whose per-node group-by partial is merged
-	// nodeParts holds the per-node merged partial aggregation states.
+	// nodeParts holds the merged partials of the nodes merged so far.
 	nodeParts []map[any]*groupState
 	// out[head:] is the result queue, oldest first; ready (on mu) wakes a
 	// consumer blocked in Handle.Next when a batch arrives or the query
@@ -467,6 +469,9 @@ type mquery struct {
 	out   []*vec.Batch
 	head  int
 	ready sync.Cond
+	// ctx is the caller's: a cancel before completion wins however late
+	// the AfterFunc hook (a goroutine of its own) runs.
+	ctx context.Context //hierdb:ctx-in-struct query lifetime, read at the resuming pop and at retirement
 
 	// stats is sealed when the last fragment retires; until then only
 	// QueryID, AdmissionWait (set at submit) and PerWorker (whose
@@ -660,9 +665,9 @@ func (mq *mquery) wakeThieves(except int) {
 // consumer, and advances the chain barrier; returns true once the last
 // chain completes. A probe operator whose join spilled on some fragments
 // is advanced instead: every such fragment gets its next partition-load
-// activation each time the pending count drains, and the operator only
-// finishes once every fragment's partitions are joined. Callers hold
-// mq.mu (taking pool mutexes here follows the mq -> pool lock order).
+// activation each time the pending count drains. A group-by's root is
+// then advanced once more, to one merge activation per fragment. Callers
+// hold mq.mu (taking pool mutexes here follows the mq -> pool order).
 func (mq *mquery) opFinished(op *pop) bool {
 	if op.kind == opProbe && !mq.aborted {
 		loads := 0
@@ -680,6 +685,18 @@ func (mq *mquery) opFinished(op *pop) bool {
 			mq.ops[op.id].pend += int64(loads)
 			return false
 		}
+	}
+	if op == mq.phys.root && mq.gb != nil && !mq.mergeQueued.Load() {
+		mq.mergeQueued.Store(true) // before any merge is visible to solicit
+		for i, fq := range mq.frags {
+			p := mq.nodes.pools[i]
+			p.mu.Lock()
+			fq.enqueueLocked(fq.ops[op.id], &activation{op: op, dest: i, merge: true})
+			p.cond.Broadcast()
+			p.mu.Unlock()
+		}
+		mq.ops[op.id].pend += int64(mq.n)
+		return false
 	}
 	mq.ops[op.id].done = true
 	if c := op.consumer; c != nil {
@@ -702,7 +719,7 @@ func (mq *mquery) opFinished(op *pop) bool {
 }
 
 // completeFrags marks every fragment done and retires the idle ones
-// (fragments still merging or processing retire from their own
+// (fragments with an activation still in flight retire from their own
 // pools' worker loops). Called without locks after the last chain
 // completes.
 func (mq *mquery) completeFrags() {
@@ -719,27 +736,22 @@ func (mq *mquery) completeFrags() {
 	}
 }
 
-// mergeFragment is the group-by merge job: fold one node's worker
-// partials into the node's partial (including any spilled partials of a
-// memory-governed query); the last node to finish additionally merges
-// the per-node partials into the final output batches and queues them
-// for the consumer. Called from the worker loop without locks.
+// mergeFragment runs fragment q's group-by merge activation, queued once
+// every fold had ended: fold the node's worker partials into the node's
+// partial (with any spilled partials of a memory-governed query); the
+// last node to merge also merges the per-node partials into the final
+// output batches and queues them for the consumer.
 func (mq *mquery) mergeFragment(q *query) {
 	part, err := q.mergedGroups()
 	if err != nil {
 		mq.fail(err)
-		part = make(map[any]*groupState)
+		return
 	}
 	mq.mu.Lock()
-	mq.nodeParts[q.node] = part
-	mq.merged++
-	last := mq.merged == mq.n
-	var parts []map[any]*groupState
-	if last {
-		parts = mq.nodeParts
-	}
+	mq.nodeParts = append(mq.nodeParts, part)
+	parts := mq.nodeParts
 	mq.mu.Unlock()
-	if !last {
+	if len(parts) < mq.n {
 		return
 	}
 	for _, p := range parts[1:] {
@@ -809,14 +821,19 @@ func (mq *mquery) fail(err error) {
 }
 
 // fragRetired records one fragment's retirement; the last one seals the
-// query: global stats, the consumer's wake, finished close, the
-// caller-context hook's removal, slot release. Called without pool locks
-// (the finalize path).
+// query: its outcome (a context cancelled by now wins over completion,
+// hook run or not), global stats, the consumer's wake, finished close,
+// the caller-context hook's removal, slot release. Called without pool
+// locks (the finalize path).
 func (mq *mquery) fragRetired() {
 	if mq.remaining.Add(-1) > 0 {
 		return
 	}
 	mq.mu.Lock()
+	if err := mq.ctx.Err(); err != nil && !mq.aborted {
+		mq.aborted, mq.err = true, err
+		mq.out, mq.head = nil, 0
+	}
 	mq.sealStatsLocked()
 	mq.ready.Broadcast()
 	stop := mq.stop
@@ -888,7 +905,8 @@ type Handle struct {
 // while none is queued and the query has not retired. It returns false
 // once the query has retired (completion, cancellation, or engine close)
 // and its queue is empty; check Err after. A pop that takes the queue
-// back below its bound resumes the query's paused production.
+// back below its bound resumes the query's paused production, or fails
+// the query if its context is cancelled.
 //
 //hierdb:hotpath
 func (h *Handle) Next() (*vec.Batch, bool) {
@@ -908,11 +926,16 @@ func (h *Handle) Next() (*vec.Batch, bool) {
 		mq.out, mq.head = mq.out[:0], 0
 	}
 	resume := mq.paused.Load() && len(mq.out)-mq.head < mq.bound
+	var cancelled error
 	if resume {
-		mq.paused.Store(false)
+		if cancelled = mq.ctx.Err(); cancelled == nil {
+			mq.paused.Store(false)
+		}
 	}
 	mq.mu.Unlock()
-	if resume {
+	if cancelled != nil {
+		mq.fail(cancelled)
+	} else if resume {
 		for _, p := range mq.nodes.pools {
 			p.mu.Lock()
 			p.cond.Broadcast()

@@ -108,7 +108,10 @@ func TestMultiNodeMatchesSingleNode(t *testing.T) {
 }
 
 // TestMultiNodeGroupBy: per-node partial merge then global merge must
-// equal the single-node aggregation, deterministically ordered.
+// equal the single-node aggregation, deterministically ordered. The
+// merge activations are activations like any other — counted per worker
+// — and produce no operator rows: OpRows is the one-node run's at every
+// node count.
 func TestMultiNodeGroupBy(t *testing.T) {
 	checkQueryHygiene(t)
 	dim := tbl("dim", 40, func(i int) any { return i }, func(i int) any { return fmt.Sprintf("g%d", i%6) })
@@ -126,7 +129,7 @@ func TestMultiNodeGroupBy(t *testing.T) {
 			{Func: Max, Arg: func(r Row) float64 { return float64(r[1].(int)) }},
 		},
 	}
-	want, _, err := runOnce(context.Background(), mk(), gb, EngineConfig{Workers: 4})
+	want, ref, err := runOnce(context.Background(), mk(), gb, EngineConfig{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,11 +148,25 @@ func TestMultiNodeGroupBy(t *testing.T) {
 				t.Fatalf("%d nodes: group %d = %v, want %v", n, i, got[i], want[i])
 			}
 		}
+		st := h.Stats()
+		var perWorker int64
+		for _, v := range st.PerWorker {
+			perWorker += v
+		}
+		if perWorker != st.Activations || st.Activations < int64(n) {
+			t.Fatalf("%d nodes: %d activations, %d per worker (at least one merge a node)", n, st.Activations, perWorker)
+		}
+		if fmt.Sprint(st.OpRows) != fmt.Sprint(ref.OpRows) {
+			t.Fatalf("%d nodes: OpRows %v, want %v as on one node", n, st.OpRows, ref.OpRows)
+		}
 	}
 }
 
 // TestMultiNodeEmptyInputs: empty and sub-node-count tables complete
-// (the empty-chain cascade) with correct results.
+// (the empty-chain cascade) with correct results. A group-by over an
+// empty table is the cascade's deepest case: it queues the merge
+// activations before any worker has run, and they are the query's only
+// work.
 func TestMultiNodeEmptyInputs(t *testing.T) {
 	checkQueryHygiene(t)
 	empty := &Table{Name: "e", Cols: []string{"k"}}
@@ -172,6 +189,17 @@ func TestMultiNodeEmptyInputs(t *testing.T) {
 	}
 	if got := collectHandle(t, h); len(got) != 2 {
 		t.Fatalf("tiny self-join returned %d rows, want 2", len(got))
+	}
+	h, err = ns.Submit(context.Background(), &Scan{Table: empty},
+		&GroupBy{Key: 0, Aggs: []Aggregation{{Func: Count}}}, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := collectHandle(t, h); len(got) != 0 {
+		t.Fatalf("group-by over an empty table returned %d groups", len(got))
+	}
+	if st := h.Stats(); st.Activations != 4 {
+		t.Fatalf("group-by over an empty table ran %d activations, want one merge a node", st.Activations)
 	}
 }
 

@@ -14,7 +14,8 @@ package exec
 // queue holds its bound, the pick skips the query — production pauses;
 // no worker waits on a consumer.
 //
-// A pool decides nothing about a query as a whole: it picks, runs and
+// A pool decides nothing about a query as a whole: it picks and runs
+// activations — its one kind of work, a group-by's merge included — and
 // retires fragments. Submission, admission, chain and operator
 // completion, abort and stats belong to the coordinator (nodes.go),
 // which a worker reports to after every activation (mquery.epilogue).
@@ -75,17 +76,12 @@ func (p *pool) start() {
 }
 
 // retireIfDoneLocked removes a terminal query with no in-flight
-// activations from the scheduling list. The caller that observes true
-// must call q.finalize() after releasing the mutex — exactly one caller
-// sees the transition. Callers hold mu.
+// activations from the scheduling list; output is queued as it is
+// produced, so a completed query waits for no consumer. The caller that
+// observes true must call q.finalize() after releasing the mutex —
+// exactly one caller sees the transition. Callers hold mu.
 func (p *pool) retireIfDoneLocked(q *query) bool {
 	if q.retired || q.inflight > 0 || !q.terminalLocked() {
-		return false
-	}
-	// A completed group-by holds its retirement until the merge has
-	// queued its groups. Streamed output is queued as it is produced, so a
-	// completed query waits for no consumer.
-	if !q.aborted && q.mq.gb != nil && !q.mergeDone {
 		return false
 	}
 	q.retired = true
@@ -109,54 +105,34 @@ func (p *pool) wakeLocked(n int) {
 	}
 }
 
-// Job kinds returned by pickLocked alongside a query.
-type jobKind int
-
-const (
-	jobRun   jobKind = iota // execute an activation
-	jobMerge                // merge group-by partials into final batches
-)
-
-// pickLocked finds the next job for worker w: an activation to run or a
-// group-by merge. The worker is anchored to the query it last served
-// (cross-query affinity keeps a worker's cache on one hash table), but a
-// query may hold at most its fair share ceil(workers/queries) of
-// anchored workers: beyond that the worker rotates to the fair cursor's
-// next query, so one heavy join cannot starve lighter queries of
-// workers. A query whose result queue holds its bound gets no production
-// pick until its consumer takes the queue back below it (mquery.paused).
-// Callers hold mu; a returned jobMerge has been claimed (merging set) and
-// the caller must run it.
+// pickLocked finds the next activation for worker w. The worker is
+// anchored to the query it last served (cross-query affinity keeps a
+// worker's cache on one hash table), but a query may hold at most its
+// fair share ceil(workers/queries) of anchored workers: beyond that the
+// worker rotates to the fair cursor's next query, so one heavy join
+// cannot starve lighter queries of workers. A query whose result queue
+// holds its bound gets no production pick until its consumer takes the
+// queue back below it (mquery.paused) — never a group-by's merge, as no
+// result precedes it. Callers hold mu.
 //
 //hierdb:hotpath
-func (p *pool) pickLocked(w int, anchor **query) (q *query, a *activation, job jobKind) {
+func (p *pool) pickLocked(w int, anchor **query) (*query, *activation) {
 	n := len(p.queries)
 	if n == 0 {
 		p.releaseAnchorLocked(anchor)
-		return nil, nil, jobRun
+		return nil, nil
 	}
 	share := (p.workers + n - 1) / n
 	if aq := *anchor; aq != nil {
 		if aq.terminalLocked() || aq.anchored > share || aq.mq.paused.Load() {
 			p.releaseAnchorLocked(anchor)
 		} else if a := aq.pickLocked(w); a != nil {
-			return aq, a, jobRun
+			return aq, a
 		}
 	}
 	for i := 0; i < n; i++ {
 		q := p.queries[(p.fair+i)%n]
-		if q.aborted {
-			continue
-		}
-		if q.done {
-			if q.mq.gb != nil && !q.mergeDone && !q.merging {
-				q.merging = true
-				p.fair = (p.fair + i + 1) % n
-				return q, nil, jobMerge
-			}
-			continue
-		}
-		if q.mq.paused.Load() {
+		if q.terminalLocked() || q.mq.paused.Load() {
 			continue
 		}
 		if a := q.pickLocked(w); a != nil {
@@ -166,11 +142,11 @@ func (p *pool) pickLocked(w int, anchor **query) (q *query, a *activation, job j
 				*anchor = q
 				q.anchored++
 			}
-			return q, a, jobRun
+			return q, a
 		}
 	}
 	p.releaseAnchorLocked(anchor)
-	return nil, nil, jobRun
+	return nil, nil
 }
 
 func (p *pool) releaseAnchorLocked(anchor **query) {
@@ -180,9 +156,9 @@ func (p *pool) releaseAnchorLocked(anchor **query) {
 	}
 }
 
-// worker is the scheduling loop of one worker goroutine: pick a job
-// under the pool mutex, run it without, report to the query's
-// coordinator, retire the fragment if that was its last work.
+// worker is the scheduling loop of one worker goroutine: pick an
+// activation under the pool mutex, run it without, report to the
+// query's coordinator, retire the fragment if that was its last work.
 //
 //hierdb:hotpath
 func (p *pool) worker(w int) {
@@ -194,7 +170,7 @@ func (p *pool) worker(w int) {
 			p.mu.Unlock()
 			return
 		}
-		q, a, job := p.pickLocked(w, &anchor)
+		q, a := p.pickLocked(w, &anchor)
 		if q == nil {
 			// Node-level starvation: before parking, try acquiring a
 			// remote probe queue for a starving fragment.
@@ -234,24 +210,13 @@ func (p *pool) worker(w int) {
 		}
 		q.inflight++
 		p.mu.Unlock()
-		if job == jobMerge {
-			// All folds finished before done was set (pending counts hit
-			// zero under the coordinator's mutex), so reading the partials
-			// is safe. The last node's merge queues the final batches on
-			// the coordinator, like any root activation's results.
-			q.runMerge()
-			p.mu.Lock()
-			q.merging = false
-			q.mergeDone = true
-		} else {
-			outs, results := q.runActivation(a, w)
-			a.res.release()
-			// Routing, operator/chain accounting and the result queue are
-			// query-global: the coordinator settles them without our mutex.
-			q.mq.epilogue(q, a, outs, results)
-			p.mu.Lock()
-			q.acts++
-		}
+		outs, results := q.runActivation(a, w)
+		a.res.release()
+		// Routing, operator/chain accounting and the result queue are
+		// query-global: the coordinator settles them without our mutex.
+		q.mq.epilogue(q, a, outs, results)
+		p.mu.Lock()
+		q.acts++
 		q.inflight--
 		if p.retireIfDoneLocked(q) {
 			p.mu.Unlock()
@@ -264,8 +229,8 @@ func (p *pool) worker(w int) {
 // runActivation executes one activation on worker w: the activation
 // boundary, outside every scheduler lock. It returns the routed outs and,
 // for a root activation, its result batch, which the epilogue queues. A
-// panic below it — user Filter or Arg code, which runs nowhere else, or
-// an engine bug — is contained here: the query fails with ErrQueryPanic and
+// panic below it — user Filter, Arg or group-key String code, or an
+// engine bug — is contained here: the query fails with ErrQueryPanic and
 // the activation reports no outs, so the worker's ordinary epilogue
 // unwinds pend, inflight, the chunk charge and (at retirement) the broker
 // lease exactly as for any other failed activation. (The named results
@@ -284,13 +249,6 @@ func (q *query) runActivation(a *activation, w int) (outs []*activation, results
 	a.retainFor(o)
 	atomic.AddInt64(&q.perWorker[w], 1)
 	return o, r
-}
-
-// runMerge is the merge job's activation boundary (rendering the groups
-// formats their keys, which calls user String methods).
-func (q *query) runMerge() {
-	defer q.containPanic()
-	q.mq.mergeFragment(q)
 }
 
 // containPanic, deferred at an activation boundary, turns a panic into

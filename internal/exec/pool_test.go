@@ -498,13 +498,26 @@ func TestRootScanStreams(t *testing.T) {
 	}
 }
 
+// panicKey is a group key whose String method panics. fmt recovers a
+// panicking String method and prints the panic value in its place, so
+// the value is a keyPanic, whose own String panics while fmt prints it:
+// a nested panic, which fmt lets through.
+type panicKey int
+
+func (panicKey) String() string { panic(keyPanic{}) }
+
+type keyPanic struct{}
+
+func (keyPanic) String() string { panic("user code blew up") }
+
 // TestPanicContainment: a panic in user code — a scan Filter or an
 // aggregate Arg, the two closures a plan carries, both run only under an
-// activation — fails that query with ErrQueryPanic and nothing else: the
-// engine serves the next query, no goroutine, lease or spill file is
-// left behind — on a governed engine its node's memory account is back
-// to zero leased bytes. Swept over one and two nodes, ungoverned and
-// spilling.
+// activation, or a group key's String method, which the group-by merge
+// activation calls to order the groups — fails that query with
+// ErrQueryPanic and nothing else: the engine serves the next query, no
+// goroutine, lease or spill file is left behind — on a governed engine
+// its node's memory account is back to zero leased bytes. Swept over one
+// and two nodes, ungoverned and spilling.
 func TestPanicContainment(t *testing.T) {
 	const buildRows, probeRows = 4_000, 40_000
 	build := tbl("pb", buildRows, func(i int) any { return i }, func(i int) any { return fmt.Sprintf("b%d", i) })
@@ -529,6 +542,13 @@ func TestPanicContainment(t *testing.T) {
 		"Arg": func() (Node, *GroupBy) {
 			return join(), &GroupBy{Key: 0, Aggs: []Aggregation{
 				{Func: Sum, Arg: func(r Row) float64 { bad(r[1]); return 1 }}}}
+		},
+		// Four groups of a scan: nothing spills (a panicKey is not
+		// spill-encodable), and every fold succeeds — the panic comes in the
+		// last node's merge.
+		"String": func() (Node, *GroupBy) {
+			keys := tbl("pk", probeRows, func(i int) any { return panicKey(i % 4) }, func(i int) any { return i })
+			return &Scan{Table: keys}, &GroupBy{Key: 0, Aggs: []Aggregation{{Func: Count}}}
 		},
 	}
 	for name, mk := range cases {

@@ -188,8 +188,8 @@ func (p *physical) buildChains() {
 }
 
 // activation is a self-contained unit of work: a scan morsel, a batch
-// of pipelined columns, or a spill-phase step of a memory-governed
-// join.
+// of pipelined columns, a spill-phase step of a memory-governed join, or
+// a group-by's merge of one node's partials.
 type activation struct {
 	op *pop
 	// b, for a batch of pipelined columns, is the batch its producer
@@ -208,6 +208,9 @@ type activation struct {
 	// spill carries the payload of a spill-phase activation (load a
 	// partition / probe a spilled batch); nil for ordinary activations.
 	spill *spillAct
+	// merge marks a group-by's merge of one node's partials, queued on the
+	// root operator by mquery.opFinished and run by mquery.mergeFragment.
+	merge bool
 	// res is the refcounted memory charge of the decoded chunk this
 	// activation's batch shares storage with (governed file scans only;
 	// the worker loop propagates it downstream and releases it).
@@ -268,16 +271,10 @@ type query struct {
 	aborted  bool // cancelled or failed; queues cleared
 	retired  bool // removed from the pool; finalize pending or done
 
-	// Group-by delivery: once all chains are done, a worker claims the
-	// merge job (merging), folds the node's partials, and the last node
-	// queues the final batches on the coordinator. mergeDone gates
-	// retirement.
-	merging   bool
-	mergeDone bool
-	// stealBusy marks a steal round in flight for this fragment (claimed
-	// like merging); stealIdle holds off further rounds after a failed one
-	// until a producer refills a peer queue past the wake threshold. Both
-	// are guarded by the pool mutex, and sit here to share the flags' word.
+	// stealBusy marks a steal round in flight for this fragment; stealIdle
+	// holds off further rounds after a failed one until a producer refills
+	// a peer queue past the wake threshold. Both are guarded by the pool
+	// mutex, and sit here to share the flags' word.
 	stealBusy bool
 	stealIdle bool
 
@@ -316,10 +313,6 @@ type query struct {
 	spillMu    sync.Mutex //hierdb:lock spillmu
 	spillDisk  *spill.Disk
 	spillFiles []*spill.File
-	// Per-worker group-by spill state: worker w touches only index w.
-	gbFiles   []*spill.File
-	gbCharged []int64
-	gbGroups  []int
 	// Spill counters (sealed into Stats at retirement).
 	spilledParts atomic.Int64
 	spilledBytes atomic.Int64
@@ -382,11 +375,6 @@ func newFragment(mq *mquery, node int) *query {
 		for w := range q.partials {
 			q.partials[w].m = make(map[any]*groupState)
 		}
-		if q.broker != nil {
-			q.gbFiles = make([]*spill.File, workers)
-			q.gbCharged = make([]int64, workers)
-			q.gbGroups = make([]int, workers)
-		}
 	}
 	return q
 }
@@ -407,8 +395,8 @@ func (q *query) terminalLocked() bool { return q.done || q.aborted }
 
 // failLocked is the fragment's share of mquery.fail: queued activations
 // are dropped so no worker picks from it again. A done fragment that has
-// not yet retired (its merge still to run) can still be failed — only
-// retirement makes the outcome final. Callers hold the pool mutex.
+// not yet retired (an activation still in flight) can still be failed —
+// only retirement makes the outcome final. Callers hold the pool mutex.
 func (q *query) failLocked() {
 	if q.aborted || q.retired {
 		return
@@ -559,9 +547,9 @@ func (q *query) scanSrc(op *pop) *vec.Batch {
 // countOpRows attributes one processed activation's produced rows to
 // its operator: batches addressed to the operator's consumer, plus the
 // root operator's result batch (a root under a group-by has none: it
-// hands addOpRows what it folded). Spill-phase fan-out (activations a
-// partition load addresses to the producing operator itself) replays
-// input that was already counted at production, so it is excluded.
+// hands addOpRows what it folded, a merge nothing). Spill-phase fan-out
+// (activations a partition load addresses to the producing operator
+// itself) replays input already counted at production: it is excluded.
 //
 //hierdb:hotpath
 func (q *query) countOpRows(a *activation, outs []*activation, results *vec.Batch) {
@@ -589,6 +577,10 @@ func (q *query) addOpRows(op *pop, n int) {
 //
 //hierdb:hotpath
 func (q *query) process(a *activation, w int) (outs []*activation, results *vec.Batch) {
+	if a.merge {
+		q.mq.mergeFragment(q)
+		return nil, nil
+	}
 	if a.spill != nil {
 		switch a.spill.kind {
 		case spillLoad:

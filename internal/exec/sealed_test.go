@@ -31,7 +31,7 @@ func probeFixture(t testing.TB, plan Node, gb *GroupBy, cfg EngineConfig) (q *qu
 	if err != nil {
 		t.Fatal(err)
 	}
-	q = ns.newQuery(phys, gb).mq.frags[0]
+	q = ns.newQuery(context.Background(), phys, gb).mq.frags[0]
 	dealt := 0
 	var drive func(a *activation)
 	drive = func(a *activation) {
@@ -516,7 +516,7 @@ func TestEmptyRemoteBucketAcquiredOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mq := &ns.newQuery(phys, nil).mq
+	mq := &ns.newQuery(context.Background(), phys, nil).mq
 	owner, thief := mq.frags[0], mq.frags[1]
 	bo := owner.ops[phys.root.partner.id]
 	owner.process(&activation{op: bo.op, b: columnize(build), lo: 0, hi: len(build.Rows)}, 0)

@@ -189,6 +189,59 @@ func TestStealStatsIsolatedPerQuery(t *testing.T) {
 	}
 }
 
+// TestMergeQueuedClaimsNoSteal: once a group-by's merge activations are
+// queued, no fragment claims a steal round and no provider offers one —
+// by the merge flag, not by queue length. A fragment that has taken its
+// merge activation has nothing queued and a probe in its chain, a
+// starving fragment's shape; a peer's root queue holds merge
+// activations, which have no batch to price, here padded past the
+// acquisition threshold so that the threshold alone would admit them.
+func TestMergeQueuedClaimsNoSteal(t *testing.T) {
+	const nodes, stripes = 2, 8
+	phys, err := compile(skewPlan(nodes, stripes, 100, 10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ns, err := newNodes(EngineConfig{Nodes: nodes, Workers: 1, Stripes: stripes})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mq := &ns.newQuery(context.Background(), phys, &GroupBy{Key: 0, Aggs: []Aggregation{{Func: Count}}}).mq
+	root := phys.root
+	for i, fq := range mq.frags {
+		fq.chain = root.chain
+		ns.pools[i].queries = append(ns.pools[i].queries, fq)
+	}
+	mq.mu.Lock()
+	mq.ops[root.id].prodEnd = true
+	finished := mq.opFinished(root)
+	mq.mu.Unlock()
+	if finished || mq.ops[root.id].pend != nodes {
+		t.Fatalf("the drained root finished (%v) with %d activations pending, want one merge a node queued", finished, mq.ops[root.id].pend)
+	}
+	thief, provider := mq.frags[1], mq.frags[0]
+	p := ns.pools[1]
+	p.mu.Lock()
+	a := thief.pickLocked(0)
+	claim := p.stealClaimLocked()
+	p.mu.Unlock()
+	if a == nil || !a.merge {
+		t.Fatalf("node 1 picked %+v, want its merge activation", a)
+	}
+	if claim != nil {
+		t.Fatal("a fragment that took its merge activation claimed a steal round")
+	}
+	for i := 0; i < 2*minStealActs; i++ {
+		provider.enqueueLocked(provider.ops[root.id], &activation{op: root, merge: true})
+	}
+	if off := mq.solicit(thief, provider, 0); off != nil {
+		t.Fatalf("a provider holding merge activations offered %+v", off)
+	}
+	if mq.stealRound(thief) {
+		t.Fatal("a steal round acquired merge activations")
+	}
+}
+
 // TestProbeActivationsOwnedByDest is the invariant the probe kernel
 // relies on: every probe activation emitBatch makes holds only rows its
 // dest node owns — at any node count, under uniform and skewed keys — and
@@ -216,7 +269,7 @@ func TestProbeActivationsOwnedByDest(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			mq := &ns.newQuery(phys, nil).mq
+			mq := &ns.newQuery(context.Background(), phys, nil).mq
 			root := phys.root
 			var vs vecScratch
 			// route emits a table's rows to op from node 0 and checks that each
