@@ -58,11 +58,14 @@ test:
 	$(GO) build -o bin/hdbload ./cmd/hdbload
 	./bin/hdbload -rate 200 -duration 1s -maxq 2 -queue 4 -memory 65536 -tenants 2 -seed 7
 
-# The test job's stress step: the three tests that pin the races
+# The test job's stress steps: the three tests that pin the races
 # between a consumer's pop, a cancelled context's hook and a query's
-# retirement, 300 times — a 1 % flake shows up about 95 % of the time.
+# retirement, 300 times — a 1 % flake shows up about 95 % of the time;
+# then, 10 times under -race, the tests that pin the cross-node reads of
+# a sealed build side the chain barrier orders.
 stress:
 	$(GO) test -count 300 -run 'TestUnreadQueriesAddNoGoroutines|TestFinishedGroupByFreesSlotUnread|TestUndrainedGroupByDoesNotWedgePool' ./internal/exec
+	$(GO) test -race -count 10 -run 'TestBuildSidesSealedAtBarrier|TestStolenOutputsReferenceOwnerStore|TestEmptyRemoteBucketAcquiredOnce|TestCancelDuringSeal|TestMultiNodeEmptyInputs' ./internal/exec
 
 # bench/ is a module of its own (replace hierdb => ../), so the root
 # `go build ./... && go test ./...` never compiles it: build, self-test

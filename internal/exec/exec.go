@@ -14,7 +14,7 @@
 // hierarchy with n = 1. Submit compiles the plan (runtime.go) and hands
 // it to a coordinator, which fans it out as one fragment per node, owns
 // everything global to the query — pending counts, the chain barrier,
-// spill-phase and group-by merge advance, abort, retirement and
+// operator advance (spill loads, seals, merges), abort, retirement and
 // stats — and routes every batch an activation emits to the node owning
 // its join key. Load balances dynamically inside a node at every
 // activation; between nodes only when a whole node starves (globallb.go).

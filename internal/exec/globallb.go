@@ -16,10 +16,10 @@ package exec
 // re-evaluates at request time, acquires half the queue (condition iii:
 // do not overload the requester), pays for the buckets it has not
 // acquired yet, and enqueues the activations on its own pool. A bucket
-// is only a price: its rows are counted at the owner's seal, and a
-// stolen activation keeps its destination, so it probes the owner's
-// sealed side in place — nothing is copied. The memory-fit condition
-// (i) is vacuous in-process and dropped.
+// is only a price: its rows are counted by the owner's seal, run at the
+// chain barrier, and a stolen activation keeps its destination, so it
+// probes the owner's sealed side in place — nothing is copied. The
+// memory-fit condition (i) is vacuous in-process and dropped.
 //
 // A failed round parks the fragment (stealIdle) until a producer refills
 // some peer queue past stealWakeThreshold — producer-driven retries in
@@ -113,15 +113,16 @@ type stealOffer struct {
 
 // stealRound drives one starving episode for the thief fragment:
 // solicit, score, acquire. Returns true if activations were acquired.
-// Called from the worker loop with no locks held.
-func (mq *mquery) stealRound(thief *query) bool {
+// Called from the worker loop with no locks held; vs is the running
+// worker's scratch for the thief, which prices keys on it.
+func (mq *mquery) stealRound(thief *query, vs *vecScratch) bool {
 	atomic.AddInt64(&thief.stealRounds, 1)
 	var best *stealOffer
 	for j, fq := range mq.frags {
 		if fq == thief {
 			continue
 		}
-		if off := mq.solicit(thief, fq, j); off != nil {
+		if off := mq.solicit(thief, fq, j, vs); off != nil {
 			// The requester picks the most loaded provider among those
 			// that offered a candidate.
 			if best == nil || off.load > best.load {
@@ -149,7 +150,7 @@ func (mq *mquery) stealRound(thief *query) bool {
 	acts := popOldestLocked(or, or.queued/2)
 	p.mu.Unlock()
 
-	buckets, bytes := thief.acquireBuckets(best.op, acts, true)
+	buckets, bytes := thief.acquireBuckets(best.op, acts, true, vs)
 	// Stolen buckets are resident on the thief for the rest of the
 	// query: charge them to the thief's budget (an acquired bucket is
 	// never re-shipped, so the charge is held until retirement).
@@ -165,11 +166,7 @@ func (mq *mquery) stealRound(thief *query) bool {
 	for _, a := range acts {
 		thief.enqueueLocked(to, a)
 	}
-	if thief.allowed != nil {
-		tp.cond.Broadcast()
-	} else {
-		tp.wakeLocked(len(acts))
-	}
+	tp.wakeLocked(thief, len(acts))
 	tp.mu.Unlock()
 
 	atomic.AddInt64(&thief.steals, 1)
@@ -185,7 +182,7 @@ func (mq *mquery) stealRound(thief *query) bool {
 // columns) runs on snapshots outside it. A steal round runs no user code.
 // Merge activations have no batch to price: once they are queued
 // (mergeQueued, read under p.mu), no provider offers.
-func (mq *mquery) solicit(thief, fq *query, node int) *stealOffer {
+func (mq *mquery) solicit(thief, fq *query, node int, vs *vecScratch) *stealOffer {
 	type sampled struct {
 		op     *pop
 		queued int
@@ -234,7 +231,7 @@ func (mq *mquery) solicit(thief, fq *query, node int) *stealOffer {
 
 	var best *stealOffer
 	for _, s := range cands {
-		bytes := mq.shipEstimate(thief, s.op, s.acts)
+		bytes := mq.shipEstimate(thief, s.op, s.acts, vs)
 		// Memory governance: a thief does not acquire buckets its budget
 		// cannot hold (the real-engine form of §3.2's memory-fit
 		// condition (i), vacuous only when ungoverned): the headroom is
@@ -256,8 +253,8 @@ func (mq *mquery) solicit(thief, fq *query, node int) *stealOffer {
 // shipEstimate prices acquiring the sampled activations: the rows
 // themselves plus the hash-table buckets their keys touch that the thief
 // has not already acquired (acquireBuckets, recording nothing).
-func (mq *mquery) shipEstimate(thief *query, op *pop, acts []*activation) int64 {
-	_, bytes := thief.acquireBuckets(op, acts, false)
+func (mq *mquery) shipEstimate(thief *query, op *pop, acts []*activation, vs *vecScratch) int64 {
+	_, bytes := thief.acquireBuckets(op, acts, false, vs)
 	for _, a := range acts {
 		bytes += int64(a.hi-a.lo) * nominalTupleBytes
 	}
@@ -289,34 +286,28 @@ func popOldestLocked(or *opRun, n int) []*activation {
 
 // acquireBuckets prices the remote hash-table buckets the rows of acts —
 // probe activations of op, on offer to or stolen by thief q — touch and
-// q has not acquired: each bucket's rows, counted at its owner's seal,
-// as shipped bytes. An activation's rows are all its dest's, whose
-// sealed side q seals first if no probe of the owner's has yet; rows q
-// owns itself cost nothing. With record set the buckets join q's
-// acquired set, so a later steal touching them pays nothing for them
-// (§4's stolen-queue cache), an empty one included. The stolen rows
-// probe the owner's sealed side in place — it is immutable, so sharing
-// is safe in-process — while the benefit/overhead score still charges
-// the bytes a real network ship would move. Activation batches are
-// immutable once emitted and build sides complete before any probe
-// runs, so no lock is needed; the set is touched only by the fragment's
-// single-flight steal round. Key hashing runs on a throwaway scratch
-// (this is the cold steal path).
-func (q *query) acquireBuckets(op *pop, acts []*activation, record bool) (buckets int, bytes int64) {
+// q has not acquired: each bucket's rows, counted by its owner's seal,
+// as shipped bytes. An activation's rows are all its dest's, whose side
+// the chain barrier sealed before the activation existed; rows q owns
+// itself cost nothing. With record set the buckets join q's acquired
+// set, so a later steal touching them pays nothing for them (§4's
+// stolen-queue cache), an empty one included. The stolen rows probe the
+// owner's sealed side in place — it is immutable, so sharing is safe
+// in-process — while the benefit/overhead score still charges the bytes
+// a real network ship would move. Activation batches are immutable once
+// emitted and sealed sides before any probe runs, so no lock is needed;
+// the set is touched only by the fragment's single-flight steal round.
+// Keys are hashed on vs, the scratch of the worker running the round.
+func (q *query) acquireBuckets(op *pop, acts []*activation, record bool, vs *vecScratch) (buckets int, bytes int64) {
 	mq := q.mq
 	po := q.ops[op.id]
 	var fresh map[int]bool
-	var vs, sealVS vecScratch // a seal hashes on its scratch: not the one holding the keys'
 	for _, a := range acts {
 		if a.dest == q.node {
 			continue
 		}
-		side, err := mq.frags[a.dest].ops[op.partner.id].seal(mq, &sealVS)
-		if err != nil {
-			mq.fail(err)
-			return buckets, bytes
-		}
-		for _, h := range keyHashes(a.input(&vs), op.keyCol, &vs) {
+		side := mq.frags[a.dest].ops[op.partner.id].side
+		for _, h := range keyHashes(a.input(vs), op.keyCol, vs) {
 			g := int(h % uint64(mq.buckets))
 			if po.acquired[g] || fresh[g] {
 				continue

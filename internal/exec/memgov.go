@@ -43,9 +43,8 @@ package exec
 // like a whole build side (sealStore).
 //
 // Lock order: mq.mu -> pool.mu -> joinSpill.mu -> memBroker.mu -> part
-// lock -> query.spillMu -> spill.File's internal mutex. Sealing a build
-// side (opRun.seal: concatenation and index build) happens outside all
-// of them.
+// lock -> query.spillMu -> spill.File's internal mutex. A build side's
+// seal is an activation (opRun.seal) and takes none of them.
 
 import (
 	"sync"
@@ -314,7 +313,7 @@ func (q *query) newSpillFanout() (build, probe []*spill.File, err error) {
 // may truly finish. Callers (mquery.opFinished) hold mq.mu and the
 // fragment's pool mutex.
 func (q *query) spillNextLocked(or *opRun) *activation {
-	if or.op.kind != opProbe || q.aborted {
+	if q.aborted {
 		return nil
 	}
 	sp := q.ops[or.op.partner.id].spill
@@ -394,7 +393,7 @@ func (q *query) processSpillLoad(a *activation, w int) (outs []*activation) {
 		app.AppendBatch(db)
 		bytes += batchBytes(db, nil) + int64(db.N)*hashEntryBytes
 	}
-	side, err := sealStore(app.Batch(), build.keyCol, vs, 0, 0)
+	side, err := sealStore(app.Batch(), build.keyCol, 0, 0)
 	if err != nil {
 		q.mq.fail(err)
 		return nil

@@ -37,8 +37,8 @@ package exec
 // output, one pool.mu round more. Both are short, uncontended next to
 // the activation itself (a 1024-row morsel, a 256-row batch), and
 // measured flat on bench/'s join_stream — the price of chain start,
-// operator completion, spill-phase and group-by merge advance, abort and
-// retirement existing once.
+// operator completion and advance (spill loads, seals, merges), abort
+// and retirement existing once.
 
 import (
 	"context"
@@ -412,6 +412,7 @@ func (ns *Nodes) Close() {
 type mop struct {
 	pend    int64
 	prodEnd bool // no more input will arrive
+	closed  bool // closing activations queued (opFinished)
 	done    bool
 	parts   []*vec.Batch
 }
@@ -622,13 +623,7 @@ func (mq *mquery) deliverOuts(src *query, outs []*activation) {
 					queued = or.queued
 				}
 			}
-			if dst.allowed != nil {
-				// Static (FP) mode: targeted signals could wake workers
-				// not allowed to run the consumer — wake everyone.
-				p.cond.Broadcast()
-			} else {
-				p.wakeLocked(count)
-			}
+			p.wakeLocked(dst, count)
 		}
 		p.mu.Unlock()
 		if d != src.node {
@@ -663,42 +658,31 @@ func (mq *mquery) wakeThieves(except int) {
 
 // opFinished marks an operator done, cascades end-of-producer to its
 // consumer, and advances the chain barrier; returns true once the last
-// chain completes. A probe operator whose join spilled on some fragments
-// is advanced instead: every such fragment gets its next partition-load
-// activation each time the pending count drains. A group-by's root is
-// then advanced once more, to one merge activation per fragment. Callers
+// chain completes. An operator with work left is advanced instead when
+// its pending count drains: a probe whose join spilled to its next
+// partition loads; then, once, a build to a seal on each fragment whose
+// join did not spill and a group-by's root to a merge on each. Callers
 // hold mq.mu (taking pool mutexes here follows the mq -> pool order).
 func (mq *mquery) opFinished(op *pop) bool {
-	if op.kind == opProbe && !mq.aborted {
-		loads := 0
-		for i, fq := range mq.frags {
-			p := mq.nodes.pools[i]
-			p.mu.Lock()
-			if a := fq.spillNextLocked(fq.ops[op.id]); a != nil {
-				fq.enqueueLocked(fq.ops[op.id], a)
-				loads++
-				p.cond.Broadcast()
-			}
-			p.mu.Unlock()
+	if op.kind == opProbe && mq.queueEach(op, func(fq *query) *activation { return fq.spillNextLocked(fq.ops[op.id]) }) > 0 {
+		return false
+	}
+	mo := &mq.ops[op.id]
+	if !mo.closed && (op.kind == opBuild || op == mq.phys.root && mq.gb != nil) {
+		mo.closed = true
+		if op.kind != opBuild {
+			mq.mergeQueued.Store(true) // before any merge is visible to solicit
 		}
-		if loads > 0 {
-			mq.ops[op.id].pend += int64(loads)
+		if mq.queueEach(op, func(fq *query) *activation {
+			if sp := fq.ops[op.id].spill; sp != nil && sp.active.Load() {
+				return nil
+			}
+			return &activation{op: op, dest: fq.node, closing: true}
+		}) > 0 {
 			return false
 		}
 	}
-	if op == mq.phys.root && mq.gb != nil && !mq.mergeQueued.Load() {
-		mq.mergeQueued.Store(true) // before any merge is visible to solicit
-		for i, fq := range mq.frags {
-			p := mq.nodes.pools[i]
-			p.mu.Lock()
-			fq.enqueueLocked(fq.ops[op.id], &activation{op: op, dest: i, merge: true})
-			p.cond.Broadcast()
-			p.mu.Unlock()
-		}
-		mq.ops[op.id].pend += int64(mq.n)
-		return false
-	}
-	mq.ops[op.id].done = true
+	mo.done = true
 	if c := op.consumer; c != nil {
 		co := &mq.ops[c.id]
 		co.prodEnd = true
@@ -716,6 +700,25 @@ func (mq *mquery) opFinished(op *pop) bool {
 		return mq.startChain(mq.chain + 1)
 	}
 	return true
+}
+
+// queueEach queues on every fragment the activation of op that next
+// makes for it under the fragment's pool mutex, if any, counts them
+// pending and returns how many it queued. Callers hold mq.mu.
+func (mq *mquery) queueEach(op *pop, next func(fq *query) *activation) int {
+	n := 0
+	for i, fq := range mq.frags {
+		p := mq.nodes.pools[i]
+		p.mu.Lock()
+		if a := next(fq); a != nil {
+			fq.enqueueLocked(fq.ops[op.id], a)
+			n++
+			p.wakeLocked(fq, 1)
+		}
+		p.mu.Unlock()
+	}
+	mq.ops[op.id].pend += int64(n)
+	return n
 }
 
 // completeFrags marks every fragment done and retires the idle ones
@@ -860,9 +863,13 @@ func (mq *mquery) sealStatsLocked() {
 		for oi := range fq.opRows {
 			s.OpRows[oi] += atomic.LoadInt64(&fq.opRows[oi])
 		}
+		var acts int64
+		for _, n := range fq.perWorker {
+			acts += n
+		}
 		nst := NodeStats{
 			Node:              i,
-			Activations:       fq.acts,
+			Activations:       acts,
 			ResultRows:        fq.resultRows,
 			PerWorker:         fq.perWorker,
 			RowsShippedIn:     atomic.LoadInt64(&fq.shipIn),

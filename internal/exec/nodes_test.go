@@ -109,9 +109,9 @@ func TestMultiNodeMatchesSingleNode(t *testing.T) {
 
 // TestMultiNodeGroupBy: per-node partial merge then global merge must
 // equal the single-node aggregation, deterministically ordered. The
-// merge activations are activations like any other — counted per worker
-// — and produce no operator rows: OpRows is the one-node run's at every
-// node count.
+// seal and merge activations are activations like any other — counted
+// per worker — and produce no operator rows: OpRows is the one-node
+// run's at every node count, for the plain join under the group-by too.
 func TestMultiNodeGroupBy(t *testing.T) {
 	checkQueryHygiene(t)
 	dim := tbl("dim", 40, func(i int) any { return i }, func(i int) any { return fmt.Sprintf("g%d", i%6) })
@@ -133,9 +133,33 @@ func TestMultiNodeGroupBy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	joinRows, joinRef, err := runOnce(context.Background(), mk(), nil, EngineConfig{Workers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// counted checks what every query's Stats owe, group-by or not: one
+	// activation count, per worker and in total, and the one-node OpRows.
+	counted := func(what string, n int, st, ref *Stats) {
+		var perWorker int64
+		for _, v := range st.PerWorker {
+			perWorker += v
+		}
+		if perWorker != st.Activations || st.Activations < int64(n) {
+			t.Fatalf("%s, %d nodes: %d activations, %d per worker (at least one closing activation a node)", what, n, st.Activations, perWorker)
+		}
+		if fmt.Sprint(st.OpRows) != fmt.Sprint(ref.OpRows) {
+			t.Fatalf("%s, %d nodes: OpRows %v, want %v as on one node", what, n, st.OpRows, ref.OpRows)
+		}
+	}
 	for _, n := range []int{1, 2, 3} {
 		ns := newNodesT(t, EngineConfig{Nodes: n, Workers: 2})
-		h, err := ns.Submit(context.Background(), mk(), gb, "")
+		h, err := ns.Submit(context.Background(), mk(), nil, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameRows(t, collectHandle(t, h), joinRows)
+		counted("plain join", n, h.Stats(), joinRef)
+		h, err = ns.Submit(context.Background(), mk(), gb, "")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -148,25 +172,15 @@ func TestMultiNodeGroupBy(t *testing.T) {
 				t.Fatalf("%d nodes: group %d = %v, want %v", n, i, got[i], want[i])
 			}
 		}
-		st := h.Stats()
-		var perWorker int64
-		for _, v := range st.PerWorker {
-			perWorker += v
-		}
-		if perWorker != st.Activations || st.Activations < int64(n) {
-			t.Fatalf("%d nodes: %d activations, %d per worker (at least one merge a node)", n, st.Activations, perWorker)
-		}
-		if fmt.Sprint(st.OpRows) != fmt.Sprint(ref.OpRows) {
-			t.Fatalf("%d nodes: OpRows %v, want %v as on one node", n, st.OpRows, ref.OpRows)
-		}
+		counted("group-by", n, h.Stats(), ref)
 	}
 }
 
 // TestMultiNodeEmptyInputs: empty and sub-node-count tables complete
 // (the empty-chain cascade) with correct results. A group-by over an
-// empty table is the cascade's deepest case: it queues the merge
-// activations before any worker has run, and they are the query's only
-// work.
+// empty table, or a join of two, is the cascade's deepest case: it
+// queues the merge (or seal) activations before any worker has run, and
+// they are the query's only work.
 func TestMultiNodeEmptyInputs(t *testing.T) {
 	checkQueryHygiene(t)
 	empty := &Table{Name: "e", Cols: []string{"k"}}
@@ -200,6 +214,18 @@ func TestMultiNodeEmptyInputs(t *testing.T) {
 	}
 	if st := h.Stats(); st.Activations != 4 {
 		t.Fatalf("group-by over an empty table ran %d activations, want one merge a node", st.Activations)
+	}
+	h, err = ns.Submit(context.Background(), &Join{
+		Build: &Scan{Table: empty}, Probe: &Scan{Table: empty},
+		BuildKey: 0, ProbeKey: 0}, nil, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := collectHandle(t, h); len(got) != 0 {
+		t.Fatalf("join of two empty tables returned %d rows", len(got))
+	}
+	if st := h.Stats(); st.Activations != 4 {
+		t.Fatalf("join of two empty tables ran %d activations, want one seal a node", st.Activations)
 	}
 }
 

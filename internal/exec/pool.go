@@ -15,17 +15,17 @@ package exec
 // no worker waits on a consumer.
 //
 // A pool decides nothing about a query as a whole: it picks and runs
-// activations — its one kind of work, a group-by's merge included — and
-// retires fragments. Submission, admission, chain and operator
-// completion, abort and stats belong to the coordinator (nodes.go),
-// which a worker reports to after every activation (mquery.epilogue).
+// activations — its one kind of work, a build's seal and a group-by's
+// merge included — and retires fragments. Submission, admission, chain
+// and operator completion, abort and stats belong to the coordinator
+// (nodes.go), which a worker reports to after every activation
+// (mquery.epilogue).
 
 import (
 	"errors"
 	"fmt"
 	"runtime/debug"
 	"sync"
-	"sync/atomic"
 
 	"hierdb/internal/store"
 	"hierdb/internal/vec"
@@ -94,13 +94,16 @@ func (p *pool) retireIfDoneLocked(q *query) bool {
 	return true
 }
 
-// wakeLocked signals up to n sleeping workers — enough for the work just
-// enqueued, without the thundering herd of a Broadcast. Callers hold mu.
-func (p *pool) wakeLocked(n int) {
-	if n > p.waiting {
-		n = p.waiting
+// wakeLocked signals up to n sleeping workers for n activations of q just
+// enqueued — enough for them, without the thundering herd of a
+// Broadcast — or every worker in static (FP) mode, where a signal could
+// reach one not allowed to run them. Callers hold mu.
+func (p *pool) wakeLocked(q *query, n int) {
+	if q.allowed != nil {
+		p.cond.Broadcast()
+		return
 	}
-	for ; n > 0; n-- {
+	for range min(n, p.waiting) {
 		p.cond.Signal()
 	}
 }
@@ -176,7 +179,7 @@ func (p *pool) worker(w int) {
 			// remote probe queue for a starving fragment.
 			if sq := p.stealClaimLocked(); sq != nil {
 				p.mu.Unlock()
-				stole := sq.mq.stealRound(sq)
+				stole := sq.mq.stealRound(sq, &sq.vscratch[w])
 				idled := false
 				p.mu.Lock()
 				sq.stealBusy = false
@@ -216,7 +219,7 @@ func (p *pool) worker(w int) {
 		// query-global: the coordinator settles them without our mutex.
 		q.mq.epilogue(q, a, outs, results)
 		p.mu.Lock()
-		q.acts++
+		q.perWorker[w]++
 		q.inflight--
 		if p.retireIfDoneLocked(q) {
 			p.mu.Unlock()
@@ -247,7 +250,6 @@ func (q *query) runActivation(a *activation, w int) (outs []*activation, results
 	// worker releases this activation's own (a root-scan result batch is
 	// refunded as it leaves the engine for the result queue).
 	a.retainFor(o)
-	atomic.AddInt64(&q.perWorker[w], 1)
 	return o, r
 }
 

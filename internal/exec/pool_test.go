@@ -516,8 +516,9 @@ func (keyPanic) String() string { panic("user code blew up") }
 // activation calls to order the groups — fails that query with
 // ErrQueryPanic and nothing else: the engine serves the next query, no
 // goroutine, lease or spill file is left behind — on a governed engine
-// its node's memory account is back to zero leased bytes. Swept over one
-// and two nodes, ungoverned and spilling.
+// its node's memory account is back to zero leased bytes — and the
+// panicking activation is counted once, per worker and in total. Swept
+// over one and two nodes, ungoverned and spilling.
 func TestPanicContainment(t *testing.T) {
 	const buildRows, probeRows = 4_000, 40_000
 	build := tbl("pb", buildRows, func(i int) any { return i }, func(i int) any { return fmt.Sprintf("b%d", i) })
@@ -566,6 +567,15 @@ func TestPanicContainment(t *testing.T) {
 					drain(h)
 					if err := h.Err(); !errors.Is(err, ErrQueryPanic) || !strings.Contains(err.Error(), "user code blew up") {
 						t.Fatalf("query ended with %v, want ErrQueryPanic carrying the panic value", err)
+					}
+					// The panicking activation is counted once, like any other.
+					st := h.Stats()
+					var perWorker int64
+					for _, v := range st.PerWorker {
+						perWorker += v
+					}
+					if perWorker != st.Activations {
+						t.Fatalf("%d activations, %d per worker", st.Activations, perWorker)
 					}
 					if left, err := os.ReadDir(dir); err != nil || len(left) != 0 {
 						t.Fatalf("spill dir not empty after the failed query: %v, %v", left, err)

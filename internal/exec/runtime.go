@@ -189,7 +189,8 @@ func (p *physical) buildChains() {
 
 // activation is a self-contained unit of work: a scan morsel, a batch
 // of pipelined columns, a spill-phase step of a memory-governed join, or
-// a group-by's merge of one node's partials.
+// an operator's closing activation on one node — a build side's seal, a
+// group-by's merge of the node's partials.
 type activation struct {
 	op *pop
 	// b, for a batch of pipelined columns, is the batch its producer
@@ -208,9 +209,10 @@ type activation struct {
 	// spill carries the payload of a spill-phase activation (load a
 	// partition / probe a spilled batch); nil for ordinary activations.
 	spill *spillAct
-	// merge marks a group-by's merge of one node's partials, queued on the
-	// root operator by mquery.opFinished and run by mquery.mergeFragment.
-	merge bool
+	// closing marks an operator's closing activation on node dest, queued
+	// by mquery.opFinished once the operator drains: a build operator's
+	// seal (opRun.seal), a group-by root's merge (mquery.mergeFragment).
+	closing bool
 	// res is the refcounted memory charge of the decoded chunk this
 	// activation's batch shares storage with (governed file scans only;
 	// the worker loop propagates it downstream and releases it).
@@ -232,14 +234,12 @@ type opRun struct {
 	parts    []*vec.Appender
 	locks    []sync.Mutex //hierdb:lock part
 	partHint int
-	// sealOnce single-flights the seal of the build side (opRun.seal)
-	// that the first probe or thief triggers after the build barrier and
-	// that turns the parts into side. The seal takes no tracked lock and
-	// is never entered with a pool, mq, jspill or part lock held: a
-	// waiter on the Once would stall a scheduler for the length of a copy.
-	sealOnce sync.Once
-	side     *buildSide
-	sealErr  error
+	// side is the sealed build side, written by the build's closing
+	// activation (opRun.seal) before the chain barrier starts the probe
+	// chain; nil on a fragment whose join spilled. Probes and thieves on
+	// any node read it without a lock: the mq.mu rounds of the seals'
+	// epilogues and of startChain order the write before every read.
+	side *buildSide
 
 	// spill is the join's partitioned-execution state (build operators of
 	// governed queries only).
@@ -322,11 +322,11 @@ type query struct {
 	disk diskCounters
 
 	// Activation and row counters, sealed into the coordinator's Stats at
-	// retirement: acts under the pool mutex; resultRows (rows this node
-	// queued) under the coordinator's; perWorker (this node's window of
-	// the coordinator's engine-wide slice) and opRows (rows produced per
-	// operator id) by atomic adds from the worker loop.
-	acts       int64
+	// retirement: perWorker (this node's window of the coordinator's
+	// engine-wide slice, the one activation count) by the worker loop
+	// under the pool mutex; resultRows (rows this node queued) under the
+	// coordinator's; opRows (rows produced per operator id) by atomic
+	// adds.
 	resultRows int64
 	perWorker  []int64
 	opRows     []int64
@@ -547,9 +547,10 @@ func (q *query) scanSrc(op *pop) *vec.Batch {
 // countOpRows attributes one processed activation's produced rows to
 // its operator: batches addressed to the operator's consumer, plus the
 // root operator's result batch (a root under a group-by has none: it
-// hands addOpRows what it folded, a merge nothing). Spill-phase fan-out
-// (activations a partition load addresses to the producing operator
-// itself) replays input already counted at production: it is excluded.
+// hands addOpRows what it folded, a closing activation nothing).
+// Spill-phase fan-out (activations a partition load addresses to the
+// producing operator itself) replays input already counted at
+// production: it is excluded.
 //
 //hierdb:hotpath
 func (q *query) countOpRows(a *activation, outs []*activation, results *vec.Batch) {
@@ -577,8 +578,12 @@ func (q *query) addOpRows(op *pop, n int) {
 //
 //hierdb:hotpath
 func (q *query) process(a *activation, w int) (outs []*activation, results *vec.Batch) {
-	if a.merge {
-		q.mq.mergeFragment(q)
+	if a.closing {
+		if a.op.kind != opBuild {
+			q.mq.mergeFragment(q)
+		} else if err := q.ops[a.op.id].seal(q.mq); err != nil {
+			q.mq.fail(err)
+		}
 		return nil, nil
 	}
 	if a.spill != nil {

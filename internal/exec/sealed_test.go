@@ -7,6 +7,7 @@ import (
 	"math"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"hierdb/internal/vec"
@@ -19,9 +20,19 @@ import (
 // probes that read them), one activation at a time dealt round-robin to
 // the workers — so a build side has a part per worker, as a pool would
 // leave it — except the root join's probe, whose input activations are
-// returned instead of processed. gb, when set, is the group-by the root
-// folds into.
+// returned instead of processed. Each build chain ends in its build's
+// seal activation, as the chain barrier queues it. gb, when set, is the
+// group-by the root folds into.
 func probeFixture(t testing.TB, plan Node, gb *GroupBy, cfg EngineConfig) (q *query, probes []*activation) {
+	t.Helper()
+	q, probes = unsealedFixture(t, plan, gb, cfg)
+	q.process(&activation{op: q.mq.phys.root.partner, closing: true}, 0)
+	return q, probes
+}
+
+// unsealedFixture is probeFixture with the root join's build side left
+// unsealed: its parts hold the rows, its side is nil.
+func unsealedFixture(t testing.TB, plan Node, gb *GroupBy, cfg EngineConfig) (q *query, probes []*activation) {
 	t.Helper()
 	phys, err := compile(plan)
 	if err != nil {
@@ -47,6 +58,9 @@ func probeFixture(t testing.TB, plan Node, gb *GroupBy, cfg EngineConfig) (q *qu
 	}
 	for _, chain := range phys.chains {
 		drive(&activation{op: chain[0], lo: 0, hi: q.scanSrc(chain[0]).N})
+		if last := chain[len(chain)-1]; last.kind == opBuild && last != phys.root.partner {
+			q.process(&activation{op: last, closing: true}, 0)
+		}
 	}
 	return q, probes
 }
@@ -209,16 +223,13 @@ func TestProbeOutputAliasesSealedStore(t *testing.T) {
 	const buildRows, probeRows, width = 100, 5_000, 3
 	q, probes := probeFixture(t, widePlan(buildRows, probeRows, width), nil, EngineConfig{Workers: 1})
 	bo := q.ops[q.mq.phys.root.partner.id]
-	var sealed *vec.Batch
+	if bo.side == nil || bo.side.store.N != buildRows {
+		t.Fatalf("the seal activation left the build side unsealed: %+v", bo.side)
+	}
+	sealed := bo.side.store
 	rows := 0
 	for _, a := range probes {
 		_, out := q.processProbeVec(a, 0)
-		if sealed == nil {
-			if bo.side == nil || bo.side.store.N != buildRows {
-				t.Fatalf("first probe left the build side unsealed: %+v", bo.side)
-			}
-			sealed = bo.side.store
-		}
 		rows += out.N
 		pw := len(a.b.Cols)
 		if len(out.Cols) != pw+width {
@@ -244,10 +255,10 @@ func TestProbeOutputAliasesSealedStore(t *testing.T) {
 	}
 }
 
-// TestSealSingleFlight: every worker entering the first probe at once,
-// the build side is sealed exactly once — all outputs select from one
+// TestConcurrentProbesShareOneSide: every worker probing at once reads
+// the one side the seal activation built — all outputs select from one
 // store — and the join is still right. Run under -race.
-func TestSealSingleFlight(t *testing.T) {
+func TestConcurrentProbesShareOneSide(t *testing.T) {
 	const workers, buildRows, probeRows = 8, 20_000, 40_000
 	plan := widePlan(buildRows, probeRows, 4)
 	q, probes := probeFixture(t, plan, nil, EngineConfig{Workers: workers, Batch: probeRows / workers})
@@ -270,9 +281,10 @@ func TestSealSingleFlight(t *testing.T) {
 	var got []Row
 	var arena vec.Arena
 	pw := len(probes[0].b.Cols)
+	side := q.ops[q.mq.phys.root.partner.id].side
 	for _, out := range outs {
-		if &out.Cols[pw].Box[0] != &outs[0].Cols[pw].Box[0] {
-			t.Fatal("two probes saw two sealed stores")
+		if &out.Cols[pw].Box[0] != &side.store.Cols[0].Box[0] {
+			t.Fatal("a probe's output does not select from the sealed store")
 		}
 		got = out.AppendRows(got, &arena)
 	}
@@ -300,8 +312,7 @@ func nestedJoinHashed(plan *Join) []Row {
 // a store past that is refused with ErrBuildTooLarge before a slot is
 // allocated, not indexed with wrapped positions.
 func TestBuildTooLargeIsTypedError(t *testing.T) {
-	var vs vecScratch
-	if _, err := sealStore(&vec.Batch{N: math.MaxInt32 + 1}, 0, &vs, 0, 0); !errors.Is(err, ErrBuildTooLarge) {
+	if _, err := sealStore(&vec.Batch{N: math.MaxInt32 + 1}, 0, 0, 0); !errors.Is(err, ErrBuildTooLarge) {
 		t.Fatalf("sealing 2^31 rows: %v, want ErrBuildTooLarge", err)
 	}
 }
@@ -317,7 +328,7 @@ func sealKeys(t *testing.T, keys ...any) *buildSide {
 	}
 	ap := vec.NewAppender(nil, 0)
 	ap.AppendBatch(vec.FromRows(rows))
-	bs, err := sealStore(ap.Batch(), 0, new(vecScratch), 0, 0)
+	bs, err := sealStore(ap.Batch(), 0, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -518,8 +529,9 @@ func TestEmptyRemoteBucketAcquiredOnce(t *testing.T) {
 	}
 	mq := &ns.newQuery(context.Background(), phys, nil).mq
 	owner, thief := mq.frags[0], mq.frags[1]
-	bo := owner.ops[phys.root.partner.id]
+	bo, vs := owner.ops[phys.root.partner.id], &thief.vscratch[0]
 	owner.process(&activation{op: bo.op, b: columnize(build), lo: 0, hi: len(build.Rows)}, 0)
+	owner.process(&activation{op: bo.op, closing: true}, 0) // the seal the chain barrier queues
 
 	// price is the reference: the buckets rows [lo,hi) of the probe touch
 	// outside paid, and their build rows' bytes; it adds them to paid.
@@ -540,10 +552,10 @@ func TestEmptyRemoteBucketAcquiredOnce(t *testing.T) {
 	half := steal(0, probeRows/2)
 	rows := int64(probeRows/2) * nominalTupleBytes
 	wantN, wantB := price(0, probeRows/2)
-	if est := mq.shipEstimate(thief, phys.root, half); est != rows+wantB {
+	if est := mq.shipEstimate(thief, phys.root, half, vs); est != rows+wantB {
 		t.Fatalf("a first steal is priced at %d B, want %d B of rows and %d B of buckets", est, rows, wantB)
 	}
-	if n, bytes := thief.acquireBuckets(phys.root, half, true); n != wantN || bytes != wantB {
+	if n, bytes := thief.acquireBuckets(phys.root, half, true, vs); n != wantN || bytes != wantB {
 		t.Fatalf("a first steal acquired %d buckets for %d B, want %d for %d B", n, bytes, wantN, wantB)
 	}
 	empty := 0
@@ -555,15 +567,15 @@ func TestEmptyRemoteBucketAcquiredOnce(t *testing.T) {
 	if empty == 0 || empty == wantN {
 		t.Fatalf("%d of the %d acquired buckets are empty: the fixture needs both kinds", empty, wantN)
 	}
-	if est := mq.shipEstimate(thief, phys.root, half); est != rows {
+	if est := mq.shipEstimate(thief, phys.root, half, vs); est != rows {
 		t.Fatalf("a repeated steal is priced at %d B, want the rows alone (%d B)", est, rows)
 	}
-	if n, bytes := thief.acquireBuckets(phys.root, half, true); n != 0 || bytes != 0 {
+	if n, bytes := thief.acquireBuckets(phys.root, half, true, vs); n != 0 || bytes != 0 {
 		t.Fatalf("a repeated steal acquired %d buckets for %d B: an acquired bucket is not remembered", n, bytes)
 	}
 	all := steal(0, probeRows)
 	wantN, wantB = price(probeRows/2, probeRows)
-	if n, bytes := thief.acquireBuckets(phys.root, all, true); n != wantN || bytes != wantB {
+	if n, bytes := thief.acquireBuckets(phys.root, all, true, vs); n != wantN || bytes != wantB {
 		t.Fatalf("a wider steal acquired %d buckets for %d B, want the %d new ones for %d B", n, bytes, wantN, wantB)
 	}
 	_, out := thief.processProbeVec(all[0], 0)
@@ -572,6 +584,51 @@ func TestEmptyRemoteBucketAcquiredOnce(t *testing.T) {
 	}
 	if bc := &out.Cols[len(out.Cols)-1]; &bc.I64[0] != &bo.side.store.Cols[1].I64[0] {
 		t.Fatal("the stolen rows' output does not select from the owner's sealed store")
+	}
+}
+
+// TestBuildSidesSealedAtBarrier: every node's build side is sealed before
+// the probe chain starts — the chain barrier waits on one seal activation
+// per node — a node no key is routed to included. Under total key skew
+// onto node 0 with stealing off, no probe activation is ever node 1's,
+// and yet node 1's side is sealed, empty, by the time the first probe
+// scan row is filtered. Run under -race: the probe scans read both
+// nodes' sides without a lock.
+func TestBuildSidesSealedAtBarrier(t *testing.T) {
+	checkQueryHygiene(t)
+	const nodes, stripes, dimRows = 2, 8, 100
+	plan := skewPlan(nodes, stripes, 6_000, dimRows).(*Join)
+	ns := newNodesT(t, EngineConfig{Nodes: nodes, Workers: 2, Stripes: stripes, DisableStealing: true})
+	var h *Handle
+	ready := make(chan struct{})
+	var unsealed atomic.Int64
+	p := *plan
+	p.Probe = &Scan{Table: plan.Probe.(*Scan).Table, Filter: func(Row) bool {
+		<-ready
+		for _, fq := range h.mq.frags {
+			if fq.ops[h.mq.phys.root.partner.id].side == nil {
+				unsealed.Add(1)
+			}
+		}
+		return true
+	}}
+	h, err := ns.Submit(context.Background(), &p, nil, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	close(ready)
+	got := drainRows(h)
+	if err := h.Err(); err != nil {
+		t.Fatal(err)
+	}
+	sameRows(t, got, nestedJoinHashed(plan))
+	if n := unsealed.Load(); n != 0 {
+		t.Fatalf("%d probe-scan rows found a node's build side unsealed", n)
+	}
+	for i, want := range []int{dimRows, 0} {
+		if side := h.mq.frags[i].ops[h.mq.phys.root.partner.id].side; side == nil || side.store.N != want {
+			t.Fatalf("node %d's build side: %+v, want %d rows sealed", i, side, want)
+		}
 	}
 }
 
@@ -649,22 +706,26 @@ func TestSealUnderGovernance(t *testing.T) {
 	}
 }
 
-// TestCancelDuringSeal cancels a query from its probe scan's filter —
-// that is, as the probe chain starts and the first probe seals a wide
-// build side — on one node and on two. The query must end cancelled
-// (or complete, if the seal won the race) with no goroutine left, and
-// the engine must still serve.
+// TestCancelDuringSeal cancels a query from its build scan's filter once
+// it has passed every build row — that is, as the last build batches
+// land and the seal activations turn a wide build side into its sealed
+// form — on one node and on two. The query must end cancelled (or
+// complete, if the seals and the probe chain won the race) with no
+// goroutine left, and the engine must still serve.
 func TestCancelDuringSeal(t *testing.T) {
 	checkQueryHygiene(t)
-	plan := widePlan(50_000, 100_000, 8)
+	const buildRows = 50_000
+	plan := widePlan(buildRows, 100_000, 8)
 	for _, nodes := range []int{1, 2} {
 		ns := newNodesT(t, EngineConfig{Nodes: nodes, Workers: 4})
 		for round := 0; round < 3; round++ {
 			ctx, cancel := context.WithCancel(context.Background())
-			var once sync.Once
+			var seen atomic.Int64
 			p := *plan
-			p.Probe = &Scan{Table: plan.Probe.(*Scan).Table, Filter: func(Row) bool {
-				once.Do(cancel)
+			p.Build = &Scan{Table: plan.Build.(*Scan).Table, Filter: func(Row) bool {
+				if seen.Add(1) == buildRows {
+					cancel()
+				}
 				return true
 			}}
 			h, err := ns.Submit(ctx, &p, nil, "")
@@ -690,17 +751,18 @@ func TestCancelDuringSeal(t *testing.T) {
 func TestBuildSideAllocBound(t *testing.T) {
 	for _, n := range []int{1_000, 100_000} {
 		for _, distinct := range []int{2, n} {
-			q, _ := probeFixture(t, dupPlan(n, 1, 2, distinct), nil, EngineConfig{Workers: 1})
+			q, _ := unsealedFixture(t, dupPlan(n, 1, 2, distinct), nil, EngineConfig{Workers: 1})
 			bo := q.ops[q.mq.phys.root.partner.id]
 			var m0, m1 runtime.MemStats
 			runtime.ReadMemStats(&m0)
-			side, err := bo.seal(q.mq, &q.vscratch[0])
+			err := bo.seal(q.mq)
 			runtime.ReadMemStats(&m1)
+			side := bo.side
 			if err != nil || side.store.N != n {
 				t.Fatalf("sealing %d rows: %+v, %v", n, side, err)
 			}
 			// Per column its Box and its mirror, the batch and its header
-			// array, the index and its header, the hash scratch: 9.
+			// array, the index and its header: 8 (keys hash on the stack).
 			if allocs := m1.Mallocs - m0.Mallocs; allocs > 12 {
 				t.Fatalf("sealing %d rows of %d keys made %d allocations, want <= 12", n, distinct, allocs)
 			}
@@ -784,8 +846,8 @@ func BenchmarkJoinProbeGather(b *testing.B) {
 // BenchmarkSealIndex is the seal alone — four workers' parts
 // concatenated into one store and the store indexed — over build sides
 // of 2 000 and 200 000 two-column rows keyed by distinct ints or strings.
-// The seal is serial (one worker seals, the others wait on it), so on a
-// large build side this is latency every probe worker pays once.
+// The seal is one activation per node, between the build and the probe
+// chain, so on a large build side this is latency the barrier adds once.
 func BenchmarkSealIndex(b *testing.B) {
 	for _, n := range []int{2_000, 200_000} {
 		for _, kind := range []string{"int", "string"} {
@@ -801,15 +863,15 @@ func BenchmarkSealIndex(b *testing.B) {
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					b.StopTimer() // the build is the fixture's, the seal is what is timed
-					q, _ := probeFixture(b, plan, nil, EngineConfig{Workers: 4})
+					q, _ := unsealedFixture(b, plan, nil, EngineConfig{Workers: 4})
 					bo := q.ops[q.mq.phys.root.partner.id]
 					runtime.ReadMemStats(&m0)
 					b.StartTimer()
-					side, err := bo.seal(q.mq, &q.vscratch[0])
+					err := bo.seal(q.mq)
 					b.StopTimer()
 					runtime.ReadMemStats(&m1)
-					if err != nil || side.store.N != n {
-						b.Fatalf("sealed %+v, %v", side, err)
+					if err != nil || bo.side.store.N != n {
+						b.Fatalf("sealed %+v, %v", bo.side, err)
 					}
 				}
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(n*b.N), "ns/row")

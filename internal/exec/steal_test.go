@@ -225,19 +225,19 @@ func TestMergeQueuedClaimsNoSteal(t *testing.T) {
 	a := thief.pickLocked(0)
 	claim := p.stealClaimLocked()
 	p.mu.Unlock()
-	if a == nil || !a.merge {
+	if a == nil || !a.closing {
 		t.Fatalf("node 1 picked %+v, want its merge activation", a)
 	}
 	if claim != nil {
 		t.Fatal("a fragment that took its merge activation claimed a steal round")
 	}
 	for i := 0; i < 2*minStealActs; i++ {
-		provider.enqueueLocked(provider.ops[root.id], &activation{op: root, merge: true})
+		provider.enqueueLocked(provider.ops[root.id], &activation{op: root, closing: true})
 	}
-	if off := mq.solicit(thief, provider, 0); off != nil {
+	if off := mq.solicit(thief, provider, 0, &thief.vscratch[0]); off != nil {
 		t.Fatalf("a provider holding merge activations offered %+v", off)
 	}
-	if mq.stealRound(thief) {
+	if mq.stealRound(thief, &thief.vscratch[0]) {
 		t.Fatal("a steal round acquired merge activations")
 	}
 }
@@ -293,6 +293,9 @@ func TestProbeActivationsOwnedByDest(t *testing.T) {
 				mq.frags[a.dest].process(a, 0)
 			}
 			for _, fq := range mq.frags {
+				fq.process(&activation{op: root.partner, dest: fq.node, closing: true}, 0)
+			}
+			for _, fq := range mq.frags {
 				fq.chain = root.chain
 			}
 			for _, a := range route(root, probe) {
@@ -306,7 +309,7 @@ func TestProbeActivationsOwnedByDest(t *testing.T) {
 					own[a] = true
 				}
 			}
-			if !mq.stealRound(thief) {
+			if !mq.stealRound(thief, &thief.vscratch[0]) {
 				t.Fatalf("%s: the steal round acquired nothing", name)
 			}
 			stolen := 0

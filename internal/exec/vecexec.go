@@ -5,10 +5,10 @@ package exec
 // as per-column loops, builds append whole batches to the worker's own
 // columnar part — nothing is hashed or indexed while the build runs —
 // and probes hash the probe key column and walk one chained hash
-// index. A join's output is a pair of selections: past the chain barrier
-// the first probe seals the build side (opRun.seal) — the parts' rows
-// move into one dense store and one pass over its key column fills the
-// index — and an output batch is the probe batch's columns under a
+// index. A join's output is a pair of selections: at the chain barrier
+// one activation per node seals the build side (opRun.seal) — the parts'
+// rows move into one dense store and one pass over its key column fills
+// the index — and an output batch is the probe batch's columns under a
 // composed selection next to the sealed store's columns under one
 // shared position vector — no build value is copied per match. All row
 // materialization funnels through vec's AppendRows/ReadRow boundary,
@@ -245,7 +245,7 @@ func hashKeys(c *vec.Col, lo int, hs []uint64) {
 // — each worker appends whole batches to a vec.Appender of its own, its
 // part of the side, and nothing is hashed: nothing is looked up before
 // the chain barrier, and a governed join may yet drain the rows to disk.
-// The seal builds the index in one pass: position p hangs off
+// The seal (opRun.seal) builds the index in one pass: position p hangs off
 // slot(keyHash64(key)), the hash every router computes anyway, and a
 // chain ascends — the order rows arrived in within their part.
 // Equality is decided on the store's columns, under the kind the two key
@@ -273,24 +273,25 @@ var ErrBuildTooLarge = errors.New("exec: join build side too large")
 // words per row, whatever the number of distinct keys. Rows are linked
 // from the last to the first, so every chain ascends. With buckets > 0
 // it also counts the rows per local hash bucket (bucketRows) of a node
-// of a nodes-node engine with buckets global buckets.
+// of a nodes-node engine with buckets global buckets. Keys are hashed a
+// chunk at a time on the stack: a seal grows no worker's scratch.
 //
 //hierdb:hotpath
-func sealStore(store *vec.Batch, keyCol int, vs *vecScratch, buckets, nodes int) (*buildSide, error) {
+func sealStore(store *vec.Batch, keyCol int, buckets, nodes int) (*buildSide, error) {
 	n := store.N
 	if n > math.MaxInt32 {
 		return nil, fmt.Errorf("%w: over %d rows", ErrBuildTooLarge, math.MaxInt32) //hierdb:ignore hotpath the failure path
 	}
-	const chunk = 1024 // rows hashed at a time, on the worker's hash scratch
 	slots := max(2*n, 1)
 	buf := make([]int32, slots+n)
 	bs := &buildSide{store: store, keyCol: keyCol, heads: buf[:slots], next: buf[slots:]}
 	if buckets > 0 {
 		bs.bucketRows = make([]int, buckets/nodes)
 	}
-	for hi := n; hi > 0; hi -= chunk {
-		lo := max(hi-chunk, 0)
-		hs := vs.hashes(hi - lo)
+	var chunk [256]uint64
+	for hi := n; hi > 0; hi -= len(chunk) {
+		lo := max(hi-len(chunk), 0)
+		hs := chunk[:hi-lo]
 		hashKeys(&store.Cols[keyCol], lo, hs)
 		for p := hi - 1; p >= lo; p-- {
 			s := bs.slot(hs[p-lo])
@@ -358,26 +359,23 @@ func (bs *buildSide) match(vs *vecScratch, kc *vec.Col, i int, h uint64) {
 	}
 }
 
-// seal seals the operator's build side, a build operator of mq on one
-// node, on first call, on the caller's scratch: the parts' rows move into
-// one dense store (vec.Concat: exact-size columns, each part's storage
-// released as it is copied, a single non-empty part aliased) and the
-// store is indexed — and, when mq steals, its rows counted per bucket.
-// Every later call (any worker's probe, a thief pricing or probing this
-// node's rows) returns the same outcome; concurrent first callers wait.
-// The parts are quiescent: builds precede probes across the chain
-// barrier.
-func (or *opRun) seal(mq *mquery, vs *vecScratch) (*buildSide, error) {
-	or.sealOnce.Do(func() {
-		store := vec.Concat(or.parts)
-		clear(or.parts)
-		var buckets int
-		if mq.stealing {
-			buckets = mq.buckets
-		}
-		or.side, or.sealErr = sealStore(store, or.op.keyCol, vs, buckets, mq.n)
-	})
-	return or.side, or.sealErr
+// seal is a build operator's closing activation on one node, run once
+// the operator has drained: the parts' rows move into one dense store
+// (vec.Concat: exact-size columns, each part's storage released as it
+// is copied, a single non-empty part aliased), the store is indexed —
+// and, when mq steals, its rows counted per bucket — and the result
+// becomes side. The parts are quiescent: no build activation is left,
+// and no probe runs before the seals drain.
+func (or *opRun) seal(mq *mquery) error {
+	store := vec.Concat(or.parts)
+	clear(or.parts)
+	var buckets int
+	if mq.stealing {
+		buckets = mq.buckets
+	}
+	var err error
+	or.side, err = sealStore(store, or.op.keyCol, buckets, mq.n)
+	return err
 }
 
 // ---------------------------------------------------------------------
@@ -564,18 +562,12 @@ func (q *query) processBuild(a *activation, w int) error {
 // row of a probe activation is owned by its destination node a.dest —
 // emitBatch routes by owner, a steal moves whole activations with their
 // dest — so the batch matches against that node's sealed side: this
-// node's own, or for stolen rows the owner's, sealed by whichever probe
-// or thief reaches it first.
+// node's own, or for stolen rows the owner's, sealed at the chain
+// barrier like every other.
 //
 //hierdb:hotpath
 func (q *query) processProbeVec(a *activation, w int) (outs []*activation, results *vec.Batch) {
-	vs := &q.vscratch[w]
-	side, err := q.mq.frags[a.dest].ops[a.op.partner.id].seal(q.mq, vs)
-	if err != nil {
-		q.mq.fail(err)
-		return nil, nil
-	}
-	return q.probe(a, a.input(vs), side, w)
+	return q.probe(a, a.input(&q.vscratch[w]), q.mq.frags[a.dest].ops[a.op.partner.id].side, w)
 }
 
 // probe matches every row of b — probe activation a's rows — against a

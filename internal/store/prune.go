@@ -12,7 +12,11 @@
 // *constant* satisfies Eq/Le/Ge against any non-null float).
 package store
 
-import "hierdb/internal/vec"
+import (
+	"cmp"
+
+	"hierdb/internal/vec"
+)
 
 // match is what a zone map proves about one predicate over one chunk.
 type match uint8
@@ -62,17 +66,17 @@ func (t *TableFile) zoneMatch(ch *ChunkInfo, p *vec.Pred) match {
 	m := matchSome
 	switch z.Kind {
 	case vec.Int, vec.Int32, vec.Int64:
-		v, ok := intFamilyVal(p.Val)
+		v, ok := vec.IntFamilyVal(p.Val)
 		if !ok {
 			return matchNone // constant outside the type family matches nothing
 		}
-		m = rangeMatch(p.Op, cmpI64(v, z.MinI64), cmpI64(v, z.MaxI64))
+		m = rangeMatch(p.Op, cmp.Compare(v, z.MinI64), cmp.Compare(v, z.MaxI64))
 	case vec.Uint64:
 		v, ok := p.Val.(uint64)
 		if !ok {
 			return matchNone
 		}
-		m = rangeMatch(p.Op, cmpU64(v, uint64(z.MinI64)), cmpU64(v, uint64(z.MaxI64)))
+		m = rangeMatch(p.Op, cmp.Compare(v, uint64(z.MinI64)), cmp.Compare(v, uint64(z.MaxI64)))
 	case vec.Float64:
 		v, ok := p.Val.(float64)
 		if !ok {
@@ -89,7 +93,7 @@ func (t *TableFile) zoneMatch(ch *ChunkInfo, p *vec.Pred) match {
 		case !z.HasRange:
 			return matchNone // all rows null or NaN, and NaN rows never match Ne/Lt/Gt
 		default:
-			if m = rangeMatch(p.Op, cmpF64(v, z.MinF64), cmpF64(v, z.MaxF64)); m == matchAll && z.HasNaN {
+			if m = rangeMatch(p.Op, vec.CmpF64(v, z.MinF64), vec.CmpF64(v, z.MaxF64)); m == matchAll && z.HasNaN {
 				m = matchSome // the NaN rows fail Ne/Lt/Gt
 			}
 		}
@@ -102,13 +106,13 @@ func (t *TableFile) zoneMatch(ch *ChunkInfo, p *vec.Pred) match {
 		if v {
 			b = 1
 		}
-		m = rangeMatch(p.Op, cmpI64(b, z.MinI64), cmpI64(b, z.MaxI64))
+		m = rangeMatch(p.Op, cmp.Compare(b, z.MinI64), cmp.Compare(b, z.MaxI64))
 	case vec.String:
 		v, ok := p.Val.(string)
 		if !ok {
 			return matchNone
 		}
-		m = rangeMatch(p.Op, cmpStr(v, z.MinStr), cmpStr(v, z.MaxStr))
+		m = rangeMatch(p.Op, cmp.Compare(v, z.MinStr), cmp.Compare(v, z.MaxStr))
 	}
 	// Any: mixed or exotic values — no range to reason with.
 	if m == matchAll && z.HasNulls {
@@ -161,62 +165,4 @@ func rangeMatch(op vec.CmpOp, cmin, cmax int) match {
 		return matchAll
 	}
 	return matchSome
-}
-
-//hierdb:hotpath
-func cmpI64(a, b int64) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	}
-	return 0
-}
-
-//hierdb:hotpath
-func cmpU64(a, b uint64) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	}
-	return 0
-}
-
-//hierdb:hotpath
-func cmpF64(a, b float64) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	}
-	return 0
-}
-
-//hierdb:hotpath
-func cmpStr(a, b string) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	}
-	return 0
-}
-
-// intFamilyVal widens an int/int32/int64 predicate constant to int64,
-// matching the kernel's cross-width int comparisons.
-func intFamilyVal(v any) (int64, bool) {
-	switch t := v.(type) {
-	case int:
-		return int64(t), true
-	case int32:
-		return int64(t), true
-	case int64:
-		return t, true
-	}
-	return 0, false
 }

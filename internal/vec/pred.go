@@ -4,6 +4,8 @@
 // per row on typed columns.
 package vec
 
+import "cmp"
+
 // CmpOp is a predicate comparison operator.
 type CmpOp uint8
 
@@ -88,13 +90,13 @@ func ApplyPred(c *Col, p *Pred, sel []int32, out []int32) []int32 {
 	}
 	switch {
 	case c.Kind.IntFamily() && c.Kind != Uint64:
-		v, ok := intFamilyVal(p.Val)
+		v, ok := IntFamilyVal(p.Val)
 		if !ok {
 			return out
 		}
 		for _, li := range sel {
 			pos := c.Pos(int(li))
-			if !c.NullAt(pos) && cmpHolds(p.Op, cmpI64(c.I64[pos], v)) {
+			if !c.NullAt(pos) && cmpHolds(p.Op, cmp.Compare(c.I64[pos], v)) {
 				out = append(out, li)
 			}
 		}
@@ -105,7 +107,7 @@ func ApplyPred(c *Col, p *Pred, sel []int32, out []int32) []int32 {
 		}
 		for _, li := range sel {
 			pos := c.Pos(int(li))
-			if !c.NullAt(pos) && cmpHolds(p.Op, cmpU64(uint64(c.I64[pos]), v)) {
+			if !c.NullAt(pos) && cmpHolds(p.Op, cmp.Compare(uint64(c.I64[pos]), v)) {
 				out = append(out, li)
 			}
 		}
@@ -116,7 +118,7 @@ func ApplyPred(c *Col, p *Pred, sel []int32, out []int32) []int32 {
 		}
 		for _, li := range sel {
 			pos := c.Pos(int(li))
-			if !c.NullAt(pos) && cmpHolds(p.Op, cmpF64(c.F64[pos], v)) {
+			if !c.NullAt(pos) && cmpHolds(p.Op, CmpF64(c.F64[pos], v)) {
 				out = append(out, li)
 			}
 		}
@@ -127,7 +129,7 @@ func ApplyPred(c *Col, p *Pred, sel []int32, out []int32) []int32 {
 		}
 		for _, li := range sel {
 			pos := c.Pos(int(li))
-			if !c.NullAt(pos) && cmpHolds(p.Op, cmpStr(c.Str[pos], v)) {
+			if !c.NullAt(pos) && cmpHolds(p.Op, cmp.Compare(c.Str[pos], v)) {
 				out = append(out, li)
 			}
 		}
@@ -184,8 +186,13 @@ func cmpHolds(op CmpOp, c int) bool {
 	return false
 }
 
+// CmpF64 three-way-compares two floats as the predicate kernels do: a
+// NaN on either side compares equal, so a NaN satisfies Eq, Le and Ge
+// against anything (cmp.Compare would order it first instead). The zone
+// maps (internal/store) reason with the very same comparison.
+//
 //hierdb:hotpath
-func cmpI64(a, b int64) int {
+func CmpF64(a, b float64) int {
 	switch {
 	case a < b:
 		return -1
@@ -195,41 +202,9 @@ func cmpI64(a, b int64) int {
 	return 0
 }
 
-//hierdb:hotpath
-func cmpU64(a, b uint64) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	}
-	return 0
-}
-
-//hierdb:hotpath
-func cmpF64(a, b float64) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	}
-	return 0
-}
-
-//hierdb:hotpath
-func cmpStr(a, b string) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	}
-	return 0
-}
-
-// intFamilyVal widens an int/int32/int64 predicate constant to int64.
-func intFamilyVal(v any) (int64, bool) {
+// IntFamilyVal widens an int/int32/int64 predicate constant to int64,
+// the kernels' and the zone maps' cross-width int comparisons.
+func IntFamilyVal(v any) (int64, bool) {
 	switch t := v.(type) {
 	case int:
 		return int64(t), true
@@ -244,24 +219,24 @@ func intFamilyVal(v any) (int64, bool) {
 // dynCmp three-way-compares two boxed scalars of the same family; ok
 // is false when the types are incomparable (which matches nothing).
 func dynCmp(v, val any) (int, bool) {
-	if a, ok := intFamilyVal(v); ok {
-		if b, ok := intFamilyVal(val); ok {
-			return cmpI64(a, b), true
+	if a, ok := IntFamilyVal(v); ok {
+		if b, ok := IntFamilyVal(val); ok {
+			return cmp.Compare(a, b), true
 		}
 		return 0, false
 	}
 	switch a := v.(type) {
 	case uint64:
 		if b, ok := val.(uint64); ok {
-			return cmpU64(a, b), true
+			return cmp.Compare(a, b), true
 		}
 	case float64:
 		if b, ok := val.(float64); ok {
-			return cmpF64(a, b), true
+			return CmpF64(a, b), true
 		}
 	case string:
 		if b, ok := val.(string); ok {
-			return cmpStr(a, b), true
+			return cmp.Compare(a, b), true
 		}
 	}
 	return 0, false
