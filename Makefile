@@ -57,6 +57,7 @@ test:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 	$(GO) build -o bin/hdbload ./cmd/hdbload
 	./bin/hdbload -rate 200 -duration 1s -maxq 2 -queue 4 -memory 65536 -tenants 2 -seed 7
+	./bin/hdbload -rate 200 -duration 1s -maxq 2 -queue 4 -memory 65536 -tenants 2 -seed 7 -nodes 2
 
 # The test job's stress steps: the three tests that pin the races
 # between a consumer's pop, a cancelled context's hook and a query's

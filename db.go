@@ -5,9 +5,9 @@ package hierdb
 // query. This is the paper's execution model promoted to an
 // engine-as-a-service surface — load balances itself across concurrent
 // queries at execution time, not just within one. WithNodes adds the
-// paper's second level: several node-local pools over hash-partitioned
-// tables, with starving nodes acquiring remote probe queues (global
-// activation stealing, §3.2/§4).
+// paper's second level: several node-local pools, each scanning a
+// round-robin share of every table, with starving nodes acquiring remote
+// probe queues (global activation stealing, §3.2/§4).
 
 import (
 	"fmt"
@@ -29,10 +29,11 @@ type dbConfig struct {
 type Option func(*dbConfig)
 
 // WithNodes sets the number of SM-nodes of the paper's hierarchical
-// architecture: each node gets its own worker pool, tables are
-// hash-partitioned across nodes at registration, and a query executes
-// as per-node plan fragments with key-routed redistribution between
-// operators. 0 or 1 (the default) is the same engine with one node:
+// architecture: each node gets its own worker pool, a query executes as
+// per-node plan fragments with key-routed redistribution between
+// operators, and node i scans units i, i+n, i+2n, … of every table (a
+// table file's chunks, runs of up to WithMorsel rows of a resident
+// table). 0 or 1 (the default) is the same engine with one node:
 // one fragment per query, nothing routed, nothing to steal. Negative
 // values are rejected, reported by Run/Register-time validation.
 // See also WithStealing.
@@ -145,8 +146,8 @@ func WithOptimizer(m OptimizerMode) Option { return func(c *dbConfig) { c.optimi
 // all queries share the handle's DP worker pools, whose fair
 // cross-query scheduling keeps one heavy join from starving the others.
 // With WithNodes(n > 1) the handle is a hierarchical engine: n
-// node-local pools over hash-partitioned tables, queries fanned out as
-// node-local fragments, and a global stealing layer that rebalances
+// node-local pools, each scanning a round-robin share of every table,
+// queries fanned out as node-local fragments, and a global stealing layer that rebalances
 // probe work between nodes. Close releases the workers, aborting any
 // in-flight queries.
 type DB struct {
@@ -196,9 +197,8 @@ type TableSource struct {
 
 // FromTable sources Register from a resident in-memory relation. The
 // table's rows must not be mutated after registration: Register
-// columnizes and hash-partitions the rows across the DB's nodes, and
-// queries read the partitions — later appends would be silently
-// invisible to them.
+// columnizes the rows, and queries scan that columnization — a later
+// change to the rows may or may not be visible to them.
 func FromTable(t *Table) TableSource { return TableSource{table: t} }
 
 // FromFile sources Register from a chunked columnar table file on disk
@@ -213,8 +213,8 @@ func FromTable(t *Table) TableSource { return TableSource{table: t} }
 // rows are charged against the node budget while in flight, so joins
 // over files much larger than the budget spill exactly like their
 // in-memory counterparts. A chunk that has become unreadable fails the
-// query with ErrTableFile. On a multi-node DB, chunks are assigned to
-// node fragments positionally, mirroring FromTable's hash partitioning.
+// query with ErrTableFile. On a multi-node DB, node i scans chunks i,
+// i+n, i+2n, … — the rule FromTable's rows follow.
 // The file handle stays open until Close.
 func FromFile(path string) TableSource { return TableSource{path: path} }
 
@@ -279,10 +279,10 @@ func (db *DB) registerMemTable(t *Table) error {
 	}
 	db.tables[t.Name] = t
 	db.mu.Unlock()
-	// Columnize and hash-partition the table across the nodes now —
-	// outside db.mu, so a large registration does not stall concurrent
-	// queries — and the first query does not pay the declustering cost.
-	db.eng.Partition(t)
+	// Columnize the table now — outside db.mu, so a large registration
+	// does not stall concurrent queries — and the first query does not
+	// pay for it.
+	t.Columnar()
 	return nil
 }
 

@@ -19,9 +19,10 @@
 //     tables, and run fluently built queries (Scan/Join/GroupBy) that
 //     stream through Rows — all concurrent queries share the handle's
 //     worker pools, which balance load across them at execution time.
-//     WithNodes makes the handle hierarchical — several node-local pools
-//     over hash-partitioned tables, with the paper's global activation
-//     stealing (starving nodes acquire remote probe queues and cache the
+//     WithNodes makes the handle hierarchical — several node-local pools,
+//     node i scanning units i, i+n, i+2n, … of every table (round-robin
+//     declustering), with the paper's global activation stealing
+//     (starving nodes acquire remote probe queues and cache the
 //     hash-table buckets they ship) balancing load between nodes.
 //     WithMemory adds the paper's memory constraint: each node governs a
 //     byte budget, and hash joins whose build side exceeds it switch to

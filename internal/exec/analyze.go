@@ -43,7 +43,7 @@ func Analyze(t *Table) (*catalog.TableStats, error) {
 			bytes += analyzeBatch(b, counters, st.Cols)
 		}
 	} else {
-		b := columnize(t)
+		b := t.Columnar()
 		st.Rows = int64(b.N)
 		bytes = analyzeBatch(b, counters, st.Cols)
 	}

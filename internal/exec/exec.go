@@ -52,15 +52,14 @@ type Table struct {
 
 	// File, when non-nil, makes the table disk-backed: scans read its
 	// row-group chunks on demand (consulting per-chunk zone maps to skip
-	// chunks no predicate can match), and chunks are assigned to node
-	// fragments positionally, like the hash partitioning of resident rows.
+	// chunks no predicate can match); node i of n scans chunks i, i+n,
+	// i+2n, …, the rule resident rows follow too.
 	File *store.TableFile
 
-	// vcache caches the table's columnized form (see columnize). Tables
+	// vcache caches the table's columnized form (see Columnar). Tables
 	// are treated as immutable once queried; callers that do mutate Rows
-	// get a rebuilt cache on the next scan — unless the table went
-	// through Nodes.Partition, whose partitions are fixed for the
-	// engine's lifetime.
+	// get a rebuilt cache on the next query when the slice's length or
+	// first element moved.
 	vcache atomic.Pointer[tableVec]
 }
 

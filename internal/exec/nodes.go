@@ -2,10 +2,10 @@ package exec
 
 // The engine: the paper's hierarchical architecture on real data. A
 // Nodes engine owns n node-local worker pools — each the shared-memory
-// DP scheduler of pool.go — and hash-partitions every table across them;
-// a shared-memory machine is simply the hierarchy with one node. Every
-// query runs the same way: a coordinator (mquery) fans it out as one
-// plan fragment per node, scans read the node's partition, build/probe
+// DP scheduler of pool.go; a shared-memory machine is simply the
+// hierarchy with one node. Every query runs the same way: a coordinator
+// (mquery) fans it out as one plan fragment per node, node i scans units
+// i, i+n, i+2n, … of every table (startChain), build/probe
 // input batches are routed to the node owning their join key (global
 // bucket g = hash(key) mod nodes*Stripes, owner g mod nodes), and each
 // node schedules its fragment DP-style. The inter-node layer — starving
@@ -58,7 +58,6 @@ type Nodes struct {
 	admit *admitter // engine-wide admission controller; nil = unlimited
 
 	mu     sync.Mutex
-	parts  map[*Table][]*vec.Batch
 	live   map[*mquery]struct{}
 	nextID int64
 	closed bool
@@ -164,11 +163,7 @@ func newNodes(cfg EngineConfig) (*Nodes, error) {
 	if cfg.Stripes == 0 {
 		cfg.Stripes = 8 * cfg.Workers
 	}
-	ns := &Nodes{
-		cfg:   cfg,
-		parts: make(map[*Table][]*vec.Batch),
-		live:  make(map[*mquery]struct{}),
-	}
+	ns := &Nodes{cfg: cfg, live: make(map[*mquery]struct{})}
 	if cfg.MaxConcurrentQueries > 0 {
 		ns.admit = newAdmitter(cfg.MaxConcurrentQueries, cfg.AdmissionQueue)
 	}
@@ -185,78 +180,6 @@ func newNodes(cfg EngineConfig) (*Nodes, error) {
 // Config returns the engine's configuration, defaults filled.
 func (ns *Nodes) Config() EngineConfig { return ns.cfg }
 
-// Partition returns (computing and caching on first use) the engine's
-// hash partition of a table: n columnar views over the table's shared
-// columnization, row i assigned by a hash of its position, so
-// partitions are balanced regardless of key distribution. The table's
-// rows must not be mutated once partitioned. The cache lives for the
-// engine's lifetime — only registration-time tables (the DB catalog)
-// should go through Partition; query-time partitioning of other tables
-// uses partitionFor, which does not cache.
-func (ns *Nodes) Partition(t *Table) []*vec.Batch {
-	if t.File != nil {
-		// File-backed tables are never resident-partitioned: chunks are
-		// assigned to node fragments positionally at chain start.
-		return nil
-	}
-	ns.mu.Lock()
-	if p, ok := ns.parts[t]; ok {
-		ns.mu.Unlock()
-		return p
-	}
-	ns.mu.Unlock()
-	// Partition outside the engine mutex — a large table must not stall
-	// concurrent submits. Two racers compute twice; first store wins.
-	p := hashPartition(t, ns.cfg.Nodes)
-	ns.mu.Lock()
-	if prev, ok := ns.parts[t]; ok {
-		p = prev
-	} else {
-		ns.parts[t] = p
-	}
-	ns.mu.Unlock()
-	return p
-}
-
-// partitionFor is the query-time lookup: registered tables hit the
-// cache, transient ones are partitioned per query without caching (an
-// engine-lifetime cache keyed by *Table would otherwise grow without
-// bound for callers submitting plans over throwaway tables).
-func (ns *Nodes) partitionFor(t *Table) []*vec.Batch {
-	ns.mu.Lock()
-	if p, ok := ns.parts[t]; ok {
-		ns.mu.Unlock()
-		return p
-	}
-	ns.mu.Unlock()
-	return hashPartition(t, ns.cfg.Nodes)
-}
-
-// hashPartition builds n index views over the table's columnization —
-// no row is copied, each partition shares the table's column storage.
-// A single partition is the columnization itself, dense.
-func hashPartition(t *Table, n int) []*vec.Batch {
-	b := columnize(t)
-	if n == 1 {
-		return []*vec.Batch{b}
-	}
-	idx := make([][]int32, n)
-	per := b.N/n + 1
-	for d := range idx {
-		idx[d] = make([]int32, 0, per)
-	}
-	for i := 0; i < b.N; i++ {
-		d := int(mix64(uint64(i)) % uint64(n))
-		idx[d] = append(idx[d], int32(i))
-	}
-	var a vec.Arena
-	p := make([]*vec.Batch, n)
-	for d := range p {
-		p[d] = vec.Select(b, idx[d], &a)
-	}
-	return p
-}
-
 // Submit compiles and starts a query on the engine; gb, when non-nil,
 // folds a grouped aggregation over the plan's output (workers fold into
 // private partials, a merge activation per node merges its workers', the
@@ -265,9 +188,10 @@ func hashPartition(t *Table, n int) []*vec.Batch {
 // fairness: waiting Submits are dequeued round-robin across labels, FIFO
 // within one. The returned Handle's Next pops result batches; production
 // pauses while a bounded number of them wait unread, and no worker waits
-// on the consumer. The query executes as one fragment per node with
-// key-routed redistribution between operators; results are identical at
-// every node count (stream order aside). Cancelling ctx aborts the query,
+// on the consumer. The query executes as one fragment per node, each
+// scanning a round-robin share of every table's units, with key-routed
+// redistribution between operators; results are identical at every node
+// count (stream order aside). Cancelling ctx aborts the query,
 // and a cancel before the query completes always wins.
 func (ns *Nodes) Submit(ctx context.Context, root Node, gb *GroupBy, tenant string) (*Handle, error) {
 	if root == nil {
@@ -350,11 +274,6 @@ func (ns *Nodes) newQuery(ctx context.Context, phys *physical, gb *GroupBy) *Han
 	}}
 	mq := &h.mq
 	mq.ready.L = &mq.mu
-	for _, op := range phys.ops {
-		if op.kind == opScan && op.scan.Table.File == nil {
-			mq.ops[op.id].parts = ns.partitionFor(op.scan.Table)
-		}
-	}
 	mq.stats.PerWorker = make([]int64, n*workers)
 	mq.remaining.Store(int64(n))
 	mq.frags = mq.fragBuf[:0]
@@ -407,14 +326,12 @@ func (ns *Nodes) Close() {
 }
 
 // mop is the coordinator's per-operator state: pend counts queued plus
-// in-process activations across all nodes; parts is a resident-table
-// scan's per-node partition of its table.
+// in-process activations across all nodes.
 type mop struct {
 	pend    int64
 	prodEnd bool // no more input will arrive
 	closed  bool // closing activations queued (opFinished)
 	done    bool
-	parts   []*vec.Batch
 }
 
 // mquery coordinates one query: per-node fragments, global
@@ -494,14 +411,27 @@ func (mq *mquery) start() {
 	}
 }
 
-// startChain seeds every fragment's driver-scan morsels over its table
-// partition, allocates workers to the chain's operators in static mode,
-// and resets per-chain steal state. Returns true when the cascade
-// completed the whole query (all chains empty). Callers hold mq.mu.
+// startChain seeds every fragment's share of the driver scan, allocates
+// workers to the chain's operators in static mode, and resets per-chain
+// steal state. Returns true when the cascade completed the whole query
+// (all chains empty). Callers hold mq.mu.
+//
+// Every table is scanned in units, one activation each: a file's chunks
+// (decode cost, not row count, is the work unit), or runs of
+// size = min(Morsel, ⌈N/n⌉) of a resident table's N rows. Unit u is node
+// u mod n's — round-robin declustering, so each node scans within one
+// unit of its share whatever the data; on one node every unit is node
+// 0's.
 func (mq *mquery) startChain(c int) bool {
 	mq.chain = c
 	chain := mq.phys.chains[c]
 	driver := chain[0]
+	end, size := 0, 1 // unit u is [u*size, (u+1)*size) of [0,end)
+	if ft := driver.scan.Table.File; ft != nil {
+		end = ft.NumChunks()
+	} else if end = driver.src.N; end > 0 {
+		size = min(mq.nodes.cfg.Morsel, (end+mq.n-1)/mq.n)
+	}
 	total := 0
 	for i, fq := range mq.frags {
 		p := mq.nodes.pools[i]
@@ -513,28 +443,9 @@ func (mq *mquery) startChain(c int) bool {
 		}
 		if !fq.aborted {
 			or := fq.ops[driver.id]
-			if ft := driver.scan.Table.File; ft != nil {
-				// File-backed driver: one activation per chunk (the chunk
-				// is the morsel — decode cost, not row count, is the work
-				// unit), assigned to fragments positionally — mix64 of
-				// the chunk index, mirroring hashPartition's row rule —
-				// so every node streams a balanced share regardless of
-				// data distribution.
-				for ci := 0; ci < ft.NumChunks(); ci++ {
-					if int(mix64(uint64(ci))%uint64(mq.n)) != i {
-						continue
-					}
-					fq.enqueueLocked(or, &activation{op: driver, lo: ci, hi: ci + 1})
-					total++
-				}
-			} else {
-				part := mq.ops[driver.id].parts[i]
-				morsel := mq.nodes.cfg.Morsel
-				for lo := 0; lo < part.N; lo += morsel {
-					hi := min(lo+morsel, part.N)
-					fq.enqueueLocked(or, &activation{op: driver, lo: lo, hi: hi})
-					total++
-				}
+			for lo := i * size; lo < end; lo += mq.n * size {
+				fq.enqueueLocked(or, &activation{op: driver, lo: lo, hi: min(lo+size, end)})
+				total++
 			}
 			if fq.allowed != nil {
 				fq.assignStatic(chain)
@@ -721,15 +632,19 @@ func (mq *mquery) queueEach(op *pop, next func(fq *query) *activation) int {
 	return n
 }
 
-// completeFrags marks every fragment done and retires the idle ones
-// (fragments with an activation still in flight retire from their own
-// pools' worker loops). Called without locks after the last chain
-// completes.
-func (mq *mquery) completeFrags() {
+// completeFrags marks every fragment done once the last chain completes
+// and retires the idle ones. Called without locks.
+func (mq *mquery) completeFrags() { mq.retireEach(func(fq *query) { fq.done = true }) }
+
+// retireEach is the one retirement handshake: mark every fragment under
+// its pool mutex (done, or failed), retire the idle ones and wake their
+// workers. A fragment with an activation still in flight retires from its
+// own pool's worker loop. Called without locks.
+func (mq *mquery) retireEach(mark func(fq *query)) {
 	for i, fq := range mq.frags {
 		p := mq.nodes.pools[i]
 		p.mu.Lock()
-		fq.done = true
+		mark(fq)
 		fin := p.retireIfDoneLocked(fq)
 		p.cond.Broadcast()
 		p.mu.Unlock()
@@ -810,17 +725,7 @@ func (mq *mquery) fail(err error) {
 	mq.err = err
 	mq.out, mq.head = nil, 0
 	mq.mu.Unlock()
-	for i, fq := range mq.frags {
-		p := mq.nodes.pools[i]
-		p.mu.Lock()
-		fq.failLocked()
-		fin := p.retireIfDoneLocked(fq)
-		p.cond.Broadcast()
-		p.mu.Unlock()
-		if fin {
-			fq.finalize()
-		}
-	}
+	mq.retireEach((*query).failLocked)
 }
 
 // fragRetired records one fragment's retirement; the last one seals the

@@ -355,7 +355,7 @@ func leafReorderIssue(t *Table) string {
 		}
 		return ""
 	}
-	b := columnize(t)
+	b := t.Columnar()
 	if b.N > 0 && len(b.Cols) != len(t.Cols) {
 		return "rows wider than the declared schema"
 	}

@@ -42,6 +42,9 @@ type pop struct {
 	// kinds and a build's or probe's key column in its input's schema.
 	outKinds []vec.Kind
 	keyCol   int
+	// src is a resident scan's columnization, snapshotted with outKinds:
+	// the query reads rows [a.lo,a.hi) of it (nil for a file scan).
+	src *vec.Batch
 }
 
 type physical struct {
@@ -80,7 +83,7 @@ func (p *physical) expand(n Node) (*pop, error) {
 		op := p.newOp(opScan)
 		op.scan = v
 		op.est = v.estimate()
-		op.outKinds = scanKinds(v.Table)
+		op.outKinds, op.src = scanSchema(v.Table)
 		return op, nil
 	case *Join:
 		b, err := p.expand(v.Build)
@@ -536,12 +539,6 @@ func (q *query) finalize() {
 		q.broker.releaseAll(&q.lease)
 	}
 	q.mq.fragRetired()
-}
-
-// scanSrc is the columnar source of a resident-table scan operator:
-// this node's partition of the table.
-func (q *query) scanSrc(op *pop) *vec.Batch {
-	return q.mq.ops[op.id].parts[q.node]
 }
 
 // countOpRows attributes one processed activation's produced rows to

@@ -57,7 +57,7 @@ func unsealedFixture(t testing.TB, plan Node, gb *GroupBy, cfg EngineConfig) (q 
 		}
 	}
 	for _, chain := range phys.chains {
-		drive(&activation{op: chain[0], lo: 0, hi: q.scanSrc(chain[0]).N})
+		drive(&activation{op: chain[0], lo: 0, hi: chain[0].src.N})
 		if last := chain[len(chain)-1]; last.kind == opBuild && last != phys.root.partner {
 			q.process(&activation{op: last, closing: true}, 0)
 		}
@@ -194,7 +194,7 @@ func TestActivationsNameTheirBatch(t *testing.T) {
 	q, probes := probeFixture(t, widePlan(buildRows, probeRows, 2), nil, EngineConfig{Workers: 1, Batch: batch})
 	root := q.mq.phys.root
 	scanOp := q.mq.phys.chains[root.chain][0]
-	src, vs := q.scanSrc(scanOp), &q.vscratch[0]
+	src, vs := scanOp.src, &q.vscratch[0]
 	if len(probes) != (probeRows+batch-1)/batch {
 		t.Fatalf("%d probe activations for %d rows", len(probes), probeRows)
 	}
@@ -530,7 +530,7 @@ func TestEmptyRemoteBucketAcquiredOnce(t *testing.T) {
 	mq := &ns.newQuery(context.Background(), phys, nil).mq
 	owner, thief := mq.frags[0], mq.frags[1]
 	bo, vs := owner.ops[phys.root.partner.id], &thief.vscratch[0]
-	owner.process(&activation{op: bo.op, b: columnize(build), lo: 0, hi: len(build.Rows)}, 0)
+	owner.process(&activation{op: bo.op, b: build.Columnar(), lo: 0, hi: len(build.Rows)}, 0)
 	owner.process(&activation{op: bo.op, closing: true}, 0) // the seal the chain barrier queues
 
 	// price is the reference: the buckets rows [lo,hi) of the probe touch
@@ -547,7 +547,7 @@ func TestEmptyRemoteBucketAcquiredOnce(t *testing.T) {
 		return n, bytes
 	}
 	steal := func(lo, hi int) []*activation {
-		return []*activation{{op: phys.root, b: columnize(probe), lo: lo, hi: hi, dest: 0}}
+		return []*activation{{op: phys.root, b: probe.Columnar(), lo: lo, hi: hi, dest: 0}}
 	}
 	half := steal(0, probeRows/2)
 	rows := int64(probeRows/2) * nominalTupleBytes
@@ -783,8 +783,8 @@ func TestBuildSideAllocBound(t *testing.T) {
 func TestFragmentAllocsIndependentOfBuckets(t *testing.T) {
 	run := func(stripes int) (mallocs, bytes uint64) {
 		plan := widePlan(1, 1, 2)
-		columnize(plan.Build.(*Scan).Table)
-		columnize(plan.Probe.(*Scan).Table)
+		plan.Build.(*Scan).Table.Columnar()
+		plan.Probe.(*Scan).Table.Columnar()
 		var m0, m1 runtime.MemStats
 		runtime.ReadMemStats(&m0)
 		q, probes := probeFixture(t, plan, nil, EngineConfig{Workers: 1, Stripes: stripes})

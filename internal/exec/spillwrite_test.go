@@ -28,7 +28,7 @@ func spillWriteFixture(t testing.TB, rows int) (q *query, files []*spill.File, s
 		t.Fatal(err)
 	}
 	tb := tbl("w", rows, func(i int) any { return i }, func(i int) any { return fmt.Sprintf("v%d", i) })
-	return q, files, columnize(tb)
+	return q, files, tb.Columnar()
 }
 
 // partitionAll feeds src through spillBatch one Batch-row window at a

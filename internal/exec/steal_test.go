@@ -22,7 +22,7 @@ func keysOwnedBy(node, nodes, stripes, count int) []int {
 }
 
 // skewPlan builds a fact-dim join whose every key is owned by node 0:
-// scans stay balanced (tables are partitioned by row position), but all
+// scans stay balanced (units of rows are dealt round-robin), but all
 // build and probe activations route to node 0, starving the peers.
 func skewPlan(nodes, stripes, factRows, dimRows int) Node {
 	hot := keysOwnedBy(0, nodes, stripes, dimRows)
@@ -276,7 +276,7 @@ func TestProbeActivationsOwnedByDest(t *testing.T) {
 			// activation's rows are its dest's.
 			route := func(op *pop, tb *Table) (outs []*activation) {
 				q := mq.frags[0]
-				b := columnize(tb)
+				b := tb.Columnar()
 				q.emitBatch(op, b, 0, b.N, &outs, &q.vscratch[0], &q.varenas[0])
 				for _, a := range outs {
 					in := a.input(&vs)

@@ -63,23 +63,25 @@ func fnvString(s string) uint64 {
 // Operator schemas
 // ---------------------------------------------------------------------
 
-// scanKinds is a scan's output schema. A file-backed table's is its
-// footer's — exactly what a resident FromRows over the table would have
-// resolved; a resident table's is its columnization's, as wide as its
-// widest row; a table without rows is as wide as it declares (Cols).
-func scanKinds(t *Table) []vec.Kind {
+// scanSchema is a scan's output schema and, for a resident table, the
+// columnization it reads — one snapshot for both. A file-backed table's
+// schema is its footer's — exactly what a resident FromRows over the
+// table would have resolved; a resident table's is its columnization's,
+// as wide as its widest row; a table without rows is as wide as it
+// declares (Cols).
+func scanSchema(t *Table) ([]vec.Kind, *vec.Batch) {
 	if ft := t.File; ft != nil {
-		return append([]vec.Kind(nil), ft.Kinds()...)
+		return append([]vec.Kind(nil), ft.Kinds()...), nil
 	}
-	tb := columnize(t)
+	tb := t.Columnar()
 	if tb.N == 0 {
-		return make([]vec.Kind, len(t.Cols))
+		return make([]vec.Kind, len(t.Cols)), tb
 	}
 	kinds := make([]vec.Kind, len(tb.Cols))
 	for i := range tb.Cols {
 		kinds[i] = tb.Cols[i].Kind
 	}
-	return kinds
+	return kinds, tb
 }
 
 // joinKinds is a probe operator's output schema: the columns out lists
@@ -122,10 +124,12 @@ type tableVec struct {
 	b     *vec.Batch
 }
 
-// columnize returns the table's columnar form, cached on the table.
-// The cache is invalidated when the row slice changes identity or
-// length (tables are registered once and then immutable in practice).
-func columnize(t *Table) *vec.Batch {
+// Columnar returns the table's columnar form, cached on the table: the
+// columnization every resident scan reads its rows from (registration
+// warms it). The cache is invalidated when the row slice changes
+// identity or length (tables are registered once and then immutable in
+// practice).
+func (t *Table) Columnar() *vec.Batch {
 	var first *Row
 	if len(t.Rows) > 0 {
 		first = &t.Rows[0]
@@ -473,7 +477,7 @@ func (q *query) emitWindows(consumer *pop, b *vec.Batch, lo, hi, dest int, outs 
 //
 //hierdb:hotpath
 func (q *query) processScanVec(a *activation, w int) (outs []*activation, results *vec.Batch) {
-	return q.scanTail(a, q.scanSrc(a.op), a.lo, a.hi, a.op.scan.Preds, w)
+	return q.scanTail(a, a.op.src, a.lo, a.hi, a.op.scan.Preds, w)
 }
 
 // scanTail is the shared end of the resident and chunk-streamed scan

@@ -188,9 +188,8 @@ func TestTableFilePruningStats(t *testing.T) {
 }
 
 // TestTableFileMultiNode streams a file-backed table on a 4-node DB:
-// chunks are assigned positionally to node fragments, results must
-// match the in-memory hash-partitioned run, and the per-node stats
-// must sum to the query totals.
+// node i scans chunks i, i+4, …, results must match the resident run,
+// and the per-node stats must sum to the query totals.
 func TestTableFileMultiNode(t *testing.T) {
 	leaktest.Check(t, 2)
 	rows := storeRows(4000)
