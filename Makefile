@@ -47,6 +47,7 @@ test:
 	$(GO) test -run 'ZeroAlloc|Amortized|AllocBound|AllocBytesBound' -v ./internal/simtime/ ./internal/core/ ./internal/vec/ ./internal/exec/ .
 	$(GO) test -run '^$$' -fuzz FuzzJoinEquivalence -fuzztime 30s ./internal/difftest/
 	$(GO) test -run '^$$' -fuzz FuzzTableFileRoundTrip -fuzztime 30s ./internal/difftest/
+	$(GO) test -run '^$$' -fuzz FuzzApplyPred -fuzztime 30s ./internal/vec/
 	$(GO) build -o bin/hdbtable ./cmd/hdbtable
 	@rm -f /tmp/hdb-smoke.hdb; \
 	./bin/hdbtable write -o /tmp/hdb-smoke.hdb -chunk 64 -synth -seed 7 -nrel 3 -rel 0 && \
@@ -87,6 +88,7 @@ bench:
 	  $(GO) test -run '^$$' -bench 'BenchmarkFig6$$|BenchmarkEngineJoinDP$$|ConcurrentQueries|StreamingSink|MultiNodeSkew|SpillJoin|DiskScan|DiskJoinSpill|OptimizeOverhead' -benchtime 10x -benchmem .; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkAdmission|BenchmarkBrokerLease|BenchmarkSpillPartitionWrite|BenchmarkJoinProbeGather|BenchmarkJoinGroupFold|BenchmarkSealIndex' -benchmem ./internal/exec/; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkChunkDecodeSel|BenchmarkSpillFanout' -benchmem ./internal/spill/; \
+	  $(GO) test -run '^$$' -bench 'BenchmarkApplyPred' -benchtime 20000x -benchmem ./internal/vec/; \
 	} | tee $(BENCH_OUT)
 
 benchdiff: bench

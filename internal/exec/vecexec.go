@@ -499,10 +499,13 @@ func (q *query) scanTail(a *activation, src *vec.Batch, lo, hi int, preds []vec.
 		if cap(vs.sel) < b.N {
 			vs.sel = make([]int32, 0, b.N)
 		}
-		sel := vec.ApplyPreds(b, preds, nil, vs.sel[:0])
+		sel := vec.Ident(b.N) // a Filter alone reads every row in place, not a copy
+		if len(preds) > 0 {
+			sel = vec.ApplyPreds(b, preds, nil, vs.sel[:0])
+		}
 		if s.Filter != nil {
 			scratch := vs.rowScratch(len(b.Cols) + 1)
-			kept := sel[:0]
+			kept := vs.sel[:0]
 			for _, li := range sel {
 				if s.Filter(b.ReadRow(int(li), scratch)) {
 					kept = append(kept, li)

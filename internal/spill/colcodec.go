@@ -194,7 +194,7 @@ func (d *Decoder) narrow(buf []byte, rows int, preds []vec.Pred, last int) (sel 
 		d.sel = make([]int32, 0, rows)
 	}
 	d.starts = d.starts[:0]
-	sel, rest = vec.Ident(rows), buf
+	rest = buf // sel == nil: every row, until the first predicate narrows it
 	var skipped vec.Col
 	for ci := 0; ci <= last; ci++ {
 		if !predOn(preds, ci) {

@@ -13,7 +13,9 @@
 // compares the result with the runtime's box of the same value (==, the
 // reflect type, the type switch). A kind that fails — int32 on a
 // big-endian platform, whose value is not at the start of its int64
-// slot — keeps the copying box. This is the module's only use of unsafe.
+// slot — keeps the copying box. This file holds the module's only uses
+// of unsafe: boxing in place, and u64s, the uint64 view of an I64 mirror
+// that the predicate kernel compares through.
 package vec
 
 import (
@@ -147,4 +149,11 @@ func (c *Col) copyBox(pos int) any {
 		return c.Str[pos]
 	}
 	return nil
+}
+
+// u64s views an I64 mirror as the uint64 bit patterns a Uint64 column
+// stores in it, so the ordered predicate kernel compares them unsigned
+// in place. It aliases the mirror and is only read.
+func u64s(s []int64) []uint64 {
+	return unsafe.Slice((*uint64)(unsafe.Pointer(unsafe.SliceData(s))), len(s))
 }

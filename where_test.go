@@ -1,12 +1,17 @@
 package hierdb
 
 import (
+	"cmp"
 	"context"
+	"fmt"
+	"math"
+	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
 
 	"hierdb/internal/leaktest"
+	"hierdb/internal/store"
 )
 
 // TestWherePredicates covers the columnar scan-predicate surface: typed
@@ -130,6 +135,103 @@ func TestWherePredicates(t *testing.T) {
 		}
 	})
 
+	// Every operator on every column kind, through scan windows that
+	// start past row 0 (a resident table's morsels after the first) and
+	// through the chunk decoder (the same rows FromFile), at one and two
+	// nodes, against a row-at-a-time reference.
+	t.Run("WindowsAcrossMorsels", func(t *testing.T) {
+		const morsel = 1024
+		n := 3*morsel + 5
+		cols := []string{"i", "f", "u", "b", "s", "id"}
+		rows := make([]Row, n)
+		for r := range rows {
+			var i any = r%7 - 3
+			if r%5 == 0 {
+				i = nil
+			}
+			f := float64(r%13)/2 - 3
+			if r%11 == 0 {
+				f = math.NaN()
+			}
+			rows[r] = Row{i, f, uint64(r%9) << 60, r%3 == 0, fmt.Sprintf("s%02d", r%17), r}
+		}
+		path := filepath.Join(t.TempDir(), "w.hdb")
+		if err := store.WriteTable(path, cols, 64, rows); err != nil {
+			t.Fatal(err)
+		}
+		vals := [][]any{
+			{0, int64(-2), 3.0},
+			{0.5, math.NaN(), math.Copysign(0, -1), 2},
+			{uint64(4) << 60, uint64(1) << 63, 4},
+			{true, false},
+			{"s08", "", 8},
+		}
+		// A Filter closure alone walks each window with no selection;
+		// behind a predicate it walks the predicate's survivors.
+		odd := func(r Row) bool { return r[5].(int)%2 == 1 }
+		ge := Pred{Col: 0, Op: Ge, Val: 0}
+		var wantOdd, wantBoth []int
+		for _, r := range rows {
+			if odd(r) {
+				wantOdd = append(wantOdd, r[5].(int))
+				if refPredHolds(r[0], ge) {
+					wantBoth = append(wantBoth, r[5].(int))
+				}
+			}
+		}
+		for _, nodes := range []int{1, 2} {
+			db := Open(WithNodes(nodes), WithWorkers(2), WithMorsel(morsel))
+			t.Cleanup(func() { db.Close() })
+			if err := db.Register("mem", FromTable(&Table{Name: "mem", Cols: cols, Rows: rows})); err != nil {
+				t.Fatal(err)
+			}
+			if err := db.Register("file", FromFile(path)); err != nil {
+				t.Fatal(err)
+			}
+			for _, table := range []string{"mem", "file"} {
+				for _, c := range []struct {
+					q    *Query
+					want []int
+				}{
+					{db.Scan(table).Filter(odd), wantOdd},
+					{db.Scan(table).Where(ge).Filter(odd), wantBoth},
+				} {
+					var got []int
+					for _, r := range collect(t, c.q) {
+						got = append(got, r[5].(int))
+					}
+					slices.Sort(got)
+					if !slices.Equal(got, c.want) {
+						t.Fatalf("%d nodes, %s, Filter: %d rows, want %d", nodes, table, len(got), len(c.want))
+					}
+				}
+			}
+			for col, cvals := range vals {
+				for op := Eq; op <= NotNull; op++ {
+					for _, v := range cvals {
+						p := Pred{Col: col, Op: op, Val: v}
+						var want []int
+						for _, r := range rows {
+							if refPredHolds(r[col], p) {
+								want = append(want, r[5].(int))
+							}
+						}
+						for _, table := range []string{"mem", "file"} {
+							var got []int
+							for _, r := range collect(t, db.Scan(table).Where(p)) {
+								got = append(got, r[5].(int))
+							}
+							slices.Sort(got)
+							if !slices.Equal(got, want) {
+								t.Fatalf("%d nodes, %s, %s %v %v: %d rows, want %d", nodes, table, cols[col], p.Op, v, len(got), len(want))
+							}
+						}
+					}
+				}
+			}
+		}
+	})
+
 	t.Run("WhereWithoutScan", func(t *testing.T) {
 		q := db.Scan("t").Join(db.Scan("t"), KeyCol(0), KeyCol(0)).Where(Pred{Col: 0, Op: Eq, Val: 1})
 		if _, _, err := q.Collect(context.Background()); err == nil ||
@@ -137,4 +239,77 @@ func TestWherePredicates(t *testing.T) {
 			t.Fatalf("Where after Join reported %v", err)
 		}
 	})
+}
+
+// refPredHolds is Pred's documented semantics one value at a time: a
+// null satisfies only IsNull, a constant outside the value's type family
+// matches nothing, bools compare Eq/Ne only, and a NaN on either side
+// of a float comparison compares equal.
+func refPredHolds(v any, p Pred) bool {
+	switch p.Op {
+	case IsNull:
+		return v == nil
+	case NotNull:
+		return v != nil
+	}
+	var c int
+	switch x := v.(type) {
+	case int:
+		var w int64
+		switch y := p.Val.(type) {
+		case int:
+			w = int64(y)
+		case int32:
+			w = int64(y)
+		case int64:
+			w = y
+		default:
+			return false
+		}
+		c = cmp.Compare(int64(x), w)
+	case uint64:
+		w, ok := p.Val.(uint64)
+		if !ok {
+			return false
+		}
+		c = cmp.Compare(x, w)
+	case float64:
+		w, ok := p.Val.(float64)
+		if !ok {
+			return false
+		}
+		switch {
+		case x < w:
+			c = -1
+		case x > w:
+			c = 1
+		}
+	case string:
+		w, ok := p.Val.(string)
+		if !ok {
+			return false
+		}
+		c = cmp.Compare(x, w)
+	case bool:
+		w, ok := p.Val.(bool)
+		if !ok || (p.Op != Eq && p.Op != Ne) {
+			return false
+		}
+		return (x == w) == (p.Op == Eq)
+	default:
+		return false
+	}
+	switch p.Op {
+	case Eq:
+		return c == 0
+	case Ne:
+		return c != 0
+	case Lt:
+		return c < 0
+	case Le:
+		return c <= 0
+	case Gt:
+		return c > 0
+	}
+	return c >= 0 // Ge
 }
