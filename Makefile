@@ -48,6 +48,7 @@ test:
 	$(GO) test -run '^$$' -fuzz FuzzJoinEquivalence -fuzztime 30s ./internal/difftest/
 	$(GO) test -run '^$$' -fuzz FuzzTableFileRoundTrip -fuzztime 30s ./internal/difftest/
 	$(GO) test -run '^$$' -fuzz FuzzApplyPred -fuzztime 30s ./internal/vec/
+	$(GO) test -run '^$$' -fuzz FuzzProbeMatch -fuzztime 30s ./internal/exec/
 	$(GO) build -o bin/hdbtable ./cmd/hdbtable
 	@rm -f /tmp/hdb-smoke.hdb; \
 	./bin/hdbtable write -o /tmp/hdb-smoke.hdb -chunk 64 -synth -seed 7 -nrel 3 -rel 0 && \

@@ -7,6 +7,11 @@ package exec
 // table as it is produced (foldGroups: a root probe's match pairs go in
 // directly, no output batch in between, no synchronization on the hot
 // path), and the partials merge in one activation per node at the end.
+// The fold runs a tile of a few matches at a time: the tile's groups are
+// resolved, its Arg rows are filled column-major by vec's boxing kernel,
+// one call per column, and only then do the Arg closures run — so the
+// per-match work is the group's own and the closures', not a row built
+// value by value.
 
 import (
 	"fmt"
@@ -146,13 +151,17 @@ type groupFold struct {
 // For a root probe they are the match pairs in the worker's scratch —
 // row probeRows[j] of the probe batch b beside row bpos[j] of the sealed
 // build store, seen through the join's Out list; for a root scan (store
-// == nil), b's own rows. Arg closures see a reused scratch row filled
-// from the two sides in place (like ReadRow's, it ends at the first
-// Absent). When the group key is a build column the group is resolved
-// once per build row, not once per match: the slots hold the group of
-// each store position until the store changes (a thief folds an owner's
-// store, a spill phase loads the next partition). A store with more
-// than four rows per pair folded is looked up per match instead — a
+// == nil), b's own rows. The rows fold a tile at a time (tileLen): the
+// tile's groups are resolved, then — when some aggregate has an Arg — the
+// tile's argument rows are filled column-major in the worker's row block,
+// one boxing call per output column (a probe column through its Idx at
+// the tile's probe rows, a store column at its store positions), trimmed
+// at their first Absent when a column is Any, and the Arg closures run on
+// them in match order. When the group key is a build column the group is
+// resolved once per build row, not once per match: the slots hold the
+// group of each store position until the store changes (a thief folds an
+// owner's store, a spill phase loads the next partition). A store with
+// more than four rows per pair folded is looked up per match instead — a
 // reset never costs more than the fold it serves — and under a memory
 // budget the slots last one activation: governGroupPartial may spill the
 // partial they point into, and they would pin an ended phase's store.
@@ -162,8 +171,9 @@ func (q *query) foldGroups(op *pop, w int, b, store *vec.Batch) int {
 	gb := q.mq.gb
 	vs, gf := &q.vscratch[w], &q.partials[w]
 	n, pw := b.N, len(b.Cols)
+	prs, bps := vec.Ident(n), []int32(nil) // a root scan's rows are b's own
 	if store != nil {
-		n = len(vs.probeRows)
+		n, prs, bps = len(vs.probeRows), vs.probeRows, vs.bpos
 	}
 	if gf.src == nil {
 		// Output column i is column src[i] of probe ++ build: Out, or all.
@@ -186,45 +196,56 @@ func (q *query) foldGroups(op *pop, w int, b, store *vec.Batch) int {
 	} else {
 		keyCol = &b.Cols[src[gb.Key]]
 	}
-	needRow := false
+	needRow, ragged := false, false
 	for _, a := range gb.Aggs {
 		needRow = needRow || a.Func != Count
 	}
-	scratch := vs.rowScratch(len(src))
-	for j := 0; j < n; j++ {
-		pr, bp := j, 0
+	for _, c := range src {
+		if c < pw {
+			ragged = ragged || b.Cols[c].Kind == vec.Any
+		} else {
+			ragged = ragged || store.Cols[c-pw].Kind == vec.Any
+		}
+	}
+	width := len(src)
+	var gs [tileMax]*groupState
+	for lo, tile := 0, tileLen(width); lo < n; lo += tile {
+		hi := min(lo+tile, n)
+		pr := prs[lo:hi]
+		var bp []int32
 		if store != nil {
-			pr, bp = int(vs.probeRows[j]), int(vs.bpos[j])
+			bp = bps[lo:hi]
 		}
-		var g *groupState
-		if !keyBuild {
-			g = groupAt(gf.m, gb.Aggs, keyCol, keyCol.Pos(pr))
-		} else if !slotted {
-			g = groupAt(gf.m, gb.Aggs, keyCol, bp)
-		} else if g = gf.slots[bp]; g == nil {
-			g = groupAt(gf.m, gb.Aggs, keyCol, bp)
-			gf.slots[bp] = g
+		for j := range pr {
+			var g *groupState
+			if !keyBuild {
+				g = groupAt(gf.m, gb.Aggs, keyCol, keyCol.Pos(int(pr[j])))
+			} else if !slotted {
+				g = groupAt(gf.m, gb.Aggs, keyCol, int(bp[j]))
+			} else if g = gf.slots[bp[j]]; g == nil {
+				g = groupAt(gf.m, gb.Aggs, keyCol, int(bp[j]))
+				gf.slots[bp[j]] = g
+			}
+			g.n++
+			gs[j] = g
 		}
-		g.n++
 		if !needRow {
 			continue
 		}
-		row := scratch[:0]
-		for _, c := range src {
-			var v any
+		block := vs.tileRows(len(pr), width)
+		for i, c := range src {
 			if c < pw {
-				v = b.Cols[c].Value(b.Cols[c].Pos(pr))
+				b.Cols[c].BoxRows(block[i:], width, pr)
 			} else {
-				v = store.Cols[c-pw].Value(bp)
+				store.Cols[c-pw].BoxRows(block[i:], width, bp) // a sealed store is dense
 			}
-			if vec.IsAbsent(v) {
-				break
-			}
-			row = append(row, v)
 		}
-		for i, a := range gb.Aggs {
-			if a.Func != Count {
-				g.add(a.Func, i, a.Arg(row))
+		for j, g := range gs[:len(pr)] {
+			row := tileRow(block, j, width, ragged)
+			for i, a := range gb.Aggs {
+				if a.Func != Count {
+					g.add(a.Func, i, a.Arg(row))
+				}
 			}
 		}
 	}

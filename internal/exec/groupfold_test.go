@@ -296,3 +296,165 @@ func BenchmarkJoinGroupFold(b *testing.B) {
 		})
 	}
 }
+
+// argF reads a numeric Arg value of the tile fixture: an int or a
+// float64.
+func argF(v any) float64 {
+	if i, ok := v.(int); ok {
+		return float64(i)
+	}
+	return v.(float64)
+}
+
+// TestGroupFoldTileBoundaries: foldGroups fills its Arg rows a tile at a
+// time, column-major, and must fold what a row-at-a-time fold of the
+// same pairs folds — each row built value by value and ended at its
+// first Absent — for 1, tile−1, tile, tile+1 and 3·tile+5 matches; with
+// the group key a probe column, a build column resolved through the
+// slots and one looked up per match; over a ragged probe whose short
+// rows straddle the first tile edge; for a root scan's own rows; and
+// governed, where the slots last one fold. Arg closures read the first
+// and the last column of the row they are given. Each case folds its
+// pairs twice, so slots kept from the first fold serve the second.
+func TestGroupFoldTileBoundaries(t *testing.T) {
+	const factRows = 64
+	tile := tileLen(6) // fact (k, v, w) ++ dim (k, g, x)
+	for _, tc := range []struct {
+		name     string
+		key      int // group key column of the joined row
+		dimRows  int // 4: slotted at any count; 200: looked up per match
+		ragged   bool
+		scan     bool // a root scan of fact, no join
+		governed bool
+	}{
+		{name: "probe-key", key: 1, dimRows: 200},
+		{name: "build-key-slotted", key: 4, dimRows: 4},
+		{name: "build-key-unslotted", key: 4, dimRows: 200},
+		{name: "ragged", key: 1, dimRows: 4, ragged: true},
+		{name: "root-scan", key: 1, scan: true},
+		{name: "root-scan-ragged", key: 0, scan: true, ragged: true},
+		{name: "governed-slotted", key: 4, dimRows: 4, governed: true},
+		{name: "governed-probe-key", key: 1, dimRows: 200, governed: true},
+	} {
+		fact := &Table{Name: "fact", Cols: []string{"k", "v", "w"}}
+		for i := 0; i < factRows; i++ {
+			row := Row{i % 4, i, float64(i) / 4}
+			if tc.ragged && i >= tile-2 && i < tile+3 {
+				row = row[:2] // rows tile-2 .. tile+2 end before w
+			}
+			fact.Rows = append(fact.Rows, row)
+		}
+		dim := &Table{Name: "dim", Cols: []string{"k", "g", "x"}}
+		for i := 0; i < tc.dimRows; i++ {
+			dim.Rows = append(dim.Rows, Row{i % 4, fmt.Sprintf("g%d", i%5), float64(i) - 3})
+		}
+		gb := &GroupBy{Key: tc.key, Aggs: []Aggregation{{Func: Count},
+			{Func: Sum, Arg: func(r Row) float64 { return argF(r[0]) }},
+			{Func: Max, Arg: func(r Row) float64 { return argF(r[len(r)-1]) }},
+			{Func: Min, Arg: func(r Row) float64 { return argF(r[len(r)-1]) + argF(r[0]) }}}}
+		cfg := EngineConfig{Workers: 1, Batch: 1024}
+		if tc.governed {
+			cfg.MemoryPerNode, cfg.SpillDir = 1<<20, t.TempDir()
+		}
+		for _, m := range []int{1, tile - 1, tile, tile + 1, 3*tile + 5} {
+			var q *query
+			var root *pop
+			var b, store *vec.Batch
+			if tc.scan {
+				phys, err := compile(&Scan{Table: fact})
+				if err != nil {
+					t.Fatal(err)
+				}
+				q, root = newNodesT(t, cfg).newQuery(context.Background(), phys, gb).mq.frags[0], phys.root
+				b = window(fact.Columnar(), 0, m)
+			} else {
+				var probes []*activation
+				q, probes = probeFixture(t, &Join{Build: &Scan{Table: dim}, Probe: &Scan{Table: fact}}, gb, cfg)
+				root = q.mq.phys.root
+				b, store = probes[0].input(&q.vscratch[0]), q.ops[root.partner.id].side.store
+			}
+			vs := &q.vscratch[0]
+			var want []Row
+			for pass := 0; pass < 2; pass++ {
+				vs.probeRows, vs.bpos = vs.probeRows[:0], vs.bpos[:0]
+				for j := 0; j < m; j++ {
+					pr, bp := j, 0
+					if store != nil {
+						pr, bp = j, j*3%tc.dimRows
+						vs.probeRows, vs.bpos = append(vs.probeRows, int32(pr)), append(vs.bpos, int32(bp))
+					}
+					// The row-at-a-time row: value by value, ended at the first Absent.
+					var row Row
+					for ci := 0; ci < len(b.Cols); ci++ {
+						row = append(row, b.Cols[ci].Value(b.Cols[ci].Pos(pr)))
+					}
+					if store != nil {
+						for ci := range store.Cols {
+							row = append(row, store.Cols[ci].Value(bp))
+						}
+					}
+					for e, v := range row {
+						if vec.IsAbsent(v) {
+							row = row[:e]
+							break
+						}
+					}
+					want = append(want, row)
+				}
+				if n := q.foldGroups(root, 0, b, store); n != m {
+					t.Fatalf("%s, %d matches: %d folded", tc.name, m, n)
+				}
+			}
+			if tc.governed {
+				defer q.releaseSpill()
+				if q.partials[0].store != nil {
+					t.Fatalf("%s: a governed fold kept its slots", tc.name)
+				}
+			}
+			if got, w := fmt.Sprint(groupsToRows(q.partials[0].m, gb)), fmt.Sprint(refGroupBy(want, gb)); got != w {
+				t.Fatalf("%s, %d matches (tile %d):\n got %s\nwant %s", tc.name, m, tile, got, w)
+			}
+		}
+	}
+}
+
+// TestProbeFoldZeroAlloc is the batch probe-and-fold alloc gate (run by
+// CI): a warm root-probe activation under a group-by — matchAll's typed
+// loop, then the tiled fold filling Arg rows from both sides — makes no
+// allocation, with the group key a probe column and a build column,
+// over resident columns (Box words copied) and boxless ones (boxed in
+// place over the mirrors).
+func TestProbeFoldZeroAlloc(t *testing.T) {
+	for _, key := range []int{0, 3} {
+		for _, boxless := range []bool{false, true} {
+			plan := fanPlan(1, 8, 200, 2, 4096, nil)
+			if boxless {
+				for _, side := range []*Scan{plan.Build.(*Scan), plan.Probe.(*Scan)} {
+					cols := side.Table.Columnar().Cols
+					for ci := range cols {
+						if cols[ci].Kind != vec.Any {
+							cols[ci].Box = nil
+						}
+					}
+				}
+			}
+			gb := &GroupBy{Key: key, Aggs: []Aggregation{{Func: Count},
+				{Func: Sum, Arg: func(r Row) float64 { return float64(r[1].(int)) + r[len(r)-1].(float64) }}}}
+			q, probes := probeFixture(t, plan, gb, EngineConfig{Workers: 1, Batch: 1024})
+			for _, a := range probes { // create every group, grow the scratch
+				q.processProbeVec(a, 0)
+			}
+			i := 0
+			allocs := testing.AllocsPerRun(50, func() {
+				q.processProbeVec(probes[i%len(probes)], 0)
+				i++
+			})
+			if allocs != 0 {
+				t.Fatalf("key column %d, boxless %v: %.1f allocations per warm probe activation, want 0", key, boxless, allocs)
+			}
+			if got, want := q.opRows[q.mq.phys.root.id], int64(2*(len(probes)+i)*1024); got != want {
+				t.Fatalf("key column %d, boxless %v: %d matches folded, want %d", key, boxless, got, want)
+			}
+		}
+	}
+}

@@ -350,9 +350,7 @@ func matches(bs *buildSide, boxless bool, keys ...any) [][]int32 {
 	var vs vecScratch
 	hs := keyHashes(pb, 0, &vs)
 	out := make([][]int32, len(keys))
-	for i := range keys {
-		bs.match(&vs, kc, i, hs[i])
-	}
+	bs.matchAll(&vs, kc, hs)
 	for j, pr := range vs.probeRows {
 		out[pr] = append(out[pr], vs.bpos[j])
 	}

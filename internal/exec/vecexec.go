@@ -4,15 +4,19 @@ package exec
 // Scans carve windows from columnized tables and evaluate predicates
 // as per-column loops, builds append whole batches to the worker's own
 // columnar part — nothing is hashed or indexed while the build runs —
-// and probes hash the probe key column and walk one chained hash
-// index. A join's output is a pair of selections: at the chain barrier
+// and probes hash the probe key column and walk one chained hash index
+// a batch at a time: one typed loop over the two key mirrors per probe
+// batch (matchAll), its kind, index and null bitmaps resolved once. A
+// join's output is a pair of selections: at the chain barrier
 // one activation per node seals the build side (opRun.seal) — the parts'
 // rows move into one dense store and one pass over its key column fills
 // the index — and an output batch is the probe batch's columns under a
 // composed selection next to the sealed store's columns under one
 // shared position vector — no build value is copied per match. All row
-// materialization funnels through vec's AppendRows/ReadRow boundary,
-// and column values are read typed or through Col.Value, never
+// materialization funnels through vec's one boxing kernel — AppendRows
+// and ReadRow at the sink, Col.BoxRows for the row tiles a Filter or an
+// aggregate's Arg reads, a few rows at a time, filled a column at a
+// time — and column values are read typed or through Col.Value, never
 // Box[pos]: batches decoded from table files and spill partitions are
 // boxless (see internal/vec), and a value read from them is boxed in
 // place over its mirror slot — no allocation at the sink or a build
@@ -151,7 +155,7 @@ func (t *Table) Columnar() *vec.Batch {
 type vecScratch struct {
 	hs        []uint64 // key hashes per logical row
 	sel       []int32  // predicate/filter survivors
-	row       Row      // ReadRow scratch (filters, aggregates)
+	block     []any    // row tile: a few rows filled column-major (tileRows)
 	probeRows []int32  // probe match: logical probe row per match
 	bpos      []int32  // probe match: position in the sealed build store
 	perDest   [][]int32
@@ -166,11 +170,57 @@ func (vs *vecScratch) hashes(n int) []uint64 {
 	return vs.hs
 }
 
-func (vs *vecScratch) rowScratch(w int) Row {
-	if cap(vs.row) < w {
-		vs.row = make(Row, w)
+// Row tiles: a closure that reads rows — a scan's Filter, an aggregate's
+// Arg — is fed a tile at a time. The tile's rows are filled column-major,
+// one vec boxing call per column (Col.BoxRows), into a block of the
+// worker's scratch that holds at most tileWords values (1 KiB) — up to
+// tileMax rows, fewer when rows are wide, one when a row alone is wider.
+const (
+	tileMax   = 8
+	tileWords = 64
+)
+
+// tileLen is the number of rows of width w a tile holds.
+func tileLen(w int) int { return max(1, min(tileMax, tileWords/max(w, 1))) }
+
+// tileRows returns the worker's row block for k rows of width w: row j is
+// block[j*w : (j+1)*w]. Its previous contents are left to be overwritten.
+//
+//hierdb:hotpath
+func (vs *vecScratch) tileRows(k, w int) []any {
+	if cap(vs.block) < k*w {
+		vs.block = make([]any, tileLen(w)*w)
 	}
-	return vs.row[:0]
+	return vs.block[:k*w]
+}
+
+// tileRow is row j of a filled block of width-w rows, capped at its end
+// so a closure's append cannot run into the next row. A ragged row — only
+// possible when some column is Any — ends at its first Absent, as ReadRow
+// ends it.
+//
+//hierdb:hotpath
+func tileRow(block []any, j, w int, ragged bool) Row {
+	row := block[j*w : (j+1)*w : (j+1)*w]
+	if ragged {
+		for e, v := range row {
+			if vec.IsAbsent(v) {
+				return row[:e:e]
+			}
+		}
+	}
+	return row
+}
+
+// anyKind reports whether some column of b is Any — the only kind that
+// can hold a ragged row's Absent padding.
+func anyKind(cols []vec.Col) bool {
+	for ci := range cols {
+		if cols[ci].Kind == vec.Any {
+			return true
+		}
+	}
+	return false
 }
 
 // dests returns n empty routing lists (rows per node or spill partition)
@@ -253,7 +303,7 @@ func hashKeys(c *vec.Col, lo int, hs []uint64) {
 // slot(keyHash64(key)), the hash every router computes anyway, and a
 // chain ascends — the order rows arrived in within their part.
 // Equality is decided on the store's columns, under the kind the two key
-// columns share (match); the boxed == it falls back to is the
+// columns share (matchAll); the boxed == it falls back to (match) is the
 // semantic reference: int 1 is not int64 1, NaN equals nothing, 0.0
 // equals -0.0, null meets null. A spill partition's store (memgov.go) is
 // sealed the same way. Immutable once built, so a thief shares it.
@@ -298,7 +348,7 @@ func sealStore(store *vec.Batch, keyCol int, buckets, nodes int) (*buildSide, er
 		hs := chunk[:hi-lo]
 		hashKeys(&store.Cols[keyCol], lo, hs)
 		for p := hi - 1; p >= lo; p-- {
-			s := bs.slot(hs[p-lo])
+			s := slot(hs[p-lo], len(bs.heads))
 			bs.next[p] = bs.heads[s]
 			bs.heads[s] = int32(p + 1)
 		}
@@ -311,54 +361,112 @@ func sealStore(store *vec.Batch, keyCol int, buckets, nodes int) (*buildSide, er
 	return bs, nil
 }
 
-// slot maps a key hash to its chain. Rows that reach one node (or one
-// spill partition) agree in the residue that routed them there, so the
-// hash is remixed — Fibonacci hashing — and range-reduced by its high
-// bits rather than masked by its low ones.
+// slot maps a key hash to its chain among n slots. Rows that reach one
+// node (or one spill partition) agree in the residue that routed them
+// there, so the hash is remixed — Fibonacci hashing — and range-reduced
+// by its high bits rather than masked by its low ones.
 //
 //hierdb:hotpath
-func (bs *buildSide) slot(h uint64) int {
-	hi, _ := bits.Mul64(h*0x9e3779b97f4a7c15, uint64(len(bs.heads)))
+func slot(h uint64, n int) int {
+	hi, _ := bits.Mul64(h*0x9e3779b97f4a7c15, uint64(n))
 	return int(hi)
 }
 
-// match walks the chain of logical row i of probe key column kc, whose
-// key hashes to h, and records one (probe row, store position) pair in
-// the worker's scratch per store row with the same key. Keys compare
-// under the kind both key columns are of, else — kind Any — by Go's ==
-// on the boxed values.
+// matchAll matches every logical row of probe key column kc, whose keys
+// hash to hs, against the side, and records one (probe row, store
+// position) pair in the worker's scratch per store row with the same
+// key: row by row, and within a row in chain order — ascending store
+// positions — so the pairs come out in the order the output keeps. When
+// both key columns are of one typed kind the batch runs one typed loop
+// (matchKeys) over the two mirrors, with the kind, the probe column's
+// index and the null bitmaps resolved once per call; Any keys, and two
+// different typed kinds — which meet at null only — take match, row by
+// row.
+//
+//hierdb:hotpath
+func (bs *buildSide) matchAll(vs *vecScratch, kc *vec.Col, hs []uint64) {
+	sc := &bs.store.Cols[bs.keyCol]
+	idx := kc.Idx
+	if idx == nil {
+		idx = vec.Ident(len(hs))
+	}
+	switch {
+	case kc.Kind != sc.Kind || kc.Kind == vec.Any:
+		for i := range hs {
+			bs.match(vs, kc, i, hs[i])
+		}
+	case kc.Kind.IntFamily():
+		matchKeys(bs, vs, kc.I64, sc.I64, idx, kc.Null, sc.Null, hs)
+	case kc.Kind == vec.Float64:
+		matchKeys(bs, vs, kc.F64, sc.F64, idx, kc.Null, sc.Null, hs)
+	case kc.Kind == vec.Bool:
+		matchKeys(bs, vs, kc.B, sc.B, idx, kc.Null, sc.Null, hs)
+	default:
+		matchKeys(bs, vs, kc.Str, sc.Str, idx, kc.Null, sc.Null, hs)
+	}
+}
+
+// matchKeys is matchAll's typed loop: probe row i's key is probe[idx[i]],
+// store position p's is store[p], and keys are equal under Go's == on the
+// kind — which is what the boxed == says of two values of one kind (NaN
+// equals nothing, 0.0 equals -0.0). Without null bitmaps a chain step is
+// one compare; with either, the null-aware shape keeps the rule that null
+// meets null and nothing else (a null's mirror slot holds the zero value,
+// which must not meet a stored zero).
+//
+//hierdb:hotpath
+func matchKeys[T int64 | float64 | string | bool](bs *buildSide, vs *vecScratch, probe, store []T, idx []int32, pnull, snull []uint64, hs []uint64) {
+	prs, bps := vs.probeRows, vs.bpos
+	heads, next := bs.heads, bs.next
+	if pnull == nil && snull == nil {
+		for i, h := range hs {
+			x := probe[idx[i]]
+			for p := heads[slot(h, len(heads))]; p != 0; p = next[p-1] {
+				if store[p-1] == x {
+					prs = append(prs, int32(i))
+					bps = append(bps, p-1)
+				}
+			}
+		}
+	} else {
+		for i, h := range hs {
+			pos := idx[i]
+			x, null := probe[pos], bitSet(pnull, int(pos))
+			for p := heads[slot(h, len(heads))]; p != 0; p = next[p-1] {
+				sp := p - 1
+				if sn := bitSet(snull, int(sp)); null == sn && (null || store[sp] == x) {
+					prs = append(prs, int32(i))
+					bps = append(bps, sp)
+				}
+			}
+		}
+	}
+	vs.probeRows, vs.bpos = prs, bps
+}
+
+// bitSet reports whether bit pos of a null bitmap is set; a nil bitmap
+// has none.
+//
+//hierdb:hotpath
+func bitSet(bm []uint64, pos int) bool {
+	return bm != nil && bm[pos>>6]&(1<<(uint(pos)&63)) != 0
+}
+
+// match is matchAll's row-at-a-time path for the key pairs its typed
+// loop does not take — an Any column on either side, or two different
+// typed kinds: it walks the chain of logical row i of kc, whose key
+// hashes to h, and records a pair per store row whose key is == to row
+// i's, boxed. The boxed == is the semantic reference the typed loop
+// keeps: int 1 is not int64 1, and a null (nil) meets a null only.
 //
 //hierdb:hotpath
 func (bs *buildSide) match(vs *vecScratch, kc *vec.Col, i int, h uint64) {
-	pos := kc.Pos(i)
-	null := kc.NullAt(pos)
+	v := kc.Value(kc.Pos(i))
 	sc := &bs.store.Cols[bs.keyCol]
-	kind := vec.Any
-	if sc.Kind == kc.Kind {
-		kind = sc.Kind
-	} else if sc.Kind != vec.Any && kc.Kind != vec.Any && !null {
-		return // two different typed kinds: only null meets null
-	}
-	for p := bs.heads[bs.slot(h)]; p != 0; p = bs.next[p-1] {
-		sp := int(p - 1)
-		var eq bool
-		switch snull := sc.NullAt(sp); {
-		case null || snull:
-			eq = null && snull
-		case kind == vec.Any:
-			eq = kc.Value(pos) == sc.Box[sp] // a store keeps its Box
-		case kind == vec.String:
-			eq = kc.Str[pos] == sc.Str[sp]
-		case kind == vec.Float64:
-			eq = kc.F64[pos] == sc.F64[sp]
-		case kind == vec.Bool:
-			eq = kc.B[pos] == sc.B[sp]
-		default: // the int family
-			eq = kc.I64[pos] == sc.I64[sp]
-		}
-		if eq {
+	for p := bs.heads[slot(h, len(bs.heads))]; p != 0; p = bs.next[p-1] {
+		if sc.Value(int(p-1)) == v {
 			vs.probeRows = append(vs.probeRows, int32(i))
-			vs.bpos = append(vs.bpos, int32(sp))
+			vs.bpos = append(vs.bpos, p-1)
 		}
 	}
 }
@@ -504,14 +612,7 @@ func (q *query) scanTail(a *activation, src *vec.Batch, lo, hi int, preds []vec.
 			sel = vec.ApplyPreds(b, preds, nil, vs.sel[:0])
 		}
 		if s.Filter != nil {
-			scratch := vs.rowScratch(len(b.Cols) + 1)
-			kept := vs.sel[:0]
-			for _, li := range sel {
-				if s.Filter(b.ReadRow(int(li), scratch)) {
-					kept = append(kept, li)
-				}
-			}
-			sel = kept
+			sel = filterRows(b, sel, s.Filter, vs)
 		}
 		vs.sel = sel[:0]
 		if len(sel) == 0 {
@@ -530,6 +631,31 @@ func (q *query) scanTail(a *activation, src *vec.Batch, lo, hi int, preds []vec.
 		return nil, nil
 	}
 	return nil, window(src, lo, hi) // a result outlives the activation: a header of its own
+}
+
+// filterRows keeps the logical rows sel of b that filter accepts, written
+// over the worker's selection scratch (behind the read cursor when sel is
+// that scratch). The rows reach the closure a tile at a time: each tile is
+// filled column-major by one boxing call per column, then the closure
+// runs on each of its rows, in sel's order.
+//
+//hierdb:hotpath
+func filterRows(b *vec.Batch, sel []int32, filter func(Row) bool, vs *vecScratch) []int32 {
+	w, ragged := len(b.Cols), anyKind(b.Cols)
+	kept := vs.sel[:0]
+	for lo, tile := 0, tileLen(w); lo < len(sel); lo += tile {
+		rows := sel[lo:min(lo+tile, len(sel))]
+		block := vs.tileRows(len(rows), w)
+		for ci := range b.Cols {
+			b.Cols[ci].BoxRows(block[ci:], w, rows)
+		}
+		for j, li := range rows {
+			if filter(tileRow(block, j, w, ragged)) {
+				kept = append(kept, li)
+			}
+		}
+	}
+	return kept
 }
 
 // processBuild appends one routed batch to the worker's own part of the
@@ -598,9 +724,7 @@ func (q *query) probe(a *activation, b *vec.Batch, side *buildSide, w int) (outs
 	kc := &b.Cols[a.op.keyCol]
 	vs.probeRows = vs.probeRows[:0]
 	vs.bpos = vs.bpos[:0]
-	for i := range hs {
-		side.match(vs, kc, i, hs[i])
-	}
+	side.matchAll(vs, kc, hs)
 	if len(vs.probeRows) == 0 {
 		return nil, nil
 	}

@@ -14,8 +14,10 @@
 // reflect type, the type switch). A kind that fails — int32 on a
 // big-endian platform, whose value is not at the start of its int64
 // slot — keeps the copying box. This file holds the module's only uses
-// of unsafe: boxing in place, and u64s, the uint64 view of an I64 mirror
-// that the predicate kernel compares through.
+// of unsafe: boxing in place — one value (boxAt) or many, a column at a
+// time (boxInto, the boxing kernel every materialization runs) — and
+// u64s, the uint64 view of an I64 mirror that the predicate kernel
+// compares through.
 package vec
 
 import (
@@ -85,6 +87,124 @@ func (c *Col) boxAt(pos int) any {
 	return c.copyBox(pos)
 }
 
+// boxInto is the column-to-row boxing kernel, the one loop every
+// materialization of many values runs (AppendRows, FillBox, an
+// Appender's Box, BoxRows): it writes k values to dst[0], dst[stride],
+// dst[2*stride]…, value j being the one at storage position idx[sel[j]]
+// — a nil sel or idx is the identity. A column with a Box copies its
+// words; a boxless one is boxed in place over its mirror, nil at its
+// null bits. Whether the column has a Box, its type word, its mirror,
+// the index shape and the null bitmap are resolved once per call; what
+// is left per value is one position load and one interface store, and
+// a null bitmap costs one pass over the k values afterwards. Nothing is
+// allocated. A kind that failed its init self-check boxes by copy,
+// value by value.
+//
+//hierdb:hotpath
+func (c *Col) boxInto(dst []any, stride int, idx, sel []int32, k int) {
+	t := typeWords[c.Kind]
+	switch {
+	case c.Box != nil:
+		if idx == nil && sel == nil && stride == 1 {
+			copy(dst[:k], c.Box[:k])
+			return
+		}
+		copyWords(dst, stride, c.Box, idx, sel, k)
+		return
+	case t == nil:
+		for j := range k {
+			dst[j*stride] = c.boxAt(posOf(idx, sel, j))
+		}
+		return
+	case c.Kind.IntFamily():
+		boxSlots(dst, stride, t, c.I64, idx, sel, k)
+	case c.Kind == Float64:
+		boxSlots(dst, stride, t, c.F64, idx, sel, k)
+	case c.Kind == Bool:
+		boxSlots(dst, stride, t, c.B, idx, sel, k)
+	default:
+		boxSlots(dst, stride, t, c.Str, idx, sel, k)
+	}
+	if null := c.Null; null != nil {
+		for j := range k {
+			if pos := posOf(idx, sel, j); null[pos>>6]&(1<<(uint(pos)&63)) != 0 {
+				dst[j*stride] = nil
+			}
+		}
+	}
+}
+
+// copyWords is boxInto's loop over a Box, one per index shape:
+// dst[j*stride] gets the word pair stored for value j.
+//
+//hierdb:hotpath
+func copyWords(dst []any, stride int, box []any, idx, sel []int32, k int) {
+	switch {
+	case sel == nil && idx == nil:
+		for j, v := range box[:k] {
+			dst[j*stride] = v
+		}
+	case sel == nil:
+		for j, pos := range idx[:k] {
+			dst[j*stride] = box[pos]
+		}
+	case idx == nil:
+		for j, pos := range sel[:k] {
+			dst[j*stride] = box[pos]
+		}
+	default:
+		for j, li := range sel[:k] {
+			dst[j*stride] = box[idx[li]]
+		}
+	}
+}
+
+// boxSlots is boxInto's loop over a typed mirror, one per index shape:
+// dst[j*stride] gets the in-place box of type word t over value j's slot
+// in data.
+//
+//hierdb:hotpath
+func boxSlots[T int64 | float64 | string | bool](dst []any, stride int, t unsafe.Pointer, data []T, idx, sel []int32, k int) {
+	switch {
+	case sel == nil && idx == nil:
+		for j := range data[:k] {
+			dst[j*stride] = slotBox(t, unsafe.Pointer(&data[j]))
+		}
+	case sel == nil:
+		for j, pos := range idx[:k] {
+			dst[j*stride] = slotBox(t, unsafe.Pointer(&data[pos]))
+		}
+	case idx == nil:
+		for j, pos := range sel[:k] {
+			dst[j*stride] = slotBox(t, unsafe.Pointer(&data[pos]))
+		}
+	default:
+		for j, li := range sel[:k] {
+			dst[j*stride] = slotBox(t, unsafe.Pointer(&data[idx[li]]))
+		}
+	}
+}
+
+// slotBox is the interface of type word t whose data word is p.
+//
+//hierdb:hotpath
+func slotBox(t, p unsafe.Pointer) any {
+	return *(*any)(unsafe.Pointer(&eface{t, p}))
+}
+
+// posOf is the storage position of value j of boxInto's call.
+//
+//hierdb:hotpath
+func posOf(idx, sel []int32, j int) int {
+	if sel != nil {
+		j = int(sel[j])
+	}
+	if idx != nil {
+		j = int(idx[j])
+	}
+	return j
+}
+
 // boxIn returns the interface of type word t over the mirror slot of
 // storage position pos.
 //
@@ -101,7 +221,7 @@ func (c *Col) boxIn(t unsafe.Pointer, pos int) any {
 	default:
 		p = unsafe.Pointer(&c.Str[pos])
 	}
-	return *(*any)(unsafe.Pointer(&eface{t, p}))
+	return slotBox(t, p)
 }
 
 // Detach returns v boxed on its own — the runtime's box of a copy, which

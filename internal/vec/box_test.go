@@ -183,6 +183,77 @@ func TestBoxInPlaceZeroAlloc(t *testing.T) {
 	rowsEq(t, store.AppendRows(nil, new(Arena)), rows)
 }
 
+// TestBoxRowsMatchesValue is the boxing kernel's contract: for every
+// kind — boxless, in place or by copy, with its Box, and an Any column
+// holding nulls and Absent — through no index, a window past position 0
+// or a permutation, for every row and a repeating subset, at strides 1
+// and 3, BoxRows writes at dst[j*stride] exactly the value Value reads
+// at the row's storage position, and nothing between.
+func TestBoxRowsMatchesValue(t *testing.T) {
+	cases := boxCases()
+	cases[Any] = []any{1, nil, "x", Absent, 2.5, nil, Absent}
+	for k, vals := range cases {
+		for _, mode := range []string{"boxless", "copy", "box"} {
+			if mode != "box" && k == Any {
+				continue
+			}
+			t.Run(fmt.Sprint(k, "/", mode), func(t *testing.T) {
+				if mode == "copy" {
+					withCopyBox(t, k)
+				}
+				rows := make([]Row, len(vals))
+				for i, v := range vals {
+					rows[i] = Row{v}
+				}
+				c := FromRows(rows).Cols[0]
+				if c.Kind != k {
+					t.Fatalf("%v values columnize as %v", k, c.Kind)
+				}
+				if mode != "box" {
+					c.Box = nil
+				}
+				boxRowsAsValue(t, &c)
+			})
+		}
+	}
+}
+
+// boxRowsAsValue checks BoxRows against Value on c through every index
+// and selection shape, at strides 1 and 3.
+func boxRowsAsValue(t *testing.T, c *Col) {
+	t.Helper()
+	n := c.Len()
+	perm := make([]int32, n)
+	for i := range perm {
+		perm[i] = int32((i*5 + 3) % n)
+	}
+	for _, idx := range [][]int32{nil, Ident(n)[1:], perm} {
+		c.Idx = idx
+		m := n
+		if idx != nil {
+			m = len(idx)
+		}
+		for _, rows := range [][]int32{Ident(m), {int32(m - 1), 0, int32(m / 2), 0}} {
+			for _, stride := range []int{1, 3} {
+				dst := make([]any, len(rows)*stride+1)
+				for i := range dst {
+					dst[i] = "untouched"
+				}
+				c.BoxRows(dst, stride, rows)
+				for i, got := range dst {
+					want := any("untouched")
+					if j := i / stride; i%stride == 0 && j < len(rows) {
+						want = c.Value(c.Pos(int(rows[j])))
+					}
+					if fmt.Sprintf("%T %v", got, got) != fmt.Sprintf("%T %v", want, want) {
+						t.Fatalf("idx %v, rows %v, stride %d: dst[%d] = %T %v, want %T %v", idx, rows, stride, i, got, got, want, want)
+					}
+				}
+			}
+		}
+	}
+}
+
 // withCopyBox forces kind k onto the copying fallback for the rest of
 // the test — the seam that exercises what a platform failing the init
 // self-check runs.

@@ -211,22 +211,17 @@ func (c *Col) Value(pos int) any {
 	return c.boxAt(pos)
 }
 
-// boxInto boxes k values of a boxless column into dst[0], dst[stride],
-// dst[2*stride]...: value j is the one at storage position idx[sel[j]],
-// where a nil sel or idx is the identity.
+// BoxRows boxes the values of logical rows rows into dst[0],
+// dst[stride], dst[2*stride]…, through the column's Idx — boxInto's
+// exported form, for a caller filling rows column-major (an aggregate's
+// or a filter's argument rows): the Box's words when the column has
+// one, else boxed in place over the mirror, nil at null bits, Absent
+// where a ragged row ends. Nothing is allocated; a value of a boxless
+// column keeps its mirror alive for as long as it is held.
 //
 //hierdb:hotpath
-func (c *Col) boxInto(dst []any, stride int, idx, sel []int32, k int) {
-	for j := 0; j < k; j++ {
-		pos := j
-		if sel != nil {
-			pos = int(sel[j])
-		}
-		if idx != nil {
-			pos = int(idx[pos])
-		}
-		dst[j*stride] = c.boxAt(pos)
-	}
+func (c *Col) BoxRows(dst []any, stride int, rows []int32) {
+	c.boxInto(dst, stride, c.Idx, rows, len(rows))
 }
 
 // FillBox gives a boxless column its Box, boxing every storage
@@ -237,9 +232,9 @@ func (c *Col) FillBox() {
 	if c.Box != nil {
 		return
 	}
-	n := c.Len()
-	c.Box = make([]any, n)
-	c.boxInto(c.Box, 1, nil, nil, n)
+	box := make([]any, c.Len())
+	c.boxInto(box, 1, nil, nil, len(box))
+	c.Box = box
 }
 
 // Batch is a set of equal-length column vectors. Columns may carry
@@ -416,19 +411,7 @@ func (b *Batch) AppendRows(dst []Row, a *Arena) []Row {
 	flat := a.Anys(b.N * w)
 	for ci := range b.Cols {
 		c := &b.Cols[ci]
-		box := c.Box
-		if box == nil {
-			c.boxInto(flat[ci:], w, c.Idx, nil, b.N)
-		} else if c.Idx == nil {
-			for i := 0; i < b.N; i++ {
-				flat[i*w+ci] = box[i]
-			}
-		} else {
-			idx := c.Idx
-			for i := 0; i < b.N; i++ {
-				flat[i*w+ci] = box[idx[i]]
-			}
-		}
+		c.boxInto(flat[ci:], w, c.Idx, nil, b.N)
 	}
 	for i := 0; i < b.N; i++ {
 		row := flat[i*w : (i+1)*w : (i+1)*w]
@@ -649,23 +632,11 @@ func (ap *Appender) appendCol(dst *Col, ci int, src *Col, sel []int32, k int) {
 		}
 		ap.degrade(dst)
 	}
-	// Box always fills: boxed in place over a boxless source's mirror,
-	// copied words otherwise.
-	if src.Box == nil {
-		at := len(dst.Box)
-		dst.Box = append(dst.Box, make([]any, k)...)
-		src.boxInto(dst.Box[at:], 1, src.Idx, sel, k)
-	} else if sel == nil && src.Idx == nil {
-		dst.Box = append(dst.Box, src.Box...)
-	} else if sel == nil {
-		for _, pos := range src.Idx {
-			dst.Box = append(dst.Box, src.Box[pos])
-		}
-	} else {
-		for _, li := range sel {
-			dst.Box = append(dst.Box, src.Box[src.Pos(int(li))])
-		}
-	}
+	// Box always fills: copied words, or boxed in place over a boxless
+	// source's mirror.
+	at := len(dst.Box)
+	dst.Box = append(dst.Box, make([]any, k)...)
+	src.boxInto(dst.Box[at:], 1, src.Idx, sel, k)
 	if dst.Kind == Any {
 		return
 	}

@@ -232,6 +232,56 @@ func TestWherePredicates(t *testing.T) {
 		}
 	})
 
+	t.Run("FilterRaggedRows", func(t *testing.T) {
+		// Rows one to four values wide, the width changing every row, so
+		// the Filter's row tiles hold rows of every width and their Absent
+		// padding crosses every tile edge; across morsel windows, on one
+		// node and two, alone and behind a predicate. The closure keeps a
+		// row only if it sees exactly the row stored: its width, its last
+		// value, and every third row refused.
+		const morsel = 1024
+		n := 3*morsel + 5
+		rows := make([]Row, n)
+		for i := range rows {
+			var last any = i * 10
+			if i%7 == 0 {
+				last = nil
+			}
+			rows[i] = Row{i, fmt.Sprintf("s%d", i), float64(i) / 2, last}[:1+i%4]
+		}
+		seen := func(r Row) bool {
+			i := r[0].(int)
+			want := rows[i]
+			return len(r) == len(want) && r[len(r)-1] == want[len(want)-1] && i%3 != 0
+		}
+		for _, nodes := range []int{1, 2} {
+			db := Open(WithNodes(nodes), WithWorkers(2), WithMorsel(morsel))
+			t.Cleanup(func() { db.Close() })
+			if err := db.Register("ragged", FromTable(&Table{Name: "ragged", Rows: rows})); err != nil {
+				t.Fatal(err)
+			}
+			for _, c := range []struct {
+				q    *Query
+				from int
+			}{
+				{db.Scan("ragged").Filter(seen), 0},
+				{db.Scan("ragged").Where(Pred{Col: 0, Op: Ge, Val: 100}).Filter(seen), 100},
+			} {
+				got := collect(t, c.q)
+				slices.SortFunc(got, func(a, b Row) int { return cmp.Compare(a[0].(int), b[0].(int)) })
+				var want []Row
+				for i := c.from; i < n; i++ {
+					if i%3 != 0 {
+						want = append(want, rows[i])
+					}
+				}
+				if fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Fatalf("%d nodes, from row %d: %d rows kept, want %d", nodes, c.from, len(got), len(want))
+				}
+			}
+		}
+	})
+
 	t.Run("WhereWithoutScan", func(t *testing.T) {
 		q := db.Scan("t").Join(db.Scan("t"), KeyCol(0), KeyCol(0)).Where(Pred{Col: 0, Op: Eq, Val: 1})
 		if _, _, err := q.Collect(context.Background()); err == nil ||
