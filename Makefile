@@ -63,11 +63,13 @@ test:
 
 # The test job's stress steps: the three tests that pin the races
 # between a consumer's pop, a cancelled context's hook and a query's
-# retirement, 300 times — a 1 % flake shows up about 95 % of the time;
-# then, 10 times under -race, the tests that pin the cross-node reads of
-# a sealed build side the chain barrier orders.
+# retirement, and the build-presize bound that must not depend on which
+# workers the build batches reach, 300 times — a 1 % flake shows up
+# about 95 % of the time; then, 10 times under -race, the tests that pin
+# the cross-node reads of a sealed build side the chain barrier orders.
 stress:
 	$(GO) test -count 300 -run 'TestUnreadQueriesAddNoGoroutines|TestFinishedGroupByFreesSlotUnread|TestUndrainedGroupByDoesNotWedgePool' ./internal/exec
+	$(GO) test -count 300 -run 'TestBuildPresizeBoundedUnderHugeHint$$' .
 	$(GO) test -race -count 10 -run 'TestBuildSidesSealedAtBarrier|TestStolenOutputsReferenceOwnerStore|TestEmptyRemoteBucketAcquiredOnce|TestCancelDuringSeal|TestMultiNodeEmptyInputs' ./internal/exec
 
 # bench/ is a module of its own (replace hierdb => ../), so the root

@@ -3,15 +3,17 @@ package exec
 // Aggregation on top of the join pipeline: the decision-support queries
 // that motivate the paper (§1, data-warehouse workloads) end in a group-by
 // over the join result. Aggregation runs as parallel partial aggregation:
-// each pool worker folds the root operator's output into a private hash
-// table as it is produced (foldGroups: a root probe's match pairs go in
+// each pool worker folds the root operator's output into a private
+// partial as it is produced (foldGroups: a root probe's match pairs go in
 // directly, no output batch in between, no synchronization on the hot
 // path), and the partials merge in one activation per node at the end.
-// The fold runs a tile of a few matches at a time: the tile's groups are
-// resolved, its Arg rows are filled column-major by vec's boxing kernel,
-// one call per column, and only then do the Arg closures run — so the
-// per-match work is the group's own and the closures', not a row built
-// value by value.
+// A partial has one format, a groupTable of key, count and aggregate
+// columns, whose batch view is what a partial spills, merges and leaves
+// in. The fold runs a tile of a few matches at a time: the tile's groups
+// are resolved, its Arg rows are filled column-major by vec's boxing
+// kernel, one call per column, and only then do the Arg closures run —
+// so the per-match work is the group's own and the closures', not a row
+// built value by value.
 
 import (
 	"fmt"
@@ -67,54 +69,145 @@ type GroupBy struct {
 	Aggs []Aggregation
 }
 
-type groupState struct {
-	key  any
-	vals []float64
-	n    int64
+// groupTable is one group-by partial — a worker's, a node's, the
+// query's — as columns: group g has key keys[g], count n[g] and the
+// running value of aggregate i in vals[i][g] (0 for a Count); index maps
+// a key to its id. Its one other form is batch().
+type groupTable struct {
+	aggs  []Aggregation
+	index map[any]int32
+	keys  []any
+	n     []int64
+	vals  [][]float64
 }
 
-// groupAt returns the state of the group keyed by the value at storage
-// position pos of c, creating it in m at every aggregate's identity (Min
-// and Max start from the infinities, so any first value replaces them).
-// The lookup allocates nothing; a new group's key is detached from the
-// column, so the table and the result rows pin no batch storage.
+func newGroupTable(aggs []Aggregation) *groupTable {
+	return &groupTable{aggs: aggs, index: make(map[any]int32), vals: make([][]float64, len(aggs))}
+}
+
+// group returns the id of the group keyed v, creating it when v is new.
+// The lookup allocates nothing. A new group's key is detached from the
+// column v was read from, so the table pins no batch storage, and a
+// float64 zero is stored as +0: ±0 are one key (keyHash64 folds them
+// alike), and the group prints 0 whichever sign its first row had.
 //
 //hierdb:hotpath
-func groupAt(m map[any]*groupState, aggs []Aggregation, c *vec.Col, pos int) *groupState {
-	g := m[c.Value(pos)]
-	if g == nil {
-		g = &groupState{key: vec.Detach(c.Value(pos)), vals: make([]float64, len(aggs))}
-		for i, a := range aggs {
-			switch a.Func {
-			case Min:
-				g.vals[i] = math.Inf(1)
-			case Max:
-				g.vals[i] = math.Inf(-1)
-			}
-		}
-		m[g.key] = g
+func (t *groupTable) group(v any) int32 {
+	if g, ok := t.index[v]; ok {
+		return g
+	}
+	if f, ok := v.(float64); ok {
+		return t.insert(f + 0) //hierdb:ignore hotpath a new group's key is boxed once; -0 + 0 is +0
+	}
+	return t.insert(vec.Detach(v))
+}
+
+// aggIdentity is each function's starting value: Min and Max start from
+// the infinities, so any first value replaces them.
+var aggIdentity = [...]float64{Min: math.Inf(1), Max: math.Inf(-1)}
+
+// insert appends the group keyed key, an owned value, at every
+// aggregate's identity.
+func (t *groupTable) insert(key any) int32 {
+	g := int32(len(t.keys))
+	t.index[key] = g
+	t.keys, t.n = append(t.keys, key), append(t.n, 0)
+	for i, a := range t.aggs {
+		t.vals[i] = append(t.vals[i], aggIdentity[a.Func])
 	}
 	return g
 }
 
-// add folds v into the group's running value of aggregate i — the one
+// fold folds v into group g's running value of aggregate i — the one
 // statement of what each function does. A partial's value folds in the
-// same way (a sum of sums), so the merges use it too; Count lives in n.
+// same way (a sum of sums), so merge uses it too; Count lives in n.
 //
 //hierdb:hotpath
-func (g *groupState) add(f AggFunc, i int, v float64) {
-	switch f {
+func (t *groupTable) fold(i int, g int32, v float64) {
+	p := &t.vals[i][g]
+	switch t.aggs[i].Func {
 	case Sum:
-		g.vals[i] += v
+		*p += v
 	case Min:
-		if v < g.vals[i] {
-			g.vals[i] = v
+		if v < *p {
+			*p = v
 		}
 	case Max:
-		if v > g.vals[i] {
-			g.vals[i] = v
+		if v > *p {
+			*p = v
 		}
 	}
+}
+
+// batch views the table, without a copy, as the batch [key (Any),
+// n (Int64), val0, val1, ... (Float64)] — the form a partial spills in,
+// merges in and leaves in. Valid until the table next changes.
+func (t *groupTable) batch() *vec.Batch {
+	cols := []vec.Col{{Kind: vec.Any, Box: t.keys}, {Kind: vec.Int64, I64: t.n}}
+	for _, v := range t.vals {
+		cols = append(cols, vec.Col{Kind: vec.Float64, F64: v})
+	}
+	return &vec.Batch{Cols: cols, N: len(t.keys)}
+}
+
+// merge folds partial b — another table's batch(), or one read back from
+// a spill — into t: the one merge, of a peer worker's partial, a spilled
+// partial and a peer node's alike. A partial's keys are detached and
+// their zeros folded already, so a group new to t adopts its key as is.
+func (t *groupTable) merge(b *vec.Batch) {
+	for r, k := range b.Cols[0].Box[:b.N] {
+		g, ok := t.index[k]
+		if !ok {
+			g = t.insert(k)
+		}
+		t.n[g] += b.Cols[1].I64[r]
+		for i := range t.aggs {
+			t.fold(i, g, b.Cols[2+i].F64[r])
+		}
+	}
+}
+
+// result orders the groups and returns them as output batches [key,
+// agg0, agg1, ...] of at most size rows: windows, through one index of
+// sorted group ids, over the table's own columns, which must not change
+// afterwards. The order is by formatted key, each key formatted once;
+// keys that print alike (1, int64(1) and "1" in an Any column are three
+// groups) by their Go type; then by count and aggregate values.
+func (t *groupTable) result(size int) []*vec.Batch {
+	ids, str := make([]int32, len(t.keys)), make([]string, len(t.keys))
+	for g, k := range t.keys {
+		ids[g], str[g] = int32(g), fmt.Sprint(k)
+	}
+	sort.Slice(ids, func(i, j int) bool {
+		a, b := ids[i], ids[j]
+		if str[a] != str[b] {
+			return str[a] < str[b]
+		}
+		if ta, tb := fmt.Sprintf("%T", t.keys[a]), fmt.Sprintf("%T", t.keys[b]); ta != tb {
+			return ta < tb
+		}
+		if t.n[a] != t.n[b] {
+			return t.n[a] < t.n[b]
+		}
+		for _, v := range t.vals {
+			if v[a] != v[b] {
+				return v[a] < v[b]
+			}
+		}
+		return false
+	})
+	part := t.batch()
+	out := &vec.Batch{Cols: []vec.Col{part.Cols[0]}, N: len(ids)}
+	for i, a := range t.aggs {
+		out.Cols = append(out.Cols, part.Cols[2+i])
+		if a.Func == Count {
+			out.Cols[1+i] = part.Cols[1]
+		}
+	}
+	for ci := range out.Cols {
+		out.Cols[ci].Idx = ids
+	}
+	return windows(out, size)
 }
 
 // validateGroupBy checks a group-by description against the width of
@@ -133,17 +226,17 @@ func validateGroupBy(gb *GroupBy, width int) error {
 
 // groupFold is one worker's state of a group-by query: its private
 // partial; foldGroups' scratch — the source of each root output column
-// (filled on first use) and, by position, the groups resolved so far for
-// the rows of sealed build store store (nil = not yet); and, governed,
-// the partial's spill file and the bytes and groups charged for it.
+// (filled on first use) and, by position, the ids plus one of the groups
+// resolved so far for the rows of sealed build store store (0 = not
+// yet); and, governed, the partial's spill file and the bytes charged
+// for its groups.
 type groupFold struct {
-	m       map[any]*groupState
+	t       *groupTable
 	src     []int
 	store   *vec.Batch
-	slots   []*groupState
+	slots   []int32
 	file    *spill.File
 	charged int64
-	groups  int
 }
 
 // foldGroups folds the root operator's output into worker w's private
@@ -191,7 +284,7 @@ func (q *query) foldGroups(op *pop, w int, b, store *vec.Batch) int {
 		keyCol = &store.Cols[src[gb.Key]-pw]
 		if slotted = store.N <= 4*n; slotted && gf.store != store {
 			gf.store = store
-			gf.slots = append(gf.slots[:0], make([]*groupState, store.N)...)
+			gf.slots = append(gf.slots[:0], make([]int32, store.N)...)
 		}
 	} else {
 		keyCol = &b.Cols[src[gb.Key]]
@@ -208,7 +301,8 @@ func (q *query) foldGroups(op *pop, w int, b, store *vec.Batch) int {
 		}
 	}
 	width := len(src)
-	var gs [tileMax]*groupState
+	t := gf.t
+	var gs [tileMax]int32
 	for lo, tile := 0, tileLen(width); lo < n; lo += tile {
 		hi := min(lo+tile, n)
 		pr := prs[lo:hi]
@@ -217,16 +311,16 @@ func (q *query) foldGroups(op *pop, w int, b, store *vec.Batch) int {
 			bp = bps[lo:hi]
 		}
 		for j := range pr {
-			var g *groupState
+			var g int32
 			if !keyBuild {
-				g = groupAt(gf.m, gb.Aggs, keyCol, keyCol.Pos(int(pr[j])))
+				g = t.group(keyCol.Value(keyCol.Pos(int(pr[j]))))
 			} else if !slotted {
-				g = groupAt(gf.m, gb.Aggs, keyCol, int(bp[j]))
-			} else if g = gf.slots[bp[j]]; g == nil {
-				g = groupAt(gf.m, gb.Aggs, keyCol, int(bp[j]))
-				gf.slots[bp[j]] = g
+				g = t.group(keyCol.Value(int(bp[j])))
+			} else if g = gf.slots[bp[j]] - 1; g < 0 {
+				g = t.group(keyCol.Value(int(bp[j])))
+				gf.slots[bp[j]] = g + 1
 			}
-			g.n++
+			t.n[g]++
 			gs[j] = g
 		}
 		if !needRow {
@@ -244,7 +338,7 @@ func (q *query) foldGroups(op *pop, w int, b, store *vec.Batch) int {
 			row := tileRow(block, j, width, ragged)
 			for i, a := range gb.Aggs {
 				if a.Func != Count {
-					g.add(a.Func, i, a.Arg(row))
+					t.fold(i, g, a.Arg(row))
 				}
 			}
 		}
@@ -256,99 +350,4 @@ func (q *query) foldGroups(op *pop, w int, b, store *vec.Batch) int {
 		}
 	}
 	return n
-}
-
-// mergeGroups folds partial aggregation state src into dst, adopting the
-// states of groups dst has not seen (src is dead afterwards). Every
-// query uses it at two levels: per node over the node's worker partials,
-// then, in the last node's merge activation, over the per-node results.
-func mergeGroups(dst, src map[any]*groupState, gb *GroupBy) {
-	for k, g := range src {
-		t := dst[k]
-		if t == nil {
-			dst[k] = g
-			continue
-		}
-		t.n += g.n
-		for i, a := range gb.Aggs {
-			t.add(a.Func, i, g.vals[i])
-		}
-	}
-}
-
-// groupSpillRows renders a partial's group states as spill rows
-// [key, n, val0, val1, ...] — the disk form of a memory-governed
-// partial that outgrew its budget.
-func groupSpillRows(m map[any]*groupState, gb *GroupBy) []Row {
-	out := make([]Row, 0, len(m))
-	for _, g := range m {
-		row := make(Row, 0, 2+len(gb.Aggs))
-		row = append(row, g.key, g.n)
-		for _, v := range g.vals {
-			row = append(row, v)
-		}
-		out = append(out, row)
-	}
-	return out
-}
-
-// mergeSpilledGroups folds one decoded spill batch (groupSpillRows
-// form: any-kind key column, int64 counts, one float64 column per
-// aggregate) back into a merged partial, combining with the same
-// semantics as mergeGroups.
-func mergeSpilledGroups(m map[any]*groupState, gb *GroupBy, b *vec.Batch) {
-	keys, counts, vals := &b.Cols[0], b.Cols[1].I64, b.Cols[2:]
-	for r := 0; r < b.N; r++ {
-		g := groupAt(m, gb.Aggs, keys, r)
-		g.n += counts[r]
-		for i, a := range gb.Aggs {
-			g.add(a.Func, i, vals[i].F64[r])
-		}
-	}
-}
-
-// groupsToRows renders merged group states as output rows, ordered
-// deterministically: by formatted key, each key formatted once; keys
-// that print alike (1, int64(1) and "1" in an Any column are three
-// groups) by their Go type; then by aggregate values.
-func groupsToRows(merged map[any]*groupState, gb *GroupBy) []Row {
-	type keyed struct {
-		key string
-		g   *groupState
-	}
-	gs := make([]keyed, 0, len(merged))
-	for _, g := range merged {
-		gs = append(gs, keyed{fmt.Sprint(g.key), g})
-	}
-	sort.Slice(gs, func(i, j int) bool {
-		a, b := gs[i], gs[j]
-		if a.key != b.key {
-			return a.key < b.key
-		}
-		if ta, tb := fmt.Sprintf("%T", a.g.key), fmt.Sprintf("%T", b.g.key); ta != tb {
-			return ta < tb
-		}
-		if a.g.n != b.g.n {
-			return a.g.n < b.g.n
-		}
-		for v := range a.g.vals {
-			if a.g.vals[v] != b.g.vals[v] {
-				return a.g.vals[v] < b.g.vals[v]
-			}
-		}
-		return false
-	})
-	out := make([]Row, len(gs))
-	for i, k := range gs {
-		row := Row{k.g.key}
-		for v, a := range gb.Aggs {
-			if a.Func == Count {
-				row = append(row, k.g.n)
-			} else {
-				row = append(row, k.g.vals[v])
-			}
-		}
-		out[i] = row
-	}
-	return out
 }

@@ -133,27 +133,44 @@ func TestAggFuncString(t *testing.T) {
 
 // TestGroupOrderKeysThatPrintAlike: 1, int64(1) and "1" in an Any column
 // are three groups that format alike; they come out ordered by their Go
-// type, in the same order on every run and at every node count.
+// type, in the same order on every run and at every node count. 0.0 and
+// -0.0 are one key, typed or boxed in an Any column: their group counts
+// every zero and prints 0 whichever sign the partial that created it saw,
+// while each NaN row is a group of its own.
 func TestGroupOrderKeysThatPrintAlike(t *testing.T) {
 	checkQueryHygiene(t)
-	tb := &Table{Name: "a", Cols: []string{"k"}}
-	for _, k := range []any{"1", 1, int64(1), 2, 1, int64(1), 2, 1, 2, 2} {
-		tb.Rows = append(tb.Rows, Row{k})
-	}
-	gb := &GroupBy{Key: 0, Aggs: []Aggregation{{Func: Count}}}
-	const want = "int 1: 3, int64 1: 2, string 1: 1, int 2: 4, "
-	for _, nodes := range []int{1, 2} {
-		for run := 0; run < 20; run++ {
-			rows, _, err := runOnce(context.Background(), &Scan{Table: tb}, gb, EngineConfig{Nodes: nodes, Workers: 2})
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := ""
-			for _, r := range rows {
-				got += fmt.Sprintf("%T %v: %v, ", r[0], r[0], r[1])
-			}
-			if got != want {
-				t.Fatalf("nodes=%d run %d:\n got %s\nwant %s", nodes, run, got, want)
+	negZero, nan := math.Copysign(0, -1), math.NaN()
+	for _, tc := range []struct {
+		name   string
+		keys   []any
+		morsel int // 0: the default; 2 deals the rows to every worker
+		want   string
+	}{
+		{"print-alike", []any{"1", 1, int64(1), 2, 1, int64(1), 2, 1, 2, 2}, 0,
+			"int 1: 3, int64 1: 2, string 1: 1, int 2: 4, "},
+		{"signed-zero-nan", []any{negZero, 0.0, nan, negZero, negZero, 1.5, 0.0, nan, negZero, 0.0}, 2,
+			"float64 0: 7, float64 1.5: 1, float64 NaN: 1, float64 NaN: 1, "},
+		{"signed-zero-any", []any{negZero, 0, "x", 0.0, negZero, negZero, 0.0, negZero}, 2,
+			"float64 0: 6, int 0: 1, string x: 1, "},
+	} {
+		tb := &Table{Name: "a", Cols: []string{"k"}}
+		for _, k := range tc.keys {
+			tb.Rows = append(tb.Rows, Row{k})
+		}
+		gb := &GroupBy{Key: 0, Aggs: []Aggregation{{Func: Count}}}
+		for _, nodes := range []int{1, 2} {
+			for run := 0; run < 20; run++ {
+				rows, _, err := runOnce(context.Background(), &Scan{Table: tb}, gb, EngineConfig{Nodes: nodes, Workers: 2, Morsel: tc.morsel})
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := ""
+				for _, r := range rows {
+					got += fmt.Sprintf("%T %v: %v, ", r[0], r[0], r[1])
+				}
+				if got != tc.want {
+					t.Fatalf("%s, nodes=%d run %d:\n got %s\nwant %s", tc.name, nodes, run, got, tc.want)
+				}
 			}
 		}
 	}

@@ -27,7 +27,7 @@ func fanPlan(nodes, stripes, keys, fan, probeRows int, out []int) *Join {
 }
 
 // refGroupBy evaluates gb over materialized rows with a plain map, in
-// groupsToRows' output order.
+// groupTable.result's output order.
 func refGroupBy(rows []Row, gb *GroupBy) []Row {
 	groups := map[any]Row{}
 	for _, r := range rows {
@@ -58,6 +58,15 @@ func refGroupBy(rows []Row, gb *GroupBy) []Row {
 	}
 	sort.Slice(out, func(i, j int) bool { return fmt.Sprint(out[i][0]) < fmt.Sprint(out[j][0]) })
 	return out
+}
+
+// resultRows materializes a partial's output rows, in result's order.
+func resultRows(t *groupTable) []Row {
+	var rows []Row
+	for _, b := range t.result(1024) {
+		rows = b.AppendRows(rows, new(vec.Arena))
+	}
+	return rows
 }
 
 // TestGroupFoldMatchesFlattened: a root probe under a group-by folds its
@@ -149,30 +158,30 @@ func TestGroupPartialSpillDropsSlots(t *testing.T) {
 	q, probes := probeFixture(t, fanPlan(1, 8, keys, fan, 3*batch, nil), gb,
 		EngineConfig{Workers: 1, Batch: batch, MemoryPerNode: 1 << 20, SpillDir: t.TempDir()})
 	defer q.releaseSpill()
-	counted := func(m map[any]*groupState) (n int64) {
-		for _, g := range m {
-			n += g.n
+	counted := func(tb *groupTable) (n int64) {
+		for _, c := range tb.n {
+			n += c
 		}
 		return n
 	}
 	q.processProbeVec(probes[0], 0)
 	q.chargeMem(q.broker.budget) // the next new group finds the budget spent
 	q.processProbeVec(probes[1], 0)
-	if q.partials[0].file == nil || len(q.partials[0].m) != 0 {
-		t.Fatalf("the second batch's new groups did not spill the partial (%d groups resident)", len(q.partials[0].m))
+	if q.partials[0].file == nil || len(q.partials[0].t.keys) != 0 {
+		t.Fatalf("the second batch's new groups did not spill the partial (%d groups resident)", len(q.partials[0].t.keys))
 	}
 	q.unchargeMem(q.broker.budget)
 	// The third batch's keys were all resolved by the first two.
 	q.processProbeVec(probes[2], 0)
-	if got := counted(q.partials[0].m); got != batch*fan {
+	if got := counted(q.partials[0].t); got != batch*fan {
 		t.Fatalf("%d matches folded into the fresh partial, want %d: stale slots", got, batch*fan)
 	}
 	merged, err := q.mergedGroups()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := counted(merged); got != 3*batch*fan || len(merged) != keys*fan {
-		t.Fatalf("%d matches in %d groups after the merge, want %d in %d", got, len(merged), 3*batch*fan, keys*fan)
+	if got := counted(merged); got != 3*batch*fan || len(merged.keys) != keys*fan {
+		t.Fatalf("%d matches in %d groups after the merge, want %d in %d", got, len(merged.keys), 3*batch*fan, keys*fan)
 	}
 }
 
@@ -212,11 +221,11 @@ func TestGroupFoldSlotsFollowTheStore(t *testing.T) {
 	}
 	fold(a, keys)
 	byKind := map[string]int64{}
-	for k, g := range gf.m {
-		byKind[fmt.Sprintf("%T", k)] += g.n
+	for g, k := range gf.t.keys {
+		byKind[fmt.Sprintf("%T", k)] += gf.t.n[g]
 	}
-	if len(gf.m) != 2*keys || byKind["string"] != 2*keys+1 || byKind["int"] != keys+1 {
-		t.Fatalf("%d groups, matches by key type %v: positions of one store counted into the other's groups", len(gf.m), byKind)
+	if len(gf.t.keys) != 2*keys || byKind["string"] != 2*keys+1 || byKind["int"] != keys+1 {
+		t.Fatalf("%d groups, matches by key type %v: positions of one store counted into the other's groups", len(gf.t.keys), byKind)
 	}
 }
 
@@ -244,8 +253,8 @@ func TestGroupFoldAllocBytesBound(t *testing.T) {
 		run()
 		runtime.ReadMemStats(&m1)
 		var n int64
-		for _, g := range q.partials[0].m {
-			n += g.n
+		for _, c := range q.partials[0].t.n {
+			n += c
 		}
 		if want := int64(2 * probeRows * fan); n != want || q.opRows[q.mq.phys.root.id] != want {
 			t.Fatalf("fan-out %d: %d matches folded, %d attributed to the probe, want %d", fan, n, q.opRows[q.mq.phys.root.id], want)
@@ -411,7 +420,7 @@ func TestGroupFoldTileBoundaries(t *testing.T) {
 					t.Fatalf("%s: a governed fold kept its slots", tc.name)
 				}
 			}
-			if got, w := fmt.Sprint(groupsToRows(q.partials[0].m, gb)), fmt.Sprint(refGroupBy(want, gb)); got != w {
+			if got, w := fmt.Sprint(resultRows(q.partials[0].t)), fmt.Sprint(refGroupBy(want, gb)); got != w {
 				t.Fatalf("%s, %d matches (tile %d):\n got %s\nwant %s", tc.name, m, tile, got, w)
 			}
 		}
@@ -457,4 +466,37 @@ func TestProbeFoldZeroAlloc(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestGroupTableAllocAmortized is the group-table alloc gate (run by
+// CI): folding G new groups into a partial allocates each group's
+// detached key box (int keys ≥ 256 box on the heap) and the amortized
+// growth of the table's columns and index, at most G + 16·log₂G
+// allocations — no per-group state on the heap beside the key.
+func TestGroupTableAllocAmortized(t *testing.T) {
+	const groups = 2000
+	tb := tbl("g", groups, func(i int) any { return 256 + i }, func(i int) any { return i })
+	phys, err := compile(&Scan{Table: tb})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gb := &GroupBy{Key: 0, Aggs: []Aggregation{{Func: Count},
+		{Func: Sum, Arg: func(r Row) float64 { return float64(r[1].(int)) }},
+		{Func: Max, Arg: func(r Row) float64 { return float64(r[1].(int)) }}}}
+	q := newNodesT(t, EngineConfig{Workers: 1}).newQuery(context.Background(), phys, gb).mq.frags[0]
+	b := tb.Columnar()
+	q.foldGroups(phys.root, 0, b, nil) // grow the worker's scratch
+	allocs := testing.AllocsPerRun(20, func() {
+		q.partials[0].t = newGroupTable(gb.Aggs)
+		if n := q.foldGroups(phys.root, 0, b, nil); n != groups {
+			t.Fatalf("%d rows folded, want %d", n, groups)
+		}
+	})
+	if got := len(q.partials[0].t.keys); got != groups {
+		t.Fatalf("%d groups, want %d", got, groups)
+	}
+	if bound := groups + 16*math.Log2(groups); allocs > bound {
+		t.Fatalf("%.0f allocations to fold %d new groups, want at most %.0f", allocs, groups, bound)
+	}
+	t.Logf("%.0f allocations to fold %d new groups", allocs, groups)
 }

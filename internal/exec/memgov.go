@@ -21,8 +21,8 @@ package exec
 //     in parallel, and a partition whose build side still exceeds the
 //     budget is re-partitioned with a fresh hash salt (bounded depth);
 //   - group-by partials respect the same budget: a worker partial that
-//     grows past it is spilled to the worker's spill partition and
-//     folded back in at merge time.
+//     grows past it spills its batch form to the worker's spill
+//     partition, read back and merged like any other partial.
 //
 // Every partition of a fragment, join and group-by alike, is a range
 // list inside one spill.Disk: a single temp file in EngineConfig.SpillDir,
@@ -66,8 +66,8 @@ const (
 	// The sealed index costs 12 bytes a row; the price is the map entry's
 	// it was set for, kept so that the spill schedule does not move.
 	hashEntryBytes = 48
-	// groupOverheadBytes prices one group-by partial entry beyond its
-	// key (groupState + map bucket share).
+	// groupOverheadBytes prices one group beyond its aggregate values: the
+	// per-group heap state's price, kept so the spill schedule stays.
 	groupOverheadBytes = 96
 )
 
@@ -462,18 +462,17 @@ func (q *query) processSpillProbe(a *activation, w int) (outs []*activation, res
 	return q.probe(a, pb, a.spill.phase.side, w)
 }
 
-// governGroupPartial charges worker w's group-by partial growth and
-// spills the partial to the worker's spill partition when it crosses
-// the budget. Only worker w touches its partial and counters, so the
-// only shared state is the byte account.
+// governGroupPartial charges worker w's group-by partial growth — its
+// groups' price less what it was charged — and spills the partial to the
+// worker's spill partition when it crosses the budget. Only worker w
+// touches its partial and counters, so the only shared state is the byte
+// account.
 func (q *query) governGroupPartial(w int) error {
 	gf := &q.partials[w]
-	grown := len(gf.m) - gf.groups
-	if grown <= 0 {
+	add := int64(len(gf.t.keys))*(groupOverheadBytes+8*int64(len(q.mq.gb.Aggs))) - gf.charged
+	if add <= 0 {
 		return nil
 	}
-	gf.groups = len(gf.m)
-	add := int64(grown) * (groupOverheadBytes + 8*int64(len(q.mq.gb.Aggs)))
 	gf.charged += add
 	if !q.chargeMem(add) {
 		return nil
@@ -487,23 +486,22 @@ func (q *query) governGroupPartial(w int) error {
 		gf.file = files[0]
 		q.spilledParts.Add(1)
 	}
-	for _, b := range batchRowsVec(groupSpillRows(gf.m, q.mq.gb), q.mq.nodes.cfg.Batch) {
+	for _, b := range windows(gf.t.batch(), q.mq.nodes.cfg.Batch) {
 		if _, err := gf.file.AppendCols(b); err != nil {
 			return err
 		}
 	}
 	q.unchargeMem(gf.charged)
-	gf.charged, gf.groups = 0, 0
-	gf.m = make(map[any]*groupState)
+	gf.charged, gf.t = 0, newGroupTable(q.mq.gb.Aggs)
 	return nil
 }
 
-// mergedGroups merges the in-memory worker partials into the first and
-// folds any spilled partials back in.
-func (q *query) mergedGroups() (map[any]*groupState, error) {
-	merged := q.partials[0].m
+// mergedGroups merges the worker partials, in memory and spilled, into
+// the first.
+func (q *query) mergedGroups() (*groupTable, error) {
+	merged := q.partials[0].t
 	for w := 1; w < len(q.partials); w++ {
-		mergeGroups(merged, q.partials[w].m, q.mq.gb)
+		merged.merge(q.partials[w].t.batch())
 	}
 	for w := range q.partials {
 		f := q.partials[w].file
@@ -515,7 +513,7 @@ func (q *query) mergedGroups() (map[any]*groupState, error) {
 			if err != nil {
 				return nil, err
 			}
-			mergeSpilledGroups(merged, q.mq.gb, b)
+			merged.merge(b)
 		}
 	}
 	return merged, nil

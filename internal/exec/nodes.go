@@ -380,7 +380,7 @@ type mquery struct {
 	aborted bool
 	err     error
 	// nodeParts holds the merged partials of the nodes merged so far.
-	nodeParts []map[any]*groupState
+	nodeParts []*groupTable
 	// out[head:] is the result queue, oldest first; ready (on mu) wakes a
 	// consumer blocked in Handle.Next when a batch arrives or the query
 	// retires.
@@ -673,9 +673,9 @@ func (mq *mquery) mergeFragment(q *query) {
 		return
 	}
 	for _, p := range parts[1:] {
-		mergeGroups(parts[0], p, mq.gb)
+		parts[0].merge(p.batch())
 	}
-	batches := batchRowsVec(groupsToRows(parts[0], mq.gb), mq.nodes.cfg.Batch)
+	batches := parts[0].result(mq.nodes.cfg.Batch)
 	mq.mu.Lock()
 	if !mq.aborted {
 		for _, b := range batches {

@@ -344,9 +344,10 @@ const maxPartHint = 1 << 12
 // operator gets one part slot and one lock per worker and no part: a
 // part costs nothing until its worker's first build batch. Key routing
 // spreads a build table across the engine's nodes, so part presizing
-// divides the estimate by workers times nodes; a governed build drains
-// its parts at the budget, long before the estimate, so leaves them
-// unsized.
+// divides the estimate by workers times nodes, and never past a scanned
+// build input's rows, which all may reach one part; a governed build
+// drains its parts at the budget, long before the estimate, so leaves
+// them unsized.
 func newFragment(mq *mquery, node int) *query {
 	phys, gb, cfg := mq.phys, mq.gb, &mq.nodes.cfg
 	p := mq.nodes.pools[node]
@@ -361,6 +362,9 @@ func newFragment(mq *mquery, node int) *query {
 				or.spill = &joinSpill{}
 			} else {
 				or.partHint = partHint(op.est, workers*mq.n)
+				if s, ok := op.join.Build.(*Scan); ok {
+					or.partHint = min(or.partHint, s.Table.NumRows())
+				}
 			}
 		}
 		q.ops = append(q.ops, or)
@@ -376,7 +380,7 @@ func newFragment(mq *mquery, node int) *query {
 	if gb != nil {
 		q.partials = make([]groupFold, workers)
 		for w := range q.partials {
-			q.partials[w].m = make(map[any]*groupState)
+			q.partials[w].t = newGroupTable(gb.Aggs)
 		}
 	}
 	return q

@@ -519,6 +519,15 @@ func viewInto(win, b *vec.Batch, lo, hi int) *vec.Batch {
 // the activation (a result).
 func window(b *vec.Batch, lo, hi int) *vec.Batch { return viewInto(new(vec.Batch), b, lo, hi) }
 
+// windows slices b into windows of at most size rows.
+func windows(b *vec.Batch, size int) []*vec.Batch {
+	var out []*vec.Batch
+	for lo := 0; lo < b.N; lo += size {
+		out = append(out, window(b, lo, min(lo+size, b.N)))
+	}
+	return out
+}
+
 // input is batch activation a's rows, viewed on the worker's one
 // reusable header: valid until the worker's next view, so a kernel keeps
 // nothing of it — Select, Compose and the stores copy column headers and
@@ -771,21 +780,6 @@ func gatherJoin(b, store *vec.Batch, out []int, vs *vecScratch, arena *vec.Arena
 		cols[w+i] = cols[c]
 	}
 	return &vec.Batch{Cols: cols[w:], N: m}
-}
-
-// batchRowsVec columnizes rows and slices the result into Batch-sized
-// result batches (windows over one shared columnization).
-func batchRowsVec(rows []Row, size int) []*vec.Batch {
-	if len(rows) == 0 {
-		return nil
-	}
-	b := vec.FromRows(rows)
-	out := make([]*vec.Batch, 0, (b.N+size-1)/size)
-	for lo := 0; lo < b.N; lo += size {
-		hi := min(lo+size, b.N)
-		out = append(out, window(b, lo, hi))
-	}
-	return out
 }
 
 // batchBytes approximates the in-memory footprint of b's logical rows
