@@ -66,11 +66,12 @@ test:
 # retirement, and the build-presize bound that must not depend on which
 # workers the build batches reach, 300 times — a 1 % flake shows up
 # about 95 % of the time; then, 10 times under -race, the tests that pin
-# the cross-node reads of a sealed build side the chain barrier orders.
+# the cross-node reads of a sealed build side the chain barrier orders
+# and the node memory account's lock-free charges.
 stress:
 	$(GO) test -count 300 -run 'TestUnreadQueriesAddNoGoroutines|TestFinishedGroupByFreesSlotUnread|TestUndrainedGroupByDoesNotWedgePool' ./internal/exec
 	$(GO) test -count 300 -run 'TestBuildPresizeBoundedUnderHugeHint$$' .
-	$(GO) test -race -count 10 -run 'TestBuildSidesSealedAtBarrier|TestStolenOutputsReferenceOwnerStore|TestEmptyRemoteBucketAcquiredOnce|TestCancelDuringSeal|TestMultiNodeEmptyInputs' ./internal/exec
+	$(GO) test -race -count 10 -run 'TestBuildSidesSealedAtBarrier|TestStolenOutputsReferenceOwnerStore|TestEmptyRemoteBucketAcquiredOnce|TestCancelDuringSeal|TestMultiNodeEmptyInputs|TestNodeAccountConservation|TestCancelledFileJoinSettlesNodes|TestConcurrentQueriesShareNodeMemory' ./internal/exec
 
 # bench/ is a module of its own (replace hierdb => ../), so the root
 # `go build ./... && go test ./...` never compiles it: build, self-test
@@ -89,7 +90,7 @@ bench:
 	{ $(GO) test -run '^$$' -bench 'BenchmarkKernel' -benchmem ./internal/simtime/; \
 	  $(GO) test -run '^$$' -bench 'Churn|MultiNode' -benchmem ./internal/core/; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkFig6$$|BenchmarkEngineJoinDP$$|ConcurrentQueries|StreamingSink|MultiNodeSkew|SpillJoin|DiskScan|DiskJoinSpill|OptimizeOverhead' -benchtime 10x -benchmem .; \
-	  $(GO) test -run '^$$' -bench 'BenchmarkAdmission|BenchmarkBrokerLease|BenchmarkSpillPartitionWrite|BenchmarkJoinProbeGather|BenchmarkJoinGroupFold|BenchmarkSealIndex' -benchmem ./internal/exec/; \
+	  $(GO) test -run '^$$' -bench 'BenchmarkAdmission|BenchmarkChargeMem|BenchmarkSpillPartitionWrite|BenchmarkJoinProbeGather|BenchmarkJoinGroupFold|BenchmarkSealIndex' -benchmem ./internal/exec/; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkChunkDecodeSel|BenchmarkSpillFanout' -benchmem ./internal/spill/; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkApplyPred' -benchtime 20000x -benchmem ./internal/vec/; \
 	} | tee $(BENCH_OUT)

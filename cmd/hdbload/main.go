@@ -16,9 +16,9 @@
 //	go run ./cmd/hdbload -rate 100 -duration 5s -maxq 4 -queue 32 \
 //	    -memory 65536 -tenants 2 -mix point=0.5,join=0.3,group=0.2
 //
-// -memory gives each node one pool of that many bytes, shared by every
-// query in flight on it; concurrent governed queries lease from it and
-// spill when it cannot cover them.
+// -memory gives each node one count of that many bytes, shared by every
+// query in flight on it; concurrent governed queries charge it and spill
+// when their charges take it past the budget.
 //
 // The table set is a seeded difftest case (identical across runs with
 // the same -seed), so latency shifts between configurations reflect the

@@ -88,12 +88,12 @@ func WithMaxConcurrentQueries(n int) Option {
 // with WithMaxConcurrentQueries.
 func WithAdmissionQueue(n int) Option { return func(c *dbConfig) { c.eng.AdmissionQueue = n } }
 
-// WithMemory gives each node a memory budget in bytes: one pool per
+// WithMemory gives each node a memory budget in bytes: one count per
 // node, shared by every query in flight on it, that a query's hash-join
 // tables, loaded spill partitions, group-by partials, in-flight file
-// chunks and stolen bucket caches lease from in 64 KiB chunks — idle
-// memory flows to whichever query can use it. A join whose build side
-// cannot lease what it needs switches to Grace-style partitioned
+// chunks and stolen bucket caches are charged to — idle memory is
+// whatever no query holds. A join whose build side would take the
+// node's total past the budget switches to Grace-style partitioned
 // execution: build and probe inputs are hash-partitioned to per-query
 // spill files and the partitions joined one at a time within the budget
 // (recursing on still-oversized partitions), with results identical to

@@ -9,7 +9,7 @@
 // The levels, outermost first, mirror the ordering documented in
 // internal/exec (nodes.go, memgov.go):
 //
-//	admit → mq → pool → jspill → broker → part → spillmu → spillfile → storefile
+//	admit → mq → pool → jspill → part → spillmu → spillfile → storefile
 //
 // The analyzer walks each function with a symbolic "held" set: a Lock
 // or RLock on an annotated mutex while already holding one at the same
@@ -34,15 +34,15 @@ import (
 // Analyzer flags acquisitions that violate the engine lock hierarchy.
 var Analyzer = &analysis.Analyzer{
 	Name: "lockorder",
-	Doc:  "check engine mutex acquisitions against the admit→mq→pool→jspill→broker→part→spillmu→spillfile→storefile hierarchy",
+	Doc:  "check engine mutex acquisitions against the admit→mq→pool→jspill→part→spillmu→spillfile→storefile hierarchy",
 	Run:  run,
 }
 
 // hierarchy lists the lock levels outermost-first; the index+1 is the
 // numeric level used for ordering checks.
-var hierarchy = []string{"admit", "mq", "pool", "jspill", "broker", "part", "spillmu", "spillfile", "storefile"}
+var hierarchy = []string{"admit", "mq", "pool", "jspill", "part", "spillmu", "spillfile", "storefile"}
 
-const numLevels = 9
+const numLevels = 8
 
 func levelOf(name string) int {
 	for i, n := range hierarchy {

@@ -1,7 +1,7 @@
 // Package rowslifecycle checks that every Rows obtained from
 // (*hierdb.Query).Run reaches Close or Collect. An abandoned Rows costs
 // no worker — its query's production pauses — but a paused query keeps
-// its admission slot and memory lease; this analyzer catches the
+// its admission slot and memory charge; this analyzer catches the
 // obvious static cases at vet time.
 //
 // A Run result is compliant when the receiving variable is used, on
@@ -108,7 +108,7 @@ func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl) {
 			case obj == nil:
 				// Bound to a field or element: escapes local reasoning.
 			case !released(pass, fd, obj):
-				pass.Reportf(call.Pos(), "Rows from (*hierdb.Query).Run does not reach Close or Collect: a paused query keeps its slot and lease")
+				pass.Reportf(call.Pos(), "Rows from (*hierdb.Query).Run does not reach Close or Collect: a paused query keeps its slot and memory charge")
 			}
 		case *ast.ExprStmt:
 			pass.Reportf(call.Pos(), "result of (*hierdb.Query).Run discarded: the Rows must reach Close or Collect")

@@ -2,7 +2,7 @@ package exec
 
 // Admission control: the engine-level half of the paper's §3.2 load
 // control. Condition (i) — never acquire work the node cannot hold —
-// is enforced per node by the memory broker (broker.go); this file
+// is enforced per node by the node's memory account (memgov.go); this file
 // bounds how many queries are in flight at all. MaxConcurrentQueries
 // used to be a bare channel semaphore with a real bug: a Submit waiting
 // on the channel selected only on the semaphore and the caller's

@@ -1,13 +1,13 @@
 package exec
 
-// Benchmarks for the admission controller and memory broker hot paths,
+// Benchmarks for the admission controller and memory account hot paths,
 // gated by cmd/benchdiff against BENCH_engine.json. /grant is the
 // uncontended Submit fast path (one mutex acquire per side);/park is
 // the full park-and-handoff cycle a queued Submit pays: goroutine
 // parks, release transfers the slot, done channel wakes it.
-// BenchmarkBrokerLease is the chargeMem fast/slow mix: lease top-ups
-// every batch, a broker-mutex grant only when usage crosses a chunk
-// boundary, one trim per collapse.
+// BenchmarkChargeMem is a governed fragment's chargeMem/unchargeMem mix:
+// one batch-sized charge a batch, two atomic adds, and one uncharge per
+// working-set collapse.
 
 import (
 	"context"
@@ -53,22 +53,19 @@ func BenchmarkAdmission(b *testing.B) {
 	})
 }
 
-func BenchmarkBrokerLease(b *testing.B) {
+func BenchmarkChargeMem(b *testing.B) {
 	const step = 4 << 10    // one batch-sized charge
 	const ceiling = 8 << 20 // fragment working set before collapse
-	bk := &memBroker{budget: 1 << 30}
-	var l memLease
+	q := accountFragments(b, 1<<30)()
 	b.ReportAllocs()
-	var used int64
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		used += step
-		if used > ceiling {
-			used = step
-			bk.trim(&l, used)
+		if used := q.memUsed.Load(); used+step > ceiling {
+			q.unchargeMem(used)
 		}
-		if !bk.topUp(&l, used) {
-			b.Fatal("topUp denied under a 1GiB budget")
+		if q.chargeMem(step) {
+			b.Fatal("charge denied under a 1GiB budget")
 		}
 	}
-	bk.releaseAll(&l)
+	q.finalize()
 }

@@ -343,7 +343,7 @@ func (q *query) foldGroups(op *pop, w int, b, store *vec.Batch) int {
 			}
 		}
 	}
-	if q.broker != nil {
+	if q.mem != nil {
 		gf.store = nil
 		if err := q.governGroupPartial(w); err != nil {
 			q.mq.fail(err)

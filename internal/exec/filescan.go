@@ -27,9 +27,9 @@ import (
 // result batches are refunded at delivery — the consumer owns them
 // from there, an accepted approximation mirroring how join outputs
 // leave governance once delivered. An abort can drop queued
-// activations without releasing their refs; the fragment's memUsed is
-// never read again after an abort, so the leak is of accounting the
-// query no longer does, not of memory.
+// activations without releasing their refs; finalize returns what they
+// still hold to the node's account with the rest of the fragment's
+// memUsed.
 type chunkRes struct {
 	q     *query
 	bytes int64
@@ -87,7 +87,7 @@ func (q *query) processScanFile(a *activation, w int) (outs []*activation, resul
 	if b.N == 0 {
 		return nil, nil
 	}
-	if q.broker != nil {
+	if q.mem != nil {
 		bytes := batchBytes(b, nil)
 		// Scans never block on the budget: the charge shrinks the join
 		// headroom (pushing builds to spill earlier) instead — streamed

@@ -235,8 +235,8 @@ func (mq *mquery) solicit(thief, fq *query, node int, vs *vecScratch) *stealOffe
 		// Memory governance: a thief does not acquire buckets its budget
 		// cannot hold (the real-engine form of §3.2's memory-fit
 		// condition (i), vacuous only when ungoverned): the headroom is
-		// the thief's lease slack plus its node's unleased remainder.
-		if thief.broker != nil && bytes > thief.memHeadroom() {
+		// what no fragment on the thief's node has charged.
+		if thief.mem != nil && bytes > thief.memHeadroom() {
 			continue
 		}
 		score := float64(s.queued) / (1 + float64(bytes)/1024)

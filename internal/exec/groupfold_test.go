@@ -165,12 +165,12 @@ func TestGroupPartialSpillDropsSlots(t *testing.T) {
 		return n
 	}
 	q.processProbeVec(probes[0], 0)
-	q.chargeMem(q.broker.budget) // the next new group finds the budget spent
+	q.chargeMem(q.mem.budget) // the next new group finds the budget spent
 	q.processProbeVec(probes[1], 0)
 	if q.partials[0].file == nil || len(q.partials[0].t.keys) != 0 {
 		t.Fatalf("the second batch's new groups did not spill the partial (%d groups resident)", len(q.partials[0].t.keys))
 	}
-	q.unchargeMem(q.broker.budget)
+	q.unchargeMem(q.mem.budget)
 	// The third batch's keys were all resolved by the first two.
 	q.processProbeVec(probes[2], 0)
 	if got := counted(q.partials[0].t); got != batch*fan {

@@ -8,6 +8,7 @@ package exec
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"hierdb/internal/leaktest"
@@ -36,13 +37,19 @@ func drain(h *Handle) {
 // on an engine of configuration cfg that lives for the call, and
 // materializes its result: the reference run the suite compares other
 // engines, configurations and node counts against. A configuration the
-// engine refuses is the returned error.
-func runOnce(ctx context.Context, root Node, gb *GroupBy, cfg EngineConfig) ([]Row, *Stats, error) {
+// engine refuses is the returned error, and so is a node memory account
+// that does not read zero once the engine is closed.
+func runOnce(ctx context.Context, root Node, gb *GroupBy, cfg EngineConfig) (_ []Row, _ *Stats, err error) {
 	ns, err := NewNodesConfig(cfg)
 	if err != nil {
 		return nil, nil, err
 	}
-	defer ns.Close()
+	defer func() {
+		ns.Close()
+		if err == nil {
+			err = memSettled(ns)
+		}
+	}()
 	h, err := ns.Submit(ctx, root, gb, "")
 	if err != nil {
 		return nil, nil, err
@@ -62,14 +69,26 @@ func checkQueryHygiene(t *testing.T) {
 	leaktest.Check(t, 2)
 }
 
-// verifyUnleased requires every node's memory account to be whole again:
-// no retired query may keep a lease.
-func verifyUnleased(t *testing.T, ns *Nodes) {
-	t.Helper()
+// memSettled reports the first node whose memory account does not read
+// zero: every byte a retired fragment charged must be back.
+func memSettled(ns *Nodes) error {
 	for i, p := range ns.pools {
-		if b := p.broker; b != nil && b.available() != b.budget {
-			t.Fatalf("node %d: %d of %d broker bytes still leased", i, b.budget-b.available(), b.budget)
+		if p.mem == nil {
+			continue
 		}
+		if used := p.mem.used.Load(); used != 0 {
+			return fmt.Errorf("node %d: %d of %d bytes still charged", i, used, p.mem.budget)
+		}
+	}
+	return nil
+}
+
+// verifyMemSettled requires every node's memory account to read zero
+// while the engine still runs: no retired query may keep a charge.
+func verifyMemSettled(t *testing.T, ns *Nodes) {
+	t.Helper()
+	if err := memSettled(ns); err != nil {
+		t.Fatal(err)
 	}
 }
 

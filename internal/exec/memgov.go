@@ -2,11 +2,17 @@ package exec
 
 // Memory governance: the paper's memory-constrained execution model
 // (internal/core/opstate.go charges every hash-table bucket against
-// MemoryPerNode) brought to the real-data engine. Each node has one
-// memory account of EngineConfig.MemoryPerNode bytes (broker.go), shared
-// by every query fragment in flight on it; hash-join builds charge each
-// batch's row and hash-entry bytes against it, and a build the account
-// cannot cover switches the join to Grace-style partitioned execution:
+// MemoryPerNode) brought to the real-data engine, and the paper's §3.2
+// condition (i) applied across queries as well as within one. Each node
+// has one memory account of EngineConfig.MemoryPerNode bytes
+// (memAccount), as it has in the simulator (internal/core charges every
+// bucket to its node's memUsed): every query fragment in flight on the
+// node charges its bytes to the node's total, idle memory is whatever no
+// fragment has charged, and the account is one atomic count that takes
+// no lock. Only chargeMem, unchargeMem and settleMem change it.
+// Hash-join builds charge each batch's row and hash-entry bytes, and a
+// build the account cannot cover switches the join to Grace-style
+// partitioned execution:
 //
 //   - the in-memory parts are drained into hash partitions
 //     (internal/spill Files) and all further build input is partitioned
@@ -42,11 +48,13 @@ package exec
 // (processBuild) — and a partition's store is sealed and indexed exactly
 // like a whole build side (sealStore).
 //
-// Lock order: mq.mu -> pool.mu -> joinSpill.mu -> memBroker.mu -> part
-// lock -> query.spillMu -> spill.File's internal mutex. A build side's
-// seal is an activation (opRun.seal) and takes none of them.
+// Lock order: mq.mu -> pool.mu -> joinSpill.mu -> part lock ->
+// query.spillMu -> spill.File's internal mutex. The node's memory
+// account takes no lock. A build side's seal is an activation
+// (opRun.seal) and takes none of them.
 
 import (
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -141,33 +149,75 @@ func (sp *joinSpill) seal(part spillPart) error {
 	return nil
 }
 
-// chargeMem adds n bytes to the fragment's memory account and reports
-// whether the node's budget is now exceeded: the fragment's usage must
-// stay covered by its lease, and "over budget" means the broker denied
-// the top-up — the caller then spills. No-op (never over) when
-// ungoverned.
-func (q *query) chargeMem(n int64) bool {
-	if q.broker == nil || n == 0 {
-		return false
-	}
-	return !q.broker.topUp(&q.lease, q.memUsed.Add(n))
+// memAccount is one node's memory budget and the bytes its in-flight
+// fragments have charged against it. budget is fixed at engine start;
+// used is the sum of those fragments' memUsed.
+type memAccount struct {
+	budget int64
+	used   atomic.Int64
 }
 
-// unchargeMem releases bytes charged by chargeMem, returning surplus
-// lease to the node's pool.
+// memRetired is what settleMem leaves in a retired fragment's memUsed.
+// A charge or uncharge whose Add lands below memRetired/2 finds the
+// fragment settled and leaves the node's account alone: settlement and
+// a late uncharge race on memUsed alone, so exactly one of them returns
+// each byte to the node. (A live fragment's memUsed is never negative,
+// and no fragment moves 2^62 bytes after retiring.)
+const memRetired = math.MinInt64 / 2
+
+// chargeMem adds n bytes to the fragment's charge and to its node's
+// account, and reports whether the node's total is now past the budget
+// — the caller then spills. The bytes stay charged either way: the
+// caller returns them with unchargeMem as it frees them. No-op (never
+// over) when ungoverned or once the fragment has retired.
+//
+//hierdb:hotpath
+func (q *query) chargeMem(n int64) bool {
+	if q.mem == nil || n == 0 {
+		return false
+	}
+	if q.memUsed.Add(n) < memRetired/2 {
+		return false
+	}
+	return q.mem.used.Add(n) > q.mem.budget
+}
+
+// unchargeMem releases bytes charged by chargeMem. The node's account
+// is exact only because no live fragment uncharges more than it
+// charged: memUsed never goes negative before retirement, so
+// settleMem's return of what is left never credits the node bytes
+// another fragment charged. An uncharge after retirement — the last
+// release of a chunkRes whose activation was still running on another
+// node when an abort retired the chunk's fragment — was settled already
+// and leaves the node alone.
+//
+//hierdb:hotpath
 func (q *query) unchargeMem(n int64) {
-	if q.broker == nil || n == 0 {
+	if q.mem == nil || n == 0 {
 		return
 	}
-	q.broker.trim(&q.lease, q.memUsed.Add(-n))
+	if q.memUsed.Add(-n) < memRetired/2 {
+		return
+	}
+	q.mem.used.Add(-n)
+}
+
+// settleMem returns everything the fragment still has charged to its
+// node — including the charges of chunkRes refs an abort dropped with
+// their activations — and marks the fragment retired, so later charges
+// and uncharges skip the node. Called once, at finalize.
+func (q *query) settleMem() {
+	if q.mem != nil {
+		q.mem.used.Add(-q.memUsed.Swap(memRetired))
+	}
 }
 
 // memHeadroom estimates how many more bytes a governed fragment could
-// charge without going over: its unused lease plus the node pool's
-// unleased remainder. Advisory — another fragment may claim that
-// remainder first, and other workers' concurrent charges invalidate it.
+// charge without going over: what no fragment on its node has charged.
+// Advisory — other workers' and fragments' concurrent charges
+// invalidate it.
 func (q *query) memHeadroom() int64 {
-	return q.lease.granted.Load() - q.memUsed.Load() + q.broker.available()
+	return q.mem.budget - q.mem.used.Load()
 }
 
 // spillPartIndexH maps a key, by its keyHash64, to its partition at the
@@ -369,7 +419,7 @@ func (q *query) processSpillLoad(a *activation, w int) (outs []*activation) {
 	// every partition to the depth cap, exploding the fan-out for no
 	// achievable fit.
 	headroom := q.memHeadroom()
-	if floor := q.broker.budget / 4; headroom < floor {
+	if floor := q.mem.budget / 4; headroom < floor {
 		headroom = floor
 	}
 	resident := part.build.Bytes() + part.build.Rows()*(hashEntryBytes+24)

@@ -19,7 +19,7 @@ package exec
 // pick none of its activations — and the pop that takes the queue back
 // below the bound wakes them. No worker ever waits on a consumer, and a
 // query whose output is all queued retires at once, returning its
-// admission slot and memory lease.
+// admission slot and its memory charge.
 //
 // Locking: admit -> mq -> pool. The admission controller (admit.go) is
 // outermost and held across nothing. An mquery carries the query-global
@@ -92,11 +92,11 @@ type EngineConfig struct {
 	// from.
 	DisableStealing bool
 	// MemoryPerNode is each node's memory budget in bytes: one account
-	// (broker.go) that every query fragment in flight on the node leases
+	// (memgov.go) that every query fragment in flight on the node charges
 	// its hash-join tables, loaded spill partitions, group-by partials,
-	// in-flight file chunks and stolen buckets from. 0 (the default) means
+	// in-flight file chunks and stolen buckets to. 0 (the default) means
 	// unlimited — the hot path is then the ungoverned one.
-	// A join whose build side cannot lease what it needs switches to
+	// A join whose build side takes the node past it switches to
 	// Grace-style partitioned execution: build and probe inputs are
 	// hash-partitioned to spill files and the partitions joined one at a
 	// time within the budget (recursing on still-oversized partitions).
@@ -168,11 +168,11 @@ func newNodes(cfg EngineConfig) (*Nodes, error) {
 		ns.admit = newAdmitter(cfg.MaxConcurrentQueries, cfg.AdmissionQueue)
 	}
 	for i := 0; i < cfg.Nodes; i++ {
-		var broker *memBroker
+		var mem *memAccount
 		if cfg.MemoryPerNode > 0 {
-			broker = &memBroker{budget: cfg.MemoryPerNode}
+			mem = &memAccount{budget: cfg.MemoryPerNode}
 		}
-		ns.pools = append(ns.pools, newPool(cfg.Workers, broker))
+		ns.pools = append(ns.pools, newPool(cfg.Workers, mem))
 	}
 	return ns, nil
 }

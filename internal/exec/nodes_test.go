@@ -17,7 +17,12 @@ func newNodesT(t testing.TB, cfg EngineConfig) *Nodes {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(ns.Close)
+	t.Cleanup(func() {
+		ns.Close()
+		if err := memSettled(ns); err != nil {
+			t.Error(err)
+		}
+	})
 	return ns
 }
 

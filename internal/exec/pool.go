@@ -45,7 +45,7 @@ var ErrQueryPanic = errors.New("exec: query panicked")
 // activations from the fragments of all in-flight queries.
 type pool struct {
 	workers int
-	broker  *memBroker // the node's memory account; nil = ungoverned
+	mem     *memAccount // the node's memory account; nil = ungoverned
 
 	mu      sync.Mutex //hierdb:lock pool
 	cond    *sync.Cond
@@ -62,8 +62,8 @@ type pool struct {
 
 // newPool builds a node's worker set over its memory account (nil when
 // the engine has no MemoryPerNode budget); start runs the workers.
-func newPool(workers int, broker *memBroker) *pool {
-	p := &pool{workers: workers, broker: broker, scanners: make([]store.Scanner, workers)}
+func newPool(workers int, mem *memAccount) *pool {
+	p := &pool{workers: workers, mem: mem, scanners: make([]store.Scanner, workers)}
 	p.cond = sync.NewCond(&p.mu)
 	return p
 }
@@ -235,10 +235,10 @@ func (p *pool) worker(w int) {
 // panic below it — user Filter, Arg or group-key String code, or an
 // engine bug — is contained here: the query fails with ErrQueryPanic and
 // the activation reports no outs, so the worker's ordinary epilogue
-// unwinds pend, inflight, the chunk charge and (at retirement) the broker
-// lease exactly as for any other failed activation. (The named results
-// are set only by the return statement, so a recovered panic leaves them
-// zero whatever had been computed.)
+// unwinds pend, inflight, the chunk charge and (at retirement) the
+// fragment's memory charge exactly as for any other failed activation.
+// (The named results are set only by the return statement, so a
+// recovered panic leaves them zero whatever had been computed.)
 //
 //hierdb:hotpath
 func (q *query) runActivation(a *activation, w int) (outs []*activation, results *vec.Batch) {

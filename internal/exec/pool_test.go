@@ -311,7 +311,7 @@ func TestUndrainedGroupByDoesNotWedgePool(t *testing.T) {
 // TestFinishedGroupByFreesSlotUnread: a group-by whose groups are all
 // queued retires although nobody has read them — on a one-slot engine
 // the next query is admitted and completes, and a governed node's memory
-// account is back to zero leased bytes — and every group is still there
+// account reads zero again — and every group is still there
 // to read afterwards. On one and two nodes, ungoverned and governed.
 func TestFinishedGroupByFreesSlotUnread(t *testing.T) {
 	const groups = 5_000
@@ -337,7 +337,7 @@ func TestFinishedGroupByFreesSlotUnread(t *testing.T) {
 				if err := h.Err(); err != nil {
 					t.Fatal(err)
 				}
-				verifyUnleased(t, ns) // with the group-by unread
+				verifyMemSettled(t, ns) // with the group-by unread
 				got := drainRows(unread)
 				if err := unread.Err(); err != nil {
 					t.Fatal(err)
@@ -515,8 +515,8 @@ func (keyPanic) String() string { panic("user code blew up") }
 // activation, or a group key's String method, which the group-by merge
 // activation calls to order the groups — fails that query with
 // ErrQueryPanic and nothing else: the engine serves the next query, no
-// goroutine, lease or spill file is left behind — on a governed engine
-// its node's memory account is back to zero leased bytes — and the
+// goroutine, memory charge or spill file is left behind — on a governed
+// engine its node's memory account reads zero again — and the
 // panicking activation is counted once, per worker and in total. Swept
 // over one and two nodes, ungoverned and spilling.
 func TestPanicContainment(t *testing.T) {
@@ -580,7 +580,7 @@ func TestPanicContainment(t *testing.T) {
 					if left, err := os.ReadDir(dir); err != nil || len(left) != 0 {
 						t.Fatalf("spill dir not empty after the failed query: %v, %v", left, err)
 					}
-					verifyUnleased(t, ns)
+					verifyMemSettled(t, ns)
 					verifyIdle(t, ns)
 				})
 			}

@@ -302,14 +302,11 @@ type query struct {
 
 	// Memory governance (all zero/nil when the engine has no
 	// MemoryPerNode budget — the governed state simply does not exist on
-	// the default hot path). broker is the node's memory account; memUsed
-	// the fragment's current charge (hash-table entries, loaded spill
-	// partitions, group-by partials, in-flight chunks, stolen buckets),
-	// which lease must cover, topped up from (and trimmed back to) the
-	// broker.
-	broker  *memBroker
+	// the default hot path). mem is the node's memory account; memUsed
+	// the fragment's share of it (hash-table entries, loaded spill
+	// partitions, group-by partials, in-flight chunks, stolen buckets).
+	mem     *memAccount
 	memUsed atomic.Int64
-	lease   memLease
 	// spillMu guards the fragment's spill file and partition registry
 	// (innermost after joinSpill.mu; never held while taking scheduler
 	// locks).
@@ -351,14 +348,14 @@ const maxPartHint = 1 << 12
 func newFragment(mq *mquery, node int) *query {
 	phys, gb, cfg := mq.phys, mq.gb, &mq.nodes.cfg
 	p := mq.nodes.pools[node]
-	q := &query{mq: mq, node: node, pool: p, broker: p.broker}
+	q := &query{mq: mq, node: node, pool: p, mem: p.mem}
 	workers := cfg.Workers
 	for _, op := range phys.ops {
 		or := &opRun{op: op, queues: make([][]*activation, workers)}
 		if op.kind == opBuild {
 			or.parts = make([]*vec.Appender, workers)
 			or.locks = make([]sync.Mutex, workers)
-			if q.broker != nil {
+			if q.mem != nil {
 				or.spill = &joinSpill{}
 			} else {
 				or.partHint = partHint(op.est, workers*mq.n)
@@ -530,18 +527,17 @@ func (q *query) popQueue(or *opRun, w int) *activation {
 	return nil
 }
 
-// finalize completes the fragment's retirement: the spill file and the
-// memory lease are released, and the coordinator — which seals stats and
-// wakes the consumer when the last fragment retires — is told. All
+// finalize completes the fragment's retirement: the spill file is
+// released, what the fragment still has charged is settled with its
+// node's account (settleMem), and the coordinator — which seals stats
+// and wakes the consumer when the last fragment retires — is told. All
 // output, including merged group-by batches, has already been queued (or
 // dropped by an abort) before retirement, so finalize never blocks.
 // Called exactly once, by whoever retired the fragment, without the pool
 // mutex.
 func (q *query) finalize() {
 	q.releaseSpill()
-	if q.broker != nil {
-		q.broker.releaseAll(&q.lease)
-	}
+	q.settleMem()
 	q.mq.fragRetired()
 }
 

@@ -100,7 +100,7 @@ func TestSpillOneDescriptorPerFragment(t *testing.T) {
 // touches the filesystem namespace, creating the fragment's spill file:
 // with SpillDir missing, or a regular file, a governed join and a
 // governed group-by that must spill fail with an error that names the
-// spill and wraps the OS cause — leaking no goroutine, lease or file —
+// spill and wraps the OS cause — leaking no goroutine, memory charge or file —
 // and the engine still serves a query that fits its budget.
 func TestSpillCreateFailure(t *testing.T) {
 	dirs := map[string]struct {
@@ -149,7 +149,7 @@ func TestSpillCreateFailure(t *testing.T) {
 							t.Fatalf("the failed spill left %s behind", e.Name())
 						}
 					}
-					verifyUnleased(t, ns)
+					verifyMemSettled(t, ns)
 					verifyIdle(t, ns)
 				})
 			}

@@ -246,7 +246,7 @@ func (q *Query) WithTenant(id string) *Query {
 // in-flight queries on the handle; result batches wait in a bounded
 // queue, and while it is full the query's production pauses — no worker
 // waits on the consumer. Iterate or Close: a paused query keeps its
-// admission slot and memory lease until then. On a DB
+// admission slot and memory charge until then. On a DB
 // opened with WithMaxConcurrentQueries, Run may park in the admission
 // queue until a slot frees — failing promptly with ErrClosed if the DB
 // closes, with ErrAdmissionQueueFull if the queue is at capacity, or

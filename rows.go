@@ -28,7 +28,7 @@ import (
 //
 // Rows is not safe for concurrent use. An unread Rows costs no worker:
 // its query's production pauses, and a query whose output is all queued
-// retires and frees its admission slot and memory lease. One still
+// retires and frees its admission slot and memory charge. One still
 // paused holds both until read or closed — always drain it or Close.
 type Rows struct {
 	h      *exec.Handle
