@@ -14,8 +14,8 @@
 //
 //   - A real-data, in-memory parallel hash-join engine whose scheduler is
 //     the paper's DP model on goroutines: self-contained activations in
-//     per-operator queues, any worker may run any operator, primary-queue
-//     affinity, pipeline chains one at a time. Open a resident DB, register
+//     one queue per operator per node, any worker may run any operator,
+//     pipeline chains one at a time. Open a resident DB, register
 //     tables, and run fluently built queries (Scan/Join/GroupBy) that
 //     stream through Rows — all concurrent queries share the handle's
 //     worker pools, which balance load across them at execution time.

@@ -253,7 +253,9 @@ type groupFold struct {
 // them in match order. When the group key is a build column the group is
 // resolved once per build row, not once per match: the slots hold the
 // group of each store position until the store changes (a thief folds an
-// owner's store, a spill phase loads the next partition). A store with
+// owner's store, a spill phase loads the next partition), except a NaN
+// key's: NaN equals nothing, so each of its matches is a group of its
+// own, whatever the store's size. A store with
 // more than four rows per pair folded is looked up per match instead — a
 // reset never costs more than the fold it serves — and under a memory
 // budget the slots last one activation: governGroupPartial may spill the
@@ -317,8 +319,10 @@ func (q *query) foldGroups(op *pop, w int, b, store *vec.Batch) int {
 			} else if !slotted {
 				g = t.group(keyCol.Value(int(bp[j])))
 			} else if g = gf.slots[bp[j]] - 1; g < 0 {
-				g = t.group(keyCol.Value(int(bp[j])))
-				gf.slots[bp[j]] = g + 1
+				k := keyCol.Value(int(bp[j]))
+				if g = t.group(k); k == k { // NaN equals nothing: each match a group of its own
+					gf.slots[bp[j]] = g + 1
+				}
 			}
 			t.n[g]++
 			gs[j] = g

@@ -1,12 +1,12 @@
 // Package exec is a real-data, in-memory parallel hash-join executor built
 // on the paper's execution model: query work is decomposed into
 // self-contained activations (scan morsels and tuple batches) held in
-// per-operator queues, and any worker goroutine of a node may execute any
-// activation — there is no static association between workers and
-// operators. Workers prefer their primary queues, drain downstream
-// operators first (the role the paper's flow control plays), and pipeline
-// chains execute one-at-a-time in dependency order, mirroring §2.2's
-// scheduling.
+// one queue per operator per node, and any worker goroutine of the node
+// may execute any activation — there is no static association between
+// workers and operators. Workers drain downstream operators first (the
+// role the paper's flow control plays), newest activation first, and
+// pipeline chains execute one-at-a-time in dependency order, mirroring
+// §2.2's scheduling.
 //
 // There is one engine and one way a query runs. A Nodes engine (nodes.go)
 // is the paper's hierarchy: n shared-memory nodes, each a pool of workers

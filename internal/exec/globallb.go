@@ -63,7 +63,7 @@ func (p *pool) stealClaimLocked() *query {
 		chain := mq.phys.chains[q.chain]
 		queued, hasProbe := 0, false
 		for _, op := range chain {
-			queued += q.ops[op.id].queued
+			queued += len(q.ops[op.id].acts)
 			if op.kind == opProbe {
 				hasProbe = true
 			}
@@ -92,7 +92,7 @@ func (mq *mquery) peerBacklog(thief *query) bool {
 		if !fq.terminalLocked() {
 			chain := mq.phys.chains[fq.chain]
 			for _, op := range chain {
-				if op.kind == opProbe && fq.ops[op.id].queued >= stealWakeThreshold {
+				if op.kind == opProbe && len(fq.ops[op.id].acts) >= stealWakeThreshold {
 					p.mu.Unlock()
 					return true
 				}
@@ -138,16 +138,17 @@ func (mq *mquery) stealRound(thief *query, vs *vecScratch) bool {
 	// state has moved since the offer. Condition (iii): acquire at most
 	// half the queue, and only when half still amortizes the round, so
 	// the provider is never emptied out (which would just ping-pong the
-	// workload's tail between nodes).
+	// workload's tail between nodes). The thief takes the oldest half,
+	// the end of the queue the provider's own workers pop last.
 	provider := mq.frags[best.node]
 	p := mq.nodes.pools[best.node]
 	p.mu.Lock()
 	or := provider.ops[best.op.id]
-	if provider.terminalLocked() || mq.mergeQueued.Load() || or.queued < 2*minStealActs {
+	if provider.terminalLocked() || mq.mergeQueued.Load() || len(or.acts) < 2*minStealActs {
 		p.mu.Unlock()
 		return false
 	}
-	acts := popOldestLocked(or, or.queued/2)
+	acts := or.popOldestLocked(len(or.acts) / 2)
 	p.mu.Unlock()
 
 	buckets, bytes := thief.acquireBuckets(best.op, acts, true, vs)
@@ -164,7 +165,7 @@ func (mq *mquery) stealRound(thief *query, vs *vecScratch) bool {
 	}
 	to := thief.ops[best.op.id]
 	for _, a := range acts {
-		thief.enqueueLocked(to, a)
+		to.pushLocked(a)
 	}
 	tp.wakeLocked(thief, len(acts))
 	tp.mu.Unlock()
@@ -209,23 +210,14 @@ func (mq *mquery) solicit(thief, fq *query, node int, vs *vecScratch) *stealOffe
 		if fq.spilled(op) || thief.spilled(op) {
 			continue
 		}
-		or := fq.ops[op.id]
-		load += or.queued
+		queued := len(fq.ops[op.id].acts)
+		load += queued
 		// Condition (ii): half the queue (what a steal takes) must still
 		// amortize the round.
-		if or.queued < 2*minStealActs {
+		if queued < 2*minStealActs {
 			continue
 		}
-		s := sampled{op: op, queued: or.queued}
-		for _, qq := range or.queues {
-			for i := len(qq) - 1; i >= 0 && len(s.acts) < stealSampleActs; i-- {
-				s.acts = append(s.acts, qq[i])
-			}
-			if len(s.acts) >= stealSampleActs {
-				break
-			}
-		}
-		cands = append(cands, s)
+		cands = append(cands, sampled{op: op, queued: queued, acts: fq.ops[op.id].newestLocked(stealSampleActs)})
 	}
 	p.mu.Unlock()
 
@@ -259,29 +251,6 @@ func (mq *mquery) shipEstimate(thief *query, op *pop, acts []*activation, vs *ve
 		bytes += int64(a.hi-a.lo) * nominalTupleBytes
 	}
 	return bytes
-}
-
-// popOldestLocked removes up to n of the operator's oldest queued
-// activations, round-robin across worker queues (workers pop newest
-// first, so stealing from the front minimizes contention with the
-// provider's own picks). Callers hold the provider's pool mutex.
-func popOldestLocked(or *opRun, n int) []*activation {
-	acts := make([]*activation, 0, n)
-	for len(acts) < n && or.queued > 0 {
-		for i := range or.queues {
-			qq := or.queues[i]
-			if len(qq) == 0 {
-				continue
-			}
-			acts = append(acts, qq[0])
-			or.queues[i] = qq[1:]
-			or.queued--
-			if len(acts) >= n || or.queued == 0 {
-				break
-			}
-		}
-	}
-	return acts
 }
 
 // acquireBuckets prices the remote hash-table buckets the rows of acts —

@@ -500,3 +500,28 @@ func TestGroupTableAllocAmortized(t *testing.T) {
 	}
 	t.Logf("%.0f allocations to fold %d new groups", allocs, groups)
 }
+
+// TestNaNGroupKeyFromBuildSide: a NaN group key read from a build column
+// equals nothing, so each of its matches is a group of its own — also
+// when the fold caches each build row's group (a store of at most four
+// rows a match), which must not send every later match of a NaN row to
+// its first group.
+func TestNaNGroupKeyFromBuildSide(t *testing.T) {
+	for _, dimRows := range []int{1, 1000} {
+		dim := &Table{Name: "dim", Cols: []string{"k", "g"}}
+		dim.Rows = append(dim.Rows, Row{0, math.NaN()})
+		for i := 1; i < dimRows; i++ {
+			dim.Rows = append(dim.Rows, Row{i, float64(i)})
+		}
+		fact := tbl("fact", 3, func(int) any { return 0 }, func(i int) any { return i })
+		j := &Join{Build: &Scan{Table: dim}, Probe: &Scan{Table: fact}, BuildKey: 0, ProbeKey: 0}
+		rows, _, err := runOnce(context.Background(), j, &GroupBy{Key: 3, Aggs: []Aggregation{{Func: Count}}}, EngineConfig{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := fmt.Sprint(rows)
+		if want := "[[NaN 1] [NaN 1] [NaN 1]]"; got != want {
+			t.Fatalf("%d dim rows: got %s, want %s", dimRows, got, want)
+		}
+	}
+}

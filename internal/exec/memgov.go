@@ -340,7 +340,7 @@ func (q *query) spillTransition(or *opRun, vs *vecScratch) error {
 		if err := q.spillBatch(sp.build, or.op.keyCol, 0, rows, vs); err != nil {
 			return err
 		}
-		freed += batchBytes(rows, nil) + int64(rows.N)*hashEntryBytes
+		freed += batchBytes(rows) + int64(rows.N)*hashEntryBytes
 	}
 	q.unchargeMem(freed)
 	return nil
@@ -441,7 +441,7 @@ func (q *query) processSpillLoad(a *activation, w int) (outs []*activation) {
 			return nil
 		}
 		app.AppendBatch(db)
-		bytes += batchBytes(db, nil) + int64(db.N)*hashEntryBytes
+		bytes += batchBytes(db) + int64(db.N)*hashEntryBytes
 	}
 	side, err := sealStore(app.Batch(), build.keyCol, 0, 0)
 	if err != nil {

@@ -444,7 +444,7 @@ func (mq *mquery) startChain(c int) bool {
 		if !fq.aborted {
 			or := fq.ops[driver.id]
 			for lo := i * size; lo < end; lo += mq.n * size {
-				fq.enqueueLocked(or, &activation{op: driver, lo: lo, hi: min(lo+size, end)})
+				or.pushLocked(&activation{op: driver, lo: lo, hi: min(lo+size, end)})
 				total++
 			}
 			if fq.allowed != nil {
@@ -530,8 +530,8 @@ func (mq *mquery) deliverOuts(src *query, outs []*activation) {
 			for _, a := range outs {
 				if a.dest == d {
 					or := dst.ops[a.op.id]
-					dst.enqueueLocked(or, a)
-					queued = or.queued
+					or.pushLocked(a)
+					queued = len(or.acts)
 				}
 			}
 			p.wakeLocked(dst, count)
@@ -622,7 +622,7 @@ func (mq *mquery) queueEach(op *pop, next func(fq *query) *activation) int {
 		p := mq.nodes.pools[i]
 		p.mu.Lock()
 		if a := next(fq); a != nil {
-			fq.enqueueLocked(fq.ops[op.id], a)
+			fq.ops[op.id].pushLocked(a)
 			n++
 			p.wakeLocked(fq, 1)
 		}

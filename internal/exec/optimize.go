@@ -18,6 +18,7 @@ package exec
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -460,7 +461,7 @@ func (ti *treeInfo) reorder() (Node, bool) {
 		ti.block("DP search produced a leaf plan")
 		return nil, false
 	}
-	if !equalInts(order, ti.order) {
+	if !slices.Equal(order, ti.order) {
 		return ti.permuteRoot(root, order), true
 	}
 	return root, true
@@ -561,19 +562,6 @@ func (ti *treeInfo) permuteRoot(root *Join, newOrder []int) Node {
 	ti.est[&j] = ti.est[root]
 	ti.rowBytes[&j] = ti.rowBytes[root]
 	return &j
-}
-
-//hierdb:hotpath
-func equalInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // ---------------------------------------------------------------------

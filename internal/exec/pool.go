@@ -8,8 +8,11 @@ package exec
 // queries at execution time. A rotating fair cursor round-robins the
 // cross-query pick and a fair-share cap bounds per-query worker
 // anchoring, so one heavy join cannot starve lighter queries; within a
-// query the original order is kept (downstream operators first, the
-// worker's primary queue before stealing). A slow consumer backpressures
+// query the original order is kept (downstream operators first, each
+// operator's newest activation first). An operator has one queue per
+// node, shared by all its workers: they sit behind the one pool mutex,
+// so per-worker queues would buy no latch relief, and activations carry
+// no bucket affinity to route on. A slow consumer backpressures
 // only its own query, and by scheduling alone: while the query's result
 // queue holds its bound, the pick skips the query — production pauses;
 // no worker waits on a consumer.

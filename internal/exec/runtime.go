@@ -12,6 +12,7 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -224,10 +225,13 @@ type activation struct {
 
 // opRun is the runtime state of one operator.
 type opRun struct {
-	op     *pop
-	queues [][]*activation // one per worker (primary-queue affinity)
-	rr     int             // enqueue round-robin cursor
-	queued int             // activations across all queues (pick fast path)
+	op *pop
+	// acts holds the operator's queued activations on this node, oldest
+	// first: one stack that every worker of the node pops from the back
+	// and a thief takes the front of. Guarded by the pool mutex; only
+	// the methods below touch its order (pushLocked, popNewestLocked,
+	// popOldestLocked, newestLocked).
+	acts []*activation
 
 	// Build side (build operators; the probe reaches it via partner).
 	// While the build chain runs: one append-only columnar part per worker
@@ -351,7 +355,7 @@ func newFragment(mq *mquery, node int) *query {
 	q := &query{mq: mq, node: node, pool: p, mem: p.mem}
 	workers := cfg.Workers
 	for _, op := range phys.ops {
-		or := &opRun{op: op, queues: make([][]*activation, workers)}
+		or := &opRun{op: op}
 		if op.kind == opBuild {
 			or.parts = make([]*vec.Appender, workers)
 			or.locks = make([]sync.Mutex, workers)
@@ -407,10 +411,7 @@ func (q *query) failLocked() {
 	}
 	q.aborted = true
 	for _, or := range q.ops {
-		for i := range or.queues {
-			or.queues[i] = nil
-		}
-		or.queued = 0
+		or.acts = nil
 	}
 }
 
@@ -472,22 +473,49 @@ func (q *query) assignStatic(chain []*pop) {
 	}
 }
 
-// enqueueLocked adds an activation to the operator's next queue
-// round-robin (the coordinator has already counted it pending). Callers
-// hold the pool mutex.
+// pushLocked queues an activation on the operator (the coordinator has
+// already counted it pending). Callers hold the pool mutex.
 //
 //hierdb:hotpath
-func (q *query) enqueueLocked(or *opRun, a *activation) {
-	or.queues[or.rr] = append(or.queues[or.rr], a)
-	or.rr = (or.rr + 1) % len(or.queues)
-	or.queued++
+func (or *opRun) pushLocked(a *activation) { or.acts = append(or.acts, a) }
+
+// popNewestLocked removes and returns the operator's newest queued
+// activation, nil if none: the last pushed is the likeliest still in
+// cache. Callers hold the pool mutex.
+//
+//hierdb:hotpath
+func (or *opRun) popNewestLocked() *activation {
+	n := len(or.acts)
+	if n == 0 {
+		return nil
+	}
+	a := or.acts[n-1]
+	or.acts = or.acts[:n-1]
+	return a
+}
+
+// popOldestLocked removes and returns the operator's n oldest queued
+// activations, oldest first; n must not exceed the queue's length. The
+// returned slice is capped at n and the queue now starts past it, so
+// later pushes never write into it. Callers hold the pool mutex.
+func (or *opRun) popOldestLocked(n int) []*activation {
+	acts := or.acts[:n:n]
+	or.acts = or.acts[n:]
+	return acts
+}
+
+// newestLocked returns a copy of the operator's newest (up to) n queued
+// activations, which stay queued: the sample a steal offer prices. The
+// copy outlives the pool mutex, over which workers pop and push. Callers
+// hold the pool mutex.
+func (or *opRun) newestLocked(n int) []*activation {
+	return slices.Clone(or.acts[max(0, len(or.acts)-n):])
 }
 
 // pickLocked selects the next activation of this query for worker w:
 // downstream operators of the current chain first (draining pipelines
 // bounds memory, playing the role of the paper's flow control), the
-// worker's primary queue before other queues of the same operator.
-// Callers hold the pool mutex.
+// newest activation of an operator first. Callers hold the pool mutex.
 //
 //hierdb:hotpath
 func (q *query) pickLocked(w int) *activation {
@@ -497,30 +525,7 @@ func (q *query) pickLocked(w int) *activation {
 		if q.allowed != nil && !q.allowed[w][op] {
 			continue
 		}
-		or := q.ops[op.id]
-		if a := q.popQueue(or, w); a != nil {
-			return a
-		}
-	}
-	return nil
-}
-
-//hierdb:hotpath
-func (q *query) popQueue(or *opRun, w int) *activation {
-	if or.queued == 0 {
-		return nil
-	}
-	if qq := or.queues[w]; len(qq) > 0 {
-		a := qq[len(qq)-1]
-		or.queues[w] = qq[:len(qq)-1]
-		or.queued--
-		return a
-	}
-	for i := range or.queues {
-		if qq := or.queues[i]; len(qq) > 0 {
-			a := qq[len(qq)-1]
-			or.queues[i] = qq[:len(qq)-1]
-			or.queued--
+		if a := q.ops[op.id].popNewestLocked(); a != nil {
 			return a
 		}
 	}

@@ -88,13 +88,14 @@ func dupPlan(buildRows, probeRows, width, distinct int) *Join {
 }
 
 // TestRaggedBuildParts: a ragged registered table — 3-wide rows for even
-// keys, 2-wide rows for odd ones, alternating — is the build side. Two
-// workers and one-row batches deal the rows round-robin to the workers'
-// queues, so each worker's part is fed rows of mostly one width. Every
-// part has the table's width all the same (a resident table is
-// columnized once, short rows padded), one probe batch matches both
-// kinds in either order, and every output row must read back at its own
-// width.
+// keys, 2-wide rows for odd ones, alternating — is the build side. Driven
+// by the fixture, which deals its activations to the two workers in
+// turn, one-row batches feed one part every wide row and the other every
+// narrow one. Every part has the table's width all the same (a
+// resident table is columnized once, short rows padded), one probe batch
+// matches both kinds in either order, and every output row must read
+// back at its own width — from the probe kernel on the fixture, and from
+// the engine, whose workers take the rows in no fixed order.
 func TestRaggedBuildParts(t *testing.T) {
 	checkQueryHygiene(t)
 	const workers, rows = 2, 64
@@ -119,11 +120,8 @@ func TestRaggedBuildParts(t *testing.T) {
 			want = append(want, Row{k, o[1], k, "narrow"})
 		}
 	}
-	for _, batch := range []int{1, 4, 256} {
-		got, _, err := runOnce(context.Background(), plan, nil, EngineConfig{Workers: workers, Batch: batch})
-		if err != nil {
-			t.Fatal(err)
-		}
+	check := func(name string, got []Row) {
+		t.Helper()
 		sameRows(t, got, want)
 		for _, r := range got {
 			wantW := 4
@@ -131,9 +129,44 @@ func TestRaggedBuildParts(t *testing.T) {
 				wantW = 5
 			}
 			if len(r) != wantW {
-				t.Fatalf("batch %d: key %v came back %d wide, want %d", batch, r[0], len(r), wantW)
+				t.Fatalf("%s: key %v came back %d wide, want %d", name, r[0], len(r), wantW)
 			}
 		}
+	}
+
+	q, probes := unsealedFixture(t, plan, nil, EngineConfig{Workers: workers, Batch: 1})
+	bo := q.ops[q.mq.phys.root.partner.id]
+	var partWide [workers]bool
+	for w, ap := range bo.parts {
+		part := ap.Batch()
+		if part.N != rows/workers || len(part.Cols) != 3 {
+			t.Fatalf("part %d holds %d rows %d wide, want %d rows 3 wide", w, part.N, len(part.Cols), rows/workers)
+		}
+		partWide[w] = wide(part.Cols[0].Value(0).(int))
+		for i := 0; i < part.N; i++ {
+			if k := part.Cols[0].Value(i).(int); wide(k) != partWide[w] {
+				t.Fatalf("part %d holds keys %v and %d, rows of both widths", w, part.Cols[0].Value(0), k)
+			}
+		}
+	}
+	if partWide[0] == partWide[1] {
+		t.Fatal("both parts hold rows of one width")
+	}
+	q.process(&activation{op: bo.op, closing: true}, 0)
+	var got []Row
+	var arena vec.Arena
+	for _, a := range probes {
+		_, out := q.processProbeVec(a, 0)
+		got = out.AppendRows(got, &arena)
+	}
+	check("fixture", got)
+
+	for _, batch := range []int{1, 4, 256} {
+		got, _, err := runOnce(context.Background(), plan, nil, EngineConfig{Workers: workers, Batch: batch})
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(fmt.Sprintf("batch %d", batch), got)
 	}
 }
 

@@ -232,13 +232,49 @@ func TestMergeQueuedClaimsNoSteal(t *testing.T) {
 		t.Fatal("a fragment that took its merge activation claimed a steal round")
 	}
 	for i := 0; i < 2*minStealActs; i++ {
-		provider.enqueueLocked(provider.ops[root.id], &activation{op: root, closing: true})
+		provider.ops[root.id].pushLocked(&activation{op: root, closing: true})
 	}
 	if off := mq.solicit(thief, provider, 0, &thief.vscratch[0]); off != nil {
 		t.Fatalf("a provider holding merge activations offered %+v", off)
 	}
 	if mq.stealRound(thief, &thief.vscratch[0]) {
 		t.Fatal("a steal round acquired merge activations")
+	}
+}
+
+// TestOperatorStackOrder pins the one queue an operator has on a node:
+// every worker pops the newest activation, a steal takes the oldest, in
+// order, and a failed fragment drops the rest.
+func TestOperatorStackOrder(t *testing.T) {
+	phys, err := compile(&Scan{Table: tbl("t", 8, func(i int) any { return i }, func(i int) any { return i })})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ns, err := newNodes(EngineConfig{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := ns.newQuery(context.Background(), phys, nil).mq.frags[0]
+	op := phys.chains[q.chain][0]
+	or := q.ops[op.id]
+	var acts [4]*activation
+	for i := range acts {
+		acts[i] = &activation{op: op, lo: i, hi: i + 1}
+		or.pushLocked(acts[i])
+	}
+	if a := q.pickLocked(0); a != acts[3] {
+		t.Fatalf("worker 0 picked %+v, want the newest, %+v", a, acts[3])
+	}
+	if got := or.popOldestLocked(2); len(got) != 2 || got[0] != acts[0] || got[1] != acts[1] {
+		t.Fatalf("a steal of 2 took %+v, want the oldest two in order", got)
+	}
+	if a := q.pickLocked(1); a != acts[2] {
+		t.Fatalf("worker 1 picked %+v, want %+v", a, acts[2])
+	}
+	or.pushLocked(acts[3])
+	q.failLocked()
+	if len(or.acts) != 0 || q.pickLocked(0) != nil {
+		t.Fatalf("a failed fragment kept %d activations", len(or.acts))
 	}
 }
 
@@ -300,35 +336,31 @@ func TestProbeActivationsOwnedByDest(t *testing.T) {
 			}
 			for _, a := range route(root, probe) {
 				fq := mq.frags[a.dest]
-				fq.enqueueLocked(fq.ops[root.id], a)
+				fq.ops[root.id].pushLocked(a)
 			}
 			thief := mq.frags[nodes-1]
 			own := make(map[*activation]bool)
-			for _, qq := range thief.ops[root.id].queues {
-				for _, a := range qq {
-					own[a] = true
-				}
+			for _, a := range thief.ops[root.id].acts {
+				own[a] = true
 			}
 			if !mq.stealRound(thief, &thief.vscratch[0]) {
 				t.Fatalf("%s: the steal round acquired nothing", name)
 			}
 			stolen := 0
-			for _, qq := range thief.ops[root.id].queues {
-				for _, a := range qq {
-					if own[a] {
-						continue
-					}
-					stolen++
-					if a.dest == thief.node {
-						t.Fatalf("%s: a stolen activation was re-addressed to the thief", name)
-					}
-					if _, out := thief.processProbeVec(a, 0); out == nil || out.N != a.hi-a.lo {
-						t.Fatalf("%s: a stolen %d-row activation for node %d matched %+v, want one match a row", name, a.hi-a.lo, a.dest, out)
-					}
+			for _, a := range thief.ops[root.id].acts {
+				if own[a] {
+					continue
+				}
+				stolen++
+				if a.dest == thief.node {
+					t.Fatalf("%s: a stolen activation was re-addressed to the thief", name)
+				}
+				if _, out := thief.processProbeVec(a, 0); out == nil || out.N != a.hi-a.lo {
+					t.Fatalf("%s: a stolen %d-row activation for node %d matched %+v, want one match a row", name, a.hi-a.lo, a.dest, out)
 				}
 			}
 			if stolen == 0 {
-				t.Fatalf("%s: no activation reached the thief's queues", name)
+				t.Fatalf("%s: no activation reached the thief's queue", name)
 			}
 		}
 	}

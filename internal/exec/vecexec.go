@@ -694,7 +694,7 @@ func (q *query) processBuild(a *activation, w int) error {
 	}
 	ap.AppendBatch(b)
 	or.locks[w].Unlock()
-	if sp != nil && q.chargeMem(batchBytes(b, nil)+int64(b.N)*hashEntryBytes) {
+	if sp != nil && q.chargeMem(batchBytes(b)+int64(b.N)*hashEntryBytes) {
 		return q.spillTransition(or, vs)
 	}
 	return nil
@@ -782,15 +782,12 @@ func gatherJoin(b, store *vec.Batch, out []int, vs *vecScratch, arena *vec.Arena
 	return &vec.Batch{Cols: cols[w:], N: m}
 }
 
-// batchBytes approximates the in-memory footprint of b's logical rows
-// listed in sel (nil = all), summed column-wise from the typed mirrors
-// as what the materialized rows would weigh: a 24-byte header per row,
-// an interface word pair per present value, string payloads on top.
-func batchBytes(b *vec.Batch, sel []int32) int64 {
+// batchBytes approximates the in-memory footprint of b's logical rows,
+// summed column-wise from the typed mirrors as what the materialized
+// rows would weigh: a 24-byte header per row, an interface word pair per
+// present value, string payloads on top.
+func batchBytes(b *vec.Batch) int64 {
 	k := b.N
-	if sel != nil {
-		k = len(sel)
-	}
 	n := int64(24 * k)
 	for ci := range b.Cols {
 		c := &b.Cols[ci]
@@ -799,11 +796,7 @@ func batchBytes(b *vec.Batch, sel []int32) int64 {
 			continue
 		}
 		for j := 0; j < k; j++ {
-			li := j
-			if sel != nil {
-				li = int(sel[j])
-			}
-			pos := c.Pos(li)
+			pos := c.Pos(j)
 			if c.Kind == vec.String {
 				n += 16 + int64(len(c.Str[pos])) // "" at null positions
 				continue
