@@ -48,6 +48,7 @@ test:
 	$(GO) test -run '^$$' -fuzz FuzzJoinEquivalence -fuzztime 30s ./internal/difftest/
 	$(GO) test -run '^$$' -fuzz FuzzTableFileRoundTrip -fuzztime 30s ./internal/difftest/
 	$(GO) test -run '^$$' -fuzz FuzzApplyPred -fuzztime 30s ./internal/vec/
+	$(GO) test -run '^$$' -fuzz FuzzConcat -fuzztime 30s ./internal/vec/
 	$(GO) test -run '^$$' -fuzz FuzzProbeMatch -fuzztime 30s ./internal/exec/
 	$(GO) build -o bin/hdbtable ./cmd/hdbtable
 	@rm -f /tmp/hdb-smoke.hdb; \
@@ -94,7 +95,7 @@ bench:
 	  $(GO) test -run '^$$' -bench 'BenchmarkFig6$$|BenchmarkEngineJoinDP$$|ConcurrentQueries|StreamingSink|MultiNodeSkew|SpillJoin|DiskScan|DiskJoinSpill|OptimizeOverhead' -benchtime 10x -benchmem .; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkAdmission|BenchmarkChargeMem|BenchmarkSpillPartitionWrite|BenchmarkJoinProbeGather|BenchmarkJoinGroupFold|BenchmarkSealIndex' -benchmem ./internal/exec/; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkChunkDecodeSel|BenchmarkSpillFanout' -benchmem ./internal/spill/; \
-	  $(GO) test -run '^$$' -bench 'BenchmarkApplyPred' -benchtime 20000x -benchmem ./internal/vec/; \
+	  $(GO) test -run '^$$' -bench 'BenchmarkApplyPred|BenchmarkBoxRows' -benchtime 20000x -benchmem ./internal/vec/; \
 	} | tee $(BENCH_OUT)
 
 benchdiff: bench

@@ -52,9 +52,9 @@ func WithWorkers(n int) Option { return func(c *dbConfig) { c.eng.Workers = n } 
 func WithStealing(enabled bool) Option { return func(c *dbConfig) { c.eng.DisableStealing = !enabled } }
 
 // WithStripes sets the number of hash buckets per node (the degree of
-// fragmentation): they decide which node owns a join key (exec.OwnerNode)
-// and price a steal's bucket shipping. It changes nothing on one node.
-// 0 means 8x workers.
+// fragmentation): they price a steal's bucket shipping. They do not
+// decide which node owns a join key — its hash mod the node count does
+// (exec.OwnerNode). It changes nothing on one node. 0 means 8x workers.
 func WithStripes(n int) Option { return func(c *dbConfig) { c.eng.Stripes = n } }
 
 // WithMorsel sets the scan granularity in rows (trigger-activation
@@ -198,7 +198,10 @@ type TableSource struct {
 // FromTable sources Register from a resident in-memory relation. The
 // table's rows must not be mutated after registration: Register
 // columnizes the rows, and queries scan that columnization — a later
-// change to the rows may or may not be visible to them.
+// change to the rows may or may not be visible to them. A column whose
+// values share one scalar type is held once, typed; a result row's value
+// from it points into the columnization, so a retained row keeps it
+// alive.
 func FromTable(t *Table) TableSource { return TableSource{table: t} }
 
 // FromFile sources Register from a chunked columnar table file on disk
@@ -214,7 +217,9 @@ func FromTable(t *Table) TableSource { return TableSource{table: t} }
 // over files much larger than the budget spill exactly like their
 // in-memory counterparts. A chunk that has become unreadable fails the
 // query with ErrTableFile. On a multi-node DB, node i scans chunks i,
-// i+n, i+2n, … — the rule FromTable's rows follow.
+// i+n, i+2n, … — the rule FromTable's rows follow. A result row's typed
+// value points into the decoded chunk it was read from, so a retained
+// row keeps that chunk's columns alive.
 // The file handle stays open until Close.
 func FromFile(path string) TableSource { return TableSource{path: path} }
 

@@ -680,3 +680,97 @@ func TestNegativeZeroKeyJoins(t *testing.T) {
 		}
 	}
 }
+
+// TestZeroWidthTableRows: a table whose rows have no column still has
+// its rows — Collect, and Next with Row, yield every one as an empty row,
+// and a Collect after a Next returns the rest — on one node and on two.
+func TestZeroWidthTableRows(t *testing.T) {
+	leaktest.Check(t, 2)
+	ctx := context.Background()
+	for _, nodes := range []int{1, 2} {
+		db := Open(WithNodes(nodes), WithWorkers(2))
+		t.Cleanup(func() { db.Close() })
+		if err := db.Register("empty", FromTable(&Table{Name: "empty", Rows: []Row{{}, {}, {}}})); err != nil {
+			t.Fatal(err)
+		}
+		got, _, err := db.Scan("empty").Collect(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != 3 {
+			t.Fatalf("%d node(s): Collect returned %d rows, want 3", nodes, len(got))
+		}
+		rows, err := db.Scan("empty").Run(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := 0
+		for rows.Next() {
+			if r := rows.Row(); len(r) != 0 {
+				t.Fatalf("%d node(s): row %d is %v, want an empty row", nodes, n, r)
+			}
+			n++
+		}
+		if err := rows.Close(); err != nil || n != 3 {
+			t.Fatalf("%d node(s): Next iterated %d rows (err %v), want 3", nodes, n, err)
+		}
+		rows, err = db.Scan("empty").Run(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows.Next()
+		rows.Row()
+		rest, err := rows.Collect()
+		if err != nil || len(rest) != 2 {
+			t.Fatalf("%d node(s): Collect after one row returned %d rows (err %v), want 2", nodes, len(rest), err)
+		}
+		for _, r := range append(got, rest...) {
+			if len(r) != 0 {
+				t.Fatalf("%d node(s): collected row %v, want an empty row", nodes, r)
+			}
+		}
+	}
+}
+
+// TestCollectAfterNextReturnsTheRest: Collect in the middle of a batch
+// returns the batch's remaining rows — from the rows Row materialized,
+// or not — then every later batch, and together with the rows Next
+// already passed they are the whole result.
+func TestCollectAfterNextReturnsTheRest(t *testing.T) {
+	leaktest.Check(t, 2)
+	db := testDB(t, WithWorkers(2), WithBatch(64))
+	want, _, err := db.Scan("orders").Collect(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, skip := range []int{1, 100, 300} {
+		for _, read := range []bool{false, true} {
+			rows, err := db.Scan("orders").Run(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got []Row
+			passed := 0
+			for ; passed < skip && rows.Next(); passed++ {
+				if read {
+					got = append(got, rows.Row())
+				}
+			}
+			rest, err := rows.Collect()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if passed+len(rest) != len(want) {
+				t.Fatalf("skip %d, read %v: %d rows passed and %d collected, want %d", skip, read, passed, len(rest), len(want))
+			}
+			if read {
+				g, w := canonRows(append(got, rest...)), canonRows(want)
+				for i := range w {
+					if g[i] != w[i] {
+						t.Fatalf("skip %d: row %d is %s, want %s", skip, i, g[i], w[i])
+					}
+				}
+			}
+		}
+	}
+}

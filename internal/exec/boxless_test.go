@@ -174,11 +174,11 @@ func TestSpillReplayAllocBound(t *testing.T) {
 	}
 }
 
-// TestBoxlessBuildBoxedOncePerStoredRow pins the box-once rule on the
-// build side: a build store fed boxless columns boxes each value in
-// place as it stores it, so a build row matched by 50 probe rows
-// contributes copied words to all 50 outputs, not 50 fresh boxes — and
-// storing it allocates nothing per value either.
+// TestBoxlessBuildBoxedOncePerStoredRow pins the box-in-place rule on
+// the build side: a build store fed decoded columns copies their values
+// into its mirrors and boxes nothing as it stores them, and a build row
+// matched by 50 probe rows is boxed in place over the store's mirror in
+// all 50 outputs, not into 50 fresh boxes.
 func TestBoxlessBuildBoxedOncePerStoredRow(t *testing.T) {
 	pool := newNodesT(t, EngineConfig{Workers: 4})
 	const buildRows, probeRows = 1_000, 50_000
@@ -189,8 +189,8 @@ func TestBoxlessBuildBoxedOncePerStoredRow(t *testing.T) {
 	var arena vec.Arena
 	var got []Row
 	avg := allocsOfQuery(t, pool, plan, probeRows, func(b *vec.Batch) { got = b.AppendRows(got, &arena) })
-	// The resident probe side copies words, and so does every match of a
-	// stored build row: nothing is boxed per stored value or per match.
+	// Both sides box in place over their mirrors: nothing is boxed by
+	// copy per stored value or per match.
 	if limit := 0.05 * (buildRows + probeRows); avg > limit {
 		t.Fatalf("fan-out join over a boxless build side allocates %.0f, want <= %.0f: build values are boxed by copy, per stored row or per match", avg, limit)
 	}

@@ -301,21 +301,15 @@ func (s *Stats) Imbalance() float64 {
 	return maxv / mean
 }
 
-// OwnerNode reports which node of an engine of nodes nodes and stripes
-// hash buckets per node (EngineConfig.Stripes) owns join key k — the
-// engine's routing rule, exposed so tests and benchmarks can construct
-// workloads of known skew.
+// OwnerNode reports which node of an engine of nodes nodes owns join key
+// k — the engine's routing rule, its hash mod nodes, exposed so tests and
+// benchmarks can construct workloads of known skew. stripes, the hash
+// buckets per node (EngineConfig.Stripes), does not enter it: the key's
+// global bucket, its hash mod nodes·stripes, is the same mod nodes.
 //
 //hierdb:hotpath
 func OwnerNode(k any, nodes, stripes int) int {
-	return hashKey(k, nodes*stripes) % nodes
-}
-
-// hashKey hashes a comparable key to one of buckets global hash buckets.
-//
-//hierdb:hotpath
-func hashKey(k any, buckets int) int {
-	return int(keyHash64(k) % uint64(buckets))
+	return int(keyHash64(k) % uint64(nodes))
 }
 
 // keyHash64 hashes a comparable key to 64 bits (the shared base of

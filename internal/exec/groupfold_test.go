@@ -431,39 +431,26 @@ func TestGroupFoldTileBoundaries(t *testing.T) {
 // CI): a warm root-probe activation under a group-by — matchAll's typed
 // loop, then the tiled fold filling Arg rows from both sides — makes no
 // allocation, with the group key a probe column and a build column,
-// over resident columns (Box words copied) and boxless ones (boxed in
-// place over the mirrors).
+// the typed values boxed in place over the resident and stored mirrors.
 func TestProbeFoldZeroAlloc(t *testing.T) {
 	for _, key := range []int{0, 3} {
-		for _, boxless := range []bool{false, true} {
-			plan := fanPlan(1, 8, 200, 2, 4096, nil)
-			if boxless {
-				for _, side := range []*Scan{plan.Build.(*Scan), plan.Probe.(*Scan)} {
-					cols := side.Table.Columnar().Cols
-					for ci := range cols {
-						if cols[ci].Kind != vec.Any {
-							cols[ci].Box = nil
-						}
-					}
-				}
-			}
-			gb := &GroupBy{Key: key, Aggs: []Aggregation{{Func: Count},
-				{Func: Sum, Arg: func(r Row) float64 { return float64(r[1].(int)) + r[len(r)-1].(float64) }}}}
-			q, probes := probeFixture(t, plan, gb, EngineConfig{Workers: 1, Batch: 1024})
-			for _, a := range probes { // create every group, grow the scratch
-				q.processProbeVec(a, 0)
-			}
-			i := 0
-			allocs := testing.AllocsPerRun(50, func() {
-				q.processProbeVec(probes[i%len(probes)], 0)
-				i++
-			})
-			if allocs != 0 {
-				t.Fatalf("key column %d, boxless %v: %.1f allocations per warm probe activation, want 0", key, boxless, allocs)
-			}
-			if got, want := q.opRows[q.mq.phys.root.id], int64(2*(len(probes)+i)*1024); got != want {
-				t.Fatalf("key column %d, boxless %v: %d matches folded, want %d", key, boxless, got, want)
-			}
+		plan := fanPlan(1, 8, 200, 2, 4096, nil)
+		gb := &GroupBy{Key: key, Aggs: []Aggregation{{Func: Count},
+			{Func: Sum, Arg: func(r Row) float64 { return float64(r[1].(int)) + r[len(r)-1].(float64) }}}}
+		q, probes := probeFixture(t, plan, gb, EngineConfig{Workers: 1, Batch: 1024})
+		for _, a := range probes { // create every group, grow the scratch
+			q.processProbeVec(a, 0)
+		}
+		i := 0
+		allocs := testing.AllocsPerRun(50, func() {
+			q.processProbeVec(probes[i%len(probes)], 0)
+			i++
+		})
+		if allocs != 0 {
+			t.Fatalf("key column %d: %.1f allocations per warm probe activation, want 0", key, allocs)
+		}
+		if got, want := q.opRows[q.mq.phys.root.id], int64(2*(len(probes)+i)*1024); got != want {
+			t.Fatalf("key column %d: %d matches folded, want %d", key, got, want)
 		}
 	}
 }

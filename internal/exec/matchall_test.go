@@ -71,9 +71,8 @@ func fuzzKeyCol(rng *rand.Rand, kind, n int, nulls bool) vec.Col {
 // ascending. It draws every key kind on either side (Int against Int64,
 // Any against a typed kind, and equal kinds half of the time), with and
 // without nulls on either side, NaN and ±0 keys, four distinct values a
-// kind so chains hold duplicates, a probe column boxed or boxless, read
-// densely, through a window past storage position 0 or through a
-// permutation with repeats.
+// kind so chains hold duplicates, a probe column read densely, through a
+// window past storage position 0 or through a permutation with repeats.
 func FuzzProbeMatch(f *testing.F) {
 	for pk := range numKeyKinds {
 		for shape := range 12 {
@@ -113,9 +112,6 @@ func FuzzProbeMatch(f *testing.F) {
 			idx = vec.Ident(n) // an Any column's two extra keys stay out of sight
 		}
 		kc.Idx = idx
-		if shape&16 != 0 && kc.Kind != vec.Any {
-			kc.Box = nil // a decoded column: boxed in place
-		}
 		pb := &vec.Batch{Cols: []vec.Col{kc}, N: n}
 
 		var vs vecScratch

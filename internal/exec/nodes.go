@@ -6,9 +6,8 @@ package exec
 // hierarchy with one node. Every query runs the same way: a coordinator
 // (mquery) fans it out as one plan fragment per node, node i scans units
 // i, i+n, i+2n, … of every table (startChain), build/probe
-// input batches are routed to the node owning their join key (global
-// bucket g = hash(key) mod nodes*Stripes, owner g mod nodes), and each
-// node schedules its fragment DP-style. The inter-node layer — starving
+// input batches are routed to the node owning their join key (hash(key)
+// mod nodes), and each node schedules its fragment DP-style. The inter-node layer — starving
 // nodes acquiring remote probe queues, priced by the hash-table buckets
 // they touch —
 // lives in globallb.go and engages only when a second node exists.
@@ -79,8 +78,9 @@ type EngineConfig struct {
 	Batch  int
 	// Stripes is the number of hash buckets per node (the degree of
 	// fragmentation): a join key hashes to one of Nodes*Stripes global
-	// buckets, which decides the node owning it (OwnerNode) and is the
-	// unit a steal pays to ship. It changes nothing on one node. Defaults
+	// buckets, the unit a steal pays to ship. It does not decide the node
+	// owning a key — that is the hash mod Nodes (OwnerNode), which the
+	// bucket mod Nodes equals — and changes nothing on one node. Defaults
 	// to 8x Workers.
 	Stripes int
 	// Static binds each worker to one operator per pipeline chain (the
@@ -343,9 +343,10 @@ type mquery struct {
 	phys  *physical
 	gb    *GroupBy
 	n     int
-	// buckets is the global hash-bucket count n*Stripes; a key's owner
-	// node is hashKey(k, buckets) mod n, and on stealing queries a sealed
-	// build side counts its rows per bucket to price steals.
+	// buckets is the global hash-bucket count n*Stripes: on stealing
+	// queries a sealed build side counts its rows per bucket to price
+	// steals. A key's owner node is its hash mod n (OwnerNode), which its
+	// bucket mod n equals.
 	buckets int
 	// stealing enables the global load-balancing layer: a second node
 	// exists and the engine did not disable it.

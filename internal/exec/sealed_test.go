@@ -249,9 +249,9 @@ func TestActivationsNameTheirBatch(t *testing.T) {
 }
 
 // TestProbeOutputAliasesSealedStore: at fan-out 50 every output batch's
-// build columns are the sealed store's own columns — same backing
-// arrays, kind and mirror as stored — under one index vector shared by
-// all of them.
+// build columns are the sealed store's own columns — same kind and
+// mirror as stored, and no Box beside a typed mirror, in the store or the
+// output — under one index vector shared by all of them.
 func TestProbeOutputAliasesSealedStore(t *testing.T) {
 	const buildRows, probeRows, width = 100, 5_000, 3
 	q, probes := probeFixture(t, widePlan(buildRows, probeRows, width), nil, EngineConfig{Workers: 1})
@@ -260,6 +260,11 @@ func TestProbeOutputAliasesSealedStore(t *testing.T) {
 		t.Fatalf("the seal activation left the build side unsealed: %+v", bo.side)
 	}
 	sealed := bo.side.store
+	for ci := range sealed.Cols {
+		if sc := &sealed.Cols[ci]; sc.Kind != vec.Int || sc.Box != nil {
+			t.Fatalf("sealed column %d is %v with %d boxes, want an int mirror and no Box", ci, sc.Kind, len(sc.Box))
+		}
+	}
 	rows := 0
 	for _, a := range probes {
 		_, out := q.processProbeVec(a, 0)
@@ -270,7 +275,7 @@ func TestProbeOutputAliasesSealedStore(t *testing.T) {
 		}
 		for ci := 0; ci < width; ci++ {
 			oc, sc := &out.Cols[pw+ci], &sealed.Cols[ci]
-			if oc.Kind != vec.Int || &oc.Box[0] != &sc.Box[0] || &oc.I64[0] != &sc.I64[0] {
+			if oc.Kind != vec.Int || oc.Box != nil || &oc.I64[0] != &sc.I64[0] {
 				t.Fatalf("build column %d (kind %v) does not share the sealed column's storage", ci, oc.Kind)
 			}
 			if &oc.Idx[0] != &out.Cols[pw].Idx[0] {
@@ -290,7 +295,8 @@ func TestProbeOutputAliasesSealedStore(t *testing.T) {
 
 // TestConcurrentProbesShareOneSide: every worker probing at once reads
 // the one side the seal activation built — all outputs select from one
-// store — and the join is still right. Run under -race.
+// store, sharing its mirror — and the join is still right. Run under
+// -race.
 func TestConcurrentProbesShareOneSide(t *testing.T) {
 	const workers, buildRows, probeRows = 8, 20_000, 40_000
 	plan := widePlan(buildRows, probeRows, 4)
@@ -316,7 +322,7 @@ func TestConcurrentProbesShareOneSide(t *testing.T) {
 	pw := len(probes[0].b.Cols)
 	side := q.ops[q.mq.phys.root.partner.id].side
 	for _, out := range outs {
-		if &out.Cols[pw].Box[0] != &side.store.Cols[0].Box[0] {
+		if oc, sc := &out.Cols[pw], &side.store.Cols[0]; oc.Box != nil || sc.Box != nil || &oc.I64[0] != &sc.I64[0] {
 			t.Fatal("a probe's output does not select from the sealed store")
 		}
 		got = out.AppendRows(got, &arena)
@@ -351,8 +357,7 @@ func TestBuildTooLargeIsTypedError(t *testing.T) {
 }
 
 // sealKeys seals a one-column store holding keys (columnized as FromRows
-// resolves them; boxless drops a typed column's Box on the probe side
-// only — a store keeps its own).
+// resolves them).
 func sealKeys(t *testing.T, keys ...any) *buildSide {
 	t.Helper()
 	rows := make([]Row, len(keys))
@@ -370,16 +375,13 @@ func sealKeys(t *testing.T, keys ...any) *buildSide {
 
 // matches probes bs with each key and returns, per key, the store
 // positions matched in the order the chain walk reported them.
-func matches(bs *buildSide, boxless bool, keys ...any) [][]int32 {
+func matches(bs *buildSide, keys ...any) [][]int32 {
 	rows := make([]Row, len(keys))
 	for i, k := range keys {
 		rows[i] = Row{k}
 	}
 	pb := vec.FromRows(rows)
 	kc := &pb.Cols[0]
-	if boxless && kc.Kind != vec.Any {
-		kc.Box = nil
-	}
 	var vs vecScratch
 	hs := keyHashes(pb, 0, &vs)
 	out := make([][]int32, len(keys))
@@ -423,14 +425,12 @@ func TestSealedIndex(t *testing.T) {
 		if shared < n/20 {
 			t.Fatalf("only %d of %d slots chain two rows: the fixture forces no collision", shared, len(bs.heads))
 		}
-		for _, boxless := range []bool{false, true} {
-			for i, ps := range matches(bs, boxless, keys...) {
-				if len(ps) != 1 || int(ps[0]) != i {
-					t.Fatalf("key %v (boxless probe %v) matched %v, want [%d]", keys[i], boxless, ps, i)
-				}
+		for i, ps := range matches(bs, keys...) {
+			if len(ps) != 1 || int(ps[0]) != i {
+				t.Fatalf("key %v matched %v, want [%d]", keys[i], ps, i)
 			}
 		}
-		eq(t, matches(bs, false, "k1", "absent", ""), nil, nil, nil)
+		eq(t, matches(bs, "k1", "absent", ""), nil, nil, nil)
 	})
 	t.Run("duplicates ascend", func(t *testing.T) {
 		keys := make([]any, 2_100)
@@ -438,7 +438,7 @@ func TestSealedIndex(t *testing.T) {
 			keys[i] = i % 7 // more rows than one hashing chunk, 300 a key
 		}
 		bs := sealKeys(t, keys...)
-		for k, ps := range matches(bs, true, 0, 1, 2, 3, 4, 5, 6) {
+		for k, ps := range matches(bs, 0, 1, 2, 3, 4, 5, 6) {
 			if len(ps) != 300 {
 				t.Fatalf("key %d matched %d rows, want 300", k, len(ps))
 			}
@@ -452,33 +452,27 @@ func TestSealedIndex(t *testing.T) {
 	t.Run("null meets null only", func(t *testing.T) {
 		for _, keys := range [][]any{{0, nil, 5, nil, 0}, {"", nil, "a", nil, ""}, {0.0, nil, 2.5, nil, 0.0}, {false, nil, true, nil, false}, {0, nil, "a", nil, 0}} {
 			bs := sealKeys(t, keys...)
-			for _, boxless := range []bool{false, true} {
-				eq(t, matches(bs, boxless, nil, keys[0], keys[2]), []int32{1, 3}, []int32{0, 4}, []int32{2})
-			}
+			eq(t, matches(bs, nil, keys[0], keys[2]), []int32{1, 3}, []int32{0, 4}, []int32{2})
 		}
 	})
 	t.Run("kinds do not cross", func(t *testing.T) {
 		ints := sealKeys(t, 5, 6, 5)
-		eq(t, matches(ints, true, int64(5), int32(5), uint64(5), 5.0, "5", 5), nil, nil, nil, nil, nil, []int32{0, 2})
-		eq(t, matches(ints, true, int64(5), nil), nil, nil) // a typed column of another kind
+		eq(t, matches(ints, int64(5), int32(5), uint64(5), 5.0, "5", 5), nil, nil, nil, nil, nil, []int32{0, 2})
+		eq(t, matches(ints, int64(5), nil), nil, nil) // a typed column of another kind
 		mixed := sealKeys(t, 5, int64(5), "5", 5.0, nil, true)
-		for _, boxless := range []bool{false, true} {
-			eq(t, matches(mixed, boxless, 5), []int32{0})
-			eq(t, matches(mixed, boxless, int64(5)), []int32{1})
-			eq(t, matches(mixed, boxless, "5"), []int32{2})
-			eq(t, matches(mixed, boxless, 5.0), []int32{3})
-			eq(t, matches(mixed, boxless, true, false), []int32{5}, nil)
-		}
-		eq(t, matches(mixed, false, int64(5), 5, nil, uint64(5)), []int32{1}, []int32{0}, []int32{4}, nil)
+		eq(t, matches(mixed, 5), []int32{0})
+		eq(t, matches(mixed, int64(5)), []int32{1})
+		eq(t, matches(mixed, "5"), []int32{2})
+		eq(t, matches(mixed, 5.0), []int32{3})
+		eq(t, matches(mixed, true, false), []int32{5}, nil)
+		eq(t, matches(mixed, int64(5), 5, nil, uint64(5)), []int32{1}, []int32{0}, []int32{4}, nil)
 	})
 	t.Run("floats", func(t *testing.T) {
 		negZero := math.Copysign(0, -1)
 		bs := sealKeys(t, math.NaN(), 0.0, negZero, 1.5, math.NaN())
-		for _, boxless := range []bool{false, true} {
-			eq(t, matches(bs, boxless, math.NaN(), negZero, 0.0, 1.5), nil, []int32{1, 2}, []int32{1, 2}, []int32{3})
-		}
+		eq(t, matches(bs, math.NaN(), negZero, 0.0, 1.5), nil, []int32{1, 2}, []int32{1, 2}, []int32{3})
 		anyStore := sealKeys(t, math.NaN(), 0.0, negZero, "x")
-		eq(t, matches(anyStore, true, math.NaN(), negZero), nil, []int32{1, 2})
+		eq(t, matches(anyStore, math.NaN(), negZero), nil, []int32{1, 2})
 	})
 }
 
@@ -535,14 +529,14 @@ func TestUncomparableKeyIsQueryPanic(t *testing.T) {
 // the owner's sealed side in place.
 func TestEmptyRemoteBucketAcquiredOnce(t *testing.T) {
 	const nodes, stripes, probeRows = 2, 8, 64
-	buckets := nodes * stripes
+	const buckets = nodes * stripes
 	mine := keysOwnedBy(0, nodes, stripes, probeRows)
 	// Build rows — one to three a key — in node 0's even local buckets only:
 	// its odd ones stay empty.
 	build := &Table{Name: "b", Cols: []string{"k", "v"}}
 	rowsIn := map[int]int{} // build rows per global bucket
 	for i, k := range mine {
-		if g := hashKey(k, buckets); g/nodes%2 == 0 {
+		if g := int(keyHash64(k) % buckets); g/nodes%2 == 0 {
 			for j := 0; j <= i%3; j++ {
 				build.Rows = append(build.Rows, Row{k, j})
 				rowsIn[g]++
@@ -569,7 +563,7 @@ func TestEmptyRemoteBucketAcquiredOnce(t *testing.T) {
 	paid := map[int]bool{}
 	price := func(lo, hi int) (n int, bytes int64) {
 		for _, k := range mine[lo:hi] {
-			if g := hashKey(k, buckets); !paid[g] {
+			if g := int(keyHash64(k) % buckets); !paid[g] {
 				paid[g] = true
 				n++
 				bytes += int64(rowsIn[g]) * nominalTupleBytes

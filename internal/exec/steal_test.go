@@ -21,6 +21,35 @@ func keysOwnedBy(node, nodes, stripes, count int) []int {
 	return keys
 }
 
+// TestOwnerNodeIgnoresStripes: a key's owner node is its hash mod the
+// node count, whatever the stripes per node — the node its global bucket
+// (hash mod nodes·stripes) maps to — for int, string and float keys, and
+// every node owns some of them.
+func TestOwnerNodeIgnoresStripes(t *testing.T) {
+	keys := []any{}
+	for i := range 200 {
+		keys = append(keys, i, fmt.Sprintf("k%d", i), float64(i)+0.25)
+	}
+	for _, nodes := range []int{2, 3} {
+		owned := make([]int, nodes)
+		for _, k := range keys {
+			want := OwnerNode(k, nodes, 1)
+			owned[want]++
+			for _, stripes := range []int{1, 8, 32} {
+				bucket := keyHash64(k) % uint64(nodes*stripes)
+				if got := OwnerNode(k, nodes, stripes); got != want || int(bucket%uint64(nodes)) != want {
+					t.Fatalf("%d nodes, %d stripes: key %#v owned by %d, bucket %d, want node %d", nodes, stripes, k, got, bucket, want)
+				}
+			}
+		}
+		for node, n := range owned {
+			if n == 0 {
+				t.Fatalf("%d nodes: node %d owns none of %d keys", nodes, node, len(keys))
+			}
+		}
+	}
+}
+
 // skewPlan builds a fact-dim join whose every key is owned by node 0:
 // scans stay balanced (units of rows are dealt round-robin), but all
 // build and probe activations route to node 0, starving the peers.

@@ -14,13 +14,13 @@ package exec
 // composed selection next to the sealed store's columns under one
 // shared position vector — no build value is copied per match. All row
 // materialization funnels through vec's one boxing kernel — AppendRows
-// and ReadRow at the sink, Col.BoxRows for the row tiles a Filter or an
-// aggregate's Arg reads, a few rows at a time, filled a column at a
-// time — and column values are read typed or through Col.Value, never
-// Box[pos]: batches decoded from table files and spill partitions are
-// boxless (see internal/vec), and a value read from them is boxed in
-// place over its mirror slot — no allocation at the sink or a build
-// store.
+// at the sink, a batch at a time, and Col.BoxRows for the row tiles a
+// Filter or an aggregate's Arg reads, a few rows at a time, filled a
+// column at a time — and column values are read typed or through Col.Value, never
+// Box[pos]: a typed column has no Box, wherever it comes from (see
+// internal/vec), and a value read from it is boxed in place over its
+// mirror slot — no allocation at the sink, and a build store copies
+// typed values into its own mirrors.
 //
 // Every operator's width, column kinds and key column are fixed when
 // the plan is compiled (expand, runtime.go), and every batch an
@@ -551,7 +551,7 @@ func (q *query) emitBatch(consumer *pop, b *vec.Batch, lo, hi int, outs *[]*acti
 	if lo == hi {
 		return
 	}
-	nb, n := q.mq.buckets, q.mq.n
+	n := q.mq.n
 	if n == 1 {
 		q.emitWindows(consumer, b, lo, hi, 0, outs)
 		return
@@ -560,7 +560,7 @@ func (q *query) emitBatch(consumer *pop, b *vec.Batch, lo, hi int, outs *[]*acti
 	hs := keyHashes(v, consumer.keyCol, vs)
 	perDest := vs.dests(n)
 	for i := 0; i < v.N; i++ {
-		d := int(hs[i]%uint64(nb)) % n
+		d := int(hs[i] % uint64(n))
 		perDest[d] = append(perDest[d], int32(i))
 	}
 	for d := 0; d < n; d++ {
@@ -754,7 +754,7 @@ func (q *query) probe(a *activation, b *vec.Batch, side *buildSide, w int) (outs
 // gatherJoin assembles a join's output batch from the match pairs in
 // scratch, by reference: the probe batch's columns under the composed
 // selection of the matched probe rows, and the sealed store's columns —
-// kind, mirror, Box and null bitmap as stored — under one position
+// kind, mirror or Box, and null bitmap as stored — under one position
 // vector they all share. A join with an Out list emits the headers it
 // lists, in its order, from that concatenation: a projection or
 // permutation costs nothing per row.

@@ -525,9 +525,9 @@ func (d *Decoder) decodeCol(buf []byte, c *vec.Col, n int, sel []int32) ([]byte,
 
 // decodeColDense decodes every row of one column of n rows into c. A
 // typed kind decodes into its mirror and null bitmap only — the column
-// comes out boxless, and vec boxes whichever values survive to a Row
-// boundary or a build store — through one tight loop per kind; only an
-// Any column, which has no mirror, decodes into Box. c's pointer-free
+// comes out boxless, as every typed column is, and vec boxes whichever
+// values survive to a Row boundary — through one tight loop per kind;
+// only an Any column, which has no mirror, decodes into Box. c's pointer-free
 // mirrors and nullBuf are reused when large enough (a Decoder's scratch
 // columns); a zero Col and a nil nullBuf get fresh storage.
 //

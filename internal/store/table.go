@@ -170,10 +170,10 @@ func (t *TableFile) ReadChunk(i int) (*vec.Batch, error) {
 // predicate (ANDed, with the semantics of vec.ApplyPreds) as a dense
 // batch, in row order, with every column coerced to the schema kind, so
 // chunk-streamed scans present exactly the kinds a resident table
-// would. Typed columns come back boxless (mirror and null bitmap only —
-// see internal/vec); read their values through Col.Value. The batch
-// owns its storage, and is empty and without columns when no row
-// qualifies.
+// would. Typed columns come back as every typed column is, mirror and
+// null bitmap and no Box (see internal/vec); read their values through
+// Col.Value. The batch owns its storage, and is empty and without
+// columns when no row qualifies.
 //
 // Predicates the chunk's zone maps prove true of every row are dropped
 // before the decode, which evaluates the rest on the encoded chunk (see
@@ -240,11 +240,8 @@ func coerceKind(c *vec.Col, want vec.Kind, n int) error {
 		return nil
 	}
 	if want == vec.Any {
-		// An Any column lives in its Box (nulls are nil there): box the
-		// decoded mirror, then forget it and the bitmap.
+		// An Any column lives in its Box (nulls are nil there).
 		c.FillBox()
-		c.Kind = vec.Any
-		c.I64, c.F64, c.Str, c.B, c.Null = nil, nil, nil, nil, nil
 		return nil
 	}
 	if c.Kind != vec.Any {

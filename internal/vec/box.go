@@ -1,7 +1,8 @@
 // Box in place: the engine's one boxing boundary, allocation-free. A
-// value leaving a boxless column becomes an interface whose type word is
-// its kind's Go type and whose data word points at the value's own slot
-// in the column's typed mirror — I64[pos], F64[pos], Str[pos] or B[pos].
+// typed column has no Box (package comment), so a value leaving it
+// becomes an interface whose type word is its kind's Go type and whose
+// data word points at the value's own slot in the column's typed mirror
+// — I64[pos], F64[pos], Str[pos] or B[pos].
 // No kind boxed here is pointer-shaped, so the runtime's own box of such
 // a value is that same pair with the data word pointing at a heap copy;
 // pointing it at the mirror instead is sound because a mirror reachable
@@ -71,7 +72,7 @@ func selfCheck(k Kind, v any) unsafe.Pointer {
 	return t
 }
 
-// boxAt returns the boxed value at storage position pos of a boxless
+// boxAt returns the boxed value at storage position pos of a typed
 // column (nil at null bits) without allocating: the box points into the
 // column's mirror, keeps that mirror alive, and relies on nobody writing
 // it again. A kind that failed its init self-check is boxed by copy.
@@ -91,9 +92,9 @@ func (c *Col) boxAt(pos int) any {
 // materialization of many values runs (AppendRows, FillBox, an
 // Appender's Box, BoxRows): it writes k values to dst[0], dst[stride],
 // dst[2*stride]…, value j being the one at storage position idx[sel[j]]
-// — a nil sel or idx is the identity. A column with a Box copies its
-// words; a boxless one is boxed in place over its mirror, nil at its
-// null bits. Whether the column has a Box, its type word, its mirror,
+// — a nil sel or idx is the identity. An Any column copies its Box's
+// words; a typed one is boxed in place over its mirror, nil at its
+// null bits. Whether the column is Any, its type word, its mirror,
 // the index shape and the null bitmap are resolved once per call; what
 // is left per value is one position load and one interface store, and
 // a null bitmap costs one pass over the k values afterwards. Nothing is
@@ -104,7 +105,7 @@ func (c *Col) boxAt(pos int) any {
 func (c *Col) boxInto(dst []any, stride int, idx, sel []int32, k int) {
 	t := typeWords[c.Kind]
 	switch {
-	case c.Box != nil:
+	case c.Kind == Any:
 		if idx == nil && sel == nil && stride == 1 {
 			copy(dst[:k], c.Box[:k])
 			return
@@ -168,28 +169,31 @@ func boxSlots[T int64 | float64 | string | bool](dst []any, stride int, t unsafe
 	switch {
 	case sel == nil && idx == nil:
 		for j := range data[:k] {
-			dst[j*stride] = slotBox(t, unsafe.Pointer(&data[j]))
+			setSlot(&dst[j*stride], t, unsafe.Pointer(&data[j]))
 		}
 	case sel == nil:
 		for j, pos := range idx[:k] {
-			dst[j*stride] = slotBox(t, unsafe.Pointer(&data[pos]))
+			setSlot(&dst[j*stride], t, unsafe.Pointer(&data[pos]))
 		}
 	case idx == nil:
 		for j, pos := range sel[:k] {
-			dst[j*stride] = slotBox(t, unsafe.Pointer(&data[pos]))
+			setSlot(&dst[j*stride], t, unsafe.Pointer(&data[pos]))
 		}
 	default:
 		for j, li := range sel[:k] {
-			dst[j*stride] = slotBox(t, unsafe.Pointer(&data[idx[li]]))
+			setSlot(&dst[j*stride], t, unsafe.Pointer(&data[idx[li]]))
 		}
 	}
 }
 
-// slotBox is the interface of type word t whose data word is p.
+// setSlot stores the interface of type word t whose data word is p into
+// *d, word by word: both words are pointers to the compiler, so a store
+// into the heap keeps its write barriers, and no interface is built on
+// the stack first.
 //
 //hierdb:hotpath
-func slotBox(t, p unsafe.Pointer) any {
-	return *(*any)(unsafe.Pointer(&eface{t, p}))
+func setSlot(d *any, t, p unsafe.Pointer) {
+	*(*eface)(unsafe.Pointer(d)) = eface{t, p}
 }
 
 // posOf is the storage position of value j of boxInto's call.
@@ -209,7 +213,7 @@ func posOf(idx, sel []int32, j int) int {
 // storage position pos.
 //
 //hierdb:hotpath
-func (c *Col) boxIn(t unsafe.Pointer, pos int) any {
+func (c *Col) boxIn(t unsafe.Pointer, pos int) (v any) {
 	var p unsafe.Pointer
 	switch {
 	case c.Kind.IntFamily():
@@ -221,7 +225,8 @@ func (c *Col) boxIn(t unsafe.Pointer, pos int) any {
 	default:
 		p = unsafe.Pointer(&c.Str[pos])
 	}
-	return slotBox(t, p)
+	setSlot(&v, t, p)
+	return v
 }
 
 // Detach returns v boxed on its own — the runtime's box of a copy, which

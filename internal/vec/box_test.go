@@ -45,20 +45,20 @@ func boxCases() map[Kind][]any {
 	return out
 }
 
-// boxless columnizes vals (one typed kind, nulls allowed) and drops the
-// Box, so every Value boxes from the mirror.
+// boxless columnizes vals (one typed kind, nulls allowed): a typed
+// column has no Box, so every Value boxes from the mirror.
 func boxless(t *testing.T, k Kind, vals []any) *Col {
 	t.Helper()
 	rows := make([]Row, len(vals))
 	for i, v := range vals {
 		rows[i] = Row{v}
 	}
-	c := &FromRows(rows).Cols[0]
-	if c.Kind != k {
+	b := FromRows(rows)
+	checkBoxIffAny(t, "FromRows", b)
+	if c := &b.Cols[0]; c.Kind != k {
 		t.Fatalf("%v values columnize as %v", k, c.Kind)
 	}
-	c.Box = nil
-	return c
+	return &b.Cols[0]
 }
 
 // sameBox fails unless got behaves as the runtime's box want does.
@@ -142,17 +142,16 @@ func TestBoxInPlaceSurvivesGC(t *testing.T) {
 }
 
 // TestBoxInPlaceZeroAlloc is vec's alloc gate (run by CI): delivering a
-// boxless column's values as interfaces — by Value, into rows, into an
-// Appender's Box — costs no heap box per value.
+// typed column's values as interfaces — by Value, into rows, into a Box
+// when a column degrades to Any — costs no heap box per value, and
+// storing them copies them into an Appender's mirrors.
 func TestBoxInPlaceZeroAlloc(t *testing.T) {
 	rows := make([]Row, 1024)
 	for i := range rows {
 		rows[i] = Row{1000 + i, fmt.Sprint("s", i), float64(i) + 0.5, int64(i) << 40}
 	}
 	b := FromRows(rows)
-	for ci := range b.Cols {
-		b.Cols[ci].Box = nil
-	}
+	checkBoxIffAny(t, "FromRows", b)
 	var sink any
 	if a := testing.AllocsPerRun(10, func() {
 		for ci := range b.Cols {
@@ -180,12 +179,20 @@ func TestBoxInPlaceZeroAlloc(t *testing.T) {
 	}); a > 32 {
 		t.Fatalf("storing %d rows allocates %.0f, want a few per column, none per value", b.N, a)
 	}
+	checkBoxIffAny(t, "Appender", store)
 	rowsEq(t, store.AppendRows(nil, new(Arena)), rows)
+	if a := testing.AllocsPerRun(10, func() {
+		c := b.Cols[0]
+		c.FillBox()
+	}); a != 1 {
+		t.Fatalf("FillBox allocates %.0f for %d values, want the Box only", a, b.N)
+	}
 }
 
 // TestBoxRowsMatchesValue is the boxing kernel's contract: for every
-// kind — boxless, in place or by copy, with its Box, and an Any column
-// holding nulls and Absent — through no index, a window past position 0
+// kind — typed, boxed in place or by copy; turned Any, its Box boxed in
+// place by FillBox; and an Any column holding nulls and Absent —
+// through no index, a window past position 0
 // or a permutation, for every row and a repeating subset, at strides 1
 // and 3, BoxRows writes at dst[j*stride] exactly the value Value reads
 // at the row's storage position, and nothing between.
@@ -209,8 +216,11 @@ func TestBoxRowsMatchesValue(t *testing.T) {
 				if c.Kind != k {
 					t.Fatalf("%v values columnize as %v", k, c.Kind)
 				}
-				if mode != "box" {
-					c.Box = nil
+				if mode == "box" && k != Any {
+					c.FillBox()
+					for pos, v := range vals {
+						sameBox(t, fmt.Sprintf("%v[%d] after FillBox", k, pos), c.Value(pos), v)
+					}
 				}
 				boxRowsAsValue(t, &c)
 			})
@@ -251,6 +261,52 @@ func boxRowsAsValue(t *testing.T, c *Col) {
 				}
 			}
 		}
+	}
+}
+
+// BenchmarkBoxRows prices vec's one boxing kernel (Col.BoxRows →
+// boxInto) per value, in a row tile's shape: the 1 024 rows of one column
+// written at stride 8, as into a block of 8-wide rows. Legs: an Int64
+// mirror read densely, and through an index — a permutation of its
+// storage positions, as a join output reads a build column — an indexed
+// String mirror (both boxed in place), and an indexed Any column (its
+// Box's words copied). None may allocate.
+func BenchmarkBoxRows(b *testing.B) {
+	const n, stride = 1024, 8
+	rows := make([]Row, n)
+	for i := range rows {
+		var mixed any = i
+		if i%2 == 1 {
+			mixed = fmt.Sprint("m", i)
+		}
+		rows[i] = Row{int64(i) << 20, fmt.Sprint("s", i), mixed}
+	}
+	cols := FromRows(rows).Cols
+	perm := make([]int32, n)
+	for i := range perm {
+		perm[i] = int32(i * 389 % n) // 389 is prime to 1024: every position once
+	}
+	legs := []struct {
+		name string
+		col  Col
+		idx  []int32
+	}{
+		{"int64/dense", cols[0], nil},
+		{"int64/indexed", cols[0], perm},
+		{"string/indexed", cols[1], perm},
+		{"any/indexed", cols[2], perm},
+	}
+	dst := make([]any, n*stride)
+	for _, leg := range legs {
+		b.Run(leg.name, func(b *testing.B) {
+			c := leg.col
+			c.Idx = leg.idx
+			b.ReportAllocs()
+			for range b.N {
+				c.BoxRows(dst, stride, Ident(n))
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/value")
+		})
 	}
 }
 

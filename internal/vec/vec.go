@@ -7,34 +7,33 @@
 //
 // Layout invariants:
 //
-//   - A typed column (Kind != Any) carries a typed mirror (I64/F64/Str/B)
-//     with the zero value at null positions, and an optional packed null
-//     bitmap over storage positions. Typed kernels read the mirror.
-//   - Box is present or derivable. When present, Box[pos] holds the
-//     boxed value at storage position pos (nil at SQL-null positions,
-//     Absent at ragged-row padding) and agrees with the mirror. A typed
-//     column may instead be boxless (Box == nil): chunk and spill
-//     decoding produce only the mirror, and Value/ReadRow/AppendRows
-//     derive the boxed value from it on demand. An Any column has no
-//     mirror, so it always has its Box.
-//   - Box in place (box.go). Resident tables (FromRows) keep the Box
-//     their rows arrived with, and materializing from it copies
-//     interface words. A value leaving a boxless column — at the Row
-//     boundary (AppendRows, ReadRow, Value), or into an Appender's Box
-//     (a join's build store) — becomes an interface whose data word
-//     points at its slot in the column's own mirror: no heap box per
-//     value, only the words that hold it.
+//   - A column has a Box if and only if it is Any. A typed column (Kind
+//     != Any) is its typed mirror (I64/F64/Str/B), with the zero value at
+//     null positions, plus an optional packed null bitmap over storage
+//     positions — wherever it comes from: FromRows, an Appender or Concat
+//     (a join's build store), chunk or spill decoding. Typed kernels read
+//     the mirror. An Any column has no mirror and no bitmap: Box[pos]
+//     holds the boxed value at storage position pos (nil at SQL-null
+//     positions, Absent at ragged-row padding).
+//   - Box in place (box.go). A value leaving a typed column — at the Row
+//     boundary (AppendRows, ReadRow, Value), or into an Any column's Box
+//     (FillBox, an Appender, Concat) — becomes an interface whose data
+//     word points at its slot in the column's own mirror: no heap box per
+//     value, only the words that hold it. A value leaving an Any column
+//     is its Box's word, copied.
 //   - Write once. A mirror reachable from a batch handed to any
 //     consumer, store or Rows is never written again: decoders, the
-//     Appender and Concat fill fresh storage and only ever append, and
-//     arena carvings are never reused. This is what makes boxing in
-//     place sound. Two pieces of private scratch are exempt because
-//     nothing is ever boxed from them: the spill Decoder's predicate
-//     mirrors and a spill File's write buffer.
-//   - Retention follows. A boxed value — a materialized Row, a build
-//     store's Box word, anything read through Value — keeps alive the
-//     mirror it points into, i.e. the column storage of the batch it
-//     came from, for as long as it is held.
+//     Appender and Concat fill fresh storage and only ever append, a
+//     column that degrades to Any forgets its mirror, and arena carvings
+//     are never reused. This is what makes boxing in place sound. Two
+//     pieces of private scratch are exempt because nothing is ever boxed
+//     from them: the spill Decoder's predicate mirrors and a spill File's
+//     write buffer.
+//   - Retention follows. A boxed value — a materialized Row, an Any
+//     column's Box word, anything read through Value — keeps alive the
+//     mirror it points into, i.e. the column storage it came from (a
+//     decoded batch, a resident table's columnization, a build store), for
+//     as long as it is held.
 //   - Columns are windowed exclusively through Idx (logical→storage).
 //     Storage slices are never re-sliced: the null bitmap is packed at
 //     word granularity over storage positions, so re-slicing storage
@@ -44,6 +43,7 @@ package vec
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -137,9 +137,9 @@ type Col struct {
 	// Idx maps logical row i to storage position Idx[i]; nil means the
 	// dense identity window over the whole storage (Len() rows).
 	Idx []int32
-	// Box holds the boxed values, one per storage position: nil marks
-	// SQL null, Absent marks ragged-row padding. A typed column may leave
-	// it nil (boxless) — read values through Value, never Box[pos].
+	// Box holds an Any column's values, one per storage position: nil
+	// marks SQL null, Absent marks ragged-row padding. A typed column has
+	// none — read values through Value, never Box[pos].
 	Box []any
 	// Typed mirrors, valid per Kind (I64 backs the whole int family,
 	// with uint64 values stored as their bit pattern).
@@ -185,7 +185,7 @@ func (c *Col) setNull(pos, n int) {
 // Len returns the number of storage positions.
 func (c *Col) Len() int {
 	switch {
-	case c.Box != nil:
+	case c.Kind == Any:
 		return len(c.Box)
 	case c.Kind.IntFamily():
 		return len(c.I64)
@@ -197,15 +197,15 @@ func (c *Col) Len() int {
 	return len(c.Str)
 }
 
-// Value returns the boxed value at storage position pos: the Box word
-// when the column has one, otherwise boxed in place over the mirror
-// (boxAt) — no allocation either way, unless the kind failed box.go's
-// init self-check. A value of a boxless column keeps the column's mirror
-// alive for as long as it is held.
+// Value returns the boxed value at storage position pos: the Box word of
+// an Any column, otherwise boxed in place over the mirror (boxAt) — no
+// allocation either way, unless the kind failed box.go's init
+// self-check. A value of a typed column keeps the column's mirror alive
+// for as long as it is held.
 //
 //hierdb:hotpath
 func (c *Col) Value(pos int) any {
-	if c.Box != nil {
+	if c.Kind == Any {
 		return c.Box[pos]
 	}
 	return c.boxAt(pos)
@@ -214,27 +214,29 @@ func (c *Col) Value(pos int) any {
 // BoxRows boxes the values of logical rows rows into dst[0],
 // dst[stride], dst[2*stride]…, through the column's Idx — boxInto's
 // exported form, for a caller filling rows column-major (an aggregate's
-// or a filter's argument rows): the Box's words when the column has
-// one, else boxed in place over the mirror, nil at null bits, Absent
-// where a ragged row ends. Nothing is allocated; a value of a boxless
-// column keeps its mirror alive for as long as it is held.
+// or a filter's argument rows): an Any column's Box words, a typed one's
+// values boxed in place over the mirror, nil at null bits, Absent where
+// a ragged row ends. Nothing is allocated; a value of a typed column
+// keeps its mirror alive for as long as it is held.
 //
 //hierdb:hotpath
 func (c *Col) BoxRows(dst []any, stride int, rows []int32) {
 	c.boxInto(dst, stride, c.Idx, rows, len(rows))
 }
 
-// FillBox gives a boxless column its Box, boxing every storage
-// position in place — for consumers that read the column as Any (a
-// typed chunk under an Any schema). The Box keeps the mirror alive even
-// if the column forgets it.
+// FillBox turns a typed column into an Any one in place, for a consumer
+// that must read it as Any (a typed chunk under an Any schema, a store
+// column fed a second kind): every storage position is boxed in place
+// into a fresh Box, and the mirror and bitmap are forgotten — the boxes
+// keep the mirror alive, and nothing writes a forgotten mirror again. An
+// Any column is left as it is.
 func (c *Col) FillBox() {
-	if c.Box != nil {
+	if c.Kind == Any {
 		return
 	}
 	box := make([]any, c.Len())
 	c.boxInto(box, 1, nil, nil, len(box))
-	c.Box = box
+	*c = Col{Kind: Any, Idx: c.Idx, Box: box}
 }
 
 // Batch is a set of equal-length column vectors. Columns may carry
@@ -291,9 +293,10 @@ func Ident(n int) []int32 {
 
 // FromRows columnizes boxed rows, detecting one Kind per column: a
 // column whose non-null values all share one scalar type gets that
-// typed representation (mirror + null bitmap); mixed or exotic columns
-// stay boxed (Any). Ragged rows are padded with Absent, which forces
-// the padded columns to Any.
+// typed representation (mirror + null bitmap, no Box); mixed or exotic
+// columns stay boxed (Any), their Box holding the rows' own words.
+// Ragged rows are padded with Absent, which forces the padded columns
+// to Any.
 func FromRows(rows []Row) *Batch {
 	n := len(rows)
 	w := 0
@@ -305,49 +308,52 @@ func FromRows(rows []Row) *Batch {
 	b := &Batch{Cols: make([]Col, w), N: n}
 	for ci := range b.Cols {
 		c := &b.Cols[ci]
-		c.Box = make([]any, n)
-		kind, resolved := Any, false
-		for ri, r := range rows {
-			var v any
-			if ci < len(r) {
-				v = r[ci]
-			} else {
-				v = Absent
-			}
-			c.Box[ri] = v
-			if resolved && kind == Any {
-				continue
-			}
-			if v == nil {
-				continue // null constrains nothing
-			}
-			k := KindOf(v)
-			if !resolved {
-				kind, resolved = k, true
-			} else if k != kind {
-				kind = Any
-			}
-			if k == Any {
-				kind = Any // Absent padding and exotic types stay boxed
-			}
+		if c.Kind = rowsKind(rows, ci); c.Kind != Any {
+			fillMirror(c, rows, ci)
+			continue
 		}
-		c.Kind = kind
-		if kind != Any {
-			fillMirror(c)
+		c.Box = make([]any, n)
+		for ri, r := range rows {
+			if ci < len(r) {
+				c.Box[ri] = r[ci]
+			} else {
+				c.Box[ri] = Absent
+			}
 		}
 	}
 	return b
 }
 
-// fillMirror populates the typed mirror and null bitmap of a column
-// whose Kind has been resolved, from its Box values.
-func fillMirror(c *Col) {
-	n := len(c.Box)
+// rowsKind resolves column ci of rows: the one scalar kind its non-null
+// values share, else Any (mixed or exotic values, Absent padding, or no
+// value at all).
+func rowsKind(rows []Row, ci int) Kind {
+	kind := Any
+	for _, r := range rows {
+		if ci >= len(r) {
+			return Any // Absent padding
+		}
+		if r[ci] == nil {
+			continue // null constrains nothing
+		}
+		k := KindOf(r[ci])
+		if k == Any || kind != Any && k != kind {
+			return Any
+		}
+		kind = k
+	}
+	return kind
+}
+
+// fillMirror populates the typed mirror and null bitmap of column ci,
+// whose Kind rowsKind resolved, from rows.
+func fillMirror(c *Col, rows []Row, ci int) {
+	n := len(rows)
 	switch c.Kind {
 	case Int, Int32, Int64, Uint64:
 		c.I64 = make([]int64, n)
-		for i, v := range c.Box {
-			switch t := v.(type) {
+		for i, r := range rows {
+			switch t := r[ci].(type) {
 			case int:
 				c.I64[i] = int64(t)
 			case int32:
@@ -362,8 +368,8 @@ func fillMirror(c *Col) {
 		}
 	case Float64:
 		c.F64 = make([]float64, n)
-		for i, v := range c.Box {
-			if t, ok := v.(float64); ok {
+		for i, r := range rows {
+			if t, ok := r[ci].(float64); ok {
 				c.F64[i] = t
 			} else {
 				c.setNull(i, n)
@@ -371,8 +377,8 @@ func fillMirror(c *Col) {
 		}
 	case Bool:
 		c.B = make([]bool, n)
-		for i, v := range c.Box {
-			if t, ok := v.(bool); ok {
+		for i, r := range rows {
+			if t, ok := r[ci].(bool); ok {
 				c.B[i] = t
 			} else {
 				c.setNull(i, n)
@@ -380,8 +386,8 @@ func fillMirror(c *Col) {
 		}
 	case String:
 		c.Str = make([]string, n)
-		for i, v := range c.Box {
-			if t, ok := v.(string); ok {
+		for i, r := range rows {
+			if t, ok := r[ci].(string); ok {
 				c.Str[i] = t
 			} else {
 				c.setNull(i, n)
@@ -402,7 +408,13 @@ func fillMirror(c *Col) {
 //hierdb:hotpath
 func (b *Batch) AppendRows(dst []Row, a *Arena) []Row {
 	w := len(b.Cols)
-	if b.N == 0 || w == 0 {
+	if w == 0 {
+		for range b.N {
+			dst = append(dst, Row{})
+		}
+		return dst
+	}
+	if b.N == 0 {
 		return dst
 	}
 	// One flat carve for the whole batch, filled column-major: each
@@ -425,9 +437,10 @@ func (b *Batch) AppendRows(dst []Row, a *Arena) []Row {
 	return dst
 }
 
-// ReadRow materializes logical row i into scratch (reused by callers
-// that only need the row transiently: filters, key extraction,
-// aggregate arguments). The returned slice aliases scratch.
+// ReadRow materializes logical row i into scratch, value by value, for
+// a caller that needs one row transiently; the returned slice aliases
+// scratch. A caller reading many rows of a batch boxes them a column at
+// a time with AppendRows instead.
 //
 //hierdb:hotpath
 func (b *Batch) ReadRow(i int, scratch Row) Row {
@@ -509,15 +522,16 @@ func sameIdx(a, b []int32) bool {
 // ---------------------------------------------------------------------
 
 // Appender accumulates rows from batches into one growing dense
-// columnar store — one worker's part of a hash-join build side. The store
-// always keeps its Box: values from a boxed source are copied words, a
-// boxless source's are boxed in place over the source's mirror (which
-// the store therefore keeps alive), so every later match selects a
-// stored word. The store's schema adapts: a column fed two
-// different kinds, or ragged widths, degrades to Any (the store's Box
-// is complete, so degrading is O(1) and never re-boxes) — except that an
-// all-null Any source column (what the spill codec makes of a batch
-// column without a value) lands in a typed column as nulls.
+// columnar store — one worker's part of a hash-join build side. A store
+// column is what any column is (package comment): a typed one its mirror
+// and null bitmap, into which values are copied; an Any one its Box, into
+// which a boxed source's words are copied and a typed source's values
+// boxed in place over the source's mirror (which the store therefore
+// keeps alive). The store's schema adapts: a column fed two different
+// kinds, or ragged widths, degrades to Any, boxing its mirror in place
+// once (FillBox) — except that an all-null Any source column (what the
+// spill codec makes of a batch column without a value) lands in a typed
+// column as nulls.
 type Appender struct {
 	cols []Col
 	// shaped counts the leading columns whose kind NewAppender fixed; a
@@ -528,15 +542,18 @@ type Appender struct {
 
 // NewAppender returns an appender pre-shaped for the given column
 // kinds (nil means the schema is discovered from appended batches)
-// with capacity — Box and typed mirror — for hint rows.
+// with capacity — typed mirror, or Box for an Any column — for hint
+// rows.
 func NewAppender(kinds []Kind, hint int) *Appender {
 	ap := &Appender{shaped: len(kinds)}
 	if kinds != nil {
 		ap.cols = make([]Col, len(kinds))
 		for i, k := range kinds {
 			c := &ap.cols[i]
-			c.Kind, c.Box = k, make([]any, 0, hint)
+			c.Kind = k
 			switch {
+			case k == Any:
+				c.Box = make([]any, 0, hint)
 			case k.IntFamily():
 				c.I64 = make([]int64, 0, hint)
 			case k == Float64:
@@ -584,16 +601,18 @@ func (ap *Appender) AppendRowsSel(b *Batch, sel []int32) {
 	ap.n += k
 }
 
-// widen grows the store to w columns, backfilling new columns with
-// Absent for the rows already appended.
+// widen grows the store to w columns. A column opened before any rows
+// landed adopts the first batch's kind (appendCol); one opened later is
+// backfilled with Absent for the rows already appended and stays Any.
 func (ap *Appender) widen(w int) {
 	for len(ap.cols) < w {
-		c := Col{Kind: Any, Box: make([]any, ap.n, ap.n+256)}
-		for i := range c.Box {
-			c.Box[i] = Absent
+		c := Col{Kind: Any}
+		if ap.n > 0 {
+			c.Box = make([]any, ap.n, ap.n+256)
+			for i := range c.Box {
+				c.Box[i] = Absent
+			}
 		}
-		// A column backfilled with Absent is permanently Any; a column
-		// opened before any rows landed adopts the first batch's kind.
 		ap.cols = append(ap.cols, c)
 	}
 }
@@ -607,96 +626,101 @@ func (ap *Appender) padAbsent(dst *Col, k int) {
 	}
 }
 
-// degrade drops a column to the boxed Any representation. The store's
-// Box is complete, so this only folds the null bitmap away and forgets
-// the mirror.
-func (ap *Appender) degrade(dst *Col) {
-	if dst.Kind == Any {
-		return
-	}
-	dst.Kind = Any
-	dst.I64, dst.F64, dst.Str, dst.B, dst.Null = nil, nil, nil, nil, nil
-}
-
 //hierdb:hotpath
 func (ap *Appender) appendCol(dst *Col, ci int, src *Col, sel []int32, k int) {
 	if ci >= ap.shaped && ap.n == 0 {
 		dst.Kind = src.Kind
 	} else if dst.Kind != src.Kind {
 		if src.Kind == Any && allNull(src, sel, k) {
-			dst.Box = append(dst.Box, make([]any, k)...)
-			for j := 0; j < k; j++ {
-				appendOne(dst, &nullSrc, 0)
-			}
+			appendNulls(dst, ap.n, k)
 			return
 		}
 		ap.degrade(dst)
 	}
-	// Box always fills: copied words, or boxed in place over a boxless
-	// source's mirror.
-	at := len(dst.Box)
-	dst.Box = append(dst.Box, make([]any, k)...)
-	src.boxInto(dst.Box[at:], 1, src.Idx, sel, k)
-	if dst.Kind == Any {
+	switch {
+	case dst.Kind == Any:
+		at := len(dst.Box)
+		dst.Box = append(dst.Box, make([]any, k)...)
+		src.boxInto(dst.Box[at:], 1, src.Idx, sel, k)
 		return
+	case dst.Kind.IntFamily():
+		dst.I64 = appendSlots(dst.I64, src.I64, src.Idx, sel, k)
+	case dst.Kind == Float64:
+		dst.F64 = appendSlots(dst.F64, src.F64, src.Idx, sel, k)
+	case dst.Kind == Bool:
+		dst.B = appendSlots(dst.B, src.B, src.Idx, sel, k)
+	default:
+		dst.Str = appendSlots(dst.Str, src.Str, src.Idx, sel, k)
 	}
-	// Mirror and nulls for the still-typed column.
-	if sel == nil && src.Idx == nil {
-		for pos := 0; pos < k; pos++ {
-			appendOne(dst, src, pos)
-		}
-	} else if sel == nil {
-		for _, pos := range src.Idx {
-			appendOne(dst, src, int(pos))
-		}
-	} else {
-		for _, li := range sel {
-			appendOne(dst, src, src.Pos(int(li)))
+	if null := src.Null; null != nil {
+		for j := range k {
+			if pos := posOf(src.Idx, sel, j); null[pos>>6]&(1<<(uint(pos)&63)) != 0 {
+				setNullGrow(dst, ap.n+j)
+			}
 		}
 	}
+}
+
+// degrade turns a store column Any (FillBox), its lazily grown bitmap
+// first padded to the rows stored.
+func (ap *Appender) degrade(dst *Col) {
+	padNulls(dst, ap.n)
+	dst.FillBox()
+}
+
+// appendSlots appends the k values src[idx[sel[j]]] (a nil sel or idx is
+// the identity) to dst.
+//
+//hierdb:hotpath
+func appendSlots[T any](dst, src []T, idx, sel []int32, k int) []T {
+	at := len(dst)
+	dst = slices.Grow(dst, k)[:at+k]
+	out := dst[at:]
+	switch {
+	case sel == nil && idx == nil:
+		copy(out, src[:k])
+	case sel == nil:
+		for j, pos := range idx[:k] {
+			out[j] = src[pos]
+		}
+	case idx == nil:
+		for j, pos := range sel[:k] {
+			out[j] = src[pos]
+		}
+	default:
+		for j, li := range sel[:k] {
+			out[j] = src[idx[li]]
+		}
+	}
+	return dst
 }
 
 // allNull reports whether the k selected rows of the Any column src (sel
 // nil = all) are SQL nulls, every one.
 func allNull(src *Col, sel []int32, k int) bool {
 	for j := 0; j < k; j++ {
-		li := j
-		if sel != nil {
-			li = int(sel[j])
-		}
-		if src.Box[src.Pos(li)] != nil {
+		if src.Box[posOf(src.Idx, sel, j)] != nil {
 			return false
 		}
 	}
 	return true
 }
 
-// nullSrc is a one-row source column of every typed kind whose row is
-// null: appendOne(dst, &nullSrc, 0) appends a null to any typed dst.
-var nullSrc = Col{I64: []int64{0}, F64: []float64{0}, Str: []string{""}, B: []bool{false}, Null: []uint64{1}}
-
-// appendOne appends the typed mirror value (and null bit) at source
-// storage position pos to dst, which is known to share src's kind.
-//
-//hierdb:hotpath
-func appendOne(dst, src *Col, pos int) {
-	var p int
-	switch dst.Kind {
-	case Int, Int32, Int64, Uint64:
-		p = len(dst.I64)
-		dst.I64 = append(dst.I64, src.I64[pos])
-	case Float64:
-		p = len(dst.F64)
-		dst.F64 = append(dst.F64, src.F64[pos])
-	case Bool:
-		p = len(dst.B)
-		dst.B = append(dst.B, src.B[pos])
-	case String:
-		p = len(dst.Str)
-		dst.Str = append(dst.Str, src.Str[pos])
+// appendNulls appends k nulls to the typed column dst, which holds at
+// rows: zero values in the mirror, their bits set.
+func appendNulls(dst *Col, at, k int) {
+	switch {
+	case dst.Kind.IntFamily():
+		dst.I64 = append(dst.I64, make([]int64, k)...)
+	case dst.Kind == Float64:
+		dst.F64 = append(dst.F64, make([]float64, k)...)
+	case dst.Kind == Bool:
+		dst.B = append(dst.B, make([]bool, k)...)
+	default:
+		dst.Str = append(dst.Str, make([]string, k)...)
 	}
-	if src.NullAt(pos) {
-		setNullGrow(dst, p)
+	for j := range k {
+		setNullGrow(dst, at+j)
 	}
 }
 
@@ -710,20 +734,21 @@ func setNullGrow(c *Col, pos int) {
 	c.Null[pos>>6] |= 1 << (uint(pos) & 63)
 }
 
+// padNulls pads a lazily grown bitmap, if c has one, to cover n storage
+// positions.
+func padNulls(c *Col, n int) {
+	for c.Null != nil && len(c.Null) < (n+63)/64 {
+		c.Null = append(c.Null, 0)
+	}
+}
+
 // Batch seals the appended rows as one dense batch. The appender must
 // not be appended to afterwards (the batch aliases its storage).
 func (ap *Appender) Batch() *Batch {
 	b := &Batch{Cols: make([]Col, len(ap.cols)), N: ap.n}
 	copy(b.Cols, ap.cols)
 	for ci := range b.Cols {
-		c := &b.Cols[ci]
-		if c.Null != nil {
-			// Bitmaps grow lazily; pad to full words for the final size.
-			want := (len(c.Box) + 63) / 64
-			for len(c.Null) < want {
-				c.Null = append(c.Null, 0)
-			}
-		}
+		padNulls(&b.Cols[ci], ap.n)
 	}
 	return b
 }
@@ -731,15 +756,16 @@ func (ap *Appender) Batch() *Batch {
 // Concat seals the rows accumulated by several appenders into one dense
 // batch, part after part: row r of parts[p] lands at storage position
 // base+r, base being the rows of the parts before it. The result is the
-// batch one Appender fed the same rows in the same order would hold —
-// every column keeps its Box, a column stays typed only while every
-// non-empty part agrees on its kind, and a part narrower than the widest
-// pads its missing tail with Absent — but its columns are allocated at
-// their exact size and filled column-major, and each part's copy of a
-// column is dropped as soon as it has been copied, so the rows are never
-// held twice. A single non-empty part is aliased instead (as by Batch);
-// a nil part is an empty one. Concat consumes the parts: none may be
-// appended to or read afterwards.
+// batch one Appender fed the same rows in the same order would hold — a
+// column stays typed (mirror and bitmap) only while every non-empty part
+// agrees on its kind, else it is Any (a Box of every part's values,
+// boxed in place over a typed part's mirror), and a part narrower than
+// the widest pads its missing tail with Absent — but its columns are
+// allocated at their exact size and filled column-major, and each
+// part's copy of a column is dropped as soon as it has been copied, so
+// the rows are never held twice. A single non-empty part is aliased
+// instead (as by Batch); a nil part is an empty one. Concat consumes the
+// parts: none may be appended to or read afterwards.
 func Concat(parts []*Appender) *Batch {
 	var only *Appender
 	n, w, live := 0, 0, 0
@@ -785,7 +811,9 @@ func concatCol(dst *Col, parts []*Appender, ci, n int) {
 			dst.Kind = Any
 		}
 	}
-	dst.Box = make([]any, n)
+	if dst.Kind == Any {
+		dst.Box = make([]any, n)
+	}
 	base := 0
 	for _, ap := range parts {
 		if ap == nil || ap.n == 0 {
@@ -800,9 +828,10 @@ func concatCol(dst *Col, parts []*Appender, ci, n int) {
 			continue
 		}
 		src := &ap.cols[ci]
-		copy(dst.Box[base:], src.Box)
 		switch {
 		case dst.Kind == Any:
+			padNulls(src, ap.n)
+			src.boxInto(dst.Box[base:], 1, nil, nil, ap.n)
 		case dst.Kind.IntFamily():
 			dst.I64 = place(dst.I64, src.I64, base, n)
 		case dst.Kind == Float64:

@@ -6,10 +6,11 @@ package hierdb
 // never materialized unless the caller asks for it with Collect.
 //
 // The engine streams columnar batches; Rows is the row boundary. Row
-// materialization is lazy — Next only advances a cursor, and a caller
-// that skips Row() for a batch never pays for boxing it into rows; one
-// that calls it pays the row's interface words and no box per value
-// (internal/vec boxes in place).
+// materialization is lazy and a batch at a time — Next only advances a
+// cursor, a caller that skips Row() for a batch never pays for boxing
+// it, and the first Row() of a batch boxes all its rows column by column
+// (vec's AppendRows, the path Collect takes): the rows' interface words
+// and no box per value (internal/vec boxes in place).
 
 import (
 	"hierdb/internal/exec"
@@ -31,10 +32,12 @@ import (
 // retires and frees its admission slot and memory charge. One still
 // paused holds both until read or closed — always drain it or Close.
 type Rows struct {
-	h      *exec.Handle
-	batch  *vec.Batch
-	i      int // next logical row of batch
-	cur    Row
+	h     *exec.Handle
+	batch *vec.Batch
+	i     int // next logical row of batch
+	// rows are batch's rows once Row materialized them, else empty; the
+	// slice is reused across batches, the rows it holds never are.
+	rows   []Row
 	arena  vec.Arena
 	err    error
 	closed bool
@@ -47,7 +50,6 @@ func (r *Rows) Next() bool {
 	if r.closed {
 		return false
 	}
-	r.cur = nil
 	for {
 		if r.batch != nil && r.i < r.batch.N {
 			r.i++
@@ -60,21 +62,31 @@ func (r *Rows) Next() bool {
 			}
 			return false
 		}
-		r.batch, r.i = batch, 0
+		r.batch, r.i, r.rows = batch, 0, r.rows[:0]
 	}
 }
 
-// Row returns the current row, materialized from the columnar batch on
-// first call. Valid after a true Next until the next call; the engine
-// does not reuse row storage, so retaining rows is safe. A value of a
-// row read from a table file or a spill partition points into the
-// decoded batch's column storage instead of a heap copy of its own, so a
-// retained row keeps that batch's columns alive.
+// Row returns the current row; the first call in a batch materializes
+// the whole batch. Valid after a true Next until the next call; the
+// engine does not reuse row storage, so retaining rows is safe. A typed
+// value of a row points into the column storage it was read from — a
+// decoded chunk or spill partition, a resident table's columnization, a
+// join's build store — instead of a heap copy of its own, so a retained
+// row keeps those columns alive.
 func (r *Rows) Row() Row {
-	if r.cur == nil && r.batch != nil && r.i > 0 {
-		r.cur = r.batch.ReadRow(r.i-1, r.arena.Anys(len(r.batch.Cols)))
+	if r.batch == nil || r.i == 0 {
+		return nil
 	}
-	return r.cur
+	return r.batchRows()[r.i-1]
+}
+
+// batchRows returns the current batch's rows, materializing them on
+// first use.
+func (r *Rows) batchRows() []Row {
+	if len(r.rows) == 0 {
+		r.rows = r.batch.AppendRows(r.rows[:0], &r.arena)
+	}
+	return r.rows
 }
 
 // Err returns the query's terminal error once Next has returned false
@@ -89,7 +101,7 @@ func (r *Rows) Close() error {
 		return r.err
 	}
 	r.closed = true
-	r.batch, r.i, r.cur = nil, 0, nil
+	r.batch, r.i, r.rows = nil, 0, nil
 	r.h.Cancel()
 	for _, ok := r.h.Next(); ok; _, ok = r.h.Next() {
 	}
@@ -97,30 +109,25 @@ func (r *Rows) Close() error {
 }
 
 // Collect drains the remaining stream into a slice, batch-wise. Like
-// Row's, the returned rows keep alive the column storage of the batches
-// their values were read from.
+// Row's, the returned rows keep alive the column storage their values
+// were read from.
 func (r *Rows) Collect() ([]Row, error) {
 	var out []Row
 	if !r.closed {
 		// Buffer the remaining batches, then carve the row slice once at
 		// the exact total — no growslice churn on large results.
-		partial, start := r.batch, r.i
-		r.batch, r.i = nil, 0
-		var batches []*vec.Batch
-		total := 0
-		if partial != nil {
-			total += partial.N - start
+		var partial []Row
+		if r.batch != nil && r.i < r.batch.N {
+			partial = r.batchRows()[r.i:]
 		}
+		r.batch, r.i, r.rows = nil, 0, nil
+		var batches []*vec.Batch
+		total := len(partial)
 		for batch, ok := r.h.Next(); ok; batch, ok = r.h.Next() {
 			batches = append(batches, batch)
 			total += batch.N
 		}
-		out = make([]Row, 0, total)
-		if partial != nil {
-			for i := start; i < partial.N; i++ {
-				out = append(out, partial.ReadRow(i, r.arena.Anys(len(partial.Cols))))
-			}
-		}
+		out = append(make([]Row, 0, total), partial...)
 		for _, batch := range batches {
 			out = batch.AppendRows(out, &r.arena)
 		}
