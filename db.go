@@ -128,8 +128,9 @@ const (
 	// OptimizerFull additionally lets the DP search (the paper's
 	// optimizer stage) reorder joins and choose build sides, minimizing
 	// estimated intermediate rows. Plans it does not reorder — a Project
-	// step, a NoReorder hint, mixed-type or ragged columns — keep their
-	// literal order with the hints pass applied; Explain reports why.
+	// step, a NoReorder hint, a table whose rows are not as wide as its
+	// declared columns — keep their literal order with the hints pass
+	// applied; Explain reports why.
 	// Results are always identical to OptimizerOff (a reordered plan that
 	// would permute output columns gets a restoring projection).
 	OptimizerFull = exec.OptimizeFull

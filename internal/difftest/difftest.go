@@ -540,13 +540,13 @@ func (c *Case) planOrder(db *hierdb.DB, order, attach []int) *hierdb.Query {
 }
 
 // Ragged returns a copy of the case whose last-attached relation — the
-// build side of the chain's last join — is a ragged table: all but the
+// build side of the chain's last join — has short rows: all but the
 // first eight of its rows (id first, payload last) lose their payload
-// column. The registered table then carries Absent padding in its last
-// column through whatever the leg does to it — join, redistribution,
-// spill — and every result row must come back at its own width. The
-// ragged relation ends every output row, so the short rows stay short
-// in Reference's plain concatenation too.
+// column. A short row is null in the column it lacks, so the registered
+// table carries nulls in its last column through whatever the leg does
+// to it — join, redistribution, spill, a reordering optimizer — and
+// every result row must come back with a nil there, as Reference pads
+// it.
 func (c *Case) Ragged() *Case {
 	rc := *c
 	rc.Tables = append([]*hierdb.Table(nil), c.Tables...)
@@ -626,8 +626,12 @@ func (c *Case) NullPayload() *Case {
 func (c *Case) Reference() map[string]int {
 	scan := func(rel int) []hierdb.Row {
 		var out []hierdb.Row
+		w := len(c.Tables[rel].Cols)
 	rows:
 		for _, r := range c.Tables[rel].Rows {
+			if len(r) < w { // a short row is null in the columns it lacks
+				r = append(r[:len(r):len(r)], make(hierdb.Row, w-len(r))...)
+			}
 			if c.Preds != nil {
 				for _, p := range c.Preds[rel] {
 					if !refPred(r, p) {

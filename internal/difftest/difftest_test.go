@@ -220,8 +220,8 @@ func TestDifferentialQueries(t *testing.T) {
 			gc.DrawGroup(0x6B0 + uint64(qi))
 			groupsSeen[[2]bool{gc.Group.KeyBuild, gc.Group.Project != nil}]++
 			gwant := gc.Reference()
-			// The same group-by over the ragged build side: the Arg row ends
-			// where a short build row does.
+			// The same group-by over the ragged build side: an Arg row
+			// matched to a short build row is null in its payload.
 			rgc := *gc.Ragged()
 			rgwant := rgc.Reference()
 			for _, leg := range ls {
@@ -252,14 +252,14 @@ func TestDifferentialQueries(t *testing.T) {
 					t.Fatalf("%v\ngroup-by: %+v", err, gc.Group)
 				}
 			}
-			// The ragged legs: the last join's build side is a ragged
-			// registered table, most of its rows one column short, so its
-			// last column is Absent-padded from the table's columnization
-			// on — into the build store, across nodes, through spill
-			// files, at batch size 16, and past the optimizer (which leaves
-			// a plan over a ragged table in its literal order) — and every
-			// row must read back at its own width. Anchored to the naive
-			// interpreter over the same tables.
+			// The ragged legs: the last join's build side is a registered
+			// table most of whose rows are one column short, so its last
+			// column is null in them from the table's columnization on —
+			// into the build store, across nodes, through spill files, at
+			// batch size 16, and past the optimizer, which reorders it like
+			// any other — and every row must read back with a nil there.
+			// Anchored to the naive interpreter over the same tables,
+			// which pads a short row with nil.
 			// The float-key legs: the last join's keys are float64 on both
 			// sides, with 0.0 and -0.0 — one key, by ==, that must reach one
 			// node, one hash bucket, one spill partition and one index chain — and

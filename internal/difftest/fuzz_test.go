@@ -18,12 +18,15 @@ import (
 // batch sizes of 1, null-heavy and mixed-type key columns); CI
 // additionally runs a short -fuzztime smoke.
 //
-// Two high seed bits steer the key-column shape (so the historical
+// Three high seed bits steer the tables' shape (so the historical
 // corpus, whose seeds never set them, is unaffected): bit 40 makes the
 // key column null-heavy (the columnar kernels must route nulls through
 // bitmaps, side lists and the spill codec's null sections), bit 41
 // mixes int and string keys in one column (defeating typed indexing and
-// typed spill encoding — the boxed Any paths must agree with them).
+// typed spill encoding — the boxed Any paths must agree with them), and
+// bit 42 drops the payload of every third build row, which is then null
+// in the column it lacks through spill, several nodes and odd batch
+// sizes. Every output row is four wide.
 func FuzzJoinEquivalence(f *testing.F) {
 	f.Add(uint64(1), uint16(64), uint8(0), uint8(0), uint8(0), uint32(0))            // defaults, unlimited memory
 	f.Add(uint64(2), uint16(8), uint8(128), uint8(4), uint8(16), uint32(2048))       // small domain, mild skew, tiny budget
@@ -32,10 +35,12 @@ func FuzzJoinEquivalence(f *testing.F) {
 	f.Add(uint64(0xbeef), uint16(97), uint8(30), uint8(7), uint8(3), uint32(12345))  // odd granularities
 	f.Add(uint64(1)<<40|7, uint16(16), uint8(0), uint8(0), uint8(0), uint32(1024))   // null-heavy key column under a tiny budget
 	f.Add(uint64(3)<<40|11, uint16(32), uint8(64), uint8(8), uint8(8), uint32(4096)) // mixed int/string keys with nulls, skewed
+	f.Add(uint64(1)<<42|13, uint16(24), uint8(0), uint8(3), uint8(5), uint32(1536))  // short build rows under a tiny budget
 	f.Fuzz(func(t *testing.T, seed uint64, keyDomain uint16, skew, batch, morsel uint8, memBudget uint32) {
 		dom := int(keyDomain)%512 + 1
 		nullHeavy := seed&(1<<40) != 0
 		mixedKeys := seed&(1<<41) != 0
+		shortRows := seed&(1<<42) != 0
 		r := xrand.New(seed)
 		drawKey := func() any {
 			if nullHeavy && r.Intn(4) == 0 {
@@ -52,7 +57,11 @@ func FuzzJoinEquivalence(f *testing.F) {
 		}
 		build := &hierdb.Table{Name: "b", Cols: []string{"k", "v"}}
 		for i := 0; i < 100+int(seed%200); i++ {
-			build.Rows = append(build.Rows, hierdb.Row{drawKey(), fmt.Sprintf("b%d", i)})
+			row := hierdb.Row{drawKey(), fmt.Sprintf("b%d", i)}
+			if shortRows && i%3 == 0 {
+				row = row[:1] // null in the payload column
+			}
+			build.Rows = append(build.Rows, row)
 		}
 		probe := &hierdb.Table{Name: "p", Cols: []string{"k", "v"}}
 		for i := 0; i < 200+int(seed%400); i++ {
@@ -71,6 +80,11 @@ func FuzzJoinEquivalence(f *testing.F) {
 				Collect(context.Background())
 			if err != nil {
 				t.Fatal(err)
+			}
+			for _, row := range rows {
+				if len(row) != 4 {
+					t.Fatalf("output row %v is %d wide, want 4", row, len(row))
+				}
 			}
 			return Multiset(rows)
 		}

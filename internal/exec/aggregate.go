@@ -248,9 +248,8 @@ type groupFold struct {
 // tile's groups are resolved, then — when some aggregate has an Arg — the
 // tile's argument rows are filled column-major in the worker's row block,
 // one boxing call per output column (a probe column through its Idx at
-// the tile's probe rows, a store column at its store positions), trimmed
-// at their first Absent when a column is Any, and the Arg closures run on
-// them in match order. When the group key is a build column the group is
+// the tile's probe rows, a store column at its store positions), and the
+// Arg closures run on them in match order. When the group key is a build column the group is
 // resolved once per build row, not once per match: the slots hold the
 // group of each store position until the store changes (a thief folds an
 // owner's store, a spill phase loads the next partition), except a NaN
@@ -291,16 +290,9 @@ func (q *query) foldGroups(op *pop, w int, b, store *vec.Batch) int {
 	} else {
 		keyCol = &b.Cols[src[gb.Key]]
 	}
-	needRow, ragged := false, false
+	needRow := false
 	for _, a := range gb.Aggs {
 		needRow = needRow || a.Func != Count
-	}
-	for _, c := range src {
-		if c < pw {
-			ragged = ragged || b.Cols[c].Kind == vec.Any
-		} else {
-			ragged = ragged || store.Cols[c-pw].Kind == vec.Any
-		}
 	}
 	width := len(src)
 	t := gf.t
@@ -339,7 +331,7 @@ func (q *query) foldGroups(op *pop, w int, b, store *vec.Batch) int {
 			}
 		}
 		for j, g := range gs[:len(pr)] {
-			row := tileRow(block, j, width, ragged)
+			row := tileRow(block, j, width)
 			for i, a := range gb.Aggs {
 				if a.Func != Count {
 					t.fold(i, g, a.Arg(row))

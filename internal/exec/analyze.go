@@ -95,11 +95,6 @@ func analyzeBatch(b *vec.Batch, counters []catalog.DistinctCounter, cols []catal
 				bytes++
 			default:
 				v := c.Value(pos)
-				if vec.IsAbsent(v) {
-					// Ragged-row padding: the position holds no value.
-					cs.Nulls++
-					continue
-				}
 				d.Add(keyHash64(v))
 				bytes += boxedBytes(v)
 			}

@@ -44,7 +44,8 @@ type Row = spill.Row
 // (File, a chunked columnar table file opened with store.Open). Exactly
 // one of the two is the data source — a file-backed table leaves Rows
 // nil, and scans over it stream chunks from disk lazily instead of
-// columnizing a resident row slice.
+// columnizing a resident row slice. A row shorter than its table is null
+// in the columns it lacks.
 type Table struct {
 	Name string
 	Cols []string

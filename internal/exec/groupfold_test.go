@@ -307,8 +307,11 @@ func BenchmarkJoinGroupFold(b *testing.B) {
 }
 
 // argF reads a numeric Arg value of the tile fixture: an int or a
-// float64.
+// float64, and a null as -1000, below every value the fixtures hold.
 func argF(v any) float64 {
+	if v == nil {
+		return -1000
+	}
 	if i, ok := v.(int); ok {
 		return float64(i)
 	}
@@ -317,38 +320,39 @@ func argF(v any) float64 {
 
 // TestGroupFoldTileBoundaries: foldGroups fills its Arg rows a tile at a
 // time, column-major, and must fold what a row-at-a-time fold of the
-// same pairs folds — each row built value by value and ended at its
-// first Absent — for 1, tile−1, tile, tile+1 and 3·tile+5 matches; with
-// the group key a probe column, a build column resolved through the
-// slots and one looked up per match; over a ragged probe whose short
-// rows straddle the first tile edge; for a root scan's own rows; and
-// governed, where the slots last one fold. Arg closures read the first
-// and the last column of the row they are given. Each case folds its
-// pairs twice, so slots kept from the first fold serve the second.
+// same pairs folds — each row built value by value — for 1, tile−1,
+// tile, tile+1 and 3·tile+5 matches; with the group key a probe column,
+// a build column resolved through the slots and one looked up per match;
+// over a probe whose short rows straddle the first tile edge, null in
+// the column they lack; for a root scan's own rows; and governed, where
+// the slots last one fold. Arg closures read the first, the third and
+// the last column of the row they are given — the third, and a root
+// scan's last, nil in a short row. Each case folds its pairs twice, so
+// slots kept from the first fold serve the second.
 func TestGroupFoldTileBoundaries(t *testing.T) {
 	const factRows = 64
 	tile := tileLen(6) // fact (k, v, w) ++ dim (k, g, x)
 	for _, tc := range []struct {
 		name     string
-		key      int // group key column of the joined row
-		dimRows  int // 4: slotted at any count; 200: looked up per match
-		ragged   bool
+		key      int  // group key column of the joined row
+		dimRows  int  // 4: slotted at any count; 200: looked up per match
+		short    bool // rows tile-2 .. tile+2 of fact lack w
 		scan     bool // a root scan of fact, no join
 		governed bool
 	}{
 		{name: "probe-key", key: 1, dimRows: 200},
 		{name: "build-key-slotted", key: 4, dimRows: 4},
 		{name: "build-key-unslotted", key: 4, dimRows: 200},
-		{name: "ragged", key: 1, dimRows: 4, ragged: true},
+		{name: "short-rows", key: 1, dimRows: 4, short: true},
 		{name: "root-scan", key: 1, scan: true},
-		{name: "root-scan-ragged", key: 0, scan: true, ragged: true},
+		{name: "root-scan-short-rows", key: 0, scan: true, short: true},
 		{name: "governed-slotted", key: 4, dimRows: 4, governed: true},
 		{name: "governed-probe-key", key: 1, dimRows: 200, governed: true},
 	} {
 		fact := &Table{Name: "fact", Cols: []string{"k", "v", "w"}}
 		for i := 0; i < factRows; i++ {
 			row := Row{i % 4, i, float64(i) / 4}
-			if tc.ragged && i >= tile-2 && i < tile+3 {
+			if tc.short && i >= tile-2 && i < tile+3 {
 				row = row[:2] // rows tile-2 .. tile+2 end before w
 			}
 			fact.Rows = append(fact.Rows, row)
@@ -359,6 +363,7 @@ func TestGroupFoldTileBoundaries(t *testing.T) {
 		}
 		gb := &GroupBy{Key: tc.key, Aggs: []Aggregation{{Func: Count},
 			{Func: Sum, Arg: func(r Row) float64 { return argF(r[0]) }},
+			{Func: Sum, Arg: func(r Row) float64 { return argF(r[2]) }},
 			{Func: Max, Arg: func(r Row) float64 { return argF(r[len(r)-1]) }},
 			{Func: Min, Arg: func(r Row) float64 { return argF(r[len(r)-1]) + argF(r[0]) }}}}
 		cfg := EngineConfig{Workers: 1, Batch: 1024}
@@ -392,7 +397,7 @@ func TestGroupFoldTileBoundaries(t *testing.T) {
 						pr, bp = j, j*3%tc.dimRows
 						vs.probeRows, vs.bpos = append(vs.probeRows, int32(pr)), append(vs.bpos, int32(bp))
 					}
-					// The row-at-a-time row: value by value, ended at the first Absent.
+					// The row-at-a-time row: value by value.
 					var row Row
 					for ci := 0; ci < len(b.Cols); ci++ {
 						row = append(row, b.Cols[ci].Value(b.Cols[ci].Pos(pr)))
@@ -400,12 +405,6 @@ func TestGroupFoldTileBoundaries(t *testing.T) {
 					if store != nil {
 						for ci := range store.Cols {
 							row = append(row, store.Cols[ci].Value(bp))
-						}
-					}
-					for e, v := range row {
-						if vec.IsAbsent(v) {
-							row = row[:e]
-							break
 						}
 					}
 					want = append(want, row)

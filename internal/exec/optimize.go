@@ -10,10 +10,11 @@ package exec
 // root join's Out list restores the literal column order — a permutation
 // of column headers, so a reordered plan stays columnar to the root.
 // Plans the graph extraction does not reorder — a join with an Out list
-// of its own (a Project step), a NoReorder hint, mixed-type or ragged
-// leaf columns — fall back to the literal order with statistics-derived
-// RowsHints (exactly the hints-only mode), and the blocking condition is
-// reported as the PlanChoice's Reason.
+// of its own (a Project step), a NoReorder hint, a resident leaf whose
+// rows are not as wide as its declared columns — fall back to the
+// literal order with statistics-derived RowsHints (exactly the
+// hints-only mode), and the blocking condition is reported as the
+// PlanChoice's Reason.
 
 import (
 	"fmt"
@@ -344,26 +345,12 @@ func predSelectivity(p *vec.Pred, st *catalog.TableStats, rows float64) float64 
 }
 
 // leafReorderIssue reports why a table's rows cannot survive the output
-// permutation a reordered plan may need ("" = safe). Mixed-type and
-// ragged columns resolve to the Any kind, whose rows may materialize
-// short; permuting them would shift values across columns.
+// permutation a reordered plan may need ("" = safe): the permutation is
+// computed from the declared Cols, so a resident table's columnization
+// must be exactly that wide. (A table file is rectangular.)
 func leafReorderIssue(t *Table) string {
-	if f := t.File; f != nil {
-		for _, k := range f.Kinds() {
-			if k == vec.Any {
-				return "a mixed-type column"
-			}
-		}
-		return ""
-	}
-	b := t.Columnar()
-	if b.N > 0 && len(b.Cols) != len(t.Cols) {
-		return "rows wider than the declared schema"
-	}
-	for i := range b.Cols {
-		if b.Cols[i].Kind == vec.Any {
-			return "a mixed-type or ragged column"
-		}
+	if b := t.Columnar(); b.N > 0 && len(b.Cols) != len(t.Cols) {
+		return "rows not as wide as the declared schema"
 	}
 	return ""
 }

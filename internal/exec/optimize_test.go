@@ -256,16 +256,77 @@ func TestOptimizeBlockedReasons(t *testing.T) {
 	}
 }
 
-func TestOptimizeRaggedTableBlocked(t *testing.T) {
-	a := &Table{Name: "ragged", Cols: []string{"k", "v"}}
-	a.Rows = append(a.Rows, Row{1, "x"}, Row{2})
-	b := tbl("b", 4, func(i int) any { return i }, func(i int) any { return i })
-	root := &Join{Probe: &Scan{Table: a}, Build: &Scan{Table: b}, ProbeKey: 0, BuildKey: 0}
-	pc := Optimize(root, OptimizeFull, nil)
-	if pc.Reordered {
-		t.Fatal("reordered a plan over a ragged table")
+// TestOptimizeReordersShortRowsAndMixedTypes: badChain's mid relation
+// with every third row short (null in the column it lacks), or as a
+// table file whose last column mixes strings and ints, is reordered like
+// any other and returns OptimizeOff's rows; a resident table whose rows
+// are wider than its declared columns keeps its literal order.
+func TestOptimizeReordersShortRowsAndMixedTypes(t *testing.T) {
+	_, big, mid, small := badChain()
+	chain := func(mid *Table) *Join {
+		j1 := &Join{Probe: &Scan{Table: big}, Build: &Scan{Table: mid}, ProbeKey: 1, BuildKey: 1}
+		return &Join{Probe: j1, Build: &Scan{Table: small}, ProbeKey: 1, BuildKey: 1}
 	}
-	if !strings.Contains(pc.Reason, "ragged") && !strings.Contains(pc.Reason, "mixed-type") {
+
+	short := &Table{Name: "mid", Cols: mid.Cols}
+	mixed := &Table{Name: "mid", Cols: mid.Cols}
+	for i, r := range mid.Rows {
+		if i%3 == 0 {
+			short.Rows = append(short.Rows, r[:2])
+		} else {
+			short.Rows = append(short.Rows, r)
+		}
+		s := r[2]
+		if i%2 == 0 {
+			s = i
+		}
+		mixed.Rows = append(mixed.Rows, Row{r[0], r[1], s})
+	}
+	path := filepath.Join(t.TempDir(), "mid.hdb")
+	if err := store.WriteTable(path, mixed.Cols, 64, mixed.Rows); err != nil {
+		t.Fatal(err)
+	}
+	f, err := store.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	file := &Table{Name: "mid", Cols: mixed.Cols, File: f}
+	if k := f.Kinds()[2]; k != vec.Any {
+		t.Fatalf("mixed file column resolved to %v, want any", k)
+	}
+
+	ctx := context.Background()
+	cfg := EngineConfig{Workers: 2}
+	for _, m := range []*Table{short, file} {
+		root := chain(m)
+		pc := Optimize(root, OptimizeFull, analyzeAll(t, big, m, small))
+		if !pc.Reordered {
+			t.Fatalf("file=%v: kept the bad order: %q", m.File != nil, pc.Reason)
+		}
+		want, _, err := runOnce(ctx, root, nil, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _, err := runOnce(ctx, pc.Root, nil, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(want) == 0 {
+			t.Fatal("the fixture joins nothing")
+		}
+		sameRows(t, got, want)
+	}
+
+	wide := &Table{Name: "mid", Cols: mid.Cols}
+	for _, r := range mid.Rows {
+		wide.Rows = append(wide.Rows, append(r[:len(r):len(r)], "extra"))
+	}
+	pc := Optimize(chain(wide), OptimizeFull, analyzeAll(t, big, wide, small))
+	if pc.Reordered {
+		t.Fatal("reordered a plan over rows wider than their table")
+	}
+	if !strings.Contains(pc.Reason, "not as wide as the declared schema") {
 		t.Fatalf("Reason = %q", pc.Reason)
 	}
 }

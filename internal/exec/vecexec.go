@@ -71,8 +71,8 @@ func fnvString(s string) uint64 {
 // columnization it reads — one snapshot for both. A file-backed table's
 // schema is its footer's — exactly what a resident FromRows over the
 // table would have resolved; a resident table's is its columnization's,
-// as wide as its widest row; a table without rows is as wide as it
-// declares (Cols).
+// as wide as its widest row (a shorter row is null in the columns it
+// lacks); a table without rows is as wide as it declares (Cols).
 func scanSchema(t *Table) ([]vec.Kind, *vec.Batch) {
 	if ft := t.File; ft != nil {
 		return append([]vec.Kind(nil), ft.Kinds()...), nil
@@ -195,32 +195,11 @@ func (vs *vecScratch) tileRows(k, w int) []any {
 }
 
 // tileRow is row j of a filled block of width-w rows, capped at its end
-// so a closure's append cannot run into the next row. A ragged row — only
-// possible when some column is Any — ends at its first Absent, as ReadRow
-// ends it.
+// so a closure's append cannot run into the next row.
 //
 //hierdb:hotpath
-func tileRow(block []any, j, w int, ragged bool) Row {
-	row := block[j*w : (j+1)*w : (j+1)*w]
-	if ragged {
-		for e, v := range row {
-			if vec.IsAbsent(v) {
-				return row[:e:e]
-			}
-		}
-	}
-	return row
-}
-
-// anyKind reports whether some column of b is Any — the only kind that
-// can hold a ragged row's Absent padding.
-func anyKind(cols []vec.Col) bool {
-	for ci := range cols {
-		if cols[ci].Kind == vec.Any {
-			return true
-		}
-	}
-	return false
+func tileRow(block []any, j, w int) Row {
+	return block[j*w : (j+1)*w : (j+1)*w]
 }
 
 // dests returns n empty routing lists (rows per node or spill partition)
@@ -650,7 +629,7 @@ func (q *query) scanTail(a *activation, src *vec.Batch, lo, hi int, preds []vec.
 //
 //hierdb:hotpath
 func filterRows(b *vec.Batch, sel []int32, filter func(Row) bool, vs *vecScratch) []int32 {
-	w, ragged := len(b.Cols), anyKind(b.Cols)
+	w := len(b.Cols)
 	kept := vs.sel[:0]
 	for lo, tile := 0, tileLen(w); lo < len(sel); lo += tile {
 		rows := sel[lo:min(lo+tile, len(sel))]
@@ -659,7 +638,7 @@ func filterRows(b *vec.Batch, sel []int32, filter func(Row) bool, vs *vecScratch
 			b.Cols[ci].BoxRows(block[ci:], w, rows)
 		}
 		for j, li := range rows {
-			if filter(tileRow(block, j, w, ragged)) {
+			if filter(tileRow(block, j, w)) {
 				kept = append(kept, li)
 			}
 		}
@@ -785,7 +764,7 @@ func gatherJoin(b, store *vec.Batch, out []int, vs *vecScratch, arena *vec.Arena
 // batchBytes approximates the in-memory footprint of b's logical rows,
 // summed column-wise from the typed mirrors as what the materialized
 // rows would weigh: a 24-byte header per row, an interface word pair per
-// present value, string payloads on top.
+// value, string payloads on top.
 func batchBytes(b *vec.Batch) int64 {
 	k := b.N
 	n := int64(24 * k)
@@ -801,12 +780,8 @@ func batchBytes(b *vec.Batch) int64 {
 				n += 16 + int64(len(c.Str[pos])) // "" at null positions
 				continue
 			}
-			v := c.Value(pos)
-			if vec.IsAbsent(v) {
-				continue // ragged padding: the row ends before this column
-			}
 			n += 16
-			if s, ok := v.(string); ok {
+			if s, ok := c.Value(pos).(string); ok {
 				n += int64(len(s))
 			}
 		}

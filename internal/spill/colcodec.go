@@ -46,7 +46,7 @@ import (
 )
 
 // Value type tags of an Any column's payload. The tag order is part of
-// the on-disk format; tagAbsent marks ragged-row padding.
+// the on-disk format.
 const (
 	tagNil = iota
 	tagFalse
@@ -57,7 +57,6 @@ const (
 	tagUint64
 	tagFloat64
 	tagString
-	tagAbsent
 )
 
 // EncodeCols appends the columnar encoding of one batch (logical rows,
@@ -362,10 +361,6 @@ func appendCol(buf []byte, c *vec.Col, n int) ([]byte, error) {
 			v := c.Box[c.Pos(i)]
 			if v == nil {
 				continue // carried by the bitmap
-			}
-			if vec.IsAbsent(v) {
-				buf = append(buf, tagAbsent)
-				continue
 			}
 			if buf, err = appendValue(buf, v); err != nil {
 				return nil, err
@@ -952,7 +947,7 @@ func skipValues(buf []byte, k int) ([]byte, error) {
 		tag := buf[0]
 		buf = buf[1:]
 		switch tag {
-		case tagNil, tagFalse, tagTrue, tagAbsent:
+		case tagNil, tagFalse, tagTrue:
 		case tagInt, tagInt32, tagInt64, tagUint64:
 			if buf, err = skipVarints(buf, 1); err != nil {
 				return nil, err
@@ -983,8 +978,6 @@ func decodeValue(buf []byte) (any, []byte, error) {
 	tag := buf[0]
 	buf = buf[1:]
 	switch tag {
-	case tagAbsent:
-		return vec.Absent, buf, nil
 	case tagNil:
 		return nil, buf, nil
 	case tagFalse:

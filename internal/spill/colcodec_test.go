@@ -27,31 +27,37 @@ func materialize(t *testing.T, b *vec.Batch) []Row {
 	return b.AppendRows(nil, &a)
 }
 
+// TestColCodecRoundTrip: every case comes back as written; a short row
+// comes back null in the columns it lacks.
 func TestColCodecRoundTrip(t *testing.T) {
-	cases := [][]Row{
-		{{1, "a", 1.5, true, int64(-9), uint64(7), int32(3)}, {2, "b", 2.5, false, int64(8), uint64(0), int32(-1)}},
-		{{nil, "x"}, {4, nil}, {nil, nil}},
-		{{1}, {2, "ragged"}, {3}},
-		{{"only"}, {"strings"}, {""}},
-		{{true}, {nil}, {false}},
-		{{1, 2.5}, {"mixed", true}}, // Any columns
+	cases := []struct{ rows, want []Row }{
+		{rows: []Row{{1, "a", 1.5, true, int64(-9), uint64(7), int32(3)}, {2, "b", 2.5, false, int64(8), uint64(0), int32(-1)}}},
+		{rows: []Row{{nil, "x"}, {4, nil}, {nil, nil}}},
+		{rows: []Row{{1}, {2, "ragged"}, {3}}, want: []Row{{1, nil}, {2, "ragged"}, {3, nil}}},
+		{rows: []Row{{"only"}, {"strings"}, {""}}},
+		{rows: []Row{{true}, {nil}, {false}}},
+		{rows: []Row{{1, 2.5}, {"mixed", true}}}, // Any columns
 	}
 	f := colFile(t)
 	var refs []Ref
-	for _, rows := range cases {
-		ref, err := f.AppendCols(vec.FromRows(rows))
+	for _, tc := range cases {
+		ref, err := f.AppendCols(vec.FromRows(tc.rows))
 		if err != nil {
 			t.Fatal(err)
 		}
 		refs = append(refs, ref)
 	}
-	for i, rows := range cases {
+	for i, tc := range cases {
 		got, err := f.ReadCols(refs[i])
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(materialize(t, got), rows) {
-			t.Fatalf("case %d: got %v want %v", i, materialize(t, got), rows)
+		want := tc.want
+		if want == nil {
+			want = tc.rows
+		}
+		if !reflect.DeepEqual(materialize(t, got), want) {
+			t.Fatalf("case %d: got %v want %v", i, materialize(t, got), want)
 		}
 	}
 }
@@ -229,15 +235,21 @@ func TestBoxlessDecodeEqualsRows(t *testing.T) {
 			}
 		}
 	}
-	// Ragged rows: Absent tails force Any columns, which keep their Box.
-	ragged := []Row{{1}, {2, "two", 2.5}, {3, "three"}, {}}
-	buf, err := EncodeCols(nil, vec.FromRows(ragged))
+	// Short rows are null in the columns they lack: the columns stay
+	// typed, the missing values null bits.
+	short := []Row{{1}, {2, "two", 2.5}, {3, "three"}, {}}
+	buf, err := EncodeCols(nil, vec.FromRows(short))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := DecodeCols(buf, len(ragged))
+	b, err := DecodeCols(buf, len(short))
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkBoxless(t, "ragged", b, ragged)
+	checkBoxless(t, "short", b, []Row{{1, nil, nil}, {2, "two", 2.5}, {3, "three", nil}, {nil, nil, nil}})
+	for ci, k := range []vec.Kind{vec.Int, vec.String, vec.Float64} {
+		if b.Cols[ci].Kind != k {
+			t.Fatalf("short rows: col %d decoded as %v, want %v", ci, b.Cols[ci].Kind, k)
+		}
+	}
 }

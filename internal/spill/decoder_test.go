@@ -110,15 +110,15 @@ func TestDecodeWhereEqualsSelect(t *testing.T) {
 		checkDecodeWhere(t, fmt.Sprintf("iter %d all", iter), &d, buf, n, []vec.Pred{{Col: 0, Op: vec.Ne, Val: "other family"}, {Col: 0, Op: vec.NotNull}})
 		checkDecodeWhere(t, fmt.Sprintf("iter %d last", iter), &d, buf, n, []vec.Pred{{Col: ncols - 1, Op: vec.NotNull}})
 	}
-	// Ragged rows: Absent padding in Any columns on both sides of the
-	// predicate column.
-	ragged := []Row{{1}, {2, "two", 2.5}, {3, "three"}, {}, {5, "five", 5.5, true}}
-	buf, err := EncodeCols(nil, vec.FromRows(ragged))
+	// Short rows: nulls where a row ends, on both sides of the predicate
+	// column.
+	short := []Row{{1}, {2, "two", 2.5}, {3, "three"}, {}, {5, "five", 5.5, true}}
+	buf, err := EncodeCols(nil, vec.FromRows(short))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, p := range []vec.Pred{{Col: 1, Op: vec.Ge, Val: "three"}, {Col: 1, Op: vec.NotNull}, {Col: 2, Op: vec.Lt, Val: 5.0}, {Col: 0, Op: vec.Gt, Val: 1}} {
-		checkDecodeWhere(t, "ragged", &d, buf, len(ragged), []vec.Pred{p})
+		checkDecodeWhere(t, "short", &d, buf, len(short), []vec.Pred{p})
 	}
 }
 

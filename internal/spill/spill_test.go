@@ -151,23 +151,26 @@ func TestAppendSelSelections(t *testing.T) {
 // TestAppendSelSchemaChange: a batch whose kinds or width differ from
 // the buffered rows' starts a new written batch instead of corrupting
 // or boxing the buffered one — an all-null slice of a typed column
-// (kind Any), a kind flip, ragged Absent-padded rows and a narrower
-// batch all survive inside one file, in order.
+// (kind Any), a kind flip, short rows (null in the columns they lack)
+// and a narrower batch all survive inside one file, in order.
 func TestAppendSelSchemaChange(t *testing.T) {
 	inputs := [][]Row{
 		{{1, "a"}, {2, "b"}},
 		{{3, nil}, {4, nil}},           // column 1 all null: kind Any
 		{{5, "e"}},                     // back to String
 		{{"six", 6.5}, {"seven", 7.5}}, // both kinds flip
-		{{8}, {9, "ragged", true}, {}}, // ragged: Absent padding, wider
+		{{8}, {9, "ragged", true}, {}}, // short rows, wider
 		{{10}},                         // narrower
 		{{11}, {12}},
 	}
 	f := colFile(t)
 	var want []Row
-	for _, rows := range inputs {
+	for i, rows := range inputs {
 		if err := f.AppendSel(vec.FromRows(rows), nil, 100); err != nil {
 			t.Fatal(err)
+		}
+		if i == 4 {
+			rows = []Row{{8, nil, nil}, {9, "ragged", true}, {nil, nil, nil}}
 		}
 		want = append(want, rows...)
 	}

@@ -60,8 +60,9 @@ func Create(path string, cols []string, chunkRows int) (*Writer, error) {
 }
 
 // Append buffers one row. The row must be exactly as wide as the
-// schema (table files are rectangular; ragged rows are a spill-codec
-// concern, not a table one) and is copied, so the caller may reuse it.
+// schema (table files are rectangular: a short row is malformed input
+// here, where a resident table reads it as null in the columns it
+// lacks) and is copied, so the caller may reuse it.
 func (w *Writer) Append(row vec.Row) error {
 	if w.err != nil {
 		return w.err

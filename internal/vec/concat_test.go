@@ -171,10 +171,11 @@ func TestConcatMatchesAppender(t *testing.T) {
 	}
 }
 
-// TestConcatDegrades: a kind disagreement between parts and a ragged
-// width across parts both end as the Appender ends them — the column
-// boxed (Any, its Box boxed in place over the typed parts' mirrors), the
-// short rows padded with Absent and read back at their own width.
+// TestConcatDegrades: a kind disagreement between parts and a width
+// disagreement across parts both end as the Appender ends them — the
+// column boxed (Any, its Box boxed in place over the typed parts'
+// mirrors), the narrower part's rows null in the column they lack and
+// read back as wide as the widest.
 func TestConcatDegrades(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	ints := genBatch(r, []Kind{Int, Int}, 70, 0.2)
@@ -189,13 +190,20 @@ func TestConcatDegrades(t *testing.T) {
 	for _, batches := range [][]*Batch{{narrow, wide}, {wide, narrow}, {narrow, wide, narrow}} {
 		got := checkConcat(t, nil, batches)
 		if len(got.Cols) != 3 || got.Cols[2].Kind != Any {
-			t.Fatalf("ragged parts: %d cols, tail kind %v", len(got.Cols), got.Cols[2].Kind)
+			t.Fatalf("parts of two widths: %d cols, tail kind %v", len(got.Cols), got.Cols[2].Kind)
 		}
 		var a Arena
+		nulls := 0
 		for _, row := range got.AppendRows(nil, &a) {
-			if len(row) != 2 && len(row) != 3 {
+			if len(row) != 3 {
 				t.Fatalf("row of width %d", len(row))
 			}
+			if row[2] == nil {
+				nulls++
+			}
+		}
+		if want := got.N - wide.N*(len(batches)/2); nulls != want {
+			t.Fatalf("%d rows null in the tail column, want %d", nulls, want)
 		}
 	}
 }
@@ -324,8 +332,9 @@ func TestAppenderAllNullAnyKeepsKind(t *testing.T) {
 // (or left to discover their schema) and fed 0–3 batches each, whole or
 // through a selection; a batch mixes kinds per column — so parts disagree
 // and columns degrade — null bitmaps, all-null columns (columnized Any,
-// landing as nulls in a pre-shaped typed column), and ragged rows, zero
-// to four wide.
+// landing as nulls in a pre-shaped typed column), and short rows, zero
+// to four wide. The oracle reads every row null in the columns it lacks:
+// each input batch's rows padded with nil to the concatenation's width.
 func FuzzConcat(f *testing.F) {
 	for seed := range int64(24) {
 		f.Add(seed, uint8(seed*11))
@@ -366,6 +375,9 @@ func FuzzConcat(f *testing.F) {
 		}
 		got := Concat(parts)
 		checkBoxIffAny(t, "Concat", got)
+		for i, row := range want {
+			want[i] = append(row[:len(row):len(row)], make(Row, len(got.Cols)-len(row))...)
+		}
 		rowsEq(t, got.AppendRows(nil, &a), want)
 	})
 }
@@ -373,8 +385,8 @@ func FuzzConcat(f *testing.F) {
 // fuzzBatch columnizes up to 130 rows as wide as schema, or a column
 // narrower or wider. Column ci holds values of schema[ci] or, one time in
 // four, of a kind drawn afresh, null at a density of 0, ½ or 1; with
-// ragged set, some rows stop short.
-func fuzzBatch(r *rand.Rand, schema, kinds []Kind, ragged bool) *Batch {
+// short set, some rows stop short.
+func fuzzBatch(r *rand.Rand, schema, kinds []Kind, short bool) *Batch {
 	w := len(schema) + r.Intn(3) - 1
 	ks := make([]Kind, w)
 	density := make([]float64, w)
@@ -389,7 +401,7 @@ func fuzzBatch(r *rand.Rand, schema, kinds []Kind, ragged bool) *Batch {
 	rows := make([]Row, r.Intn(131))
 	for i := range rows {
 		rw := w
-		if ragged && r.Intn(4) == 0 {
+		if short && r.Intn(4) == 0 {
 			rw = r.Intn(w + 1)
 		}
 		rows[i] = make(Row, rw)

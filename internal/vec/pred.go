@@ -319,8 +319,8 @@ func b2i(b bool) int {
 
 // applyAny is the kernel on an Any column: each row's boxed value is
 // compared dynamically (dynCmp), under the typed kinds' rules — a null
-// or Absent value satisfies only IsNull/NotNull as NullAt says, a value
-// of another family matches nothing, and bools compare Eq/Ne only.
+// value satisfies only IsNull/NotNull as NullAt says, a value of another
+// family matches nothing, and bools compare Eq/Ne only.
 //
 //hierdb:hotpath
 func applyAny(c *Col, p *Pred, sel []int32, n int, out []int32) []int32 {
@@ -338,7 +338,7 @@ func applyAny(c *Col, p *Pred, sel []int32, n int, out []int32) []int32 {
 			continue
 		}
 		v := c.Value(pos)
-		if v == nil || IsAbsent(v) {
+		if v == nil {
 			continue
 		}
 		if bv, ok := v.(bool); ok {

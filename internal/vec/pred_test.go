@@ -162,7 +162,7 @@ func applyPredRef(c *Col, p *Pred, sel []int32, out []int32) []int32 {
 	default: // Any: dynamic boxed comparison
 		for _, li := range sel {
 			v := c.Value(c.Pos(int(li)))
-			if v == nil || IsAbsent(v) {
+			if v == nil {
 				continue
 			}
 			if bv, ok := v.(bool); ok {
@@ -255,15 +255,13 @@ func fuzzCol(rng *rand.Rand, k Kind, m int, nullable bool) Col {
 				c.Str[i] = fuzzStrings[rng.IntN(len(fuzzStrings))]
 			}
 		}
-	default: // Any: boxed values of every family, nil and Absent
+	default: // Any: boxed values of every family and nil
 		c.Null = nil
 		c.Box = make([]any, m)
 		for i := range m {
 			switch rng.IntN(8) {
-			case 0:
+			case 0, 1:
 				c.Box[i] = nil
-			case 1:
-				c.Box[i] = Absent
 			default:
 				c.Box[i] = fuzzVals[rng.IntN(len(fuzzVals))]
 			}

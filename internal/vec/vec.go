@@ -14,7 +14,9 @@
 //     (a join's build store), chunk or spill decoding. Typed kernels read
 //     the mirror. An Any column has no mirror and no bitmap: Box[pos]
 //     holds the boxed value at storage position pos (nil at SQL-null
-//     positions, Absent at ragged-row padding).
+//     positions).
+//   - A missing value is a null. A batch is as wide as its widest row; a
+//     row shorter than that is null in the columns it lacks.
 //   - Box in place (box.go). A value leaving a typed column — at the Row
 //     boundary (AppendRows, ReadRow, Value), or into an Any column's Box
 //     (FillBox, an Appender, Concat) — becomes an interface whose data
@@ -54,8 +56,8 @@ type Row = []any
 // Kind is a column's resolved type.
 type Kind uint8
 
-// Column kinds. Any is the boxed fallback: mixed types, exotic types,
-// or ragged-row padding.
+// Column kinds. Any is the boxed fallback: mixed or exotic types, or a
+// column without a single non-null value.
 const (
 	Any Kind = iota
 	Int
@@ -94,23 +96,9 @@ func (k Kind) IntFamily() bool {
 	return k == Int || k == Int32 || k == Int64 || k == Uint64
 }
 
-type absentT struct{}
-
-// Absent pads ragged rows: a row shorter than the batch width stores
-// Absent in its missing tail columns. Materialization strips Absent,
-// reproducing the original row widths. Absent only ever appears in
-// Kind == Any columns.
-var Absent any = absentT{}
-
-// IsAbsent reports whether v is the ragged-row padding sentinel.
-func IsAbsent(v any) bool {
-	_, ok := v.(absentT)
-	return ok
-}
-
-// KindOf classifies one boxed value. nil and Absent have no kind of
-// their own and report Any; callers combining kinds across rows treat
-// nil as "does not constrain the column".
+// KindOf classifies one boxed value. nil has no kind of its own and
+// reports Any; callers combining kinds across rows treat nil as "does
+// not constrain the column".
 func KindOf(v any) Kind {
 	switch v.(type) {
 	case int:
@@ -138,8 +126,8 @@ type Col struct {
 	// dense identity window over the whole storage (Len() rows).
 	Idx []int32
 	// Box holds an Any column's values, one per storage position: nil
-	// marks SQL null, Absent marks ragged-row padding. A typed column has
-	// none — read values through Value, never Box[pos].
+	// marks SQL null. A typed column has none — read values through
+	// Value, never Box[pos].
 	Box []any
 	// Typed mirrors, valid per Kind (I64 backs the whole int family,
 	// with uint64 values stored as their bit pattern).
@@ -215,9 +203,9 @@ func (c *Col) Value(pos int) any {
 // dst[stride], dst[2*stride]…, through the column's Idx — boxInto's
 // exported form, for a caller filling rows column-major (an aggregate's
 // or a filter's argument rows): an Any column's Box words, a typed one's
-// values boxed in place over the mirror, nil at null bits, Absent where
-// a ragged row ends. Nothing is allocated; a value of a typed column
-// keeps its mirror alive for as long as it is held.
+// values boxed in place over the mirror, nil at null bits. Nothing is
+// allocated; a value of a typed column keeps its mirror alive for as
+// long as it is held.
 //
 //hierdb:hotpath
 func (c *Col) BoxRows(dst []any, stride int, rows []int32) {
@@ -294,9 +282,9 @@ func Ident(n int) []int32 {
 // FromRows columnizes boxed rows, detecting one Kind per column: a
 // column whose non-null values all share one scalar type gets that
 // typed representation (mirror + null bitmap, no Box); mixed or exotic
-// columns stay boxed (Any), their Box holding the rows' own words.
-// Ragged rows are padded with Absent, which forces the padded columns
-// to Any.
+// columns stay boxed (Any), their Box holding the rows' own words. The
+// batch is as wide as the widest row; a shorter row is null in the
+// columns it lacks.
 func FromRows(rows []Row) *Batch {
 	n := len(rows)
 	w := 0
@@ -314,29 +302,31 @@ func FromRows(rows []Row) *Batch {
 		}
 		c.Box = make([]any, n)
 		for ri, r := range rows {
-			if ci < len(r) {
-				c.Box[ri] = r[ci]
-			} else {
-				c.Box[ri] = Absent
-			}
+			c.Box[ri] = cell(r, ci)
 		}
 	}
 	return b
 }
 
+// cell returns value ci of row r: nil when the row is too short to have
+// one.
+func cell(r Row, ci int) any {
+	if ci < len(r) {
+		return r[ci]
+	}
+	return nil
+}
+
 // rowsKind resolves column ci of rows: the one scalar kind its non-null
-// values share, else Any (mixed or exotic values, Absent padding, or no
-// value at all).
+// values share, else Any (mixed or exotic values, or no value at all).
 func rowsKind(rows []Row, ci int) Kind {
 	kind := Any
 	for _, r := range rows {
-		if ci >= len(r) {
-			return Any // Absent padding
-		}
-		if r[ci] == nil {
+		v := cell(r, ci)
+		if v == nil {
 			continue // null constrains nothing
 		}
-		k := KindOf(r[ci])
+		k := KindOf(v)
 		if k == Any || kind != Any && k != kind {
 			return Any
 		}
@@ -346,14 +336,14 @@ func rowsKind(rows []Row, ci int) Kind {
 }
 
 // fillMirror populates the typed mirror and null bitmap of column ci,
-// whose Kind rowsKind resolved, from rows.
+// whose Kind rowsKind resolved, from rows; a missing value is a null.
 func fillMirror(c *Col, rows []Row, ci int) {
 	n := len(rows)
 	switch c.Kind {
 	case Int, Int32, Int64, Uint64:
 		c.I64 = make([]int64, n)
 		for i, r := range rows {
-			switch t := r[ci].(type) {
+			switch t := cell(r, ci).(type) {
 			case int:
 				c.I64[i] = int64(t)
 			case int32:
@@ -369,7 +359,7 @@ func fillMirror(c *Col, rows []Row, ci int) {
 	case Float64:
 		c.F64 = make([]float64, n)
 		for i, r := range rows {
-			if t, ok := r[ci].(float64); ok {
+			if t, ok := cell(r, ci).(float64); ok {
 				c.F64[i] = t
 			} else {
 				c.setNull(i, n)
@@ -378,7 +368,7 @@ func fillMirror(c *Col, rows []Row, ci int) {
 	case Bool:
 		c.B = make([]bool, n)
 		for i, r := range rows {
-			if t, ok := r[ci].(bool); ok {
+			if t, ok := cell(r, ci).(bool); ok {
 				c.B[i] = t
 			} else {
 				c.setNull(i, n)
@@ -387,7 +377,7 @@ func fillMirror(c *Col, rows []Row, ci int) {
 	case String:
 		c.Str = make([]string, n)
 		for i, r := range rows {
-			if t, ok := r[ci].(string); ok {
+			if t, ok := cell(r, ci).(string); ok {
 				c.Str[i] = t
 			} else {
 				c.setNull(i, n)
@@ -402,8 +392,8 @@ func fillMirror(c *Col, rows []Row, ci int) {
 
 // AppendRows materializes the batch's logical rows onto dst, carving
 // row storage from a (never reused, so callers may retain the rows;
-// a retained row keeps the batch's column storage alive). Absent
-// padding is stripped, reproducing original ragged widths.
+// a retained row keeps the batch's column storage alive). Every row is
+// as wide as the batch.
 //
 //hierdb:hotpath
 func (b *Batch) AppendRows(dst []Row, a *Arena) []Row {
@@ -426,13 +416,7 @@ func (b *Batch) AppendRows(dst []Row, a *Arena) []Row {
 		c.boxInto(flat[ci:], w, c.Idx, nil, b.N)
 	}
 	for i := 0; i < b.N; i++ {
-		row := flat[i*w : (i+1)*w : (i+1)*w]
-		// Ragged rows carry tail-only Absent padding: trim from the end.
-		end := w
-		for end > 0 && IsAbsent(row[end-1]) {
-			end--
-		}
-		dst = append(dst, row[:end:end])
+		dst = append(dst, flat[i*w:(i+1)*w:(i+1)*w])
 	}
 	return dst
 }
@@ -447,11 +431,7 @@ func (b *Batch) ReadRow(i int, scratch Row) Row {
 	row := scratch[:0]
 	for ci := range b.Cols {
 		c := &b.Cols[ci]
-		v := c.Value(c.Pos(i))
-		if IsAbsent(v) {
-			break
-		}
-		row = append(row, v)
+		row = append(row, c.Value(c.Pos(i)))
 	}
 	return row
 }
@@ -528,10 +508,10 @@ func sameIdx(a, b []int32) bool {
 // which a boxed source's words are copied and a typed source's values
 // boxed in place over the source's mirror (which the store therefore
 // keeps alive). The store's schema adapts: a column fed two different
-// kinds, or ragged widths, degrades to Any, boxing its mirror in place
-// once (FillBox) — except that an all-null Any source column (what the
-// spill codec makes of a batch column without a value) lands in a typed
-// column as nulls.
+// kinds, or missing from a batch narrower than the store (null in those
+// rows), degrades to Any, boxing its mirror in place once (FillBox) —
+// except that an all-null Any source column (what the spill codec makes
+// of a batch column without a value) lands in a typed column as nulls.
 type Appender struct {
 	cols []Col
 	// shaped counts the leading columns whose kind NewAppender fixed; a
@@ -592,7 +572,7 @@ func (ap *Appender) AppendRowsSel(b *Batch, sel []int32) {
 	for ci := range ap.cols {
 		dst := &ap.cols[ci]
 		if ci >= len(b.Cols) {
-			ap.padAbsent(dst, k)
+			ap.padNull(dst, k)
 			continue
 		}
 		src := &b.Cols[ci]
@@ -603,27 +583,22 @@ func (ap *Appender) AppendRowsSel(b *Batch, sel []int32) {
 
 // widen grows the store to w columns. A column opened before any rows
 // landed adopts the first batch's kind (appendCol); one opened later is
-// backfilled with Absent for the rows already appended and stays Any.
+// backfilled with nulls for the rows already appended and stays Any.
 func (ap *Appender) widen(w int) {
 	for len(ap.cols) < w {
 		c := Col{Kind: Any}
 		if ap.n > 0 {
 			c.Box = make([]any, ap.n, ap.n+256)
-			for i := range c.Box {
-				c.Box[i] = Absent
-			}
 		}
 		ap.cols = append(ap.cols, c)
 	}
 }
 
-// padAbsent appends k Absent values to a column the incoming batch
-// does not cover (incoming rows narrower than the store).
-func (ap *Appender) padAbsent(dst *Col, k int) {
+// padNull appends k nulls to a column the incoming batch does not cover
+// (incoming rows narrower than the store), which turns it Any.
+func (ap *Appender) padNull(dst *Col, k int) {
 	ap.degrade(dst)
-	for j := 0; j < k; j++ {
-		dst.Box = append(dst.Box, Absent)
-	}
+	dst.Box = append(dst.Box, make([]any, k)...)
 }
 
 //hierdb:hotpath
@@ -760,12 +735,12 @@ func (ap *Appender) Batch() *Batch {
 // column stays typed (mirror and bitmap) only while every non-empty part
 // agrees on its kind, else it is Any (a Box of every part's values,
 // boxed in place over a typed part's mirror), and a part narrower than
-// the widest pads its missing tail with Absent — but its columns are
-// allocated at their exact size and filled column-major, and each
-// part's copy of a column is dropped as soon as it has been copied, so
-// the rows are never held twice. A single non-empty part is aliased
-// instead (as by Batch); a nil part is an empty one. Concat consumes the
-// parts: none may be appended to or read afterwards.
+// the widest is null in the columns it lacks, which are Any — but its
+// columns are allocated at their exact size and filled column-major,
+// and each part's copy of a column is dropped as soon as it has been
+// copied, so the rows are never held twice. A single non-empty part is
+// aliased instead (as by Batch); a nil part is an empty one. Concat
+// consumes the parts: none may be appended to or read afterwards.
 func Concat(parts []*Appender) *Batch {
 	var only *Appender
 	n, w, live := 0, 0, 0
@@ -801,7 +776,7 @@ func concatCol(dst *Col, parts []*Appender, ci, n int) {
 		if ap == nil || ap.n == 0 {
 			continue
 		}
-		k := Any // a part too narrow for the column pads it with Absent
+		k := Any // a part too narrow for the column is null in it
 		if ci < len(ap.cols) {
 			k = ap.cols[ci].Kind
 		}
@@ -820,11 +795,7 @@ func concatCol(dst *Col, parts []*Appender, ci, n int) {
 			continue
 		}
 		if ci >= len(ap.cols) {
-			pad := dst.Box[base : base+ap.n]
-			for i := range pad {
-				pad[i] = Absent
-			}
-			base += ap.n
+			base += ap.n // its Box slots stay nil
 			continue
 		}
 		src := &ap.cols[ci]

@@ -20,24 +20,35 @@ func rowsEq(t *testing.T, got, want []Row) {
 	}
 }
 
+// TestFromRowsRoundTrip: rows come back as they went in, except that a
+// row shorter than the widest comes back null in the columns it lacks —
+// which leaves a column of one kind typed, its missing values null bits.
 func TestFromRowsRoundTrip(t *testing.T) {
-	cases := [][]Row{
-		{{1, "a", 1.5, true}, {2, "b", 2.5, false}, {3, "c", 3.5, true}},
-		{{int64(7), nil}, {nil, "x"}, {int64(9), "y"}},
-		{{1}, {2, "wide"}, {3}}, // ragged
-		{{uint64(5), int32(-4)}, {uint64(6), int32(8)}},
-		{{1, 2}, {"mixed", 3}}, // mixed kinds → Any
+	short := []Row{{1}, {2, "wide"}, {3}}
+	cases := []struct{ rows, want []Row }{
+		{rows: []Row{{1, "a", 1.5, true}, {2, "b", 2.5, false}, {3, "c", 3.5, true}}},
+		{rows: []Row{{int64(7), nil}, {nil, "x"}, {int64(9), "y"}}},
+		{rows: short, want: []Row{{1, nil}, {2, "wide"}, {3, nil}}},
+		{rows: []Row{{uint64(5), int32(-4)}, {uint64(6), int32(8)}}},
+		{rows: []Row{{1, 2}, {"mixed", 3}}}, // mixed kinds → Any
 		{},
-		{{nil, nil}},
+		{rows: []Row{{nil, nil}}},
 	}
-	for ci, rows := range cases {
-		b := FromRows(rows)
-		if b.N != len(rows) {
-			t.Fatalf("case %d: N=%d want %d", ci, b.N, len(rows))
+	for ci, tc := range cases {
+		b := FromRows(tc.rows)
+		if b.N != len(tc.rows) {
+			t.Fatalf("case %d: N=%d want %d", ci, b.N, len(tc.rows))
+		}
+		want := tc.want
+		if want == nil {
+			want = tc.rows
 		}
 		var a Arena
-		got := b.AppendRows(nil, &a)
-		rowsEq(t, got, rows)
+		rowsEq(t, b.AppendRows(nil, &a), want)
+	}
+	b := FromRows(short)
+	if c := b.Cols[1]; c.Kind != String || !c.NullAt(0) || c.NullAt(1) || !c.NullAt(2) {
+		t.Fatalf("short rows' column: kind %v, nulls %v %v %v", c.Kind, c.NullAt(0), c.NullAt(1), c.NullAt(2))
 	}
 }
 
@@ -108,13 +119,13 @@ func TestAppenderDegradesOnKindMismatch(t *testing.T) {
 	ap := NewAppender(nil, 0)
 	ap.AppendBatch(FromRows([]Row{{1}}))
 	ap.AppendBatch(FromRows([]Row{{"s"}}))
-	ap.AppendBatch(FromRows([]Row{{2, true}})) // widen
+	ap.AppendBatch(FromRows([]Row{{2, true}})) // widen: earlier rows null in the new column
 	out := ap.Batch()
 	if out.Cols[0].Kind != Any || out.Cols[1].Kind != Any {
 		t.Fatalf("kinds %v %v", out.Cols[0].Kind, out.Cols[1].Kind)
 	}
 	var a Arena
-	rowsEq(t, out.AppendRows(nil, &a), []Row{{1}, {"s"}, {2, true}})
+	rowsEq(t, out.AppendRows(nil, &a), []Row{{1, nil}, {"s", nil}, {2, true}})
 }
 
 func TestAppenderNullsSurvive(t *testing.T) {
@@ -139,7 +150,7 @@ func TestReadRowReusesScratch(t *testing.T) {
 		t.Fatalf("row0 %v", r0)
 	}
 	r1 := b.ReadRow(1, scratch)
-	if !reflect.DeepEqual(r1, Row{2}) {
+	if !reflect.DeepEqual(r1, Row{2, nil}) {
 		t.Fatalf("row1 %v", r1)
 	}
 }

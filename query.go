@@ -128,9 +128,9 @@ func (q *Query) Join(build *Query, probeKey, buildKey Key) *Query {
 // build columns, in output order — a column may repeat, and one not
 // listed is dropped. Later steps (a Join or GroupBy key) count columns in
 // the projected row. Projection picks column headers and costs nothing
-// per row. (A ragged table's rows come back short only while the columns
-// they lack stay at the end of the row.) The join node is cloned, so the
-// receiver — and any query already running over it — is unaffected.
+// per row. (A column a short row lacks comes out null wherever it is
+// placed.) The join node is cloned, so the receiver — and any query
+// already running over it — is unaffected.
 func (q *Query) Project(cols ...int) *Query {
 	if q.err == nil && len(cols) == 0 {
 		return &Query{db: q.db, tenant: q.tenant, err: fmt.Errorf("hierdb: Project without columns")}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -234,11 +235,12 @@ func TestWherePredicates(t *testing.T) {
 
 	t.Run("FilterRaggedRows", func(t *testing.T) {
 		// Rows one to four values wide, the width changing every row, so
-		// the Filter's row tiles hold rows of every width and their Absent
-		// padding crosses every tile edge; across morsel windows, on one
-		// node and two, alone and behind a predicate. The closure keeps a
-		// row only if it sees exactly the row stored: its width, its last
-		// value, and every third row refused.
+		// the Filter's row tiles hold rows of every width and the nulls a
+		// short row reads as cross every tile edge; across morsel windows,
+		// on one node and two, alone and behind a predicate. The closure
+		// keeps a row only if it sees exactly the row stored, four wide and
+		// null in the columns it lacks: its width, its values, and every
+		// third row refused.
 		const morsel = 1024
 		n := 3*morsel + 5
 		rows := make([]Row, n)
@@ -249,10 +251,12 @@ func TestWherePredicates(t *testing.T) {
 			}
 			rows[i] = Row{i, fmt.Sprintf("s%d", i), float64(i) / 2, last}[:1+i%4]
 		}
+		padded := func(i int) Row {
+			return append(rows[i][:len(rows[i]):len(rows[i])], make(Row, 4-len(rows[i]))...)
+		}
 		seen := func(r Row) bool {
 			i := r[0].(int)
-			want := rows[i]
-			return len(r) == len(want) && r[len(r)-1] == want[len(want)-1] && i%3 != 0
+			return slices.Equal(r, padded(i)) && i%3 != 0
 		}
 		for _, nodes := range []int{1, 2} {
 			db := Open(WithNodes(nodes), WithWorkers(2), WithMorsel(morsel))
@@ -272,7 +276,7 @@ func TestWherePredicates(t *testing.T) {
 				var want []Row
 				for i := c.from; i < n; i++ {
 					if i%3 != 0 {
-						want = append(want, rows[i])
+						want = append(want, padded(i))
 					}
 				}
 				if fmt.Sprint(got) != fmt.Sprint(want) {
@@ -362,4 +366,42 @@ func refPredHolds(v any, p Pred) bool {
 		return c > 0
 	}
 	return c >= 0 // Ge
+}
+
+// TestMissingValueIsNull: a row shorter than its table is null in the
+// columns it lacks — in a projected join's output, to IsNull and
+// NotNull, as a group key and in an aggregate's Arg row — on one node
+// and two.
+func TestMissingValueIsNull(t *testing.T) {
+	leaktest.Check(t, 2)
+	p := &Table{Name: "p", Cols: []string{"k", "x"}, Rows: []Row{{1, "p1"}, {2, "p2"}}}
+	r := &Table{Name: "r", Cols: []string{"k", "s"}, Rows: []Row{{1, "r1"}, {2}}}
+	for _, nodes := range []int{1, 2} {
+		db := Open(WithNodes(nodes), WithWorkers(2))
+		defer db.Close()
+		for _, tb := range []*Table{p, r} {
+			if err := db.Register(tb.Name, FromTable(tb)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		check := func(what string, q *Query, want ...Row) {
+			t.Helper()
+			got, _, err := q.Collect(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			slices.SortFunc(got, func(a, b Row) int { return cmp.Compare(fmt.Sprint(a), fmt.Sprint(b)) })
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%d nodes, %s: got %#v, want %#v", nodes, what, got, want)
+			}
+		}
+		join := db.Scan("p").Join(db.Scan("r"), KeyCol(0), KeyCol(0)).Project(3, 0, 1, 2)
+		check("projected join", join, Row{nil, 2, "p2", 2}, Row{"r1", 1, "p1", 1})
+		check("IsNull", db.Scan("r").Where(Pred{Col: 1, Op: IsNull}), Row{2, nil})
+		check("NotNull", db.Scan("r").Where(Pred{Col: 1, Op: NotNull}), Row{1, "r1"})
+		check("group key", db.Scan("r").GroupBy(KeyCol(1), Aggregation{Func: Count}),
+			Row{nil, int64(1)}, Row{"r1", int64(1)})
+		width := Aggregation{Func: Max, Arg: func(r Row) float64 { return float64(len(r)) }}
+		check("Arg row", join.GroupBy(KeyCol(1), width), Row{1, 4.0}, Row{2, 4.0})
+	}
 }
