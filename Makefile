@@ -70,11 +70,13 @@ test:
 # the cross-node reads of a sealed build side the chain barrier orders,
 # the node memory account's lock-free charges, and the steals that take
 # the front of an operator's queue while the provider's workers pop its
-# back.
+# back; then, 20 times, the memory price against the live heap, whose
+# reading depends on GC timing.
 stress:
 	$(GO) test -count 300 -run 'TestUnreadQueriesAddNoGoroutines|TestFinishedGroupByFreesSlotUnread|TestUndrainedGroupByDoesNotWedgePool' ./internal/exec
 	$(GO) test -count 300 -run 'TestBuildPresizeBoundedUnderHugeHint$$' .
 	$(GO) test -race -count 10 -run 'TestBuildSidesSealedAtBarrier|TestStolenOutputsReferenceOwnerStore|TestEmptyRemoteBucketAcquiredOnce|TestCancelDuringSeal|TestMultiNodeEmptyInputs|TestNodeAccountConservation|TestCancelledFileJoinSettlesNodes|TestConcurrentQueriesShareNodeMemory|TestOperatorStackOrder|TestGlobalStealOnSkewedWorkload|TestProbeActivationsOwnedByDest|TestStealStatsIsolatedPerQuery' ./internal/exec
+	$(GO) test -count 20 -run 'TestChargeMatchesHeap$$' ./internal/exec
 
 # bench/ is a module of its own (replace hierdb => ../), so the root
 # `go build ./... && go test ./...` never compiles it: build, self-test
@@ -95,7 +97,7 @@ bench:
 	  $(GO) test -run '^$$' -bench 'BenchmarkFig6$$|BenchmarkEngineJoinDP$$|ConcurrentQueries|StreamingSink|MultiNodeSkew|SpillJoin|DiskScan|DiskJoinSpill|OptimizeOverhead' -benchtime 10x -benchmem .; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkAdmission|BenchmarkChargeMem|BenchmarkSpillPartitionWrite|BenchmarkJoinProbeGather|BenchmarkJoinGroupFold|BenchmarkSealIndex' -benchmem ./internal/exec/; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkChunkDecodeSel|BenchmarkSpillFanout' -benchmem ./internal/spill/; \
-	  $(GO) test -run '^$$' -bench 'BenchmarkApplyPred|BenchmarkBoxRows' -benchtime 20000x -benchmem ./internal/vec/; \
+	  $(GO) test -run '^$$' -bench 'BenchmarkApplyPred|BenchmarkBoxRows|BenchmarkBatchBytes' -benchtime 20000x -benchmem ./internal/vec/; \
 	} | tee $(BENCH_OUT)
 
 benchdiff: bench

@@ -90,15 +90,17 @@ func WithAdmissionQueue(n int) Option { return func(c *dbConfig) { c.eng.Admissi
 
 // WithMemory gives each node a memory budget in bytes: one count per
 // node, shared by every query in flight on it, that a query's hash-join
-// tables, loaded spill partitions, group-by partials, in-flight file
-// chunks and stolen bucket caches are charged to — idle memory is
-// whatever no query holds. A join whose build side would take the
-// node's total past the budget switches to Grace-style partitioned
-// execution: build and probe inputs are hash-partitioned to per-query
-// spill files and the partitions joined one at a time within the budget
-// (recursing on still-oversized partitions), with results identical to
-// the unlimited run; concurrent queries on one node may therefore spill
-// where each alone would fit. 0 (the default) means unlimited and keeps
+// tables, loaded spill partitions, group-by partials and in-flight file
+// chunks are charged to — idle memory is whatever no query holds. A row
+// is charged what its columns hold in memory (a typed value its width,
+// a string its header and bytes, a boxed value its interface and
+// payload), and a join's build row also its 12 bytes of hash index. A
+// join whose build side would take the node's total past the budget
+// switches to Grace-style partitioned execution: build and probe inputs
+// are hash-partitioned to per-query spill files and the partitions
+// joined one at a time within the budget (recursing on still-oversized
+// partitions), with results identical to the unlimited run; concurrent
+// queries on one node may therefore spill where each alone would fit. 0 (the default) means unlimited and keeps
 // the engine's ungoverned hot path; negative values are rejected,
 // reported by Run-time validation. Governed queries spill rows to disk,
 // so their columns must be of spill-encodable types (nil, bool, int,

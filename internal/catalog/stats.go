@@ -32,7 +32,7 @@ type TableStats struct {
 	Table string
 	// Rows is the exact cardinality at analysis time.
 	Rows int64
-	// AvgRowBytes is the mean decoded tuple width in bytes.
+	// AvgRowBytes is the mean bytes a row's columns hold (vec.Batch.Bytes).
 	AvgRowBytes float64
 	// Cols has one entry per table column, in schema order.
 	Cols []ColStats

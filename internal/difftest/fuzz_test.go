@@ -32,7 +32,7 @@ func FuzzJoinEquivalence(f *testing.F) {
 	f.Add(uint64(2), uint16(8), uint8(128), uint8(4), uint8(16), uint32(2048))       // small domain, mild skew, tiny budget
 	f.Add(uint64(3), uint16(1), uint8(255), uint8(1), uint8(1), uint32(512))         // one giant key: recursion hits the depth cap
 	f.Add(uint64(4), uint16(500), uint8(0), uint8(255), uint8(255), uint32(65535))   // large batches/morsels, spill at the margin
-	f.Add(uint64(0xbeef), uint16(97), uint8(30), uint8(7), uint8(3), uint32(12345))  // odd granularities
+	f.Add(uint64(0xbeef), uint16(97), uint8(30), uint8(7), uint8(3), uint32(4528))   // odd granularities: the budget is 64 % of the build side
 	f.Add(uint64(1)<<40|7, uint16(16), uint8(0), uint8(0), uint8(0), uint32(1024))   // null-heavy key column under a tiny budget
 	f.Add(uint64(3)<<40|11, uint16(32), uint8(64), uint8(8), uint8(8), uint32(4096)) // mixed int/string keys with nulls, skewed
 	f.Add(uint64(1)<<42|13, uint16(24), uint8(0), uint8(3), uint8(5), uint32(1536))  // short build rows under a tiny budget

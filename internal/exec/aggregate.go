@@ -150,6 +150,22 @@ func (t *groupTable) batch() *vec.Batch {
 	return &vec.Batch{Cols: cols, N: len(t.keys)}
 }
 
+// groupEntryBytes is the index map's slot for a group (interface key,
+// int32 id) with a growing table's slack: the one price not read from
+// the group's columns.
+const groupEntryBytes = 48
+
+// bytes returns what groups [from, len) of the table hold: their rows of
+// batch() (vec.Batch.Bytes) and their index entries.
+func (t *groupTable) bytes(from int) int64 {
+	b := t.batch()
+	b.N -= from
+	for ci := range b.Cols {
+		b.Cols[ci].Idx = vec.Ident(len(t.keys))[from:]
+	}
+	return b.Bytes() + int64(b.N)*groupEntryBytes
+}
+
 // merge folds partial b — another table's batch(), or one read back from
 // a spill — into t: the one merge, of a peer worker's partial, a spilled
 // partial and a peer node's alike. A partial's keys are detached and
@@ -228,8 +244,8 @@ func validateGroupBy(gb *GroupBy, width int) error {
 // partial; foldGroups' scratch — the source of each root output column
 // (filled on first use) and, by position, the ids plus one of the groups
 // resolved so far for the rows of sealed build store store (0 = not
-// yet); and, governed, the partial's spill file and the bytes charged
-// for its groups.
+// yet); and, governed, the partial's spill file, the bytes charged for
+// its groups and how many of them were priced.
 type groupFold struct {
 	t       *groupTable
 	src     []int
@@ -237,6 +253,7 @@ type groupFold struct {
 	slots   []int32
 	file    *spill.File
 	charged int64
+	priced  int
 }
 
 // foldGroups folds the root operator's output into worker w's private

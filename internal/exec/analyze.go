@@ -2,19 +2,18 @@ package exec
 
 // ANALYZE: one pass over a table computing the catalog statistics the
 // cost-based planning bridge feeds the optimizer — exact cardinality,
-// average decoded tuple width, and per-column linear-counting distinct
+// the bytes an average row holds in memory (vec.Batch.Bytes, the price
+// the memory account charges), and per-column linear-counting distinct
 // estimates. Resident tables are walked through their cached columnar
 // form; file-backed tables stream chunk by chunk, so a table much
 // larger than memory is analyzed at one chunk of residency.
 //
-// Hashing reuses the engine's key-hash family (mix64 for the int
-// family and float bits, FNV-1a for strings, the precomputed
-// nil/bool fallbacks), so the distinct estimate of a join-key column
-// is computed over exactly the hash distribution the join will see.
+// Values are hashed by the join's own kernel (hashKeys), so the
+// distinct estimate of a join-key column is computed over exactly the
+// hash distribution the join will see.
 
 import (
 	"fmt"
-	"math"
 
 	"hierdb/internal/catalog"
 	"hierdb/internal/vec"
@@ -56,64 +55,24 @@ func Analyze(t *Table) (*catalog.TableStats, error) {
 	return st, nil
 }
 
-// analyzeBatch folds one columnar batch into the per-column counters
-// and returns the decoded bytes it represents.
+// analyzeBatch folds one columnar batch into the per-column counters —
+// each value hashed as a join hashes its key (hashKeys), a chunk at a
+// time — and returns the bytes its rows hold in memory (vec.Batch.Bytes).
 func analyzeBatch(b *vec.Batch, counters []catalog.DistinctCounter, cols []catalog.ColStats) float64 {
-	var bytes float64
-	nc := len(b.Cols)
-	if nc > len(counters) {
-		nc = len(counters)
-	}
-	for ci := 0; ci < nc; ci++ {
+	var hs [256]uint64
+	for ci := range min(len(b.Cols), len(counters)) {
 		c := &b.Cols[ci]
-		d := &counters[ci]
-		cs := &cols[ci]
-		for i := 0; i < b.N; i++ {
-			pos := c.Pos(i)
-			if c.NullAt(pos) {
-				cs.Nulls++
-				bytes++
-				continue
-			}
-			switch {
-			case c.Kind.IntFamily():
-				d.Add(mix64(uint64(c.I64[pos])))
-				bytes += 8
-			case c.Kind == vec.Float64:
-				d.Add(mix64(math.Float64bits(c.F64[pos])))
-				bytes += 8
-			case c.Kind == vec.String:
-				s := c.Str[pos]
-				d.Add(fnvString(s))
-				bytes += float64(len(s)) + 16
-			case c.Kind == vec.Bool:
-				if c.B[pos] {
-					d.Add(hTrue)
+		for lo := 0; lo < b.N; lo += len(hs) {
+			chunk := hs[:min(len(hs), b.N-lo)]
+			hashKeys(c, lo, chunk)
+			for i, h := range chunk {
+				if c.NullAt(c.Pos(lo + i)) {
+					cols[ci].Nulls++
 				} else {
-					d.Add(hFalse)
+					counters[ci].Add(h)
 				}
-				bytes++
-			default:
-				v := c.Value(pos)
-				d.Add(keyHash64(v))
-				bytes += boxedBytes(v)
 			}
 		}
 	}
-	return bytes
-}
-
-// boxedBytes estimates the decoded width of one boxed value of an
-// Any-kind column.
-func boxedBytes(v any) float64 {
-	switch s := v.(type) {
-	case string:
-		return float64(len(s)) + 16
-	case bool:
-		return 1
-	case nil:
-		return 1
-	default:
-		return 16
-	}
+	return float64(b.Bytes())
 }

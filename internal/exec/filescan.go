@@ -88,7 +88,7 @@ func (q *query) processScanFile(a *activation, w int) (outs []*activation, resul
 		return nil, nil
 	}
 	if q.mem != nil {
-		bytes := batchBytes(b)
+		bytes := b.Bytes()
 		// Scans never block on the budget: the charge shrinks the join
 		// headroom (pushing builds to spill earlier) instead — streamed
 		// input must keep flowing for the chain to drain. Correctness

@@ -16,10 +16,12 @@ package exec
 // re-evaluates at request time, acquires half the queue (condition iii:
 // do not overload the requester), pays for the buckets it has not
 // acquired yet, and enqueues the activations on its own pool. A bucket
-// is only a price: its rows are counted by the owner's seal, run at the
-// chain barrier, and a stolen activation keeps its destination, so it
-// probes the owner's sealed side in place — nothing is copied. The
-// memory-fit condition (i) is vacuous in-process and dropped.
+// is only a price, in the score's nominal bytes: its rows are counted
+// by the owner's seal, run at the chain barrier, and a stolen
+// activation keeps its destination, so it probes the owner's sealed
+// side in place — nothing is copied, and the owner has charged those
+// rows to its node's memory. The memory-fit condition (i) is vacuous
+// in-process and dropped: a steal charges the thief nothing.
 //
 // A failed round parks the fragment (stealIdle) until a producer refills
 // some peer queue past stealWakeThreshold — producer-driven retries in
@@ -43,8 +45,10 @@ const (
 	// stealWakeThreshold is the queue length at which a producer wakes
 	// steal-idle peers.
 	stealWakeThreshold = 2 * minStealActs
-	// nominalTupleBytes prices a shipped tuple for the benefit/overhead
-	// score, standing in for the simulation's cost-model TupleBytes.
+	// nominalTupleBytes is the modelled network price of a shipped tuple
+	// in the benefit/overhead score, standing in for the simulation's
+	// cost-model TupleBytes. It is a price for the score only: a steal
+	// ships nothing in-process, and nothing is charged to memory for it.
 	nominalTupleBytes = 48
 )
 
@@ -152,10 +156,6 @@ func (mq *mquery) stealRound(thief *query, vs *vecScratch) bool {
 	p.mu.Unlock()
 
 	buckets, bytes := thief.acquireBuckets(best.op, acts, true, vs)
-	// Stolen buckets are resident on the thief for the rest of the
-	// query: charge them to the thief's budget (an acquired bucket is
-	// never re-shipped, so the charge is held until retirement).
-	thief.chargeMem(bytes)
 
 	tp := mq.nodes.pools[thief.node]
 	tp.mu.Lock()
@@ -223,14 +223,8 @@ func (mq *mquery) solicit(thief, fq *query, node int, vs *vecScratch) *stealOffe
 
 	var best *stealOffer
 	for _, s := range cands {
+		// No memory fit (condition (i)): a steal copies nothing.
 		bytes := mq.shipEstimate(thief, s.op, s.acts, vs)
-		// Memory governance: a thief does not acquire buckets its budget
-		// cannot hold (the real-engine form of §3.2's memory-fit
-		// condition (i), vacuous only when ungoverned): the headroom is
-		// what no fragment on the thief's node has charged.
-		if thief.mem != nil && bytes > thief.memHeadroom() {
-			continue
-		}
 		score := float64(s.queued) / (1 + float64(bytes)/1024)
 		if best == nil || score > best.score {
 			best = &stealOffer{node: node, op: s.op, score: score}

@@ -136,9 +136,9 @@ func TestGroupFoldMatchesFlattened(t *testing.T) {
 			if !stole {
 				t.Fatal("no probe activation was stolen on a fully skewed workload")
 			}
-			// The budget holds a spill partition's store beside a few groups, not
-			// the build side and not a partial of 1 200 groups.
-			cfg.MemoryPerNode, cfg.SpillDir = 64<<10, t.TempDir()
+			// Half the build side holds a spill partition's store beside a few
+			// groups, not the build side and not a partial of 1 200 groups.
+			cfg.MemoryPerNode, cfg.SpillDir = sideBytes(plan.Build.(*Scan).Table)/2, t.TempDir()
 			st := check("spilling", newNodesT(t, cfg))
 			if st.SpillPhases == 0 {
 				t.Fatalf("the governed join never spilled: %+v", st)

@@ -33,6 +33,9 @@ func accountFragments(t testing.TB, budget int64) func() *query {
 	return func() *query { return ns.newQuery(context.Background(), phys, nil).mq.frags[0] }
 }
 
+// nodeHeadroom is what no fragment on q's node has charged.
+func nodeHeadroom(q *query) int64 { return q.mem.budget - q.mem.used.Load() }
+
 // TestNodeAccountExactAtBudget: a node's budget is one count its
 // fragments share exactly. With fragment A holding 1 000 B, fragment B
 // is granted the rest of the budget to the byte, one byte more is
@@ -44,7 +47,7 @@ func TestNodeAccountExactAtBudget(t *testing.T) {
 	a, b := frag(), frag()
 	headroom := func(step string, want int64) {
 		t.Helper()
-		if ha, hb := a.memHeadroom(), b.memHeadroom(); ha != want || hb != want {
+		if ha, hb := nodeHeadroom(a), nodeHeadroom(b); ha != want || hb != want {
 			t.Fatalf("%s: headroom A %d, B %d, want budget - used = %d", step, ha, hb, want)
 		}
 	}
@@ -166,7 +169,7 @@ func TestChunkReleasedAfterRetirement(t *testing.T) {
 	if used := acct.used.Load(); used != 0 {
 		t.Fatalf("node account %d bytes after a release and a charge on a retired fragment", used)
 	}
-	if h := frag().memHeadroom(); h != budget {
+	if h := nodeHeadroom(frag()); h != budget {
 		t.Fatalf("a fresh fragment's headroom %d, want the whole budget %d", h, budget)
 	}
 }
@@ -210,8 +213,10 @@ func TestCancelledFileJoinSettlesNodes(t *testing.T) {
 // node's account reads zero.
 func TestConcurrentQueriesShareNodeMemory(t *testing.T) {
 	checkQueryHygiene(t)
-	const budget = 640 << 10 // a build row costs ≈ 110 B: 3 000 rows ≈ 330 KiB, 4 000 ≈ 440 KiB
 	planA, planB := govPlan(3_000, 200_000), govPlan(4_000, 8_000)
+	// B's build side and half of A's: B fits alone, not beside A.
+	sideA, sideB := sideBytes(planA.(*Join).Build.(*Scan).Table), sideBytes(planB.(*Join).Build.(*Scan).Table)
+	budget := sideB + sideA/2
 	wantA, _, err := runOnce(context.Background(), planA, nil, EngineConfig{})
 	if err != nil {
 		t.Fatal(err)
@@ -236,8 +241,8 @@ func TestConcurrentQueriesShareNodeMemory(t *testing.T) {
 	}
 	var arena vec.Arena
 	gotA := first.AppendRows(nil, &arena)
-	if used := hA.mq.frags[0].memUsed.Load(); used < 256<<10 {
-		t.Fatalf("A's resident build side holds %d charged bytes mid-stream, want its ≈ 330 KiB", used)
+	if used := hA.mq.frags[0].memUsed.Load(); used != sideA {
+		t.Fatalf("A's resident build side holds %d charged bytes mid-stream, want its %d", used, sideA)
 	}
 
 	hB, err := ns.Submit(context.Background(), planB, nil, "")

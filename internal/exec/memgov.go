@@ -10,7 +10,10 @@ package exec
 // node charges its bytes to the node's total, idle memory is whatever no
 // fragment has charged, and the account is one atomic count that takes
 // no lock. Only chargeMem, unchargeMem and settleMem change it.
-// Hash-join builds charge each batch's row and hash-entry bytes, and a
+// Everything is charged at one price, what its columns hold in memory
+// (vec.Batch.Bytes), plus the one layout fact vec cannot see: a build
+// row's 12 bytes of sealed index (buildBytes), and a group's index map
+// entry (groupEntryBytes). Hash-join builds charge each batch so, and a
 // build the account cannot cover switches the join to Grace-style
 // partitioned execution:
 //
@@ -44,9 +47,9 @@ package exec
 // merge see a perfectly ordinary (if long-lived) operator.
 //
 // A governed build side is what an ungoverned one is — one append-only
-// part per worker, here unsized, filled by the one build kernel
-// (processBuild) — and a partition's store is sealed and indexed exactly
-// like a whole build side (sealStore).
+// part per worker, here presized within the budget, filled by the one
+// build kernel (processBuild) — and a partition's store is sealed and
+// indexed exactly like a whole build side (sealStore).
 //
 // Lock order: mq.mu -> pool.mu -> joinSpill.mu -> part lock ->
 // query.spillMu -> spill.File's internal mutex. The node's memory
@@ -70,13 +73,6 @@ const (
 	// oversized at the cap (e.g. one giant key) is joined anyway —
 	// correctness over governance.
 	maxSpillDepth = 6
-	// hashEntryBytes prices one hash-table entry beyond its row storage.
-	// The sealed index costs 12 bytes a row; the price is the map entry's
-	// it was set for, kept so that the spill schedule does not move.
-	hashEntryBytes = 48
-	// groupOverheadBytes prices one group beyond its aggregate values: the
-	// per-group heap state's price, kept so the spill schedule stays.
-	groupOverheadBytes = 96
 )
 
 // spillKind discriminates spill-phase activations.
@@ -212,14 +208,6 @@ func (q *query) settleMem() {
 	}
 }
 
-// memHeadroom estimates how many more bytes a governed fragment could
-// charge without going over: what no fragment on its node has charged.
-// Advisory — other workers' and fragments' concurrent charges
-// invalidate it.
-func (q *query) memHeadroom() int64 {
-	return q.mem.budget - q.mem.used.Load()
-}
-
 // spillPartIndexH maps a key, by its keyHash64, to its partition at the
 // given recursion salt — the kernels hash a key column once and reuse
 // the hashes for node routing, partition indexing and the sealed
@@ -326,23 +314,22 @@ func (q *query) spillTransition(or *opRun, vs *vecScratch) error {
 		return err
 	}
 	sp.active.Store(true)
-	var freed int64
 	for w := range or.parts {
 		or.locks[w].Lock()
-		ap := or.parts[w]
-		or.parts[w] = nil
+		ap, held := or.parts[w], or.held[w]
+		or.parts[w], or.held[w] = nil, 0
 		or.locks[w].Unlock()
 		// Encoding runs outside the part lock: its worker spills from now on.
 		if ap == nil {
 			continue
 		}
-		rows := ap.Batch()
-		if err := q.spillBatch(sp.build, or.op.keyCol, 0, rows, vs); err != nil {
-			return err
+		for _, b := range windows(ap.Batch(), q.mq.nodes.cfg.Batch) {
+			if err := q.spillBatch(sp.build, or.op.keyCol, 0, b, vs); err != nil {
+				return err
+			}
 		}
-		freed += batchBytes(rows) + int64(rows.N)*hashEntryBytes
+		q.unchargeMem(held)
 	}
-	q.unchargeMem(freed)
 	return nil
 }
 
@@ -410,20 +397,15 @@ func (q *query) processSpillLoad(a *activation, w int) (outs []*activation) {
 		return nil
 	}
 	vs := &q.vscratch[w]
-	// Estimate the partition's resident size: encoded bytes plus per-row
-	// and per-entry overhead. It must fit the budget *headroom* — what
-	// other residents (earlier joins' tables, stolen buckets,
-	// group-by partials, other queries' fragments on the node) have
-	// charged counts against it — but never re-partition below a quarter
-	// of the budget: with pathological little headroom that would recurse
-	// every partition to the depth cap, exploding the fan-out for no
-	// achievable fit.
-	headroom := q.memHeadroom()
-	if floor := q.mem.budget / 4; headroom < floor {
-		headroom = floor
-	}
-	resident := part.build.Bytes() + part.build.Rows()*(hashEntryBytes+24)
-	if resident > headroom && part.depth < maxSpillDepth {
+	// The partition holds what its batches held when encoded
+	// (spill.File.Held) plus the sealed index. It must fit the budget's
+	// headroom — what no fragment on the node has charged (advisory:
+	// concurrent charges move it) — but never re-partition below a quarter
+	// of the budget: that would recurse every partition to the depth cap
+	// for no achievable fit.
+	headroom := max(q.mem.budget-q.mem.used.Load(), q.mem.budget/4)
+	bytes := part.build.Held() + part.build.Rows()*sealIndexRowBytes
+	if bytes > headroom && part.depth < maxSpillDepth {
 		if err := q.repartition(sp, a.op, part, vs); err != nil {
 			q.mq.fail(err)
 		}
@@ -433,7 +415,6 @@ func (q *query) processSpillLoad(a *activation, w int) (outs []*activation) {
 	// as Any — which the appender takes into its typed columns as nulls.
 	build := a.op.partner
 	app := vec.NewAppender(build.outKinds, int(part.build.Rows()))
-	var bytes int64
 	for _, ref := range part.build.Refs() {
 		db, err := part.build.ReadCols(ref)
 		if err != nil {
@@ -441,7 +422,6 @@ func (q *query) processSpillLoad(a *activation, w int) (outs []*activation) {
 			return nil
 		}
 		app.AppendBatch(db)
-		bytes += batchBytes(db) + int64(db.N)*hashEntryBytes
 	}
 	side, err := sealStore(app.Batch(), build.keyCol, 0, 0)
 	if err != nil {
@@ -512,18 +492,18 @@ func (q *query) processSpillProbe(a *activation, w int) (outs []*activation, res
 	return q.probe(a, pb, a.spill.phase.side, w)
 }
 
-// governGroupPartial charges worker w's group-by partial growth — its
-// groups' price less what it was charged — and spills the partial to the
-// worker's spill partition when it crosses the budget. Only worker w
-// touches its partial and counters, so the only shared state is the byte
-// account.
+// governGroupPartial charges worker w's group-by partial growth — what
+// the groups added since its last charge hold (groupTable.bytes) — and
+// spills the partial to the worker's spill partition when it crosses the
+// budget. Only worker w touches its partial and counters, so the only
+// shared state is the byte account.
 func (q *query) governGroupPartial(w int) error {
 	gf := &q.partials[w]
-	add := int64(len(gf.t.keys))*(groupOverheadBytes+8*int64(len(q.mq.gb.Aggs))) - gf.charged
-	if add <= 0 {
+	if gf.priced == len(gf.t.keys) {
 		return nil
 	}
-	gf.charged += add
+	add := gf.t.bytes(gf.priced)
+	gf.priced, gf.charged = len(gf.t.keys), gf.charged+add
 	if !q.chargeMem(add) {
 		return nil
 	}
@@ -542,7 +522,7 @@ func (q *query) governGroupPartial(w int) error {
 		}
 	}
 	q.unchargeMem(gf.charged)
-	gf.charged, gf.t = 0, newGroupTable(q.mq.gb.Aggs)
+	gf.charged, gf.priced, gf.t = 0, 0, newGroupTable(q.mq.gb.Aggs)
 	return nil
 }
 

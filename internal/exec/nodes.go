@@ -93,9 +93,10 @@ type EngineConfig struct {
 	DisableStealing bool
 	// MemoryPerNode is each node's memory budget in bytes: one account
 	// (memgov.go) that every query fragment in flight on the node charges
-	// its hash-join tables, loaded spill partitions, group-by partials,
-	// in-flight file chunks and stolen buckets to. 0 (the default) means
-	// unlimited — the hot path is then the ungoverned one.
+	// its hash-join tables, loaded spill partitions, group-by partials and
+	// in-flight file chunks to, priced at what their columns hold (plus a
+	// build row's 12 index bytes). 0 (the default) means unlimited — the
+	// hot path is then the ungoverned one.
 	// A join whose build side takes the node past it switches to
 	// Grace-style partitioned execution: build and probe inputs are
 	// hash-partitioned to spill files and the partitions joined one at a

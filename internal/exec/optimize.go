@@ -75,11 +75,6 @@ const (
 	defaultEqSelectivity = 0.1
 )
 
-// hashTableOverhead scales raw build bytes to hash-table residency for
-// the spill-expectation heuristic (a build store keeps boxed words and
-// the governor prices an index entry alongside the values).
-const hashTableOverhead = 2.0
-
 // Optimize plans the query rooted at root under the given mode. It
 // always returns a choice — planning never fails; conditions that block
 // reordering keep the literal order and surface as Reason.
@@ -625,11 +620,9 @@ func (ti *treeInfo) describeOp(p *physical, op *pop, budget int64, nodes int) *E
 		bld := op.partner
 		j := op.join
 		strat := "hash"
-		if budget > 0 {
-			buildBytes := ti.est[j.Build] * ti.rowBytes[j.Build] * hashTableOverhead / float64(nodes)
-			if buildBytes > float64(budget) {
-				strat = "hash, grace spill expected"
-			}
+		// What a node is charged for its share of the build (buildBytes).
+		if perNode := ti.est[j.Build] * (ti.rowBytes[j.Build] + sealIndexRowBytes) / float64(nodes); budget > 0 && perNode > float64(budget) {
+			strat = "hash, grace spill expected"
 		}
 		return &ExplainNode{
 			Kind:      "join",

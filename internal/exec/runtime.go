@@ -241,6 +241,9 @@ type opRun struct {
 	parts    []*vec.Appender
 	locks    []sync.Mutex //hierdb:lock part
 	partHint int
+	// held[w] is what a governed join charged for parts[w], under
+	// locks[w]: what the spill transition refunds when it drains the part.
+	held []int64
 	// side is the sealed build side, written by the build's closing
 	// activation (opRun.seal) before the chain barrier starts the probe
 	// chain; nil on a fragment whose join spilled. Probes and thieves on
@@ -307,8 +310,8 @@ type query struct {
 	// Memory governance (all zero/nil when the engine has no
 	// MemoryPerNode budget — the governed state simply does not exist on
 	// the default hot path). mem is the node's memory account; memUsed
-	// the fragment's share of it (hash-table entries, loaded spill
-	// partitions, group-by partials, in-flight chunks, stolen buckets).
+	// the fragment's share of it (build parts, loaded spill partitions,
+	// group-by partials, in-flight chunks).
 	mem     *memAccount
 	memUsed atomic.Int64
 	// spillMu guards the fragment's spill file and partition registry
@@ -347,8 +350,8 @@ const maxPartHint = 1 << 12
 // spreads a build table across the engine's nodes, so part presizing
 // divides the estimate by workers times nodes, and never past a scanned
 // build input's rows, which all may reach one part; a governed build
-// drains its parts at the budget, long before the estimate, so leaves
-// them unsized.
+// drains its parts at the budget, so processBuild presizes a part for
+// no more rows than the budget holds.
 func newFragment(mq *mquery, node int) *query {
 	phys, gb, cfg := mq.phys, mq.gb, &mq.nodes.cfg
 	p := mq.nodes.pools[node]
@@ -359,13 +362,13 @@ func newFragment(mq *mquery, node int) *query {
 		if op.kind == opBuild {
 			or.parts = make([]*vec.Appender, workers)
 			or.locks = make([]sync.Mutex, workers)
+			or.partHint = partHint(op.est, workers*mq.n)
+			if s, ok := op.join.Build.(*Scan); ok {
+				or.partHint = min(or.partHint, s.Table.NumRows())
+			}
 			if q.mem != nil {
 				or.spill = &joinSpill{}
-			} else {
-				or.partHint = partHint(op.est, workers*mq.n)
-				if s, ok := op.join.Build.(*Scan); ok {
-					or.partHint = min(or.partHint, s.Table.NumRows())
-				}
+				or.held = make([]int64, workers)
 			}
 		}
 		q.ops = append(q.ops, or)

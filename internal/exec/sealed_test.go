@@ -715,13 +715,14 @@ func TestSealUnderGovernance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// ~5000 rows × (24 + 2×16 + ~5 string bytes + 48 entry) ≈ 550 KiB.
-	got, st := runGoverned(t, plan, EngineConfig{MemoryPerNode: 640 << 10, SpillDir: t.TempDir()})
+	// The build side fits 1.25 times its bytes and not half of them.
+	side := sideBytes(plan.(*Join).Build.(*Scan).Table)
+	got, st := runGoverned(t, plan, EngineConfig{MemoryPerNode: side * 5 / 4, SpillDir: t.TempDir()})
 	sameRows(t, got, want)
 	if st.SpilledPartitions != 0 || st.SpillPhases != 0 {
 		t.Fatalf("a build that fits its budget spilled: %+v", st)
 	}
-	got, st = runGoverned(t, plan, EngineConfig{MemoryPerNode: 256 << 10, SpillDir: t.TempDir()})
+	got, st = runGoverned(t, plan, EngineConfig{MemoryPerNode: side / 2, SpillDir: t.TempDir()})
 	sameRows(t, got, want)
 	if st.SpillPhases == 0 {
 		t.Fatalf("a build past its budget never transitioned: %+v", st)

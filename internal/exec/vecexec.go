@@ -298,6 +298,10 @@ type buildSide struct {
 	bucketRows []int
 }
 
+// sealIndexRowBytes is what sealStore's index holds a row: two heads
+// and one next, int32 each.
+const sealIndexRowBytes = 3 * 4
+
 // ErrBuildTooLarge fails a join whose build side holds more rows on one
 // node, or in one spill partition, than a batch position (int32) addresses.
 var ErrBuildTooLarge = errors.New("exec: join build side too large")
@@ -666,17 +670,38 @@ func (q *query) processBuild(a *activation, w int) error {
 		or.locks[w].Unlock()
 		return q.spillBatch(sp.build, a.op.keyCol, 0, b, vs)
 	}
+	var charge int64
+	if sp != nil {
+		charge = buildBytes(b)
+	}
 	ap := or.parts[w]
 	if ap == nil {
-		ap = vec.NewAppender(a.op.outKinds, or.partHint)
+		hint := or.partHint
+		if sp != nil { // no more rows than the budget holds at this batch's price
+			hint = min(hint, int(q.mem.budget/(charge/int64(max(b.N, 1))+1))+b.N)
+		}
+		ap = vec.NewAppender(a.op.outKinds, hint)
 		or.parts[w] = ap
 	}
 	ap.AppendBatch(b)
+	over := false
+	if sp != nil { // under the part's lock: the draining transition refunds what was charged
+		or.held[w] += charge
+		over = q.chargeMem(charge)
+	}
 	or.locks[w].Unlock()
-	if sp != nil && q.chargeMem(batchBytes(b)+int64(b.N)*hashEntryBytes) {
+	if over {
 		return q.spillTransition(or, vs)
 	}
 	return nil
+}
+
+// buildBytes is what the rows of b hold in a build side: their columns'
+// bytes and their share of the sealed index.
+//
+//hierdb:hotpath
+func buildBytes(b *vec.Batch) int64 {
+	return b.Bytes() + int64(b.N)*sealIndexRowBytes
 }
 
 // processProbeVec streams one routed batch against the build side. Every
@@ -759,32 +784,4 @@ func gatherJoin(b, store *vec.Batch, out []int, vs *vecScratch, arena *vec.Arena
 		cols[w+i] = cols[c]
 	}
 	return &vec.Batch{Cols: cols[w:], N: m}
-}
-
-// batchBytes approximates the in-memory footprint of b's logical rows,
-// summed column-wise from the typed mirrors as what the materialized
-// rows would weigh: a 24-byte header per row, an interface word pair per
-// value, string payloads on top.
-func batchBytes(b *vec.Batch) int64 {
-	k := b.N
-	n := int64(24 * k)
-	for ci := range b.Cols {
-		c := &b.Cols[ci]
-		if c.Kind != vec.Any && c.Kind != vec.String {
-			n += int64(16 * k)
-			continue
-		}
-		for j := 0; j < k; j++ {
-			pos := c.Pos(j)
-			if c.Kind == vec.String {
-				n += 16 + int64(len(c.Str[pos])) // "" at null positions
-				continue
-			}
-			n += 16
-			if s, ok := c.Value(pos).(string); ok {
-				n += int64(len(s))
-			}
-		}
-	}
-	return n
 }

@@ -107,6 +107,7 @@ type File struct {
 	buf   []byte // encode scratch, reused across writes
 	refs  []Ref
 	bytes int64
+	held  int64 // what the written batches held in memory (vec.Batch.Bytes)
 	rows  int64 // written + buffered
 	// wbuf holds the rows AppendSel has gathered but not yet written:
 	// dense columns of typed mirror + null bitmap, a Box only on Any
@@ -315,6 +316,7 @@ func (s *File) writeLocked(b *vec.Batch) (Ref, error) {
 	ref := Ref{Off: off, Len: n, Rows: b.N}
 	s.refs = append(s.refs, ref)
 	s.bytes += n
+	s.held += b.Bytes()
 	return ref, nil
 }
 
@@ -344,6 +346,14 @@ func (s *File) Bytes() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.bytes
+}
+
+// Held returns what the written batches held in memory (vec.Batch.Bytes,
+// summed): the price of loading them back, known without a decode.
+func (s *File) Held() int64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.held
 }
 
 // Rows returns the total rows appended so far, written or still

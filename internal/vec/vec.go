@@ -45,6 +45,7 @@ package vec
 
 import (
 	"fmt"
+	"reflect"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -225,6 +226,47 @@ func (c *Col) FillBox() {
 	box := make([]any, c.Len())
 	c.boxInto(box, 1, nil, nil, len(box))
 	*c = Col{Kind: Any, Idx: c.Idx, Box: box}
+}
+
+// Bytes returns what the batch's N logical rows hold in memory, the one
+// price of a held row: a typed value its mirror width, a string its
+// header and bytes, an Any value its box word pair and the payload boxed
+// behind it (a string's header and bytes, another value its Go size),
+// and a null bitmap the words that cover N positions. A view that shares
+// storage is priced as if it held its rows alone.
+//
+//hierdb:hotpath
+func (b *Batch) Bytes() int64 {
+	n, rows := int64(0), int64(b.N)
+	for ci := range b.Cols {
+		c := &b.Cols[ci]
+		if c.Null != nil {
+			n += (rows + 63) / 64 * 8
+		}
+		switch {
+		case c.Kind == Bool:
+			n += rows
+		case c.Kind.IntFamily(), c.Kind == Float64:
+			n += 8 * rows
+		case c.Kind == String:
+			n += 16 * rows
+			for i := range b.N {
+				n += int64(len(c.Str[c.Pos(i)]))
+			}
+		default:
+			n += 16 * rows
+			for i := range b.N {
+				switch v := c.Box[c.Pos(i)].(type) {
+				case nil:
+				case string:
+					n += 16 + int64(len(v))
+				default:
+					n += int64(reflect.TypeOf(v).Size())
+				}
+			}
+		}
+	}
+	return n
 }
 
 // Batch is a set of equal-length column vectors. Columns may carry

@@ -230,3 +230,56 @@ func TestWithMemoryValidation(t *testing.T) {
 		t.Fatalf("WithMemory(-1) Run = %v", err)
 	}
 }
+
+// TestExplainSpillMatchesRun: Explain's "grace spill expected" is the
+// engine's own decision. For one ANALYZEd, unfiltered one-join query on
+// one node, planned with its statistics (OptimizerHints), Explain's predicted per-node build bytes — the least budget
+// at which it stops expecting a spill, found by bisection — decide the
+// run: at 0.8× of them Explain expects a spill and the run spills, at
+// 1.25× it expects none and the run spills nothing.
+func TestExplainSpillMatchesRun(t *testing.T) {
+	leaktest.Check(t, 2)
+	ctx := context.Background()
+	open := func(budget int64) *DB {
+		db := spillDB(t, WithWorkers(2), WithOptimizer(OptimizerHints), WithMemory(budget), WithSpillDir(t.TempDir()))
+		for _, name := range []string{"dim", "fact"} {
+			if _, err := db.Analyze(name); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return db
+	}
+	expects := func(db *DB) bool {
+		p, err := spillQuery(db).Explain(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return strings.Contains(p.String(), "grace spill expected")
+	}
+	lo, hi := int64(1), int64(1<<30) // Explain expects a spill at lo, none at hi
+	for hi-lo > 1 {
+		mid := lo + (hi-lo)/2
+		db := open(mid)
+		if expects(db) {
+			lo = mid
+		} else {
+			hi = mid
+		}
+		db.Close()
+	}
+	for _, f := range []float64{0.8, 1.25} {
+		db := open(int64(f * float64(hi)))
+		want := expects(db)
+		if want != (f < 1) {
+			t.Fatalf("at %.2f× Explain's %d predicted bytes, Explain expects a spill: %v", f, hi, want)
+		}
+		_, st, err := spillQuery(db).Collect(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := st.SpilledPartitions > 0; got != want {
+			t.Errorf("at %.2f× Explain's %d predicted bytes: Explain expects a spill %v, the run spilled %v (%+v)", f, hi, want, got, st)
+		}
+		db.Close()
+	}
+}
