@@ -67,7 +67,8 @@ test:
 # retirement, and the build-presize bound that must not depend on which
 # workers the build batches reach, 300 times — a 1 % flake shows up
 # about 95 % of the time; then, 10 times under -race, the tests that pin
-# the cross-node reads of a sealed build side the chain barrier orders,
+# the cross-node reads of a sealed build side the chain barrier orders
+# (and of the stores whose kinds TestStoresHoldCompileKinds checks),
 # the node memory account's lock-free charges, and the steals that take
 # the front of an operator's queue while the provider's workers pop its
 # back; then, 20 times, the memory price against the live heap, whose
@@ -75,7 +76,7 @@ test:
 stress:
 	$(GO) test -count 300 -run 'TestUnreadQueriesAddNoGoroutines|TestFinishedGroupByFreesSlotUnread|TestUndrainedGroupByDoesNotWedgePool' ./internal/exec
 	$(GO) test -count 300 -run 'TestBuildPresizeBoundedUnderHugeHint$$' .
-	$(GO) test -race -count 10 -run 'TestBuildSidesSealedAtBarrier|TestStolenOutputsReferenceOwnerStore|TestEmptyRemoteBucketAcquiredOnce|TestCancelDuringSeal|TestMultiNodeEmptyInputs|TestNodeAccountConservation|TestCancelledFileJoinSettlesNodes|TestConcurrentQueriesShareNodeMemory|TestOperatorStackOrder|TestGlobalStealOnSkewedWorkload|TestProbeActivationsOwnedByDest|TestStealStatsIsolatedPerQuery' ./internal/exec
+	$(GO) test -race -count 10 -run 'TestBuildSidesSealedAtBarrier|TestStolenOutputsReferenceOwnerStore|TestEmptyRemoteBucketAcquiredOnce|TestCancelDuringSeal|TestMultiNodeEmptyInputs|TestStoresHoldCompileKinds|TestNodeAccountConservation|TestCancelledFileJoinSettlesNodes|TestConcurrentQueriesShareNodeMemory|TestOperatorStackOrder|TestGlobalStealOnSkewedWorkload|TestProbeActivationsOwnedByDest|TestStealStatsIsolatedPerQuery' ./internal/exec
 	$(GO) test -count 20 -run 'TestChargeMatchesHeap$$' ./internal/exec
 
 # bench/ is a module of its own (replace hierdb => ../), so the root

@@ -267,9 +267,10 @@ func TestDifferentialQueries(t *testing.T) {
 			// sides, with 0.0 and -0.0 — one key, by ==, that must reach one
 			// node, one hash bucket, one spill partition and one index chain — and
 			// NaN, which matches nothing. The null-payload legs: the last
-			// build side's string payload is null in 63 rows of 64, so most
-			// of the batches a governed leg spills of it carry an all-null
-			// column, decoded untyped into a typed partition store.
+			// build side's string payload is null in 63 rows of 64, so the
+			// batches a governed leg spills of it carry a string column whose
+			// null bitmap is nearly full, and often full: the bitmaps go
+			// through the spill codec and back into the partition store.
 			for _, v := range []struct {
 				kind string
 				c    *Case

@@ -136,18 +136,17 @@ func TestChargeMatchesHeap(t *testing.T) {
 	}
 }
 
-// TestRefundNeverExceedsCharge: a governed build whose payload column
-// degrades to Any partway — int payloads first, then strings, so each
-// part boxes its int mirror in place and holds more than its batches
-// were charged — crosses its budget and transitions to spill. The
-// transition refunds what each part was charged, no more: after every
-// batch the fragment's memUsed reads its charges less its refunds and
-// is never negative, and the node's account reads 0 once the fragment
-// retires and after Close.
+// TestRefundNeverExceedsCharge: a governed build fed batches of its
+// compile-time schema — int keys, string payloads — crosses its budget
+// and transitions to spill. The transition refunds what each part was
+// charged, no more: after every batch the fragment's memUsed reads its
+// charges less its refunds and is never negative, and the node's account
+// reads 0 once the fragment retires and after Close.
 func TestRefundNeverExceedsCharge(t *testing.T) {
 	const workers, batches, rows = 2, 12, 64
-	build := tbl("rb", 1, func(i int) any { return i }, func(i int) any { return i })
-	probe := tbl("rp", 1, func(i int) any { return i }, func(i int) any { return i })
+	payload := func(i int) any { return fmt.Sprintf("s%d", i) }
+	build := tbl("rb", 1, func(i int) any { return i }, payload)
+	probe := tbl("rp", 1, func(i int) any { return i }, payload)
 	phys, err := compile(&Join{Build: &Scan{Table: build}, Probe: &Scan{Table: probe}})
 	if err != nil {
 		t.Fatal(err)
@@ -157,14 +156,11 @@ func TestRefundNeverExceedsCharge(t *testing.T) {
 		rs := make([]Row, rows)
 		for i := range rs {
 			k := j*rows + i
-			if rs[i] = (Row{k, k}); j >= 4 {
-				rs[i][1] = fmt.Sprintf("s%d", k)
-			}
+			rs[i] = Row{k, payload(k)}
 		}
 		in[j] = vec.FromRows(rs)
 	}
-	// The eighth batch, the fourth on each part after the degrade,
-	// crosses the budget.
+	// The eighth batch, the fourth on each part, crosses the budget.
 	var budget int64
 	for _, b := range in[:8] {
 		budget += buildBytes(b)
@@ -175,13 +171,6 @@ func TestRefundNeverExceedsCharge(t *testing.T) {
 	or := q.ops[bop.id]
 	var want int64 // charges less refunds
 	for j, b := range in {
-		if j == 6 {
-			for w, ap := range or.parts {
-				if k := ap.Batch().Cols[1].Kind; k != vec.Any {
-					t.Fatalf("part %d's payload column is %v before the crossing batch, want any", w, k)
-				}
-			}
-		}
 		if err := q.processBuild(&activation{op: bop, b: b, lo: 0, hi: b.N}, j%workers); err != nil {
 			t.Fatal(err)
 		}

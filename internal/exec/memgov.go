@@ -411,8 +411,8 @@ func (q *query) processSpillLoad(a *activation, w int) (outs []*activation) {
 		}
 		return nil // pending grew; the next pend==0 advance picks it up
 	}
-	// Decoded batches carry per-batch kinds — an all-null column decodes
-	// as Any — which the appender takes into its typed columns as nulls.
+	// The spill codec keeps every column's kind, so each decoded batch has
+	// the build input's schema, the store's.
 	build := a.op.partner
 	app := vec.NewAppender(build.outKinds, int(part.build.Rows()))
 	for _, ref := range part.build.Refs() {

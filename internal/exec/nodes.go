@@ -216,6 +216,13 @@ func (ns *Nodes) Submit(ctx context.Context, root Node, gb *GroupBy, tenant stri
 		ns.admitRelease()
 		return nil, err
 	}
+	return ns.launch(ctx, phys, gb, wait)
+}
+
+// launch starts a compiled query admitted after waiting wait: it builds
+// the query, makes it visible to Close and attaches its fragments to
+// their pools.
+func (ns *Nodes) launch(ctx context.Context, phys *physical, gb *GroupBy, wait time.Duration) (*Handle, error) {
 	h := ns.newQuery(ctx, phys, gb)
 	mq := &h.mq
 	mq.stats.AdmissionWait = wait

@@ -116,7 +116,7 @@ func (p *physical) expand(n Node) (*pop, error) {
 		bld.est = v.Build.estimate()
 		prb.est = v.estimate()
 		bld.keyCol, prb.keyCol = v.BuildKey, v.ProbeKey
-		bld.outKinds, prb.outKinds = b.outKinds, joinKinds(pr.outKinds, bw, v.Out)
+		bld.outKinds, prb.outKinds = b.outKinds, joinKinds(pr.outKinds, b.outKinds, v.Out)
 		return prb, nil
 	case nil:
 		return nil, fmt.Errorf("exec: nil plan node (missing join input?)")

@@ -38,6 +38,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 
 	"hierdb/internal/vec"
 )
@@ -89,13 +90,12 @@ func scanSchema(t *Table) ([]vec.Kind, *vec.Batch) {
 }
 
 // joinKinds is a probe operator's output schema: the columns out lists
-// (empty = all) of the probe input's kinds followed by Any for each of
-// the bw build columns. Build columns are reported Any although the
-// batches carry them as the sealed store holds them, typed or not — a
-// consumer pre-shaped for Any takes either.
-func joinKinds(probe []vec.Kind, bw int, out []int) []vec.Kind {
-	all := make([]vec.Kind, len(probe)+bw)
-	copy(all, probe)
+// (empty = all) of the probe input's kinds followed by the build input's.
+// A join's output batches carry build columns as its sealed store holds
+// them, and the store holds them with the build input's kinds: every
+// batch a build part or a partition load appends has them.
+func joinKinds(probe, build []vec.Kind, out []int) []vec.Kind {
+	all := slices.Concat(probe, build)
 	if len(out) == 0 {
 		return all
 	}
@@ -655,20 +655,39 @@ func filterRows(b *vec.Batch, sel []int32, filter func(Row) bool, vs *vecScratch
 // every row routed here is this node's. A governed join charges the
 // batch to the node's memory account and, denied a top-up, switches to
 // partitioned execution (spillTransition); from then on a batch is
-// partitioned to disk instead. The flag is read under the part's lock,
-// which the transition takes to drain the part after raising it: a batch
-// is either appended before the drain or spilled.
+// partitioned to disk instead.
 //
 //hierdb:hotpath
 func (q *query) processBuild(a *activation, w int) error {
 	or := q.ops[a.op.id]
 	vs := &q.vscratch[w]
 	b := a.input(vs)
+	spilling, over := q.appendPart(or, b, w)
+	if spilling {
+		return q.spillBatch(or.spill.build, a.op.keyCol, 0, b, vs)
+	}
+	if over {
+		return q.spillTransition(or, vs)
+	}
+	return nil
+}
+
+// appendPart appends b to worker w's part under the part's lock and, for
+// a governed join, charges it, reporting whether the node total crossed
+// the budget (over) — unless the join has already switched to partitioned
+// execution (spilling). The spill flag is read under the lock, which the
+// transition takes to drain the part after raising it: a batch is either
+// appended before the drain or spilled. The lock is released on return
+// even when the append panics on a batch of another schema, so a
+// transition never waits on a failed activation's part.
+//
+//hierdb:hotpath
+func (q *query) appendPart(or *opRun, b *vec.Batch, w int) (spilling, over bool) {
 	sp := or.spill
 	or.locks[w].Lock()
+	defer or.locks[w].Unlock()
 	if sp != nil && sp.active.Load() {
-		or.locks[w].Unlock()
-		return q.spillBatch(sp.build, a.op.keyCol, 0, b, vs)
+		return true, false
 	}
 	var charge int64
 	if sp != nil {
@@ -680,20 +699,15 @@ func (q *query) processBuild(a *activation, w int) error {
 		if sp != nil { // no more rows than the budget holds at this batch's price
 			hint = min(hint, int(q.mem.budget/(charge/int64(max(b.N, 1))+1))+b.N)
 		}
-		ap = vec.NewAppender(a.op.outKinds, hint)
+		ap = vec.NewAppender(or.op.outKinds, hint)
 		or.parts[w] = ap
 	}
 	ap.AppendBatch(b)
-	over := false
 	if sp != nil { // under the part's lock: the draining transition refunds what was charged
 		or.held[w] += charge
 		over = q.chargeMem(charge)
 	}
-	or.locks[w].Unlock()
-	if over {
-		return q.spillTransition(or, vs)
-	}
-	return nil
+	return false, over
 }
 
 // buildBytes is what the rows of b hold in a build side: their columns'

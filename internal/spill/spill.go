@@ -131,9 +131,9 @@ func Create(dir, name string) (*File, error) {
 // AppendSel buffers the logical rows of b listed in sel (nil = all) and
 // writes one batch of exactly flushRows rows each time the buffer fills;
 // the remainder stays buffered until a later append or Seal. Values are
-// copied mirror to mirror and never boxed. A batch whose width or
-// column kinds differ from the buffered rows' flushes them first, so
-// every written batch has one schema. Safe for concurrent callers.
+// copied mirror to mirror and never boxed. The File takes its first
+// batch's schema, its width and column kinds; a batch of another is an
+// error, and none of its rows is taken. Safe for concurrent callers.
 func (s *File) AppendSel(b *vec.Batch, sel []int32, flushRows int) error {
 	if sel == nil {
 		sel = vec.Ident(b.N)
@@ -141,14 +141,13 @@ func (s *File) AppendSel(b *vec.Batch, sel []int32, flushRows int) error {
 	flushRows = max(flushRows, 1)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if !sameSchema(&s.wbuf, b) {
-		if err := s.flushLocked(); err != nil {
-			return err
-		}
+	if s.wbuf.Cols == nil {
 		s.wbuf.Cols = make([]vec.Col, len(b.Cols))
 		for ci := range b.Cols {
 			s.wbuf.Cols[ci].Kind = b.Cols[ci].Kind
 		}
+	} else if !sameSchema(&s.wbuf, b) {
+		return fmt.Errorf("spill: %s: a batch of %d columns of another schema than the partition's", s.disk.name(), len(b.Cols))
 	}
 	for len(sel) > 0 {
 		k := min(len(sel), max(flushRows-s.wbuf.N, 0))
@@ -192,8 +191,8 @@ func (s *File) Seal() error {
 	return err
 }
 
-// sameSchema reports whether b's rows can extend the buffered columns:
-// equal width and kinds.
+// sameSchema reports whether b has the buffered columns' schema: equal
+// width and kinds.
 func sameSchema(buf, b *vec.Batch) bool {
 	if len(buf.Cols) != len(b.Cols) {
 		return false

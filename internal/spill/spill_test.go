@@ -49,8 +49,8 @@ func sameRowsExact(t *testing.T, name string, got, want []Row) {
 }
 
 // checkCoalesced asserts the shape coalescing promises: every written
-// batch holds exactly flush rows except at most one shorter tail per
-// schema run (here: per file, the inputs share one schema).
+// batch holds exactly flush rows except at most one shorter tail (a
+// file has one schema).
 func checkCoalesced(t *testing.T, name string, refs []Ref, flush int) {
 	t.Helper()
 	for i, ref := range refs {
@@ -148,50 +148,56 @@ func TestAppendSelSelections(t *testing.T) {
 	checkCoalesced(t, "selection", f.Refs(), 4)
 }
 
-// TestAppendSelSchemaChange: a batch whose kinds or width differ from
-// the buffered rows' starts a new written batch instead of corrupting
-// or boxing the buffered one — an all-null slice of a typed column
-// (kind Any), a kind flip, short rows (null in the columns they lack)
-// and a narrower batch all survive inside one file, in order.
+// TestAppendSelSchemaChange: a File takes its first batch's schema. A
+// batch of another — a kind flip, an all-null slice of a typed column
+// (kind Any), a wider or a narrower batch — is an error that takes none of
+// its rows, and the batches already written, the rows still buffered and
+// the batches appended after it all read back intact, in order, with the
+// first batch's kinds.
 func TestAppendSelSchemaChange(t *testing.T) {
-	inputs := [][]Row{
-		{{1, "a"}, {2, "b"}},
-		{{3, nil}, {4, nil}},           // column 1 all null: kind Any
-		{{5, "e"}},                     // back to String
-		{{"six", 6.5}, {"seven", 7.5}}, // both kinds flip
-		{{8}, {9, "ragged", true}, {}}, // short rows, wider
-		{{10}},                         // narrower
-		{{11}, {12}},
+	good := [][]Row{
+		{{1, "a"}, {2, "b"}, {3, nil}},
+		{{4, "d"}},
+		{{5, "e"}, {6, "f"}},
+	}
+	bad := [][]Row{
+		{{"seven", 7.5}},     // both kinds flip
+		{{8, nil}, {9, nil}}, // column 1 all null: kind Any
+		{{10, "j", true}},    // wider
+		{{11}, {12}},         // narrower
 	}
 	f := colFile(t)
 	var want []Row
-	for i, rows := range inputs {
-		if err := f.AppendSel(vec.FromRows(rows), nil, 100); err != nil {
+	for i, rows := range good {
+		if err := f.AppendSel(vec.FromRows(rows), nil, 2); err != nil {
 			t.Fatal(err)
 		}
-		if i == 4 {
-			rows = []Row{{8, nil, nil}, {9, "ragged", true}, {nil, nil, nil}}
-		}
 		want = append(want, rows...)
-	}
-	if got := f.Rows(); got != int64(len(want)) {
-		t.Fatalf("Rows() = %d, want %d", got, len(want))
+		if i == len(good)-1 {
+			break
+		}
+		for _, rows := range bad {
+			if err := f.AppendSel(vec.FromRows(rows), nil, 2); err == nil {
+				t.Fatalf("a batch of another schema (%v) was taken", rows)
+			}
+			if got := f.Rows(); got != int64(len(want)) {
+				t.Fatalf("Rows() = %d after a refused batch, want %d", got, len(want))
+			}
+		}
 	}
 	sameRowsExact(t, "schema change", readAll(t, f), want)
-	// The last two inputs share a schema and coalesce; every other
-	// boundary is a schema change.
-	if got := len(f.Refs()); got != len(inputs)-1 {
-		t.Fatalf("%d written batches, want %d (one per schema run)", got, len(inputs)-1)
-	}
+	checkCoalesced(t, "schema change", f.Refs(), 2)
 	for _, ref := range f.Refs() {
 		b, err := f.ReadCols(ref)
 		if err != nil {
 			t.Fatal(err)
 		}
+		var kinds []vec.Kind
 		for ci := range b.Cols {
-			if c := &b.Cols[ci]; (c.Kind == vec.Any) != (c.Box != nil) {
-				t.Fatalf("col %d kind %v decoded with Box=%v", ci, c.Kind, c.Box != nil)
-			}
+			kinds = append(kinds, b.Cols[ci].Kind)
+		}
+		if fmt.Sprint(kinds) != "[int string]" {
+			t.Fatalf("a written batch of kinds %v, want the first batch's [int string]", kinds)
 		}
 	}
 }

@@ -143,7 +143,7 @@ func TestBoxInPlaceSurvivesGC(t *testing.T) {
 
 // TestBoxInPlaceZeroAlloc is vec's alloc gate (run by CI): delivering a
 // typed column's values as interfaces — by Value, into rows, into a Box
-// when a column degrades to Any — costs no heap box per value, and
+// when FillBox turns a column Any — costs no heap box per value, and
 // storing them copies them into an Appender's mirrors.
 func TestBoxInPlaceZeroAlloc(t *testing.T) {
 	rows := make([]Row, 1024)

@@ -31,8 +31,8 @@ func genValue(r *rand.Rand, k Kind) any {
 	return fmt.Sprintf("m%d", r.Intn(9))
 }
 
-// genBatch columnizes n rows with one column per kind, each value null
-// with probability density.
+// genBatch columnizes n rows of the schema kinds, each value null with
+// probability density.
 func genBatch(r *rand.Rand, kinds []Kind, n int, density float64) *Batch {
 	rows := make([]Row, n)
 	for i := range rows {
@@ -43,7 +43,39 @@ func genBatch(r *rand.Rand, kinds []Kind, n int, density float64) *Batch {
 			}
 		}
 	}
-	return FromRows(rows)
+	return conform(FromRows(rows), kinds)
+}
+
+// conform gives b, columnized from values of the schema kinds, exactly
+// those kinds, as an operator's input has its compile-time schema:
+// FromRows resolves a column without a value to Any, and an Any column
+// whose draws all shared one type to that type, and a batch without
+// rows has no columns.
+func conform(b *Batch, kinds []Kind) *Batch {
+	b.Cols = append(b.Cols, make([]Col, len(kinds)-len(b.Cols))...)
+	for ci, k := range kinds {
+		switch c := &b.Cols[ci]; {
+		case c.Kind == k:
+		case k == Any:
+			c.FillBox()
+		default: // no value: every row null
+			*c = Col{Kind: k, Null: make([]uint64, (b.N+63)/64)}
+			switch {
+			case k.IntFamily():
+				c.I64 = make([]int64, b.N)
+			case k == Float64:
+				c.F64 = make([]float64, b.N)
+			case k == Bool:
+				c.B = make([]bool, b.N)
+			default:
+				c.Str = make([]string, b.N)
+			}
+			for pos := range b.N {
+				c.setNull(pos, b.N)
+			}
+		}
+	}
+	return b
 }
 
 // checkBoxIffAny fails unless every column of b obeys the layout rule: a
@@ -91,9 +123,7 @@ func checkBoxIffAny(t testing.TB, what string, b *Batch) {
 // checkConcat seals one appender per input batch with Concat and
 // compares the result, position by position, with a single appender fed
 // the same batches in order. The appenders are pre-shaped for kinds, as
-// a join's build parts are (nil: each discovers its schema): only then does
-// a part that saw nothing but an all-null batch of a column agree with
-// the parts that saw its values.
+// a join's build parts are, or take their first batch's schema (nil).
 func checkConcat(t *testing.T, kinds []Kind, batches []*Batch) *Batch {
 	t.Helper()
 	ref := NewAppender(kinds, 0)
@@ -171,43 +201,6 @@ func TestConcatMatchesAppender(t *testing.T) {
 	}
 }
 
-// TestConcatDegrades: a kind disagreement between parts and a width
-// disagreement across parts both end as the Appender ends them — the
-// column boxed (Any, its Box boxed in place over the typed parts'
-// mirrors), the narrower part's rows null in the column they lack and
-// read back as wide as the widest.
-func TestConcatDegrades(t *testing.T) {
-	r := rand.New(rand.NewSource(3))
-	ints := genBatch(r, []Kind{Int, Int}, 70, 0.2)
-	strs := genBatch(r, []Kind{Int, String}, 5, 0.2)
-	got := checkConcat(t, nil, []*Batch{ints, strs, ints})
-	if got.Cols[0].Kind != Int || got.Cols[1].Kind != Any || got.Cols[1].Null != nil {
-		t.Fatalf("kinds %v %v (null bitmap %v), want int and a bitmap-free any", got.Cols[0].Kind, got.Cols[1].Kind, got.Cols[1].Null)
-	}
-
-	narrow := genBatch(r, []Kind{Int, String}, 66, 0)
-	wide := genBatch(r, []Kind{Int, String, Float64}, 3, 0)
-	for _, batches := range [][]*Batch{{narrow, wide}, {wide, narrow}, {narrow, wide, narrow}} {
-		got := checkConcat(t, nil, batches)
-		if len(got.Cols) != 3 || got.Cols[2].Kind != Any {
-			t.Fatalf("parts of two widths: %d cols, tail kind %v", len(got.Cols), got.Cols[2].Kind)
-		}
-		var a Arena
-		nulls := 0
-		for _, row := range got.AppendRows(nil, &a) {
-			if len(row) != 3 {
-				t.Fatalf("row of width %d", len(row))
-			}
-			if row[2] == nil {
-				nulls++
-			}
-		}
-		if want := got.N - wide.N*(len(batches)/2); nulls != want {
-			t.Fatalf("%d rows null in the tail column, want %d", nulls, want)
-		}
-	}
-}
-
 // TestConcatAliasesSinglePart: with one non-empty part nothing is
 // copied — the result shares the part's mirrors, and no Box appears
 // beside them; with several, every part's storage is let go.
@@ -260,81 +253,14 @@ func TestArenaChunksGrow(t *testing.T) {
 	}
 }
 
-// TestAppenderAllNullAnyKeepsKind: a batch column with no value in it is
-// spilled and decoded as Any. A store pre-shaped for the column's kind
-// takes it in as nulls and stays typed — mirror and bitmap, no Box — for
-// every kind, from a dense, an indexed and a selected source, whether
-// the all-null batch comes first, in the middle or last. One value in an
-// Any batch column still degrades the store column, and so does a
-// value-less one when the schema is left to be discovered.
-func TestAppenderAllNullAnyKeepsKind(t *testing.T) {
-	r := rand.New(rand.NewSource(11))
-	nulls := func(shape int) (*Batch, []int32) {
-		b := &Batch{Cols: []Col{{Kind: Any, Box: make([]any, 9)}}, N: 9}
-		switch shape {
-		case 1: // indexed
-			b.Cols[0].Idx, b.N = []int32{8, 0, 3, 3}, 4
-		case 2: // selected
-			return b, []int32{7, 1}
-		}
-		return b, nil
-	}
-	for _, k := range []Kind{Int, Int32, Int64, Uint64, Float64, Bool, String} {
-		for shape := 0; shape < 3; shape++ {
-			for at := 0; at < 3; at++ {
-				ap := NewAppender([]Kind{k}, 0)
-				var want []any
-				for bi := 0; bi < 3; bi++ {
-					b, sel := genBatch(r, []Kind{k}, 70, 0.2), []int32(nil)
-					if bi == at {
-						b, sel = nulls(shape)
-					}
-					ap.AppendRowsSel(b, sel)
-					for i := 0; i < b.N && sel == nil; i++ {
-						want = append(want, b.Cols[0].Value(b.Cols[0].Pos(i)))
-					}
-					want = append(want, make([]any, len(sel))...)
-				}
-				got := ap.Batch()
-				checkBoxIffAny(t, "Appender", got)
-				c := got.Cols[0]
-				if c.Kind != k || got.N != len(want) || c.Len() != got.N {
-					t.Fatalf("%v shape %d at %d: kind %v, %d rows, %d positions, want %d rows of %v", k, shape, at, c.Kind, got.N, c.Len(), len(want), k)
-				}
-				for pos, w := range want {
-					if c.Value(pos) != w || c.NullAt(pos) != (w == nil) {
-						t.Fatalf("%v shape %d at %d, pos %d: value %v null %v, want %v", k, shape, at, pos, c.Value(pos), c.NullAt(pos), w)
-					}
-				}
-			}
-		}
-	}
-	oneValue, _ := nulls(0)
-	oneValue.Cols[0].Box[4] = "x"
-	ap := NewAppender([]Kind{Int}, 0)
-	ap.AppendBatch(FromRows([]Row{{1}}))
-	ap.AppendBatch(oneValue)
-	if got := ap.Batch(); got.Cols[0].Kind != Any || got.Cols[0].Box[5] != "x" || got.Cols[0].Box[0] != 1 {
-		t.Fatalf("an Any batch column holding a value left the store column %v", got.Cols[0].Kind)
-	}
-	allNull, _ := nulls(0)
-	ap = NewAppender(nil, 0)
-	ap.AppendBatch(allNull)
-	ap.AppendBatch(FromRows([]Row{{1}}))
-	if got := ap.Batch(); got.Cols[0].Kind != Any {
-		t.Fatalf("a discovered schema resolved an all-null first batch to %v", got.Cols[0].Kind)
-	}
-}
-
-// FuzzConcat seals 1–4 appenders with Concat and checks that the result
-// obeys the Box-iff-Any rule and materializes, through AppendRows,
-// exactly the rows appended, part after part. The parts are pre-shaped
-// (or left to discover their schema) and fed 0–3 batches each, whole or
-// through a selection; a batch mixes kinds per column — so parts disagree
-// and columns degrade — null bitmaps, all-null columns (columnized Any,
-// landing as nulls in a pre-shaped typed column), and short rows, zero
-// to four wide. The oracle reads every row null in the columns it lacks:
-// each input batch's rows padded with nil to the concatenation's width.
+// FuzzConcat seals 1–4 appenders of one schema with Concat and checks
+// that the result obeys the Box-iff-Any rule and materializes, through
+// AppendRows, exactly the rows appended, part after part. The parts are
+// pre-shaped or take their first batch's schema; each is fed 0–3 batches
+// of the schema — whole, through a selection, or as a Select view that
+// reads through Idx windows — or is nil. Values are null at a density of
+// 0, ½ or 1 per column, so a part's bitmap is absent, sparse or full,
+// and grows lazily.
 func FuzzConcat(f *testing.F) {
 	for seed := range int64(24) {
 		f.Add(seed, uint8(seed*11))
@@ -346,7 +272,7 @@ func FuzzConcat(f *testing.F) {
 		for ci := range schema {
 			schema[ci] = kinds[r.Intn(len(kinds))]
 		}
-		var shaped []Kind // nil: every part discovers its schema
+		var shaped []Kind // nil: every part takes its first batch's schema
 		if shape&1 != 0 {
 			shaped = schema
 		}
@@ -354,9 +280,19 @@ func FuzzConcat(f *testing.F) {
 		var want []Row
 		var a Arena
 		for p := range parts {
+			if shape&16 != 0 && r.Intn(3) == 0 {
+				continue // a nil part is an empty one
+			}
 			parts[p] = NewAppender(shaped, r.Intn(70))
 			for range r.Intn(4) {
-				b := fuzzBatch(r, schema, kinds, shape&8 != 0)
+				b := fuzzBatch(r, schema)
+				if shape&8 != 0 && b.N > 0 {
+					view := make([]int32, r.Intn(2*b.N))
+					for i := range view {
+						view[i] = int32(r.Intn(b.N))
+					}
+					b = Select(b, view, &a)
+				}
 				var sel []int32
 				if b.N > 0 && r.Intn(3) == 0 {
 					sel = []int32{}
@@ -375,41 +311,25 @@ func FuzzConcat(f *testing.F) {
 		}
 		got := Concat(parts)
 		checkBoxIffAny(t, "Concat", got)
-		for i, row := range want {
-			want[i] = append(row[:len(row):len(row)], make(Row, len(got.Cols)-len(row))...)
-		}
 		rowsEq(t, got.AppendRows(nil, &a), want)
 	})
 }
 
-// fuzzBatch columnizes up to 130 rows as wide as schema, or a column
-// narrower or wider. Column ci holds values of schema[ci] or, one time in
-// four, of a kind drawn afresh, null at a density of 0, ½ or 1; with
-// short set, some rows stop short.
-func fuzzBatch(r *rand.Rand, schema, kinds []Kind, short bool) *Batch {
-	w := len(schema) + r.Intn(3) - 1
-	ks := make([]Kind, w)
-	density := make([]float64, w)
-	for ci := range ks {
-		if ci < len(schema) && r.Intn(4) != 0 {
-			ks[ci] = schema[ci]
-		} else {
-			ks[ci] = kinds[r.Intn(len(kinds))]
-		}
+// fuzzBatch columnizes up to 130 rows of schema, each column null at a
+// density of 0, ½ or 1.
+func fuzzBatch(r *rand.Rand, schema []Kind) *Batch {
+	density := make([]float64, len(schema))
+	for ci := range density {
 		density[ci] = float64(r.Intn(3)) / 2
 	}
 	rows := make([]Row, r.Intn(131))
 	for i := range rows {
-		rw := w
-		if short && r.Intn(4) == 0 {
-			rw = r.Intn(w + 1)
-		}
-		rows[i] = make(Row, rw)
-		for ci := range rows[i] {
+		rows[i] = make(Row, len(schema))
+		for ci, k := range schema {
 			if r.Float64() >= density[ci] {
-				rows[i][ci] = genValue(r, ks[ci])
+				rows[i][ci] = genValue(r, k)
 			}
 		}
 	}
-	return FromRows(rows)
+	return conform(FromRows(rows), schema)
 }

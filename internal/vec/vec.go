@@ -15,18 +15,21 @@
 //     the mirror. An Any column has no mirror and no bitmap: Box[pos]
 //     holds the boxed value at storage position pos (nil at SQL-null
 //     positions).
+//   - One schema per store. An Appender, and Concat over appenders, takes
+//     batches of one width and one kind per column, and copies mirror to
+//     mirror and Box word to Box word; a batch of another schema panics.
 //   - A missing value is a null. A batch is as wide as its widest row; a
 //     row shorter than that is null in the columns it lacks.
 //   - Box in place (box.go). A value leaving a typed column — at the Row
 //     boundary (AppendRows, ReadRow, Value), or into an Any column's Box
-//     (FillBox, an Appender, Concat) — becomes an interface whose data
-//     word points at its slot in the column's own mirror: no heap box per
-//     value, only the words that hold it. A value leaving an Any column
-//     is its Box's word, copied.
+//     (FillBox, for a typed chunk under an Any schema) — becomes an
+//     interface whose data word points at its slot in the column's own
+//     mirror: no heap box per value, only the words that hold it. A value
+//     leaving an Any column is its Box's word, copied.
 //   - Write once. A mirror reachable from a batch handed to any
 //     consumer, store or Rows is never written again: decoders, the
 //     Appender and Concat fill fresh storage and only ever append, a
-//     column that degrades to Any forgets its mirror, and arena carvings
+//     column FillBox turns Any forgets its mirror, and arena carvings
 //     are never reused. This is what makes boxing in place sound. Two
 //     pieces of private scratch are exempt because nothing is ever boxed
 //     from them: the spill Decoder's predicate mirrors and a spill File's
@@ -214,8 +217,8 @@ func (c *Col) BoxRows(dst []any, stride int, rows []int32) {
 }
 
 // FillBox turns a typed column into an Any one in place, for a consumer
-// that must read it as Any (a typed chunk under an Any schema, a store
-// column fed a second kind): every storage position is boxed in place
+// that must read it as Any (a typed chunk under an Any schema): every
+// storage position is boxed in place
 // into a fresh Box, and the mirror and bitmap are forgotten — the boxes
 // keep the mirror alive, and nothing writes a forgotten mirror again. An
 // Any column is left as it is.
@@ -543,31 +546,26 @@ func sameIdx(a, b []int32) bool {
 // Appender
 // ---------------------------------------------------------------------
 
-// Appender accumulates rows from batches into one growing dense
-// columnar store — one worker's part of a hash-join build side. A store
-// column is what any column is (package comment): a typed one its mirror
-// and null bitmap, into which values are copied; an Any one its Box, into
-// which a boxed source's words are copied and a typed source's values
-// boxed in place over the source's mirror (which the store therefore
-// keeps alive). The store's schema adapts: a column fed two different
-// kinds, or missing from a batch narrower than the store (null in those
-// rows), degrades to Any, boxing its mirror in place once (FillBox) —
-// except that an all-null Any source column (what the spill codec makes
-// of a batch column without a value) lands in a typed column as nulls.
+// Appender accumulates rows from batches of one schema into one growing
+// dense columnar store — one worker's part of a hash-join build side. The
+// schema is NewAppender's kinds, or the first appended batch's when those
+// are nil, and every batch must have it: its width and, column by column,
+// its kinds. A typed store column is its mirror and null bitmap, into
+// which a batch column's values and null bits are copied; an Any one its
+// Box, into which the batch column's words are copied. A batch of another
+// schema panics: the engine fixes every operator's schema at compile, so
+// such a batch is an engine bug, and its activation boundary fails the
+// query.
 type Appender struct {
-	cols []Col
-	// shaped counts the leading columns whose kind NewAppender fixed; a
-	// later column adopts the kind it arrives with in the first batch.
-	shaped int
-	n      int
+	cols []Col // nil until the schema is known
+	n    int
 }
 
 // NewAppender returns an appender pre-shaped for the given column
-// kinds (nil means the schema is discovered from appended batches)
-// with capacity — typed mirror, or Box for an Any column — for hint
-// rows.
+// kinds (nil means the first appended batch's) with capacity — typed
+// mirror, or Box for an Any column — for hint rows.
 func NewAppender(kinds []Kind, hint int) *Appender {
-	ap := &Appender{shaped: len(kinds)}
+	ap := &Appender{}
 	if kinds != nil {
 		ap.cols = make([]Col, len(kinds))
 		for i, k := range kinds {
@@ -599,7 +597,7 @@ func (ap *Appender) AppendBatch(b *Batch) {
 }
 
 // AppendRowsSel appends the logical rows of b listed in sel (nil means
-// all rows) to the store.
+// all rows) to the store. b must have the store's schema.
 //
 //hierdb:hotpath
 func (ap *Appender) AppendRowsSel(b *Batch, sel []int32) {
@@ -610,79 +608,63 @@ func (ap *Appender) AppendRowsSel(b *Batch, sel []int32) {
 	if k == 0 {
 		return
 	}
-	ap.widen(len(b.Cols))
-	for ci := range ap.cols {
-		dst := &ap.cols[ci]
-		if ci >= len(b.Cols) {
-			ap.padNull(dst, k)
-			continue
+	if ap.cols == nil {
+		ap.cols = make([]Col, len(b.Cols))
+		for ci := range b.Cols {
+			ap.cols[ci].Kind = b.Cols[ci].Kind
 		}
-		src := &b.Cols[ci]
-		ap.appendCol(dst, ci, src, sel, k)
+	}
+	mustMatch(ap.cols, b.Cols)
+	for ci := range ap.cols {
+		dst, src := &ap.cols[ci], &b.Cols[ci]
+		switch {
+		case dst.Kind == Any:
+			dst.Box = appendSlots(dst.Box, src.Box, src.Idx, sel, k)
+		case dst.Kind.IntFamily():
+			dst.I64 = appendSlots(dst.I64, src.I64, src.Idx, sel, k)
+		case dst.Kind == Float64:
+			dst.F64 = appendSlots(dst.F64, src.F64, src.Idx, sel, k)
+		case dst.Kind == Bool:
+			dst.B = appendSlots(dst.B, src.B, src.Idx, sel, k)
+		default:
+			dst.Str = appendSlots(dst.Str, src.Str, src.Idx, sel, k)
+		}
+		if null := src.Null; null != nil {
+			for j := range k {
+				if pos := posOf(src.Idx, sel, j); null[pos>>6]&(1<<(uint(pos)&63)) != 0 {
+					setNullGrow(dst, ap.n+j)
+				}
+			}
+		}
 	}
 	ap.n += k
 }
 
-// widen grows the store to w columns. A column opened before any rows
-// landed adopts the first batch's kind (appendCol); one opened later is
-// backfilled with nulls for the rows already appended and stays Any.
-func (ap *Appender) widen(w int) {
-	for len(ap.cols) < w {
-		c := Col{Kind: Any}
-		if ap.n > 0 {
-			c.Box = make([]any, ap.n, ap.n+256)
-		}
-		ap.cols = append(ap.cols, c)
-	}
-}
-
-// padNull appends k nulls to a column the incoming batch does not cover
-// (incoming rows narrower than the store), which turns it Any.
-func (ap *Appender) padNull(dst *Col, k int) {
-	ap.degrade(dst)
-	dst.Box = append(dst.Box, make([]any, k)...)
-}
-
+// mustMatch panics unless the columns got have the schema of want: as
+// many columns, of the same kinds.
+//
 //hierdb:hotpath
-func (ap *Appender) appendCol(dst *Col, ci int, src *Col, sel []int32, k int) {
-	if ci >= ap.shaped && ap.n == 0 {
-		dst.Kind = src.Kind
-	} else if dst.Kind != src.Kind {
-		if src.Kind == Any && allNull(src, sel, k) {
-			appendNulls(dst, ap.n, k)
-			return
-		}
-		ap.degrade(dst)
+func mustMatch(want, got []Col) {
+	same := len(got) == len(want)
+	for ci := 0; same && ci < len(got); ci++ {
+		same = got[ci].Kind == want[ci].Kind
 	}
-	switch {
-	case dst.Kind == Any:
-		at := len(dst.Box)
-		dst.Box = append(dst.Box, make([]any, k)...)
-		src.boxInto(dst.Box[at:], 1, src.Idx, sel, k)
-		return
-	case dst.Kind.IntFamily():
-		dst.I64 = appendSlots(dst.I64, src.I64, src.Idx, sel, k)
-	case dst.Kind == Float64:
-		dst.F64 = appendSlots(dst.F64, src.F64, src.Idx, sel, k)
-	case dst.Kind == Bool:
-		dst.B = appendSlots(dst.B, src.B, src.Idx, sel, k)
-	default:
-		dst.Str = appendSlots(dst.Str, src.Str, src.Idx, sel, k)
-	}
-	if null := src.Null; null != nil {
-		for j := range k {
-			if pos := posOf(src.Idx, sel, j); null[pos>>6]&(1<<(uint(pos)&63)) != 0 {
-				setNullGrow(dst, ap.n+j)
-			}
-		}
+	if !same {
+		panic(schemaMismatch(want, got))
 	}
 }
 
-// degrade turns a store column Any (FillBox), its lazily grown bitmap
-// first padded to the rows stored.
-func (ap *Appender) degrade(dst *Col) {
-	padNulls(dst, ap.n)
-	dst.FillBox()
+// schemaMismatch describes a batch of columns got offered to a store of
+// columns want.
+func schemaMismatch(want, got []Col) string {
+	kinds := func(cols []Col) []Kind {
+		ks := make([]Kind, len(cols))
+		for i := range cols {
+			ks[i] = cols[i].Kind
+		}
+		return ks
+	}
+	return fmt.Sprintf("vec: columns of kinds %v appended to a store of kinds %v", kinds(got), kinds(want))
 }
 
 // appendSlots appends the k values src[idx[sel[j]]] (a nil sel or idx is
@@ -712,35 +694,6 @@ func appendSlots[T any](dst, src []T, idx, sel []int32, k int) []T {
 	return dst
 }
 
-// allNull reports whether the k selected rows of the Any column src (sel
-// nil = all) are SQL nulls, every one.
-func allNull(src *Col, sel []int32, k int) bool {
-	for j := 0; j < k; j++ {
-		if src.Box[posOf(src.Idx, sel, j)] != nil {
-			return false
-		}
-	}
-	return true
-}
-
-// appendNulls appends k nulls to the typed column dst, which holds at
-// rows: zero values in the mirror, their bits set.
-func appendNulls(dst *Col, at, k int) {
-	switch {
-	case dst.Kind.IntFamily():
-		dst.I64 = append(dst.I64, make([]int64, k)...)
-	case dst.Kind == Float64:
-		dst.F64 = append(dst.F64, make([]float64, k)...)
-	case dst.Kind == Bool:
-		dst.B = append(dst.B, make([]bool, k)...)
-	default:
-		dst.Str = append(dst.Str, make([]string, k)...)
-	}
-	for j := range k {
-		setNullGrow(dst, at+j)
-	}
-}
-
 // setNullGrow marks storage position pos null, growing the bitmap as
 // needed (the appender's store grows incrementally, unlike fixed-size
 // batch columns).
@@ -751,49 +704,43 @@ func setNullGrow(c *Col, pos int) {
 	c.Null[pos>>6] |= 1 << (uint(pos) & 63)
 }
 
-// padNulls pads a lazily grown bitmap, if c has one, to cover n storage
-// positions.
-func padNulls(c *Col, n int) {
-	for c.Null != nil && len(c.Null) < (n+63)/64 {
-		c.Null = append(c.Null, 0)
-	}
-}
-
 // Batch seals the appended rows as one dense batch. The appender must
 // not be appended to afterwards (the batch aliases its storage).
 func (ap *Appender) Batch() *Batch {
 	b := &Batch{Cols: make([]Col, len(ap.cols)), N: ap.n}
 	copy(b.Cols, ap.cols)
 	for ci := range b.Cols {
-		padNulls(&b.Cols[ci], ap.n)
+		c := &b.Cols[ci]
+		for c.Null != nil && len(c.Null) < (ap.n+63)/64 { // a lazily grown bitmap covers every row
+			c.Null = append(c.Null, 0)
+		}
 	}
 	return b
 }
 
-// Concat seals the rows accumulated by several appenders into one dense
-// batch, part after part: row r of parts[p] lands at storage position
-// base+r, base being the rows of the parts before it. The result is the
-// batch one Appender fed the same rows in the same order would hold — a
-// column stays typed (mirror and bitmap) only while every non-empty part
-// agrees on its kind, else it is Any (a Box of every part's values,
-// boxed in place over a typed part's mirror), and a part narrower than
-// the widest is null in the columns it lacks, which are Any — but its
-// columns are allocated at their exact size and filled column-major,
-// and each part's copy of a column is dropped as soon as it has been
-// copied, so the rows are never held twice. A single non-empty part is
-// aliased instead (as by Batch); a nil part is an empty one. Concat
-// consumes the parts: none may be appended to or read afterwards.
+// Concat seals the rows accumulated by several appenders of one schema
+// into one dense batch, part after part: row r of parts[p] lands at
+// storage position base+r, base being the rows of the parts before it.
+// The result is the batch one Appender fed the same rows in the same
+// order would hold, but its columns are allocated at their exact size and
+// filled column-major, and each part's copy of a column is dropped as
+// soon as it has been copied, so the rows are never held twice. A single
+// non-empty part is aliased instead (as by Batch); a nil part is an empty
+// one. Non-empty parts of different schemas panic. Concat consumes the
+// parts: none may be appended to or read afterwards.
 func Concat(parts []*Appender) *Batch {
 	var only *Appender
-	n, w, live := 0, 0, 0
+	n, live := 0, 0
 	for _, ap := range parts {
 		if ap == nil || ap.n == 0 {
 			continue
 		}
+		if only != nil {
+			mustMatch(only.cols, ap.cols)
+		}
 		only = ap
 		live++
 		n += ap.n
-		w = max(w, len(ap.cols))
 	}
 	switch live {
 	case 0:
@@ -801,7 +748,7 @@ func Concat(parts []*Appender) *Batch {
 	case 1:
 		return only.Batch()
 	}
-	out := &Batch{Cols: make([]Col, w), N: n}
+	out := &Batch{Cols: make([]Col, len(only.cols)), N: n}
 	for ci := range out.Cols {
 		concatCol(&out.Cols[ci], parts, ci, n)
 	}
@@ -813,48 +760,26 @@ func Concat(parts []*Appender) *Batch {
 //
 //hierdb:hotpath
 func concatCol(dst *Col, parts []*Appender, ci, n int) {
-	first := true
-	for _, ap := range parts {
-		if ap == nil || ap.n == 0 {
-			continue
-		}
-		k := Any // a part too narrow for the column is null in it
-		if ci < len(ap.cols) {
-			k = ap.cols[ci].Kind
-		}
-		if first {
-			dst.Kind, first = k, false
-		} else if k != dst.Kind {
-			dst.Kind = Any
-		}
-	}
-	if dst.Kind == Any {
-		dst.Box = make([]any, n)
-	}
 	base := 0
 	for _, ap := range parts {
 		if ap == nil || ap.n == 0 {
 			continue
 		}
-		if ci >= len(ap.cols) {
-			base += ap.n // its Box slots stay nil
-			continue
-		}
 		src := &ap.cols[ci]
+		dst.Kind = src.Kind
 		switch {
-		case dst.Kind == Any:
-			padNulls(src, ap.n)
-			src.boxInto(dst.Box[base:], 1, nil, nil, ap.n)
-		case dst.Kind.IntFamily():
+		case src.Kind == Any:
+			dst.Box = place(dst.Box, src.Box, base, n)
+		case src.Kind.IntFamily():
 			dst.I64 = place(dst.I64, src.I64, base, n)
-		case dst.Kind == Float64:
+		case src.Kind == Float64:
 			dst.F64 = place(dst.F64, src.F64, base, n)
-		case dst.Kind == Bool:
+		case src.Kind == Bool:
 			dst.B = place(dst.B, src.B, base, n)
 		default:
 			dst.Str = place(dst.Str, src.Str, base, n)
 		}
-		if dst.Kind != Any && src.Null != nil {
+		if src.Null != nil {
 			if dst.Null == nil {
 				dst.Null = make([]uint64, (n+63)/64)
 			}
@@ -865,8 +790,8 @@ func concatCol(dst *Col, parts []*Appender, ci, n int) {
 	}
 }
 
-// place copies a part's mirror src to position base of the n-element
-// mirror dst, allocating dst on the first part.
+// place copies a part's mirror or Box src to position base of the
+// n-element dst, allocating dst on the first part.
 //
 //hierdb:hotpath
 func place[T any](dst, src []T, base, n int) []T {

@@ -115,17 +115,43 @@ func TestAppenderAccumulates(t *testing.T) {
 	}
 }
 
-func TestAppenderDegradesOnKindMismatch(t *testing.T) {
-	ap := NewAppender(nil, 0)
-	ap.AppendBatch(FromRows([]Row{{1}}))
-	ap.AppendBatch(FromRows([]Row{{"s"}}))
-	ap.AppendBatch(FromRows([]Row{{2, true}})) // widen: earlier rows null in the new column
-	out := ap.Batch()
-	if out.Cols[0].Kind != Any || out.Cols[1].Kind != Any {
-		t.Fatalf("kinds %v %v", out.Cols[0].Kind, out.Cols[1].Kind)
+// TestAppenderPanicsOnSchemaMismatch: a store takes one schema — its
+// NewAppender kinds, or its first batch's. A batch of another kind in
+// some column, or of another width, panics and leaves the store as it
+// was; so does Concat over non-empty parts of two schemas.
+func TestAppenderPanicsOnSchemaMismatch(t *testing.T) {
+	mismatched := []*Batch{
+		FromRows([]Row{{"s", "x"}}),     // a kind flip
+		FromRows([]Row{{2}}),            // narrower
+		FromRows([]Row{{2, "x", true}}), // wider
+		FromRows([]Row{{2, nil}}),       // column 1 without a value: Any
 	}
-	var a Arena
-	rowsEq(t, out.AppendRows(nil, &a), []Row{{1, nil}, {"s", nil}, {2, true}})
+	for _, kinds := range [][]Kind{nil, {Int, String}} {
+		ap := NewAppender(kinds, 0)
+		ap.AppendBatch(FromRows([]Row{{1, "a"}}))
+		for _, b := range mismatched {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Fatalf("kinds %v: a batch of %d columns, column 0 %v, was taken", kinds, len(b.Cols), b.Cols[0].Kind)
+					}
+				}()
+				ap.AppendBatch(b)
+			}()
+		}
+		ap.AppendBatch(FromRows([]Row{{3, "c"}}))
+		var a Arena
+		rowsEq(t, ap.Batch().AppendRows(nil, &a), []Row{{1, "a"}, {3, "c"}})
+	}
+	p0, p1 := NewAppender(nil, 0), NewAppender(nil, 0)
+	p0.AppendBatch(FromRows([]Row{{1}}))
+	p1.AppendBatch(FromRows([]Row{{"s"}}))
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Concat of an int part and a string part did not panic")
+		}
+	}()
+	Concat([]*Appender{p0, p1})
 }
 
 func TestAppenderNullsSurvive(t *testing.T) {
