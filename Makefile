@@ -47,6 +47,7 @@ test:
 	$(GO) test -run 'ZeroAlloc|Amortized|AllocBound|AllocBytesBound' -v ./internal/simtime/ ./internal/core/ ./internal/vec/ ./internal/exec/ .
 	$(GO) test -run '^$$' -fuzz FuzzJoinEquivalence -fuzztime 30s ./internal/difftest/
 	$(GO) test -run '^$$' -fuzz FuzzTableFileRoundTrip -fuzztime 30s ./internal/difftest/
+	$(GO) test -run '^$$' -fuzz FuzzColumnCodec -fuzztime 30s ./internal/spill/
 	$(GO) test -run '^$$' -fuzz FuzzApplyPred -fuzztime 30s ./internal/vec/
 	$(GO) test -run '^$$' -fuzz FuzzConcat -fuzztime 30s ./internal/vec/
 	$(GO) test -run '^$$' -fuzz FuzzProbeMatch -fuzztime 30s ./internal/exec/
@@ -97,7 +98,8 @@ bench:
 	  $(GO) test -run '^$$' -bench 'Churn|MultiNode' -benchmem ./internal/core/; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkFig6$$|BenchmarkEngineJoinDP$$|ConcurrentQueries|StreamingSink|MultiNodeSkew|SpillJoin|DiskScan|DiskJoinSpill|OptimizeOverhead' -benchtime 10x -benchmem .; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkAdmission|BenchmarkChargeMem|BenchmarkSpillPartitionWrite|BenchmarkJoinProbeGather|BenchmarkJoinGroupFold|BenchmarkSealIndex' -benchmem ./internal/exec/; \
-	  $(GO) test -run '^$$' -bench 'BenchmarkChunkDecodeSel|BenchmarkSpillFanout' -benchmem ./internal/spill/; \
+	  $(GO) test -run '^$$' -bench 'BenchmarkChunkDecodeSel|BenchmarkEncodeCols|BenchmarkSpillFanout' -benchmem ./internal/spill/; \
+	  $(GO) test -run '^$$' -bench 'BenchmarkReadChunkWhere' -benchmem ./internal/store/; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkApplyPred|BenchmarkBoxRows|BenchmarkBatchBytes' -benchtime 20000x -benchmem ./internal/vec/; \
 	} | tee $(BENCH_OUT)
 

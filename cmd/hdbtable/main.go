@@ -13,11 +13,11 @@
 // cells parse as int, then float, then bool, empty meaning null) or
 // from one relation of a querygen-synthesized differential case (the
 // same deterministic tables internal/difftest cross-checks the engine
-// on). inspect dumps the footer: schema, per-chunk directory and zone
-// maps. scan registers the file on a throwaway DB, runs a Scan (with
-// an optional single predicate) and reports the row count plus the
-// disk-scan counters — chunks scanned, chunks skipped by zone-map
-// pruning, bytes read.
+// on). inspect dumps the file's generation and its footer: schema,
+// per-chunk directory and zone maps. scan registers the file on a
+// throwaway DB, runs a Scan (with an optional single predicate) and
+// reports the row count plus the disk-scan counters — chunks scanned,
+// chunks skipped by zone-map pruning, bytes read.
 package main
 
 import (
@@ -151,7 +151,7 @@ func cmdInspect(args []string) {
 		log.Fatalf("inspect: %v", err)
 	}
 	defer t.Close()
-	fmt.Printf("%s: %d rows, %d chunks\n", t.Path(), t.NumRows(), t.NumChunks())
+	fmt.Printf("%s: generation %d, %d rows, %d chunks\n", t.Path(), store.Generation, t.NumRows(), t.NumChunks())
 	fmt.Println("schema:")
 	for i, name := range t.Cols() {
 		fmt.Printf("  [%d] %-16s %s\n", i, name, t.Kinds()[i])

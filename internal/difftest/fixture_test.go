@@ -7,17 +7,19 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"hierdb"
 	"hierdb/internal/store"
 )
 
-// fixtureRows are the rows of testdata/pr15_table.hdb, a table file
-// written (128-row chunks) by the commit before the chunk decoder
-// learned to filter: ints, a nullable string, floats with NaNs, a column
-// whose first two chunks are pure ints under an Any schema, a column
-// whose first chunk is all-null under an int64 schema, bools, uint64s.
+// fixtureRows are the rows of the table-file fixtures (128-row chunks):
+// ints, a nullable string, floats with NaNs, a column whose first two
+// chunks are pure ints under an Any schema, a column whose first chunk
+// is all-null under an int64 schema, bools, uint64s. testdata/
+// table_gen2.hdb holds them in the current generation, table_gen1.hdb in
+// the varint-coded generation 1 that preceded it.
 func fixtureRows() []hierdb.Row {
 	rows := make([]hierdb.Row, 1000)
 	for i := range rows {
@@ -42,12 +44,12 @@ func fixtureRows() []hierdb.Row {
 	return rows
 }
 
-// TestParentWrittenFileScansIdentically: no file-format change rode in
-// with the filtering decoder. The fixture reads back as its source rows,
-// answers predicate scans exactly like an in-memory twin, and is byte
-// for byte what today's writer produces from the same rows.
+// TestParentWrittenFileScansIdentically: the file format has not moved
+// within this generation. The generation-2 fixture reads back as its
+// source rows, answers predicate scans exactly like an in-memory twin,
+// and is byte for byte what today's writer produces from the same rows.
 func TestParentWrittenFileScansIdentically(t *testing.T) {
-	const fixture = "testdata/pr15_table.hdb"
+	const fixture = "testdata/table_gen2.hdb"
 	cols := []string{"id", "m", "s", "f", "mixed", "sparse", "b", "u"}
 	rows := fixtureRows()
 
@@ -60,7 +62,7 @@ func TestParentWrittenFileScansIdentically(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got, err := os.ReadFile(rewritten); err != nil || !bytes.Equal(got, want) {
-		t.Fatalf("today's writer no longer produces the fixture's bytes (err %v): the file format moved", err)
+		t.Fatalf("today's writer no longer produces the fixture's bytes (err %v): the file format moved without a new generation", err)
 	}
 
 	db := hierdb.Open(hierdb.WithWorkers(2))
@@ -96,5 +98,25 @@ func TestParentWrittenFileScansIdentically(t *testing.T) {
 		if err := DiffMultisets("fixture-file", "in-memory-twin", Multiset(got), Multiset(twin)); err != nil {
 			t.Fatalf("%v\npredicates %+v", err, preds)
 		}
+	}
+}
+
+// TestGeneration1FileRejected: a file of the varint-coded generation 1
+// does not open, and the error names its generation and says to rewrite
+// it, rather than calling it a bad magic.
+func TestGeneration1FileRejected(t *testing.T) {
+	_, err := store.Open("testdata/table_gen1.hdb")
+	if err == nil {
+		t.Fatal("a generation-1 table file opened")
+	}
+	for _, want := range []string{"generation 1", fmt.Sprintf("generation %d", store.Generation), "rewrite"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("error %q does not say %q", err, want)
+		}
+	}
+	db := hierdb.Open()
+	defer db.Close()
+	if err := db.Register("old", hierdb.FromFile("testdata/table_gen1.hdb")); err == nil || !strings.Contains(err.Error(), "generation 1") {
+		t.Fatalf("Register of a generation-1 file: %v", err)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
 	"runtime"
 	"testing"
 
@@ -78,22 +79,6 @@ func spillFilesOf(q *query) []*spill.File {
 	return append([]*spill.File(nil), q.spillFiles...)
 }
 
-// encodedBytes is what coalesced spilling of rows into one partition
-// file must write: Batch-row batches plus one tail. Encoded sizes do
-// not depend on row order, so the model needs no knowledge of which
-// worker appended what when.
-func encodedBytes(t *testing.T, rows []Row, batch int) (n int64) {
-	t.Helper()
-	for lo := 0; lo < len(rows); lo += batch {
-		buf, err := spill.EncodeCols(nil, vec.FromRows(rows[lo:min(lo+batch, len(rows))]))
-		if err != nil {
-			t.Fatal(err)
-		}
-		n += int64(len(buf))
-	}
-	return n
-}
-
 // TestSpillCoalescedBatches: after a governed join every partition file
 // holds only Batch-row batches plus at most one tail — however the 4
 // workers interleaved their 1/8-batch slices — the result equals the
@@ -146,32 +131,42 @@ func TestSpillCoalescedBatches(t *testing.T) {
 }
 
 // TestSpilledBytesMatchesFiles checks the spilled-bytes counter against
-// an independent model of the partition files instead of against the
-// write path's own bookkeeping: every build and probe row lands in the
-// partition its key hashes to, and each partition file is written as
-// Batch-row batches plus a tail — threshold flushes and seals alike must
-// be counted, and nothing else.
+// the file system's count of what the partition files hold instead of
+// against the write path's own bookkeeping: once every partition is
+// written, the fragment's one spill file is exactly Stats.SpilledBytes
+// long — threshold flushes and seals alike must be counted, and nothing
+// else. (No model of the partitions' rows can predict the bytes: a
+// packed column is as wide as its batch's value range, so a batch's
+// size depends on which rows the workers' interleaving put in it.)
 func TestSpilledBytesMatchesFiles(t *testing.T) {
 	checkQueryHygiene(t)
-	const buildRows, probeRows, batch = 5_000, 20_000, 256
-	plan := govPlan(buildRows, probeRows).(*Join)
-	_, st := runGoverned(t, plan, EngineConfig{MemoryPerNode: 128 << 10, SpillDir: t.TempDir(), Batch: batch})
+	dir := t.TempDir()
+	pool := newNodesT(t, EngineConfig{MemoryPerNode: 128 << 10, SpillDir: dir, Batch: 256})
+	h, err := pool.Submit(context.Background(), govPlan(5_000, 20_000), nil, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The first result batch comes out of a partition phase: every
+	// partition is written and sealed by then, and this budget never
+	// repartitions.
+	if _, ok := h.Next(); !ok {
+		t.Fatalf("no output: %v", h.Err())
+	}
+	disks, err := filepath.Glob(filepath.Join(dir, "hierdb-spill-*"))
+	if err != nil || len(disks) != 1 {
+		t.Fatalf("want the fragment's one spill file in the spill dir, found %v (%v)", disks, err)
+	}
+	fi, err := os.Stat(disks[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	collectHandle(t, h)
+	st := h.Stats()
 	if st.SpilledPartitions != spillFanout {
 		t.Fatalf("fixture must spill one fan-out without repartitioning: %+v", st)
 	}
-	var want int64
-	for _, side := range []*Table{plan.Build.(*Scan).Table, plan.Probe.(*Scan).Table} {
-		parts := make([][]Row, spillFanout)
-		for _, r := range side.Rows {
-			p := spillPartIndexH(keyHash64(r[0]), 0, spillFanout)
-			parts[p] = append(parts[p], r)
-		}
-		for _, rows := range parts {
-			want += encodedBytes(t, rows, batch)
-		}
-	}
-	if st.SpilledBytes != want {
-		t.Fatalf("Stats.SpilledBytes = %d, the partition files of this join hold %d", st.SpilledBytes, want)
+	if st.SpilledBytes != fi.Size() {
+		t.Fatalf("Stats.SpilledBytes = %d, the partition files of this join hold %d", st.SpilledBytes, fi.Size())
 	}
 }
 

@@ -1,35 +1,41 @@
 // Columnar batch codec: the encoding of every spilled batch and, through
 // internal/store, of every table-file chunk. It spends one kind byte
-// per column per batch — a typed column's values are encoded back to
-// back with no per-value framing beyond the varint payloads themselves,
-// and nulls are hoisted into one packed bitmap per column; only Any
-// columns tag each value.
+// per column per batch, hoists nulls into one packed bitmap per column,
+// and lays every typed payload out at a fixed stride or behind packed
+// offsets, so row i of a column is found in O(1) and a column's byte
+// length follows from its header; only Any columns tag each value.
 //
 // Per-batch layout:
 //
 //	uvarint nrows, uvarint ncols
 //	per column:
 //	  kind byte (vec.Kind numeric value — part of the on-disk format)
-//	  null byte (0/1); if 1, packed little-endian bitmap of ceil(n/8)
-//	    bytes over logical row order
-//	  payload, non-null rows only, in logical order:
-//	    int family  varint     (uint64 as uvarint of the bit pattern)
+//	  null byte (0 or 1, any other value is corrupt); if 1, packed
+//	    little-endian bitmap of ceil(n/8) bytes over logical row order
+//	  payload over every row, a null row holding delta 0, 0.0, false
+//	  or an empty string:
+//	    int family  packed: varint base (the least non-null value; a
+//	                uint64 as its bit pattern), width byte w ≤ 64, then
+//	                each row's delta from base in w bits, little-endian,
+//	                in ceil(n·w/64) 8-byte words (frame of reference)
 //	    float64     8 bytes LE
-//	    bool        packed bitmap, ceil(count/8) bytes
-//	    string      uvarint length + bytes
-//	    any         one value tag (below) + payload per value
+//	    bool        packed bitmap, ceil(n/8) bytes
+//	    string      each row's end offset into the bytes region, packed
+//	                as above, then the region, as long as the last end
+//	    any         uvarint byte length, then one value tag (below) +
+//	                payload per non-null value
 //
 // Decoding goes through one Decoder. Under a predicate set it works on
-// the compact form for as long as it can: the columns up to the last
-// predicate column are walked in file order — a predicate column is
-// decoded into a scratch mirror the Decoder reuses from batch to batch
-// and vec.ApplyPred narrows the selection on it, any other column is
-// only skip-walked (terminator bytes for varints, length hops for
-// strings, arithmetic for floats and bools) — and a selection that
-// empties stops the decode on the spot. What survives is then
-// materialized column by column at the selected rows only, into storage
-// the returned batch owns. No predicates is the sel == nil case of the
-// same walk: every column decodes densely, straight into the batch.
+// the encoded form for as long as it can: the columns up to the last
+// predicate column are located in file order, each in O(1) from its
+// header — a predicate column is decoded into a scratch mirror the
+// Decoder reuses from batch to batch and vec.ApplyPred narrows the
+// selection on it — and a selection that empties stops the decode on
+// the spot. What survives is then gathered column by column at the
+// selected rows only, into storage the returned batch owns: O(survivors)
+// a column, with no walk over the rows between them. No predicates is
+// the sel == nil case of the same decode: every column unpacks densely,
+// straight into the batch.
 package spill
 
 import (
@@ -39,6 +45,7 @@ import (
 	"io"
 	"math"
 	"math/bits"
+	"slices"
 	"strings"
 	"sync"
 
@@ -58,6 +65,12 @@ const (
 	tagFloat64
 	tagString
 )
+
+// maxBatchRows bounds a batch's row count, so a corrupt count can
+// neither overflow the packed-payload arithmetic nor size an allocation
+// from a few bytes of input (an all-equal int column packs any number
+// of rows into none).
+const maxBatchRows = 1 << 32
 
 // EncodeCols appends the columnar encoding of one batch (logical rows,
 // honoring each column's selection vector) to buf and returns the
@@ -93,9 +106,8 @@ func DecodeCols(buf []byte, rows int) (*vec.Batch, error) {
 type Decoder struct {
 	cols   []scratchCol // mirrors of the predicate columns, by column index
 	sel    []int32      // rows still selected in the batch being decoded
-	starts []int        // byte offset of each column up to the last predicate column, -1 = in cols
-	null   []uint64     // source null bitmap of the column being decoded at sel
-	spans  []int        // string kernel: (offset, length) per selected value
+	spans  []colSpan    // the columns up to the last predicate column, located
+	bounds []int        // string gather: (start, end) in the region per selected row
 }
 
 // scratchCol is one reusable full-width column. null keeps the bitmap's
@@ -112,14 +124,15 @@ type scratchCol struct {
 // owns its storage — nothing in it aliases buf or the Decoder. When no
 // row survives it is an empty batch without columns, and the bytes
 // after the column that emptied the selection are never looked at, so
-// corruption there goes unreported. Skipped values are only delimited,
-// not validated.
+// corruption there goes unreported. Every column read is bounds-checked
+// against its header; the values of rows that are not selected are not
+// validated.
 func (d *Decoder) Decode(buf []byte, rows int, preds []vec.Pred) (*vec.Batch, error) {
 	if rows == 0 {
 		return &vec.Batch{}, nil
 	}
 	n, w := binary.Uvarint(buf)
-	if w <= 0 || n != uint64(rows) {
+	if w <= 0 || n != uint64(rows) || n > maxBatchRows {
 		return nil, fmt.Errorf("corrupt batch header (got %d rows, expected %d)", n, rows)
 	}
 	buf = buf[w:]
@@ -159,16 +172,17 @@ func (d *Decoder) Decode(buf []byte, rows int, preds []vec.Pred) (*vec.Batch, er
 	}
 	for ci := range b.Cols {
 		c := &b.Cols[ci]
+		var s colSpan
 		var err error
-		switch {
-		case ci <= last && d.starts[ci] < 0:
-			gatherCol(c, &d.cols[ci].col, sel, rows)
-		case ci <= last:
-			_, err = d.decodeCol(buf[d.starts[ci]:], c, rows, sel)
-		default:
-			rest, err = d.decodeCol(rest, c, rows, sel)
+		if ci <= last {
+			if s = d.spans[ci]; s.scratch {
+				gatherCol(c, &d.cols[ci].col, &s, sel, rows)
+				continue
+			}
+		} else if s, rest, err = parseCol(rest, rows); err != nil {
+			return nil, err
 		}
-		if err != nil {
+		if err = d.decodeCol(&s, c, rows, sel); err != nil {
 			return nil, err
 		}
 	}
@@ -178,11 +192,11 @@ func (d *Decoder) Decode(buf []byte, rows int, preds []vec.Pred) (*vec.Batch, er
 	return b, nil
 }
 
-// narrow walks the columns up to the last predicate column in file
+// narrow locates the columns up to the last predicate column in file
 // order and returns the rows satisfying every predicate, plus the bytes
 // after that column. Predicate columns decode into d.cols and stay
-// there for Decode to gather from; the others are skip-walked, their
-// offsets noted in d.starts for the decode at the surviving rows.
+// there for Decode to gather from; the others are only located, in
+// d.spans, for the decode at the surviving rows.
 //
 //hierdb:hotpath
 func (d *Decoder) narrow(buf []byte, rows int, preds []vec.Pred, last int) (sel []int32, rest []byte, err error) {
@@ -192,20 +206,20 @@ func (d *Decoder) narrow(buf []byte, rows int, preds []vec.Pred, last int) (sel 
 	if cap(d.sel) < rows {
 		d.sel = make([]int32, 0, rows)
 	}
-	d.starts = d.starts[:0]
+	d.spans = d.spans[:0]
 	rest = buf // sel == nil: every row, until the first predicate narrows it
-	var skipped vec.Col
 	for ci := 0; ci <= last; ci++ {
-		if !predOn(preds, ci) {
-			d.starts = append(d.starts, len(buf)-len(rest))
-			if rest, err = d.decodeCol(rest, &skipped, rows, d.sel[:0]); err != nil {
-				return nil, nil, err
-			}
+		var s colSpan
+		if s, rest, err = parseCol(rest, rows); err != nil {
+			return nil, nil, err
+		}
+		s.scratch = predOn(preds, ci)
+		d.spans = append(d.spans, s)
+		if !s.scratch {
 			continue
 		}
-		d.starts = append(d.starts, -1)
 		sc := &d.cols[ci]
-		if rest, err = decodeColDense(rest, &sc.col, rows, sc.null); err != nil {
+		if err = s.dense(&sc.col, rows, sc.null); err != nil {
 			return nil, nil, err
 		}
 		if sc.col.Null != nil {
@@ -236,12 +250,12 @@ func predOn(preds []vec.Pred, ci int) bool {
 }
 
 // gatherCol materializes the rows sel (nil = all n) of the scratch
-// column src into dst. A string column gets a blob of its own holding
-// the selected values only, so the result pins neither the scratch nor
-// the rows that were filtered out.
+// column src, decoded from s, into dst. A string column gets a blob of
+// its own holding the selected values only, so the result pins neither
+// the scratch nor the rows that were filtered out.
 //
 //hierdb:hotpath
-func gatherCol(dst, src *vec.Col, sel []int32, n int) {
+func gatherCol(dst, src *vec.Col, s *colSpan, sel []int32, n int) {
 	if sel == nil {
 		sel = vec.Ident(n)
 	}
@@ -275,7 +289,7 @@ func gatherCol(dst, src *vec.Col, sel []int32, n int) {
 		}
 	}
 	if src.Null != nil {
-		dst.Null = selectNulls(src.Null, sel)
+		dst.Null = s.selectNulls(sel)
 	}
 	// The pointer-free mirrors are kept for the next batch; these would
 	// only pin this one's strings and boxes.
@@ -286,9 +300,10 @@ func gatherCol(dst, src *vec.Col, sel []int32, n int) {
 func appendCol(buf []byte, c *vec.Col, n int) ([]byte, error) {
 	buf = append(buf, byte(c.Kind))
 	// Null bitmap over logical rows (the column's own bitmap is over
-	// storage positions; re-project through the selection).
+	// storage positions; re-project through the selection). A typed
+	// column without a bitmap has no nulls.
 	nulls := false
-	for i := 0; i < n; i++ {
+	for i := 0; i < n && (c.Null != nil || c.Kind == vec.Any); i++ {
 		if c.NullAt(c.Pos(i)) {
 			nulls = true
 			break
@@ -297,9 +312,7 @@ func appendCol(buf []byte, c *vec.Col, n int) ([]byte, error) {
 	if nulls {
 		buf = append(buf, 1)
 		base := len(buf)
-		for i := 0; i < (n+7)/8; i++ {
-			buf = append(buf, 0)
-		}
+		buf = append(buf, make([]byte, (n+7)/8)...)
 		for i := 0; i < n; i++ {
 			if c.NullAt(c.Pos(i)) {
 				buf[base+i/8] |= 1 << (uint(i) & 7)
@@ -308,54 +321,38 @@ func appendCol(buf []byte, c *vec.Col, n int) ([]byte, error) {
 	} else {
 		buf = append(buf, 0)
 	}
+	// A column without nulls or a selection, as vec.FromRows and a
+	// spill File's write buffer produce, is read straight off its mirror.
+	dense := c.Idx == nil && !nulls
 	switch c.Kind {
-	case vec.Int, vec.Int32, vec.Int64:
-		for i := 0; i < n; i++ {
-			pos := c.Pos(i)
-			if !c.NullAt(pos) {
-				buf = binary.AppendVarint(buf, c.I64[pos])
-			}
-		}
-	case vec.Uint64:
-		for i := 0; i < n; i++ {
-			pos := c.Pos(i)
-			if !c.NullAt(pos) {
-				buf = binary.AppendUvarint(buf, uint64(c.I64[pos]))
-			}
-		}
+	case vec.Int, vec.Int32, vec.Int64, vec.Uint64:
+		return appendInts(buf, c, n, dense), nil
 	case vec.Float64:
-		for i := 0; i < n; i++ {
-			pos := c.Pos(i)
-			if !c.NullAt(pos) {
-				buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(c.F64[pos]))
+		if dense {
+			for _, f := range c.F64[:n] {
+				buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(f))
 			}
+			break
+		}
+		for i := 0; i < n; i++ {
+			var u uint64
+			if pos := c.Pos(i); !c.NullAt(pos) {
+				u = math.Float64bits(c.F64[pos])
+			}
+			buf = binary.LittleEndian.AppendUint64(buf, u)
 		}
 	case vec.Bool:
 		base := len(buf)
-		cnt := 0
+		buf = append(buf, make([]byte, (n+7)/8)...)
 		for i := 0; i < n; i++ {
-			pos := c.Pos(i)
-			if c.NullAt(pos) {
-				continue
+			if pos := c.Pos(i); !c.NullAt(pos) && c.B[pos] {
+				buf[base+i/8] |= 1 << (uint(i) & 7)
 			}
-			if cnt%8 == 0 {
-				buf = append(buf, 0)
-			}
-			if c.B[pos] {
-				buf[base+cnt/8] |= 1 << (uint(cnt) & 7)
-			}
-			cnt++
 		}
 	case vec.String:
-		for i := 0; i < n; i++ {
-			pos := c.Pos(i)
-			if !c.NullAt(pos) {
-				s := c.Str[pos]
-				buf = binary.AppendUvarint(buf, uint64(len(s)))
-				buf = append(buf, s...)
-			}
-		}
+		return appendStrings(buf, c, n, dense), nil
 	case vec.Any:
+		at := len(buf)
 		var err error
 		for i := 0; i < n; i++ {
 			v := c.Box[c.Pos(i)]
@@ -366,11 +363,160 @@ func appendCol(buf []byte, c *vec.Col, n int) ([]byte, error) {
 				return nil, err
 			}
 		}
+		return insertLen(buf, at), nil
 	default:
 		//hierdb:ignore hotpath cold error path, only reached on a corrupt in-memory batch
 		return nil, fmt.Errorf("spill: unknown column kind %d", c.Kind)
 	}
 	return buf, nil
+}
+
+// appendInts packs an int-family column: the least non-null value is
+// the base, and every row holds its distance from the base in the
+// fewest bits that fit the greatest (a null row: 0). Distances are
+// taken on the bit patterns, so MinInt64..MaxInt64 and uint64 values
+// with the high bit set fit 64 bits; only the order that picks the
+// base is signed or not.
+//
+//hierdb:hotpath
+func appendInts(buf []byte, c *vec.Col, n int, dense bool) []byte {
+	flip := uint64(1) << 63 // signed order as unsigned order
+	if c.Kind == vec.Uint64 {
+		flip = 0
+	}
+	lo, hi := ^uint64(0), uint64(0)
+	if dense {
+		for _, v := range c.I64[:n] {
+			k := uint64(v) ^ flip
+			lo, hi = min(lo, k), max(hi, k)
+		}
+	} else {
+		for i := 0; i < n; i++ {
+			if pos := c.Pos(i); !c.NullAt(pos) {
+				k := uint64(c.I64[pos]) ^ flip
+				lo, hi = min(lo, k), max(hi, k)
+			}
+		}
+	}
+	if lo > hi { // every row null
+		lo, hi = flip, flip
+	}
+	base := lo ^ flip
+	p := newPacker(buf, base, hi-lo, n)
+	if dense {
+		for _, v := range c.I64[:n] {
+			p.put(uint64(v) - base)
+		}
+		return p.done()
+	}
+	for i := 0; i < n; i++ {
+		var d uint64
+		if pos := c.Pos(i); !c.NullAt(pos) {
+			d = uint64(c.I64[pos]) - base
+		}
+		p.put(d)
+	}
+	return p.done()
+}
+
+// appendStrings writes a string column as its rows' end offsets, packed
+// like an int column (the first end is the base), then the bytes they
+// index.
+//
+//hierdb:hotpath
+func appendStrings(buf []byte, c *vec.Col, n int, dense bool) []byte {
+	var strs []string // dense: the rows, else nil
+	if dense {
+		strs = c.Str[:n]
+	}
+	first, total := 0, 0
+	for i := 0; i < n; i++ {
+		if strs != nil {
+			total += len(strs[i])
+		} else if pos := c.Pos(i); !c.NullAt(pos) {
+			total += len(c.Str[pos])
+		}
+		if i == 0 {
+			first = total
+		}
+	}
+	p := newPacker(buf, uint64(first), uint64(total-first), n)
+	end := 0
+	for i := 0; i < n; i++ {
+		if strs != nil {
+			end += len(strs[i])
+		} else if pos := c.Pos(i); !c.NullAt(pos) {
+			end += len(c.Str[pos])
+		}
+		p.put(uint64(end - first))
+	}
+	buf = p.done()
+	if strs != nil {
+		for _, str := range strs {
+			buf = append(buf, str...)
+		}
+		return buf
+	}
+	for i := 0; i < n; i++ {
+		if pos := c.Pos(i); !c.NullAt(pos) {
+			buf = append(buf, c.Str[pos]...)
+		}
+	}
+	return buf
+}
+
+// packer writes the packed form of n deltas: the base and width header,
+// then the deltas w bits each, filling 64-bit little-endian words from
+// their low bits.
+type packer struct {
+	buf []byte
+	acc uint64 // the word being filled
+	nb  uint   // bits of acc in use
+	w   uint
+}
+
+// newPacker writes the header of n deltas from base, the greatest of
+// them span, and returns the packer the deltas go through.
+//
+//hierdb:hotpath
+func newPacker(buf []byte, base, span uint64, n int) packer {
+	w := bits.Len64(span)
+	buf = binary.AppendVarint(buf, int64(base))
+	buf = append(buf, byte(w))
+	return packer{buf: slices.Grow(buf, 8*((n*w+63)/64)), w: uint(w)}
+}
+
+// put appends one delta, which must fit the packer's width.
+//
+//hierdb:hotpath
+func (p *packer) put(d uint64) {
+	p.acc |= d << p.nb // a shift by 64 or more is 0
+	p.nb += p.w
+	if p.nb >= 64 {
+		p.buf = binary.LittleEndian.AppendUint64(p.buf, p.acc)
+		p.nb -= 64
+		p.acc = d >> (p.w - p.nb) // the bits that did not fit
+	}
+}
+
+// done writes the last, partly filled word and returns the buffer.
+//
+//hierdb:hotpath
+func (p *packer) done() []byte {
+	if p.nb > 0 {
+		p.buf = binary.LittleEndian.AppendUint64(p.buf, p.acc)
+	}
+	return p.buf
+}
+
+// insertLen inserts the uvarint length of buf[at:] at at.
+func insertLen(buf []byte, at int) []byte {
+	var pre [binary.MaxVarintLen64]byte
+	k := binary.PutUvarint(pre[:], uint64(len(buf)-at))
+	buf = append(buf, pre[:k]...)
+	copy(buf[at+k:], buf[at:len(buf)-k])
+	copy(buf[at:], pre[:k])
+	return buf
 }
 
 // appendValue encodes one boxed value of an Any column payload behind
@@ -441,156 +587,428 @@ func (d *Decoder) ReadAt(r io.ReaderAt, off, n int64, rows int, preds []vec.Pred
 // Decode failures. Sentinels rather than fmt calls: the per-kind
 // decoders are hot paths.
 var (
-	errTruncHeader  = errors.New("truncated column header")
-	errTruncNulls   = errors.New("truncated null bitmap")
-	errTruncVarint  = errors.New("truncated varint")
-	errTruncUvarint = errors.New("truncated uvarint")
-	errTruncFloat   = errors.New("truncated float64")
-	errTruncBool    = errors.New("truncated bool payload")
-	errTruncString  = errors.New("truncated string")
-	errTruncValue   = errors.New("truncated value")
-	errValueTag     = errors.New("unknown value tag")
-	errColKind      = errors.New("unknown column kind")
+	errTruncHeader = errors.New("truncated column header")
+	errNullFlag    = errors.New("corrupt null flag")
+	errTruncNulls  = errors.New("truncated null bitmap")
+	errTruncPacked = errors.New("truncated packed payload")
+	errWidth       = errors.New("packed width over 64 bits")
+	errTruncFloat  = errors.New("truncated float64")
+	errTruncBool   = errors.New("truncated bool payload")
+	errTruncString = errors.New("truncated string")
+	errStringEnds  = errors.New("corrupt string offsets")
+	errTruncValue  = errors.New("truncated value")
+	errValueTag    = errors.New("unknown value tag")
+	errAnyLen      = errors.New("any payload length mismatch")
+	errColKind     = errors.New("unknown column kind")
 )
 
-// colHeader parses one column's kind byte and null bitmap, the bitmap
-// widened into nullBuf's storage when that is large enough (nil when
-// the column has no nulls).
+// colSpan is one column of an encoded batch, located and not decoded:
+// its header parsed and its payload delimited.
+type colSpan struct {
+	kind  vec.Kind
+	nulls []byte // packed null bitmap, one bit a row; nil = no nulls
+	ints  packed // an int column's values, a string column's ends
+	// data is a float64, bool or Any column's payload, or a string
+	// column's bytes region.
+	data []byte
+	// scratch marks a predicate column (Decoder.narrow), decoded into
+	// the Decoder's scratch column of the same index.
+	scratch bool
+}
+
+// parseCol locates one column of n rows at the start of buf and returns
+// it with the bytes after it — O(1) but for a string column's region,
+// whose length is its last end offset.
 //
 //hierdb:hotpath
-func colHeader(buf []byte, n int, nullBuf []uint64) (vec.Kind, []uint64, []byte, error) {
+func parseCol(buf []byte, n int) (s colSpan, rest []byte, err error) {
 	if len(buf) < 2 {
-		return 0, nil, nil, errTruncHeader
+		return s, nil, errTruncHeader
 	}
-	kind, hasNulls := vec.Kind(buf[0]), buf[1] == 1
-	buf = buf[2:]
-	if !hasNulls {
-		return kind, nil, buf, nil
+	s.kind = vec.Kind(buf[0])
+	switch buf[1] {
+	case 0:
+		buf = buf[2:]
+	case 1:
+		nb := (n + 7) / 8
+		if len(buf)-2 < nb {
+			return s, nil, errTruncNulls
+		}
+		s.nulls, buf = buf[2:2+nb], buf[2+nb:]
+	default:
+		return s, nil, errNullFlag
 	}
-	nb := (n + 7) / 8
-	if len(buf) < nb {
-		return 0, nil, nil, errTruncNulls
-	}
-	return kind, unpackNulls(buf[:nb], n, nullBuf), buf[nb:], nil
-}
-
-// decodeCol decodes one column of n rows into c, a dense column of the
-// rows sel (ascending). sel == nil decodes every row and needs no
-// Decoder; an empty sel only walks the column to its end.
-//
-//hierdb:hotpath
-func (d *Decoder) decodeCol(buf []byte, c *vec.Col, n int, sel []int32) ([]byte, error) {
-	if sel == nil {
-		return decodeColDense(buf, c, n, nil)
-	}
-	kind, null, buf, err := colHeader(buf, n, d.null)
-	if err != nil {
-		return nil, err
-	}
-	if null != nil {
-		d.null = null
-	}
-	k := len(sel)
-	c.Kind = kind
-	if null != nil && kind != vec.Any {
-		c.Null = selectNulls(null, sel)
-	}
-	switch kind {
-	case vec.Int, vec.Int32, vec.Int64:
-		c.I64 = make([]int64, k)
-		return decodeVarintsAt(buf, c.I64, null, sel, n, true)
-	case vec.Uint64:
-		c.I64 = make([]int64, k)
-		return decodeVarintsAt(buf, c.I64, null, sel, n, false)
-	case vec.Float64:
-		c.F64 = make([]float64, k)
-		return decodeFloatsAt(buf, c.F64, null, sel, n)
-	case vec.Bool:
-		c.B = make([]bool, k)
-		return decodeBoolsAt(buf, c.B, null, sel, n)
+	switch s.kind {
+	case vec.Int, vec.Int32, vec.Int64, vec.Uint64:
+		buf, err = s.ints.parse(buf, n)
 	case vec.String:
-		c.Str = make([]string, k)
-		return d.decodeStringsAt(buf, c.Str, null, sel, n)
+		if buf, err = s.ints.parse(buf, n); err != nil {
+			return s, nil, err
+		}
+		end := s.ints.at(n - 1)
+		if end > uint64(len(buf)) {
+			return s, nil, errTruncString
+		}
+		s.data, buf = buf[:end], buf[end:]
+	case vec.Float64:
+		if len(buf) < 8*n {
+			return s, nil, errTruncFloat
+		}
+		s.data, buf = buf[:8*n], buf[8*n:]
+	case vec.Bool:
+		nb := (n + 7) / 8
+		if len(buf) < nb {
+			return s, nil, errTruncBool
+		}
+		s.data, buf = buf[:nb], buf[nb:]
 	case vec.Any:
-		c.Box = make([]any, k)
-		return decodeValuesAt(buf, c.Box, null, sel, n)
+		ln, k := binary.Uvarint(buf)
+		if k <= 0 || ln > uint64(len(buf)-k) {
+			return s, nil, errTruncValue
+		}
+		s.data, buf = buf[k:k+int(ln)], buf[k+int(ln):]
+	default:
+		err = errColKind
 	}
-	return nil, errColKind
+	return s, buf, err
 }
 
-// decodeColDense decodes every row of one column of n rows into c. A
-// typed kind decodes into its mirror and null bitmap only — the column
-// comes out boxless, as every typed column is, and vec boxes whichever
-// values survive to a Row boundary — through one tight loop per kind;
-// only an Any column, which has no mirror, decodes into Box. c's pointer-free
-// mirrors and nullBuf are reused when large enough (a Decoder's scratch
-// columns); a zero Col and a nil nullBuf get fresh storage.
+// packed is a frame-of-reference payload: row i holds base plus a
+// w-bit delta at bit i·w of little-endian words.
+type packed struct {
+	words []byte
+	base  uint64
+	w     uint
+}
+
+// parse parses the base and width of a packed payload of n rows and
+// delimits its words.
 //
 //hierdb:hotpath
-func decodeColDense(buf []byte, c *vec.Col, n int, nullBuf []uint64) ([]byte, error) {
-	kind, null, buf, err := colHeader(buf, n, nullBuf)
-	if err != nil {
-		return nil, err
+func (pk *packed) parse(buf []byte, n int) ([]byte, error) {
+	base, k := binary.Varint(buf)
+	if k <= 0 || len(buf) <= k {
+		return nil, errTruncPacked
 	}
-	c.Kind, c.Null, c.Str, c.Box = kind, null, nil, nil
-	// The decoders leave null rows untouched: reused storage must not
-	// show them the previous batch's values.
-	dirty := null != nil
-	switch kind {
-	case vec.Int, vec.Int32, vec.Int64:
-		c.I64 = mirror(c.I64, n, dirty)
-		return decodeVarints(buf, c.I64, null)
-	case vec.Uint64:
-		c.I64 = mirror(c.I64, n, dirty)
-		return decodeUvarints(buf, c.I64, null)
+	w := int(buf[k])
+	if w > 64 {
+		return nil, errWidth
+	}
+	buf = buf[k+1:]
+	nb := 8 * ((n*w + 63) / 64)
+	if len(buf) < nb {
+		return nil, errTruncPacked
+	}
+	pk.words, pk.base, pk.w = buf[:nb], uint64(base), uint(w)
+	return buf[nb:], nil
+}
+
+// fastRows is how many leading rows at1 reads: a delta of at most 57
+// bits lies within the 8 bytes from its first, so one load reads it
+// while those bytes stay inside the payload.
+//
+//hierdb:hotpath
+func (pk packed) fastRows() int {
+	if pk.w == 0 || pk.w > 57 {
+		return 0
+	}
+	return (8*len(pk.words)-57)/int(pk.w) + 1
+}
+
+// at1 returns the value of row i < fastRows of the packed payload
+// words, base, w with one load. A function of the fields rather than a
+// method, so that loops keep them in registers.
+//
+//hierdb:hotpath
+func at1(words []byte, base uint64, w uint, i int) uint64 {
+	p := uint(i) * w
+	return base + binary.LittleEndian.Uint64(words[p>>3:])>>(p&7)&(1<<w-1)
+}
+
+// at returns the value of any row: from the word its delta starts in
+// and, when it straddles, the next.
+//
+//hierdb:hotpath
+func (pk packed) at(i int) uint64 {
+	if pk.w == 0 {
+		return pk.base
+	}
+	p := uint(i) * pk.w
+	k, sh := p>>6<<3, p&63
+	v := binary.LittleEndian.Uint64(pk.words[k:]) >> sh
+	if sh+pk.w > 64 {
+		v |= binary.LittleEndian.Uint64(pk.words[k+8:]) << (64 - sh)
+	}
+	return pk.base + v&(^uint64(0)>>(64-pk.w))
+}
+
+// null reports whether row i is null.
+//
+//hierdb:hotpath
+func (s *colSpan) null(i int) bool {
+	return s.nulls != nil && s.nulls[i>>3]&(1<<(uint(i)&7)) != 0
+}
+
+// dense decodes every row of the column into c. A typed kind decodes
+// into its mirror and null bitmap only — the column comes out boxless,
+// as every typed column is, and vec boxes whichever values survive to a
+// Row boundary; only an Any column, which has no mirror, decodes into
+// Box. c's pointer-free mirrors and nullBuf are reused when large
+// enough (a Decoder's scratch columns); a zero Col and a nil nullBuf get
+// fresh storage.
+//
+//hierdb:hotpath
+func (s *colSpan) dense(c *vec.Col, n int, nullBuf []uint64) error {
+	c.Kind, c.Null, c.Str, c.Box = s.kind, nil, nil, nil
+	if s.nulls != nil && s.kind != vec.Any {
+		c.Null = unpackNulls(s.nulls, n, nullBuf)
+	}
+	switch s.kind {
+	case vec.Int, vec.Int32, vec.Int64, vec.Uint64:
+		c.I64 = mirror(c.I64, n)
+		s.unpack(c.I64, nil)
 	case vec.Float64:
-		c.F64 = mirror(c.F64, n, dirty)
-		return decodeFloats(buf, c.F64, null)
+		c.F64 = mirror(c.F64, n)
+		for i := range c.F64 {
+			c.F64[i] = math.Float64frombits(binary.LittleEndian.Uint64(s.data[8*i:]))
+		}
 	case vec.Bool:
-		c.B = mirror(c.B, n, dirty)
-		return decodeBools(buf, c.B, null)
+		c.B = mirror(c.B, n)
+		for i := range c.B {
+			c.B[i] = s.data[i>>3]&(1<<(uint(i)&7)) != 0
+		}
 	case vec.String:
 		c.Str = make([]string, n)
-		return decodeStrings(buf, c.Str, null)
+		return s.denseStrings(c.Str)
 	case vec.Any:
 		// Any columns mark nulls in Box directly and carry no bitmap.
-		c.Null, c.Box = nil, make([]any, n)
-		for i := range c.Box {
-			if nullAt(null, i) {
-				continue
+		c.Box = make([]any, n)
+		return s.values(c.Box, nil, n)
+	default:
+		return errColKind
+	}
+	return nil
+}
+
+// decodeCol decodes the rows sel (ascending; nil = all n) of the
+// located column s into c, a dense column in storage of its own.
+//
+//hierdb:hotpath
+func (d *Decoder) decodeCol(s *colSpan, c *vec.Col, n int, sel []int32) error {
+	if sel == nil {
+		return s.dense(c, n, nil)
+	}
+	k := len(sel)
+	c.Kind = s.kind
+	if s.nulls != nil && s.kind != vec.Any {
+		c.Null = s.selectNulls(sel)
+	}
+	switch s.kind {
+	case vec.Int, vec.Int32, vec.Int64, vec.Uint64:
+		c.I64 = make([]int64, k)
+		s.unpack(c.I64, sel)
+	case vec.Float64:
+		c.F64 = make([]float64, k)
+		for j, li := range sel {
+			c.F64[j] = math.Float64frombits(binary.LittleEndian.Uint64(s.data[8*int(li):]))
+		}
+	case vec.Bool:
+		c.B = make([]bool, k)
+		for j, li := range sel {
+			c.B[j] = s.data[li>>3]&(1<<(uint(li)&7)) != 0
+		}
+	case vec.String:
+		c.Str = make([]string, k)
+		return d.gatherStrings(s, c.Str, sel)
+	case vec.Any:
+		c.Box = make([]any, k)
+		return s.values(c.Box, sel, n)
+	default:
+		return errColKind
+	}
+	return nil
+}
+
+// unpack reads the rows sel (nil = every row) of an int column into
+// dst; a null row reads 0.
+//
+//hierdb:hotpath
+func (s *colSpan) unpack(dst []int64, sel []int32) {
+	pk := s.ints
+	fast := pk.fastRows()
+	if sel == nil {
+		m := min(len(dst), fast)
+		unpackRun(dst[:m], pk.words, pk.base, pk.w)
+		for j := m; j < len(dst); j++ {
+			dst[j] = int64(pk.at(j))
+		}
+	} else {
+		m := len(sel) // sel ascends: the rows past fast are its tail
+		for m > 0 && int(sel[m-1]) >= fast {
+			m--
+		}
+		unpackSel(dst[:m], sel[:m], pk.words, pk.base, pk.w)
+		for j := m; j < len(sel); j++ {
+			dst[j] = int64(pk.at(int(sel[j])))
+		}
+	}
+	if s.nulls == nil {
+		return
+	}
+	for j := range dst {
+		row := j
+		if sel != nil {
+			row = int(sel[j])
+		}
+		if s.null(row) {
+			dst[j] = 0
+		}
+	}
+}
+
+// unpackRun sets dst[j] to row j's value, every row below fastRows:
+// at1 with the bit offset carried from row to row.
+//
+//hierdb:hotpath
+func unpackRun(dst []int64, words []byte, base uint64, w uint) {
+	mask, p := uint64(1)<<w-1, uint(0)
+	for j := range dst {
+		dst[j] = int64(base + binary.LittleEndian.Uint64(words[p>>3:])>>(p&7)&mask)
+		p += w
+	}
+}
+
+// unpackSel sets dst[j] to row sel[j]'s value, every row below
+// fastRows: at1 over sel.
+//
+//hierdb:hotpath
+func unpackSel(dst []int64, sel []int32, words []byte, base uint64, w uint) {
+	for j, li := range sel {
+		dst[j] = int64(at1(words, base, w, int(li)))
+	}
+}
+
+// denseStrings backs every row of a string column with one string — the
+// bytes region, copied out of the (reused) read buffer once — so a
+// string column costs one allocation per batch instead of one per
+// value.
+//
+//hierdb:hotpath
+func (s *colSpan) denseStrings(dst []string) error {
+	blob, ends := string(s.data), s.ints
+	fast := ends.fastRows()
+	words, base, w := ends.words, ends.base, ends.w
+	prev := uint64(0)
+	for i := range dst {
+		var end uint64
+		if i < fast {
+			end = at1(words, base, w, i)
+		} else {
+			end = ends.at(i)
+		}
+		if end < prev || end > uint64(len(blob)) {
+			return errStringEnds
+		}
+		dst[i] = blob[prev:end]
+		prev = end
+	}
+	return nil
+}
+
+// gatherStrings copies the strings of the rows sel into one blob
+// holding nothing else: the first pass looks up and checks where each
+// lies, the second copies and slices them.
+//
+//hierdb:hotpath
+func (d *Decoder) gatherStrings(s *colSpan, dst []string, sel []int32) error {
+	bounds, ends := d.bounds[:0], s.ints
+	fast := ends.fastRows()
+	words, base, w := ends.words, ends.base, ends.w
+	total := uint64(0)
+	for _, li := range sel {
+		var start, end uint64
+		switch row := int(li); {
+		case row < fast && row > 0:
+			start, end = at1(words, base, w, row-1), at1(words, base, w, row)
+		case row < fast:
+			end = at1(words, base, w, row)
+		case row > 0:
+			start, end = ends.at(row-1), ends.at(row)
+		default:
+			end = ends.at(row)
+		}
+		if end < start || end > uint64(len(s.data)) {
+			return errStringEnds
+		}
+		bounds = append(bounds, int(start), int(end))
+		total += end - start
+	}
+	d.bounds = bounds
+	var blob strings.Builder
+	blob.Grow(int(total))
+	for j := range dst {
+		blob.Write(s.data[bounds[2*j]:bounds[2*j+1]])
+	}
+	str, o := blob.String(), 0
+	for j := range dst {
+		ln := bounds[2*j+1] - bounds[2*j]
+		dst[j] = str[o : o+ln]
+		o += ln
+	}
+	return nil
+}
+
+// values decodes the tagged values of the rows sel (nil = all n) of an
+// Any column into dst, walking its payload: the values of the rows
+// between are only delimited. A full decode must use the payload up
+// exactly.
+//
+//hierdb:hotpath
+func (s *colSpan) values(dst []any, sel []int32, n int) error {
+	buf := s.data
+	var err error
+	for row, j := 0, 0; row < n && j < len(dst); row++ {
+		want := sel == nil || int(sel[j]) == row
+		switch {
+		case s.null(row):
+		case want:
+			if dst[j], buf, err = decodeValue(buf); err != nil {
+				return err
 			}
-			if c.Box[i], buf, err = decodeValue(buf); err != nil {
-				return nil, err
+		default:
+			if buf, err = skipValue(buf); err != nil {
+				return err
 			}
 		}
-		return buf, nil
+		if want {
+			j++
+		}
 	}
-	return nil, errColKind
+	if sel == nil && len(buf) != 0 {
+		return errAnyLen
+	}
+	return nil
 }
 
 // mirror returns n elements of typed storage, s's own when it is large
-// enough — zeroed if dirty — and fresh otherwise.
+// enough and fresh otherwise. The decoders write every element.
 //
 //hierdb:hotpath
-func mirror[T any](s []T, n int, dirty bool) []T {
+func mirror[T any](s []T, n int) []T {
 	if cap(s) < n {
 		return make([]T, n)
 	}
-	s = s[:n]
-	if dirty {
-		clear(s)
-	}
-	return s
+	return s[:n]
 }
 
 // unpackNulls widens the codec's byte-packed null bitmap over n rows to
 // vec's word-packed one (both little-endian, bit set = null), in into's
-// storage when that is large enough. Bits past n are cleared so the
-// decoders can count nulls by population.
+// storage when that is large enough. Bits past n are cleared.
 //
 //hierdb:hotpath
 func unpackNulls(packed []byte, n int, into []uint64) []uint64 {
-	null := mirror(into, (n+63)/64, true)
+	null := mirror(into, (n+63)/64)
+	clear(null)
 	for i, b := range packed {
 		null[i>>3] |= uint64(b) << (8 * (uint(i) & 7))
 	}
@@ -600,52 +1018,15 @@ func unpackNulls(packed []byte, n int, into []uint64) []uint64 {
 	return null
 }
 
-// nullAt reports whether row i is null in a decoded bitmap (nil = no
-// nulls).
-//
-//hierdb:hotpath
-func nullAt(null []uint64, i int) bool {
-	return null != nil && null[i>>6]&(1<<(uint(i)&63)) != 0
-}
-
-// nonNull counts the non-null rows in [lo, hi) — the payload values
-// those rows occupy.
-//
-//hierdb:hotpath
-func nonNull(null []uint64, lo, hi int) int {
-	if null == nil || lo >= hi {
-		return hi - lo
-	}
-	return hi - lo - countNulls(null, lo, hi)
-}
-
-// countNulls is the population of a bitmap over the non-empty row range
-// [lo, hi).
-//
-//hierdb:hotpath
-func countNulls(null []uint64, lo, hi int) int {
-	lw, hw := lo>>6, (hi-1)>>6
-	lm := ^uint64(0) << (uint(lo) & 63)
-	hm := ^uint64(0) >> (63 - uint(hi-1)&63)
-	if lw == hw {
-		return bits.OnesCount64(null[lw] & lm & hm)
-	}
-	k := bits.OnesCount64(null[lw]&lm) + bits.OnesCount64(null[hw]&hm)
-	for _, w := range null[lw+1 : hw] {
-		k += bits.OnesCount64(w)
-	}
-	return k
-}
-
-// selectNulls projects a bitmap over source rows onto the rows sel: bit
+// selectNulls projects the column's null bitmap onto the rows sel: bit
 // j of the result is the null bit of row sel[j]. nil when none of them
 // is null.
 //
 //hierdb:hotpath
-func selectNulls(null []uint64, sel []int32) []uint64 {
+func (s *colSpan) selectNulls(sel []int32) []uint64 {
 	var out []uint64
 	for j, li := range sel {
-		if nullAt(null, int(li)) {
+		if s.null(int(li)) {
 			if out == nil {
 				out = make([]uint64, (len(sel)+63)/64)
 			}
@@ -655,319 +1036,38 @@ func selectNulls(null []uint64, sel []int32) []uint64 {
 	return out
 }
 
-//hierdb:hotpath
-func decodeVarints(buf []byte, dst []int64, null []uint64) ([]byte, error) {
-	for i := range dst {
-		if nullAt(null, i) {
-			continue
-		}
-		v, w := binary.Varint(buf)
-		if w <= 0 {
-			return nil, errTruncVarint
-		}
-		buf = buf[w:]
-		dst[i] = v
-	}
-	return buf, nil
-}
-
-//hierdb:hotpath
-func decodeUvarints(buf []byte, dst []int64, null []uint64) ([]byte, error) {
-	for i := range dst {
-		if nullAt(null, i) {
-			continue
-		}
-		v, w := binary.Uvarint(buf)
-		if w <= 0 {
-			return nil, errTruncUvarint
-		}
-		buf = buf[w:]
-		dst[i] = int64(v)
-	}
-	return buf, nil
-}
-
-// skipVarints steps over k varints (of either signedness): a value ends
-// at its first byte without the continuation bit. Long runs count
-// terminators a word at a time.
+// skipValue steps over one tagged value of an Any column payload.
 //
 //hierdb:hotpath
-func skipVarints(buf []byte, k int) ([]byte, error) {
-	i := 0
-	// A word holds at most 8 terminators, so with k >= 8 the k-th cannot
-	// lie before the word's end unless it is its last byte.
-	for ; k >= 8 && i+8 <= len(buf); i += 8 {
-		k -= bits.OnesCount64(^binary.LittleEndian.Uint64(buf[i:]) & 0x8080808080808080)
+func skipValue(buf []byte) ([]byte, error) {
+	if len(buf) == 0 {
+		return nil, errTruncValue
 	}
-	for ; k > 0; i++ {
-		if i >= len(buf) {
-			return nil, errTruncVarint
+	tag := buf[0]
+	buf = buf[1:]
+	switch tag {
+	case tagNil, tagFalse, tagTrue:
+		return buf, nil
+	case tagInt, tagInt32, tagInt64, tagUint64:
+		for i, b := range buf {
+			if b < 0x80 {
+				return buf[i+1:], nil
+			}
 		}
-		if buf[i] < 0x80 {
-			k--
-		}
-	}
-	return buf[i:], nil
-}
-
-// decodeVarintsAt decodes the varints of the rows sel out of a column
-// of n rows, zigzag-decoded for the signed kinds.
-//
-//hierdb:hotpath
-func decodeVarintsAt(buf []byte, dst []int64, null []uint64, sel []int32, n int, zigzag bool) ([]byte, error) {
-	at := 0
-	var err error
-	for j, li := range sel {
-		row := int(li)
-		if buf, err = skipVarints(buf, nonNull(null, at, row)); err != nil {
-			return nil, err
-		}
-		at = row + 1
-		if nullAt(null, row) {
-			continue
-		}
-		u, w := binary.Uvarint(buf)
-		if w <= 0 {
-			return nil, errTruncVarint
-		}
-		buf = buf[w:]
-		if zigzag {
-			dst[j] = int64(u>>1) ^ -int64(u&1)
-		} else {
-			dst[j] = int64(u)
-		}
-	}
-	return skipVarints(buf, nonNull(null, at, n))
-}
-
-//hierdb:hotpath
-func decodeFloats(buf []byte, dst []float64, null []uint64) ([]byte, error) {
-	for i := range dst {
-		if nullAt(null, i) {
-			continue
-		}
+		return nil, errTruncValue
+	case tagFloat64:
 		if len(buf) < 8 {
 			return nil, errTruncFloat
 		}
-		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf))
-		buf = buf[8:]
-	}
-	return buf, nil
-}
-
-// decodeFloatsAt reads the floats of the rows sel out of a column of n
-// rows: value v of the payload sits at byte 8v.
-//
-//hierdb:hotpath
-func decodeFloatsAt(buf []byte, dst []float64, null []uint64, sel []int32, n int) ([]byte, error) {
-	end := 8 * nonNull(null, 0, n)
-	if len(buf) < end {
-		return nil, errTruncFloat
-	}
-	v, at := 0, 0
-	for j, li := range sel {
-		row := int(li)
-		v += nonNull(null, at, row)
-		at = row + 1
-		if nullAt(null, row) {
-			continue
-		}
-		dst[j] = math.Float64frombits(binary.LittleEndian.Uint64(buf[8*v:]))
-		v++
-	}
-	return buf[end:], nil
-}
-
-// decodeBools unpacks the bool payload: one contiguous bitmap over the
-// non-null rows.
-//
-//hierdb:hotpath
-func decodeBools(buf []byte, dst []bool, null []uint64) ([]byte, error) {
-	cnt := len(dst)
-	for _, w := range null {
-		cnt -= bits.OnesCount64(w)
-	}
-	nb := (cnt + 7) / 8
-	if len(buf) < nb {
-		return nil, errTruncBool
-	}
-	j := 0
-	for i := range dst {
-		if nullAt(null, i) {
-			continue
-		}
-		dst[i] = buf[j>>3]&(1<<(uint(j)&7)) != 0
-		j++
-	}
-	return buf[nb:], nil
-}
-
-// decodeBoolsAt reads the bools of the rows sel out of a column of n
-// rows: value v of the payload is bit v.
-//
-//hierdb:hotpath
-func decodeBoolsAt(buf []byte, dst []bool, null []uint64, sel []int32, n int) ([]byte, error) {
-	nb := (nonNull(null, 0, n) + 7) / 8
-	if len(buf) < nb {
-		return nil, errTruncBool
-	}
-	v, at := 0, 0
-	for j, li := range sel {
-		row := int(li)
-		v += nonNull(null, at, row)
-		at = row + 1
-		if nullAt(null, row) {
-			continue
-		}
-		dst[j] = buf[v>>3]&(1<<(uint(v)&7)) != 0
-		v++
-	}
-	return buf[nb:], nil
-}
-
-// decodeStrings backs the whole column with one string — the payload
-// region, length prefixes included, copied out of the (reused) read
-// buffer once — and points every value into it, so a string column
-// costs one allocation per batch instead of one per value. The first
-// pass finds and validates the region, the second slices it.
-//
-//hierdb:hotpath
-func decodeStrings(buf []byte, dst []string, null []uint64) ([]byte, error) {
-	end, err := skipStrings(buf, 0, nonNull(null, 0, len(dst)))
-	if err != nil {
-		return nil, err
-	}
-	blob := string(buf[:end])
-	off := 0
-	for i := range dst {
-		if nullAt(null, i) {
-			continue
-		}
-		ln, w := binary.Uvarint(buf[off:])
-		off += w
-		dst[i] = blob[off : off+int(ln)]
-		off += int(ln)
-	}
-	return buf[end:], nil
-}
-
-// skipStrings hops over k length-prefixed strings starting at buf[off:]
-// and returns the offset after them.
-//
-//hierdb:hotpath
-func skipStrings(buf []byte, off, k int) (int, error) {
-	for ; k > 0; k-- {
-		ln, w := binary.Uvarint(buf[off:])
-		if w <= 0 || uint64(len(buf)-off-w) < ln {
-			return 0, errTruncString
-		}
-		off += w + int(ln)
-	}
-	return off, nil
-}
-
-// decodeStringsAt copies the strings of the rows sel out of a column of
-// n rows into one blob holding nothing else: the first pass hops through
-// the column noting where the selected values lie, the second copies
-// and slices them.
-//
-//hierdb:hotpath
-func (d *Decoder) decodeStringsAt(buf []byte, dst []string, null []uint64, sel []int32, n int) ([]byte, error) {
-	spans := d.spans[:0]
-	off, at, total := 0, 0, 0
-	var err error
-	for _, li := range sel {
-		row := int(li)
-		if off, err = skipStrings(buf, off, nonNull(null, at, row)); err != nil {
-			return nil, err
-		}
-		at = row + 1
-		if nullAt(null, row) {
-			spans = append(spans, 0, 0)
-			continue
-		}
-		ln, w := binary.Uvarint(buf[off:])
-		if w <= 0 || uint64(len(buf)-off-w) < ln {
+		return buf[8:], nil
+	case tagString:
+		ln, w := binary.Uvarint(buf)
+		if w <= 0 || uint64(len(buf)-w) < ln {
 			return nil, errTruncString
 		}
-		spans = append(spans, off+w, int(ln))
-		off += w + int(ln)
-		total += int(ln)
+		return buf[w+int(ln):], nil
 	}
-	d.spans = spans
-	if off, err = skipStrings(buf, off, nonNull(null, at, n)); err != nil {
-		return nil, err
-	}
-	var blob strings.Builder
-	blob.Grow(total)
-	for j := range dst {
-		blob.Write(buf[spans[2*j] : spans[2*j]+spans[2*j+1]])
-	}
-	str, o := blob.String(), 0
-	for j := range dst {
-		ln := spans[2*j+1]
-		dst[j] = str[o : o+ln]
-		o += ln
-	}
-	return buf[off:], nil
-}
-
-// decodeValuesAt decodes the tagged values of the rows sel out of an
-// Any column of n rows.
-//
-//hierdb:hotpath
-func decodeValuesAt(buf []byte, dst []any, null []uint64, sel []int32, n int) ([]byte, error) {
-	at := 0
-	var err error
-	for j, li := range sel {
-		row := int(li)
-		if buf, err = skipValues(buf, nonNull(null, at, row)); err != nil {
-			return nil, err
-		}
-		at = row + 1
-		if nullAt(null, row) {
-			continue
-		}
-		if dst[j], buf, err = decodeValue(buf); err != nil {
-			return nil, err
-		}
-	}
-	return skipValues(buf, nonNull(null, at, n))
-}
-
-// skipValues steps over k tagged values of an Any column payload.
-//
-//hierdb:hotpath
-func skipValues(buf []byte, k int) ([]byte, error) {
-	var err error
-	for ; k > 0; k-- {
-		if len(buf) == 0 {
-			return nil, errTruncValue
-		}
-		tag := buf[0]
-		buf = buf[1:]
-		switch tag {
-		case tagNil, tagFalse, tagTrue:
-		case tagInt, tagInt32, tagInt64, tagUint64:
-			if buf, err = skipVarints(buf, 1); err != nil {
-				return nil, err
-			}
-		case tagFloat64:
-			if len(buf) < 8 {
-				return nil, errTruncFloat
-			}
-			buf = buf[8:]
-		case tagString:
-			var off int
-			if off, err = skipStrings(buf, 0, 1); err != nil {
-				return nil, err
-			}
-			buf = buf[off:]
-		default:
-			return nil, errValueTag
-		}
-	}
-	return buf, nil
+	return nil, errValueTag
 }
 
 // decodeValue decodes one tagged value of an Any column payload.

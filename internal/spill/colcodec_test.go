@@ -253,3 +253,28 @@ func TestBoxlessDecodeEqualsRows(t *testing.T) {
 		}
 	}
 }
+
+// TestColCodecRejectsNullFlag: a column's null flag is 0 or 1; any other
+// byte is corruption and fails the decode, with or without predicates,
+// rather than reading as "no nulls".
+func TestColCodecRejectsNullFlag(t *testing.T) {
+	rows := []Row{{1, "a", 2.5, 10}, {nil, "b", nil, 11}, {3, nil, 4.5, 12}}
+	buf, err := EncodeCols(nil, vec.FromRows(rows))
+	if err != nil {
+		t.Fatal(err)
+	}
+	flags, _ := codecOffsets(t, buf, len(rows))
+	var d Decoder
+	for _, at := range flags {
+		for _, v := range []byte{2, 0x80, 0xff} {
+			bad := append([]byte(nil), buf...)
+			bad[at] = v
+			if _, err := DecodeCols(bad, len(rows)); err == nil {
+				t.Fatalf("null flag %#x at %d accepted", v, at)
+			}
+			if _, err := d.Decode(bad, len(rows), []vec.Pred{{Col: 2, Op: vec.NotNull}}); err == nil {
+				t.Fatalf("null flag %#x at %d accepted under a predicate", v, at)
+			}
+		}
+	}
+}

@@ -168,10 +168,10 @@ func TestDecodeWhereTruncated(t *testing.T) {
 	}
 }
 
-// factBatch encodes one chunk shaped like the benchmark's fact table:
+// factCols is one chunk shaped like the benchmark's fact table:
 // sequential id, two uniform keys, v a permutation of [0,1000) per
 // thousand rows, a short string payload.
-func factBatch(tb testing.TB, n int) []byte {
+func factCols(n int) *vec.Batch {
 	r := rand.New(rand.NewSource(1))
 	rows := make([]Row, n)
 	perm := r.Perm(1000)
@@ -181,7 +181,12 @@ func factBatch(tb testing.TB, n int) []byte {
 		}
 		rows[i] = Row{i, r.Intn(2000), r.Intn(500), perm[i%1000], fmt.Sprintf("p-%08x", r.Uint32())}
 	}
-	buf, err := EncodeCols(nil, vec.FromRows(rows))
+	return vec.FromRows(rows)
+}
+
+// factBatch encodes factCols(n).
+func factBatch(tb testing.TB, n int) []byte {
+	buf, err := EncodeCols(nil, factCols(n))
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -216,6 +221,43 @@ func BenchmarkChunkDecodeSel(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
+		})
+	}
+}
+
+var sinkBytes []byte
+
+// BenchmarkEncodeCols is the write half of the codec: one 4096-row
+// fact-shaped chunk (what WriteTable encodes per chunk) and one 256-row
+// batch shaped like a spilled build batch of the benchmark's join_spill
+// (a key and a 14-byte string), encoded into a reused buffer.
+func BenchmarkEncodeCols(b *testing.B) {
+	r := rand.New(rand.NewSource(5))
+	spillRows := make([]Row, 256)
+	for i, k := range r.Perm(10_000)[:256] {
+		spillRows[i] = Row{k, fmt.Sprintf("build-%08x", r.Uint32())}
+	}
+	for _, bc := range []struct {
+		name string
+		b    *vec.Batch
+	}{
+		{"fact4096", factCols(4096)},
+		{"spill256", vec.FromRows(spillRows)},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			buf, err := EncodeCols(nil, bc.b)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.SetBytes(int64(len(buf)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if buf, err = EncodeCols(buf[:0], bc.b); err != nil {
+					b.Fatal(err)
+				}
+			}
+			sinkBytes = buf
 		})
 	}
 }

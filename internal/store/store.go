@@ -1,14 +1,18 @@
 // Package store is the engine's persistent columnar table format: one
 // file per table, laid out as fixed-size row-group chunks followed by
 // a self-describing footer. Each chunk is one batch in the spill
-// package's columnar encoding (kind byte + packed null bitmap + typed
-// payload per column — see internal/spill/colcodec.go), so table files
-// and spill partitions share a single codec. The footer carries the
-// schema, the chunk directory (offset/length/rows), per-chunk min/max
-// zone maps for every column, total row count, a format version and a
-// checksum, so Open needs one ReadAt of the file tail and every chunk
-// decodes independently — concurrent scans issue ReadAt per chunk with
-// no shared cursor.
+// package's columnar encoding (kind byte + packed null bitmap + a
+// random-access payload per column: bit-packed ints, fixed-width floats,
+// a bool bitmap, offset-indexed strings — see
+// internal/spill/colcodec.go), so table files and spill partitions
+// share a single codec, and a filtered chunk read gathers only the rows
+// its predicates keep. The footer carries the schema, the chunk
+// directory (offset/length/rows), per-chunk min/max zone maps for every
+// column, total row count, a format version and a checksum (of the
+// footer only: chunks carry none), so Open needs one ReadAt of the file
+// tail and every chunk decodes independently — concurrent scans issue
+// ReadAt per chunk with no shared cursor. The magic's last two digits
+// are the format generation; Open reads only the current one.
 //
 // File layout:
 //
@@ -16,7 +20,7 @@
 //
 // The footer (uvarint-based, version byte first) holds:
 //
-//	version byte (currently 1)
+//	version byte (currently 2)
 //	uvarint ncols; per column: uvarint name length + name bytes, kind byte
 //	uvarint total rows
 //	uvarint nchunks; per chunk:
@@ -41,13 +45,20 @@ import (
 	"hierdb/internal/vec"
 )
 
-// magic trails every table file. The trailing byte doubles as a format
-// generation: a layout change that can't hide behind the footer version
-// byte bumps it.
-var magic = [8]byte{'h', 'd', 'b', 't', 'b', 'l', '0', '1'}
+// Generation is the table-file format this build writes and reads. It
+// is the two trailing digits of the magic: a layout change that can't
+// hide behind the footer version byte — generation 2 re-encoded every
+// chunk payload (internal/spill/colcodec.go) — bumps it, and a file of
+// another generation fails Open with an error that names it. Generation
+// 1 files must be rewritten.
+const Generation = 2
+
+// magic trails every table file: a fixed prefix, then Generation as two
+// decimal digits.
+var magic = [8]byte{'h', 'd', 'b', 't', 'b', 'l', '0' + Generation/10, '0' + Generation%10}
 
 const (
-	footerVersion = 1
+	footerVersion = 2
 	// trailerLen is the fixed-size tail after the footer bytes: crc32,
 	// footer length, magic.
 	trailerLen = 4 + 8 + 8

@@ -69,7 +69,11 @@ func open(f *os.File, path string) (*TableFile, error) {
 	if _, err := f.ReadAt(tail, size-probe); err != nil {
 		return nil, fmt.Errorf("store: %s: read trailer: %w", name, err)
 	}
-	if [8]byte(tail[len(tail)-8:]) != magic {
+	if m := [8]byte(tail[len(tail)-8:]); m != magic {
+		if [6]byte(m[:6]) == [6]byte(magic[:6]) && '0' <= m[6] && m[6] <= '9' && '0' <= m[7] && m[7] <= '9' {
+			return nil, fmt.Errorf("store: %s: table-file generation %d, this build reads only generation %d: rewrite the file from its rows with this build (hdbtable write)",
+				name, int(m[6]-'0')*10+int(m[7]-'0'), Generation)
+		}
 		return nil, fmt.Errorf("store: %s: bad magic (not a table file, or writer never Closed)", name)
 	}
 	flen := int64(binary.LittleEndian.Uint64(tail[len(tail)-16 : len(tail)-8]))
