@@ -51,6 +51,7 @@ test:
 	$(GO) test -run '^$$' -fuzz FuzzApplyPred -fuzztime 30s ./internal/vec/
 	$(GO) test -run '^$$' -fuzz FuzzConcat -fuzztime 30s ./internal/vec/
 	$(GO) test -run '^$$' -fuzz FuzzProbeMatch -fuzztime 30s ./internal/exec/
+	$(GO) test -run '^$$' -fuzz FuzzGroupTable -fuzztime 30s ./internal/exec/
 	$(GO) build -o bin/hdbtable ./cmd/hdbtable
 	@rm -f /tmp/hdb-smoke.hdb; \
 	./bin/hdbtable write -o /tmp/hdb-smoke.hdb -chunk 64 -synth -seed 7 -nrel 3 -rel 0 && \
@@ -72,12 +73,13 @@ test:
 # (and of the stores whose kinds TestStoresHoldCompileKinds checks),
 # the node memory account's lock-free charges, and the steals that take
 # the front of an operator's queue while the provider's workers pop its
-# back; then, 20 times, the memory price against the live heap, whose
-# reading depends on GC timing.
+# back, and the group fold whose thieves fold an owner's sealed store
+# into their own growing tables; then, 20 times, the memory price
+# against the live heap, whose reading depends on GC timing.
 stress:
 	$(GO) test -count 300 -run 'TestUnreadQueriesAddNoGoroutines|TestFinishedGroupByFreesSlotUnread|TestUndrainedGroupByDoesNotWedgePool' ./internal/exec
 	$(GO) test -count 300 -run 'TestBuildPresizeBoundedUnderHugeHint$$' .
-	$(GO) test -race -count 10 -run 'TestBuildSidesSealedAtBarrier|TestStolenOutputsReferenceOwnerStore|TestEmptyRemoteBucketAcquiredOnce|TestCancelDuringSeal|TestMultiNodeEmptyInputs|TestStoresHoldCompileKinds|TestNodeAccountConservation|TestCancelledFileJoinSettlesNodes|TestConcurrentQueriesShareNodeMemory|TestOperatorStackOrder|TestGlobalStealOnSkewedWorkload|TestProbeActivationsOwnedByDest|TestStealStatsIsolatedPerQuery' ./internal/exec
+	$(GO) test -race -count 10 -run 'TestBuildSidesSealedAtBarrier|TestStolenOutputsReferenceOwnerStore|TestEmptyRemoteBucketAcquiredOnce|TestCancelDuringSeal|TestMultiNodeEmptyInputs|TestStoresHoldCompileKinds|TestNodeAccountConservation|TestCancelledFileJoinSettlesNodes|TestConcurrentQueriesShareNodeMemory|TestOperatorStackOrder|TestGlobalStealOnSkewedWorkload|TestProbeActivationsOwnedByDest|TestStealStatsIsolatedPerQuery|TestGroupFoldMatchesFlattened' ./internal/exec
 	$(GO) test -count 20 -run 'TestChargeMatchesHeap$$' ./internal/exec
 
 # bench/ is a module of its own (replace hierdb => ../), so the root

@@ -7,17 +7,18 @@ package exec
 // partial as it is produced (foldGroups: a root probe's match pairs go in
 // directly, no output batch in between, no synchronization on the hot
 // path), and the partials merge in one activation per node at the end.
-// A partial has one format, a groupTable of key, count and aggregate
-// columns, whose batch view is what a partial spills, merges and leaves
-// in. The fold runs a tile of a few matches at a time: the tile's groups
-// are resolved, its Arg rows are filled column-major by vec's boxing
-// kernel, one call per column, and only then do the Arg closures run —
-// so the per-match work is the group's own and the closures', not a row
-// built value by value.
+// A partial has one format, a groupTable: a typed key column hashed and
+// chained as a join's build side is, a count and aggregate columns. Its
+// batch view is what a partial spills, merges and leaves in. The fold
+// runs a tile of a few matches at a time: the tile's groups are resolved
+// in one call, its Arg rows filled column-major by vec's boxing kernel,
+// and only then do the Arg closures run — so the per-match work is the
+// group's own and the closures', not a row built value by value.
 
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 
 	"hierdb/internal/spill"
@@ -70,52 +71,127 @@ type GroupBy struct {
 }
 
 // groupTable is one group-by partial — a worker's, a node's, the
-// query's — as columns: group g has key keys[g], count n[g] and the
-// running value of aggregate i in vals[i][g] (0 for a Count); index maps
-// a key to its id. Its one other form is batch().
+// query's — as columns: group g has key key[g], of the key's compile-time
+// kind, count n[g] and the running value of aggregate i in vals[i][g] (0
+// for a Count). heads and next chain the groups as a build side's rows
+// are chained (buildSide), in one buffer allocated by the first group.
+// Its one other form is batch().
 type groupTable struct {
-	aggs  []Aggregation
-	index map[any]int32
-	keys  []any
-	n     []int64
-	vals  [][]float64
+	aggs        []Aggregation
+	key         vec.Col
+	heads, next []int32
+	n           []int64
+	vals        [][]float64
 }
 
-func newGroupTable(aggs []Aggregation) *groupTable {
-	return &groupTable{aggs: aggs, index: make(map[any]int32), vals: make([][]float64, len(aggs))}
+var noGroups = []int32{0} // an empty table's heads: one empty chain, never written
+
+func newGroupTable(aggs []Aggregation, key vec.Kind) *groupTable {
+	return &groupTable{aggs: aggs, key: vec.Col{Kind: key}, heads: noGroups, vals: make([][]float64, len(aggs))}
 }
 
-// group returns the id of the group keyed v, creating it when v is new.
-// The lookup allocates nothing. A new group's key is detached from the
-// column v was read from, so the table pins no batch storage, and a
-// float64 zero is stored as +0: ±0 are one key (keyHash64 folds them
-// alike), and the group prints 0 whichever sign its first row had.
+func (t *groupTable) groups() int { return len(t.n) }
+
+// resolve sets gs[j] to the group of the key at logical row lo+j of kc,
+// creating the new ones, with hs as scratch for the keys' hashes. Keys
+// are equal as a probe key meets a build key (matchKeys, match): by ==
+// on the kind, null meeting null only, and by boxed == in an Any column.
 //
 //hierdb:hotpath
-func (t *groupTable) group(v any) int32 {
-	if g, ok := t.index[v]; ok {
-		return g
+func (t *groupTable) resolve(kc *vec.Col, lo int, hs []uint64, gs []int32) {
+	if kc.Kind != t.key.Kind {
+		panic(fmt.Sprintf("exec: %v group keys resolved in a table of %v keys", kc.Kind, t.key.Kind)) //hierdb:ignore hotpath the failure path
 	}
-	if f, ok := v.(float64); ok {
-		return t.insert(f + 0) //hierdb:ignore hotpath a new group's key is boxed once; -0 + 0 is +0
+	hashKeys(kc, lo, hs)
+	switch {
+	case kc.Kind == vec.Any:
+		resolveKeys(t, kc, kc.Box, &t.key.Box, lo, hs, gs)
+	case kc.Kind.IntFamily():
+		resolveKeys(t, kc, kc.I64, &t.key.I64, lo, hs, gs)
+	case kc.Kind == vec.Float64:
+		resolveKeys(t, kc, kc.F64, &t.key.F64, lo, hs, gs)
+	case kc.Kind == vec.Bool:
+		resolveKeys(t, kc, kc.B, &t.key.B, lo, hs, gs)
+	default:
+		resolveKeys(t, kc, kc.Str, &t.key.Str, lo, hs, gs)
 	}
-	return t.insert(vec.Detach(v))
+}
+
+// resolveKeys is resolve's loop over one kind's values: kc's src and
+// the table's keys.
+//
+//hierdb:hotpath
+func resolveKeys[T comparable](t *groupTable, kc *vec.Col, src []T, keys *[]T, lo int, hs []uint64, gs []int32) {
+	for j, h := range hs {
+		pos := kc.Pos(lo + j)
+		x, null := src[pos], bitSet(kc.Null, pos)
+		g := int32(-1)
+		for e := t.heads[slot(h, len(t.heads))]; e != 0; e = t.next[e-1] {
+			if bitSet(t.key.Null, int(e-1)) == null && (null || (*keys)[e-1] == x) {
+				g = e - 1
+				break
+			}
+		}
+		if g < 0 {
+			if f, ok := any(x).(float64); ok && f == 0 {
+				x = any(0.0).(T) // ±0 are one key, printed 0 whichever sign its first row had
+			}
+			*keys = append(*keys, x)
+			g = t.insert(h, null)
+		}
+		gs[j] = g
+	}
 }
 
 // aggIdentity is each function's starting value: Min and Max start from
 // the infinities, so any first value replaces them.
 var aggIdentity = [...]float64{Min: math.Inf(1), Max: math.Inf(-1)}
 
-// insert appends the group keyed key, an owned value, at every
+// insert makes the key just appended, hashing to h, a group at every
 // aggregate's identity.
-func (t *groupTable) insert(key any) int32 {
-	g := int32(len(t.keys))
-	t.index[key] = g
-	t.keys, t.n = append(t.keys, key), append(t.n, 0)
+func (t *groupTable) insert(h uint64, null bool) int32 {
+	g, c := len(t.n), &t.key
+	if g == len(t.next) {
+		t.grow(g)
+	}
+	for (null || c.Null != nil) && len(c.Null) <= g>>6 {
+		c.Null = append(c.Null, 0)
+	}
+	if null {
+		c.Null[g>>6] |= 1 << (g & 63)
+	}
+	s := slot(h, len(t.heads))
+	t.next[g], t.heads[s] = t.heads[s], int32(g+1)
+	t.n = append(t.n, 0)
 	for i, a := range t.aggs {
 		t.vals[i] = append(t.vals[i], aggIdentity[a.Func])
 	}
-	return g
+	return int32(g)
+}
+
+// indexCap is the room of a table of k groups' index: a power of two,
+// at least 8, so its heads are at most half full.
+func indexCap(k int) int {
+	if k == 0 {
+		return 0
+	}
+	return max(8, 1<<bits.Len(uint(k-1)))
+}
+
+// grow reallocates the index for indexCap(g+1) groups and relinks
+// groups [0,g), hashing the table's own key column.
+func (t *groupTable) grow(g int) {
+	c := indexCap(g + 1)
+	buf := make([]int32, 3*c)
+	t.heads, t.next = buf[:2*c], buf[2*c:]
+	var hs [256]uint64
+	for lo := 0; lo < g; lo += len(hs) {
+		hashKeys(&t.key, lo, hs[:min(len(hs), g-lo)])
+		for j, h := range hs[:min(len(hs), g-lo)] {
+			s := slot(h, len(t.heads))
+			t.next[lo+j], t.heads[s] = t.heads[s], int32(lo+j+1)
+		}
+	}
 }
 
 // fold folds v into group g's running value of aggregate i — the one
@@ -139,46 +215,37 @@ func (t *groupTable) fold(i int, g int32, v float64) {
 	}
 }
 
-// batch views the table, without a copy, as the batch [key (Any),
-// n (Int64), val0, val1, ... (Float64)] — the form a partial spills in,
-// merges in and leaves in. Valid until the table next changes.
+// batch views the table, without a copy, as the batch [key, n (Int64),
+// val0, val1, ... (Float64)] — the form a partial spills in, merges in
+// and leaves in. Valid until the table next changes.
 func (t *groupTable) batch() *vec.Batch {
-	cols := []vec.Col{{Kind: vec.Any, Box: t.keys}, {Kind: vec.Int64, I64: t.n}}
+	cols := []vec.Col{t.key, {Kind: vec.Int64, I64: t.n}}
 	for _, v := range t.vals {
 		cols = append(cols, vec.Col{Kind: vec.Float64, F64: v})
 	}
-	return &vec.Batch{Cols: cols, N: len(t.keys)}
+	return &vec.Batch{Cols: cols, N: t.groups()}
 }
 
-// groupEntryBytes is the index map's slot for a group (interface key,
-// int32 id) with a growing table's slack: the one price not read from
-// the group's columns.
-const groupEntryBytes = 48
-
-// bytes returns what groups [from, len) of the table hold: their rows of
-// batch() (vec.Batch.Bytes) and their index entries.
+// bytes returns what groups [from, groups()) hold: their rows of
+// batch() and the index's growth since it held from groups.
 func (t *groupTable) bytes(from int) int64 {
-	b := t.batch()
-	b.N -= from
-	for ci := range b.Cols {
-		b.Cols[ci].Idx = vec.Ident(len(t.keys))[from:]
-	}
-	return b.Bytes() + int64(b.N)*groupEntryBytes
+	return window(t.batch(), from, t.groups()).Bytes() + sealIndexRowBytes*int64(indexCap(t.groups())-indexCap(from))
 }
 
 // merge folds partial b — another table's batch(), or one read back from
 // a spill — into t: the one merge, of a peer worker's partial, a spilled
-// partial and a peer node's alike. A partial's keys are detached and
-// their zeros folded already, so a group new to t adopts its key as is.
+// partial and a peer node's alike.
 func (t *groupTable) merge(b *vec.Batch) {
-	for r, k := range b.Cols[0].Box[:b.N] {
-		g, ok := t.index[k]
-		if !ok {
-			g = t.insert(k)
-		}
-		t.n[g] += b.Cols[1].I64[r]
-		for i := range t.aggs {
-			t.fold(i, g, b.Cols[2+i].F64[r])
+	var hs [256]uint64
+	var gs [256]int32
+	for lo := 0; lo < b.N; lo += len(gs) {
+		k := min(len(gs), b.N-lo)
+		t.resolve(&b.Cols[0], lo, hs[:k], gs[:k])
+		for j, g := range gs[:k] {
+			t.n[g] += b.Cols[1].I64[lo+j]
+			for i := range t.aggs {
+				t.fold(i, g, b.Cols[2+i].F64[lo+j])
+			}
 		}
 	}
 }
@@ -190,16 +257,16 @@ func (t *groupTable) merge(b *vec.Batch) {
 // keys that print alike (1, int64(1) and "1" in an Any column are three
 // groups) by their Go type; then by count and aggregate values.
 func (t *groupTable) result(size int) []*vec.Batch {
-	ids, str := make([]int32, len(t.keys)), make([]string, len(t.keys))
-	for g, k := range t.keys {
-		ids[g], str[g] = int32(g), fmt.Sprint(k)
+	ids, str := make([]int32, t.groups()), make([]string, t.groups())
+	for g := range ids {
+		ids[g], str[g] = int32(g), fmt.Sprint(t.key.Value(g))
 	}
 	sort.Slice(ids, func(i, j int) bool {
 		a, b := ids[i], ids[j]
 		if str[a] != str[b] {
 			return str[a] < str[b]
 		}
-		if ta, tb := fmt.Sprintf("%T", t.keys[a]), fmt.Sprintf("%T", t.keys[b]); ta != tb {
+		if ta, tb := fmt.Sprintf("%T", t.key.Value(int(a))), fmt.Sprintf("%T", t.key.Value(int(b))); ta != tb {
 			return ta < tb
 		}
 		if t.n[a] != t.n[b] {
@@ -233,6 +300,9 @@ func validateGroupBy(gb *GroupBy, width int) error {
 		return fmt.Errorf("exec: group-by Key column %d out of range (plan output has %d columns)", gb.Key, width)
 	}
 	for i, a := range gb.Aggs {
+		if a.Func < Count || a.Func > Max {
+			return fmt.Errorf("exec: aggregate %d has unknown function %v", i, a.Func)
+		}
 		if a.Func != Count && a.Arg == nil {
 			return fmt.Errorf("exec: aggregate %d (%v) without Arg", i, a.Func)
 		}
@@ -263,19 +333,16 @@ type groupFold struct {
 // build store, seen through the join's Out list; for a root scan (store
 // == nil), b's own rows. The rows fold a tile at a time (tileLen): the
 // tile's groups are resolved, then — when some aggregate has an Arg — the
-// tile's argument rows are filled column-major in the worker's row block,
-// one boxing call per output column (a probe column through its Idx at
-// the tile's probe rows, a store column at its store positions), and the
-// Arg closures run on them in match order. When the group key is a build column the group is
-// resolved once per build row, not once per match: the slots hold the
-// group of each store position until the store changes (a thief folds an
-// owner's store, a spill phase loads the next partition), except a NaN
-// key's: NaN equals nothing, so each of its matches is a group of its
-// own, whatever the store's size. A store with
-// more than four rows per pair folded is looked up per match instead — a
-// reset never costs more than the fold it serves — and under a memory
-// budget the slots last one activation: governGroupPartial may spill the
-// partial they point into, and they would pin an ended phase's store.
+// tile's argument rows are filled column-major, one boxing call per
+// output column, and the Arg closures run on them in match order. A
+// build-column key is resolved once per build row: the slots hold the
+// group of each store position until the store changes (a thief folds
+// an owner's store, a spill phase loads the next partition), except a
+// NaN key's, which equals nothing. A store with more than four rows per
+// pair folded is looked up per match instead — a reset never costs more
+// than the fold it serves — and under a memory budget the slots last one
+// activation: governGroupPartial may spill the partial they point into,
+// and they would pin an ended phase's store.
 //
 //hierdb:hotpath
 func (q *query) foldGroups(op *pop, w int, b, store *vec.Batch) int {
@@ -313,7 +380,9 @@ func (q *query) foldGroups(op *pop, w int, b, store *vec.Batch) int {
 	}
 	width := len(src)
 	t := gf.t
+	kv := *keyCol // the key column at a tile's storage positions
 	var gs [tileMax]int32
+	var hs [tileMax]uint64
 	for lo, tile := 0, tileLen(width); lo < n; lo += tile {
 		hi := min(lo+tile, n)
 		pr := prs[lo:hi]
@@ -321,20 +390,30 @@ func (q *query) foldGroups(op *pop, w int, b, store *vec.Batch) int {
 		if store != nil {
 			bp = bps[lo:hi]
 		}
-		for j := range pr {
-			var g int32
-			if !keyBuild {
-				g = t.group(keyCol.Value(keyCol.Pos(int(pr[j]))))
-			} else if !slotted {
-				g = t.group(keyCol.Value(int(bp[j])))
-			} else if g = gf.slots[bp[j]] - 1; g < 0 {
-				k := keyCol.Value(int(bp[j]))
-				if g = t.group(k); k == k { // NaN equals nothing: each match a group of its own
-					gf.slots[bp[j]] = g + 1
+		gs := gs[:len(pr)]
+		if slotted {
+			for j, p := range bp {
+				if gs[j] = gf.slots[p] - 1; gs[j] < 0 {
+					kv.Idx = bp[j : j+1]
+					t.resolve(&kv, 0, hs[:1], gs[j:j+1])
+					if k := keyCol.Value(int(p)); k == k { // NaN equals nothing: each match a group of its own
+						gf.slots[p] = gs[j] + 1
+					}
 				}
+				t.n[gs[j]]++
 			}
-			t.n[g]++
-			gs[j] = g
+		} else { // the tile's keys, resolved in one call
+			kv.Idx = bp // a sealed store is dense
+			if !keyBuild {
+				for j, r := range pr {
+					vs.keyPos[j] = int32(keyCol.Pos(int(r)))
+				}
+				kv.Idx = vs.keyPos[:len(pr)]
+			}
+			t.resolve(&kv, 0, hs[:len(pr)], gs)
+			for _, g := range gs {
+				t.n[g]++
+			}
 		}
 		if !needRow {
 			continue
@@ -347,7 +426,7 @@ func (q *query) foldGroups(op *pop, w int, b, store *vec.Batch) int {
 				store.Cols[c-pw].BoxRows(block[i:], width, bp) // a sealed store is dense
 			}
 		}
-		for j, g := range gs[:len(pr)] {
+		for j, g := range gs {
 			row := tileRow(block, j, width)
 			for i, a := range gb.Aggs {
 				if a.Func != Count {

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"testing"
@@ -98,9 +99,22 @@ func TestGroupByDeterministicOrder(t *testing.T) {
 
 func TestGroupByErrors(t *testing.T) {
 	plan := aggPlan(10, 2)
-	if _, _, err := runOnce(context.Background(), plan,
-		&GroupBy{Key: 0, Aggs: []Aggregation{{Func: Sum}}}, EngineConfig{}); err == nil {
-		t.Fatal("sum without Arg accepted")
+	arg := func(Row) float64 { return 0 }
+	for _, tc := range []struct {
+		what string
+		agg  Aggregation
+	}{
+		{"sum without Arg", Aggregation{Func: Sum}},
+		{"AggFunc(4)", Aggregation{Func: 4, Arg: arg}},
+		{"AggFunc(-1)", Aggregation{Func: -1, Arg: arg}},
+	} {
+		_, _, err := runOnce(context.Background(), plan, &GroupBy{Key: 0, Aggs: []Aggregation{tc.agg}}, EngineConfig{})
+		if err == nil {
+			t.Fatalf("%s accepted", tc.what)
+		}
+		if errors.Is(err, ErrQueryPanic) {
+			t.Fatalf("%s failed during execution, not before: %v", tc.what, err)
+		}
 	}
 }
 

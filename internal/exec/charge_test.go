@@ -82,18 +82,21 @@ func sealCharged(t *testing.T, k, workers int, key func(int) any) (*buildSide, i
 // added since the last charge, after every batch — and returns it with
 // the bytes charged.
 func groupCharged(k int, key func(int) any) (*groupTable, int64) {
-	t := newGroupTable([]Aggregation{{Func: Count}, {Func: Sum}})
+	var t *groupTable
 	var charged int64
 	priced := 0
 	for _, b := range chargeBatches(k, 1024, key) {
-		c := &b.Cols[0]
-		for i := range b.N {
-			g := t.group(c.Value(c.Pos(i)))
+		if t == nil {
+			t = newGroupTable([]Aggregation{{Func: Count}, {Func: Sum}}, b.Cols[0].Kind)
+		}
+		gs := make([]int32, b.N)
+		t.resolve(&b.Cols[0], 0, make([]uint64, b.N), gs)
+		for i, g := range gs {
 			t.n[g]++
 			t.fold(1, g, float64(i))
 		}
 		charged += t.bytes(priced)
-		priced = len(t.keys)
+		priced = t.groups()
 	}
 	return t, charged
 }

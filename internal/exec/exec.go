@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -332,6 +333,10 @@ func keyHash64(k any) uint64 {
 		h = fnvString(v)
 	case float64:
 		h = mix64(math.Float64bits(v + 0)) // -0.0 + 0 is +0.0: the two are == and must route alike
+	case nil: // nil and bool hash as the fallback would, without fmt: Any key columns hold them row after row
+		h = fnvString("<nil>")
+	case bool:
+		h = fnvString(strconv.FormatBool(v))
 	default:
 		f := fnv.New64a()
 		//hierdb:ignore hotpath cold fallback for exotic key types; the common scalar kinds are handled above

@@ -167,8 +167,8 @@ func TestGroupPartialSpillDropsSlots(t *testing.T) {
 	q.processProbeVec(probes[0], 0)
 	q.chargeMem(q.mem.budget) // the next new group finds the budget spent
 	q.processProbeVec(probes[1], 0)
-	if q.partials[0].file == nil || len(q.partials[0].t.keys) != 0 {
-		t.Fatalf("the second batch's new groups did not spill the partial (%d groups resident)", len(q.partials[0].t.keys))
+	if q.partials[0].file == nil || q.partials[0].t.groups() != 0 {
+		t.Fatalf("the second batch's new groups did not spill the partial (%d groups resident)", q.partials[0].t.groups())
 	}
 	q.unchargeMem(q.mem.budget)
 	// The third batch's keys were all resolved by the first two.
@@ -180,8 +180,8 @@ func TestGroupPartialSpillDropsSlots(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := counted(merged); got != 3*batch*fan || len(merged.keys) != keys*fan {
-		t.Fatalf("%d matches in %d groups after the merge, want %d in %d", got, len(merged.keys), 3*batch*fan, keys*fan)
+	if got := counted(merged); got != 3*batch*fan || merged.groups() != keys*fan {
+		t.Fatalf("%d matches in %d groups after the merge, want %d in %d", got, merged.groups(), 3*batch*fan, keys*fan)
 	}
 }
 
@@ -196,9 +196,13 @@ func TestGroupFoldSlotsFollowTheStore(t *testing.T) {
 	q, probes := probeFixture(t, fanPlan(1, 8, keys, 1, keys, nil), gb, EngineConfig{Workers: 1, Batch: keys})
 	root := q.mq.phys.root
 	a := q.ops[root.partner.id].side.store
-	// A second store of the same shape whose group column holds the join
+	// A second store of the same schema whose group column holds other
 	// keys: position p is another group there.
-	b := &vec.Batch{Cols: []vec.Col{a.Cols[0], a.Cols[0], a.Cols[2]}, N: a.N}
+	other := make([]Row, a.N)
+	for p := range other {
+		other[p] = Row{fmt.Sprintf("h%04d", p)}
+	}
+	b := &vec.Batch{Cols: []vec.Col{a.Cols[0], vec.FromRows(other).Cols[0], a.Cols[2]}, N: a.N}
 	vs, gf := &q.vscratch[0], &q.partials[0]
 	fold := func(store *vec.Batch, pairs int) {
 		vs.probeRows, vs.bpos = vs.probeRows[:0], vs.bpos[:0]
@@ -220,12 +224,12 @@ func TestGroupFoldSlotsFollowTheStore(t *testing.T) {
 		t.Fatal("a one-pair fold reset an eight-row slot vector")
 	}
 	fold(a, keys)
-	byKind := map[string]int64{}
-	for g, k := range gf.t.keys {
-		byKind[fmt.Sprintf("%T", k)] += gf.t.n[g]
+	byStore := map[string]int64{}
+	for g := range gf.t.groups() {
+		byStore[gf.t.key.Str[g][:1]] += gf.t.n[g]
 	}
-	if len(gf.t.keys) != 2*keys || byKind["string"] != 2*keys+1 || byKind["int"] != keys+1 {
-		t.Fatalf("%d groups, matches by key type %v: positions of one store counted into the other's groups", len(gf.t.keys), byKind)
+	if gf.t.groups() != 2*keys || byStore["g"] != 2*keys+1 || byStore["h"] != keys+1 {
+		t.Fatalf("%d groups, matches by store %v: positions of one store counted into the other's groups", gf.t.groups(), byStore)
 	}
 }
 
@@ -272,13 +276,22 @@ func TestGroupFoldAllocBytesBound(t *testing.T) {
 }
 
 // BenchmarkJoinGroupFold is BenchmarkJoinProbeGather's fixture ending in
-// a group-by on a build column (2 000 groups, Count and a Sum reading
-// both sides): the probe kernel plus the fold, no output batch between.
+// a group-by (2 000 groups, Count and a Sum reading both sides): the
+// probe kernel plus the fold, no output batch between. The width cases
+// key on a build column, whose groups the slots resolve once per build
+// row; key=probe keys on the probe's join column, looked up in the group
+// table once per match.
 func BenchmarkJoinGroupFold(b *testing.B) {
 	const buildRows, probeRows = 2_000, 100_000
-	for _, width := range []int{1, 4, 16} {
-		b.Run(fmt.Sprintf("width=%d", width), func(b *testing.B) {
-			gb := &GroupBy{Key: 2, Aggs: []Aggregation{{Func: Count},
+	for _, bc := range []struct {
+		name       string
+		key, width int
+	}{
+		{"width=1", 2, 1}, {"width=4", 2, 4}, {"width=16", 2, 16}, {"key=probe", 0, 1},
+	} {
+		key, width := bc.key, bc.width
+		b.Run(bc.name, func(b *testing.B) {
+			gb := &GroupBy{Key: key, Aggs: []Aggregation{{Func: Count},
 				{Func: Sum, Arg: func(r Row) float64 { return float64(r[1].(int) + r[len(r)-1].(int)) }}}}
 			q, probes := probeFixture(b, widePlan(buildRows, probeRows, width), gb, EngineConfig{Workers: 1, Batch: 1024})
 			run := func() {
@@ -455,10 +468,10 @@ func TestProbeFoldZeroAlloc(t *testing.T) {
 }
 
 // TestGroupTableAllocAmortized is the group-table alloc gate (run by
-// CI): folding G new groups into a partial allocates each group's
-// detached key box (int keys ≥ 256 box on the heap) and the amortized
-// growth of the table's columns and index, at most G + 16·log₂G
-// allocations — no per-group state on the heap beside the key.
+// CI): folding G new groups into a partial allocates only the amortized
+// growth of the table's columns and index, at most 16·log₂G allocations —
+// int keys ≥ 256, which the runtime would box on the heap, go into the
+// typed key column, and nothing is allocated per group.
 func TestGroupTableAllocAmortized(t *testing.T) {
 	const groups = 2000
 	tb := tbl("g", groups, func(i int) any { return 256 + i }, func(i int) any { return i })
@@ -473,15 +486,15 @@ func TestGroupTableAllocAmortized(t *testing.T) {
 	b := tb.Columnar()
 	q.foldGroups(phys.root, 0, b, nil) // grow the worker's scratch
 	allocs := testing.AllocsPerRun(20, func() {
-		q.partials[0].t = newGroupTable(gb.Aggs)
+		q.partials[0].t = newGroupTable(gb.Aggs, phys.root.outKinds[gb.Key])
 		if n := q.foldGroups(phys.root, 0, b, nil); n != groups {
 			t.Fatalf("%d rows folded, want %d", n, groups)
 		}
 	})
-	if got := len(q.partials[0].t.keys); got != groups {
+	if got := q.partials[0].t.groups(); got != groups {
 		t.Fatalf("%d groups, want %d", got, groups)
 	}
-	if bound := groups + 16*math.Log2(groups); allocs > bound {
+	if bound := 16 * math.Log2(groups); allocs > bound {
 		t.Fatalf("%.0f allocations to fold %d new groups, want at most %.0f", allocs, groups, bound)
 	}
 	t.Logf("%.0f allocations to fold %d new groups", allocs, groups)

@@ -11,9 +11,10 @@ package exec
 // fragment has charged, and the account is one atomic count that takes
 // no lock. Only chargeMem, unchargeMem and settleMem change it.
 // Everything is charged at one price, what its columns hold in memory
-// (vec.Batch.Bytes), plus the one layout fact vec cannot see: a build
-// row's 12 bytes of sealed index (buildBytes), and a group's index map
-// entry (groupEntryBytes). Hash-join builds charge each batch so, and a
+// (vec.Batch.Bytes), plus the one layout fact vec cannot see: the
+// chained hash index's 12 bytes a row it has room for (sealIndexRowBytes)
+// — a sealed build side's (buildBytes) and a group partial's
+// (groupTable.bytes). Hash-join builds charge each batch so, and a
 // build the account cannot cover switches the join to Grace-style
 // partitioned execution:
 //
@@ -499,11 +500,11 @@ func (q *query) processSpillProbe(a *activation, w int) (outs []*activation, res
 // shared state is the byte account.
 func (q *query) governGroupPartial(w int) error {
 	gf := &q.partials[w]
-	if gf.priced == len(gf.t.keys) {
+	if gf.priced == gf.t.groups() {
 		return nil
 	}
 	add := gf.t.bytes(gf.priced)
-	gf.priced, gf.charged = len(gf.t.keys), gf.charged+add
+	gf.priced, gf.charged = gf.t.groups(), gf.charged+add
 	if !q.chargeMem(add) {
 		return nil
 	}
@@ -522,7 +523,7 @@ func (q *query) governGroupPartial(w int) error {
 		}
 	}
 	q.unchargeMem(gf.charged)
-	gf.charged, gf.priced, gf.t = 0, 0, newGroupTable(q.mq.gb.Aggs)
+	gf.charged, gf.priced, gf.t = 0, 0, newGroupTable(q.mq.gb.Aggs, gf.t.key.Kind)
 	return nil
 }
 

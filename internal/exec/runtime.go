@@ -384,7 +384,7 @@ func newFragment(mq *mquery, node int) *query {
 	if gb != nil {
 		q.partials = make([]groupFold, workers)
 		for w := range q.partials {
-			q.partials[w].t = newGroupTable(gb.Aggs)
+			q.partials[w].t = newGroupTable(gb.Aggs, phys.root.outKinds[gb.Key])
 		}
 	}
 	return q

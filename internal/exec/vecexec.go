@@ -153,11 +153,12 @@ func (t *Table) Columnar() *vec.Batch {
 // vecScratch is one worker's reusable kernel state for one query —
 // grown to the high-water mark once, then allocation-free.
 type vecScratch struct {
-	hs        []uint64 // key hashes per logical row
-	sel       []int32  // predicate/filter survivors
-	block     []any    // row tile: a few rows filled column-major (tileRows)
-	probeRows []int32  // probe match: logical probe row per match
-	bpos      []int32  // probe match: position in the sealed build store
+	hs        []uint64       // key hashes per logical row
+	sel       []int32        // predicate/filter survivors
+	block     []any          // row tile: a few rows filled column-major (tileRows)
+	keyPos    [tileMax]int32 // a fold tile's group key positions (foldGroups)
+	probeRows []int32        // probe match: logical probe row per match
+	bpos      []int32        // probe match: position in the sealed build store
 	perDest   [][]int32
 	win       vec.Batch // header of the input rows' view (viewInto)
 }
@@ -285,7 +286,9 @@ func hashKeys(c *vec.Col, lo int, hs []uint64) {
 // columns share (matchAll); the boxed == it falls back to (match) is the
 // semantic reference: int 1 is not int64 1, NaN equals nothing, 0.0
 // equals -0.0, null meets null. A spill partition's store (memgov.go) is
-// sealed the same way. Immutable once built, so a thief shares it.
+// sealed the same way, and a group partial (groupTable) keeps its keys in
+// the same chained layout under the same equality. Immutable once built,
+// so a thief shares it.
 type buildSide struct {
 	store  *vec.Batch
 	keyCol int
@@ -298,8 +301,8 @@ type buildSide struct {
 	bucketRows []int
 }
 
-// sealIndexRowBytes is what sealStore's index holds a row: two heads
-// and one next, int32 each.
+// sealIndexRowBytes is what a chained index holds a row it has room
+// for: two heads and one next, int32 each.
 const sealIndexRowBytes = 3 * 4
 
 // ErrBuildTooLarge fails a join whose build side holds more rows on one

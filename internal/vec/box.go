@@ -229,31 +229,6 @@ func (c *Col) boxIn(t unsafe.Pointer, pos int) (v any) {
 	return v
 }
 
-// Detach returns v boxed on its own — the runtime's box of a copy, which
-// points into no mirror (a string's bytes are shared, as by any copy) —
-// for a value the engine keeps past its batch by design (a group's key),
-// so that it pins no column storage. Small ints and bools cost nothing:
-// the runtime boxes them statically.
-func Detach(v any) any {
-	switch x := v.(type) {
-	case int:
-		return x
-	case int32:
-		return x
-	case int64:
-		return x
-	case uint64:
-		return x
-	case float64:
-		return x
-	case bool:
-		return x
-	case string:
-		return x
-	}
-	return v
-}
-
 // copyBox boxes the mirror value at storage position pos onto the heap:
 // the runtime's own box, for the kinds that cannot box in place.
 func (c *Col) copyBox(pos int) any {

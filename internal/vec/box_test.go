@@ -336,27 +336,6 @@ func TestCopyBoxFallbackMatchesInPlace(t *testing.T) {
 	}
 }
 
-// TestDetachCopies: a detached value no longer reads the mirror slot it
-// was boxed from (written here only to observe that — engine code never
-// writes a handed-out mirror), while an in-place box does.
-func TestDetachCopies(t *testing.T) {
-	c := boxless(t, Int64, []any{int64(1) << 40})
-	inPlace := c.Value(0)
-	detached := Detach(c.Value(0))
-	c.I64[0] = 7
-	if inPlace != int64(7) {
-		t.Fatalf("in-place box reads %v after its slot was written, want 7", inPlace)
-	}
-	if detached != int64(1)<<40 {
-		t.Fatalf("detached box reads %v, want %d", detached, int64(1)<<40)
-	}
-	for _, v := range []any{nil, []int{1}} {
-		if got := Detach(v); !reflect.DeepEqual(got, v) {
-			t.Fatalf("Detach(%#v) = %#v", v, got)
-		}
-	}
-}
-
 // TestUnsafeConfined: box.go is the module's only importer of unsafe.
 func TestUnsafeConfined(t *testing.T) {
 	root, err := filepath.Abs("../..")
