@@ -73,13 +73,15 @@ test:
 # (and of the stores whose kinds TestStoresHoldCompileKinds checks),
 # the node memory account's lock-free charges, and the steals that take
 # the front of an operator's queue while the provider's workers pop its
-# back, and the group fold whose thieves fold an owner's sealed store
-# into their own growing tables; then, 20 times, the memory price
-# against the live heap, whose reading depends on GC timing.
+# back, the group fold whose thieves fold an owner's sealed store
+# into their own growing tables, and the worker kernel scratch that four
+# concurrent queries share through their pools; then, 20 times, the
+# memory price against the live heap, whose reading depends on GC
+# timing.
 stress:
 	$(GO) test -count 300 -run 'TestUnreadQueriesAddNoGoroutines|TestFinishedGroupByFreesSlotUnread|TestUndrainedGroupByDoesNotWedgePool' ./internal/exec
 	$(GO) test -count 300 -run 'TestBuildPresizeBoundedUnderHugeHint$$' .
-	$(GO) test -race -count 10 -run 'TestBuildSidesSealedAtBarrier|TestStolenOutputsReferenceOwnerStore|TestEmptyRemoteBucketAcquiredOnce|TestCancelDuringSeal|TestMultiNodeEmptyInputs|TestStoresHoldCompileKinds|TestNodeAccountConservation|TestCancelledFileJoinSettlesNodes|TestConcurrentQueriesShareNodeMemory|TestOperatorStackOrder|TestGlobalStealOnSkewedWorkload|TestProbeActivationsOwnedByDest|TestStealStatsIsolatedPerQuery|TestGroupFoldMatchesFlattened' ./internal/exec
+	$(GO) test -race -count 10 -run 'TestBuildSidesSealedAtBarrier|TestStolenOutputsReferenceOwnerStore|TestEmptyRemoteBucketAcquiredOnce|TestCancelDuringSeal|TestMultiNodeEmptyInputs|TestStoresHoldCompileKinds|TestNodeAccountConservation|TestCancelledFileJoinSettlesNodes|TestConcurrentQueriesShareNodeMemory|TestOperatorStackOrder|TestGlobalStealOnSkewedWorkload|TestProbeActivationsOwnedByDest|TestStealStatsIsolatedPerQuery|TestGroupFoldMatchesFlattened|TestWorkerScratchSharedAcrossQueries' ./internal/exec
 	$(GO) test -count 20 -run 'TestChargeMatchesHeap$$' ./internal/exec
 
 # bench/ is a module of its own (replace hierdb => ../), so the root
@@ -99,7 +101,7 @@ bench:
 	{ $(GO) test -run '^$$' -bench 'BenchmarkKernel' -benchmem ./internal/simtime/; \
 	  $(GO) test -run '^$$' -bench 'Churn|MultiNode' -benchmem ./internal/core/; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkFig6$$|BenchmarkEngineJoinDP$$|ConcurrentQueries|StreamingSink|MultiNodeSkew|SpillJoin|DiskScan|DiskJoinSpill|OptimizeOverhead' -benchtime 10x -benchmem .; \
-	  $(GO) test -run '^$$' -bench 'BenchmarkAdmission|BenchmarkChargeMem|BenchmarkSpillPartitionWrite|BenchmarkJoinProbeGather|BenchmarkJoinGroupFold|BenchmarkSealIndex' -benchmem ./internal/exec/; \
+	  $(GO) test -run '^$$' -bench 'BenchmarkAdmission|BenchmarkChargeMem|BenchmarkSpillPartitionWrite|BenchmarkJoinProbeGather|BenchmarkJoinGroupFold|BenchmarkSealIndex|BenchmarkActivationRoundTrip' -benchmem ./internal/exec/; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkChunkDecodeSel|BenchmarkEncodeCols|BenchmarkSpillFanout' -benchmem ./internal/spill/; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkReadChunkWhere' -benchmem ./internal/store/; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkApplyPred|BenchmarkBoxRows|BenchmarkBatchBytes' -benchtime 20000x -benchmem ./internal/vec/; \

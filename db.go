@@ -62,7 +62,8 @@ func WithStripes(n int) Option { return func(c *dbConfig) { c.eng.Stripes = n } 
 func WithMorsel(n int) Option { return func(c *dbConfig) { c.eng.Morsel = n } }
 
 // WithBatch sets the pipeline granularity in rows (data-activation
-// granularity). 0 means 256.
+// granularity). 0 means 1024, the default morsel: a morsel's survivors
+// then travel as one data activation.
 func WithBatch(n int) Option { return func(c *dbConfig) { c.eng.Batch = n } }
 
 // WithStatic binds each worker to one operator per pipeline chain (the

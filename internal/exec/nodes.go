@@ -34,7 +34,7 @@ package exec
 // knew only one node could fold all three into the pick; here a
 // one-node query pays the mq.mu round and, when the activation had
 // output, one pool.mu round more. Both are short, uncontended next to
-// the activation itself (a 1024-row morsel, a 256-row batch), and
+// the activation itself (a 1024-row morsel or batch), and
 // measured flat on bench/'s join_stream — the price of chain start,
 // operator completion and advance (spill loads, seals, merges), abort
 // and retirement existing once.
@@ -73,7 +73,8 @@ type EngineConfig struct {
 	Workers int
 	// Morsel is the scan granularity in rows (trigger-activation
 	// granularity, default 1024); Batch the pipeline granularity
-	// (data-activation granularity, default 256).
+	// (data-activation granularity, default 1024: a default morsel feeds
+	// one data activation).
 	Morsel int
 	Batch  int
 	// Stripes is the number of hash buckets per node (the degree of
@@ -159,7 +160,7 @@ func newNodes(cfg EngineConfig) (*Nodes, error) {
 		cfg.Morsel = 1024
 	}
 	if cfg.Batch == 0 {
-		cfg.Batch = 256
+		cfg.Batch = 1024
 	}
 	if cfg.Stripes == 0 {
 		cfg.Stripes = 8 * cfg.Workers

@@ -58,15 +58,22 @@ type pool struct {
 	closed  bool
 	wg      sync.WaitGroup
 
-	// scanners[w] is worker w's own chunk-read scratch, kept across
-	// queries; the first filtered file scan allocates what is inside.
+	// scanners[w] is worker w's own chunk-read scratch and vscratch[w]
+	// its kernel scratch (hash vectors, selections, match pairs, routing
+	// lists, row tiles), both kept for the engine's life: a worker runs
+	// one activation at a time, whichever fragment it is of, and the
+	// first activations that need them allocate what is inside. Kernel
+	// scratch grows to what one activation's rows need, so it is bounded
+	// by the largest Batch (or Morsel) the engine runs; it keeps no
+	// query's data while its worker is parked (vecScratch.release).
 	scanners []store.Scanner
+	vscratch []vecScratch
 }
 
 // newPool builds a node's worker set over its memory account (nil when
 // the engine has no MemoryPerNode budget); start runs the workers.
 func newPool(workers int, mem *memAccount) *pool {
-	p := &pool{workers: workers, mem: mem, scanners: make([]store.Scanner, workers)}
+	p := &pool{workers: workers, mem: mem, scanners: make([]store.Scanner, workers), vscratch: make([]vecScratch, workers)}
 	p.cond = sync.NewCond(&p.mu)
 	return p
 }
@@ -170,6 +177,7 @@ func (p *pool) releaseAnchorLocked(anchor **query) {
 func (p *pool) worker(w int) {
 	defer p.wg.Done()
 	var anchor *query
+	held := false // the worker's scratch may point into a batch
 	p.mu.Lock()
 	for {
 		if p.closed {
@@ -182,7 +190,8 @@ func (p *pool) worker(w int) {
 			// remote probe queue for a starving fragment.
 			if sq := p.stealClaimLocked(); sq != nil {
 				p.mu.Unlock()
-				stole := sq.mq.stealRound(sq, &sq.vscratch[w])
+				stole := sq.mq.stealRound(sq, &p.vscratch[w])
+				held = true
 				idled := false
 				p.mu.Lock()
 				sq.stealBusy = false
@@ -209,6 +218,10 @@ func (p *pool) worker(w int) {
 				}
 				continue
 			}
+			if held {
+				p.vscratch[w].release()
+				held = false
+			}
 			p.waiting++
 			p.cond.Wait()
 			p.waiting--
@@ -217,6 +230,7 @@ func (p *pool) worker(w int) {
 		q.inflight++
 		p.mu.Unlock()
 		outs, results := q.runActivation(a, w)
+		held = true
 		a.res.release()
 		// Routing, operator/chain accounting and the result queue are
 		// query-global: the coordinator settles them without our mutex.

@@ -280,7 +280,7 @@ func TestUndrainedGroupByDoesNotWedgePool(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// ~5000 groups -> ~20 batches, far beyond the queue bound; never read.
+	// ~5000 groups -> 5 batches of 1 024, beyond the queue bound of 4; never read.
 	gb := &GroupBy{Key: 0, Aggs: []Aggregation{{Func: Count}}}
 	if _, err := pool.Submit(context.Background(), aggPlan(20_000, 5000), gb, ""); err != nil {
 		t.Fatal(err)
@@ -356,7 +356,7 @@ func TestFinishedGroupByFreesSlotUnread(t *testing.T) {
 func TestUnreadQueriesAddNoGoroutines(t *testing.T) {
 	checkQueryHygiene(t)
 	ns := newNodesT(t, EngineConfig{Workers: 2})
-	plan := starPlan(11, 5_000) // 20 result batches: production pauses at 4
+	plan := starPlan(11, 20_000) // 20 result batches: production pauses at 4
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	base := runtime.NumGoroutine()
@@ -584,6 +584,46 @@ func TestPanicContainment(t *testing.T) {
 					verifyIdle(t, ns)
 				})
 			}
+		}
+	}
+}
+
+// BenchmarkActivationRoundTrip is the fixed scheduling cost of one data
+// activation on one node, which a larger Batch amortizes over more rows:
+// the producer's pool.mu round that queues it (deliverOuts: pushLocked,
+// wakeLocked) and the worker's pool.mu round that selects and pops it
+// (pool.pickLocked over the node's fragments, query.pickLocked over the
+// current chain, popNewestLocked). It is plan.Costs.QueueOp plus
+// plan.Costs.Select of the simulator, measured; the activation itself
+// is not run. Workers are not started, so nothing contends the mutex.
+func BenchmarkActivationRoundTrip(b *testing.B) {
+	id := func(i int) any { return i }
+	phys, err := compile(&Join{Build: &Scan{Table: tbl("d", 8, id, id)}, Probe: &Scan{Table: tbl("f", 8, id, id)}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ns, err := newNodes(EngineConfig{Workers: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	q := ns.newQuery(context.Background(), phys, nil).mq.frags[0]
+	p := q.pool
+	p.queries = append(p.queries, q)
+	op := phys.chains[q.chain][0]
+	a := &activation{op: op, hi: 8}
+	var anchor *query
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p.mu.Lock()
+		q.ops[op.id].pushLocked(a)
+		p.wakeLocked(q, 1)
+		p.mu.Unlock()
+		p.mu.Lock()
+		_, got := p.pickLocked(0, &anchor)
+		p.mu.Unlock()
+		if got != a {
+			b.Fatal("the worker did not pick the queued activation")
 		}
 	}
 }

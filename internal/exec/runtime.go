@@ -299,8 +299,9 @@ type query struct {
 
 	// varenas holds one columnar arena per worker: selection vectors,
 	// gather targets and materialized rows are carved from large chunks
-	// instead of allocated per batch; vscratch the matching reusable
-	// kernel state (hash vectors, match triples, routing lists).
+	// instead of allocated per batch. vscratch is the pool's kernel
+	// scratch (pool.vscratch), one per worker, shared by every fragment
+	// on the node.
 	varenas  []vec.Arena
 	vscratch []vecScratch
 	// partials holds per-worker aggregation state of a group-by query;
@@ -374,7 +375,7 @@ func newFragment(mq *mquery, node int) *query {
 		q.ops = append(q.ops, or)
 	}
 	q.varenas = make([]vec.Arena, workers)
-	q.vscratch = make([]vecScratch, workers)
+	q.vscratch = p.vscratch
 	lo := node * workers
 	q.perWorker = mq.stats.PerWorker[lo : lo+workers : lo+workers]
 	q.opRows = make([]int64, len(phys.ops))

@@ -150,8 +150,9 @@ func (t *Table) Columnar() *vec.Batch {
 // Per-worker scratch
 // ---------------------------------------------------------------------
 
-// vecScratch is one worker's reusable kernel state for one query —
-// grown to the high-water mark once, then allocation-free.
+// vecScratch is one worker's reusable kernel state, the pool's
+// (pool.vscratch), used by every query the worker serves — grown to the
+// high-water mark once, then allocation-free.
 type vecScratch struct {
 	hs        []uint64       // key hashes per logical row
 	sel       []int32        // predicate/filter survivors
@@ -161,6 +162,15 @@ type vecScratch struct {
 	bpos      []int32        // probe match: position in the sealed build store
 	perDest   [][]int32
 	win       vec.Batch // header of the input rows' view (viewInto)
+}
+
+// release drops what the scratch points into — the last input view's
+// columns, the last row tile's boxed values — keeping its storage, so a
+// parked worker pins no query's batches.
+func (vs *vecScratch) release() {
+	clear(vs.block[:cap(vs.block)])
+	clear(vs.win.Cols[:cap(vs.win.Cols)])
+	vs.win = vec.Batch{Cols: vs.win.Cols[:0]}
 }
 
 func (vs *vecScratch) hashes(n int) []uint64 {

@@ -75,8 +75,9 @@ func CreateTemp(dir string) (*Disk, error) {
 	return &Disk{f: f}, nil
 }
 
-// NewFile returns an empty File that writes into d.
-func (d *Disk) NewFile() *File { return &File{disk: d} }
+// NewFile returns an empty File that writes into d, with room for the
+// refs of a few batches.
+func (d *Disk) NewFile() *File { return &File{disk: d, refs: make([]Ref, 0, 4)} }
 
 // Close closes and deletes the file. Its Files keep their counters but
 // can no longer read or write. Idempotent.
@@ -103,18 +104,35 @@ func (d *Disk) name() string { return filepath.Base(d.f.Name()) }
 type File struct {
 	mu    sync.Mutex //hierdb:lock spillfile
 	disk  *Disk
-	owner bool   // made by Create: Close also closes the Disk
-	buf   []byte // encode scratch, reused across writes
+	owner bool // made by Create: Close also closes the Disk
 	refs  []Ref
 	bytes int64
 	held  int64 // what the written batches held in memory (vec.Batch.Bytes)
 	rows  int64 // written + buffered
-	// wbuf holds the rows AppendSel has gathered but not yet written:
-	// dense columns of typed mirror + null bitmap, a Box only on Any
-	// columns (which have no mirror). Flushing keeps its storage, so
-	// steady-state appends allocate nothing.
+	// wb is the File's write storage, taken from writeBufs by its first
+	// write and given back by Seal or Close. wbuf holds the rows AppendSel
+	// has gathered but not yet written, in wb's columns: dense columns of
+	// typed mirror + null bitmap, a Box only on Any columns (which have
+	// no mirror); nil Cols until the first batch fixes the schema.
+	// Flushing keeps the storage, so steady-state appends allocate
+	// nothing, and neither do a later partition's first ones.
+	wb   *writeBuf
 	wbuf vec.Batch
 }
+
+// writeBuf is a File's write storage: its buffer's columns and its
+// encode scratch.
+type writeBuf struct {
+	cols []vec.Col
+	enc  []byte
+}
+
+// writeBufs recycles the write storage of sealed and closed Files, as
+// readBufs recycles read buffers: the next partition starts with
+// buffers at the size the last one's reached instead of regrowing them
+// by doubling. A recycled writeBuf is empty and points into no batch:
+// its strings and boxed values were cleared (emptyBuf).
+var writeBufs = sync.Pool{New: func() any { return new(writeBuf) }}
 
 // Create opens a File with a Disk of its own, the new file dir/name,
 // which the File's Close deletes. The file is created eagerly so an
@@ -142,10 +160,7 @@ func (s *File) AppendSel(b *vec.Batch, sel []int32, flushRows int) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.wbuf.Cols == nil {
-		s.wbuf.Cols = make([]vec.Col, len(b.Cols))
-		for ci := range b.Cols {
-			s.wbuf.Cols[ci].Kind = b.Cols[ci].Kind
-		}
+		s.shapeLocked(b)
 	} else if !sameSchema(&s.wbuf, b) {
 		return fmt.Errorf("spill: %s: a batch of %d columns of another schema than the partition's", s.disk.name(), len(b.Cols))
 	}
@@ -180,15 +195,52 @@ func (s *File) AppendCols(b *vec.Batch) (Ref, error) {
 	return ref, err
 }
 
-// Seal writes the buffered tail, if any, and releases the write buffer
-// and encode scratch. Once every appender has returned and the file is
-// sealed, Refs and Bytes are complete. Idempotent.
+// Seal writes the buffered tail, if any, and gives the write buffer and
+// encode scratch to the next File. Once every appender has returned and
+// the file is sealed, Refs and Bytes are complete. Idempotent.
 func (s *File) Seal() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	err := s.flushLocked()
-	s.wbuf, s.buf = vec.Batch{}, nil
+	s.recycleLocked()
 	return err
+}
+
+// storageLocked returns the File's write storage, taking a recycled one
+// on first use.
+func (s *File) storageLocked() *writeBuf {
+	if s.wb == nil {
+		s.wb = writeBufs.Get().(*writeBuf)
+	}
+	return s.wb
+}
+
+// shapeLocked gives the write buffer b's schema, in the storage's
+// columns: a column keeps the mirrors it had (whatever kind it held
+// before, emptied) and starts without a null bitmap.
+func (s *File) shapeLocked(b *vec.Batch) {
+	wb := s.storageLocked()
+	cols := wb.cols[:cap(wb.cols)]
+	if len(cols) < len(b.Cols) {
+		cols = append(cols, make([]vec.Col, len(b.Cols)-len(cols))...)
+	}
+	cols = cols[:len(b.Cols)]
+	for ci := range cols {
+		c := &cols[ci]
+		*c = vec.Col{Kind: b.Cols[ci].Kind, Box: c.Box[:0], I64: c.I64[:0], F64: c.F64[:0], Str: c.Str[:0], B: c.B[:0]}
+	}
+	wb.cols = cols
+	s.wbuf = vec.Batch{Cols: cols}
+}
+
+// recycleLocked drops the rows still buffered and gives the write
+// storage to writeBufs.
+func (s *File) recycleLocked() {
+	if s.wb != nil {
+		emptyBuf(&s.wbuf)
+		writeBufs.Put(s.wb)
+	}
+	s.wb, s.wbuf = nil, vec.Batch{}
 }
 
 // sameSchema reports whether b has the buffered columns' schema: equal
@@ -282,10 +334,16 @@ func (s *File) flushLocked() error {
 		}
 	}
 	_, err := s.writeLocked(w)
-	for ci := range w.Cols {
-		c := &w.Cols[ci]
-		// The buffer must not pin the source storage its strings and
-		// boxed values point into.
+	emptyBuf(w)
+	return err
+}
+
+// emptyBuf empties the buffered rows b, keeping their storage. The
+// storage must not pin the source batches its strings and boxed values
+// point into, in this File or the next one.
+func emptyBuf(b *vec.Batch) {
+	for ci := range b.Cols {
+		c := &b.Cols[ci]
 		clear(c.Str)
 		clear(c.Box)
 		c.I64, c.F64, c.B, c.Str, c.Box = c.I64[:0], c.F64[:0], c.B[:0], c.Str[:0], c.Box[:0]
@@ -293,8 +351,7 @@ func (s *File) flushLocked() error {
 			c.Null = c.Null[:0]
 		}
 	}
-	w.N = 0
-	return err
+	b.N = 0
 }
 
 // writeLocked encodes b, reserves its length at the Disk's end and
@@ -302,11 +359,12 @@ func (s *File) flushLocked() error {
 // only on a full write, so a failed write cannot misalign the Refs of
 // the batches around it.
 func (s *File) writeLocked(b *vec.Batch) (Ref, error) {
-	buf, err := EncodeCols(s.buf[:0], b)
+	wb := s.storageLocked()
+	buf, err := EncodeCols(wb.enc[:0], b)
 	if err != nil {
 		return Ref{}, err
 	}
-	s.buf = buf
+	wb.enc = buf
 	n := int64(len(buf))
 	off := s.disk.end.Add(n) - n
 	if _, err := s.disk.f.WriteAt(buf, off); err != nil {
@@ -363,13 +421,13 @@ func (s *File) Rows() int64 {
 	return s.rows
 }
 
-// Close drops any rows still buffered and the encode scratch; Refs,
-// Bytes and Rows stay readable. A partition leaves its Disk's file in
-// place; a File made by Create also closes and deletes its own.
-// Idempotent.
+// Close drops any rows still buffered and gives the write storage to
+// the next File; Refs, Bytes and Rows stay readable. A partition leaves
+// its Disk's file in place; a File made by Create also closes and
+// deletes its own. Idempotent.
 func (s *File) Close() error {
 	s.mu.Lock()
-	s.wbuf, s.buf = vec.Batch{}, nil
+	s.recycleLocked()
 	s.mu.Unlock()
 	if s.owner {
 		return s.disk.Close()

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -242,6 +243,63 @@ func TestAppendSelBufferBoundAndAllocs(t *testing.T) {
 		t.Fatalf("steady-state AppendSel allocates %.2f per call, want ~0", avg)
 	}
 	checkCoalesced(t, "bound", f.Refs(), flush)
+}
+
+// TestSpillBuffersRecycledZeroAlloc: a sealed File gives its write
+// buffer and encode scratch to the next one (writeBufs), so a second
+// partition's first AppendSel of flushRows rows, its flush and its Seal
+// allocate nothing — the buffers do not regrow by doubling per
+// partition. A recycled buffer keeps none of the strings it pointed
+// into: it must not pin the batches a partition was spilled from.
+func TestSpillBuffersRecycledZeroAlloc(t *testing.T) {
+	const flushRows = 1024
+	rows := make([]Row, flushRows)
+	for i := range rows {
+		rows[i] = Row{i, fmt.Sprintf("v%d", i), float64(i) / 3, i%2 == 0}
+	}
+	b := vec.FromRows(rows)
+	sel := vec.Ident(flushRows)
+	d, err := CreateTemp(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	spill := func(f *File) {
+		if err := f.AppendSel(b, sel, flushRows); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Seal(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	first := d.NewFile()
+	if err := first.AppendSel(b, sel[:flushRows-1], flushRows); err != nil {
+		t.Fatal(err)
+	}
+	wb := first.wb
+	spill(first) // fills the buffer, flushes, seals
+	for ci, c := range wb.cols {
+		if c.Str != nil && slices.ContainsFunc(c.Str[:cap(c.Str)], func(s string) bool { return s != "" }) {
+			t.Fatalf("recycled buffer column %d still points into the spilled strings", ci)
+		}
+		if c.Box != nil && slices.ContainsFunc(c.Box[:cap(c.Box)], func(v any) bool { return v != nil }) {
+			t.Fatalf("recycled buffer column %d still holds boxed values", ci)
+		}
+	}
+
+	const runs = 100
+	files := make([]*File, runs+1)
+	for i := range files {
+		files[i] = d.NewFile()
+	}
+	next := 0
+	if avg := testing.AllocsPerRun(runs, func() { spill(files[next]); next++ }); avg != 0 && !raceEnabled {
+		t.Fatalf("a later partition's first flush allocates %.2f times, want 0", avg)
+	}
+	for _, f := range files {
+		sameRowsExact(t, "recycled", readAll(t, f), rows)
+	}
 }
 
 // TestConcurrentAppendSelThenParallelReads mirrors the engine's usage

@@ -4,6 +4,9 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
+	"runtime/debug"
+	"slices"
 	"testing"
 )
 
@@ -234,12 +237,14 @@ func TestConcatAliasesSinglePart(t *testing.T) {
 
 // TestArenaChunksGrow: the first chunk is small and chunks grow to the
 // steady-state size, so a short query zeroes little and a long one still
-// carves O(1) chunks per batch.
+// carves O(1) chunks per batch. A chunk holds whole carvings of the size
+// that opens it, a row slab's first chunk is the slab alone, and a
+// carving of a quarter chunk or more is an allocation of its own.
 func TestArenaChunksGrow(t *testing.T) {
 	var a chunkArena[int32]
 	var sizes []int
 	for len(sizes) < 5 {
-		a.carve(1)
+		a.carve(1, arenaFirst)
 		if c := cap(a.chunk); len(sizes) == 0 || len(a.chunk) == 1 {
 			sizes = append(sizes, c)
 		}
@@ -248,9 +253,95 @@ func TestArenaChunksGrow(t *testing.T) {
 	if !reflect.DeepEqual(sizes, want) {
 		t.Fatalf("chunk sizes %v, want %v", sizes, want)
 	}
-	if big := a.carve(3 * arenaChunk); len(big) != 3*arenaChunk {
-		t.Fatalf("oversized carve returned %d", len(big))
+	before := len(a.chunk)
+	if big := a.carve(3*arenaChunk, arenaFirst); len(big) != 3*arenaChunk || cap(big) != 3*arenaChunk || len(a.chunk) != before {
+		t.Fatalf("oversized carve returned %d (cap %d) and moved the chunk from %d to %d", len(big), cap(big), before, len(a.chunk))
 	}
+
+	// 256-row x 9-column slabs: the first chunk is one slab, then four,
+	// then seven — never a tail a slab cannot use.
+	const slab = 256 * 9
+	var rows chunkArena[any]
+	sizes = sizes[:0]
+	for range 1 + 4 + 7 + 1 {
+		rows.carve(slab, 1)
+		if len(rows.chunk) == slab {
+			sizes = append(sizes, cap(rows.chunk))
+		}
+	}
+	if want := []int{slab, 4 * slab, 7 * slab, 7 * slab}; !reflect.DeepEqual(sizes, want) {
+		t.Fatalf("row slab chunk sizes %v, want %v", sizes, want)
+	}
+}
+
+// TestRowSlabAllocBytesBound: AppendRows boxes a batch's rows into one
+// slab carved from its arena, and the arena leaves no chunk tail unused.
+// A stream of about-512-row x 9-column batches (a streamed join's result
+// shape: a 1 024-row morsel's filter survivors, joined) through one
+// arena, and a 1-row x 6-column batch through a fresh arena each time (a
+// point query's one result, its Rows' first slab), allocate no more
+// than their slabs' n·w·16 B, each rounded up to its size class — what a
+// bare make of it allocates. Slabs carved ahead into the current chunk
+// are not waste and are not counted.
+func TestRowSlabAllocBytesBound(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // no collector's own allocations in the windows
+	batch := func(n, w int) (*Batch, []Row) {
+		rows := make([]Row, n)
+		for i := range rows {
+			rows[i] = make(Row, w)
+			for ci := range rows[i] {
+				rows[i][ci] = i*w + ci
+			}
+		}
+		return FromRows(rows), rows
+	}
+	for _, c := range []struct {
+		ns    []int // batch rows, cycled
+		w     int
+		runs  int
+		fresh bool
+	}{{[]int{512, 497, 523, 509}, 9, 60, false}, {[]int{1}, 6, 200, true}} {
+		bs := make([]*Batch, len(c.ns))
+		want := make([][]Row, len(c.ns))
+		var bound uint64
+		for i, n := range c.ns {
+			bs[i], want[i] = batch(n, c.w)
+			bound += makeBytes(n*c.w) * uint64(c.runs/len(c.ns))
+		}
+		dst := make([]Row, 0, slices.Max(c.ns))
+		var a Arena
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		for r := range c.runs {
+			if c.fresh {
+				a = Arena{}
+			}
+			dst = bs[r%len(bs)].AppendRows(dst[:0], &a)
+		}
+		runtime.ReadMemStats(&m1)
+		ahead := uint64(cap(a.anys.chunk)-len(a.anys.chunk)) * 16
+		if got := m1.TotalAlloc - m0.TotalAlloc - ahead; got > bound {
+			t.Errorf("%v x %d: AppendRows allocates %d B a batch, want <= %d (its slabs)", c.ns, c.w, got/uint64(c.runs), bound/uint64(c.runs))
+		}
+		if !reflect.DeepEqual(dst, want[(c.runs-1)%len(bs)]) {
+			t.Fatalf("%v x %d: AppendRows returned other rows", c.ns, c.w)
+		}
+	}
+}
+
+// makeBytes is what one make([]any, words) allocates: its bytes rounded
+// up to the allocator's size class (to whole pages past 32 KiB).
+func makeBytes(words int) uint64 {
+	const runs = 16
+	var m0, m1 runtime.MemStats
+	var sink []any
+	runtime.ReadMemStats(&m0)
+	for range runs {
+		sink = make([]any, words)
+	}
+	runtime.ReadMemStats(&m1)
+	runtime.KeepAlive(sink)
+	return (m1.TotalAlloc - m0.TotalAlloc) / runs
 }
 
 // FuzzConcat seals 1–4 appenders of one schema with Concat and checks
