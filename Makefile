@@ -100,8 +100,8 @@ determinism:
 bench:
 	{ $(GO) test -run '^$$' -bench 'BenchmarkKernel' -benchmem ./internal/simtime/; \
 	  $(GO) test -run '^$$' -bench 'Churn|MultiNode' -benchmem ./internal/core/; \
-	  $(GO) test -run '^$$' -bench 'BenchmarkFig6$$|BenchmarkEngineJoinDP$$|ConcurrentQueries|StreamingSink|MultiNodeSkew|SpillJoin|DiskScan|DiskJoinSpill|OptimizeOverhead' -benchtime 10x -benchmem .; \
-	  $(GO) test -run '^$$' -bench 'BenchmarkAdmission|BenchmarkChargeMem|BenchmarkSpillPartitionWrite|BenchmarkJoinProbeGather|BenchmarkJoinGroupFold|BenchmarkSealIndex|BenchmarkActivationRoundTrip' -benchmem ./internal/exec/; \
+	  $(GO) test -run '^$$' -bench 'BenchmarkFig6$$|BenchmarkEngineJoinDP$$|ConcurrentQueries|StreamingSink|MultiNodeSkew|SpillJoin|DiskScan|DiskJoinSpill|OptimizeOverhead|PlanPoint' -benchtime 10x -benchmem .; \
+	  $(GO) test -run '^$$' -bench 'BenchmarkAdmission|BenchmarkChargeMem|BenchmarkSpillPartitionWrite|BenchmarkJoinProbeGather|BenchmarkJoinGroupFold|BenchmarkSealIndex|BenchmarkActivationRoundTrip|BenchmarkCompile' -benchmem ./internal/exec/; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkChunkDecodeSel|BenchmarkEncodeCols|BenchmarkSpillFanout' -benchmem ./internal/spill/; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkReadChunkWhere' -benchmem ./internal/store/; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkApplyPred|BenchmarkBoxRows|BenchmarkBatchBytes' -benchtime 20000x -benchmem ./internal/vec/; \

@@ -19,13 +19,13 @@ package exec
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"strconv"
 	"strings"
 
 	"hierdb/internal/catalog"
 	"hierdb/internal/optimizer"
-	"hierdb/internal/plan"
 	"hierdb/internal/querygen"
 	"hierdb/internal/vec"
 )
@@ -61,11 +61,11 @@ type PlanChoice struct {
 	// the plan was reordered or the mode stops at hints).
 	Reason string
 
-	info *treeInfo
+	// info is the analysis planning ran (analyzed), whose estimates
+	// Describe reports; in off mode Describe analyzes without statistics.
+	info     treeInfo
+	analyzed bool
 }
-
-// dpMaxRelations mirrors the optimizer's DP capacity (2^n subset table).
-const dpMaxRelations = 20
 
 // Default selectivities when statistics cannot answer ([Selinger79]'s
 // magic numbers, unchanged in spirit since).
@@ -83,8 +83,9 @@ func Optimize(root Node, mode OptimizeMode, stats StatsFunc) *PlanChoice {
 	if mode == OptimizeOff || root == nil {
 		return pc
 	}
-	ti := analyzeTree(root, stats)
-	pc.info = ti
+	ti := &pc.info
+	ti.analyze(root, stats)
+	pc.analyzed = true
 	if mode == OptimizeFull && ti.reason == "" {
 		if nr, ok := ti.reorder(); ok {
 			pc.Root = nr
@@ -119,54 +120,77 @@ type qedge struct {
 	sel        float64
 }
 
+// nodeEst is one plan node's estimated output rows and row bytes.
+type nodeEst struct {
+	n             Node
+	est, rowBytes float64
+}
+
 // treeInfo is the analyzed logical tree: its leaves, the predicate
 // graph over them (when extractable), and per-node output estimates.
+// Leaves are numbered in the literal tree's output column order (probe
+// side first), so a subtree's leaves are a run of indices and the
+// literal order is the identity.
 type treeInfo struct {
-	stats    StatsFunc
-	leaves   []leafInfo
-	edges    []qedge
-	order    []int // leaf index sequence in the literal output column order
-	est      map[Node]float64
-	rowBytes map[Node]float64
+	stats  StatsFunc
+	leaves []leafInfo
+	edges  []qedge
+	// ests holds the estimates of every node analyzed or built — the
+	// literal tree's and its clones' — for Explain (estOf).
+	ests []nodeEst
 	// reason is the first condition blocking reordering ("" = clean).
 	reason string
 }
 
-// analyzeTree walks the plan bottom-up, estimating every node's output
+// analyze walks the plan bottom-up, estimating every node's output
 // cardinality and extracting the predicate graph for the DP search.
-func analyzeTree(root Node, stats StatsFunc) *treeInfo {
-	ti := &treeInfo{
-		stats:    stats,
-		est:      make(map[Node]float64),
-		rowBytes: make(map[Node]float64),
-	}
-	ti.order, _ = ti.walk(root)
+func (ti *treeInfo) analyze(root Node, stats StatsFunc) {
+	ti.stats = stats
+	ops, scans, _, _ := planSize(root)
+	joins := (ops - scans) / 2
+	ti.leaves = make([]leafInfo, 0, scans)
+	ti.edges = make([]qedge, 0, joins)
+	ti.ests = make([]nodeEst, 0, 2*(scans+joins)) // the literal nodes, then their clones
+	ti.walk(root)
 	if ti.reason == "" {
 		switch n := len(ti.leaves); {
 		case n < 2:
 			ti.reason = "single-relation plan"
-		case n > dpMaxRelations:
-			ti.reason = fmt.Sprintf("%d relations exceed the DP capacity (%d)", n, dpMaxRelations)
+		case n > optimizer.MaxRelations:
+			ti.reason = fmt.Sprintf("%d relations exceed the DP capacity (%d)", n, optimizer.MaxRelations)
 		}
 	}
-	return ti
 }
 
-// walk analyzes one subtree, returning its leaf order and column width.
-func (ti *treeInfo) walk(n Node) (order []int, width int) {
+// record notes a node's estimates.
+func (ti *treeInfo) record(n Node, est, rowBytes float64) {
+	ti.ests = append(ti.ests, nodeEst{n: n, est: est, rowBytes: rowBytes})
+}
+
+// estOf is a node's last recorded estimates (zero when it has none).
+func (ti *treeInfo) estOf(n Node) nodeEst {
+	for i := len(ti.ests) - 1; i >= 0; i-- {
+		if ti.ests[i].n == n {
+			return ti.ests[i]
+		}
+	}
+	return nodeEst{}
+}
+
+// walk analyzes one subtree, appending its leaves, and returns its
+// column width and estimates.
+func (ti *treeInfo) walk(n Node) (width int, est, rowBytes float64) {
 	switch v := n.(type) {
 	case *Scan:
 		if v.Table == nil {
 			ti.block("scan without a table")
-			return nil, 0
+			return 0, 0, 0
 		}
-		li := len(ti.leaves)
 		var st *catalog.TableStats
 		if ti.stats != nil {
 			st = ti.stats(v.Table)
 		}
-		base := float64(v.Table.NumRows())
-		est := estimateScan(v, st, base)
+		est := estimateScan(v, st, float64(v.Table.NumRows()))
 		rb := float64(catalog.DefaultTupleBytes)
 		if st != nil && st.AvgRowBytes > 0 {
 			rb = st.AvgRowBytes
@@ -177,14 +201,13 @@ func (ti *treeInfo) walk(n Node) (order []int, width int) {
 			}
 		}
 		ti.leaves = append(ti.leaves, leafInfo{scan: v, width: len(v.Table.Cols), est: est, rowBytes: rb, st: st})
-		ti.est[v] = est
-		ti.rowBytes[v] = rb
-		return []int{li}, len(v.Table.Cols)
+		ti.record(v, est, rb)
+		return len(v.Table.Cols), est, rb
 	case *Join:
-		po, pw := ti.walk(v.Probe)
-		bo, bw := ti.walk(v.Build)
-		order = append(append(make([]int, 0, len(po)+len(bo)), po...), bo...)
-		width = pw + bw
+		plo := len(ti.leaves)
+		pw, pEst, pRB := ti.walk(v.Probe)
+		blo := len(ti.leaves)
+		bw, bEst, bRB := ti.walk(v.Build)
 		var e *qedge
 		if ti.reason == "" {
 			switch {
@@ -195,13 +218,12 @@ func (ti *treeInfo) walk(n Node) (order []int, width int) {
 			case v.ProbeKey < 0 || v.ProbeKey >= pw || v.BuildKey < 0 || v.BuildKey >= bw:
 				ti.block("a join key column is out of range") // compile rejects the plan
 			default:
-				la, ca := ti.locate(po, v.ProbeKey)
-				lb, cb := ti.locate(bo, v.BuildKey)
+				la, ca := ti.locate(plo, v.ProbeKey)
+				lb, cb := ti.locate(blo, v.BuildKey)
 				ti.edges = append(ti.edges, qedge{a: la, acol: ca, b: lb, bcol: cb})
 				e = &ti.edges[len(ti.edges)-1]
 			}
 		}
-		pEst, bEst := ti.est[v.Probe], ti.est[v.Build]
 		est := pEst // the legacy scheduling default (selectivity 1)
 		var sel float64
 		switch {
@@ -233,12 +255,11 @@ func (ti *treeInfo) walk(n Node) (order []int, width int) {
 			}
 			e.sel = sel
 		}
-		ti.est[v] = est
-		ti.rowBytes[v] = ti.rowBytes[v.Probe] + ti.rowBytes[v.Build]
-		return order, width
+		ti.record(v, est, pRB+bRB)
+		return pw + bw, est, pRB + bRB
 	default:
 		ti.block(fmt.Sprintf("unknown plan node %T", n))
-		return nil, 0
+		return 0, 0, 0
 	}
 }
 
@@ -249,12 +270,13 @@ func (ti *treeInfo) block(reason string) {
 	}
 }
 
-// locate maps a column of a subtree's concatenated schema back to the
-// leaf it projects and the column index local to that leaf.
+// locate maps a column of the concatenated schema of the subtree whose
+// leaves start at lo back to the leaf it projects and the column index
+// local to that leaf.
 //
 //hierdb:hotpath
-func (ti *treeInfo) locate(order []int, col int) (leaf, local int) {
-	for _, li := range order {
+func (ti *treeInfo) locate(lo, col int) (leaf, local int) {
+	for li := lo; li < len(ti.leaves); li++ {
 		w := ti.leaves[li].width
 		if col < w {
 			return li, col
@@ -375,21 +397,21 @@ func (ti *treeInfo) annotate(n Node) Node {
 	switch v := n.(type) {
 	case *Scan:
 		ns := *v
+		e := ti.estOf(v)
 		if ns.RowsHint <= 0 {
-			ns.RowsHint = roundEst(ti.est[v])
+			ns.RowsHint = roundEst(e.est)
 		}
-		ti.est[&ns] = ti.est[v]
-		ti.rowBytes[&ns] = ti.rowBytes[v]
+		ti.record(&ns, e.est, e.rowBytes)
 		return &ns
 	case *Join:
 		nj := *v
 		nj.Probe = ti.annotate(v.Probe)
 		nj.Build = ti.annotate(v.Build)
+		e := ti.estOf(v)
 		if nj.RowsHint <= 0 {
-			nj.RowsHint = roundEst(ti.est[v])
+			nj.RowsHint = roundEst(e.est)
 		}
-		ti.est[&nj] = ti.est[v]
-		ti.rowBytes[&nj] = ti.rowBytes[v]
+		ti.record(&nj, e.est, e.rowBytes)
 		return &nj
 	default:
 		return n
@@ -400,73 +422,59 @@ func (ti *treeInfo) annotate(n Node) Node {
 // Full reordering: DP search + exec-tree rebuild
 // ---------------------------------------------------------------------
 
-// reorder runs the DP over the extracted predicate graph and rebuilds
+// reorder runs the DP over the extracted predicate graph — the leaves'
+// estimates as cardinalities, the edges' selectivities — and rebuilds
 // the winning tree as an exec plan. ok = false (with reason set) when
-// the graph fails optimizer validation.
+// the search rejects the graph.
 func (ti *treeInfo) reorder() (Node, bool) {
 	n := len(ti.leaves)
-	rels := make([]*catalog.Relation, n)
+	cards := make([]float64, n)
 	for i := range ti.leaves {
-		l := &ti.leaves[i]
-		tb := int64(l.rowBytes)
-		if tb < 1 {
-			tb = 1
-		}
-		rels[i] = &catalog.Relation{
-			Name:        "r" + strconv.Itoa(i),
-			Cardinality: roundEst(l.est),
-			TupleBytes:  tb,
-			Home:        []int{0},
-		}
+		cards[i] = float64(roundEst(ti.leaves[i].est))
 	}
 	edges := make([]querygen.Edge, len(ti.edges))
 	for i, e := range ti.edges {
 		edges[i] = querygen.Edge{A: e.a, B: e.b, Selectivity: e.sel}
 	}
-	qq := &querygen.Query{Name: "bridge", Relations: rels, Edges: edges}
-	if err := qq.Validate(); err != nil {
+	s, err := optimizer.SearchGraph(cards, edges)
+	if err != nil {
 		ti.block(fmt.Sprintf("predicate graph rejected: %v", err))
 		return nil, false
 	}
-	trees := (&optimizer.Optimizer{}).BestTrees(qq, 1)
-	if len(trees) == 0 {
-		ti.block("DP search produced no plan")
-		return nil, false
-	}
-	relIdx := make(map[*catalog.Relation]int, n)
-	for i, r := range rels {
-		relIdx[r] = i
-	}
-	node, order, _, _ := ti.rebuild(trees[0], relIdx)
-	root, isJoin := node.(*Join)
-	if !isJoin {
-		ti.block("DP search produced a leaf plan")
-		return nil, false
-	}
-	if !slices.Equal(order, ti.order) {
-		return ti.permuteRoot(root, order), true
+	order := make([]int, n)
+	node, _, _ := ti.rebuild(&s, s.Full(), order)
+	root := node.(*Join)
+	for i, li := range order {
+		if li != i {
+			root.Out = ti.permutation(order)
+			break
+		}
 	}
 	return root, true
 }
 
-// rebuild turns one plan.JoinNode subtree into an exec subtree,
-// returning the node, its leaf order, estimated cardinality, and leaf
-// bitmask. Leaves reuse the literal scans (cloned, with hints); build
-// sides follow plan.BuildAuto's smaller-input rule.
-func (ti *treeInfo) rebuild(jn *plan.JoinNode, relIdx map[*catalog.Relation]int) (Node, []int, float64, uint32) {
-	if jn.IsLeaf() {
-		i := relIdx[jn.Rel]
+// rebuild turns the search's tree for subset m into an exec subtree,
+// writing its leaf order into order (exactly as long as m has leaves)
+// and returning the node with its estimated cardinality and row bytes.
+// Leaves reuse the literal scans (cloned, with hints); build sides
+// follow plan.BuildAuto's smaller-input rule.
+func (ti *treeInfo) rebuild(s *optimizer.Search, m uint32, order []int) (Node, float64, float64) {
+	if bits.OnesCount32(m) == 1 {
+		i := bits.TrailingZeros32(m)
 		l := &ti.leaves[i]
 		ns := *l.scan
 		if ns.RowsHint <= 0 {
 			ns.RowsHint = roundEst(l.est)
 		}
-		ti.est[&ns] = l.est
-		ti.rowBytes[&ns] = l.rowBytes
-		return &ns, []int{i}, l.est, 1 << uint(i)
+		ti.record(&ns, l.est, l.rowBytes)
+		order[0] = i
+		return &ns, l.est, l.rowBytes
 	}
-	ln, lorder, lcard, lmask := ti.rebuild(jn.Left, relIdx)
-	rn, rorder, rcard, rmask := ti.rebuild(jn.Right, relIdx)
+	lmask := s.Split(m)
+	rmask := m ^ lmask
+	nl := bits.OnesCount32(lmask)
+	ln, lcard, lrb := ti.rebuild(s, lmask, order[:nl])
+	rn, rcard, rrb := ti.rebuild(s, rmask, order[nl:])
 	// The predicate graph is a tree, so exactly one edge crosses the
 	// split the DP chose.
 	var e *qedge
@@ -478,11 +486,13 @@ func (ti *treeInfo) rebuild(jn *plan.JoinNode, relIdx map[*catalog.Relation]int)
 			break
 		}
 	}
-	probeN, probeOrder, probeMask := ln, lorder, lmask
-	buildN, buildOrder := rn, rorder
+	probeN, buildN, probeMask, np := ln, rn, lmask, nl
 	if lcard < rcard {
-		probeN, probeOrder, probeMask = rn, rorder, rmask
-		buildN, buildOrder = ln, lorder
+		// The right part probes: its leaves come first.
+		probeN, buildN, probeMask, np = rn, ln, rmask, len(order)-nl
+		slices.Reverse(order)
+		slices.Reverse(order[:np])
+		slices.Reverse(order[np:])
 	}
 	out := e.sel * lcard * rcard
 	if out < 1 {
@@ -492,19 +502,15 @@ func (ti *treeInfo) rebuild(jn *plan.JoinNode, relIdx map[*catalog.Relation]int)
 	if probeMask&(uint32(1)<<uint(e.a)) == 0 {
 		pLeaf, pCol, bLeaf, bCol = e.b, e.bcol, e.a, e.acol
 	}
-	pk := ti.offsetOf(probeOrder, pLeaf) + pCol
-	bk := ti.offsetOf(buildOrder, bLeaf) + bCol
 	j := &Join{
 		Build:    buildN,
 		Probe:    probeN,
-		BuildKey: bk,
-		ProbeKey: pk,
+		BuildKey: ti.offsetOf(order[np:], bLeaf) + bCol,
+		ProbeKey: ti.offsetOf(order[:np], pLeaf) + pCol,
 		RowsHint: roundEst(out),
 	}
-	ti.est[j] = out
-	ti.rowBytes[j] = ti.rowBytes[probeN] + ti.rowBytes[buildN]
-	order := append(append(make([]int, 0, len(probeOrder)+len(buildOrder)), probeOrder...), buildOrder...)
-	return j, order, out, lmask | rmask
+	ti.record(j, out, lrb+rrb)
+	return j, out, lrb + rrb
 }
 
 // offsetOf is the column offset of a leaf within a subtree's
@@ -522,28 +528,23 @@ func (ti *treeInfo) offsetOf(order []int, leaf int) int {
 	return off
 }
 
-// permuteRoot gives the reordered tree's root join the Out list that
-// restores the literal builder's output column order, so callers (and
-// any GroupBy key over column positions) observe identical rows.
-func (ti *treeInfo) permuteRoot(root *Join, newOrder []int) Node {
-	newOff := make([]int, len(ti.leaves))
-	off := 0
-	for _, li := range newOrder {
-		newOff[li] = off
-		off += ti.leaves[li].width
+// permutation is the reordered root join's Out list: it restores the
+// literal builder's output column order (leaf 0's columns first), so
+// callers (and any GroupBy key over column positions) observe identical
+// rows.
+func (ti *treeInfo) permutation(order []int) []int {
+	width := 0
+	for i := range ti.leaves {
+		width += ti.leaves[i].width
 	}
-	perm := make([]int, 0, off)
-	for _, li := range ti.order {
-		base := newOff[li]
+	perm := make([]int, 0, width)
+	for li := range ti.leaves {
+		base := ti.offsetOf(order, li)
 		for c := 0; c < ti.leaves[li].width; c++ {
 			perm = append(perm, base+c)
 		}
 	}
-	j := *root
-	j.Out = perm
-	ti.est[&j] = ti.est[root]
-	ti.rowBytes[&j] = ti.rowBytes[root]
-	return &j
+	return perm
 }
 
 // ---------------------------------------------------------------------
@@ -587,8 +588,9 @@ type ExplainNode struct {
 // plan would run on (the spill heuristic divides build bytes across its
 // nodes and compares them with its MemoryPerNode budget).
 func (pc *PlanChoice) Describe(gb *GroupBy, cfg EngineConfig) (*ExplainNode, error) {
-	if pc.info == nil {
-		pc.info = analyzeTree(pc.Root, nil)
+	if !pc.analyzed {
+		pc.info.analyze(pc.Root, nil)
+		pc.analyzed = true
 	}
 	phys, err := compile(pc.Root)
 	if err != nil {
@@ -611,7 +613,7 @@ func (ti *treeInfo) describeOp(p *physical, op *pop, budget int64, nodes int) *E
 			Table:     s.Table.Name,
 			Preds:     len(s.Preds),
 			Filtered:  s.Filter != nil,
-			EstRows:   roundEst(ti.est[s]),
+			EstRows:   roundEst(ti.estOf(s).est),
 			ActRows:   -1,
 			OpID:      op.id,
 			BuildOpID: -1,
@@ -621,12 +623,12 @@ func (ti *treeInfo) describeOp(p *physical, op *pop, budget int64, nodes int) *E
 		j := op.join
 		strat := "hash"
 		// What a node is charged for its share of the build (buildBytes).
-		if perNode := ti.est[j.Build] * (ti.rowBytes[j.Build] + sealIndexRowBytes) / float64(nodes); budget > 0 && perNode > float64(budget) {
+		if b := ti.estOf(j.Build); budget > 0 && b.est*(b.rowBytes+sealIndexRowBytes)/float64(nodes) > float64(budget) {
 			strat = "hash, grace spill expected"
 		}
 		return &ExplainNode{
 			Kind:      "join",
-			EstRows:   roundEst(ti.est[j]),
+			EstRows:   roundEst(ti.estOf(j).est),
 			ActRows:   -1,
 			Strategy:  strat,
 			OpID:      op.id,

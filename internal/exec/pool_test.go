@@ -276,11 +276,11 @@ func TestLiveConsumerBesideStalledOnes(t *testing.T) {
 // that Close could no longer abort).
 func TestUndrainedGroupByDoesNotWedgePool(t *testing.T) {
 	checkQueryHygiene(t)
-	pool, err := NewNodesConfig(EngineConfig{Workers: 2})
+	pool, err := NewNodesConfig(EngineConfig{Workers: 2, Batch: 1024})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// ~5000 groups -> 5 batches of 1 024, beyond the queue bound of 4; never read.
+	// 5000 groups -> 5 batches of 1 024, beyond the queue bound of 4; never read.
 	gb := &GroupBy{Key: 0, Aggs: []Aggregation{{Func: Count}}}
 	if _, err := pool.Submit(context.Background(), aggPlan(20_000, 5000), gb, ""); err != nil {
 		t.Fatal(err)
@@ -355,8 +355,8 @@ func TestFinishedGroupByFreesSlotUnread(t *testing.T) {
 // workers alone — and cancelling their context still ends every one.
 func TestUnreadQueriesAddNoGoroutines(t *testing.T) {
 	checkQueryHygiene(t)
-	ns := newNodesT(t, EngineConfig{Workers: 2})
-	plan := starPlan(11, 20_000) // 20 result batches: production pauses at 4
+	ns := newNodesT(t, EngineConfig{Workers: 2, Batch: 1024})
+	plan := starPlan(11, 20_000) // 20 result batches of 1 024: production pauses at 4
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	base := runtime.NumGoroutine()

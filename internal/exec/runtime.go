@@ -49,9 +49,11 @@ type pop struct {
 }
 
 type physical struct {
-	ops    []*pop
-	chains [][]*pop
+	ops    []pop    // by id, one slab
+	chains [][]*pop // in dependency order; their operators one slab
 	root   *pop
+	// kinds is the slab the operators' schemas are carved from.
+	kinds []vec.Kind
 }
 
 // compile macro-expands the logical tree into scan/build/probe operators
@@ -59,20 +61,50 @@ type physical struct {
 // operator's schema on the way up and rejecting a key or output column
 // its input does not have.
 func compile(root Node) (*physical, error) {
-	p := &physical{}
+	nops, nscans, _, nkinds := planSize(root)
+	p := &physical{ops: make([]pop, 0, nops), kinds: make([]vec.Kind, 0, nkinds)}
 	out, err := p.expand(root)
 	if err != nil {
 		return nil, err
 	}
 	p.root = out
-	p.buildChains()
+	p.buildChains(nscans)
 	return p, nil
 }
 
+// planSize sizes compile's slabs for the tree at n: its operators and
+// scans, its output width, and the kinds all its operators' schemas
+// hold (a build shares its input's).
+func planSize(n Node) (ops, scans, width, kinds int) {
+	switch v := n.(type) {
+	case *Scan:
+		if v.Table != nil {
+			width = scanWidth(v.Table)
+		}
+		return 1, 1, width, width
+	case *Join:
+		po, ps, pw, pk := planSize(v.Probe)
+		bo, bs, bw, bk := planSize(v.Build)
+		width = pw + bw
+		if len(v.Out) > 0 {
+			width = len(v.Out)
+		}
+		return po + bo + 2, ps + bs, width, pk + bk + width
+	}
+	return 0, 0, 0, 0
+}
+
+// newOp appends an operator to the slab, which planSize sized for every
+// operator expand creates: operators point at each other, so the slab
+// never moves.
 func (p *physical) newOp(kind opKind) *pop {
-	op := &pop{id: len(p.ops), kind: kind, chain: -1}
-	p.ops = append(p.ops, op)
-	return op
+	p.ops = append(p.ops, pop{id: len(p.ops), kind: kind, chain: -1})
+	return &p.ops[len(p.ops)-1]
+}
+
+// schema carves the kinds appended since start from the kinds slab.
+func (p *physical) schema(start int) []vec.Kind {
+	return p.kinds[start:len(p.kinds):len(p.kinds)]
 }
 
 func (p *physical) expand(n Node) (*pop, error) {
@@ -84,7 +116,9 @@ func (p *physical) expand(n Node) (*pop, error) {
 		op := p.newOp(opScan)
 		op.scan = v
 		op.est = v.estimate()
-		op.outKinds, op.src = scanSchema(v.Table)
+		start := len(p.kinds)
+		p.kinds, op.src = scanSchema(p.kinds, v.Table)
+		op.outKinds = p.schema(start)
 		return op, nil
 	case *Join:
 		b, err := p.expand(v.Build)
@@ -116,7 +150,9 @@ func (p *physical) expand(n Node) (*pop, error) {
 		bld.est = v.Build.estimate()
 		prb.est = v.estimate()
 		bld.keyCol, prb.keyCol = v.BuildKey, v.ProbeKey
-		bld.outKinds, prb.outKinds = b.outKinds, joinKinds(pr.outKinds, b.outKinds, v.Out)
+		start := len(p.kinds)
+		p.kinds = joinKinds(p.kinds, pr.outKinds, b.outKinds, v.Out)
+		bld.outKinds, prb.outKinds = b.outKinds, p.schema(start)
 		return prb, nil
 	case nil:
 		return nil, fmt.Errorf("exec: nil plan node (missing join input?)")
@@ -125,70 +161,59 @@ func (p *physical) expand(n Node) (*pop, error) {
 	}
 }
 
-func (p *physical) buildChains() {
-	for _, op := range p.ops {
-		if op.kind != opScan {
+// buildChains cuts the operators into pipeline chains — one per scan,
+// following consumers through the first build or to the root — and
+// orders them topologically: the chain building a hash table precedes
+// the chain probing it, and among ready chains the one of the earliest
+// scan goes first.
+func (p *physical) buildChains(nscans int) {
+	scratch := make([]int, 2*nscans)
+	head, indeg := scratch[:nscans], scratch[nscans:]
+	c := 0
+	for i := range p.ops {
+		if p.ops[i].kind != opScan {
 			continue
 		}
-		chain := []*pop{op}
-		cur := op
-		for cur.consumer != nil {
-			chain = append(chain, cur.consumer)
-			if cur.consumer.kind == opBuild {
-				break
-			}
-			cur = cur.consumer
+		head[c] = i
+		for op := &p.ops[i]; op != nil; op = op.chainNext() {
+			op.chain = c
 		}
-		id := len(p.chains)
-		for _, c := range chain {
-			c.chain = id
-		}
-		p.chains = append(p.chains, chain)
+		c++
 	}
-	// Topological order: the chain building a hash table precedes the
-	// chain probing it.
-	n := len(p.chains)
-	succ := make([][]int, n)
-	indeg := make([]int, n)
-	for _, op := range p.ops {
-		if op.kind != opBuild {
-			continue
-		}
-		succ[op.chain] = append(succ[op.chain], op.partner.chain)
-		indeg[op.partner.chain]++
-	}
-	var order []int
-	ready := []int{}
-	for i := 0; i < n; i++ {
-		if indeg[i] == 0 {
-			ready = append(ready, i)
+	for i := range p.ops {
+		if op := &p.ops[i]; op.kind == opBuild {
+			indeg[op.partner.chain]++
 		}
 	}
-	for len(ready) > 0 {
-		best := 0
-		for i := 1; i < len(ready); i++ {
-			if ready[i] < ready[best] {
-				best = i
-			}
+	p.chains = make([][]*pop, nscans)
+	slab := make([]*pop, 0, len(p.ops))
+	for id := range p.chains {
+		c := slices.Index(indeg, 0)
+		indeg[c] = -1 // ordered
+		start := len(slab)
+		for op := &p.ops[head[c]]; op != nil; op = op.chainNext() {
+			slab = append(slab, op)
 		}
-		c := ready[best]
-		ready = append(ready[:best], ready[best+1:]...)
-		order = append(order, c)
-		for _, s := range succ[c] {
-			indeg[s]--
-			if indeg[s] == 0 {
-				ready = append(ready, s)
-			}
+		chain := slab[start:len(slab):len(slab)]
+		// The probe chain this one builds for still holds its scan-order
+		// id: it is not ready before this chain is ordered.
+		if last := chain[len(chain)-1]; last.kind == opBuild {
+			indeg[last.partner.chain]--
 		}
+		for _, op := range chain {
+			op.chain = id
+		}
+		p.chains[id] = chain
 	}
-	reordered := make([][]*pop, n)
-	for newID, oldID := range order {
-		reordered[newID] = p.chains[oldID]
-		for _, op := range reordered[newID] {
-			op.chain = newID
-		}
+}
+
+// chainNext is the operator after op in its pipeline chain, nil when op
+// ends it: a build, or the root.
+func (op *pop) chainNext() *pop {
+	if op.kind == opBuild {
+		return nil
 	}
-	p.chains = reordered
+	return op.consumer
 }
 
 // activation is a self-contained unit of work: a scan morsel, a batch
@@ -358,21 +383,39 @@ func newFragment(mq *mquery, node int) *query {
 	p := mq.nodes.pools[node]
 	q := &query{mq: mq, node: node, pool: p, mem: p.mem}
 	workers := cfg.Workers
-	for _, op := range phys.ops {
-		or := &opRun{op: op}
+	// The operators' runtime state, and their build parts, locks, held
+	// counts and spill state, are one block each.
+	runs := make([]opRun, len(phys.ops))
+	q.ops = make([]*opRun, len(phys.ops))
+	builds := (len(phys.ops) - len(phys.chains)) / 2
+	parts := make([]*vec.Appender, builds*workers)
+	locks := make([]sync.Mutex, builds*workers)
+	var held []int64
+	var spills []joinSpill
+	if q.mem != nil {
+		held = make([]int64, builds*workers)
+		spills = make([]joinSpill, builds)
+	}
+	b := 0
+	for i := range phys.ops {
+		op := &phys.ops[i]
+		or := &runs[i]
+		or.op = op
 		if op.kind == opBuild {
-			or.parts = make([]*vec.Appender, workers)
-			or.locks = make([]sync.Mutex, workers)
+			w := b * workers
+			or.parts = parts[w : w+workers : w+workers]
+			or.locks = locks[w : w+workers : w+workers]
 			or.partHint = partHint(op.est, workers*mq.n)
 			if s, ok := op.join.Build.(*Scan); ok {
 				or.partHint = min(or.partHint, s.Table.NumRows())
 			}
 			if q.mem != nil {
-				or.spill = &joinSpill{}
-				or.held = make([]int64, workers)
+				or.spill = &spills[b]
+				or.held = held[w : w+workers : w+workers]
 			}
+			b++
 		}
-		q.ops = append(q.ops, or)
+		q.ops[i] = or
 	}
 	q.varenas = make([]vec.Arena, workers)
 	q.vscratch = p.vscratch

@@ -85,8 +85,8 @@ func TestStreamCancelMidIteration(t *testing.T) {
 // first batch must arrive while the query is still in flight.
 func TestStreamsBeforeCompletion(t *testing.T) {
 	checkQueryHygiene(t)
-	pool := newNodesT(t, EngineConfig{Workers: 4})
-	// ~200k result rows -> ~800 batches of 256, far beyond the sink's
+	pool := newNodesT(t, EngineConfig{Workers: 4, Batch: 1024})
+	// 200k result rows -> ~196 batches of 1 024, far beyond the sink's
 	// 2*workers bound: the producer cannot run ahead of the consumer.
 	h, err := pool.Submit(context.Background(), cancelPlan(200_000), nil, "")
 	if err != nil {

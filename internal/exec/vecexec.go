@@ -38,7 +38,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"slices"
 
 	"hierdb/internal/vec"
 )
@@ -68,49 +67,63 @@ func fnvString(s string) uint64 {
 // Operator schemas
 // ---------------------------------------------------------------------
 
-// scanSchema is a scan's output schema and, for a resident table, the
-// columnization it reads — one snapshot for both. A file-backed table's
-// schema is its footer's — exactly what a resident FromRows over the
-// table would have resolved; a resident table's is its columnization's,
-// as wide as its widest row (a shorter row is null in the columns it
-// lacks); a table without rows is as wide as it declares (Cols).
-func scanSchema(t *Table) ([]vec.Kind, *vec.Batch) {
+// scanSchema appends a scan's output schema to kinds and returns it with,
+// for a resident table, the columnization it reads — one snapshot for
+// both. A file-backed table's schema is its footer's — exactly what a
+// resident FromRows over the table would have resolved; a resident
+// table's is its columnization's, as wide as its widest row (a shorter
+// row is null in the columns it lacks); a table without rows is as wide
+// as it declares (Cols).
+func scanSchema(kinds []vec.Kind, t *Table) ([]vec.Kind, *vec.Batch) {
 	if ft := t.File; ft != nil {
-		return append([]vec.Kind(nil), ft.Kinds()...), nil
+		return append(kinds, ft.Kinds()...), nil
 	}
 	tb := t.Columnar()
 	if tb.N == 0 {
-		return make([]vec.Kind, len(t.Cols)), tb
+		return append(kinds, make([]vec.Kind, len(t.Cols))...), tb
 	}
-	kinds := make([]vec.Kind, len(tb.Cols))
 	for i := range tb.Cols {
-		kinds[i] = tb.Cols[i].Kind
+		kinds = append(kinds, tb.Cols[i].Kind)
 	}
 	return kinds, tb
 }
 
-// joinKinds is a probe operator's output schema: the columns out lists
-// (empty = all) of the probe input's kinds followed by the build input's.
-// A join's output batches carry build columns as its sealed store holds
-// them, and the store holds them with the build input's kinds: every
-// batch a build part or a partition load appends has them.
-func joinKinds(probe, build []vec.Kind, out []int) []vec.Kind {
-	all := slices.Concat(probe, build)
-	if len(out) == 0 {
-		return all
+// scanWidth is the width of t's scanSchema.
+func scanWidth(t *Table) int {
+	if ft := t.File; ft != nil {
+		return len(ft.Kinds())
 	}
-	kinds := make([]vec.Kind, len(out))
-	for i, c := range out {
-		kinds[i] = all[c]
+	if tb := t.Columnar(); tb.N > 0 {
+		return len(tb.Cols)
+	}
+	return len(t.Cols)
+}
+
+// joinKinds appends a probe operator's output schema to kinds: the
+// columns out lists (empty = all) of the probe input's kinds followed by
+// the build input's. A join's output batches carry build columns as its
+// sealed store holds them, and the store holds them with the build
+// input's kinds: every batch a build part or a partition load appends
+// has them.
+func joinKinds(kinds, probe, build []vec.Kind, out []int) []vec.Kind {
+	if len(out) == 0 {
+		return append(append(kinds, probe...), build...)
+	}
+	for _, c := range out {
+		if c < len(probe) {
+			kinds = append(kinds, probe[c])
+		} else {
+			kinds = append(kinds, build[c-len(probe)])
+		}
 	}
 	return kinds
 }
 
 // producerOf finds the operator feeding op (nil for scans).
 func producerOf(p *physical, op *pop) *pop {
-	for _, o := range p.ops {
-		if o.consumer == op {
-			return o
+	for i := range p.ops {
+		if p.ops[i].consumer == op {
+			return &p.ops[i]
 		}
 	}
 	return nil

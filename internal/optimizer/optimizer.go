@@ -14,6 +14,7 @@ import (
 	"math"
 	"math/bits"
 
+	"hierdb/internal/catalog"
 	"hierdb/internal/cluster"
 	"hierdb/internal/plan"
 	"hierdb/internal/querygen"
@@ -36,62 +37,61 @@ func New(costs plan.Costs, cfg cluster.Config) *Optimizer {
 
 type mask = uint32
 
+// MaxRelations is the search's capacity: its table has 2^n entries.
+const MaxRelations = 20
+
 type dpEntry struct {
 	cost  float64 // sum of intermediate result cardinalities
 	card  float64 // output cardinality of the sub-plan
 	split mask    // winning left part; 0 for single relations
+	conn  bool    // the subset induces a connected subgraph
 	sel   float64 // selectivity of the crossing edge of the split
 }
 
-type searchState struct {
-	q     *querygen.Query
-	n     int
-	adj   [][]int // adjacency: relation -> incident edge indices
-	other []map[int]int
-	conn  []bool
+// Search is the DP table of one search: for every connected subset of
+// the relations, its cheapest join tree's cost, cardinality and root
+// split.
+type Search struct {
 	best  []dpEntry
+	edges []querygen.Edge
 }
 
-// search runs the DP and returns the state. It panics on queries with more
-// than 20 relations (2^n table) or invalid structure.
-func (o *Optimizer) search(q *querygen.Query) *searchState {
-	if err := q.Validate(); err != nil {
-		panic(err)
+// SearchGraph runs the DP over a predicate graph in slice form: cards[i]
+// is relation i's cardinality and edges a spanning tree over the
+// relations. The objective reads nothing else of a query, so the
+// engine's planning bridge searches its own estimates through it without
+// building one; BestTrees is its wrapper for a generated query. It fails
+// on more than MaxRelations relations or when edges do not span a tree.
+func SearchGraph(cards []float64, edges []querygen.Edge) (Search, error) {
+	n := len(cards)
+	if n < 2 || n > MaxRelations || len(edges) != n-1 {
+		return Search{}, fmt.Errorf("optimizer: %d relations and %d edges (the search takes a tree of 2 to %d relations)", n, len(edges), MaxRelations)
 	}
-	n := len(q.Relations)
-	if n > 20 {
-		panic(fmt.Sprintf("optimizer: %d relations exceeds DP capacity", n))
-	}
-	s := &searchState{q: q, n: n}
-	s.adj = make([][]int, n)
-	s.other = make([]map[int]int, n)
-	for i := range s.other {
-		s.other[i] = make(map[int]int)
-	}
-	for ei, e := range q.Edges {
-		s.adj[e.A] = append(s.adj[e.A], ei)
-		s.adj[e.B] = append(s.adj[e.B], ei)
-		s.other[e.A][e.B] = ei
-		s.other[e.B][e.A] = ei
+	// nbr[v] is v's neighbourhood; connectivity is a mask fixpoint over
+	// it, on the stack.
+	var nbr [MaxRelations]mask
+	for i, e := range edges {
+		if e.A < 0 || e.A >= n || e.B < 0 || e.B >= n || e.A == e.B || !(e.Selectivity > 0) {
+			return Search{}, fmt.Errorf("optimizer: edge %d joins %d,%d with selectivity %g", i, e.A, e.B, e.Selectivity)
+		}
+		nbr[e.A] |= mask(1) << e.B
+		nbr[e.B] |= mask(1) << e.A
 	}
 	size := 1 << n
-	s.conn = make([]bool, size)
-	s.best = make([]dpEntry, size)
-	for i := range s.best {
-		s.best[i] = dpEntry{cost: math.Inf(1)}
-	}
-	// Connectivity and single-relation base cases.
+	s := Search{best: make([]dpEntry, size), edges: edges}
 	for m := 1; m < size; m++ {
-		s.conn[m] = s.connected(mask(m))
+		s.best[m] = dpEntry{cost: math.Inf(1), conn: connected(mask(m), &nbr)}
 	}
-	for i := 0; i < n; i++ {
-		m := mask(1) << i
-		s.best[m] = dpEntry{cost: 0, card: float64(q.Relations[i].Cardinality)}
+	if !s.best[size-1].conn {
+		return Search{}, fmt.Errorf("optimizer: graph of %d relations not connected", n)
+	}
+	for i, c := range cards {
+		s.best[1<<i] = dpEntry{cost: 0, card: c, conn: true}
 	}
 	// DP over subsets in increasing popcount (increasing numeric order
 	// suffices because every proper submask is numerically smaller).
 	for m := mask(1); int(m) < size; m++ {
-		if !s.conn[m] || bits.OnesCount32(uint32(m)) < 2 {
+		if !s.best[m].conn || bits.OnesCount32(m) < 2 {
 			continue
 		}
 		lowest := m & (-m)
@@ -99,78 +99,67 @@ func (o *Optimizer) search(q *querygen.Query) *searchState {
 			if sub&lowest == 0 {
 				continue // canonical form: left part holds the lowest bit
 			}
-			rest := m ^ sub
-			if !s.conn[sub] || !s.conn[rest] {
-				continue
-			}
-			ei, ok := s.crossingEdge(sub, rest)
-			if !ok {
-				continue
-			}
-			sel := s.q.Edges[ei].Selectivity
-			card := sel * s.best[sub].card * s.best[rest].card
-			if card < 1 {
-				card = 1
-			}
-			cost := s.best[sub].cost + s.best[rest].cost + card
-			if cost < s.best[m].cost {
-				s.best[m] = dpEntry{cost: cost, card: card, split: sub, sel: sel}
+			cost, card, sel, ok := s.join(sub, m^sub)
+			if ok && cost < s.best[m].cost {
+				s.best[m] = dpEntry{cost: cost, card: card, split: sub, conn: true, sel: sel}
 			}
 		}
 		if math.IsInf(s.best[m].cost, 1) {
 			panic("optimizer: connected subset with no plan")
 		}
 	}
-	return s
+	return s, nil
 }
 
-// connected reports whether the relations in m induce a connected subgraph.
-func (s *searchState) connected(m mask) bool {
-	start := bits.TrailingZeros32(uint32(m))
-	seen := mask(1) << start
-	stack := []int{start}
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, ei := range s.adj[v] {
-			e := s.q.Edges[ei]
-			w := e.A + e.B - v
-			wm := mask(1) << w
-			if m&wm != 0 && seen&wm == 0 {
-				seen |= wm
-				stack = append(stack, w)
-			}
+// join prices joining the best plans of two disjoint parts: both must be
+// connected, and an edge — the only one, the graph being a tree — must
+// cross between them.
+func (s *Search) join(a, b mask) (cost, card, sel float64, ok bool) {
+	if !s.best[a].conn || !s.best[b].conn {
+		return 0, 0, 0, false
+	}
+	for _, e := range s.edges {
+		ea, eb := mask(1)<<e.A, mask(1)<<e.B
+		if a&ea != 0 && b&eb != 0 || a&eb != 0 && b&ea != 0 {
+			card = max(e.Selectivity*s.best[a].card*s.best[b].card, 1)
+			return s.best[a].cost + s.best[b].cost + card, card, e.Selectivity, true
 		}
 	}
-	return seen == m
+	return 0, 0, 0, false
 }
 
-// crossingEdge returns the index of the (unique, since the predicate graph
-// is a tree) edge joining the two parts, if any.
-func (s *searchState) crossingEdge(a, b mask) (int, bool) {
-	for v := 0; v < s.n; v++ {
-		if a&(mask(1)<<v) == 0 {
-			continue
+// Full is the subset of every relation.
+func (s *Search) Full() uint32 { return uint32(len(s.best) - 1) }
+
+// Split is the left part of the winning split of subset m, which the
+// search found connected; 0 for a single relation.
+func (s *Search) Split(m uint32) uint32 { return s.best[m].split }
+
+// connected reports whether the relations in m induce a connected
+// subgraph of the graph whose neighbourhoods nbr holds.
+func connected(m mask, nbr *[MaxRelations]mask) bool {
+	seen := m & -m
+	for {
+		grow := seen
+		for v := seen; v != 0; v &= v - 1 {
+			grow |= nbr[bits.TrailingZeros32(v)] & m
 		}
-		for w, ei := range s.other[v] {
-			if b&(mask(1)<<w) != 0 {
-				return ei, true
-			}
+		if grow == seen {
+			return seen == m
 		}
+		seen = grow
 	}
-	return 0, false
 }
 
-// buildTree materializes the JoinNode tree for subset m.
-func (s *searchState) buildTree(m mask) *plan.JoinNode {
-	if bits.OnesCount32(uint32(m)) == 1 {
-		i := bits.TrailingZeros32(uint32(m))
-		return &plan.JoinNode{Rel: s.q.Relations[i]}
+// buildTree materializes the JoinNode tree for subset m over rels.
+func (s *Search) buildTree(rels []*catalog.Relation, m mask) *plan.JoinNode {
+	if bits.OnesCount32(m) == 1 {
+		return &plan.JoinNode{Rel: rels[bits.TrailingZeros32(m)]}
 	}
 	e := s.best[m]
 	return &plan.JoinNode{
-		Left:        s.buildTree(e.split),
-		Right:       s.buildTree(m ^ e.split),
+		Left:        s.buildTree(rels, e.split),
+		Right:       s.buildTree(rels, m^e.split),
 		Selectivity: e.sel,
 	}
 }
@@ -178,10 +167,32 @@ func (s *searchState) buildTree(m mask) *plan.JoinNode {
 // BestTrees returns up to k join trees for q, ordered by estimated cost.
 // The first is the DP optimum; subsequent trees are the best trees whose
 // root split differs from all previously selected ones (the paper retains
-// the two best bushy trees per query).
+// the two best bushy trees per query). It panics on an invalid query or
+// one of more than MaxRelations relations.
 func (o *Optimizer) BestTrees(q *querygen.Query, k int) []*plan.JoinNode {
-	s := o.search(q)
-	full := mask(1)<<s.n - 1
+	if err := q.Validate(); err != nil {
+		panic(err)
+	}
+	cards := make([]float64, len(q.Relations))
+	for i, r := range q.Relations {
+		cards[i] = float64(r.Cardinality)
+	}
+	s, err := SearchGraph(cards, q.Edges)
+	if err != nil {
+		panic(err)
+	}
+	if k < 1 {
+		return nil
+	}
+	full := s.Full()
+	tree := s.buildTree(q.Relations, full)
+	tree.EstimateCards()
+	trees := []*plan.JoinNode{tree}
+	if k == 1 {
+		return trees
+	}
+	// Later trees: every other root split, in the DP's enumeration
+	// order, selection-sorted for the k-1 cheapest (k is tiny).
 	type rootSplit struct {
 		split mask
 		sel   float64
@@ -193,28 +204,11 @@ func (o *Optimizer) BestTrees(q *querygen.Query, k int) []*plan.JoinNode {
 		if sub&lowest == 0 {
 			continue
 		}
-		rest := full ^ sub
-		if !s.conn[sub] || !s.conn[rest] {
-			continue
+		if cost, _, sel, ok := s.join(sub, full^sub); ok {
+			splits = append(splits, rootSplit{split: sub, sel: sel, cost: cost})
 		}
-		ei, ok := s.crossingEdge(sub, rest)
-		if !ok {
-			continue
-		}
-		sel := s.q.Edges[ei].Selectivity
-		card := sel * s.best[sub].card * s.best[rest].card
-		if card < 1 {
-			card = 1
-		}
-		splits = append(splits, rootSplit{
-			split: sub,
-			sel:   sel,
-			cost:  s.best[sub].cost + s.best[rest].cost + card,
-		})
 	}
-	// Selection sort of the k cheapest distinct splits (k is tiny).
-	var trees []*plan.JoinNode
-	used := make(map[mask]bool)
+	used := map[mask]bool{s.Split(full): true}
 	for len(trees) < k {
 		bestIdx := -1
 		for i, sp := range splits {
@@ -231,8 +225,8 @@ func (o *Optimizer) BestTrees(q *querygen.Query, k int) []*plan.JoinNode {
 		sp := splits[bestIdx]
 		used[sp.split] = true
 		tree := &plan.JoinNode{
-			Left:        s.buildTree(sp.split),
-			Right:       s.buildTree(full ^ sp.split),
+			Left:        s.buildTree(q.Relations, sp.split),
+			Right:       s.buildTree(q.Relations, full^sp.split),
 			Selectivity: sp.sel,
 		}
 		tree.EstimateCards()

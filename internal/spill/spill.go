@@ -120,11 +120,14 @@ type File struct {
 	wbuf vec.Batch
 }
 
-// writeBuf is a File's write storage: its buffer's columns and its
-// encode scratch.
+// writeBuf is a File's write storage: its buffer's columns, their null
+// bitmaps' storage and its encode scratch. nulls[ci] is kept beside
+// cols[ci] because a column starts without a bitmap: it takes the
+// storage at its first gathered null.
 type writeBuf struct {
-	cols []vec.Col
-	enc  []byte
+	cols  []vec.Col
+	nulls [][]uint64
+	enc   []byte
 }
 
 // writeBufs recycles the write storage of sealed and closed Files, as
@@ -217,16 +220,23 @@ func (s *File) storageLocked() *writeBuf {
 
 // shapeLocked gives the write buffer b's schema, in the storage's
 // columns: a column keeps the mirrors it had (whatever kind it held
-// before, emptied) and starts without a null bitmap.
+// before, emptied) and starts without a null bitmap, its bitmap's
+// storage set aside in wb.nulls.
 func (s *File) shapeLocked(b *vec.Batch) {
 	wb := s.storageLocked()
 	cols := wb.cols[:cap(wb.cols)]
 	if len(cols) < len(b.Cols) {
 		cols = append(cols, make([]vec.Col, len(b.Cols)-len(cols))...)
 	}
+	if len(wb.nulls) < len(cols) {
+		wb.nulls = append(wb.nulls, make([][]uint64, len(cols)-len(wb.nulls))...)
+	}
 	cols = cols[:len(b.Cols)]
 	for ci := range cols {
 		c := &cols[ci]
+		if c.Null != nil {
+			wb.nulls[ci] = c.Null[:0]
+		}
 		*c = vec.Col{Kind: b.Cols[ci].Kind, Box: c.Box[:0], I64: c.I64[:0], F64: c.F64[:0], Str: c.Str[:0], B: c.B[:0]}
 	}
 	wb.cols = cols
@@ -277,7 +287,7 @@ func (s *File) gatherLocked(b *vec.Batch, sel []int32) {
 		}
 		// Only typed columns carry a bitmap; Any marks nulls in Box.
 		if src.Kind != vec.Any && src.Null != nil {
-			dst.Null = gatherNulls(dst.Null, w.N, src, sel)
+			dst.Null = gatherNulls(dst.Null, s.wb.nulls[ci], w.N, src, sel)
 		}
 	}
 	w.N += len(sel)
@@ -302,12 +312,16 @@ func gather[T any](dst, src []T, idx, sel []int32) []T {
 }
 
 // gatherNulls sets bit base+j of the growing bitmap dst for every j
-// whose source row sel[j] is null in src.
+// whose source row sel[j] is null in src. A column without a bitmap
+// (dst nil) starts one in spare at its first null.
 //
 //hierdb:hotpath
-func gatherNulls(dst []uint64, base int, src *vec.Col, sel []int32) []uint64 {
+func gatherNulls(dst, spare []uint64, base int, src *vec.Col, sel []int32) []uint64 {
 	for j, li := range sel {
 		if src.NullAt(src.Pos(int(li))) {
+			if dst == nil {
+				dst = spare[:0]
+			}
 			pos := base + j
 			for len(dst) <= pos>>6 {
 				dst = append(dst, 0)

@@ -248,14 +248,19 @@ func TestAppendSelBufferBoundAndAllocs(t *testing.T) {
 // TestSpillBuffersRecycledZeroAlloc: a sealed File gives its write
 // buffer and encode scratch to the next one (writeBufs), so a second
 // partition's first AppendSel of flushRows rows, its flush and its Seal
-// allocate nothing — the buffers do not regrow by doubling per
-// partition. A recycled buffer keeps none of the strings it pointed
-// into: it must not pin the batches a partition was spilled from.
+// allocate nothing — the buffers, null bitmaps included, do not regrow
+// by doubling per partition. A recycled buffer keeps none of the
+// strings it pointed into: it must not pin the batches a partition was
+// spilled from.
 func TestSpillBuffersRecycledZeroAlloc(t *testing.T) {
 	const flushRows = 1024
 	rows := make([]Row, flushRows)
 	for i := range rows {
-		rows[i] = Row{i, fmt.Sprintf("v%d", i), float64(i) / 3, i%2 == 0}
+		var nullable any // null in one row of three
+		if i%3 != 0 {
+			nullable = i
+		}
+		rows[i] = Row{i, fmt.Sprintf("v%d", i), float64(i) / 3, i%2 == 0, nullable}
 	}
 	b := vec.FromRows(rows)
 	sel := vec.Ident(flushRows)
