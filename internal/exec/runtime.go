@@ -387,7 +387,7 @@ func newFragment(mq *mquery, node int) *query {
 	// counts and spill state, are one block each.
 	runs := make([]opRun, len(phys.ops))
 	q.ops = make([]*opRun, len(phys.ops))
-	builds := (len(phys.ops) - len(phys.chains)) / 2
+	builds := (len(phys.ops) - len(phys.chains)) / 2 // a scan heads a chain; a join is a build and a probe
 	parts := make([]*vec.Appender, builds*workers)
 	locks := make([]sync.Mutex, builds*workers)
 	var held []int64
