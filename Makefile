@@ -94,7 +94,7 @@ bench-module:
 determinism:
 	@set -e; for p in 1 2 8; do for g in 1 4; do \
 		echo "== -parallel $$p GOMAXPROCS=$$g"; \
-		GOMAXPROCS=$$g $(GO) test -count=1 -run TestFigureDeterminismAcrossParallelism -parallel $$p ./internal/experiments/; \
+		GOMAXPROCS=$$g $(GO) test -count=1 -run 'TestFigureDeterminismAcrossParallelism|TestSimulatorGolden' -parallel $$p ./internal/experiments/; \
 	done; done
 
 bench:
