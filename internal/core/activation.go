@@ -49,6 +49,8 @@ type activation struct {
 	emitRemaining int64
 	pending       batch
 	hasPending    bool
+	// stolen marks activations acquired through global load balancing.
+	stolen bool
 
 	// recvInstr is CPU to charge to the dequeuing thread when the
 	// activation arrived over the network (§5.1.1 receive cost).
@@ -56,13 +58,11 @@ type activation struct {
 	// srcNode is the producing node for credit-return purposes; -1 when
 	// produced locally.
 	srcNode int
-	// stolen marks activations acquired through global load balancing.
-	stolen bool
 }
 
-// newActivation takes an activation from the engine pool (or allocates on
-// first use). Fields are zeroed except srcNode, which defaults to -1
-// (produced locally).
+// newActivation takes an activation from the engine pool, or carves a
+// new one from the engine's activation slab. Fields are zeroed except
+// srcNode, which defaults to -1 (produced locally).
 //
 //hierdb:hotpath
 func (e *Engine) newActivation() *activation {
@@ -71,11 +71,18 @@ func (e *Engine) newActivation() *activation {
 		a = e.actFree[n-1]
 		e.actFree = e.actFree[:n-1]
 	} else {
-		a = &activation{}
+		if len(e.actSlab) == 0 {
+			e.actSlab = make([]activation, actSlabLen)
+		}
+		a = &e.actSlab[0]
+		e.actSlab = e.actSlab[1:]
 	}
 	a.srcNode = -1
 	return a
 }
+
+// actSlabLen is how many activations one slab allocation holds.
+const actSlabLen = 32
 
 // freeActivation recycles a fully consumed activation into the pool.
 //
@@ -149,6 +156,11 @@ func (q *queue) push(a *activation) {
 	q.count++
 }
 
+// queueRingLen is the ring length an engine's queues start with, half
+// the default flow-control window (Options.QueueCapacity); a queue that
+// outgrows it doubles as before.
+const queueRingLen = 16
+
 // grow doubles the ring, unwrapping the live window to the front.
 //
 //hierdb:hotpath
@@ -177,24 +189,18 @@ func (q *queue) pop() *activation {
 	return a
 }
 
-// popAll removes and returns every queued activation (used by load
-// sharing when a queue is stolen).
-func (q *queue) popAll() []*activation {
-	return q.popN(q.len())
-}
-
-// popN removes and returns up to n activations from the front.
+// popN removes up to n activations from the front and appends them to
+// dst.
 //
 //hierdb:hotpath
-func (q *queue) popN(n int) []*activation {
+func (q *queue) popN(dst []*activation, n int) []*activation {
 	if n > q.count {
 		n = q.count
 	}
-	out := make([]*activation, 0, n)
-	for len(out) < n {
-		out = append(out, q.pop())
+	for ; n > 0; n-- {
+		dst = append(dst, q.pop())
 	}
-	return out
+	return dst
 }
 
 // consumable reports whether threads may consume from the queue: the

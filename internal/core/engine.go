@@ -34,6 +34,18 @@ type Engine struct {
 	// actFree is the activation free list: completed activations are
 	// recycled here so the steady-state hot path allocates nothing.
 	actFree []*activation
+	// actSlab is the unused rest of the last activation slab.
+	actSlab []activation
+
+	// buckets is the bucket set steal rounds price candidate queues
+	// with.
+	buckets bucketSet
+	// grantFree recycles credit-return messages.
+	grantFree []*creditGrant
+	// inflight holds the pipelined activations on the network, oldest
+	// first; deliverFn is deliverNext bound once.
+	inflight  flightRing
+	deliverFn func()
 
 	batchTuples int64
 
@@ -74,6 +86,7 @@ func Run(tree *plan.Tree, cfg cluster.Config, opt Options) (*metrics.Run, error)
 
 func newEngine(k *simtime.Kernel, cl *cluster.Cluster, tree *plan.Tree, opt Options) (*Engine, error) {
 	e := &Engine{k: k, cl: cl, tree: tree, opt: opt, costs: opt.Costs}
+	e.deliverFn = e.deliverNext
 	if e.costs == (plan.Costs{}) {
 		e.costs = plan.DefaultCosts()
 	}
@@ -99,14 +112,31 @@ func newEngine(k *simtime.Kernel, cl *cluster.Cluster, tree *plan.Tree, opt Opti
 		})
 	}
 
-	// Operator state.
+	// Operator state, carved from one slab per kind: an operator, its
+	// per-home-node states and their queues.
+	nq := cl.Cfg.ProcsPerNode
+	if !opt.QueuePerThread {
+		nq = 1
+	}
+	homes := 0
 	for _, op := range tree.Ops {
 		for _, n := range op.Home {
 			if n < 0 || n >= cl.Cfg.Nodes {
 				return nil, fmt.Errorf("core: %s homed on nonexistent node %d", op.Name, n)
 			}
 		}
-		o := &opState{
+		homes += len(op.Home)
+	}
+	states := make([]opState, len(tree.Ops))
+	onodes := make([]opNode, homes)
+	onodePtrs := make([]*opNode, homes)
+	queues := make([]queue, homes*nq)
+	queuePtrs := make([]*queue, homes*nq)
+	rings := make([]*activation, homes*nq*queueRingLen)
+	e.ops = make([]*opState, 0, len(tree.Ops))
+	for i, op := range tree.Ops {
+		o := &states[i]
+		*o = opState{
 			eng:     e,
 			op:      op,
 			home:    op.Home,
@@ -121,19 +151,23 @@ func newEngine(k *simtime.Kernel, cl *cluster.Cluster, tree *plan.Tree, opt Opti
 		if op.Kind == plan.Probe {
 			o.matchesPerTuple = op.Selectivity * float64(op.Partner.InCard)
 		}
-		nq := cl.Cfg.ProcsPerNode
-		if !opt.QueuePerThread {
-			nq = 1
-		}
-		for _, n := range op.Home {
-			on := &opNode{node: n}
+		o.perNode, onodePtrs = onodePtrs[:len(op.Home):len(op.Home)], onodePtrs[len(op.Home):]
+		for pos, n := range op.Home {
+			on := &onodes[0]
+			onodes = onodes[1:]
+			on.node = n
 			if op.Kind == plan.Build {
 				on.tables = make([]int64, o.buckets)
 			}
-			for qi := 0; qi < nq; qi++ {
-				on.queues = append(on.queues, &queue{op: o, node: n, idx: qi})
+			on.queues, queuePtrs = queuePtrs[:nq:nq], queuePtrs[nq:]
+			for qi := range on.queues {
+				q := &queues[0]
+				queues = queues[1:]
+				*q = queue{op: o, node: n, idx: qi, items: rings[:queueRingLen:queueRingLen]}
+				rings = rings[queueRingLen:]
+				on.queues[qi] = q
 			}
-			o.perNode = append(o.perNode, on)
+			o.perNode[pos] = on
 		}
 		e.ops = append(e.ops, o)
 	}
@@ -166,11 +200,20 @@ func newEngine(k *simtime.Kernel, cl *cluster.Cluster, tree *plan.Tree, opt Opti
 		e.nodes[n].rebuildActive()
 	}
 
-	// Worker threads: one per processor per query (§3.1).
+	// Worker threads: one per processor per query (§3.1), carved from
+	// one slab with their node lists and suspended lists.
+	procs := cl.Cfg.ProcsPerNode
+	threads := make([]thread, len(e.nodes)*procs)
+	threadPtrs := make([]*thread, len(e.nodes)*procs)
+	suspended := make([]*activation, len(e.nodes)*procs*suspendedCap)
 	for _, n := range e.nodes {
-		for i := 0; i < cl.Cfg.ProcsPerNode; i++ {
-			t := newThread(e, n, i)
-			n.threads = append(n.threads, t)
+		n.threads, threadPtrs = threadPtrs[:procs:procs], threadPtrs[procs:]
+		for i := range n.threads {
+			t := &threads[0]
+			threads = threads[1:]
+			t.init(e, n, i, suspended[:0:suspendedCap])
+			suspended = suspended[suspendedCap:]
+			n.threads[i] = t
 		}
 	}
 	if opt.Mode == FP {
@@ -285,7 +328,11 @@ func (e *Engine) allocateFP(c int) {
 	for _, n := range e.nodes {
 		p := len(n.threads)
 		for _, t := range n.threads {
-			t.allowed = newOpBitset(len(e.ops))
+			if t.allowed == nil {
+				t.allowed = newOpBitset(len(e.ops))
+			} else {
+				clear(t.allowed)
+			}
 		}
 		if len(chain) <= p {
 			// One thread minimum per operator, remainder by share.
@@ -374,6 +421,8 @@ func (e *Engine) deliverLocal(t *thread, b *batch) bool {
 // (remote flow control). The sending thread is charged the per-8KB send
 // cost; the receive cost is charged to whichever thread dequeues the
 // activation.
+//
+//hierdb:hotpath
 func (e *Engine) deliverRemote(t *thread, b *batch) bool {
 	c := b.consumer
 	src := t.node
@@ -392,14 +441,62 @@ func (e *Engine) deliverRemote(t *thread, b *batch) bool {
 	a.srcNode = src.id
 	a.recvInstr = e.cl.Net.RecvInstr(bytes)
 	c.outstanding++
-	dstNode, bucket := b.dstNode, b.bucket
-	e.cl.Net.Send(simnet.Pipeline, bytes, func() {
-		on := c.at(dstNode)
-		q := on.queues[c.queueOfBucket(bucket)]
-		q.push(a)
-		e.nodes[dstNode].wakeFor(c)
-	})
+	e.inflight.push(flight{a: a, at: e.k.Now() + e.cl.Net.Params().Delay})
+	e.cl.Net.Send(simnet.Pipeline, bytes, e.deliverFn)
 	return true
+}
+
+// deliverNext runs when a pipelined activation arrives at its node: the
+// oldest in flight joins its bucket's queue there. Every pipeline
+// message crosses the one network with its one fixed delay, and the
+// kernel breaks time ties in scheduling order, so messages arrive in the
+// order they were sent.
+//
+//hierdb:hotpath
+func (e *Engine) deliverNext() {
+	f := e.inflight.pop()
+	if f.at != e.k.Now() {
+		panic("core: pipelined activation delivered out of send order")
+	}
+	a, c := f.a, f.a.op
+	q := c.at(a.node).queues[c.queueOfBucket(a.bucket)]
+	q.push(a)
+	e.nodes[a.node].wakeFor(c)
+}
+
+// flight is a pipelined activation on the network and the virtual time
+// it is due.
+type flight struct {
+	a  *activation
+	at simtime.Time
+}
+
+// flightRing is a FIFO of flights in a growable power-of-two ring.
+type flightRing struct {
+	items       []flight
+	head, count int
+}
+
+//hierdb:hotpath
+func (r *flightRing) push(f flight) {
+	if r.count == len(r.items) {
+		items := make([]flight, max(8, 2*len(r.items)))
+		for i := 0; i < r.count; i++ {
+			items[i] = r.items[(r.head+i)&(len(r.items)-1)]
+		}
+		r.items, r.head = items, 0
+	}
+	r.items[(r.head+r.count)&(len(r.items)-1)] = f
+	r.count++
+}
+
+//hierdb:hotpath
+func (r *flightRing) pop() flight {
+	f := r.items[r.head]
+	r.items[r.head] = flight{}
+	r.head = (r.head + 1) & (len(r.items) - 1)
+	r.count--
+	return f
 }
 
 // initialCredits is the per-(operator, destination) send window.
@@ -425,19 +522,46 @@ func (e *Engine) creditConsumed(consumerNode *engNode, a *activation) {
 
 // returnCredits sends the accumulated credit grant for (opID, peer) back
 // to the producing node.
+//
+//hierdb:hotpath
 func (e *Engine) returnCredits(consumerNode *engNode, opID, peer int) {
 	idx := consumerNode.credIdx(opID, peer)
-	grant := consumerNode.creditDebt[idx]
-	if grant <= 0 {
+	n := consumerNode.creditDebt[idx]
+	if n <= 0 {
 		return
 	}
 	consumerNode.creditDebt[idx] = 0
-	src := e.nodes[peer]
-	back := src.credIdx(opID, consumerNode.id)
-	e.cl.Net.Send(simnet.Control, controlMsgBytes, func() {
-		src.credits[back] += grant
-		src.wake()
-	})
+	var g *creditGrant
+	if k := len(e.grantFree); k > 0 {
+		g = e.grantFree[k-1]
+		e.grantFree = e.grantFree[:k-1]
+	} else {
+		g = &creditGrant{}
+		g.deliverFn = g.deliver
+	}
+	g.src = e.nodes[peer]
+	g.idx = g.src.credIdx(opID, consumerNode.id)
+	g.n = n
+	e.cl.Net.Send(simnet.Control, controlMsgBytes, g.deliverFn)
+}
+
+// creditGrant is a credit-return message in flight. Grants are recycled
+// through Engine.grantFree, each with its delivery bound once.
+type creditGrant struct {
+	src       *engNode
+	idx, n    int
+	deliverFn func()
+}
+
+// deliver runs when the grant reaches the producing node.
+//
+//hierdb:hotpath
+func (g *creditGrant) deliver() {
+	src := g.src
+	src.credits[g.idx] += g.n
+	g.src = nil
+	src.eng.grantFree = append(src.eng.grantFree, g)
+	src.wake()
 }
 
 // flushCredits returns every pending credit for an operator whose queues
@@ -465,8 +589,13 @@ func (e *Engine) checkTermination(o *opState) {
 	for _, n := range e.nodes {
 		n.rebuildActive()
 	}
+	if o.endFn == nil {
+		o.endFn = o.endMessage
+	}
 	if len(e.nodes) == 1 {
-		e.k.After(0, func() { e.finishOp(o) })
+		// No protocol: the operator ends at the next event.
+		o.endPhase, o.endPending = endPhases-1, 1
+		e.k.After(0, o.endFn)
 		return
 	}
 	// Coordinator protocol of §4 (Detection of Operator End): every
@@ -474,26 +603,40 @@ func (e *Engine) checkTermination(o *opState) {
 	// coordinator runs a confirmation round with every scheduler (no
 	// thread may still be processing), then broadcasts the update —
 	// 4(N-1) messages and four network hops end to end.
-	phase := func(cont func()) {
-		remaining := len(e.nodes) - 1
-		for i := 1; i < len(e.nodes); i++ {
-			e.cl.Net.Send(simnet.Control, controlMsgBytes, func() {
-				remaining--
-				if remaining == 0 {
-					cont()
-				}
-			})
-		}
+	o.endPhase = 0
+	e.sendEndPhase(o)
+}
+
+// endPhases is the number of message rounds of the end-of-operator
+// protocol: EndOfQueuesAtNode to the coordinator, the coordinator's
+// confirm request, the schedulers' confirmations, and the operator-end
+// broadcast.
+const endPhases = 4
+
+// sendEndPhase sends the N-1 messages of the operator's current
+// end-of-operator phase.
+//
+//hierdb:hotpath
+func (e *Engine) sendEndPhase(o *opState) {
+	o.endPending = len(e.nodes) - 1
+	for i := 1; i < len(e.nodes); i++ {
+		e.cl.Net.Send(simnet.Control, controlMsgBytes, o.endFn)
 	}
-	phase(func() { // EndOfQueuesAtNode -> coordinator
-		phase(func() { // coordinator -> schedulers: confirm request
-			phase(func() { // schedulers -> coordinator: confirmed
-				phase(func() { // coordinator -> schedulers: operator end
-					e.finishOp(o)
-				})
-			})
-		})
-	})
+}
+
+// endMessage runs when one end-of-operator message arrives; the last of
+// a phase starts the next, and the last phase finishes the operator.
+//
+//hierdb:hotpath
+func (o *opState) endMessage() {
+	if o.endPending--; o.endPending > 0 {
+		return
+	}
+	if o.endPhase++; o.endPhase < endPhases {
+		o.eng.sendEndPhase(o)
+		return
+	}
+	o.eng.finishOp(o)
 }
 
 // finishOp completes termination: dependents unblock, consumers learn

@@ -41,6 +41,10 @@ type opState struct {
 	// terminated once every node knows.
 	terminating bool
 	terminated  bool
+	// End-of-operator protocol state: the current phase, its messages
+	// still in flight, and the bound handler every message runs.
+	endPhase, endPending int
+	endFn                func()
 	// producerDone reports that no more activations will ever be
 	// produced for this operator (scan: seeding finished; build/probe:
 	// the producing operator terminated).
@@ -186,6 +190,8 @@ type engNode struct {
 	stealOutstanding bool
 	// nextStealTime paces retries after a failed round.
 	nextStealTime simtime.Time
+	// round is the node's DP starving round, built on first use.
+	round *stealRound
 
 	// shipped is the provider-side stolen-queue cache: hash-table
 	// buckets already copied to a requester, per (operator, bucket,

@@ -19,6 +19,7 @@ type thread struct {
 	eng  *Engine
 	node *engNode
 	idx  int
+	name string
 
 	proc *simtime.Proc
 	cond *simtime.Cond
@@ -35,24 +36,33 @@ type thread struct {
 	// nil means any operator of the node (DP mode).
 	allowed opBitset
 
-	// FP per-processor global load balancing state.
+	// FP per-processor global load balancing state: the thread's
+	// starving round, built on first use, and the buffer of operators
+	// it steals for.
 	stealOutstanding bool
 	nextStealTime    simtime.Time
+	round            *stealRound
+	stealOps         []*opState
 
 	sleeping bool
 
 	busy, ioWait, idle simtime.Duration
 }
 
-func newThread(e *Engine, n *engNode, idx int) *thread {
-	t := &thread{eng: e, node: n, idx: idx}
-	t.cond = e.k.NewCond(fmt.Sprintf("n%dt%d", n.id, idx))
+// suspendedCap is the suspended-list capacity a thread starts with.
+const suspendedCap = 8
+
+// init sets up thread idx of node n; suspended is its suspended list's
+// initial storage.
+func (t *thread) init(e *Engine, n *engNode, idx int, suspended []*activation) {
+	*t = thread{eng: e, node: n, idx: idx, suspended: suspended}
+	t.name = fmt.Sprintf("n%dt%d", n.id, idx)
+	t.cond = e.k.NewCond(t.name)
 	t.wakeFn = t.wake
-	return t
 }
 
 func (t *thread) spawn() {
-	t.eng.k.Spawn(fmt.Sprintf("n%dt%d", t.node.id, t.idx), t.run)
+	t.eng.k.Spawn(t.name, t.run)
 }
 
 //hierdb:hotpath
@@ -388,7 +398,10 @@ func (t *thread) maybeRequestWork() {
 			return
 		}
 		n.stealOutstanding = true
-		e.startStealRound(n, nil, nil)
+		if n.round == nil {
+			n.round = e.newStealRound(n, nil)
+		}
+		n.round.start(nil)
 		return
 	}
 	// FP: the thread steals for the operators it is allocated to. The
@@ -396,7 +409,10 @@ func (t *thread) maybeRequestWork() {
 	if t.stealOutstanding || now < t.nextStealTime {
 		return
 	}
-	var ops []*opState
+	if t.stealOps == nil {
+		t.stealOps = make([]*opState, 0, len(e.ops))
+	}
+	ops := t.stealOps[:0]
 	for _, o := range e.ops {
 		if t.allowed.has(o.op.ID) && o.isProbe() && o.started && !o.terminating {
 			ops = append(ops, o)
@@ -406,7 +422,10 @@ func (t *thread) maybeRequestWork() {
 		return
 	}
 	t.stealOutstanding = true
-	e.startStealRound(t.node, ops, t)
+	if t.round == nil {
+		t.round = e.newStealRound(t.node, t)
+	}
+	t.round.start(ops)
 }
 
 // sleep parks the thread until woken, arranging a timer for the earliest

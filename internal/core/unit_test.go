@@ -61,11 +61,11 @@ func TestQueuePopN(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		q.push(&activation{bucket: i})
 	}
-	got := q.popN(4)
+	got := q.popN(nil, 4)
 	if len(got) != 4 || got[0].bucket != 0 || got[3].bucket != 3 {
 		t.Fatalf("popN(4) = %v", got)
 	}
-	rest := q.popN(100)
+	rest := q.popN(nil, 100)
 	if len(rest) != 6 {
 		t.Fatalf("popN(100) returned %d", len(rest))
 	}
@@ -217,13 +217,13 @@ func TestBestCandidateConditions(t *testing.T) {
 	}
 
 	c := e.bestCandidate(pv, req, nil, 1<<30)
-	if c == nil || c.q != on.queues[0] {
+	if c.q != on.queues[0] {
 		t.Fatal("candidate not found for a full probe queue")
 	}
 
 	// Condition (ii): below MinStealActivations no candidate.
-	on.queues[0].popN(10 - opt.MinStealActivations + 1)
-	if e.bestCandidate(pv, req, nil, 1<<30) != nil {
+	on.queues[0].popN(nil, 10-opt.MinStealActivations+1)
+	if e.bestCandidate(pv, req, nil, 1<<30).q != nil {
 		t.Fatal("queue below MinSteal offered")
 	}
 
@@ -231,13 +231,13 @@ func TestBestCandidateConditions(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		on.queues[0].push(&activation{op: probe, kind: data, bucket: 0, dataTuples: 5, srcNode: -1})
 	}
-	if e.bestCandidate(pv, req, nil, 1) != nil {
+	if e.bestCandidate(pv, req, nil, 1).q != nil {
 		t.Fatal("candidate offered beyond requester memory")
 	}
 
 	// Condition (v): blocked (not started) operators are not candidates.
 	probe.started = false
-	if e.bestCandidate(pv, req, nil, 1<<30) != nil {
+	if e.bestCandidate(pv, req, nil, 1<<30).q != nil {
 		t.Fatal("blocked operator offered")
 	}
 	probe.started = true
@@ -249,8 +249,8 @@ func TestBestCandidateConditions(t *testing.T) {
 			for i := 0; i < 10; i++ {
 				bon.queues[0].push(&activation{op: o, kind: data, bucket: 0, dataTuples: 5, srcNode: -1})
 			}
-			probe.at(0).queues[0].popN(1 << 20) // drain the probe queue
-			if c := e.bestCandidate(pv, req, nil, 1<<30); c != nil && !c.q.op.isProbe() {
+			probe.at(0).queues[0].popN(nil, 1<<20) // drain the probe queue
+			if c := e.bestCandidate(pv, req, nil, 1<<30); c.q != nil && !c.q.op.isProbe() {
 				t.Fatal("non-probe operator offered")
 			}
 			break

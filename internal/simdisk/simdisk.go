@@ -65,6 +65,11 @@ type Disk struct {
 	params    Params
 	busyUntil simtime.Time
 	stats     Stats
+	// reqSlab is the rest of the chunk StartRead carves requests from,
+	// so a read costs no allocation of its own; each chunk is twice the
+	// last, reqSlabLen, from 8 up to 256 requests.
+	reqSlab    []Request
+	reqSlabLen int
 }
 
 // New returns a disk attached to k.
@@ -82,10 +87,12 @@ func (d *Disk) Stats() Stats { return d.stats }
 type Request struct {
 	disk  *Disk
 	pages int
-	// ready[i] is the earliest virtual time page i can be consumed,
-	// before accounting for the prefetch window.
-	ready []simtime.Time
-	// consumedAt[i] is when page i was consumed (for the window).
+	// Page i can be consumed from first + (i+1)·step on, before
+	// accounting for the prefetch window.
+	first, step simtime.Time
+	// consumedAt[i] is when page i was consumed, kept only for the
+	// pages a later page's prefetch window looks back to (the first
+	// pages-CachePages).
 	consumedAt []simtime.Time
 	consumed   int
 }
@@ -102,22 +109,32 @@ func (d *Disk) StartRead(pages int) *Request {
 	if start < now {
 		start = now
 	}
-	pt := d.params.PageTransfer()
-	r := &Request{
-		disk:       d,
-		pages:      pages,
-		ready:      make([]simtime.Time, pages),
-		consumedAt: make([]simtime.Time, pages),
+	if len(d.reqSlab) == 0 {
+		d.reqSlabLen = min(max(2*d.reqSlabLen, 8), 256)
+		d.reqSlab = make([]Request, d.reqSlabLen)
 	}
-	first := start + d.params.Seek + d.params.Latency
-	for i := 0; i < pages; i++ {
-		r.ready[i] = first + simtime.Duration(i+1)*pt
+	r := &d.reqSlab[0]
+	d.reqSlab = d.reqSlab[1:]
+	*r = Request{
+		disk:  d,
+		pages: pages,
+		first: start + d.params.Seek + d.params.Latency,
+		step:  d.params.PageTransfer(),
 	}
-	d.busyUntil = r.ready[pages-1]
+	if w := d.params.CachePages; pages > w {
+		r.consumedAt = make([]simtime.Time, pages-w)
+	}
+	d.busyUntil = r.ready(pages - 1)
 	d.stats.Requests++
 	d.stats.PagesRead += int64(pages)
 	d.stats.Busy += d.busyUntil - start
 	return r
+}
+
+// ready returns the earliest virtual time page i can be consumed,
+// before accounting for the prefetch window.
+func (r *Request) ready(i int) simtime.Time {
+	return r.first + simtime.Duration(i+1)*r.step
 }
 
 // availableAt returns the earliest time the next unconsumed page can be
@@ -126,9 +143,9 @@ func (d *Disk) StartRead(pages int) *Request {
 // one page-transfer after page i-CachePages was consumed.
 func (r *Request) availableAt() simtime.Time {
 	i := r.consumed
-	t := r.ready[i]
+	t := r.ready(i)
 	if w := r.disk.params.CachePages; i >= w {
-		stall := r.consumedAt[i-w] + r.disk.params.PageTransfer()
+		stall := r.consumedAt[i-w] + r.step
 		if stall > t {
 			t = stall
 		}
@@ -147,7 +164,9 @@ func (r *Request) TryRead() bool {
 	if r.availableAt() > now {
 		return false
 	}
-	r.consumedAt[r.consumed] = now
+	if r.consumed < len(r.consumedAt) {
+		r.consumedAt[r.consumed] = now
+	}
 	r.consumed++
 	return true
 }

@@ -51,8 +51,8 @@ func TestFIFOSerialization(t *testing.T) {
 	r1 := d.StartRead(4)
 	r2 := d.StartRead(1)
 	// r2's page must come after all of r1's transfers.
-	if r2.NextReadyAt() <= r1.ready[3] {
-		t.Fatalf("second request overlaps first: %v <= %v", r2.NextReadyAt(), r1.ready[3])
+	if r2.NextReadyAt() <= r1.ready(3) {
+		t.Fatalf("second request overlaps first: %v <= %v", r2.NextReadyAt(), r1.ready(3))
 	}
 	if err := k.Run(); err != nil {
 		t.Fatal(err)

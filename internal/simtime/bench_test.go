@@ -106,7 +106,7 @@ func TestSignalSchedulingZeroAlloc(t *testing.T) {
 
 // TestKernelRunAmortizedAllocs is the end-to-end gate: a full kernel run
 // with 1000 delays must stay within the fixed setup cost (process spawn,
-// channels, first heap growth). Before the value-typed heap this run cost
+// its coroutine, first heap growth). Before the value-typed heap this run cost
 // one event plus one closure allocation per delay (>2000 allocations).
 func TestKernelRunAmortizedAllocs(t *testing.T) {
 	allocs := testing.AllocsPerRun(5, func() {

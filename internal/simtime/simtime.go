@@ -3,10 +3,10 @@
 //
 // The paper implemented its execution model on real KSR1 threads and
 // simulated operator work, disks and the network (§5.1). This package plays
-// the role of the KSR1: each simulated processor-thread is a goroutine, but
-// goroutines never run concurrently — the kernel resumes exactly one process
-// at a time and advances a virtual clock, so all simulated shared state is
-// race-free by construction and every run is bit-for-bit deterministic.
+// the role of the KSR1: each simulated processor-thread is a coroutine
+// (iter.Pull) that Run resumes one at a time while it advances a virtual
+// clock, so a simulation runs on one OS thread, all simulated shared state
+// is race-free by construction and every run is bit-for-bit deterministic.
 //
 // Processes express the passage of simulated time with Proc.Delay (e.g. CPU
 // instructions being executed) and coordination with Cond (e.g. waiting for
@@ -15,7 +15,9 @@
 package simtime
 
 import (
+	"errors"
 	"fmt"
+	"iter"
 	"sort"
 )
 
@@ -128,10 +130,13 @@ func (h *eventHeap) pop() event {
 // Kernel is a discrete-event simulation engine. The zero value is not
 // usable; call NewKernel.
 //
-// Control migrates between process goroutines: whichever goroutine is
-// executing simulated code also drives the event loop when it parks, so a
-// process that resumes itself (the dominant Delay case) costs no goroutine
-// switch at all and a cross-process transfer costs exactly one.
+// Every process is a coroutine (iter.Pull) and Run is the one driver
+// loop: it resumes a process, the process runs until it parks, and the
+// parking process drains same-time callbacks inline. When the next
+// dispatch is the parking process itself (the dominant Delay case) it
+// returns without a switch; otherwise it names the process to resume and
+// yields to Run, which resumes it. A simulation therefore occupies one
+// OS thread at a time, whatever GOMAXPROCS is.
 type Kernel struct {
 	now    Time
 	seq    uint64
@@ -139,13 +144,14 @@ type Kernel struct {
 	procs  []*Proc
 	live   int
 	ran    bool
-	// mainCh wakes Run when a driver drains the event heap.
-	mainCh chan struct{}
+	// handoff is the process a parking process asks Run to resume next;
+	// nil when the event heap drained.
+	handoff *Proc
 }
 
 // NewKernel returns an empty kernel at time zero.
 func NewKernel() *Kernel {
-	return &Kernel{mainCh: make(chan struct{}, 1)}
+	return &Kernel{}
 }
 
 // Now returns the current virtual time.
@@ -188,10 +194,15 @@ func (k *Kernel) dispatchAt(t Time, p *Proc) {
 // in the reproduction). All Proc methods must be called from the process's
 // own body function.
 type Proc struct {
-	k      *Kernel
-	name   string
-	resume chan struct{}
-	done   bool
+	k    *Kernel
+	name string
+	body func(p *Proc)
+	// next resumes the coroutine; stop unwinds a parked one. yield,
+	// inside the coroutine, hands control back to Run.
+	next  func() (struct{}, bool)
+	stop  func()
+	yield func(struct{}) bool
+	done  bool
 	// waiting marks a proc parked on a Cond (used for deadlock reporting).
 	waiting string
 }
@@ -209,46 +220,38 @@ func (p *Proc) Now() Time { return p.k.now }
 // virtual time (once Run is processing events). Spawn may be called before
 // Run or from within kernel context while running.
 func (k *Kernel) Spawn(name string, body func(p *Proc)) *Proc {
-	p := &Proc{
-		k:      k,
-		name:   name,
-		resume: make(chan struct{}),
-	}
+	p := &Proc{k: k, name: name, body: body}
+	p.next, p.stop = iter.Pull(p.coroutine)
 	k.procs = append(k.procs, p)
 	k.live++
-	go func() {
-		<-p.resume
-		body(p)
-		p.done = true
-		k.live--
-		// The finished process is the current loop driver: keep
-		// draining events until control transfers or the heap empties,
-		// then let the goroutine exit.
-		k.advance(nil)
-	}()
 	k.dispatchAt(k.now, p)
 	return p
 }
 
-// advance drives the event loop on the calling goroutine. It returns when
-// an event resumes self (self's park is over). When an event dispatches a
-// different process, control transfers there: with a non-nil self the
-// caller blocks until resumed in turn, otherwise (a finished process or
-// the initial Run drive) advance returns immediately so the goroutine can
-// exit or wait on mainCh. When the heap drains, Run is woken.
+// errStopped unwinds a parked process whose coroutine Run stops.
+var errStopped = errors.New("simtime: process stopped")
+
+// coroutine runs the process body as an iter.Seq: every park that
+// switches away is a yield. A stopped process unwinds from park with
+// errStopped, which ends here.
+func (p *Proc) coroutine(yield func(struct{}) bool) {
+	p.yield = yield
+	defer func() {
+		if p.done {
+			recover()
+		}
+	}()
+	p.body(p)
+}
+
+// advance drains the event heap up to the next dispatch of a live
+// process and returns it, running callbacks inline and dropping
+// dispatches of finished processes. It returns nil when the heap is
+// empty.
 //
 //hierdb:hotpath
-func (k *Kernel) advance(self *Proc) {
-	for {
-		if len(k.events) == 0 {
-			// Simulation over (or deadlocked): hand control to Run.
-			k.mainCh <- struct{}{}
-			if self == nil {
-				return
-			}
-			<-self.resume // deadlocked: parked forever
-			continue
-		}
+func (k *Kernel) advance() *Proc {
+	for len(k.events) > 0 {
 		e := k.events.pop()
 		if e.at < k.now {
 			panic("simtime: time went backwards")
@@ -258,29 +261,27 @@ func (k *Kernel) advance(self *Proc) {
 			e.fn()
 			continue
 		}
-		p := e.proc
-		if p.done {
-			continue
+		if !e.proc.done {
+			return e.proc
 		}
-		if p == self {
-			return // self-resume: no goroutine switch
-		}
-		p.resume <- struct{}{}
-		if self == nil {
-			return
-		}
-		<-self.resume
-		return
 	}
+	return nil
 }
 
-// park suspends the calling process, driving the event loop until some
-// event dispatches it again.
+// park suspends the calling process until some event dispatches it
+// again. It drains events itself; only when another process (or none)
+// is next does it yield to Run.
 //
 //hierdb:hotpath
 func (p *Proc) park(why string) {
 	p.waiting = why
-	p.k.advance(p)
+	k := p.k
+	if next := k.advance(); next != p {
+		k.handoff = next
+		if !p.yield(struct{}{}) {
+			panic(errStopped)
+		}
+	}
 	p.waiting = ""
 }
 
@@ -300,19 +301,24 @@ func (p *Proc) Delay(d Duration) {
 
 // Run processes events until none remain. It returns an error if live
 // processes are still parked when the event heap drains (a simulated
-// deadlock), naming the stuck processes.
+// deadlock), naming the stuck processes; their coroutines are stopped
+// before Run returns. A panic or runtime.Goexit in a process body or a
+// callback reaches Run's caller.
 func (k *Kernel) Run() error {
 	if k.ran {
 		return fmt.Errorf("simtime: kernel already ran")
 	}
 	k.ran = true
-	if len(k.events) > 0 {
-		// Drive until the first control transfer (advance returns after
-		// handing off with self == nil), then wait for a driver to drain
-		// the heap. If no event ever transfers control, advance itself
-		// signals mainCh on the empty heap.
-		k.advance(nil)
-		<-k.mainCh
+	defer k.stopParked()
+	for p := k.advance(); p != nil; {
+		k.handoff = nil
+		if _, ok := p.next(); ok {
+			p = k.handoff
+			continue
+		}
+		p.done = true
+		k.live--
+		p = k.advance()
 	}
 	if k.live > 0 {
 		var stuck []string
@@ -325,6 +331,21 @@ func (k *Kernel) Run() error {
 		return fmt.Errorf("simtime: deadlock at %v: %d live process(es) parked: %v", k.now, k.live, stuck)
 	}
 	return nil
+}
+
+// stopParked unwinds every process that has not finished — those a
+// deadlock left parked, or all but the one whose panic is leaving Run —
+// so no coroutine outlives Run. The heap is cleared first, so a deferred
+// park in an unwinding body finds nothing to run.
+func (k *Kernel) stopParked() {
+	k.events = nil
+	for _, p := range k.procs {
+		if !p.done {
+			p.done = true
+			k.live--
+			p.stop()
+		}
+	}
 }
 
 // Cond is a virtual-time condition variable. The zero value is not usable;

@@ -1,8 +1,11 @@
 package simtime
 
 import (
+	"runtime"
 	"testing"
 	"testing/quick"
+
+	"hierdb/internal/leaktest"
 )
 
 func TestDelayAdvancesClock(t *testing.T) {
@@ -190,14 +193,24 @@ func TestCondWaitingCountsInterleaved(t *testing.T) {
 	}
 }
 
+// TestDeadlockDetected checks the deadlock report and that a deadlocked
+// Run leaves no process behind: ten deadlocked kernels must not add ten
+// parked goroutines.
 func TestDeadlockDetected(t *testing.T) {
-	k := NewKernel()
-	c := k.NewCond("never")
-	k.Spawn("stuck", func(p *Proc) { c.Wait(p) })
-	err := k.Run()
-	if err == nil {
-		t.Fatal("expected deadlock error")
+	base := runtime.NumGoroutine()
+	for i := 0; i < 10; i++ {
+		k := NewKernel()
+		c := k.NewCond("never")
+		k.Spawn("stuck", func(p *Proc) { c.Wait(p) })
+		err := k.Run()
+		if err == nil {
+			t.Fatal("expected deadlock error")
+		}
+		if want := "simtime: deadlock at 0s: 1 live process(es) parked: [stuck (cond never)]"; err.Error() != want {
+			t.Fatalf("deadlock error = %q, want %q", err, want)
+		}
 	}
+	leaktest.Settle(t, base, 2)
 }
 
 func TestProducerConsumerHandshake(t *testing.T) {
