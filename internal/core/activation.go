@@ -74,8 +74,7 @@ func (e *Engine) newActivation() *activation {
 		if len(e.actSlab) == 0 {
 			e.actSlab = make([]activation, actSlabLen)
 		}
-		a = &e.actSlab[0]
-		e.actSlab = e.actSlab[1:]
+		a = &carve(&e.actSlab, 1)[0]
 	}
 	a.srcNode = -1
 	return a

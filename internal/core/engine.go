@@ -37,14 +37,14 @@ type Engine struct {
 	// actSlab is the unused rest of the last activation slab.
 	actSlab []activation
 
-	// buckets is the bucket set steal rounds price candidate queues
-	// with.
-	buckets bucketSet
+	// seen marks the buckets a steal round has priced, one flag per
+	// bucket of the most fragmented operator.
+	seen []bool
 	// grantFree recycles credit-return messages.
 	grantFree []*creditGrant
 	// inflight holds the pipelined activations on the network, oldest
 	// first; deliverFn is deliverNext bound once.
-	inflight  flightRing
+	inflight  queue
 	deliverFn func()
 
 	batchTuples int64
@@ -151,25 +151,25 @@ func newEngine(k *simtime.Kernel, cl *cluster.Cluster, tree *plan.Tree, opt Opti
 		if op.Kind == plan.Probe {
 			o.matchesPerTuple = op.Selectivity * float64(op.Partner.InCard)
 		}
-		o.perNode, onodePtrs = onodePtrs[:len(op.Home):len(op.Home)], onodePtrs[len(op.Home):]
+		o.perNode = carve(&onodePtrs, len(op.Home))
 		for pos, n := range op.Home {
-			on := &onodes[0]
-			onodes = onodes[1:]
+			on := &carve(&onodes, 1)[0]
 			on.node = n
 			if op.Kind == plan.Build {
 				on.tables = make([]int64, o.buckets)
 			}
-			on.queues, queuePtrs = queuePtrs[:nq:nq], queuePtrs[nq:]
+			on.queues = carve(&queuePtrs, nq)
 			for qi := range on.queues {
-				q := &queues[0]
-				queues = queues[1:]
-				*q = queue{op: o, node: n, idx: qi, items: rings[:queueRingLen:queueRingLen]}
-				rings = rings[queueRingLen:]
+				q := &carve(&queues, 1)[0]
+				*q = queue{op: o, node: n, idx: qi, items: carve(&rings, queueRingLen)}
 				on.queues[qi] = q
 			}
 			o.perNode[pos] = on
 		}
 		e.ops = append(e.ops, o)
+		if o.buckets > len(e.seen) {
+			e.seen = make([]bool, o.buckets)
+		}
 	}
 	e.rootOp = e.ops[tree.Root.ID]
 
@@ -207,12 +207,10 @@ func newEngine(k *simtime.Kernel, cl *cluster.Cluster, tree *plan.Tree, opt Opti
 	threadPtrs := make([]*thread, len(e.nodes)*procs)
 	suspended := make([]*activation, len(e.nodes)*procs*suspendedCap)
 	for _, n := range e.nodes {
-		n.threads, threadPtrs = threadPtrs[:procs:procs], threadPtrs[procs:]
+		n.threads = carve(&threadPtrs, procs)
 		for i := range n.threads {
-			t := &threads[0]
-			threads = threads[1:]
-			t.init(e, n, i, suspended[:0:suspendedCap])
-			suspended = suspended[suspendedCap:]
+			t := &carve(&threads, 1)[0]
+			t.init(e, n, i, carve(&suspended, suspendedCap)[:0])
 			n.threads[i] = t
 		}
 	}
@@ -225,6 +223,13 @@ func newEngine(k *simtime.Kernel, cl *cluster.Cluster, tree *plan.Tree, opt Opti
 		}
 	}
 	return e, nil
+}
+
+// carve cuts the first n elements off *slab, capacity and all.
+func carve[T any](slab *[]T, n int) []T {
+	s := (*slab)[:n:n]
+	*slab = (*slab)[n:]
+	return s
 }
 
 // currentChain returns the chain of the most recently started driver scan.
@@ -441,7 +446,7 @@ func (e *Engine) deliverRemote(t *thread, b *batch) bool {
 	a.srcNode = src.id
 	a.recvInstr = e.cl.Net.RecvInstr(bytes)
 	c.outstanding++
-	e.inflight.push(flight{a: a, at: e.k.Now() + e.cl.Net.Params().Delay})
+	e.inflight.push(a)
 	e.cl.Net.Send(simnet.Pipeline, bytes, e.deliverFn)
 	return true
 }
@@ -454,49 +459,11 @@ func (e *Engine) deliverRemote(t *thread, b *batch) bool {
 //
 //hierdb:hotpath
 func (e *Engine) deliverNext() {
-	f := e.inflight.pop()
-	if f.at != e.k.Now() {
-		panic("core: pipelined activation delivered out of send order")
-	}
-	a, c := f.a, f.a.op
+	a := e.inflight.pop()
+	c := a.op
 	q := c.at(a.node).queues[c.queueOfBucket(a.bucket)]
 	q.push(a)
 	e.nodes[a.node].wakeFor(c)
-}
-
-// flight is a pipelined activation on the network and the virtual time
-// it is due.
-type flight struct {
-	a  *activation
-	at simtime.Time
-}
-
-// flightRing is a FIFO of flights in a growable power-of-two ring.
-type flightRing struct {
-	items       []flight
-	head, count int
-}
-
-//hierdb:hotpath
-func (r *flightRing) push(f flight) {
-	if r.count == len(r.items) {
-		items := make([]flight, max(8, 2*len(r.items)))
-		for i := 0; i < r.count; i++ {
-			items[i] = r.items[(r.head+i)&(len(r.items)-1)]
-		}
-		r.items, r.head = items, 0
-	}
-	r.items[(r.head+r.count)&(len(r.items)-1)] = f
-	r.count++
-}
-
-//hierdb:hotpath
-func (r *flightRing) pop() flight {
-	f := r.items[r.head]
-	r.items[r.head] = flight{}
-	r.head = (r.head + 1) & (len(r.items) - 1)
-	r.count--
-	return f
 }
 
 // initialCredits is the per-(operator, destination) send window.

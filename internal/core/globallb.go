@@ -59,7 +59,6 @@ type stealRound struct {
 
 	// The request to the chosen provider and what it ships.
 	provider   *engNode
-	shipOp     *opState
 	acts       []*activation
 	tableBytes int64
 	recvShare  int64
@@ -178,13 +177,15 @@ func (e *Engine) considerCandidate(best *candidate, o *opState, pv, req *engNode
 			continue // condition (ii)
 		}
 		var actBytes, tblBytes int64
-		e.buckets.reset()
+		seen := e.seen[:o.buckets]
+		clear(seen)
 		for i := 0; i < n; i++ {
 			a := q.at(i)
 			actBytes += a.bytes()
-			if !e.buckets.add(a.bucket) {
+			if seen[a.bucket] {
 				continue
 			}
+			seen[a.bucket] = true
 			if e.opt.StealCache && pv.shipped[shipKey{opID: o.op.ID, bucket: a.bucket, requester: req.id}] {
 				continue
 			}
@@ -285,10 +286,12 @@ func (e *Engine) shipQueue(r *stealRound, c candidate) {
 	// Producers suspended on this (previously full) queue can resume.
 	pv.wake()
 	var bytes int64
-	e.buckets.reset()
+	seen := e.seen[:o.buckets]
+	clear(seen)
 	for _, a := range acts {
 		bytes += a.bytes()
-		if e.buckets.add(a.bucket) {
+		if !seen[a.bucket] {
+			seen[a.bucket] = true
 			key := shipKey{opID: o.op.ID, bucket: a.bucket, requester: req.id}
 			if !e.opt.StealCache || !pv.shipped[key] {
 				tbl := e.ops[o.op.Partner.ID]
@@ -302,7 +305,6 @@ func (e *Engine) shipQueue(r *stealRound, c candidate) {
 	if bytes <= 0 {
 		bytes = controlMsgBytes
 	}
-	r.shipOp = o
 	r.tableBytes = c.tableBytes
 	r.recvShare = e.cl.Net.RecvInstr(bytes) / int64(len(acts))
 	e.cl.Net.Send(simnet.Balance, bytes, r.receiveFn)
@@ -313,7 +315,7 @@ func (e *Engine) shipQueue(r *stealRound, c candidate) {
 //
 //hierdb:hotpath
 func (r *stealRound) receive() {
-	e, req, o := r.e, r.req, r.shipOp
+	e, req, o := r.e, r.req, r.acts[0].op
 	req.memUsed += r.tableBytes
 	for _, a := range r.acts {
 		a.node = req.id
@@ -333,31 +335,4 @@ func (r *stealRound) receive() {
 		req.stealOutstanding = false
 	}
 	req.wake()
-}
-
-// bucketSet is a reusable set of bucket numbers: a generation stamp per
-// bucket, so a reset costs one increment.
-type bucketSet struct {
-	stamp []uint32
-	gen   uint32
-}
-
-func (s *bucketSet) reset() {
-	s.gen++
-	if s.gen == 0 { // wrapped: stale stamps could alias the new generation
-		clear(s.stamp)
-		s.gen = 1
-	}
-}
-
-// add inserts b and reports whether it was absent.
-func (s *bucketSet) add(b int) bool {
-	if b >= len(s.stamp) {
-		s.stamp = append(s.stamp, make([]uint32, b+1-len(s.stamp))...)
-	}
-	if s.stamp[b] == s.gen {
-		return false
-	}
-	s.stamp[b] = s.gen
-	return true
 }
