@@ -233,12 +233,15 @@ var errStopped = errors.New("simtime: process stopped")
 
 // coroutine runs the process body as an iter.Seq: every park that
 // switches away is a yield. A stopped process unwinds from park with
-// errStopped, which ends here.
+// errStopped, which ends here; any other panic goes on to Run's caller.
 func (p *Proc) coroutine(yield func(struct{}) bool) {
 	p.yield = yield
 	defer func() {
-		if p.done {
-			recover()
+		if !p.done {
+			return
+		}
+		if r := recover(); r != nil && r != errStopped {
+			panic(r)
 		}
 	}()
 	p.body(p)
